@@ -14,19 +14,13 @@ type deposit_rec = {
   mutable status : deposit_status;
 }
 
-type op =
-  | Op_open of int * int
-  | Op_transfer of int * int * int
-  | Op_deposit of deposit_id * int * int
-  | Op_release of deposit_id * int
-  | Op_refund of deposit_id
-
 type t = {
   currency : string;
   balances : (int, int) Hashtbl.t;
   deposits : (deposit_id, deposit_rec) Hashtbl.t;
-  mutable next_deposit : deposit_id;
-  mutable journal : op list; (* newest first *)
+      (** never shrinks, so its size is the next deposit id *)
+  mutable pool : int;  (** sum of [Held] deposit amounts *)
+  mutable ops : int;  (** successful operations so far *)
   mutable initial_supply : int;
 }
 
@@ -35,8 +29,8 @@ let create ~currency =
     currency;
     balances = Hashtbl.create 8;
     deposits = Hashtbl.create 8;
-    next_deposit = 0;
-    journal = [];
+    pool = 0;
+    ops = 0;
     initial_supply = 0;
   }
 
@@ -50,7 +44,7 @@ let open_account t ~owner ~balance =
   | None ->
       Hashtbl.add t.balances owner balance;
       t.initial_supply <- t.initial_supply + balance;
-      t.journal <- Op_open (owner, balance) :: t.journal
+      t.ops <- t.ops + 1
 
 let has_account t owner = Hashtbl.mem t.balances owner
 let balance t owner = Option.value ~default:0 (Hashtbl.find_opt t.balances owner)
@@ -84,7 +78,7 @@ let transfer t ~src ~dst ~amount =
     | Error _ as e -> e
     | Ok () ->
         (match credit t dst amount with Ok () -> () | Error _ -> assert false);
-        t.journal <- Op_transfer (src, dst, amount) :: t.journal;
+        t.ops <- t.ops + 1;
         Ok ()
 
 let deposit t ~from_ ~amount =
@@ -92,11 +86,18 @@ let deposit t ~from_ ~amount =
   match debit t from_ amount with
   | Error e -> Error e
   | Ok () ->
-      let id = t.next_deposit in
-      t.next_deposit <- id + 1;
+      let id = Hashtbl.length t.deposits in
       Hashtbl.add t.deposits id { depositor = from_; amount; status = Held };
-      t.journal <- Op_deposit (id, from_, amount) :: t.journal;
+      t.pool <- t.pool + amount;
+      t.ops <- t.ops + 1;
       Ok id
+
+(* The only writer of a deposit's status once it is issued: a [Held]
+   deposit leaves the pool here, so [pool] is the sum of held amounts. *)
+let settle t d status =
+  d.status <- status;
+  t.pool <- t.pool - d.amount;
+  t.ops <- t.ops + 1
 
 let resolve t id ~into =
   match Hashtbl.find_opt t.deposits id with
@@ -115,8 +116,7 @@ let release t id ~to_ =
     match resolve t id ~into:to_ with
     | Error e -> Error e
     | Ok d ->
-        d.status <- Released to_;
-        t.journal <- Op_release (id, to_) :: t.journal;
+        settle t d (Released to_);
         Ok ()
 
 let refund t id =
@@ -126,8 +126,7 @@ let refund t id =
       match resolve t id ~into:d.depositor with
       | Error e -> Error e
       | Ok d ->
-          d.status <- Refunded;
-          t.journal <- Op_refund id :: t.journal;
+          settle t d Refunded;
           Ok ())
 
 let deposit_status t id =
@@ -136,10 +135,7 @@ let deposit_status t id =
 let deposit_amount t id =
   Option.map (fun d -> d.amount) (Hashtbl.find_opt t.deposits id)
 
-let pool_total t =
-  Hashtbl.fold
-    (fun _ d acc -> match d.status with Held -> acc + d.amount | _ -> acc)
-    t.deposits 0
+let pool_total t = t.pool
 
 let total_supply t =
   Hashtbl.fold (fun _ b acc -> acc + b) t.balances 0 + pool_total t
@@ -157,7 +153,7 @@ let audit t =
          t.initial_supply)
   else Ok ()
 
-let journal_length t = List.length t.journal
+let journal_length t = t.ops
 
 let pp_error ppf = function
   | Unknown_account a -> Fmt.pf ppf "unknown account %d" a

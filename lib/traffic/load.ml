@@ -111,9 +111,8 @@ let is_liquidity_rejection what =
   String.length what >= String.length prefix
   && String.sub what 0 (String.length prefix) = prefix
 
-let book_ok b =
-  (match Ledger.Book.audit b with Ok () -> true | Error _ -> false)
-  && List.for_all (fun (_, bal) -> bal >= 0) (Ledger.Book.accounts b)
+(* [audit] also fails on any negative balance. *)
+let book_ok b = Result.is_ok (Ledger.Book.audit b)
 
 (* One protocol instance: a single path of a payment, running the plain
    linear protocol over the books of that path's legs. A payment on a

@@ -370,6 +370,35 @@ let book_prop_tests =
            && Result.is_ok (Book.audit b)
            && List.for_all (fun (_, bal) -> bal >= 0) (Book.accounts b)));
     qcheck
+      (QCheck.Test.make
+         ~name:"pool_total equals the held deposits after every op" ~count:300
+         book_ops_arb (fun ops ->
+           (* differential oracle for the running pool: recompute it from
+              every issued id's public status and amount, after every op,
+              failed ones included *)
+           let b = book () in
+           let live = ref [] and resolved = ref [] in
+           List.for_all
+             (fun op ->
+               ignore (step b live resolved op);
+               let held =
+                 List.fold_left
+                   (fun acc id ->
+                     match (Book.deposit_status b id, Book.deposit_amount b id) with
+                     | Some Book.Held, Some a -> acc + a
+                     | Some _, Some _ -> acc
+                     | _ -> QCheck.Test.fail_reportf "issued id %d unknown" id)
+                   0 (!live @ !resolved)
+               in
+               let balances =
+                 List.fold_left (fun acc (_, bal) -> acc + bal) 0 (Book.accounts b)
+               in
+               if Book.pool_total b <> held then
+                 QCheck.Test.fail_reportf "after %s: pool_total %d, held %d"
+                   (book_op_print op) (Book.pool_total b) held
+               else Book.total_supply b = balances + held)
+             ops));
+    qcheck
       (QCheck.Test.make ~name:"failed operations leave the book untouched"
          ~count:300 book_ops_arb (fun ops ->
            let _, dirty = run_program ops in

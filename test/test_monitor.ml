@@ -241,6 +241,47 @@ let sampler_tests =
           b.C.violations);
   ]
 
+(* ------------------------- monitored load runs ------------------------ *)
+
+let load_spec s =
+  match Traffic.Workload.of_string s with
+  | Ok w -> w
+  | Error e -> Alcotest.fail ("bad spec: " ^ e)
+
+(* the whole report with its one host-clock member pinned *)
+let report_json r = Traffic.Load.to_json { r with Traffic.Load.wall_ns = 1 }
+
+let load_monitor_tests =
+  let case name s seed =
+    Alcotest.test_case name `Quick (fun () ->
+        let workload = load_spec s in
+        let plain = Traffic.Load.run ~workload ~seed () in
+        let m = Obsv.Monitor.create () in
+        let watched = Traffic.Load.run ~monitor:m ~workload ~seed () in
+        check Alcotest.string "report" (report_json plain)
+          (report_json watched);
+        check Alcotest.bool "commits" true (watched.Traffic.Load.committed > 0);
+        check Alcotest.bool "conservation" true
+          watched.Traffic.Load.conservation_ok;
+        check Alcotest.(list string) "monitor clean" [] (sorted_violations m);
+        check Alcotest.bool "never tripped" true
+          (Obsv.Monitor.first_trip m = None);
+        (* one step after every dispatched event, plus the final one *)
+        check Alcotest.int "steps" (watched.Traffic.Load.events + 1)
+          (Obsv.Monitor.steps m))
+  in
+  let common =
+    "hops=2 value=1000 commission=10 cap=0 stuck=0 gst=none payments=80 \
+     arrival=poisson:20 mix=sync:1,weak:1,htlc:1 policy=reserve liquidity=0 \
+     patience=2000 drift=10000"
+  in
+  [
+    case "monitoring never changes a linear reserve run" common 3;
+    case "monitoring never changes a hub:3 routed run"
+      (common ^ " topology=hub:3 splits=2")
+      4;
+  ]
+
 let () =
   Alcotest.run "monitor"
     [
@@ -248,4 +289,5 @@ let () =
       ("stop-on-violation", stop_tests);
       ("bundles", bundle_tests);
       ("sampler", sampler_tests);
+      ("load", load_monitor_tests);
     ]
