@@ -743,44 +743,13 @@ let experiment_tests =
                  ~seed:1 ())));
   ]
 
-(* Occupancy churn for the event queue's cancel path: build a heap of n
-   timers, cancel every other one through the O(1) liveness table, then
-   drain (pops lazily discard the tombstones). Before the liveness table,
-   cancel was a heap scan and this was quadratic in n. *)
-let queue_churn n =
-  let q = Sim.Event_queue.create () in
-  let toks =
-    Array.init n (fun i -> Sim.Event_queue.push q ~time:((i * 7919) land 0xfffff) i)
-  in
-  let cancelled = ref 0 in
-  Array.iteri
-    (fun i t ->
-      if i land 1 = 0 && Sim.Event_queue.cancel q t then incr cancelled)
-    toks;
-  while not (Sim.Event_queue.is_empty q) do
-    ignore (Sim.Event_queue.pop q)
-  done;
-  assert (!cancelled = (n + 1) / 2)
-
-let queue_occupancy_tests =
-  let mk n label =
-    Test.make
-      ~name:(Printf.sprintf "sim_event_queue_churn_%s" label)
-      (Staged.stage (fun () -> queue_churn n))
-  in
-  [ mk 10_000 "10k"; mk 100_000 "100k" ]
-  @ (match scale with
-    | Xchain.Experiments.Full -> [ mk 1_000_000 "1M" ]
-    | Quick -> [])
-
 let substrate_tests =
-  queue_occupancy_tests
-  @ [
+  [
     Test.make ~name:"sim_event_queue_push_pop_1k"
       (Staged.stage (fun () ->
            let q = Sim.Event_queue.create () in
            for i = 0 to 999 do
-             ignore (Sim.Event_queue.push q ~time:((i * 7919) mod 1000) i)
+             Sim.Event_queue.push q ~time:((i * 7919) mod 1000) i
            done;
            while not (Sim.Event_queue.is_empty q) do
              ignore (Sim.Event_queue.pop q)

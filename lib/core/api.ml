@@ -79,25 +79,18 @@ let pay ?(hops = 2) ?(value = 1000) ?(commission = 10) ?(drift_ppm = 10_000)
   let runner_protocol = to_runner_protocol protocol in
   let outcome = Runner.run cfg runner_protocol in
   let v = PP.view outcome in
-  let report =
-    match runner_protocol with
-    | Runner.Weak _ | Runner.Atomic _ ->
-        PP.check_def2 ~patience_sufficient:false v
-    | _ -> PP.check_def1 ~time_bounded:(network = Synchronous) v
-  in
-  let terms = Runner.terminated_pids outcome in
-  let bob = Topology.bob outcome.Runner.env.Env.topo in
+  let report = PP.check ~time_bounded:(network = Synchronous) v in
   {
     success = PP.bob_paid v;
     outcome;
     report;
     all_properties_hold = V.all_hold report;
     terminations =
-      List.map (fun (pid, tag, _) -> (participant_name outcome pid, tag)) terms;
+      List.map
+        (fun (pid, tag, _) -> (participant_name outcome pid, tag))
+        (Runner.terminated_pids outcome);
     bob_paid_at =
-      List.find_map
-        (fun (pid, _, t) -> if pid = bob then Some t else None)
-        terms;
+      Option.map fst (v.PP.terminated (Topology.bob outcome.Runner.env.Env.topo));
     messages = outcome.Runner.message_count;
   }
 

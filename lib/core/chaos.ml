@@ -45,16 +45,22 @@ let protocol_flag = function
       "committee"
   | p -> Runner.protocol_name p
 
+(* The safety subset as named checks over a view: the payment-level
+   safety of the run's Definition, then ES and global conservation. *)
+let safety_checks view =
+  List.map
+    (fun (name, check) -> (name, fun () -> check view.P.judge))
+    (Props.Payment_fold.safety view.P.outcome.Runner.protocol)
+  @ [
+      ("ES", fun () -> P.check_es view);
+      ( "M",
+        fun () ->
+          if P.money_conserved view then V.ok "M" "money conserved"
+          else V.violated "M" "money not conserved across books" );
+    ]
+
 let safety_report view =
-  [
-    P.check_c view;
-    P.check_es view;
-    P.check_cs1 view;
-    P.check_cs2 view;
-    P.check_cs3 view;
-    (if P.money_conserved view then V.ok "M" "money conserved"
-     else V.violated "M" "money not conserved across books");
-  ]
+  List.map (fun (_, check) -> check ()) (safety_checks view)
 
 let classify view report =
   let failed = List.filter (fun v -> v.V.applicable && not v.V.holds) report in
@@ -72,24 +78,17 @@ let classify view report =
   end
 
 (* Register the safety subset as online monitor checks over the live run.
-   Each closure re-derives the post-hoc view from the provisional outcome
-   — the books and the trace it reads are the run's own mutable state —
-   so the monitor's final verdict set IS the post-hoc [safety_report]
+   The live view's fold is fed entry by entry by a trace hook and its net
+   positions read the run's own books, so each dispatch costs O(pids), and
+   the monitor's final verdict set IS the post-hoc [safety_report]
    evaluated at the final state, by construction. *)
 let register_safety_checks m (o : Runner.outcome) =
-  let reg name check =
-    Obsv.Monitor.register m ~name (fun () ->
-        let v = check (P.view o) in
-        if v.V.applicable && not v.V.holds then Some v.V.detail else None)
-  in
-  reg "C" P.check_c;
-  reg "ES" P.check_es;
-  reg "CS1" P.check_cs1;
-  reg "CS2" P.check_cs2;
-  reg "CS3" P.check_cs3;
-  Obsv.Monitor.register m ~name:"M" (fun () ->
-      if P.money_conserved (P.view o) then None
-      else Some "money not conserved across books")
+  List.iter
+    (fun (name, check) ->
+      Obsv.Monitor.register m ~name (fun () ->
+          let v = check () in
+          if v.V.applicable && not v.V.holds then Some v.V.detail else None))
+    (safety_checks (P.live_view o))
 
 (* Probe columns for a single-payment chaos run: engine queue depth plus
    each escrow book's pooled (escrowed) funds. *)

@@ -2,8 +2,10 @@
 
     Each chaos run executes one payment with a {!Faults.Fault_plan.t}
     installed — lossy links, crash–recovery schedules, partitions, GST
-    jitter — and checks the {e safety} subset of the paper's properties:
-    C, ES, CS1–CS3 and global money conservation. Liveness (T, L) is
+    jitter — and checks the {e safety} subset of the Definition its
+    protocol is judged by ({!Props.Payment_fold.definition}): C, CS1–CS3
+    under Definition 1, C, CC, CS1w, CS2w, CS3 under Definition 2, plus
+    ES and global money conservation. Liveness (T, L) is
     deliberately excluded: a fault plan is allowed to stall a payment, it
     is never allowed to lose or mint money. A stalled run is classified,
     not failed.
@@ -59,18 +61,6 @@ type run_result = {
           the run's [end_time] equals this breach time. *)
 }
 
-val safety_report : Props.Payment_props.run_view -> Props.Verdict.report
-(** C, ES, CS1, CS2, CS3 plus an [M] (money conservation) verdict. *)
-
-val register_safety_checks : Obsv.Monitor.t -> Protocols.Runner.outcome -> unit
-(** Register the safety subset as online monitor checks over a (live,
-    provisional) outcome — the closures evaluate the {e same} post-hoc
-    predicates as {!safety_report} against the run's own mutable books
-    and trace, which is what makes the monitor's final verdict agree with
-    the post-hoc report by construction. Called by {!run_one}'s
-    [on_ready] hook; exposed for harnesses that assemble their own
-    runner configs. *)
-
 val run_one :
   ?hops:int ->
   ?protocol:Protocols.Runner.protocol ->
@@ -91,7 +81,9 @@ val run_one :
     ({!Obsv.Prof}). Neither changes the schedule.
 
     [monitor] arms online verification of the safety subset on every
-    dispatch (filling [breach_at]); a stop-on-violation monitor ends the
+    dispatch, O(pids) each over {!Props.Payment_props.live_view}, so its
+    final verdict agrees with the post-hoc one by construction (filling
+    [breach_at]); a stop-on-violation monitor ends the
     run at the first breach with status [Violation_stop]. [sampler]
     records a sim-time series (queue depth plus per-escrow pooled
     funds); [recorder] keeps the flight-recorder ring for {!bundle}.

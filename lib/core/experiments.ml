@@ -17,7 +17,7 @@ let chi_stall : Sim.Network.adversary =
   else Some bounds.Sim.Network.lo
 
 let def1_holds ?(time_bounded = true) outcome =
-  V.all_hold (PP.check_def1 ~time_bounded (PP.view outcome))
+  V.all_hold (PP.check ~time_bounded (PP.view outcome))
 
 let pct hits total = Sim.Stats.rate ~hits ~total
 
@@ -113,10 +113,8 @@ let e2_impossibility scale =
               Runner.Sync_timebound
           in
           let v = PP.view o in
-          if not (V.holds (PP.check_def1 ~time_bounded:false v) "T") then
-            incr t_violated;
-          if not (V.holds (PP.check_def1 ~time_bounded:false v) "L") then
-            incr l_violated;
+          if not (V.holds (PP.check v) "T") then incr t_violated;
+          if not (V.holds (PP.check v) "L") then incr l_violated;
           if PP.bob_paid v then incr paid;
           (* same GST, same windows, but delays sampled randomly: the
              impossibility needs the adversary, not bad luck *)
@@ -178,7 +176,7 @@ let e3_weak_protocol scale =
                   in
                   let o = Runner.run cfg (Runner.Weak (weak_cfg ~tm ~patience ())) in
                   let v = PP.view o in
-                  if V.all_hold (PP.check_def2 ~patience_sufficient:true v)
+                  if V.all_hold (PP.check ~patience_sufficient:true v)
                   then incr ok;
                   if PP.bob_paid v then incr paid
                 done;
@@ -234,7 +232,7 @@ let e4_patience_sweep scale =
                 match ob with Obs.Abort_requested _ -> true | _ -> false)
               (Runner.observations o)
           then incr aborted;
-          let report = PP.check_def2 ~patience_sufficient:false v in
+          let report = PP.check v in
           if V.all_hold report then incr safe
         done;
         [
@@ -281,13 +279,10 @@ let e5_scaling scale =
               let v = PP.view o in
               msgs := float_of_int o.Runner.message_count :: !msgs;
               lock := float_of_int (PP.lock_time v) :: !lock;
-              let bob = hops in
-              (match
-                 List.find_opt (fun (p, _, _) -> p = bob)
-                   (Runner.terminated_pids o)
-               with
-              | Some (_, _, t) -> latency := float_of_int t :: !latency
-              | None -> ())
+              (* Bob is pid [hops] *)
+              Option.iter
+                (fun (t, _) -> latency := float_of_int t :: !latency)
+                (v.PP.terminated hops)
             done;
             [
               Table.cell_i hops;
@@ -367,11 +362,7 @@ let e6_fault_matrix scale =
           in
           let o = Runner.run cfg protocol in
           let v = PP.view o in
-          let report =
-            match protocol with
-            | Runner.Weak _ -> PP.check_def2 ~patience_sufficient:false v
-            | _ -> PP.check_def1 ~time_bounded:false v
-          in
+          let report = PP.check v in
           if V.all_hold report then incr ok
           else if String.equal !detail "" then
             detail :=
@@ -397,11 +388,7 @@ let e6_fault_matrix scale =
           let cfg = { (Runner.default_config ~hops ~seed) with faults } in
           let o = Runner.run cfg protocol in
           let v = PP.view o in
-          let report =
-            match protocol with
-            | Runner.Weak _ -> PP.check_def2 ~patience_sufficient:false v
-            | _ -> PP.check_def1 ~time_bounded:false v
-          in
+          let report = PP.check v in
           if V.all_hold report && PP.money_conserved v then incr ok;
           if PP.bob_paid v then incr paid
         done;
@@ -538,7 +525,7 @@ let e8_tm_committee scale =
               in
               let o = Runner.run cfg (Runner.Weak wc) in
               let v = PP.view o in
-              if V.holds (PP.check_def2 ~patience_sufficient:false v) "CC"
+              if V.holds (PP.check v) "CC"
               then incr cc_ok;
               (match
                  List.find_map
@@ -672,7 +659,7 @@ let e10_embedding _scale =
     let o = Runner.run (Runner.default_config ~hops:2 ~seed) Runner.Htlc in
     let v = PP.view o in
     if PP.bob_paid v then incr htlc_paid;
-    if V.holds (PP.check_def1 ~time_bounded:false v) "CS1" then incr htlc_cs1
+    if V.holds (PP.check v) "CS1" then incr htlc_cs1
   done;
   let rows =
     [
@@ -737,7 +724,7 @@ let e11_atomic_vs_weak scale =
           let va = PP.view oa in
           if PP.bob_paid va then incr atomic_ok;
           if
-            V.all_hold (PP.check_def2 ~patience_sufficient:false va)
+            V.all_hold (PP.check va)
             && PP.money_conserved va
           then incr safe;
           let ow =
@@ -855,7 +842,7 @@ let e13_partition_sweep scale =
                   (fun pid -> Option.is_some (v.PP.terminated pid))
                   (Topology.customers o.Runner.env.Env.topo)
               then incr terminated;
-              let report = PP.check_def2 ~patience_sufficient:false v in
+              let report = PP.check v in
               (* an unhealed partition stops customers from terminating,
                  which fails the liveness verdicts (T, Lw) by design; the
                  safety column is everything else *)
@@ -971,7 +958,7 @@ let e14_quorum_partitions scale =
               (fun pid -> Option.is_some (v.PP.terminated pid))
               (Topology.customers o.Runner.env.Env.topo)
           then incr terminated;
-          let report = PP.check_def2 ~patience_sufficient:false v in
+          let report = PP.check v in
           let safety =
             List.filter
               (fun (p : V.t) -> p.V.property <> "T" && p.V.property <> "Lw")

@@ -89,7 +89,7 @@ let sweep ?(hops = 1) ?(drift_ppm = 50_000) ?(max_corners = 600_000) ?domains
       }
     in
     let o = Runner.run cfg protocol in
-    let report = PP.check_def1 ~time_bounded:false (PP.view o) in
+    let report = PP.check (PP.view o) in
     let witness =
       if V.all_hold report then None
       else Some (describe ~hops ~delay_bits ~clock_bits ~msgs ~procs report)

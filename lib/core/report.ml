@@ -36,12 +36,7 @@ let conformance_of outcome pid =
 let build (outcome : Runner.outcome) =
   let v = PP.view outcome in
   let topo = outcome.Runner.env.Env.topo in
-  let verdicts =
-    match outcome.Runner.protocol with
-    | Runner.Weak _ | Runner.Atomic _ ->
-        PP.check_def2 ~patience_sufficient:false v
-    | _ -> PP.check_def1 ~time_bounded:false v
-  in
+  let verdicts = PP.check v in
   let pids =
     Topology.customers topo @ Topology.escrows topo
     @ Array.to_list outcome.Runner.tm_pids
@@ -53,10 +48,7 @@ let build (outcome : Runner.outcome) =
           pid;
           name = Api.participant_name outcome pid;
           byzantine = List.assoc_opt pid outcome.Runner.fault_names;
-          terminated =
-            Option.map
-              (fun (t, tag) -> (t, tag))
-              (v.PP.terminated pid);
+          terminated = v.PP.terminated pid;
           net = v.PP.net pid;
           conforms = conformance_of outcome pid;
         })

@@ -1,24 +1,48 @@
 open Protocols
 
+module F = Payment_fold
+
 type run_view = {
   outcome : Runner.outcome;
   byzantine : int -> bool;
   terminated : int -> (Sim.Sim_time.t * string) option;
   net : int -> int;
+  judge : F.judge;
 }
 
-let view (outcome : Runner.outcome) =
+let faulty_notaries (outcome : Runner.outcome) =
+  match outcome.Runner.protocol with
+  | Runner.Weak { Weak_protocol.notary_faults; _ } ->
+      Array.fold_left
+        (fun acc nf ->
+          match nf with Weak_protocol.Notary_honest -> acc | _ -> acc + 1)
+        0 notary_faults
+  | _ -> 0
+
+let tm_trusted (outcome : Runner.outcome) =
+  match outcome.Runner.protocol with
+  | Runner.Weak { Weak_protocol.tm = Weak_protocol.Single | Weak_protocol.Chain _; _ }
+  | Runner.Atomic _ ->
+      true
+  | Runner.Weak { Weak_protocol.tm = Weak_protocol.Committee { f }; _ } ->
+      faulty_notaries outcome <= f
+  | _ -> false
+
+(* [live]: the run has not started, so a trace hook feeds the fold as it
+   records; otherwise the finished trace is folded once *)
+let make ~live (outcome : Runner.outcome) =
   let faults = outcome.Runner.fault_names in
   let byzantine pid = List.mem_assoc pid faults in
-  let terms = Runner.terminated_pids outcome in
-  let terminated pid =
-    List.find_map
-      (fun (p, tag, t) -> if p = pid then Some (t, tag) else None)
-      terms
-  in
   let env = outcome.Runner.env in
   let topo = env.Env.topo in
   let n = Topology.hops topo in
+  let facts =
+    F.create ~base:0 ~hops:n
+      ~nprocs:(Topology.payment_count topo + Array.length outcome.Runner.tm_pids)
+  in
+  let trace = outcome.Runner.trace in
+  if live then Sim.Trace.on_record trace (F.observe facts)
+  else List.iter (F.observe facts) (Sim.Trace.to_list trace);
   let net pid =
     match Topology.customer_index topo pid with
     | None -> 0
@@ -33,48 +57,31 @@ let view (outcome : Runner.outcome) =
         in
         down + up
   in
-  { outcome; byzantine; terminated; net }
+  let well_formed =
+    match outcome.Runner.protocol with
+    | Runner.Sync_timebound | Runner.Naive_universal -> Sync_protocol.check_all env
+    | Runner.Htlc | Runner.Weak _ | Runner.Atomic _ -> Ok ()
+  in
+  {
+    outcome;
+    byzantine;
+    terminated = F.terminated facts;
+    net;
+    judge =
+      {
+        F.facts;
+        honest = (fun pid -> not (byzantine pid));
+        net;
+        tm_trusted = tm_trusted outcome;
+        well_formed;
+      };
+  }
 
+let view = make ~live:false
+let live_view = make ~live:true
 let env v = v.outcome.Runner.env
 let topo v = (env v).Env.topo
-let obs v = Runner.observations v.outcome
-
-let escrows_abide v i =
-  (* do the escrows of customer c_i abide? *)
-  let t = topo v in
-  let up_ok =
-    i = 0 || not (v.byzantine (Topology.escrow t (i - 1)))
-  in
-  let down_ok =
-    i = Topology.hops t || not (v.byzantine (Topology.escrow t i))
-  in
-  up_ok && down_ok
-
-let made_payment v pid =
-  List.exists
-    (function
-      | Sim.Trace.Sent { src; msg = Msg.Money _; _ } -> src = pid
-      | Sim.Trace.Sent { src; msg = Msg.Htlc_setup _; _ } -> src = pid
-      | _ -> false)
-    (Sim.Trace.to_list v.outcome.Runner.trace)
-
-let issued_cert v pid =
-  List.exists
-    (fun (_, _, o) ->
-      match o with Obs.Cert_issued { by; _ } -> by = pid | _ -> false)
-    (obs v)
-
-let received_cert v pid kind =
-  List.exists
-    (fun (_, _, o) ->
-      match o with
-      | Obs.Cert_received { pid = p; kind = k; valid } ->
-          p = pid && k = kind && valid
-      | _ -> false)
-    (obs v)
-
 let bob_paid v = v.net (Topology.bob (topo v)) > 0
-let alice_has_chi v = received_cert v (Topology.alice (topo v)) Obs.Chi
 
 let money_conserved v =
   Array.for_all
@@ -83,32 +90,23 @@ let money_conserved v =
 
 (* ---- Definition 1 ---- *)
 
-let check_c v =
-  let structural =
-    match v.outcome.Runner.protocol with
-    | Runner.Sync_timebound | Runner.Naive_universal ->
-        Sync_protocol.check_all (env v)
-    | Runner.Htlc | Runner.Weak _ | Runner.Atomic _ -> Ok ()
-  in
-  match structural with
-  | Error e -> Verdict.violated "C" ("ill-formed automaton: " ^ e)
-  | Ok () -> (
-      let honest_rejection =
-        List.find_map
-          (fun (_, _, o) ->
-            match o with
-            | Obs.Rejected { pid; what } when not (v.byzantine pid) ->
-                Some (Fmt.str "pid %d could not abide: %s" pid what)
-            | _ -> None)
-          (obs v)
-      in
-      match honest_rejection with
-      | Some w -> Verdict.violated "C" w
-      | None -> Verdict.ok "C" "every honest step was executable")
+(* T over the honest customers whose escrows abide and that are [active]:
+   the first whose termination [late] objects to, if any *)
+let termination v ~active ~late ~ok =
+  match
+    List.find_map
+      (fun i ->
+        if v.byzantine i || not (F.escrows_abide v.judge i && active i) then
+          None
+        else late i (v.terminated i))
+      (Topology.customers (topo v))
+  with
+  | None -> Verdict.ok "T" ok
+  | Some w -> Verdict.violated "T" w
 
 let check_t ~time_bounded v =
-  let t = topo v in
   let params = v.outcome.Runner.params in
+  let facts = v.judge.F.facts in
   let bound_for i =
     (* the per-customer a-priori period, when the vector covers this run's
        topology; the global horizon otherwise *)
@@ -116,32 +114,19 @@ let check_t ~time_bounded v =
       params.Params.customer_bound.(i)
     else params.Params.horizon
   in
-  let problems =
-    List.filter_map
-      (fun pid ->
-        let i = Option.get (Topology.customer_index t pid) in
-        if
-          v.byzantine pid
-          || (not (escrows_abide v i))
-          || not (made_payment v pid || issued_cert v pid)
-        then None
-        else
-          match v.terminated pid with
-          | None -> Some (Fmt.str "c%d (pid %d) never terminated" i pid)
-          | Some (time, _) ->
-              if time_bounded && Sim.Sim_time.(time > bound_for i) then
-                Some
-                  (Fmt.str "c%d terminated at %a, past its bound %a" i
-                     Sim.Sim_time.pp time Sim.Sim_time.pp (bound_for i))
-              else None)
-      (Topology.customers t)
-  in
-  match problems with
-  | [] ->
-      Verdict.ok "T"
-        (if time_bounded then "all active honest customers terminated in bound"
-         else "all active honest customers terminated")
-  | w :: _ -> Verdict.violated "T" w
+  termination v
+    ~active:(fun i -> F.made_payment facts i || F.issued_cert facts i)
+    ~late:(fun i -> function
+      | None -> Some (Fmt.str "c%d (pid %d) never terminated" i i)
+      | Some (time, _) ->
+          if time_bounded && Sim.Sim_time.(time > bound_for i) then
+            Some
+              (Fmt.str "c%d terminated at %a, past its bound %a" i
+                 Sim.Sim_time.pp time Sim.Sim_time.pp (bound_for i))
+          else None)
+    ~ok:
+      (if time_bounded then "all active honest customers terminated in bound"
+       else "all active honest customers terminated")
 
 let check_es v =
   let t = topo v in
@@ -164,65 +149,8 @@ let check_es v =
   | [] -> Verdict.ok "ES" "no honest escrow lost money"
   | w :: _ -> Verdict.violated "ES" w
 
-let check_cs1 v =
-  let t = topo v in
-  let alice = Topology.alice t in
-  if v.byzantine alice || not (escrows_abide v 0) then
-    Verdict.vacuous "CS1" "Alice or her escrow is Byzantine"
-  else
-    match v.terminated alice with
-    | None -> Verdict.vacuous "CS1" "Alice has not terminated (see T)"
-    | Some _ ->
-        if v.net alice >= 0 then Verdict.ok "CS1" "Alice got her money back"
-        else if alice_has_chi v then Verdict.ok "CS1" "Alice holds χ"
-        else
-          Verdict.violated "CS1"
-            (Fmt.str "Alice terminated with net %d and no χ" (v.net alice))
-
-let check_cs2 v =
-  let t = topo v in
-  let bob = Topology.bob t in
-  let n = Topology.hops t in
-  if v.byzantine bob || not (escrows_abide v n) then
-    Verdict.vacuous "CS2" "Bob or his escrow is Byzantine"
-  else
-    match v.terminated bob with
-    | None -> Verdict.vacuous "CS2" "Bob has not terminated (see T)"
-    | Some _ ->
-        if bob_paid v then Verdict.ok "CS2" "Bob was paid"
-        else if not (issued_cert v bob) then
-          Verdict.ok "CS2" "Bob issued no certificate"
-        else
-          Verdict.violated "CS2" "Bob issued χ, terminated, and was not paid"
-
-let check_cs3 v =
-  let t = topo v in
-  let problems =
-    List.filter_map
-      (fun pid ->
-        let i = Option.get (Topology.customer_index t pid) in
-        if v.byzantine pid || not (escrows_abide v i) then None
-        else
-          match v.terminated pid with
-          | None -> None (* T's department *)
-          | Some _ ->
-              if v.net pid >= 0 then None
-              else Some (Fmt.str "Chloe%d terminated with net %d" i (v.net pid)))
-      (Topology.connectors t)
-  in
-  match problems with
-  | [] -> Verdict.ok "CS3" "every terminated honest connector is whole"
-  | w :: _ -> Verdict.violated "CS3" w
-
 let no_faults v =
-  v.outcome.Runner.fault_names = []
-  &&
-  match v.outcome.Runner.protocol with
-  | Runner.Weak { Weak_protocol.notary_faults; _ } ->
-      Array.for_all
-        (function Weak_protocol.Notary_honest -> true | _ -> false)
-        notary_faults
-  | _ -> true
+  v.outcome.Runner.fault_names = [] && faulty_notaries v.outcome = 0
 
 let check_l v =
   if not (no_faults v) then Verdict.vacuous "L" "some party does not abide"
@@ -231,110 +159,26 @@ let check_l v =
 
 let check_def1 ~time_bounded v =
   [
-    check_c v;
+    F.check_c v.judge;
     check_t ~time_bounded v;
     check_es v;
-    check_cs1 v;
-    check_cs2 v;
-    check_cs3 v;
+    F.check_cs1 v.judge;
+    F.check_cs2 v.judge;
+    F.check_cs3 v.judge;
     check_l v;
   ]
 
 (* ---- Definition 2 ---- *)
 
-let decisions v =
-  List.filter_map
-    (fun (_, _, o) ->
-      match o with
-      | Obs.Decision_made { by; commit } -> Some (by, commit)
-      | _ -> None)
-    (obs v)
-
-let check_cc v =
-  let ds = decisions v in
-  let commits = List.exists (fun (by, c) -> c && not (v.byzantine by)) ds in
-  let aborts =
-    List.exists (fun (by, c) -> (not c) && not (v.byzantine by)) ds
-  in
-  (* also: no participant accepted both kinds of certificate *)
-  let accepted kind pid = received_cert v pid kind in
-  let both_accepted =
-    List.exists
-      (fun pid -> accepted Obs.Chi_commit pid && accepted Obs.Chi_abort pid)
-      (Topology.customers (topo v))
-  in
-  if commits && aborts then
-    Verdict.violated "CC" "both commit and abort were decided"
-  else if both_accepted then
-    Verdict.violated "CC" "a customer accepted both χc and χa"
-  else Verdict.ok "CC" "at most one certificate kind exists"
-
-let tm_trusted v =
-  match v.outcome.Runner.protocol with
-  | Runner.Weak { Weak_protocol.tm = Weak_protocol.Single; _ } -> true
-  | Runner.Weak { Weak_protocol.tm = Weak_protocol.Chain _; _ } -> true
-  | Runner.Atomic _ -> true
-  | Runner.Weak
-      { Weak_protocol.tm = Weak_protocol.Committee { f }; notary_faults; _ } ->
-      let bad =
-        Array.fold_left
-          (fun acc nf ->
-            match nf with Weak_protocol.Notary_honest -> acc | _ -> acc + 1)
-          0 notary_faults
-      in
-      bad <= f
-  | _ -> false
-
 let check_t_weak v =
-  if not (tm_trusted v) then
+  if not v.judge.F.tm_trusted then
     Verdict.vacuous "T" "transaction manager outside its fault assumption"
   else
-    let t = topo v in
-    let problems =
-      List.filter_map
-        (fun pid ->
-          let i = Option.get (Topology.customer_index t pid) in
-          if v.byzantine pid || not (escrows_abide v i) then None
-          else
-            match v.terminated pid with
-            | Some _ -> None
-            | None -> Some (Fmt.str "c%d never terminated" i))
-        (Topology.customers t)
-    in
-    match problems with
-    | [] -> Verdict.ok "T" "all honest customers terminated"
-    | w :: _ -> Verdict.violated "T" w
-
-let check_cs1_weak v =
-  let t = topo v in
-  let alice = Topology.alice t in
-  if v.byzantine alice || (not (escrows_abide v 0)) || not (tm_trusted v) then
-    Verdict.vacuous "CS1w" "hypotheses not met"
-  else
-    match v.terminated alice with
-    | None -> Verdict.vacuous "CS1w" "Alice has not terminated (see T)"
-    | Some _ ->
-        if v.net alice >= 0 then Verdict.ok "CS1w" "Alice got her money back"
-        else if received_cert v alice Obs.Chi_commit then
-          Verdict.ok "CS1w" "Alice holds χc"
-        else
-          Verdict.violated "CS1w"
-            (Fmt.str "Alice terminated with net %d and no χc" (v.net alice))
-
-let check_cs2_weak v =
-  let t = topo v in
-  let bob = Topology.bob t in
-  let n = Topology.hops t in
-  if v.byzantine bob || (not (escrows_abide v n)) || not (tm_trusted v) then
-    Verdict.vacuous "CS2w" "hypotheses not met"
-  else
-    match v.terminated bob with
-    | None -> Verdict.vacuous "CS2w" "Bob has not terminated (see T)"
-    | Some _ ->
-        if bob_paid v then Verdict.ok "CS2w" "Bob was paid"
-        else if received_cert v bob Obs.Chi_abort then
-          Verdict.ok "CS2w" "Bob holds χa"
-        else Verdict.violated "CS2w" "Bob terminated with neither money nor χa"
+    termination v
+      ~active:(fun _ -> true)
+      ~late:(fun i term ->
+        if term = None then Some (Fmt.str "c%d never terminated" i) else None)
+      ~ok:"all honest customers terminated"
 
 let check_l_weak ~patience_sufficient v =
   if not (no_faults v) then Verdict.vacuous "Lw" "some party does not abide"
@@ -345,19 +189,24 @@ let check_l_weak ~patience_sufficient v =
 
 let check_def2 ~patience_sufficient v =
   [
-    check_c v;
-    check_cc v;
+    F.check_c v.judge;
+    F.check_cc v.judge;
     check_t_weak v;
     check_es v;
-    check_cs1_weak v;
-    check_cs2_weak v;
-    check_cs3 v;
+    F.check_cs1_weak v.judge;
+    F.check_cs2_weak v.judge;
+    F.check_cs3 v.judge;
     check_l_weak ~patience_sufficient v;
   ]
 
+let check ?(time_bounded = false) ?(patience_sufficient = false) v =
+  match F.definition v.outcome.Runner.protocol with
+  | F.Def1 -> check_def1 ~time_bounded v
+  | F.Def2 -> check_def2 ~patience_sufficient v
+
 let lock_time v =
   let end_time = v.outcome.Runner.end_time in
-  let events = obs v in
+  let events = Sim.Trace.observations v.outcome.Runner.trace in
   let deposits =
     List.filter_map
       (fun (t, _, o) ->

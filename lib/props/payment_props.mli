@@ -1,7 +1,8 @@
 (** Monitors for the cross-chain payment properties of Definitions 1 and 2.
 
-    All checks are pure functions of a {!Protocols.Runner.outcome} (trace +
-    final ledgers + fault roster). Conditional properties ("provided her
+    A {!run_view} judges a {!Protocols.Runner.outcome} (trace, folded by
+    {!Payment_fold}, + final ledgers + fault roster); its payment-level
+    checks are {!Payment_fold}'s. Conditional properties ("provided her
     escrows abide…") become {e inapplicable} rather than failing when their
     hypotheses are not met, mirroring the paper's statements exactly.
 
@@ -20,15 +21,24 @@ type run_view = {
   byzantine : int -> bool;  (** pid was fault-substituted *)
   terminated : int -> (Sim.Sim_time.t * string) option;
   net : int -> int;  (** customer net position, see above *)
+  judge : Payment_fold.judge;  (** honest = not [byzantine]; book [net] *)
 }
 
 val view : Protocols.Runner.outcome -> run_view
+(** Folds the outcome's finished trace once. *)
+
+val live_view : Protocols.Runner.outcome -> run_view
+(** For a run that has not started (the runner's [on_ready] hook): a
+    {!Sim.Trace.on_record} hook feeds the fold as the run records, so a
+    check over the view reads the current state in O(pids). *)
+
+val check :
+  ?time_bounded:bool -> ?patience_sufficient:bool -> run_view -> Verdict.report
+(** The run's Definition ({!Payment_fold.definition}) in full:
+    {!check_def1} with [time_bounded], or {!check_def2} with
+    [patience_sufficient] (both default false). *)
 
 (** {1 Definition 1 — (time-bounded / eventually terminating) protocol} *)
-
-val check_c : run_view -> Verdict.t
-(** Consistency: automata well-formedness plus no honest participant had an
-    own-action rejected at runtime. *)
 
 val check_t : time_bounded:bool -> run_view -> Verdict.t
 (** Termination for every honest customer whose escrows abide and who made
@@ -40,44 +50,26 @@ val check_es : run_view -> Verdict.t
 (** No honest escrow lost money: its own account did not go negative, its
     book audits (conservation + single resolution). *)
 
-val check_cs1 : run_view -> Verdict.t
-val check_cs2 : run_view -> Verdict.t
-val check_cs3 : run_view -> Verdict.t
-
 val check_l : run_view -> Verdict.t
 (** Strong liveness: with no faults at all, Bob was paid. *)
 
 val check_def1 : time_bounded:bool -> run_view -> Verdict.report
-(** All of the above, in order C, T, ES, CS1, CS2, CS3, L. *)
+(** C, T, ES, CS1, CS2, CS3, L; C and CS1–CS3 are {!Payment_fold}'s. *)
 
 (** {1 Definition 2 — weak liveness guarantees} *)
-
-val check_cc : run_view -> Verdict.t
-(** Certificate consistency: commit and abort certificates never both
-    issued (by any TM participant). *)
 
 val check_t_weak : run_view -> Verdict.t
 (** Eventual termination of honest customers whose escrows abide (under a
     correct TM). *)
 
-val check_cs1_weak : run_view -> Verdict.t
-(** Alice: money back or χc received. *)
-
-val check_cs2_weak : run_view -> Verdict.t
-(** Bob: money or χa received. *)
-
-val check_l_weak : patience_sufficient:bool -> run_view -> Verdict.t
-(** Weak liveness: applicable only when all abide {e and} the run's
-    patience was declared sufficient by the experiment; then Bob must have
-    been paid. *)
-
 val check_def2 : patience_sufficient:bool -> run_view -> Verdict.report
-(** C, CC, T, ES, CS1w, CS2w, CS3, Lw. *)
+(** C, CC, T, ES, CS1w, CS2w, CS3, Lw; all but T, ES and Lw are
+    {!Payment_fold}'s. Lw (weak liveness) applies only when all abide
+    {e and} [patience_sufficient]; then Bob must have been paid. *)
 
 (** {1 Helpers for experiments} *)
 
 val bob_paid : run_view -> bool
-val alice_has_chi : run_view -> bool
 val money_conserved : run_view -> bool
 (** Global conservation across all books. *)
 

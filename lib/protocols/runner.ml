@@ -383,17 +383,20 @@ let emit_spans o ~terms ~committed ~settled_at =
       ~at:settled_at root
   end
 
+let observations outcome = Trace.observations outcome.trace
+
+let terminated_pids outcome =
+  List.filter_map
+    (fun (t, _, obs) ->
+      match obs with
+      | Obs.Terminated { pid; outcome } -> Some (pid, outcome, t)
+      | _ -> None)
+    (observations outcome)
+
 let emit_telemetry o =
   let reg = Obsv.Metrics.default in
   let labels = [ ("protocol", protocol_name o.protocol) ] in
-  let terms =
-    List.filter_map
-      (fun (t, _, obs) ->
-        match obs with
-        | Obs.Terminated { pid; outcome } -> Some (pid, outcome, t)
-        | _ -> None)
-      (Trace.observations o.trace)
-  in
+  let terms = terminated_pids o in
   let bob = Topology.bob o.env.Env.topo in
   let bob_term = List.find_opt (fun (pid, _, _) -> pid = bob) terms in
   let committed =
@@ -427,15 +430,5 @@ let run cfg protocol =
   emit_telemetry o;
   o
 
-let observations outcome = Trace.observations outcome.trace
-
 let balance outcome ~escrow ~pid =
   Ledger.Book.balance outcome.env.Env.books.(escrow) pid
-
-let terminated_pids outcome =
-  List.filter_map
-    (fun (t, _, obs) ->
-      match obs with
-      | Obs.Terminated { pid; outcome } -> Some (pid, outcome, t)
-      | _ -> None)
-    (observations outcome)

@@ -242,10 +242,10 @@ let schedule_crash t ~pid ~at ?recover_at () =
   | Some r when Sim_time.(r <= at) ->
       invalid_arg "Engine.schedule_crash: recovery must follow the crash"
   | _ -> ());
-  ignore (Event_queue.push t.queue ~time:at (Crash { pid; recover_at }));
+  Event_queue.push t.queue ~time:at (Crash { pid; recover_at });
   match recover_at with
   | Some r when not (Sim_time.is_infinite r) ->
-      ignore (Event_queue.push t.queue ~time:r (Recover { pid }))
+      Event_queue.push t.queue ~time:r (Recover { pid })
   | _ -> ()
 
 (* --- ctx operations --- *)
@@ -277,9 +277,8 @@ let send_resolved ctx ~dst msg =
     let arrive =
       Network.delivery_time t.network ~send_time:depart ~src:ctx.self ~dst ~tag
     in
-    ignore
-      (Event_queue.push t.queue ~time:arrive
-         (Deliver { src = ctx.self; dst; msg; sent_at = t.clock_now; cause }))
+    Event_queue.push t.queue ~time:arrive
+      (Deliver { src = ctx.self; dst; msg; sent_at = t.clock_now; cause })
   in
   (* the fault injector decides how many copies the channel carries (none =
      dropped); each surviving copy draws its own delay, so duplicates still
@@ -335,9 +334,8 @@ let set_timer ctx ~deadline ~label =
        });
   Obsv.Metrics.inc t.tm.m_timers_set;
   if not (Sim_time.is_infinite global_fire) then begin
-    ignore
-      (Event_queue.push t.queue ~time:global_fire
-         (Fire { owner = ctx.self; label; epoch; cause; deferred = false }));
+    Event_queue.push t.queue ~time:global_fire
+      (Fire { owner = ctx.self; label; epoch; cause; deferred = false });
     Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue)
   end
 
@@ -424,9 +422,8 @@ let dispatch t ev =
             (* deadlines persist across a reboot (they live in the automaton
                store): re-check them the moment the process comes back *)
             Obsv.Metrics.inc t.tm.m_timers_deferred;
-            ignore
-              (Event_queue.push t.queue ~time:r
-                 (Fire { owner; label; epoch; cause; deferred = true }))
+            Event_queue.push t.queue ~time:r
+              (Fire { owner; label; epoch; cause; deferred = true })
         | _ -> Obsv.Metrics.inc t.tm.m_timers_stale
       end
       else if live && not p.halted then begin

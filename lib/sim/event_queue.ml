@@ -1,28 +1,14 @@
-type 'a cell = { time : Sim_time.t; seq : int; token : int; payload : 'a }
+type 'a cell = { time : Sim_time.t; seq : int; payload : 'a }
 
 type 'a t = {
   mutable heap : 'a cell array; (* heap.(0) unused when empty *)
   mutable size : int;
   mutable next_seq : int;
-  mutable next_token : int;
-  dead : (int, unit) Hashtbl.t;
-  live : (int, unit) Hashtbl.t;
-      (* tokens physically present in [heap]: makes [cancel] O(1) instead of
-         a full heap scan, which dominated at load-scale occupancy *)
 }
 
-let create () =
-  {
-    heap = [||];
-    size = 0;
-    next_seq = 0;
-    next_token = 0;
-    dead = Hashtbl.create 16;
-    live = Hashtbl.create 16;
-  }
-
-let length q = q.size - Hashtbl.length q.dead
-let is_empty q = length q = 0
+let create () = { heap = [||]; size = 0; next_seq = 0 }
+let length q = q.size
+let is_empty q = q.size = 0
 
 let before a b =
   let c = Sim_time.compare a.time b.time in
@@ -52,29 +38,19 @@ let rec sift_down q i =
     sift_down q !smallest
   end
 
-let grow q =
-  let cap = Array.length q.heap in
-  if q.size >= cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let nh = Array.make ncap q.heap.(0) in
+let push q ~time payload =
+  let cell = { time; seq = q.next_seq; payload } in
+  q.next_seq <- q.next_seq + 1;
+  if q.size = Array.length q.heap then begin
+    let nh = Array.make (max 16 (2 * q.size)) cell in
     Array.blit q.heap 0 nh 0 q.size;
     q.heap <- nh
-  end
-
-let push q ~time payload =
-  let token = q.next_token in
-  q.next_token <- token + 1;
-  let cell = { time; seq = q.next_seq; token; payload } in
-  q.next_seq <- q.next_seq + 1;
-  if q.size = 0 && Array.length q.heap = 0 then q.heap <- Array.make 16 cell
-  else grow q;
+  end;
   q.heap.(q.size) <- cell;
   q.size <- q.size + 1;
-  sift_up q (q.size - 1);
-  Hashtbl.replace q.live token ();
-  token
+  sift_up q (q.size - 1)
 
-let pop_cell q =
+let pop q =
   if q.size = 0 then None
   else begin
     let top = q.heap.(0) in
@@ -83,47 +59,7 @@ let pop_cell q =
       q.heap.(0) <- q.heap.(q.size);
       sift_down q 0
     end;
-    Hashtbl.remove q.live top.token;
-    Some top
+    Some (top.time, top.payload)
   end
 
-let rec pop q =
-  match pop_cell q with
-  | None -> None
-  | Some cell ->
-      if Hashtbl.mem q.dead cell.token then begin
-        Hashtbl.remove q.dead cell.token;
-        pop q
-      end
-      else Some (cell.time, cell.payload)
-
-let rec peek_time q =
-  if q.size = 0 then None
-  else
-    let top = q.heap.(0) in
-    if Hashtbl.mem q.dead top.token then begin
-      Hashtbl.remove q.dead top.token;
-      ignore (pop_cell q);
-      peek_time q
-    end
-    else Some top.time
-
-let cancel q token =
-  if token < 0 || token >= q.next_token || Hashtbl.mem q.dead token then false
-  else if Hashtbl.mem q.live token then begin
-    (* Only mark tokens that are still in the heap. *)
-    Hashtbl.add q.dead token ();
-    true
-  end
-  else false
-
-let clear q =
-  q.size <- 0;
-  Hashtbl.reset q.dead;
-  Hashtbl.reset q.live
-
-let drain q =
-  let rec go acc =
-    match pop q with None -> List.rev acc | Some te -> go (te :: acc)
-  in
-  go []
+let peek_time q = if q.size = 0 then None else Some q.heap.(0).time

@@ -12,23 +12,11 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:Sim_time.t -> 'a -> int
-(** [push q ~time e] schedules [e] at [time] and returns a token that can be
-    passed to {!cancel}. *)
+val push : 'a t -> time:Sim_time.t -> 'a -> unit
+(** [push q ~time e] schedules [e] at [time]. *)
 
 val pop : 'a t -> (Sim_time.t * 'a) option
-(** Removes and returns the earliest live event. Cancelled events are
-    silently discarded. *)
+(** Removes and returns the earliest event. *)
 
 val peek_time : 'a t -> Sim_time.t option
-(** Time of the earliest live event, without removing it. *)
-
-val cancel : 'a t -> int -> bool
-(** [cancel q token] marks the event with that token dead. Returns [false] if
-    it has already popped or been cancelled. O(live+dead) worst case amortised
-    O(log n): the entry is tombstoned and dropped lazily at pop. *)
-
-val clear : 'a t -> unit
-
-val drain : 'a t -> (Sim_time.t * 'a) list
-(** Pops everything, in order. *)
+(** Time of the earliest event, without removing it. *)

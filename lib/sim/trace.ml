@@ -29,7 +29,7 @@ type ('msg, 'obs) t = {
   mutable kept : int;
   mutable count : int; (* total recorded, including dropped *)
   mutable dropped : int;
-  mutable hooks : (('msg, 'obs) entry -> unit) list; (* reversed *)
+  mutable hooks : (('msg, 'obs) entry -> unit) list; (* registration order *)
 }
 
 let create ?capacity () =
@@ -47,12 +47,10 @@ let create ?capacity () =
     hooks = [];
   }
 
-let on_record t f = t.hooks <- f :: t.hooks
+let on_record t f = t.hooks <- t.hooks @ [ f ]
 
 let record t e =
-  (match t.hooks with
-  | [] -> ()
-  | hooks -> List.iter (fun f -> f e) (List.rev hooks));
+  List.iter (fun f -> f e) t.hooks;
   (match t.capacity with
   | None -> t.rev_entries <- e :: t.rev_entries
   | Some cap ->
@@ -113,14 +111,6 @@ let last_time t =
   fold_newest (fun acc e -> match acc with None -> Some (time_of e) | some -> some)
     None t
   |> Option.value ~default:Sim_time.zero
-
-let find_observation t ~f =
-  let rec go = function
-    | [] -> None
-    | Observed { t; pid; obs } :: _ when f pid obs -> Some (t, pid, obs)
-    | _ :: rest -> go rest
-  in
-  go (to_list t)
 
 let pp ~msg ~obs ppf t =
   let pp_entry ppf = function

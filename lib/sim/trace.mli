@@ -75,10 +75,6 @@ val message_count : ('msg, 'obs) t -> int
 val last_time : ('msg, 'obs) t -> Sim_time.t
 (** Timestamp of the final entry, or {!Sim_time.zero} for an empty trace. *)
 
-val find_observation :
-  ('msg, 'obs) t -> f:(int -> 'obs -> bool) -> (Sim_time.t * int * 'obs) option
-(** First observation satisfying [f pid obs]. *)
-
 val pp :
   msg:(Format.formatter -> 'msg -> unit) ->
   obs:(Format.formatter -> 'obs -> unit) ->

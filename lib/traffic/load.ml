@@ -1,5 +1,6 @@
 open Sim
 open Protocols
+module Fold = Props.Payment_fold
 
 type outcome = Committed | Aborted | Rejected | Stuck | Violated
 
@@ -92,6 +93,15 @@ let weak_cfg = Weak_protocol.default_config
 let committee_cfg =
   { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
 
+(* the runner protocol a load protocol is judged as *)
+let judged_as = function
+  | Workload.Sync -> Runner.Sync_timebound
+  | Workload.Naive -> Runner.Naive_universal
+  | Workload.Htlc -> Runner.Htlc
+  | Workload.Weak_single | Workload.Shared -> Runner.Weak weak_cfg
+  | Workload.Committee -> Runner.Weak committee_cfg
+  | Workload.Atomic -> Runner.Atomic Atomic_protocol.default_config
+
 let params_for (w : Workload.t) proto ~hops =
   let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
@@ -127,19 +137,17 @@ type inst = {
   mutable i_amounts : int array;  (** leg amounts, commissions included *)
   mutable i_handlers : (Msg.t, Obs.t) Engine.handlers array;
       (** one per block slot the protocol uses on this path *)
-  mutable i_settled_at : int;  (** every customer has Terminated *)
-  mutable i_paid_at : int;  (** first Released to Bob *)
+  mutable i_facts : Fold.t;  (** the instance's property fold *)
   mutable i_done : bool;  (** settlement counted toward the payment *)
   mutable i_released : bool;  (** unspent collateral handed back *)
-  i_flows : int array;  (** net ledger flow per customer index *)
-  i_terms : bool array;
-  mutable i_term_count : int;
-  mutable i_alice_cert : bool;
-  mutable i_bob_cert_issued : bool;
-  mutable i_rejections : (int * string) list;
   i_deposited : int array;  (** per leg: deposits drawn from the payer *)
   i_refunded : int array;  (** per leg: refunds returned to the payer *)
 }
+
+(* an inactive instance's fold: it never observes *)
+let unconfigured = Fold.create ~base:0 ~hops:0 ~nprocs:0
+let paid_at ins = Fold.paid_at ins.i_facts  (* first release to Bob *)
+let settled_at ins = Fold.settled_at ins.i_facts  (* every customer done *)
 
 type pay = {
   proto : Workload.proto;
@@ -447,16 +455,9 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
           i_path = [||];
           i_amounts = [||];
           i_handlers = [||];
-          i_settled_at = -1;
-          i_paid_at = -1;
+          i_facts = unconfigured;
           i_done = false;
           i_released = false;
-          i_flows = Array.make (lmax + 1) 0;
-          i_terms = Array.make (lmax + 1) false;
-          i_term_count = 0;
-          i_alice_cert = false;
-          i_bob_cert_issued = false;
-          i_rejections = [];
           i_deposited = Array.make lmax 0;
           i_refunded = Array.make lmax 0;
         })
@@ -479,58 +480,42 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
      dispatch context *)
   let roots = Array.make w.payments (-1) in
   let paid_nodes = Array.make instances (-1) in
+  (* each active instance's entries feed its fold; the legs' liquidity
+     accounting rides on the same deposits and refunds *)
+  let instance_of pid =
+    if pid >= 1 && pid < payment_limit then
+      let id = (pid - 1) / stride in
+      if insts.(id).i_active then id else -1
+    else -1
+  in
   Trace.on_record (Engine.trace engine) (fun entry ->
       match entry with
-      | Trace.Sent _ -> incr messages
-      | Trace.Observed { t; pid; obs } when pid >= 1 && pid < payment_limit
-        -> (
-          let id = (pid - 1) / stride in
-          let ins = insts.(id) in
-          let h = ins.i_hops in
-          if ins.i_active then
+      | Trace.Sent { src; _ } ->
+          incr messages;
+          let id = instance_of src in
+          if id >= 0 then Fold.observe insts.(id).i_facts entry
+      | Trace.Observed { pid; obs; _ } -> (
+          let id = instance_of pid in
+          if id >= 0 then begin
+            let ins = insts.(id) in
+            let unpaid = paid_at ins < 0 in
+            Fold.observe ins.i_facts entry;
+            if unpaid && paid_at ins >= 0 then
+              paid_nodes.(id) <- Engine.current_node engine;
+            (* depositor index IS the leg index: customer i deposits only
+               at escrow i, at most once *)
             match obs with
-            | Obs.Deposited { depositor; amount; _ } ->
-                (* depositor index IS the leg index: customer i deposits
-                   only at escrow i, at most once *)
-                if depositor >= 0 && depositor <= h then begin
-                  ins.i_flows.(depositor) <- ins.i_flows.(depositor) - amount;
-                  if depositor < h then begin
-                    if ins.i_deposited.(depositor) = 0 then
-                      legs.on_deposit ins depositor;
-                    ins.i_deposited.(depositor) <-
-                      ins.i_deposited.(depositor) + amount
-                  end
-                end
-            | Obs.Released { to_; amount; _ } ->
-                if to_ >= 0 && to_ <= h then begin
-                  ins.i_flows.(to_) <- ins.i_flows.(to_) + amount;
-                  if to_ = h && ins.i_paid_at < 0 then begin
-                    ins.i_paid_at <- t;
-                    paid_nodes.(id) <- Engine.current_node engine
-                  end
-                end
-            | Obs.Refunded { depositor; amount; _ } ->
-                if depositor >= 0 && depositor <= h then begin
-                  ins.i_flows.(depositor) <- ins.i_flows.(depositor) + amount;
-                  if depositor < h then
-                    ins.i_refunded.(depositor) <-
-                      ins.i_refunded.(depositor) + amount
-                end
-            | Obs.Cert_received
-                { pid = who; kind = Obs.Chi | Obs.Chi_commit; valid = true }
-              when who = 0 ->
-                ins.i_alice_cert <- true
-            | Obs.Cert_issued { by; _ } when by = h ->
-                ins.i_bob_cert_issued <- true
-            | Obs.Terminated { pid = who; _ }
-              when who >= 0 && who <= h && not ins.i_terms.(who) ->
-                ins.i_terms.(who) <- true;
-                ins.i_term_count <- ins.i_term_count + 1;
-                if ins.i_term_count = h + 1 && ins.i_settled_at < 0 then
-                  ins.i_settled_at <- t
-            | Obs.Rejected { pid = who; what } ->
-                ins.i_rejections <- (who, what) :: ins.i_rejections
-            | _ -> ())
+            | Obs.Deposited { depositor; amount; _ }
+              when depositor >= 0 && depositor < ins.i_hops ->
+                if ins.i_deposited.(depositor) = 0 then
+                  legs.on_deposit ins depositor;
+                ins.i_deposited.(depositor) <-
+                  ins.i_deposited.(depositor) + amount
+            | Obs.Refunded { depositor; amount; _ }
+              when depositor >= 0 && depositor < ins.i_hops ->
+                ins.i_refunded.(depositor) <- ins.i_refunded.(depositor) + amount
+            | _ -> ()
+          end)
       | _ -> ());
   (* --- shared batching committee: one block after the instance blocks,
      serving every instance's verdict item --- *)
@@ -602,6 +587,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
     in
     let ins = insts.(id) in
     ins.i_active <- true;
+    ins.i_facts <- Fold.create ~base:(1 + (id * stride)) ~hops:h ~nprocs:(h + 1);
     ins.i_hops <- h;
     ins.i_value <- s.value;
     ins.i_path <- path;
@@ -688,7 +674,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
       List.iter
         (fun id ->
           let ins = insts.(id) in
-          if ins.i_settled_at >= 0 then begin
+          if settled_at ins >= 0 then begin
             ins.i_released <- true;
             legs.release ins
           end)
@@ -740,7 +726,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
               let ins = insts.(id) in
               let k = id / max_splits in
               let p = pays.(k) in
-              if ins.i_active && (not ins.i_done) && ins.i_settled_at >= 0
+              if ins.i_active && (not ins.i_done) && settled_at ins >= 0
               then begin
                 ins.i_done <- true;
                 p.settled <- p.settled + 1;
@@ -916,6 +902,14 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
         && match c.recover_at with None -> true | Some r -> r >= lo)
       plan.Faults.Fault_plan.crashes
   in
+  (* under [optimistic] admission a deposit may meet a drained account:
+     that rejection is the policy's, not a protocol fault *)
+  let excused what =
+    w.policy = Workload.Optimistic && is_liquidity_rejection what
+  in
+  let safety proto =
+    Fold.safety ~excused ~preimage_is_receipt:true (judged_as proto)
+  in
   let classify k =
     let p = pays.(k) in
     if p.admitted_at < 0 then begin
@@ -935,56 +929,38 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
           let ins = insts.(id) in
           let h = ins.i_hops in
           let hi =
-            if ins.i_settled_at >= 0 then ins.i_settled_at else end_time
+            if settled_at ins >= 0 then settled_at ins else end_time
           in
           let exposed = exposed_at ~lo:p.admitted_at ~hi in
-          (* a customer abides unless it, or an adjacent escrow host, was
-             crashed while the instance was live — mirrors chaos's
-             non-abiding registration *)
-          let abides ci =
-            (not (exposed ci))
-            && (ci = 0 || not (exposed (h + ci)))
-            && (ci = h || not (exposed (h + 1 + ci)))
+          (* a pid abides unless its host was crashed while the instance
+             was live — mirrors chaos's non-abiding registration *)
+          let judge =
+            {
+              Fold.facts = ins.i_facts;
+              honest = (fun lp -> not (exposed lp));
+              net = Fold.flow ins.i_facts;
+              tm_trusted = true;
+              well_formed = Ok ();
+            }
           in
           List.iter
-            (fun (who, what) ->
-              let liq = is_liquidity_rejection what in
-              if liq then incr liquidity_rejections;
-              let excused =
-                (liq && w.policy = Workload.Optimistic)
-                || exposed who
-                || (who >= 0 && who <= h && not (abides who))
+            (fun (_, what) ->
+              if is_liquidity_rejection what then incr liquidity_rejections)
+            (Fold.rejections ins.i_facts);
+          List.iter
+            (fun (_, check) ->
+              let { Props.Verdict.property; applicable; holds; detail } =
+                check judge
               in
-              if not excused then
-                add "C"
-                  (Printf.sprintf "%spid %d rejected: %s" (split_tag id " ")
-                     who what))
-            ins.i_rejections;
-          if
-            p.proto <> Workload.Htlc && ins.i_terms.(0) && abides 0
-            && ins.i_flows.(0) < 0
-            && not ins.i_alice_cert
-          then
-            add "CS1"
-              (Printf.sprintf "%salice paid %d without a certificate"
-                 (split_tag id ": ") (-ins.i_flows.(0)));
-          if
-            ins.i_terms.(h) && abides h && ins.i_bob_cert_issued
-            && ins.i_paid_at < 0
-          then
-            add "CS2"
-              (split_tag id ": " ^ "bob issued a certificate but was not paid");
-          for ci = 1 to h - 1 do
-            if ins.i_terms.(ci) && abides ci && ins.i_flows.(ci) < 0 then
-              add "CS3"
-                (Printf.sprintf "%sconnector %d lost %d" (split_tag id ": ") ci
-                   (-ins.i_flows.(ci)))
-          done;
-          if ins.i_paid_at < 0 then all_paid := false else any_paid := true;
+              if applicable && not holds then
+                add property (split_tag id ": " ^ detail))
+            (safety p.proto);
+          if paid_at ins < 0 then all_paid := false else any_paid := true;
           (* settled for abort purposes: every customer terminated or was
              crash-covered *)
           for ci = 0 to h do
-            if not (ins.i_terms.(ci) || exposed ci) then all_settled := false
+            if Fold.terminated ins.i_facts ci = None && not (exposed ci) then
+              all_settled := false
           done)
         p.splits;
       if !viols <> [] then begin
@@ -1016,7 +992,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
   in
   let pay_latency k =
     List.fold_left
-      (fun acc id -> max acc insts.(id).i_paid_at)
+      (fun acc id -> max acc (paid_at insts.(id)))
       0 pays.(k).splits
     - pays.(k).arrived_at
   in
@@ -1046,7 +1022,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
         for id = instances - 1 downto 0 do
           let k = id / max_splits in
           if
-            insts.(id).i_paid_at >= 0
+            paid_at insts.(id) >= 0
             && roots.(k) >= 0
             && paid_nodes.(id) >= 0
             && (routed || outcomes.(k) = Committed)
@@ -1070,7 +1046,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
         let active =
           List.filter (fun ins -> ins.i_active) (Array.to_list insts)
         in
-        let paid = List.filter (fun ins -> ins.i_paid_at >= 0) active in
+        let paid = List.filter (fun ins -> paid_at ins >= 0) active in
         {
           topology = Routing.Topology.to_string g;
           strategy = Routing.Router.strategy_name w.route;
@@ -1085,7 +1061,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
           instances = List.length active;
           instances_committed = List.length paid;
           instances_settled =
-            List.length (List.filter (fun ins -> ins.i_settled_at >= 0) active);
+            List.length (List.filter (fun ins -> settled_at ins >= 0) active);
         })
       w.topology
   in
@@ -1259,7 +1235,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
         in
         let settled_at =
           List.fold_left
-            (fun acc id -> max acc insts.(id).i_settled_at)
+            (fun acc id -> max acc (settled_at insts.(id)))
             (-1) p.splits
         in
         (* a stuck payment's span must never export as open-ended or as

@@ -21,13 +21,11 @@
     shared committee block, so a fault plan shakes the payments, never the
     harness.
 
-    Every payment is classified on exit and checked against the safety
-    subset that survives multiplexing: C (no honest rejection), CS1–CS3
-    (certified settlement for Alice / Bob / connectors, conditioned on
-    termination and crash exposure exactly like {!Props.Payment_props}),
-    per instance, plus global conservation over the shared books. HTLC
-    instances skip CS1 — the protocol violates it by design (experiment
-    E10). *)
+    Every payment is classified on exit. Each instance is judged by the
+    shared checker's safety subset ({!Props.Payment_fold.safety}) over
+    its own fold, with crash-exposed pids dishonest, net positions from
+    the fold's flows and HTLC judged [~preimage_is_receipt]; conservation
+    is checked globally over the shared books. *)
 
 type outcome = Committed | Aborted | Rejected | Stuck | Violated
 
@@ -35,7 +33,7 @@ val outcome_name : outcome -> string
 
 type violation = {
   payment : int;  (** -1 for global (cross-payment) violations *)
-  property : string;  (** "C", "CS1", "CS2", "CS3" or "ES/M" *)
+  property : string;  (** a {!Props.Payment_fold.safety} property, or "ES/M" *)
   detail : string;
 }
 

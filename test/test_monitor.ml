@@ -4,6 +4,8 @@
    bundle determinism. *)
 
 module C = Xchain.Chaos
+module PP = Props.Payment_props
+module PF = Props.Payment_fold
 module Runner = Protocols.Runner
 module FP = Faults.Fault_plan
 
@@ -22,11 +24,15 @@ let viol_plan () =
 (* the soak's plan derivation, so random cases mirror real chaos runs *)
 let random_case case =
   let hops = 1 + (case mod 3) in
+  let weak = Protocols.Weak_protocol.default_config in
+  let committee = Protocols.Weak_protocol.Committee { f = 1 } in
   let protocol =
-    match case mod 5 with
+    match case mod 7 with
     | 0 | 1 -> Runner.Sync_timebound
     | 2 | 3 -> Runner.Htlc
-    | _ -> Runner.Naive_universal
+    | 4 -> Runner.Naive_universal
+    | 5 -> Runner.Weak weak
+    | _ -> Runner.Weak { weak with Protocols.Weak_protocol.tm = committee }
   in
   let seed = 1 + (case / 2) in
   let nprocs = (2 * hops) + 1 in
@@ -92,6 +98,33 @@ let agreement_tests =
                    "safety violation but the monitor never tripped");
            if monitored.C.breach_at <> Obsv.Monitor.breach_at m then
              QCheck.Test.fail_report "run_result.breach_at out of sync";
+           true));
+    (* Two evaluators of one quantity: the load harness measures a
+       customer's net position as the fold's ledger flow, the runner as
+       its books' deltas. Wherever the customer's own escrows abide,
+       every book operation is observed, so the two must agree. *)
+    qcheck
+      (QCheck.Test.make
+         ~name:"fold flow equals book net where escrows abide" ~count:100
+         QCheck.(int_bound 700)
+         (fun case ->
+           let hops, protocol, seed, plan = random_case case in
+           let o =
+             Runner.run
+               { (Runner.default_config ~hops ~seed) with
+                 fault_plan = Some plan }
+               protocol
+           in
+           let v = PP.view o in
+           let j = v.PP.judge in
+           List.iter
+             (fun pid ->
+               let flow = PF.flow j.PF.facts pid in
+               if PF.escrows_abide j pid && flow <> v.PP.net pid then
+                 QCheck.Test.fail_reportf
+                   "case %d pid %d: flow %d <> book net %d" case pid flow
+                   (v.PP.net pid))
+             (Protocols.Topology.customers o.Runner.env.Protocols.Env.topo);
            true));
     Alcotest.test_case "pinned violation: breach matches post-hoc verdict"
       `Quick (fun () ->

@@ -4,6 +4,7 @@
 
 open Protocols
 module PP = Props.Payment_props
+module PF = Props.Payment_fold
 module V = Props.Verdict
 
 let check = Alcotest.check
@@ -67,7 +68,7 @@ let positive_tests =
     Alcotest.test_case "bob_paid and alice_has_chi on success" `Quick (fun () ->
         let v = PP.view (run_sync ()) in
         check Alcotest.bool "paid" true (PP.bob_paid v);
-        check Alcotest.bool "chi" true (PP.alice_has_chi v));
+        check Alcotest.bool "chi" true (PF.received_cert v.PP.judge.PF.facts 0 Obs.Chi));
   ]
 
 let chi_stall : Sim.Network.adversary =
@@ -185,7 +186,7 @@ let cc_tests =
         in
         let v = PP.view o in
         check Alcotest.bool "CC violated" false
-          ((PP.check_cc v).V.holds));
+          ((PF.check_cc v.PP.judge).V.holds));
     Alcotest.test_case "a customer holding both certificates violates CC"
       `Quick (fun () ->
         let o =
@@ -199,7 +200,7 @@ let cc_tests =
               ]
         in
         let v = PP.view o in
-        check Alcotest.bool "CC violated" false (PP.check_cc v).V.holds);
+        check Alcotest.bool "CC violated" false (PF.check_cc v.PP.judge).V.holds);
     Alcotest.test_case "a single decision kind satisfies CC" `Quick (fun () ->
         let o =
           synthetic_outcome
@@ -210,7 +211,7 @@ let cc_tests =
               ]
         in
         let v = PP.view o in
-        check Alcotest.bool "CC ok" true (PP.check_cc v).V.holds);
+        check Alcotest.bool "CC ok" true (PF.check_cc v.PP.judge).V.holds);
     Alcotest.test_case "lock_time from a synthesised ledger history" `Quick
       (fun () ->
         let o =
@@ -317,7 +318,7 @@ let sensitivity_tests =
         | Ok () -> ()
         | Error _ -> Alcotest.fail "setup transfer failed");
         let v = PP.view o in
-        check Alcotest.bool "CS1 violated" false (PP.check_cs1 v).V.holds);
+        check Alcotest.bool "CS1 violated" false (PF.check_cs1 v.PP.judge).V.holds);
     Alcotest.test_case "CS2 fires: Bob issued χ, terminated, unpaid" `Quick
       (fun () ->
         let o =
@@ -329,7 +330,7 @@ let sensitivity_tests =
               ]
         in
         let v = PP.view o in
-        check Alcotest.bool "CS2 violated" false (PP.check_cs2 v).V.holds);
+        check Alcotest.bool "CS2 violated" false (PF.check_cs2 v.PP.judge).V.holds);
     Alcotest.test_case "CS3 fires: a connector out of pocket" `Quick (fun () ->
         let o = synthetic_outcome ~entries:[ term 1 "paid" 700 ] in
         let topo = o.Runner.env.Protocols.Env.topo in
@@ -342,7 +343,7 @@ let sensitivity_tests =
         | Ok () -> ()
         | Error _ -> Alcotest.fail "setup transfer failed");
         let v = PP.view o in
-        check Alcotest.bool "CS3 violated" false (PP.check_cs3 v).V.holds);
+        check Alcotest.bool "CS3 violated" false (PF.check_cs3 v.PP.judge).V.holds);
     Alcotest.test_case "L fires: all abided, Bob unpaid" `Quick (fun () ->
         let o = synthetic_outcome ~entries:[] in
         let v = PP.view o in
@@ -354,7 +355,7 @@ let sensitivity_tests =
             ~entries:[ obs 5 3 (Obs.Rejected { pid = 3; what = "boom" }) ]
         in
         let v = PP.view o in
-        check Alcotest.bool "C violated" false (PP.check_c v).V.holds);
+        check Alcotest.bool "C violated" false (PF.check_c v.PP.judge).V.holds);
     Alcotest.test_case "T fires: an active customer never terminates" `Quick
       (fun () ->
         (* Alice sent money (trace Sent) but never terminated *)

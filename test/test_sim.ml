@@ -119,104 +119,65 @@ let rng_tests =
 
 (* ----------------------------- Event_queue ---------------------------- *)
 
+(* every event, in pop order *)
+let pop_all q =
+  let rec go acc =
+    match Event_queue.pop q with None -> List.rev acc | Some te -> go (te :: acc)
+  in
+  go []
+
 let queue_tests =
   [
     Alcotest.test_case "pops in time order" `Quick (fun () ->
         let q = Event_queue.create () in
-        ignore (Event_queue.push q ~time:30 "c");
-        ignore (Event_queue.push q ~time:10 "a");
-        ignore (Event_queue.push q ~time:20 "b");
+        Event_queue.push q ~time:30 "c";
+        Event_queue.push q ~time:10 "a";
+        Event_queue.push q ~time:20 "b";
         check
           Alcotest.(list (pair int string))
           "order"
           [ (10, "a"); (20, "b"); (30, "c") ]
-          (Event_queue.drain q));
+          (pop_all q));
     Alcotest.test_case "insertion order breaks ties" `Quick (fun () ->
         let q = Event_queue.create () in
-        ignore (Event_queue.push q ~time:5 "first");
-        ignore (Event_queue.push q ~time:5 "second");
-        ignore (Event_queue.push q ~time:5 "third");
+        Event_queue.push q ~time:5 "first";
+        Event_queue.push q ~time:5 "second";
+        Event_queue.push q ~time:5 "third";
         check
           Alcotest.(list string)
           "fifo" [ "first"; "second"; "third" ]
-          (List.map snd (Event_queue.drain q)));
-    Alcotest.test_case "cancel hides an event" `Quick (fun () ->
+          (List.map snd (pop_all q)));
+    Alcotest.test_case "peek shows the earliest" `Quick (fun () ->
         let q = Event_queue.create () in
-        let tok = Event_queue.push q ~time:1 "gone" in
-        ignore (Event_queue.push q ~time:2 "kept");
-        check Alcotest.bool "cancelled" true (Event_queue.cancel q tok);
+        Event_queue.push q ~time:9 "y";
+        Event_queue.push q ~time:1 "x";
+        check Alcotest.(option int) "peek" (Some 1) (Event_queue.peek_time q);
+        check Alcotest.int "kept" 2 (Event_queue.length q);
         check
-          Alcotest.(list string)
-          "remaining" [ "kept" ]
-          (List.map snd (Event_queue.drain q)));
-    Alcotest.test_case "cancel after pop returns false" `Quick (fun () ->
+          Alcotest.(option (pair int string))
+          "pop" (Some (1, "x")) (Event_queue.pop q));
+    Alcotest.test_case "length counts pushes minus pops" `Quick (fun () ->
         let q = Event_queue.create () in
-        let tok = Event_queue.push q ~time:1 () in
+        Event_queue.push q ~time:1 ();
+        Event_queue.push q ~time:2 ();
         ignore (Event_queue.pop q);
-        check Alcotest.bool "late cancel" false (Event_queue.cancel q tok));
-    Alcotest.test_case "peek skips cancelled" `Quick (fun () ->
-        let q = Event_queue.create () in
-        let tok = Event_queue.push q ~time:1 "x" in
-        ignore (Event_queue.push q ~time:9 "y");
-        ignore (Event_queue.cancel q tok);
-        check Alcotest.(option int) "peek" (Some 9) (Event_queue.peek_time q));
-    Alcotest.test_case "length counts live only" `Quick (fun () ->
-        let q = Event_queue.create () in
-        let tok = Event_queue.push q ~time:1 () in
-        ignore (Event_queue.push q ~time:2 ());
-        ignore (Event_queue.cancel q tok);
-        check Alcotest.int "len" 1 (Event_queue.length q));
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let q = Event_queue.create () in
-        ignore (Event_queue.push q ~time:1 ());
-        Event_queue.clear q;
-        check Alcotest.bool "empty" true (Event_queue.is_empty q));
+        check Alcotest.int "len" 1 (Event_queue.length q);
+        ignore (Event_queue.pop q);
+        check Alcotest.bool "empty" true (Event_queue.is_empty q);
+        check Alcotest.(option int) "peek empty" None (Event_queue.peek_time q));
     qcheck
       (QCheck.Test.make ~name:"drain equals stable sort"
          QCheck.(list (int_bound 1000))
          (fun times ->
            let q = Event_queue.create () in
-           List.iteri (fun i t -> ignore (Event_queue.push q ~time:t i)) times;
-           let drained = Event_queue.drain q in
+           List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
+           let drained = pop_all q in
            let expected =
              List.mapi (fun i t -> (t, i)) times
              |> List.stable_sort (fun (t1, i1) (t2, i2) ->
                     if t1 <> t2 then compare t1 t2 else compare i1 i2)
            in
            drained = expected));
-    Alcotest.test_case "double cancel returns false" `Quick (fun () ->
-        let q = Event_queue.create () in
-        let tok = Event_queue.push q ~time:1 () in
-        check Alcotest.bool "first" true (Event_queue.cancel q tok);
-        check Alcotest.bool "second" false (Event_queue.cancel q tok));
-    Alcotest.test_case "cancel of a foreign token is a no-op" `Quick (fun () ->
-        let q = Event_queue.create () in
-        ignore (Event_queue.push q ~time:1 "keep");
-        check Alcotest.bool "unknown token" false (Event_queue.cancel q 4242);
-        check Alcotest.int "nothing lost" 1 (Event_queue.length q));
-    qcheck
-      (QCheck.Test.make ~name:"cancel agrees with liveness at any occupancy"
-         QCheck.(list (pair (int_bound 100) bool))
-         (fun plan ->
-           (* push everything, cancel the flagged ones, then verify pops
-              return exactly the survivors and late cancels return false *)
-           let q = Event_queue.create () in
-           let toks =
-             List.map (fun (t, c) -> (Event_queue.push q ~time:t (), c)) plan
-           in
-           let cancelled =
-             List.filter_map
-               (fun (tok, c) ->
-                 if c then begin
-                   ignore (Event_queue.cancel q tok);
-                   Some tok
-                 end
-                 else None)
-               toks
-           in
-           let live = List.length plan - List.length cancelled in
-           List.length (Event_queue.drain q) = live
-           && List.for_all (fun tok -> not (Event_queue.cancel q tok)) cancelled));
   ]
 
 (* -------------------------------- Clock ------------------------------- *)
@@ -815,42 +776,28 @@ let semantics_tests =
            !ok));
     qcheck
       (QCheck.Test.make
-         ~name:"queue with random cancellations matches a model" ~count:100
+         ~name:"interleaved pops match a model" ~count:100
          QCheck.(list (pair (int_bound 100) bool))
          (fun ops ->
-           (* push everything; cancel the even-indexed pushes where the
-              bool says so; drain and compare against a reference list *)
+           (* push every op's event, popping after those whose bool says
+              so; each pop must return the model's earliest (time, index)
+              and the final drain the rest in order *)
            let q = Event_queue.create () in
-           let tokens =
-             List.mapi
-               (fun i (time, _) -> (i, time, Event_queue.push q ~time i))
-               ops
+           let model = ref [] in
+           let earliest () =
+             match List.sort compare !model with
+             | [] -> None
+             | (t, i) :: rest ->
+                 model := rest;
+                 Some (t, i)
            in
-           let cancelled =
-             List.filteri
-               (fun i (_, c) -> c && i mod 2 = 0)
-               ops
-             |> List.length
-           in
-           ignore cancelled;
-           let dead =
-             List.filter_map
-               (fun (i, _, tok) ->
-                 let _, c = List.nth ops i in
-                 if c && i mod 2 = 0 then begin
-                   ignore (Event_queue.cancel q tok);
-                   Some i
-                 end
-                 else None)
-               tokens
-           in
-           let expected =
-             List.filter (fun (i, _, _) -> not (List.mem i dead)) tokens
-             |> List.map (fun (i, time, _) -> (time, i))
-             |> List.stable_sort (fun (t1, i1) (t2, i2) ->
-                    if t1 <> t2 then compare t1 t2 else compare i1 i2)
-           in
-           Event_queue.drain q = expected));
+           List.for_all
+             (fun (i, (time, pop)) ->
+               Event_queue.push q ~time i;
+               model := (time, i) :: !model;
+               (not pop) || Event_queue.pop q = earliest ())
+             (List.mapi (fun i op -> (i, op)) ops)
+           && pop_all q = List.sort compare !model));
   ]
 
 let trace_tests =
