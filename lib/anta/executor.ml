@@ -7,6 +7,11 @@ type ('msg, 'obs) running = {
   mutable rev_visited : Automaton.state list;
   mutable finished : bool;
   mutable pending : (int * 'msg) list; (* oldest first *)
+  mutable labels : string array;
+      (* timer label "<state>#<i>" of each deadline branch [i] of the
+         current input state, built once on entry: disarming and matching
+         a fired timer then format nothing, and states a run never enters
+         cost nothing *)
 }
 
 let current_state r = r.state
@@ -14,8 +19,6 @@ let visited r = List.rev r.rev_visited
 let terminated r = r.finished
 let store r = r.sstore
 let pending_count r = List.length r.pending
-
-let timer_label st idx = Printf.sprintf "%s#%d" st idx
 
 let branches_of r =
   match Automaton.node r.auto r.state with
@@ -26,8 +29,7 @@ let disarm_deadlines ctx r =
   List.iteri
     (fun idx (b : ('msg, 'obs) Automaton.branch) ->
       match b.guard with
-      | Automaton.Deadline _ ->
-          Engine.cancel_timer ctx ~label:(timer_label r.state idx)
+      | Automaton.Deadline _ -> Engine.cancel_timer ctx ~label:r.labels.(idx)
       | Automaton.Receive _ -> ())
     (branches_of r)
 
@@ -83,12 +85,15 @@ let rec enter ctx on_final r st =
       on_final ctx r.sstore;
       Engine.halt ctx
   | Some (Automaton.Input branches) -> (
+      r.labels <- Array.make (List.length branches) "";
       List.iteri
         (fun idx (b : ('msg, 'obs) Automaton.branch) ->
           match b.guard with
           | Automaton.Deadline { base; offset } ->
               let deadline = Sim_time.add (Store.clock r.sstore base) offset in
-              Engine.set_timer ctx ~deadline ~label:(timer_label st idx)
+              let label = st ^ "#" ^ string_of_int idx in
+              r.labels.(idx) <- label;
+              Engine.set_timer ctx ~deadline ~label
           | Automaton.Receive _ -> ())
         branches;
       (* a message already in the pool may enable a transition right away *)
@@ -108,6 +113,7 @@ let handlers auto ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
       rev_visited = [];
       finished = false;
       pending = [];
+      labels = [||];
     }
   in
   let on_start ctx =
@@ -135,13 +141,11 @@ let handlers auto ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
       let rec find idx = function
         | [] -> ()
         | (b : ('msg, 'obs) Automaton.branch) :: rest -> (
-            if String.equal label (timer_label r.state idx) then
-              match b.guard with
-              | Automaton.Deadline _ ->
-                  let next = take_branch ctx r b None in
-                  enter ctx on_final r next
-              | Automaton.Receive _ -> ()
-            else find (idx + 1) rest)
+            match b.guard with
+            | Automaton.Deadline _ when String.equal label r.labels.(idx) ->
+                let next = take_branch ctx r b None in
+                enter ctx on_final r next
+            | Automaton.Deadline _ | Automaton.Receive _ -> find (idx + 1) rest)
       in
       find 0 branches
   in

@@ -86,10 +86,10 @@ let committee_n cfg = Quorum_system.size cfg.qs
 let leader_of ~n round = ((round mod n) + n) mod n
 
 let ser_echo ser (b : 'v echo_body) =
-  Printf.sprintf "echo|%d|%s" b.e_round (ser b.e_value)
+  String.concat "|" [ "echo"; string_of_int b.e_round; ser b.e_value ]
 
 let ser_commit ser (b : 'v commit_body) =
-  Printf.sprintf "commit|%d|%s" b.c_round (ser b.c_value)
+  String.concat "|" [ "commit"; string_of_int b.c_round; ser b.c_value ]
 
 let is_replica_auth cfg author =
   Array.exists (fun id -> id = author) cfg.auth_ids

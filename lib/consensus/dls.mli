@@ -82,6 +82,12 @@ type 'v config = {
                                       [base_timeout * 2^min(r,16)] *)
 }
 
+val ser_echo : ('v -> string) -> 'v echo_body -> string
+(** The signed statement of an echo: ["echo|<round>|<value>"]. *)
+
+val ser_commit : ('v -> string) -> 'v commit_body -> string
+(** The signed statement of a commit vote: ["commit|<round>|<value>"]. *)
+
 type 'v t
 
 val create : 'v config -> 'v t

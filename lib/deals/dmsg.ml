@@ -31,8 +31,11 @@ let tag = function
   | Cb_vote _ -> "cb-vote"
   | Cb_cert _ -> "cb-cert"
 
-let ser_vote (v : vote_body) = Printf.sprintf "dvote|%d|%d" v.v_party v.v_deal
-let ser_cb (c : cb_body) = Printf.sprintf "dcb|%d|%b" c.c_deal c.c_commit
+let ser_vote (v : vote_body) =
+  String.concat "|" [ "dvote"; string_of_int v.v_party; string_of_int v.v_deal ]
+
+let ser_cb (c : cb_body) =
+  String.concat "|" [ "dcb"; string_of_int c.c_deal; string_of_bool c.c_commit ]
 
 let pp ppf m =
   match m with

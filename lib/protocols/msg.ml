@@ -105,19 +105,41 @@ let pp ppf m =
   | Start -> Fmt.string ppf "start"
   | Traffic_done { payment } -> Fmt.pf ppf "traffic-done(pay=%d)" payment
 
+(* Signed statements are '|'-joined fields, built without Printf: these
+   run once per signature made or checked. *)
 let ser_promise_g g =
-  Printf.sprintf "G|%d|%d|%s" g.g_escrow g.g_customer (Sim.Sim_time.to_string g.d)
+  String.concat "|"
+    [
+      "G";
+      string_of_int g.g_escrow;
+      string_of_int g.g_customer;
+      Sim.Sim_time.to_string g.d;
+    ]
 
 let ser_promise_p p =
-  Printf.sprintf "P|%d|%d|%s" p.p_escrow p.p_customer (Sim.Sim_time.to_string p.a)
+  String.concat "|"
+    [
+      "P";
+      string_of_int p.p_escrow;
+      string_of_int p.p_customer;
+      Sim.Sim_time.to_string p.a;
+    ]
 
-let ser_chi c = Printf.sprintf "chi|%d|%d" c.x_payment c.x_bob
+let ser_chi c =
+  String.concat "|" [ "chi"; string_of_int c.x_payment; string_of_int c.x_bob ]
 
 let ser_funded f =
-  Printf.sprintf "funded|%d|%d|%d" f.f_escrow f.f_payment f.f_amount
+  String.concat "|"
+    [
+      "funded";
+      string_of_int f.f_escrow;
+      string_of_int f.f_payment;
+      string_of_int f.f_amount;
+    ]
 
 let ser_decision d =
-  Printf.sprintf "dec|%d|%b" d.dec_payment d.dec_commit
+  String.concat "|"
+    [ "dec"; string_of_int d.dec_payment; string_of_bool d.dec_commit ]
 
 let ser_bool b = if b then "commit" else "abort"
 

@@ -489,10 +489,9 @@ let equivocating_notary (env : Env.t) cfg ~index =
   let signer = Env.signer_of env self in
   let echo_for round value =
     let body = { Dls.e_round = round; e_value = value } in
-    let ser (b : bool Dls.echo_body) =
-      Printf.sprintf "echo|%d|%s" b.Dls.e_round (Msg.ser_bool b.Dls.e_value)
-    in
-    Msg.Notary (Dls.Echo (Xcrypto.Auth.sign_value signer ~ser body))
+    Msg.Notary
+      (Dls.Echo
+         (Xcrypto.Auth.sign_value signer ~ser:(Dls.ser_echo Msg.ser_bool) body))
   in
   {
     E.on_start =

@@ -102,8 +102,7 @@ let m_latency =
     ~help:"Sim-time from slot open to certificate"
     "xchain_committee_cert_latency"
 
-let ser_verdict v =
-  Printf.sprintf "%d:%c" v.item (if v.commit then 'c' else 'a')
+let ser_verdict v = string_of_int v.item ^ if v.commit then ":c" else ":a"
 
 let ser_batch b = "b|" ^ String.concat "," (List.map ser_verdict b)
 

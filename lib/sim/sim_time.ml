@@ -44,4 +44,4 @@ let of_int n =
 
 let to_int t = t
 let pp ppf t = if is_infinite t then Fmt.string ppf "inf" else Fmt.int ppf t
-let to_string t = Fmt.str "%a" pp t
+let to_string t = if is_infinite t then "inf" else string_of_int t

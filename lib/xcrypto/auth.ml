@@ -1,33 +1,40 @@
 type id = int
 type signature = { claimed : id; mac : Hash.t }
-type registry = { secrets : (id, string) Hashtbl.t; rng : Sim.Rng.t }
-type signer = { sid : id; secret : string }
 
-let create ~seed = { secrets = Hashtbl.create 16; rng = Sim.Rng.create ~seed }
+(* A key is the hash state after absorbing the signer's prefix
+   "<secret>|<id>|", so a MAC hashes only the message bytes. The secret
+   string itself is not kept. *)
+type registry = { keys : (id, Hash.state) Hashtbl.t; rng : Sim.Rng.t }
+type signer = { sid : id; key : Hash.state }
+
+let create ~seed = { keys = Hashtbl.create 16; rng = Sim.Rng.create ~seed }
 
 let register reg id =
-  if Hashtbl.mem reg.secrets id then
+  if Hashtbl.mem reg.keys id then
     invalid_arg (Printf.sprintf "Auth.register: id %d already registered" id);
-  let secret =
-    Printf.sprintf "sk-%d-%Lx-%Lx" id (Sim.Rng.next_int64 reg.rng)
-      (Sim.Rng.next_int64 reg.rng)
+  (* The secret is "sk-<id>-<x>-<y>" in hex, with [y] drawn before [x]:
+     the order of a right-to-left-evaluated Printf call, which every
+     pinned MAC depends on. *)
+  let y = Sim.Rng.next_int64 reg.rng in
+  let x = Sim.Rng.next_int64 reg.rng in
+  let sid = string_of_int id in
+  let key =
+    List.fold_left Hash.feed Hash.start
+      [ "sk-"; sid; "-"; Hash.hex64 x; "-"; Hash.hex64 y; "|"; sid; "|" ]
   in
-  Hashtbl.add reg.secrets id secret;
-  { sid = id; secret }
+  Hashtbl.add reg.keys id key;
+  { sid = id; key }
 
 let signer_id s = s.sid
-
-let mac ~secret ~id msg =
-  Hash.of_string (Printf.sprintf "%s|%d|%s" secret id msg)
-
-let sign s msg = { claimed = s.sid; mac = mac ~secret:s.secret ~id:s.sid msg }
+let mac key msg = Hash.finish (Hash.feed key msg)
+let sign s msg = { claimed = s.sid; mac = mac s.key msg }
 
 let verify reg id msg s =
   s.claimed = id
   &&
-  match Hashtbl.find_opt reg.secrets id with
+  match Hashtbl.find_opt reg.keys id with
   | None -> false
-  | Some secret -> Hash.equal s.mac (mac ~secret ~id msg)
+  | Some key -> Hash.equal s.mac (mac key msg)
 
 let forged id = { claimed = id; mac = Hash.of_string "forged" }
 

@@ -1,23 +1,75 @@
 type t = { a : int64; b : int64 }
 
+(* A state is the two FNV lanes before the final avalanche, packed
+   little-endian into one 16-byte string: a kept state (a signer's key) is
+   then a single block with no boxed int64s. *)
+type state = string
+
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
-let fnv1a ~seed s =
-  let h = ref (Int64.logxor fnv_offset seed) in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  (* final avalanche (splitmix-style) to decorrelate the two passes *)
-  let z = !h in
+let[@inline] lanes a b =
+  let buf = Bytes.create 16 in
+  Bytes.set_int64_le buf 0 a;
+  Bytes.set_int64_le buf 8 b;
+  Bytes.unsafe_to_string buf
+
+let start = lanes fnv_offset (Int64.logxor fnv_offset 0x9E3779B97F4A7C15L)
+
+(* Both lanes in one closure-free loop over the bytes, so ocamlopt keeps
+   the accumulators unboxed: only the returned state allocates. *)
+let feed st s =
+  let a = ref (String.get_int64_le st 0) and b = ref (String.get_int64_le st 8) in
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    a := Int64.mul (Int64.logxor !a c) fnv_prime;
+    b := Int64.mul (Int64.logxor !b c) fnv_prime
+  done;
+  lanes !a !b
+
+(* final avalanche (splitmix-style) to decorrelate the two lanes *)
+let[@inline] avalanche z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let of_string s = { a = fnv1a ~seed:0L s; b = fnv1a ~seed:0x9E3779B97F4A7C15L s }
+let finish st =
+  {
+    a = avalanche (String.get_int64_le st 0);
+    b = avalanche (String.get_int64_le st 8);
+  }
 
-let to_hex t = Printf.sprintf "%016Lx%016Lx" t.a t.b
+let of_string s = finish (feed start s)
+
+let hex_digits = "0123456789abcdef"
+
+(* Writes the low [width] nibbles of [x] into [buf] at [pos], most
+   significant first. *)
+let put_hex buf ~pos ~width x =
+  for i = 0 to width - 1 do
+    let nibble =
+      Int64.to_int
+        (Int64.logand (Int64.shift_right_logical x (4 * (width - 1 - i))) 15L)
+    in
+    Bytes.unsafe_set buf (pos + i) hex_digits.[nibble]
+  done
+
+let hex64 x =
+  let rec width w =
+    if w < 16 && not (Int64.equal (Int64.shift_right_logical x (4 * w)) 0L)
+    then width (w + 1)
+    else w
+  in
+  let w = max 1 (width 0) in
+  let buf = Bytes.create w in
+  put_hex buf ~pos:0 ~width:w x;
+  Bytes.unsafe_to_string buf
+
+let to_hex t =
+  let buf = Bytes.create 32 in
+  put_hex buf ~pos:0 ~width:16 t.a;
+  put_hex buf ~pos:16 ~width:16 t.b;
+  Bytes.unsafe_to_string buf
+
 let concat x y = of_string (to_hex x ^ to_hex y)
 let equal x y = Int64.equal x.a y.a && Int64.equal x.b y.b
 

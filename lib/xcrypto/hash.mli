@@ -1,6 +1,6 @@
 (** Collision-resistant-enough hashing for simulation.
 
-    A 128-bit digest built from two independent 64-bit FNV-1a passes. This is
+    A 128-bit digest built from two independent 64-bit FNV-1a lanes. This is
     {e not} cryptographic strength — it is a stand-in whose only job inside
     the simulator is to make accidental collisions and preimage guessing
     astronomically unlikely, so that hashlocks and signatures behave like
@@ -12,6 +12,25 @@ type t
 (** A digest. Structural equality and comparison are meaningful. *)
 
 val of_string : string -> t
+(** [of_string s] is [finish (feed start s)]. *)
+
+(** {1 Resumable hashing}
+
+    A digest can be computed in pieces: feeding [s1] then [s2] gives the
+    same digest as feeding [s1 ^ s2]. A state is immutable, so one fed with
+    a fixed prefix can be kept and resumed any number of times; that is how
+    {!Auth} keys a signer without rehashing its secret per message. *)
+
+type state
+
+val start : state
+(** The state before any byte. *)
+
+val feed : state -> string -> state
+(** Absorb the bytes of a string; allocates only the returned state. *)
+
+val finish : state -> t
+
 val concat : t -> t -> t
 (** Digest of the pair, order-sensitive. *)
 
@@ -22,3 +41,6 @@ val pp : Format.formatter -> t -> unit
 
 val short : t -> string
 (** First 8 hex chars — for logs. *)
+
+val hex64 : int64 -> string
+(** Unsigned lowercase hex with no leading zeros, as [Printf "%Lx"]. *)

@@ -283,9 +283,20 @@ let executor_tests =
                 ("expired", A.final ());
               ]
         in
-        let running, _ = run_pair auto (send_at_start [ 1 ]) in
+        let running, e = run_pair auto (send_at_start [ 1 ]) in
         check Alcotest.bool "done" true (Executor.terminated running);
-        check Alcotest.string "expired" "expired" (Executor.current_state running));
+        check Alcotest.string "expired" "expired" (Executor.current_state running);
+        (* the timer of branch 1 of state w is labelled "w#1" when set and
+           when fired; Conformance.split_label depends on that shape *)
+        let labels =
+          List.filter_map
+            (function
+              | Sim.Trace.Timer_set { label; _ } -> Some ("set " ^ label)
+              | Sim.Trace.Timer_fired { label; _ } -> Some ("fired " ^ label)
+              | _ -> None)
+            (Sim.Trace.to_list (E.trace e))
+        in
+        check Alcotest.(list string) "labels" [ "set w#1"; "fired w#1" ] labels);
     Alcotest.test_case "message beats a later deadline" `Quick (fun () ->
         let driver =
           {

@@ -30,6 +30,20 @@ let hash_tests =
         let a = Hash.of_string "m" and b = Hash.of_string "m" in
         check Alcotest.int "cmp" 0 (Hash.compare a b));
     qcheck
+      (QCheck.Test.make ~name:"feeding in pieces equals hashing the whole"
+         QCheck.(pair string string)
+         (fun (s1, s2) ->
+           Hash.equal
+             (Hash.finish (Hash.feed (Hash.feed Hash.start s1) s2))
+             (Hash.of_string (s1 ^ s2))));
+    qcheck
+      (QCheck.Test.make ~name:"hex64 is Printf %Lx" QCheck.int64 (fun x ->
+           String.equal (Hash.hex64 x) (Printf.sprintf "%Lx" x)));
+    Alcotest.test_case "hex64 edge values" `Quick (fun () ->
+        List.iter
+          (fun x -> check Alcotest.string "hex" (Printf.sprintf "%Lx" x) (Hash.hex64 x))
+          [ 0L; 1L; 15L; 16L; -1L; Int64.min_int; Int64.max_int ]);
+    qcheck
       (QCheck.Test.make ~name:"no collisions on random distinct strings"
          QCheck.(pair string string)
          (fun (s1, s2) ->
@@ -129,6 +143,213 @@ let hashlock_tests =
           (Hashlock.equal_lock (Hashlock.lock_of p) (Hashlock.lock_of p)));
   ]
 
+(* Known-answer vectors. Every digest, MAC and preimage the simulator
+   produces feeds golden transcripts and byte-identity pins, so the values
+   themselves are pinned here, not only their algebraic properties. The
+   inputs cover the empty string, one byte, a long string and bytes
+   >= 0x80; seed 6 draws a preimage whose second field has a leading zero
+   nibble, which [%Lx]-style hex drops. *)
+
+let kat_long = String.init 200 (fun i -> Char.chr (32 + (i * 7 mod 90)))
+let kat_high = "\x80\xff\xc3\xa9-\x7f\x00z"
+
+let kat_tests =
+  let digest name input want =
+    Alcotest.test_case ("digest " ^ name) `Quick (fun () ->
+        check Alcotest.string name want (Hash.to_hex (Hash.of_string input)))
+  in
+  [
+    digest "empty" "" "660642d83e1e828ed0811370428496ac";
+    digest "one byte" "a" "bc35affb9a09abbb2fea24e0ceb1c592";
+    digest "200 bytes" kat_long "f0ccbb664db7463f54ce0ace3a4f38bb";
+    digest "high bytes" kat_high "a283a3778bda253ff1ecd0c6c5bd9dc0";
+    Alcotest.test_case "digest of concat" `Quick (fun () ->
+        check Alcotest.string "concat" "929621ad3d215b75231880f9c21dca17"
+          (Hash.to_hex (Hash.concat (Hash.of_string "a") (Hash.of_string "b"))));
+    Alcotest.test_case "signatures of seed-11 signers 0-7" `Quick (fun () ->
+        let want =
+          [|
+            ("af93d10b", "73770efc", "d4cf0901");
+            ("f0742805", "dbc40e8d", "b2c76451");
+            ("692b249f", "95b96ef7", "1148f03c");
+            ("289dbd32", "72247f3a", "2e76416c");
+            ("fd83e0dd", "37841c4f", "8bb52015");
+            ("416508c2", "98b9a7ce", "9399ca1c");
+            ("a024d9f9", "b6149ce1", "df2dc047");
+            ("38ff78c9", "5f90334c", "0fc017ef");
+          |]
+        in
+        let reg = Auth.create ~seed:11 in
+        Array.iteri
+          (fun id (m0, m1, m2) ->
+            let s = Auth.register reg id in
+            let pin msg mac =
+              check Alcotest.string
+                (Printf.sprintf "signer %d over %S" id msg)
+                (Printf.sprintf "sig<%d:%s>" id mac)
+                (Fmt.str "%a" Auth.pp_signature (Auth.sign s msg))
+            in
+            pin "" m0;
+            pin "G|1|2|30" m1;
+            pin kat_high m2)
+          want);
+    Alcotest.test_case "hashlock preimages" `Quick (fun () ->
+        List.iter
+          (fun (seed, want) ->
+            check Alcotest.string
+              (Printf.sprintf "seed %d" seed)
+              want
+              (Fmt.str "%a" Hashlock.pp_preimage
+                 (Hashlock.fresh (Sim.Rng.create ~seed))))
+          [
+            (1, "pre<pre-5f552ce482f2aa47bfef8030ddc2d772>");
+            (3, "pre<pre-6f6203387a582791d0bb866aae328182>");
+            (6, "pre<pre-56d14ad1989d7e27f7ad38a8149d06e>");
+            (42, "pre<pre-290db4bf2570ded7989b3f130a063869>");
+          ]);
+  ]
+
+(* Every statement that is signed is serialised without Printf. Each
+   serialiser must still produce exactly the string of the Printf formula
+   it replaced, kept here as the reference, or every signature in a
+   golden transcript would change. *)
+let serialiser_tests =
+  let module Msg = Protocols.Msg in
+  let module Dls = Consensus.Dls in
+  let module Committee = Quorum.Committee in
+  let module Dmsg = Deals.Dmsg in
+  let time_of t = Fmt.str "%a" Sim.Sim_time.pp t in
+  let time =
+    QCheck.make ~print:time_of
+      QCheck.Gen.(
+        oneof
+          [
+            return Sim.Sim_time.infinity;
+            map Sim.Sim_time.of_int nat;
+            map (fun n -> Sim.Sim_time.of_int (n land max_int)) int;
+          ])
+  in
+  let prop name arb f = qcheck (QCheck.Test.make ~count:300 ~name arb f) in
+  let ref_verdict (v : Committee.verdict) =
+    Printf.sprintf "%d:%c" v.item (if v.commit then 'c' else 'a')
+  in
+  let ref_batch b = "b|" ^ String.concat "," (List.map ref_verdict b) in
+  let verdict =
+    QCheck.Gen.(
+      map (fun (item, commit) -> { Committee.item; commit }) (pair int bool))
+  in
+  [
+    prop "Sim_time.to_string" time (fun t ->
+        String.equal (Sim.Sim_time.to_string t) (time_of t));
+    prop "Msg.ser_promise_g"
+      QCheck.(triple int int time)
+      (fun (g_escrow, g_customer, d) ->
+        String.equal
+          (Msg.ser_promise_g { Msg.g_escrow; g_customer; d })
+          (Printf.sprintf "G|%d|%d|%s" g_escrow g_customer (time_of d)));
+    prop "Msg.ser_promise_p"
+      QCheck.(triple int int time)
+      (fun (p_escrow, p_customer, a) ->
+        String.equal
+          (Msg.ser_promise_p { Msg.p_escrow; p_customer; a })
+          (Printf.sprintf "P|%d|%d|%s" p_escrow p_customer (time_of a)));
+    prop "Msg.ser_chi"
+      QCheck.(pair int int)
+      (fun (x_payment, x_bob) ->
+        String.equal
+          (Msg.ser_chi { Msg.x_payment; x_bob })
+          (Printf.sprintf "chi|%d|%d" x_payment x_bob));
+    prop "Msg.ser_funded"
+      QCheck.(triple int int int)
+      (fun (f_escrow, f_payment, f_amount) ->
+        String.equal
+          (Msg.ser_funded { Msg.f_escrow; f_payment; f_amount })
+          (Printf.sprintf "funded|%d|%d|%d" f_escrow f_payment f_amount));
+    prop "Msg.ser_decision"
+      QCheck.(pair int bool)
+      (fun (dec_payment, dec_commit) ->
+        String.equal
+          (Msg.ser_decision { Msg.dec_payment; dec_commit })
+          (Printf.sprintf "dec|%d|%b" dec_payment dec_commit));
+    prop "Dls.ser_echo and ser_commit"
+      QCheck.(pair int bool)
+      (fun (round, v) ->
+        String.equal
+          (Dls.ser_echo Msg.ser_bool { Dls.e_round = round; e_value = v })
+          (Printf.sprintf "echo|%d|%s" round (Msg.ser_bool v))
+        && String.equal
+             (Dls.ser_commit Msg.ser_bool { Dls.c_round = round; c_value = v })
+             (Printf.sprintf "commit|%d|%s" round (Msg.ser_bool v)));
+    prop "Committee.ser_batch"
+      (QCheck.make QCheck.Gen.(list_size (int_bound 32) verdict))
+      (fun b -> String.equal (Committee.ser_batch b) (ref_batch b));
+    Alcotest.test_case "Committee.ser_batch of empty and 32-verdict batches"
+      `Quick (fun () ->
+        let full =
+          List.init 32 (fun i -> { Committee.item = i - 3; commit = i mod 3 = 0 })
+        in
+        List.iter
+          (fun b ->
+            check Alcotest.string "batch" (ref_batch b) (Committee.ser_batch b))
+          [ []; full ]);
+    prop "Dmsg.ser_vote"
+      QCheck.(pair int int)
+      (fun (v_party, v_deal) ->
+        String.equal
+          (Dmsg.ser_vote { Dmsg.v_party; v_deal })
+          (Printf.sprintf "dvote|%d|%d" v_party v_deal));
+    prop "Dmsg.ser_cb"
+      QCheck.(pair int bool)
+      (fun (c_deal, c_commit) ->
+        String.equal
+          (Dmsg.ser_cb { Dmsg.c_deal; c_commit })
+          (Printf.sprintf "dcb|%d|%b" c_deal c_commit));
+    Alcotest.test_case "fixed statements" `Quick (fun () ->
+        check Alcotest.string "inf" "G|-1|2|inf"
+          (Msg.ser_promise_g
+             { Msg.g_escrow = -1; g_customer = 2; d = Sim.Sim_time.infinity });
+        check Alcotest.string "true" "dec|7|true"
+          (Msg.ser_decision { Msg.dec_payment = 7; dec_commit = true });
+        check Alcotest.string "false" "dcb|0|false"
+          (Dmsg.ser_cb { Dmsg.c_deal = 0; c_commit = false }));
+  ]
+
+(* Signing and verifying run on every promise, certificate and vote, so
+   they must not allocate beyond their results: the fed state, the digest
+   and the signature record. *)
+let allocation_tests =
+  [
+    Alcotest.test_case "sign and verify stay within 24 words" `Quick
+      (fun () ->
+        let reg = Auth.create ~seed:4 in
+        let s = Auth.register reg 3 in
+        let msg = "0123456789abcdef" in
+        let sg = Auth.sign s msg in
+        (* warm up: first calls may trigger lazy init inside the runtime *)
+        ignore (Auth.verify reg 3 msg sg);
+        let rounds = 1_000 in
+        let per_call f =
+          let before = Gc.minor_words () in
+          for _ = 1 to rounds do
+            ignore (Sys.opaque_identity (f ()))
+          done;
+          int_of_float (Gc.minor_words () -. before) / rounds
+        in
+        let sign_words = per_call (fun () -> Auth.sign s msg) in
+        let verify_words = per_call (fun () -> Auth.verify reg 3 msg sg) in
+        if sign_words > 24 then
+          Alcotest.failf "Auth.sign allocates %d words per call" sign_words;
+        if verify_words > 24 then
+          Alcotest.failf "Auth.verify allocates %d words per call" verify_words);
+  ]
+
 let () =
   Alcotest.run "xcrypto"
-    [ ("hash", hash_tests); ("auth", auth_tests); ("hashlock", hashlock_tests) ]
+    [
+      ("hash", hash_tests);
+      ("auth", auth_tests);
+      ("hashlock", hashlock_tests);
+      ("vectors", kat_tests);
+      ("serial", serialiser_tests);
+      ("alloc", allocation_tests);
+    ]
