@@ -41,10 +41,16 @@ type 'v config = {
 }
 
 (* Per-round vote books: for each round, per distinct value, the signed
-   votes indexed by replica. *)
-type ('v, 'body) votes = {
-  mutable entries : ('v * (int, 'body Auth.signed) Hashtbl.t) list;
+   votes indexed by author. A bucket keeps the serialised (round, value)
+   vote its signatures are checked against, computed once when the
+   bucket's first vote arrives. *)
+type ('v, 'body) bucket = {
+  value : 'v;
+  body : string;
+  sigs : (int, 'body Auth.signed) Hashtbl.t;
 }
+
+type ('v, 'body) votes = { mutable entries : ('v, 'body) bucket list }
 
 type 'v t = {
   cfg : 'v config;
@@ -91,8 +97,11 @@ let ser_echo ser (b : 'v echo_body) =
 let ser_commit ser (b : 'v commit_body) =
   String.concat "|" [ "commit"; string_of_int b.c_round; ser b.c_value ]
 
-let is_replica_auth cfg author =
-  Array.exists (fun id -> id = author) cfg.auth_ids
+let ser_echo_vote ser round value =
+  ser_echo ser { e_round = round; e_value = value }
+
+let ser_commit_vote ser round value =
+  ser_commit ser { c_round = round; c_value = value }
 
 (* Replica index of an authenticated author, or -1. Quorum membership is
    index-based (weighted and grid systems care which replica signed, not
@@ -103,40 +112,38 @@ let replica_index cfg author =
   let rec go i = if i >= n then -1 else if cfg.auth_ids.(i) = author then i else go (i + 1) in
   go 0
 
-(* The single threshold predicate: does this set of signer indices
-   contain a quorum of the configured system? *)
-let indices_are_quorum cfg iter =
+(* A signature counts when its vote is for exactly the wanted (round,
+   value), its author is a replica not already counted, and it verifies
+   against [body], the wanted vote serialised once by the caller. Checking
+   every signature against one serialisation is sound because [cfg.ser]
+   is injective modulo [cfg.equal]: equal values serialise equally. *)
+let verify_vote_set cfg ~body ~round_of ~value_of ~want_round ~want_value sigs
+    =
   let present = Array.make (committee_n cfg) false in
-  iter (fun i -> if i >= 0 && i < Array.length present then present.(i) <- true);
-  Quorum_system.is_quorum cfg.qs ~present
-
-let verify_vote_set cfg ~ser_body ~round_of ~value_of ~want_round ~want_value
-    sigs =
-  let seen = Hashtbl.create 8 in
   List.iter
     (fun (sv : _ Auth.signed) ->
       let b = sv.Auth.payload in
-      if
-        round_of b = want_round
-        && cfg.equal (value_of b) want_value
-        && is_replica_auth cfg sv.Auth.author
-        && (not (Hashtbl.mem seen sv.Auth.author))
-        && Auth.verify_value cfg.registry ~ser:ser_body sv
-      then Hashtbl.add seen sv.Auth.author ())
+      if round_of b = want_round && cfg.equal (value_of b) want_value then begin
+        let i = replica_index cfg sv.Auth.author in
+        if
+          i >= 0
+          && (not present.(i))
+          && Auth.verify cfg.registry sv.Auth.author body sv.Auth.signature
+        then present.(i) <- true
+      end)
     sigs;
-  indices_are_quorum cfg (fun mark ->
-      Hashtbl.iter (fun author () -> mark (replica_index cfg author)) seen)
+  Quorum_system.is_quorum cfg.qs ~present
 
 let verify_qc cfg (qc : 'v qc) =
   verify_vote_set cfg
-    ~ser_body:(ser_echo cfg.ser)
+    ~body:(ser_echo_vote cfg.ser qc.q_round qc.q_value)
     ~round_of:(fun b -> b.e_round)
     ~value_of:(fun b -> b.e_value)
     ~want_round:qc.q_round ~want_value:qc.q_value qc.q_sigs
 
 let verify_decision cfg (dc : 'v decision_cert) =
   verify_vote_set cfg
-    ~ser_body:(ser_commit cfg.ser)
+    ~body:(ser_commit_vote cfg.ser dc.d_round dc.d_value)
     ~round_of:(fun b -> b.c_round)
     ~value_of:(fun b -> b.c_value)
     ~want_round:dc.d_round ~want_value:dc.d_value dc.d_sigs
@@ -172,21 +179,54 @@ let round_timeout t round =
   let shift = Stdlib.min round 16 in
   Sim.Sim_time.scale t.cfg.base_timeout ~num:(1 lsl shift) ~den:1
 
-let votes_for tbl round =
-  match Hashtbl.find_opt tbl round with
-  | Some v -> v
-  | None ->
-      let v = { entries = [] } in
-      Hashtbl.add tbl round v;
-      v
+(* Record a vote if it verifies and return its bucket. The bucket for
+   (round, value) is looked up by [equal] before any serialisation, so the
+   vote body is serialised once per bucket, not once per vote; a bucket is
+   only created for a vote that verifies. *)
+let record_vote cfg tbl ~ser_body ~round ~value (sv : _ Auth.signed) =
+  if replica_index cfg sv.Auth.author < 0 then None
+  else
+    let votes = Hashtbl.find_opt tbl round in
+    let found =
+      match votes with
+      | None -> None
+      | Some votes ->
+          List.find_opt (fun b -> cfg.equal b.value value) votes.entries
+    in
+    let body =
+      match found with Some b -> b.body | None -> ser_body round value
+    in
+    if not (Auth.verify cfg.registry sv.Auth.author body sv.Auth.signature)
+    then None
+    else begin
+      let bucket =
+        match found with
+        | Some b -> b
+        | None ->
+            let votes =
+              match votes with
+              | Some v -> v
+              | None ->
+                  let v = { entries = [] } in
+                  Hashtbl.add tbl round v;
+                  v
+            in
+            let b = { value; body; sigs = Hashtbl.create 8 } in
+            votes.entries <- b :: votes.entries;
+            b
+      in
+      Hashtbl.replace bucket.sigs sv.Auth.author sv;
+      Some bucket
+    end
 
-let bucket_for equal votes value =
-  match List.find_opt (fun (v, _) -> equal v value) votes.entries with
-  | Some (_, tbl) -> tbl
-  | None ->
-      let tbl = Hashtbl.create 8 in
-      votes.entries <- (value, tbl) :: votes.entries;
-      tbl
+let bucket_is_quorum cfg bucket =
+  let present = Array.make (committee_n cfg) false in
+  Hashtbl.iter
+    (fun author _ ->
+      let i = replica_index cfg author in
+      if i >= 0 then present.(i) <- true)
+    bucket.sigs;
+  Quorum_system.is_quorum cfg.qs ~present
 
 (* The value this replica is willing to champion: its lock if any, else its
    initial preference. *)
@@ -249,10 +289,10 @@ let update_preference t v =
 
 (* Adopt a QC as our lock if it is higher than what we hold. *)
 let maybe_adopt t (qc : 'v qc) =
-  if verify_qc t.cfg qc then
-    match t.lock with
-    | Some cur when cur.q_round >= qc.q_round -> ()
-    | _ -> t.lock <- Some qc
+  let higher =
+    match t.lock with Some cur -> cur.q_round < qc.q_round | None -> true
+  in
+  if higher && verify_qc t.cfg qc then t.lock <- Some qc
 
 let may_echo t ~round:_ ~value ~justif =
   t.cfg.validate value
@@ -290,21 +330,15 @@ let commit_effects t ~round ~value =
     [ Broadcast (Commit signed) ]
   end
 
-let collect_sigs tbl = Hashtbl.fold (fun _ sv acc -> sv :: acc) tbl []
+let collect_sigs bucket = Hashtbl.fold (fun _ sv acc -> sv :: acc) bucket.sigs []
 
 let on_echo t (sv : 'v echo_body Auth.signed) =
   let b = sv.Auth.payload in
-  if
-    is_replica_auth t.cfg sv.Auth.author
-    && Auth.verify_value t.cfg.registry ~ser:(ser_echo t.cfg.ser) sv
-  then begin
-    let votes = votes_for t.echo_votes b.e_round in
-    let bucket = bucket_for t.cfg.equal votes b.e_value in
-    Hashtbl.replace bucket sv.Auth.author sv;
-    if
-      indices_are_quorum t.cfg (fun mark ->
-          Hashtbl.iter (fun author _ -> mark (replica_index t.cfg author)) bucket)
-    then begin
+  match
+    record_vote t.cfg t.echo_votes ~ser_body:(ser_echo_vote t.cfg.ser)
+      ~round:b.e_round ~value:b.e_value sv
+  with
+  | Some bucket when bucket_is_quorum t.cfg bucket ->
       let qc =
         { q_round = b.e_round; q_value = b.e_value; q_sigs = collect_sigs bucket }
       in
@@ -312,27 +346,15 @@ let on_echo t (sv : 'v echo_body Auth.signed) =
       if b.e_round = t.round then
         commit_effects t ~round:b.e_round ~value:b.e_value
       else []
-    end
-    else []
-  end
-  else []
+  | Some _ | None -> []
 
 let on_commit t (sv : 'v commit_body Auth.signed) =
   let b = sv.Auth.payload in
-  if
-    is_replica_auth t.cfg sv.Auth.author
-    && Auth.verify_value t.cfg.registry ~ser:(ser_commit t.cfg.ser) sv
-  then begin
-    let votes = votes_for t.commit_votes b.c_round in
-    let bucket = bucket_for t.cfg.equal votes b.c_value in
-    Hashtbl.replace bucket sv.Auth.author sv;
-    if
-      t.decision = None
-      && indices_are_quorum t.cfg (fun mark ->
-             Hashtbl.iter
-               (fun author _ -> mark (replica_index t.cfg author))
-               bucket)
-    then begin
+  match
+    record_vote t.cfg t.commit_votes ~ser_body:(ser_commit_vote t.cfg.ser)
+      ~round:b.c_round ~value:b.c_value sv
+  with
+  | Some bucket when t.decision = None && bucket_is_quorum t.cfg bucket ->
       let dc =
         { d_value = b.c_value; d_round = b.c_round; d_sigs = collect_sigs bucket }
       in
@@ -340,10 +362,7 @@ let on_commit t (sv : 'v commit_body Auth.signed) =
       Obsv.Metrics.inc m_decisions;
       Obsv.Metrics.observe m_rounds_to_decide (b.c_round + 1);
       [ Decided dc ]
-    end
-    else []
-  end
-  else []
+  | Some _ | None -> []
 
 let on_msg t ~from_ m =
   if t.decision <> None then []

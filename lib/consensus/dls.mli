@@ -75,7 +75,13 @@ type 'v config = {
   auth_ids : int array;  (** Auth identity of each replica index *)
   registry : Xcrypto.Auth.registry;
   signer : Xcrypto.Auth.signer;  (** must match [auth_ids.(self)] *)
-  ser : 'v -> string;  (** serialization of values for signing *)
+  ser : 'v -> string;
+      (** serialization of values for signing. Precondition:
+          [equal a b <=> ser a = ser b]. Votes are checked against one
+          serialisation of the wanted (round, value) per certificate and
+          per vote bucket, not against each vote's own payload, which is
+          sound only if equal values serialise equally; the converse keeps
+          a signature over one value from counting for another. *)
   equal : 'v -> 'v -> bool;
   validate : 'v -> bool;  (** external validity of proposed values *)
   base_timeout : Sim.Sim_time.t;  (** round [r] times out after

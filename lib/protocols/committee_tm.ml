@@ -26,7 +26,35 @@ let committee_config cfg ~index ~signer =
     base_timeout = cfg.base_timeout;
   }
 
-let verify cfg ~signer = Committee.verify_cert (committee_config cfg ~index:0 ~signer)
+(* Certificates a verifier remembers as valid. Participants of one batch
+   receive the sequencer's certificate value itself, so a few recent
+   entries catch nearly every repeat. *)
+let memo_size = 16
+
+(* A hit is the same certificate: the physically identical value or one
+   equal in every field, every signature included. Verification is a pure
+   function of the certificate, so a hit answers as a re-check would.
+   [compare] rather than [=]: it stops at physically shared sub-values,
+   and a certificate holds no floats. *)
+let rec memo_mem memo dc k =
+  k < Array.length memo
+  &&
+  match memo.(k) with
+  | Some c -> c == dc || compare c dc = 0 || memo_mem memo dc (k + 1)
+  | None -> false
+
+let verify cfg ~signer =
+  let check = Committee.verify_cert (committee_config cfg ~index:0 ~signer) in
+  let memo = Array.make memo_size None in
+  let next = ref 0 in
+  fun dc ->
+    memo_mem memo dc 0
+    || check dc
+       && begin
+            memo.(!next) <- Some dc;
+            next := (!next + 1) mod memo_size;
+            true
+          end
 
 (* Handlers for committee replica [index]. The replicas are registered as
    one block with a common [base], so intra-committee traffic uses logical

@@ -47,7 +47,15 @@ val verify :
   bool
 (** Outsider certificate verification for participants' [Shared.verify];
     [signer] is any signer registered in any registry — it is unused by
-    verification but required to build the committee config. *)
+    verification but required to build the committee config.
+
+    [verify cfg ~signer] builds the config once and returns a checker that
+    remembers the last few certificates it accepted: a certificate that is
+    physically the same value, or equal to one of them in every field and
+    every signature, is accepted without re-checking. The answer is the
+    same either way; only the cost differs. The memo is mutable state of
+    the returned checker, so build one per run and never share it between
+    domains. *)
 
 val handlers :
   config ->

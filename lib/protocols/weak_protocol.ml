@@ -70,9 +70,9 @@ let dls_cfg (env : Env.t) cfg ~self_index ~signer ~validate =
     base_timeout = cfg.tm_base_timeout;
   }
 
-let verify_committee_decision (env : Env.t) cfg dc =
+let verify_committee_decision (env : Env.t) cfg =
   match cfg.tm with
-  | Single | Chain _ | Shared _ -> false
+  | Single | Chain _ | Shared _ -> fun _ -> false
   | Committee _ | Quorum _ ->
       let pids = tm_pids env cfg in
       (* verification-only config: the signer field is unused by
@@ -81,29 +81,31 @@ let verify_committee_decision (env : Env.t) cfg dc =
       let vcfg =
         dls_cfg env cfg ~self_index:0 ~signer ~validate:(fun _ -> true)
       in
-      Dls.verify_decision vcfg dc
+      fun dc -> Dls.verify_decision vcfg dc
 
-(* Decode a decision message addressed to this run, from any TM kind. *)
-let decision_of_msg (env : Env.t) cfg ~src msg =
-  let pids = tm_pids env cfg in
+(* Decode a decision message addressed to this run, from any TM kind.
+   [tms] is [tm_pids env cfg] and [verify_committee] is
+   [verify_committee_decision env cfg], both built once per handler set,
+   not once per message. *)
+let decision_of_msg (env : Env.t) cfg ~tms ~verify_committee ~src msg =
   match (cfg.tm, msg) with
   | Single, Msg.Tm_decision sv ->
-      if src = pids.(0) && Env.decision_ok env ~tm:pids.(0) sv then
+      if src = tms.(0) && Env.decision_ok env ~tm:tms.(0) sv then
         Some sv.Xcrypto.Auth.payload.Msg.dec_commit
       else None
   | Chain _, Msg.Tm_decision sv ->
       (* the chain is trusted as a whole: any validator's signed decision
          speaks for the contract (they all replay the same chain) *)
       if
-        Array.exists (fun p -> p = src) pids
+        Array.exists (fun p -> p = src) tms
         && Env.decision_ok env ~tm:src sv
       then Some sv.Xcrypto.Auth.payload.Msg.dec_commit
       else None
   | (Committee _ | Quorum _), Msg.Committee_decision { commit; cert } ->
       if
-        Array.exists (fun p -> p = src) pids
+        Array.exists (fun p -> p = src) tms
         && Bool.equal cert.Dls.d_value commit
-        && verify_committee_decision env cfg cert
+        && verify_committee cert
       then Some commit
       else None
   | Shared { item; verify; _ }, Msg.Quorum_decision { cert } ->
@@ -135,6 +137,7 @@ let customer_handlers (env : Env.t) cfg i =
   let pay_amount = if pays then Env.amount_at env i else 0 in
   let recv_amount = if i > 0 then Env.amount_at env (i - 1) else 0 in
   let tms = tm_pids env cfg in
+  let verify_committee = verify_committee_decision env cfg in
   let decision : bool option ref = ref None in
   let refunded = ref false in
   let upstream_paid = ref false in
@@ -188,7 +191,7 @@ let customer_handlers (env : Env.t) cfg i =
     on_receive =
       (fun ctx ~src msg ->
         if not !done_ then begin
-          (match decision_of_msg env cfg ~src msg with
+          (match decision_of_msg env cfg ~tms ~verify_committee ~src msg with
           | Some commit ->
               if !decision = None then begin
                 decision := Some commit;
@@ -235,6 +238,7 @@ let escrow_handlers (env : Env.t) cfg i =
   let book = env.Env.books.(i) in
   let signer = Env.signer_of env self in
   let tms = tm_pids env cfg in
+  let verify_committee = verify_committee_decision env cfg in
   let deposit = ref None in
   let resolved = ref false in
   let pending_decision : bool option ref = ref None in
@@ -278,7 +282,7 @@ let escrow_handlers (env : Env.t) cfg i =
     E.on_start = (fun _ -> ());
     on_receive =
       (fun ctx ~src msg ->
-        match decision_of_msg env cfg ~src msg with
+        match decision_of_msg env cfg ~tms ~verify_committee ~src msg with
         | Some commit -> resolve ctx commit
         | None -> (
             match msg with

@@ -98,7 +98,9 @@ val process_count : Env.t -> config -> int
 
 val handlers_for :
   Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** Honest handlers for any pid (customers, escrows, TM/notaries). *)
+(** Honest handlers for any pid (customers, escrows, TM/notaries). Each
+    participant's handler set builds the TM roster and the committee
+    verifier once, not once per decision message. *)
 
 val customer_handlers :
   Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
@@ -111,4 +113,6 @@ val verify_committee_decision :
   Env.t -> config -> bool Consensus.Dls.decision_cert -> bool
 (** What participants run on a {!Msg.Committee_decision}: checks that the
     notary signatures over the decided value form a quorum of the
-    committee's quorum system. *)
+    committee's quorum system. [verify_committee_decision env cfg] builds
+    the TM roster and consensus config once; keep it to check many
+    certificates. *)

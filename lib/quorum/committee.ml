@@ -55,6 +55,7 @@ type effect =
 type slot_state = {
   dls : batch Dls.t;
   opened_at : Sim.Sim_time.t;
+  proposed : batch;  (* [] on a replica that joined the slot *)
   mutable closed : bool;
 }
 
@@ -157,7 +158,9 @@ let create cfg =
   }
 
 let is_sequencer t = t.cfg.self = 0
-let verify_cert cfg dc = Dls.verify_decision (dls_cfg cfg) dc
+let verify_cert cfg =
+  let dcfg = dls_cfg cfg in
+  fun dc -> Dls.verify_decision dcfg dc
 
 let verdict_of t ~item =
   match Hashtbl.find_opt t.status item with
@@ -184,7 +187,10 @@ let wrap slot effs =
 
 (* Close a decided slot: record every verdict, requeue in-flight items
    the decided batch does not cover (a view change can decide a batch
-   proposed by a different replica), and free a pipeline lane. *)
+   proposed by a different replica), and free a pipeline lane. Only the
+   items of the batch this replica proposed can be in flight in this slot,
+   so the walk over every item ever seen runs only when one of them is
+   still in flight once the decided verdicts are recorded. *)
 let close_slot t ~now slot st (dc : batch Dls.decision_cert) =
   st.closed <- true;
   t.open_slots <- t.open_slots - 1;
@@ -194,16 +200,22 @@ let close_slot t ~now slot st (dc : batch Dls.decision_cert) =
       Hashtbl.replace t.status v.item
         (Decided_item { commit = v.commit; slot }))
     dc.Dls.d_value;
-  Hashtbl.iter
-    (fun item status ->
-      match status with
-      | In_flight { slot = s; v }
-        when s = slot
-             && not (List.exists (fun d -> d.item = item) dc.Dls.d_value) ->
-          Hashtbl.replace t.status item Queued;
-          Queue.add v t.pending
-      | _ -> ())
-    t.status;
+  let uncovered (v : verdict) =
+    match Hashtbl.find_opt t.status v.item with
+    | Some (In_flight { slot = s; _ }) -> s = slot
+    | _ -> false
+  in
+  if List.exists uncovered st.proposed then
+    Hashtbl.iter
+      (fun item status ->
+        match status with
+        | In_flight { slot = s; v }
+          when s = slot
+               && not (List.exists (fun d -> d.item = item) dc.Dls.d_value) ->
+            Hashtbl.replace t.status item Queued;
+            Queue.add v t.pending
+        | _ -> ())
+      t.status;
   Hashtbl.replace t.lat slot (Sim.Sim_time.sub now st.opened_at);
   Obsv.Metrics.inc m_certs;
   Obsv.Metrics.observe m_occupancy (List.length dc.Dls.d_value);
@@ -238,7 +250,12 @@ let rec try_open t ~now =
         (fun v -> Hashtbl.replace t.status v.item (In_flight { slot; v }))
         batch;
       let st =
-        { dls = Dls.create (dls_cfg t.cfg); opened_at = now; closed = false }
+        {
+          dls = Dls.create (dls_cfg t.cfg);
+          opened_at = now;
+          proposed = batch;
+          closed = false;
+        }
       in
       Hashtbl.replace t.slots slot st;
       let effs = wrap slot (Dls.start st.dls ~my_value:batch) in
@@ -281,7 +298,12 @@ let slot_for t ~now slot =
       (* a follower dragged into a slot by peer traffic: join without a
          preference (the sequencer proposes; we echo and vote) *)
       let st =
-        { dls = Dls.create (dls_cfg t.cfg); opened_at = now; closed = false }
+        {
+          dls = Dls.create (dls_cfg t.cfg);
+          opened_at = now;
+          proposed = [];
+          closed = false;
+        }
       in
       Hashtbl.replace t.slots slot st;
       t.open_slots <- t.open_slots + 1;

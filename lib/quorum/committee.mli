@@ -81,7 +81,9 @@ val slot_count : t -> int
 
 val verify_cert : config -> batch Dls.decision_cert -> bool
 (** Outsider verification: quorum signatures over the batch. Only
-    [qs], [auth_ids], [registry] matter; [self]/[signer] are unused. *)
+    [qs], [auth_ids], [registry] matter; [self]/[signer] are unused.
+    [verify_cert cfg] builds the consensus config once; apply it once and
+    keep the resulting checker to verify many certificates. *)
 
 val ser_batch : batch -> string
 (** The signing serialization, exposed for tests. *)

@@ -543,7 +543,8 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
             hops_of = (fun id -> insts.(id).i_hops);
           }
         in
-        (c, ccfg, signers))
+        (* one certificate checker, and so one memo, per run *)
+        (c, ccfg, signers, Committee_tm.verify ccfg ~signer:signers.(0)))
       w.committee
   in
   let handlers_for proto env id =
@@ -559,7 +560,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
     | Workload.Committee -> Weak_protocol.handlers_for env committee_cfg
     | Workload.Shared ->
         (* validation guarantees the committee= spec *)
-        let c, ccfg, signers = Option.get shared_committee in
+        let c, _, _, verify = Option.get shared_committee in
         Weak_protocol.handlers_for env
           {
             weak_cfg with
@@ -568,7 +569,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
                 {
                   pids = Array.init c.c_size (fun i -> payment_limit + i);
                   item = id;
-                  verify = Committee_tm.verify ccfg ~signer:signers.(0);
+                  verify;
                 };
           }
     | Workload.Atomic ->
@@ -820,7 +821,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
      crash-silent from the start *)
   let sequencer_com = ref None in
   Option.iter
-    (fun ((c : Workload.committee), ccfg, signers) ->
+    (fun ((c : Workload.committee), ccfg, signers, _) ->
       for i = 0 to c.c_size - 1 do
         let handlers =
           if i >= 1 && i <= c.c_faulty then Engine.silent

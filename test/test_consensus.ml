@@ -552,6 +552,122 @@ let chain_tests =
                  })));
   ]
 
+(* ------------------------------------------------ ser/equal soundness *)
+
+(* Dls checks every vote of a certificate or vote bucket against one
+   serialisation of the wanted (round, value), so each [ser]/[equal] pair
+   handed to a [Dls.config] must satisfy [equal a b <=> ser a = ser b]. *)
+module Committee = Quorum.Committee
+
+let law ~ser ~equal (a, b) =
+  Bool.equal (equal a b) (String.equal (ser a) (ser b))
+
+(* An item with one decimal digit changed (never to a leading zero). *)
+let gen_digit_change item =
+  let open QCheck.Gen in
+  let s = string_of_int item in
+  let lo = if item < 0 then 1 else 0 in
+  let* k = int_range lo (String.length s - 1) in
+  let leading = k = lo && String.length s - lo > 1 in
+  let* c =
+    oneofl
+      (List.filter
+         (fun c -> c <> s.[k] && not (leading && c = '0'))
+         (List.init 10 (fun d -> Char.chr (Char.code '0' + d))))
+  in
+  return (int_of_string (String.mapi (fun i x -> if i = k then c else x) s))
+
+let gen_verdict =
+  QCheck.Gen.(
+    map2
+      (fun item commit -> { Committee.item; commit })
+      (oneof [ int_bound 20; int_range (-1_000) 100_000 ])
+      bool)
+
+let gen_batch = QCheck.Gen.(list_size (int_bound 32) gen_verdict)
+
+(* A second batch close to the first: the same batch rebuilt, one item
+   with a digit or its sign changed, one flag flipped, one verdict dropped
+   or added, two verdicts swapped, or an unrelated batch. *)
+let gen_batch_pair =
+  let open QCheck.Gen in
+  let* a = gen_batch in
+  let n = List.length a in
+  let at k (f : Committee.verdict -> Committee.verdict) =
+    List.mapi (fun i v -> if i = k then f v else v) a
+  in
+  let* b =
+    if n = 0 then oneof [ return []; gen_batch ]
+    else
+      let* k = int_bound (n - 1) in
+      let v = List.nth a k in
+      let* item' = gen_digit_change v.Committee.item in
+      let* extra = gen_verdict in
+      let* j = int_bound (n - 1) in
+      oneof
+        [
+          return (at k (fun v -> { v with item = v.item }));
+          return (at k (fun v -> { v with item = item' }));
+          return (at k (fun v -> { v with item = -v.item }));
+          return (at k (fun v -> { v with commit = not v.commit }));
+          return (List.filteri (fun i _ -> i <> k) a);
+          return (a @ [ extra ]);
+          return
+            (List.mapi
+               (fun i x ->
+                 if i = k then List.nth a j else if i = j then v else x)
+               a);
+          gen_batch;
+        ]
+  in
+  return (a, b)
+
+let print_batch = Committee.ser_batch
+let arb_batch_pair =
+  QCheck.make ~print:QCheck.Print.(pair print_batch print_batch) gen_batch_pair
+
+let gen_bool_pair = QCheck.Gen.(pair bool bool)
+
+(* Two votes: a pair of values from [gen], under equal or nearby rounds. *)
+let arb_votes gen print =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:QCheck.Print.(pair (pair int print) (pair int print))
+    (let* a, b = gen in
+     let* r = int_range (-2) 40 in
+     let* r' = oneof [ return r; int_range (-2) 40 ] in
+     return ((r, a), (r', b)))
+
+let soundness_tests =
+  let prop name arb f = qcheck (QCheck.Test.make ~count:500 ~name arb f) in
+  (* the law for a value pair, lifted to the signed (round, value) vote *)
+  let lifted ~ser ~equal ser_body mk =
+    law
+      ~ser:(fun (r, v) -> ser_body ser (mk r v))
+      ~equal:(fun (r, a) (r', b) -> r = r' && equal a b)
+  in
+  let echo r v = { Dls.e_round = r; e_value = v } in
+  let commit r v = { Dls.c_round = r; c_value = v } in
+  let batches = arb_votes gen_batch_pair print_batch in
+  let bools = arb_votes gen_bool_pair string_of_bool in
+  let ser_batch = Committee.ser_batch and batch_equal = Committee.batch_equal in
+  let ser_bool = Protocols.Msg.ser_bool and bool_equal = Bool.equal in
+  [
+    prop "batch_equal iff ser_batch equal" arb_batch_pair
+      (law ~ser:ser_batch ~equal:batch_equal);
+    prop "Bool.equal iff ser_bool equal"
+      (QCheck.make gen_bool_pair)
+      (law ~ser:ser_bool ~equal:bool_equal);
+    prop "batch echoes: equal iff ser_echo equal" batches
+      (lifted ~ser:ser_batch ~equal:batch_equal Dls.ser_echo echo);
+    prop "batch commits: equal iff ser_commit equal" batches
+      (lifted ~ser:ser_batch ~equal:batch_equal Dls.ser_commit commit);
+    prop "bool echoes: equal iff ser_echo equal" bools
+      (lifted ~ser:ser_bool ~equal:bool_equal Dls.ser_echo echo);
+    prop "bool commits: equal iff ser_commit equal" bools
+      (lifted ~ser:ser_bool ~equal:bool_equal Dls.ser_commit commit);
+  ]
+
 let () =
   Alcotest.run "consensus"
     [
@@ -560,4 +676,5 @@ let () =
       ("random", random_schedule_tests);
       ("exploration", exploration_tests);
       ("chain", chain_tests);
+      ("soundness", soundness_tests);
     ]

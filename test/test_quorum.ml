@@ -186,6 +186,152 @@ let e13_trace ~seed ~tm =
     (Sim.Trace.pp ~msg:Protocols.Msg.pp ~obs:Protocols.Obs.pp)
     o.Runner.trace
 
+(* ------------------------------------------------ certificate checks *)
+
+(* A 16-replica majority committee tolerating 5 faults (quorum 11), the
+   committee of the shared-committee load workloads, and certificates
+   signed by hand over a 32-verdict batch. *)
+module Dls = Consensus.Dls
+module Committee_tm = Protocols.Committee_tm
+
+let big_registry = Auth.create ~seed:23
+let big_signers = Array.init 16 (fun i -> Auth.register big_registry i)
+let big_qs = QS.majority ~n:16 ~f:5 ()
+let big_batch =
+  List.init 32 (fun i -> { C.item = 100 + i; commit = i mod 5 <> 0 })
+
+let commit_vote ?(round = 0) ?(batch = big_batch) i =
+  Auth.sign_value big_signers.(i)
+    ~ser:(Dls.ser_commit C.ser_batch)
+    { Dls.c_round = round; c_value = batch }
+
+let big_cert ~signers =
+  {
+    Dls.d_value = big_batch;
+    d_round = 0;
+    d_sigs = List.init signers commit_vote;
+  }
+
+let tm_config =
+  {
+    Committee_tm.qs = big_qs;
+    registry = big_registry;
+    batch_cap = 32;
+    pipeline = 4;
+    base_timeout = 50;
+    reply_to = (fun _ -> [||]);
+    hops_of = (fun _ -> 2);
+  }
+
+let big_committee_config =
+  {
+    C.qs = big_qs;
+    self = 0;
+    auth_ids = Committee_tm.auth_ids tm_config;
+    registry = big_registry;
+    signer = big_signers.(0);
+    batch_cap = 32;
+    pipeline = 4;
+    base_timeout = 50;
+  }
+
+(* Replace the [k]-th signature of a certificate. *)
+let with_sig k sv (dc : C.batch Dls.decision_cert) =
+  let d_sigs = List.mapi (fun i s -> if i = k then sv else s) dc.Dls.d_sigs in
+  { dc with Dls.d_sigs }
+
+let words_per_call ~rounds f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  int_of_float (Gc.minor_words () -. before) / rounds
+
+let verifier_tests =
+  [
+    Alcotest.test_case "a warm memo still rejects every tampered copy" `Quick
+      (fun () ->
+        (* exactly a quorum of signatures, so losing any one must fail *)
+        let cert = big_cert ~signers:11 in
+        let verify = Committee_tm.verify tm_config ~signer:big_signers.(0) in
+        check Alcotest.bool "genuine" true (verify cert);
+        check Alcotest.bool "genuine again" true (verify cert);
+        let reject name dc =
+          check Alcotest.bool name false (verify dc);
+          (* and a second time, in case a rejection were remembered *)
+          check Alcotest.bool (name ^ " again") false (verify dc)
+        in
+        reject "one forged signature"
+          (with_sig 4
+             (Auth.forge_value ~author:4
+                { Dls.c_round = 0; c_value = big_batch })
+             cert);
+        reject "duplicated author" (with_sig 4 (commit_vote 3) cert);
+        reject "signed round differs" { cert with Dls.d_round = 1 };
+        reject "one vote for another round"
+          (with_sig 4 (commit_vote ~round:1 4) cert);
+        reject "one verdict differs"
+          {
+            cert with
+            Dls.d_value =
+              List.mapi
+                (fun i v ->
+                  if i = 7 then { v with C.commit = not v.C.commit } else v)
+                big_batch;
+          };
+        (* a relayed copy: equal in every field, physically distinct *)
+        let relayed =
+          {
+            Dls.d_value =
+              List.map (fun v -> { v with C.item = v.C.item }) big_batch;
+            d_round = 0;
+            d_sigs = List.map Fun.id cert.Dls.d_sigs;
+          }
+        in
+        check Alcotest.bool "relayed copy is a distinct value" false
+          (relayed == cert);
+        check Alcotest.bool "relayed copy accepted" true (verify relayed);
+        check Alcotest.bool "fresh verifier agrees" true
+          (Committee_tm.verify tm_config ~signer:big_signers.(0) relayed));
+    Alcotest.test_case "a certificate is serialised once, a memo hit is free"
+      `Quick (fun () ->
+        let cert = big_cert ~signers:16 in
+        let body = { Dls.c_round = 0; c_value = big_batch } in
+        let ser_words =
+          words_per_call ~rounds:200 (fun () -> Dls.ser_commit C.ser_batch body)
+        in
+        let sig_words =
+          let sv = commit_vote 0 in
+          let bytes = Dls.ser_commit C.ser_batch body in
+          words_per_call ~rounds:200 (fun () ->
+              Auth.verify big_registry 0 bytes sv.Auth.signature)
+        in
+        let check_cert = C.verify_cert big_committee_config in
+        check Alcotest.bool "verifies" true (check_cert cert);
+        let verify_words =
+          words_per_call ~rounds:200 (fun () -> check_cert cert)
+        in
+        (* one body serialisation and 16 signature checks, with room for the
+           presence vector; a body per signature would be 16 of them *)
+        let budget = (2 * ser_words) + (16 * sig_words) + 64 in
+        if verify_words > budget then
+          Alcotest.failf
+            "verifying allocates %d words (one body is %d, one signature \
+             check %d, budget %d)"
+            verify_words ser_words sig_words budget;
+        let verify = Committee_tm.verify tm_config ~signer:big_signers.(0) in
+        check Alcotest.bool "warm" true (verify cert);
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (verify cert))
+        done;
+        let delta = int_of_float (Gc.minor_words () -. before) in
+        (* allow a few words for the Gc.minor_words calls themselves *)
+        if delta > 16 then
+          Alcotest.failf "1000 memo hits allocated %d words" delta);
+  ]
+
 (* ------------------------------------------------------------ tests *)
 
 let () =
@@ -421,6 +567,7 @@ let () =
                     (Traffic.Workload.of_string (Traffic.Workload.to_string w)
                     = Ok w));
         ] );
+      ("verifier", verifier_tests);
       ( "golden",
         [
           Alcotest.test_case
