@@ -1254,7 +1254,7 @@ let trace_cmd =
 let load_cmd =
   let run spec payments hops value commission arrival mix policy cap liquidity
       topology route splits patience stuck drift gst seed plan plan_file
-      trace_cap replications j out metrics_out spans_out trace_out dag_out
+      replications j out metrics_out spans_out trace_out dag_out
       blame profile profile_out collapsed_out monitor stop_on_violation
       series_out bundle_out =
     arm_span_capture spans_out;
@@ -1327,8 +1327,7 @@ let load_cmd =
           ?on_progress:(tty_progress "load replications")
           ~jobs:replications
           (fun i ->
-            Traffic.Load.run ~plan ~trace_capacity:trace_cap ~workload
-              ~seed:(seed + i) ())
+            Traffic.Load.run ~plan ~workload ~seed:(seed + i) ())
       in
       let reports =
         Array.map
@@ -1399,7 +1398,7 @@ let load_cmd =
     let report =
       try
         Traffic.Load.run ?causal ?prof ?monitor:mon ?sampler ?recorder ~plan
-          ~trace_capacity:trace_cap ~workload ~seed ()
+          ~workload ~seed ()
       with Invalid_argument e -> fail "%s" e
     in
     Fmt.pr "%a@." Traffic.Load.pp_summary report;
@@ -1555,12 +1554,6 @@ let load_cmd =
          & info [ "plan-file" ] ~docv:"FILE"
              ~doc:"Read the fault plan from $(docv) (overrides --plan).")
   in
-  let trace_cap =
-    Arg.(value & opt int 4096
-         & info [ "trace-cap" ]
-             ~doc:"Engine trace ring-buffer capacity (0 = unbounded). \
-                   Accounting is hook-fed, so eviction never skews the report.")
-  in
   let replications =
     Arg.(value & opt int 1
          & info [ "replications" ] ~docv:"N"
@@ -1590,7 +1583,7 @@ let load_cmd =
              liquidity instead of the fixed --hops chain (requires \
              --policy reserve)."
       $ route $ splits $ patience $ stuck $ drift $ gst $ seed $ plan
-      $ plan_file $ trace_cap $ replications $ jobs_arg $ out $ metrics_out_arg
+      $ plan_file $ replications $ jobs_arg $ out $ metrics_out_arg
       $ spans_out_arg $ trace_out_arg $ dag_out_arg $ blame_arg $ profile_flag
       $ profile_out_arg $ collapsed_out_arg $ monitor_flag
       $ stop_on_violation_flag $ series_out_arg $ bundle_out_arg)

@@ -4,6 +4,8 @@ type ('msg, 'obs) running = {
   auto : ('msg, 'obs) Automaton.t;
   sstore : 'msg Store.t;
   mutable state : Automaton.state;
+  mutable node : ('msg, 'obs) Automaton.node option;
+      (* the current state's node, looked up once on entry *)
   mutable rev_visited : Automaton.state list;
   mutable finished : bool;
   mutable pending : (int * 'msg) list; (* oldest first *)
@@ -21,9 +23,7 @@ let store r = r.sstore
 let pending_count r = List.length r.pending
 
 let branches_of r =
-  match Automaton.node r.auto r.state with
-  | Some (Automaton.Input branches) -> branches
-  | _ -> []
+  match r.node with Some (Automaton.Input branches) -> branches | _ -> []
 
 let disarm_deadlines ctx r =
   List.iteri
@@ -70,7 +70,8 @@ let try_fire_receive r =
 let rec enter ctx on_final r st =
   r.state <- st;
   r.rev_visited <- st :: r.rev_visited;
-  match Automaton.node r.auto st with
+  r.node <- Automaton.node r.auto st;
+  match r.node with
   | None ->
       invalid_arg
         (Printf.sprintf "Anta.Executor: automaton %s reached unknown state %s"
@@ -110,6 +111,7 @@ let handlers auto ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
       auto;
       sstore = Store.create ();
       state = Automaton.initial auto;
+      node = Automaton.node auto (Automaton.initial auto);
       rev_visited = [];
       finished = false;
       pending = [];
@@ -124,7 +126,7 @@ let handlers auto ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
   let on_receive ctx ~src msg =
     if not r.finished then begin
       r.pending <- r.pending @ [ (src, msg) ];
-      match Automaton.node r.auto r.state with
+      match r.node with
       | Some (Automaton.Input _) -> (
           match try_fire_receive r with
           | Some (b, m, pool) ->

@@ -295,6 +295,9 @@ let pp ppf p = Fmt.string ppf (to_string p)
 
 (* ----------------------------- of_string ------------------------------ *)
 
+(* a range is expanded into a pid list, so its length is bounded *)
+let max_range = 65536
+
 let parse_int what s =
   match int_of_string_opt (String.trim s) with
   | Some v when v >= 0 -> Ok v
@@ -404,6 +407,9 @@ let parse_clause plan clause =
               in
               if hi < lo then
                 Fmt.kstr Result.error "part: empty range %d-%d" lo hi
+              else if hi - lo >= max_range then
+                Fmt.kstr Result.error "part: range %d-%d spans more than %d pids"
+                  lo hi max_range
               else Ok (List.init (hi - lo + 1) (fun k -> lo + k))
         in
         let parse_group g =

@@ -32,7 +32,7 @@
       may carry a label, [NAME:MEMBERS] ([part wing_a:0,1|wing_b:2,3@9]);
       names are [[A-Za-z][A-Za-z0-9_]*], distinct within a clause, and
       either every group is named or none is. Ranges are parse-time
-      sugar; names survive the round-trip.
+      sugar, at most 65536 pids each; names survive the round-trip.
     - [gst+J] — adds [J] ticks to a partially-synchronous network's GST. *)
 
 type link_rule = {

@@ -187,6 +187,18 @@ let scale_free ~nodes ~degree ~seed ~liquidity ~commission =
 
 (* -------------------------------- parsing -------------------------------- *)
 
+(* Size bounds on what a spec line may ask for, checked before anything is
+   built: a parser must answer a mistyped digit with an error, not with a
+   graph that fills memory or a generator that never returns. *)
+let max_nodes = 1000
+let max_generated_edges = 32768
+
+(* [n + extra] nodes, written so that a huge [n] cannot wrap around *)
+let check_nodes ?(extra = 0) what n =
+  if n > max_nodes - extra then
+    Error (Printf.sprintf "%s wants at most %d nodes" what max_nodes)
+  else Ok ()
+
 let parse_int what s =
   match int_of_string_opt s with
   | Some n -> Ok n
@@ -234,6 +246,7 @@ let of_string s =
             | None -> Error "graph wants NODES;EDGE,EDGE,..."
             | Some j ->
                 let* nodes = parse_int "graph nodes" (String.sub rest 0 j) in
+                let* () = check_nodes "graph" nodes in
                 let edges_s =
                   String.sub rest (j + 1) (String.length rest - j - 1)
                 in
@@ -254,6 +267,7 @@ let of_string s =
                 let* hops = parse_int "linear hops" h in
                 if hops < 1 then Error "linear wants hops >= 1"
                 else
+                  let* () = check_nodes "linear" ~extra:1 hops in
                   let* liquidity, commission = parse_liq_comm "linear" tail in
                   Ok (linear ~hops ~liquidity ~commission)
             | _ -> Error "linear wants HOPS[:LIQ[:COMM]]")
@@ -263,6 +277,7 @@ let of_string s =
                 let* spokes = parse_int "hub spokes" k in
                 if spokes < 2 then Error "hub wants spokes >= 2"
                 else
+                  let* () = check_nodes "hub" ~extra:1 spokes in
                   let* liquidity, commission = parse_liq_comm "hub" tail in
                   Ok (hub ~spokes ~liquidity ~commission)
             | _ -> Error "hub wants SPOKES[:LIQ[:COMM]]")
@@ -274,7 +289,11 @@ let of_string s =
                 let* seed = parse_int "er seed" sd in
                 if nodes < 2 then Error "er wants nodes >= 2"
                 else if extra < 0 then Error "er wants extra >= 0"
+                else if extra > max_generated_edges then
+                  Error
+                    (Printf.sprintf "er wants extra <= %d" max_generated_edges)
                 else
+                  let* () = check_nodes "er" nodes in
                   let* liquidity, commission = parse_liq_comm "er" tail in
                   Ok (erdos_renyi ~nodes ~extra ~seed ~liquidity ~commission)
             | _ -> Error "er wants NODES:EXTRA:SEED[:LIQ[:COMM]]")
@@ -287,8 +306,14 @@ let of_string s =
                 if nodes < 2 then Error "sf wants nodes >= 2"
                 else if degree < 1 then Error "sf wants degree >= 1"
                 else
-                  let* liquidity, commission = parse_liq_comm "sf" tail in
-                  Ok (scale_free ~nodes ~degree ~seed ~liquidity ~commission)
+                  let* () = check_nodes "sf" nodes in
+                  if degree > max_generated_edges / (2 * nodes) then
+                    Error
+                      (Printf.sprintf "sf wants 2 * nodes * degree <= %d"
+                         max_generated_edges)
+                  else
+                    let* liquidity, commission = parse_liq_comm "sf" tail in
+                    Ok (scale_free ~nodes ~degree ~seed ~liquidity ~commission)
             | _ -> Error "sf wants NODES:DEG:SEED[:LIQ[:COMM]]")
         | k -> Error (Printf.sprintf "unknown topology family %S" k))
   in

@@ -24,6 +24,10 @@
                                       DEG bidirectional edges per new node
     v}
 
+    A spec may ask for at most 1000 nodes; [er] for at most 32768 extra
+    edges and [sf] for [2 * NODES * DEG <= 32768], so a mistyped digit is
+    an error rather than a graph that fills memory.
+
     [LIQ = 0] means unbounded liquidity. [to_string] always prints the
     canonical explicit [graph:] form, so generated families normalize to
     plain edge lists. *)

@@ -31,8 +31,11 @@ and ('msg, 'obs) proc = {
          against a logical pid layout (e.g. one payment's Topology) can be
          instantiated many times in one engine at different offsets *)
   proc_rng : Rng.t;
-  timer_epochs : (string, int) Hashtbl.t;
-      (* current epoch per label: stale Fire events are dropped *)
+  armed : (string, int) Hashtbl.t;
+      (* the epoch of each armed label; a Fire is live only while its
+         label is armed at its epoch. A label leaves on cancel and on a
+         live fire, so the table holds what is armed now, not every label
+         the process ever used. *)
   mutable halted : bool;
   mutable down : bool; (* crashed by fault injection, may recover *)
   mutable up_at : Sim_time.t option; (* scheduled reboot while down *)
@@ -40,6 +43,8 @@ and ('msg, 'obs) proc = {
   mutable crash_node : int;
   mutable recover_node : int; (* outage edges: crash → recover → deferred *)
   prof_label : int; (* interned Prof label id, -1 when profiling is off *)
+  self_ctx : ('msg, 'obs) ctx;
+      (* this pid's handler context, built once rather than per dispatch *)
 }
 
 (* Handles resolved once at [create]: the per-event updates below are plain
@@ -80,6 +85,9 @@ and ('msg, 'obs) t = {
   tr : ('msg, 'obs) Trace.t;
   mutable clock_now : Sim_time.t;
   mutable started : bool;
+  mutable next_epoch : int;
+      (* timer epochs are engine-wide and never reused: a re-armed or
+         cancelled label can never match an older Fire *)
   tm : telemetry;
   causal : Obsv.Causal.t option;
   prof : Obsv.Prof.t option;
@@ -156,6 +164,7 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     tr = Trace.create ?capacity:trace_capacity ();
     clock_now = Sim_time.zero;
     started = false;
+    next_epoch = 0;
     tm = telemetry_handles metrics;
     causal;
     prof;
@@ -174,13 +183,14 @@ let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label handlers =
     | Some p ->
         Obsv.Prof.intern p (match label with Some l -> l | None -> "proc")
   in
+  let pid = t.nprocs in
   let proc =
     {
       handlers;
       clock;
       base;
       proc_rng = Rng.split t.root_rng;
-      timer_epochs = Hashtbl.create 8;
+      armed = Hashtbl.create 4;
       halted = false;
       down = false;
       up_at = None;
@@ -188,9 +198,9 @@ let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label handlers =
       crash_node = -1;
       recover_node = -1;
       prof_label;
+      self_ctx = { engine = t; self = pid };
     }
   in
-  let pid = t.nprocs in
   let cap = Array.length t.procs in
   if t.nprocs >= cap then begin
     let np = Array.make (Stdlib.max 8 (2 * cap)) proc in
@@ -256,6 +266,36 @@ let rng ctx = (proc ctx.engine ctx.self).proc_rng
 let local_now ctx =
   Clock.local_of_global (proc ctx.engine ctx.self).clock ctx.engine.clock_now
 
+let push_delivery t ~src ~dst ~depart ~tag ~cause msg =
+  let arrive =
+    Network.delivery_time t.network ~send_time:depart ~src ~dst ~tag
+  in
+  Event_queue.push t.queue ~time:arrive
+    (Deliver { src; dst; msg; sent_at = t.clock_now; cause })
+
+(* The fault injector decides how many copies the channel carries (none =
+   dropped); each surviving copy draws its own delay, so duplicates still
+   obey the per-link FIFO clamp. A plain recursion rather than [List.iter]
+   over a closure, so a send allocates no closure. *)
+let rec push_copies t p ~src ~dst ~depart ~tag ~cause msg = function
+  | [] -> ()
+  | copy :: rest ->
+      (match (copy : Network.copy) with
+      | Network.Intact -> push_delivery t ~src ~dst ~depart ~tag ~cause msg
+      | Network.Corrupted -> (
+          match t.mangle with
+          | Some f -> (
+              match f msg p.proc_rng with
+              | Some damaged ->
+                  push_delivery t ~src ~dst ~depart ~tag ~cause damaged
+              | None -> Obsv.Metrics.inc t.tm.m_corrupt_drops)
+          | None ->
+              (* authenticated channels: an undetectably-corrupted payload
+                 cannot be fabricated, so the receiver discards it — model
+                 that as a drop at the network *)
+              Obsv.Metrics.inc t.tm.m_corrupt_drops));
+      push_copies t p ~src ~dst ~depart ~tag ~cause msg rest
+
 let send_resolved ctx ~dst msg =
   let t = ctx.engine in
   if dst < 0 || dst >= t.nprocs then invalid_arg "Engine.send: bad destination";
@@ -273,31 +313,7 @@ let send_resolved ctx ~dst msg =
   if cause >= 0 then t.cur_node <- cause;
   Trace.record t.tr (Sent { t = t.clock_now; src = ctx.self; dst; tag; msg });
   Obsv.Metrics.inc t.tm.m_sent;
-  let deliver msg =
-    let arrive =
-      Network.delivery_time t.network ~send_time:depart ~src:ctx.self ~dst ~tag
-    in
-    Event_queue.push t.queue ~time:arrive
-      (Deliver { src = ctx.self; dst; msg; sent_at = t.clock_now; cause })
-  in
-  (* the fault injector decides how many copies the channel carries (none =
-     dropped); each surviving copy draws its own delay, so duplicates still
-     obey the per-link FIFO clamp *)
-  List.iter
-    (fun copy ->
-      match (copy : Network.copy) with
-      | Network.Intact -> deliver msg
-      | Network.Corrupted -> (
-          match t.mangle with
-          | Some f -> (
-              match f msg p.proc_rng with
-              | Some damaged -> deliver damaged
-              | None -> Obsv.Metrics.inc t.tm.m_corrupt_drops)
-          | None ->
-              (* authenticated channels: an undetectably-corrupted payload
-                 cannot be fabricated, so the receiver discards it — model
-                 that as a drop at the network *)
-              Obsv.Metrics.inc t.tm.m_corrupt_drops))
+  push_copies t p ~src:ctx.self ~dst ~depart ~tag ~cause msg
     (Network.fate t.network ~send_time:depart ~src:ctx.self ~dst ~tag);
   Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue)
 
@@ -309,12 +325,9 @@ let send_absolute ctx ~dst msg = send_resolved ctx ~dst msg
 let set_timer ctx ~deadline ~label =
   let t = ctx.engine in
   let p = proc t ctx.self in
-  let epoch =
-    match Hashtbl.find_opt p.timer_epochs label with
-    | Some e -> e + 1
-    | None -> 0
-  in
-  Hashtbl.replace p.timer_epochs label epoch;
+  let epoch = t.next_epoch in
+  t.next_epoch <- epoch + 1;
+  Hashtbl.replace p.armed label epoch;
   let global_fire = Clock.global_of_local p.clock deadline in
   (* never fire in the past: a deadline already reached fires "now" *)
   let global_fire = Sim_time.max global_fire t.clock_now in
@@ -343,10 +356,7 @@ let set_timer_after ctx ~after ~label =
   set_timer ctx ~deadline:(Sim_time.add (local_now ctx) after) ~label
 
 let cancel_timer ctx ~label =
-  let p = proc ctx.engine ctx.self in
-  match Hashtbl.find_opt p.timer_epochs label with
-  | None -> ()
-  | Some e -> Hashtbl.replace p.timer_epochs label (e + 1)
+  Hashtbl.remove (proc ctx.engine ctx.self).armed label
 
 let causal_note ctx ?(after = -1) ?trace ~label () =
   let t = ctx.engine in
@@ -406,15 +416,14 @@ let dispatch t ev =
           (Delivered { t = t.clock_now; sent_at; src; dst; tag; msg });
         Obsv.Metrics.inc t.tm.m_delivered;
         if not p.halted then
-          p.handlers.on_receive { engine = t; self = dst } ~src:(src - p.base)
-            msg
+          p.handlers.on_receive p.self_ctx ~src:(src - p.base) msg
       end
   | Fire { owner; label; epoch; cause; deferred } ->
       let p = proc t owner in
       let live =
-        match Hashtbl.find_opt p.timer_epochs label with
-        | Some e -> e = epoch
-        | None -> false
+        match Hashtbl.find p.armed label with
+        | e -> e = epoch
+        | exception Not_found -> false
       in
       if live && p.down then begin
         match p.up_at with
@@ -427,6 +436,9 @@ let dispatch t ev =
         | _ -> Obsv.Metrics.inc t.tm.m_timers_stale
       end
       else if live && not p.halted then begin
+        (* disarm before the handler runs: no other Fire carries this
+           epoch, and the handler may re-arm the label *)
+        Hashtbl.remove p.armed label;
         (match t.causal with
         | Some c when cause >= 0 ->
             let trace = Obsv.Causal.trace_of c cause in
@@ -446,7 +458,7 @@ let dispatch t ev =
         | _ -> ());
         Trace.record t.tr (Timer_fired { t = t.clock_now; owner; label });
         Obsv.Metrics.inc t.tm.m_timers_fired;
-        p.handlers.on_timer { engine = t; self = owner } ~label
+        p.handlers.on_timer p.self_ctx ~label
       end
       else Obsv.Metrics.inc t.tm.m_timers_stale
   | Crash { pid; recover_at } ->
@@ -549,34 +561,32 @@ let run ?(horizon = Sim_time.infinity) ?(max_events = 1_000_000) t =
     t.started <- true;
     for i = 0 to t.nprocs - 1 do
       let p = proc t i in
-      if not p.halted then p.handlers.on_start { engine = t; self = i }
+      if not p.halted then p.handlers.on_start p.self_ctx
     done
   end;
   (match t.prof with None -> () | Some p -> Obsv.Prof.run_begin p);
   let rec loop n =
     if n >= max_events then Event_limit
+    else if Event_queue.is_empty t.queue then Quiescent
     else
-      match Event_queue.peek_time t.queue with
-      | None -> Quiescent
-      | Some time when Sim_time.(time > horizon) -> Horizon_reached
-      | Some _ -> (
-          match Event_queue.pop t.queue with
-          | None -> Quiescent
-          | Some (time, ev) ->
-              t.clock_now <- Sim_time.max t.clock_now time;
-              t.events <- t.events + 1;
-              Obsv.Metrics.inc t.tm.m_events;
-              Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue);
-              (* one option match per event is the whole off-path cost *)
-              (match t.prof with
-              | None -> dispatch t ev
-              | Some p -> dispatch_profiled t p ev);
-              (* same contract for runtime verification: unarmed engines
-                 pay exactly this one match *)
-              match t.watch with
-              | None -> loop (n + 1)
-              | Some w ->
-                  if watch_step t w ev then Violation_stop else loop (n + 1))
+      let time = Event_queue.min_time t.queue in
+      if Sim_time.(time > horizon) then Horizon_reached
+      else begin
+        let ev = Event_queue.pop_min t.queue in
+        t.clock_now <- Sim_time.max t.clock_now time;
+        t.events <- t.events + 1;
+        Obsv.Metrics.inc t.tm.m_events;
+        Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue);
+        (* one option match per event is the whole off-path cost *)
+        (match t.prof with
+        | None -> dispatch t ev
+        | Some p -> dispatch_profiled t p ev);
+        (* same contract for runtime verification: unarmed engines pay
+           exactly this one match *)
+        match t.watch with
+        | None -> loop (n + 1)
+        | Some w -> if watch_step t w ev then Violation_stop else loop (n + 1)
+      end
   in
   let status = loop 0 in
   (match t.prof with None -> () | Some p -> Obsv.Prof.run_end p);

@@ -90,7 +90,9 @@ val create :
     receiver), counted in [xchain_corrupt_copies_dropped_total].
 
     [trace_capacity] bounds the engine trace as a ring buffer (see
-    {!Trace.create}); omitted, the trace is unbounded as before.
+    {!Trace.create}); [0] keeps no entries, for runs whose consumers all
+    read the trace through {!Trace.on_record} hooks; omitted, the trace is
+    unbounded as before.
 
     [metrics] (default {!Obsv.Metrics.default}) receives the engine's
     telemetry: [xchain_events_total], [xchain_messages_sent_total],

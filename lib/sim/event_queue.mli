@@ -3,7 +3,12 @@
     A binary min-heap ordered by [(time, sequence number)]. The sequence
     number is assigned at insertion, so two events scheduled for the same
     tick pop in insertion order — this makes every engine run a deterministic
-    function of its inputs, independent of heap internals. *)
+    function of its inputs, independent of heap internals.
+
+    The heap is held as parallel arrays of times, sequence numbers and
+    payloads: a push allocates nothing (beyond doubling the arrays), and a
+    pop clears the slot it vacates, so the queue never keeps a popped
+    payload alive. *)
 
 type 'a t
 
@@ -20,3 +25,13 @@ val pop : 'a t -> (Sim_time.t * 'a) option
 
 val peek_time : 'a t -> Sim_time.t option
 (** Time of the earliest event, without removing it. *)
+
+val min_time : 'a t -> Sim_time.t
+(** Like {!peek_time} without the option: the engine's loop reads the
+    head this way so a dispatch allocates nothing here. Raises
+    [Invalid_argument] on an empty queue. *)
+
+val pop_min : 'a t -> 'a
+(** Like {!pop} without the option and pair: removes the earliest event
+    and returns its payload (read its time with {!min_time} first).
+    Raises [Invalid_argument] on an empty queue. *)

@@ -18,6 +18,25 @@ type copy = Intact | Corrupted
 type tamper =
   send_time:Sim_time.t -> src:int -> dst:int -> tag:string -> copy list
 
+(* One int per directed link, [src] in the high half. The table picks a
+   bucket from the hash's low bits, so the hash folds the product's high
+   bits (where [src] lands) back down: a multiply alone would send every
+   link into [dst] to the same few buckets. *)
+module Link = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+let link_key ~src ~dst =
+  if src lor dst < 0 || src lor dst >= 1 lsl 31 then
+    invalid_arg "Network: pid out of range";
+  (src lsl 31) lor dst
+
 type t = {
   model : model;
   adversary : adversary option;
@@ -25,9 +44,9 @@ type t = {
   fifo : bool;
   link_stats : bool;
   rng : Rng.t;
-  last_delivery : (int * int, Sim_time.t) Hashtbl.t;
+  last_delivery : Sim_time.t Link.t;
   reg : Obsv.Metrics.t;
-  link_delay : (int * int, Obsv.Metrics.histogram) Hashtbl.t;
+  link_delay : Obsv.Metrics.histogram Link.t;
   m_adversary : Obsv.Metrics.counter;
   m_adversary_clamped : Obsv.Metrics.counter;
   m_fifo_holds : Obsv.Metrics.counter;
@@ -49,9 +68,9 @@ let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
     fifo;
     link_stats;
     rng;
-    last_delivery = Hashtbl.create 64;
+    last_delivery = Link.create 64;
     reg = metrics;
-    link_delay = Hashtbl.create 64;
+    link_delay = Link.create 64;
     m_adversary =
       Obsv.Metrics.counter metrics
         ~help:"Message delays chosen by the adversary and honored as picked"
@@ -93,8 +112,8 @@ let clamp bounds d = Stdlib.min (Stdlib.max d bounds.lo) bounds.hi
    cached; steady-state cost is one hashtable probe plus the histogram
    store. Label cardinality is links × 1, capped by the registry. *)
 let link_histogram t ~src ~dst =
-  let key = (src, dst) in
-  match Hashtbl.find_opt t.link_delay key with
+  let key = link_key ~src ~dst in
+  match Link.find_opt t.link_delay key with
   | Some h -> h
   | None ->
       let h =
@@ -103,7 +122,7 @@ let link_histogram t ~src ~dst =
           ~labels:[ ("link", Printf.sprintf "%d->%d" src dst) ]
           "xchain_network_delay"
       in
-      Hashtbl.add t.link_delay key h;
+      Link.add t.link_delay key h;
       h
 
 let fate t ~send_time ~src ~dst ~tag =
@@ -131,15 +150,16 @@ let delivery_time t ~send_time ~src ~dst ~tag =
   let at =
     if not t.fifo then at
     else begin
-      let key = (src, dst) in
+      let key = link_key ~src ~dst in
       let at' =
-        match Hashtbl.find_opt t.last_delivery key with
-        | Some prev when Sim_time.(prev > at) ->
+        match Link.find t.last_delivery key with
+        | prev when Sim_time.(prev > at) ->
             Obsv.Metrics.inc t.m_fifo_holds;
             prev
         | _ -> at
+        | exception Not_found -> at
       in
-      Hashtbl.replace t.last_delivery key at';
+      Link.replace t.last_delivery key at';
       at'
     end
   in

@@ -1,43 +1,49 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a draw reads,
+   advances and writes it back, and callers that reduce the output to an
+   int or a float never box an int64. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0 s;
+  g
 
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix64 g.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split g =
-  let s = next_int64 g in
-  { state = mix64 s }
+let[@inline] step g =
+  let s = Int64.add (Bytes.get_int64_le g 0) golden_gamma in
+  Bytes.set_int64_le g 0 s;
+  mix64 s
 
-let copy g = { state = g.state }
+let next_int64 g = step g
+let split g = of_state (mix64 (step g))
+let copy = Bytes.copy
+
+(* Rejection sampling on the low 62 bits to avoid modulo bias. *)
+let rec draw_below g bound =
+  let r = Int64.to_int (Int64.logand (step g) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let v = r mod bound in
+  if r - v > (1 lsl 62) - bound then draw_below g bound else v
 
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the low 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFFL in
-  let rec go () =
-    let r = Int64.to_int (Int64.logand (next_int64 g) mask) in
-    let v = r mod bound in
-    if r - v > (1 lsl 62) - bound then go () else v
-  in
-  go ()
+  draw_below g bound
 
 let int_in g ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
   lo + int g (hi - lo + 1)
 
-let bool g = Int64.logand (next_int64 g) 1L = 1L
+let bool g = Int64.logand (step g) 1L = 1L
 
-let float g x =
-  let r = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) in
+let[@inline] float g x =
+  let r = Int64.to_float (Int64.shift_right_logical (step g) 11) in
   x *. (r /. 9007199254740992.0)
 
 let choose g a =

@@ -28,13 +28,13 @@ type ('msg, 'obs) t = {
   mutable head : int; (* ring index of the oldest kept entry *)
   mutable kept : int;
   mutable count : int; (* total recorded, including dropped *)
-  mutable dropped : int;
   mutable hooks : (('msg, 'obs) entry -> unit) list; (* registration order *)
 }
 
 let create ?capacity () =
   (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
+  | Some c when c < 0 ->
+      invalid_arg "Trace.create: capacity must be non-negative"
   | _ -> ());
   {
     capacity;
@@ -43,22 +43,29 @@ let create ?capacity () =
     head = 0;
     kept = 0;
     count = 0;
-    dropped = 0;
     hooks = [];
   }
 
 let on_record t f = t.hooks <- t.hooks @ [ f ]
 
+(* a plain recursion: [List.iter (fun f -> f e)] would allocate a closure
+   per record *)
+let rec run_hooks e = function
+  | [] -> ()
+  | f :: rest ->
+      f e;
+      run_hooks e rest
+
 let record t e =
-  List.iter (fun f -> f e) t.hooks;
+  run_hooks e t.hooks;
   (match t.capacity with
   | None -> t.rev_entries <- e :: t.rev_entries
+  | Some 0 -> () (* hooks only: nothing is kept *)
   | Some cap ->
       if t.kept = cap then begin
         (* overwrite the oldest: the window slides forward *)
         t.ring.(t.head) <- Some e;
-        t.head <- (t.head + 1) mod cap;
-        t.dropped <- t.dropped + 1
+        t.head <- (t.head + 1) mod cap
       end
       else begin
         t.ring.((t.head + t.kept) mod cap) <- Some e;
@@ -82,7 +89,8 @@ let fold_newest f acc t =
 
 let to_list t = fold_newest (fun acc e -> e :: acc) [] t
 let length t = t.count
-let dropped_count t = t.dropped
+let dropped_count t =
+  match t.capacity with None -> 0 | Some _ -> t.count - t.kept
 
 let time_of = function
   | Sent { t; _ }

@@ -42,8 +42,10 @@ val create : ?capacity:int -> unit -> ('msg, 'obs) t
     recent [capacity] entries: recording past the cap silently evicts the
     oldest entry and bumps {!dropped_count}. Bounded traces keep memory
     flat on multi-thousand-payment load runs; combine with {!on_record}
-    when an analysis must see every entry as it happens. Raises
-    [Invalid_argument] if [capacity <= 0]. *)
+    when an analysis must see every entry as it happens. [capacity = 0]
+    keeps no entry at all: the hooks and {!length} still see every
+    record, which is all a hook-fed consumer needs. Raises
+    [Invalid_argument] if [capacity < 0]. *)
 
 val record : ('msg, 'obs) t -> ('msg, 'obs) entry -> unit
 
@@ -62,7 +64,8 @@ val length : ('msg, 'obs) t -> int
 (** Total entries recorded, including any evicted from a bounded trace. *)
 
 val dropped_count : ('msg, 'obs) t -> int
-(** Entries evicted by a bounded trace; 0 for the default unbounded mode. *)
+(** Entries recorded but not kept by a bounded trace (all of them at
+    capacity 0); 0 for the default unbounded mode. *)
 
 val time_of : ('msg, 'obs) entry -> Sim_time.t
 

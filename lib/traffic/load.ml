@@ -59,7 +59,6 @@ type report = {
   throughput_cpm : int;
   messages : int;
   max_in_flight : int;
-  trace_dropped : int;
   by_protocol : (string * int * int) list;
   blame : Obsv.Blame.agg option;
   blame_reports : (int * Obsv.Blame.report) list;
@@ -324,8 +323,8 @@ let graph_legs (w : Workload.t) (g : Routing.Topology.t) =
     role = (fun _ l -> if l = 0 then "alice" else "node");
   }
 
-let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
-    ?prof ?monitor ?sampler ?recorder ~(workload : Workload.t) ~seed () =
+let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
+    ?recorder ~(workload : Workload.t) ~seed () =
   (match Workload.validate workload with
   | Ok () -> ()
   | Error e -> invalid_arg ("Load.run: " ^ e));
@@ -440,9 +439,9 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
     Network.create ~adversary ?tamper ~link_stats:false model
       (Rng.create ~seed:(seed + 17))
   in
-  let trace_cap = if trace_capacity = 0 then None else Some trace_capacity in
+  (* nothing reads the trace back: accounting is fed by a hook *)
   let engine =
-    Engine.create ~tag_of:Msg.tag ~network ~sigma ?trace_capacity:trace_cap
+    Engine.create ~tag_of:Msg.tag ~network ~sigma ~trace_capacity:0
       ?causal ?prof ?monitor ?sampler ?recorder ~seed ()
   in
   (* --- per-instance accounting state, fed by a trace hook --- *)
@@ -1097,7 +1096,6 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
         (if end_time = 0 then 0 else committed * 1_000_000 / end_time);
       messages = !messages;
       max_in_flight = !max_in_flight;
-      trace_dropped = Trace.dropped_count (Engine.trace engine);
       by_protocol =
         List.map
           (fun (pr, _) ->
@@ -1274,9 +1272,8 @@ let to_json r =
     ",\"latency\":{\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d}" r.latency_p50
     r.latency_p95 r.latency_p99 r.latency_max;
   Printf.bprintf b
-    ",\"makespan\":%d,\"throughput_cpm\":%d,\"messages\":%d,\"events\":%d,\"max_in_flight\":%d,\"trace_dropped\":%d"
-    r.makespan r.throughput_cpm r.messages r.events r.max_in_flight
-    r.trace_dropped;
+    ",\"makespan\":%d,\"throughput_cpm\":%d,\"messages\":%d,\"events\":%d,\"max_in_flight\":%d"
+    r.makespan r.throughput_cpm r.messages r.events r.max_in_flight;
   Buffer.add_string b ",\"by_protocol\":[";
   List.iteri
     (fun i (name, assigned, committed) ->

@@ -97,9 +97,8 @@ type report = {
           nothing committed *)
   makespan : int;  (** global time when the engine stopped *)
   throughput_cpm : int;  (** committed payments per million ticks *)
-  messages : int;  (** total sends, counted before any trace eviction *)
+  messages : int;  (** total sends *)
   max_in_flight : int;
-  trace_dropped : int;  (** entries evicted by the bounded trace *)
   by_protocol : (string * int * int) list;
       (** (protocol, assigned, committed) in mix order *)
   blame : Obsv.Blame.agg option;
@@ -129,7 +128,6 @@ type report = {
 
 val run :
   ?plan:Faults.Fault_plan.t ->
-  ?trace_capacity:int ->
   ?causal:Obsv.Causal.t ->
   ?prof:Obsv.Prof.t ->
   ?monitor:Obsv.Monitor.t ->
@@ -158,9 +156,8 @@ val run :
     including partially-paid aborts. A [shared] committee serves both
     shapes: its verdict items are instance ids.
 
-    [trace_capacity] bounds the engine trace (default 4096; 0 keeps it
-    unbounded). Accounting ingests trace records through a hook as they
-    happen, so eviction never affects the report.
+    The engine trace keeps no entries ({!Sim.Trace.create} with capacity
+    0): accounting ingests every record through a hook as it happens.
 
     Emits [xchain_load_*] metrics into {!Obsv.Metrics.default} and, when
     span capture is on, one root span plus a span per payment. Stuck

@@ -129,10 +129,16 @@ let quorum_system c =
         (fun e -> "committee: " ^ e)
         (Result.map (fun () -> qs) (Quorum_system.validate qs)))
 
+(* checked before [quorum_system] builds anything sized by [c_size] *)
+let max_committee = 1024
+
 let validate_committee c =
   let err fmt = Fmt.kstr Result.error fmt in
   if c.c_size < 1 then err "committee size must be >= 1"
+  else if c.c_size > max_committee then
+    err "committee size must be <= %d" max_committee
   else if c.c_f < 0 then err "committee f must be >= 0"
+  else if c.c_f > c.c_size then err "committee f must not exceed its size"
   else if c.c_batch < 1 then err "committee batch must be >= 1"
   else if c.c_pipeline < 1 then err "committee pipeline must be >= 1"
   else if c.c_faulty < 0 || c.c_faulty >= c.c_size then

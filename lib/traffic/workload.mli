@@ -115,7 +115,8 @@ val committee_of_string : string -> (committee, string) result
 
 val committee_to_string : committee -> string
 val validate_committee : committee -> (unit, string) result
-(** Field ranges, then {!quorum_system}: a spec validates iff it builds. *)
+(** Field ranges (at most 1024 replicas, [f] at most the size), then
+    {!quorum_system}: a spec validates iff it builds. *)
 
 val quorum_system : committee -> (Quorum_system.t, string) result
 (** The committee's quorum system — [majority] and [weighted] (unit

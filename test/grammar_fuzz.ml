@@ -1,0 +1,91 @@
+(* Inputs for the one-line grammars (workload, fault plan, topology):
+   arbitrary strings over the grammars' own alphabet and valid strings
+   damaged by a few random edits. Every [of_string] must answer [Ok] or
+   [Error] to all of them and never raise. *)
+
+let alphabet = "0123456789:;,.=>|@+-* _abcgkmnprstxyzAZ\t#"
+
+(* splices that tend to reach conversion and range checks *)
+let splices =
+  [| "-"; "*"; "1e9"; "0.5"; ":"; ";"; "="; ",,"; "|"; "@"; "+"; " " |]
+
+let numbers =
+  [| "99999999999999999999"; "4611686018427387903"; "-1"; "0"; "1"; "65536" |]
+
+let char_gen =
+  QCheck.Gen.map (String.get alphabet)
+    (QCheck.Gen.int_bound (String.length alphabet - 1))
+
+(* start offsets and lengths of the maximal digit runs of [s] *)
+let numbers_in s =
+  let n = String.length s in
+  let is_digit j = s.[j] >= '0' && s.[j] <= '9' in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_digit i then begin
+      let j = ref i in
+      while !j < n && is_digit !j do incr j done;
+      go !j ((i, !j - i) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let edit s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let* op = frequency [ (1, return `Delete); (1, return `Insert);
+                        (1, return `Replace); (1, return `Splice);
+                        (3, return `Number); (1, return `Truncate);
+                        (1, return `Repeat) ] in
+  let* i = int_bound n in
+  let* c = char_gen in
+  let* splice = oneofa splices in
+  let* number = oneofa numbers in
+  let runs = numbers_in s in
+  let* run = if runs = [] then return (0, 0) else oneofl runs in
+  let before = String.sub s 0 i and after = String.sub s i (n - i) in
+  let rest_from j = String.sub s j (n - j) in
+  return
+    (match op with
+    | `Delete when i < n -> before ^ rest_from (i + 1)
+    | `Insert -> before ^ String.make 1 c ^ after
+    | `Replace when i < n -> before ^ String.make 1 c ^ rest_from (i + 1)
+    | `Splice -> before ^ splice ^ after
+    | `Number when runs <> [] ->
+        (* swap a whole number: [hops=2] becomes [hops=4611686018427387903] *)
+        let at, len = run in
+        String.sub s 0 at ^ number ^ rest_from (at + len)
+    | `Truncate -> before
+    | _ -> before ^ after ^ after)
+
+let mutated seeds =
+  let open QCheck.Gen in
+  let* s = oneofl seeds in
+  let* k = int_range 1 4 in
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  go k s
+
+let arbitrary =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, string_size ~gen:char_gen (0 -- 40));
+        (1, string_size (0 -- 20));
+      ])
+
+(* Mostly mutated valid strings, which get past the first checks and so
+   exercise the deeper ones; some arbitrary ones. *)
+let inputs seeds =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(frequency [ (3, mutated seeds); (1, arbitrary) ])
+
+(* The seeds themselves must parse, or the edits start from nowhere. *)
+let property ~name ~seeds of_string =
+  let seeds_valid =
+    lazy (List.for_all (fun s -> Result.is_ok (of_string s)) seeds)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:3000 (inputs seeds) (fun s ->
+         Lazy.force seeds_valid
+         && match of_string s with Ok _ | Error _ -> true))

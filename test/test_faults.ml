@@ -645,6 +645,18 @@ let () =
   Alcotest.run "faults"
     [
       ("fault_plan", plan_tests);
+      ( "grammar",
+        [
+          Grammar_fuzz.property ~name:"fault plan of_string never raises"
+            ~seeds:
+              [
+                "drop *>3 0.2; dup 1>* 0.05; corrupt *>* 0.001; \
+                 crash 2@500+800; part 0,1|2,3@200+400; gst+50";
+                "part wing_a:0-2|wing_b:3,4@9+100; crash 4@1500";
+                "none";
+              ]
+            FP.of_string;
+        ] );
       ("injector", injector_tests);
       ("crash_recovery", crash_tests);
       ("runner", runner_tests);

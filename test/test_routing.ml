@@ -372,6 +372,16 @@ let () =
   Alcotest.run "routing"
     [
       ("topology", topology_tests);
+      ( "grammar",
+        [
+          Grammar_fuzz.property ~name:"topology of_string never raises"
+            ~seeds:
+              [
+                "linear:2:500:7"; "hub:3:900:5"; "er:6:3:9"; "sf:5:2:3";
+                "graph:3;0>1:0:1,0>2:5:1,1>2:500:1,2>1:700:1";
+              ]
+            Topology.of_string;
+        ] );
       ("router", router_tests);
       ("rebalance", rebalance_tests);
       ("routed-load", routed_load_tests);

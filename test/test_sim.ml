@@ -93,6 +93,65 @@ let rng_tests =
         let sorted = Array.copy a in
         Array.sort compare sorted;
         check Alcotest.(array int) "permutation" (Array.init 100 Fun.id) sorted);
+    (* Known-answer vectors: the SplitMix64 streams every seeded run,
+       golden digest and replay depends on, pinned bit for bit. *)
+    Alcotest.test_case "known-answer streams for seeds 0, 1, 42" `Quick
+      (fun () ->
+        let stream seed =
+          let g = Rng.create ~seed in
+          List.init 8 (fun _ -> Rng.next_int64 g)
+        in
+        check Alcotest.(list int64) "seed 0"
+          [
+            0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+            0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+            0x2c829abe1f4532e1L; 0xc584133ac916ab3cL;
+          ]
+          (stream 0);
+        check Alcotest.(list int64) "seed 1"
+          [
+            0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+            0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+            0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL;
+          ]
+          (stream 1);
+        check Alcotest.(list int64) "seed 42"
+          [
+            0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+            0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+            0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+          ]
+          (stream 42));
+    Alcotest.test_case "known-answer split child and copy replay" `Quick
+      (fun () ->
+        let g = Rng.create ~seed:7 in
+        let c = Rng.split g in
+        check Alcotest.(list int64) "child"
+          [
+            0x8c67274bd4da9230L; 0x5b0d33ebb04e4c17L; 0x2f9905d0777b6632L;
+            0x55471384bb8e0572L;
+          ]
+          (List.init 4 (fun _ -> Rng.next_int64 c));
+        check Alcotest.(list int64) "parent after split"
+          [ 0x4d58fbd282eaf415L; 0xf0e521070cc03750L ]
+          (List.init 2 (fun _ -> Rng.next_int64 g));
+        let g = Rng.create ~seed:3 in
+        ignore (Rng.next_int64 g);
+        let h = Rng.copy g in
+        check Alcotest.int64 "original" 0x6f6203387a582791L (Rng.next_int64 g);
+        check Alcotest.int64 "copy" 0x6f6203387a582791L (Rng.next_int64 h));
+    Alcotest.test_case "known-answer int_in, bool and exponential_ticks"
+      `Quick (fun () ->
+        let g = Rng.create ~seed:5 in
+        check Alcotest.(list int) "int_in"
+          [ 68; 33; -3; -2; 2; 82; 8; 46 ]
+          (List.init 8 (fun _ -> Rng.int_in g ~lo:(-3) ~hi:100));
+        check Alcotest.(list bool) "bool"
+          [ true; false; true; false; false; false; true; false ]
+          (List.init 8 (fun _ -> Rng.bool g));
+        check Alcotest.(list int) "exponential_ticks"
+          [ 6; 2; 28; 6; 1; 26; 11; 4 ]
+          (List.init 8 (fun _ -> Rng.exponential_ticks g ~mean:20)));
     qcheck
       (QCheck.Test.make ~name:"int within bound"
          QCheck.(pair small_int (int_range 1 10_000))
@@ -178,6 +237,77 @@ let queue_tests =
                     if t1 <> t2 then compare t1 t2 else compare i1 i2)
            in
            drained = expected));
+    qcheck
+      (let time =
+         QCheck.Gen.(
+           frequency [ (6, int_bound 40); (1, return Sim_time.infinity) ])
+       in
+       let op =
+         QCheck.Gen.(
+           frequency [ (3, map (fun t -> `Push t) time); (1, return `Pop) ])
+       in
+       QCheck.Test.make ~name:"differential: ops match a sorted model"
+         ~count:300
+         (QCheck.make
+            ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+            QCheck.Gen.(list_size (0 -- 200) op))
+         (fun ops ->
+           (* the reference is a list kept sorted by (time, push index);
+              every pop, peek and length must agree with it *)
+           let q = Event_queue.create () in
+           let model = ref [] in
+           let agrees () =
+             Event_queue.length q = List.length !model
+             && Event_queue.peek_time q
+                = (match !model with [] -> None | (t, _) :: _ -> Some t)
+           in
+           List.for_all
+             (fun (i, op) ->
+               let step_ok =
+                 match op with
+                 | `Push time ->
+                     Event_queue.push q ~time i;
+                     model := List.merge compare !model [ (time, i) ];
+                     true
+                 | `Pop ->
+                     let expected =
+                       match !model with
+                       | [] -> None
+                       | top :: rest ->
+                           model := rest;
+                           Some top
+                     in
+                     Event_queue.pop q = expected
+               in
+               step_ok && agrees ())
+             (List.mapi (fun i op -> (i, op)) ops)
+           && pop_all q = !model));
+    Alcotest.test_case "popped payloads are not retained" `Quick (fun () ->
+        let q = Event_queue.create () in
+        let w = Weak.create 20 in
+        (* allocate in a separate frame so no local keeps a payload alive *)
+        let fill () =
+          for i = 0 to 19 do
+            let payload = Bytes.make 16 (Char.chr (65 + i)) in
+            Weak.set w i (Some payload);
+            Event_queue.push q ~time:i payload
+          done
+        in
+        (Sys.opaque_identity fill) ();
+        for _ = 1 to 15 do
+          ignore (Sys.opaque_identity (Event_queue.pop q))
+        done;
+        Gc.full_major ();
+        for i = 0 to 14 do
+          check Alcotest.bool
+            (Printf.sprintf "popped %d collected" i)
+            false (Weak.check w i)
+        done;
+        for i = 15 to 19 do
+          check Alcotest.bool (Printf.sprintf "queued %d kept" i) true
+            (Weak.check w i)
+        done;
+        check Alcotest.int "five left" 5 (Event_queue.length q));
   ]
 
 (* -------------------------------- Clock ------------------------------- *)
@@ -800,6 +930,104 @@ let semantics_tests =
            && pop_all q = List.sort compare !model));
   ]
 
+(* Timer semantics: every case below must fire each armed deadline once,
+   at the right global time, and nothing else. *)
+let fires ?(setup = fun _ -> ()) ~on_start ~on_timer () =
+  let e = mk_engine () in
+  let fired = ref [] in
+  let p =
+    {
+      Engine.on_start;
+      on_receive = (fun _ ~src:_ _ -> ());
+      on_timer =
+        (fun ctx ~label ->
+          fired := (label, Engine.now e) :: !fired;
+          on_timer ctx ~label);
+    }
+  in
+  ignore (Engine.add_process e p);
+  setup e;
+  ignore (Engine.run e);
+  List.rev !fired
+
+let timer_tests =
+  [
+    Alcotest.test_case "re-arming fires only the last deadline" `Quick
+      (fun () ->
+        check
+          Alcotest.(list (pair string int))
+          "fires"
+          [ ("t", 30); ("u", 40) ]
+          (fires
+             ~on_start:(fun ctx ->
+               Engine.set_timer ctx ~deadline:10 ~label:"t";
+               Engine.set_timer ctx ~deadline:40 ~label:"u";
+               Engine.set_timer ctx ~deadline:50 ~label:"t";
+               Engine.set_timer ctx ~deadline:30 ~label:"t")
+             ~on_timer:(fun _ ~label:_ -> ())
+             ()));
+    Alcotest.test_case "cancel then re-arm fires the new deadline once"
+      `Quick (fun () ->
+        check
+          Alcotest.(list (pair string int))
+          "fires"
+          [ ("t", 25) ]
+          (fires
+             ~on_start:(fun ctx ->
+               Engine.set_timer ctx ~deadline:10 ~label:"t";
+               Engine.cancel_timer ctx ~label:"t";
+               Engine.cancel_timer ctx ~label:"t";
+               Engine.set_timer ctx ~deadline:25 ~label:"t")
+             ~on_timer:(fun _ ~label:_ -> ())
+             ()));
+    Alcotest.test_case "a handler re-arms its own label while firing" `Quick
+      (fun () ->
+        let rounds = ref 0 in
+        check
+          Alcotest.(list (pair string int))
+          "fires"
+          [ ("t", 10); ("t", 25); ("t", 40) ]
+          (fires
+             ~on_start:(fun ctx -> Engine.set_timer ctx ~deadline:10 ~label:"t")
+             ~on_timer:(fun ctx ~label ->
+               incr rounds;
+               if !rounds < 3 then
+                 Engine.set_timer_after ctx ~after:15 ~label
+               else
+                 (* re-arm, then cancel inside the same firing *)
+                 (Engine.set_timer_after ctx ~after:15 ~label;
+                  Engine.cancel_timer ctx ~label))
+             ()));
+    Alcotest.test_case "a fire deferred across an outage fires once" `Quick
+      (fun () ->
+        check
+          Alcotest.(list (pair string int))
+          "fires"
+          [ ("t", 50); ("u", 60) ]
+          (fires
+             ~setup:(fun e ->
+               Engine.schedule_crash e ~pid:0 ~at:5 ~recover_at:50 ())
+             ~on_start:(fun ctx ->
+               Engine.set_timer ctx ~deadline:10 ~label:"t";
+               Engine.set_timer ctx ~deadline:20 ~label:"c";
+               Engine.set_timer ctx ~deadline:60 ~label:"u")
+             ~on_timer:(fun ctx ~label ->
+               (* the deferred "c" is cancelled by the first handler that
+                  runs after the reboot, so it must never fire *)
+               if label = "t" then Engine.cancel_timer ctx ~label:"c")
+             ()));
+    Alcotest.test_case "a fire during a permanent crash never runs" `Quick
+      (fun () ->
+        check
+          Alcotest.(list (pair string int))
+          "fires" []
+          (fires
+             ~setup:(fun e -> Engine.schedule_crash e ~pid:0 ~at:5 ())
+             ~on_start:(fun ctx -> Engine.set_timer ctx ~deadline:10 ~label:"t")
+             ~on_timer:(fun _ ~label:_ -> ())
+             ()));
+  ]
+
 let trace_tests =
   [
     Alcotest.test_case "jsonl export covers every entry kind" `Quick (fun () ->
@@ -873,10 +1101,22 @@ let trace_tests =
         Trace.record tr (Trace.Observed { t = 1; pid = 0; obs = "a" });
         check Alcotest.int "dropped" 0 (Trace.dropped_count tr);
         check Alcotest.int "kept" 1 (List.length (Trace.to_list tr)));
-    Alcotest.test_case "create rejects non-positive capacity" `Quick (fun () ->
-        Alcotest.check_raises "zero"
-          (Invalid_argument "Trace.create: capacity must be positive")
-          (fun () -> ignore (Trace.create ~capacity:0 () : (unit, unit) Trace.t)));
+    Alcotest.test_case "zero cap keeps none, negative raises" `Quick
+      (fun () ->
+        let tr : (string, string) Trace.t = Trace.create ~capacity:0 () in
+        let seen = ref 0 in
+        Trace.on_record tr (fun _ -> incr seen);
+        for i = 1 to 3 do
+          Trace.record tr (Trace.Sent { t = i; src = 0; dst = 1; tag = "m"; msg = "" })
+        done;
+        check Alcotest.int "hook saw all" 3 !seen;
+        check Alcotest.int "counted" 3 (Trace.length tr);
+        check Alcotest.int "dropped" 3 (Trace.dropped_count tr);
+        check Alcotest.int "kept" 0 (List.length (Trace.to_list tr));
+        check Alcotest.int "no messages kept" 0 (Trace.message_count tr);
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Trace.create: capacity must be non-negative")
+          (fun () -> ignore (Trace.create ~capacity:(-1) () : (unit, unit) Trace.t)));
     Alcotest.test_case "on_record hooks see every entry despite eviction"
       `Quick (fun () ->
         let tr : (string, string) Trace.t = Trace.create ~capacity:2 () in
@@ -911,5 +1151,6 @@ let () =
       ("network", network_tests);
       ("engine", engine_tests);
       ("semantics", semantics_tests);
+      ("timers", timer_tests);
       ("trace", trace_tests);
     ]

@@ -350,22 +350,6 @@ let load_tests =
         Alcotest.(check string) "same seed, same bytes" a b;
         let c = norm (Load.run ~workload:w ~seed:22 ()) in
         Alcotest.(check bool) "different seed, different run" true (a <> c));
-    Alcotest.test_case "bounded trace never skews accounting" `Slow (fun () ->
-        let w =
-          spec
-            "payments=30 hops=2 value=1000 commission=10 arrival=poisson:20 \
-             mix=sync,weak policy=reserve cap=0 liquidity=0 patience=2000 \
-             stuck=0 drift=10000 gst=none"
-        in
-        let tiny = Load.run ~trace_capacity:64 ~workload:w ~seed:4 () in
-        let full = Load.run ~trace_capacity:0 ~workload:w ~seed:4 () in
-        Alcotest.(check bool) "tiny ring evicted entries" true
-          (tiny.Load.trace_dropped > 0);
-        Alcotest.(check int) "unbounded run drops nothing" 0
-          full.Load.trace_dropped;
-        Alcotest.(check string) "identical reports modulo trace_dropped"
-          (Load.to_json { tiny with Load.trace_dropped = 0; Load.wall_ns = 1 })
-          (Load.to_json { full with Load.trace_dropped = 0; Load.wall_ns = 1 }));
     Alcotest.test_case "shared committees serve graph workloads" `Slow
       (fun () ->
         (* the committee's verdict items are instances, so splits over
@@ -589,7 +573,7 @@ let line rest =
 let golden_runs =
   [
     ( "linear_2k spec at 200 payments",
-      "37d20203336b44e6e4987f8bf28caab7",
+      "ef08889f97153bce2877299f3417740b",
       fun () ->
         Load.run
           ~workload:
@@ -600,7 +584,7 @@ let golden_runs =
                    liquidity=0 patience=2000 drift=10000"))
           ~seed:1 () );
     ( "optimistic under scarce liquidity",
-      "3ae96e04745ed649b3c9883fd1516af9",
+      "aa4095ee78b7a8a8e27b0806b131f498",
       fun () ->
         Load.run
           ~workload:
@@ -610,7 +594,7 @@ let golden_runs =
                    liquidity=5 patience=200 drift=10000"))
           ~seed:2 () );
     ( "closed loop under scarce liquidity",
-      "217d184a52b8ede746722e21b3fea4ef",
+      "24d1cc2f23e8cc42a568ff03082ec88d",
       fun () ->
         Load.run
           ~workload:
@@ -620,7 +604,7 @@ let golden_runs =
                    liquidity=2 patience=300 drift=10000"))
           ~seed:11 () );
     ( "crashed escrow host",
-      "57b23683c62408008df637567a54bac1",
+      "8da3a38fe7cf63c1b796ef12be99d354",
       fun () ->
         Load.run ~plan:(plan_of "crash 4@1500")
           ~workload:
@@ -630,7 +614,7 @@ let golden_runs =
                    liquidity=0 patience=2000 drift=10000"))
           ~seed:9 () );
     ( "shared committee",
-      "e9770748746bca7ac88e397522357444",
+      "877b8a6463f05eaef11c5ae1f2ba755f",
       fun () ->
         Load.run
           ~workload:
@@ -641,7 +625,7 @@ let golden_runs =
                    committee=majority:4:1:8:4"))
           ~seed:3 () );
     ( "hub graph, two splits",
-      "5f90d0a4159a3c5aa393df4676547d08",
+      "3eb9020cb10aa09f80ae0a97526bbc5b",
       fun () ->
         Load.run
           ~workload:
@@ -652,7 +636,7 @@ let golden_runs =
                    topology=hub:3:3000:5 splits=2"))
           ~seed:4 () );
     ( "er graph, round-robin, crashed host",
-      "82e493d1f63a452a9820eeb0ea92a643",
+      "b227284e27d90a5371aa7c72e4c66cf9",
       fun () ->
         Load.run ~plan:(plan_of "crash 2@700")
           ~workload:
@@ -664,7 +648,7 @@ let golden_runs =
                    route=round-robin splits=3"))
           ~seed:5 () );
     ( "causally traced linear run",
-      "b4b3dcb0d2f33154aa47d2dea4153227",
+      "b11de5a50b94094df609c9116b7a02b7",
       fun () ->
         Load.run ~causal:(Causal.create ()) ~workload:(spec causal_spec)
           ~seed:6 () );
@@ -793,6 +777,24 @@ let () =
   Alcotest.run "traffic"
     [
       ("workload", workload_tests);
+      ( "grammar",
+        [
+          Grammar_fuzz.property ~name:"workload of_string never raises"
+            ~seeds:
+              [
+                "payments=200 hops=2 value=1000 commission=10 \
+                 arrival=poisson:4 mix=sync:2,weak:2,htlc:1,atomic:1 \
+                 policy=reserve cap=0 liquidity=0 patience=2000 stuck=0 \
+                 drift=10000 gst=none";
+                "payments=40 arrival=closed:2:10 mix=weak policy=optimistic \
+                 liquidity=2 gst=300";
+                "payments=600 mix=shared committee=majority:16:5:32:4 \
+                 arrival=burst:30:1";
+                "payments=100 mix=sync:1,weak:1 topology=er:6:4:9 \
+                 route=round-robin splits=3 arrival=ramp:60:10";
+              ]
+            Workload.of_string;
+        ] );
       ("load", load_tests);
       ("causal", causal_tests);
       ("golden", golden_tests);
