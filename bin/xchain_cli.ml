@@ -232,13 +232,14 @@ let bundle_out_arg =
     & info [ "bundle-out" ] ~docv:"FILE"
         ~doc:
           "On a safety violation or a stuck run, write the forensic \
-           flight-recorder bundle — first breach, the last events before \
-           it, a causal-DAG slice, a metrics snapshot and the one-line \
-           repro — as JSON to $(docv) ('-' for stdout). Deterministic: \
-           replaying the repro reproduces the bundle byte for byte.")
+           flight-recorder bundle — first breach, the last trace entries \
+           before it, a metrics snapshot and the one-line repro — as JSON \
+           to $(docv) ('-' for stdout). Deterministic: replaying the repro \
+           reproduces the bundle byte for byte.")
 
 (* --monitor/--stop-on-violation/--bundle-out arm the monitor; --series-out
-   arms the sampler; --bundle-out arms the flight-recorder ring *)
+   arms the sampler; --bundle-out arms the flight recorder, a bounded view
+   of the run's trace *)
 let watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out =
   let monitor =
     if monitor || stop_on_violation || bundle_out <> None then
@@ -246,7 +247,9 @@ let watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out =
     else None
   in
   let sampler = Option.map (fun _ -> Obsv.Sampler.create ()) series_out in
-  let recorder = Option.map (fun _ -> Obsv.Recorder.create ()) bundle_out in
+  let recorder =
+    Option.map (fun _ -> Sim.Trace.create ~capacity:256 ()) bundle_out
+  in
   (monitor, sampler, recorder)
 
 let print_monitor_verdict monitor =
@@ -310,11 +313,7 @@ let pay_cmd =
         (Sim.Trace.pp ~msg:Msg.pp ~obs:Obs.pp)
         result.Xchain.Api.outcome.Runner.trace;
     if jsonl_wanted then
-      print_string
-        (Sim.Trace.to_jsonl
-           ~msg:(Fmt.str "%a" Msg.pp)
-           ~obs:(Fmt.str "%a" Obs.pp)
-           result.Xchain.Api.outcome.Runner.trace);
+      print_string (Runner.trace_jsonl result.Xchain.Api.outcome.Runner.trace);
     dump_telemetry ~metrics_out ~spans_out;
     if result.Xchain.Api.all_properties_hold then 0 else 1
   in
@@ -791,21 +790,13 @@ let chaos_cmd =
             in
             write_sink (Some file)
               (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
-        (* forensic bundle for the soak's first violation: replay it with
-           the full watch armed — same (seed, plan), so the replay is the
-           violating run, bit for bit *)
+        (* forensic bundle for the soak's first violation: same (seed,
+           plan), so the replay is the violating run, bit for bit *)
         (match (bundle_out, s.Xchain.Chaos.violations) with
         | Some _, v :: _ ->
-            let m = Obsv.Monitor.create () in
-            let rc = Obsv.Recorder.create () in
-            let c = Obsv.Causal.create () in
-            let r =
-              Xchain.Chaos.run_one ~hops ~protocol ~causal:c ~monitor:m
-                ~recorder:rc ~plan:v.Xchain.Chaos.plan
-                ~seed:v.Xchain.Chaos.seed ()
-            in
             write_sink bundle_out
-              (Xchain.Chaos.bundle ~causal:c ~monitor:m ~recorder:rc r)
+              (Xchain.Chaos.replay_bundle ~hops ~protocol
+                 ~plan:v.Xchain.Chaos.plan ~seed:v.Xchain.Chaos.seed ())
         | _ -> ());
         if s.Xchain.Chaos.violations = [] then 0 else 1
       end
@@ -813,14 +804,7 @@ let chaos_cmd =
         let mon, sampler, recorder =
           watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out
         in
-        let causal =
-          match
-            (causal_wanted ~trace_out ~dag_out ~blame, bundle_out)
-          with
-          | Some c, _ -> Some c
-          | None, Some _ -> Some (Obsv.Causal.create ())
-          | None, None -> None
-        in
+        let causal = causal_wanted ~trace_out ~dag_out ~blame in
         let r =
           surface_bad_plan ~cmd:"chaos" (fun () ->
               Xchain.Chaos.run_one ~hops ~protocol ?causal ?prof ?monitor:mon
@@ -843,7 +827,7 @@ let chaos_cmd =
             Some m,
             (Xchain.Chaos.Safety_violation | Xchain.Chaos.Stuck) ) ->
             write_sink bundle_out
-              (Xchain.Chaos.bundle ?causal ~monitor:m ~recorder:rc r)
+              (Xchain.Chaos.bundle ~monitor:m ~recorder:rc r)
         | _ -> ());
         let cls = Xchain.Chaos.classification_name r.Xchain.Chaos.classification in
         if blame then
@@ -975,7 +959,7 @@ let hunt_cmd =
         write_sink (Some file)
           (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
     (* forensic bundle for the hunt's first violating witness: replay its
-       (seed, plan) with the full watch armed *)
+       (seed, plan) *)
     (match
        ( bundle_out,
          List.find_opt
@@ -984,15 +968,9 @@ let hunt_cmd =
            r.Hunt.Search.corpus )
      with
     | Some _, Some e ->
-        let m = Obsv.Monitor.create () in
-        let rc = Obsv.Recorder.create () in
-        let c = Obsv.Causal.create () in
-        let rr =
-          Xchain.Chaos.run_one ~hops ~protocol ~causal:c ~monitor:m
-            ~recorder:rc ~plan:e.Hunt.Search.plan ~seed:e.Hunt.Search.seed ()
-        in
         write_sink bundle_out
-          (Xchain.Chaos.bundle ~causal:c ~monitor:m ~recorder:rc rr)
+          (Xchain.Chaos.replay_bundle ~hops ~protocol ~plan:e.Hunt.Search.plan
+             ~seed:e.Hunt.Search.seed ())
     | _ -> ());
     dump_telemetry ~metrics_out ~spans_out:None;
     if r.Hunt.Search.violations > 0 then 1 else 0
@@ -1388,12 +1366,7 @@ let load_cmd =
     let mon, sampler, recorder =
       watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out
     in
-    let causal =
-      match (causal_wanted ~trace_out ~dag_out ~blame, bundle_out) with
-      | Some c, _ -> Some c
-      | None, Some _ -> Some (Obsv.Causal.create ())
-      | None, None -> None
-    in
+    let causal = causal_wanted ~trace_out ~dag_out ~blame in
     let prof = prof_wanted ~profile ~profile_out ~collapsed_out in
     let report =
       try
@@ -1413,20 +1386,7 @@ let load_cmd =
           || (not report.Traffic.Load.conservation_ok)
           || report.Traffic.Load.stuck > 0
         in
-        if failed then begin
-          let reason, property, detail, at =
-            match Obsv.Monitor.first_trip m with
-            | Some tr ->
-                ( "violation",
-                  tr.Obsv.Monitor.property,
-                  tr.Obsv.Monitor.detail,
-                  tr.Obsv.Monitor.at )
-            | None ->
-                ( "stuck",
-                  "-",
-                  "unsettled payments when the run stopped",
-                  report.Traffic.Load.makespan )
-          in
+        if failed then
           let repro =
             Printf.sprintf "xchain load --spec '%s' --seed %d%s"
               (Traffic.Workload.to_string workload)
@@ -1436,13 +1396,12 @@ let load_cmd =
                  Printf.sprintf " --plan '%s'"
                    (Faults.Fault_plan.to_string plan))
           in
-          let dag = Option.map Xchain.Chaos.dag_slice_json causal in
           write_sink bundle_out
-            (Obsv.Recorder.bundle_json ~reason ~property ~detail ~at ~repro
-               ?dag
-               ~metrics:(Obsv.Metrics.to_json Obsv.Metrics.default)
-               rc)
-        end
+            (Obsv.Monitor.bundle_json m
+               ~stuck_at:report.Traffic.Load.makespan
+               ~stuck_detail:"unsettled payments when the run stopped" ~repro
+               ~ring:(Runner.ring_json rc)
+               ~metrics:(Obsv.Metrics.to_json Obsv.Metrics.default))
     | _ -> ());
     if blame then
       Option.iter

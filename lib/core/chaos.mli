@@ -68,7 +68,7 @@ val run_one :
   ?prof:Obsv.Prof.t ->
   ?monitor:Obsv.Monitor.t ->
   ?sampler:Obsv.Sampler.t ->
-  ?recorder:Obsv.Recorder.t ->
+  ?recorder:(Protocols.Msg.t, Protocols.Obs.t) Sim.Trace.t ->
   ?faults:(int * Protocols.Byzantine.t) list ->
   plan:Faults.Fault_plan.t ->
   seed:int ->
@@ -86,7 +86,9 @@ val run_one :
     [breach_at]); a stop-on-violation monitor ends the
     run at the first breach with status [Violation_stop]. [sampler]
     records a sim-time series (queue depth plus per-escrow pooled
-    funds); [recorder] keeps the flight-recorder ring for {!bundle}.
+    funds); [recorder], a flight recorder for {!bundle}, is a bounded
+    trace subscribed to the run's trace ({!Sim.Trace.on_record}), so it
+    keeps the run's last entries.
     [faults] substitutes Byzantine strategies, exactly like
     [xchain audit --fault]; repro lines include them. *)
 
@@ -94,22 +96,29 @@ val repro_line : run_result -> string
 (** [xchain chaos -p PROTO --hops H --seed N --plan 'P' [--fault S@R]…] —
     replays this run exactly. *)
 
-val dag_slice_json : Obsv.Causal.t -> string
-(** The causal DAG's last (up to) 64 nodes as a JSON object — the slice a
-    forensic bundle embeds. Deterministic. *)
-
 val bundle :
-  ?causal:Obsv.Causal.t ->
   monitor:Obsv.Monitor.t ->
-  recorder:Obsv.Recorder.t ->
+  recorder:(Protocols.Msg.t, Protocols.Obs.t) Sim.Trace.t ->
   run_result ->
   string
-(** The forensic bundle for a failed run (JSON, one line): first-breach
-    property/detail/sim-time from the monitor (reason ["violation"]), or
-    reason ["stuck"] at [end_time] when nothing tripped; the flight-ring
-    window; the causal-DAG slice when [causal] was armed; a metrics
-    snapshot; and the one-line repro. Deterministic — replaying the
-    repro with the same sinks reproduces the bundle byte for byte. *)
+(** The forensic bundle for a failed run ({!Obsv.Monitor.bundle_json}):
+    first-breach property/detail/sim-time from the monitor (reason
+    ["violation"]), or reason ["stuck"] at [end_time] when nothing
+    tripped; the recorder's window ({!Protocols.Runner.ring_json}); a
+    per-run metrics snapshot; and the one-line repro. Deterministic —
+    replaying the repro with the same sinks reproduces the bundle byte
+    for byte. *)
+
+val replay_bundle :
+  ?hops:int ->
+  ?protocol:Protocols.Runner.protocol ->
+  plan:Faults.Fault_plan.t ->
+  seed:int ->
+  unit ->
+  string
+(** Replay one run of a sweep (its [(seed, plan)] determines it) under a
+    fresh monitor and a 256-entry flight recorder, and return its
+    {!bundle}: how the soak and the hunt ship their first violation. *)
 
 type summary = {
   runs : int;

@@ -52,3 +52,19 @@ let breach_at t =
   match t.first_trip with None -> -1 | Some trip -> trip.at
 
 let should_stop t = t.stop_on_violation && t.first_trip <> None
+
+(* The one forensic-bundle writer. The breach comes from the first trip;
+   a run that never tripped is bundled as stuck at the caller's end time.
+   [ring] and [metrics] are pre-rendered JSON from the layers that own
+   them, so equal runs give byte-identical bundles. *)
+let bundle_json t ~stuck_at ~stuck_detail ~repro ~ring ~metrics =
+  let reason, property, detail, at =
+    match t.first_trip with
+    | Some tr -> ("violation", tr.property, tr.detail, tr.at)
+    | None -> ("stuck", "-", stuck_detail, stuck_at)
+  in
+  Printf.sprintf
+    "{\"bundle\":{\"reason\":\"%s\",\"property\":\"%s\",\"detail\":\"%s\",\
+     \"at\":%d,\"repro\":\"%s\",\"ring\":%s,\"metrics\":%s}}\n"
+    reason (Metrics.json_escape property) (Metrics.json_escape detail) at
+    (Metrics.json_escape repro) ring metrics

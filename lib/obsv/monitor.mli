@@ -15,8 +15,8 @@
       the same final state, the set after {!finalize} agrees with the
       post-hoc safety report by construction.
     - {!first_trip} is the {e historical} first breach — never reset —
-      which drives [--stop-on-violation] and stamps the flight-recorder
-      bundle with the sim-time of first violation.
+      which drives [--stop-on-violation] and stamps the forensic bundle
+      ({!bundle_json}) with the sim-time of first violation.
 
     Zero cost when off, in the {!Prof} style: an engine without a monitor
     pays one [option] match per event and allocates nothing. *)
@@ -54,3 +54,20 @@ val breach_at : t -> int
 
 val should_stop : t -> bool
 val steps : t -> int
+
+val bundle_json :
+  t ->
+  stuck_at:int ->
+  stuck_detail:string ->
+  repro:string ->
+  ring:string ->
+  metrics:string ->
+  string
+(** The forensic bundle, one JSON line:
+    [{"bundle":{"reason","property","detail","at","repro","ring","metrics"}}].
+    After a trip it is reason ["violation"] with the {!first_trip}'s
+    property, detail and sim-time; otherwise reason ["stuck"], property
+    ["-"], [stuck_detail] and [stuck_at] (the run's end time). [repro] is
+    the one-line replay command; [ring] (the flight-recorder view, see
+    [Sim.Trace.ring_json]) and [metrics] are pre-rendered JSON. Equal
+    runs give byte-identical bundles. *)

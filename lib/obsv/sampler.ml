@@ -35,9 +35,6 @@ let tick t ~now =
   end
 
 let rows t = List.rev t.rows
-let row_count t = t.nrows
-let columns t = Array.to_list t.columns
-let interval t = t.interval
 
 let to_jsonl t =
   let buf = Buffer.create 1024 in

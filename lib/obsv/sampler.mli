@@ -24,16 +24,8 @@ val tick : t -> now:int -> unit
 (** Called by the engine after each dispatch; samples when [now] has
     reached the next due time. *)
 
-val sample : t -> now:int -> unit
-(** Force one sample row at [now] regardless of cadence (used for a
-    final row at run end). *)
-
 val rows : t -> (int * int array) list
 (** Accumulated [(sim_time, row)] samples, oldest first. *)
-
-val row_count : t -> int
-val columns : t -> string list
-val interval : t -> int
 
 val to_jsonl : t -> string
 (** One JSON object per row — [{"t":N,"<col>":v,...}] — followed by a

@@ -47,7 +47,6 @@ type config = {
   prof : Obsv.Prof.t option;
   monitor : Obsv.Monitor.t option;
   sampler : Obsv.Sampler.t option;
-  recorder : Obsv.Recorder.t option;
   on_ready : (outcome -> unit) option;
   seed : int;
   horizon : Sim_time.t option;
@@ -92,7 +91,6 @@ let default_config ~hops ~seed =
     prof = None;
     monitor = None;
     sampler = None;
-    recorder = None;
     on_ready = None;
     seed;
     horizon = None;
@@ -190,7 +188,7 @@ let run_engine cfg protocol =
   let engine =
     Engine.create ~tag_of:Msg.tag ~network ~sigma:cfg.sigma
       ?causal:cfg.causal ?prof:cfg.prof ?monitor:cfg.monitor
-      ?sampler:cfg.sampler ?recorder:cfg.recorder ~seed:cfg.seed ()
+      ?sampler:cfg.sampler ~seed:cfg.seed ()
   in
   (* blame anchors: the dispatch context under which Bob's payout was
      released (sink of the commit critical path) and Bob's termination *)
@@ -382,6 +380,11 @@ let emit_spans o ~terms ~committed ~settled_at =
       ~status:(if committed then "commit" else "abort")
       ~at:settled_at root
   end
+
+let msg_string m = Fmt.str "%a" Msg.pp m
+let obs_string o = Fmt.str "%a" Obs.pp o
+let trace_jsonl tr = Trace.to_jsonl ~msg:msg_string ~obs:obs_string tr
+let ring_json tr = Trace.ring_json ~msg:msg_string ~obs:obs_string tr
 
 let observations outcome = Trace.observations outcome.trace
 

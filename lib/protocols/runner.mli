@@ -63,15 +63,15 @@ type config = {
   sampler : Obsv.Sampler.t option;
       (** arm the sim-time telemetry sampler; the probe is installed by
           the [on_ready] hook. *)
-  recorder : Obsv.Recorder.t option;
-      (** arm the flight-recorder ring of recent engine events. *)
   on_ready : (outcome -> unit) option;
       (** called once, after the scenario is fully assembled and
           immediately before the engine runs, with a {e provisional}
           outcome: [env], [engine], [trace], [fault_names], [params],
           [injector] are live and final, while [status], [end_time] and
           the counters are placeholders. This is where harnesses register
-          monitor checks and sampler probes over the live run state. *)
+          monitor checks and sampler probes over the live run state, and
+          subscribe a flight recorder (a bounded {!Sim.Trace}) to [trace]
+          with {!Sim.Trace.on_record}. *)
   seed : int;
   horizon : Sim.Sim_time.t option;  (** default: generous multiple of the
                                         derived parameter horizon *)
@@ -134,6 +134,15 @@ val role_name : Topology.t -> int -> string
 val derive_params : config -> protocol -> Params.t
 (** The parameter vector [run] will use (drift-blind for
     {!Naive_universal}). *)
+
+val trace_jsonl : (Msg.t, Obs.t) Sim.Trace.t -> string
+(** A run's trace as {!Sim.Trace.to_jsonl} lines, messages and
+    observations rendered by {!Msg.pp} and {!Obs.pp} — the format of
+    [xchain pay --trace-jsonl]. *)
+
+val ring_json : (Msg.t, Obs.t) Sim.Trace.t -> string
+(** A flight recorder (a bounded trace) as {!Sim.Trace.ring_json}, its
+    window entries rendered exactly as {!trace_jsonl} renders them. *)
 
 val observations : outcome -> (Sim.Sim_time.t * int * Obs.t) list
 val balance : outcome -> escrow:int -> pid:int -> int

@@ -66,12 +66,8 @@ and telemetry = {
 }
 
 (* Runtime-verification hooks, bundled so the dispatch loop pays exactly
-   one [option] match per event when none of the three is armed. *)
-and watch = {
-  mon : Obsv.Monitor.t option;
-  samp : Obsv.Sampler.t option;
-  recd : Obsv.Recorder.t option;
-}
+   one [option] match per event when neither is armed. *)
+and watch = { mon : Obsv.Monitor.t option; samp : Obsv.Sampler.t option }
 
 and ('msg, 'obs) t = {
   tag_of : 'msg -> string;
@@ -146,11 +142,11 @@ let telemetry_handles reg =
 
 let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     ?(metrics = Obsv.Metrics.default) ?trace_capacity ?causal ?prof ?monitor
-    ?sampler ?recorder ~seed () =
+    ?sampler ~seed () =
   let watch =
-    match (monitor, sampler, recorder) with
-    | None, None, None -> None
-    | mon, samp, recd -> Some { mon; samp; recd }
+    match (monitor, sampler) with
+    | None, None -> None
+    | mon, samp -> Some { mon; samp }
   in
   {
     tag_of;
@@ -527,26 +523,10 @@ let dispatch_profiled t p ev =
       Obsv.Prof.leave p ~label:(proc t pid).prof_label ~kind:Obsv.Prof.Recover
         ~trace:(-1)
 
-(* The armed runtime-verification step: record the event into the flight
-   recorder, advance the sampler, then evaluate the monitor at the current
-   sim-time. Returns [true] when a stop-on-violation monitor tripped. *)
-let watch_step t w ev =
-  (match w.recd with
-  | None -> ()
-  | Some r ->
-      let at = t.clock_now in
-      (match ev with
-      | Deliver { src; dst; msg; _ } ->
-          Obsv.Recorder.record r ~at ~kind:"deliver" ~src ~dst
-            ~label:(t.tag_of msg)
-      | Fire { owner; label; _ } ->
-          Obsv.Recorder.record r ~at ~kind:"fire" ~src:owner ~dst:(-1) ~label
-      | Crash { pid; _ } ->
-          Obsv.Recorder.record r ~at ~kind:"crash" ~src:pid ~dst:(-1)
-            ~label:"crash"
-      | Recover { pid } ->
-          Obsv.Recorder.record r ~at ~kind:"recover" ~src:pid ~dst:(-1)
-            ~label:"recover"));
+(* The armed runtime-verification step: advance the sampler, then evaluate
+   the monitor at the current sim-time. Returns [true] when a
+   stop-on-violation monitor tripped. *)
+let watch_step t w =
   (match w.samp with
   | None -> ()
   | Some s -> Obsv.Sampler.tick s ~now:t.clock_now);
@@ -585,7 +565,7 @@ let run ?(horizon = Sim_time.infinity) ?(max_events = 1_000_000) t =
            exactly this one match *)
         match t.watch with
         | None -> loop (n + 1)
-        | Some w -> if watch_step t w ev then Violation_stop else loop (n + 1)
+        | Some w -> if watch_step t w then Violation_stop else loop (n + 1)
       end
   in
   let status = loop 0 in

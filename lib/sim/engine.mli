@@ -75,7 +75,6 @@ val create :
   ?prof:Obsv.Prof.t ->
   ?monitor:Obsv.Monitor.t ->
   ?sampler:Obsv.Sampler.t ->
-  ?recorder:Obsv.Recorder.t ->
   seed:int ->
   unit ->
   ('msg, 'obs) t
@@ -120,15 +119,16 @@ val create :
     (payment trace, process label, event kind) dispatch site; the queue
     depth is sampled into [xchain_prof_queue_depth] at each dequeue.
 
-    [monitor] / [sampler] / [recorder] (default: absent — together one
-    [option] match per dispatched event, zero allocation) arm runtime
-    verification: after every dispatch the engine appends the event to
-    the {!Obsv.Recorder} ring, advances the {!Obsv.Sampler} at the
-    current sim-time, and evaluates the {!Obsv.Monitor}'s checks. A
+    [monitor] / [sampler] (default: absent — together one [option] match
+    per dispatched event, zero allocation) arm runtime verification:
+    after every dispatch the engine advances the {!Obsv.Sampler} at the
+    current sim-time and evaluates the {!Obsv.Monitor}'s checks. A
     stop-on-violation monitor that trips ends the run with
     {!Violation_stop} at the exact sim-time of first breach; otherwise
     the monitor is finalized at the run's end time so its verdict set
-    reflects the final state. *)
+    reflects the final state. A forensic flight recorder is not an engine
+    option: it is a bounded {!Trace} fed from {!trace} by a
+    {!Trace.on_record} hook. *)
 
 val add_process :
   ('msg, 'obs) t ->

@@ -161,44 +161,68 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* The one writer of a trace entry as a JSON object. [seq] is the entry's
+   position in the whole trace, so a bounded trace numbers its kept window
+   from [dropped_count]. *)
+let add_entry_json buf ~msg ~obs seq entry =
+  let add fmt = Printf.bprintf buf fmt in
+  match entry with
+  | Sent { t; src; dst; tag; msg = m } ->
+      add
+        {|{"seq":%d,"kind":"sent","t":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
+        seq t src dst (json_escape tag) (json_escape (msg m))
+  | Delivered { t; sent_at; src; dst; tag; msg = m } ->
+      add
+        {|{"seq":%d,"kind":"delivered","t":%d,"sent_at":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
+        seq t sent_at src dst (json_escape tag) (json_escape (msg m))
+  | Timer_set { t; owner; label; local_deadline; global_fire } ->
+      add
+        {|{"seq":%d,"kind":"timer_set","t":%d,"owner":%d,"label":"%s","local_deadline":%s,"global_fire":%s}|}
+        seq t owner (json_escape label)
+        (if Sim_time.is_infinite local_deadline then {|"inf"|}
+         else string_of_int local_deadline)
+        (if Sim_time.is_infinite global_fire then {|"inf"|}
+         else string_of_int global_fire)
+  | Timer_fired { t; owner; label } ->
+      add {|{"seq":%d,"kind":"timer_fired","t":%d,"owner":%d,"label":"%s"}|}
+        seq t owner (json_escape label)
+  | Observed { t; pid; obs = o } ->
+      add {|{"seq":%d,"kind":"observed","t":%d,"pid":%d,"obs":"%s"}|} seq t
+        pid
+        (json_escape (obs o))
+  | Halted { t; pid } ->
+      add {|{"seq":%d,"kind":"halted","t":%d,"pid":%d}|} seq t pid
+  | Crashed { t; pid; recover_at } ->
+      add {|{"seq":%d,"kind":"crashed","t":%d,"pid":%d,"recover_at":%s}|} seq
+        t pid
+        (match recover_at with None -> "null" | Some r -> string_of_int r)
+  | Recovered { t; pid } ->
+      add {|{"seq":%d,"kind":"recovered","t":%d,"pid":%d}|} seq t pid
+
+(* the kept entries in order, each with its [seq] *)
+let iter_numbered f t =
+  let first = dropped_count t in
+  List.iteri (fun i e -> f (first + i) e) (to_list t)
+
 let to_jsonl ~msg ~obs t =
   let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  List.iteri
-    (fun seq entry ->
-      match entry with
-      | Sent { t; src; dst; tag; msg = m } ->
-          line
-            {|{"seq":%d,"kind":"sent","t":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
-            seq t src dst (json_escape tag) (json_escape (msg m))
-      | Delivered { t; sent_at; src; dst; tag; msg = m } ->
-          line
-            {|{"seq":%d,"kind":"delivered","t":%d,"sent_at":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
-            seq t sent_at src dst (json_escape tag) (json_escape (msg m))
-      | Timer_set { t; owner; label; local_deadline; global_fire } ->
-          line
-            {|{"seq":%d,"kind":"timer_set","t":%d,"owner":%d,"label":"%s","local_deadline":%s,"global_fire":%s}|}
-            seq t owner (json_escape label)
-            (if Sim_time.is_infinite local_deadline then {|"inf"|}
-             else string_of_int local_deadline)
-            (if Sim_time.is_infinite global_fire then {|"inf"|}
-             else string_of_int global_fire)
-      | Timer_fired { t; owner; label } ->
-          line {|{"seq":%d,"kind":"timer_fired","t":%d,"owner":%d,"label":"%s"}|}
-            seq t owner (json_escape label)
-      | Observed { t; pid; obs = o } ->
-          line {|{"seq":%d,"kind":"observed","t":%d,"pid":%d,"obs":"%s"}|} seq t
-            pid
-            (json_escape (obs o))
-      | Halted { t; pid } ->
-          line {|{"seq":%d,"kind":"halted","t":%d,"pid":%d}|} seq t pid
-      | Crashed { t; pid; recover_at } ->
-          line {|{"seq":%d,"kind":"crashed","t":%d,"pid":%d,"recover_at":%s}|}
-            seq t pid
-            (match recover_at with
-            | None -> "null"
-            | Some r -> string_of_int r)
-      | Recovered { t; pid } ->
-          line {|{"seq":%d,"kind":"recovered","t":%d,"pid":%d}|} seq t pid)
-    (to_list t);
+  iter_numbered
+    (fun seq e ->
+      add_entry_json buf ~msg ~obs seq e;
+      Buffer.add_char buf '\n')
+    t;
+  Buffer.contents buf
+
+let ring_json ~msg ~obs t =
+  let buf = Buffer.create 1024 in
+  let first = dropped_count t in
+  Printf.bprintf buf {|{"capacity":%s,"recorded":%d,"dropped":%d,"window":[|}
+    (match t.capacity with None -> "null" | Some c -> string_of_int c)
+    t.count first;
+  iter_numbered
+    (fun seq e ->
+      if seq > first then Buffer.add_char buf ',';
+      add_entry_json buf ~msg ~obs seq e)
+    t;
+  Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -96,4 +96,17 @@ val to_jsonl :
     endpoints, tags, labels) are first-class JSON fields. Every line
     carries a ["seq"] field — the entry's 0-based position in the trace —
     so consumers can re-establish total order after filtering or merging
-    (timestamps alone tie on same-tick events). *)
+    (timestamps alone tie on same-tick events). A bounded trace prints
+    only its kept window, numbered from {!dropped_count}. *)
+
+val ring_json :
+  msg:('msg -> string) ->
+  obs:('obs -> string) ->
+  ('msg, 'obs) t ->
+  string
+(** The trace as one JSON object,
+    [{"capacity":C,"recorded":N,"dropped":D,"window":[...]}]: [capacity]
+    is the bound ([null] when unbounded), [recorded] is {!length},
+    [dropped] is {!dropped_count}, and [window] holds the kept entries as
+    the same objects {!to_jsonl} prints, with the same [seq] numbering.
+    This is the flight-recorder view a forensic bundle embeds. *)

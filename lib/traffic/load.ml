@@ -442,7 +442,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   (* nothing reads the trace back: accounting is fed by a hook *)
   let engine =
     Engine.create ~tag_of:Msg.tag ~network ~sigma ~trace_capacity:0
-      ?causal ?prof ?monitor ?sampler ?recorder ~seed ()
+      ?causal ?prof ?monitor ?sampler ~seed ()
   in
   (* --- per-instance accounting state, fed by a trace hook --- *)
   let insts =
@@ -884,6 +884,9 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
               | 2 -> !admitted
               | i -> snd legs.gauges.(i - 3) ())))
     sampler;
+  Option.iter
+    (fun rc -> Trace.on_record (Engine.trace engine) (Trace.record rc))
+    recorder;
   let status = Engine.run ~horizon ~max_events engine in
   let end_time = Engine.now engine in
   (* --- classification: a payment commits iff every instance paid Bob --- *)

@@ -132,7 +132,7 @@ val run :
   ?prof:Obsv.Prof.t ->
   ?monitor:Obsv.Monitor.t ->
   ?sampler:Obsv.Sampler.t ->
-  ?recorder:Obsv.Recorder.t ->
+  ?recorder:(Protocols.Msg.t, Protocols.Obs.t) Sim.Trace.t ->
   workload:Workload.t ->
   seed:int ->
   unit ->
@@ -182,8 +182,10 @@ val run :
     the first breach with status ["violation-stop"]. [sampler] records a
     sim-time series per {!Obsv.Sampler} interval: queue depth, in-flight
     and admitted payments, and per-escrow pooled funds (per-edge
-    liquidity for routed workloads). [recorder] keeps the flight-recorder
-    event ring for forensic bundles. None of the three changes the
+    liquidity for routed workloads). [recorder] is a flight recorder, a
+    bounded trace that a {!Sim.Trace.on_record} hook feeds every engine
+    trace entry, so it keeps the run's last entries for a forensic bundle
+    ({!Protocols.Runner.ring_json}). None of the three changes the
     schedule.
 
     [prof] arms the dispatch profiler (see {!Sim.Engine.create}).

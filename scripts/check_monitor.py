@@ -13,10 +13,13 @@ Validates the two deterministic sinks the online monitor writes:
 * ``--bundle FILE`` — a ``--bundle-out`` forensic bundle: a single
   ``{"bundle":{...}}`` object carrying reason (violation | stuck), the
   first-breach property/detail, a breach sim-time ``at >= 0``, a repro
-  line that starts with ``xchain ``, and a flight-ring whose window is
-  time-ordered and consistent with its recorded/dropped/capacity
-  counters. A violation bundle must name a property; a stuck bundle
-  uses ``-``.
+  line that starts with ``xchain ``, and a flight-recorder ring: a
+  bounded view of the engine trace whose window holds trace entries in
+  ``xchain pay --trace-jsonl``'s object format. The window must use
+  trace kinds only, be time-ordered, number its ``seq`` consecutively
+  from ``dropped``, and agree with its recorded/dropped/capacity
+  counters. A violation bundle must name a property and its breach must
+  not predate the window; a stuck bundle uses ``-``.
 
 Both flags are repeatable and may be mixed. Exit 0 when every artifact
 holds, a diagnostic per failed invariant and exit 1 otherwise. Stdlib
@@ -27,7 +30,8 @@ import sys
 
 from benchlib import err, errors, finish, load_json, load_jsonl
 
-RING_KINDS = {"deliver", "fire", "crash", "recover"}
+TRACE_KINDS = {"sent", "delivered", "timer_set", "timer_fired", "observed",
+               "halted", "crashed", "recovered"}
 
 
 def check_series(path):
@@ -98,23 +102,31 @@ def check_bundle(path):
     if not isinstance(window, list):
         err(f"{path}: ring window must be an array")
         return
+    if not (isinstance(dropped, int) and dropped >= 0):
+        err(f"{path}: ring dropped must be a nonnegative int, got {dropped!r}")
+        return
     if len(window) > cap:
         err(f"{path}: window of {len(window)} exceeds capacity {cap}")
-    if recorded != len(window) + (dropped or 0):
+    if recorded != len(window) + dropped:
         err(f"{path}: recorded={recorded!r} != window {len(window)} + "
-            f"dropped {dropped!r}")
+            f"dropped {dropped}")
     prev_t = -1
     for i, e in enumerate(window):
-        t = e.get("at")
+        if e.get("seq") != dropped + i:
+            err(f"{path}: window[{i}]: seq {e.get('seq')!r}, expected "
+                f"{dropped + i} (consecutive from dropped)")
+        if e.get("kind") not in TRACE_KINDS:
+            err(f"{path}: window[{i}]: unknown kind {e.get('kind')!r}")
+        t = e.get("t")
         if not isinstance(t, int) or t < 0:
             err(f"{path}: window[{i}]: bad sim-time {t!r}")
             continue
         if t < prev_t:
             err(f"{path}: window[{i}]: time goes backwards ({t} < {prev_t})")
         prev_t = t
-        if e.get("kind") not in RING_KINDS:
-            err(f"{path}: window[{i}]: unknown kind {e.get('kind')!r}")
-    if b["reason"] == "violation" and window and b["at"] < window[0]["at"]:
+    if (b["reason"] == "violation" and window
+            and isinstance(window[0].get("t"), int)
+            and b["at"] < window[0]["t"]):
         err(f"{path}: breach at {b['at']} predates the whole ring window")
 
 

@@ -31,13 +31,14 @@ let numbers_in s =
   in
   go 0 []
 
-let edit s =
+let all_edits =
+  [ (1, `Delete); (1, `Insert); (1, `Replace); (1, `Splice); (3, `Number);
+    (1, `Truncate); (1, `Repeat) ]
+
+let edit ?(ops = all_edits) ?(splices = splices) s =
   let open QCheck.Gen in
   let n = String.length s in
-  let* op = frequency [ (1, return `Delete); (1, return `Insert);
-                        (1, return `Replace); (1, return `Splice);
-                        (3, return `Number); (1, return `Truncate);
-                        (1, return `Repeat) ] in
+  let* op = frequencyl ops in
   let* i = int_bound n in
   let* c = char_gen in
   let* splice = oneofa splices in
@@ -58,6 +59,13 @@ let edit s =
         String.sub s 0 at ^ number ^ rest_from (at + len)
     | `Truncate -> before
     | _ -> before ^ after ^ after)
+
+(* Number swaps and whitespace-free splices only: applied to the value of
+   a key=value token, the edited token stays one token with the same key. *)
+let value_edit s =
+  edit ~ops:[ (1, `Splice); (3, `Number) ]
+    ~splices:(Array.of_list (List.filter (( <> ) " ") (Array.to_list splices)))
+    s
 
 let mutated seeds =
   let open QCheck.Gen in

@@ -180,16 +180,21 @@ let stop_tests =
 
 (* ------------------------- bundle determinism -------------------------- *)
 
-let run_bundled () =
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+(* the pinned violating run with the full watch armed; [recorder] is the
+   flight recorder (a bounded trace view by default) *)
+let run_bundled ?(recorder = Sim.Trace.create ~capacity:256 ()) () =
   let m = Obsv.Monitor.create () in
-  let rc = Obsv.Recorder.create () in
-  let c = Obsv.Causal.create () in
   let s = Obsv.Sampler.create () in
   let r =
-    C.run_one ~hops:2 ~protocol:viol_protocol ~causal:c ~monitor:m
-      ~sampler:s ~recorder:rc ~plan:(viol_plan ()) ~seed:viol_seed ()
+    C.run_one ~hops:2 ~protocol:viol_protocol ~monitor:m ~sampler:s ~recorder
+      ~plan:(viol_plan ()) ~seed:viol_seed ()
   in
-  (C.bundle ~causal:c ~monitor:m ~recorder:rc r, Obsv.Sampler.to_jsonl s, r)
+  (C.bundle ~monitor:m ~recorder r, Obsv.Sampler.to_jsonl s, r)
 
 let bundle_tests =
   [
@@ -200,39 +205,63 @@ let bundle_tests =
         check Alcotest.string "bundle bit-identical" b1 b2;
         check Alcotest.string "series bit-identical" s1 s2;
         (* the bundle names the breach the monitor stamped *)
-        let contains hay needle =
-          let lh = String.length hay and ln = String.length needle in
-          let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-          go 0
-        in
         check Alcotest.bool "reason violation" true
           (contains b1 "\"reason\":\"violation\"");
         check Alcotest.bool "breach time embedded" true
           (contains b1 (Printf.sprintf "\"at\":%d" r1.C.breach_at));
         check Alcotest.bool "repro embedded" true
-          (contains b1 (C.repro_line r1)));
+          (contains b1 (C.repro_line r1));
+        check Alcotest.bool "replay_bundle is the same bundle" true
+          (C.replay_bundle ~hops:2 ~protocol:viol_protocol
+             ~plan:(viol_plan ()) ~seed:viol_seed ()
+          = b1));
     Alcotest.test_case "stuck runs bundle with reason stuck" `Quick (fun () ->
-        (* a crashed escrow with no recovery wedges the sync payment *)
+        (* a crashed escrow with no recovery wedges the sync payment; no
+           causal recorder is armed *)
         let plan =
           match FP.of_string "crash 3@50" with
           | Ok p -> p
           | Error e -> Alcotest.fail e
         in
         let m = Obsv.Monitor.create () in
-        let rc = Obsv.Recorder.create () in
+        let rc = Sim.Trace.create ~capacity:256 () in
         let r = C.run_one ~monitor:m ~recorder:rc ~plan ~seed:1 () in
         check Alcotest.string "stuck" "stuck"
           (C.classification_name r.C.classification);
         let b = C.bundle ~monitor:m ~recorder:rc r in
-        let contains hay needle =
-          let lh = String.length hay and ln = String.length needle in
-          let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-          go 0
-        in
         check Alcotest.bool "reason stuck" true
           (contains b "\"reason\":\"stuck\"");
         check Alcotest.bool "no breach property" true
-          (contains b "\"property\":\"-\""));
+          (contains b "\"property\":\"-\"");
+        check Alcotest.bool "window names the crashed pid" true
+          (contains b {|"kind":"crashed","t":50,"pid":3,|}));
+    Alcotest.test_case "the window is the tail of the run's full trace"
+      `Quick (fun () ->
+        let full = Sim.Trace.create () in
+        let _ = run_bundled ~recorder:full () in
+        let lines =
+          List.filter (( <> ) "")
+            (String.split_on_char '\n' (Runner.trace_jsonl full))
+        in
+        let n = List.length lines in
+        (* the CLI's 256 entries hold this whole run; 16 make the ring
+           wrap, so the window's seq numbers start past 0 *)
+        List.iter
+          (fun cap ->
+            let b, _, _ =
+              run_bundled ~recorder:(Sim.Trace.create ~capacity:cap ()) ()
+            in
+            let kept = min n cap in
+            let tail = List.filteri (fun i _ -> i >= n - kept) lines in
+            check Alcotest.bool "counters" true
+              (contains b
+                 (Printf.sprintf
+                    {|"ring":{"capacity":%d,"recorded":%d,"dropped":%d,|} cap
+                    n (n - kept)));
+            check Alcotest.bool "window = trace tail" true
+              (contains b
+                 (Printf.sprintf {|"window":[%s]}|} (String.concat "," tail))))
+          [ 256; 16 ]);
   ]
 
 (* ------------------------------ sampler -------------------------------- *)

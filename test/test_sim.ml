@@ -1095,6 +1095,23 @@ let trace_tests =
             (Trace.to_list tr)
         in
         check Alcotest.(list string) "newest three" [ "3"; "4"; "5" ] kept);
+    Alcotest.test_case "bounded jsonl numbers seq from the dropped count"
+      `Quick (fun () ->
+        let tr : (string, string) Trace.t = Trace.create ~capacity:2 () in
+        for i = 1 to 5 do
+          Trace.record tr (Trace.Observed { t = i; pid = 0; obs = string_of_int i })
+        done;
+        let line i =
+          Printf.sprintf {|{"seq":%d,"kind":"observed","t":%d,"pid":0,"obs":"%d"}|}
+            (i - 1) i i
+        in
+        check Alcotest.string "jsonl" (line 4 ^ "\n" ^ line 5 ^ "\n")
+          (Trace.to_jsonl ~msg:Fun.id ~obs:Fun.id tr);
+        check Alcotest.string "ring"
+          (Printf.sprintf
+             {|{"capacity":2,"recorded":5,"dropped":3,"window":[%s,%s]}|}
+             (line 4) (line 5))
+          (Trace.ring_json ~msg:Fun.id ~obs:Fun.id tr));
     Alcotest.test_case "bounded trace smaller than capacity drops nothing"
       `Quick (fun () ->
         let tr : (string, string) Trace.t = Trace.create ~capacity:10 () in

@@ -773,6 +773,68 @@ let oracle_tests =
                 "linear %s\nrouted %s" (stripped lin) (stripped routed)));
   ]
 
+let workload_seeds =
+  [
+    "payments=200 hops=2 value=1000 commission=10 arrival=poisson:4 \
+     mix=sync:2,weak:2,htlc:1,atomic:1 policy=reserve cap=0 liquidity=0 \
+     patience=2000 stuck=0 drift=10000 gst=none";
+    "payments=40 arrival=closed:2:10 mix=weak policy=optimistic liquidity=2 \
+     gst=300";
+    "payments=600 mix=shared committee=majority:16:5:32:4 arrival=burst:30:1";
+    "payments=100 mix=sync:1,weak:1 topology=er:6:4:9 route=round-robin \
+     splits=3 arrival=ramp:60:10";
+  ]
+
+(* A valid spec with the value of one key damaged parses, or fails with
+   an error that starts with that key: a bad value in a long spec line
+   points at itself. *)
+let keyed_error_property =
+  let keys =
+    [ "payments"; "hops"; "value"; "commission"; "arrival"; "mix"; "policy";
+      "cap"; "liquidity"; "patience"; "stuck"; "drift"; "gst"; "committee";
+      "topology"; "splits" ]
+  in
+  let key_of field =
+    match String.index_opt field '=' with
+    | Some i -> String.sub field 0 i
+    | None -> field
+  in
+  let gen =
+    let open QCheck.Gen in
+    let* spec = oneofl workload_seeds in
+    let fields = String.split_on_char ' ' spec in
+    let* i =
+      oneofl
+        (List.concat
+           (List.mapi
+              (fun i f -> if List.mem (key_of f) keys then [ i ] else [])
+              fields))
+    in
+    let field = List.nth fields i in
+    let key = key_of field in
+    let v = String.sub field (String.length key + 1)
+        (String.length field - String.length key - 1) in
+    let* k = int_range 1 3 in
+    let rec go k v =
+      if k = 0 then return v else Grammar_fuzz.value_edit v >>= go (k - 1)
+    in
+    let* v = go k v in
+    return
+      ( key,
+        String.concat " "
+          (List.mapi (fun j f -> if j = i then key ^ "=" ^ v else f) fields) )
+  in
+  qcheck
+    (QCheck.Test.make ~name:"workload errors name their key" ~count:3000
+       (QCheck.make ~print:(fun (k, s) -> Printf.sprintf "%s in %S" k s) gen)
+       (fun (key, s) ->
+         match Workload.of_string s with
+         | Ok _ -> true
+         | Error e ->
+             String.starts_with ~prefix:key e
+             || QCheck.Test.fail_reportf "error %S does not start with %s" e
+                  key))
+
 let () =
   Alcotest.run "traffic"
     [
@@ -780,20 +842,8 @@ let () =
       ( "grammar",
         [
           Grammar_fuzz.property ~name:"workload of_string never raises"
-            ~seeds:
-              [
-                "payments=200 hops=2 value=1000 commission=10 \
-                 arrival=poisson:4 mix=sync:2,weak:2,htlc:1,atomic:1 \
-                 policy=reserve cap=0 liquidity=0 patience=2000 stuck=0 \
-                 drift=10000 gst=none";
-                "payments=40 arrival=closed:2:10 mix=weak policy=optimistic \
-                 liquidity=2 gst=300";
-                "payments=600 mix=shared committee=majority:16:5:32:4 \
-                 arrival=burst:30:1";
-                "payments=100 mix=sync:1,weak:1 topology=er:6:4:9 \
-                 route=round-robin splits=3 arrival=ramp:60:10";
-              ]
-            Workload.of_string;
+            ~seeds:workload_seeds Workload.of_string;
+          keyed_error_property;
         ] );
       ("load", load_tests);
       ("causal", causal_tests);
