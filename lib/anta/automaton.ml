@@ -23,30 +23,185 @@ type ('msg, 'obs) node =
   | Input of ('msg, 'obs) branch list
   | Final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
 
+(* The compiled form: states are dense ints in declaration order, with one
+   extra [C_missing] index per unknown transition target (entering one is a
+   run-time error, as {!check} reports statically); every [next] is resolved
+   here, and clock and data variables are Store slots. *)
+type ('msg, 'obs) cguard =
+  | C_receive of { from_ : int; accept : 'msg -> bool }
+  | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
+
+type ('msg, 'obs) cbranch = {
+  cguard : ('msg, 'obs) cguard;
+  c_save_msg : int;
+  c_save_now : int array;
+  c_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
+  c_next : int;
+}
+
+type ('msg, 'obs) cnode =
+  | C_output of {
+      to_ : int;
+      message : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
+      o_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+      next : int;
+    }
+  | C_input of ('msg, 'obs) cbranch array
+  | C_final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
+  | C_missing
+
 type ('msg, 'obs) t = {
   name : string;
   initial : state;
   nodes : (state * ('msg, 'obs) node) list;
-  table : (state, ('msg, 'obs) node) Hashtbl.t;
+  names : state array;  (* declared states, then missing targets *)
+  declared : int;
+  cnodes : ('msg, 'obs) cnode array;
+  init : int;
+  clock_names : string array;
+  data_names : string array;
 }
 
+(* the length test is inline and settles most mismatches without a call *)
+let same a b = String.length a = String.length b && String.equal a b
+
+let rec scan_names names st i stop =
+  if i >= stop then -1
+  else if same names.(i) st then i
+  else scan_names names st (i + 1) stop
+
+(* a name table that grows on first use, in first-use order *)
+type table = { mutable items : string array; mutable count : int }
+
+let push tb s =
+  if tb.count = Array.length tb.items then begin
+    let items = Array.make (max 1 (2 * tb.count)) "" in
+    Array.blit tb.items 0 items 0 tb.count;
+    tb.items <- items
+  end;
+  tb.items.(tb.count) <- s;
+  tb.count <- tb.count + 1;
+  tb.count - 1
+
+let intern tb s =
+  let i = scan_names tb.items s 0 tb.count in
+  if i >= 0 then i else push tb s
+
+let contents tb =
+  if tb.count = Array.length tb.items then tb.items
+  else Array.sub tb.items 0 tb.count
+
+type tables = { states : table; clocks : table; datas : table }
+
+let compile_branch tbs st idx b =
+  let cguard =
+    match b.guard with
+    | Receive { from_; accept; _ } -> C_receive { from_; accept }
+    | Deadline { base; offset } ->
+        C_deadline
+          {
+            base = intern tbs.clocks base;
+            offset;
+            label = st ^ "#" ^ string_of_int idx;
+          }
+  in
+  {
+    cguard;
+    c_save_msg =
+      (match b.save_msg with None -> -1 | Some v -> intern tbs.datas v);
+    c_save_now =
+      (match b.save_now with
+      | [] -> [||]
+      | vars -> Array.of_list (List.map (intern tbs.clocks) vars));
+    c_act = b.b_act;
+    c_next = intern tbs.states b.next;
+  }
+
+let rec fill_branches tbs st arr idx = function
+  | [] -> ()
+  | b :: rest ->
+      arr.(idx) <- compile_branch tbs st idx b;
+      fill_branches tbs st arr (idx + 1) rest
+
+let compile_node tbs st = function
+  | Output { to_; message; o_act; next } ->
+      C_output { to_; message; o_act; next = intern tbs.states next }
+  | Input [] -> C_input [||]
+  | Input (b :: rest as branches) ->
+      let arr =
+        Array.make (List.length branches) (compile_branch tbs st 0 b)
+      in
+      fill_branches tbs st arr 1 rest;
+      C_input arr
+  | Final { f_act } -> C_final { f_act }
+
+let rec fill_nodes tbs cnodes i = function
+  | [] -> ()
+  | (st, node) :: rest ->
+      cnodes.(i) <- compile_node tbs st node;
+      fill_nodes tbs cnodes (i + 1) rest
+
 let make ~name ~initial ~nodes =
-  let table = Hashtbl.create (List.length nodes) in
+  let n = List.length nodes in
+  (* declared states take the first [n] entries of [states] *)
+  let states = { items = Array.make n ""; count = 0 } in
   List.iter
-    (fun (st, node) ->
-      if Hashtbl.mem table st then
+    (fun (st, _) ->
+      if scan_names states.items st 0 states.count >= 0 then
         invalid_arg (Printf.sprintf "Automaton %s: duplicate state %s" name st);
-      Hashtbl.add table st node)
+      ignore (push states st))
     nodes;
-  if not (Hashtbl.mem table initial) then
+  let init = scan_names states.items initial 0 n in
+  if init < 0 then
     invalid_arg
       (Printf.sprintf "Automaton %s: unknown initial state %s" name initial);
-  { name; initial; nodes; table }
+  let tbs =
+    {
+      states;
+      clocks = { items = [||]; count = 0 };
+      datas = { items = [||]; count = 0 };
+    }
+  in
+  let cnodes = Array.make n C_missing in
+  fill_nodes tbs cnodes 0 nodes;
+  let cnodes =
+    if states.count = n then cnodes
+    else Array.append cnodes (Array.make (states.count - n) C_missing)
+  in
+  {
+    name;
+    initial;
+    nodes;
+    names = states.items;
+    declared = n;
+    cnodes;
+    init;
+    clock_names = contents tbs.clocks;
+    data_names = contents tbs.datas;
+  }
 
 let name t = t.name
 let initial t = t.initial
-let node t st = Hashtbl.find_opt t.table st
+
+let node t st =
+  let i = scan_names t.names st 0 t.declared in
+  if i < 0 then None else Some (snd (List.nth t.nodes i))
+
 let states t = List.map fst t.nodes
+let initial_index t = t.init
+let state_name t i = t.names.(i)
+let cnode t i = t.cnodes.(i)
+let clock_names t = t.clock_names
+let data_names t = t.data_names
+
+let rec scan_receive branches pool i =
+  if i >= Array.length branches then -1
+  else
+    match branches.(i).cguard with
+    | C_receive { from_; accept } when Pool.find pool ~from_ ~accept -> i
+    | C_receive _ | C_deadline _ -> scan_receive branches pool (i + 1)
+
+let match_receive branches pool = scan_receive branches pool 0
 
 type check_error =
   | Unknown_target of { from_ : state; target : state }
@@ -128,7 +283,7 @@ let must_assigned t =
 let check t =
   let errors = ref [] in
   let err e = errors := e :: !errors in
-  let known st = Hashtbl.mem t.table st in
+  let known st = scan_names t.names st 0 t.declared >= 0 in
   List.iter
     (fun (st, node) ->
       List.iter

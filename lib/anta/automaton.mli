@@ -69,6 +69,54 @@ val initial : ('msg, 'obs) t -> state
 val node : ('msg, 'obs) t -> state -> ('msg, 'obs) node option
 val states : ('msg, 'obs) t -> state list
 
+(** {1 Compiled form (the executor's view)}
+
+    {!make} compiles the declared nodes once: states become dense ints in
+    declaration order (index {!initial_index} is the initial state), each
+    transition target is resolved to its int, clock and data variables
+    become {!Store} slots (see {!clock_names}, {!data_names}), and each
+    deadline branch [i] of input state [s] carries its engine timer label
+    ["s#i"]. A target naming no declared state gets an index past the
+    declared ones whose node is [C_missing]; {!check} reports it as
+    {!Unknown_target}. *)
+
+type ('msg, 'obs) cguard =
+  | C_receive of { from_ : int; accept : 'msg -> bool }
+  | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
+      (** [base] is a clock slot *)
+
+type ('msg, 'obs) cbranch = {
+  cguard : ('msg, 'obs) cguard;
+  c_save_msg : int;  (** data slot, or [-1] *)
+  c_save_now : int array;  (** clock slots *)
+  c_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
+  c_next : int;
+}
+
+type ('msg, 'obs) cnode =
+  | C_output of {
+      to_ : int;
+      message : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
+      o_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+      next : int;
+    }
+  | C_input of ('msg, 'obs) cbranch array
+  | C_final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
+  | C_missing  (** an unknown transition target *)
+
+val initial_index : ('msg, 'obs) t -> int
+val state_name : ('msg, 'obs) t -> int -> state
+val cnode : ('msg, 'obs) t -> int -> ('msg, 'obs) cnode
+val clock_names : ('msg, 'obs) t -> string array
+val data_names : ('msg, 'obs) t -> string array
+
+val match_receive : ('msg, 'obs) cbranch array -> 'msg Pool.t -> int
+(** The receive transition an input state fires on its pending pool:
+    branch order is the priority, and within one branch the pool is
+    scanned oldest first. Returns the branch index, with the matched
+    message left for {!Pool.take_hit}, or [-1]. The executor and
+    {!Conformance} both fire receives through this one function. *)
+
 (** {1 Well-formedness — the executable core of property C}
 
     Property C (consistency) demands that each participant can actually

@@ -6,79 +6,60 @@ let pp_deviation ppf d =
   Fmt.pf ppf "at t=%a in state %s: %s" Sim.Sim_time.pp d.at d.state d.reason
 
 type 'msg cursor = {
-  mutable state : A.state;
-  mutable pool : (int * 'msg) list;
+  mutable state : int;
+  pool : 'msg Pool.t;
   mutable finished : bool;
   mutable deviation : deviation option;
 }
 
-let fail c ~at reason =
-  if c.deviation = None then c.deviation <- Some { at; state = c.state; reason }
-
-(* Mirror of Executor.try_fire_receive, effect-free. *)
-let try_fire auto c =
-  match A.node auto c.state with
-  | Some (A.Input branches) ->
-      let rec find_in_pool from_ accept seen = function
-        | [] -> None
-        | ((src, m) as item) :: rest ->
-            if src = from_ && accept m then Some (m, List.rev_append seen rest)
-            else find_in_pool from_ accept (item :: seen) rest
-      in
-      let rec scan = function
-        | [] -> None
-        | (b : ('msg, 'obs) A.branch) :: rest -> (
-            match b.A.guard with
-            | A.Receive { from_; accept; _ } -> (
-                match find_in_pool from_ accept [] c.pool with
-                | Some (_, pool) -> Some (b, pool)
-                | None -> scan rest)
-            | A.Deadline _ -> scan rest)
-      in
-      scan branches
-  | _ -> None
+let fail auto c ~at reason =
+  if c.deviation = None then
+    c.deviation <- Some { at; state = A.state_name auto c.state; reason }
 
 (* Enter a state; consume pool-enabled receive transitions greedily, exactly
-   as the executor does, stopping at an output state (which awaits a Sent
-   event), a final state, or a quiescent input state. *)
+   as the executor does (the same {!Automaton.match_receive}, effect-free
+   here), stopping at an output state (which awaits a Sent event), a final
+   state, or a quiescent input state. *)
 let rec settle auto c ~at =
-  match A.node auto c.state with
-  | None -> fail c ~at (Printf.sprintf "unknown state %s" c.state)
-  | Some (A.Final _) -> c.finished <- true
-  | Some (A.Output _) -> () (* wait for the Sent event *)
-  | Some (A.Input _) -> (
-      match try_fire auto c with
-      | Some (b, pool) ->
-          c.pool <- pool;
-          c.state <- b.A.next;
-          settle auto c ~at
-      | None -> ())
+  match A.cnode auto c.state with
+  | A.C_missing ->
+      fail auto c ~at
+        (Printf.sprintf "unknown state %s" (A.state_name auto c.state))
+  | A.C_final _ -> c.finished <- true
+  | A.C_output _ -> () (* wait for the Sent event *)
+  | A.C_input branches ->
+      let bi = A.match_receive branches c.pool in
+      if bi >= 0 then begin
+        ignore (Pool.take_hit c.pool);
+        c.state <- branches.(bi).A.c_next;
+        settle auto c ~at
+      end
 
 let on_delivered auto c ~at ~src msg =
   if not c.finished then begin
-    c.pool <- c.pool @ [ (src, msg) ];
+    Pool.push c.pool src msg;
     settle auto c ~at
   end
 
 let on_sent auto tag_of c ~at ~dst msg =
-  if c.finished then fail c ~at "sent a message after reaching a final state"
+  if c.finished then fail auto c ~at "sent a message after reaching a final state"
   else
-    match A.node auto c.state with
-    | Some (A.Output { to_; next; _ }) ->
+    match A.cnode auto c.state with
+    | A.C_output { to_; next; _ } ->
         if dst <> to_ then
-          fail c ~at
+          fail auto c ~at
             (Printf.sprintf "sent [%s] to %d, automaton sends to %d"
                (tag_of msg) dst to_)
         else begin
           c.state <- next;
           settle auto c ~at
         end
-    | Some (A.Input _) ->
-        fail c ~at
+    | A.C_input _ ->
+        fail auto c ~at
           (Printf.sprintf "sent [%s] to %d from an input (waiting) state"
              (tag_of msg) dst)
-    | Some (A.Final _) -> fail c ~at "sent from a final state"
-    | None -> fail c ~at "sent from an unknown state"
+    | A.C_final _ -> fail auto c ~at "sent from a final state"
+    | A.C_missing -> fail auto c ~at "sent from an unknown state"
 
 let split_label label =
   match String.rindex_opt label '#' with
@@ -92,35 +73,35 @@ let on_timer auto c ~at ~label =
   if not c.finished then
     match split_label label with
     | None ->
-        fail c ~at (Printf.sprintf "fired a non-automaton timer %S" label)
+        fail auto c ~at (Printf.sprintf "fired a non-automaton timer %S" label)
     | Some (state, idx) ->
-        if not (String.equal state c.state) then
-          fail c ~at
+        let current = A.state_name auto c.state in
+        if not (String.equal state current) then
+          fail auto c ~at
             (Printf.sprintf "timer %S fired but the automaton is in %s" label
-               c.state)
+               current)
         else (
-          match A.node auto c.state with
-          | Some (A.Input branches) -> (
-              match List.nth_opt branches idx with
-              | Some (b : ('msg, 'obs) A.branch) -> (
-                  match b.A.guard with
-                  | A.Deadline _ ->
-                      c.state <- b.A.next;
-                      settle auto c ~at
-                  | A.Receive _ ->
-                      fail c ~at
-                        (Printf.sprintf "timer %S names a receive branch" label))
-              | None ->
-                  fail c ~at (Printf.sprintf "timer %S names no branch" label))
+          match A.cnode auto c.state with
+          | A.C_input branches when idx >= 0 && idx < Array.length branches -> (
+              let b = branches.(idx) in
+              match b.A.cguard with
+              | A.C_deadline _ ->
+                  c.state <- b.A.c_next;
+                  settle auto c ~at
+              | A.C_receive _ ->
+                  fail auto c ~at
+                    (Printf.sprintf "timer %S names a receive branch" label))
+          | A.C_input _ ->
+              fail auto c ~at (Printf.sprintf "timer %S names no branch" label)
           | _ ->
-              fail c ~at
+              fail auto c ~at
                 (Printf.sprintf "timer %S fired outside an input state" label))
 
 let check auto ~pid ~tag_of trace =
   let c =
     {
-      state = A.initial auto;
-      pool = [];
+      state = A.initial_index auto;
+      pool = Pool.create ();
       finished = false;
       deviation = None;
     }
@@ -143,12 +124,12 @@ let check auto ~pid ~tag_of trace =
   | None -> (
       (* a run may legitimately end mid-protocol (the process is waiting),
          but never between an output state being entered and its send *)
-      match A.node auto c.state with
-      | Some (A.Output { to_; _ }) when not c.finished ->
+      match A.cnode auto c.state with
+      | A.C_output { to_; _ } when not c.finished ->
           Error
             {
               at = Sim.Trace.last_time trace;
-              state = c.state;
+              state = A.state_name auto c.state;
               reason =
                 Printf.sprintf "run ended with the send to %d still owed" to_;
             }

@@ -1,154 +1,133 @@
 open Sim
+module A = Automaton
 
 type ('msg, 'obs) running = {
-  auto : ('msg, 'obs) Automaton.t;
+  auto : ('msg, 'obs) A.t;
   sstore : 'msg Store.t;
-  mutable state : Automaton.state;
-  mutable node : ('msg, 'obs) Automaton.node option;
-      (* the current state's node, looked up once on entry *)
-  mutable rev_visited : Automaton.state list;
+  pool : 'msg Pool.t;
+  mutable state : int;
+  mutable visits : int array; (* visited state ints, first [nvisits] *)
+  mutable nvisits : int;
   mutable finished : bool;
-  mutable pending : (int * 'msg) list; (* oldest first *)
-  mutable labels : string array;
-      (* timer label "<state>#<i>" of each deadline branch [i] of the
-         current input state, built once on entry: disarming and matching
-         a fired timer then format nothing, and states a run never enters
-         cost nothing *)
 }
 
-let current_state r = r.state
-let visited r = List.rev r.rev_visited
+let current_state r = A.state_name r.auto r.state
+
+let visited r =
+  List.init r.nvisits (fun i -> A.state_name r.auto r.visits.(i))
+
 let terminated r = r.finished
 let store r = r.sstore
-let pending_count r = List.length r.pending
+let pending_count r = Pool.length r.pool
 
-let branches_of r =
-  match r.node with Some (Automaton.Input branches) -> branches | _ -> []
+let visit r st =
+  if r.nvisits = Array.length r.visits then begin
+    let visits = Array.make (2 * r.nvisits) 0 in
+    Array.blit r.visits 0 visits 0 r.nvisits;
+    r.visits <- visits
+  end;
+  r.visits.(r.nvisits) <- st;
+  r.nvisits <- r.nvisits + 1;
+  r.state <- st
 
-let disarm_deadlines ctx r =
-  List.iteri
-    (fun idx (b : ('msg, 'obs) Automaton.branch) ->
-      match b.guard with
-      | Automaton.Deadline _ -> Engine.cancel_timer ctx ~label:r.labels.(idx)
-      | Automaton.Receive _ -> ())
-    (branches_of r)
+let disarm_deadlines ctx branches =
+  for i = 0 to Array.length branches - 1 do
+    match branches.(i).A.cguard with
+    | A.C_deadline { label; _ } -> Engine.cancel_timer ctx ~label
+    | A.C_receive _ -> ()
+  done
 
-let take_branch ctx r (b : ('msg, 'obs) Automaton.branch) msg =
-  disarm_deadlines ctx r;
-  let now = Engine.local_now ctx in
-  List.iter (fun v -> Store.set_clock r.sstore v now) b.save_now;
-  (match (b.save_msg, msg) with
-  | Some var, Some m -> Store.set_data r.sstore var m
-  | Some var, None ->
-      invalid_arg
-        (Printf.sprintf "Anta.Executor: save_msg %s on a deadline branch" var)
-  | None, _ -> ());
-  b.b_act ctx r.sstore msg;
-  b.next
-
-(* Try to fire a receive branch against the pending pool. Branch order is the
-   priority; within one branch the pool is scanned oldest-first. *)
-let try_fire_receive r =
-  let rec find_in_pool from_ accept seen = function
-    | [] -> None
-    | ((src, m) as item) :: rest ->
-        if src = from_ && accept m then Some (m, List.rev_append seen rest)
-        else find_in_pool from_ accept (item :: seen) rest
-  in
-  let rec scan = function
-    | [] -> None
-    | (b : ('msg, 'obs) Automaton.branch) :: rest -> (
-        match b.guard with
-        | Automaton.Receive { from_; accept; _ } -> (
-            match find_in_pool from_ accept [] r.pending with
-            | Some (m, pool) -> Some (b, m, pool)
-            | None -> scan rest)
-        | Automaton.Deadline _ -> scan rest)
-  in
-  scan (branches_of r)
+let take_branch ctx r branches (b : ('msg, 'obs) A.cbranch) msg =
+  disarm_deadlines ctx branches;
+  let save_now = b.c_save_now in
+  if Array.length save_now > 0 then begin
+    let now = Engine.local_now ctx in
+    for i = 0 to Array.length save_now - 1 do
+      Store.set_clock_at r.sstore save_now.(i) now
+    done
+  end;
+  (if b.c_save_msg >= 0 then
+     match msg with
+     | Some m -> Store.set_data_at r.sstore b.c_save_msg m
+     | None ->
+         invalid_arg
+           (Printf.sprintf "Anta.Executor: save_msg %s on a deadline branch"
+              (A.data_names r.auto).(b.c_save_msg)));
+  b.c_act ctx r.sstore msg;
+  b.c_next
 
 let rec enter ctx on_final r st =
-  r.state <- st;
-  r.rev_visited <- st :: r.rev_visited;
-  r.node <- Automaton.node r.auto st;
-  match r.node with
-  | None ->
+  visit r st;
+  match A.cnode r.auto st with
+  | A.C_missing ->
       invalid_arg
         (Printf.sprintf "Anta.Executor: automaton %s reached unknown state %s"
-           (Automaton.name r.auto) st)
-  | Some (Automaton.Output { to_; message; o_act; next }) ->
+           (A.name r.auto) (A.state_name r.auto st))
+  | A.C_output { to_; message; o_act; next } ->
       o_act ctx r.sstore;
       Engine.send ctx ~dst:to_ (message ctx r.sstore);
       enter ctx on_final r next
-  | Some (Automaton.Final { f_act }) ->
+  | A.C_final { f_act } ->
       r.finished <- true;
       f_act ctx r.sstore;
       on_final ctx r.sstore;
       Engine.halt ctx
-  | Some (Automaton.Input branches) -> (
-      r.labels <- Array.make (List.length branches) "";
-      List.iteri
-        (fun idx (b : ('msg, 'obs) Automaton.branch) ->
-          match b.guard with
-          | Automaton.Deadline { base; offset } ->
-              let deadline = Sim_time.add (Store.clock r.sstore base) offset in
-              let label = st ^ "#" ^ string_of_int idx in
-              r.labels.(idx) <- label;
-              Engine.set_timer ctx ~deadline ~label
-          | Automaton.Receive _ -> ())
-        branches;
+  | A.C_input branches ->
+      for i = 0 to Array.length branches - 1 do
+        match branches.(i).A.cguard with
+        | A.C_deadline { base; offset; label } ->
+            let deadline = Sim_time.add (Store.clock_at r.sstore base) offset in
+            Engine.set_timer ctx ~deadline ~label
+        | A.C_receive _ -> ()
+      done;
       (* a message already in the pool may enable a transition right away *)
-      match try_fire_receive r with
-      | Some (b, m, pool) ->
-          r.pending <- pool;
-          let next = take_branch ctx r b (Some m) in
-          enter ctx on_final r next
-      | None -> ())
+      fire ctx on_final r branches
+
+and fire ctx on_final r branches =
+  let bi = A.match_receive branches r.pool in
+  if bi >= 0 then begin
+    let m = Pool.take_hit r.pool in
+    enter ctx on_final r (take_branch ctx r branches branches.(bi) (Some m))
+  end
+
+let rec fire_deadline ctx on_final r branches label i =
+  if i < Array.length branches then
+    match branches.(i).A.cguard with
+    | A.C_deadline { label = l; _ } when String.equal l label ->
+        enter ctx on_final r (take_branch ctx r branches branches.(i) None)
+    | A.C_deadline _ | A.C_receive _ ->
+        fire_deadline ctx on_final r branches label (i + 1)
 
 let handlers auto ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
   let r =
     {
       auto;
-      sstore = Store.create ();
-      state = Automaton.initial auto;
-      node = Automaton.node auto (Automaton.initial auto);
-      rev_visited = [];
+      sstore =
+        Store.of_vars ~clocks:(A.clock_names auto) ~datas:(A.data_names auto);
+      pool = Pool.create ();
+      state = A.initial_index auto;
+      visits = Array.make 8 0;
+      nvisits = 0;
       finished = false;
-      pending = [];
-      labels = [||];
     }
   in
   let on_start ctx =
     let now = Engine.local_now ctx in
     List.iter (fun v -> Store.set_clock r.sstore v now) init_clocks;
-    enter ctx on_final r (Automaton.initial auto)
+    enter ctx on_final r (A.initial_index auto)
   in
   let on_receive ctx ~src msg =
     if not r.finished then begin
-      r.pending <- r.pending @ [ (src, msg) ];
-      match r.node with
-      | Some (Automaton.Input _) -> (
-          match try_fire_receive r with
-          | Some (b, m, pool) ->
-              r.pending <- pool;
-              let next = take_branch ctx r b (Some m) in
-              enter ctx on_final r next
-          | None -> ())
-      | _ -> ()
+      Pool.push r.pool src msg;
+      match A.cnode r.auto r.state with
+      | A.C_input branches -> fire ctx on_final r branches
+      | A.C_output _ | A.C_final _ | A.C_missing -> ()
     end
   in
   let on_timer ctx ~label =
     if not r.finished then
-      let branches = branches_of r in
-      let rec find idx = function
-        | [] -> ()
-        | (b : ('msg, 'obs) Automaton.branch) :: rest -> (
-            match b.guard with
-            | Automaton.Deadline _ when String.equal label r.labels.(idx) ->
-                let next = take_branch ctx r b None in
-                enter ctx on_final r next
-            | Automaton.Deadline _ | Automaton.Receive _ -> find (idx + 1) rest)
-      in
-      find 0 branches
+      match A.cnode r.auto r.state with
+      | A.C_input branches -> fire_deadline ctx on_final r branches label 0
+      | A.C_output _ | A.C_final _ | A.C_missing -> ()
   in
   ({ Engine.on_start; on_receive; on_timer }, r)

@@ -1,0 +1,43 @@
+type 'msg t = {
+  mutable srcs : int array;
+  mutable msgs : 'msg array;
+  mutable len : int;
+  mutable hit : int;
+}
+
+let create () = { srcs = [||]; msgs = [||]; len = 0; hit = -1 }
+let length t = t.len
+
+let push t src m =
+  if t.len = Array.length t.srcs then begin
+    (* the first message doubles as the filler of the new slots *)
+    let cap = max 2 (2 * t.len) in
+    let srcs = Array.make cap 0 and msgs = Array.make cap m in
+    Array.blit t.srcs 0 srcs 0 t.len;
+    Array.blit t.msgs 0 msgs 0 t.len;
+    t.srcs <- srcs;
+    t.msgs <- msgs
+  end;
+  t.srcs.(t.len) <- src;
+  t.msgs.(t.len) <- m;
+  t.len <- t.len + 1
+
+let rec scan t from_ accept i =
+  if i >= t.len then false
+  else if t.srcs.(i) = from_ && accept t.msgs.(i) then begin
+    t.hit <- i;
+    true
+  end
+  else scan t from_ accept (i + 1)
+
+let find t ~from_ ~accept = scan t from_ accept 0
+
+let take_hit t =
+  let i = t.hit in
+  let m = t.msgs.(i) in
+  let last = t.len - 1 in
+  Array.blit t.srcs (i + 1) t.srcs i (last - i);
+  Array.blit t.msgs (i + 1) t.msgs i (last - i);
+  t.len <- last;
+  t.hit <- -1;
+  m

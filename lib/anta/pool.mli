@@ -1,0 +1,22 @@
+(** The pending pool of a running automaton: messages delivered to the
+    process but not yet consumed by a transition, oldest first.
+
+    The executor and the trace-conformance replay share this pool and
+    {!Automaton.match_receive}, so both fire receive transitions by one
+    rule. A push allocates only when the pool's arrays double; a match and
+    a take allocate nothing. *)
+
+type 'msg t
+
+val create : unit -> 'msg t
+val length : 'msg t -> int
+val push : 'msg t -> int -> 'msg -> unit
+(** [push t src m] appends [m], received from [src]. *)
+
+val find : 'msg t -> from_:int -> accept:('msg -> bool) -> bool
+(** Is there a message from [from_] that [accept] takes? The pool is
+    scanned oldest first; the first match is remembered for
+    {!take_hit}. *)
+
+val take_hit : 'msg t -> 'msg
+(** Remove and return the message the last successful {!find} matched. *)

@@ -1,28 +1,89 @@
+(* Slot arrays, one per variable kind. An automaton's executor starts the
+   store from the automaton's compiled variable tables ({!of_vars}) and
+   reaches its variables by slot; the by-name API resolves a name by a
+   linear scan of a table that is a handful of entries long, and a name
+   not in the table grows it (copy-on-extend, so the automaton's shared
+   tables are never written). *)
 type 'msg t = {
-  clocks : (string, Sim.Sim_time.t) Hashtbl.t;
-  datas : (string, 'msg) Hashtbl.t;
+  mutable cnames : string array;
+  mutable clocks : Sim.Sim_time.t array;
+  mutable cset : bool array;
+  mutable dnames : string array;
+  mutable datas : 'msg option array;
 }
 
+let of_vars ~clocks ~datas =
+  {
+    cnames = clocks;
+    clocks = Array.make (Array.length clocks) Sim.Sim_time.zero;
+    cset = Array.make (Array.length clocks) false;
+    dnames = datas;
+    datas = Array.make (Array.length datas) None;
+  }
 
-let create () = { clocks = Hashtbl.create 8; datas = Hashtbl.create 8 }
-let set_clock t name v = Hashtbl.replace t.clocks name v
+let create () = of_vars ~clocks:[||] ~datas:[||]
+
+let rec slot names name i =
+  if i >= Array.length names then -1
+  else if String.equal names.(i) name then i
+  else slot names name (i + 1)
+
+let append a x = Array.append a [| x |]
+
+let clock_slot t name =
+  let i = slot t.cnames name 0 in
+  if i >= 0 then i
+  else begin
+    t.cnames <- append t.cnames name;
+    t.clocks <- append t.clocks Sim.Sim_time.zero;
+    t.cset <- append t.cset false;
+    Array.length t.cnames - 1
+  end
+
+let data_slot t name =
+  let i = slot t.dnames name 0 in
+  if i >= 0 then i
+  else begin
+    t.dnames <- append t.dnames name;
+    t.datas <- append t.datas None;
+    Array.length t.dnames - 1
+  end
+
+let set_clock_at t i v =
+  t.clocks.(i) <- v;
+  t.cset.(i) <- true
+
+let clock_at t i =
+  if t.cset.(i) then t.clocks.(i)
+  else invalid_arg (Printf.sprintf "Anta.Store.clock: %s unset" t.cnames.(i))
+
+let set_data_at t i v = t.datas.(i) <- Some v
+let set_clock t name v = set_clock_at t (clock_slot t name) v
 
 let clock t name =
-  match Hashtbl.find_opt t.clocks name with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Anta.Store.clock: %s unset" name)
+  let i = slot t.cnames name 0 in
+  if i >= 0 && t.cset.(i) then t.clocks.(i)
+  else invalid_arg (Printf.sprintf "Anta.Store.clock: %s unset" name)
 
-let clock_opt t name = Hashtbl.find_opt t.clocks name
-let set_data t name v = Hashtbl.replace t.datas name v
+let clock_opt t name =
+  let i = slot t.cnames name 0 in
+  if i >= 0 && t.cset.(i) then Some t.clocks.(i) else None
+
+let set_data t name v = set_data_at t (data_slot t name) v
+
+let data_opt t name =
+  let i = slot t.dnames name 0 in
+  if i >= 0 then t.datas.(i) else None
 
 let data t name =
-  match Hashtbl.find_opt t.datas name with
+  match data_opt t name with
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Anta.Store.data: %s unset" name)
 
-let data_opt t name = Hashtbl.find_opt t.datas name
+let set_names names is_set =
+  let acc = ref [] in
+  Array.iteri (fun i n -> if is_set i then acc := n :: !acc) names;
+  List.sort compare !acc
 
-let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
-
-let clock_vars t = keys t.clocks
-let data_vars t = keys t.datas
+let clock_vars t = set_names t.cnames (fun i -> t.cset.(i))
+let data_vars t = set_names t.dnames (fun i -> Option.is_some t.datas.(i))

@@ -59,7 +59,8 @@ let make ~live (outcome : Runner.outcome) =
   in
   let well_formed =
     match outcome.Runner.protocol with
-    | Runner.Sync_timebound | Runner.Naive_universal -> Sync_protocol.check_all env
+    | Runner.Sync_timebound | Runner.Naive_universal ->
+        Sync_protocol.well_formed ~hops:n
     | Runner.Htlc | Runner.Weak _ | Runner.Atomic _ -> Ok ()
   in
   {

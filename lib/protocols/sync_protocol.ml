@@ -6,6 +6,15 @@ let is_money amount = function
   | Msg.Money { amount = a } -> a = amount
   | _ -> false
 
+(* Acts run only on a message their guard accepted, and every χ guard is
+   [Env.chi_ok]: [valid] records that verdict instead of checking the MAC
+   again. *)
+let cert_received_note self ctx msg =
+  match msg with
+  | Some (Msg.Chi _) ->
+      E.observe ctx (Obs.Cert_received { pid = self; kind = Obs.Chi; valid = true })
+  | Some _ | None -> ()
+
 (* e_i: issue G(d_i); take the deposit; issue P(a_i); then forward χ and pay
    downstream, or time out and refund. *)
 let escrow_automaton (env : Env.t) i =
@@ -28,13 +37,6 @@ let escrow_automaton (env : Env.t) i =
     | Error e ->
         E.observe ctx
           (Obs.Rejected { pid = self; what = Fmt.str "deposit: %a" Ledger.Book.pp_error e })
-  in
-  let accept_chi ctx _store msg =
-    (match msg with
-    | Some (Msg.Chi sv) ->
-        E.observe ctx
-          (Obs.Cert_received { pid = self; kind = Obs.Chi; valid = Env.chi_ok env sv })
-    | Some _ | None -> ())
   in
   let pay_down ctx _store =
     match !deposit with
@@ -66,7 +68,7 @@ let escrow_automaton (env : Env.t) i =
     E.observe ctx (Obs.Terminated { pid = self; outcome })
   in
   A.make
-    ~name:(Fmt.str "escrow%d" i)
+    ~name:("escrow" ^ string_of_int i)
     ~initial:"send_g"
     ~nodes:
       [
@@ -97,7 +99,9 @@ let escrow_automaton (env : Env.t) i =
               A.on_deadline ~base:"u" ~offset:a_i ~next:"refund" ();
               A.on_receive ~from_:cust_down ~describe:"χ"
                 ~accept:(function Msg.Chi sv -> Env.chi_ok env sv | _ -> false)
-                ~save_msg:"chi" ~act:accept_chi ~next:"fwd_chi" ();
+                ~save_msg:"chi"
+                ~act:(fun ctx _ m -> cert_received_note self ctx m)
+                ~next:"fwd_chi" ();
             ] );
         ( "fwd_chi",
           A.output ~to_:cust_up
@@ -115,13 +119,6 @@ let escrow_automaton (env : Env.t) i =
         ("done_refunded", A.final ~act:(terminated "refunded") ());
       ]
 
-let cert_received_note self env ctx msg =
-  match msg with
-  | Some (Msg.Chi sv) ->
-      E.observe ctx
-        (Obs.Cert_received { pid = self; kind = Obs.Chi; valid = Env.chi_ok env sv })
-  | Some _ | None -> ()
-
 (* Chloe_i, 0 < i < n. *)
 let connector_automaton (env : Env.t) i =
   let topo = env.topo in
@@ -136,7 +133,7 @@ let connector_automaton (env : Env.t) i =
     E.observe ctx (Obs.Terminated { pid = self; outcome })
   in
   A.make
-    ~name:(Fmt.str "chloe%d" i)
+    ~name:("chloe" ^ string_of_int i)
     ~initial:"await_g"
     ~nodes:
       [
@@ -171,7 +168,7 @@ let connector_automaton (env : Env.t) i =
               A.on_receive ~from_:e_down ~describe:"χ"
                 ~accept:(function Msg.Chi sv -> Env.chi_ok env sv | _ -> false)
                 ~save_msg:"chi"
-                ~act:(fun ctx _ m -> cert_received_note self env ctx m)
+                ~act:(fun ctx _ m -> cert_received_note self ctx m)
                 ~next:"fwd_chi" ();
             ] );
         ( "fwd_chi",
@@ -219,7 +216,7 @@ let alice_automaton (env : Env.t) =
                 ~next:"done_refunded" ();
               A.on_receive ~from_:e0 ~describe:"χ"
                 ~accept:(function Msg.Chi sv -> Env.chi_ok env sv | _ -> false)
-                ~act:(fun ctx _ m -> cert_received_note self env ctx m)
+                ~act:(fun ctx _ m -> cert_received_note self ctx m)
                 ~next:"done_certified" ();
             ] );
         ("done_refunded", A.final ~act:(terminated "refunded") ());
@@ -301,3 +298,30 @@ let check_all env =
             (Fmt.str "network wiring: %a"
                Fmt.(list ~sep:(any "; ") Anta.Network_check.pp_issue)
                issues))
+
+(* C's structural clause reads only the pid layout: deadline offsets (the
+   params) never reach [Automaton.check] or [Network_check], so one check
+   per path length serves every run. Domains racing on a missing entry
+   compute equal results; the CAS loop keeps whichever map lands. *)
+module Int_map = Map.Make (Int)
+
+let well_formed_memo : (unit, string) result Int_map.t Atomic.t =
+  Atomic.make Int_map.empty
+
+let well_formed ~hops =
+  match Int_map.find_opt hops (Atomic.get well_formed_memo) with
+  | Some r -> r
+  | None ->
+      let env =
+        Env.make ~topo:(Topology.create ~hops)
+          ~params:(Params.derive (Params.default_input ~hops))
+          ()
+      in
+      let r = check_all env in
+      let rec publish () =
+        let m = Atomic.get well_formed_memo in
+        if not (Atomic.compare_and_set well_formed_memo m (Int_map.add hops r m))
+        then publish ()
+      in
+      publish ();
+      r

@@ -45,3 +45,10 @@ val check_all : Env.t -> (unit, string) result
 (** Well-formedness (property C): every participant's automaton checks
     individually {e and} the network wiring carries the conversation
     ({!Anta.Network_check} finds no dangling sends or deaf receivers). *)
+
+val well_formed : hops:int -> (unit, string) result
+(** {!check_all} for the [hops]-escrow chain, computed once per [hops] per
+    process and shared by every run (runner, chaos, explore, load). The
+    automata's structure depends only on the pid layout, never on the
+    params, so this equals [check_all] on any env of that length. Safe to
+    call from several domains. *)

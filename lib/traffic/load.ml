@@ -101,6 +101,15 @@ let judged_as = function
   | Workload.Committee -> Runner.Weak committee_cfg
   | Workload.Atomic -> Runner.Atomic Atomic_protocol.default_config
 
+(* C's structural clause for an instance: the paper automata that sync and
+   naive instances run, checked once per path length *)
+let well_formed_for proto ~hops =
+  match proto with
+  | Workload.Sync | Workload.Naive -> Sync_protocol.well_formed ~hops
+  | Workload.Htlc | Workload.Weak_single | Workload.Shared
+  | Workload.Committee | Workload.Atomic ->
+      Ok ()
+
 let params_for (w : Workload.t) proto ~hops =
   let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
@@ -119,6 +128,15 @@ let is_liquidity_rejection what =
   let prefix = "deposit: account" in
   String.length what >= String.length prefix
   && String.sub what 0 (String.length prefix) = prefix
+
+(* [k] of a controller timer label "<kind>#<k>" whose digits start at
+   [from], read in place *)
+let label_index label from =
+  let k = ref 0 in
+  for i = from to String.length label - 1 do
+    k := (10 * !k) + Char.code label.[i] - Char.code '0'
+  done;
+  !k
 
 (* [audit] also fails on any negative balance. *)
 let book_ok b = Result.is_ok (Ledger.Book.audit b)
@@ -735,13 +753,14 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           | _ -> ());
       on_timer =
         (fun ctx ~label ->
-          match String.split_on_char '#' label with
-          | [ "arr"; k ] -> arrive ctx (int_of_string k)
-          | [ "pat"; k ] ->
-              let k = int_of_string k in
-              if pays.(k).admitted_at < 0 then close ctx k
-          | [ "stuck"; k ] -> close ctx (int_of_string k)
-          | _ -> ())
+          if String.starts_with ~prefix:"arr#" label then
+            arrive ctx (label_index label 4)
+          else if String.starts_with ~prefix:"pat#" label then begin
+            let k = label_index label 4 in
+            if pays.(k).admitted_at < 0 then close ctx k
+          end
+          else if String.starts_with ~prefix:"stuck#" label then
+            close ctx (label_index label 6))
     }
   in
   let cpid =
@@ -943,7 +962,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
               honest = (fun lp -> not (exposed lp));
               net = Fold.flow ins.i_facts;
               tm_trusted = true;
-              well_formed = Ok ();
+              well_formed = well_formed_for p.proto ~hops:h;
             }
           in
           List.iter

@@ -420,6 +420,421 @@ let executor_tests =
         ignore (E.add_process e handlers);
         ignore (E.run e);
         check Alcotest.bool "hook" true !called);
+    Alcotest.test_case "compilation keeps malformed automata reportable"
+      `Quick (fun () ->
+        (* an unknown target compiles to a state the executor refuses to
+           enter; check still names it, and the read API never lists it *)
+        let gone =
+          A.make ~name:"bad" ~initial:"s"
+            ~nodes:
+              [
+                ("s", A.input [ receive_any ~from_:1 ~next:"gone" ]);
+                ("t", A.final ());
+              ]
+        in
+        check Alcotest.bool "unknown target" true
+          (match errs_of gone with
+          | [ A.Unknown_target { from_ = "s"; target = "gone" } ] -> true
+          | _ -> false);
+        check Alcotest.(list string) "states" [ "s"; "t" ] (A.states gone);
+        check Alcotest.bool "no node" true (A.node gone "gone" = None);
+        Alcotest.check_raises "executor"
+          (Invalid_argument
+             "Anta.Executor: automaton bad reached unknown state gone")
+          (fun () -> ignore (run_pair gone (send_at_start [ 1 ])));
+        let unassigned =
+          A.make ~name:"bad" ~initial:"s"
+            ~nodes:
+              [
+                ( "s",
+                  A.input
+                    [
+                      A.on_receive ~from_:0 ~accept:(fun _ -> true)
+                        ~save_now:[ "u" ] ~next:"w" ();
+                      A.on_deadline ~base:"v" ~offset:1 ~next:"w" ();
+                    ] );
+                ("w", A.input [ A.on_deadline ~base:"u" ~offset:5 ~next:"t" () ]);
+                ("t", A.final ());
+              ]
+        in
+        check Alcotest.bool "unassigned clocks" true
+          (match errs_of unassigned with
+          | [
+           A.Unassigned_clock { at = "s"; var = "v" };
+           A.Unassigned_clock { at = "w"; var = "u" };
+          ] ->
+              true
+          | _ -> false));
+  ]
+
+(* ------------------ differential: compiled vs reference ------------------ *)
+
+(* The executor as it ran before automata were compiled: node lookup by
+   state name, branch lists, a store addressed by name, and a list pool.
+   Kept here only as the oracle for the compiled executor. *)
+module Reference = struct
+  type ('msg, 'obs) running = {
+    auto : ('msg, 'obs) A.t;
+    sstore : 'msg Store.t;
+    mutable state : A.state;
+    mutable node : ('msg, 'obs) A.node option;
+    mutable rev_visited : A.state list;
+    mutable finished : bool;
+    mutable pending : (int * 'msg) list;
+    mutable labels : string array;
+  }
+
+  let branches_of r =
+    match r.node with Some (A.Input branches) -> branches | _ -> []
+
+  let disarm_deadlines ctx r =
+    List.iteri
+      (fun idx (b : ('msg, 'obs) A.branch) ->
+        match b.guard with
+        | A.Deadline _ -> E.cancel_timer ctx ~label:r.labels.(idx)
+        | A.Receive _ -> ())
+      (branches_of r)
+
+  let take_branch ctx r (b : ('msg, 'obs) A.branch) msg =
+    disarm_deadlines ctx r;
+    let now = E.local_now ctx in
+    List.iter (fun v -> Store.set_clock r.sstore v now) b.save_now;
+    (match (b.save_msg, msg) with
+    | Some var, Some m -> Store.set_data r.sstore var m
+    | Some var, None -> invalid_arg ("save_msg on a deadline branch: " ^ var)
+    | None, _ -> ());
+    b.b_act ctx r.sstore msg;
+    b.next
+
+  let try_fire_receive r =
+    let rec find_in_pool from_ accept seen = function
+      | [] -> None
+      | ((src, m) as item) :: rest ->
+          if src = from_ && accept m then Some (m, List.rev_append seen rest)
+          else find_in_pool from_ accept (item :: seen) rest
+    in
+    let rec scan = function
+      | [] -> None
+      | (b : ('msg, 'obs) A.branch) :: rest -> (
+          match b.guard with
+          | A.Receive { from_; accept; _ } -> (
+              match find_in_pool from_ accept [] r.pending with
+              | Some (m, pool) -> Some (b, m, pool)
+              | None -> scan rest)
+          | A.Deadline _ -> scan rest)
+    in
+    scan (branches_of r)
+
+  let rec enter ctx r st =
+    r.state <- st;
+    r.rev_visited <- st :: r.rev_visited;
+    r.node <- A.node r.auto st;
+    match r.node with
+    | None -> invalid_arg ("unknown state " ^ st)
+    | Some (A.Output { to_; message; o_act; next }) ->
+        o_act ctx r.sstore;
+        E.send ctx ~dst:to_ (message ctx r.sstore);
+        enter ctx r next
+    | Some (A.Final { f_act }) ->
+        r.finished <- true;
+        f_act ctx r.sstore;
+        E.halt ctx
+    | Some (A.Input branches) -> (
+        r.labels <- Array.make (List.length branches) "";
+        List.iteri
+          (fun idx (b : ('msg, 'obs) A.branch) ->
+            match b.guard with
+            | A.Deadline { base; offset } ->
+                let deadline =
+                  Sim.Sim_time.add (Store.clock r.sstore base) offset
+                in
+                let label = st ^ "#" ^ string_of_int idx in
+                r.labels.(idx) <- label;
+                E.set_timer ctx ~deadline ~label
+            | A.Receive _ -> ())
+          branches;
+        match try_fire_receive r with
+        | Some (b, m, pool) ->
+            r.pending <- pool;
+            enter ctx r (take_branch ctx r b (Some m))
+        | None -> ())
+
+  let handlers auto ~init_clocks =
+    let r =
+      {
+        auto;
+        sstore = Store.create ();
+        state = A.initial auto;
+        node = A.node auto (A.initial auto);
+        rev_visited = [];
+        finished = false;
+        pending = [];
+        labels = [||];
+      }
+    in
+    let on_start ctx =
+      let now = E.local_now ctx in
+      List.iter (fun v -> Store.set_clock r.sstore v now) init_clocks;
+      enter ctx r (A.initial auto)
+    in
+    let on_receive ctx ~src msg =
+      if not r.finished then begin
+        r.pending <- r.pending @ [ (src, msg) ];
+        match r.node with
+        | Some (A.Input _) -> (
+            match try_fire_receive r with
+            | Some (b, m, pool) ->
+                r.pending <- pool;
+                enter ctx r (take_branch ctx r b (Some m))
+            | None -> ())
+        | _ -> ()
+      end
+    in
+    let on_timer ctx ~label =
+      if not r.finished then
+        let rec find idx = function
+          | [] -> ()
+          | (b : ('msg, 'obs) A.branch) :: rest -> (
+              match b.guard with
+              | A.Deadline _ when String.equal label r.labels.(idx) ->
+                  enter ctx r (take_branch ctx r b None)
+              | A.Deadline _ | A.Receive _ -> find (idx + 1) rest)
+        in
+        find 0 (branches_of r)
+    in
+    ({ E.on_start; on_receive; on_timer }, r)
+end
+
+(* A random automaton, as data. Messages are ints and every output goes to
+   the driver (pid 1). Outputs only point forward, so no output cycle can
+   spin without an event; deadline bases are the init clocks x and y. *)
+type gbranch = {
+  g_recv : (int * int) option;  (** accept [m mod k = r] *)
+  g_deadline : (string * int) option;  (** base, offset *)
+  g_now : string list;
+  g_msg : string option;
+  g_act : bool;  (** the act also writes clock "act" by name *)
+  g_next : int;
+}
+
+type gnode = G_out of int | G_in of gbranch list | G_final
+
+let gen_spec =
+  let open QCheck.Gen in
+  int_range 2 8 >>= fun n ->
+  let gen_branch =
+    int_bound (n - 1) >>= fun g_next ->
+    oneofl [ []; [ "x" ]; [ "y" ]; [ "z" ]; [ "x"; "z" ] ] >>= fun g_now ->
+    bool >>= fun g_act ->
+    bool >>= fun recv ->
+    if recv then
+      int_range 1 3 >>= fun k ->
+      int_bound (k - 1) >>= fun r ->
+      oneofl [ None; Some "m"; Some "n" ] >>= fun g_msg ->
+      return
+        { g_recv = Some (k, r); g_deadline = None; g_now; g_msg; g_act; g_next }
+    else
+      oneofl [ "x"; "y" ] >>= fun base ->
+      int_bound 150 >>= fun off ->
+      return
+        {
+          g_recv = None;
+          g_deadline = Some (base, off);
+          g_now;
+          g_msg = None;
+          g_act;
+          g_next;
+        }
+  in
+  let gen_node i =
+    let input = (4, list_size (int_range 1 3) gen_branch >|= fun bs -> G_in bs) in
+    let final = (1, return G_final) in
+    if i < n - 1 then
+      frequency
+        [ (2, int_range (i + 1) (n - 1) >|= fun j -> G_out j); input; final ]
+    else frequency [ input; final ]
+  in
+  let rec nodes i = if i = n then return [] else
+    gen_node i >>= fun g -> nodes (i + 1) >|= fun rest -> g :: rest
+  in
+  nodes 0 >>= fun spec ->
+  list_size (int_bound 12) (pair (int_bound 300) (int_bound 20))
+  >|= fun sched -> (spec, sched)
+
+let print_spec (spec, sched) =
+  let branch b =
+    Printf.sprintf "%s%s now=[%s]%s%s -> s%d"
+      (match b.g_recv with
+      | Some (k, r) -> Printf.sprintf "r(m mod %d = %d)" k r
+      | None -> "")
+      (match b.g_deadline with
+      | Some (base, off) -> Printf.sprintf "now >= %s + %d" base off
+      | None -> "")
+      (String.concat ";" b.g_now)
+      (match b.g_msg with Some v -> " save " ^ v | None -> "")
+      (if b.g_act then " act" else "")
+      b.g_next
+  in
+  String.concat "\n"
+    (List.mapi
+       (fun i g ->
+         Printf.sprintf "s%d: %s" i
+           (match g with
+           | G_out j -> Printf.sprintf "output -> s%d" j
+           | G_in bs -> "input " ^ String.concat " | " (List.map branch bs)
+           | G_final -> "final"))
+       spec)
+  ^ "\nschedule: "
+  ^ String.concat " " (List.map (fun (t, m) -> Printf.sprintf "%d@%d" m t) sched)
+
+let build_auto spec log =
+  let name i = "s" ^ string_of_int i in
+  let note s = log := s :: !log in
+  let message i _ store =
+    (100 * i)
+    + Option.value ~default:0 (Store.data_opt store "m")
+    + Option.value ~default:0 (Store.clock_opt store "z")
+  in
+  let branch i bi b =
+    let act ctx store m =
+      note
+        (Printf.sprintf "%s#%d %s" (name i) bi
+           (match m with Some v -> string_of_int v | None -> "-"));
+      if b.g_act then Store.set_clock store "act" (E.local_now ctx)
+    in
+    match (b.g_recv, b.g_deadline) with
+    | Some (k, r), _ ->
+        A.on_receive ~from_:1 ~accept:(fun m -> m mod k = r) ?save_msg:b.g_msg
+          ~save_now:b.g_now ~act ~next:(name b.g_next) ()
+    | None, Some (base, offset) ->
+        A.on_deadline ~base ~offset ~save_now:b.g_now ~act
+          ~next:(name b.g_next) ()
+    | None, None -> assert false
+  in
+  A.make ~name:"random" ~initial:(name 0)
+    ~nodes:
+      (List.mapi
+         (fun i g ->
+           ( name i,
+             match g with
+             | G_out j ->
+                 A.output ~to_:1
+                   ~act:(fun _ _ -> note ("out " ^ name i))
+                   ~message:(message i) ~next:(name j) ()
+             | G_in bs -> A.input (List.mapi (branch i) bs)
+             | G_final -> A.final ~act:(fun _ _ -> note ("final " ^ name i)) ()
+           ))
+         spec)
+
+(* Everything an executor makes observable: the engine trace (sends, timer
+   sets and fires, halts, in order), the stale-fire count (a missed or
+   extra cancel changes it or adds a live fire), the acts' log, the
+   visited states and the final store. *)
+let observe_run spec sched run =
+  let log = ref [] in
+  let auto = build_auto spec log in
+  let metrics = Obsv.Metrics.create () in
+  let e =
+    E.create ~tag_of:string_of_int ~metrics
+      ~network:
+        (Sim.Network.create
+           (Sim.Network.Synchronous { delta = 10 })
+           (Sim.Rng.create ~seed:3))
+      ~seed:1 ()
+  in
+  let handlers, inspect = run auto in
+  ignore (E.add_process e handlers);
+  ignore
+    (E.add_process e
+       {
+         E.on_start =
+           (fun ctx ->
+             List.iteri
+               (fun i (t, _) ->
+                 E.set_timer ctx ~deadline:t ~label:(string_of_int i))
+               sched);
+         on_receive = (fun _ ~src:_ _ -> ());
+         on_timer =
+           (fun ctx ~label ->
+             E.send ctx ~dst:0 (snd (List.nth sched (int_of_string label))));
+       });
+  let status = E.run ~max_events:2_000 e in
+  let entry = function
+    | Sim.Trace.Sent { t; src; dst; msg; _ } ->
+        Printf.sprintf "%d sent %d->%d %d" t src dst msg
+    | Sim.Trace.Delivered { t; src; dst; msg; _ } ->
+        Printf.sprintf "%d delivered %d->%d %d" t src dst msg
+    | Sim.Trace.Timer_set { t; owner; label; local_deadline; _ } ->
+        Printf.sprintf "%d set %d %s @%d" t owner label local_deadline
+    | Sim.Trace.Timer_fired { t; owner; label } ->
+        Printf.sprintf "%d fired %d %s" t owner label
+    | Sim.Trace.Halted { t; pid } -> Printf.sprintf "%d halted %d" t pid
+    | _ -> "other"
+  in
+  let visited, state, finished, pending, store = inspect () in
+  String.concat "\n"
+    ([
+       Printf.sprintf "status %s"
+         (match status with
+         | E.Quiescent -> "quiescent"
+         | E.Event_limit -> "event-limit"
+         | E.Horizon_reached -> "horizon"
+         | E.Violation_stop -> "violation");
+       "visited " ^ String.concat " " visited;
+       Printf.sprintf "state %s finished %b pending %d" state finished pending;
+       Printf.sprintf "stale %d"
+         (Obsv.Metrics.counter_value
+            (Obsv.Metrics.counter metrics "xchain_timers_stale_total"));
+       "clocks "
+       ^ String.concat " "
+           (List.map
+              (fun v -> Printf.sprintf "%s=%d" v (Store.clock store v))
+              (Store.clock_vars store));
+       "datas "
+       ^ String.concat " "
+           (List.map
+              (fun v -> Printf.sprintf "%s=%d" v (Store.data store v))
+              (Store.data_vars store));
+     ]
+    @ List.rev !log
+    @ List.map entry (Sim.Trace.to_list (E.trace e)))
+
+let init_clocks = [ "x"; "y" ]
+
+let compiled_run auto =
+  let handlers, r = Executor.handlers auto ~init_clocks () in
+  ( handlers,
+    fun () ->
+      ( Executor.visited r,
+        Executor.current_state r,
+        Executor.terminated r,
+        Executor.pending_count r,
+        Executor.store r ) )
+
+let reference_run auto =
+  let handlers, (r : (int, unit) Reference.running) =
+    Reference.handlers auto ~init_clocks
+  in
+  ( handlers,
+    fun () ->
+      ( List.rev r.rev_visited,
+        r.state,
+        r.finished,
+        List.length r.pending,
+        r.sstore ) )
+
+let differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"compiled executor matches the reference interpreter"
+         (QCheck.make ~print:print_spec gen_spec)
+         (fun (spec, sched) ->
+           let got = observe_run spec sched compiled_run in
+           let want = observe_run spec sched reference_run in
+           if got <> want then
+             QCheck.Test.fail_reportf "compiled:\n%s\nreference:\n%s" got want
+           else true));
   ]
 
 (* ---------------------- trace conformance ----------------------------- *)
@@ -651,7 +1066,7 @@ let () =
       ("store", store_tests);
       ("construction", construction_tests);
       ("check", check_tests);
-      ("executor", executor_tests);
+      ("executor", executor_tests @ differential_tests);
       ("conformance", conformance_tests);
       ("network", network_tests);
     ]

@@ -280,6 +280,83 @@ let sync_tests =
             (Runner.observations o)
         in
         check Alcotest.bool "no valid chi" false accepted_forgery);
+    Alcotest.test_case "the memoised structural check equals a fresh one"
+      `Quick (fun () ->
+        List.iter
+          (fun hops ->
+            List.iter
+              (fun drift_ppm ->
+                let topo = Topology.create ~hops in
+                let params =
+                  Params.derive { (Params.default_input ~hops) with drift_ppm }
+                in
+                let fresh = Sync_protocol.check_all (Env.make ~topo ~params ()) in
+                check
+                  Alcotest.(result unit string)
+                  (Printf.sprintf "hops %d drift %d" hops drift_ppm)
+                  fresh
+                  (Sync_protocol.well_formed ~hops))
+              [ (Params.default_input ~hops).Params.drift_ppm; 0 ])
+          [ 1; 2; 3; 4; 5; 6 ]);
+    Alcotest.test_case "a forged chi fails every guard and reaches no act"
+      `Quick (fun () ->
+        (* guard level: no receive transition of any participant takes it,
+           while a genuine chi is taken (so the guards do inspect it) *)
+        List.iter
+          (fun hops ->
+            let env = mk_env ~hops () in
+            let topo = env.Env.topo in
+            let forged =
+              Msg.Chi
+                (Xcrypto.Auth.forge_value ~author:(Topology.bob topo)
+                   { Msg.x_payment = env.Env.payment; x_bob = Topology.bob topo })
+            in
+            let genuine = Msg.Chi (Env.make_chi env) in
+            let takes = ref 0 in
+            List.iter
+              (fun pid ->
+                let auto = Sync_protocol.automaton_for env pid in
+                List.iter
+                  (fun st ->
+                    match Anta.Automaton.node auto st with
+                    | Some (Anta.Automaton.Input branches) ->
+                        List.iter
+                          (fun (b : (Msg.t, Obs.t) Anta.Automaton.branch) ->
+                            match b.guard with
+                            | Anta.Automaton.Receive { accept; _ } ->
+                                check Alcotest.bool
+                                  (Printf.sprintf "pid %d state %s" pid st)
+                                  false (accept forged);
+                                if accept genuine then incr takes
+                            | Anta.Automaton.Deadline _ -> ())
+                          branches
+                    | _ -> ())
+                  (Anta.Automaton.states auto))
+              (Topology.customers topo @ Topology.escrows topo);
+            (* every escrow, every connector and Alice take a genuine chi *)
+            check Alcotest.int "genuine chi guards" (2 * hops) !takes)
+          [ 1; 2; 3 ];
+        (* run level: the forgery sent to e1 is never acted on, so nothing
+           upstream of it records a received chi *)
+        let topo = Topology.create ~hops:3 in
+        let o =
+          run_sync
+            ~faults:[ (Topology.customer topo 2, Byzantine.Forge_chi_connector) ]
+            ()
+        in
+        let upstream =
+          [ Topology.escrow topo 1; Topology.customer topo 1; Topology.escrow topo 0;
+            Topology.alice topo ]
+        in
+        List.iter
+          (fun (pid, _, ob) ->
+            match ob with
+            | Obs.Cert_received { kind = Obs.Chi; _ } ->
+                check Alcotest.bool
+                  (Printf.sprintf "pid %d received a chi" pid)
+                  false (List.mem pid upstream)
+            | _ -> ())
+          (Runner.observations o));
   ]
 
 (* -------------------------------- htlc --------------------------------- *)
