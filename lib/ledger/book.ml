@@ -18,7 +18,8 @@ type t = {
   currency : string;
   balances : (int, int) Hashtbl.t;
   deposits : (deposit_id, deposit_rec) Hashtbl.t;
-      (** never shrinks, so its size is the next deposit id *)
+      (** issued deposits, less the resolved ones a caller forgot *)
+  mutable next_id : deposit_id;
   mutable pool : int;  (** sum of [Held] deposit amounts *)
   mutable ops : int;  (** successful operations so far *)
   mutable initial_supply : int;
@@ -29,6 +30,7 @@ let create ~currency =
     currency;
     balances = Hashtbl.create 8;
     deposits = Hashtbl.create 8;
+    next_id = 0;
     pool = 0;
     ops = 0;
     initial_supply = 0;
@@ -86,7 +88,8 @@ let deposit t ~from_ ~amount =
   match debit t from_ amount with
   | Error e -> Error e
   | Ok () ->
-      let id = Hashtbl.length t.deposits in
+      let id = t.next_id in
+      t.next_id <- id + 1;
       Hashtbl.add t.deposits id { depositor = from_; amount; status = Held };
       t.pool <- t.pool + amount;
       t.ops <- t.ops + 1;
@@ -128,6 +131,11 @@ let refund t id =
       | Ok d ->
           settle t d Refunded;
           Ok ())
+
+let forget t id =
+  match Hashtbl.find_opt t.deposits id with
+  | Some { status = Released _ | Refunded; _ } -> Hashtbl.remove t.deposits id
+  | Some { status = Held; _ } | None -> ()
 
 let deposit_status t id =
   Option.map (fun d -> d.status) (Hashtbl.find_opt t.deposits id)

@@ -54,6 +54,13 @@ val release : t -> deposit_id -> to_:int -> (unit, error) result
 val refund : t -> deposit_id -> (unit, error) result
 (** Return a held deposit to its depositor. *)
 
+val forget : t -> deposit_id -> unit
+(** Drops the record of a released or refunded deposit, so a long-lived
+    book holds only deposits someone may still act on. Its id is never
+    issued again, and {!deposit_status}, {!release} and {!refund} then
+    answer as for an unknown deposit. Held and unknown deposits are left
+    alone. Balances, the pool and the journal are unchanged. *)
+
 val deposit_status : t -> deposit_id -> deposit_status option
 val deposit_amount : t -> deposit_id -> int option
 val pool_total : t -> int

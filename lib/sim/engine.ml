@@ -1,29 +1,47 @@
-type 'msg event =
+(* Pid-keyed process table. Pids are small non-negative ints handed out
+   in blocks, so the identity spreads them over the buckets. *)
+module Pids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
+type ('msg, 'obs) event =
   | Deliver of {
       src : int;
-      dst : int;
+      dst : ('msg, 'obs) proc;
       msg : 'msg;
       sent_at : Sim_time.t;
       cause : int; (* causal node id of the send, -1 when tracing is off *)
     }
   | Fire of {
-      owner : int;
+      owner : ('msg, 'obs) proc;
       label : string;
       epoch : int;
       cause : int; (* causal node id of the arming timer_set *)
       deferred : bool; (* re-pushed to the owner's recovery by an outage *)
     }
-  | Crash of { pid : int; recover_at : Sim_time.t option }
-  | Recover of { pid : int }
+  | Tick of { series : ('msg, 'obs) series; k : int; deferred : bool }
+      (* the [k]-th timer of a series; only the next one is ever queued *)
+  | Crash of { pid : int; recover_at : Sim_time.t option; label : string }
+  | Recover of { pid : int; label : string }
+      (* [label]: the profiler role charged while [pid] has no record *)
 
-type ('msg, 'obs) handlers = {
+and ('msg, 'obs) handlers = {
   on_start : ('msg, 'obs) ctx -> unit;
   on_receive : ('msg, 'obs) ctx -> src:int -> 'msg -> unit;
   on_timer : ('msg, 'obs) ctx -> label:string -> unit;
 }
 
+(* A process record is also its handlers' context: every ctx operation
+   reads the record it is given, with no pid lookup. *)
 and ('msg, 'obs) proc = {
-  handlers : ('msg, 'obs) handlers;
+  engine : ('msg, 'obs) t;
+  self : int;
+  mutable handlers : ('msg, 'obs) handlers;
+      (* [silent] once retired: events still queued for a retired pid
+         must not keep its handlers' state reachable *)
   mutable clock : Clock.t;
   base : int;
       (* pid-translation offset: [send ~dst] resolves to [base + dst] and
@@ -33,18 +51,40 @@ and ('msg, 'obs) proc = {
   proc_rng : Rng.t;
   armed : (string, int) Hashtbl.t;
       (* the epoch of each armed label; a Fire is live only while its
-         label is armed at its epoch. A label leaves on cancel and on a
-         live fire, so the table holds what is armed now, not every label
-         the process ever used. *)
+         label is armed at its epoch. A label leaves on cancel and when its
+         Fire is consumed, so every entry has exactly one queued Fire. *)
   mutable halted : bool;
+  host : host;
+  prof_label : int; (* interned Prof label id, -1 when profiling is off *)
+  mutable inbox : int; (* queued deliveries to this pid *)
+  mutable queued : int; (* queued deliveries, firings and series ticks *)
+  mutable ticking : int; (* series timers armed but not yet consumed *)
+  mutable retired : bool; (* no handler may run again *)
+}
+
+and ('msg, 'obs) ctx = ('msg, 'obs) proc
+
+(* A timer series: many timers armed at once, materialised in the queue
+   one at a time under the sequence numbers they were armed with. *)
+and ('msg, 'obs) series = {
+  s_owner : ('msg, 'obs) proc;
+  s_label : int -> string;
+  mutable s_rest : Sim_time.t Seq.t; (* deadlines of the unqueued members *)
+  s_clock : Clock.t;
+  s_floor : Sim_time.t; (* arming time: no member fires earlier *)
+  s_seq0 : int;
+  s_causes : int array; (* members' timer_set nodes; [||] untraced *)
+}
+
+(* A pid's crash state and causal program order: part of its process
+   record, and all the engine keeps of a pid without one (not born yet,
+   or retired and dropped), which only crashes and recoveries reach. *)
+and host = {
   mutable down : bool; (* crashed by fault injection, may recover *)
   mutable up_at : Sim_time.t option; (* scheduled reboot while down *)
   mutable last_node : int; (* this pid's latest causal node (program order) *)
   mutable crash_node : int;
   mutable recover_node : int; (* outage edges: crash → recover → deferred *)
-  prof_label : int; (* interned Prof label id, -1 when profiling is off *)
-  self_ctx : ('msg, 'obs) ctx;
-      (* this pid's handler context, built once rather than per dispatch *)
 }
 
 (* Handles resolved once at [create]: the per-event updates below are plain
@@ -74,10 +114,16 @@ and ('msg, 'obs) t = {
   mangle : ('msg -> Rng.t -> 'msg option) option;
   network : Network.t;
   sigma : Sim_time.t;
-  root_rng : Rng.t;
-  queue : 'msg event Event_queue.t;
-  mutable procs : ('msg, 'obs) proc array;
-  mutable nprocs : int;
+  root_rng : Rng.t; (* pid [k]'s stream is [Rng.split_nth root_rng k] *)
+  queue : ('msg, 'obs) event Event_queue.t;
+  procs : ('msg, 'obs) proc Pids.t;
+      (* born processes, until retired and nothing is queued for them *)
+  ghosts : host Pids.t; (* crash state of pids without a record *)
+  mutable added : int; (* processes registered over the lifetime *)
+  mutable next_pid : int; (* one past the highest pid registered *)
+  mutable pid_space : int; (* crashes may target pids below this *)
+  mutable unstarted : ('msg, 'obs) proc list; (* added before [run] *)
+  mutable unqueued_ticks : int; (* series timers not yet in the queue *)
   tr : ('msg, 'obs) Trace.t;
   mutable clock_now : Sim_time.t;
   mutable started : bool;
@@ -94,8 +140,6 @@ and ('msg, 'obs) t = {
   mutable cur_trace : int;
   mutable events : int; (* events dequeued over this engine's lifetime *)
 }
-
-and ('msg, 'obs) ctx = { engine : ('msg, 'obs) t; self : int }
 
 let silent =
   {
@@ -155,8 +199,13 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     sigma;
     root_rng = Rng.create ~seed;
     queue = Event_queue.create ();
-    procs = [||];
-    nprocs = 0;
+    procs = Pids.create 16;
+    ghosts = Pids.create 1;
+    added = 0;
+    next_pid = 0;
+    pid_space = 0;
+    unstarted = [];
+    unqueued_ticks = 0;
     tr = Trace.create ?capacity:trace_capacity ();
     clock_now = Sim_time.zero;
     started = false;
@@ -170,52 +219,97 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     events = 0;
   }
 
-let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label handlers =
-  if t.started then invalid_arg "Engine.add_process: engine already running";
+let fresh_host () =
+  { down = false; up_at = None; last_node = -1; crash_node = -1;
+    recover_node = -1 }
+
+let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
   if base < 0 then invalid_arg "Engine.add_process: negative base";
+  let pid = match pid with Some p -> p | None -> t.next_pid in
+  if pid < 0 then invalid_arg "Engine.add_process: negative pid";
+  if Pids.mem t.procs pid then invalid_arg "Engine.add_process: pid in use";
   let prof_label =
     match t.prof with
     | None -> -1
     | Some p ->
         Obsv.Prof.intern p (match label with Some l -> l | None -> "proc")
   in
-  let pid = t.nprocs in
-  let proc =
+  (* a pid crashed before its birth is born down *)
+  let host =
+    if Pids.length t.ghosts = 0 then fresh_host ()
+    else
+      match Pids.find t.ghosts pid with
+      | h ->
+          Pids.remove t.ghosts pid;
+          h
+      | exception Not_found -> fresh_host ()
+  in
+  let p =
     {
+      engine = t;
+      self = pid;
       handlers;
       clock;
       base;
-      proc_rng = Rng.split t.root_rng;
+      proc_rng = Rng.split_nth t.root_rng pid;
       armed = Hashtbl.create 4;
       halted = false;
-      down = false;
-      up_at = None;
-      last_node = -1;
-      crash_node = -1;
-      recover_node = -1;
+      host;
       prof_label;
-      self_ctx = { engine = t; self = pid };
+      inbox = 0;
+      queued = 0;
+      ticking = 0;
+      retired = false;
     }
   in
-  let cap = Array.length t.procs in
-  if t.nprocs >= cap then begin
-    let np = Array.make (Stdlib.max 8 (2 * cap)) proc in
-    Array.blit t.procs 0 np 0 t.nprocs;
-    t.procs <- np
-  end;
-  t.procs.(pid) <- proc;
-  t.nprocs <- pid + 1;
+  Pids.replace t.procs pid p;
+  t.added <- t.added + 1;
+  if pid >= t.next_pid then t.next_pid <- pid + 1;
+  if pid >= t.pid_space then t.pid_space <- pid + 1;
+  if t.started then handlers.on_start p else t.unstarted <- p :: t.unstarted;
   pid
 
-let process_count t = t.nprocs
-let proc t pid = t.procs.(pid)
+let reserve_pids t n = if n > t.pid_space then t.pid_space <- n
+let process_count t = t.added
+
+let proc t pid =
+  match Pids.find t.procs pid with
+  | p -> p
+  | exception Not_found -> invalid_arg "Engine: no process at this pid"
+
 let trace t = t.tr
 let now t = t.clock_now
 let clock_of t pid = (proc t pid).clock
 let is_halted t pid = (proc t pid).halted
-let is_down t pid = (proc t pid).down
+
+(* the crash state of [pid], whether or not it has a record *)
+let host_of t pid =
+  match Pids.find t.procs pid with
+  | p -> Some p.host
+  | exception Not_found -> Pids.find_opt t.ghosts pid
+
+let is_down t pid =
+  match host_of t pid with Some h -> h.down | None -> false
 
 let set_clock t ~pid clock = (proc t pid).clock <- clock
+
+(* A retired record goes once nothing queued refers to it. Causal tracing
+   keeps it: the pid's program order is part of the DAG anyway. *)
+let drop_if_spent t p =
+  if p.retired && p.queued = 0 && Option.is_none t.causal then begin
+    Pids.remove t.procs p.self;
+    if p.host.down then Pids.replace t.ghosts p.self p.host
+  end
+
+let retire t pid =
+  let p = proc t pid in
+  p.retired <- true;
+  p.handlers <- silent;
+  drop_if_spent t p
+
+let quiet t pid =
+  let p = proc t pid in
+  p.halted || (p.inbox = 0 && p.ticking = 0 && Hashtbl.length p.armed = 0)
 
 (* --- causal recording (every call is a no-op when [causal] is absent) --- *)
 
@@ -223,49 +317,55 @@ let causal t = t.causal
 let prof t = t.prof
 let current_node t = t.cur_node
 
-(* Append a node for [pid] and chain it into the pid's program order. All
-   other edges are the caller's business. *)
-let causal_record t ~kind ~pid ~trace ~label =
+(* Append a node for [pid], chained into the pid's program order after
+   [prev]. All other edges are the caller's business. *)
+let causal_node c t ~kind ~pid ~prev ~trace ~label =
+  let node = Obsv.Causal.record c ~kind ~pid ~at:t.clock_now ~trace ~label () in
+  if prev >= 0 then
+    Obsv.Causal.add_edge c ~kind:Obsv.Causal.Program ~src:prev ~dst:node;
+  node
+
+let causal_record t p ~kind ~trace ~label =
   match t.causal with
   | None -> -1
   | Some c ->
-      let p = proc t pid in
       let node =
-        Obsv.Causal.record c ~kind ~pid ~at:t.clock_now ~trace ~label ()
+        causal_node c t ~kind ~pid:p.self ~prev:p.host.last_node ~trace ~label
       in
-      if p.last_node >= 0 then
-        Obsv.Causal.add_edge c ~kind:Obsv.Causal.Program ~src:p.last_node
-          ~dst:node;
-      p.last_node <- node;
+      p.host.last_node <- node;
       node
 
-let schedule_crash t ~pid ~at ?recover_at () =
+let schedule_crash t ~pid ~at ?recover_at ?(label = "proc") () =
   if t.started then
     invalid_arg "Engine.schedule_crash: engine already running";
-  if pid < 0 || pid >= t.nprocs then
+  if pid < 0 || pid >= t.pid_space then
     invalid_arg "Engine.schedule_crash: bad pid";
   (match recover_at with
   | Some r when Sim_time.(r <= at) ->
       invalid_arg "Engine.schedule_crash: recovery must follow the crash"
   | _ -> ());
-  Event_queue.push t.queue ~time:at (Crash { pid; recover_at });
+  Event_queue.push t.queue ~time:at (Crash { pid; recover_at; label });
   match recover_at with
   | Some r when not (Sim_time.is_infinite r) ->
-      Event_queue.push t.queue ~time:r (Recover { pid })
+      Event_queue.push t.queue ~time:r (Recover { pid; label })
   | _ -> ()
 
 (* --- ctx operations --- *)
 
-let pid ctx = ctx.self - (proc ctx.engine ctx.self).base
-let rng ctx = (proc ctx.engine ctx.self).proc_rng
+let pid ctx = ctx.self - ctx.base
+let rng ctx = ctx.proc_rng
+let halted ctx = ctx.halted
+let local_now ctx = Clock.local_of_global ctx.clock ctx.engine.clock_now
 
-let local_now ctx =
-  Clock.local_of_global (proc ctx.engine ctx.self).clock ctx.engine.clock_now
+(* Pending events, counting series timers not yet in the queue. *)
+let queue_depth t = Event_queue.length t.queue + t.unqueued_ticks
 
-let push_delivery t ~src ~dst ~depart ~tag ~cause msg =
+let push_delivery t ~src ~(dst : _ proc) ~depart ~tag ~cause msg =
   let arrive =
-    Network.delivery_time t.network ~send_time:depart ~src ~dst ~tag
+    Network.delivery_time t.network ~send_time:depart ~src ~dst:dst.self ~tag
   in
+  dst.inbox <- dst.inbox + 1;
+  dst.queued <- dst.queued + 1;
   Event_queue.push t.queue ~time:arrive
     (Deliver { src; dst; msg; sent_at = t.clock_now; cause })
 
@@ -273,9 +373,10 @@ let push_delivery t ~src ~dst ~depart ~tag ~cause msg =
    dropped); each surviving copy draws its own delay, so duplicates still
    obey the per-link FIFO clamp. A plain recursion rather than [List.iter]
    over a closure, so a send allocates no closure. *)
-let rec push_copies t p ~src ~dst ~depart ~tag ~cause msg = function
+let rec push_copies t p ~dst ~depart ~tag ~cause msg = function
   | [] -> ()
   | copy :: rest ->
+      let src = p.self in
       (match (copy : Network.copy) with
       | Network.Intact -> push_delivery t ~src ~dst ~depart ~tag ~cause msg
       | Network.Corrupted -> (
@@ -290,69 +391,126 @@ let rec push_copies t p ~src ~dst ~depart ~tag ~cause msg = function
                  cannot be fabricated, so the receiver discards it — model
                  that as a drop at the network *)
               Obsv.Metrics.inc t.tm.m_corrupt_drops));
-      push_copies t p ~src ~dst ~depart ~tag ~cause msg rest
+      push_copies t p ~dst ~depart ~tag ~cause msg rest
 
-let send_resolved ctx ~dst msg =
-  let t = ctx.engine in
-  if dst < 0 || dst >= t.nprocs then invalid_arg "Engine.send: bad destination";
+let send_resolved p ~dst msg =
+  let t = p.engine in
+  let q =
+    match Pids.find t.procs dst with
+    | q -> q
+    | exception Not_found -> invalid_arg "Engine.send: bad destination"
+  in
   let tag = t.tag_of msg in
-  let p = proc t ctx.self in
   let compute =
     if Sim_time.equal t.sigma Sim_time.zero then Sim_time.zero
     else Rng.int_in p.proc_rng ~lo:0 ~hi:t.sigma
   in
   let depart = Sim_time.add t.clock_now compute in
   let cause =
-    causal_record t ~kind:Obsv.Causal.Send ~pid:ctx.self ~trace:t.cur_trace
-      ~label:tag
+    causal_record t p ~kind:Obsv.Causal.Send ~trace:t.cur_trace ~label:tag
   in
   if cause >= 0 then t.cur_node <- cause;
-  Trace.record t.tr (Sent { t = t.clock_now; src = ctx.self; dst; tag; msg });
+  Trace.record t.tr (Sent { t = t.clock_now; src = p.self; dst; tag; msg });
   Obsv.Metrics.inc t.tm.m_sent;
-  push_copies t p ~src:ctx.self ~dst ~depart ~tag ~cause msg
-    (Network.fate t.network ~send_time:depart ~src:ctx.self ~dst ~tag);
-  Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue)
+  push_copies t p ~dst:q ~depart ~tag ~cause msg
+    (Network.fate t.network ~send_time:depart ~src:p.self ~dst ~tag);
+  Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
 
-let send ctx ~dst msg =
-  send_resolved ctx ~dst:((proc ctx.engine ctx.self).base + dst) msg
-
+let send ctx ~dst msg = send_resolved ctx ~dst:(ctx.base + dst) msg
 let send_absolute ctx ~dst msg = send_resolved ctx ~dst msg
 
-let set_timer ctx ~deadline ~label =
-  let t = ctx.engine in
-  let p = proc t ctx.self in
-  let epoch = t.next_epoch in
-  t.next_epoch <- epoch + 1;
-  Hashtbl.replace p.armed label epoch;
-  let global_fire = Clock.global_of_local p.clock deadline in
-  (* never fire in the past: a deadline already reached fires "now" *)
-  let global_fire = Sim_time.max global_fire t.clock_now in
+(* The trace entry, causal node and counter of one arming. *)
+let record_timer_set t p ~label ~deadline ~global_fire =
   let cause =
-    causal_record t ~kind:Obsv.Causal.Timer_set ~pid:ctx.self
-      ~trace:t.cur_trace ~label
+    causal_record t p ~kind:Obsv.Causal.Timer_set ~trace:t.cur_trace ~label
   in
   if cause >= 0 then t.cur_node <- cause;
   Trace.record t.tr
     (Timer_set
        {
          t = t.clock_now;
-         owner = ctx.self;
+         owner = p.self;
          label;
          local_deadline = deadline;
          global_fire;
        });
   Obsv.Metrics.inc t.tm.m_timers_set;
-  if not (Sim_time.is_infinite global_fire) then begin
+  cause
+
+let set_timer p ~deadline ~label =
+  let t = p.engine in
+  let epoch = t.next_epoch in
+  t.next_epoch <- epoch + 1;
+  let global_fire = Clock.global_of_local p.clock deadline in
+  (* never fire in the past: a deadline already reached fires "now" *)
+  let global_fire = Sim_time.max global_fire t.clock_now in
+  let cause = record_timer_set t p ~label ~deadline ~global_fire in
+  if Sim_time.is_infinite global_fire then
+    (* never fires: disarm any earlier arming of the label *)
+    Hashtbl.remove p.armed label
+  else begin
+    Hashtbl.replace p.armed label epoch;
+    p.queued <- p.queued + 1;
     Event_queue.push t.queue ~time:global_fire
-      (Fire { owner = ctx.self; label; epoch; cause; deferred = false });
-    Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue)
+      (Fire { owner = p; label; epoch; cause; deferred = false });
+    Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
   end
 
 let set_timer_after ctx ~after ~label =
   set_timer ctx ~deadline:(Sim_time.add (local_now ctx) after) ~label
 
-let cancel_timer ctx ~label =
-  Hashtbl.remove (proc ctx.engine ctx.self).armed label
+let cancel_timer ctx ~label = Hashtbl.remove ctx.armed label
+
+(* Queue series member [k] if its deadline is finite; returns whether it
+   was queued. *)
+let queue_tick t s k =
+  match s.s_rest () with
+  | Seq.Nil -> false
+  | Seq.Cons (deadline, rest) ->
+      let at =
+        Sim_time.max (Clock.global_of_local s.s_clock deadline) s.s_floor
+      in
+      if Sim_time.is_infinite at then false
+      else begin
+        s.s_rest <- rest;
+        s.s_owner.queued <- s.s_owner.queued + 1;
+        Event_queue.push_reserved t.queue ~time:at ~seq:(s.s_seq0 + k)
+          (Tick { series = s; k; deferred = false });
+        true
+      end
+
+let set_timer_series p ~deadlines ~label =
+  let t = p.engine in
+  let floor = t.clock_now in
+  let causes = ref [] and live = ref 0 in
+  Seq.iteri
+    (fun k deadline ->
+      let global_fire =
+        Sim_time.max (Clock.global_of_local p.clock deadline) floor
+      in
+      let cause =
+        record_timer_set t p ~label:(label k) ~deadline ~global_fire
+      in
+      if Option.is_some t.causal then causes := cause :: !causes;
+      if not (Sim_time.is_infinite global_fire) then incr live)
+    deadlines;
+  if !live > 0 then begin
+    let s =
+      {
+        s_owner = p;
+        s_label = label;
+        s_rest = deadlines;
+        s_clock = p.clock;
+        s_floor = floor;
+        s_seq0 = Event_queue.reserve t.queue !live;
+        s_causes = Array.of_list (List.rev !causes);
+      }
+    in
+    p.ticking <- p.ticking + !live;
+    t.unqueued_ticks <- t.unqueued_ticks + !live - 1;
+    ignore (queue_tick t s 0);
+    Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
+  end
 
 let causal_note ctx ?(after = -1) ?trace ~label () =
   let t = ctx.engine in
@@ -360,9 +518,7 @@ let causal_note ctx ?(after = -1) ?trace ~label () =
   | None -> -1
   | Some c ->
       let tr = match trace with Some v -> v | None -> t.cur_trace in
-      let node =
-        causal_record t ~kind:Obsv.Causal.Note ~pid:ctx.self ~trace:tr ~label
-      in
+      let node = causal_record t ctx ~kind:Obsv.Causal.Note ~trace:tr ~label in
       if after >= 0 then
         Obsv.Causal.add_edge c ~kind:Obsv.Causal.Queue ~src:after ~dst:node;
       t.cur_node <- node;
@@ -373,23 +529,118 @@ let observe ctx obs =
   let t = ctx.engine in
   Trace.record t.tr (Observed { t = t.clock_now; pid = ctx.self; obs })
 
-let halt ctx =
-  let t = ctx.engine in
-  let p = proc t ctx.self in
+let halt p =
+  let t = p.engine in
   if not p.halted then begin
     p.halted <- true;
-    Trace.record t.tr (Halted { t = t.clock_now; pid = ctx.self })
+    Trace.record t.tr (Halted { t = t.clock_now; pid = p.self })
   end
 
 (* --- main loop --- *)
 
 type status = Quiescent | Horizon_reached | Event_limit | Violation_stop
 
+let would_run p what =
+  invalid_arg
+    (Printf.sprintf "Engine: %s would run the handler of retired pid %d" what
+       p.self)
+
+(* A live firing on an up, running process: the timer edge, the trace
+   entry and the handler. *)
+let fire t p ~label ~cause ~deferred =
+  (match t.causal with
+  | Some c when cause >= 0 ->
+      let trace = Obsv.Causal.trace_of c cause in
+      t.cur_trace <- trace;
+      let node =
+        causal_record t p ~kind:Obsv.Causal.Timer_fire ~trace ~label
+      in
+      Obsv.Causal.add_edge c ~kind:Obsv.Causal.Timer ~src:cause ~dst:node;
+      (* a firing pushed past an outage additionally happens-after the
+         reboot, which is what lets blame charge the dead time *)
+      if deferred && p.host.recover_node >= 0 then
+        Obsv.Causal.add_edge c ~kind:Obsv.Causal.Outage ~src:p.host.recover_node
+          ~dst:node;
+      t.cur_node <- node
+  | _ -> ());
+  Trace.record t.tr (Timer_fired { t = t.clock_now; owner = p.self; label });
+  Obsv.Metrics.inc t.tm.m_timers_fired;
+  if p.retired then would_run p "a timer";
+  p.handlers.on_timer p ~label
+
+(* Where a down process's live firing goes: re-checked at its scheduled
+   reboot (deadlines persist in the automaton store), else lost. *)
+let deferral_target t p =
+  match p.host.up_at with
+  | Some r when Sim_time.(r > t.clock_now) ->
+      Obsv.Metrics.inc t.tm.m_timers_deferred;
+      p.queued <- p.queued + 1;
+      Some r
+  | _ ->
+      Obsv.Metrics.inc t.tm.m_timers_stale;
+      None
+
+let crash t ~pid ~recover_at =
+  let h =
+    match host_of t pid with
+    | Some h -> h
+    | None ->
+        let h = fresh_host () in
+        Pids.replace t.ghosts pid h;
+        h
+  in
+  if not h.down then begin
+    h.down <- true;
+    h.up_at <- recover_at;
+    (match t.causal with
+    | None -> ()
+    | Some c ->
+        let node =
+          causal_node c t ~kind:Obsv.Causal.Crash ~pid ~prev:h.last_node
+            ~trace:(-1) ~label:"crash"
+        in
+        h.last_node <- node;
+        h.crash_node <- node;
+        t.cur_node <- node);
+    Trace.record t.tr (Crashed { t = t.clock_now; pid; recover_at });
+    Obsv.Metrics.inc t.tm.m_crashes;
+    Obsv.Metrics.gauge_add t.tm.m_procs_down 1
+  end
+
+let recover t ~pid =
+  match host_of t pid with
+  | Some h when h.down ->
+      h.down <- false;
+      h.up_at <- None;
+      (match t.causal with
+      | None ->
+          (* an untraced pid without a record that is up again holds
+             nothing worth keeping *)
+          Pids.remove t.ghosts pid
+      | Some c ->
+          (* program order already chains recover after crash; the Outage
+             edge re-labels that gap as downtime for blame *)
+          let node =
+            causal_node c t ~kind:Obsv.Causal.Recover ~pid ~prev:h.last_node
+              ~trace:(-1) ~label:"recover"
+          in
+          if h.crash_node >= 0 then
+            Obsv.Causal.add_edge c ~kind:Obsv.Causal.Outage ~src:h.crash_node
+              ~dst:node;
+          h.last_node <- node;
+          h.recover_node <- node;
+          t.cur_node <- node);
+      Trace.record t.tr (Recovered { t = t.clock_now; pid });
+      Obsv.Metrics.inc t.tm.m_recoveries;
+      Obsv.Metrics.gauge_add t.tm.m_procs_down (-1)
+  | _ -> ()
+
 let dispatch t ev =
   match ev with
-  | Deliver { src; dst; msg; sent_at; cause } ->
-      let p = proc t dst in
-      if p.down then
+  | Deliver { src; dst = p; msg; sent_at; cause } ->
+      p.inbox <- p.inbox - 1;
+      p.queued <- p.queued - 1;
+      if p.host.down then
         (* a crashed host receives nothing: the message is gone, like a
            network drop — recovery does not replay it. No causal node: a
            dropped copy is not an event anyone can depend on. *)
@@ -401,102 +652,75 @@ let dispatch t ev =
             let trace = Obsv.Causal.trace_of c cause in
             t.cur_trace <- trace;
             let node =
-              causal_record t ~kind:Obsv.Causal.Deliver ~pid:dst ~trace
-                ~label:tag
+              causal_record t p ~kind:Obsv.Causal.Deliver ~trace ~label:tag
             in
             Obsv.Causal.add_edge c ~kind:Obsv.Causal.Message ~src:cause
               ~dst:node;
             t.cur_node <- node
         | _ -> ());
         Trace.record t.tr
-          (Delivered { t = t.clock_now; sent_at; src; dst; tag; msg });
+          (Delivered { t = t.clock_now; sent_at; src; dst = p.self; tag; msg });
         Obsv.Metrics.inc t.tm.m_delivered;
-        if not p.halted then
-          p.handlers.on_receive p.self_ctx ~src:(src - p.base) msg
-      end
-  | Fire { owner; label; epoch; cause; deferred } ->
-      let p = proc t owner in
+        if not p.halted then begin
+          if p.retired then would_run p "a delivery";
+          p.handlers.on_receive p ~src:(src - p.base) msg
+        end
+      end;
+      drop_if_spent t p
+  | Fire { owner = p; label; epoch; cause; deferred } ->
+      p.queued <- p.queued - 1;
       let live =
         match Hashtbl.find p.armed label with
         | e -> e = epoch
         | exception Not_found -> false
       in
-      if live && p.down then begin
-        match p.up_at with
-        | Some r when Sim_time.(r > t.clock_now) ->
-            (* deadlines persist across a reboot (they live in the automaton
-               store): re-check them the moment the process comes back *)
-            Obsv.Metrics.inc t.tm.m_timers_deferred;
+      if not live then Obsv.Metrics.inc t.tm.m_timers_stale
+      else if p.host.down then begin
+        match deferral_target t p with
+        | Some r ->
             Event_queue.push t.queue ~time:r
-              (Fire { owner; label; epoch; cause; deferred = true })
-        | _ -> Obsv.Metrics.inc t.tm.m_timers_stale
+              (Fire { owner = p; label; epoch; cause; deferred = true })
+        | None -> Hashtbl.remove p.armed label
       end
-      else if live && not p.halted then begin
+      else begin
         (* disarm before the handler runs: no other Fire carries this
            epoch, and the handler may re-arm the label *)
         Hashtbl.remove p.armed label;
-        (match t.causal with
-        | Some c when cause >= 0 ->
-            let trace = Obsv.Causal.trace_of c cause in
-            t.cur_trace <- trace;
-            let node =
-              causal_record t ~kind:Obsv.Causal.Timer_fire ~pid:owner ~trace
-                ~label
-            in
-            Obsv.Causal.add_edge c ~kind:Obsv.Causal.Timer ~src:cause
-              ~dst:node;
-            (* a firing pushed past an outage additionally happens-after the
-               reboot, which is what lets blame charge the dead time *)
-            if deferred && p.recover_node >= 0 then
-              Obsv.Causal.add_edge c ~kind:Obsv.Causal.Outage
-                ~src:p.recover_node ~dst:node;
-            t.cur_node <- node
-        | _ -> ());
-        Trace.record t.tr (Timer_fired { t = t.clock_now; owner; label });
-        Obsv.Metrics.inc t.tm.m_timers_fired;
-        p.handlers.on_timer p.self_ctx ~label
+        if p.halted then Obsv.Metrics.inc t.tm.m_timers_stale
+        else fire t p ~label ~cause ~deferred
+      end;
+      drop_if_spent t p
+  | Tick { series = s; k; deferred } ->
+      let p = s.s_owner in
+      p.queued <- p.queued - 1;
+      (* the next member takes the queue as this one leaves it *)
+      if (not deferred) && queue_tick t s (k + 1) then
+        t.unqueued_ticks <- t.unqueued_ticks - 1;
+      if p.host.down then begin
+        match deferral_target t p with
+        | Some r ->
+            Event_queue.push t.queue ~time:r
+              (Tick { series = s; k; deferred = true })
+        | None -> p.ticking <- p.ticking - 1
       end
-      else Obsv.Metrics.inc t.tm.m_timers_stale
-  | Crash { pid; recover_at } ->
-      let p = proc t pid in
-      if not p.down then begin
-        p.down <- true;
-        p.up_at <- recover_at;
-        let node =
-          causal_record t ~kind:Obsv.Causal.Crash ~pid ~trace:(-1)
-            ~label:"crash"
-        in
-        if node >= 0 then begin
-          p.crash_node <- node;
-          t.cur_node <- node
-        end;
-        Trace.record t.tr (Crashed { t = t.clock_now; pid; recover_at });
-        Obsv.Metrics.inc t.tm.m_crashes;
-        Obsv.Metrics.gauge_add t.tm.m_procs_down 1
-      end
-  | Recover { pid } ->
-      let p = proc t pid in
-      if p.down then begin
-        p.down <- false;
-        p.up_at <- None;
-        (match t.causal with
-        | Some c ->
-            (* program order already chains recover after crash; the Outage
-               edge re-labels that gap as downtime for blame *)
-            let node =
-              causal_record t ~kind:Obsv.Causal.Recover ~pid ~trace:(-1)
-                ~label:"recover"
-            in
-            if p.crash_node >= 0 then
-              Obsv.Causal.add_edge c ~kind:Obsv.Causal.Outage
-                ~src:p.crash_node ~dst:node;
-            p.recover_node <- node;
-            t.cur_node <- node
-        | None -> ());
-        Trace.record t.tr (Recovered { t = t.clock_now; pid });
-        Obsv.Metrics.inc t.tm.m_recoveries;
-        Obsv.Metrics.gauge_add t.tm.m_procs_down (-1)
-      end
+      else begin
+        p.ticking <- p.ticking - 1;
+        if p.halted then Obsv.Metrics.inc t.tm.m_timers_stale
+        else
+          let cause =
+            if Array.length s.s_causes = 0 then -1 else s.s_causes.(k)
+          in
+          fire t p ~label:(s.s_label k) ~cause ~deferred
+      end;
+      drop_if_spent t p
+  | Crash { pid; recover_at; _ } -> crash t ~pid ~recover_at
+  | Recover { pid; _ } -> recover t ~pid
+
+(* a crash of a pid without a record is charged to its scheduled label *)
+let label_of t prof pid label =
+  match Pids.find t.procs pid with
+  | p -> p.prof_label
+  | exception Not_found -> Obsv.Prof.intern prof label
 
 (* The profiled dispatch path: stamp clock + allocation counters around
    [dispatch], then charge the deltas to the (payment, process label,
@@ -505,23 +729,26 @@ let dispatch t ev =
    tracing) and [-1] otherwise — semantically inert, because every
    consumer of [cur_trace] runs inside a dispatch that first sets it. *)
 let dispatch_profiled t p ev =
-  Obsv.Prof.observe_queue_depth p (Event_queue.length t.queue);
+  Obsv.Prof.observe_queue_depth p (queue_depth t);
   t.cur_trace <- -1;
   Obsv.Prof.enter p;
   dispatch t ev;
   match ev with
   | Deliver { dst; _ } ->
-      Obsv.Prof.leave p ~label:(proc t dst).prof_label ~kind:Obsv.Prof.Deliver
+      Obsv.Prof.leave p ~label:dst.prof_label ~kind:Obsv.Prof.Deliver
         ~trace:t.cur_trace
   | Fire { owner; _ } ->
-      Obsv.Prof.leave p ~label:(proc t owner).prof_label ~kind:Obsv.Prof.Timer
+      Obsv.Prof.leave p ~label:owner.prof_label ~kind:Obsv.Prof.Timer
         ~trace:t.cur_trace
-  | Crash { pid; _ } ->
-      Obsv.Prof.leave p ~label:(proc t pid).prof_label ~kind:Obsv.Prof.Crash
+  | Tick { series; _ } ->
+      Obsv.Prof.leave p ~label:series.s_owner.prof_label ~kind:Obsv.Prof.Timer
+        ~trace:t.cur_trace
+  | Crash { pid; label; _ } ->
+      Obsv.Prof.leave p ~label:(label_of t p pid label) ~kind:Obsv.Prof.Crash
         ~trace:(-1)
-  | Recover { pid } ->
-      Obsv.Prof.leave p ~label:(proc t pid).prof_label ~kind:Obsv.Prof.Recover
-        ~trace:(-1)
+  | Recover { pid; label } ->
+      Obsv.Prof.leave p ~label:(label_of t p pid label)
+        ~kind:Obsv.Prof.Recover ~trace:(-1)
 
 (* The armed runtime-verification step: advance the sampler, then evaluate
    the monitor at the current sim-time. Returns [true] when a
@@ -539,10 +766,18 @@ let watch_step t w =
 let run ?(horizon = Sim_time.infinity) ?(max_events = 1_000_000) t =
   if not t.started then begin
     t.started <- true;
-    for i = 0 to t.nprocs - 1 do
-      let p = proc t i in
-      if not p.halted then p.handlers.on_start p.self_ctx
-    done
+    (* in pid order; plain consecutive adds already are *)
+    let rec ascending = function
+      | a :: (b :: _ as rest) -> a.self < b.self && ascending rest
+      | _ -> true
+    in
+    let born = List.rev t.unstarted in
+    let born =
+      if ascending born then born
+      else List.sort (fun a b -> Int.compare a.self b.self) born
+    in
+    t.unstarted <- [];
+    List.iter (fun p -> if not p.halted then p.handlers.on_start p) born
   end;
   (match t.prof with None -> () | Some p -> Obsv.Prof.run_begin p);
   let rec loop n =
@@ -556,7 +791,7 @@ let run ?(horizon = Sim_time.infinity) ?(max_events = 1_000_000) t =
         t.clock_now <- Sim_time.max t.clock_now time;
         t.events <- t.events + 1;
         Obsv.Metrics.inc t.tm.m_events;
-        Obsv.Metrics.set t.tm.m_queue_depth (Event_queue.length t.queue);
+        Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t);
         (* one option match per event is the whole off-path cost *)
         (match t.prof with
         | None -> dispatch t ev
@@ -576,4 +811,3 @@ let run ?(horizon = Sim_time.infinity) ?(max_events = 1_000_000) t =
   status
 
 let events_processed t = t.events
-let queue_depth t = Event_queue.length t.queue

@@ -35,7 +35,8 @@ val send_absolute : ('msg, 'obs) ctx -> dst:int -> 'msg -> unit
 val set_timer : ('msg, 'obs) ctx -> deadline:Sim_time.t -> label:string -> unit
 (** Arm (or re-arm) the timer [label] to fire when the process's local clock
     reaches [deadline] (the paper's [now >= u + a] guard). Setting a timer
-    with the same label replaces the previous one. *)
+    with the same label replaces the previous one; an infinite deadline
+    just disarms the label. *)
 
 val set_timer_after :
   ('msg, 'obs) ctx -> after:Sim_time.t -> label:string -> unit
@@ -51,7 +52,29 @@ val halt : ('msg, 'obs) ctx -> unit
 (** Stop reacting to all future events (crash / graceful exit). *)
 
 val rng : ('msg, 'obs) ctx -> Rng.t
-(** A per-process random stream (split from the engine root seed). *)
+(** A per-process random stream: pid [k] draws [Rng.split_nth root k] of
+    the engine's root seed, whenever and in whatever order it was added. *)
+
+val halted : ('msg, 'obs) ctx -> bool
+(** Whether the calling process has halted ({!is_halted} on its own pid,
+    without a pid lookup). *)
+
+val set_timer_series :
+  ('msg, 'obs) ctx ->
+  deadlines:Sim_time.t Seq.t ->
+  label:(int -> string) ->
+  unit
+(** [set_timer_series ctx ~deadlines ~label] arms one timer per element of
+    [deadlines] (local deadlines, in non-decreasing order), the [k]-th
+    under [label k]. It records the same trace entries, telemetry and
+    causal nodes as that many {!set_timer} calls, and its timers fire in
+    the same order relative to every other event, but only the next timer
+    of the series waits in the queue: a series of any length costs O(1)
+    memory (one int per timer under causal tracing). [deadlines] is
+    traversed twice, once now and once as the timers come due, so it must
+    be persistent. Series timers live outside the label table:
+    {!cancel_timer} and {!set_timer} never touch them. {!queue_depth}
+    counts them all. *)
 
 type ('msg, 'obs) handlers = {
   on_start : ('msg, 'obs) ctx -> unit;
@@ -135,10 +158,17 @@ val add_process :
   ?clock:Clock.t ->
   ?base:int ->
   ?label:string ->
+  ?pid:int ->
   ('msg, 'obs) handlers ->
   int
-(** Registers a process and returns its pid (consecutive from 0). All
-    processes must be added before {!run}.
+(** Registers a process and returns its pid: [pid] when given (it must be
+    free), else one past the highest pid so far, so plain calls number
+    processes consecutively from 0. A process may be born at any time:
+    one added before {!run} starts there (its [on_start] runs at time 0,
+    in pid order), one added during a run starts at once ([on_start] runs
+    before [add_process] returns). Either way pid [k] draws the same
+    {!rng} stream. A pid crashed before its process is born
+    ({!schedule_crash}) is born down.
 
     [label] (default ["proc"]) names the process's {e role} for the
     profiler — a low-cardinality string like ["alice"] or ["escrow"],
@@ -154,6 +184,35 @@ val add_process :
     scheduling always use engine pids. *)
 
 val process_count : ('msg, 'obs) t -> int
+(** Processes registered so far, retired ones included. *)
+
+val reserve_pids : ('msg, 'obs) t -> int -> unit
+(** [reserve_pids t n] makes pids below [n] addressable before their
+    processes are born, so {!schedule_crash} can target them. *)
+
+(** {2 Process retirement}
+
+    A multiplexer that births processes during a run (see {!add_process})
+    can also end them, so the engine's memory follows the processes that
+    can still act rather than every process the run ever had. *)
+
+val quiet : ('msg, 'obs) t -> int -> bool
+(** [quiet t pid] holds when [pid]'s process cannot act again unless it is
+    sent a new message: it has halted, or no delivery is queued for it and
+    it has no armed timer. Stale firings do not count: they never run a
+    handler. *)
+
+val retire : ('msg, 'obs) t -> int -> unit
+(** [retire t pid] ends [pid]'s life: no handler of it may run again. The
+    events still queued for it play out as before, byte for byte: a
+    delivery records its [Delivered] entry (or counts as dropped while the
+    pid is down), a firing counts as stale, and crashes and recoveries take
+    effect. An event that would run one of its handlers raises
+    [Invalid_argument]. Once nothing is queued for it the engine drops its
+    record and keeps only a down state; sending to it is then an error.
+    Under causal tracing the record stays (the pid's program order lives
+    on in the DAG). Retire a process once it is {!quiet} and nothing
+    outside will send to it again. *)
 
 type status =
   | Quiescent  (** no events left — the system reached a fixpoint *)
@@ -165,7 +224,8 @@ type status =
 
 val run :
   ?horizon:Sim_time.t -> ?max_events:int -> ('msg, 'obs) t -> status
-(** Executes [on_start] for every process (in pid order, at time 0), then
+(** Executes [on_start] for every process added so far (in pid order, at
+    time 0), then
     processes events in timestamp order until quiescence, the horizon
     (default {!Sim_time.infinity}), or [max_events] (default 1_000_000). *)
 
@@ -173,8 +233,8 @@ val trace : ('msg, 'obs) t -> ('msg, 'obs) Trace.t
 val now : ('msg, 'obs) t -> Sim_time.t
 
 val queue_depth : ('msg, 'obs) t -> int
-(** Events currently pending in the queue — the natural first column of a
-    {!Obsv.Sampler} probe. *)
+(** Events currently pending, series timers not yet queued included — the
+    natural first column of a {!Obsv.Sampler} probe. *)
 
 val events_processed : ('msg, 'obs) t -> int
 (** Events dequeued over this engine's lifetime (across {!run} calls).
@@ -231,9 +291,13 @@ val set_clock : ('msg, 'obs) t -> pid:int -> Clock.t -> unit
 
 val schedule_crash :
   ('msg, 'obs) t -> pid:int -> at:Sim_time.t -> ?recover_at:Sim_time.t ->
-  unit -> unit
+  ?label:string -> unit -> unit
 (** Schedule [pid] to go down at global time [at] and (optionally) reboot
-    at [recover_at]. Must be called before {!run}; [recover_at], when
-    given, must be strictly after [at]. *)
+    at [recover_at]. Must be called before {!run}, for a pid that has a
+    process or lies below {!reserve_pids}; [recover_at], when given, must
+    be strictly after [at]. A crash and recovery of a pid whose process is
+    not born yet, or is retired, still record their trace entries and
+    telemetry; the profiler then charges them to [label] (default
+    ["proc"]), the role the pid's process has or will have. *)
 
 val is_down : ('msg, 'obs) t -> int -> bool

@@ -64,6 +64,34 @@ let[@inline] before q i ~time ~seq =
   let ti = q.times.(i) in
   ti < time || (ti = time && q.seqs.(i) < seq)
 
+let reserve q n =
+  if n < 0 then invalid_arg "Event_queue.reserve: negative count";
+  let first = q.next_seq in
+  q.next_seq <- first + n;
+  first
+
+let push_reserved q ~time ~seq payload =
+  if seq < 0 || seq >= q.next_seq then
+    invalid_arg "Event_queue.push_reserved: sequence number not reserved";
+  if q.size = Array.length q.times then grow q;
+  (* an older sequence number may tie a parent's time and still precede
+     it, so the sift compares (time, seq) in full *)
+  let i = ref q.size in
+  q.size <- q.size + 1;
+  while
+    !i > 0
+    &&
+    let parent = (!i - 1) / 2 in
+    not (before q parent ~time ~seq)
+  do
+    let parent = (!i - 1) / 2 in
+    move q ~src:parent ~dst:!i;
+    i := parent
+  done;
+  q.times.(!i) <- time;
+  q.seqs.(!i) <- seq;
+  q.payloads.(!i) <- Obj.repr payload
+
 let min_time q =
   if q.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
   q.times.(0)

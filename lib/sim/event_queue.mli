@@ -20,6 +20,18 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:Sim_time.t -> 'a -> unit
 (** [push q ~time e] schedules [e] at [time]. *)
 
+val reserve : 'a t -> int -> int
+(** [reserve q n] sets aside the next [n] sequence numbers and returns the
+    first: events pushed later with {!push_reserved} under these numbers
+    pop as if they had been pushed now. *)
+
+val push_reserved : 'a t -> time:Sim_time.t -> seq:int -> 'a -> unit
+(** [push_reserved q ~time ~seq e] schedules [e] at [time] under [seq], a
+    number {!reserve} returned (or one of the [n - 1] after it), used once.
+    Lets a caller keep a long run of same-priority events out of the heap
+    until each is next due. Raises [Invalid_argument] for a number never
+    reserved. *)
+
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Removes and returns the earliest event. *)
 

@@ -168,6 +168,8 @@ let delivery_time t ~send_time ~src ~dst ~tag =
       (Sim_time.sub at send_time);
   at
 
+let forget_link t ~src ~dst = Link.remove t.last_delivery (link_key ~src ~dst)
+
 let pp_model ppf = function
   | Synchronous { delta } -> Fmt.pf ppf "sync(δ=%a)" Sim_time.pp delta
   | Partially_synchronous { gst; delta } ->

@@ -91,4 +91,11 @@ val delivery_time : t -> send_time:Sim_time.t -> src:int -> dst:int ->
   tag:string -> Sim_time.t
 (** The absolute global time at which this send will be delivered. *)
 
+val forget_link : t -> src:int -> dst:int -> unit
+(** Drops the FIFO state of the directed link [src -> dst], so a run that
+    retires processes keeps state only for links that can still carry a
+    message. Call it once no later send will use the link: a later send
+    on it would no longer be held behind earlier ones. Other links keep
+    their clamps unchanged. *)
+
 val pp_model : Format.formatter -> model -> unit

@@ -24,6 +24,18 @@ let[@inline] step g =
 
 let next_int64 g = step g
 let split g = of_state (mix64 (step g))
+
+(* The state after [k + 1] steps is [s + (k + 1) * gamma] (mod 2^64), so
+   the [k]-th split is a pure function of [k]: no need to take the
+   [k] splits before it. *)
+let split_nth g k =
+  if k < 0 then invalid_arg "Rng.split_nth: negative index";
+  let s =
+    Int64.add (Bytes.get_int64_le g 0)
+      (Int64.mul (Int64.of_int (k + 1)) golden_gamma)
+  in
+  of_state (mix64 (mix64 s))
+
 let copy = Bytes.copy
 
 (* Rejection sampling on the low 62 bits to avoid modulo bias. *)

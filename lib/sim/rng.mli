@@ -15,6 +15,12 @@ val split : t -> t
 (** [split g] advances [g] and returns a fresh generator whose stream is
     statistically independent of [g]'s subsequent output. *)
 
+val split_nth : t -> int -> t
+(** [split_nth g k] is the generator that the [(k+1)]-th of [k + 1]
+    successive {!split}s of [g] would return, computed in O(1) and without
+    advancing [g]. An engine that gives pid [k] the stream [split_nth root
+    k] can create processes in any order, at any time. *)
+
 val copy : t -> t
 (** [copy g] duplicates the current state; both copies then produce the same
     stream. Used to replay a schedule. *)

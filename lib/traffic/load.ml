@@ -66,6 +66,8 @@ type report = {
   committee_stats : committee_stats option;
   events : int;
   wall_ns : int;
+  top_heap_words : int;
+  loop_minor_words : int;
 }
 
 (* Shared model parameters for every payment in a load run; per-protocol
@@ -114,13 +116,6 @@ let params_for (w : Workload.t) proto ~hops =
   let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = ((q * n) + 99) / 100 in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
 let is_liquidity_rejection what =
   (* Book.pp_error Insufficient_funds, wrapped by the escrows' "deposit: "
      prefix; Unknown_account prints "deposit: unknown account …" and so
@@ -141,40 +136,65 @@ let label_index label from =
 (* [audit] also fails on any negative balance. *)
 let book_ok b = Result.is_ok (Ledger.Book.audit b)
 
+(* Int-keyed tables for the live instances and payments. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 (* One protocol instance: a single path of a payment, running the plain
    linear protocol over the books of that path's legs. A payment on a
    linear chain owns exactly one instance (id = payment index); a routed
-   payment owns up to [splits] (ids [k * splits + j]). Everything but the
-   accounting arrays is configured once the path is known. *)
+   payment owns up to [splits] (ids [k * splits + j]). An instance is built
+   when its payment is admitted and retired once nothing can make its
+   processes act again (see [try_retire] in {!run}). *)
 type inst = {
-  mutable i_active : bool;  (** path, amounts and handlers are set *)
-  mutable i_hops : int;
-  mutable i_value : int;
-  mutable i_path : int array;  (** book indices along the path *)
-  mutable i_amounts : int array;  (** leg amounts, commissions included *)
-  mutable i_handlers : (Msg.t, Obs.t) Engine.handlers array;
+  id : int;
+  i_pay : pay;
+  i_split : int;  (** index among its payment's splits *)
+  i_hops : int;
+  i_value : int;
+  i_path : int array;  (** book indices along the path *)
+  i_amounts : int array;  (** leg amounts, commissions included *)
+  i_handlers : (Msg.t, Obs.t) Engine.handlers array;
       (** one per block slot the protocol uses on this path *)
-  mutable i_facts : Fold.t;  (** the instance's property fold *)
+  i_facts : Fold.t;  (** the instance's property fold *)
   mutable i_done : bool;  (** settlement counted toward the payment *)
   mutable i_released : bool;  (** unspent collateral handed back *)
   i_deposited : int array;  (** per leg: deposits drawn from the payer *)
   i_refunded : int array;  (** per leg: refunds returned to the payer *)
+  i_deposits : int list array;  (** per leg: deposit ids in its book *)
+  mutable i_asks : int;
+      (** requests in flight to a shared committee's sequencer *)
 }
 
-(* an inactive instance's fold: it never observes *)
-let unconfigured = Fold.create ~base:0 ~hops:0 ~nprocs:0
-let paid_at ins = Fold.paid_at ins.i_facts  (* first release to Bob *)
-let settled_at ins = Fold.settled_at ins.i_facts  (* every customer done *)
-
-type pay = {
+(* A payment from its arrival until its outcome is counted. Its verdict
+   accumulates as its instances are judged, one at a time. *)
+and pay = {
+  k : int;
   proto : Workload.proto;
-  mutable arrived_at : int;
+  arrived_at : int;
+  mutable draws : (Clock.t * int) array array;
+      (** per split, per block slot: the process clock and start skew;
+          dropped once the payment's instances are built *)
   mutable admitted_at : int;
   mutable closed : bool;  (** scheduler stopped tracking it *)
   mutable splits : int list;  (** instance ids, ascending *)
   mutable no_route : bool;
   mutable settled : int;  (** instances whose settlement was reported *)
+  mutable unjudged : int;  (** instances not judged yet *)
+  mutable split_viols : violation list array;  (** per split, in order *)
+  mutable all_paid : bool;
+  mutable all_settled : bool;
+  mutable any_paid : bool;
+  mutable paid_max : int;  (** latest payout over the splits *)
+  mutable settled_max : int;  (** latest settlement over the splits *)
 }
+
+let paid_at ins = Fold.paid_at ins.i_facts  (* first release to Bob *)
+let settled_at ins = Fold.settled_at ins.i_facts  (* every customer done *)
 
 (* Where an admitted payment's legs and their liquidity come from: the one
    decision that differs between a linear chain and a payment graph. *)
@@ -182,8 +202,6 @@ type legs = {
   lmax : int;  (** the longest path a payment can take *)
   books : Ledger.Book.t array;  (** the shared books, one per hop or edge *)
   book_kind : string;
-  fixed : Routing.Router.split list option;
-      (** the paths every payment takes, when known before the run *)
   route : unit -> Routing.Router.split list option;
       (** paths and values for the payment at the head of the queue;
           [None] while the liquidity is not there *)
@@ -231,7 +249,6 @@ let chain_legs (w : Workload.t) =
     lmax = hops;
     books;
     book_kind = "escrow";
-    fixed = Some chain;
     route =
       (fun () ->
         if holds && not (List.for_all free path) then None else Some chain);
@@ -289,7 +306,6 @@ let graph_legs (w : Workload.t) (g : Routing.Topology.t) =
     lmax = g.RT.nodes - 1;
     books;
     book_kind = "edge";
-    fixed = None;
     route =
       (fun () ->
         Result.to_option
@@ -353,8 +369,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     match w.topology with None -> chain_legs w | Some g -> graph_legs w g
   in
   let lmax = legs.lmax in
-  let protos = Workload.assign_mix w ~seed in
-  let arrivals = Workload.arrivals w ~seed in
+  let arrivals = Workload.arrival_seq w ~seed in
   let max_splits = w.splits in
   let instances = w.payments * max_splits in
   (* the pid stride must fit the longest path any payment can take *)
@@ -396,7 +411,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   let horizon =
     let last_arrival =
       match arrivals with
-      | Some arr -> arr.(Array.length arr - 1)
+      | Some arr -> Seq.fold_left (fun _ t -> t) 0 arr
       | None -> (
           match w.arrival with
           | Workload.Closed { clients; think } ->
@@ -462,80 +477,80 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     Engine.create ~tag_of:Msg.tag ~network ~sigma ~trace_capacity:0
       ?causal ?prof ?monitor ?sampler ~seed ()
   in
-  (* --- per-instance accounting state, fed by a trace hook --- *)
-  let insts =
-    Array.init instances (fun _ ->
-        {
-          i_active = false;
-          i_hops = 0;
-          i_value = 0;
-          i_path = [||];
-          i_amounts = [||];
-          i_handlers = [||];
-          i_facts = unconfigured;
-          i_done = false;
-          i_released = false;
-          i_deposited = Array.make lmax 0;
-          i_refunded = Array.make lmax 0;
-        })
-  in
-  let pays =
-    Array.init w.payments (fun k ->
-        {
-          proto = protos.(k);
-          arrived_at = -1;
-          admitted_at = -1;
-          closed = false;
-          splits = [];
-          no_route = false;
-          settled = 0;
-        })
-  in
+  (* --- live state: only payments in the system and instances that can
+     still act are held; everything else is already folded into the
+     run's counters below --- *)
+  let live : inst Ids.t = Ids.create 256 in
+  let pays : pay Ids.t = Ids.create 256 in
   let messages = ref 0 in
-  (* causal anchors: each payment's arrival note (blame root) and each
-     instance's deliver that paid Bob (blame sink), captured from the
-     dispatch context *)
-  let roots = Array.make w.payments (-1) in
-  let paid_nodes = Array.make instances (-1) in
-  (* each active instance's entries feed its fold; the legs' liquidity
-     accounting rides on the same deposits and refunds *)
-  let instance_of pid =
-    if pid >= 1 && pid < payment_limit then
-      let id = (pid - 1) / stride in
-      if insts.(id).i_active then id else -1
-    else -1
+  (* Per-payment and per-instance rows, kept only when a consumer needs
+     them after the run: causal blame (arrival roots, payout sinks,
+     outcomes) and payment spans (arrival, settlement, outcome). *)
+  let spans_on = Obsv.Span.capture Obsv.Span.default in
+  let rows = Option.is_some causal || spans_on in
+  let row n v = if rows then Array.make n v else [||] in
+  let roots = row w.payments (-1) in
+  let paid_nodes =
+    if Option.is_some causal then Array.make instances (-1) else [||]
   in
-  Trace.on_record (Engine.trace engine) (fun entry ->
-      match entry with
-      | Trace.Sent { src; _ } ->
-          incr messages;
-          let id = instance_of src in
-          if id >= 0 then Fold.observe insts.(id).i_facts entry
-      | Trace.Observed { pid; obs; _ } -> (
-          let id = instance_of pid in
-          if id >= 0 then begin
-            let ins = insts.(id) in
-            let unpaid = paid_at ins < 0 in
-            Fold.observe ins.i_facts entry;
-            if unpaid && paid_at ins >= 0 then
-              paid_nodes.(id) <- Engine.current_node engine;
-            (* depositor index IS the leg index: customer i deposits only
-               at escrow i, at most once *)
-            match obs with
-            | Obs.Deposited { depositor; amount; _ }
-              when depositor >= 0 && depositor < ins.i_hops ->
-                if ins.i_deposited.(depositor) = 0 then
-                  legs.on_deposit ins depositor;
-                ins.i_deposited.(depositor) <-
-                  ins.i_deposited.(depositor) + amount
-            | Obs.Refunded { depositor; amount; _ }
-              when depositor >= 0 && depositor < ins.i_hops ->
-                ins.i_refunded.(depositor) <- ins.i_refunded.(depositor) + amount
-            | _ -> ()
-          end)
-      | _ -> ());
+  let row_outcome = row w.payments Rejected in
+  let row_arrived = row w.payments (-1) in
+  let row_settled = row w.payments (-1) in
+  (* --- outcome counters: a payment folds in here once final --- *)
+  let tally tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some r -> incr r
+    | None -> Hashtbl.replace tbl key (ref 1)
+  in
+  let outcome_counts : (Workload.proto * outcome, int ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let bump proto o = tally outcome_counts (proto, o) in
+  let count_of proto o =
+    match Hashtbl.find_opt outcome_counts (proto, o) with
+    | Some r -> !r
+    | None -> 0
+  in
+  (* exact commit-latency histograms per protocol, and the first payment
+     each protocol committed (the order its telemetry child is made in) *)
+  let latencies :
+      (Workload.proto, (int, int ref) Hashtbl.t * int ref) Hashtbl.t =
+    Hashtbl.create 8
+  in
+  let assigned : (Workload.proto, int ref) Hashtbl.t = Hashtbl.create 8 in
+  let violations = ref [] in
+  let liquidity_rejections = ref 0 in
+  let partial_payments = ref 0 in
+  let no_route_rejections = ref 0 in
+  let inst_started = ref 0 in
+  let inst_paid = ref 0 in
+  let inst_settled = ref 0 in
+  let committed_value = ref 0 in
+  (* each live instance's entries feed its fold; the legs' liquidity
+     accounting rides on the same deposits and refunds *)
+  let observed ins entry obs =
+    let unpaid = paid_at ins < 0 in
+    Fold.observe ins.i_facts entry;
+    if unpaid && paid_at ins >= 0 && Option.is_some causal then
+      paid_nodes.(ins.id) <- Engine.current_node engine;
+    (* depositor index IS the leg index: customer i deposits only at
+       escrow i, at most once *)
+    match obs with
+    | Obs.Deposited { depositor; amount; deposit; _ }
+      when depositor >= 0 && depositor < ins.i_hops ->
+        if ins.i_deposited.(depositor) = 0 then legs.on_deposit ins depositor;
+        ins.i_deposited.(depositor) <- ins.i_deposited.(depositor) + amount;
+        ins.i_deposits.(depositor) <- deposit :: ins.i_deposits.(depositor)
+    | Obs.Refunded { depositor; amount; _ }
+      when depositor >= 0 && depositor < ins.i_hops ->
+        ins.i_refunded.(depositor) <- ins.i_refunded.(depositor) + amount
+    | _ -> ()
+  in
+  let in_blocks pid = pid >= 1 && pid < payment_limit in
   (* --- shared batching committee: one block after the instance blocks,
-     serving every instance's verdict item --- *)
+     serving every instance's verdict item. A batch's instances retire
+     together, once none can ask again (see [try_retire]), so the items it
+     answers are live. --- *)
   let shared_committee =
     Option.map
       (fun (c : Workload.committee) ->
@@ -543,6 +558,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         let signers =
           Array.init c.c_size (fun i -> Xcrypto.Auth.register creg i)
         in
+        let hops_of id = (Ids.find live id).i_hops in
         let ccfg =
           {
             Committee_tm.qs = Result.get_ok (Workload.quorum_system c);
@@ -555,14 +571,20 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
             reply_to =
               (fun id ->
                 Array.init
-                  ((2 * insts.(id).i_hops) + 1)
+                  ((2 * hops_of id) + 1)
                   (fun l -> 1 + (id * stride) + l));
-            hops_of = (fun id -> insts.(id).i_hops);
+            hops_of;
           }
         in
         (* one certificate checker, and so one memo, per run *)
         (c, ccfg, signers, Committee_tm.verify ccfg ~signer:signers.(0)))
       w.committee
+  in
+  let sequencer_com = ref None in
+  let committee_pids =
+    match w.committee with
+    | Some c -> Array.init c.c_size (fun i -> payment_limit + i)
+    | None -> [||]
   in
   let handlers_for proto env id =
     match proto with
@@ -577,210 +599,302 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     | Workload.Committee -> Weak_protocol.handlers_for env committee_cfg
     | Workload.Shared ->
         (* validation guarantees the committee= spec *)
-        let c, _, _, verify = Option.get shared_committee in
+        let _, _, _, verify = Option.get shared_committee in
         Weak_protocol.handlers_for env
           {
             weak_cfg with
             Weak_protocol.tm =
-              Weak_protocol.Shared
-                {
-                  pids = Array.init c.c_size (fun i -> payment_limit + i);
-                  item = id;
-                  verify;
-                };
+              Weak_protocol.Shared { pids = committee_pids; item = id; verify };
           }
     | Workload.Atomic ->
         Atomic_protocol.handlers_for env Atomic_protocol.default_config
   in
-  let configure id proto (s : Routing.Router.split) =
-    let path = Array.of_list s.path in
-    let h = Array.length path in
-    let amounts = legs.amounts s.path s.value in
-    let env =
-      Env.make ~topo:(Topology.create ~hops:h)
-        ~params:(params_for w proto ~hops:h)
-        ~payment:id ~value:s.value ~amounts ~seed:(seed + 101 + id)
-        ~books:(Array.map (fun e -> legs.books.(e)) path)
-        ()
-    in
-    let ins = insts.(id) in
-    ins.i_active <- true;
-    ins.i_facts <- Fold.create ~base:(1 + (id * stride)) ~hops:h ~nprocs:(h + 1);
-    ins.i_hops <- h;
-    ins.i_value <- s.value;
-    ins.i_path <- path;
-    ins.i_amounts <- amounts;
-    ins.i_handlers <-
-      Array.init (block_size ~hops:h proto) (handlers_for proto env id)
+  (* --- payment arrival draws ---
+
+     Payments draw their protocol from the mix stream, and every block slot
+     of every split its process clock and start skew from one clock
+     stream, both in payment order and whether or not the payment is ever
+     admitted, exactly as if every block were registered before the run.
+     A payment takes its draws when it arrives; one that arrives out of
+     order (closed-loop arrivals) finds them set aside by the payments
+     that drew past it. *)
+  let clock_rng = Rng.create ~seed:(seed + 31) in
+  let mix = ref (Workload.mix_seq w ~seed) in
+  let drawn = ref 0 in
+  let ahead : (Workload.proto * (Clock.t * int) array array) Ids.t =
+    Ids.create 16
   in
-  (* Paths known before the run are configured here, not at admission:
-     building envs and handlers inside the event loop measured 4-7% slower
-     end to end on a 2k-payment chain (two-core x86-64 VM). *)
-  Option.iter
-    (fun splits ->
-      for k = 0 to w.payments - 1 do
-        List.iteri
-          (fun j s -> configure ((k * max_splits) + j) protos.(k) s)
-          splits
-      done)
-    legs.fixed;
-  (* --- controller (pid 0): arrivals, admission, deadlines --- *)
-  let queue = Queue.create () in
-  let in_flight = ref 0 in
-  let max_in_flight = ref 0 in
-  let admitted = ref 0 in
-  let total_paths = ref 0 in
-  let split_payments = ref 0 in
-  let arr_label k = "arr#" ^ string_of_int k in
-  let pat_label k = "pat#" ^ string_of_int k in
-  let stuck_label k = "stuck#" ^ string_of_int k in
-  let start_instance ctx k j s =
-    let id = (k * max_splits) + j in
-    let ins = insts.(id) in
-    if not ins.i_active then configure id pays.(k).proto s;
-    legs.reserve ins;
-    (* Queue edge from the arrival note: the gap the walk crosses here is
-       exactly this payment's wait behind admission *)
-    ignore
-      (Engine.causal_note ctx ~after:roots.(k) ~trace:id
-         ~label:("admit#" ^ string_of_int id)
-         ());
-    let base = 1 + (id * stride) in
-    for l = 0 to Array.length ins.i_handlers - 1 do
-      Engine.send ctx ~dst:(base + l) Msg.Start
-    done;
-    id
+  let draw_payment () =
+    match !mix () with
+    | Seq.Nil -> assert false
+    | Seq.Cons (proto, rest) ->
+        mix := rest;
+        incr drawn;
+        tally assigned proto;
+        let block () =
+          Array.init stride (fun _ ->
+              let clock = Clock.random clock_rng ~drift_ppm:w.drift_ppm in
+              let skew = Rng.int clock_rng 1001 in
+              (clock, skew))
+        in
+        (proto, Array.init max_splits (fun _ -> block ()))
   in
-  let try_admit ctx k =
-    let p = pays.(k) in
-    (w.cap = 0 || !in_flight < w.cap)
-    &&
-    match legs.route () with
-    | None ->
-        p.no_route <- true;
-        false
-    | Some splits ->
-        p.admitted_at <- Engine.now engine;
-        incr admitted;
-        incr in_flight;
-        if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-        total_paths := !total_paths + List.length splits;
-        if List.length splits > 1 then incr split_payments;
-        p.splits <- List.mapi (start_instance ctx k) splits;
-        Engine.set_timer_after ctx ~after:stuck_eff ~label:(stuck_label k);
-        Engine.cancel_timer ctx ~label:(pat_label k);
-        true
-  in
-  let drain ctx =
-    let blocked = ref false in
-    while (not !blocked) && not (Queue.is_empty queue) do
-      let k = Queue.peek queue in
-      let p = pays.(k) in
-      if p.closed || p.admitted_at >= 0 then ignore (Queue.pop queue)
-      else if try_admit ctx k then ignore (Queue.pop queue)
-      else blocked := true
-    done
-  in
-  let close ctx k =
-    let p = pays.(k) in
-    if not p.closed then begin
-      p.closed <- true;
-      if p.admitted_at >= 0 then decr in_flight;
-      (* settled instances hand back their unspent collateral; an
-         unsettled (stuck) one may still deposit, and releasing its
-         reservation would double-spend the collateral *)
-      List.iter
-        (fun id ->
-          let ins = insts.(id) in
-          if settled_at ins >= 0 then begin
-            ins.i_released <- true;
-            legs.release ins
-          end)
-        p.splits;
-      Engine.cancel_timer ctx ~label:(stuck_label k);
-      (match w.arrival with
-      | Workload.Closed { clients; think } ->
-          let next = k + clients in
-          if next < w.payments then
-            Engine.set_timer_after ctx ~after:(max 1 think)
-              ~label:(arr_label next)
-      | _ -> ());
-      drain ctx
+  let take_draws k =
+    if k < !drawn then begin
+      let d = Ids.find ahead k in
+      Ids.remove ahead k;
+      d
+    end
+    else begin
+      while !drawn < k do
+        let skipped = !drawn in
+        Ids.replace ahead skipped (draw_payment ())
+      done;
+      draw_payment ()
     end
   in
-  let arrive ctx k =
-    pays.(k).arrived_at <- Engine.now engine;
-    roots.(k) <-
-      Engine.causal_note ctx ~trace:(k * max_splits)
-        ~label:("arrive#" ^ string_of_int k)
-        ();
-    Queue.add k queue;
-    Engine.set_timer_after ctx ~after:w.patience ~label:(pat_label k);
-    drain ctx
+  (* --- judging: an instance's verdict is final once it is retired (its
+     processes never act again) or the run has ended --- *)
+  (* routed verdicts name the split they come from *)
+  let split_tag id sep =
+    if routed then Printf.sprintf "split %d%s" id sep else ""
   in
-  let controller =
-    {
-      Engine.on_start =
-        (fun ctx ->
-          match arrivals with
-          | Some arr ->
-              Array.iteri
-                (fun k t ->
-                  Engine.set_timer ctx ~deadline:t ~label:(arr_label k))
-                arr
-          | None -> (
-              match w.arrival with
-              | Workload.Closed { clients; _ } ->
-                  for c = 0 to min clients w.payments - 1 do
-                    (* 1-tick stagger keeps first-round admission ordered *)
-                    Engine.set_timer ctx ~deadline:(1 + c)
-                      ~label:(arr_label c)
-                  done
-              | _ -> assert false));
-      on_receive =
-        (fun ctx ~src:_ msg ->
-          match msg with
-          | Msg.Traffic_done { payment = id } ->
-              let ins = insts.(id) in
-              let k = id / max_splits in
-              let p = pays.(k) in
-              if ins.i_active && (not ins.i_done) && settled_at ins >= 0
-              then begin
-                ins.i_done <- true;
-                p.settled <- p.settled + 1;
-                if p.settled = List.length p.splits then close ctx k
-              end
-          | _ -> ());
-      on_timer =
-        (fun ctx ~label ->
-          if String.starts_with ~prefix:"arr#" label then
-            arrive ctx (label_index label 4)
-          else if String.starts_with ~prefix:"pat#" label then begin
-            let k = label_index label 4 in
-            if pays.(k).admitted_at < 0 then close ctx k
+  let exposed_at ~lo ~hi lp =
+    List.exists
+      (fun (c : Faults.Fault_plan.crash_spec) ->
+        c.pid = lp && c.at <= hi
+        && match c.recover_at with None -> true | Some r -> r >= lo)
+      plan.Faults.Fault_plan.crashes
+  in
+  (* under [optimistic] admission a deposit may meet a drained account:
+     that rejection is the policy's, not a protocol fault *)
+  let excused what =
+    w.policy = Workload.Optimistic && is_liquidity_rejection what
+  in
+  let safety proto =
+    Fold.safety ~excused ~preimage_is_receipt:true (judged_as proto)
+  in
+  let judge ins ~end_time =
+    let p = ins.i_pay in
+    let h = ins.i_hops in
+    let hi = if settled_at ins >= 0 then settled_at ins else end_time in
+    let exposed = exposed_at ~lo:p.admitted_at ~hi in
+    (* a pid abides unless its host was crashed while the instance was
+       live — mirrors chaos's non-abiding registration *)
+    let facts =
+      {
+        Fold.facts = ins.i_facts;
+        honest = (fun lp -> not (exposed lp));
+        net = Fold.flow ins.i_facts;
+        tm_trusted = true;
+        well_formed = well_formed_for p.proto ~hops:h;
+      }
+    in
+    List.iter
+      (fun (_, what) ->
+        if is_liquidity_rejection what then incr liquidity_rejections)
+      (Fold.rejections ins.i_facts);
+    let viols = ref [] in
+    List.iter
+      (fun (_, check) ->
+        let { Props.Verdict.property; applicable; holds; detail } =
+          check facts
+        in
+        if applicable && not holds then
+          viols :=
+            { payment = p.k; property; detail = split_tag ins.id ": " ^ detail }
+            :: !viols)
+      (safety p.proto);
+    p.split_viols.(ins.i_split) <- List.rev !viols;
+    incr inst_started;
+    if paid_at ins < 0 then p.all_paid <- false
+    else begin
+      p.any_paid <- true;
+      p.paid_max <- max p.paid_max (paid_at ins);
+      incr inst_paid;
+      committed_value := !committed_value + ins.i_value
+    end;
+    if settled_at ins >= 0 then incr inst_settled;
+    p.settled_max <- max p.settled_max (settled_at ins);
+    (* settled for abort purposes: every customer terminated or was
+       crash-covered *)
+    for ci = 0 to h do
+      if Fold.terminated ins.i_facts ci = None && not (exposed ci) then
+        p.all_settled <- false
+    done;
+    p.unjudged <- p.unjudged - 1
+  in
+  (* a payment commits iff every instance paid Bob *)
+  let finalize p =
+    Ids.remove pays p.k;
+    let o =
+      if p.admitted_at < 0 then begin
+        if p.no_route then incr no_route_rejections;
+        Rejected
+      end
+      else
+        let viols = List.concat (Array.to_list p.split_viols) in
+        if viols <> [] then begin
+          violations := (p.k, viols) :: !violations;
+          Violated
+        end
+        else if p.all_paid then begin
+          let lat = p.paid_max - p.arrived_at in
+          let hist, first =
+            match Hashtbl.find_opt latencies p.proto with
+            | Some v -> v
+            | None ->
+                let v = (Hashtbl.create 64, ref p.k) in
+                Hashtbl.replace latencies p.proto v;
+                v
+          in
+          if p.k < !first then first := p.k;
+          tally hist lat;
+          Committed
+        end
+        else if p.all_settled then begin
+          if p.any_paid then incr partial_payments;
+          Aborted
+        end
+        else Stuck
+    in
+    bump p.proto o;
+    if rows then begin
+      row_outcome.(p.k) <- o;
+      row_settled.(p.k) <- p.settled_max
+    end
+  in
+  (* --- instance lifecycle ---
+
+     Retirement: once an instance's settlement is counted, its payment is
+     closed (so its leftover collateral was handed back) and every process
+     of its block is quiet (halted, or nothing queued for it and no timer
+     armed; stale firings and deliveries to halted pids do not count),
+     nothing can make its processes act again: only its own block, the
+     controller (at admission) and a shared committee ever send to it
+     (for the committee, see [try_retire]). It is judged, its processes
+     leave the engine, its links leave the network's FIFO table and its
+     resolved deposits leave the books. Unsettled (stuck) instances, and
+     instances whose block goes quiet without another event to notice it
+     (a crashed pid's deliveries are dropped unseen), stay until the run
+     ends. *)
+  let forget_link a b =
+    Network.forget_link network ~src:a ~dst:b;
+    Network.forget_link network ~src:b ~dst:a
+  in
+  let retire ins =
+    Ids.remove live ins.id;
+    let base = 1 + (ins.id * stride) in
+    let n = Array.length ins.i_handlers in
+    for a = 0 to n - 1 do
+      Engine.retire engine (base + a);
+      (* its links: with the controller, with a shared committee's
+         sequencer (the only replica that talks to blocks), and within
+         the block *)
+      forget_link 0 (base + a);
+      if Option.is_some w.committee then forget_link payment_limit (base + a);
+      for b = a to n - 1 do
+        forget_link (base + a) (base + b)
+      done
+    done;
+    Array.iteri
+      (fun leg ids ->
+        List.iter (Ledger.Book.forget legs.books.(ins.i_path.(leg))) ids)
+      ins.i_deposits;
+    judge ins ~end_time:(Engine.now engine);
+    let p = ins.i_pay in
+    if p.closed && p.unjudged = 0 then finalize p
+  in
+  let block_quiet ins =
+    let base = 1 + (ins.id * stride) in
+    let rec quiet l =
+      l = Array.length ins.i_handlers
+      || (Engine.quiet engine (base + l) && quiet (l + 1))
+    in
+    quiet 0
+  in
+  let retirable ins = ins.i_done && ins.i_pay.closed && block_quiet ins in
+  (* the instances sharing a shared-committee instance's certificate *)
+  let batch_of ins =
+    match !sequencer_com with
+    | None -> None
+    | Some com -> (
+        match Quorum.Committee.verdict_of com ~item:ins.id with
+        | None -> None
+        | Some (_, slot) ->
+            Option.map
+              (fun cert ->
+                List.filter_map
+                  (fun (v : Quorum.Committee.verdict) ->
+                    Ids.find_opt live v.item)
+                  cert.Consensus.Dls.d_value)
+              (Quorum.Committee.cert_of_slot com slot))
+  in
+  (* A shared-committee instance waits for its whole batch: the sequencer
+     re-announces a certificate to every item of its batch whenever one
+     item's late request arrives. Once no instance of the batch can ask
+     again (each is quiet, with no request in flight), nothing will send
+     to any of them, and the retirable ones go together. *)
+  let try_retire ins =
+    if Ids.mem live ins.id && retirable ins then
+      if ins.i_pay.proto <> Workload.Shared then retire ins
+      else
+        match batch_of ins with
+        | Some batch
+          when List.for_all (fun x -> x.i_asks = 0 && block_quiet x) batch ->
+            List.iter
+              (fun x -> if Ids.mem live x.id && retirable x then retire x)
+              batch
+        | _ -> ()
+  in
+  (* Each live instance's entries feed its fold. Requests to a shared
+     committee's sequencer are counted while in flight. A delivery to a
+     halted pid runs no handler, so it is where a done instance's last
+     event may land: check retirement there too. *)
+  Trace.on_record (Engine.trace engine) (fun entry ->
+      match entry with
+      | Trace.Sent { src; dst; _ } ->
+          incr messages;
+          if in_blocks src then begin
+            match Ids.find live ((src - 1) / stride) with
+            | ins ->
+                Fold.observe ins.i_facts entry;
+                if dst = payment_limit then ins.i_asks <- ins.i_asks + 1
+            | exception Not_found -> ()
           end
-          else if String.starts_with ~prefix:"stuck#" label then
-            close ctx (label_index label 6))
-    }
-  in
-  let cpid =
-    Engine.add_process engine ~clock:Clock.perfect ~label:"sched" controller
-  in
-  assert (cpid = 0);
-  (* --- instance blocks: every process is a buffering shell that comes
-     alive on Start, running its slot of the instance's handlers --- *)
-  let clock_rng = Rng.create ~seed:(seed + 31) in
-  let shell ~id ~l ~abs ~skew =
-    let ins = insts.(id) in
+      | Trace.Observed { pid; obs; _ } ->
+          if in_blocks pid then begin
+            match Ids.find live ((pid - 1) / stride) with
+            | ins -> observed ins entry obs
+            | exception Not_found -> ()
+          end
+      | Trace.Delivered { src; dst; _ } ->
+          if dst = payment_limit then begin
+            if in_blocks src then
+              match Ids.find live ((src - 1) / stride) with
+              | ins -> ins.i_asks <- ins.i_asks - 1
+              | exception Not_found -> ()
+          end
+          else if in_blocks dst then begin
+            match Ids.find live ((dst - 1) / stride) with
+            | ins ->
+                if ins.i_done && Engine.is_halted engine dst then
+                  try_retire ins
+            | exception Not_found -> ()
+          end
+      | _ -> ());
+  (* Every process is a buffering shell that comes alive on Start, running
+     its slot of the instance's handlers. *)
+  let shell ins ~l ~clock ~skew =
     let started = ref false in
     let reported = ref false in
     let buffered = ref [] in
     let after_inner ctx =
-      if l <= ins.i_hops && (not !reported) && Engine.is_halted engine abs
-      then begin
+      if l <= ins.i_hops && (not !reported) && Engine.halted ctx then begin
         reported := true;
-        Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = id })
-      end
+        Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = ins.id })
+      end;
+      if ins.i_done then try_retire ins
     in
     {
       Engine.on_start = (fun _ -> ());
@@ -788,13 +902,13 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         (fun ctx ~src msg ->
           match msg with
           | Msg.Start ->
-              if (not !started) && l < Array.length ins.i_handlers then begin
+              if not !started then begin
                 started := true;
                 (* re-anchor the local epoch: the protocol's absolute local
                    deadlines must count from this instance's own start, not
                    from engine time 0 *)
-                let num, den = Clock.rate (Engine.clock_of engine abs) in
-                Engine.set_clock engine ~pid:abs
+                let num, den = Clock.rate clock in
+                Engine.set_clock engine ~pid:(1 + (ins.id * stride) + l)
                   (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num ~den ());
                 let h = ins.i_handlers.(l) in
                 h.Engine.on_start ctx;
@@ -802,7 +916,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
                 buffered := [];
                 List.iter
                   (fun (src, m) ->
-                    if not (Engine.is_halted engine abs) then
+                    if not (Engine.halted ctx) then
                       h.Engine.on_receive ctx ~src m)
                   pending;
                 after_inner ctx
@@ -821,23 +935,263 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           end);
     }
   in
-  for id = 0 to instances - 1 do
+  (* Build split [j] of an admitted payment over path [s]: its env, fold
+     and handlers, and a process per slot its protocol uses, born at the
+     pids [1 + id * stride + l] with the clocks drawn for them. Building
+     every instance before the run instead measured slower end to end on
+     the 2k-payment chain benchmark (seed 1, 10 alternating pairs,
+     two-core x86-64 VM): at admission, with retirement, commits 9% more
+     payments per second in a 2.6x smaller peak heap. Building inside the
+     loop still costs the dispatches around it: the 600-payment shared
+     committee benchmark, whose committee work dominates, runs 9% slower. *)
+  let build p j (s : Routing.Router.split) =
+    let id = (p.k * max_splits) + j in
+    let path = Array.of_list s.path in
+    let h = Array.length path in
+    let amounts = legs.amounts s.path s.value in
+    let env =
+      Env.make ~topo:(Topology.create ~hops:h)
+        ~params:(params_for w p.proto ~hops:h)
+        ~payment:id ~value:s.value ~amounts ~seed:(seed + 101 + id)
+        ~books:(Array.map (fun e -> legs.books.(e)) path)
+        ()
+    in
     let base = 1 + (id * stride) in
-    let proto = protos.(id / max_splits) in
-    for l = 0 to stride - 1 do
-      let clock = Clock.random clock_rng ~drift_ppm:w.drift_ppm in
-      let skew = Rng.int clock_rng 1001 in
-      (* profiler role labels: constant strings, interned only when the
-         engine carries a profiler *)
-      ignore
-        (Engine.add_process engine ~clock ~base ~label:(legs.role proto l)
-           (shell ~id ~l ~abs:(base + l) ~skew))
+    let ins =
+      {
+        id;
+        i_pay = p;
+        i_split = j;
+        i_hops = h;
+        i_value = s.value;
+        i_path = path;
+        i_amounts = amounts;
+        i_handlers =
+          Array.init (block_size ~hops:h p.proto) (handlers_for p.proto env id);
+        i_facts = Fold.create ~base ~hops:h ~nprocs:(h + 1);
+        i_done = false;
+        i_released = false;
+        i_deposited = Array.make h 0;
+        i_refunded = Array.make h 0;
+        i_deposits = Array.make h [];
+        i_asks = 0;
+      }
+    in
+    Ids.replace live id ins;
+    Array.iteri
+      (fun l _ ->
+        let clock, skew = p.draws.(j).(l) in
+        (* profiler role labels: constant strings, interned only when the
+           engine carries a profiler *)
+        ignore
+          (Engine.add_process engine ~pid:(base + l) ~clock ~base
+             ~label:(legs.role p.proto l)
+             (shell ins ~l ~clock ~skew)))
+      ins.i_handlers;
+    ins
+  in
+  (* --- controller (pid 0): arrivals, admission, deadlines --- *)
+  let queue = Queue.create () in
+  let in_flight = ref 0 in
+  let max_in_flight = ref 0 in
+  let admitted = ref 0 in
+  let total_paths = ref 0 in
+  let split_payments = ref 0 in
+  let arr_label k = "arr#" ^ string_of_int k in
+  let pat_label k = "pat#" ^ string_of_int k in
+  let stuck_label k = "stuck#" ^ string_of_int k in
+  let start_instance ctx p j s =
+    let ins = build p j s in
+    legs.reserve ins;
+    (* Queue edge from the arrival note: the gap the walk crosses here is
+       exactly this payment's wait behind admission *)
+    ignore
+      (Engine.causal_note ctx
+         ~after:(if rows then roots.(p.k) else -1)
+         ~trace:ins.id
+         ~label:("admit#" ^ string_of_int ins.id)
+         ());
+    let base = 1 + (ins.id * stride) in
+    for l = 0 to Array.length ins.i_handlers - 1 do
+      Engine.send ctx ~dst:(base + l) Msg.Start
+    done;
+    ins.id
+  in
+  let try_admit ctx p =
+    (w.cap = 0 || !in_flight < w.cap)
+    &&
+    match legs.route () with
+    | None ->
+        p.no_route <- true;
+        false
+    | Some splits ->
+        p.admitted_at <- Engine.now engine;
+        incr admitted;
+        incr in_flight;
+        if !in_flight > !max_in_flight then max_in_flight := !in_flight;
+        let n = List.length splits in
+        total_paths := !total_paths + n;
+        if n > 1 then incr split_payments;
+        p.unjudged <- n;
+        p.split_viols <- Array.make n [];
+        p.splits <- List.mapi (start_instance ctx p) splits;
+        p.draws <- [||];
+        Engine.set_timer_after ctx ~after:stuck_eff ~label:(stuck_label p.k);
+        Engine.cancel_timer ctx ~label:(pat_label p.k);
+        true
+  in
+  let drain ctx =
+    let blocked = ref false in
+    while (not !blocked) && not (Queue.is_empty queue) do
+      match Ids.find pays (Queue.peek queue) with
+      | exception Not_found -> ignore (Queue.pop queue)
+      | p ->
+          if p.closed || p.admitted_at >= 0 then ignore (Queue.pop queue)
+          else if try_admit ctx p then ignore (Queue.pop queue)
+          else blocked := true
     done
-  done;
+  in
+  let close ctx p =
+    if not p.closed then begin
+      p.closed <- true;
+      if p.admitted_at >= 0 then decr in_flight;
+      (* settled instances hand back their unspent collateral; an
+         unsettled (stuck) one may still deposit, and releasing its
+         reservation would double-spend the collateral *)
+      let splits = List.map (Ids.find live) p.splits in
+      List.iter
+        (fun ins ->
+          if settled_at ins >= 0 then begin
+            ins.i_released <- true;
+            legs.release ins
+          end)
+        splits;
+      if p.unjudged = 0 then finalize p else List.iter try_retire splits;
+      Engine.cancel_timer ctx ~label:(stuck_label p.k);
+      (match w.arrival with
+      | Workload.Closed { clients; think } ->
+          let next = p.k + clients in
+          if next < w.payments then
+            Engine.set_timer_after ctx ~after:(max 1 think)
+              ~label:(arr_label next)
+      | _ -> ());
+      drain ctx
+    end
+  in
+  let arrive ctx k =
+    let proto, draws = take_draws k in
+    let p =
+      {
+        k;
+        proto;
+        arrived_at = Engine.now engine;
+        draws;
+        admitted_at = -1;
+        closed = false;
+        splits = [];
+        no_route = false;
+        settled = 0;
+        unjudged = 0;
+        split_viols = [||];
+        all_paid = true;
+        all_settled = true;
+        any_paid = false;
+        paid_max = 0;
+        settled_max = -1;
+      }
+    in
+    Ids.replace pays k p;
+    let root =
+      Engine.causal_note ctx ~trace:(k * max_splits)
+        ~label:("arrive#" ^ string_of_int k)
+        ()
+    in
+    if rows then begin
+      roots.(k) <- root;
+      row_arrived.(k) <- p.arrived_at
+    end;
+    Queue.add k queue;
+    Engine.set_timer_after ctx ~after:w.patience ~label:(pat_label k);
+    drain ctx
+  in
+  let with_pay k f =
+    match Ids.find pays k with p -> f p | exception Not_found -> ()
+  in
+  let controller =
+    {
+      Engine.on_start =
+        (fun ctx ->
+          match arrivals with
+          | Some arr ->
+              Engine.set_timer_series ctx ~deadlines:arr ~label:arr_label
+          | None -> (
+              match w.arrival with
+              | Workload.Closed { clients; _ } ->
+                  for c = 0 to min clients w.payments - 1 do
+                    (* 1-tick stagger keeps first-round admission ordered *)
+                    Engine.set_timer ctx ~deadline:(1 + c)
+                      ~label:(arr_label c)
+                  done
+              | _ -> assert false));
+      on_receive =
+        (fun ctx ~src:_ msg ->
+          match msg with
+          | Msg.Traffic_done { payment = id } -> (
+              match Ids.find live id with
+              | exception Not_found -> ()
+              | ins ->
+                  let p = ins.i_pay in
+                  if (not ins.i_done) && settled_at ins >= 0 then begin
+                    ins.i_done <- true;
+                    p.settled <- p.settled + 1;
+                    if p.settled = List.length p.splits then close ctx p
+                    else try_retire ins
+                  end)
+          | _ -> ());
+      on_timer =
+        (fun ctx ~label ->
+          if String.starts_with ~prefix:"arr#" label then
+            arrive ctx (label_index label 4)
+          else if String.starts_with ~prefix:"pat#" label then
+            with_pay (label_index label 4) (fun p ->
+                if p.admitted_at < 0 then close ctx p)
+          else if String.starts_with ~prefix:"stuck#" label then
+            with_pay (label_index label 6) (close ctx));
+    }
+  in
+  let cpid =
+    Engine.add_process engine ~clock:Clock.perfect ~label:"sched" controller
+  in
+  assert (cpid = 0);
+  (* Instance blocks are born at admission. A profiler numbers role labels
+     in the order it first meets them, so meet them here in the order the
+     blocks' slots would come if every block existed up front: block by
+     block, slot by slot, until every protocol of the mix has shown up. *)
+  Option.iter
+    (fun pr ->
+      let unseen = ref (List.length w.mix) in
+      let seen = Hashtbl.create 8 in
+      let rec walk ps id =
+        if !unseen > 0 && id < instances then
+          match ps () with
+          | Seq.Nil -> ()
+          | Seq.Cons (proto, rest) ->
+              if not (Hashtbl.mem seen proto) then begin
+                Hashtbl.replace seen proto ();
+                decr unseen
+              end;
+              for _ = 1 to max_splits do
+                for l = 0 to stride - 1 do
+                  ignore (Obsv.Prof.intern pr (legs.role proto l))
+                done
+              done;
+              walk rest (id + max_splits)
+      in
+      walk (Workload.mix_seq w ~seed) 0)
+    prof;
   (* the shared committee's replicas form one block right after the
      instance blocks; [c_faulty] of them (never the sequencer) are
      crash-silent from the start *)
-  let sequencer_com = ref None in
   Option.iter
     (fun ((c : Workload.committee), ccfg, signers, _) ->
       for i = 0 to c.c_size - 1 do
@@ -851,21 +1205,29 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
             handlers
           end
         in
-        let pid =
-          Engine.add_process engine ~clock:Clock.perfect ~base:payment_limit
-            ~label:"notary" handlers
-        in
-        assert (pid = payment_limit + i)
+        ignore
+          (Engine.add_process engine ~clock:Clock.perfect ~base:payment_limit
+             ~pid:(payment_limit + i) ~label:"notary" handlers)
       done)
     shared_committee;
-  (* host crashes expand to every instance block *)
+  (* host crashes expand to every instance block, born or not, labelled
+     with the role the crashed slot has in each block *)
+  Engine.reserve_pids engine payment_limit;
   List.iter
     (fun (c : Faults.Fault_plan.crash_spec) ->
-      for id = 0 to instances - 1 do
-        Engine.schedule_crash engine
-          ~pid:(1 + (id * stride) + c.pid)
-          ~at:c.at ?recover_at:c.recover_at ()
-      done)
+      let rec expand protos k =
+        match protos () with
+        | Seq.Nil -> ()
+        | Seq.Cons (proto, rest) ->
+            for j = 0 to max_splits - 1 do
+              Engine.schedule_crash engine
+                ~pid:(1 + (((k * max_splits) + j) * stride) + c.pid)
+                ~at:c.at ?recover_at:c.recover_at
+                ~label:(legs.role proto c.pid) ()
+            done;
+            expand rest (k + 1)
+      in
+      expand (Workload.mix_seq w ~seed) 0)
     plan.Faults.Fault_plan.crashes;
   (* Online checks: exactly the run's post-hoc conservation audit
      re-evaluated on every dispatch, so the monitor's final verdict agrees
@@ -906,128 +1268,72 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   Option.iter
     (fun rc -> Trace.on_record (Engine.trace engine) (Trace.record rc))
     recorder;
+  let minor0 = Gc.minor_words () in
   let status = Engine.run ~horizon ~max_events engine in
   let end_time = Engine.now engine in
-  (* --- classification: a payment commits iff every instance paid Bob --- *)
-  let violations = ref [] in
-  let liquidity_rejections = ref 0 in
-  let partial_payments = ref 0 in
-  let no_route_rejections = ref 0 in
-  (* routed verdicts name the split they come from *)
-  let split_tag id sep =
-    if routed then Printf.sprintf "split %d%s" id sep else ""
-  in
-  let exposed_at ~lo ~hi lp =
-    List.exists
-      (fun (c : Faults.Fault_plan.crash_spec) ->
-        c.pid = lp && c.at <= hi
-        && match c.recover_at with None -> true | Some r -> r >= lo)
-      plan.Faults.Fault_plan.crashes
-  in
-  (* under [optimistic] admission a deposit may meet a drained account:
-     that rejection is the policy's, not a protocol fault *)
-  let excused what =
-    w.policy = Workload.Optimistic && is_liquidity_rejection what
-  in
-  let safety proto =
-    Fold.safety ~excused ~preimage_is_receipt:true (judged_as proto)
-  in
-  let classify k =
-    let p = pays.(k) in
-    if p.admitted_at < 0 then begin
-      if p.no_route then incr no_route_rejections;
-      Rejected
-    end
-    else begin
-      let viols = ref [] in
-      let add property detail =
-        viols := { payment = k; property; detail } :: !viols
-      in
-      let all_paid = ref true in
-      let all_settled = ref true in
-      let any_paid = ref false in
-      List.iter
-        (fun id ->
-          let ins = insts.(id) in
-          let h = ins.i_hops in
-          let hi =
-            if settled_at ins >= 0 then settled_at ins else end_time
-          in
-          let exposed = exposed_at ~lo:p.admitted_at ~hi in
-          (* a pid abides unless its host was crashed while the instance
-             was live — mirrors chaos's non-abiding registration *)
-          let judge =
-            {
-              Fold.facts = ins.i_facts;
-              honest = (fun lp -> not (exposed lp));
-              net = Fold.flow ins.i_facts;
-              tm_trusted = true;
-              well_formed = well_formed_for p.proto ~hops:h;
-            }
-          in
-          List.iter
-            (fun (_, what) ->
-              if is_liquidity_rejection what then incr liquidity_rejections)
-            (Fold.rejections ins.i_facts);
-          List.iter
-            (fun (_, check) ->
-              let { Props.Verdict.property; applicable; holds; detail } =
-                check judge
-              in
-              if applicable && not holds then
-                add property (split_tag id ": " ^ detail))
-            (safety p.proto);
-          if paid_at ins < 0 then all_paid := false else any_paid := true;
-          (* settled for abort purposes: every customer terminated or was
-             crash-covered *)
-          for ci = 0 to h do
-            if Fold.terminated ins.i_facts ci = None && not (exposed ci) then
-              all_settled := false
-          done)
-        p.splits;
-      if !viols <> [] then begin
-        violations := !viols @ !violations;
-        Violated
-      end
-      else if !all_paid then Committed
-      else if !all_settled then begin
-        if !any_paid then incr partial_payments;
-        Aborted
-      end
-      else Stuck
-    end
-  in
-  let outcomes = Array.init w.payments classify in
+  (* --- what the run leaves: resident instances are judged at its end,
+     then their payments, then the payments that never arrived --- *)
+  List.iter
+    (fun ins -> judge ins ~end_time)
+    (List.sort (fun a b -> Int.compare a.id b.id)
+       (Ids.fold (fun _ ins acc -> ins :: acc) live []));
+  List.iter finalize
+    (List.sort (fun a b -> Int.compare a.k b.k)
+       (Ids.fold (fun _ p acc -> p :: acc) pays []));
+  Ids.iter (fun _ (proto, _) -> bump proto Rejected) ahead;
+  Seq.iter
+    (fun proto ->
+      tally assigned proto;
+      bump proto Rejected)
+    !mix;
   let conservation_ok = Array.for_all book_ok legs.books in
-  if not conservation_ok then
-    violations :=
-      {
-        payment = -1;
-        property = "ES/M";
-        detail =
-          Printf.sprintf "a shared %s book failed its conservation audit"
-            legs.book_kind;
-      }
-      :: !violations;
+  let violations =
+    List.concat_map snd
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) !violations)
+    @
+    if conservation_ok then []
+    else
+      [
+        {
+          payment = -1;
+          property = "ES/M";
+          detail =
+            Printf.sprintf "a shared %s book failed its conservation audit"
+              legs.book_kind;
+        };
+      ]
+  in
   let count o =
-    Array.fold_left (fun a x -> if x = o then a + 1 else a) 0 outcomes
+    List.fold_left (fun a (pr, _) -> a + count_of pr o) 0 w.mix
   in
-  let pay_latency k =
-    List.fold_left
-      (fun acc id -> max acc (paid_at insts.(id)))
-      0 pays.(k).splits
-    - pays.(k).arrived_at
-  in
-  let latencies =
-    let l = ref [] in
-    Array.iteri
-      (fun k o -> if o = Committed then l := pay_latency k :: !l)
-      outcomes;
-    let a = Array.of_list !l in
-    Array.sort compare a;
-    a
+  (* every committed latency, ascending, as (latency, multiplicity) *)
+  let latency_hist =
+    let all = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun _ (h, _) ->
+        Hashtbl.iter
+          (fun lat n ->
+            match Hashtbl.find_opt all lat with
+            | Some r -> r := !r + !n
+            | None -> Hashtbl.replace all lat (ref !n))
+          h)
+      latencies;
+    List.sort compare (Hashtbl.fold (fun lat n acc -> (lat, !n) :: acc) all [])
   in
   let committed = count Committed in
+  (* the same nearest-rank percentile as over the sorted latency array *)
+  let percentile q =
+    if committed = 0 then 0
+    else
+      let rank = ((q * committed) + 99) / 100 in
+      let idx = max 0 (min (committed - 1) (rank - 1)) in
+      let rec walk seen = function
+        | [] -> 0
+        | (lat, n) :: rest ->
+            if idx < seen + n then lat else walk (seen + n) rest
+      in
+      walk 0 latency_hist
+  in
   (* critical-path blame per paid instance: root = its payment's arrival
      note, sink = the deliver under which Bob's payout was released, so
      the category gaps sum exactly to the instance's commit latency. A
@@ -1044,10 +1350,9 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         for id = instances - 1 downto 0 do
           let k = id / max_splits in
           if
-            paid_at insts.(id) >= 0
-            && roots.(k) >= 0
+            roots.(k) >= 0
             && paid_nodes.(id) >= 0
-            && (routed || outcomes.(k) = Committed)
+            && (routed || row_outcome.(k) = Committed)
           then
             acc :=
               ( id,
@@ -1065,25 +1370,19 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   let routing =
     Option.map
       (fun g ->
-        let active =
-          List.filter (fun ins -> ins.i_active) (Array.to_list insts)
-        in
-        let paid = List.filter (fun ins -> paid_at ins >= 0) active in
         {
           topology = Routing.Topology.to_string g;
           strategy = Routing.Router.strategy_name w.route;
           max_splits;
           offered_value = w.payments * w.value;
-          committed_value =
-            List.fold_left (fun a ins -> a + ins.i_value) 0 paid;
+          committed_value = !committed_value;
           paths_selected = !total_paths;
           split_payments = !split_payments;
           partial_payments = !partial_payments;
           no_route_rejections = !no_route_rejections;
-          instances = List.length active;
-          instances_committed = List.length paid;
-          instances_settled =
-            List.length (List.filter (fun ins -> settled_at ins >= 0) active);
+          instances = !inst_started;
+          instances_committed = !inst_paid;
+          instances_settled = !inst_settled;
         })
       w.topology
   in
@@ -1104,15 +1403,14 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       rejected = count Rejected;
       stuck = count Stuck;
       violated = count Violated;
-      violations = List.rev !violations;
+      violations;
       liquidity_rejections = !liquidity_rejections;
       conservation_ok;
-      latency_p50 = percentile latencies 50;
-      latency_p95 = percentile latencies 95;
-      latency_p99 = percentile latencies 99;
+      latency_p50 = percentile 50;
+      latency_p95 = percentile 95;
+      latency_p99 = percentile 99;
       latency_max =
-        (if Array.length latencies = 0 then 0
-         else latencies.(Array.length latencies - 1));
+        List.fold_left (fun _ (lat, _) -> lat) 0 latency_hist;
       makespan = end_time;
       throughput_cpm =
         (if end_time = 0 then 0 else committed * 1_000_000 / end_time);
@@ -1121,15 +1419,11 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       by_protocol =
         List.map
           (fun (pr, _) ->
-            let assigned = ref 0 and comm = ref 0 in
-            Array.iteri
-              (fun k o ->
-                if protos.(k) = pr then begin
-                  incr assigned;
-                  if o = Committed then incr comm
-                end)
-              outcomes;
-            (Workload.proto_name pr, !assigned, !comm))
+            ( Workload.proto_name pr,
+              (match Hashtbl.find_opt assigned pr with
+              | Some r -> !r
+              | None -> 0),
+              count_of pr Committed ))
           w.mix;
       blame;
       blame_reports;
@@ -1173,6 +1467,8 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           !sequencer_com;
       events = Engine.events_processed engine;
       wall_ns = max 1 (Fleet.now_ns () - wall_t0);
+      top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
+      loop_minor_words = int_of_float (Gc.minor_words () -. minor0);
     }
   in
   (* --- telemetry --- *)
@@ -1191,23 +1487,28 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
                 ("protocol", Workload.proto_name pr);
                 ("outcome", outcome_name o);
               ]
-            "xchain_load_payments_total"
-            (Array.fold_left ( + ) 0
-               (Array.mapi
-                  (fun k x -> if protos.(k) = pr && x = o then 1 else 0)
-                  outcomes)))
+            "xchain_load_payments_total" (count_of pr o))
         [ Committed; Aborted; Rejected; Stuck; Violated ])
     w.mix;
-  Array.iteri
-    (fun k o ->
-      if o = Committed then
-        Obsv.Metrics.observe
-          (Obsv.Metrics.histogram reg
-             ~help:"Commit latency (arrival to Bob's payout), ticks"
-             ~labels:[ ("protocol", Workload.proto_name protos.(k)) ]
-             "xchain_load_commit_latency")
-          (pay_latency k))
-    outcomes;
+  (* one child per protocol, made in the order of each protocol's first
+     committed payment *)
+  List.iter
+    (fun (pr, (hist, _)) ->
+      let h =
+        Obsv.Metrics.histogram reg
+          ~help:"Commit latency (arrival to Bob's payout), ticks"
+          ~labels:[ ("protocol", Workload.proto_name pr) ]
+          "xchain_load_commit_latency"
+      in
+      Hashtbl.iter
+        (fun lat n ->
+          for _ = 1 to !n do
+            Obsv.Metrics.observe h lat
+          done)
+        hist)
+    (List.sort
+       (fun (_, (_, a)) (_, (_, b)) -> Int.compare !a !b)
+       (Hashtbl.fold (fun pr v acc -> (pr, v) :: acc) latencies []));
   Obsv.Metrics.add
     (Obsv.Metrics.counter reg
        ~help:"In-protocol insufficient-funds deposit failures"
@@ -1229,8 +1530,9 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       add_count ~help:"Value committed end-to-end across all splits"
         "xchain_route_committed_value_total" s.committed_value)
     routing;
-  let spans = Obsv.Span.default in
-  if Obsv.Span.capture spans then begin
+  if spans_on then begin
+    let spans = Obsv.Span.default in
+    let protos = Workload.assign_mix w ~seed in
     let root =
       Obsv.Span.start spans ~name:"load"
         ~attrs:
@@ -1242,22 +1544,16 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     in
     Array.iteri
       (fun k o ->
-        let p = pays.(k) in
         let s =
           Obsv.Span.start spans ~parent:root ~name:"payment"
             ~attrs:
               [
                 ("id", string_of_int k);
-                ("protocol", Workload.proto_name p.proto);
+                ("protocol", Workload.proto_name protos.(k));
               ]
             ~trace_id:(if Option.is_none causal then -1 else k * max_splits)
             ~root_event:roots.(k)
-            ~at:(max 0 p.arrived_at) ()
-        in
-        let settled_at =
-          List.fold_left
-            (fun acc id -> max acc (settled_at insts.(id)))
-            (-1) p.splits
+            ~at:(max 0 row_arrived.(k)) ()
         in
         (* a stuck payment's span must never export as open-ended or as
            settling when the engine merely stopped: it is force-closed at
@@ -1265,10 +1561,10 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         Obsv.Span.finish ~status:(outcome_name o)
           ~at:
             (if o = Stuck then horizon
-             else if settled_at >= 0 then settled_at
+             else if row_settled.(k) >= 0 then row_settled.(k)
              else end_time)
           s)
-      outcomes;
+      row_outcome;
     Obsv.Span.finish ~status:report.status ~at:end_time root
   end;
   report
@@ -1345,9 +1641,12 @@ let to_json r =
     r.committee_stats;
   (* wall-clock timing is the one nondeterministic member; it comes last
      so byte-identity checks can strip it (scripts/strip_timing.py) *)
-  Printf.bprintf b ",\"timing\":{\"wall_ns\":%d,\"events_per_sec\":%d}"
+  Printf.bprintf b
+    ",\"timing\":{\"wall_ns\":%d,\"events_per_sec\":%d,\"top_heap_mb\":%.1f,\"minor_words_per_event\":%.1f}"
     r.wall_ns
-    (int_of_float (float_of_int r.events /. (float_of_int r.wall_ns /. 1e9)));
+    (int_of_float (float_of_int r.events /. (float_of_int r.wall_ns /. 1e9)))
+    (float_of_int (r.top_heap_words * (Sys.word_size / 8)) /. 1048576.)
+    (float_of_int r.loop_minor_words /. float_of_int (max 1 r.events));
   Buffer.add_char b '}';
   Buffer.contents b
 

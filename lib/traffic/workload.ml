@@ -344,37 +344,52 @@ let of_string s =
   let* () = validate w in
   Ok w
 
-let assign_mix w ~seed =
-  let total = List.fold_left (fun acc (_, weight) -> acc + weight) 0 w.mix in
-  let rng = Sim.Rng.create ~seed:(seed + 5) in
-  Array.init w.payments (fun _ ->
-      let r = Sim.Rng.int rng total in
-      let rec pick acc = function
-        | [] -> assert false
-        | (p, weight) :: rest ->
-            if r < acc + weight then p else pick (acc + weight) rest
-      in
-      pick 0 w.mix)
+(* Both streams below are persistent: each step draws from a copy of the
+   generator it was handed, so a sequence can be traversed again from any
+   node and yields the same values, while holding O(1) state. *)
 
-let arrivals w ~seed =
-  let rng = Sim.Rng.create ~seed:(seed + 3) in
+let mix_seq w ~seed =
+  let total = List.fold_left (fun acc (_, weight) -> acc + weight) 0 w.mix in
+  let rec pick r acc = function
+    | [] -> assert false
+    | (p, weight) :: rest ->
+        if r < acc + weight then p else pick r (acc + weight) rest
+  in
+  let rec from g k () =
+    if k = w.payments then Seq.Nil
+    else
+      let g = Sim.Rng.copy g in
+      let p = pick (Sim.Rng.int g total) 0 w.mix in
+      Seq.Cons (p, from g (k + 1))
+  in
+  from (Sim.Rng.create ~seed:(seed + 5)) 0
+
+let assign_mix w ~seed = Array.of_seq (mix_seq w ~seed)
+
+let arrival_seq w ~seed =
+  (* tick after [t] for payment [k], drawing from [g] when random *)
+  let step g t k =
+    match w.arrival with
+    | Closed _ -> assert false
+    | Poisson { gap } -> t + 1 + Sim.Rng.exponential_ticks g ~mean:gap
+    | Burst { size; every } -> 1 + (k / size * every)
+    | Ramp { gap_hi; gap_lo } ->
+        let span = Stdlib.max 1 (w.payments - 1) in
+        let mean = gap_hi - ((gap_hi - gap_lo) * k / span) in
+        t + 1 + Sim.Rng.exponential_ticks g ~mean
+  in
+  let rec from g t k () =
+    if k = w.payments then Seq.Nil
+    else
+      let g = Sim.Rng.copy g in
+      let t = step g t k in
+      Seq.Cons (t, from g t (k + 1))
+  in
   match w.arrival with
   | Closed _ -> None
-  | Poisson { gap } ->
-      let t = ref 0 in
-      Some
-        (Array.init w.payments (fun _ ->
-             t := !t + 1 + Sim.Rng.exponential_ticks rng ~mean:gap;
-             !t))
-  | Burst { size; every } ->
-      Some (Array.init w.payments (fun k -> 1 + (k / size * every)))
-  | Ramp { gap_hi; gap_lo } ->
-      let t = ref 0 in
-      let span = Stdlib.max 1 (w.payments - 1) in
-      Some
-        (Array.init w.payments (fun k ->
-             let mean = gap_hi - ((gap_hi - gap_lo) * k / span) in
-             t := !t + 1 + Sim.Rng.exponential_ticks rng ~mean;
-             !t))
+  | Poisson _ | Burst _ | Ramp _ ->
+      Some (from (Sim.Rng.create ~seed:(seed + 3)) 0 0)
+
+let arrivals w ~seed = Option.map Array.of_seq (arrival_seq w ~seed)
 
 let pp ppf w = Fmt.string ppf (to_string w)

@@ -144,13 +144,22 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
-val assign_mix : t -> seed:int -> proto array
-(** The per-payment protocol assignment: deterministic weighted draws,
-    one per payment, from a stream seeded by [seed] alone. *)
+val mix_seq : t -> seed:int -> proto Seq.t
+(** The per-payment protocol assignment in payment order: deterministic
+    weighted draws, one per payment, from a stream seeded by [seed] alone.
+    Persistent (every traversal yields the same protocols) and O(1) in
+    memory, however many payments the workload has. *)
 
-val arrivals : t -> seed:int -> int array option
+val assign_mix : t -> seed:int -> proto array
+(** {!mix_seq} as an array. *)
+
+val arrival_seq : t -> seed:int -> int Seq.t option
 (** Open-loop arrival ticks per payment (monotone), or [None] for the
     closed-loop arrival process (arrival times are settle-driven).
-    Deterministic in [seed]. *)
+    Deterministic in [seed]; persistent and O(1) in memory like
+    {!mix_seq}. *)
+
+val arrivals : t -> seed:int -> int array option
+(** {!arrival_seq} as an array. *)
 
 val pp : Format.formatter -> t -> unit

@@ -132,6 +132,24 @@ let book_tests =
           (Result.is_error (Book.transfer b ~src:9 ~dst:0 ~amount:1));
         check Alcotest.bool "dst" true
           (Result.is_error (Book.transfer b ~src:0 ~dst:9 ~amount:1)));
+    Alcotest.test_case "forget drops only resolved deposits" `Quick (fun () ->
+        let b = book () in
+        let take () =
+          match Book.deposit b ~from_:0 ~amount:10 with
+          | Ok d -> d
+          | Error _ -> Alcotest.fail "deposit"
+        in
+        let held = take () and paid = take () in
+        ok (Book.release b paid ~to_:1);
+        Book.forget b held;
+        Book.forget b paid;
+        check Alcotest.bool "held kept" true
+          (Book.deposit_status b held = Some Book.Held);
+        check Alcotest.bool "resolved gone" true
+          (Book.deposit_status b paid = None);
+        check Alcotest.bool "ids not reissued" true (take () > paid);
+        check Alcotest.int "pool" 20 (Book.pool_total b);
+        check Alcotest.bool "audit" true (Result.is_ok (Book.audit b)));
     Alcotest.test_case "deposit moves value into the pool" `Quick (fun () ->
         let b = book () in
         let dep = ok (Book.deposit b ~from_:0 ~amount:40) in

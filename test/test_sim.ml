@@ -206,6 +206,23 @@ let queue_tests =
           Alcotest.(list string)
           "fifo" [ "first"; "second"; "third" ]
           (List.map snd (pop_all q)));
+    Alcotest.test_case "reserved numbers pop as if pushed early" `Quick
+      (fun () ->
+        let q = Event_queue.create () in
+        let first = Event_queue.reserve q 2 in
+        Event_queue.push q ~time:5 "later";
+        Event_queue.push q ~time:3 "earliest";
+        Event_queue.push_reserved q ~time:5 ~seq:(first + 1) "reserved 1";
+        Event_queue.push_reserved q ~time:5 ~seq:first "reserved 0";
+        check
+          Alcotest.(list string)
+          "order"
+          [ "earliest"; "reserved 0"; "reserved 1"; "later" ]
+          (List.map snd (pop_all q));
+        Alcotest.check_raises "unreserved"
+          (Invalid_argument
+             "Event_queue.push_reserved: sequence number not reserved")
+          (fun () -> Event_queue.push_reserved q ~time:1 ~seq:99 "x"));
     Alcotest.test_case "peek shows the earliest" `Quick (fun () ->
         let q = Event_queue.create () in
         Event_queue.push q ~time:9 "y";
@@ -1157,6 +1174,234 @@ let trace_tests =
         check Alcotest.int "last time" 4 (Trace.last_time tr));
   ]
 
+
+(* ------------------------------ Lifecycle ----------------------------- *)
+
+(* Processes born during a run and retired once quiet: each must behave,
+   byte for byte, as it would have had it existed all along. *)
+
+let counter reg name =
+  Obsv.Metrics.counter_value (Obsv.Metrics.counter reg name)
+
+let lifecycle_engine reg =
+  let network =
+    Network.create ~metrics:reg
+      (Network.Synchronous { delta = 10 })
+      (Rng.create ~seed:2)
+  in
+  Engine.create ~tag_of ~network ~metrics:reg ~seed:1 ()
+
+let idle =
+  {
+    Engine.on_start = (fun _ -> ());
+    on_receive = (fun _ ~src:_ _ -> ());
+    on_timer = (fun _ ~label:_ -> ());
+  }
+
+let draws ctx = List.init 4 (fun _ -> Rng.next_int64 (Engine.rng ctx))
+
+(* pid 1 halts at once; pid 0 sends it two messages and (when [retire])
+   retires it at time 0, before they land. Returns the trace and engine
+   counters. *)
+let halted_receiver ~retire =
+  let reg = Obsv.Metrics.create () in
+  let e = lifecycle_engine reg in
+  ignore
+    (Engine.add_process e
+       {
+         idle with
+         Engine.on_start =
+           (fun ctx ->
+             Engine.set_timer ctx ~deadline:0 ~label:"retire";
+             Engine.send ctx ~dst:1 (Data 1);
+             Engine.send ctx ~dst:1 (Data 2));
+         on_timer = (fun _ ~label:_ -> if retire then Engine.retire e 1);
+       });
+  ignore (Engine.add_process e { idle with Engine.on_start = Engine.halt });
+  ignore (Engine.run e);
+  ( Trace.to_list (Engine.trace e),
+    List.map (counter reg)
+      [ "xchain_messages_delivered_total"; "xchain_events_total" ] )
+
+let lifecycle_tests =
+  [
+    qcheck
+      (QCheck.Test.make ~name:"split_nth k is the (k+1)-th split" ~count:200
+         QCheck.(pair small_int (int_bound 300))
+         (fun (seed, k) ->
+           let root = Rng.create ~seed in
+           let jumped = Rng.split_nth root k in
+           let g = Rng.copy root in
+           let child = ref (Rng.split g) in
+           for _ = 1 to k do
+             child := Rng.split g
+           done;
+           List.init 4 (fun _ -> Rng.next_int64 jumped)
+           = List.init 4 (fun _ -> Rng.next_int64 !child)));
+    Alcotest.test_case "mid-run births draw set-up streams" `Quick (fun () ->
+        (* pid 5 as the sixth process added before the run ... *)
+        let setup = ref [] in
+        let e = lifecycle_engine (Obsv.Metrics.create ()) in
+        for _ = 0 to 4 do
+          ignore (Engine.add_process e idle)
+        done;
+        ignore
+          (Engine.add_process e
+             { idle with Engine.on_start = (fun ctx -> setup := draws ctx) });
+        ignore (Engine.run e);
+        (* ... and born at pid 5 from a timer, long after the start *)
+        let born = ref [] in
+        let e = lifecycle_engine (Obsv.Metrics.create ()) in
+        ignore
+          (Engine.add_process e
+             {
+               idle with
+               Engine.on_start =
+                 (fun ctx -> Engine.set_timer ctx ~deadline:50 ~label:"birth");
+               on_timer =
+                 (fun _ ~label:_ ->
+                   ignore
+                     (Engine.add_process e ~pid:5
+                        {
+                          idle with
+                          Engine.on_start = (fun ctx -> born := draws ctx);
+                        }));
+             });
+        ignore (Engine.run e);
+        check Alcotest.(list int64) "same stream" !setup !born;
+        check Alcotest.int "two processes" 2 (Engine.process_count e));
+    Alcotest.test_case "retired halted pid records its deliveries" `Quick
+      (fun () ->
+        let kept, kept_counts = halted_receiver ~retire:false in
+        let retired, retired_counts = halted_receiver ~retire:true in
+        let delivered =
+          List.filter (function Trace.Delivered _ -> true | _ -> false)
+        in
+        check Alcotest.int "two deliveries" 2 (List.length (delivered kept));
+        check Alcotest.bool "same entries" true (kept = retired);
+        check Alcotest.(list int) "same counters" kept_counts retired_counts);
+    Alcotest.test_case "a fire on a retired pid is stale" `Quick (fun () ->
+        let reg = Obsv.Metrics.create () in
+        let e = lifecycle_engine reg in
+        let ran = ref false and quiet = ref false in
+        ignore
+          (Engine.add_process e
+             {
+               Engine.on_start =
+                 (fun ctx ->
+                   Engine.set_timer ctx ~deadline:40 ~label:"late";
+                   Engine.cancel_timer ctx ~label:"late";
+                   Engine.set_timer ctx ~deadline:30 ~label:"other";
+                   Engine.halt ctx);
+               on_receive = (fun _ ~src:_ _ -> ());
+               on_timer = (fun _ ~label:_ -> ran := true);
+             });
+        ignore
+          (Engine.add_process e
+             {
+               idle with
+               Engine.on_start =
+                 (fun ctx -> Engine.set_timer ctx ~deadline:0 ~label:"retire");
+               on_timer =
+                 (fun _ ~label:_ ->
+                   quiet := Engine.quiet e 0;
+                   Engine.retire e 0);
+             });
+        ignore (Engine.run e);
+        check Alcotest.bool "halted is quiet" true !quiet;
+        check Alcotest.bool "no handler ran" false !ran;
+        check Alcotest.int "both firings stale" 2
+          (counter reg "xchain_timers_stale_total");
+        check Alcotest.int "only the retiring timer fired" 1
+          (counter reg "xchain_timers_fired_total"));
+    Alcotest.test_case "running a retired handler raises" `Quick (fun () ->
+        let e = lifecycle_engine (Obsv.Metrics.create ()) in
+        let quiet = ref true in
+        ignore
+          (Engine.add_process e
+             {
+               idle with
+               Engine.on_start =
+                 (fun ctx ->
+                   Engine.send ctx ~dst:1 Ping;
+                   quiet := Engine.quiet e 1;
+                   Engine.retire e 1);
+             });
+        ignore (Engine.add_process e idle);
+        Alcotest.check_raises "delivery"
+          (Invalid_argument
+             "Engine: a delivery would run the handler of retired pid 1")
+          (fun () -> ignore (Engine.run e));
+        check Alcotest.bool "a queued delivery is not quiet" false !quiet);
+    Alcotest.test_case "forgetting links keeps live FIFO clamps" `Quick
+      (fun () ->
+        (* "slow" takes 100 ticks, "fast" 1: a fast send right behind a
+           slow one on the same link is held to the slow one's arrival *)
+        let adversary ~send_time:_ ~src:_ ~dst:_ ~tag ~bounds:_ =
+          Some (if tag = "slow" then 100 else 1)
+        in
+        let net () =
+          Network.create ~adversary ~metrics:(Obsv.Metrics.create ())
+            (Network.Synchronous { delta = 100 })
+            (Rng.create ~seed:3)
+        in
+        let send n ~src ~dst tag =
+          Network.delivery_time n ~send_time:0 ~src ~dst ~tag
+        in
+        let kept = net () and dropped = net () in
+        List.iter
+          (fun n ->
+            ignore (send n ~src:1 ~dst:2 "slow");
+            ignore (send n ~src:7 ~dst:8 "slow"))
+          [ kept; dropped ];
+        Network.forget_link dropped ~src:7 ~dst:8;
+        check Alcotest.int "live link still held"
+          (send kept ~src:1 ~dst:2 "fast")
+          (send dropped ~src:1 ~dst:2 "fast");
+        check Alcotest.int "held behind the slow send" 100
+          (send dropped ~src:1 ~dst:2 "fast");
+        check Alcotest.int "forgotten link starts afresh" 1
+          (send dropped ~src:7 ~dst:8 "fast"));
+    Alcotest.test_case "timer series fires like set_timer calls" `Quick
+      (fun () ->
+        let deadlines = [ 10; 20; 20; 35 ] in
+        let run series =
+          let e = lifecycle_engine (Obsv.Metrics.create ()) in
+          let depth = ref 0 in
+          ignore
+            (Engine.add_process e
+               {
+                 idle with
+                 Engine.on_start =
+                   (fun ctx ->
+                     if series then
+                       Engine.set_timer_series ctx
+                         ~deadlines:(List.to_seq deadlines)
+                         ~label:(Printf.sprintf "s%d")
+                     else
+                       List.iteri
+                         (fun k d ->
+                           Engine.set_timer ctx ~deadline:d
+                             ~label:(Printf.sprintf "s%d" k))
+                         deadlines;
+                     (* a same-tick rival armed after the series *)
+                     Engine.set_timer ctx ~deadline:20 ~label:"rival");
+                 on_timer =
+                   (fun ctx ~label ->
+                     if label = "s0" then begin
+                       depth := Engine.queue_depth e;
+                       Engine.send ctx ~dst:0 Ping
+                     end);
+               });
+          ignore (Engine.run e);
+          (!depth, Trace.to_list (Engine.trace e))
+        in
+        let d1, plain = run false and d2, series = run true in
+        check Alcotest.int "queue depth after s0" 4 d1;
+        check Alcotest.int "queue depth counts the series" d1 d2;
+        check Alcotest.bool "same trace" true (plain = series));
+  ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -1170,4 +1415,5 @@ let () =
       ("semantics", semantics_tests);
       ("timers", timer_tests);
       ("trace", trace_tests);
+      ("lifecycle", lifecycle_tests);
     ]
