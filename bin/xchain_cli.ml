@@ -264,6 +264,30 @@ let print_monitor_verdict monitor =
           Fmt.pr "monitor: clean after %d steps@." (Obsv.Monitor.steps m))
     monitor
 
+(* ------------------------------ run shape ------------------------------ *)
+
+(* Integer options with a range: cmdliner refuses an out-of-range value at
+   parse time, naming the option, before any run is built. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some _ when hi = max_int -> Error (Printf.sprintf "must be >= %d, got %s" lo s)
+    | Some _ -> Error (Printf.sprintf "must be in %d..%d, got %s" lo hi s)
+    | None -> Error (Printf.sprintf "invalid value '%s', expected an integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let hops_arg ?(doc = "Escrows.") default =
+  Arg.(value & opt (int_in 1) default & info [ "n"; "hops" ] ~doc)
+
+let gst_arg =
+  Arg.(value & opt (some (int_in 0)) None
+       & info [ "gst" ] ~doc:"Partial synchrony with this GST (default: synchronous).")
+
+(* a drift bound is a rate below one: fewer than 1_000_000 ppm *)
+let drift_ppm_conv = int_in ~hi:999_999 0
+
 (* ------------------------------- pay ---------------------------------- *)
 
 let protocol_conv =
@@ -322,19 +346,13 @@ let pay_cmd =
          & info [ "p"; "protocol" ] ~docv:"PROTO"
              ~doc:"Protocol: sync | naive | htlc | weak | committee.")
   in
-  let hops =
-    Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Number of escrows.")
-  in
-  let value = Arg.(value & opt int 1000 & info [ "value" ] ~doc:"Amount Bob is owed.") in
+  let hops = hops_arg ~doc:"Number of escrows." 2 in
+  let value = Arg.(value & opt (int_in 1) 1000 & info [ "value" ] ~doc:"Amount Bob is owed.") in
   let commission =
-    Arg.(value & opt int 10 & info [ "commission" ] ~doc:"Per-connector commission.")
+    Arg.(value & opt (int_in 0) 10 & info [ "commission" ] ~doc:"Per-connector commission.")
   in
   let drift =
-    Arg.(value & opt int 10_000 & info [ "drift-ppm" ] ~doc:"Clock drift in ppm.")
-  in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST (default: synchronous).")
+    Arg.(value & opt drift_ppm_conv 10_000 & info [ "drift-ppm" ] ~doc:"Clock drift in ppm.")
   in
   let patience =
     Arg.(value & opt int 20_000 & info [ "patience" ] ~doc:"Weak-protocol patience.")
@@ -351,7 +369,7 @@ let pay_cmd =
   Cmd.v
     (Cmd.info "pay" ~doc:"Run one cross-chain payment and check the paper's properties")
     Term.(
-      const run $ protocol $ hops $ value $ commission $ drift $ gst $ patience
+      const run $ protocol $ hops $ value $ commission $ drift $ gst_arg $ patience
       $ seed $ trace $ jsonl $ metrics_out_arg $ spans_out_arg)
 
 (* ---------------------------- experiment ------------------------------- *)
@@ -415,14 +433,13 @@ let params_cmd =
         Fmt.pr "recurrence check: %s@." e;
         1)
   in
-  let hops = Arg.(value & opt int 3 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let delta = Arg.(value & opt int 100 & info [ "delta" ] ~doc:"Message delay bound.") in
-  let sigma = Arg.(value & opt int 10 & info [ "sigma" ] ~doc:"Computation bound.") in
-  let drift = Arg.(value & opt int 10_000 & info [ "drift-ppm" ] ~doc:"Clock drift, ppm.") in
-  let margin = Arg.(value & opt int 5 & info [ "margin" ] ~doc:"Safety margin, ticks.") in
+  let delta = Arg.(value & opt (int_in 1) 100 & info [ "delta" ] ~doc:"Message delay bound.") in
+  let sigma = Arg.(value & opt (int_in 0) 10 & info [ "sigma" ] ~doc:"Computation bound.") in
+  let drift = Arg.(value & opt drift_ppm_conv 10_000 & info [ "drift-ppm" ] ~doc:"Clock drift, ppm.") in
+  let margin = Arg.(value & opt (int_in 1) 5 & info [ "margin" ] ~doc:"Safety margin, ticks.") in
   Cmd.v
     (Cmd.info "params" ~doc:"Derive the a/d timeout windows (the Thm 1 fine-tuning)")
-    Term.(const run $ hops $ delta $ sigma $ drift $ margin)
+    Term.(const run $ hops_arg 3 $ delta $ sigma $ drift $ margin)
 
 (* ------------------------------- audit --------------------------------- *)
 
@@ -430,15 +447,19 @@ let parse_fault topo spec =
   (* "strategy@role", e.g. "thief-escrow@e0", "mute@bob", "forge-chi@chloe2" *)
   match String.split_on_char '@' spec with
   | [ strat; role ] ->
+      let unknown () = failwith (Printf.sprintf "unknown role %S" role) in
       let pid =
-        match role with
-        | "alice" -> Topology.alice topo
-        | "bob" -> Topology.bob topo
-        | r when String.length r > 5 && String.sub r 0 5 = "chloe" ->
-            Topology.customer topo (int_of_string (String.sub r 5 (String.length r - 5)))
-        | r when String.length r > 1 && r.[0] = 'e' ->
-            Topology.escrow topo (int_of_string (String.sub r 1 (String.length r - 1)))
-        | r -> failwith (Printf.sprintf "unknown role %S" r)
+        (* an index past the run's topology is as unknown as a bad name *)
+        try
+          match role with
+          | "alice" -> Topology.alice topo
+          | "bob" -> Topology.bob topo
+          | r when String.length r > 5 && String.sub r 0 5 = "chloe" ->
+              Topology.customer topo (int_of_string (String.sub r 5 (String.length r - 5)))
+          | r when String.length r > 1 && r.[0] = 'e' ->
+              Topology.escrow topo (int_of_string (String.sub r 1 (String.length r - 1)))
+          | _ -> unknown ()
+        with Invalid_argument _ | Failure _ -> unknown ()
       in
       let strategy =
         match strat with
@@ -498,11 +519,6 @@ let audit_cmd =
          & info [ "p"; "protocol" ] ~docv:"PROTO"
              ~doc:"Protocol: sync | naive | htlc | weak | committee.")
   in
-  let hops = Arg.(value & opt int 3 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST.")
-  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let faults =
     Arg.(value & opt_all string []
@@ -512,8 +528,8 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Run a payment and print the full postmortem (verdicts, promise              breaches, Figure 2 conformance)")
-    Term.(const run $ protocol $ hops $ gst $ seed $ faults $ metrics_out_arg
-          $ spans_out_arg)
+    Term.(const run $ protocol $ hops_arg 3 $ gst_arg $ seed $ faults
+          $ metrics_out_arg $ spans_out_arg)
 
 (* ------------------------------- metrics ------------------------------- *)
 
@@ -546,18 +562,11 @@ let metrics_cmd =
     silently (fun () ->
         (* a routed load registers the xchain_load_* / xchain_route_*
            families the linear probes never touch *)
-        let topology =
-          match Routing.Topology.of_string "hub:3:3000:5" with
-          | Ok t -> Some t
-          | Error _ -> assert false
-        in
-        Traffic.Load.run
-          ~workload:
-            { (Traffic.Workload.default ~payments:4) with
-              Traffic.Workload.topology;
-              splits = 2;
-            }
-          ~seed:1 ());
+        match
+          Traffic.Workload.of_string "payments=4 topology=hub:3:3000:5 splits=2"
+        with
+        | Ok workload -> Traffic.Load.run ~workload ~seed:1 ()
+        | Error e -> invalid_arg e);
     if full then print_string (Obsv.Prometheus.render Obsv.Metrics.default)
     else begin
       Fmt.pr "# metric families registered after probe workloads@.";
@@ -655,13 +664,13 @@ let topology_conv =
   in
   Arg.conv (parse, Routing.Topology.pp)
 
+let topology_doc extra =
+  "Payment graph to route over: linear:H | hub:K | er:N:E:SEED \
+   | sf:N:D:SEED | graph:N;U>V:LIQ:COMM,... (see docs/routing.md). " ^ extra
+
 let topology_arg ~extra =
   Arg.(value & opt (some topology_conv) None
-       & info [ "topology" ] ~docv:"SPEC"
-           ~doc:
-             ("Payment graph to route over: linear:H | hub:K | er:N:E:SEED \
-               | sf:N:D:SEED | graph:N;U>V:LIQ:COMM,... (see \
-               docs/routing.md). " ^ extra))
+       & info [ "topology" ] ~docv:"SPEC" ~doc:(topology_doc extra))
 
 (* chaos and hunt study one payment at a time, so a graph reduces to the
    single path the router would pick for it at full liquidity: the run's
@@ -690,24 +699,29 @@ let runner_protocol_of = function
         { Weak_protocol.default_config with
           tm = Weak_protocol.Committee { f = 1 } }
 
-(* Runner validates fault plans against the protocol's real process
-   count (payment pids plus any TM pids) — the CLI cannot know that
-   count without re-deriving protocol internals, so an out-of-range pid
-   in a syntactically valid plan surfaces as Invalid_argument from the
-   run itself. Turn that into a clean diagnostic instead of a crash. *)
-let surface_bad_plan ~cmd f =
-  match f () with
-  | v -> v
-  | exception Invalid_argument e ->
-      let e =
-        let prefix = "Runner.run: " in
-        if String.starts_with ~prefix e then
-          String.sub e (String.length prefix)
-            (String.length e - String.length prefix)
-        else e
-      in
-      Fmt.epr "xchain %s: %s@." cmd e;
-      exit 2
+(* The one fault-plan reader (chaos / trace / load): --plan-file, which
+   wins, or --plan, parsed by the plan grammar and validated against the
+   [nprocs] pids the run will have, so a plan that cannot apply is a usage
+   error before the run starts. *)
+let read_plan ~cmd ~nprocs ?file plan =
+  let fail fmt =
+    Fmt.kstr (fun s -> Fmt.epr "xchain %s: %s@." cmd s; exit 2) fmt
+  in
+  let parse ~what s =
+    match Faults.Fault_plan.of_string s with
+    | Error e -> fail "bad fault plan (%s): %s" what e
+    | Ok p -> (
+        match Faults.Fault_plan.validate p ~nprocs with
+        | Ok () -> p
+        | Error e -> fail "bad fault plan: %s" e)
+  in
+  match (file, plan) with
+  | Some file, _ -> (
+      match In_channel.with_open_text file In_channel.input_all with
+      | contents -> parse ~what:file (String.trim contents)
+      | exception Sys_error msg -> fail "cannot read plan file: %s" msg)
+  | None, Some s -> parse ~what:"--plan" s
+  | None, None -> Faults.Fault_plan.none
 
 let chaos_cmd =
   let run protocol hops topology seed plan plan_file soak runs j out repro_out
@@ -734,23 +748,9 @@ let chaos_cmd =
         Fmt.epr "xchain chaos: %s@." m;
         exit 2
     in
-    let parse_plan ~what s =
-      match Faults.Fault_plan.of_string s with
-      | Ok p -> p
-      | Error e ->
-          Fmt.epr "xchain chaos: bad fault plan (%s): %s@." what e;
-          exit 2
-    in
     let plan =
-      match (plan_file, plan) with
-      | Some file, _ -> (
-          match In_channel.with_open_text file In_channel.input_all with
-          | contents -> parse_plan ~what:file (String.trim contents)
-          | exception Sys_error msg ->
-              Fmt.epr "xchain chaos: cannot read plan file: %s@." msg;
-              exit 2)
-      | None, Some s -> parse_plan ~what:"--plan" s
-      | None, None -> Faults.Fault_plan.none
+      read_plan ~cmd:"chaos" ~nprocs:(Runner.process_count ~hops protocol)
+        ?file:plan_file plan
     in
     let prof = prof_wanted ~profile ~profile_out ~collapsed_out in
     let code =
@@ -806,9 +806,8 @@ let chaos_cmd =
         in
         let causal = causal_wanted ~trace_out ~dag_out ~blame in
         let r =
-          surface_bad_plan ~cmd:"chaos" (fun () ->
-              Xchain.Chaos.run_one ~hops ~protocol ?causal ?prof ?monitor:mon
-                ?sampler ?recorder ~faults ~plan ~seed ())
+          Xchain.Chaos.run_one ~hops ~protocol ?causal ?prof ?monitor:mon
+            ?sampler ?recorder ~faults ~plan ~seed ()
         in
         Fmt.pr "plan: %a@.classification: %s@." Faults.Fault_plan.pp
           r.Xchain.Chaos.plan
@@ -866,7 +865,7 @@ let chaos_cmd =
          & info [ "p"; "protocol" ] ~docv:"PROTO"
              ~doc:"Protocol under test: sync | naive | htlc | weak | committee.")
   in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
+  let hops = hops_arg 2 in
   let seed =
     Arg.(value & opt int 1
          & info [ "seed" ] ~doc:"Schedule seed (soak: seed of run 0).")
@@ -889,7 +888,7 @@ let chaos_cmd =
                    run; exit non-zero on any safety violation.")
   in
   let runs =
-    Arg.(value & opt int 200
+    Arg.(value & opt (int_in 0) 200
          & info [ "runs" ] ~doc:"Soak: number of random plans to run.")
   in
   let out =
@@ -944,10 +943,9 @@ let hunt_cmd =
     end;
     let domains = resolve_domains ~cmd:"hunt" j in
     let r =
-      surface_bad_plan ~cmd:"hunt" (fun () ->
-          Hunt.Search.hunt ~hops ~protocol ~gen_size ~domains ~baseline
-            ~shrink:(not no_shrink) ?max_shrink_trials
-            ?on_progress:(tty_progress "hunt") ~budget ~seed ())
+      Hunt.Search.hunt ~hops ~protocol ~gen_size ~domains ~baseline
+        ~shrink:(not no_shrink) ?max_shrink_trials
+        ?on_progress:(tty_progress "hunt") ~budget ~seed ()
     in
     Fmt.pr "@[<v>%a@]@." Hunt.Search.pp_report r;
     write_sink out (Hunt.Search.report_to_json r);
@@ -980,7 +978,7 @@ let hunt_cmd =
          & info [ "p"; "protocol" ] ~docv:"PROTO"
              ~doc:"Protocol under test: sync | naive | htlc | weak | committee.")
   in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
+  let hops = hops_arg 2 in
   let seed =
     Arg.(value & opt int 1
          & info [ "seed" ]
@@ -1079,9 +1077,9 @@ let explore_cmd =
              ~doc:"Protocol to enumerate: sync | naive | htlc (TM protocols \
                    are not corner-enumerable).")
   in
-  let hops = Arg.(value & opt int 1 & info [ "n"; "hops" ] ~doc:"Escrows.") in
+  let hops = hops_arg 1 in
   let drift =
-    Arg.(value & opt int 50_000
+    Arg.(value & opt drift_ppm_conv 50_000
          & info [ "drift-ppm" ] ~doc:"Clock drift bound for the corner clocks, ppm.")
   in
   let max_corners =
@@ -1109,15 +1107,8 @@ let explore_cmd =
 let trace_cmd =
   let run protocol hops gst seed plan out trace_out dag_out =
     let protocol = runner_protocol_of protocol in
-    let fault_plan =
-      match plan with
-      | None -> None
-      | Some s -> (
-          match Faults.Fault_plan.of_string s with
-          | Ok p -> Some p
-          | Error e ->
-              Fmt.epr "xchain trace: bad fault plan: %s@." e;
-              exit 2)
+    let plan =
+      read_plan ~cmd:"trace" ~nprocs:(Runner.process_count ~hops protocol) plan
     in
     let causal = Obsv.Causal.create () in
     let cfg =
@@ -1127,7 +1118,7 @@ let trace_cmd =
           (match gst with
           | None -> Runner.Sync
           | Some gst -> Runner.Psync { gst });
-        fault_plan;
+        fault_plan = Some plan;
         causal = Some causal;
       }
     in
@@ -1197,12 +1188,7 @@ let trace_cmd =
          & info [ "p"; "protocol" ] ~docv:"PROTO"
              ~doc:"Protocol: sync | naive | htlc | weak | committee.")
   in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ]
-             ~doc:"Partial synchrony with this GST (default: synchronous).")
-  in
+  let hops = hops_arg 2 in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let plan =
     Arg.(value & opt (some string) None
@@ -1224,64 +1210,42 @@ let trace_cmd =
              happens-before graph, print the critical path and the blame \
              decomposition of its end-to-end latency, and export the graph \
              as Chrome trace-event JSON or a DAG dump")
-    Term.(const run $ protocol $ hops $ gst $ seed $ plan $ out $ trace_out_arg
+    Term.(const run $ protocol $ hops $ gst_arg $ seed $ plan $ out $ trace_out_arg
           $ dag_out_arg)
 
 (* -------------------------------- load --------------------------------- *)
 
+(* A workload flag has no default of its own: when given, it contributes
+   one key=value field, applied after the command's base line and the
+   fields of --spec (see Traffic.Workload.of_command_line). *)
+let workload_flag ?(names = []) ?(docv = "INT") long ~doc =
+  let arg =
+    Arg.(value & opt (some string) None & info (names @ [ long ]) ~docv ~doc)
+  in
+  Term.(const (Option.map (fun v -> ("--" ^ long, v))) $ arg)
+
+let workload_flags flags =
+  List.fold_right
+    (fun f acc -> Term.(const (fun x l -> Option.to_list x @ l) $ f $ acc))
+    flags (Term.const [])
+
+let read_workload ~cmd ~base ?spec flags =
+  match Traffic.Workload.of_command_line ~base ?spec flags with
+  | Ok w -> w
+  | Error e ->
+      Fmt.epr "xchain %s: %s@." cmd e;
+      exit 2
+
 let load_cmd =
-  let run spec payments hops value commission arrival mix policy cap liquidity
-      topology route splits patience stuck drift gst seed plan plan_file
-      replications j out metrics_out spans_out trace_out dag_out
-      blame profile profile_out collapsed_out monitor stop_on_violation
-      series_out bundle_out =
+  let run spec flags seed plan plan_file replications j out metrics_out
+      spans_out trace_out dag_out blame profile profile_out collapsed_out
+      monitor stop_on_violation series_out bundle_out =
     arm_span_capture spans_out;
     let fail fmt = Fmt.kstr (fun s -> Fmt.epr "xchain load: %s@." s; exit 2) fmt in
-    let workload =
-      match spec with
-      | Some s -> (
-          match Traffic.Workload.of_string s with
-          | Ok w -> w
-          | Error e -> fail "bad --spec: %s" e)
-      | None ->
-          let parse what f s = match f s with Ok v -> v | Error e -> fail "bad %s: %s" what e in
-          let w =
-            {
-              (Traffic.Workload.default ~payments) with
-              Traffic.Workload.hops;
-              value;
-              commission;
-              arrival = parse "--arrival" Traffic.Workload.arrival_of_string arrival;
-              mix = parse "--mix" Traffic.Workload.mix_of_string mix;
-              policy = parse "--policy" Traffic.Workload.policy_of_string policy;
-              cap;
-              liquidity;
-              topology;
-              route = parse "--route" Routing.Router.strategy_of_string route;
-              splits;
-              patience;
-              stuck_after = stuck;
-              drift_ppm = drift;
-              gst;
-            }
-          in
-          (match Traffic.Workload.validate w with
-          | Ok () -> w
-          | Error e -> fail "bad workload: %s" e)
-    in
+    let workload = read_workload ~cmd:"load" ~base:"payments=100" ?spec flags in
     let plan =
-      let parse_plan ~what s =
-        match Faults.Fault_plan.of_string s with
-        | Ok p -> p
-        | Error e -> fail "bad fault plan (%s): %s" what e
-      in
-      match (plan_file, plan) with
-      | Some file, _ -> (
-          match In_channel.with_open_text file In_channel.input_all with
-          | contents -> parse_plan ~what:file (String.trim contents)
-          | exception Sys_error msg -> fail "cannot read plan file: %s" msg)
-      | None, Some s -> parse_plan ~what:"--plan" s
-      | None, None -> Faults.Fault_plan.none
+      read_plan ~cmd:"load" ~nprocs:(Traffic.Load.hosts workload)
+        ?file:plan_file plan
     in
     if replications < 1 then fail "--replications must be >= 1";
     if replications > 1 then begin
@@ -1431,75 +1395,53 @@ let load_cmd =
   let spec =
     Arg.(value & opt (some string) None
          & info [ "spec" ] ~docv:"WORKLOAD"
-             ~doc:"Full workload as the one-line key=value grammar (exactly \
-                   what a report embeds); overrides the individual flags.")
+             ~doc:"Workload as the one-line key=value grammar (exactly what a \
+                   report embeds). Its keys override the base payments=100; \
+                   the individual flags below are applied after it, each \
+                   overriding its own key.")
   in
-  let payments =
-    Arg.(value & opt int 100 & info [ "payments" ] ~doc:"Concurrent payment instances.")
-  in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows per payment.") in
-  let value = Arg.(value & opt int 1000 & info [ "value" ] ~doc:"What Bob is owed.") in
-  let commission =
-    Arg.(value & opt int 10 & info [ "commission" ] ~doc:"Per-connector commission.")
-  in
-  let arrival =
-    Arg.(value & opt string "poisson:40"
-         & info [ "arrival" ] ~docv:"PROC"
-             ~doc:"Arrival process: poisson:GAP | closed:CLIENTS:THINK | \
-                   burst:SIZE:EVERY | ramp:HI:LO.")
-  in
-  let mix =
-    Arg.(value & opt string "sync"
-         & info [ "mix" ] ~docv:"MIX"
-             ~doc:"Weighted protocol mix, e.g. 'sync:2,weak:1,htlc:1'. \
-                   Protocols: sync naive htlc weak committee atomic.")
-  in
-  let policy =
-    Arg.(value & opt string "reserve"
-         & info [ "policy" ]
-             ~doc:"Admission policy: reserve (scheduler holds each leg's \
-                   funds) or optimistic (deposits race; funding-checked \
-                   protocols only).")
-  in
-  let cap =
-    Arg.(value & opt int 0
-         & info [ "cap" ] ~doc:"Max payments in flight (0 = unlimited).")
-  in
-  let liquidity =
-    Arg.(value & opt int 0
-         & info [ "liquidity" ]
-             ~doc:"Payer funding in multiples of one payment's leg amount \
-                   (0 = ample: one unit per payment).")
-  in
-  let route =
-    Arg.(value & opt string "shortest"
-         & info [ "route" ] ~docv:"STRATEGY"
-             ~doc:"Path-selection strategy over --topology: shortest \
-                   (cheapest-first greedy) or round-robin (rotating fair \
-                   shares).")
-  in
-  let splits =
-    Arg.(value & opt int 1
-         & info [ "splits" ] ~docv:"N"
-             ~doc:"Max edge-disjoint paths a payment may split across \
-                   (requires --topology).")
-  in
-  let patience =
-    Arg.(value & opt int 2000
-         & info [ "patience" ] ~doc:"Admission-queue patience, ticks.")
-  in
-  let stuck =
-    Arg.(value & opt int 0
-         & info [ "stuck-after" ]
-             ~doc:"Stuck deadline after admission, ticks (0 = derived from \
-                   the mix's protocol horizons).")
-  in
-  let drift =
-    Arg.(value & opt int 10_000 & info [ "drift" ] ~doc:"Clock drift bound, ppm.")
-  in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST (default: synchronous).")
+  let flags =
+    workload_flags
+      [
+        workload_flag "payments" ~doc:"Concurrent payment instances (default 100).";
+        workload_flag ~names:[ "n" ] "hops" ~doc:"Escrows per payment.";
+        workload_flag "value" ~doc:"What Bob is owed.";
+        workload_flag "commission" ~doc:"Per-connector commission.";
+        workload_flag "arrival" ~docv:"PROC"
+          ~doc:"Arrival process: poisson:GAP | closed:CLIENTS:THINK | \
+                burst:SIZE:EVERY | ramp:HI:LO.";
+        workload_flag "mix" ~docv:"MIX"
+          ~doc:"Weighted protocol mix, e.g. 'sync:2,weak:1,htlc:1'. \
+                Protocols: sync naive htlc weak committee atomic.";
+        workload_flag "policy" ~docv:"POLICY"
+          ~doc:"Admission policy: reserve (scheduler holds each leg's \
+                funds) or optimistic (deposits race; funding-checked \
+                protocols only).";
+        workload_flag "cap" ~doc:"Max payments in flight (0 = unlimited).";
+        workload_flag "liquidity"
+          ~doc:"Payer funding in multiples of one payment's leg amount \
+                (0 = ample: one unit per payment).";
+        workload_flag "topology" ~docv:"SPEC"
+          ~doc:
+            (topology_doc
+               "Payments are routed source-to-sink over the graph's per-edge \
+                liquidity instead of the fixed --hops chain (requires \
+                --policy reserve).");
+        workload_flag "route" ~docv:"STRATEGY"
+          ~doc:"Path-selection strategy over --topology: shortest \
+                (cheapest-first greedy) or round-robin (rotating fair \
+                shares).";
+        workload_flag "splits" ~docv:"N"
+          ~doc:"Max edge-disjoint paths a payment may split across \
+                (requires --topology).";
+        workload_flag "patience" ~doc:"Admission-queue patience, ticks.";
+        workload_flag "stuck-after"
+          ~doc:"Stuck deadline after admission, ticks (0 = derived from \
+                the mix's protocol horizons).";
+        workload_flag "drift" ~doc:"Clock drift bound, ppm.";
+        workload_flag "gst"
+          ~doc:"Partial synchrony with this GST (default: synchronous).";
+      ]
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
   let plan =
@@ -1534,15 +1476,8 @@ let load_cmd =
              escrow liquidity, classify every outcome, check the safety \
              subset, and report throughput and latency percentiles")
     Term.(
-      const run $ spec $ payments $ hops $ value $ commission $ arrival $ mix
-      $ policy $ cap $ liquidity
-      $ topology_arg
-          ~extra:
-            "Payments are routed source-to-sink over the graph's per-edge \
-             liquidity instead of the fixed --hops chain (requires \
-             --policy reserve)."
-      $ route $ splits $ patience $ stuck $ drift $ gst $ seed $ plan
-      $ plan_file $ replications $ jobs_arg $ out $ metrics_out_arg
+      const run $ spec $ flags $ seed $ plan $ plan_file $ replications
+      $ jobs_arg $ out $ metrics_out_arg
       $ spans_out_arg $ trace_out_arg $ dag_out_arg $ blame_arg $ profile_flag
       $ profile_out_arg $ collapsed_out_arg $ monitor_flag
       $ stop_on_violation_flag $ series_out_arg $ bundle_out_arg)
@@ -1958,35 +1893,22 @@ let route_cmd =
 (* ------------------------------- profile ------------------------------- *)
 
 let profile_cmd =
-  let run workload payments hops arrival mix protocol runs seed top out
-      profile_out collapsed_out topology splits =
+  let run mode flags protocol runs seed top out profile_out collapsed_out =
     let prof = Obsv.Prof.create ~now_ns:Fleet.now_ns () in
+    (* chaos and explore take their hop count and topology from the same
+       flags *)
+    let workload = read_workload ~cmd:"profile" ~base:"payments=1000" flags in
+    let hops () =
+      hops_of_topology ~cmd:"profile" ~value:1000
+        ~hops:workload.Traffic.Workload.hops workload.Traffic.Workload.topology
+    in
     let code =
-      match workload with
+      match mode with
       | "load" ->
           (* causal tracing on: dispatch sites then attribute to
              individual payments (pay#K frames) instead of one "run"
              bucket, cross-linking profiles with xchain trace ids *)
           let causal = Obsv.Causal.create () in
-          let workload =
-            let w = Traffic.Workload.default ~payments in
-            let parse what f s =
-              match f s with
-              | Ok v -> v
-              | Error e ->
-                  Fmt.epr "xchain profile: bad %s: %s@." what e;
-                  exit 2
-            in
-            {
-              w with
-              Traffic.Workload.hops;
-              arrival =
-                parse "--arrival" Traffic.Workload.arrival_of_string arrival;
-              mix = parse "--mix" Traffic.Workload.mix_of_string mix;
-              topology;
-              splits;
-            }
-          in
           let report =
             try Traffic.Load.run ~causal ~prof ~workload ~seed ()
             with Invalid_argument e ->
@@ -2002,9 +1924,7 @@ let profile_cmd =
           else 1
       | "chaos" ->
           let protocol = runner_protocol_of protocol in
-          let hops =
-            hops_of_topology ~cmd:"profile" ~value:1000 ~hops topology
-          in
+          let hops = hops () in
           let s =
             Xchain.Chaos.soak ~hops ~protocol ~runs ~seed ~prof
               ?on_progress:(tty_progress "profile chaos") ()
@@ -2014,9 +1934,7 @@ let profile_cmd =
           if s.Xchain.Chaos.violations = [] then 0 else 1
       | "explore" -> (
           let protocol = runner_protocol_of protocol in
-          let hops =
-            hops_of_topology ~cmd:"profile" ~value:1000 ~hops topology
-          in
+          let hops = hops () in
           match
             Xchain.Explore.sweep ~hops ~prof
               ?on_progress:(tty_progress "profile explore") ~protocol ()
@@ -2037,7 +1955,7 @@ let profile_cmd =
     dump_prof ~top ~table:true (Some prof) ~profile_out ~collapsed_out;
     code
   in
-  let workload =
+  let mode =
     Arg.(
       value & pos 0 string "load"
       & info [] ~docv:"WORKLOAD"
@@ -2046,18 +1964,24 @@ let profile_cmd =
              per-payment attribution), chaos (a single-domain soak), or \
              explore (a corner sweep).")
   in
-  let payments =
-    Arg.(value & opt int 1000
-         & info [ "payments" ] ~doc:"Load: concurrent payment instances.")
-  in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let arrival =
-    Arg.(value & opt string "poisson:40"
-         & info [ "arrival" ] ~docv:"PROC" ~doc:"Load: arrival process.")
-  in
-  let mix =
-    Arg.(value & opt string "sync"
-         & info [ "mix" ] ~docv:"MIX" ~doc:"Load: weighted protocol mix.")
+  let flags =
+    workload_flags
+      [
+        workload_flag "payments"
+          ~doc:"Load: concurrent payment instances (default 1000).";
+        workload_flag ~names:[ "n" ] "hops" ~doc:"Escrows.";
+        workload_flag "arrival" ~docv:"PROC" ~doc:"Load: arrival process.";
+        workload_flag "mix" ~docv:"MIX" ~doc:"Load: weighted protocol mix.";
+        workload_flag "topology" ~docv:"SPEC"
+          ~doc:
+            (topology_doc
+               "Load: payments route over the graph's per-edge liquidity; \
+                chaos/explore: the hop count becomes the cheapest \
+                source-to-sink path's length (overrides --hops).");
+        workload_flag "splits" ~docv:"N"
+          ~doc:"Load: max edge-disjoint paths a payment may split across \
+                (requires --topology).";
+      ]
   in
   let protocol =
     Arg.(value & opt protocol_conv `Sync
@@ -2065,7 +1989,7 @@ let profile_cmd =
              ~doc:"Chaos/explore: protocol under test.")
   in
   let runs =
-    Arg.(value & opt int 200
+    Arg.(value & opt (int_in 0) 200
          & info [ "runs" ] ~doc:"Chaos: number of random plans to run.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
@@ -2080,12 +2004,6 @@ let profile_cmd =
                    ('-' for stdout), exactly as the underlying command \
                    would.")
   in
-  let splits =
-    Arg.(value & opt int 1
-         & info [ "splits" ] ~docv:"N"
-             ~doc:"Load: max edge-disjoint paths a payment may split across \
-                   (requires --topology).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -2095,38 +2013,39 @@ let profile_cmd =
           (speedscope) exports. Deterministic modulo the strippable \
           timing/prof_timing blocks")
     Term.(
-      const run $ workload $ payments $ hops $ arrival $ mix $ protocol $ runs
-      $ seed $ top $ out $ profile_out_arg $ collapsed_out_arg
-      $ topology_arg
-          ~extra:
-            "Load: payments route over the graph's per-edge liquidity; \
-             chaos/explore: the hop count becomes the cheapest \
-             source-to-sink path's length (overrides --hops)."
-      $ splits)
+      const run $ mode $ flags $ protocol $ runs $ seed $ top $ out
+      $ profile_out_arg $ collapsed_out_arg)
 
 (* -------------------------------- dot ---------------------------------- *)
 
 let dot_cmd =
   let run hops who =
+    if who = `Chloe && hops < 2 then begin
+      Fmt.epr "xchain dot: chloe needs -n >= 2 (a connector sits between two \
+               escrows)@.";
+      exit 2
+    end;
     let topo = Topology.create ~hops in
     let params = Params.derive (Params.default_input ~hops) in
     let env = Env.make ~topo ~params () in
     let auto =
       match who with
-      | "alice" -> Sync_protocol.alice_automaton env
-      | "bob" -> Sync_protocol.bob_automaton env
-      | "escrow" -> Sync_protocol.escrow_automaton env 0
-      | "chloe" ->
-          if hops < 2 then failwith "need >= 2 hops for a connector"
-          else Sync_protocol.connector_automaton env 1
-      | other -> failwith (Printf.sprintf "unknown automaton %S" other)
+      | `Alice -> Sync_protocol.alice_automaton env
+      | `Bob -> Sync_protocol.bob_automaton env
+      | `Escrow -> Sync_protocol.escrow_automaton env 0
+      | `Chloe -> Sync_protocol.connector_automaton env 1
     in
     print_string (Anta.Automaton.to_dot auto);
     0
   in
-  let hops = Arg.(value & opt int 3 & info [ "n"; "hops" ] ~doc:"Escrows.") in
+  let hops = hops_arg 3 in
   let who =
-    Arg.(value & pos 0 string "escrow"
+    Arg.(value
+         & pos 0
+             (enum
+                [ ("alice", `Alice); ("chloe", `Chloe); ("bob", `Bob);
+                  ("escrow", `Escrow) ])
+             `Escrow
          & info [] ~docv:"WHO" ~doc:"alice | chloe | bob | escrow.")
   in
   Cmd.v

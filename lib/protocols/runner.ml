@@ -131,6 +131,15 @@ let default_horizon cfg params =
   in
   Sim_time.add (Sim_time.add base net_slack) 2_000_000
 
+let process_count ~hops protocol =
+  let aux =
+    match protocol with
+    | Weak wcfg -> Weak_protocol.tm_count wcfg
+    | Atomic _ -> 1
+    | Sync_timebound | Naive_universal | Htlc -> 0
+  in
+  (2 * hops) + 1 + aux
+
 let validate_config cfg =
   let fail fmt = Fmt.kstr invalid_arg ("Runner.run: " ^^ fmt) in
   if cfg.hops < 1 then fail "hops must be >= 1 (got %d)" cfg.hops;
@@ -163,7 +172,7 @@ let run_engine cfg protocol =
   Array.iteri
     (fun k _ -> Topology.register_aux topo k)
     tm_pids;
-  let nprocs = Topology.payment_count topo + Array.length tm_pids in
+  let nprocs = process_count ~hops:cfg.hops protocol in
   let injector =
     match cfg.fault_plan with
     | None -> None

@@ -112,6 +112,10 @@ val default_config : hops:int -> seed:int -> config
 (** value 1000, commission 10, δ 100, σ 10, drift 1%, margin 5, synchronous
     network, no adversary, no faults, 200_000 max events. *)
 
+val process_count : hops:int -> protocol -> int
+(** The pid space a fault plan for [run] addresses: the [2 * hops + 1]
+    payment participants plus the protocol's TM processes. *)
+
 val run : config -> protocol -> outcome
 (** Validates the config first — hops >= 1, value > 0, commission >= 0,
     margin >= 0, partially-synchronous GST >= 0, and any fault plan

@@ -33,17 +33,25 @@ let default_config =
 
 let committee_size f = (3 * f) + 1
 
+let tm_count cfg =
+  match cfg.tm with
+  | Single -> 1
+  | Committee { f } -> committee_size f
+  | Quorum { qs } -> Quorum_system.size qs
+  | Chain { validators } -> validators
+  | Shared _ -> 0
+
+(* called on message paths: no TM and the single TM are built without
+   [Array.init]'s closure *)
 let tm_pids (env : Env.t) cfg =
   let base = Topology.aux_base env.Env.topo in
-  match cfg.tm with
-  | Single -> [| base |]
-  | Committee { f } -> Array.init (committee_size f) (fun k -> base + k)
-  | Quorum { qs } -> Array.init (Quorum_system.size qs) (fun k -> base + k)
-  | Chain { validators } -> Array.init validators (fun k -> base + k)
-  | Shared _ -> [||]
+  match tm_count cfg with
+  | 0 -> [||]
+  | 1 -> [| base |]
+  | n -> Array.init n (fun k -> base + k)
 
 let process_count env cfg =
-  Topology.payment_count env.Env.topo + Array.length (tm_pids env cfg)
+  Topology.payment_count env.Env.topo + tm_count cfg
 
 let dls_cfg (env : Env.t) cfg ~self_index ~signer ~validate =
   let pids = tm_pids env cfg in

@@ -89,6 +89,9 @@ type config = {
 val default_config : config
 (** Single TM, patience 5_000, deposit delay 10, base timeout 200. *)
 
+val tm_count : config -> int
+(** How many TM processes the config runs. *)
+
 val tm_pids : Env.t -> config -> int array
 (** The TM process pids implied by the config (aux pids after the payment
     participants). *)

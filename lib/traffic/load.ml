@@ -89,6 +89,13 @@ let aux_count = function
 
 let block_size ~hops proto = (2 * hops) + 1 + aux_count proto
 
+(* the pid stride must fit the longest path any payment can take *)
+let hosts (w : Workload.t) =
+  let lmax =
+    match w.topology with None -> w.hops | Some g -> g.Routing.Topology.nodes - 1
+  in
+  List.fold_left (fun acc (p, _) -> max acc (block_size ~hops:lmax p)) 0 w.mix
+
 let weak_cfg = Weak_protocol.default_config
 
 let committee_cfg =
@@ -372,10 +379,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   let arrivals = Workload.arrival_seq w ~seed in
   let max_splits = w.splits in
   let instances = w.payments * max_splits in
-  (* the pid stride must fit the longest path any payment can take *)
-  let stride =
-    List.fold_left (fun acc (p, _) -> max acc (block_size ~hops:lmax p)) 0 w.mix
-  in
+  let stride = hosts w in
   (* Fault plans address hosts: logical pids 0 .. stride-1, applied to
      every instance block (one crashed escrow host is down for everyone). *)
   (match Faults.Fault_plan.validate plan ~nprocs:stride with

@@ -133,6 +133,10 @@ type report = {
       (** minor-heap words the run allocated inside the engine loop *)
 }
 
+val hosts : Workload.t -> int
+(** The pid stride of one payment block: a fault plan for {!run}
+    addresses hosts [0 .. hosts w - 1]. *)
+
 val run :
   ?plan:Faults.Fault_plan.t ->
   ?causal:Obsv.Causal.t ->

@@ -283,65 +283,101 @@ let to_string w =
   | None -> base
   | Some c -> Printf.sprintf "%s committee=%s" base (committee_to_string c)
 
+(* A spec line is space-separated key=value fields. [set] is the fold's
+   step for one field, shared by spec lines and command-line flags. *)
+let tokens s =
+  String.split_on_char ' ' (String.trim s) |> List.filter (fun f -> f <> "")
+
+let set w key v =
+  let ( let* ) = Result.bind in
+  let int_field set =
+    match int_of_string_opt v with
+    | Some n -> Ok (set n)
+    | None -> Error (Printf.sprintf "%s wants an integer, got %S" key v)
+  in
+  (* name the offending key in sub-parser errors, so a bad value in a
+     13-key spec line points at itself *)
+  let keyed r = Result.map_error (fun e -> Printf.sprintf "%s: %s" key e) r in
+  match key with
+  | "payments" -> int_field (fun n -> { w with payments = n })
+  | "hops" -> int_field (fun n -> { w with hops = n })
+  | "value" -> int_field (fun n -> { w with value = n })
+  | "commission" -> int_field (fun n -> { w with commission = n })
+  | "cap" -> int_field (fun n -> { w with cap = n })
+  | "liquidity" -> int_field (fun n -> { w with liquidity = n })
+  | "patience" -> int_field (fun n -> { w with patience = n })
+  | "stuck" -> int_field (fun n -> { w with stuck_after = n })
+  | "drift" -> int_field (fun n -> { w with drift_ppm = n })
+  | "arrival" ->
+      let* a = keyed (arrival_of_string v) in
+      Ok { w with arrival = a }
+  | "mix" ->
+      let* mix = keyed (mix_of_string v) in
+      Ok { w with mix }
+  | "policy" ->
+      let* p = keyed (policy_of_string v) in
+      Ok { w with policy = p }
+  | "gst" ->
+      if v = "none" then Ok { w with gst = None }
+      else int_field (fun n -> { w with gst = Some n })
+  | "topology" ->
+      let* t = keyed (Routing.Topology.of_string v) in
+      Ok { w with topology = Some t }
+  | "route" ->
+      let* r = keyed (Routing.Router.strategy_of_string v) in
+      Ok { w with route = r }
+  | "splits" -> int_field (fun n -> { w with splits = n })
+  | "committee" ->
+      let* c = keyed (committee_of_string v) in
+      Ok { w with committee = Some c }
+  | _ -> Error (Printf.sprintf "unknown workload key %S" key)
+
+let fold w s =
+  List.fold_left
+    (fun acc field ->
+      Result.bind acc (fun w ->
+          match String.index_opt field '=' with
+          | None -> Error (Printf.sprintf "expected key=value, got %S" field)
+          | Some i ->
+              set w (String.sub field 0 i)
+                (String.sub field (i + 1) (String.length field - i - 1))))
+    (Ok w) (tokens s)
+
 let of_string s =
   let ( let* ) = Result.bind in
-  let fields =
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun f -> f <> "")
-  in
-  let parse acc field =
-    let* w = acc in
-    match String.index_opt field '=' with
-    | None -> Error (Printf.sprintf "expected key=value, got %S" field)
-    | Some i -> (
-        let key = String.sub field 0 i in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        let int_field set =
-          match int_of_string_opt v with
-          | Some n -> Ok (set n)
-          | None -> Error (Printf.sprintf "%s wants an integer, got %S" key v)
-        in
-        (* name the offending key in sub-parser errors, so a bad value in a
-           13-key spec line points at itself *)
-        let keyed r =
-          Result.map_error (fun e -> Printf.sprintf "%s: %s" key e) r
-        in
-        match key with
-        | "payments" -> int_field (fun n -> { w with payments = n })
-        | "hops" -> int_field (fun n -> { w with hops = n })
-        | "value" -> int_field (fun n -> { w with value = n })
-        | "commission" -> int_field (fun n -> { w with commission = n })
-        | "cap" -> int_field (fun n -> { w with cap = n })
-        | "liquidity" -> int_field (fun n -> { w with liquidity = n })
-        | "patience" -> int_field (fun n -> { w with patience = n })
-        | "stuck" -> int_field (fun n -> { w with stuck_after = n })
-        | "drift" -> int_field (fun n -> { w with drift_ppm = n })
-        | "arrival" ->
-            let* a = keyed (arrival_of_string v) in
-            Ok { w with arrival = a }
-        | "mix" ->
-            let* mix = keyed (mix_of_string v) in
-            Ok { w with mix }
-        | "policy" ->
-            let* p = keyed (policy_of_string v) in
-            Ok { w with policy = p }
-        | "gst" ->
-            if v = "none" then Ok { w with gst = None }
-            else int_field (fun n -> { w with gst = Some n })
-        | "topology" ->
-            let* t = keyed (Routing.Topology.of_string v) in
-            Ok { w with topology = Some t }
-        | "route" ->
-            let* r = keyed (Routing.Router.strategy_of_string v) in
-            Ok { w with route = r }
-        | "splits" -> int_field (fun n -> { w with splits = n })
-        | "committee" ->
-            let* c = keyed (committee_of_string v) in
-            Ok { w with committee = Some c }
-        | _ -> Error (Printf.sprintf "unknown workload key %S" key))
-  in
-  let* w = List.fold_left parse (Ok (default ~payments:1)) fields in
+  let* w = fold (default ~payments:1) s in
   let* () = validate w in
+  Ok w
+
+let flags =
+  [
+    ("--payments", "payments"); ("--hops", "hops"); ("--value", "value");
+    ("--commission", "commission"); ("--arrival", "arrival"); ("--mix", "mix");
+    ("--policy", "policy"); ("--cap", "cap"); ("--liquidity", "liquidity");
+    ("--topology", "topology"); ("--route", "route"); ("--splits", "splits");
+    ("--patience", "patience"); ("--stuck-after", "stuck"); ("--drift", "drift");
+    ("--gst", "gst");
+  ]
+
+let of_command_line ~base ?spec given =
+  let ( let* ) = Result.bind in
+  let origin o r = Result.map_error (Printf.sprintf "bad %s: %s" o) r in
+  let* w = origin "base line" (fold (default ~payments:1) base) in
+  let* w =
+    match spec with None -> Ok w | Some s -> origin "--spec" (fold w s)
+  in
+  (* a flag's value is one field: it is never split into further keys *)
+  let* w =
+    List.fold_left
+      (fun acc (flag, v) ->
+        let* w = acc in
+        origin flag
+          (match List.assoc_opt flag flags with
+          | Some key -> set w key v
+          | None -> Error "not a workload flag"))
+      (Ok w) given
+  in
+  let* () = origin "workload" (validate w) in
   Ok w
 
 (* Both streams below are persistent: each step draws from a copy of the

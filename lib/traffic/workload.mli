@@ -143,6 +143,24 @@ val to_string : t -> string
     historical spec lines byte-for-byte. *)
 
 val of_string : string -> (t, string) result
+(** Folds the line's [key=value] fields, left to right, over
+    [default ~payments:1], then {!validate}s the result. Errors name the
+    offending key. *)
+
+val flags : (string * string) list
+(** The command-line flag that sets each key: [("--payments",
+    "payments")], …, [("--stuck-after", "stuck")], [("--gst", "gst")].
+    [committee] has no flag. *)
+
+val of_command_line :
+  base:string -> ?spec:string -> (string * string) list -> (t, string) result
+(** The one front door for a command's workload: the fields of the
+    command's [base] line, then those of [spec], then one field per
+    [(flag, value)] pair (a flag of {!flags}), later keys winning, then
+    one {!validate}. A flag's value is a single field, never split into
+    further keys. Never raises; each error names where it came from:
+    ["bad --spec: …"] and ["bad --arrival: …"] for one field,
+    ["bad workload: …"] for the {!validate} check of the whole. *)
 
 val mix_seq : t -> seed:int -> proto Seq.t
 (** The per-payment protocol assignment in payment order: deterministic

@@ -97,3 +97,57 @@ let property ~name ~seeds of_string =
     (QCheck.Test.make ~name ~count:3000 (inputs seeds) (fun s ->
          Lazy.force seeds_valid
          && match of_string s with Ok _ | Error _ -> true))
+
+(* Flag vectors for a command's front door: at most one value per flag,
+   drawn from the valid [(flag, value)] pairs and sometimes damaged by
+   [edit] (spaces included, so a value may look like several fields), in
+   random order, with or without a --spec line mutated from [specs]. *)
+let flag_vectors ~pairs ~specs =
+  let open QCheck.Gen in
+  let flags = List.sort_uniq compare (List.map fst pairs) in
+  let value_of flag =
+    let* v = oneofl (List.filter_map
+                       (fun (f, v) -> if f = flag then Some v else None)
+                       pairs) in
+    frequency [ (2, return v); (1, edit v) ]
+  in
+  let* chosen =
+    flatten_l
+      (List.map
+         (fun flag ->
+           let* keep = bool in
+           if keep then map (fun v -> Some (flag, v)) (value_of flag)
+           else return None)
+         flags)
+  in
+  let* given = shuffle_l (List.filter_map Fun.id chosen) in
+  let* spec =
+    frequency
+      [ (1, return None); (1, map Option.some (oneofl specs));
+        (1, map Option.some (mutated specs)) ]
+  in
+  return (spec, given)
+
+(* [front_door ?spec flags] answers [Ok], or an [Error] that names where
+   the bad field came from: a flag of the vector, --spec when one was
+   given, or the whole-workload check ("bad workload: ..."). *)
+let front_door_property ~name ~pairs ~specs front_door =
+  let print (spec, given) =
+    String.concat " "
+      ((match spec with Some s -> [ Printf.sprintf "--spec %S" s ] | None -> [])
+      @ List.map (fun (f, v) -> Printf.sprintf "%s %S" f v) given)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:3000
+       (QCheck.make ~print (flag_vectors ~pairs ~specs))
+       (fun (spec, given) ->
+         match front_door ?spec given with
+         | Ok _ -> true
+         | Error e ->
+             let names origin =
+               String.starts_with ~prefix:("bad " ^ origin ^ ": ") e
+             in
+             (spec <> None && names "--spec")
+             || List.exists (fun (flag, _) -> names flag) given
+             || names "workload"
+             || QCheck.Test.fail_reportf "error %S names no origin" e))

@@ -852,6 +852,50 @@ let keyed_error_property =
              || QCheck.Test.fail_reportf "error %S does not start with %s" e
                   key))
 
+(* The [(flag, value)] pairs that spell a spec line's fields as load
+   flags; [committee=] has no flag and is dropped. *)
+let flags_of_spec s =
+  List.filter_map
+    (fun field ->
+      let i = String.index field '=' in
+      let key = String.sub field 0 i in
+      let v = String.sub field (i + 1) (String.length field - i - 1) in
+      List.find_map
+        (fun (flag, k) -> if k = key then Some (flag, v) else None)
+        Workload.flags)
+    (String.split_on_char ' ' s)
+
+let load_front_door = Workload.of_command_line ~base:"payments=100"
+
+(* A valid spec's keys passed as flags give the same workload as the spec
+   passed through --spec. *)
+let flags_law =
+  let specs =
+    List.filter
+      (fun s ->
+        List.length (flags_of_spec s)
+        = List.length (String.split_on_char ' ' s))
+      workload_seeds
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (3, map Workload.to_string wl_gen); (1, oneofl specs) ])
+  in
+  qcheck
+    (QCheck.Test.make ~name:"a spec's keys as flags equal the spec" ~count:500
+       (QCheck.make ~print:Fun.id gen)
+       (fun s ->
+         let via_spec = load_front_door ~spec:s [] in
+         let via_flags = load_front_door (flags_of_spec s) in
+         Result.is_ok via_spec && via_spec = via_flags
+         && via_spec = Workload.of_string s
+         || QCheck.Test.fail_reportf "spec %s, flags %s"
+              (match via_spec with Ok w -> Workload.to_string w | Error e -> e)
+              (match via_flags with
+              | Ok w -> Workload.to_string w
+              | Error e -> e)))
+
 let () =
   Alcotest.run "traffic"
     [
@@ -861,6 +905,12 @@ let () =
           Grammar_fuzz.property ~name:"workload of_string never raises"
             ~seeds:workload_seeds Workload.of_string;
           keyed_error_property;
+          Grammar_fuzz.front_door_property
+            ~name:"load flags parse or name their origin, never raise"
+            ~pairs:(List.concat_map flags_of_spec workload_seeds)
+            ~specs:workload_seeds
+            load_front_door;
+          flags_law;
         ] );
       ("load", load_tests);
       ("causal", causal_tests);
