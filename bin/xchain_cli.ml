@@ -272,14 +272,16 @@ let int_in ?(hi = max_int) lo =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= lo && n <= hi -> Ok n
-    | Some _ when hi = max_int -> Error (Printf.sprintf "must be >= %d, got %s" lo s)
-    | Some _ -> Error (Printf.sprintf "must be in %d..%d, got %s" lo hi s)
+    | Some n when n < lo -> Error (Printf.sprintf "must be >= %d, got %s" lo s)
+    | Some _ -> Error (Printf.sprintf "must be <= %d, got %s" hi s)
     | None -> Error (Printf.sprintf "invalid value '%s', expected an integer" s)
   in
   Arg.conv' (parse, Format.pp_print_int)
 
 let hops_arg ?(doc = "Escrows.") default =
-  Arg.(value & opt (int_in 1) default & info [ "n"; "hops" ] ~doc)
+  Arg.(value
+       & opt (int_in ~hi:Traffic.Workload.max_hops 1) default
+       & info [ "n"; "hops" ] ~doc)
 
 let gst_arg =
   Arg.(value & opt (some (int_in 0)) None
@@ -1494,24 +1496,6 @@ let committee_cmd =
           exit 2)
         fmt
     in
-    let parse_committee s =
-      (* family:size:f[:faulty] — batch and pipeline come from the sweep *)
-      match String.split_on_char ':' s with
-      | ([ fam; size; f ] | [ fam; size; f; _ ]) as fields -> (
-          let faulty = match fields with [ _; _; _; x ] -> x | _ -> "0" in
-          match
-            ( int_of_string_opt size,
-              int_of_string_opt f,
-              int_of_string_opt faulty )
-          with
-          | Some size, Some f, Some faulty ->
-              (fam, size, f, faulty)
-          | _ -> fail "bad committee %S (want family:size:f[:faulty])" s)
-      | _ -> fail "bad committee %S (want family:size:f[:faulty])" s
-    in
-    let committees =
-      List.map parse_committee (String.split_on_char ',' committees)
-    in
     let batches =
       List.map
         (fun s ->
@@ -1520,58 +1504,58 @@ let committee_cmd =
           | _ -> fail "bad --batches entry %S" s)
         (String.split_on_char ',' batches)
     in
-    if committees = [] || batches = [] then
-      fail "--committees and --batches must be non-empty";
-    (* cells in (committee, batch) order: batch is the inner axis so the
-       unbatched baseline sits next to its batched counterpart *)
-    let cells =
-      List.concat_map
-        (fun c -> List.map (fun b -> (c, b)) batches)
-        committees
+    (* each cell is one spec line plus the run-shape flags as keys, folded
+       by the workload parser; cells in (committee, batch) order: batch is
+       the inner axis so the unbatched baseline sits next to its batched
+       counterpart *)
+    let keys =
+      [
+        ("--payments", string_of_int payments);
+        ("--hops", string_of_int hops);
+        ("--patience", string_of_int patience);
+        ("--gst", Option.fold ~none:"none" ~some:string_of_int gst);
+      ]
     in
-    let workload_of ((fam, size, f, faulty), batch) =
-      let w =
-        {
-          (Traffic.Workload.default ~payments) with
-          Traffic.Workload.hops;
-          arrival = Traffic.Workload.Burst { size = payments; every = 1 };
-          mix = [ (Traffic.Workload.Shared, 1) ];
-          patience;
-          drift_ppm = 0;
-          gst;
-          committee =
-            Some
-              {
-                Traffic.Workload.c_family = fam;
-                c_size = size;
-                c_f = f;
-                c_batch = batch;
-                c_pipeline = pipeline;
-                c_faulty = faulty;
-              };
-        }
+    let workload_of shape batch =
+      let committee =
+        (* family:size:f[:faulty] — batch and pipeline come from the sweep *)
+        match String.split_on_char ':' shape with
+        | fam :: size :: f :: (([] | [ _ ]) as faulty)
+          when not (String.contains shape ' ') ->
+            Printf.sprintf "%s:%s:%s:%d:%d:%s" fam size f batch pipeline
+              (match faulty with [ x ] -> x | _ -> "0")
+        | _ -> fail "bad committee %S (want family:size:f[:faulty])" shape
       in
-      (match Traffic.Workload.validate w with
-      | Ok () -> ()
-      | Error e -> fail "cell %s:%d:%d batch %d: %s" fam size f batch e);
-      w
+      let base =
+        Printf.sprintf "mix=shared arrival=burst:%d:1 drift=0 committee=%s"
+          payments committee
+      in
+      match Traffic.Workload.of_command_line ~base keys with
+      | Ok w -> w
+      | Error e -> fail "cell %s batch %d: %s" shape batch e
     in
-    let cells = Array.of_list cells in
-    let workloads = Array.map workload_of cells in
+    let workloads =
+      Array.of_list
+        (List.concat_map
+           (fun shape -> List.map (workload_of shape) batches)
+           (String.split_on_char ',' committees))
+    in
+    (* the cell's committee, as parsed from its spec line *)
+    let cell i = Option.get workloads.(i).Traffic.Workload.committee in
     let domains = resolve_domains ~cmd:"committee" j in
     Obsv.Span.set_capture Obsv.Span.default false;
     let outcomes, stats =
       Fleet.run ~domains
         ?on_progress:(tty_progress "committee sweep")
-        ~jobs:(Array.length cells)
+        ~jobs:(Array.length workloads)
         (fun i -> Traffic.Load.run ~workload:workloads.(i) ~seed ())
     in
     let reports =
       Array.mapi
         (fun i -> function
           | Error (fl : Fleet.failure) ->
-              let (fam, size, f, _), batch = cells.(i) in
-              fail "cell %s:%d:%d batch %d raised: %s" fam size f batch
+              fail "cell committee=%s raised: %s"
+                (Traffic.Workload.committee_to_string (cell i))
                 fl.Fleet.message
           | Ok r -> r)
         outcomes
@@ -1579,7 +1563,7 @@ let committee_cmd =
     Fmt.pr
       "committee sweep: %d payments x %d hops, pipeline %d, seed %d, %d \
        cells@."
-      payments hops pipeline seed (Array.length cells);
+      payments hops pipeline seed (Array.length workloads);
     (* all payments arrive in one burst, so the decide span is exactly
        the slowest payment's latency — the makespan is padded out to the
        patience horizon and would wash batching out of a rate *)
@@ -1593,20 +1577,20 @@ let committee_cmd =
     let clean = ref true in
     Array.iteri
       (fun i (r : Traffic.Load.report) ->
-        let (fam, size, f, faulty), batch = cells.(i) in
-        let cs =
-          match r.Traffic.Load.committee_stats with
-          | Some s -> s
-          | None -> fail "cell %s:%d:%d batch %d: no committee stats" fam size f batch
+        let { Traffic.Workload.c_family; c_size; c_f; c_faulty; c_batch; _ } =
+          cell i
         in
+        (* a shared mix always reports its committee *)
+        let cs = Option.get r.Traffic.Load.committee_stats in
         if
           r.Traffic.Load.violations <> []
           || (not r.Traffic.Load.conservation_ok)
           || r.Traffic.Load.committed <> payments
         then clean := false;
-        Fmt.pr "%-10s %5d %3d %6d %6d  %9d %6d %6d %6d %11d %8d@." fam size f
-          faulty batch r.Traffic.Load.committed cs.Traffic.Load.certs
-          cs.Traffic.Load.max_batch cs.Traffic.Load.rounds (decided_cpm r)
+        Fmt.pr "%-10s %5d %3d %6d %6d  %9d %6d %6d %6d %11d %8d@." c_family
+          c_size c_f c_faulty c_batch r.Traffic.Load.committed
+          cs.Traffic.Load.certs cs.Traffic.Load.max_batch
+          cs.Traffic.Load.rounds (decided_cpm r)
           (if cs.Traffic.Load.certs = 0 then 0
            else cs.Traffic.Load.cert_lat_sum / cs.Traffic.Load.certs))
       reports;
@@ -1620,12 +1604,14 @@ let committee_cmd =
           payments hops pipeline seed;
         Array.iteri
           (fun i (r : Traffic.Load.report) ->
-            let (fam, size, f, faulty), batch = cells.(i) in
+            let { Traffic.Workload.c_family; c_size; c_f; c_faulty; c_batch; _ } =
+              cell i
+            in
             let cs = Option.get r.Traffic.Load.committee_stats in
             if i > 0 then Buffer.add_char buf ',';
             Printf.bprintf buf
               "{\"family\":\"%s\",\"size\":%d,\"f\":%d,\"faulty\":%d,\"batch\":%d,\"status\":\"%s\",\"committed\":%d,\"decided_cpm\":%d,\"messages\":%d,\"latency\":{\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d},\"committee\":{\"certs\":%d,\"verdicts\":%d,\"max_batch\":%d,\"rounds\":%d,\"cert_lat_sum\":%d,\"cert_lat_max\":%d}}"
-              fam size f faulty batch r.Traffic.Load.status
+              c_family c_size c_f c_faulty c_batch r.Traffic.Load.status
               r.Traffic.Load.committed (decided_cpm r)
               r.Traffic.Load.messages r.Traffic.Load.latency_p50
               r.Traffic.Load.latency_p95 r.Traffic.Load.latency_p99
@@ -1675,7 +1661,7 @@ let committee_cmd =
   in
   let payments =
     Arg.(
-      value & opt int 128
+      value & opt (int_in 1) 128
       & info [ "payments" ]
           ~doc:
             "Payments per cell, all arriving in one burst so batches can \

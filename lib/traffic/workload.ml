@@ -208,10 +208,16 @@ let mix_of_string s =
   in
   match parts with [ "" ] -> Error "empty mix" | _ -> go [] parts
 
+(* the longest path a topology= graph of at most 1000 nodes allows; a
+   chain is built per payment, so a mistyped hop count must be refused
+   before it is sized into memory *)
+let max_hops = 999
+
 let validate w =
   let err fmt = Fmt.kstr Result.error fmt in
   if w.payments < 1 then err "payments must be >= 1"
   else if w.hops < 1 then err "hops must be >= 1"
+  else if w.hops > max_hops then err "hops must be <= %d" max_hops
   else if w.value < 1 then err "value must be >= 1"
   else if w.commission < 0 then err "commission must be >= 0"
   else if w.mix = [] then err "mix must name at least one protocol"

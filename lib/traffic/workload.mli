@@ -126,6 +126,11 @@ val quorum_system : committee -> (Quorum_system.t, string) result
     that breaks the Byzantine quorum laws, such as [majority:4:2:…] whose
     quorum of 2f+1 = 5 exceeds its 4 replicas. *)
 
+val max_hops : int
+(** 999, the longest path a [topology=] graph allows (it has at most 1000
+    nodes): the upper bound on [hops] here and on every command's
+    [--hops]. *)
+
 val validate : t -> (unit, string) result
 (** Structural sanity plus the policy/protocol compatibility rules:
     [Optimistic] forbids [Sync]/[Naive] in the mix (their escrows barrel

@@ -1,7 +1,7 @@
 """Shared plumbing for the repo's JSON report checkers.
 
-check_fleet.py, check_trace.py and check_perf.py all follow the same
-shape: load a JSON (or JSONL) artifact, collect invariant failures into
+check_fleet.py, check_trace.py, check_committee.py and check_perf.py
+all follow the same shape: load a JSON (or JSONL) artifact, collect invariant failures into
 a list, print them with a prefix and exit non-zero if any. This module
 is that shape, factored out; the checkers keep only their
 domain-specific assertions. Stdlib only, importable because Python puts

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Schema + invariant checks for BENCH_committee.json (shared notary
-committee sweep).
+"""Schema + invariant checks for a shared notary committee sweep.
 
-Stdlib only. Validates the report `bench/main.exe` writes:
+Stdlib only. Validates the report `xchain committee --out FILE` writes
+(CI: `xchain committee --payments 64 --out BENCH_committee.json`):
 
-  1. shape: scale, payments, hops, pipeline, and a non-empty ``sweep``
+  1. shape: payments, hops, pipeline, seed, and a non-empty ``sweep``
      of cells with family/size/f/batch, counts, a latency object and
-     the committee certificate statistics;
-  2. completeness: every cell committed all its payments (a burst of
-     payments through one committee must fully drain);
+     the certificate statistics under ``committee``;
+  2. completeness: every cell ended quiescent and committed all its
+     payments (a burst of payments through one committee must fully
+     drain);
   3. batching: at every committee size present with both a batch-1 and
      a batch-32 cell, the batched decided-payments rate is strictly
      above the unbatched baseline;
@@ -50,11 +51,19 @@ def check_cell(payments, cell):
         f"{cell.get('family')}:{cell.get('size')}"
         f":{cell.get('f')} batch {cell.get('batch')}"
     )
+    certs = cell.get("committee")
+    if not isinstance(certs, dict):
+        err(f"{name}: committee certificate statistics missing")
+        return None
+    # flatten the certificate statistics into the cell for the checks below
+    cell = {**cell, **certs}
     for k in CELL_INTS:
         v = cell.get(k)
         if not isinstance(v, int) or v < 0:
             err(f"{name}: {k} must be a non-negative int, got {v!r}")
             return None
+    if cell.get("status") != "quiescent":
+        err(f"{name}: status is {cell.get('status')!r}, want 'quiescent'")
     lat = cell.get("latency")
     if not isinstance(lat, dict) or not all(
         isinstance(lat.get(k), int) for k in ("p50", "p95", "max")
@@ -80,19 +89,19 @@ def check_cell(payments, cell):
         )
     if cell["certs"] == 0 and cell["committed"] > 0:
         err(f"{name}: payments committed without any certificate")
-    return name
+    return cell
 
 
 def main(argv):
     path = argv[1] if len(argv) > 1 else "BENCH_committee.json"
     doc = load_json(path)
 
-    if doc.get("scale") not in ("quick", "full"):
-        err(f"scale is {doc.get('scale')!r}, want 'quick' or 'full'")
+    for k in ("payments", "hops", "pipeline"):
+        if not isinstance(doc.get(k), int) or doc[k] < 1:
+            err(f"{k} must be a positive int, got {doc.get(k)!r}")
+    if not isinstance(doc.get("seed"), int):
+        err(f"seed must be an int, got {doc.get('seed')!r}")
     payments = doc.get("payments")
-    if not isinstance(payments, int) or payments < 1:
-        err(f"payments must be a positive int, got {payments!r}")
-        payments = 0
     sweep = doc.get("sweep")
     if not isinstance(sweep, list) or not sweep:
         err("sweep missing or empty")
@@ -100,9 +109,9 @@ def main(argv):
 
     by_size = {}
     for cell in sweep:
-        if check_cell(payments, cell) is None:
-            continue
-        by_size.setdefault(cell["size"], {})[cell["batch"]] = cell
+        cell = check_cell(payments, cell)
+        if cell is not None:
+            by_size.setdefault(cell["size"], {})[cell["batch"]] = cell
 
     for size, cells in sorted(by_size.items()):
         if 1 in cells and 32 in cells:

@@ -1,118 +1,140 @@
 #!/usr/bin/env python3
-"""Perf-trajectory regression gate over bench/history/trajectory.jsonl.
+"""Deterministic-count gate over bench/perf results.
 
-Every `bench/main.exe` run appends one JSON line: events/sec per
-canonical load workload (host wall clock) and minor-heap words per
-dispatched event on a profiled canonical run (deterministic), keyed by
-git sha, UTC date, host domain count and scale (quick / full).
+Each input file is the last stdout line of one bench/perf run over a
+BENCHMARK.json workload,
 
-This gate compares the newest entry against the trailing window (up to
-5 preceding entries of the same scale) and fails on
+    bash bench/perf/run.sh --workload W --seed 1 --seconds 5 --trace T
 
-  * a  >20% drop in any workload's events/sec vs the window median
-    (generous, because CI hosts are noisy), or
-  * a  >10% rise in allocation-per-event vs the window median (tight,
-    because the figure is deterministic).
+and its name must contain the workload name W (CI writes
+perf_untraced_W.json for --trace 0, which carries the end-to-end
+figures, and perf_smoke_W.json for --trace 1, which carries the
+per-layer ones). The figures below are compared with the committed
+baseline scripts/perf_counts.json:
 
-With no prior comparable entries the newest run is recorded as the
-baseline and the gate passes. A missing or empty trajectory file is not
-an error either — there is nothing to gate yet, so the script says so
-and exits 0 (first CI run on a fresh branch, or a wiped history).
-Exit 0 when within budget; a diagnostic and exit 1 otherwise. Stdlib
-only.
+  * exact: simulated counts and latencies, which a fixed workload and
+    seed determine — any change at all fails;
+  * within +-10%: minor-heap words, deterministic for one build but
+    moved by the compiler and by unrelated code. The band is a factor
+    of 1.10 in either direction (measured over baseline or baseline
+    over measured), so an improvement that is not written back into
+    the baseline fails too instead of leaving it stale.
+
+Every run must also report "correct": true, and every baseline workload
+and figure must be covered by some input file. Wall-clock figures are
+not gated here: bench/perf's paired `--compare` is the view for those.
+
+After a change that moves a figure on purpose, regenerate the baseline
+from the same files with
+
+    python3 scripts/check_perf.py --update perf_*.json
+
+Exit 0 when every figure holds; a diagnostic and exit 1 otherwise.
+Stdlib only.
 """
 
+import json
 import os
 import sys
 
-from benchlib import err, errors, finish, load_jsonl
+from benchlib import err, errors, finish, load_json
 
-WINDOW = 5
-EPS_DROP = 0.20  # events/sec: >20% below the trailing median fails
-ALLOC_RISE = 0.10  # words/event: >10% above the trailing median fails
+SEED = 1
+EXACT = [
+    "engine.events_per_op",
+    "network.messages_per_op",
+    "sim_latency_p50_ticks",
+    "sim_latency_p99_ticks",
+]
+WITHIN = ["engine.dispatch_words_per_event", "alloc_words_per_op"]
+BAND = 0.10
+HERE = os.path.dirname(os.path.abspath(__file__))
+BASELINE = os.path.join(HERE, "perf_counts.json")
+WORKLOADS = [w["name"] for w in
+             load_json(os.path.join(HERE, "..", "BENCHMARK.json"))["workloads"]]
 
 
-def median(xs):
-    xs = sorted(xs)
-    n = len(xs)
-    mid = n // 2
-    return xs[mid] if n % 2 else (xs[mid - 1] + xs[mid]) / 2
+def workload_of(path):
+    name = os.path.basename(path)
+    hits = [w for w in WORKLOADS if w in name]
+    if len(hits) != 1:
+        err(f"{path}: file name must contain exactly one workload of "
+            f"{', '.join(WORKLOADS)}")
+        return None
+    return hits[0]
 
 
-def gate(name, new_val, prior, *, floor=None, ceil=None):
-    if not prior:
+def read_runs(paths):
+    """(workload, {figure: value}) per file; bad files become errors."""
+    runs = []
+    for path in paths:
+        w = workload_of(path)
+        doc = load_json(path)
+        if doc.get("correct") is not True:
+            err(f"{path}: run is not \"correct\": true")
+        metrics = doc.get("metrics")
+        if w is None:
+            continue
+        if not isinstance(metrics, dict):
+            err(f"{path}: no metrics object")
+            continue
+        runs.append((w, {k: metrics[k]["value"] for k in EXACT + WITHIN
+                         if k in metrics}))
+    return runs
+
+
+def check(runs, baseline):
+    seen = set()
+    for w, figures in runs:
+        base = baseline.get(w, {})
+        for k, v in sorted(figures.items()):
+            if k not in base:
+                continue
+            seen.add((w, k))
+            b = base[k]
+            if k in EXACT and v != b:
+                err(f"{w}: {k} is {v}, baseline {b} (must match exactly)")
+            elif k in WITHIN and max(v, b) > (1 + BAND) * min(v, b):
+                err(f"{w}: {k} is {v:.2f}, {(v / b - 1) * 100:+.1f}% from "
+                    f"baseline {b:.2f} (band: a factor of {1 + BAND:.2f} "
+                    f"either way)")
+    for w in WORKLOADS:
+        for k in EXACT + WITHIN:
+            if k in baseline.get(w, {}) and (w, k) not in seen:
+                err(f"{w}: no input file reports {k}")
+
+
+def update(runs):
+    baseline = {}
+    for w, figures in runs:
+        baseline.setdefault(w, {}).update(figures)
+    missing = [f"{w}.{k}" for w in WORKLOADS for k in EXACT + WITHIN
+               if k not in baseline.get(w, {})]
+    if missing:
+        err(f"inputs lack {', '.join(missing)}; baseline not written")
         return
-    base = median(prior)
-    if base <= 0:
-        err(f"{name}: nonsensical trailing median {base!r}")
-        return
-    ratio = new_val / base
-    if floor is not None and ratio < floor:
-        err(
-            f"{name}: {new_val:.1f} is a {(1 - ratio) * 100:.0f}% drop from "
-            f"the trailing median {base:.1f} (>{(1 - floor) * 100:.0f}% fails)"
-        )
-    if ceil is not None and ratio > ceil:
-        err(
-            f"{name}: {new_val:.2f} is a {(ratio - 1) * 100:.0f}% rise over "
-            f"the trailing median {base:.2f} (>{(ceil - 1) * 100:.0f}% fails)"
-        )
+    with open(BASELINE, "w", encoding="utf-8") as f:
+        json.dump({"seed": SEED, "workloads": baseline}, f, indent=2,
+                  sort_keys=True)
+        f.write("\n")
 
 
 def main(argv):
-    path = argv[1] if len(argv) > 1 else "bench/history/trajectory.jsonl"
-    if not os.path.exists(path):
-        print(f"{path}: no trajectory yet — run bench/main.exe to record "
-              f"a baseline; nothing to gate")
-        return 0
-    entries = load_jsonl(path)
-    if errors:
-        return finish()
-    if not entries:
-        print(f"{path}: empty trajectory — run bench/main.exe to record "
-              f"a baseline; nothing to gate")
-        return 0
-    new = entries[-1]
-    for key in ("sha", "date", "scale", "host_domains", "events_per_sec",
-                "alloc_per_event"):
-        if key not in new:
-            err(f"{path}: newest entry lacks {key!r}")
-    if not isinstance(new.get("events_per_sec"), dict) or not isinstance(
-        new.get("alloc_per_event"), dict
-    ):
-        err(f"{path}: events_per_sec / alloc_per_event must be objects")
-    if errors:
-        return finish()
-
-    window = [e for e in entries[:-1] if e.get("scale") == new["scale"]]
-    window = window[-WINDOW:]
-    if not window:
-        print(
-            f"{path}: {len(entries)} entr{'y' if len(entries) == 1 else 'ies'}, "
-            f"no prior scale={new['scale']!r} runs to compare — "
-            f"baseline recorded for {new['sha'][:12]}"
-        )
-        return 0
-
-    for name, val in sorted(new["events_per_sec"].items()):
-        prior = [
-            e["events_per_sec"][name]
-            for e in window
-            if name in e.get("events_per_sec", {})
-        ]
-        gate(f"events_per_sec.{name}", val, prior, floor=1 - EPS_DROP)
-    for name, val in sorted(new["alloc_per_event"].items()):
-        prior = [
-            e["alloc_per_event"][name]
-            for e in window
-            if name in e.get("alloc_per_event", {})
-        ]
-        gate(f"alloc_per_event.{name}", val, prior, ceil=1 + ALLOC_RISE)
-
-    return finish(
-        ok=f"{path}: run {new['sha'][:12]} within budget of the "
-        f"{len(window)}-entry trailing window"
-    )
+    args = argv[1:]
+    updating = bool(args) and args[0] == "--update"
+    paths = args[1:] if updating else args
+    if not paths:
+        print(f"usage: {argv[0]} [--update] PERF_JSON...", file=sys.stderr)
+        return 2
+    runs = read_runs(paths)
+    if updating:
+        if not errors:
+            update(runs)
+        return finish(ok=f"{BASELINE}: baseline written from "
+                      f"{len(paths)} file(s)")
+    check(runs, load_json(BASELINE)["workloads"])
+    return finish(ok=f"{len(paths)} perf file(s) match {BASELINE}",
+                  prefix="FAIL")
 
 
 if __name__ == "__main__":

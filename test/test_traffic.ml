@@ -147,6 +147,18 @@ let workload_tests =
         | Error e ->
             Alcotest.(check bool) "topology error is keyed" true
               (String.length e >= 8 && String.sub e 0 8 = "topology"));
+    Alcotest.test_case "hops is bounded by the longest graph path" `Quick
+      (fun () ->
+        let spec hops = Printf.sprintf "payments=1 hops=%d" hops in
+        Alcotest.(check bool) "hops=999 parses" true
+          (Result.is_ok (Workload.of_string (spec 999)));
+        match Workload.of_string (spec 1000) with
+        | Ok _ -> Alcotest.fail "hops=1000 accepted"
+        | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%S names hops" e)
+              true
+              (String.length e >= 4 && String.sub e 0 4 = "hops"));
     Alcotest.test_case "optimistic forbids sync and naive" `Quick (fun () ->
         let w =
           {
