@@ -241,9 +241,9 @@ let write_routing_json () =
 
 (* One canonically-traced load run: its aggregate blame table, plus the
    tracing-off vs tracing-on wall-clock of the identical run, land in
-   BENCH_blame.json. Tracing off must be in the noise (the engine guards
-   every causal block behind one option match); tracing on reports its
-   actual overhead ratio honestly. *)
+   BENCH_blame.json. Tracing off must be in the noise (an untraced run
+   subscribes no fold to its trace); tracing on reports its actual
+   overhead ratio honestly. *)
 let blame_json_file = "BENCH_blame.json"
 
 let blame_workload =

@@ -124,7 +124,7 @@ let blame_arg =
            decomposed into queueing / transit / gst_wait / timeout / \
            downtime / processing, summing exactly to the observed total.")
 
-(* any causal sink requested? then the engine records the graph *)
+(* any causal sink requested? then the run folds its trace into a graph *)
 let causal_wanted ~trace_out ~dag_out ~blame =
   if trace_out <> None || dag_out <> None || blame then
     Some (Obsv.Causal.create ())

@@ -115,7 +115,7 @@ let check auto ~pid ~tag_of trace =
             on_sent auto tag_of c ~at:t ~dst msg
         | Sim.Trace.Delivered { t; src; dst; msg; _ } when dst = pid ->
             on_delivered auto c ~at:t ~src msg
-        | Sim.Trace.Timer_fired { t; owner; label } when owner = pid ->
+        | Sim.Trace.Timer_fired { t; owner; label; _ } when owner = pid ->
             on_timer auto c ~at:t ~label
         | _ -> ())
     (Sim.Trace.to_list trace);

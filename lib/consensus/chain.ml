@@ -54,7 +54,6 @@ let state t =
     (fun st tx -> fst (t.cfg.apply st tx))
     t.cfg.initial_state (List.rev t.applied)
 
-let mempool_size t = List.length t.mempool
 let chain t = List.rev t.rev_chain
 
 let proposer_of t height = ((height mod t.cfg.n) + t.cfg.n) mod t.cfg.n

@@ -73,6 +73,5 @@ val on_round_timeout :
 
 val height : ('tx, 'st, 'ev) t -> int
 val state : ('tx, 'st, 'ev) t -> 'st
-val mempool_size : ('tx, 'st, 'ev) t -> int
 val chain : ('tx, 'st, 'ev) t -> 'tx block list
 (** Accepted blocks, oldest first. *)

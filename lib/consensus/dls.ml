@@ -172,7 +172,6 @@ let create cfg =
   }
 
 let decided t = t.decision
-let current_round t = t.round
 let locked t = t.lock
 
 let round_timeout t round =

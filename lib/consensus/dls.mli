@@ -121,7 +121,6 @@ val on_msg : 'v t -> from_:int -> 'v msg -> 'v effect list
 val on_round_timeout : 'v t -> round -> 'v effect list
 
 val decided : 'v t -> 'v decision_cert option
-val current_round : 'v t -> round
 val locked : 'v t -> 'v qc option
 
 val verify_qc : 'v config -> 'v qc -> bool

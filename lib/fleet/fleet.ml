@@ -190,9 +190,3 @@ let run ?domains ?chunk ?on_progress ?(metrics = Obsv.Metrics.default) ~jobs f =
 let failures outcomes =
   Array.to_list outcomes
   |> List.filter_map (function Error f -> Some f | Ok _ -> None)
-
-let pp_failure ppf { job; message; backtrace } =
-  Format.fprintf ppf "job %d: %s" job message;
-  if backtrace <> "" then
-    String.split_on_char '\n' (String.trim backtrace)
-    |> List.iter (fun line -> Format.fprintf ppf "@,  %s" line)

@@ -80,9 +80,6 @@ val run :
 val failures : 'a outcome array -> failure list
 (** The [Error] outcomes, in job-id order. *)
 
-val pp_failure : Format.formatter -> failure -> unit
-(** ["job 17: Failure(\"boom\")"] plus indented backtrace when present. *)
-
 val now_ns : unit -> int
 (** Wall-clock nanoseconds (from [Unix.gettimeofday]); the clock used for
     {!stats} timing, exposed so callers report durations consistently. *)

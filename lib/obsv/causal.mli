@@ -22,11 +22,10 @@
     telescope exactly to the end-to-end latency.
 
     Like the rest of [lib/obsv], this module is plain integers and
-    strings — no dependency on [lib/sim]; the engine threads its context
-    in (see {!Sim.Engine.create}'s [?causal] and
-    {!Sim.Engine.causal_note}). Recording is deterministic: the same
-    seeded run produces the same graph, so both exporters are
-    byte-identical across reruns. *)
+    strings — no dependency on [lib/sim]. A run's graph is a fold of its
+    engine trace ({!Sim.Causal_fold}), which also takes upper layers'
+    [Note]s. Recording is deterministic: the same seeded run produces the
+    same graph, so both exporters are byte-identical across reruns. *)
 
 type kind = Send | Deliver | Timer_set | Timer_fire | Crash | Recover | Note
 

@@ -88,8 +88,6 @@ let finish_running ?(status = "stuck") ~at t =
       else n)
     0 t.rev_spans
 
-let set_attr s k v = s.attrs <- (k, v) :: List.remove_assoc k s.attrs
-
 let span_id s = s.id
 let span_name s = s.name
 let span_parent s = s.parent

@@ -71,9 +71,6 @@ val finish_running : ?status:string -> at:int -> t -> int
     must never show ["running"] intervals for work the scheduler has
     already given up on; run this at the horizon before dumping. *)
 
-val set_attr : span -> string -> string -> unit
-(** Attach or replace a [key=value] attribute. *)
-
 (** {1 Reading} *)
 
 val span_id : span -> int

@@ -96,10 +96,6 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
 
 let amount_at t i = t.amounts.(i)
 
-let initial_balance t ~pid ~escrow =
-  let topo = t.topo in
-  if pid = Topology.customer topo escrow then t.amounts.(escrow) else 0
-
 let chi_ok t (sv : Msg.chi_body Auth.signed) =
   let b = sv.Auth.payload in
   b.Msg.x_payment = t.payment

@@ -51,10 +51,6 @@ val signer_of : t -> int -> Xcrypto.Auth.signer
 val amount_at : t -> int -> int
 (** [amount_at t i] = what moves through escrow e{_i}. *)
 
-val initial_balance : t -> pid:int -> escrow:int -> int
-(** What [pid] held at escrow index [escrow] before the run — the baseline
-    for the safety properties. *)
-
 val chi_ok : t -> Msg.chi_body Xcrypto.Auth.signed -> bool
 (** Is this a genuine χ for this payment, signed by Bob? *)
 

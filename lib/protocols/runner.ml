@@ -195,25 +195,26 @@ let run_engine cfg protocol =
       model net_rng
   in
   let engine =
-    Engine.create ~tag_of:Msg.tag ~network ~sigma:cfg.sigma
-      ?causal:cfg.causal ?prof:cfg.prof ?monitor:cfg.monitor
-      ?sampler:cfg.sampler ~seed:cfg.seed ()
+    Engine.create ~tag_of:Msg.tag ~network ~sigma:cfg.sigma ?prof:cfg.prof
+      ?monitor:cfg.monitor ?sampler:cfg.sampler ~seed:cfg.seed ()
   in
   (* blame anchors: the dispatch context under which Bob's payout was
      released (sink of the commit critical path) and Bob's termination *)
   let paid_node = ref (-1) and settled_node = ref (-1) in
-  if Option.is_some cfg.causal then begin
-    let bob = Topology.bob topo in
-    Trace.on_record (Engine.trace engine) (fun entry ->
-        match entry with
-        | Trace.Observed { obs = Obs.Released { to_; _ }; _ }
-          when to_ = cfg.hops && !paid_node < 0 ->
-            paid_node := Engine.current_node engine
-        | Trace.Observed { obs = Obs.Terminated { pid; _ }; _ }
-          when pid = bob && !settled_node < 0 ->
-            settled_node := Engine.current_node engine
-        | _ -> ())
-  end;
+  (match cfg.causal with
+  | None -> ()
+  | Some causal ->
+      let fold = Causal_fold.attach engine causal in
+      let bob = Topology.bob topo in
+      Trace.on_record (Engine.trace engine) (fun entry ->
+          match entry with
+          | Trace.Observed { obs = Obs.Released { to_; _ }; _ }
+            when to_ = cfg.hops && !paid_node < 0 ->
+              paid_node := Causal_fold.current_node fold
+          | Trace.Observed { obs = Obs.Terminated { pid; _ }; _ }
+            when pid = bob && !settled_node < 0 ->
+              settled_node := Causal_fold.current_node fold
+          | _ -> ()));
   let clock_rng = Rng.create ~seed:(cfg.seed + 31) in
   let honest pid =
     match protocol with

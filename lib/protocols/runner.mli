@@ -48,8 +48,8 @@ type config = {
           the exhaustive corner explorer (E12) to pin every clock to an
           envelope extreme *)
   causal : Obsv.Causal.t option;
-      (** arm happens-before recording in the engine (see
-          {!Sim.Engine.create}); [None] (the default): zero cost. The
+      (** fold the engine trace into this happens-before graph (see
+          {!Sim.Causal_fold}); [None] (the default): zero cost. The
           outcome's [paid_node] / [settled_node] anchor {!Obsv.Blame}
           walks into the recorded graph. *)
   prof : Obsv.Prof.t option;

@@ -178,20 +178,4 @@ let is_quorum t ~present =
       done;
       !full_rows >= qr && !full_cols >= qc
 
-let min_quorum_card = function
-  | Majority { q; _ } -> q
-  | Weighted { weights; threshold; _ } ->
-      (* greedily cover the threshold with the heaviest processes *)
-      let sorted = Array.copy weights in
-      Array.sort (fun a b -> compare b a) sorted;
-      let w = ref 0 and k = ref 0 in
-      while !w < threshold && !k < Array.length sorted do
-        w := !w + sorted.(!k);
-        incr k
-      done;
-      !k
-  | Grid { rows; cols; qr; qc; _ } ->
-      (* qr rows and qc columns, minus the double-counted crossings *)
-      (qr * cols) + (qc * rows) - (qr * qc)
-
 let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -61,10 +61,6 @@ val validate : t -> (unit, string) result
 (** Structural checks (positive sizes and weights, thresholds in
     range) plus both quorum laws. *)
 
-val min_quorum_card : t -> int
-(** Cardinality of a smallest quorum — certificate size, and the
-    number of signatures a batched decision carries. *)
-
 val family_name : t -> string
 (** ["majority"], ["weighted"] or ["grid"]. *)
 

@@ -13,13 +13,13 @@ type ('msg, 'obs) event =
       dst : ('msg, 'obs) proc;
       msg : 'msg;
       sent_at : Sim_time.t;
-      cause : int; (* causal node id of the send, -1 when tracing is off *)
+      cause : int; (* trace seq of the [Sent] entry *)
     }
   | Fire of {
       owner : ('msg, 'obs) proc;
       label : string;
       epoch : int;
-      cause : int; (* causal node id of the arming timer_set *)
+      cause : int; (* trace seq of the arming [Timer_set] entry *)
       deferred : bool; (* re-pushed to the owner's recovery by an outage *)
     }
   | Tick of { series : ('msg, 'obs) series; k : int; deferred : bool }
@@ -73,18 +73,15 @@ and ('msg, 'obs) series = {
   s_clock : Clock.t;
   s_floor : Sim_time.t; (* arming time: no member fires earlier *)
   s_seq0 : int;
-  s_causes : int array; (* members' timer_set nodes; [||] untraced *)
+  s_set0 : int; (* trace seq of member 0's [Timer_set]; member k's is +k *)
 }
 
-(* A pid's crash state and causal program order: part of its process
-   record, and all the engine keeps of a pid without one (not born yet,
-   or retired and dropped), which only crashes and recoveries reach. *)
+(* A pid's crash state: part of its process record, and all the engine
+   keeps of a pid without one (not born yet, or retired and dropped),
+   which only crashes and recoveries reach. *)
 and host = {
   mutable down : bool; (* crashed by fault injection, may recover *)
   mutable up_at : Sim_time.t option; (* scheduled reboot while down *)
-  mutable last_node : int; (* this pid's latest causal node (program order) *)
-  mutable crash_node : int;
-  mutable recover_node : int; (* outage edges: crash → recover → deferred *)
 }
 
 (* Handles resolved once at [create]: the per-event updates below are plain
@@ -131,13 +128,9 @@ and ('msg, 'obs) t = {
       (* timer epochs are engine-wide and never reused: a re-armed or
          cancelled label can never match an older Fire *)
   tm : telemetry;
-  causal : Obsv.Causal.t option;
   prof : Obsv.Prof.t option;
   watch : watch option;
-  (* context of the event being dispatched; [Trace.on_record] hooks read
-     [cur_node] to learn which causal node an observation belongs to *)
-  mutable cur_node : int;
-  mutable cur_trace : int;
+  mutable cur_trace : int; (* payment tag: a trace fold sets it *)
   mutable events : int; (* events dequeued over this engine's lifetime *)
 }
 
@@ -185,7 +178,7 @@ let telemetry_handles reg =
   }
 
 let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
-    ?(metrics = Obsv.Metrics.default) ?trace_capacity ?causal ?prof ?monitor
+    ?(metrics = Obsv.Metrics.default) ?trace_capacity ?prof ?monitor
     ?sampler ~seed () =
   let watch =
     match (monitor, sampler) with
@@ -211,17 +204,13 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     started = false;
     next_epoch = 0;
     tm = telemetry_handles metrics;
-    causal;
     prof;
     watch;
-    cur_node = -1;
     cur_trace = -1;
     events = 0;
   }
 
-let fresh_host () =
-  { down = false; up_at = None; last_node = -1; crash_node = -1;
-    recover_node = -1 }
+let fresh_host () = { down = false; up_at = None }
 
 let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
   if base < 0 then invalid_arg "Engine.add_process: negative base";
@@ -279,6 +268,8 @@ let proc t pid =
 
 let trace t = t.tr
 let now t = t.clock_now
+let trace_tag t = t.cur_trace
+let set_trace_tag t tag = t.cur_trace <- tag
 let clock_of t pid = (proc t pid).clock
 let is_halted t pid = (proc t pid).halted
 
@@ -288,15 +279,11 @@ let host_of t pid =
   | p -> Some p.host
   | exception Not_found -> Pids.find_opt t.ghosts pid
 
-let is_down t pid =
-  match host_of t pid with Some h -> h.down | None -> false
-
 let set_clock t ~pid clock = (proc t pid).clock <- clock
 
-(* A retired record goes once nothing queued refers to it. Causal tracing
-   keeps it: the pid's program order is part of the DAG anyway. *)
+(* A retired record goes once nothing queued refers to it. *)
 let drop_if_spent t p =
-  if p.retired && p.queued = 0 && Option.is_none t.causal then begin
+  if p.retired && p.queued = 0 then begin
     Pids.remove t.procs p.self;
     if p.host.down then Pids.replace t.ghosts p.self p.host
   end
@@ -310,30 +297,6 @@ let retire t pid =
 let quiet t pid =
   let p = proc t pid in
   p.halted || (p.inbox = 0 && p.ticking = 0 && Hashtbl.length p.armed = 0)
-
-(* --- causal recording (every call is a no-op when [causal] is absent) --- *)
-
-let causal t = t.causal
-let prof t = t.prof
-let current_node t = t.cur_node
-
-(* Append a node for [pid], chained into the pid's program order after
-   [prev]. All other edges are the caller's business. *)
-let causal_node c t ~kind ~pid ~prev ~trace ~label =
-  let node = Obsv.Causal.record c ~kind ~pid ~at:t.clock_now ~trace ~label () in
-  if prev >= 0 then
-    Obsv.Causal.add_edge c ~kind:Obsv.Causal.Program ~src:prev ~dst:node;
-  node
-
-let causal_record t p ~kind ~trace ~label =
-  match t.causal with
-  | None -> -1
-  | Some c ->
-      let node =
-        causal_node c t ~kind ~pid:p.self ~prev:p.host.last_node ~trace ~label
-      in
-      p.host.last_node <- node;
-      node
 
 let schedule_crash t ~pid ~at ?recover_at ?(label = "proc") () =
   if t.started then
@@ -406,10 +369,7 @@ let send_resolved p ~dst msg =
     else Rng.int_in p.proc_rng ~lo:0 ~hi:t.sigma
   in
   let depart = Sim_time.add t.clock_now compute in
-  let cause =
-    causal_record t p ~kind:Obsv.Causal.Send ~trace:t.cur_trace ~label:tag
-  in
-  if cause >= 0 then t.cur_node <- cause;
+  let cause = Trace.length t.tr in
   Trace.record t.tr (Sent { t = t.clock_now; src = p.self; dst; tag; msg });
   Obsv.Metrics.inc t.tm.m_sent;
   push_copies t p ~dst:q ~depart ~tag ~cause msg
@@ -419,12 +379,9 @@ let send_resolved p ~dst msg =
 let send ctx ~dst msg = send_resolved ctx ~dst:(ctx.base + dst) msg
 let send_absolute ctx ~dst msg = send_resolved ctx ~dst msg
 
-(* The trace entry, causal node and counter of one arming. *)
+(* The trace entry and counter of one arming; returns the entry's seq. *)
 let record_timer_set t p ~label ~deadline ~global_fire =
-  let cause =
-    causal_record t p ~kind:Obsv.Causal.Timer_set ~trace:t.cur_trace ~label
-  in
-  if cause >= 0 then t.cur_node <- cause;
+  let cause = Trace.length t.tr in
   Trace.record t.tr
     (Timer_set
        {
@@ -482,16 +439,13 @@ let queue_tick t s k =
 let set_timer_series p ~deadlines ~label =
   let t = p.engine in
   let floor = t.clock_now in
-  let causes = ref [] and live = ref 0 in
+  let set0 = Trace.length t.tr and live = ref 0 in
   Seq.iteri
     (fun k deadline ->
       let global_fire =
         Sim_time.max (Clock.global_of_local p.clock deadline) floor
       in
-      let cause =
-        record_timer_set t p ~label:(label k) ~deadline ~global_fire
-      in
-      if Option.is_some t.causal then causes := cause :: !causes;
+      ignore (record_timer_set t p ~label:(label k) ~deadline ~global_fire);
       if not (Sim_time.is_infinite global_fire) then incr live)
     deadlines;
   if !live > 0 then begin
@@ -503,7 +457,7 @@ let set_timer_series p ~deadlines ~label =
         s_clock = p.clock;
         s_floor = floor;
         s_seq0 = Event_queue.reserve t.queue !live;
-        s_causes = Array.of_list (List.rev !causes);
+        s_set0 = set0;
       }
     in
     p.ticking <- p.ticking + !live;
@@ -511,19 +465,6 @@ let set_timer_series p ~deadlines ~label =
     ignore (queue_tick t s 0);
     Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
   end
-
-let causal_note ctx ?(after = -1) ?trace ~label () =
-  let t = ctx.engine in
-  match t.causal with
-  | None -> -1
-  | Some c ->
-      let tr = match trace with Some v -> v | None -> t.cur_trace in
-      let node = causal_record t ctx ~kind:Obsv.Causal.Note ~trace:tr ~label in
-      if after >= 0 then
-        Obsv.Causal.add_edge c ~kind:Obsv.Causal.Queue ~src:after ~dst:node;
-      t.cur_node <- node;
-      t.cur_trace <- tr;
-      node
 
 let observe ctx obs =
   let t = ctx.engine in
@@ -545,25 +486,12 @@ let would_run p what =
     (Printf.sprintf "Engine: %s would run the handler of retired pid %d" what
        p.self)
 
-(* A live firing on an up, running process: the timer edge, the trace
-   entry and the handler. *)
+(* A live firing on an up, running process: the trace entry and the
+   handler. *)
 let fire t p ~label ~cause ~deferred =
-  (match t.causal with
-  | Some c when cause >= 0 ->
-      let trace = Obsv.Causal.trace_of c cause in
-      t.cur_trace <- trace;
-      let node =
-        causal_record t p ~kind:Obsv.Causal.Timer_fire ~trace ~label
-      in
-      Obsv.Causal.add_edge c ~kind:Obsv.Causal.Timer ~src:cause ~dst:node;
-      (* a firing pushed past an outage additionally happens-after the
-         reboot, which is what lets blame charge the dead time *)
-      if deferred && p.host.recover_node >= 0 then
-        Obsv.Causal.add_edge c ~kind:Obsv.Causal.Outage ~src:p.host.recover_node
-          ~dst:node;
-      t.cur_node <- node
-  | _ -> ());
-  Trace.record t.tr (Timer_fired { t = t.clock_now; owner = p.self; label });
+  Trace.record t.tr
+    (Timer_fired
+       { t = t.clock_now; owner = p.self; label; set_seq = cause; deferred });
   Obsv.Metrics.inc t.tm.m_timers_fired;
   if p.retired then would_run p "a timer";
   p.handlers.on_timer p ~label
@@ -592,16 +520,6 @@ let crash t ~pid ~recover_at =
   if not h.down then begin
     h.down <- true;
     h.up_at <- recover_at;
-    (match t.causal with
-    | None -> ()
-    | Some c ->
-        let node =
-          causal_node c t ~kind:Obsv.Causal.Crash ~pid ~prev:h.last_node
-            ~trace:(-1) ~label:"crash"
-        in
-        h.last_node <- node;
-        h.crash_node <- node;
-        t.cur_node <- node);
     Trace.record t.tr (Crashed { t = t.clock_now; pid; recover_at });
     Obsv.Metrics.inc t.tm.m_crashes;
     Obsv.Metrics.gauge_add t.tm.m_procs_down 1
@@ -612,24 +530,9 @@ let recover t ~pid =
   | Some h when h.down ->
       h.down <- false;
       h.up_at <- None;
-      (match t.causal with
-      | None ->
-          (* an untraced pid without a record that is up again holds
-             nothing worth keeping *)
-          Pids.remove t.ghosts pid
-      | Some c ->
-          (* program order already chains recover after crash; the Outage
-             edge re-labels that gap as downtime for blame *)
-          let node =
-            causal_node c t ~kind:Obsv.Causal.Recover ~pid ~prev:h.last_node
-              ~trace:(-1) ~label:"recover"
-          in
-          if h.crash_node >= 0 then
-            Obsv.Causal.add_edge c ~kind:Obsv.Causal.Outage ~src:h.crash_node
-              ~dst:node;
-          h.last_node <- node;
-          h.recover_node <- node;
-          t.cur_node <- node);
+      (* a pid without a record that is up again holds nothing worth
+         keeping *)
+      Pids.remove t.ghosts pid;
       Trace.record t.tr (Recovered { t = t.clock_now; pid });
       Obsv.Metrics.inc t.tm.m_recoveries;
       Obsv.Metrics.gauge_add t.tm.m_procs_down (-1)
@@ -642,24 +545,22 @@ let dispatch t ev =
       p.queued <- p.queued - 1;
       if p.host.down then
         (* a crashed host receives nothing: the message is gone, like a
-           network drop — recovery does not replay it. No causal node: a
-           dropped copy is not an event anyone can depend on. *)
+           network drop — recovery does not replay it, and it records no
+           entry *)
         Obsv.Metrics.inc t.tm.m_down_drops
       else begin
         let tag = t.tag_of msg in
-        (match t.causal with
-        | Some c when cause >= 0 ->
-            let trace = Obsv.Causal.trace_of c cause in
-            t.cur_trace <- trace;
-            let node =
-              causal_record t p ~kind:Obsv.Causal.Deliver ~trace ~label:tag
-            in
-            Obsv.Causal.add_edge c ~kind:Obsv.Causal.Message ~src:cause
-              ~dst:node;
-            t.cur_node <- node
-        | _ -> ());
         Trace.record t.tr
-          (Delivered { t = t.clock_now; sent_at; src; dst = p.self; tag; msg });
+          (Delivered
+             {
+               t = t.clock_now;
+               sent_at;
+               src;
+               dst = p.self;
+               tag;
+               msg;
+               sent_seq = cause;
+             });
         Obsv.Metrics.inc t.tm.m_delivered;
         if not p.halted then begin
           if p.retired then would_run p "a delivery";
@@ -706,11 +607,7 @@ let dispatch t ev =
       else begin
         p.ticking <- p.ticking - 1;
         if p.halted then Obsv.Metrics.inc t.tm.m_timers_stale
-        else
-          let cause =
-            if Array.length s.s_causes = 0 then -1 else s.s_causes.(k)
-          in
-          fire t p ~label:(s.s_label k) ~cause ~deferred
+        else fire t p ~label:(s.s_label k) ~cause:(s.s_set0 + k) ~deferred
       end;
       drop_if_spent t p
   | Crash { pid; recover_at; _ } -> crash t ~pid ~recover_at
@@ -725,9 +622,10 @@ let label_of t prof pid label =
 (* The profiled dispatch path: stamp clock + allocation counters around
    [dispatch], then charge the deltas to the (payment, process label,
    event kind) site. [cur_trace] is reset first so attribution reads the
-   trace the dispatch itself established (deliver/fire under causal
-   tracing) and [-1] otherwise — semantically inert, because every
-   consumer of [cur_trace] runs inside a dispatch that first sets it. *)
+   tag the dispatch itself established (a trace fold sets it on each
+   delivery and live firing) and [-1] otherwise — semantically inert,
+   because every consumer of [cur_trace] runs inside a dispatch that
+   first sets it. *)
 let dispatch_profiled t p ev =
   Obsv.Prof.observe_queue_depth p (queue_depth t);
   t.cur_trace <- -1;

@@ -8,7 +8,11 @@
 
     Execution is a deterministic function of (root RNG seed, network model,
     adversary, process set): the event queue breaks timestamp ties by
-    insertion order and all randomness flows from seeded {!Rng} streams. *)
+    insertion order and all randomness flows from seeded {!Rng} streams.
+
+    The engine records a run as its {!trace} plus telemetry counters;
+    analyses such as the happens-before graph fold the trace through
+    {!Trace.on_record}, following the links its entries carry. *)
 
 type ('msg, 'obs) ctx
 (** Capabilities handed to a process while it is handling an event. *)
@@ -66,11 +70,12 @@ val set_timer_series :
   unit
 (** [set_timer_series ctx ~deadlines ~label] arms one timer per element of
     [deadlines] (local deadlines, in non-decreasing order), the [k]-th
-    under [label k]. It records the same trace entries, telemetry and
-    causal nodes as that many {!set_timer} calls, and its timers fire in
-    the same order relative to every other event, but only the next timer
-    of the series waits in the queue: a series of any length costs O(1)
-    memory (one int per timer under causal tracing). [deadlines] is
+    under [label k]. It records the same trace entries and telemetry as
+    that many {!set_timer} calls, and its timers fire in the same order
+    relative to every other event, but only the next timer of the series
+    waits in the queue: a series of any length costs O(1) memory. The
+    [Timer_set] entries of one series are consecutive in the trace, so
+    member [k]'s firing links to the [k]-th of them. [deadlines] is
     traversed twice, once now and once as the timers come due, so it must
     be persistent. Series timers live outside the label table:
     {!cancel_timer} and {!set_timer} never touch them. {!queue_depth}
@@ -94,7 +99,6 @@ val create :
   ?sigma:Sim_time.t ->
   ?metrics:Obsv.Metrics.t ->
   ?trace_capacity:int ->
-  ?causal:Obsv.Causal.t ->
   ?prof:Obsv.Prof.t ->
   ?monitor:Obsv.Monitor.t ->
   ?sampler:Obsv.Sampler.t ->
@@ -126,21 +130,15 @@ val create :
     and [xchain_corrupt_copies_dropped_total]. Handles are resolved here,
     once; the per-event updates allocate nothing.
 
-    [causal] (default: absent — zero cost) arms happens-before recording:
-    the engine appends one {!Obsv.Causal} node per send, deliver, timer
-    arm, live firing, crash and recovery, with program-order edges along
-    each pid, [Message] edges from every send to its deliveries, [Timer]
-    edges from each arming to its live firing, and [Outage] edges
-    crash → recover → any firing the outage deferred. Deliveries dropped
-    at a down process and stale firings record {e no} node, so every
-    deliver node has exactly one message predecessor.
+    Deliveries dropped at a down process and stale firings record no
+    trace entry.
 
     [prof] (default: absent — the off-path cost is one [match] per
     dispatched event, zero allocation) arms the {!Obsv.Prof} hot-path
     profiler: every dequeued event is bracketed with host-clock and
     [Gc.minor_words] reads, and the deltas are charged to the
-    (payment trace, process label, event kind) dispatch site; the queue
-    depth is sampled into [xchain_prof_queue_depth] at each dequeue.
+    (payment {!trace_tag}, process label, event kind) dispatch site; the
+    queue depth is sampled into [xchain_prof_queue_depth] at each dequeue.
 
     [monitor] / [sampler] (default: absent — together one [option] match
     per dispatched event, zero allocation) arm runtime verification:
@@ -210,9 +208,8 @@ val retire : ('msg, 'obs) t -> int -> unit
     effect. An event that would run one of its handlers raises
     [Invalid_argument]. Once nothing is queued for it the engine drops its
     record and keeps only a down state; sending to it is then an error.
-    Under causal tracing the record stays (the pid's program order lives
-    on in the DAG). Retire a process once it is {!quiet} and nothing
-    outside will send to it again. *)
+    Retire a process once it is {!quiet} and nothing outside will send to
+    it again. *)
 
 type status =
   | Quiescent  (** no events left — the system reached a fixpoint *)
@@ -241,31 +238,12 @@ val events_processed : ('msg, 'obs) t -> int
     Deterministic for a fixed (seed, configuration) — the per-run basis
     of the engine-events/sec throughput in load and chaos reports. *)
 
-(** {2 Causal tracing} *)
+val trace_tag : ('msg, 'obs) t -> int
+(** The payment tag of the event being dispatched, which the profiler
+    charges: [-1] unless a trace fold sets it (the happens-before fold
+    does, from the entry a delivery or firing descends from). *)
 
-val causal : ('msg, 'obs) t -> Obsv.Causal.t option
-(** The recorder passed to {!create}, if any. *)
-
-val prof : ('msg, 'obs) t -> Obsv.Prof.t option
-(** The profiler passed to {!create}, if any. *)
-
-val current_node : ('msg, 'obs) t -> int
-(** The causal node of the event currently being dispatched (the deliver,
-    firing or note that triggered the running handler; sends and timer
-    arms made by the handler advance it to themselves). [-1] before the
-    first event or when tracing is off. {!Trace.on_record} hooks call this
-    to learn which causal node a trace entry belongs to — e.g. the load
-    scheduler captures each payment's settlement sink this way. *)
-
-val causal_note :
-  ('msg, 'obs) ctx -> ?after:int -> ?trace:int -> label:string -> unit -> int
-(** Record an application-level [Note] node on the calling process, chained
-    into its program order. [after] (a node id) adds a [Queue]
-    happens-after edge — the caller's way of saying "this step waited on
-    that one", which {!Obsv.Blame} charges as queueing; [trace] stamps the
-    node (and the dispatch context) with a trace id that subsequent sends
-    and deliveries inherit. Returns the node id, or [-1] when tracing is
-    off. *)
+val set_trace_tag : ('msg, 'obs) t -> int -> unit
 
 val clock_of : ('msg, 'obs) t -> int -> Clock.t
 val is_halted : ('msg, 'obs) t -> int -> bool
@@ -299,5 +277,3 @@ val schedule_crash :
     not born yet, or is retired, still record their trace entries and
     telemetry; the profiler then charges them to [label] (default
     ["proc"]), the role the pid's process has or will have. *)
-
-val is_down : ('msg, 'obs) t -> int -> bool

@@ -169,10 +169,3 @@ let delivery_time t ~send_time ~src ~dst ~tag =
   at
 
 let forget_link t ~src ~dst = Link.remove t.last_delivery (link_key ~src ~dst)
-
-let pp_model ppf = function
-  | Synchronous { delta } -> Fmt.pf ppf "sync(δ=%a)" Sim_time.pp delta
-  | Partially_synchronous { gst; delta } ->
-      Fmt.pf ppf "psync(GST=%a, δ=%a)" Sim_time.pp gst Sim_time.pp delta
-  | Asynchronous { mean; cap } ->
-      Fmt.pf ppf "async(mean=%a, cap=%a)" Sim_time.pp mean Sim_time.pp cap

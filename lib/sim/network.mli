@@ -97,5 +97,3 @@ val forget_link : t -> src:int -> dst:int -> unit
     message. Call it once no later send will use the link: a later send
     on it would no longer be held behind earlier ones. Other links keep
     their clamps unchanged. *)
-
-val pp_model : Format.formatter -> model -> unit

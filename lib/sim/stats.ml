@@ -63,8 +63,6 @@ let summarize xs =
         max = a.(n - 1);
       }
 
-let summarize_int xs = summarize (List.map float_of_int xs)
-
 let rate ~hits ~total =
   if total = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int total
 

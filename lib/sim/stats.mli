@@ -15,8 +15,6 @@ val summarize : float list -> summary
 (** Summary of a non-empty sample. Raises [Invalid_argument] on [] and on
     samples containing NaN (which would otherwise silently mis-sort). *)
 
-val summarize_int : int list -> summary
-
 val percentile : float array -> float -> float
 (** [percentile sorted p] with [p ∈ [0,100]]; linear interpolation between
     order statistics. The array must be sorted ascending. *)

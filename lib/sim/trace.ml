@@ -7,6 +7,7 @@ type ('msg, 'obs) entry =
       dst : int;
       tag : string;
       msg : 'msg;
+      sent_seq : int;
     }
   | Timer_set of {
       t : Sim_time.t;
@@ -15,7 +16,13 @@ type ('msg, 'obs) entry =
       local_deadline : Sim_time.t;
       global_fire : Sim_time.t;
     }
-  | Timer_fired of { t : Sim_time.t; owner : int; label : string }
+  | Timer_fired of {
+      t : Sim_time.t;
+      owner : int;
+      label : string;
+      set_seq : int;
+      deferred : bool;
+    }
   | Observed of { t : Sim_time.t; pid : int; obs : 'obs }
   | Halted of { t : Sim_time.t; pid : int }
   | Crashed of { t : Sim_time.t; pid : int; recover_at : Sim_time.t option }
@@ -124,13 +131,13 @@ let pp ~msg ~obs ppf t =
   let pp_entry ppf = function
     | Sent { t; src; dst; tag; msg = m } ->
         Fmt.pf ppf "%a  %d -> %d  send [%s] %a" Sim_time.pp t src dst tag msg m
-    | Delivered { t; sent_at; src; dst; tag; msg = m } ->
+    | Delivered { t; sent_at; src; dst; tag; msg = m; _ } ->
         Fmt.pf ppf "%a  %d -> %d  recv [%s] %a (sent %a)" Sim_time.pp t src dst
           tag msg m Sim_time.pp sent_at
     | Timer_set { t; owner; label; local_deadline; global_fire } ->
         Fmt.pf ppf "%a  %d       timer-set %s @local %a (fires %a)" Sim_time.pp
           t owner label Sim_time.pp local_deadline Sim_time.pp global_fire
-    | Timer_fired { t; owner; label } ->
+    | Timer_fired { t; owner; label; _ } ->
         Fmt.pf ppf "%a  %d       timer %s" Sim_time.pp t owner label
     | Observed { t; pid; obs = o } ->
         Fmt.pf ppf "%a  %d       obs %a" Sim_time.pp t pid obs o
@@ -171,7 +178,7 @@ let add_entry_json buf ~msg ~obs seq entry =
       add
         {|{"seq":%d,"kind":"sent","t":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
         seq t src dst (json_escape tag) (json_escape (msg m))
-  | Delivered { t; sent_at; src; dst; tag; msg = m } ->
+  | Delivered { t; sent_at; src; dst; tag; msg = m; _ } ->
       add
         {|{"seq":%d,"kind":"delivered","t":%d,"sent_at":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
         seq t sent_at src dst (json_escape tag) (json_escape (msg m))
@@ -183,7 +190,7 @@ let add_entry_json buf ~msg ~obs seq entry =
          else string_of_int local_deadline)
         (if Sim_time.is_infinite global_fire then {|"inf"|}
          else string_of_int global_fire)
-  | Timer_fired { t; owner; label } ->
+  | Timer_fired { t; owner; label; _ } ->
       add {|{"seq":%d,"kind":"timer_fired","t":%d,"owner":%d,"label":"%s"}|}
         seq t owner (json_escape label)
   | Observed { t; pid; obs = o } ->

@@ -7,7 +7,13 @@
 
     ['msg] is the protocol's wire-message type; ['obs] is the protocol's
     observation type — domain events such as "value moved" or "certificate
-    issued" that processes emit explicitly via their context. *)
+    issued" that processes emit explicitly via their context.
+
+    The trace links itself by {e sequence number} (an entry's 0-based
+    position, evicted entries included): [Delivered] names its [Sent],
+    [Timer_fired] its [Timer_set], so {!Causal_fold} rebuilds the
+    happens-before graph from the entries alone. The printers omit the
+    links. *)
 
 type ('msg, 'obs) entry =
   | Sent of { t : Sim_time.t; src : int; dst : int; tag : string; msg : 'msg }
@@ -18,6 +24,7 @@ type ('msg, 'obs) entry =
       dst : int;
       tag : string;
       msg : 'msg;
+      sent_seq : int;  (** sequence number of the [Sent] entry *)
     }
   | Timer_set of {
       t : Sim_time.t;
@@ -26,7 +33,13 @@ type ('msg, 'obs) entry =
       local_deadline : Sim_time.t;
       global_fire : Sim_time.t;
     }
-  | Timer_fired of { t : Sim_time.t; owner : int; label : string }
+  | Timer_fired of {
+      t : Sim_time.t;
+      owner : int;
+      label : string;
+      set_seq : int;  (** sequence number of the arming [Timer_set] *)
+      deferred : bool;  (** held past the deadline until the owner's reboot *)
+    }
   | Observed of { t : Sim_time.t; pid : int; obs : 'obs }
   | Halted of { t : Sim_time.t; pid : int }
   | Crashed of { t : Sim_time.t; pid : int; recover_at : Sim_time.t option }

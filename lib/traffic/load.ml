@@ -478,8 +478,15 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   in
   (* nothing reads the trace back: accounting is fed by a hook *)
   let engine =
-    Engine.create ~tag_of:Msg.tag ~network ~sigma ~trace_capacity:0
-      ?causal ?prof ?monitor ?sampler ~seed ()
+    Engine.create ~tag_of:Msg.tag ~network ~sigma ~trace_capacity:0 ?prof
+      ?monitor ?sampler ~seed ()
+  in
+  let dag = Option.map (Causal_fold.attach engine) causal in
+  (* the scheduler's own points in the graph, on its pid 0 *)
+  let note ?after ?trace ~label () =
+    match dag with
+    | None -> -1
+    | Some f -> Causal_fold.note f ~pid:0 ?after ?trace ~label ()
   in
   (* --- live state: only payments in the system and instances that can
      still act are held; everything else is already folded into the
@@ -535,8 +542,10 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   let observed ins entry obs =
     let unpaid = paid_at ins < 0 in
     Fold.observe ins.i_facts entry;
-    if unpaid && paid_at ins >= 0 && Option.is_some causal then
-      paid_nodes.(ins.id) <- Engine.current_node engine;
+    (match dag with
+    | Some f when unpaid && paid_at ins >= 0 ->
+        paid_nodes.(ins.id) <- Causal_fold.current_node f
+    | _ -> ());
     (* depositor index IS the leg index: customer i deposits only at
        escrow i, at most once *)
     match obs with
@@ -1010,7 +1019,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     (* Queue edge from the arrival note: the gap the walk crosses here is
        exactly this payment's wait behind admission *)
     ignore
-      (Engine.causal_note ctx
+      (note
          ~after:(if rows then roots.(p.k) else -1)
          ~trace:ins.id
          ~label:("admit#" ^ string_of_int ins.id)
@@ -1106,9 +1115,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     in
     Ids.replace pays k p;
     let root =
-      Engine.causal_note ctx ~trace:(k * max_splits)
-        ~label:("arrive#" ^ string_of_int k)
-        ()
+      note ~trace:(k * max_splits) ~label:("arrive#" ^ string_of_int k) ()
     in
     if rows then begin
       roots.(k) <- root;

@@ -175,8 +175,8 @@ val run :
     payments' spans are force-closed with status ["stuck"] at the run's
     stuck horizon, never exported open-ended.
 
-    [causal] arms happens-before recording in the engine (see
-    {!Sim.Engine.create}): the scheduler stamps each payment's nodes with
+    [causal] folds the run's trace into a happens-before graph (see
+    {!Sim.Causal_fold}): the scheduler stamps each payment's nodes with
     its index as the trace id, anchors a root note at every arrival and a
     [Queue]-edged note at every admission, and fills [report.blame] /
     [report.blame_reports] with the critical-path decomposition of every

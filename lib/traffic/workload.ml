@@ -147,8 +147,6 @@ let validate_committee c =
     err "committee faulty must not exceed the fault bound f"
   else Result.map ignore (quorum_system c)
 
-let pp_proto ppf p = Fmt.string ppf (proto_name p)
-
 let policy_name = function Reserve -> "reserve" | Optimistic -> "optimistic"
 
 let policy_of_string = function

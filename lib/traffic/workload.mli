@@ -99,7 +99,6 @@ val default : payments:int -> t
 
 val proto_name : proto -> string
 val proto_of_string : string -> (proto, string) result
-val pp_proto : Format.formatter -> proto -> unit
 
 val arrival_of_string : string -> (arrival, string) result
 (** [poisson:GAP], [closed:CLIENTS:THINK], [burst:SIZE:EVERY] or

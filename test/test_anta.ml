@@ -766,7 +766,7 @@ let observe_run spec sched run =
         Printf.sprintf "%d delivered %d->%d %d" t src dst msg
     | Sim.Trace.Timer_set { t; owner; label; local_deadline; _ } ->
         Printf.sprintf "%d set %d %s @%d" t owner label local_deadline
-    | Sim.Trace.Timer_fired { t; owner; label } ->
+    | Sim.Trace.Timer_fired { t; owner; label; _ } ->
         Printf.sprintf "%d fired %d %s" t owner label
     | Sim.Trace.Halted { t; pid } -> Printf.sprintf "%d halted %d" t pid
     | _ -> "other"

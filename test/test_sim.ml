@@ -1051,11 +1051,22 @@ let trace_tests =
         let tr : (string, string) Trace.t = Trace.create () in
         Trace.record tr (Trace.Sent { t = 1; src = 0; dst = 1; tag = "m"; msg = "hi" });
         Trace.record tr
-          (Trace.Delivered { t = 2; sent_at = 1; src = 0; dst = 1; tag = "m"; msg = "hi" });
+          (Trace.Delivered
+             {
+               t = 2;
+               sent_at = 1;
+               src = 0;
+               dst = 1;
+               tag = "m";
+               msg = "hi";
+               sent_seq = 0;
+             });
         Trace.record tr
           (Trace.Timer_set
              { t = 3; owner = 1; label = "w"; local_deadline = 9; global_fire = 10 });
-        Trace.record tr (Trace.Timer_fired { t = 10; owner = 1; label = "w" });
+        Trace.record tr
+          (Trace.Timer_fired
+             { t = 10; owner = 1; label = "w"; set_seq = 2; deferred = false });
         Trace.record tr (Trace.Observed { t = 11; pid = 1; obs = "done" });
         Trace.record tr (Trace.Halted { t = 12; pid = 1 });
         let out = Trace.to_jsonl ~msg:Fun.id ~obs:Fun.id tr in
@@ -1402,6 +1413,177 @@ let lifecycle_tests =
         check Alcotest.bool "same trace" true (plain = series));
   ]
 
+(* ---------------------------- Causal_fold ------------------------------ *)
+
+module C = Obsv.Causal
+
+(* An engine whose graph is folded from its trace. [handlers] get the
+   fold, so they can add notes. *)
+let folded ?tamper ?(setup = fun _ -> ()) handlers =
+  let network =
+    Network.create ?tamper (Network.Synchronous { delta = 10 })
+      (Rng.create ~seed:2)
+  in
+  let e = Engine.create ~tag_of ~network ~seed:1 () in
+  let c = C.create () in
+  let f = Causal_fold.attach e c in
+  List.iter (fun h -> ignore (Engine.add_process e (h f))) handlers;
+  setup e;
+  ignore (Engine.run e);
+  (e, c)
+
+let nodes_of c kind =
+  List.filter (fun i -> C.kind_of c i = kind)
+    (List.init (C.node_count c) Fun.id)
+
+let preds_of c kind i =
+  List.filter_map
+    (fun (k, s) -> if k = kind then Some s else None)
+    (C.preds c i)
+
+let causal_fold_tests =
+  [
+    Alcotest.test_case "each deliver has one message pred, its send" `Quick
+      (fun () ->
+        (* pid 0 tags its sends with a note; data is duplicated in flight
+           and pid 2 is down while some copies land *)
+        let tamper ~send_time:_ ~src:_ ~dst:_ ~tag =
+          if tag = "data" then Network.[ Intact; Intact ]
+          else Network.[ Intact ]
+        in
+        let sender f =
+          {
+            idle with
+            Engine.on_start =
+              (fun ctx ->
+                ignore (Causal_fold.note f ~pid:0 ~trace:7 ~label:"go" ());
+                for v = 1 to 3 do
+                  Engine.send ctx ~dst:1 (Data v);
+                  Engine.send ctx ~dst:2 (Data v)
+                done);
+          }
+        in
+        let replier _ =
+          {
+            idle with
+            Engine.on_receive =
+              (fun ctx ~src _ -> Engine.send ctx ~dst:src Pong);
+          }
+        in
+        let e, c =
+          folded ~tamper
+            ~setup:(fun e ->
+              Engine.schedule_crash e ~pid:2 ~at:0 ~recover_at:8 ())
+            [ sender; replier; replier ]
+        in
+        let delivered =
+          List.filter_map
+            (function
+              | Trace.Delivered { src; sent_at; _ } -> Some (src, sent_at)
+              | _ -> None)
+            (Trace.to_list (Engine.trace e))
+        in
+        let delivers = nodes_of c C.Deliver in
+        check Alcotest.int "a node per delivered entry" (List.length delivered)
+          (List.length delivers);
+        let sources = List.concat_map (preds_of c C.Message) delivers in
+        check Alcotest.bool "some send delivered twice" true
+          (List.length (List.sort_uniq compare sources) < List.length sources);
+        (* six data sends, two copies each, and one pong per data copy *)
+        let pongs = List.length (nodes_of c C.Send) - 6 in
+        check Alcotest.bool "some copies dropped at the down pid" true
+          (List.length delivers < (2 * 6) + pongs);
+        List.iter2
+          (fun d (src, sent_at) ->
+            match preds_of c C.Message d with
+            | [ s ] ->
+                check Alcotest.bool "from a send" true (C.kind_of c s = C.Send);
+                check Alcotest.int "by the entry's sender" src (C.pid_of c s);
+                check Alcotest.int "at the entry's send time" sent_at
+                  (C.time_of c s);
+                check Alcotest.int "same payment tag" (C.trace_of c s)
+                  (C.trace_of c d)
+            | l ->
+                Alcotest.failf "deliver %d has %d message preds" d
+                  (List.length l))
+          delivers delivered;
+        check Alcotest.bool "the note's tag rides every message" true
+          (List.for_all (fun d -> C.trace_of c d = 7) delivers));
+    Alcotest.test_case "the k-th tick of a series links to its k-th arming"
+      `Quick (fun () ->
+        let deadlines = [ 10; 20; 20; 35; 50 ] in
+        let ticker _ =
+          {
+            idle with
+            Engine.on_start =
+              (fun ctx ->
+                Engine.set_timer ctx ~deadline:20 ~label:"tick";
+                Engine.set_timer_series ctx ~deadlines:(List.to_seq deadlines)
+                  ~label:(fun _ -> "tick"));
+          }
+        in
+        let _, c = folded [ ticker ] in
+        let sets = nodes_of c C.Timer_set and fires = nodes_of c C.Timer_fire in
+        (* the plain arming, then the series' five, all labelled alike *)
+        check Alcotest.int "six arms" 6 (List.length sets);
+        check Alcotest.int "six firings" 6 (List.length fires);
+        let series = List.tl sets in
+        let series_fires =
+          List.filter (fun n -> preds_of c C.Timer n <> [ List.hd sets ]) fires
+        in
+        check Alcotest.(list int) "k-th firing from k-th arming" series
+          (List.concat_map (preds_of c C.Timer) series_fires);
+        check Alcotest.(list int) "at the k-th deadline" deadlines
+          (List.map (C.time_of c) series_fires));
+    Alcotest.test_case "a deferred firing gets the outage edge" `Quick
+      (fun () ->
+        let sleeper _ =
+          {
+            idle with
+            Engine.on_start =
+              (fun ctx ->
+                Engine.set_timer ctx ~deadline:10 ~label:"early";
+                Engine.set_timer ctx ~deadline:60 ~label:"late");
+          }
+        in
+        let _, c =
+          folded
+            ~setup:(fun e ->
+              Engine.schedule_crash e ~pid:0 ~at:5 ~recover_at:50 ())
+            [ sleeper ]
+        in
+        let crash, reboot =
+          match (nodes_of c C.Crash, nodes_of c C.Recover) with
+          | [ x ], [ r ] -> (x, r)
+          | _ -> Alcotest.fail "one crash and one recovery expected"
+        in
+        check Alcotest.(list int) "recovery after its crash" [ crash ]
+          (preds_of c C.Outage reboot);
+        match nodes_of c C.Timer_fire with
+        | [ early; late ] ->
+            check Alcotest.string "deferred" "early" (C.label_of c early);
+            check Alcotest.int "fires at the reboot" 50 (C.time_of c early);
+            check Alcotest.(list int) "outage edge from the reboot" [ reboot ]
+              (preds_of c C.Outage early);
+            check Alcotest.(list int) "live firing: no outage edge" []
+              (preds_of c C.Outage late)
+        | l -> Alcotest.failf "%d firings" (List.length l));
+    Alcotest.test_case "attaching after the first entry is refused" `Quick
+      (fun () ->
+        let e = mk_engine () in
+        ignore
+          (Engine.add_process e
+             {
+               idle with
+               Engine.on_start = (fun ctx -> Engine.send ctx ~dst:0 Ping);
+             });
+        ignore (Causal_fold.attach e (C.create ()));
+        ignore (Engine.run e);
+        match Causal_fold.attach e (C.create ()) with
+        | _ -> Alcotest.fail "attached to a trace with entries"
+        | exception Invalid_argument _ -> ());
+  ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -1416,4 +1598,5 @@ let () =
       ("timers", timer_tests);
       ("trace", trace_tests);
       ("lifecycle", lifecycle_tests);
+      ("causal_fold", causal_fold_tests);
     ]

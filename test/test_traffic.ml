@@ -723,6 +723,47 @@ let golden_tests =
                4));
     ]
 
+(* Digests of the happens-before graph itself, both exporters, for a
+   fault-free load run, a load run whose crashed host defers three firings
+   past its reboot (outage edges), and a single Runner payment through
+   Chaos with one deferred firing. *)
+let dag_runs =
+  [
+    ( "causally traced linear run",
+      ("18fa11a4c10cfcf6fa604159c8731e03", "0ed981566be5b29b226c9d9220d06f79"),
+      fun c ->
+        ignore (Load.run ~causal:c ~workload:(spec causal_spec) ~seed:6 ()) );
+    ( "crash-recover load run",
+      ("7e79c9dad31bf995bdad47eddb57860b", "560202b22f0b0caf7e8239101f52c0a9"),
+      fun c ->
+        ignore
+          (Load.run ~causal:c ~plan:(plan_of "crash 3@600+3000")
+             ~workload:
+               (spec
+                  (line
+                     "payments=20 arrival=poisson:50 mix=sync:1,weak:1,htlc:1 \
+                      policy=reserve liquidity=0 patience=2000 drift=10000"))
+             ~seed:1 ()) );
+    ( "crash-recover chaos run",
+      ("f87136adeae7d0501adf16ec1abe6e2f", "ccf7bd2ae0803115c9d09b1938707419"),
+      fun c ->
+        ignore
+          (Xchain.Chaos.run_one ~hops:2 ~causal:c
+             ~plan:(plan_of "crash 3@150+2000") ~seed:3 ()) );
+  ]
+
+let dag_tests =
+  List.map
+    (fun (name, (dag, chrome), run) ->
+      Alcotest.test_case name `Slow (fun () ->
+          let c = Causal.create () in
+          run c;
+          let hex s = Digest.to_hex (Digest.string s) in
+          Alcotest.(check string) "dag digest" dag (hex (Causal.to_jsonl c));
+          Alcotest.(check string) "chrome digest" chrome
+            (hex (Causal.to_chrome c))))
+    dag_runs
+
 (* ------------------------- differential oracle ------------------------- *)
 
 (* A linear workload and the same workload routed over [linear:H] (one
@@ -927,5 +968,6 @@ let () =
       ("load", load_tests);
       ("causal", causal_tests);
       ("golden", golden_tests);
+      ("dag", dag_tests);
       ("oracle", oracle_tests);
     ]
