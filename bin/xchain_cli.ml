@@ -290,27 +290,35 @@ let gst_arg =
 (* a drift bound is a rate below one: fewer than 1_000_000 ppm *)
 let drift_ppm_conv = int_in ~hi:999_999 0
 
-(* ------------------------------- pay ---------------------------------- *)
+(* -------------------- protocol and fault vocabulary --------------------- *)
 
-let protocol_conv =
-  let parse = function
-    | "sync" -> Ok `Sync
-    | "naive" -> Ok `Naive
-    | "htlc" -> Ok `Htlc
-    | "weak" -> Ok `Weak
-    | "committee" -> Ok `Committee
-    | s -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
+(* -p: one of the single-payment protocols, spelled by the one protocol
+   table *)
+let protocol_arg ?(doc = "Protocol: sync | naive | htlc | weak | committee.")
+    () =
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Proto.of_string ~among:Proto.single s)
   in
-  let print ppf p =
-    Fmt.string ppf
-      (match p with
-      | `Sync -> "sync"
-      | `Naive -> "naive"
-      | `Htlc -> "htlc"
-      | `Weak -> "weak"
-      | `Committee -> "committee")
-  in
-  Arg.conv (parse, print)
+  Arg.(value
+       & opt (conv (parse, Fmt.of_to_string Proto.name)) Proto.Sync
+       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
+
+let faults_arg ~doc =
+  Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"STRATEGY@ROLE" ~doc)
+
+(* --fault specs read against the run's chain: a bad one is a usage error *)
+let read_faults ~prefix ~hops specs =
+  let topo = Topology.create ~hops in
+  List.map
+    (fun spec ->
+      match Byzantine.fault_of_string topo spec with
+      | Ok f -> f
+      | Error e ->
+          Fmt.epr "%s%s@." prefix e;
+          exit 2)
+    specs
+
+(* ------------------------------- pay ---------------------------------- *)
 
 let pay_cmd =
   let run protocol hops value commission drift gst patience seed trace_wanted
@@ -322,12 +330,9 @@ let pay_cmd =
       | Some gst -> Xchain.Api.Partially_synchronous { gst }
     in
     let protocol =
-      match protocol with
-      | `Sync -> Xchain.Api.Time_bounded
-      | `Naive -> Xchain.Api.Naive
-      | `Htlc -> Xchain.Api.Htlc_chain
-      | `Weak -> Xchain.Api.Weak_single { patience }
-      | `Committee -> Xchain.Api.Weak_committee { patience; f = 1 }
+      match Proto.runner protocol with
+      | Runner.Weak cfg -> Runner.Weak { cfg with patience }
+      | p -> p
     in
     let result =
       Xchain.Api.pay ~hops ~value ~commission ~drift_ppm:drift ~network
@@ -342,11 +347,6 @@ let pay_cmd =
       print_string (Runner.trace_jsonl result.Xchain.Api.outcome.Runner.trace);
     dump_telemetry ~metrics_out ~spans_out;
     if result.Xchain.Api.all_properties_hold then 0 else 1
-  in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol: sync | naive | htlc | weak | committee.")
   in
   let hops = hops_arg ~doc:"Number of escrows." 2 in
   let value = Arg.(value & opt (int_in 1) 1000 & info [ "value" ] ~doc:"Amount Bob is owed.") in
@@ -371,8 +371,8 @@ let pay_cmd =
   Cmd.v
     (Cmd.info "pay" ~doc:"Run one cross-chain payment and check the paper's properties")
     Term.(
-      const run $ protocol $ hops $ value $ commission $ drift $ gst_arg $ patience
-      $ seed $ trace $ jsonl $ metrics_out_arg $ spans_out_arg)
+      const run $ protocol_arg () $ hops $ value $ commission $ drift $ gst_arg
+      $ patience $ seed $ trace $ jsonl $ metrics_out_arg $ spans_out_arg)
 
 (* ---------------------------- experiment ------------------------------- *)
 
@@ -445,52 +445,10 @@ let params_cmd =
 
 (* ------------------------------- audit --------------------------------- *)
 
-let parse_fault topo spec =
-  (* "strategy@role", e.g. "thief-escrow@e0", "mute@bob", "forge-chi@chloe2" *)
-  match String.split_on_char '@' spec with
-  | [ strat; role ] ->
-      let unknown () = failwith (Printf.sprintf "unknown role %S" role) in
-      let pid =
-        (* an index past the run's topology is as unknown as a bad name *)
-        try
-          match role with
-          | "alice" -> Topology.alice topo
-          | "bob" -> Topology.bob topo
-          | r when String.length r > 5 && String.sub r 0 5 = "chloe" ->
-              Topology.customer topo (int_of_string (String.sub r 5 (String.length r - 5)))
-          | r when String.length r > 1 && r.[0] = 'e' ->
-              Topology.escrow topo (int_of_string (String.sub r 1 (String.length r - 1)))
-          | _ -> unknown ()
-        with Invalid_argument _ | Failure _ -> unknown ()
-      in
-      let strategy =
-        match strat with
-        | "crash" -> Byzantine.Crash_at_start
-        | "mute" -> Byzantine.Mute
-        | "thief-escrow" -> Byzantine.Thief_escrow
-        | "premature-refund" -> Byzantine.Premature_refund_escrow
-        | "no-resolve" -> Byzantine.No_resolve_escrow
-        | "eager-chi" -> Byzantine.Eager_chi_bob
-        | "withhold-chi" -> Byzantine.Withhold_chi_bob
-        | "forge-chi" -> Byzantine.Forge_chi_connector
-        | "double-money" -> Byzantine.Double_money_customer
-        | "never-deposit" -> Byzantine.Never_deposit
-        | "false-funded" -> Byzantine.False_funded_escrow
-        | s -> failwith (Printf.sprintf "unknown strategy %S" s)
-      in
-      (pid, strategy)
-  | _ -> failwith (Printf.sprintf "fault %S is not strategy@role" spec)
-
 let audit_cmd =
   let run protocol hops gst seed fault_specs metrics_out spans_out =
     arm_span_capture spans_out;
-    let topo = Topology.create ~hops in
-    let faults =
-      try List.map (parse_fault topo) fault_specs
-      with Failure m ->
-        Fmt.epr "%s@." m;
-        exit 2
-    in
+    let faults = read_faults ~prefix:"" ~hops fault_specs in
     let cfg =
       {
         (Runner.default_config ~hops ~seed) with
@@ -499,38 +457,21 @@ let audit_cmd =
         faults;
       }
     in
-    let runner_protocol =
-      match protocol with
-      | `Sync -> Runner.Sync_timebound
-      | `Naive -> Runner.Naive_universal
-      | `Htlc -> Runner.Htlc
-      | `Weak -> Runner.Weak Weak_protocol.default_config
-      | `Committee ->
-          Runner.Weak
-            { Weak_protocol.default_config with
-              tm = Weak_protocol.Committee { f = 1 } }
-    in
-    let outcome = Runner.run cfg runner_protocol in
+    let outcome = Runner.run cfg (Proto.runner protocol) in
     let report = Xchain.Report.build outcome in
     Fmt.pr "%a@." Xchain.Report.pp report;
     dump_telemetry ~metrics_out ~spans_out;
     if Props.Verdict.all_hold report.Xchain.Report.verdicts then 0 else 1
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol: sync | naive | htlc | weak | committee.")
-  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let faults =
-    Arg.(value & opt_all string []
-         & info [ "fault" ] ~docv:"STRATEGY@ROLE"
-             ~doc:"Byzantine substitution, e.g. thief-escrow AT e0 (strategy@role), mute AT bob;                    repeatable.")
+    faults_arg
+      ~doc:"Byzantine substitution, e.g. thief-escrow AT e0 (strategy@role), mute AT bob;                    repeatable."
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Run a payment and print the full postmortem (verdicts, promise              breaches, Figure 2 conformance)")
-    Term.(const run $ protocol $ hops_arg 3 $ gst_arg $ seed $ faults
+    Term.(const run $ protocol_arg () $ hops_arg 3 $ gst_arg $ seed $ faults
           $ metrics_out_arg $ spans_out_arg)
 
 (* ------------------------------- metrics ------------------------------- *)
@@ -553,9 +494,7 @@ let metrics_cmd =
         Runner.run
           { (Runner.default_config ~hops:3 ~seed:1) with
             network = Runner.Psync { gst = 150 } }
-          (Runner.Weak
-             { Weak_protocol.default_config with
-               tm = Weak_protocol.Committee { f = 1 } }));
+          (Proto.runner Proto.Committee));
     silently (fun () ->
         Deals.Deal_runner.run
           (Deals.Deal_runner.default_config
@@ -691,16 +630,6 @@ let hops_of_topology ~cmd ~value ~hops = function
 
 (* -------------------------------- chaos -------------------------------- *)
 
-let runner_protocol_of = function
-  | `Sync -> Runner.Sync_timebound
-  | `Naive -> Runner.Naive_universal
-  | `Htlc -> Runner.Htlc
-  | `Weak -> Runner.Weak Weak_protocol.default_config
-  | `Committee ->
-      Runner.Weak
-        { Weak_protocol.default_config with
-          tm = Weak_protocol.Committee { f = 1 } }
-
 (* The one fault-plan reader (chaos / trace / load): --plan-file, which
    wins, or --plan, parsed by the plan grammar and validated against the
    [nprocs] pids the run will have, so a plan that cannot apply is a usage
@@ -729,7 +658,6 @@ let chaos_cmd =
   let run protocol hops topology seed plan plan_file soak runs j out repro_out
       metrics_out trace_out dag_out blame profile profile_out collapsed_out
       fault_specs monitor stop_on_violation series_out bundle_out =
-    let protocol = runner_protocol_of protocol in
     let hops = hops_of_topology ~cmd:"chaos" ~value:1000 ~hops topology in
     if out <> None && not soak then begin
       Fmt.epr "xchain chaos: --out requires --soak@.";
@@ -743,15 +671,10 @@ let chaos_cmd =
          from its repro line for per-run telemetry)@.";
       exit 2
     end;
-    let faults =
-      let topo = Topology.create ~hops in
-      try List.map (parse_fault topo) fault_specs
-      with Failure m ->
-        Fmt.epr "xchain chaos: %s@." m;
-        exit 2
-    in
+    let faults = read_faults ~prefix:"xchain chaos: " ~hops fault_specs in
     let plan =
-      read_plan ~cmd:"chaos" ~nprocs:(Runner.process_count ~hops protocol)
+      read_plan ~cmd:"chaos"
+        ~nprocs:(Runner.process_count ~hops (Proto.runner protocol))
         ?file:plan_file plan
     in
     let prof = prof_wanted ~profile ~profile_out ~collapsed_out in
@@ -845,7 +768,7 @@ let chaos_cmd =
         dump_causal causal ~trace_out ~dag_out
           ~payments:
             [
-              ( Runner.protocol_name protocol,
+              ( Runner.protocol_name (Proto.runner protocol),
                 0,
                 0,
                 r.Xchain.Chaos.end_time,
@@ -863,9 +786,8 @@ let chaos_cmd =
     code
   in
   let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol under test: sync | naive | htlc | weak | committee.")
+    protocol_arg
+      ~doc:"Protocol under test: sync | naive | htlc | weak | committee." ()
   in
   let hops = hops_arg 2 in
   let seed =
@@ -908,11 +830,10 @@ let chaos_cmd =
                    ('-' for stdout).")
   in
   let faults =
-    Arg.(value & opt_all string []
-         & info [ "fault" ] ~docv:"STRATEGY@ROLE"
-             ~doc:"Byzantine substitution on top of the fault plan, e.g. \
-                   thief-escrow AT e0 (strategy@role), exactly as xchain \
-                   audit --fault; repeatable. Repro lines round-trip it.")
+    faults_arg
+      ~doc:"Byzantine substitution on top of the fault plan, e.g. \
+            thief-escrow AT e0 (strategy@role), exactly as xchain audit \
+            --fault; repeatable. Repro lines round-trip it."
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -933,7 +854,6 @@ let chaos_cmd =
 let hunt_cmd =
   let run protocol hops topology seed budget gen_size j baseline no_shrink
       max_shrink_trials out corpus_out repros_out metrics_out bundle_out =
-    let protocol = runner_protocol_of protocol in
     let hops = hops_of_topology ~cmd:"hunt" ~value:1000 ~hops topology in
     if budget <= 0 then begin
       Fmt.epr "xchain hunt: --budget must be positive@.";
@@ -976,9 +896,8 @@ let hunt_cmd =
     if r.Hunt.Search.violations > 0 then 1 else 0
   in
   let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol under test: sync | naive | htlc | weak | committee.")
+    protocol_arg
+      ~doc:"Protocol under test: sync | naive | htlc | weak | committee." ()
   in
   let hops = hops_arg 2 in
   let seed =
@@ -1053,7 +972,7 @@ let hunt_cmd =
 
 let explore_cmd =
   let run protocol hops drift max_corners j out metrics_out =
-    let protocol = runner_protocol_of protocol in
+    let protocol = Proto.runner protocol in
     let domains = resolve_domains ~cmd:"explore" j in
     match
       Xchain.Explore.sweep ~hops ~drift_ppm:drift ~max_corners ~domains
@@ -1074,10 +993,9 @@ let explore_cmd =
         if r.Xchain.Explore.violations = 0 then 0 else 1
   in
   let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol to enumerate: sync | naive | htlc (TM protocols \
-                   are not corner-enumerable).")
+    protocol_arg
+      ~doc:"Protocol to enumerate: sync | naive | htlc (TM protocols are not \
+            corner-enumerable)." ()
   in
   let hops = hops_arg 1 in
   let drift =
@@ -1108,7 +1026,7 @@ let explore_cmd =
 
 let trace_cmd =
   let run protocol hops gst seed plan out trace_out dag_out =
-    let protocol = runner_protocol_of protocol in
+    let protocol = Proto.runner protocol in
     let plan =
       read_plan ~cmd:"trace" ~nprocs:(Runner.process_count ~hops protocol) plan
     in
@@ -1185,11 +1103,6 @@ let trace_cmd =
                 /. (float_of_int wall_ns /. 1e9)))));
     0
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol: sync | naive | htlc | weak | committee.")
-  in
   let hops = hops_arg 2 in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let plan =
@@ -1212,8 +1125,8 @@ let trace_cmd =
              happens-before graph, print the critical path and the blame \
              decomposition of its end-to-end latency, and export the graph \
              as Chrome trace-event JSON or a DAG dump")
-    Term.(const run $ protocol $ hops $ gst_arg $ seed $ plan $ out $ trace_out_arg
-          $ dag_out_arg)
+    Term.(const run $ protocol_arg () $ hops $ gst_arg $ seed $ plan $ out
+          $ trace_out_arg $ dag_out_arg)
 
 (* -------------------------------- load --------------------------------- *)
 
@@ -1909,7 +1822,6 @@ let profile_cmd =
           then 0
           else 1
       | "chaos" ->
-          let protocol = runner_protocol_of protocol in
           let hops = hops () in
           let s =
             Xchain.Chaos.soak ~hops ~protocol ~runs ~seed ~prof
@@ -1919,7 +1831,7 @@ let profile_cmd =
           write_sink out (Xchain.Chaos.summary_to_json ~hops ~protocol ~seed s);
           if s.Xchain.Chaos.violations = [] then 0 else 1
       | "explore" -> (
-          let protocol = runner_protocol_of protocol in
+          let protocol = Proto.runner protocol in
           let hops = hops () in
           match
             Xchain.Explore.sweep ~hops ~prof
@@ -1969,11 +1881,7 @@ let profile_cmd =
                 (requires --topology).";
       ]
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Chaos/explore: protocol under test.")
-  in
+  let protocol = protocol_arg ~doc:"Chaos/explore: protocol under test." () in
   let runs =
     Arg.(value & opt (int_in 0) 200
          & info [ "runs" ] ~doc:"Chaos: number of random plans to run.")

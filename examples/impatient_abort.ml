@@ -15,7 +15,9 @@ let run ~patience ~label =
   let result =
     Xchain.Api.pay ~hops:3
       ~network:(Xchain.Api.Partially_synchronous { gst = 2000 })
-      ~protocol:(Xchain.Api.Weak_single { patience })
+      ~protocol:
+        (Protocols.Runner.Weak
+           { Protocols.Weak_protocol.default_config with patience })
       ~seed:7 ()
   in
   Fmt.pr "--- %s (patience = %d) ---@.%a@.@." label patience

@@ -2,15 +2,6 @@ open Protocols
 module PP = Props.Payment_props
 module V = Props.Verdict
 
-type protocol_choice =
-  | Time_bounded
-  | Naive
-  | Htlc_chain
-  | Weak_single of { patience : int }
-  | Weak_committee of { patience : int; f : int }
-  | Weak_chain of { patience : int; validators : int }
-  | Atomic of { deadline : int }
-
 type network_choice =
   | Synchronous
   | Partially_synchronous of { gst : int }
@@ -25,28 +16,6 @@ type result = {
   bob_paid_at : int option;
   messages : int;
 }
-
-let to_runner_protocol = function
-  | Time_bounded -> Runner.Sync_timebound
-  | Naive -> Runner.Naive_universal
-  | Htlc_chain -> Runner.Htlc
-  | Weak_single { patience } ->
-      Runner.Weak { Weak_protocol.default_config with patience }
-  | Weak_committee { patience; f } ->
-      Runner.Weak
-        {
-          Weak_protocol.default_config with
-          patience;
-          tm = Weak_protocol.Committee { f };
-        }
-  | Weak_chain { patience; validators } ->
-      Runner.Weak
-        {
-          Weak_protocol.default_config with
-          patience;
-          tm = Weak_protocol.Chain { validators };
-        }
-  | Atomic { deadline } -> Runner.Atomic { Atomic_protocol.deadline }
 
 let to_runner_network = function
   | Synchronous -> Runner.Sync
@@ -64,7 +33,7 @@ let participant_name (outcome : Runner.outcome) pid =
   | None -> Printf.sprintf "pid%d" pid
 
 let pay ?(hops = 2) ?(value = 1000) ?(commission = 10) ?(drift_ppm = 10_000)
-    ?(network = Synchronous) ?(protocol = Time_bounded) ?(faults = [])
+    ?(network = Synchronous) ?(protocol = Runner.Sync_timebound) ?(faults = [])
     ?(seed = 1) () =
   let cfg =
     {
@@ -76,8 +45,7 @@ let pay ?(hops = 2) ?(value = 1000) ?(commission = 10) ?(drift_ppm = 10_000)
       faults;
     }
   in
-  let runner_protocol = to_runner_protocol protocol in
-  let outcome = Runner.run cfg runner_protocol in
+  let outcome = Runner.run cfg protocol in
   let v = PP.view outcome in
   let report = PP.check ~time_bounded:(network = Synchronous) v in
   {

@@ -5,16 +5,6 @@
     by the examples and the CLI. For full control use {!Protocols.Runner}
     directly; for the reproduction tables use {!Experiments}. *)
 
-type protocol_choice =
-  | Time_bounded  (** Thm 1's protocol (requires a synchronous network) *)
-  | Naive  (** the drift-blind baseline *)
-  | Htlc_chain
-  | Weak_single of { patience : int }
-  | Weak_committee of { patience : int; f : int }
-  | Weak_chain of { patience : int; validators : int }
-      (** the TM as a blockchain-replicated contract *)
-  | Atomic of { deadline : int }  (** the Interledger atomic baseline *)
-
 type network_choice =
   | Synchronous  (** delays within δ = 100 ticks *)
   | Partially_synchronous of { gst : int }
@@ -36,13 +26,14 @@ val pay :
   ?commission:int ->
   ?drift_ppm:int ->
   ?network:network_choice ->
-  ?protocol:protocol_choice ->
+  ?protocol:Protocols.Runner.protocol ->
   ?faults:(int * Protocols.Byzantine.t) list ->
   ?seed:int ->
   unit ->
   result
 (** Defaults: 2 hops (one connector), value 1000, commission 10, 1% drift,
-    synchronous network, the time-bounded protocol, no faults, seed 1. *)
+    synchronous network, the time-bounded protocol
+    ({!Protocols.Runner.Sync_timebound}), no faults, seed 1. *)
 
 val participant_name : Protocols.Runner.outcome -> int -> string
 (** "Alice", "Chloe1", "Bob", "e0", "tm0", … *)

@@ -1,4 +1,5 @@
 module Runner = Protocols.Runner
+module Proto = Protocols.Proto
 module Topology = Protocols.Topology
 module P = Props.Payment_props
 module V = Props.Verdict
@@ -15,7 +16,7 @@ let classification_name = function
 type run_result = {
   seed : int;
   hops : int;
-  protocol : Runner.protocol;
+  protocol : Proto.t;
   plan : Fault_plan.t;
   faults : (int * Protocols.Byzantine.t) list;
   classification : classification;
@@ -31,19 +32,6 @@ type run_result = {
       (* sim-time the online monitor first tripped; -1 when unmonitored
          or nothing ever tripped *)
 }
-
-(* the CLI's -p spelling of a protocol, for repro lines *)
-let protocol_flag = function
-  | Runner.Sync_timebound -> "sync"
-  | Runner.Naive_universal -> "naive"
-  | Runner.Htlc -> "htlc"
-  | Runner.Weak { Protocols.Weak_protocol.tm = Protocols.Weak_protocol.Single; _ }
-    ->
-      "weak"
-  | Runner.Weak
-      { Protocols.Weak_protocol.tm = Protocols.Weak_protocol.Committee _; _ } ->
-      "committee"
-  | p -> Runner.protocol_name p
 
 (* The safety subset as named checks over a view: the payment-level
    safety of the run's Definition, then ES and global conservation. *)
@@ -103,7 +91,7 @@ let install_probe s (o : Runner.outcome) =
           if i = 0 then Sim.Engine.queue_depth o.Runner.engine
           else Ledger.Book.pool_total books.(i - 1)))
 
-let run_one ?(hops = 2) ?(protocol = Runner.Sync_timebound) ?causal ?prof
+let run_one ?(hops = 2) ?(protocol = Proto.Sync) ?causal ?prof
     ?monitor ?sampler ?recorder ?(faults = []) ~plan ~seed () =
   let on_ready =
     match (monitor, sampler, recorder) with
@@ -130,7 +118,7 @@ let run_one ?(hops = 2) ?(protocol = Runner.Sync_timebound) ?causal ?prof
       faults;
     }
   in
-  let outcome = Runner.run cfg protocol in
+  let outcome = Runner.run cfg (Proto.runner protocol) in
   let view = P.view outcome in
   let report = safety_report view in
   let classification, failures = classify view report in
@@ -160,33 +148,18 @@ let run_one ?(hops = 2) ?(protocol = Runner.Sync_timebound) ?causal ?prof
       (match monitor with None -> -1 | Some m -> Obsv.Monitor.breach_at m);
   }
 
-(* The --fault spelling of a Byzantine substitution, inverse of the CLI's
-   strategy@role grammar. *)
-let fault_flag ~hops (pid, strategy) =
+let repro ~hops ~protocol ?(faults = []) ~seed plan =
   let topo = Topology.create ~hops in
-  let role =
-    match Topology.role_of topo pid with
-    | Some Topology.Alice -> "alice"
-    | Some Topology.Bob -> "bob"
-    | Some (Topology.Connector i) -> Printf.sprintf "chloe%d" i
-    | Some (Topology.Escrow i) -> Printf.sprintf "e%d" i
-    | _ -> Printf.sprintf "pid%d" pid
-  in
-  let strat =
-    match Protocols.Byzantine.name strategy with
-    | "crash-at-start" -> "crash"
-    | s -> s
-  in
-  Printf.sprintf "%s@%s" strat role
-
-let repro_line r =
   Printf.sprintf "xchain chaos -p %s --hops %d --seed %d --plan '%s'%s"
-    (protocol_flag r.protocol) r.hops r.seed
-    (Fault_plan.to_string r.plan)
+    (Proto.name protocol) hops seed
+    (Fault_plan.to_string plan)
     (String.concat ""
        (List.map
-          (fun f -> " --fault " ^ fault_flag ~hops:r.hops f)
-          r.faults))
+          (fun f -> " --fault " ^ Protocols.Byzantine.fault_to_string topo f)
+          faults))
+
+let repro_line r =
+  repro ~hops:r.hops ~protocol:r.protocol ~faults:r.faults ~seed:r.seed r.plan
 
 (* --------------------------- forensic bundle --------------------------- *)
 
@@ -231,14 +204,15 @@ type health = {
   h_violations : int;
 }
 
-let soak ?(hops = 2) ?(protocol = Runner.Sync_timebound) ?(runs = 200) ?domains
+let soak ?(hops = 2) ?(protocol = Proto.Sync) ?(runs = 200) ?domains
     ?prof ?(monitor = false) ?on_progress ?on_health ~seed () =
   (* a profiler is single-threaded mutable state: profiled soaks run on
      one domain so every dispatch lands in the same accumulator set *)
   let domains = match prof with Some _ -> Some 1 | None -> domains in
   let nprocs = 2 * hops + 1 in
   let horizon =
-    (Runner.derive_params (Runner.default_config ~hops ~seed) protocol)
+    (Runner.derive_params (Runner.default_config ~hops ~seed)
+       (Proto.runner protocol))
       .Protocols.Params.horizon
   in
   (* One chaos run per fleet job: everything derives from the run seed
@@ -321,14 +295,14 @@ let soak ?(hops = 2) ?(protocol = Runner.Sync_timebound) ?(runs = 200) ?domains
    everything timing-dependent lives in the trailing "timing" member so
    byte-identity checks across domain counts can strip it (see
    scripts/strip_timing.py). *)
-let summary_to_json ?(hops = 2) ?(protocol = Runner.Sync_timebound) ~seed s =
+let summary_to_json ?(hops = 2) ?(protocol = Proto.Sync) ~seed s =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"chaos\":{\"runs\":%d,\"hops\":%d,\"protocol\":\"%s\",\"seed\":%d,\
         \"commits\":%d,\"aborts\":%d,\"stuck\":%d,\"events\":%d,\
         \"violations\":["
-       s.runs hops (protocol_flag protocol) seed s.commits s.aborts s.stuck
+       s.runs hops (Proto.name protocol) seed s.commits s.aborts s.stuck
        s.events);
   List.iteri
     (fun i r ->

@@ -27,14 +27,10 @@ type classification =
 val classification_name : classification -> string
 (** ["safe-commit"], ["safe-abort"], ["stuck"], ["safety-violation"]. *)
 
-val protocol_flag : Protocols.Runner.protocol -> string
-(** The CLI's [-p] spelling of a protocol ("sync", "naive", "htlc",
-    "weak", "committee"), as repro lines print it. *)
-
 type run_result = {
   seed : int;
   hops : int;
-  protocol : Protocols.Runner.protocol;
+  protocol : Protocols.Proto.t;
   plan : Faults.Fault_plan.t;
   faults : (int * Protocols.Byzantine.t) list;
       (** Byzantine strategy substitutions the run carried ([[]] for a
@@ -63,7 +59,7 @@ type run_result = {
 
 val run_one :
   ?hops:int ->
-  ?protocol:Protocols.Runner.protocol ->
+  ?protocol:Protocols.Proto.t ->
   ?causal:Obsv.Causal.t ->
   ?prof:Obsv.Prof.t ->
   ?monitor:Obsv.Monitor.t ->
@@ -74,7 +70,7 @@ val run_one :
   seed:int ->
   unit ->
   run_result
-(** One payment (default: 2 hops, {!Protocols.Runner.Sync_timebound},
+(** One payment (default: 2 hops, {!Protocols.Proto.Sync},
     synchronous network) under [plan], classified. [causal] records the
     run's happens-before graph (see {!Protocols.Runner}) and fills
     [paid_node] / [settled_node]; [prof] profiles the run's dispatches
@@ -92,9 +88,20 @@ val run_one :
     [faults] substitutes Byzantine strategies, exactly like
     [xchain audit --fault]; repro lines include them. *)
 
+val repro :
+  hops:int ->
+  protocol:Protocols.Proto.t ->
+  ?faults:(int * Protocols.Byzantine.t) list ->
+  seed:int ->
+  Faults.Fault_plan.t ->
+  string
+(** [xchain chaos -p PROTO --hops H --seed N --plan 'P' [--fault S@R]…]:
+    the command line that replays that run. [PROTO] is
+    {!Protocols.Proto.name}, each [S@R] {!Protocols.Byzantine.fault_to_string}:
+    the spellings [xchain chaos] parses. *)
+
 val repro_line : run_result -> string
-(** [xchain chaos -p PROTO --hops H --seed N --plan 'P' [--fault S@R]…] —
-    replays this run exactly. *)
+(** {!repro} of the run: replays it exactly. *)
 
 val bundle :
   monitor:Obsv.Monitor.t ->
@@ -111,7 +118,7 @@ val bundle :
 
 val replay_bundle :
   ?hops:int ->
-  ?protocol:Protocols.Runner.protocol ->
+  ?protocol:Protocols.Proto.t ->
   plan:Faults.Fault_plan.t ->
   seed:int ->
   unit ->
@@ -146,7 +153,7 @@ type health = {
 
 val soak :
   ?hops:int ->
-  ?protocol:Protocols.Runner.protocol ->
+  ?protocol:Protocols.Proto.t ->
   ?runs:int ->
   ?domains:int ->
   ?prof:Obsv.Prof.t ->
@@ -182,7 +189,7 @@ val pp_summary : Format.formatter -> summary -> unit
 
 val summary_to_json :
   ?hops:int ->
-  ?protocol:Protocols.Runner.protocol ->
+  ?protocol:Protocols.Proto.t ->
   seed:int ->
   summary ->
   string

@@ -1,5 +1,6 @@
 module C = Xchain.Chaos
 module Runner = Protocols.Runner
+module Proto = Protocols.Proto
 module FP = Faults.Fault_plan
 module Rng = Sim.Rng
 
@@ -20,7 +21,7 @@ type report = {
   budget : int;
   gen_size : int;
   hops : int;
-  protocol : Runner.protocol;
+  protocol : Proto.t;
   seed : int;
   generations : gen_stat list;
   corpus : entry list;
@@ -45,9 +46,7 @@ let repro_plan (e : entry) =
   match e.shrunk with Some (p, _) -> p | None -> e.plan
 
 let repro_line ~hops ~protocol (e : entry) =
-  Printf.sprintf "xchain chaos -p %s --hops %d --seed %d --plan '%s'"
-    (C.protocol_flag protocol) hops e.seed
-    (FP.to_string (repro_plan e))
+  C.repro ~hops ~protocol ~seed:e.seed (repro_plan e)
 
 (* the soak's uniform plan stream: run [i] of a uniform sweep rooted at
    [seed] draws its plan from [seed + i + 7919] alone (see Chaos.soak).
@@ -61,14 +60,16 @@ let fail_job (f : Fleet.failure) =
   failwith
     (Printf.sprintf "hunt: job %d raised: %s" f.Fleet.job f.Fleet.message)
 
-let hunt ?(hops = 2) ?(protocol = Runner.Sync_timebound) ?(gen_size = 50)
+let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
     ?domains ?(baseline = false) ?(shrink = true) ?max_shrink_trials
     ?on_progress ~budget ~seed () =
   if budget <= 0 then invalid_arg "Hunt.hunt: budget must be positive";
   if gen_size <= 0 then invalid_arg "Hunt.hunt: gen_size must be positive";
   let nprocs = (2 * hops) + 1 in
   let cfg = Runner.default_config ~hops ~seed in
-  let horizon = (Runner.derive_params cfg protocol).Protocols.Params.horizon in
+  let horizon =
+    (Runner.derive_params cfg (Proto.runner protocol)).Protocols.Params.horizon
+  in
   let delta = cfg.Runner.delta + cfg.Runner.sigma in
   let run_plan ~plan ~run_seed =
     let causal = Obsv.Causal.create () in
@@ -282,7 +283,7 @@ let report_to_json r =
         \"violations\":%d,\"shrink_trials\":%d,\"events\":%d,\
         \"generations\":["
        r.budget r.gen_size r.hops
-       (C.protocol_flag r.protocol)
+       (Proto.name r.protocol)
        r.seed r.signatures r.uniform_signatures r.commits r.aborts r.stuck
        r.violations r.shrink_trials r.events);
   List.iteri

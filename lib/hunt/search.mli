@@ -44,7 +44,7 @@ type report = {
   budget : int;
   gen_size : int;
   hops : int;
-  protocol : Protocols.Runner.protocol;
+  protocol : Protocols.Proto.t;
   seed : int;
   generations : gen_stat list;
   corpus : entry list;  (** one witness per signature, discovery order *)
@@ -66,7 +66,7 @@ type report = {
 
 val hunt :
   ?hops:int ->
-  ?protocol:Protocols.Runner.protocol ->
+  ?protocol:Protocols.Proto.t ->
   ?gen_size:int ->
   ?domains:int ->
   ?baseline:bool ->
@@ -86,7 +86,7 @@ val hunt :
     calling domain. Raises [Invalid_argument] on non-positive [budget]
     or [gen_size]. *)
 
-val repro_line : hops:int -> protocol:Protocols.Runner.protocol -> entry -> string
+val repro_line : hops:int -> protocol:Protocols.Proto.t -> entry -> string
 (** One-line replay command, using the shrunken plan when available. *)
 
 val repro_lines : report -> string list

@@ -26,6 +26,8 @@ let tm_trusted (outcome : Runner.outcome) =
       true
   | Runner.Weak { Weak_protocol.tm = Weak_protocol.Committee { f }; _ } ->
       faulty_notaries outcome <= f
+  | Runner.Weak { Weak_protocol.tm = Weak_protocol.Quorum { qs }; _ } ->
+      faulty_notaries outcome <= Quorum_system.fault_bound qs
   | _ -> false
 
 (* [live]: the run has not started, so a trace hook feeds the fold as it

@@ -63,6 +63,29 @@ let all =
     False_funded_escrow;
   ]
 
+(* --- the STRATEGY@ROLE spelling of a substitution (--fault) --- *)
+
+let spelling = function Crash_at_start -> "crash" | t -> name t
+
+let spelled =
+  List.filter
+    (function Crash_after_receives _ | Impatient _ -> false | _ -> true)
+    all
+
+let fault_to_string topo (pid, t) =
+  spelling t ^ "@" ^ Topology.role_name topo pid
+
+let fault_of_string topo spec =
+  match String.split_on_char '@' spec with
+  | [ strategy; role ] -> (
+      match Topology.pid_of_name topo role with
+      | None -> Error (Printf.sprintf "unknown role %S" role)
+      | Some pid -> (
+          match List.find_opt (fun t -> spelling t = strategy) spelled with
+          | Some t -> Ok (pid, t)
+          | None -> Error (Printf.sprintf "unknown strategy %S" strategy)))
+  | _ -> Error (Printf.sprintf "fault %S is not strategy@role" spec)
+
 let crash_after k =
   let count = ref 0 in
   {

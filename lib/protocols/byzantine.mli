@@ -54,3 +54,20 @@ val handlers :
 val all : t list
 (** Every parameterless strategy, for sweep experiments (the [Impatient]
     entry uses a zero patience). *)
+
+(** {1 The [--fault] spelling}
+
+    A substitution [(pid, strategy)] is written [STRATEGY@ROLE]: the role
+    as {!Topology.role_name} spells it ([alice], [bob], [chloeI], [eI]),
+    the strategy as {!name} does, except [crash] for [Crash_at_start]. *)
+
+val spelled : t list
+(** The strategies {!fault_of_string} accepts: every parameterless one. *)
+
+val fault_to_string : Topology.t -> int * t -> string
+
+val fault_of_string : Topology.t -> string -> (int * t, string) result
+(** The inverse of {!fault_to_string} over {!spelled} and the payment
+    pids. Errors, checked in this order: ["fault \"...\" is not
+    strategy@role"], ["unknown role \"...\""], ["unknown strategy
+    \"...\""]. *)

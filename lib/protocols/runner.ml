@@ -330,15 +330,6 @@ let run_engine cfg protocol =
 
 (* ----------------------------- telemetry ------------------------------- *)
 
-let role_name topo pid =
-  match Topology.role_of topo pid with
-  | Some Topology.Alice -> "alice"
-  | Some Topology.Bob -> "bob"
-  | Some (Topology.Connector i) -> Printf.sprintf "chloe%d" i
-  | Some (Topology.Escrow i) -> Printf.sprintf "e%d" i
-  | Some (Topology.Aux i) -> Printf.sprintf "tm%d" i
-  | None -> Printf.sprintf "pid%d" pid
-
 (* One root span per payment (init -> commit/abort), one child span per
    participant, and under each participant one span per protocol phase —
    the interval between consecutive observable state changes, keyed by the
@@ -368,7 +359,7 @@ let emit_spans o ~terms ~committed ~settled_at =
     for pid = 0 to n - 1 do
       let pspan =
         Obsv.Span.start spans ~parent:root
-          ~name:("participant:" ^ role_name topo pid)
+          ~name:("participant:" ^ Topology.role_name topo pid)
           ~at:0 ()
       in
       let t_prev = ref 0 and phase = ref "init" in

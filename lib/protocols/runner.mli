@@ -131,10 +131,6 @@ val run : config -> protocol -> outcome
     disabled via {!Obsv.Span.set_capture}; spans are derived from the
     trace post-run, so they never perturb the schedule. *)
 
-val role_name : Topology.t -> int -> string
-(** Stable lower-case participant name ("alice", "chloe1", "e0", "tm0"),
-    as used in span names. *)
-
 val derive_params : config -> protocol -> Params.t
 (** The parameter vector [run] will use (drift-blind for
     {!Naive_universal}). *)

@@ -65,6 +65,29 @@ let pp_role ppf = function
   | Escrow i -> Fmt.pf ppf "e%d" i
   | Aux i -> Fmt.pf ppf "aux%d" i
 
+let role_name t pid =
+  match role_of t pid with
+  | Some Alice -> "alice"
+  | Some Bob -> "bob"
+  | Some (Connector i) -> Printf.sprintf "chloe%d" i
+  | Some (Escrow i) -> Printf.sprintf "e%d" i
+  | Some (Aux i) -> Printf.sprintf "tm%d" i
+  | None -> Printf.sprintf "pid%d" pid
+
+let pid_of_name t s =
+  let index prefix =
+    let k = String.length prefix and n = String.length s in
+    if n > k && String.sub s 0 k = prefix then
+      int_of_string_opt (String.sub s k (n - k))
+    else None
+  in
+  match (s, index "chloe", index "e") with
+  | "alice", _, _ -> Some (alice t)
+  | "bob", _, _ -> Some (bob t)
+  | _, Some i, _ when i >= 0 && i <= t.hops -> Some (customer t i)
+  | _, _, Some i when i >= 0 && i < t.hops -> Some (escrow t i)
+  | _ -> None
+
 let pp ppf t =
   Fmt.pf ppf "chain(n=%d): c0" t.hops;
   for i = 0 to t.hops - 1 do

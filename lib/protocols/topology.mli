@@ -62,4 +62,16 @@ val customer_index : t -> int -> int option
 
 val escrow_index : t -> int -> int option
 val pp_role : Format.formatter -> role -> unit
+
+val role_name : t -> int -> string
+(** The one lower-case spelling of a pid, as span names and [--fault]
+    specs use it: ["alice"], ["bob"], ["chloe1"], ["e0"], ["tm0"] for a
+    registered aux pid, ["pid7"] for any other. *)
+
+val pid_of_name : t -> string -> int option
+(** The payment pid a name spells: ["alice"], ["bob"], ["chloeI"]
+    (customer [I], [0 <= I <= hops]) or ["eI"] (escrow [I],
+    [0 <= I < hops]). [pid_of_name t (role_name t p) = Some p] for every
+    payment pid [p]. *)
+
 val pp : Format.formatter -> t -> unit

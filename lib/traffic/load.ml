@@ -101,15 +101,6 @@ let weak_cfg = Weak_protocol.default_config
 let committee_cfg =
   { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
 
-(* the runner protocol a load protocol is judged as *)
-let judged_as = function
-  | Workload.Sync -> Runner.Sync_timebound
-  | Workload.Naive -> Runner.Naive_universal
-  | Workload.Htlc -> Runner.Htlc
-  | Workload.Weak_single | Workload.Shared -> Runner.Weak weak_cfg
-  | Workload.Committee -> Runner.Weak committee_cfg
-  | Workload.Atomic -> Runner.Atomic Atomic_protocol.default_config
-
 (* C's structural clause for an instance: the paper automata that sync and
    naive instances run, checked once per path length *)
 let well_formed_for proto ~hops =
@@ -685,7 +676,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     w.policy = Workload.Optimistic && is_liquidity_rejection what
   in
   let safety proto =
-    Fold.safety ~excused ~preimage_is_receipt:true (judged_as proto)
+    Fold.safety ~excused ~preimage_is_receipt:true (Proto.runner proto)
   in
   let judge ins ~end_time =
     let p = ins.i_pay in
@@ -1430,7 +1421,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       by_protocol =
         List.map
           (fun (pr, _) ->
-            ( Workload.proto_name pr,
+            ( Proto.name pr,
               (match Hashtbl.find_opt assigned pr with
               | Some r -> !r
               | None -> 0),
@@ -1495,7 +1486,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           add_count ~help:"Load-run payment outcomes"
             ~labels:
               [
-                ("protocol", Workload.proto_name pr);
+                ("protocol", Proto.name pr);
                 ("outcome", outcome_name o);
               ]
             "xchain_load_payments_total" (count_of pr o))
@@ -1508,7 +1499,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       let h =
         Obsv.Metrics.histogram reg
           ~help:"Commit latency (arrival to Bob's payout), ticks"
-          ~labels:[ ("protocol", Workload.proto_name pr) ]
+          ~labels:[ ("protocol", Proto.name pr) ]
           "xchain_load_commit_latency"
       in
       Hashtbl.iter
@@ -1560,7 +1551,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
             ~attrs:
               [
                 ("id", string_of_int k);
-                ("protocol", Workload.proto_name protos.(k));
+                ("protocol", Proto.name protos.(k));
               ]
             ~trace_id:(if Option.is_none causal then -1 else k * max_splits)
             ~root_event:roots.(k)

@@ -4,7 +4,8 @@ type arrival =
   | Burst of { size : int; every : int }
   | Ramp of { gap_hi : int; gap_lo : int }
 
-type proto = Sync | Naive | Htlc | Weak_single | Committee | Shared | Atomic
+type proto = Protocols.Proto.t =
+  | Sync | Naive | Htlc | Weak_single | Committee | Shared | Atomic
 
 type policy = Reserve | Optimistic
 
@@ -57,25 +58,6 @@ let default ~payments =
     splits = 1;
     committee = None;
   }
-
-let proto_name = function
-  | Sync -> "sync"
-  | Naive -> "naive"
-  | Htlc -> "htlc"
-  | Weak_single -> "weak"
-  | Committee -> "committee"
-  | Shared -> "shared"
-  | Atomic -> "atomic"
-
-let proto_of_string = function
-  | "sync" -> Ok Sync
-  | "naive" -> Ok Naive
-  | "htlc" -> Ok Htlc
-  | "weak" -> Ok Weak_single
-  | "committee" -> Ok Committee
-  | "shared" -> Ok Shared
-  | "atomic" -> Ok Atomic
-  | s -> Error (Printf.sprintf "unknown protocol %S" s)
 
 let committee_to_string c =
   Printf.sprintf "%s:%d:%d:%d:%d:%d" c.c_family c.c_size c.c_f c.c_batch
@@ -185,7 +167,9 @@ let arrival_of_string s =
 
 let mix_to_string mix =
   String.concat ","
-    (List.map (fun (p, w) -> Printf.sprintf "%s:%d" (proto_name p) w) mix)
+    (List.map
+       (fun (p, w) -> Printf.sprintf "%s:%d" (Protocols.Proto.name p) w)
+       mix)
 
 let mix_of_string s =
   let parts = String.split_on_char ',' s in
@@ -194,11 +178,11 @@ let mix_of_string s =
     | part :: rest -> (
         match String.split_on_char ':' part with
         | [ name ] -> (
-            match proto_of_string name with
+            match Protocols.Proto.of_string name with
             | Ok p -> go ((p, 1) :: acc) rest
             | Error e -> Error e)
         | [ name; w ] -> (
-            match (proto_of_string name, int_of_string_opt w) with
+            match (Protocols.Proto.of_string name, int_of_string_opt w) with
             | Ok p, Some weight when weight >= 1 -> go ((p, weight) :: acc) rest
             | Ok _, _ -> Error "mix weights must be integers >= 1"
             | (Error _ as e), _ -> e)

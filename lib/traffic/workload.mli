@@ -26,11 +26,9 @@ type arrival =
       (** open loop with the mean gap shrinking linearly from [gap_hi]
           (first arrival) to [gap_lo] (last): a ramp-up to peak rate *)
 
-type proto = Sync | Naive | Htlc | Weak_single | Committee | Shared | Atomic
-(** [Shared] runs the weak protocol with {e no} per-payment TM: all shared
-    payments in the run send their funded reports and abort requests to
-    one external batching notary committee (the workload's [committee]
-    spec), whose certificates cover many payments at once. *)
+type proto = Protocols.Proto.t =
+  | Sync | Naive | Htlc | Weak_single | Committee | Shared | Atomic
+(** Re-exported from {!Protocols.Proto}, the table that names them. *)
 
 type committee = {
   c_family : string;  (** ["majority"], ["weighted"] or ["grid"] *)
@@ -96,9 +94,6 @@ val default : payments:int -> t
     reserve policy, unlimited cap, ample liquidity, patience 2000,
     derived stuck deadline, drift 10000 ppm, synchronous network, no
     topology (linear), shortest-cost routing, 1 split. *)
-
-val proto_name : proto -> string
-val proto_of_string : string -> (proto, string) result
 
 val arrival_of_string : string -> (arrival, string) result
 (** [poisson:GAP], [closed:CLIENTS:THINK], [burst:SIZE:EVERY] or

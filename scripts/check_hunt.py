@@ -14,11 +14,17 @@ Stdlib only. Validates the coverage-guided search's contract:
      plan no larger (in clause count) than the plan that discovered it,
      and a repro line quoting exactly that shrunk plan;
   4. optionally, the ``--repros-out`` file matches the corpus: one line
-     per interesting witness, in discovery order.
+     per interesting witness, in discovery order;
+  5. optionally (``--replay N XCHAIN``), the first N repro lines replay
+     through ``XCHAIN chaos`` (a command, split like a shell line): each
+     parses (exit neither 2 nor 124) and prints the classification of
+     the corpus entry it came from.
 
 Exit 0 when everything holds; a diagnostic and exit 1 otherwise.
 """
 
+import shlex
+import subprocess
 import sys
 
 from benchlib import err, finish, load_json
@@ -60,10 +66,32 @@ def check_entry(i, e):
             err(f"corpus[{i}]: repro does not quote the witness seed")
 
 
+def replay(corpus, lines, n, xchain):
+    """Run the first [n] repro lines through [xchain] (a shell-split
+    command standing for the line's leading ``xchain``)."""
+    by_repro = {e.get("repro"): e.get("classification") for e in corpus}
+    for line in lines[:n]:
+        argv = shlex.split(line)
+        if argv[:2] != ["xchain", "chaos"]:
+            err(f"repro line is not an xchain chaos command: {line}")
+            continue
+        run = subprocess.run(
+            shlex.split(xchain) + argv[1:], capture_output=True, text=True
+        )
+        if run.returncode in (2, 124):
+            err(f"repro line does not parse (exit {run.returncode}): {line}\n"
+                f"{run.stderr.strip()}")
+            continue
+        want = f"classification: {by_repro.get(line)}"
+        if want not in run.stdout.splitlines():
+            err(f"replay of {line} does not print {want!r}")
+
+
 def main():
     if len(sys.argv) < 2:
         print(
-            "usage: check_hunt.py HUNT.json [--repros FILE]", file=sys.stderr
+            "usage: check_hunt.py HUNT.json [--repros FILE [--replay N XCHAIN]]",
+            file=sys.stderr,
         )
         return 2
     report = load_json(sys.argv[1])
@@ -137,6 +165,8 @@ def main():
                 f"repro file has {len(lines)} lines, corpus expects "
                 f"{len(expected)} (or order differs)"
             )
+        if len(sys.argv) >= 7 and sys.argv[4] == "--replay":
+            replay(corpus, lines, int(sys.argv[5]), sys.argv[6])
 
     return finish(
         ok=(

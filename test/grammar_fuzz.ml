@@ -1,7 +1,8 @@
-(* Inputs for the one-line grammars (workload, fault plan, topology):
-   arbitrary strings over the grammars' own alphabet and valid strings
-   damaged by a few random edits. Every [of_string] must answer [Ok] or
-   [Error] to all of them and never raise. *)
+(* Inputs for the one-line grammars (workload, fault plan, topology,
+   protocol names, --fault specs): arbitrary strings over the grammars'
+   own alphabet and valid strings damaged by a few random edits. Every
+   [of_string] must answer [Ok] or [Error] to all of them and never
+   raise; a printer and its parser must round-trip. *)
 
 let alphabet = "0123456789:;,.=>|@+-* _abcgkmnprstxyzAZ\t#"
 
@@ -97,6 +98,14 @@ let property ~name ~seeds of_string =
     (QCheck.Test.make ~name ~count:3000 (inputs seeds) (fun s ->
          Lazy.force seeds_valid
          && match of_string s with Ok _ | Error _ -> true))
+
+(* [of_string (to_string x) = Ok x] for every [x] drawn from [values];
+   enough draws that each of a few hundred values is drawn w.h.p. *)
+let round_trip ~name ~print values to_string of_string =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:(max 3000 (20 * List.length values))
+       (QCheck.make ~print (QCheck.Gen.oneofl values))
+       (fun x -> of_string (to_string x) = Ok x))
 
 (* Flag vectors for a command's front door: at most one value per flag,
    drawn from the valid [(flag, value)] pairs and sometimes damaged by

@@ -639,6 +639,37 @@ let chaos_tests =
             (Printf.sprintf "end time %d" i)
             a.Xchain.Chaos.end_time b.Xchain.Chaos.end_time
         done);
+    Alcotest.test_case "repro line's -p and --fault parse back" `Quick
+      (fun () ->
+        let module P = Protocols in
+        let hops = 3 in
+        let topo = P.Topology.create ~hops in
+        let faults =
+          [ (P.Topology.escrow topo 1, P.Byzantine.Thief_escrow);
+            (P.Topology.customer topo 2, P.Byzantine.Forge_chi_connector);
+            (P.Topology.escrow topo 2, P.Byzantine.Crash_at_start);
+            (P.Topology.bob topo, P.Byzantine.Mute) ]
+        in
+        let r =
+          Xchain.Chaos.run_one ~hops ~protocol:P.Proto.Committee ~faults
+            ~plan:(plan_of "crash 1@100") ~seed:4 ()
+        in
+        (* the value after each occurrence of [flag] in the line *)
+        let rec after flag = function
+          | f :: v :: rest when f = flag -> v :: after flag rest
+          | _ :: rest -> after flag rest
+          | [] -> []
+        in
+        let tokens =
+          String.split_on_char ' ' (Xchain.Chaos.repro_line r)
+        in
+        check Alcotest.bool "-p" true
+          (List.map (P.Proto.of_string ~among:P.Proto.single)
+             (after "-p" tokens)
+          = [ Ok P.Proto.Committee ]);
+        check Alcotest.bool "--fault" true
+          (List.map (P.Byzantine.fault_of_string topo) (after "--fault" tokens)
+          = List.map Result.ok faults));
   ]
 
 let () =

@@ -295,7 +295,11 @@ let crosscut_tests =
         let r =
           Xchain.Api.pay ~hops:2
             ~network:(Xchain.Api.Partially_synchronous { gst = 400 })
-            ~protocol:(Xchain.Api.Weak_committee { patience = 60_000; f = 1 })
+            ~protocol:
+              (Runner.Weak
+                 { Weak_protocol.default_config with
+                   patience = 60_000;
+                   tm = Weak_protocol.Committee { f = 1 } })
             ()
         in
         check Alcotest.bool "success" true r.Xchain.Api.success);
@@ -303,18 +307,24 @@ let crosscut_tests =
       (fun () ->
         let chain =
           Xchain.Api.pay ~hops:2
-            ~protocol:(Xchain.Api.Weak_chain { patience = 60_000; validators = 3 })
+            ~protocol:
+              (Runner.Weak
+                 { Weak_protocol.default_config with
+                   patience = 60_000;
+                   tm = Weak_protocol.Chain { validators = 3 } })
             ()
         in
         check Alcotest.bool "chain success" true chain.Xchain.Api.success;
         let atomic =
-          Xchain.Api.pay ~hops:2 ~protocol:(Xchain.Api.Atomic { deadline = 5_000 }) ()
+          Xchain.Api.pay ~hops:2
+            ~protocol:(Runner.Atomic { Atomic_protocol.deadline = 5_000 })
+            ()
         in
         check Alcotest.bool "atomic success" true atomic.Xchain.Api.success;
         let aborted =
           Xchain.Api.pay ~hops:2
             ~network:(Xchain.Api.Partially_synchronous { gst = 20_000 })
-            ~protocol:(Xchain.Api.Atomic { deadline = 1_000 })
+            ~protocol:(Runner.Atomic { Atomic_protocol.deadline = 1_000 })
             ()
         in
         check Alcotest.bool "atomic aborts past GST" false

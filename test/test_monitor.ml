@@ -7,6 +7,7 @@ module C = Xchain.Chaos
 module PP = Props.Payment_props
 module PF = Props.Payment_fold
 module Runner = Protocols.Runner
+module Proto = Protocols.Proto
 module FP = Faults.Fault_plan
 
 let check = Alcotest.check
@@ -14,7 +15,7 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* the pinned violating witness: htlc breaks CS1 under duplicated
    deliveries (docs/observability.md walks through this exact run) *)
-let viol_protocol = Runner.Htlc
+let viol_protocol = Proto.Htlc
 let viol_seed = 9
 let viol_plan () =
   match FP.of_string "dup *>* 0.289" with
@@ -24,20 +25,19 @@ let viol_plan () =
 (* the soak's plan derivation, so random cases mirror real chaos runs *)
 let random_case case =
   let hops = 1 + (case mod 3) in
-  let weak = Protocols.Weak_protocol.default_config in
-  let committee = Protocols.Weak_protocol.Committee { f = 1 } in
   let protocol =
     match case mod 7 with
-    | 0 | 1 -> Runner.Sync_timebound
-    | 2 | 3 -> Runner.Htlc
-    | 4 -> Runner.Naive_universal
-    | 5 -> Runner.Weak weak
-    | _ -> Runner.Weak { weak with Protocols.Weak_protocol.tm = committee }
+    | 0 | 1 -> Proto.Sync
+    | 2 | 3 -> Proto.Htlc
+    | 4 -> Proto.Naive
+    | 5 -> Proto.Weak_single
+    | _ -> Proto.Committee
   in
   let seed = 1 + (case / 2) in
   let nprocs = (2 * hops) + 1 in
   let horizon =
-    (Runner.derive_params (Runner.default_config ~hops ~seed) protocol)
+    (Runner.derive_params (Runner.default_config ~hops ~seed)
+       (Proto.runner protocol))
       .Protocols.Params.horizon
   in
   let prng = Sim.Rng.create ~seed:(seed + 7919) in
@@ -113,7 +113,7 @@ let agreement_tests =
              Runner.run
                { (Runner.default_config ~hops ~seed) with
                  fault_plan = Some plan }
-               protocol
+               (Proto.runner protocol)
            in
            let v = PP.view o in
            let j = v.PP.judge in

@@ -941,6 +941,45 @@ let multi_fault_tests =
            && Props.Payment_props.money_conserved v));
   ]
 
+(* ----------------------- the -p and --fault grammars ---------------------- *)
+
+(* every spelled strategy at every role of chains of 1 to 4 hops *)
+let fault_cases =
+  List.concat_map
+    (fun hops ->
+      let topo = Topology.create ~hops in
+      List.concat_map
+        (fun pid -> List.map (fun t -> (hops, (pid, t))) Byzantine.spelled)
+        (List.init (Topology.payment_count topo) Fun.id))
+    [ 1; 2; 3; 4 ]
+
+(* a spec travels with its chain length, as a command's --hops does *)
+let print_fault (hops, f) =
+  (hops, Byzantine.fault_to_string (Topology.create ~hops) f)
+
+let parse_fault (hops, s) =
+  Result.map (fun f -> (hops, f))
+    (Byzantine.fault_of_string (Topology.create ~hops) s)
+
+let grammar_tests =
+  [
+    Grammar_fuzz.round_trip ~name:"protocol names round-trip"
+      ~print:Proto.name
+      [ Proto.Sync; Naive; Htlc; Weak_single; Committee; Shared; Atomic ]
+      Proto.name Proto.of_string;
+    Grammar_fuzz.round_trip ~name:"--fault specs round-trip"
+      ~print:(fun c -> snd (print_fault c))
+      fault_cases print_fault parse_fault;
+    Grammar_fuzz.property ~name:"protocol of_string never raises"
+      ~seeds:[ "sync"; "naive"; "htlc"; "weak"; "committee" ]
+      (Proto.of_string ~among:Proto.single);
+    Grammar_fuzz.property ~name:"--fault of_string never raises"
+      ~seeds:
+        [ "crash@alice"; "thief-escrow@e1"; "forge-chi@chloe2"; "mute@bob";
+          "never-deposit@chloe0"; "false-funded@e2" ]
+      (Byzantine.fault_of_string (Topology.create ~hops:3));
+  ]
+
 let () =
   Alcotest.run "protocols"
     [
@@ -957,4 +996,5 @@ let () =
       ("robustness", window_robustness_tests);
       ("multi_fault", multi_fault_tests);
       ("economics", economics_tests);
+      ("grammar", grammar_tests);
     ]

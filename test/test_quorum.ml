@@ -164,7 +164,7 @@ let golden_pins =
     (3, 13_088, "3dba97102024b65152992656d78807ed");
   ]
 
-let e13_trace ~seed ~tm =
+let e13_run ~seed ~tm =
   let hops = 2 in
   let gst_rng = Sim.Rng.create ~seed:(seed * 7919) in
   let gst = Sim.Rng.int_in gst_rng ~lo:0 ~hi:1_000 in
@@ -181,10 +181,18 @@ let e13_trace ~seed ~tm =
     }
   in
   let wcfg = { Weak_protocol.default_config with tm; patience = 4_000 } in
-  let o = Runner.run cfg (Runner.Weak wcfg) in
+  Runner.run cfg (Runner.Weak wcfg)
+
+let e13_trace ~seed ~tm =
   Fmt.str "%a"
     (Sim.Trace.pp ~msg:Protocols.Msg.pp ~obs:Protocols.Obs.pp)
-    o.Runner.trace
+    (e13_run ~seed ~tm).Runner.trace
+
+(* Definition 2's verdicts on a run, as (property, applicable, holds) *)
+let verdicts o =
+  List.map
+    (fun (v : Props.Verdict.t) -> (v.property, v.applicable, v.holds))
+    (Props.Payment_props.check (Props.Payment_props.view o))
 
 (* ------------------------------------------------ certificate checks *)
 
@@ -603,7 +611,17 @@ let () =
                   check Alcotest.string
                     (Printf.sprintf "seed %d" seed)
                     (Digest.to_hex (Digest.string a))
-                    (Digest.to_hex (Digest.string b)))
+                    (Digest.to_hex (Digest.string b));
+                  (* the same run must be judged the same way: a quorum
+                     TM within its fault bound is trusted *)
+                  let judged tm = verdicts (e13_run ~seed ~tm) in
+                  check
+                    Alcotest.(list (triple string bool bool))
+                    (Printf.sprintf "seed %d verdicts" seed)
+                    (judged (Weak_protocol.Committee { f = 1 }))
+                    (judged
+                       (Weak_protocol.Quorum
+                          { qs = QS.majority ~n:4 ~f:1 () })))
                 [ 1; 2; 3 ]);
         ] );
     ]
