@@ -1920,16 +1920,17 @@ let dot_cmd =
       exit 2
     end;
     let topo = Topology.create ~hops in
-    let params = Params.derive (Params.default_input ~hops) in
-    let env = Env.make ~topo ~params () in
-    let auto =
-      match who with
-      | `Alice -> Sync_protocol.alice_automaton env
-      | `Bob -> Sync_protocol.bob_automaton env
-      | `Escrow -> Sync_protocol.escrow_automaton env 0
-      | `Chloe -> Sync_protocol.connector_automaton env 1
+    let tmpl =
+      Sync_protocol.template (Params.derive (Params.default_input ~hops))
     in
-    print_string (Anta.Automaton.to_dot auto);
+    let pid =
+      match who with
+      | `Alice -> Topology.alice topo
+      | `Bob -> Topology.bob topo
+      | `Escrow -> Topology.escrow topo 0
+      | `Chloe -> Topology.customer topo 1
+    in
+    print_string (Anta.Automaton.to_dot (Sync_protocol.automaton tmpl pid));
     0
   in
   let hops = hops_arg 3 in

@@ -1,62 +1,67 @@
 type state = string
 
-type ('msg, 'obs) guard =
-  | Receive of { from_ : int; describe : string; accept : 'msg -> bool }
+type ('i, 'msg, 'obs) guard =
+  | Receive of { from_ : int; describe : string; accept : 'i -> 'msg -> bool }
   | Deadline of { base : string; offset : Sim.Sim_time.t }
 
-type ('msg, 'obs) branch = {
-  guard : ('msg, 'obs) guard;
+type ('i, 'msg, 'obs) branch = {
+  guard : ('i, 'msg, 'obs) guard;
   save_msg : string option;
   save_now : string list;
   b_act :
-    ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
+    'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
   next : state;
 }
 
-type ('msg, 'obs) node =
+type ('i, 'msg, 'obs) node =
   | Output of {
       to_ : int;
-      message : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
-      o_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+      message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
+      o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : state;
     }
-  | Input of ('msg, 'obs) branch list
-  | Final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
+  | Input of ('i, 'msg, 'obs) branch list
+  | Final of {
+      f_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+    }
 
 (* The compiled form: states are dense ints in declaration order, with one
    extra [C_missing] index per unknown transition target (entering one is a
    run-time error, as {!check} reports statically); every [next] is resolved
    here, and clock and data variables are Store slots. *)
-type ('msg, 'obs) cguard =
-  | C_receive of { from_ : int; accept : 'msg -> bool }
+type ('i, 'msg, 'obs) cguard =
+  | C_receive of { from_ : int; accept : 'i -> 'msg -> bool }
   | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
 
-type ('msg, 'obs) cbranch = {
-  cguard : ('msg, 'obs) cguard;
+type ('i, 'msg, 'obs) cbranch = {
+  cguard : ('i, 'msg, 'obs) cguard;
   c_save_msg : int;
   c_save_now : int array;
-  c_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
+  c_act :
+    'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
   c_next : int;
 }
 
-type ('msg, 'obs) cnode =
+type ('i, 'msg, 'obs) cnode =
   | C_output of {
       to_ : int;
-      message : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
-      o_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+      message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
+      o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : int;
     }
-  | C_input of ('msg, 'obs) cbranch array
-  | C_final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
+  | C_input of ('i, 'msg, 'obs) cbranch array
+  | C_final of {
+      f_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+    }
   | C_missing
 
-type ('msg, 'obs) t = {
+type ('i, 'msg, 'obs) t = {
   name : string;
   initial : state;
-  nodes : (state * ('msg, 'obs) node) list;
+  nodes : (state * ('i, 'msg, 'obs) node) list;
   names : state array;  (* declared states, then missing targets *)
   declared : int;
-  cnodes : ('msg, 'obs) cnode array;
+  cnodes : ('i, 'msg, 'obs) cnode array;
   init : int;
   clock_names : string array;
   data_names : string array;
@@ -194,14 +199,14 @@ let cnode t i = t.cnodes.(i)
 let clock_names t = t.clock_names
 let data_names t = t.data_names
 
-let rec scan_receive branches pool i =
+let rec scan_receive branches inst pool i =
   if i >= Array.length branches then -1
   else
     match branches.(i).cguard with
-    | C_receive { from_; accept } when Pool.find pool ~from_ ~accept -> i
-    | C_receive _ | C_deadline _ -> scan_receive branches pool (i + 1)
+    | C_receive { from_; accept } when Pool.find pool ~from_ ~accept inst -> i
+    | C_receive _ | C_deadline _ -> scan_receive branches inst pool (i + 1)
 
-let match_receive branches pool = scan_receive branches pool 0
+let match_receive branches inst pool = scan_receive branches inst pool 0
 
 type check_error =
   | Unknown_target of { from_ : state; target : state }
@@ -337,20 +342,20 @@ let check t =
   end;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
-let no_act2 _ _ = ()
 let no_act3 _ _ _ = ()
+let no_act4 _ _ _ _ = ()
 
-let output ~to_ ?(act = no_act2) ~message ~next () =
+let output ~to_ ?(act = no_act3) ~message ~next () =
   Output { to_; message; o_act = act; next }
 
 let input branches = Input branches
-let final ?(act = no_act2) () = Final { f_act = act }
+let final ?(act = no_act3) () = Final { f_act = act }
 
 let on_receive ~from_ ?(describe = "msg") ~accept ?save_msg ?(save_now = [])
-    ?(act = no_act3) ~next () =
+    ?(act = no_act4) ~next () =
   { guard = Receive { from_; describe; accept }; save_msg; save_now; b_act = act; next }
 
-let on_deadline ~base ~offset ?(save_now = []) ?(act = no_act3) ~next () =
+let on_deadline ~base ~offset ?(save_now = []) ?(act = no_act4) ~next () =
   {
     guard = Deadline { base; offset };
     save_msg = None;

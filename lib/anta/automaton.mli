@@ -21,53 +21,62 @@
     observations) are attached to transitions as [act] callbacks receiving
     the process's engine context — this keeps the automaton structure
     declarative and statically checkable while letting escrows actually move
-    money when they take a step. *)
+    money when they take a step.
+
+    An automaton is a {e template}: its type parameter ['i] is the instance
+    it runs for. Guards ([accept]), acts and output [message]s receive the
+    instance the automaton is dispatched with ({!Executor.handlers} binds
+    one), so one compiled automaton serves every run of the same shape
+    while amounts, books, keys and any per-run mutable state live in the
+    instance. *)
 
 type state = string
 
-type ('msg, 'obs) guard =
-  | Receive of { from_ : int; describe : string; accept : 'msg -> bool }
+type ('i, 'msg, 'obs) guard =
+  | Receive of { from_ : int; describe : string; accept : 'i -> 'msg -> bool }
       (** [r(from_, m)] for messages satisfying [accept]. *)
   | Deadline of { base : string; offset : Sim.Sim_time.t }
       (** [now >= base + offset] on the local clock; [base] is a clock
           variable that must have been assigned on every path reaching this
           state. *)
 
-type ('msg, 'obs) branch = {
-  guard : ('msg, 'obs) guard;
+type ('i, 'msg, 'obs) branch = {
+  guard : ('i, 'msg, 'obs) guard;
   save_msg : string option;  (** stash the received message in this data var *)
   save_now : string list;  (** [x := now] assignments *)
   b_act :
-    ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
+    'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
       (** side effects; the ['msg option] is the received message (None for
           deadline branches) *)
   next : state;
 }
 
-type ('msg, 'obs) node =
+type ('i, 'msg, 'obs) node =
   | Output of {
       to_ : int;
-      message : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
-      o_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+      message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
+      o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : state;
     }
-  | Input of ('msg, 'obs) branch list
-  | Final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
+  | Input of ('i, 'msg, 'obs) branch list
+  | Final of {
+      f_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+    }
 
-type ('msg, 'obs) t
+type ('i, 'msg, 'obs) t
 
 val make :
   name:string ->
   initial:state ->
-  nodes:(state * ('msg, 'obs) node) list ->
-  ('msg, 'obs) t
+  nodes:(state * ('i, 'msg, 'obs) node) list ->
+  ('i, 'msg, 'obs) t
 (** Raises [Invalid_argument] on duplicate state names or an unknown initial
     state. Deeper checks are in {!check}. *)
 
-val name : ('msg, 'obs) t -> string
-val initial : ('msg, 'obs) t -> state
-val node : ('msg, 'obs) t -> state -> ('msg, 'obs) node option
-val states : ('msg, 'obs) t -> state list
+val name : ('i, 'msg, 'obs) t -> string
+val initial : ('i, 'msg, 'obs) t -> state
+val node : ('i, 'msg, 'obs) t -> state -> ('i, 'msg, 'obs) node option
+val states : ('i, 'msg, 'obs) t -> state list
 
 (** {1 Compiled form (the executor's view)}
 
@@ -80,38 +89,42 @@ val states : ('msg, 'obs) t -> state list
     declared ones whose node is [C_missing]; {!check} reports it as
     {!Unknown_target}. *)
 
-type ('msg, 'obs) cguard =
-  | C_receive of { from_ : int; accept : 'msg -> bool }
+type ('i, 'msg, 'obs) cguard =
+  | C_receive of { from_ : int; accept : 'i -> 'msg -> bool }
   | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
       (** [base] is a clock slot *)
 
-type ('msg, 'obs) cbranch = {
-  cguard : ('msg, 'obs) cguard;
+type ('i, 'msg, 'obs) cbranch = {
+  cguard : ('i, 'msg, 'obs) cguard;
   c_save_msg : int;  (** data slot, or [-1] *)
   c_save_now : int array;  (** clock slots *)
-  c_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
+  c_act :
+    'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit;
   c_next : int;
 }
 
-type ('msg, 'obs) cnode =
+type ('i, 'msg, 'obs) cnode =
   | C_output of {
       to_ : int;
-      message : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
-      o_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+      message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
+      o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : int;
     }
-  | C_input of ('msg, 'obs) cbranch array
-  | C_final of { f_act : ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit }
+  | C_input of ('i, 'msg, 'obs) cbranch array
+  | C_final of {
+      f_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
+    }
   | C_missing  (** an unknown transition target *)
 
-val initial_index : ('msg, 'obs) t -> int
-val state_name : ('msg, 'obs) t -> int -> state
-val cnode : ('msg, 'obs) t -> int -> ('msg, 'obs) cnode
-val clock_names : ('msg, 'obs) t -> string array
-val data_names : ('msg, 'obs) t -> string array
+val initial_index : ('i, 'msg, 'obs) t -> int
+val state_name : ('i, 'msg, 'obs) t -> int -> state
+val cnode : ('i, 'msg, 'obs) t -> int -> ('i, 'msg, 'obs) cnode
+val clock_names : ('i, 'msg, 'obs) t -> string array
+val data_names : ('i, 'msg, 'obs) t -> string array
 
-val match_receive : ('msg, 'obs) cbranch array -> 'msg Pool.t -> int
-(** The receive transition an input state fires on its pending pool:
+val match_receive : ('i, 'msg, 'obs) cbranch array -> 'i -> 'msg Pool.t -> int
+(** The receive transition an input state fires on its pending pool, with
+    guards read against the instance:
     branch order is the priority, and within one branch the pool is
     scanned oldest first. Returns the branch index, with the matched
     message left for {!Pool.take_hit}, or [-1]. The executor and
@@ -133,49 +146,51 @@ type check_error =
   | No_final_reachable
   | Unreachable_state of state
 
-val check : ('msg, 'obs) t -> (unit, check_error list) result
+val check : ('i, 'msg, 'obs) t -> (unit, check_error list) result
 val pp_check_error : Format.formatter -> check_error -> unit
 
 (** {1 Builders} *)
 
 val output :
   to_:int ->
-  ?act:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
-  message:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg) ->
+  ?act:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
+  message:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg) ->
   next:state ->
   unit ->
-  ('msg, 'obs) node
+  ('i, 'msg, 'obs) node
 
-val input : ('msg, 'obs) branch list -> ('msg, 'obs) node
+val input : ('i, 'msg, 'obs) branch list -> ('i, 'msg, 'obs) node
 
 val final :
-  ?act:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
+  ?act:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
   unit ->
-  ('msg, 'obs) node
+  ('i, 'msg, 'obs) node
 
 val on_receive :
   from_:int ->
   ?describe:string ->
-  accept:('msg -> bool) ->
+  accept:('i -> 'msg -> bool) ->
   ?save_msg:string ->
   ?save_now:string list ->
-  ?act:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit) ->
+  ?act:
+    ('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit) ->
   next:state ->
   unit ->
-  ('msg, 'obs) branch
+  ('i, 'msg, 'obs) branch
 
 val on_deadline :
   base:string ->
   offset:Sim.Sim_time.t ->
   ?save_now:string list ->
-  ?act:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit) ->
+  ?act:
+    ('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit) ->
   next:state ->
   unit ->
-  ('msg, 'obs) branch
+  ('i, 'msg, 'obs) branch
 
 (** {1 Rendering} *)
 
-val to_dot : ('msg, 'obs) t -> string
+val to_dot : ('i, 'msg, 'obs) t -> string
 (** Graphviz rendering in the visual style of the paper's Figure 2: grey
     boxes for output states, white circles for input states, double circles
     for final states. *)

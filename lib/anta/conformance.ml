@@ -20,7 +20,7 @@ let fail auto c ~at reason =
    as the executor does (the same {!Automaton.match_receive}, effect-free
    here), stopping at an output state (which awaits a Sent event), a final
    state, or a quiescent input state. *)
-let rec settle auto c ~at =
+let rec settle auto inst c ~at =
   match A.cnode auto c.state with
   | A.C_missing ->
       fail auto c ~at
@@ -28,20 +28,20 @@ let rec settle auto c ~at =
   | A.C_final _ -> c.finished <- true
   | A.C_output _ -> () (* wait for the Sent event *)
   | A.C_input branches ->
-      let bi = A.match_receive branches c.pool in
+      let bi = A.match_receive branches inst c.pool in
       if bi >= 0 then begin
         ignore (Pool.take_hit c.pool);
         c.state <- branches.(bi).A.c_next;
-        settle auto c ~at
+        settle auto inst c ~at
       end
 
-let on_delivered auto c ~at ~src msg =
+let on_delivered auto inst c ~at ~src msg =
   if not c.finished then begin
     Pool.push c.pool src msg;
-    settle auto c ~at
+    settle auto inst c ~at
   end
 
-let on_sent auto tag_of c ~at ~dst msg =
+let on_sent auto inst tag_of c ~at ~dst msg =
   if c.finished then fail auto c ~at "sent a message after reaching a final state"
   else
     match A.cnode auto c.state with
@@ -52,7 +52,7 @@ let on_sent auto tag_of c ~at ~dst msg =
                (tag_of msg) dst to_)
         else begin
           c.state <- next;
-          settle auto c ~at
+          settle auto inst c ~at
         end
     | A.C_input _ ->
         fail auto c ~at
@@ -69,7 +69,7 @@ let split_label label =
       let idx = String.sub label (i + 1) (String.length label - i - 1) in
       Option.map (fun k -> (state, k)) (int_of_string_opt idx)
 
-let on_timer auto c ~at ~label =
+let on_timer auto inst c ~at ~label =
   if not c.finished then
     match split_label label with
     | None ->
@@ -87,7 +87,7 @@ let on_timer auto c ~at ~label =
               match b.A.cguard with
               | A.C_deadline _ ->
                   c.state <- b.A.c_next;
-                  settle auto c ~at
+                  settle auto inst c ~at
               | A.C_receive _ ->
                   fail auto c ~at
                     (Printf.sprintf "timer %S names a receive branch" label))
@@ -97,7 +97,7 @@ let on_timer auto c ~at ~label =
               fail auto c ~at
                 (Printf.sprintf "timer %S fired outside an input state" label))
 
-let check auto ~pid ~tag_of trace =
+let check auto inst ~pid ~tag_of trace =
   let c =
     {
       state = A.initial_index auto;
@@ -106,17 +106,17 @@ let check auto ~pid ~tag_of trace =
       deviation = None;
     }
   in
-  settle auto c ~at:Sim.Sim_time.zero;
+  settle auto inst c ~at:Sim.Sim_time.zero;
   List.iter
     (fun entry ->
       if c.deviation = None then
         match entry with
         | Sim.Trace.Sent { t; src; dst; msg; _ } when src = pid ->
-            on_sent auto tag_of c ~at:t ~dst msg
+            on_sent auto inst tag_of c ~at:t ~dst msg
         | Sim.Trace.Delivered { t; src; dst; msg; _ } when dst = pid ->
-            on_delivered auto c ~at:t ~src msg
+            on_delivered auto inst c ~at:t ~src msg
         | Sim.Trace.Timer_fired { t; owner; label; _ } when owner = pid ->
-            on_timer auto c ~at:t ~label
+            on_timer auto inst c ~at:t ~label
         | _ -> ())
     (Sim.Trace.to_list trace);
   match c.deviation with

@@ -18,7 +18,10 @@
     their bytes are not compared — the wire tag is), receive transitions
     must be enabled by an acceptable delivered message exactly as the
     executor would fire them, and deadline transitions must be justified
-    by this pid's timer events. *)
+    by this pid's timer events.
+
+    [check auto inst ~pid ~tag_of trace] replays receive guards against
+    [inst], the instance the automaton ran for. *)
 
 type deviation = {
   at : Sim.Sim_time.t;  (** global time of the offending event *)
@@ -27,7 +30,8 @@ type deviation = {
 }
 
 val check :
-  ('msg, 'obs) Automaton.t ->
+  ('i, 'msg, 'obs) Automaton.t ->
+  'i ->
   pid:int ->
   tag_of:('msg -> string) ->
   ('msg, 'obs) Sim.Trace.t ->

@@ -1,8 +1,9 @@
 open Sim
 module A = Automaton
 
-type ('msg, 'obs) running = {
-  auto : ('msg, 'obs) A.t;
+type ('i, 'msg, 'obs) running = {
+  auto : ('i, 'msg, 'obs) A.t;
+  inst : 'i;
   sstore : 'msg Store.t;
   pool : 'msg Pool.t;
   mutable state : int;
@@ -37,7 +38,7 @@ let disarm_deadlines ctx branches =
     | A.C_receive _ -> ()
   done
 
-let take_branch ctx r branches (b : ('msg, 'obs) A.cbranch) msg =
+let take_branch ctx r branches (b : ('i, 'msg, 'obs) A.cbranch) msg =
   disarm_deadlines ctx branches;
   let save_now = b.c_save_now in
   if Array.length save_now > 0 then begin
@@ -53,7 +54,7 @@ let take_branch ctx r branches (b : ('msg, 'obs) A.cbranch) msg =
          invalid_arg
            (Printf.sprintf "Anta.Executor: save_msg %s on a deadline branch"
               (A.data_names r.auto).(b.c_save_msg)));
-  b.c_act ctx r.sstore msg;
+  b.c_act r.inst ctx r.sstore msg;
   b.c_next
 
 let rec enter ctx on_final r st =
@@ -64,12 +65,12 @@ let rec enter ctx on_final r st =
         (Printf.sprintf "Anta.Executor: automaton %s reached unknown state %s"
            (A.name r.auto) (A.state_name r.auto st))
   | A.C_output { to_; message; o_act; next } ->
-      o_act ctx r.sstore;
-      Engine.send ctx ~dst:to_ (message ctx r.sstore);
+      o_act r.inst ctx r.sstore;
+      Engine.send ctx ~dst:to_ (message r.inst ctx r.sstore);
       enter ctx on_final r next
   | A.C_final { f_act } ->
       r.finished <- true;
-      f_act ctx r.sstore;
+      f_act r.inst ctx r.sstore;
       on_final ctx r.sstore;
       Engine.halt ctx
   | A.C_input branches ->
@@ -84,7 +85,7 @@ let rec enter ctx on_final r st =
       fire ctx on_final r branches
 
 and fire ctx on_final r branches =
-  let bi = A.match_receive branches r.pool in
+  let bi = A.match_receive branches r.inst r.pool in
   if bi >= 0 then begin
     let m = Pool.take_hit r.pool in
     enter ctx on_final r (take_branch ctx r branches branches.(bi) (Some m))
@@ -98,10 +99,11 @@ let rec fire_deadline ctx on_final r branches label i =
     | A.C_deadline _ | A.C_receive _ ->
         fire_deadline ctx on_final r branches label (i + 1)
 
-let handlers auto ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
+let handlers auto inst ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
   let r =
     {
       auto;
+      inst;
       sstore =
         Store.of_vars ~clocks:(A.clock_names auto) ~datas:(A.data_names auto);
       pool = Pool.create ();

@@ -17,23 +17,28 @@
     The executor also records the visited state sequence, which tests use to
     assert protocol paths. *)
 
-type ('msg, 'obs) running
+type ('i, 'msg, 'obs) running
 
 val handlers :
-  ('msg, 'obs) Automaton.t ->
+  ('i, 'msg, 'obs) Automaton.t ->
+  'i ->
   ?init_clocks:string list ->
   ?on_final:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
   unit ->
-  ('msg, 'obs) Sim.Engine.handlers * ('msg, 'obs) running
-(** [init_clocks] are clock variables assigned [now] when the process starts
-    (the automaton's birth time); [on_final] runs after the final state's own
+  ('msg, 'obs) Sim.Engine.handlers * ('i, 'msg, 'obs) running
+(** [handlers auto inst ()] runs the template [auto] for the instance
+    [inst]: every guard, act and message of [auto] is applied to [inst].
+    The automaton is shared and never written; the process's own state
+    (current state, store, pending pool) is allocated here. [init_clocks]
+    are clock variables assigned [now] when the process starts (the
+    automaton's birth time); [on_final] runs after the final state's own
     action. The [running] handle exposes execution introspection. *)
 
-val current_state : ('msg, 'obs) running -> Automaton.state
-val visited : ('msg, 'obs) running -> Automaton.state list
+val current_state : ('i, 'msg, 'obs) running -> Automaton.state
+val visited : ('i, 'msg, 'obs) running -> Automaton.state list
 (** In visit order, initial state first. *)
 
-val terminated : ('msg, 'obs) running -> bool
-val store : ('msg, 'obs) running -> 'msg Store.t
-val pending_count : ('msg, 'obs) running -> int
+val terminated : ('i, 'msg, 'obs) running -> bool
+val store : ('i, 'msg, 'obs) running -> 'msg Store.t
+val pending_count : ('i, 'msg, 'obs) running -> int
 (** Messages delivered but not yet consumed by any transition. *)

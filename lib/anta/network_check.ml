@@ -39,7 +39,7 @@ let listens_of auto =
       match A.node auto st with
       | Some (A.Input branches) ->
           List.filter_map
-            (fun (b : ('msg, 'obs) A.branch) ->
+            (fun (b : ('i, 'msg, 'obs) A.branch) ->
               match b.A.guard with
               | A.Receive { from_; _ } -> Some (st, from_)
               | A.Deadline _ -> None)

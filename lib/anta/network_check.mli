@@ -37,7 +37,7 @@ val severity : issue -> [ `Error | `Warning ]
     warnings. *)
 
 val check :
-  (int * ('msg, 'obs) Automaton.t) list -> issue list
+  (int * ('i, 'msg, 'obs) Automaton.t) list -> issue list
 (** Analyse a network given as (pid, automaton) pairs. The result lists
     every issue, errors first. *)
 

@@ -22,15 +22,15 @@ let push t src m =
   t.msgs.(t.len) <- m;
   t.len <- t.len + 1
 
-let rec scan t from_ accept i =
+let rec scan t from_ accept inst i =
   if i >= t.len then false
-  else if t.srcs.(i) = from_ && accept t.msgs.(i) then begin
+  else if t.srcs.(i) = from_ && accept inst t.msgs.(i) then begin
     t.hit <- i;
     true
   end
-  else scan t from_ accept (i + 1)
+  else scan t from_ accept inst (i + 1)
 
-let find t ~from_ ~accept = scan t from_ accept 0
+let find t ~from_ ~accept inst = scan t from_ accept inst 0
 
 let take_hit t =
   let i = t.hit in

@@ -13,8 +13,10 @@ val length : 'msg t -> int
 val push : 'msg t -> int -> 'msg -> unit
 (** [push t src m] appends [m], received from [src]. *)
 
-val find : 'msg t -> from_:int -> accept:('msg -> bool) -> bool
-(** Is there a message from [from_] that [accept] takes? The pool is
+val find : 'msg t -> from_:int -> accept:('i -> 'msg -> bool) -> 'i -> bool
+(** [find t ~from_ ~accept inst]: is there a message from [from_] that
+    [accept inst] takes? The guard gets the instance as an argument, so
+    matching builds no closure. The pool is
     scanned oldest first; the first match is remembered for
     {!take_hit}. *)
 

@@ -20,18 +20,25 @@ type t = {
   conserved : bool;
 }
 
-let conformance_of outcome pid =
+(* the automata the outcome's participants ran, when they ran automata *)
+let template_of outcome =
   match outcome.Runner.protocol with
-  | Runner.Sync_timebound | Runner.Naive_universal -> (
+  | Runner.Sync_timebound | Runner.Naive_universal ->
+      Some (Sync_protocol.template outcome.Runner.params)
+  | _ -> None
+
+let conformance_of tmpl outcome pid =
+  match tmpl with
+  | None -> None
+  | Some tmpl -> (
       match Topology.role_of outcome.Runner.env.Env.topo pid with
       | Some (Topology.Aux _) | None -> None
       | Some _ ->
-          let auto = Sync_protocol.automaton_for outcome.Runner.env pid in
           Some
-            (Anta.Conformance.check auto ~pid ~tag_of:Msg.tag
-               outcome.Runner.trace
+            (Anta.Conformance.check
+               (Sync_protocol.automaton tmpl pid)
+               outcome.Runner.env ~pid ~tag_of:Msg.tag outcome.Runner.trace
             = Ok ()))
-  | _ -> None
 
 let build (outcome : Runner.outcome) =
   let v = PP.view outcome in
@@ -41,6 +48,7 @@ let build (outcome : Runner.outcome) =
     Topology.customers topo @ Topology.escrows topo
     @ Array.to_list outcome.Runner.tm_pids
   in
+  let tmpl = template_of outcome in
   let participants =
     List.map
       (fun pid ->
@@ -50,7 +58,7 @@ let build (outcome : Runner.outcome) =
           byzantine = List.assoc_opt pid outcome.Runner.fault_names;
           terminated = v.PP.terminated pid;
           net = v.PP.net pid;
-          conforms = conformance_of outcome pid;
+          conforms = conformance_of tmpl outcome pid;
         })
       pids
   in

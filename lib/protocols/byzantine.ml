@@ -82,8 +82,14 @@ let fault_of_string topo spec =
       | None -> Error (Printf.sprintf "unknown role %S" role)
       | Some pid -> (
           match List.find_opt (fun t -> spelling t = strategy) spelled with
-          | Some t -> Ok (pid, t)
-          | None -> Error (Printf.sprintf "unknown strategy %S" strategy)))
+          | None -> Error (Printf.sprintf "unknown strategy %S" strategy)
+          | Some t -> (
+              match Topology.role_of topo pid with
+              | Some r when applicable_to t r -> Ok (pid, t)
+              | _ ->
+                  Error
+                    (Printf.sprintf "strategy %S does not apply to role %S"
+                       strategy role))))
   | _ -> Error (Printf.sprintf "fault %S is not strategy@role" spec)
 
 let crash_after k =

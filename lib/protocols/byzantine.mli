@@ -67,7 +67,9 @@ val spelled : t list
 val fault_to_string : Topology.t -> int * t -> string
 
 val fault_of_string : Topology.t -> string -> (int * t, string) result
-(** The inverse of {!fault_to_string} over {!spelled} and the payment
-    pids. Errors, checked in this order: ["fault \"...\" is not
-    strategy@role"], ["unknown role \"...\""], ["unknown strategy
-    \"...\""]. *)
+(** The inverse of {!fault_to_string} over the {!spelled} strategies at
+    the payment pids they are {!applicable_to}. Errors, checked in this
+    order: ["fault \"...\" is not strategy@role"], ["unknown role
+    \"...\""], ["unknown strategy \"...\""], ["strategy \"...\" does not
+    apply to role \"...\""]. An [Ok] substitution is one {!handlers}
+    accepts. *)

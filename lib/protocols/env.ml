@@ -8,16 +8,10 @@ type t = {
   amounts : int array;
   books : Ledger.Book.t array;
   registry : Auth.registry;
-  signers : (int, Auth.signer) Hashtbl.t;
+  deposits : int array;
 }
 
-let signer_of t pid =
-  match Hashtbl.find_opt t.signers pid with
-  | Some s -> s
-  | None ->
-      let s = Auth.register t.registry pid in
-      Hashtbl.add t.signers pid s;
-      s
+let signer_of t pid = Auth.signer_of t.registry pid
 
 let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
     ?amounts ?(seed = 7) ?books () =
@@ -50,18 +44,15 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
            re-open a funded account with this payment's amounts *)
         if Array.length shared <> n then
           invalid_arg "Env.make: books array must have one book per hop";
-        Array.iteri
-          (fun i book ->
-            List.iter
-              (fun owner ->
-                if not (Ledger.Book.has_account book owner) then
-                  Ledger.Book.open_account book ~owner ~balance:0)
-              [
-                Topology.customer topo i;
-                Topology.customer topo (i + 1);
-                Topology.escrow topo i;
-              ])
-          shared;
+        let ensure book owner =
+          if not (Ledger.Book.has_account book owner) then
+            Ledger.Book.open_account book ~owner ~balance:0
+        in
+        for i = 0 to n - 1 do
+          ensure shared.(i) (Topology.customer topo i);
+          ensure shared.(i) (Topology.customer topo (i + 1));
+          ensure shared.(i) (Topology.escrow topo i)
+        done;
         shared
     | None ->
         Array.init n (fun i ->
@@ -76,23 +67,21 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
             book)
   in
   let registry = Auth.create ~seed in
-  let t =
-    {
-      topo;
-      params;
-      payment;
-      value;
-      amounts;
-      books;
-      registry;
-      signers = Hashtbl.create 16;
-    }
-  in
-  (* Register everyone up front so verification never depends on order. *)
-  List.iter
-    (fun pid -> ignore (signer_of t pid))
-    (Topology.customers topo @ Topology.escrows topo);
-  t
+  (* Register everyone up front so verification never depends on order:
+     the customers (pids 0 .. n), then the escrows (n + 1 .. 2n). *)
+  for pid = 0 to Topology.payment_count topo - 1 do
+    ignore (Auth.register registry pid)
+  done;
+  {
+    topo;
+    params;
+    payment;
+    value;
+    amounts;
+    books;
+    registry;
+    deposits = Array.make n (-1);
+  }
 
 let amount_at t i = t.amounts.(i)
 

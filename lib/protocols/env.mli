@@ -3,7 +3,12 @@
     One {!t} describes a single payment attempt: who the participants are,
     how much moves on each leg (Chloe's commissions make the amounts strictly
     decreasing toward Bob), the per-escrow ledger {!Ledger.Book}s, and the
-    signature registry with per-participant signing capabilities. *)
+    signature registry with per-participant signing capabilities.
+
+    It is also the {e instance} a {!Sync_protocol.template} runs for: the
+    template's guards and acts read amounts, books, payment id and keys
+    from here, and the escrows keep their held deposit in {!field-deposits},
+    so one template serves any number of concurrent payments. *)
 
 type t = {
   topo : Topology.t;
@@ -14,8 +19,10 @@ type t = {
       (** [amounts.(i)] is what c{_i} pays at e{_i}; decreasing in [i] *)
   books : Ledger.Book.t array;  (** [books.(i)] is e{_i}'s ledger *)
   registry : Xcrypto.Auth.registry;
-  signers : (int, Xcrypto.Auth.signer) Hashtbl.t;
       (** per-pid signing capabilities; use {!signer_of} *)
+  deposits : int array;
+      (** [deposits.(i)] is the deposit an honest e{_i} holds for this
+          payment, [-1] until it lands *)
 }
 
 val make :

@@ -216,18 +216,18 @@ let run_engine cfg protocol =
               settled_node := Causal_fold.current_node fold
           | _ -> ()));
   let clock_rng = Rng.create ~seed:(cfg.seed + 31) in
-  let honest pid =
+  let honest =
     match protocol with
     | Sync_timebound | Naive_universal ->
-        let auto = Sync_protocol.automaton_for env pid in
-        fst (Anta.Executor.handlers auto ())
+        Sync_protocol.handlers (Sync_protocol.template params) env
     | Htlc ->
-        let preimage = Htlc_protocol.fresh_preimage ~seed:(cfg.seed + 57) in
-        Htlc_protocol.handlers_for env
-          (Htlc_protocol.default_config env)
-          preimage pid
-    | Weak wcfg -> Weak_protocol.handlers_for env wcfg pid
-    | Atomic acfg -> Atomic_protocol.handlers_for env acfg pid
+        fun pid ->
+          let preimage = Htlc_protocol.fresh_preimage ~seed:(cfg.seed + 57) in
+          Htlc_protocol.handlers_for env
+            (Htlc_protocol.default_config env)
+            preimage pid
+    | Weak wcfg -> fun pid -> Weak_protocol.handlers_for env wcfg pid
+    | Atomic acfg -> fun pid -> Atomic_protocol.handlers_for env acfg pid
   in
   let fault_names =
     List.map (fun (pid, s) -> (pid, Byzantine.name s)) cfg.faults

@@ -29,19 +29,33 @@
     the E9 baseline; no separate implementation is needed (and one would be
     wrong: the point is that only the parameters differ). *)
 
-val escrow_automaton : Env.t -> int -> (Msg.t, Obs.t) Anta.Automaton.t
-(** [escrow_automaton env i] — the automaton for e{_i}. *)
+(** {1 Template and instance}
 
-val alice_automaton : Env.t -> (Msg.t, Obs.t) Anta.Automaton.t
-val connector_automaton : Env.t -> int -> (Msg.t, Obs.t) Anta.Automaton.t
-(** [connector_automaton env i] — Chloe{_i}, [0 < i < n]. *)
+    The automata depend only on the chain's shape (the pid layout) and on
+    the Thm 1 windows a{_i}/d{_i} of the {!Params}: a {!template} compiles
+    them once. Everything a payment owns — amounts, books, payment id,
+    keys, and the deposit each escrow holds — is the {!Env.t} instance the
+    template is dispatched with, so one template serves every payment of
+    the same length and parameters, concurrently. *)
 
-val bob_automaton : Env.t -> (Msg.t, Obs.t) Anta.Automaton.t
+type auto = (Env.t, Msg.t, Obs.t) Anta.Automaton.t
 
-val automaton_for : Env.t -> int -> (Msg.t, Obs.t) Anta.Automaton.t
-(** By pid, for every payment participant. *)
+type template
 
-val check_all : Env.t -> (unit, string) result
+val template : Params.t -> template
+(** The automata of every participant of the [Array.length params.a]-escrow
+    chain, with the escrows' deadlines and promises taken from [params]. *)
+
+val automaton : template -> int -> auto
+(** By pid, for every payment participant; raises [Invalid_argument] for
+    any other pid. *)
+
+val handlers :
+  template -> Env.t -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
+(** [handlers t env pid] runs pid's automaton for the payment [env]: the
+    executor state is the only thing allocated. *)
+
+val check_all : template -> (unit, string) result
 (** Well-formedness (property C): every participant's automaton checks
     individually {e and} the network wiring carries the conversation
     ({!Anta.Network_check} finds no dangling sends or deaf receivers). *)
@@ -50,5 +64,5 @@ val well_formed : hops:int -> (unit, string) result
 (** {!check_all} for the [hops]-escrow chain, computed once per [hops] per
     process and shared by every run (runner, chaos, explore, load). The
     automata's structure depends only on the pid layout, never on the
-    params, so this equals [check_all] on any env of that length. Safe to
-    call from several domains. *)
+    params, so this equals [check_all] on any template of that length.
+    Safe to call from several domains. *)

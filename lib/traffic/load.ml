@@ -114,6 +114,16 @@ let params_for (w : Workload.t) proto ~hops =
   let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
+(* What every instance of one protocol over one path length shares: the
+   chain's topology, its derived parameters and, for the paper automata,
+   their compiled template. [instantiate env id] gives the handlers of
+   each block slot of instance [id] whose payment data is [env]. *)
+type shape = {
+  topo : Topology.t;
+  params : Params.t;
+  instantiate : Env.t -> int -> int -> (Msg.t, Obs.t) Engine.handlers;
+}
+
 let is_liquidity_rejection what =
   (* Book.pp_error Insufficient_funds, wrapped by the escrows' "deposit: "
      prefix; Unknown_account prints "deposit: unknown account …" and so
@@ -158,6 +168,13 @@ type inst = {
   i_amounts : int array;  (** leg amounts, commissions included *)
   i_handlers : (Msg.t, Obs.t) Engine.handlers array;
       (** one per block slot the protocol uses on this path *)
+  i_draws : (Clock.t * int) array;
+      (** per block slot: the process clock and start skew *)
+  i_phase : Bytes.t;
+      (** per block slot: waiting for Start, running, or halted and
+          reported to the controller (see [shell] in {!run}) *)
+  i_buffered : (int * Msg.t) list array;
+      (** per block slot: deliveries before its Start, newest first *)
   i_facts : Fold.t;  (** the instance's property fold *)
   mutable i_done : bool;  (** settlement counted toward the payment *)
   mutable i_released : bool;  (** unspent collateral handed back *)
@@ -590,28 +607,55 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     | Some c -> Array.init c.c_size (fun i -> payment_limit + i)
     | None -> [||]
   in
-  let handlers_for proto env id =
+  (* the hand-written protocols build their handlers per instance; sync
+     and naive instantiate the template compiled with the shape *)
+  let instantiate proto params =
     match proto with
     | Workload.Sync | Workload.Naive ->
-        fun l ->
-          fst (Anta.Executor.handlers (Sync_protocol.automaton_for env l) ())
+        let tmpl = Sync_protocol.template params in
+        fun env _id -> Sync_protocol.handlers tmpl env
     | Workload.Htlc ->
-        let cfg = Htlc_protocol.default_config env in
-        let preimage = Htlc_protocol.fresh_preimage ~seed:(seed + 57 + id) in
-        Htlc_protocol.handlers_for env cfg preimage
-    | Workload.Weak_single -> Weak_protocol.handlers_for env weak_cfg
-    | Workload.Committee -> Weak_protocol.handlers_for env committee_cfg
+        fun env id ->
+          let cfg = Htlc_protocol.default_config env in
+          let preimage = Htlc_protocol.fresh_preimage ~seed:(seed + 57 + id) in
+          Htlc_protocol.handlers_for env cfg preimage
+    | Workload.Weak_single ->
+        fun env _id -> Weak_protocol.handlers_for env weak_cfg
+    | Workload.Committee ->
+        fun env _id -> Weak_protocol.handlers_for env committee_cfg
     | Workload.Shared ->
         (* validation guarantees the committee= spec *)
         let _, _, _, verify = Option.get shared_committee in
-        Weak_protocol.handlers_for env
-          {
-            weak_cfg with
-            Weak_protocol.tm =
-              Weak_protocol.Shared { pids = committee_pids; item = id; verify };
-          }
+        fun env id ->
+          Weak_protocol.handlers_for env
+            {
+              weak_cfg with
+              Weak_protocol.tm =
+                Weak_protocol.Shared
+                  { pids = committee_pids; item = id; verify };
+            }
     | Workload.Atomic ->
-        Atomic_protocol.handlers_for env Atomic_protocol.default_config
+        fun env _id ->
+          Atomic_protocol.handlers_for env Atomic_protocol.default_config
+  in
+  (* One shape per (protocol, path length), built at the first admission
+     that needs it: set-up stays as it was, and the table lives and dies
+     with this run, so concurrent runs share nothing. *)
+  let shapes : (Workload.proto * int, shape) Hashtbl.t = Hashtbl.create 8 in
+  let shape_of proto h =
+    match Hashtbl.find shapes (proto, h) with
+    | sh -> sh
+    | exception Not_found ->
+        let params = params_for w proto ~hops:h in
+        let sh =
+          {
+            topo = Topology.create ~hops:h;
+            params;
+            instantiate = instantiate proto params;
+          }
+        in
+        Hashtbl.replace shapes (proto, h) sh;
+        sh
   in
   (* --- payment arrival draws ---
 
@@ -888,79 +932,92 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           end
       | _ -> ());
   (* Every process is a buffering shell that comes alive on Start, running
-     its slot of the instance's handlers. *)
-  let shell ins ~l ~clock ~skew =
-    let started = ref false in
-    let reported = ref false in
-    let buffered = ref [] in
-    let after_inner ctx =
-      if l <= ins.i_hops && (not !reported) && Engine.halted ctx then begin
-        reported := true;
-        Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = ins.id })
-      end;
-      if ins.i_done then try_retire ins
-    in
+     its slot of the instance's handlers. One shell serves every slot of an
+     instance: the slot is its pid within the block ({!Engine.pid} counts
+     from the block's base), and its phase and early deliveries are fields
+     of the instance. *)
+  let waiting = '\000' and running = '\001' and reported = '\002' in
+  let after_inner ins l ctx =
+    if
+      l <= ins.i_hops
+      && Bytes.get ins.i_phase l = running
+      && Engine.halted ctx
+    then begin
+      Bytes.set ins.i_phase l reported;
+      Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = ins.id })
+    end;
+    if ins.i_done then try_retire ins
+  in
+  let start ins l ctx =
+    Bytes.set ins.i_phase l running;
+    (* re-anchor the local epoch: the protocol's absolute local deadlines
+       must count from this instance's own start, not from engine time 0 *)
+    let clock, skew = ins.i_draws.(l) in
+    let num, den = Clock.rate clock in
+    Engine.set_clock engine ~pid:(1 + (ins.id * stride) + l)
+      (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num ~den ());
+    let h = ins.i_handlers.(l) in
+    h.Engine.on_start ctx;
+    let pending = List.rev ins.i_buffered.(l) in
+    ins.i_buffered.(l) <- [];
+    List.iter
+      (fun (src, m) ->
+        if not (Engine.halted ctx) then h.Engine.on_receive ctx ~src m)
+      pending;
+    after_inner ins l ctx
+  in
+  let shell ins =
     {
       Engine.on_start = (fun _ -> ());
       on_receive =
         (fun ctx ~src msg ->
+          let l = Engine.pid ctx in
+          let phase = Bytes.get ins.i_phase l in
           match msg with
-          | Msg.Start ->
-              if not !started then begin
-                started := true;
-                (* re-anchor the local epoch: the protocol's absolute local
-                   deadlines must count from this instance's own start, not
-                   from engine time 0 *)
-                let num, den = Clock.rate clock in
-                Engine.set_clock engine ~pid:(1 + (ins.id * stride) + l)
-                  (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num ~den ());
-                let h = ins.i_handlers.(l) in
-                h.Engine.on_start ctx;
-                let pending = List.rev !buffered in
-                buffered := [];
-                List.iter
-                  (fun (src, m) ->
-                    if not (Engine.halted ctx) then
-                      h.Engine.on_receive ctx ~src m)
-                  pending;
-                after_inner ctx
-              end
+          | Msg.Start -> if phase = waiting then start ins l ctx
           | _ ->
-              if !started then begin
+              if phase <> waiting then begin
                 ins.i_handlers.(l).Engine.on_receive ctx ~src msg;
-                after_inner ctx
+                after_inner ins l ctx
               end
-              else buffered := (src, msg) :: !buffered);
+              else ins.i_buffered.(l) <- (src, msg) :: ins.i_buffered.(l));
       on_timer =
         (fun ctx ~label ->
-          if !started then begin
+          let l = Engine.pid ctx in
+          if Bytes.get ins.i_phase l <> waiting then begin
             ins.i_handlers.(l).Engine.on_timer ctx ~label;
-            after_inner ctx
+            after_inner ins l ctx
           end);
     }
   in
-  (* Build split [j] of an admitted payment over path [s]: its env, fold
-     and handlers, and a process per slot its protocol uses, born at the
-     pids [1 + id * stride + l] with the clocks drawn for them. Building
-     every instance before the run instead measured slower end to end on
-     the 2k-payment chain benchmark (seed 1, 10 alternating pairs,
-     two-core x86-64 VM): at admission, with retirement, commits 9% more
-     payments per second in a 2.6x smaller peak heap. Building inside the
-     loop still costs the dispatches around it: the 600-payment shared
-     committee benchmark, whose committee work dominates, runs 9% slower. *)
+  (* Build split [j] of an admitted payment over path [s]. The shape of
+     its protocol and path length is shared; the instance owns its env
+     (keys, amounts, book slice, payment id), the executor state of each
+     slot, its fold and one shell, with a process per slot its protocol
+     uses, born at the pids [1 + id * stride + l] with the clocks drawn
+     for them. Building every instance before the run instead measured
+     slower end to end on the 2k-payment chain benchmark (seed 1, 10
+     alternating pairs, two-core x86-64 VM): at admission, with
+     retirement, commits 9% more payments per second in a 2.6x smaller
+     peak heap. Instances of the paper automata (sync, naive) compile
+     nothing here, they instantiate their shape's template: on the same
+     benchmark that took the controller (pid 0, which runs [build]) from
+     456 to 249 minor words per event and the run from 4,091 to 2,832
+     words per payment. *)
   let build p j (s : Routing.Router.split) =
     let id = (p.k * max_splits) + j in
     let path = Array.of_list s.path in
     let h = Array.length path in
+    let shape = shape_of p.proto h in
     let amounts = legs.amounts s.path s.value in
     let env =
-      Env.make ~topo:(Topology.create ~hops:h)
-        ~params:(params_for w p.proto ~hops:h)
-        ~payment:id ~value:s.value ~amounts ~seed:(seed + 101 + id)
+      Env.make ~topo:shape.topo ~params:shape.params ~payment:id
+        ~value:s.value ~amounts ~seed:(seed + 101 + id)
         ~books:(Array.map (fun e -> legs.books.(e)) path)
         ()
     in
     let base = 1 + (id * stride) in
+    let n = block_size ~hops:h p.proto in
     let ins =
       {
         id;
@@ -970,8 +1027,10 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         i_value = s.value;
         i_path = path;
         i_amounts = amounts;
-        i_handlers =
-          Array.init (block_size ~hops:h p.proto) (handlers_for p.proto env id);
+        i_handlers = Array.init n (shape.instantiate env id);
+        i_draws = p.draws.(j);
+        i_phase = Bytes.make n waiting;
+        i_buffered = Array.make n [];
         i_facts = Fold.create ~base ~hops:h ~nprocs:(h + 1);
         i_done = false;
         i_released = false;
@@ -982,16 +1041,15 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       }
     in
     Ids.replace live id ins;
-    Array.iteri
-      (fun l _ ->
-        let clock, skew = p.draws.(j).(l) in
-        (* profiler role labels: constant strings, interned only when the
-           engine carries a profiler *)
-        ignore
-          (Engine.add_process engine ~pid:(base + l) ~clock ~base
-             ~label:(legs.role p.proto l)
-             (shell ins ~l ~clock ~skew)))
-      ins.i_handlers;
+    let sh = shell ins in
+    for l = 0 to n - 1 do
+      (* profiler role labels: constant strings, interned only when the
+         engine carries a profiler *)
+      ignore
+        (Engine.add_process engine ~pid:(base + l)
+           ~clock:(fst ins.i_draws.(l))
+           ~base ~label:(legs.role p.proto l) sh)
+    done;
     ins
   in
   (* --- controller (pid 0): arrivals, admission, deadlines --- *)

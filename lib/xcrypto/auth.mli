@@ -21,7 +21,13 @@ val create : seed:int -> registry
 
 val register : registry -> id -> signer
 (** Mint the signing capability for [id]. Each id can be registered once;
-    re-registering raises. *)
+    re-registering raises. The key is derived from two draws of the
+    registry's seeded stream, so a registry mints the same keys for the
+    same ids in the same order. *)
+
+val signer_of : registry -> id -> signer
+(** [id]'s signer: the one already minted, or a fresh {!register}. A
+    lookup of a registered id allocates nothing. *)
 
 val signer_id : signer -> id
 
@@ -35,6 +41,11 @@ val forged : id -> signature
     {!verify} — provided for Byzantine strategies and negative tests. *)
 
 val pp_signature : Format.formatter -> signature -> unit
+
+val signature_mac : signature -> Hash.t
+(** The MAC a signature carries, [Hash.finish (Hash.feed key msg)] for the
+    signer's key state [key]. A signature is public, so this reveals
+    nothing {!pp_signature} does not print a prefix of. *)
 
 (** {1 Signed values} *)
 

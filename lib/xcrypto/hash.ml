@@ -16,16 +16,24 @@ let[@inline] lanes a b =
 
 let start = lanes fnv_offset (Int64.logxor fnv_offset 0x9E3779B97F4A7C15L)
 
-(* Both lanes in one closure-free loop over the bytes, so ocamlopt keeps
-   the accumulators unboxed: only the returned state allocates. *)
-let feed st s =
+(* Both lanes in one closure-free loop over the first [len] bytes, so
+   ocamlopt keeps the accumulators unboxed: only the returned state
+   allocates. *)
+let feed_sub st s len =
   let a = ref (String.get_int64_le st 0) and b = ref (String.get_int64_le st 8) in
-  for i = 0 to String.length s - 1 do
+  for i = 0 to len - 1 do
     let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
     a := Int64.mul (Int64.logxor !a c) fnv_prime;
     b := Int64.mul (Int64.logxor !b c) fnv_prime
   done;
   lanes !a !b
+
+let feed st s = feed_sub st s (String.length s)
+
+(* the buffer is only read, and not kept past the call *)
+let feed_bytes st buf ~len =
+  if len < 0 || len > Bytes.length buf then invalid_arg "Hash.feed_bytes";
+  feed_sub st (Bytes.unsafe_to_string buf) len
 
 (* final avalanche (splitmix-style) to decorrelate the two lanes *)
 let[@inline] avalanche z =
@@ -53,15 +61,19 @@ let put_hex buf ~pos ~width x =
     Bytes.unsafe_set buf (pos + i) hex_digits.[nibble]
   done
 
+let rec hex_width x w =
+  if w < 16 && not (Int64.equal (Int64.shift_right_logical x (4 * w)) 0L)
+  then hex_width x (w + 1)
+  else w
+
+let put_hex64 buf ~pos x =
+  let w = max 1 (hex_width x 0) in
+  put_hex buf ~pos ~width:w x;
+  pos + w
+
 let hex64 x =
-  let rec width w =
-    if w < 16 && not (Int64.equal (Int64.shift_right_logical x (4 * w)) 0L)
-    then width (w + 1)
-    else w
-  in
-  let w = max 1 (width 0) in
-  let buf = Bytes.create w in
-  put_hex buf ~pos:0 ~width:w x;
+  let buf = Bytes.create (max 1 (hex_width x 0)) in
+  ignore (put_hex64 buf ~pos:0 x);
   Bytes.unsafe_to_string buf
 
 let to_hex t =

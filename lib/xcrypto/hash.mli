@@ -29,6 +29,12 @@ val start : state
 val feed : state -> string -> state
 (** Absorb the bytes of a string; allocates only the returned state. *)
 
+val feed_bytes : state -> bytes -> len:int -> state
+(** Absorb the first [len] bytes of a buffer, as {!feed} does a string of
+    them: a caller can assemble a message in a reused scratch buffer and
+    hash it in one pass. Raises [Invalid_argument] if [len] is out of
+    bounds. *)
+
 val finish : state -> t
 
 val concat : t -> t -> t
@@ -44,3 +50,7 @@ val short : t -> string
 
 val hex64 : int64 -> string
 (** Unsigned lowercase hex with no leading zeros, as [Printf "%Lx"]. *)
+
+val put_hex64 : bytes -> pos:int -> int64 -> int
+(** Write {!hex64} of the value into the buffer at [pos] (up to 16 bytes)
+    and return the position after it. *)

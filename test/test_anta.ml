@@ -33,7 +33,7 @@ let store_tests =
   ]
 
 (* small automata used below; messages are ints *)
-let receive_any ~from_ ~next = A.on_receive ~from_ ~accept:(fun _ -> true) ~next ()
+let receive_any ~from_ ~next = A.on_receive ~from_ ~accept:(fun () _ -> true) ~next ()
 
 let construction_tests =
   [
@@ -105,7 +105,7 @@ let check_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:0 ~accept:(fun _ -> true)
+                      A.on_receive ~from_:0 ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
                     ] );
                 ( "w",
@@ -126,9 +126,9 @@ let check_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:0 ~accept:(fun _ -> true)
+                      A.on_receive ~from_:0 ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
-                      A.on_receive ~from_:1 ~accept:(fun _ -> true) ~next:"w" ();
+                      A.on_receive ~from_:1 ~accept:(fun () _ -> true) ~next:"w" ();
                     ] );
                 ("w", A.input [ A.on_deadline ~base:"u" ~offset:5 ~next:"t" () ]);
                 ("t", A.final ());
@@ -186,7 +186,7 @@ let mk_engine ?(seed = 1) () =
 (* process 0 runs [auto]; process 1 runs [driver] *)
 let run_pair auto driver =
   let e = mk_engine () in
-  let handlers, running = Executor.handlers auto () in
+  let handlers, running = Executor.handlers auto () () in
   ignore (E.add_process e handlers);
   ignore (E.add_process e driver);
   ignore (E.run e);
@@ -219,9 +219,9 @@ let executor_tests =
             ~nodes:
               [
                 ( "wait_a",
-                  A.input [ A.on_receive ~from_:1 ~accept:(( = ) 1) ~next:"wait_b" () ] );
+                  A.input [ A.on_receive ~from_:1 ~accept:(fun () m -> m = 1) ~next:"wait_b" () ] );
                 ( "wait_b",
-                  A.input [ A.on_receive ~from_:1 ~accept:(( = ) 2) ~next:"t" () ] );
+                  A.input [ A.on_receive ~from_:1 ~accept:(fun () m -> m = 2) ~next:"t" () ] );
                 ("t", A.final ());
               ]
         in
@@ -234,7 +234,7 @@ let executor_tests =
           A.make ~name:"picky" ~initial:"s"
             ~nodes:
               [
-                ("s", A.input [ A.on_receive ~from_:1 ~accept:(( = ) 7) ~next:"t" () ]);
+                ("s", A.input [ A.on_receive ~from_:1 ~accept:(fun () m -> m = 7) ~next:"t" () ]);
                 ("t", A.final ());
               ]
         in
@@ -250,11 +250,11 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun v -> v > 0)
-                        ~act:(fun _ _ _ -> hit := "first")
+                      A.on_receive ~from_:1 ~accept:(fun () v -> v > 0)
+                        ~act:(fun () _ _ _ -> hit := "first")
                         ~next:"t" ();
-                      A.on_receive ~from_:1 ~accept:(fun v -> v > 0)
-                        ~act:(fun _ _ _ -> hit := "second")
+                      A.on_receive ~from_:1 ~accept:(fun () v -> v > 0)
+                        ~act:(fun () _ _ _ -> hit := "second")
                         ~next:"t" ();
                     ] );
                 ("t", A.final ());
@@ -270,13 +270,13 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun _ -> true)
+                      A.on_receive ~from_:1 ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
                     ] );
                 ( "w",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(( = ) 99) ~next:"got" ();
+                      A.on_receive ~from_:1 ~accept:(fun () m -> m = 99) ~next:"got" ();
                       A.on_deadline ~base:"u" ~offset:50 ~next:"expired" ();
                     ] );
                 ("got", A.final ());
@@ -312,13 +312,13 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(( = ) 1) ~save_now:[ "u" ]
+                      A.on_receive ~from_:1 ~accept:(fun () m -> m = 1) ~save_now:[ "u" ]
                         ~next:"w" ();
                     ] );
                 ( "w",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(( = ) 2) ~next:"got" ();
+                      A.on_receive ~from_:1 ~accept:(fun () m -> m = 2) ~next:"got" ();
                       A.on_deadline ~base:"u" ~offset:10_000 ~next:"expired" ();
                     ] );
                 ("got", A.final ());
@@ -326,7 +326,7 @@ let executor_tests =
               ]
         in
         let e = mk_engine () in
-        let handlers, running = Executor.handlers auto () in
+        let handlers, running = Executor.handlers auto () () in
         ignore (E.add_process e handlers);
         ignore
           (E.add_process e
@@ -346,13 +346,13 @@ let executor_tests =
           A.make ~name:"out" ~initial:"a"
             ~nodes:
               [
-                ("a", A.output ~to_:1 ~message:(fun _ _ -> 10) ~next:"b" ());
-                ("b", A.output ~to_:1 ~message:(fun _ _ -> 20) ~next:"t" ());
+                ("a", A.output ~to_:1 ~message:(fun () _ _ -> 10) ~next:"b" ());
+                ("b", A.output ~to_:1 ~message:(fun () _ _ -> 20) ~next:"t" ());
                 ("t", A.final ());
               ]
         in
         let e = mk_engine () in
-        let handlers, running = Executor.handlers auto () in
+        let handlers, running = Executor.handlers auto () () in
         ignore (E.add_process e handlers);
         ignore
           (E.add_process e
@@ -373,17 +373,17 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun _ -> true)
+                      A.on_receive ~from_:1 ~accept:(fun () _ -> true)
                         ~save_msg:"m" ~next:"send" ();
                     ] );
                 ( "send",
-                  A.output ~to_:1 ~message:(fun _ store -> Store.data store "m")
+                  A.output ~to_:1 ~message:(fun () _ store -> Store.data store "m")
                     ~next:"t" () );
                 ("t", A.final ());
               ]
         in
         let e = mk_engine () in
-        let handlers, _ = Executor.handlers auto () in
+        let handlers, _ = Executor.handlers auto () () in
         ignore (E.add_process e handlers);
         ignore
           (E.add_process e
@@ -405,7 +405,7 @@ let executor_tests =
         in
         let e = mk_engine () in
         let handlers, running =
-          Executor.handlers auto ~init_clocks:[ "birth" ] ()
+          Executor.handlers auto () ~init_clocks:[ "birth" ] ()
         in
         ignore (E.add_process e handlers);
         ignore (E.run e);
@@ -415,7 +415,7 @@ let executor_tests =
         let auto = A.make ~name:"f" ~initial:"t" ~nodes:[ ("t", A.final ()) ] in
         let e = mk_engine () in
         let handlers, _ =
-          Executor.handlers auto ~on_final:(fun _ _ -> called := true) ()
+          Executor.handlers auto () ~on_final:(fun _ _ -> called := true) ()
         in
         ignore (E.add_process e handlers);
         ignore (E.run e);
@@ -449,7 +449,7 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:0 ~accept:(fun _ -> true)
+                      A.on_receive ~from_:0 ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
                       A.on_deadline ~base:"v" ~offset:1 ~next:"w" ();
                     ] );
@@ -474,10 +474,10 @@ let executor_tests =
    Kept here only as the oracle for the compiled executor. *)
 module Reference = struct
   type ('msg, 'obs) running = {
-    auto : ('msg, 'obs) A.t;
+    auto : (unit, 'msg, 'obs) A.t;
     sstore : 'msg Store.t;
     mutable state : A.state;
-    mutable node : ('msg, 'obs) A.node option;
+    mutable node : (unit, 'msg, 'obs) A.node option;
     mutable rev_visited : A.state list;
     mutable finished : bool;
     mutable pending : (int * 'msg) list;
@@ -489,13 +489,13 @@ module Reference = struct
 
   let disarm_deadlines ctx r =
     List.iteri
-      (fun idx (b : ('msg, 'obs) A.branch) ->
+      (fun idx (b : (unit, 'msg, 'obs) A.branch) ->
         match b.guard with
         | A.Deadline _ -> E.cancel_timer ctx ~label:r.labels.(idx)
         | A.Receive _ -> ())
       (branches_of r)
 
-  let take_branch ctx r (b : ('msg, 'obs) A.branch) msg =
+  let take_branch ctx r (b : (unit, 'msg, 'obs) A.branch) msg =
     disarm_deadlines ctx r;
     let now = E.local_now ctx in
     List.iter (fun v -> Store.set_clock r.sstore v now) b.save_now;
@@ -503,19 +503,19 @@ module Reference = struct
     | Some var, Some m -> Store.set_data r.sstore var m
     | Some var, None -> invalid_arg ("save_msg on a deadline branch: " ^ var)
     | None, _ -> ());
-    b.b_act ctx r.sstore msg;
+    b.b_act () ctx r.sstore msg;
     b.next
 
   let try_fire_receive r =
     let rec find_in_pool from_ accept seen = function
       | [] -> None
       | ((src, m) as item) :: rest ->
-          if src = from_ && accept m then Some (m, List.rev_append seen rest)
+          if src = from_ && accept () m then Some (m, List.rev_append seen rest)
           else find_in_pool from_ accept (item :: seen) rest
     in
     let rec scan = function
       | [] -> None
-      | (b : ('msg, 'obs) A.branch) :: rest -> (
+      | (b : (unit, 'msg, 'obs) A.branch) :: rest -> (
           match b.guard with
           | A.Receive { from_; accept; _ } -> (
               match find_in_pool from_ accept [] r.pending with
@@ -532,17 +532,17 @@ module Reference = struct
     match r.node with
     | None -> invalid_arg ("unknown state " ^ st)
     | Some (A.Output { to_; message; o_act; next }) ->
-        o_act ctx r.sstore;
-        E.send ctx ~dst:to_ (message ctx r.sstore);
+        o_act () ctx r.sstore;
+        E.send ctx ~dst:to_ (message () ctx r.sstore);
         enter ctx r next
     | Some (A.Final { f_act }) ->
         r.finished <- true;
-        f_act ctx r.sstore;
+        f_act () ctx r.sstore;
         E.halt ctx
     | Some (A.Input branches) -> (
         r.labels <- Array.make (List.length branches) "";
         List.iteri
-          (fun idx (b : ('msg, 'obs) A.branch) ->
+          (fun idx (b : (unit, 'msg, 'obs) A.branch) ->
             match b.guard with
             | A.Deadline { base; offset } ->
                 let deadline =
@@ -594,7 +594,7 @@ module Reference = struct
       if not r.finished then
         let rec find idx = function
           | [] -> ()
-          | (b : ('msg, 'obs) A.branch) :: rest -> (
+          | (b : (unit, 'msg, 'obs) A.branch) :: rest -> (
               match b.guard with
               | A.Deadline _ when String.equal label r.labels.(idx) ->
                   enter ctx r (take_branch ctx r b None)
@@ -690,13 +690,13 @@ let print_spec (spec, sched) =
 let build_auto spec log =
   let name i = "s" ^ string_of_int i in
   let note s = log := s :: !log in
-  let message i _ store =
+  let message i () _ store =
     (100 * i)
     + Option.value ~default:0 (Store.data_opt store "m")
     + Option.value ~default:0 (Store.clock_opt store "z")
   in
   let branch i bi b =
-    let act ctx store m =
+    let act () ctx store m =
       note
         (Printf.sprintf "%s#%d %s" (name i) bi
            (match m with Some v -> string_of_int v | None -> "-"));
@@ -704,7 +704,7 @@ let build_auto spec log =
     in
     match (b.g_recv, b.g_deadline) with
     | Some (k, r), _ ->
-        A.on_receive ~from_:1 ~accept:(fun m -> m mod k = r) ?save_msg:b.g_msg
+        A.on_receive ~from_:1 ~accept:(fun () m -> m mod k = r) ?save_msg:b.g_msg
           ~save_now:b.g_now ~act ~next:(name b.g_next) ()
     | None, Some (base, offset) ->
         A.on_deadline ~base ~offset ~save_now:b.g_now ~act
@@ -719,10 +719,10 @@ let build_auto spec log =
              match g with
              | G_out j ->
                  A.output ~to_:1
-                   ~act:(fun _ _ -> note ("out " ^ name i))
+                   ~act:(fun () _ _ -> note ("out " ^ name i))
                    ~message:(message i) ~next:(name j) ()
              | G_in bs -> A.input (List.mapi (branch i) bs)
-             | G_final -> A.final ~act:(fun _ _ -> note ("final " ^ name i)) ()
+             | G_final -> A.final ~act:(fun () _ _ -> note ("final " ^ name i)) ()
            ))
          spec)
 
@@ -802,7 +802,7 @@ let observe_run spec sched run =
 let init_clocks = [ "x"; "y" ]
 
 let compiled_run auto =
-  let handlers, r = Executor.handlers auto ~init_clocks () in
+  let handlers, r = Executor.handlers auto () ~init_clocks () in
   ( handlers,
     fun () ->
       ( Executor.visited r,
@@ -845,6 +845,12 @@ let conformance_tests =
     let cfg = { (Runner.default_config ~hops:3 ~seed) with faults } in
     Runner.run cfg Runner.Sync_timebound
   in
+  (* replay pid's automaton, for the run's own env, over the run's trace *)
+  let conformance o pid =
+    Conformance.check
+      (Sync_protocol.automaton (Sync_protocol.template o.Runner.params) pid)
+      o.Runner.env ~pid ~tag_of:Msg.tag o.Runner.trace
+  in
   [
     Alcotest.test_case "honest participants conform to Figure 2" `Quick
       (fun () ->
@@ -853,10 +859,7 @@ let conformance_tests =
         let topo = env.Env.topo in
         List.iter
           (fun pid ->
-            let auto = Sync_protocol.automaton_for env pid in
-            match
-              Conformance.check auto ~pid ~tag_of:Msg.tag o.Runner.trace
-            with
+            match conformance o pid with
             | Ok () -> ()
             | Error d ->
                 Alcotest.failf "pid %d deviates: %a" pid
@@ -868,36 +871,27 @@ let conformance_tests =
           let env = o.Runner.env in
           List.iter
             (fun pid ->
-              let auto = Sync_protocol.automaton_for env pid in
-              check Alcotest.bool "conforms" true
-                (Conformance.check auto ~pid ~tag_of:Msg.tag o.Runner.trace
-                 = Ok ()))
+              check Alcotest.bool "conforms" true (conformance o pid = Ok ()))
             (Topology.escrows env.Env.topo)
         done);
     Alcotest.test_case "a thief escrow is flagged" `Quick (fun () ->
         let topo = Topology.create ~hops:3 in
         let e0 = Topology.escrow topo 0 in
         let o = run ~faults:[ (e0, Byzantine.Thief_escrow) ] () in
-        let auto = Sync_protocol.automaton_for o.Runner.env e0 in
         check Alcotest.bool "deviates" true
-          (Result.is_error
-             (Conformance.check auto ~pid:e0 ~tag_of:Msg.tag o.Runner.trace)));
+          (Result.is_error (conformance o e0)));
     Alcotest.test_case "a premature refunder is flagged" `Quick (fun () ->
         let topo = Topology.create ~hops:3 in
         let e1 = Topology.escrow topo 1 in
         let o = run ~faults:[ (e1, Byzantine.Premature_refund_escrow) ] () in
-        let auto = Sync_protocol.automaton_for o.Runner.env e1 in
         check Alcotest.bool "deviates" true
-          (Result.is_error
-             (Conformance.check auto ~pid:e1 ~tag_of:Msg.tag o.Runner.trace)));
+          (Result.is_error (conformance o e1)));
     Alcotest.test_case "an eager-chi Bob is flagged" `Quick (fun () ->
         let topo = Topology.create ~hops:3 in
         let bob = Topology.bob topo in
         let o = run ~faults:[ (bob, Byzantine.Eager_chi_bob) ] () in
-        let auto = Sync_protocol.automaton_for o.Runner.env bob in
         check Alcotest.bool "deviates" true
-          (Result.is_error
-             (Conformance.check auto ~pid:bob ~tag_of:Msg.tag o.Runner.trace)));
+          (Result.is_error (conformance o bob)));
     Alcotest.test_case "naive-protocol failures are conformant: the flaw is \
                         the derivation, not the behaviour" `Quick (fun () ->
         (* find a drift-violating naive run and verify every participant
@@ -927,18 +921,15 @@ let conformance_tests =
                  (Props.Payment_props.check_def1 ~time_bounded:false v))
           then begin
             found := true;
-            let env = o.Runner.env in
+            let topo = o.Runner.env.Env.topo in
             List.iter
               (fun pid ->
-                let auto = Sync_protocol.automaton_for env pid in
-                match
-                  Conformance.check auto ~pid ~tag_of:Msg.tag o.Runner.trace
-                with
+                match conformance o pid with
                 | Ok () -> ()
                 | Error d ->
                     Alcotest.failf "pid %d wrongly flagged: %a" pid
                       Conformance.pp_deviation d)
-              (Topology.customers env.Env.topo @ Topology.escrows env.Env.topo)
+              (Topology.customers topo @ Topology.escrows topo)
           end;
           incr seed
         done;
@@ -948,14 +939,10 @@ let conformance_tests =
         let topo = Topology.create ~hops:3 in
         let bob = Topology.bob topo in
         let o = run ~faults:[ (bob, Byzantine.Withhold_chi_bob) ] () in
-        let env = o.Runner.env in
         List.iter
           (fun pid ->
             if pid <> bob then
-              let auto = Sync_protocol.automaton_for env pid in
-              match
-                Conformance.check auto ~pid ~tag_of:Msg.tag o.Runner.trace
-              with
+              match conformance o pid with
               | Ok () -> ()
               | Error d ->
                   Alcotest.failf "pid %d wrongly flagged: %a" pid
@@ -972,7 +959,7 @@ let network_tests =
       A.make ~name:"a0" ~initial:"send"
         ~nodes:
           [
-            ("send", A.output ~to_:1 ~message:(fun _ _ -> 1) ~next:"wait" ());
+            ("send", A.output ~to_:1 ~message:(fun () _ _ -> 1) ~next:"wait" ());
             ("wait", A.input [ receive_any ~from_:1 ~next:"done" ]);
             ("done", A.final ());
           ]
@@ -982,7 +969,7 @@ let network_tests =
         ~nodes:
           [
             ("wait", A.input [ receive_any ~from_:0 ~next:"reply" ]);
-            ("reply", A.output ~to_:0 ~message:(fun _ _ -> 2) ~next:"done" ());
+            ("reply", A.output ~to_:0 ~message:(fun () _ _ -> 2) ~next:"done" ());
             ("done", A.final ());
           ]
     in
@@ -1046,11 +1033,12 @@ let network_tests =
         List.iter
           (fun hops ->
             let topo = Topology.create ~hops in
-            let params = Params.derive (Params.default_input ~hops) in
-            let env = Env.make ~topo ~params () in
+            let tmpl =
+              Sync_protocol.template (Params.derive (Params.default_input ~hops))
+            in
             let network =
               List.map
-                (fun pid -> (pid, Sync_protocol.automaton_for env pid))
+                (fun pid -> (pid, Sync_protocol.automaton tmpl pid))
                 (Topology.customers topo @ Topology.escrows topo)
             in
             let issues = Network_check.check network in

@@ -220,7 +220,9 @@ let sync_tests =
         List.iter
           (fun hops ->
             let env = mk_env ~hops () in
-            check Alcotest.bool "check_all" true (Sync_protocol.check_all env = Ok ()))
+            check Alcotest.bool "check_all" true
+              (Sync_protocol.check_all (Sync_protocol.template env.Env.params)
+              = Ok ()))
           [ 1; 2; 3; 8 ]);
     Alcotest.test_case "happy path: money and certificate flow" `Quick (fun () ->
         let o = run_sync () in
@@ -286,11 +288,12 @@ let sync_tests =
           (fun hops ->
             List.iter
               (fun drift_ppm ->
-                let topo = Topology.create ~hops in
                 let params =
                   Params.derive { (Params.default_input ~hops) with drift_ppm }
                 in
-                let fresh = Sync_protocol.check_all (Env.make ~topo ~params ()) in
+                let fresh =
+                  Sync_protocol.check_all (Sync_protocol.template params)
+                in
                 check
                   Alcotest.(result unit string)
                   (Printf.sprintf "hops %d drift %d" hops drift_ppm)
@@ -313,21 +316,22 @@ let sync_tests =
             in
             let genuine = Msg.Chi (Env.make_chi env) in
             let takes = ref 0 in
+            let tmpl = Sync_protocol.template env.Env.params in
             List.iter
               (fun pid ->
-                let auto = Sync_protocol.automaton_for env pid in
+                let auto = Sync_protocol.automaton tmpl pid in
                 List.iter
                   (fun st ->
                     match Anta.Automaton.node auto st with
                     | Some (Anta.Automaton.Input branches) ->
                         List.iter
-                          (fun (b : (Msg.t, Obs.t) Anta.Automaton.branch) ->
+                          (fun (b : (Env.t, Msg.t, Obs.t) Anta.Automaton.branch) ->
                             match b.guard with
                             | Anta.Automaton.Receive { accept; _ } ->
                                 check Alcotest.bool
                                   (Printf.sprintf "pid %d state %s" pid st)
-                                  false (accept forged);
-                                if accept genuine then incr takes
+                                  false (accept env forged);
+                                if accept env genuine then incr takes
                             | Anta.Automaton.Deadline _ -> ())
                           branches
                     | _ -> ())
@@ -360,6 +364,112 @@ let sync_tests =
   ]
 
 (* -------------------------------- htlc --------------------------------- *)
+
+(* ------------------------- template and instances ------------------------ *)
+
+(* Run one template for several instances in one engine: instance [env]'s
+   processes sit at pids [base + l], and every message takes its full
+   delay, so a run's schedule does not depend on what else shares the
+   engine. Returns each instance's trace slice — its sends, observations
+   and armed timer labels — with pids shifted back by its base. *)
+let run_instances tmpl insts =
+  let max_delay : Sim.Network.adversary =
+   fun ~send_time:_ ~src:_ ~dst:_ ~tag:_ ~bounds -> Some bounds.Sim.Network.hi
+  in
+  let network =
+    Sim.Network.create ~adversary:max_delay
+      (Sim.Network.Synchronous { delta = 100 })
+      (Sim.Rng.create ~seed:1)
+  in
+  let engine = Sim.Engine.create ~tag_of:Msg.tag ~network ~seed:1 () in
+  List.iter
+    (fun (base, env) ->
+      for l = 0 to Topology.payment_count env.Env.topo - 1 do
+        ignore
+          (Sim.Engine.add_process engine ~pid:(base + l) ~base
+             (Sync_protocol.handlers tmpl env l))
+      done)
+    insts;
+  ignore (Sim.Engine.run engine);
+  let entries = Sim.Trace.to_list (Sim.Engine.trace engine) in
+  List.map
+    (fun (base, env) ->
+      let n = Topology.payment_count env.Env.topo in
+      let mine p = p >= base && p < base + n in
+      List.filter_map
+        (function
+          | Sim.Trace.Sent { t; src; dst; msg; _ } when mine src ->
+              Some
+                (Fmt.str "%d send %d->%d %a" t (src - base) (dst - base) Msg.pp
+                   msg)
+          | Sim.Trace.Observed { t; pid; obs } when mine pid ->
+              Some (Fmt.str "%d obs %d %a" t (pid - base) Obs.pp obs)
+          | Sim.Trace.Timer_set { t; owner; label; _ } when mine owner ->
+              Some (Fmt.str "%d timer %d %s" t (owner - base) label)
+          | _ -> None)
+        entries)
+    insts
+
+let template_tests =
+  let hops = 3 in
+  let topo = Topology.create ~hops in
+  let params = Params.derive (Params.default_input ~hops) in
+  (* two payments that differ in everything a payment owns: id, value,
+     a routed (non-uniform) amount ladder, key seed, and books whose
+     deposit ids are offset by an earlier, unrelated deposit *)
+  let first () =
+    Env.make ~topo ~params ~payment:11 ~value:1000
+      ~amounts:[| 1037; 1010; 1000 |] ~seed:5 ()
+  in
+  let second () =
+    let env =
+      Env.make ~topo ~params ~payment:42 ~value:700
+        ~amounts:[| 745; 745; 700 |] ~seed:99 ()
+    in
+    Array.iter
+      (fun book ->
+        Ledger.Book.open_account book ~owner:99 ~balance:3;
+        ignore (Ledger.Book.deposit book ~from_:99 ~amount:3))
+      env.Env.books;
+    env
+  in
+  [
+    Alcotest.test_case "a shared template carries no payment state" `Quick
+      (fun () ->
+        let shared =
+          run_instances (Sync_protocol.template params)
+            [ (0, first ()); ((2 * hops) + 1, second ()) ]
+        in
+        let alone mk =
+          List.hd (run_instances (Sync_protocol.template params) [ (0, mk ()) ])
+        in
+        let standalone = [ alone first; alone second ] in
+        List.iteri
+          (fun k slice ->
+            let paid =
+              Fmt.str "obs %d %a" hops Obs.pp
+                (Obs.Terminated { pid = hops; outcome = "paid" })
+            in
+            check Alcotest.bool
+              (Printf.sprintf "instance %d pays Bob" k)
+              true
+              (List.exists
+                 (fun e ->
+                   let n = String.length paid and m = String.length e in
+                   m >= n && String.sub e (m - n) n = paid)
+                 slice))
+          standalone;
+        check Alcotest.bool "the two payments' slices differ" true
+          (List.nth standalone 0 <> List.nth standalone 1);
+        List.iteri
+          (fun k (got, want) ->
+            check
+              Alcotest.(list string)
+              (Printf.sprintf "instance %d" k)
+              want got)
+          (List.combine shared standalone));
+  ]
+
 
 let htlc_tests =
   [
@@ -943,15 +1053,27 @@ let multi_fault_tests =
 
 (* ----------------------- the -p and --fault grammars ---------------------- *)
 
-(* every spelled strategy at every role of chains of 1 to 4 hops *)
-let fault_cases =
+(* every spelled strategy at every role of chains of 1 to 4 hops, split
+   by whether the strategy applies to the role *)
+let all_fault_pairs =
   List.concat_map
     (fun hops ->
       let topo = Topology.create ~hops in
       List.concat_map
-        (fun pid -> List.map (fun t -> (hops, (pid, t))) Byzantine.spelled)
+        (fun pid ->
+          List.map
+            (fun t ->
+              let role = Option.get (Topology.role_of topo pid) in
+              (Byzantine.applicable_to t role, (hops, (pid, t))))
+            Byzantine.spelled)
         (List.init (Topology.payment_count topo) Fun.id))
     [ 1; 2; 3; 4 ]
+
+let fault_cases =
+  List.filter_map (fun (ok, c) -> if ok then Some c else None) all_fault_pairs
+
+let inapplicable_faults =
+  List.filter_map (fun (ok, c) -> if ok then None else Some c) all_fault_pairs
 
 (* a spec travels with its chain length, as a command's --hops does *)
 let print_fault (hops, f) =
@@ -970,6 +1092,27 @@ let grammar_tests =
     Grammar_fuzz.round_trip ~name:"--fault specs round-trip"
       ~print:(fun c -> snd (print_fault c))
       fault_cases print_fault parse_fault;
+    Alcotest.test_case "--fault refuses a strategy at a role it does not fit"
+      `Quick (fun () ->
+        check Alcotest.bool "some pairs are inapplicable" true
+          (inapplicable_faults <> []);
+        List.iter
+          (fun ((hops, _) as c) ->
+            let spec = snd (print_fault c) in
+            let strategy, role =
+              match String.split_on_char '@' spec with
+              | [ s; r ] -> (s, r)
+              | _ -> Alcotest.failf "%s is not strategy@role" spec
+            in
+            match Byzantine.fault_of_string (Topology.create ~hops) spec with
+            | Ok _ -> Alcotest.failf "hops %d: %s accepted" hops spec
+            | Error e ->
+                check Alcotest.string
+                  (Printf.sprintf "hops %d: %s" hops spec)
+                  (Printf.sprintf "strategy %S does not apply to role %S"
+                     strategy role)
+                  e)
+          inapplicable_faults);
     Grammar_fuzz.property ~name:"protocol of_string never raises"
       ~seeds:[ "sync"; "naive"; "htlc"; "weak"; "committee" ]
       (Proto.of_string ~among:Proto.single);
@@ -987,6 +1130,7 @@ let () =
       ("params", params_tests);
       ("env", env_tests);
       ("sync_protocol", sync_tests);
+      ("template", template_tests);
       ("htlc", htlc_tests);
       ("weak_protocol", weak_tests);
       ("weak_races", weak_race_tests);

@@ -314,6 +314,58 @@ let serialiser_tests =
           (Dmsg.ser_cb { Dmsg.c_deal = 0; c_commit = false }));
   ]
 
+(* [Auth.register] writes a signer's key prefix into a scratch buffer and
+   hashes it in one pass. It must derive exactly the state of the
+   string-built formula it replaced, kept here as the reference, or every
+   key, MAC and pinned transcript would change. *)
+let key_derivation_tests =
+  let reference_key rng id =
+    (* y is drawn before x: the registry's order *)
+    let y = Sim.Rng.next_int64 rng in
+    let x = Sim.Rng.next_int64 rng in
+    let sid = string_of_int id in
+    List.fold_left Hash.feed Hash.start
+      [ "sk-"; sid; "-"; Hash.hex64 x; "-"; Hash.hex64 y; "|"; sid; "|" ]
+  in
+  (* MACs over the empty message are [finish key], one-to-one in the key
+     state, so equal MACs mean equal keys *)
+  let same_key signer key msg =
+    Hash.equal
+      (Auth.signature_mac (Auth.sign signer msg))
+      (Hash.finish (Hash.feed key msg))
+  in
+  let id =
+    QCheck.Gen.(
+      oneof
+        [
+          small_nat;
+          int;
+          oneofl [ 0; -1; 9; 10; max_int; min_int; min_int + 1; 1_000_000_007 ];
+        ])
+  in
+  let ids =
+    QCheck.Gen.(map (List.sort_uniq compare) (list_size (int_range 1 12) id))
+  in
+  [
+    qcheck
+      (QCheck.Test.make ~count:500
+         ~name:"register derives the string-built reference key"
+         (QCheck.make
+            ~print:(fun (seed, ids) ->
+              Printf.sprintf "seed %d, ids [%s]" seed
+                (String.concat "; " (List.map string_of_int ids)))
+            QCheck.Gen.(pair int ids))
+         (fun (seed, ids) ->
+           let reg = Auth.create ~seed in
+           let rng = Sim.Rng.create ~seed in
+           List.for_all
+             (fun id ->
+               let s = Auth.register reg id in
+               let key = reference_key rng id in
+               same_key s key "" && same_key s key "G|1|2|30")
+             ids));
+  ]
+
 (* Signing and verifying run on every promise, certificate and vote, so
    they must not allocate beyond their results: the fed state, the digest
    and the signature record. *)
@@ -341,6 +393,20 @@ let allocation_tests =
           Alcotest.failf "Auth.sign allocates %d words per call" sign_words;
         if verify_words > 24 then
           Alcotest.failf "Auth.verify allocates %d words per call" verify_words);
+    (* a registration keeps the signer, its key state and its table entry;
+       the two draws are boxed, and the table's growth is amortised over
+       the ids: no key-prefix string or per-piece hash state *)
+    Alcotest.test_case "register stays within 24 words" `Quick (fun () ->
+        let reg = Auth.create ~seed:4 in
+        ignore (Auth.register reg (-1));
+        let rounds = 1_000 in
+        let before = Gc.minor_words () in
+        for id = 0 to rounds - 1 do
+          ignore (Sys.opaque_identity (Auth.register reg (max_int - id)))
+        done;
+        let words = int_of_float (Gc.minor_words () -. before) / rounds in
+        if words > 24 then
+          Alcotest.failf "Auth.register allocates %d words per call" words);
   ]
 
 let () =
@@ -351,5 +417,6 @@ let () =
       ("hashlock", hashlock_tests);
       ("vectors", kat_tests);
       ("serial", serialiser_tests);
+      ("keys", key_derivation_tests);
       ("alloc", allocation_tests);
     ]
