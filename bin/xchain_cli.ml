@@ -1930,7 +1930,7 @@ let dot_cmd =
       | `Escrow -> Topology.escrow topo 0
       | `Chloe -> Topology.customer topo 1
     in
-    print_string (Anta.Automaton.to_dot (Sync_protocol.automaton tmpl pid));
+    print_string (Anta.Automaton.to_dot tmpl.(pid));
     0
   in
   let hops = hops_arg 3 in

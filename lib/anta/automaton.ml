@@ -3,6 +3,7 @@ type state = string
 type ('i, 'msg, 'obs) guard =
   | Receive of { from_ : int; describe : string; accept : 'i -> 'msg -> bool }
   | Deadline of { base : string; offset : Sim.Sim_time.t }
+  | At of { local : Sim.Sim_time.t }
 
 type ('i, 'msg, 'obs) branch = {
   guard : ('i, 'msg, 'obs) guard;
@@ -109,6 +110,9 @@ let compile_branch tbs st idx b =
             offset;
             label = st ^ "#" ^ string_of_int idx;
           }
+    | At { local } ->
+        C_deadline
+          { base = -1; offset = local; label = st ^ "#" ^ string_of_int idx }
   in
   {
     cguard;
@@ -335,7 +339,7 @@ let check t =
                   | Deadline { base; _ } ->
                       if not (SS.mem base (assigned_at st)) then
                         err (Unassigned_clock { at = st; var = base })
-                  | Receive _ -> ())
+                  | At _ | Receive _ -> ())
                 branches
           | Output _ | Final _ -> ())
       t.nodes
@@ -363,6 +367,9 @@ let on_deadline ~base ~offset ?(save_now = []) ?(act = no_act4) ~next () =
     b_act = act;
     next;
   }
+
+let on_local_time ~at ~act ~next =
+  { guard = At { local = at }; save_msg = None; save_now = []; b_act = act; next }
 
 let dot_escape s =
   String.map (fun c -> if c = '"' then '\'' else c) s
@@ -399,6 +406,8 @@ let to_dot t =
                 | Deadline { base; offset } ->
                     Printf.sprintf "now >= %s + %s" base
                       (Sim.Sim_time.to_string offset)
+                | At { local } ->
+                    Printf.sprintf "now >= %s" (Sim.Sim_time.to_string local)
               in
               let label =
                 match b.save_now with

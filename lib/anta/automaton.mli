@@ -39,6 +39,9 @@ type ('i, 'msg, 'obs) guard =
       (** [now >= base + offset] on the local clock; [base] is a clock
           variable that must have been assigned on every path reaching this
           state. *)
+  | At of { local : Sim.Sim_time.t }
+      (** [now >= local] on the local clock: an absolute deadline, which
+          reads no clock variable. *)
 
 type ('i, 'msg, 'obs) branch = {
   guard : ('i, 'msg, 'obs) guard;
@@ -92,7 +95,7 @@ val states : ('i, 'msg, 'obs) t -> state list
 type ('i, 'msg, 'obs) cguard =
   | C_receive of { from_ : int; accept : 'i -> 'msg -> bool }
   | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
-      (** [base] is a clock slot *)
+      (** [base] is a clock slot, or [-1] for an absolute deadline ([At]) *)
 
 type ('i, 'msg, 'obs) cbranch = {
   cguard : ('i, 'msg, 'obs) cguard;
@@ -187,6 +190,13 @@ val on_deadline :
   next:state ->
   unit ->
   ('i, 'msg, 'obs) branch
+
+val on_local_time :
+  at:Sim.Sim_time.t ->
+  act:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit) ->
+  next:state ->
+  ('i, 'msg, 'obs) branch
+(** The [At] guard, with no assignment. *)
 
 (** {1 Rendering} *)
 

@@ -7,29 +7,14 @@ type ('i, 'msg, 'obs) running = {
   sstore : 'msg Store.t;
   pool : 'msg Pool.t;
   mutable state : int;
-  mutable visits : int array; (* visited state ints, first [nvisits] *)
-  mutable nvisits : int;
   mutable finished : bool;
 }
 
 let current_state r = A.state_name r.auto r.state
 
-let visited r =
-  List.init r.nvisits (fun i -> A.state_name r.auto r.visits.(i))
-
 let terminated r = r.finished
 let store r = r.sstore
 let pending_count r = Pool.length r.pool
-
-let visit r st =
-  if r.nvisits = Array.length r.visits then begin
-    let visits = Array.make (2 * r.nvisits) 0 in
-    Array.blit r.visits 0 visits 0 r.nvisits;
-    r.visits <- visits
-  end;
-  r.visits.(r.nvisits) <- st;
-  r.nvisits <- r.nvisits + 1;
-  r.state <- st
 
 let disarm_deadlines ctx branches =
   for i = 0 to Array.length branches - 1 do
@@ -58,7 +43,7 @@ let take_branch ctx r branches (b : ('i, 'msg, 'obs) A.cbranch) msg =
   b.c_next
 
 let rec enter ctx on_final r st =
-  visit r st;
+  r.state <- st;
   match A.cnode r.auto st with
   | A.C_missing ->
       invalid_arg
@@ -77,7 +62,10 @@ let rec enter ctx on_final r st =
       for i = 0 to Array.length branches - 1 do
         match branches.(i).A.cguard with
         | A.C_deadline { base; offset; label } ->
-            let deadline = Sim_time.add (Store.clock_at r.sstore base) offset in
+            let deadline =
+              if base < 0 then offset
+              else Sim_time.add (Store.clock_at r.sstore base) offset
+            in
             Engine.set_timer ctx ~deadline ~label
         | A.C_receive _ -> ()
       done;
@@ -108,8 +96,6 @@ let handlers auto inst ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
         Store.of_vars ~clocks:(A.clock_names auto) ~datas:(A.data_names auto);
       pool = Pool.create ();
       state = A.initial_index auto;
-      visits = Array.make 8 0;
-      nvisits = 0;
       finished = false;
     }
   in
@@ -133,3 +119,5 @@ let handlers auto inst ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
       | A.C_output _ | A.C_final _ | A.C_missing -> ()
   in
   ({ Engine.on_start; on_receive; on_timer }, r)
+
+let instantiate t inst pid = fst (handlers t.(pid) inst ())

@@ -12,10 +12,7 @@
       network holds undelivered-to-the-automaton messages);
     - when several transitions are enabled simultaneously, the textually
       first branch wins, making runs deterministic;
-    - entering a final state performs its action and halts the process.
-
-    The executor also records the visited state sequence, which tests use to
-    assert protocol paths. *)
+    - entering a final state performs its action and halts the process. *)
 
 type ('i, 'msg, 'obs) running
 
@@ -34,10 +31,12 @@ val handlers :
     automaton's birth time); [on_final] runs after the final state's own
     action. The [running] handle exposes execution introspection. *)
 
-val current_state : ('i, 'msg, 'obs) running -> Automaton.state
-val visited : ('i, 'msg, 'obs) running -> Automaton.state list
-(** In visit order, initial state first. *)
+val instantiate :
+  ('i, 'msg, 'obs) Automaton.t array -> 'i -> int -> ('msg, 'obs) Sim.Engine.handlers
+(** [instantiate t inst pid] runs pid's automaton of the template [t] (one
+    automaton per pid) for the instance [inst]. *)
 
+val current_state : ('i, 'msg, 'obs) running -> Automaton.state
 val terminated : ('i, 'msg, 'obs) running -> bool
 val store : ('i, 'msg, 'obs) running -> 'msg Store.t
 val pending_count : ('i, 'msg, 'obs) running -> int

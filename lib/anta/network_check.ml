@@ -42,7 +42,7 @@ let listens_of auto =
             (fun (b : ('i, 'msg, 'obs) A.branch) ->
               match b.A.guard with
               | A.Receive { from_; _ } -> Some (st, from_)
-              | A.Deadline _ -> None)
+              | A.Deadline _ | A.At _ -> None)
             branches
       | _ -> [])
     (A.states auto)
@@ -104,3 +104,27 @@ let check network =
     deduped
 
 let errors issues = List.filter (fun i -> severity i = `Error) issues
+
+let well_formed autos =
+  let rec each pid =
+    if pid < Array.length autos then
+      match A.check autos.(pid) with
+      | Ok () -> each (pid + 1)
+      | Error errs ->
+          Error
+            (Fmt.str "automaton %s: %a" (A.name autos.(pid))
+               Fmt.(list ~sep:(any "; ") A.pp_check_error)
+               errs)
+    else
+      (* every automaton checks; now the channels must carry the
+         conversation (no dangling sends, no deaf receivers) *)
+      let network = List.mapi (fun pid a -> (pid, a)) (Array.to_list autos) in
+      match errors (check network) with
+      | [] -> Ok ()
+      | issues ->
+          Error
+            (Fmt.str "network wiring: %a"
+               Fmt.(list ~sep:(any "; ") pp_issue)
+               issues)
+  in
+  each 0

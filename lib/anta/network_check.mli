@@ -32,14 +32,17 @@ type issue =
       (** [at] waits for a message from [from_], which never sends to
           [at] *)
 
-val severity : issue -> [ `Error | `Warning ]
-(** Dangling sends and deaf receivers are errors; unheard listeners are
-    warnings. *)
-
 val check :
   (int * ('i, 'msg, 'obs) Automaton.t) list -> issue list
 (** Analyse a network given as (pid, automaton) pairs. The result lists
     every issue, errors first. *)
 
 val errors : issue list -> issue list
-val pp_issue : Format.formatter -> issue -> unit
+(** The errors among [issues]: dangling sends and deaf receivers (an
+    unheard listener is a warning). *)
+
+val well_formed : ('i, 'msg, 'obs) Automaton.t array -> (unit, string) result
+(** The structural clause of property C for the network whose pid [p]
+    runs [autos.(p)]: every automaton passes {!Automaton.check} and
+    {!check} finds no error. The message names the first failing
+    automaton, or every wiring error. *)

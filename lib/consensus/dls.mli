@@ -123,10 +123,6 @@ val on_round_timeout : 'v t -> round -> 'v effect list
 val decided : 'v t -> 'v decision_cert option
 val locked : 'v t -> 'v qc option
 
-val verify_qc : 'v config -> 'v qc -> bool
-(** For hosts and tests: the distinct valid replica signatures over the
-    same (round, value) form a quorum of [cfg.qs]. *)
-
 val verify_decision : 'v config -> 'v decision_cert -> bool
 (** Verifiable by any outsider holding the registry and the committee
     roster — this is what makes the committee's decision a transferable

@@ -20,25 +20,13 @@ type t = {
   conserved : bool;
 }
 
-(* the automata the outcome's participants ran, when they ran automata *)
-let template_of outcome =
+(* the postmortem reads conformance to Figure 2, the automata sync and
+   naive participants run *)
+let conformance_of outcome pid =
   match outcome.Runner.protocol with
   | Runner.Sync_timebound | Runner.Naive_universal ->
-      Some (Sync_protocol.template outcome.Runner.params)
-  | _ -> None
-
-let conformance_of tmpl outcome pid =
-  match tmpl with
-  | None -> None
-  | Some tmpl -> (
-      match Topology.role_of outcome.Runner.env.Env.topo pid with
-      | Some (Topology.Aux _) | None -> None
-      | Some _ ->
-          Some
-            (Anta.Conformance.check
-               (Sync_protocol.automaton tmpl pid)
-               outcome.Runner.env ~pid ~tag_of:Msg.tag outcome.Runner.trace
-            = Ok ()))
+      Option.map Result.is_ok (outcome.Runner.conformance pid)
+  | Runner.Htlc | Runner.Weak _ | Runner.Atomic _ -> None
 
 let build (outcome : Runner.outcome) =
   let v = PP.view outcome in
@@ -48,7 +36,6 @@ let build (outcome : Runner.outcome) =
     Topology.customers topo @ Topology.escrows topo
     @ Array.to_list outcome.Runner.tm_pids
   in
-  let tmpl = template_of outcome in
   let participants =
     List.map
       (fun pid ->
@@ -58,7 +45,7 @@ let build (outcome : Runner.outcome) =
           byzantine = List.assoc_opt pid outcome.Runner.fault_names;
           terminated = v.PP.terminated pid;
           net = v.PP.net pid;
-          conforms = conformance_of tmpl outcome pid;
+          conforms = conformance_of outcome pid;
         })
       pids
   in

@@ -35,9 +35,6 @@ val kind_name : kind -> string
 (** ["send"], ["deliver"], ["timer_set"], ["timer_fire"], ["crash"],
     ["recover"], ["note"]. *)
 
-val edge_name : edge_kind -> string
-(** ["program"], ["message"], ["timer"], ["queue"], ["outage"]. *)
-
 type t
 
 val create : unit -> t

@@ -132,11 +132,6 @@ val to_json : t -> string
     Histogram children carry [sum], [count] and a [buckets] array of
     [[upper_bound, cumulative_count]] pairs ([null] bound for +Inf). *)
 
-val validate_name : string -> unit
-(** Prometheus metric-name grammar [[a-zA-Z_:][a-zA-Z0-9_:]*]; raises
-    [Invalid_argument] otherwise. Label names additionally must not start
-    with [__] (reserved). *)
-
 val json_escape : string -> string
 (** JSON string-body escaping shared by the exporters: quote, backslash,
     and control characters. *)

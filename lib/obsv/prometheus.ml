@@ -73,5 +73,3 @@ let render t =
             (Printf.sprintf "%s_count%s %d\n" name (label_block labels) count))
     (Metrics.snapshot t);
   Buffer.contents buf
-
-let write t oc = output_string oc (render t)

@@ -12,10 +12,7 @@
     on this. *)
 
 val escape_label_value : string -> string
-val escape_help : string -> string
 
 val render : Metrics.t -> string
 (** The full exposition, families in registration order, terminated by a
     newline. *)
-
-val write : Metrics.t -> out_channel -> unit

@@ -84,8 +84,6 @@ val span_end : span -> int option
 val span_status : span -> string
 (** ["running"] until finished. *)
 
-val span_attrs : span -> (string * string) list
-
 val span_trace_id : span -> int option
 (** The causal trace id the span was linked to, if any. *)
 

@@ -59,12 +59,6 @@ let make ~live (outcome : Runner.outcome) =
         in
         down + up
   in
-  let well_formed =
-    match outcome.Runner.protocol with
-    | Runner.Sync_timebound | Runner.Naive_universal ->
-        Sync_protocol.well_formed ~hops:n
-    | Runner.Htlc | Runner.Weak _ | Runner.Atomic _ -> Ok ()
-  in
   {
     outcome;
     byzantine;
@@ -76,7 +70,7 @@ let make ~live (outcome : Runner.outcome) =
         honest = (fun pid -> not (byzantine pid));
         net;
         tm_trusted = tm_trusted outcome;
-        well_formed;
+        well_formed = Runner.well_formed outcome.Runner.protocol ~hops:n;
       };
   }
 

@@ -1,217 +1,238 @@
 open Sim
+module A = Anta.Automaton
+module Store = Anta.Store
 module E = Engine
 
 type config = { deadline : Sim_time.t }
 
 let default_config = { deadline = 5_000 }
-let tm_pid (env : Env.t) = Topology.aux_base env.Env.topo
-let process_count env = Topology.payment_count env.Env.topo + 1
 
-(* Customers: Alice prepares unprompted; a connector prepares its outgoing
-   leg when its incoming leg is prepared; Bob submits the receipt. All of
-   them then await the notary's decision and their leg's settlement. *)
-let customer_handlers (env : Env.t) _cfg i =
-  let topo = env.Env.topo in
-  let n = Topology.hops topo in
+type auto = (Env.t, Msg.t, Obs.t) A.t
+type template = auto array
+
+(* Is this the notary's decision [commit]? The payload is read before the
+   signature is checked. *)
+let decision_is topo commit env = function
+  | Msg.Tm_decision sv ->
+      sv.Xcrypto.Auth.payload.Msg.dec_commit = commit
+      && Env.decision_ok env ~tm:(Topology.aux_base topo) sv
+  | _ -> false
+
+(* A customer's receive of the decision [commit], noted as a valid χc /
+   χa. *)
+let on_decision topo self commit next =
+  let kind = if commit then Obs.Chi_commit else Obs.Chi_abort in
+  A.on_receive ~from_:(Topology.aux_base topo)
+    ~describe:(if commit then "χc" else "χa")
+    ~accept:(decision_is topo commit)
+    ~act:(fun _ ctx _ _ ->
+      E.observe ctx (Obs.Cert_received { pid = self; kind; valid = true }))
+    ~next ()
+
+(* P from e_i: e_i's leg is prepared *)
+let on_p topo i next =
+  Env.recv (Topology.escrow topo i) "P"
+    (fun env -> function
+      | Msg.Promise_p sv -> Env.promise_p_ok env ~escrow_index:i sv
+      | _ -> false)
+    next
+
+(* Alice prepares unprompted, then is certified by χc or refunded after
+   χa. A settlement that arrives before the decision waits in the pool. *)
+let alice topo : auto =
+  let self = Topology.alice topo in
+  let e0 = Topology.escrow topo 0 in
+  A.make ~name:"alice" ~initial:"prepare"
+    ~nodes:
+      [
+        ( "prepare",
+          A.output ~to_:e0 ~message:(Env.money_of 0) ~next:"await_decision" () );
+        ( "await_decision",
+          A.input
+            [
+              on_decision topo self true "done_certified";
+              on_decision topo self false "await_refund";
+            ] );
+        ( "await_refund",
+          A.input [ Env.recv e0 "$" (Env.is_money 0) "done_refunded" ] );
+        ("done_certified", Env.final self "certified");
+        ("done_refunded", Env.final self "refunded");
+      ]
+
+(* Chloe_i prepares her outgoing leg once her incoming one is (P from
+   e_{i-1}), then is paid upstream after χc or refunded downstream after
+   χa; χa before she prepared leaves her nothing to wait for. *)
+let connector topo i : auto =
   let self = Topology.customer topo i in
-  let pays = i < n in
-  let e_down = if pays then Some (Topology.escrow topo i) else None in
-  let e_up = if i > 0 then Some (Topology.escrow topo (i - 1)) else None in
-  let pay_amount = if pays then Env.amount_at env i else 0 in
-  let recv_amount = if i > 0 then Env.amount_at env (i - 1) else 0 in
-  let tm = tm_pid env in
-  let decision : bool option ref = ref None in
-  let refunded = ref false in
-  let upstream_paid = ref false in
-  let prepared = ref false in
-  let done_ = ref false in
-  let finish ctx outcome =
-    if not !done_ then begin
-      done_ := true;
-      E.observe ctx (Obs.Terminated { pid = self; outcome });
-      E.halt ctx
-    end
-  in
-  let try_finish ctx =
-    match !decision with
-    | Some false ->
-        if (not pays) || !refunded || not !prepared then
-          finish ctx (if pays then "refunded" else "aborted")
-    | Some true ->
-        if i = 0 then finish ctx "certified"
-        else if !upstream_paid then finish ctx "paid"
-    | None -> ()
-  in
-  let prepare ctx =
-    if pays && not !prepared then begin
-      prepared := true;
-      match e_down with
-      | Some e -> E.send ctx ~dst:e (Msg.Money { amount = pay_amount })
-      | None -> ()
-    end
-  in
-  {
-    E.on_start = (fun ctx -> if i = 0 then prepare ctx);
-    on_receive =
-      (fun ctx ~src msg ->
-        if not !done_ then begin
-          (match msg with
-          | Msg.Promise_p sv
-            when Some src = e_up
-                 && Env.promise_p_ok env ~escrow_index:(i - 1) sv ->
-              (* incoming leg prepared *)
-              if i = n then begin
-                E.observe ctx (Obs.Cert_issued { by = self; kind = Obs.Chi });
-                E.send ctx ~dst:tm (Msg.Chi (Env.make_chi env))
-              end
-              else prepare ctx
-          | Msg.Tm_decision sv when src = tm && Env.decision_ok env ~tm sv ->
-              if !decision = None then begin
-                let commit = sv.Xcrypto.Auth.payload.Msg.dec_commit in
-                decision := Some commit;
-                let kind = if commit then Obs.Chi_commit else Obs.Chi_abort in
-                E.observe ctx
-                  (Obs.Cert_received { pid = self; kind; valid = true })
-              end
-          | Msg.Money { amount } when Some src = e_down && amount = pay_amount
-            ->
-              refunded := true
-          | Msg.Money { amount } when Some src = e_up && amount = recv_amount
-            ->
-              upstream_paid := true
-          | _ -> ());
-          try_finish ctx
-        end);
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  let e_up = Topology.escrow topo (i - 1) and e_down = Topology.escrow topo i in
+  A.make
+    ~name:("chloe" ^ string_of_int i)
+    ~initial:"await_p"
+    ~nodes:
+      [
+        ( "await_p",
+          A.input
+            [
+              on_p topo (i - 1) "prepare";
+              on_decision topo self false "done_refunded";
+            ] );
+        ( "prepare",
+          A.output ~to_:e_down ~message:(Env.money_of i)
+            ~next:"await_decision" () );
+        ( "await_decision",
+          A.input
+            [
+              on_decision topo self true "await_paid";
+              on_decision topo self false "await_refund";
+            ] );
+        ( "await_paid",
+          A.input [ Env.recv e_up "$" (Env.is_money (i - 1)) "done_paid" ] );
+        ( "await_refund",
+          A.input [ Env.recv e_down "$" (Env.is_money i) "done_refunded" ] );
+        ("done_paid", Env.final self "paid");
+        ("done_refunded", Env.final self "refunded");
+      ]
 
-(* Escrows: deposit on the prepare instruction, announce the prepared leg
-   downstream (the signed P message doubles as the prepared-notice), and
-   settle on the notary's decision. *)
-let escrow_handlers (env : Env.t) cfg i =
-  let topo = env.Env.topo in
+(* Bob submits his receipt χ to the notary each time his incoming leg is
+   announced prepared, and is paid after χc or gives up at χa. *)
+let bob topo : auto =
+  let n = Topology.hops topo in
+  let self = Topology.bob topo and e_up = Topology.escrow topo (n - 1) in
+  let send_chi next =
+    A.output ~to_:(Topology.aux_base topo)
+      ~act:(fun _ ctx _ ->
+        E.observe ctx (Obs.Cert_issued { by = self; kind = Obs.Chi }))
+      ~message:(fun env _ _ -> Msg.Chi (Env.make_chi env))
+      ~next ()
+  in
+  A.make ~name:"bob" ~initial:"await_p"
+    ~nodes:
+      [
+        ( "await_p",
+          A.input
+            [
+              on_p topo (n - 1) "send_chi";
+              on_decision topo self false "done_aborted";
+            ] );
+        ("send_chi", send_chi "await_decision");
+        ( "await_decision",
+          A.input
+            [
+              on_p topo (n - 1) "send_chi";
+              on_decision topo self true "await_paid";
+              on_decision topo self false "done_aborted";
+            ] );
+        ( "await_paid",
+          A.input
+            [
+              on_p topo (n - 1) "resend_chi";
+              Env.recv e_up "$" (Env.is_money (n - 1)) "done_paid";
+            ] );
+        ("resend_chi", send_chi "await_paid");
+        ("done_paid", Env.final self "paid");
+        ("done_aborted", Env.final self "aborted");
+      ]
+
+(* Escrows: deposit on the prepare instruction (a deposit the book refuses
+   is refused in place), announce the prepared leg downstream (the signed
+   P message doubles as the prepared-notice, its window the notary's
+   deadline), and settle on the notary's decision. *)
+let escrow topo cfg i : auto =
   let self = Topology.escrow topo i in
   let cust_up = Topology.customer topo i in
   let cust_down = Topology.customer topo (i + 1) in
-  let amount = Env.amount_at env i in
-  let book = env.Env.books.(i) in
-  let signer = Env.signer_of env self in
-  let tm = tm_pid env in
-  ignore tm;
-  let deposit = ref None in
-  let resolved = ref false in
-  let pending_decision : bool option ref = ref None in
-  let resolve ctx commit =
-    match !deposit with
-    | None -> pending_decision := Some commit
-    | Some dep ->
-        if not !resolved then begin
-          resolved := true;
-          (if commit then begin
-             match Ledger.Book.release book dep ~to_:cust_down with
-             | Ok () ->
-                 E.observe ctx
-                   (Obs.Released
-                      { escrow = self; deposit = dep; to_ = cust_down; amount });
-                 E.send ctx ~dst:cust_down (Msg.Money { amount })
-             | Error e ->
-                 E.observe ctx
-                   (Obs.Rejected
-                      { pid = self; what = Fmt.str "release: %a" Ledger.Book.pp_error e })
-           end
-           else
-             match Ledger.Book.refund book dep with
-             | Ok () ->
-                 E.observe ctx
-                   (Obs.Refunded
-                      { escrow = self; deposit = dep; depositor = cust_up; amount });
-                 E.send ctx ~dst:cust_up (Msg.Money { amount })
-             | Error e ->
-                 E.observe ctx
-                   (Obs.Rejected
-                      { pid = self; what = Fmt.str "refund: %a" Ledger.Book.pp_error e }));
-          E.observe ctx
-            (Obs.Terminated
-               { pid = self; outcome = (if commit then "released" else "refunded") });
-          E.halt ctx
-        end
-  in
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Msg.Tm_decision sv
-          when src = tm_pid env && Env.decision_ok env ~tm:(tm_pid env) sv ->
-            resolve ctx sv.Xcrypto.Auth.payload.Msg.dec_commit
-        | Msg.Money _ when src = cust_up && !deposit = None -> (
-            match Ledger.Book.deposit book ~from_:cust_up ~amount with
-            | Ok dep ->
-                deposit := Some dep;
-                E.observe ctx
-                  (Obs.Deposited
-                     { escrow = self; depositor = cust_up; amount; deposit = dep });
-                (* the prepared-notice: a signed window open until the
-                   notary's fixed deadline *)
-                E.send ctx ~dst:cust_down
-                  (Msg.Promise_p
-                     (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_promise_p
-                        { Msg.p_escrow = self; p_customer = cust_down;
-                          a = cfg.deadline }));
-                (match !pending_decision with
-                | Some c -> resolve ctx c
-                | None -> ())
-            | Error e ->
-                E.observe ctx
-                  (Obs.Rejected
-                     { pid = self; what = Fmt.str "deposit: %a" Ledger.Book.pp_error e }))
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  let tm = Topology.aux_base topo in
+  let is_prepare _ = function Msg.Money _ -> true | _ -> false in
+  let deposit env ctx _ _ = Env.deposit env ctx i in
+  A.make
+    ~name:("escrow" ^ string_of_int i)
+    ~initial:"await_money"
+    ~nodes:
+      [
+        ( "await_money",
+          A.input
+            [
+              A.on_receive ~from_:cust_up ~describe:"$"
+                ~accept:(fun env m -> is_prepare env m && Env.can_fund env i)
+                ~act:deposit ~next:"send_p" ();
+              A.on_receive ~from_:cust_up ~describe:"$, funds short"
+                ~accept:is_prepare ~act:deposit ~next:"await_money" ();
+            ] );
+        ( "send_p",
+          A.output ~to_:cust_down
+            ~message:(fun env _ _ ->
+              Msg.Promise_p
+                (Xcrypto.Auth.sign_value (Env.signer_of env self)
+                   ~ser:Msg.ser_promise_p
+                   { p_escrow = self; p_customer = cust_down; a = cfg.deadline }))
+            ~next:"await_decision" () );
+        ( "await_decision",
+          A.input
+            [
+              Env.recv tm "χc" (decision_is topo true) "release";
+              Env.recv tm "χa" (decision_is topo false) "refund";
+            ] );
+        ( "release",
+          A.output ~to_:cust_down
+            ~act:(fun env ctx _ -> Env.release env ctx i)
+            ~message:(Env.money_of i) ~next:"done_released" () );
+        ( "refund",
+          A.output ~to_:cust_up
+            ~act:(fun env ctx _ -> Env.refund env ctx i)
+            ~message:(Env.money_of i) ~next:"done_refunded" () );
+        ("done_released", Env.final self "released");
+        ("done_refunded", Env.final self "refunded");
+      ]
 
-(* The notary: Executed iff Bob's receipt arrives before the deadline on
-   the notary's own clock. *)
-let notary_handlers (env : Env.t) cfg =
-  let self = tm_pid env in
-  let signer = Env.signer_of env self in
-  let decided = ref None in
-  let decide ctx commit =
-    if !decided = None then begin
-      decided := Some commit;
-      E.observe ctx (Obs.Decision_made { by = self; commit });
-      E.observe ctx
-        (Obs.Cert_issued
-           { by = self; kind = (if commit then Obs.Chi_commit else Obs.Chi_abort) });
-      let body = { Msg.dec_payment = env.Env.payment; dec_commit = commit } in
-      let signed = Xcrypto.Auth.sign_value signer ~ser:Msg.ser_decision body in
-      let topo = env.Env.topo in
-      List.iter
-        (fun pid -> E.send ctx ~dst:pid (Msg.Tm_decision signed))
-        (Topology.customers topo @ Topology.escrows topo)
-    end
+(* The notary: Executed iff Bob's receipt arrives before the deadline T on
+   its own clock (an absolute local time), announced to every customer and
+   escrow, pids 0 .. 2n in order; then it is done. *)
+let notary topo cfg : auto =
+  let self = Topology.aux_base topo in
+  let bob = Topology.bob topo in
+  let decide commit env ctx store _ =
+    E.observe ctx (Obs.Decision_made { by = self; commit });
+    E.observe ctx
+      (Obs.Cert_issued
+         { by = self; kind = (if commit then Obs.Chi_commit else Obs.Chi_abort) });
+    Store.set_data store "decision"
+      (Msg.Tm_decision
+         (Xcrypto.Auth.sign_value (Env.signer_of env self) ~ser:Msg.ser_decision
+            { Msg.dec_payment = env.Env.payment; dec_commit = commit }))
   in
-  {
-    E.on_start =
-      (fun ctx -> E.set_timer ctx ~deadline:cfg.deadline ~label:"T");
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Msg.Chi sv when src = Topology.bob env.Env.topo && Env.chi_ok env sv
-          ->
-            decide ctx true
-        | Msg.Chi _ ->
-            E.observe ctx (Obs.Rejected { pid = self; what = "bad receipt" })
-        | _ -> ());
-    on_timer = (fun ctx ~label -> if String.equal label "T" then decide ctx false);
-  }
+  let announce pid =
+    let name pid = "announce" ^ string_of_int pid in
+    ( name pid,
+      A.output ~to_:pid
+        ~message:(fun _ _ store -> Store.data store "decision")
+        ~next:(if pid = self - 1 then "decided" else name (pid + 1))
+        () )
+  in
+  A.make ~name:"notary" ~initial:"await_receipt"
+    ~nodes:
+      (( "await_receipt",
+         A.input
+           [
+             A.on_local_time ~at:cfg.deadline ~act:(decide false) ~next:"announce0";
+             A.on_receive ~from_:bob ~describe:"χ"
+               ~accept:(fun env -> function
+                 | Msg.Chi sv -> Env.chi_ok env sv | _ -> false)
+               ~act:(decide true) ~next:"announce0" ();
+             A.on_receive ~from_:bob ~describe:"bad receipt"
+               ~accept:(fun _ -> function Msg.Chi _ -> true | _ -> false)
+               ~act:(fun _ ctx _ _ ->
+                 E.observe ctx (Obs.Rejected { pid = self; what = "bad receipt" }))
+               ~next:"await_receipt" ();
+           ] )
+      :: List.init self announce
+      @ [ ("decided", A.final ()) ])
 
-let handlers_for (env : Env.t) cfg pid =
-  let topo = env.Env.topo in
-  match Topology.role_of topo pid with
-  | Some Topology.Alice -> customer_handlers env cfg 0
-  | Some Topology.Bob -> customer_handlers env cfg (Topology.hops topo)
-  | Some (Topology.Connector i) -> customer_handlers env cfg i
-  | Some (Topology.Escrow i) -> escrow_handlers env cfg i
-  | _ ->
-      if pid = tm_pid env then notary_handlers env cfg
-      else invalid_arg "Atomic_protocol.handlers_for: unknown pid"
+let template ~hops cfg =
+  let topo = Topology.create ~hops in
+  Array.init (Topology.payment_count topo + 1) (fun pid ->
+      match Topology.role_of topo pid with
+      | Some Topology.Alice -> alice topo
+      | Some (Topology.Connector i) -> connector topo i
+      | Some Topology.Bob -> bob topo
+      | Some (Topology.Escrow i) -> escrow topo cfg i
+      | Some (Topology.Aux _) | None -> notary topo cfg)

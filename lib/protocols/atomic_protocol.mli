@@ -20,7 +20,14 @@
     The notary is modelled as a single trusted process, the same trust
     base Interledger assumes of its notary group (a committee variant
     would mirror {!Weak_protocol}'s and adds nothing to the comparison —
-    see DESIGN.md). *)
+    see DESIGN.md).
+
+    Every participant, and the notary, is a timed automaton in the
+    {!Anta} formalism over the payment's {!Env.t}, drawn in
+    docs/protocol.md. The notary's [T] is an absolute time on its own
+    clock ([Anta.Automaton.At]); it halts once it has announced its
+    decision. A settlement that arrives before the decision it follows
+    waits in the executor's pool. *)
 
 type config = {
   deadline : Sim.Sim_time.t;
@@ -30,8 +37,10 @@ type config = {
 val default_config : config
 (** deadline 5_000. *)
 
-val tm_pid : Env.t -> int
-val process_count : Env.t -> int
+type template = (Env.t, Msg.t, Obs.t) Anta.Automaton.t array
+(** The automaton of each participant and of the notary (the pid after
+    theirs), by pid. *)
 
-val handlers_for :
-  Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
+val template : hops:int -> config -> template
+(** The automata of the [hops]-escrow chain and its notary, whose deadline
+    is [config.deadline]. *)

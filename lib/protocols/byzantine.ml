@@ -110,12 +110,9 @@ let deviant_escrow (env : Env.t) i ~send_p ~after_deposit =
   let self = Topology.escrow topo i in
   let cust_up = Topology.customer topo i in
   let cust_down = Topology.customer topo (i + 1) in
-  let amount = Env.amount_at env i in
-  let book = env.Env.books.(i) in
   let signer = Env.signer_of env self in
   let d_i = env.Env.params.Params.d.(i) in
   let a_i = env.Env.params.Params.a.(i) in
-  let deposit = ref None in
   {
     E.on_start =
       (fun ctx ->
@@ -126,32 +123,25 @@ let deviant_escrow (env : Env.t) i ~send_p ~after_deposit =
     on_receive =
       (fun ctx ~src msg ->
         match msg with
-        | Msg.Money _ when src = cust_up && !deposit = None -> (
-            match Ledger.Book.deposit book ~from_:cust_up ~amount with
-            | Ok dep ->
-                deposit := Some dep;
-                E.observe ctx
-                  (Obs.Deposited
-                     { escrow = self; depositor = cust_up; amount; deposit = dep });
-                if send_p then
-                  E.send ctx ~dst:cust_down
-                    (Msg.Promise_p
-                       (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_promise_p
-                          { Msg.p_escrow = self; p_customer = cust_down; a = a_i }));
-                after_deposit ctx ~book ~deposit:dep ~self ~cust_up ~cust_down
-                  ~amount
-            | Error e ->
-                E.observe ctx
-                  (Obs.Rejected
-                     { pid = self; what = Fmt.str "deposit: %a" Ledger.Book.pp_error e }))
+        | Msg.Money _ when src = cust_up && env.Env.deposits.(i) < 0 ->
+            Env.deposit env ctx i;
+            if env.Env.deposits.(i) >= 0 then begin
+              if send_p then
+                E.send ctx ~dst:cust_down
+                  (Msg.Promise_p
+                     (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_promise_p
+                        { Msg.p_escrow = self; p_customer = cust_down; a = a_i }));
+              after_deposit ctx
+            end
         | _ -> ());
     on_timer = (fun _ ~label:_ -> ());
   }
 
-let thief_escrow env i =
-  deviant_escrow env i ~send_p:false
-    ~after_deposit:(fun ctx ~book ~deposit ~self ~cust_up:_ ~cust_down:_ ~amount ->
-      match Ledger.Book.release book deposit ~to_:self with
+let thief_escrow (env : Env.t) i =
+  deviant_escrow env i ~send_p:false ~after_deposit:(fun ctx ->
+      let self = Topology.escrow env.Env.topo i in
+      let deposit = env.Env.deposits.(i) and amount = Env.amount_at env i in
+      match Ledger.Book.release env.Env.books.(i) deposit ~to_:self with
       | Ok () ->
           E.observe ctx
             (Obs.Released { escrow = self; deposit; to_ = self; amount })
@@ -160,22 +150,15 @@ let thief_escrow env i =
             (Obs.Rejected
                { pid = self; what = Fmt.str "steal: %a" Ledger.Book.pp_error e }))
 
-let premature_refund_escrow env i =
-  deviant_escrow env i ~send_p:true
-    ~after_deposit:(fun ctx ~book ~deposit ~self ~cust_up ~cust_down:_ ~amount ->
-      match Ledger.Book.refund book deposit with
-      | Ok () ->
-          E.observe ctx
-            (Obs.Refunded { escrow = self; deposit; depositor = cust_up; amount });
-          E.send ctx ~dst:cust_up (Msg.Money { amount })
-      | Error e ->
-          E.observe ctx
-            (Obs.Rejected
-               { pid = self; what = Fmt.str "refund: %a" Ledger.Book.pp_error e }))
+let premature_refund_escrow (env : Env.t) i =
+  deviant_escrow env i ~send_p:true ~after_deposit:(fun ctx ->
+      Env.refund env ctx i;
+      E.send ctx
+        ~dst:(Topology.customer env.Env.topo i)
+        (Msg.Money { amount = Env.amount_at env i }))
 
 let no_resolve_escrow env i =
-  deviant_escrow env i ~send_p:true
-    ~after_deposit:(fun _ ~book:_ ~deposit:_ ~self:_ ~cust_up:_ ~cust_down:_ ~amount:_ -> ())
+  deviant_escrow env i ~send_p:true ~after_deposit:(fun _ -> ())
 
 let eager_chi_bob (env : Env.t) =
   let topo = env.Env.topo in

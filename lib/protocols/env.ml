@@ -120,3 +120,66 @@ let funded_ok t ~escrow_index (sv : Msg.funded_body Auth.signed) =
   && sv.Auth.payload.Msg.f_escrow = e
   && sv.Auth.payload.Msg.f_payment = t.payment
   && Auth.verify_value t.registry ~ser:Msg.ser_funded sv
+
+let can_fund t i =
+  let amount = t.amounts.(i) in
+  let held = if t.deposits.(i) >= 0 then amount else 0 in
+  Ledger.Book.balance t.books.(i) (Topology.customer t.topo i) + held >= amount
+
+let reject t ctx i what =
+  Sim.Engine.observe ctx
+    (Obs.Rejected { pid = Topology.escrow t.topo i; what })
+
+let deposit t ctx i =
+  let cust_up = Topology.customer t.topo i in
+  let amount = t.amounts.(i) in
+  match Ledger.Book.deposit t.books.(i) ~from_:cust_up ~amount with
+  | Ok dep ->
+      t.deposits.(i) <- dep;
+      Sim.Engine.observe ctx
+        (Obs.Deposited
+           {
+             escrow = Topology.escrow t.topo i;
+             depositor = cust_up;
+             amount;
+             deposit = dep;
+           })
+  | Error e -> reject t ctx i (Fmt.str "deposit: %a" Ledger.Book.pp_error e)
+
+(* Release e_i's held deposit to c_(i+1), or refund it to c_i. *)
+let settle t ctx i ~release =
+  let dep = t.deposits.(i) and op = if release then "release" else "refund" in
+  if dep < 0 then reject t ctx i (op ^ ": no deposit")
+  else
+    let escrow = Topology.escrow t.topo i and amount = t.amounts.(i) in
+    let up = Topology.customer t.topo i in
+    let down = Topology.customer t.topo (i + 1) in
+    let book = t.books.(i) in
+    match
+      if release then Ledger.Book.release book dep ~to_:down
+      else Ledger.Book.refund book dep
+    with
+    | Ok () ->
+        Sim.Engine.observe ctx
+          (if release then
+             Obs.Released { escrow; deposit = dep; to_ = down; amount }
+           else Obs.Refunded { escrow; deposit = dep; depositor = up; amount })
+    | Error e -> reject t ctx i (Fmt.str "%s: %a" op Ledger.Book.pp_error e)
+
+let release t ctx i = settle t ctx i ~release:true
+let refund t ctx i = settle t ctx i ~release:false
+
+let is_money i t = function
+  | Msg.Money { amount } -> amount = t.amounts.(i)
+  | _ -> false
+
+let money_of i t _ _ = Msg.Money { amount = t.amounts.(i) }
+
+let recv from_ describe accept next =
+  Anta.Automaton.on_receive ~from_ ~describe ~accept ~next ()
+
+let final self outcome =
+  Anta.Automaton.final
+    ~act:(fun _ ctx _ ->
+      Sim.Engine.observe ctx (Obs.Terminated { pid = self; outcome }))
+    ()

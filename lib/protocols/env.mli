@@ -5,8 +5,9 @@
     decreasing toward Bob), the per-escrow ledger {!Ledger.Book}s, and the
     signature registry with per-participant signing capabilities.
 
-    It is also the {e instance} a {!Sync_protocol.template} runs for: the
-    template's guards and acts read amounts, books, payment id and keys
+    It is also the {e instance} a {!Sync_protocol.template} or
+    {!Atomic_protocol.template} runs for, and the core of HTLC's: the
+    templates' guards and acts read amounts, books, payment id and keys
     from here, and the escrows keep their held deposit in {!field-deposits},
     so one template serves any number of concurrent payments. *)
 
@@ -70,3 +71,47 @@ val promise_g_ok : t -> escrow_index:int -> Msg.promise_g Xcrypto.Auth.signed ->
 val promise_p_ok : t -> escrow_index:int -> Msg.promise_p Xcrypto.Auth.signed -> bool
 val decision_ok : t -> tm:int -> Msg.decision_body Xcrypto.Auth.signed -> bool
 val funded_ok : t -> escrow_index:int -> Msg.funded_body Xcrypto.Auth.signed -> bool
+
+(** {1 Escrow ledger acts}: what an honest e{_i} does to its book for this
+    payment, and the observation it emits. *)
+
+val can_fund : t -> int -> bool
+(** Does c{_i}'s balance at e{_i}, plus a deposit this payment already
+    holds there, cover [amount_at t i]? Before the deposit: exactly whether
+    {!deposit} succeeds. After it: still true, so a guard on it replays
+    over the final books ({!Anta.Conformance}) as it ran. *)
+
+val deposit : t -> (Msg.t, Obs.t) Sim.Engine.ctx -> int -> unit
+(** e{_i} takes [amount_at t i] from c{_i} into the pool and records it in
+    [deposits.(i)], observing [Deposited]; or observes
+    [Rejected "deposit: …"] and takes nothing. *)
+
+val release : t -> (Msg.t, Obs.t) Sim.Engine.ctx -> int -> unit
+(** e{_i} pays [deposits.(i)] out to c{_(i+1)}, observing [Released]; or
+    [Rejected "release: …"] ("release: no deposit" if it holds none). *)
+
+val refund : t -> (Msg.t, Obs.t) Sim.Engine.ctx -> int -> unit
+(** e{_i} returns [deposits.(i)] to c{_i}, observing [Refunded]; or
+    [Rejected "refund: …"] ("refund: no deposit" if it holds none). *)
+
+(** {1 Automaton pieces} shared by the sync, HTLC and atomic templates. *)
+
+val is_money : int -> t -> Msg.t -> bool
+(** [is_money i t]: the guard "$ of [amount_at t i]". *)
+
+val money_of :
+  int -> t -> (Msg.t, Obs.t) Sim.Engine.ctx -> Msg.t Anta.Store.t -> Msg.t
+(** [money_of i t]: the $ message of [amount_at t i]. *)
+
+val recv :
+  int ->
+  string ->
+  ('i -> Msg.t -> bool) ->
+  Anta.Automaton.state ->
+  ('i, Msg.t, Obs.t) Anta.Automaton.branch
+(** [recv pid describe accept next]: a receive from pid, with no save or
+    act. *)
+
+val final : int -> string -> ('i, Msg.t, Obs.t) Anta.Automaton.node
+(** [final pid outcome]: a final state observing pid [Terminated] with
+    [outcome]. *)

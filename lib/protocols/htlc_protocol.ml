@@ -1,189 +1,222 @@
 open Sim
+module A = Anta.Automaton
+module Store = Anta.Store
 module E = Engine
 module HL = Xcrypto.Hashlock
 
-type config = { hop_window : Sim_time.t }
+type inst = {
+  env : Env.t;
+  preimage : HL.preimage;
+  lock : HL.lock;
+  locks : HL.lock option array;
+}
 
-let default_config (env : Env.t) =
-  let p = env.Env.params.Params.input in
+type auto = (inst, Msg.t, Obs.t) A.t
+type template = auto array
+
+let instance (env : Env.t) ~seed =
+  let preimage = HL.fresh (Rng.create ~seed) in
+  {
+    env;
+    preimage;
+    lock = HL.lock_of preimage;
+    locks = Array.make (Topology.hops env.Env.topo) None;
+  }
+
+let window_of (params : Params.t) i =
+  let p = params.Params.input in
   let step = Sim_time.add p.Params.sigma p.Params.delta in
-  let base = Sim_time.add step p.Params.margin in
-  { hop_window = Params.up ~drift_ppm:p.Params.drift_ppm base }
+  let hop = Params.up ~drift_ppm:p.drift_ppm (Sim_time.add step p.margin) in
+  Sim_time.scale hop ~num:(((p.Params.hops - i) * 4) + 2) ~den:1
 
-let window_of (env : Env.t) cfg i =
-  let n = Topology.hops env.Env.topo in
-  let rungs = ((n - i) * 4) + 2 in
-  Sim_time.scale cfg.hop_window ~num:rungs ~den:1
+(* Applied in full: a partial application of Env's would allocate a
+   closure at every guard and message. *)
+let money_of i (inst : inst) ctx store = Env.money_of i inst.env ctx store
+let is_money i (inst : inst) m = Env.is_money i inst.env m
 
-let fresh_preimage ~seed = HL.fresh (Rng.create ~seed)
+let is_setup _ = function Msg.Htlc_setup _ -> true | _ -> false
+let is_key _ = function Msg.Htlc_key _ -> true | _ -> false
+let is_claim _ = function Msg.Htlc_claim _ -> true | _ -> false
 
-(* Escrow e_i: accepts a hashlocked deposit from c_i, pays c_{i+1} against
-   the preimage before the leg's timelock, else refunds. *)
-let escrow_handlers (env : Env.t) cfg i =
-  let topo = env.Env.topo in
+(* The saved setup's lock, announced for leg [i]. *)
+let setup_of i (inst : inst) store =
+  match Store.data store "setup" with
+  | Msg.Htlc_setup { lock; _ } ->
+      Msg.Htlc_setup { lock; amount = Env.amount_at inst.env i }
+  | m -> m
+
+(* Escrow e_i: takes c_i's deposit under the lock c_i sends, tells c_{i+1}
+   its incoming leg exists, then pays c_{i+1} against the preimage before
+   the leg's timelock (revealing the key upstream) or refunds c_i at it.
+   A deposit the book refuses, a claim before any contract and a claim
+   with the wrong preimage are refused in place. *)
+let escrow topo params i : auto =
   let self = Topology.escrow topo i in
   let cust_up = Topology.customer topo i in
   let cust_down = Topology.customer topo (i + 1) in
-  let amount = Env.amount_at env i in
-  let book = env.Env.books.(i) in
-  let window = window_of env cfg i in
-  let contract : (HL.lock * int) option ref = ref None in
-  let deposit = ref None in
-  let resolved = ref false in
-  let finish ctx outcome =
-    E.observe ctx (Obs.Terminated { pid = self; outcome });
-    E.halt ctx
+  let setup_ok (inst : inst) = function
+    | Msg.Htlc_setup { amount; _ } -> amount = Env.amount_at inst.env i
+    | _ -> false
   in
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src msg ->
-        if not !resolved then
-          match msg with
-          | Msg.Htlc_setup { lock; amount = a }
-            when src = cust_up && !contract = None && a = amount -> (
-              match Ledger.Book.deposit book ~from_:cust_up ~amount with
-              | Ok dep ->
-                  contract := Some (lock, a);
-                  deposit := Some dep;
-                  E.observe ctx
-                    (Obs.Deposited
-                       { escrow = self; depositor = cust_up; amount; deposit = dep });
-                  E.set_timer_after ctx ~after:window ~label:"timelock";
-                  (* tell the downstream customer her incoming leg exists *)
-                  E.send ctx ~dst:cust_down (Msg.Htlc_setup { lock; amount = a })
-              | Error e ->
-                  E.observe ctx
-                    (Obs.Rejected
-                       { pid = self; what = Fmt.str "deposit: %a" Ledger.Book.pp_error e }))
-          | Msg.Htlc_claim { preimage } when src = cust_down -> (
-              match (!contract, !deposit) with
-              | Some (lock, _), Some dep when HL.matches lock preimage -> (
-                  match Ledger.Book.release book dep ~to_:cust_down with
-                  | Ok () ->
-                      resolved := true;
-                      E.observe ctx
-                        (Obs.Released
-                           { escrow = self; deposit = dep; to_ = cust_down; amount });
-                      E.send ctx ~dst:cust_down (Msg.Money { amount });
-                      (* reveal the key upstream, as an on-chain claim would *)
-                      E.send ctx ~dst:cust_up (Msg.Htlc_key { preimage });
-                      finish ctx "released"
-                  | Error e ->
-                      E.observe ctx
-                        (Obs.Rejected
-                           { pid = self; what = Fmt.str "release: %a" Ledger.Book.pp_error e }))
-              | Some _, _ ->
-                  E.observe ctx
-                    (Obs.Rejected { pid = self; what = "claim: wrong preimage" })
-              | None, _ ->
-                  E.observe ctx
-                    (Obs.Rejected { pid = self; what = "claim: no contract" }))
-          | _ -> ());
-    on_timer =
-      (fun ctx ~label ->
-        if (not !resolved) && String.equal label "timelock" then
-          match !deposit with
-          | Some dep -> (
-              match Ledger.Book.refund book dep with
-              | Ok () ->
-                  resolved := true;
-                  E.observe ctx
-                    (Obs.Refunded
-                       { escrow = self; deposit = dep; depositor = cust_up; amount });
-                  E.send ctx ~dst:cust_up (Msg.Money { amount });
-                  finish ctx "refunded"
-              | Error e ->
-                  E.observe ctx
-                    (Obs.Rejected
-                       { pid = self; what = Fmt.str "refund: %a" Ledger.Book.pp_error e }))
-          | None -> ());
-  }
+  let claim_ok (inst : inst) = function
+    | Msg.Htlc_claim { preimage } -> (
+        match inst.locks.(i) with
+        | Some lock -> HL.matches lock preimage
+        | None -> false)
+    | _ -> false
+  in
+  let reject what _ ctx _ _ = E.observe ctx (Obs.Rejected { pid = self; what }) in
+  A.make
+    ~name:("escrow" ^ string_of_int i)
+    ~initial:"await_setup"
+    ~nodes:
+      [
+        ( "await_setup",
+          A.input
+            [
+              A.on_receive ~from_:cust_up ~describe:"setup"
+                ~accept:(fun inst m -> setup_ok inst m && Env.can_fund inst.env i)
+                ~save_msg:"setup" ~save_now:[ "u" ]
+                ~act:(fun inst ctx _ m ->
+                  (match m with
+                  | Some (Msg.Htlc_setup { lock; _ }) -> inst.locks.(i) <- Some lock
+                  | _ -> ());
+                  Env.deposit inst.env ctx i)
+                ~next:"fwd_setup" ();
+              A.on_receive ~from_:cust_up ~describe:"setup, funds short"
+                ~accept:setup_ok
+                ~act:(fun inst ctx _ _ -> Env.deposit inst.env ctx i)
+                ~next:"await_setup" ();
+              A.on_receive ~from_:cust_down ~describe:"claim" ~accept:is_claim
+                ~act:(reject "claim: no contract") ~next:"await_setup" ();
+            ] );
+        ( "fwd_setup",
+          A.output ~to_:cust_down
+            ~message:(fun _ _ store -> Store.data store "setup")
+            ~next:"await_claim" () );
+        ( "await_claim",
+          A.input
+            [
+              A.on_deadline ~base:"u" ~offset:(window_of params i)
+                ~next:"refund" ();
+              A.on_receive ~from_:cust_down ~describe:"claim(s), H(s) = lock"
+                ~accept:claim_ok ~save_msg:"claim" ~next:"pay_down" ();
+              A.on_receive ~from_:cust_down ~describe:"claim, wrong preimage"
+                ~accept:is_claim
+                ~act:(reject "claim: wrong preimage")
+                ~next:"await_claim" ();
+            ] );
+        ( "pay_down",
+          A.output ~to_:cust_down
+            ~act:(fun inst ctx _ -> Env.release inst.env ctx i)
+            ~message:(money_of i) ~next:"reveal" () );
+        ( "reveal",
+          A.output ~to_:cust_up
+            ~message:(fun _ _ store ->
+              match Store.data store "claim" with
+              | Msg.Htlc_claim { preimage } -> Msg.Htlc_key { preimage }
+              | m -> m)
+            ~next:"done_released" () );
+        ( "refund",
+          A.output ~to_:cust_up
+            ~act:(fun inst ctx _ -> Env.refund inst.env ctx i)
+            ~message:(money_of i) ~next:"done_refunded" () );
+        ("done_released", Env.final self "released");
+        ("done_refunded", Env.final self "refunded");
+      ]
 
 (* Customer c_i, i < n: on learning the lock (from Bob's invoice for Alice,
    from the upstream escrow's setup notice for connectors), fund the
-   outgoing leg; on the revealed key, claim the incoming leg. *)
-let customer_handlers (env : Env.t) _cfg i =
-  let topo = env.Env.topo in
-  let n = Topology.hops topo in
+   outgoing leg under it; then either the leg is refunded, or the key is
+   revealed and claims the incoming leg (Alice's receipt is the bare key). *)
+let customer topo i : auto =
   let self = Topology.customer topo i in
   let e_down = Topology.escrow topo i in
-  let e_up = if i > 0 then Some (Topology.escrow topo (i - 1)) else None in
-  let amount = Env.amount_at env i in
-  let recv_amount = if i > 0 then Env.amount_at env (i - 1) else 0 in
-  let expected_src = if i = 0 then Topology.bob topo else Topology.escrow topo (i - 1) in
-  let funded = ref false in
-  let refunded = ref false in
-  let claimed = ref false in
-  let done_ = ref false in
-  let finish ctx outcome =
-    if not !done_ then begin
-      done_ := true;
-      E.observe ctx (Obs.Terminated { pid = self; outcome });
-      E.halt ctx
-    end
+  let lock_from =
+    if i = 0 then Topology.bob topo else Topology.escrow topo (i - 1)
   in
-  ignore n;
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Msg.Htlc_setup { lock; amount = _ } when src = expected_src && not !funded ->
-            funded := true;
-            E.send ctx ~dst:e_down (Msg.Htlc_setup { lock; amount })
-        | Msg.Htlc_key { preimage } when src = e_down && not !claimed -> (
-            claimed := true;
-            E.observe ctx
-              (Obs.Note { pid = self; what = "preimage-learned" });
-            match e_up with
-            | Some e -> E.send ctx ~dst:e (Msg.Htlc_claim { preimage })
-            | None ->
-                (* Alice: the revealed preimage is all the receipt HTLC
-                   gives her *)
-                finish ctx "preimage-receipt")
-        | Msg.Money { amount = a } when src = e_down && a = amount ->
-            refunded := true;
-            finish ctx "refunded"
-        | Msg.Money { amount = a } ->
-            (match e_up with
-            | Some e when src = e && a = recv_amount -> finish ctx "paid"
-            | _ -> ())
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  let learned _ ctx _ _ =
+    E.observe ctx (Obs.Note { pid = self; what = "preimage-learned" })
+  in
+  let claim =
+    if i = 0 then
+      [ ("done_receipt", Env.final self "preimage-receipt") ]
+    else
+      let e_up = Topology.escrow topo (i - 1) in
+      [
+        ( "claim",
+          A.output ~to_:e_up
+            ~message:(fun _ _ store ->
+              match Store.data store "key" with
+              | Msg.Htlc_key { preimage } -> Msg.Htlc_claim { preimage }
+              | m -> m)
+            ~next:"await_payment" () );
+        ( "await_payment",
+          A.input [ Env.recv e_up "$" (is_money (i - 1)) "done_paid" ] );
+        ("done_paid", Env.final self "paid");
+      ]
+  in
+  A.make
+    ~name:(if i = 0 then "alice" else "chloe" ^ string_of_int i)
+    ~initial:"await_lock"
+    ~nodes:
+      ([
+         ( "await_lock",
+           A.input
+             [
+               A.on_receive ~from_:lock_from ~describe:"setup" ~accept:is_setup
+                 ~save_msg:"setup" ~next:"fund" ();
+             ] );
+         ( "fund",
+           A.output ~to_:e_down
+             ~message:(fun inst _ store -> setup_of i inst store)
+             ~next:"await_outcome" () );
+         ( "await_outcome",
+           A.input
+             [
+               A.on_receive ~from_:e_down ~describe:"key" ~accept:is_key
+                 ~save_msg:"key" ~act:learned
+                 ~next:(if i = 0 then "done_receipt" else "claim")
+                 ();
+               Env.recv e_down "$refund" (is_money i) "done_refunded";
+             ] );
+         ("done_refunded", Env.final self "refunded");
+       ]
+      @ claim)
 
-let bob_handlers (env : Env.t) _cfg preimage =
-  let topo = env.Env.topo in
+(* Bob: sends Alice the invoice (the lock), claims his incoming leg with
+   the preimage each time it is announced, and is paid. *)
+let bob topo : auto =
   let n = Topology.hops topo in
   let self = Topology.bob topo in
   let e_up = Topology.escrow topo (n - 1) in
-  let alice = Topology.alice topo in
-  let recv_amount = Env.amount_at env (n - 1) in
-  let lock = HL.lock_of preimage in
-  {
-    E.on_start =
-      (fun ctx ->
-        (* the invoice: Bob hands Alice the lock *)
-        E.send ctx ~dst:alice (Msg.Htlc_setup { lock; amount = env.Env.value }));
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Msg.Htlc_setup _ when src = e_up ->
-            (* incoming leg funded: claim it *)
-            E.send ctx ~dst:e_up (Msg.Htlc_claim { preimage })
-        | Msg.Money { amount } when src = e_up && amount = recv_amount ->
-            E.observe ctx (Obs.Terminated { pid = self; outcome = "paid" });
-            E.halt ctx
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  A.make ~name:"bob" ~initial:"invoice"
+    ~nodes:
+      [
+        ( "invoice",
+          A.output ~to_:(Topology.alice topo)
+            ~message:(fun inst _ _ ->
+              Msg.Htlc_setup { lock = inst.lock; amount = inst.env.Env.value })
+            ~next:"await" () );
+        ( "await",
+          A.input
+            [
+              Env.recv e_up "setup" is_setup "claim";
+              Env.recv e_up "$" (is_money (n - 1)) "done_paid";
+            ] );
+        ( "claim",
+          A.output ~to_:e_up
+            ~message:(fun inst _ _ -> Msg.Htlc_claim { preimage = inst.preimage })
+            ~next:"await" () );
+        ("done_paid", Env.final self "paid");
+      ]
 
-let handlers_for env cfg preimage pid =
-  let topo = env.Env.topo in
-  match Topology.role_of topo pid with
-  | Some Topology.Alice -> customer_handlers env cfg 0
-  | Some (Topology.Connector i) -> customer_handlers env cfg i
-  | Some Topology.Bob -> bob_handlers env cfg preimage
-  | Some (Topology.Escrow i) -> escrow_handlers env cfg i
-  | _ -> invalid_arg "Htlc_protocol.handlers_for: unknown pid"
+let template (params : Params.t) =
+  let topo = Topology.create ~hops:params.Params.input.Params.hops in
+  Array.init (Topology.payment_count topo) (fun pid ->
+      match Topology.role_of topo pid with
+      | Some Topology.Alice -> customer topo 0
+      | Some (Topology.Connector i) -> customer topo i
+      | Some Topology.Bob -> bob topo
+      | Some (Topology.Escrow i) -> escrow topo params i
+      | Some (Topology.Aux _) | None -> assert false)

@@ -17,24 +17,41 @@
       (timelocks nest linearly per leg), against the paper's nested a{_i}
       windows that release the moment χ passes — experiment E5 measures
       this;
-    - the same drift-race on the refund deadline exists per leg. *)
+    - the same drift-race on the refund deadline exists per leg.
 
-type config = {
-  hop_window : Sim.Sim_time.t;
-      (** per-hop slice of the timelock ladder; leg i refunds after
-          [(hops - i) * 4 + 2] of these plus drift inflation *)
+    Every participant is a timed automaton in the {!Anta} formalism: the
+    hashlock-plus-timelock automaton of Herlihy's atomic cross-chain swaps,
+    drawn in docs/protocol.md. An escrow refuses in place (observing
+    [Rejected], forwarding nothing) a deposit its book cannot cover, a
+    claim before any contract and a claim with the wrong preimage. *)
+
+(** {1 Template and instance}
+
+    The automata depend only on the chain's length and the timelock
+    ladder, both read from the {!Params}: a {!template} compiles them
+    once. A payment's instance is its {!Env.t} plus what HTLC adds to it:
+    Bob's preimage and the lock each escrow took its deposit under. *)
+
+type inst = {
+  env : Env.t;
+  preimage : Xcrypto.Hashlock.preimage;  (** Bob's secret *)
+  lock : Xcrypto.Hashlock.lock;  (** [H(preimage)], Bob's invoice *)
+  locks : Xcrypto.Hashlock.lock option array;
+      (** [locks.(i)]: the lock e{_i} holds its deposit under, once it
+          does *)
 }
 
-val default_config : Env.t -> config
-(** A safe ladder derived from the env's δ, σ and drift. *)
+val instance : Env.t -> seed:int -> inst
+(** The payment [env] with a fresh preimage drawn from [seed]. *)
 
-val window_of : Env.t -> config -> int -> Sim.Sim_time.t
-(** The refund timelock of leg [i] (local ticks from deposit). *)
+type template = (inst, Msg.t, Obs.t) Anta.Automaton.t array
+(** The automaton of each payment participant, by pid. *)
 
-val handlers_for :
-  Env.t -> config -> Xcrypto.Hashlock.preimage -> int ->
-  (Msg.t, Obs.t) Sim.Engine.handlers
-(** Honest handlers by pid. The preimage is Bob's; other participants only
-    ever see it through protocol messages (their closures ignore it). *)
+val template : Params.t -> template
+(** The automata of every participant of the [params.input.hops]-escrow
+    chain, with the escrows' timelocks {!window_of} [params]. *)
 
-val fresh_preimage : seed:int -> Xcrypto.Hashlock.preimage
+val window_of : Params.t -> int -> Sim.Sim_time.t
+(** The refund timelock of leg [i] (local ticks from deposit): [(hops - i)
+    * 4 + 2] rungs of one hop's worst cost [σ + δ + margin], inflated for
+    clock drift, all read from the params' input. *)

@@ -41,4 +41,3 @@ val tag : t -> string
 (** Short constructor name, for filtering. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_cert_kind : Format.formatter -> cert_kind -> unit

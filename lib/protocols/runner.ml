@@ -70,6 +70,7 @@ and outcome = {
   paid_node : int;
   settled_node : int;
   injector : Faults.Injector.t option;
+  conformance : int -> (unit, Anta.Conformance.deviation) result option;
 }
 
 let default_config ~hops ~seed =
@@ -153,6 +154,47 @@ let validate_config cfg =
       fail "partially-synchronous GST must be >= 0 (got %a)" Sim_time.pp gst
   | _ -> ()
 
+(* C's structural clause reads only the pid layout: deadline offsets and
+   windows never reach [Automaton.check] or [Network_check], so one check
+   per (protocol, path length) serves every run. Domains racing on a
+   missing entry compute equal results; the CAS loop keeps whichever map
+   lands. *)
+module Int_map = Map.Make (Int)
+
+let well_formed_memo : (unit, string) result Int_map.t Atomic.t =
+  Atomic.make Int_map.empty
+
+let check_template protocol ~hops =
+  let params = Params.derive (Params.default_input ~hops) in
+  match protocol with
+  | Sync_timebound | Naive_universal ->
+      Anta.Network_check.well_formed (Sync_protocol.template params)
+  | Htlc -> Anta.Network_check.well_formed (Htlc_protocol.template params)
+  | Atomic acfg ->
+      Anta.Network_check.well_formed (Atomic_protocol.template ~hops acfg)
+  | Weak _ -> Ok () (* hand-written participants: no automata to check *)
+
+let well_formed protocol ~hops =
+  let kind =
+    match protocol with
+    | Sync_timebound | Naive_universal -> 0
+    | Htlc -> 1
+    | Atomic _ -> 2
+    | Weak _ -> 3
+  in
+  let key = (hops * 4) + kind in
+  match Int_map.find_opt key (Atomic.get well_formed_memo) with
+  | Some r -> r
+  | None ->
+      let r = check_template protocol ~hops in
+      let rec publish () =
+        let m = Atomic.get well_formed_memo in
+        if not (Atomic.compare_and_set well_formed_memo m (Int_map.add key r m))
+        then publish ()
+      in
+      publish ();
+      r
+
 (* Build and execute the engine run; [run] below wraps this with the
    post-run telemetry pass. *)
 let run_engine cfg protocol =
@@ -166,7 +208,7 @@ let run_engine cfg protocol =
   let tm_pids =
     match protocol with
     | Weak wcfg -> Weak_protocol.tm_pids env wcfg
-    | Atomic _ -> [| Atomic_protocol.tm_pid env |]
+    | Atomic _ -> [| Topology.aux_base topo |]
     | _ -> [||]
   in
   Array.iteri
@@ -216,18 +258,28 @@ let run_engine cfg protocol =
               settled_node := Causal_fold.current_node fold
           | _ -> ()));
   let clock_rng = Rng.create ~seed:(cfg.seed + 31) in
-  let honest =
+  (* the honest handlers by pid, and the replay of each pid's automaton *)
+  let replay tmpl inst pid =
+    if pid < Array.length tmpl then
+      Some
+        (Anta.Conformance.check tmpl.(pid) inst ~pid ~tag_of:Msg.tag
+           (Engine.trace engine))
+    else None
+  in
+  let honest, conformance =
     match protocol with
     | Sync_timebound | Naive_universal ->
-        Sync_protocol.handlers (Sync_protocol.template params) env
+        let tmpl = Sync_protocol.template params in
+        (Anta.Executor.instantiate tmpl env, replay tmpl env)
     | Htlc ->
-        fun pid ->
-          let preimage = Htlc_protocol.fresh_preimage ~seed:(cfg.seed + 57) in
-          Htlc_protocol.handlers_for env
-            (Htlc_protocol.default_config env)
-            preimage pid
-    | Weak wcfg -> fun pid -> Weak_protocol.handlers_for env wcfg pid
-    | Atomic acfg -> fun pid -> Atomic_protocol.handlers_for env acfg pid
+        let tmpl = Htlc_protocol.template params in
+        let inst = Htlc_protocol.instance env ~seed:(cfg.seed + 57) in
+        (Anta.Executor.instantiate tmpl inst, replay tmpl inst)
+    | Weak wcfg ->
+        ((fun pid -> Weak_protocol.handlers_for env wcfg pid), fun _ -> None)
+    | Atomic acfg ->
+        let tmpl = Atomic_protocol.template ~hops:cfg.hops acfg in
+        (Anta.Executor.instantiate tmpl env, replay tmpl env)
   in
   let fault_names =
     List.map (fun (pid, s) -> (pid, Byzantine.name s)) cfg.faults
@@ -310,6 +362,7 @@ let run_engine cfg protocol =
       paid_node = !paid_node;
       settled_node = !settled_node;
       injector;
+      conformance;
     }
   in
   (match cfg.on_ready with

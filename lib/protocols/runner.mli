@@ -106,6 +106,11 @@ and outcome = {
       (** the fault-plan interpreter this run used, exposed for its
           per-clause activation counters ({!Faults.Injector.clause_hits});
           [None] when the config carried no (non-empty) plan *)
+  conformance : int -> (unit, Anta.Conformance.deviation) result option;
+      (** [conformance pid] replays the honest automaton of [pid] over this
+          run's trace, against the instance the run's template ran for
+          ({!Anta.Conformance.check}); [None] for a pid the protocol runs
+          no automaton for (the weak protocols' hand-written roles) *)
 }
 
 val default_config : hops:int -> seed:int -> config
@@ -115,6 +120,14 @@ val default_config : hops:int -> seed:int -> config
 val process_count : hops:int -> protocol -> int
 (** The pid space a fault plan for [run] addresses: the [2 * hops + 1]
     payment participants plus the protocol's TM processes. *)
+
+val well_formed : protocol -> hops:int -> (unit, string) result
+(** C's structural clause for the [hops]-escrow chain:
+    {!Anta.Network_check.well_formed} over the template of sync, naive,
+    HTLC or atomic. It reads only the pid layout, so it is computed once
+    per (protocol, [hops]) per process and shared by every run; safe from
+    several domains. The weak protocols run hand-written closures, with no
+    automaton: [Ok ()]. *)
 
 val run : config -> protocol -> outcome
 (** Validates the config first — hops >= 1, value > 0, commission >= 0,

@@ -9,12 +9,16 @@ type auto = (Env.t, Msg.t, Obs.t) A.t
    layout (pids), the escrow index and the Thm 1 windows a_i / d_i are
    template constants. *)
 
-let is_money i (env : Env.t) = function
-  | Msg.Money { amount } -> amount = Env.amount_at env i
-  | _ -> false
-
 let chi_ok (env : Env.t) = function
   | Msg.Chi sv -> Env.chi_ok env sv
+  | _ -> false
+
+let is_g i env = function
+  | Msg.Promise_g sv -> Env.promise_g_ok env ~escrow_index:i sv
+  | _ -> false
+
+let is_p i env = function
+  | Msg.Promise_p sv -> Env.promise_p_ok env ~escrow_index:i sv
   | _ -> false
 
 (* Acts run only on a message their guard accepted, and every χ guard is
@@ -26,9 +30,6 @@ let cert_received_note self ctx msg =
       E.observe ctx (Obs.Cert_received { pid = self; kind = Obs.Chi; valid = true })
   | Some _ | None -> ()
 
-let terminated self outcome _ ctx _store =
-  E.observe ctx (Obs.Terminated { pid = self; outcome })
-
 (* e_i: issue G(d_i); take the deposit; issue P(a_i); then forward χ and pay
    downstream, or time out and refund. The held deposit is the payment's,
    kept in [env.deposits.(i)]. *)
@@ -38,58 +39,6 @@ let escrow_automaton topo (params : Params.t) i : auto =
   let cust_down = Topology.customer topo (i + 1) in
   let a_i = params.Params.a.(i) in
   let d_i = params.Params.d.(i) in
-  let take_deposit (env : Env.t) ctx _store _msg =
-    let amount = Env.amount_at env i in
-    match Ledger.Book.deposit env.books.(i) ~from_:cust_up ~amount with
-    | Ok dep ->
-        env.deposits.(i) <- dep;
-        E.observe ctx
-          (Obs.Deposited { escrow = self; depositor = cust_up; amount; deposit = dep })
-    | Error e ->
-        E.observe ctx
-          (Obs.Rejected { pid = self; what = Fmt.str "deposit: %a" Ledger.Book.pp_error e })
-  in
-  let pay_down (env : Env.t) ctx _store =
-    let dep = env.deposits.(i) in
-    if dep < 0 then
-      E.observe ctx (Obs.Rejected { pid = self; what = "release: no deposit" })
-    else
-      match Ledger.Book.release env.books.(i) dep ~to_:cust_down with
-      | Ok () ->
-          E.observe ctx
-            (Obs.Released
-               {
-                 escrow = self;
-                 deposit = dep;
-                 to_ = cust_down;
-                 amount = Env.amount_at env i;
-               })
-      | Error e ->
-          E.observe ctx
-            (Obs.Rejected
-               { pid = self; what = Fmt.str "release: %a" Ledger.Book.pp_error e })
-  in
-  let pay_back (env : Env.t) ctx _store =
-    let dep = env.deposits.(i) in
-    if dep < 0 then
-      E.observe ctx (Obs.Rejected { pid = self; what = "refund: no deposit" })
-    else
-      match Ledger.Book.refund env.books.(i) dep with
-      | Ok () ->
-          E.observe ctx
-            (Obs.Refunded
-               {
-                 escrow = self;
-                 deposit = dep;
-                 depositor = cust_up;
-                 amount = Env.amount_at env i;
-               })
-      | Error e ->
-          E.observe ctx
-            (Obs.Rejected
-               { pid = self; what = Fmt.str "refund: %a" Ledger.Book.pp_error e })
-  in
-  let money (env : Env.t) _ _ = Msg.Money { amount = Env.amount_at env i } in
   A.make
     ~name:("escrow" ^ string_of_int i)
     ~initial:"send_g"
@@ -106,8 +55,10 @@ let escrow_automaton topo (params : Params.t) i : auto =
         ( "await_money",
           A.input
             [
-              A.on_receive ~from_:cust_up ~describe:"$" ~accept:(is_money i)
-                ~save_now:[ "u" ] ~act:take_deposit ~next:"send_p" ();
+              A.on_receive ~from_:cust_up ~describe:"$"
+                ~accept:(Env.is_money i) ~save_now:[ "u" ]
+                ~act:(fun env ctx _ _ -> Env.deposit env ctx i)
+                ~next:"send_p" ();
             ] );
         ( "send_p",
           A.output ~to_:cust_down
@@ -132,13 +83,15 @@ let escrow_automaton topo (params : Params.t) i : auto =
             ~message:(fun _ _ store -> Store.data store "chi")
             ~next:"pay_down" () );
         ( "pay_down",
-          A.output ~to_:cust_down ~act:pay_down ~message:money
-            ~next:"done_released" () );
+          A.output ~to_:cust_down
+            ~act:(fun env ctx _ -> Env.release env ctx i)
+            ~message:(Env.money_of i) ~next:"done_released" () );
         ( "refund",
-          A.output ~to_:cust_up ~act:pay_back ~message:money
-            ~next:"done_refunded" () );
-        ("done_released", A.final ~act:(terminated self "released") ());
-        ("done_refunded", A.final ~act:(terminated self "refunded") ());
+          A.output ~to_:cust_up
+            ~act:(fun env ctx _ -> Env.refund env ctx i)
+            ~message:(Env.money_of i) ~next:"done_refunded" () );
+        ("done_released", Env.final self "released");
+        ("done_refunded", Env.final self "refunded");
       ]
 
 (* Chloe_i, 0 < i < n. *)
@@ -151,34 +104,15 @@ let connector_automaton topo i : auto =
     ~initial:"await_g"
     ~nodes:
       [
-        ( "await_g",
-          A.input
-            [
-              A.on_receive ~from_:e_down ~describe:"G"
-                ~accept:(fun env -> function
-                  | Msg.Promise_g sv -> Env.promise_g_ok env ~escrow_index:i sv
-                  | _ -> false)
-                ~next:"await_p" ();
-            ] );
-        ( "await_p",
-          A.input
-            [
-              A.on_receive ~from_:e_up ~describe:"P"
-                ~accept:(fun env -> function
-                  | Msg.Promise_p sv ->
-                      Env.promise_p_ok env ~escrow_index:(i - 1) sv
-                  | _ -> false)
-                ~next:"send_money" ();
-            ] );
+        ("await_g", A.input [ Env.recv e_down "G" (is_g i) "await_p" ]);
+        ("await_p", A.input [ Env.recv e_up "P" (is_p (i - 1)) "send_money" ]);
         ( "send_money",
-          A.output ~to_:e_down
-            ~message:(fun env _ _ -> Msg.Money { amount = Env.amount_at env i })
-            ~next:"await_outcome" () );
+          A.output ~to_:e_down ~message:(Env.money_of i) ~next:"await_outcome" ()
+        );
         ( "await_outcome",
           A.input
             [
-              A.on_receive ~from_:e_down ~describe:"$refund"
-                ~accept:(is_money i) ~next:"done_refunded" ();
+              Env.recv e_down "$refund" (Env.is_money i) "done_refunded";
               A.on_receive ~from_:e_down ~describe:"χ" ~accept:chi_ok
                 ~save_msg:"chi"
                 ~act:(fun _ ctx _ m -> cert_received_note self ctx m)
@@ -189,13 +123,9 @@ let connector_automaton topo i : auto =
             ~message:(fun _ _ store -> Store.data store "chi")
             ~next:"await_payment" () );
         ( "await_payment",
-          A.input
-            [
-              A.on_receive ~from_:e_up ~describe:"$"
-                ~accept:(is_money (i - 1)) ~next:"done_paid" ();
-            ] );
-        ("done_refunded", A.final ~act:(terminated self "refunded") ());
-        ("done_paid", A.final ~act:(terminated self "paid") ());
+          A.input [ Env.recv e_up "$" (Env.is_money (i - 1)) "done_paid" ] );
+        ("done_refunded", Env.final self "refunded");
+        ("done_paid", Env.final self "paid");
       ]
 
 let alice_automaton topo : auto =
@@ -204,30 +134,19 @@ let alice_automaton topo : auto =
   A.make ~name:"alice" ~initial:"await_g"
     ~nodes:
       [
-        ( "await_g",
-          A.input
-            [
-              A.on_receive ~from_:e0 ~describe:"G"
-                ~accept:(fun env -> function
-                  | Msg.Promise_g sv -> Env.promise_g_ok env ~escrow_index:0 sv
-                  | _ -> false)
-                ~next:"send_money" ();
-            ] );
+        ("await_g", A.input [ Env.recv e0 "G" (is_g 0) "send_money" ]);
         ( "send_money",
-          A.output ~to_:e0
-            ~message:(fun env _ _ -> Msg.Money { amount = Env.amount_at env 0 })
-            ~next:"await_outcome" () );
+          A.output ~to_:e0 ~message:(Env.money_of 0) ~next:"await_outcome" () );
         ( "await_outcome",
           A.input
             [
-              A.on_receive ~from_:e0 ~describe:"$refund" ~accept:(is_money 0)
-                ~next:"done_refunded" ();
+              Env.recv e0 "$refund" (Env.is_money 0) "done_refunded";
               A.on_receive ~from_:e0 ~describe:"χ" ~accept:chi_ok
                 ~act:(fun _ ctx _ m -> cert_received_note self ctx m)
                 ~next:"done_certified" ();
             ] );
-        ("done_refunded", A.final ~act:(terminated self "refunded") ());
-        ("done_certified", A.final ~act:(terminated self "certified") ());
+        ("done_refunded", Env.final self "refunded");
+        ("done_certified", Env.final self "certified");
       ]
 
 let bob_automaton topo : auto =
@@ -237,16 +156,7 @@ let bob_automaton topo : auto =
   A.make ~name:"bob" ~initial:"await_p"
     ~nodes:
       [
-        ( "await_p",
-          A.input
-            [
-              A.on_receive ~from_:e_up ~describe:"P"
-                ~accept:(fun env -> function
-                  | Msg.Promise_p sv ->
-                      Env.promise_p_ok env ~escrow_index:(n - 1) sv
-                  | _ -> false)
-                ~next:"send_chi" ();
-            ] );
+        ("await_p", A.input [ Env.recv e_up "P" (is_p (n - 1)) "send_chi" ]);
         ( "send_chi",
           A.output ~to_:e_up
             ~act:(fun _ ctx _ ->
@@ -254,12 +164,8 @@ let bob_automaton topo : auto =
             ~message:(fun env _ _ -> Msg.Chi (Env.make_chi env))
             ~next:"await_money" () );
         ( "await_money",
-          A.input
-            [
-              A.on_receive ~from_:e_up ~describe:"$" ~accept:(is_money (n - 1))
-                ~next:"done_paid" ();
-            ] );
-        ("done_paid", A.final ~act:(terminated self "paid") ());
+          A.input [ Env.recv e_up "$" (Env.is_money (n - 1)) "done_paid" ] );
+        ("done_paid", Env.final self "paid");
       ]
 
 type template = auto array
@@ -276,62 +182,3 @@ let template (params : Params.t) =
     | Some (Topology.Aux _) | None -> assert false
   in
   Array.init (Topology.payment_count topo) build
-
-let automaton t pid =
-  if pid < 0 || pid >= Array.length t then
-    invalid_arg "Sync_protocol.automaton: not a payment participant";
-  t.(pid)
-
-let handlers t env pid = fst (Executor.handlers (automaton t pid) env ())
-
-let check_all t =
-  let pids = List.init (Array.length t) Fun.id in
-  let rec go = function
-    | [] -> Ok ()
-    | pid :: rest -> (
-        let auto = automaton t pid in
-        match A.check auto with
-        | Ok () -> go rest
-        | Error errs ->
-            Error
-              (Fmt.str "automaton %s: %a" (A.name auto)
-                 Fmt.(list ~sep:(any "; ") A.pp_check_error)
-                 errs))
-  in
-  match go pids with
-  | Error _ as e -> e
-  | Ok () -> (
-      (* per-automaton checks passed; now the channels must carry the
-         conversation (no dangling sends, no deaf receivers) *)
-      let network = List.map (fun pid -> (pid, automaton t pid)) pids in
-      match Anta.Network_check.(errors (check network)) with
-      | [] -> Ok ()
-      | issues ->
-          Error
-            (Fmt.str "network wiring: %a"
-               Fmt.(list ~sep:(any "; ") Anta.Network_check.pp_issue)
-               issues))
-
-(* C's structural clause reads only the pid layout: deadline offsets (the
-   params) never reach [Automaton.check] or [Network_check], so one check
-   per path length serves every run. Domains racing on a missing entry
-   compute equal results; the CAS loop keeps whichever map lands. *)
-module Int_map = Map.Make (Int)
-
-let well_formed_memo : (unit, string) result Int_map.t Atomic.t =
-  Atomic.make Int_map.empty
-
-let well_formed ~hops =
-  match Int_map.find_opt hops (Atomic.get well_formed_memo) with
-  | Some r -> r
-  | None ->
-      let r =
-        check_all (template (Params.derive (Params.default_input ~hops)))
-      in
-      let rec publish () =
-        let m = Atomic.get well_formed_memo in
-        if not (Atomic.compare_and_set well_formed_memo m (Int_map.add hops r m))
-        then publish ()
-      in
-      publish ();
-      r

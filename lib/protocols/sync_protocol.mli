@@ -40,29 +40,9 @@
 
 type auto = (Env.t, Msg.t, Obs.t) Anta.Automaton.t
 
-type template
+type template = auto array
+(** The automaton of each payment participant, by pid. *)
 
 val template : Params.t -> template
 (** The automata of every participant of the [Array.length params.a]-escrow
     chain, with the escrows' deadlines and promises taken from [params]. *)
-
-val automaton : template -> int -> auto
-(** By pid, for every payment participant; raises [Invalid_argument] for
-    any other pid. *)
-
-val handlers :
-  template -> Env.t -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** [handlers t env pid] runs pid's automaton for the payment [env]: the
-    executor state is the only thing allocated. *)
-
-val check_all : template -> (unit, string) result
-(** Well-formedness (property C): every participant's automaton checks
-    individually {e and} the network wiring carries the conversation
-    ({!Anta.Network_check} finds no dangling sends or deaf receivers). *)
-
-val well_formed : hops:int -> (unit, string) result
-(** {!check_all} for the [hops]-escrow chain, computed once per [hops] per
-    process and shared by every run (runner, chaos, explore, load). The
-    automata's structure depends only on the pid layout, never on the
-    params, so this equals [check_all] on any template of that length.
-    Safe to call from several domains. *)

@@ -50,9 +50,6 @@ let tm_pids (env : Env.t) cfg =
   | 1 -> [| base |]
   | n -> Array.init n (fun k -> base + k)
 
-let process_count env cfg =
-  Topology.payment_count env.Env.topo + tm_count cfg
-
 let dls_cfg (env : Env.t) cfg ~self_index ~signer ~validate =
   let pids = tm_pids env cfg in
   let qs =
@@ -243,48 +240,28 @@ let escrow_handlers (env : Env.t) cfg i =
   let cust_up = Topology.customer topo i in
   let cust_down = Topology.customer topo (i + 1) in
   let amount = Env.amount_at env i in
-  let book = env.Env.books.(i) in
   let signer = Env.signer_of env self in
   let tms = tm_pids env cfg in
   let verify_committee = verify_committee_decision env cfg in
-  let deposit = ref None in
   let resolved = ref false in
   let pending_decision : bool option ref = ref None in
   let resolve ctx commit =
-    match !deposit with
-    | None -> pending_decision := Some commit
-    | Some dep ->
-        if not !resolved then begin
-          resolved := true;
-          if commit then begin
-            match Ledger.Book.release book dep ~to_:cust_down with
-            | Ok () ->
-                E.observe ctx
-                  (Obs.Released
-                     { escrow = self; deposit = dep; to_ = cust_down; amount });
-                E.send ctx ~dst:cust_down (Msg.Money { amount })
-            | Error e ->
-                E.observe ctx
-                  (Obs.Rejected
-                     { pid = self; what = Fmt.str "release: %a" Ledger.Book.pp_error e })
-          end
-          else begin
-            match Ledger.Book.refund book dep with
-            | Ok () ->
-                E.observe ctx
-                  (Obs.Refunded
-                     { escrow = self; deposit = dep; depositor = cust_up; amount });
-                E.send ctx ~dst:cust_up (Msg.Money { amount })
-            | Error e ->
-                E.observe ctx
-                  (Obs.Rejected
-                     { pid = self; what = Fmt.str "refund: %a" Ledger.Book.pp_error e })
-          end;
-          E.observe ctx
-            (Obs.Terminated
-               { pid = self; outcome = (if commit then "released" else "refunded") });
-          E.halt ctx
-        end
+    if env.Env.deposits.(i) < 0 then pending_decision := Some commit
+    else if not !resolved then begin
+      resolved := true;
+      if commit then begin
+        Env.release env ctx i;
+        E.send ctx ~dst:cust_down (Msg.Money { amount })
+      end
+      else begin
+        Env.refund env ctx i;
+        E.send ctx ~dst:cust_up (Msg.Money { amount })
+      end;
+      E.observe ctx
+        (Obs.Terminated
+           { pid = self; outcome = (if commit then "released" else "refunded") });
+      E.halt ctx
+    end
   in
   {
     E.on_start = (fun _ -> ());
@@ -294,41 +271,34 @@ let escrow_handlers (env : Env.t) cfg i =
         | Some commit -> resolve ctx commit
         | None -> (
             match msg with
-            | Msg.Money _ when src = cust_up && !deposit = None -> (
-                match Ledger.Book.deposit book ~from_:cust_up ~amount with
-                | Ok dep ->
-                    deposit := Some dep;
-                    E.observe ctx
-                      (Obs.Deposited
-                         { escrow = self; depositor = cust_up; amount; deposit = dep });
-                    E.observe ctx (Obs.Funded_reported { escrow = self; amount });
-                    (match cfg.tm with
-                    | Shared { pids; item; _ } ->
-                        E.send_absolute ctx ~dst:pids.(0)
-                          (Msg.Quorum_req
-                             { item; req = Msg.Leg_funded { escrow_index = i } })
-                    | _ ->
-                        let body =
-                          {
-                            Msg.f_escrow = self;
-                            f_payment = env.Env.payment;
-                            f_amount = amount;
-                          }
-                        in
-                        let signed =
-                          Xcrypto.Auth.sign_value signer ~ser:Msg.ser_funded body
-                        in
-                        Array.iter
-                          (fun tm -> E.send ctx ~dst:tm (Msg.Funded signed))
-                          tms);
-                    (* a decision that raced ahead of the deposit *)
-                    (match !pending_decision with
-                    | Some c -> resolve ctx c
-                    | None -> ())
-                | Error e ->
-                    E.observe ctx
-                      (Obs.Rejected
-                         { pid = self; what = Fmt.str "deposit: %a" Ledger.Book.pp_error e }))
+            | Msg.Money _ when src = cust_up && env.Env.deposits.(i) < 0 ->
+                Env.deposit env ctx i;
+                if env.Env.deposits.(i) >= 0 then begin
+                  E.observe ctx (Obs.Funded_reported { escrow = self; amount });
+                  (match cfg.tm with
+                  | Shared { pids; item; _ } ->
+                      E.send_absolute ctx ~dst:pids.(0)
+                        (Msg.Quorum_req
+                           { item; req = Msg.Leg_funded { escrow_index = i } })
+                  | _ ->
+                      let body =
+                        {
+                          Msg.f_escrow = self;
+                          f_payment = env.Env.payment;
+                          f_amount = amount;
+                        }
+                      in
+                      let signed =
+                        Xcrypto.Auth.sign_value signer ~ser:Msg.ser_funded body
+                      in
+                      Array.iter
+                        (fun tm -> E.send ctx ~dst:tm (Msg.Funded signed))
+                        tms);
+                  (* a decision that raced ahead of the deposit *)
+                  match !pending_decision with
+                  | Some c -> resolve ctx c
+                  | None -> ()
+                end
             | _ -> ()));
     on_timer = (fun _ ~label:_ -> ());
   }

@@ -96,26 +96,9 @@ val tm_pids : Env.t -> config -> int array
 (** The TM process pids implied by the config (aux pids after the payment
     participants). *)
 
-val process_count : Env.t -> config -> int
-(** Total processes: payment participants + TM processes. *)
-
 val handlers_for :
   Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
 (** Honest handlers for any pid (customers, escrows, TM/notaries). Each
     participant's handler set builds the TM roster and the committee
     verifier once, not once per decision message. *)
 
-val customer_handlers :
-  Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** By customer index 0..n. Exposed for fault-injection wrappers. *)
-
-val escrow_handlers :
-  Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
-
-val verify_committee_decision :
-  Env.t -> config -> bool Consensus.Dls.decision_cert -> bool
-(** What participants run on a {!Msg.Committee_decision}: checks that the
-    notary signatures over the decided value form a quorum of the
-    committee's quorum system. [verify_committee_decision env cfg] builds
-    the TM roster and consensus config once; keep it to check many
-    certificates. *)

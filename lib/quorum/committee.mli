@@ -53,9 +53,6 @@ val create : config -> t
 (** @raise Invalid_argument on an invalid quorum system or degenerate
     batching parameters. *)
 
-val is_sequencer : t -> bool
-(** Replica 0 — the one that opens slots. *)
-
 val request : t -> now:Sim.Sim_time.t -> verdict -> effect list
 (** Submit one verdict. The first verdict per item wins; duplicates
     (including conflicting ones) return []. On the sequencer this may

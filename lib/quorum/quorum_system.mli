@@ -69,7 +69,3 @@ val describe : t -> string
     ["majority(n=4,f=1,q=3)"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val top_f_weight : int array -> int -> int
-(** Sum of the [f] largest weights — what a worst-case adversary can
-    sign with. Exposed for tests and sweep reporting. *)

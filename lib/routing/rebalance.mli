@@ -32,7 +32,4 @@ val plan : ?band_pct:int -> ?batch:int -> Topology.t -> plan
 val apply : Topology.t -> plan -> Topology.t
 (** The topology with every move's liquidity shifted. *)
 
-val move_to_string : move -> string
-(** ["node N: E -> E' amount A"]. *)
-
 val pp : Format.formatter -> plan -> unit

@@ -19,7 +19,6 @@ type t = {
 
 let create ?(strategy = Shortest) topo = { topo; strat = strategy; cursor = 0 }
 let strategy t = t.strat
-let topology t = t.topo
 
 let path_nodes (topo : Topology.t) path =
   match path with

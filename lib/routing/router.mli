@@ -46,7 +46,6 @@ val create : ?strategy:strategy -> Topology.t -> t
 (** Default {!Shortest}. *)
 
 val strategy : t -> strategy
-val topology : t -> Topology.t
 
 val route :
   t -> avail:(int -> int) -> value:int -> max_splits:int ->

@@ -29,7 +29,6 @@ let scale t ~num ~den =
     let lo_q = (lo + den - 1) / den in
     add hi lo_q
 
-let min = Stdlib.min
 let max = Stdlib.max
 let compare = Int.compare
 let equal = Int.equal
@@ -42,6 +41,5 @@ let of_int n =
   if Stdlib.( < ) n 0 then invalid_arg "Sim_time.of_int: negative";
   n
 
-let to_int t = t
 let pp ppf t = if is_infinite t then Fmt.string ppf "inf" else Fmt.int ppf t
 let to_string t = if is_infinite t then "inf" else string_of_int t

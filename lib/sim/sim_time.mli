@@ -29,7 +29,6 @@ val scale : t -> num:int -> den:int -> t
     for all simulation-scale values. [den] must be positive. Saturates at
     {!infinity}. *)
 
-val min : t -> t -> t
 val max : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
@@ -40,8 +39,6 @@ val ( > ) : t -> t -> bool
 
 val of_int : int -> t
 (** [of_int n] checks [n >= 0] and returns it as a time. *)
-
-val to_int : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints ticks as an integer, or ["inf"] for {!infinity}. *)

@@ -78,7 +78,3 @@ let wilson ~hits ~total =
     let half = z *. sqrt ((p *. (1.0 -. p) /. n) +. (z2 /. (4.0 *. n *. n))) in
     (100.0 *. (centre -. half) /. denom, 100.0 *. (centre +. half) /. denom)
   end
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.1f sd=%.1f min=%.0f p50=%.0f p90=%.0f p99=%.0f max=%.0f"
-    s.n s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

@@ -29,5 +29,3 @@ val wilson : hits:int -> total:int -> float * float
 (** 95% Wilson score interval for a binomial proportion, as percentages
     [(lo, hi)]. [(0, 100)] when [total = 0]. Experiment tables use it to
     report the uncertainty of violation/success rates. *)
-
-val pp_summary : Format.formatter -> summary -> unit

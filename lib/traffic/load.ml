@@ -101,23 +101,15 @@ let weak_cfg = Weak_protocol.default_config
 let committee_cfg =
   { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
 
-(* C's structural clause for an instance: the paper automata that sync and
-   naive instances run, checked once per path length *)
-let well_formed_for proto ~hops =
-  match proto with
-  | Workload.Sync | Workload.Naive -> Sync_protocol.well_formed ~hops
-  | Workload.Htlc | Workload.Weak_single | Workload.Shared
-  | Workload.Committee | Workload.Atomic ->
-      Ok ()
-
 let params_for (w : Workload.t) proto ~hops =
   let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
 (* What every instance of one protocol over one path length shares: the
-   chain's topology, its derived parameters and, for the paper automata,
-   their compiled template. [instantiate env id] gives the handlers of
-   each block slot of instance [id] whose payment data is [env]. *)
+   chain's topology, its derived parameters and, for the templated
+   protocols (all but weak), their compiled template. [instantiate env id]
+   gives the handlers of each block slot of instance [id] whose payment
+   data is [env]. *)
 type shape = {
   topo : Topology.t;
   params : Params.t;
@@ -393,19 +385,12 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   (match Faults.Fault_plan.validate plan ~nprocs:stride with
   | Ok () -> ()
   | Error e -> invalid_arg ("Load.run: bad fault plan: " ^ e));
-  (* A protocol's settle horizon, for the derived stuck deadline. Scratch
-     envs (private books) only feed window derivation. *)
+  (* A protocol's settle horizon, for the derived stuck deadline. *)
   let proto_horizon proto =
     match proto with
     | Workload.Sync | Workload.Naive ->
         (params_for w proto ~hops:lmax).Params.horizon
-    | Workload.Htlc ->
-        let env0 =
-          Env.make ~topo:(Topology.create ~hops:lmax)
-            ~params:(params_for w proto ~hops:lmax)
-            ~value:w.value ~commission:w.commission ~seed:(seed + 9991) ()
-        in
-        Htlc_protocol.window_of env0 (Htlc_protocol.default_config env0) 0
+    | Workload.Htlc -> Htlc_protocol.window_of (params_for w proto ~hops:lmax) 0
     | Workload.Weak_single | Workload.Committee | Workload.Shared ->
         weak_cfg.patience
     | Workload.Atomic -> Atomic_protocol.default_config.deadline
@@ -607,18 +592,19 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     | Some c -> Array.init c.c_size (fun i -> payment_limit + i)
     | None -> [||]
   in
-  (* the hand-written protocols build their handlers per instance; sync
-     and naive instantiate the template compiled with the shape *)
+  (* sync, naive, HTLC and atomic instantiate the template compiled with
+     the shape; the weak protocols' hand-written handlers are built per
+     instance *)
   let instantiate proto params =
     match proto with
     | Workload.Sync | Workload.Naive ->
         let tmpl = Sync_protocol.template params in
-        fun env _id -> Sync_protocol.handlers tmpl env
+        fun env _id -> Anta.Executor.instantiate tmpl env
     | Workload.Htlc ->
+        let tmpl = Htlc_protocol.template params in
         fun env id ->
-          let cfg = Htlc_protocol.default_config env in
-          let preimage = Htlc_protocol.fresh_preimage ~seed:(seed + 57 + id) in
-          Htlc_protocol.handlers_for env cfg preimage
+          Anta.Executor.instantiate tmpl
+            (Htlc_protocol.instance env ~seed:(seed + 57 + id))
     | Workload.Weak_single ->
         fun env _id -> Weak_protocol.handlers_for env weak_cfg
     | Workload.Committee ->
@@ -635,8 +621,11 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
                   { pids = committee_pids; item = id; verify };
             }
     | Workload.Atomic ->
-        fun env _id ->
-          Atomic_protocol.handlers_for env Atomic_protocol.default_config
+        let tmpl =
+          Atomic_protocol.template ~hops:params.Params.input.Params.hops
+            Atomic_protocol.default_config
+        in
+        fun env _id -> Anta.Executor.instantiate tmpl env
   in
   (* One shape per (protocol, path length), built at the first admission
      that needs it: set-up stays as it was, and the table lives and dies
@@ -735,7 +724,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         honest = (fun lp -> not (exposed lp));
         net = Fold.flow ins.i_facts;
         tm_trusted = true;
-        well_formed = well_formed_for p.proto ~hops:h;
+        well_formed = Runner.well_formed (Proto.runner p.proto) ~hops:h;
       }
     in
     List.iter
@@ -999,8 +988,8 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
      slower end to end on the 2k-payment chain benchmark (seed 1, 10
      alternating pairs, two-core x86-64 VM): at admission, with
      retirement, commits 9% more payments per second in a 2.6x smaller
-     peak heap. Instances of the paper automata (sync, naive) compile
-     nothing here, they instantiate their shape's template: on the same
+     peak heap. Instances of the templated protocols compile nothing
+     here, they instantiate their shape's template: for sync, on the same
      benchmark that took the controller (pid 0, which runs [build]) from
      456 to 249 minor words per event and the run from 4,091 to 2,832
      words per payment. *)

@@ -29,8 +29,6 @@
 
 type outcome = Committed | Aborted | Rejected | Stuck | Violated
 
-val outcome_name : outcome -> string
-
 type violation = {
   payment : int;  (** -1 for global (cross-payment) violations *)
   property : string;  (** a {!Props.Payment_fold.safety} property, or "ES/M" *)

@@ -95,22 +95,7 @@ val default : payments:int -> t
     derived stuck deadline, drift 10000 ppm, synchronous network, no
     topology (linear), shortest-cost routing, 1 split. *)
 
-val arrival_of_string : string -> (arrival, string) result
-(** [poisson:GAP], [closed:CLIENTS:THINK], [burst:SIZE:EVERY] or
-    [ramp:HI:LO]. *)
-
-val mix_of_string : string -> ((proto * int) list, string) result
-(** Comma-separated [name:weight] entries; a bare name means weight 1. *)
-
-val policy_of_string : string -> (policy, string) result
-
-val committee_of_string : string -> (committee, string) result
-(** [family:size:f:batch:pipeline[:faulty]]; [faulty] defaults to 0. *)
-
 val committee_to_string : committee -> string
-val validate_committee : committee -> (unit, string) result
-(** Field ranges (at most 1024 replicas, [f] at most the size), then
-    {!quorum_system}: a spec validates iff it builds. *)
 
 val quorum_system : committee -> (Quorum_system.t, string) result
 (** The committee's quorum system — [majority] and [weighted] (unit

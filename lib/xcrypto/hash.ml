@@ -89,5 +89,4 @@ let compare x y =
   let c = Int64.compare x.a y.a in
   if c <> 0 then c else Int64.compare x.b y.b
 
-let pp ppf t = Fmt.string ppf (to_hex t)
 let short t = String.sub (to_hex t) 0 8

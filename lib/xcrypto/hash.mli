@@ -43,7 +43,6 @@ val concat : t -> t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_hex : t -> string
-val pp : Format.formatter -> t -> unit
 
 val short : t -> string
 (** First 8 hex chars — for logs. *)

@@ -203,15 +203,31 @@ let executor_tests =
   [
     Alcotest.test_case "receive transition fires and records visit" `Quick
       (fun () ->
+        (* the acts' log is the path: one line per branch taken and one
+           for the final state *)
+        let log = ref [] in
         let auto =
           A.make ~name:"recv" ~initial:"s"
             ~nodes:
-              [ ("s", A.input [ receive_any ~from_:1 ~next:"t" ]); ("t", A.final ()) ]
+              [
+                ( "s",
+                  A.input
+                    [
+                      A.on_receive ~from_:1 ~accept:(fun () _ -> true)
+                        ~act:(fun () _ _ m ->
+                          log :=
+                            ("s -> t on " ^ string_of_int (Option.get m))
+                            :: !log)
+                        ~next:"t" ();
+                    ] );
+                ("t", A.final ~act:(fun () _ _ -> log := "final t" :: !log) ());
+              ]
         in
         let running, _ = run_pair auto (send_at_start [ 5 ]) in
         check Alcotest.bool "done" true (Executor.terminated running);
-        check Alcotest.(list string) "visited" [ "s"; "t" ]
-          (Executor.visited running));
+        check Alcotest.string "state" "t" (Executor.current_state running);
+        check Alcotest.(list string) "path" [ "s -> t on 5"; "final t" ]
+          (List.rev !log));
     Alcotest.test_case "early message waits in the pool" `Quick (fun () ->
         (* the automaton consumes msg A then msg B, but B is sent first *)
         let auto =
@@ -478,7 +494,6 @@ module Reference = struct
     sstore : 'msg Store.t;
     mutable state : A.state;
     mutable node : (unit, 'msg, 'obs) A.node option;
-    mutable rev_visited : A.state list;
     mutable finished : bool;
     mutable pending : (int * 'msg) list;
     mutable labels : string array;
@@ -491,7 +506,7 @@ module Reference = struct
     List.iteri
       (fun idx (b : (unit, 'msg, 'obs) A.branch) ->
         match b.guard with
-        | A.Deadline _ -> E.cancel_timer ctx ~label:r.labels.(idx)
+        | A.Deadline _ | A.At _ -> E.cancel_timer ctx ~label:r.labels.(idx)
         | A.Receive _ -> ())
       (branches_of r)
 
@@ -521,13 +536,12 @@ module Reference = struct
               match find_in_pool from_ accept [] r.pending with
               | Some (m, pool) -> Some (b, m, pool)
               | None -> scan rest)
-          | A.Deadline _ -> scan rest)
+          | A.Deadline _ | A.At _ -> scan rest)
     in
     scan (branches_of r)
 
   let rec enter ctx r st =
     r.state <- st;
-    r.rev_visited <- st :: r.rev_visited;
     r.node <- A.node r.auto st;
     match r.node with
     | None -> invalid_arg ("unknown state " ^ st)
@@ -543,14 +557,15 @@ module Reference = struct
         r.labels <- Array.make (List.length branches) "";
         List.iteri
           (fun idx (b : (unit, 'msg, 'obs) A.branch) ->
+            let arm deadline =
+              let label = st ^ "#" ^ string_of_int idx in
+              r.labels.(idx) <- label;
+              E.set_timer ctx ~deadline ~label
+            in
             match b.guard with
             | A.Deadline { base; offset } ->
-                let deadline =
-                  Sim.Sim_time.add (Store.clock r.sstore base) offset
-                in
-                let label = st ^ "#" ^ string_of_int idx in
-                r.labels.(idx) <- label;
-                E.set_timer ctx ~deadline ~label
+                arm (Sim.Sim_time.add (Store.clock r.sstore base) offset)
+            | A.At { local } -> arm local
             | A.Receive _ -> ())
           branches;
         match try_fire_receive r with
@@ -566,7 +581,6 @@ module Reference = struct
         sstore = Store.create ();
         state = A.initial auto;
         node = A.node auto (A.initial auto);
-        rev_visited = [];
         finished = false;
         pending = [];
         labels = [||];
@@ -596,9 +610,10 @@ module Reference = struct
           | [] -> ()
           | (b : (unit, 'msg, 'obs) A.branch) :: rest -> (
               match b.guard with
-              | A.Deadline _ when String.equal label r.labels.(idx) ->
+              | (A.Deadline _ | A.At _) when String.equal label r.labels.(idx)
+                ->
                   enter ctx r (take_branch ctx r b None)
-              | A.Deadline _ | A.Receive _ -> find (idx + 1) rest)
+              | A.Deadline _ | A.At _ | A.Receive _ -> find (idx + 1) rest)
         in
         find 0 (branches_of r)
     in
@@ -610,7 +625,8 @@ end
    spin without an event; deadline bases are the init clocks x and y. *)
 type gbranch = {
   g_recv : (int * int) option;  (** accept [m mod k = r] *)
-  g_deadline : (string * int) option;  (** base, offset *)
+  g_deadline : (string * int) option;
+      (** base, offset; base ["@"] is the absolute deadline [now >= offset] *)
   g_now : string list;
   g_msg : string option;
   g_act : bool;  (** the act also writes clock "act" by name *)
@@ -634,7 +650,7 @@ let gen_spec =
       return
         { g_recv = Some (k, r); g_deadline = None; g_now; g_msg; g_act; g_next }
     else
-      oneofl [ "x"; "y" ] >>= fun base ->
+      oneofl [ "x"; "y"; "@" ] >>= fun base ->
       int_bound 150 >>= fun off ->
       return
         {
@@ -668,6 +684,7 @@ let print_spec (spec, sched) =
       | Some (k, r) -> Printf.sprintf "r(m mod %d = %d)" k r
       | None -> "")
       (match b.g_deadline with
+      | Some ("@", off) -> Printf.sprintf "now >= %d" off
       | Some (base, off) -> Printf.sprintf "now >= %s + %d" base off
       | None -> "")
       (String.concat ";" b.g_now)
@@ -706,6 +723,10 @@ let build_auto spec log =
     | Some (k, r), _ ->
         A.on_receive ~from_:1 ~accept:(fun () m -> m mod k = r) ?save_msg:b.g_msg
           ~save_now:b.g_now ~act ~next:(name b.g_next) ()
+    | None, Some ("@", at) ->
+        { (A.on_local_time ~at ~act ~next:(name b.g_next)) with
+          A.save_now = b.g_now;
+        }
     | None, Some (base, offset) ->
         A.on_deadline ~base ~offset ~save_now:b.g_now ~act
           ~next:(name b.g_next) ()
@@ -728,8 +749,9 @@ let build_auto spec log =
 
 (* Everything an executor makes observable: the engine trace (sends, timer
    sets and fires, halts, in order), the stale-fire count (a missed or
-   extra cancel changes it or adds a live fire), the acts' log, the
-   visited states and the final store. *)
+   extra cancel changes it or adds a live fire), the acts' log (one line
+   per branch taken, output and final: the path), the current state, the
+   pending count and the final store. *)
 let observe_run spec sched run =
   let log = ref [] in
   let auto = build_auto spec log in
@@ -771,7 +793,7 @@ let observe_run spec sched run =
     | Sim.Trace.Halted { t; pid } -> Printf.sprintf "%d halted %d" t pid
     | _ -> "other"
   in
-  let visited, state, finished, pending, store = inspect () in
+  let state, finished, pending, store = inspect () in
   String.concat "\n"
     ([
        Printf.sprintf "status %s"
@@ -780,7 +802,6 @@ let observe_run spec sched run =
          | E.Event_limit -> "event-limit"
          | E.Horizon_reached -> "horizon"
          | E.Violation_stop -> "violation");
-       "visited " ^ String.concat " " visited;
        Printf.sprintf "state %s finished %b pending %d" state finished pending;
        Printf.sprintf "stale %d"
          (Obsv.Metrics.counter_value
@@ -805,8 +826,7 @@ let compiled_run auto =
   let handlers, r = Executor.handlers auto () ~init_clocks () in
   ( handlers,
     fun () ->
-      ( Executor.visited r,
-        Executor.current_state r,
+      ( Executor.current_state r,
         Executor.terminated r,
         Executor.pending_count r,
         Executor.store r ) )
@@ -817,8 +837,7 @@ let reference_run auto =
   in
   ( handlers,
     fun () ->
-      ( List.rev r.rev_visited,
-        r.state,
+      ( r.state,
         r.finished,
         List.length r.pending,
         r.sstore ) )
@@ -848,7 +867,7 @@ let conformance_tests =
   (* replay pid's automaton, for the run's own env, over the run's trace *)
   let conformance o pid =
     Conformance.check
-      (Sync_protocol.automaton (Sync_protocol.template o.Runner.params) pid)
+      (Sync_protocol.template o.Runner.params).(pid)
       o.Runner.env ~pid ~tag_of:Msg.tag o.Runner.trace
   in
   [
@@ -1038,7 +1057,7 @@ let network_tests =
             in
             let network =
               List.map
-                (fun pid -> (pid, Sync_protocol.automaton tmpl pid))
+                (fun pid -> (pid, tmpl.(pid)))
                 (Topology.customers topo @ Topology.escrows topo)
             in
             let issues = Network_check.check network in

@@ -169,6 +169,7 @@ let synthetic_outcome ~entries =
     paid_node = -1;
     settled_node = -1;
     injector = None;
+    conformance = (fun _ -> None);
   }
 
 let obs t pid o = Sim.Trace.Observed { t; pid; obs = o }

@@ -221,7 +221,8 @@ let sync_tests =
           (fun hops ->
             let env = mk_env ~hops () in
             check Alcotest.bool "check_all" true
-              (Sync_protocol.check_all (Sync_protocol.template env.Env.params)
+              (Anta.Network_check.well_formed
+                 (Sync_protocol.template env.Env.params)
               = Ok ()))
           [ 1; 2; 3; 8 ]);
     Alcotest.test_case "happy path: money and certificate flow" `Quick (fun () ->
@@ -292,13 +293,13 @@ let sync_tests =
                   Params.derive { (Params.default_input ~hops) with drift_ppm }
                 in
                 let fresh =
-                  Sync_protocol.check_all (Sync_protocol.template params)
+                  Anta.Network_check.well_formed (Sync_protocol.template params)
                 in
                 check
                   Alcotest.(result unit string)
                   (Printf.sprintf "hops %d drift %d" hops drift_ppm)
                   fresh
-                  (Sync_protocol.well_formed ~hops))
+                  (Runner.well_formed Runner.Sync_timebound ~hops))
               [ (Params.default_input ~hops).Params.drift_ppm; 0 ])
           [ 1; 2; 3; 4; 5; 6 ]);
     Alcotest.test_case "a forged chi fails every guard and reaches no act"
@@ -319,7 +320,7 @@ let sync_tests =
             let tmpl = Sync_protocol.template env.Env.params in
             List.iter
               (fun pid ->
-                let auto = Sync_protocol.automaton tmpl pid in
+                let auto = tmpl.(pid) in
                 List.iter
                   (fun st ->
                     match Anta.Automaton.node auto st with
@@ -332,7 +333,7 @@ let sync_tests =
                                   (Printf.sprintf "pid %d state %s" pid st)
                                   false (accept env forged);
                                 if accept env genuine then incr takes
-                            | Anta.Automaton.Deadline _ -> ())
+                            | Anta.Automaton.Deadline _ | Anta.Automaton.At _ -> ())
                           branches
                     | _ -> ())
                   (Anta.Automaton.states auto))
@@ -367,12 +368,13 @@ let sync_tests =
 
 (* ------------------------- template and instances ------------------------ *)
 
-(* Run one template for several instances in one engine: instance [env]'s
-   processes sit at pids [base + l], and every message takes its full
-   delay, so a run's schedule does not depend on what else shares the
-   engine. Returns each instance's trace slice — its sends, observations
-   and armed timer labels — with pids shifted back by its base. *)
-let run_instances tmpl insts =
+(* Run one template for several instances in one engine: instance [inst]'s
+   [procs] processes sit at pids [base + l] and run [handlers inst l], and
+   every message takes its full delay, so a run's schedule does not depend
+   on what else shares the engine. Returns each instance's trace slice —
+   its sends, observations and armed timer labels — with pids shifted back
+   by its base. *)
+let run_instances ~procs handlers insts =
   let max_delay : Sim.Network.adversary =
    fun ~send_time:_ ~src:_ ~dst:_ ~tag:_ ~bounds -> Some bounds.Sim.Network.hi
   in
@@ -383,19 +385,17 @@ let run_instances tmpl insts =
   in
   let engine = Sim.Engine.create ~tag_of:Msg.tag ~network ~seed:1 () in
   List.iter
-    (fun (base, env) ->
-      for l = 0 to Topology.payment_count env.Env.topo - 1 do
+    (fun (base, inst) ->
+      for l = 0 to procs - 1 do
         ignore
-          (Sim.Engine.add_process engine ~pid:(base + l) ~base
-             (Sync_protocol.handlers tmpl env l))
+          (Sim.Engine.add_process engine ~pid:(base + l) ~base (handlers inst l))
       done)
     insts;
   ignore (Sim.Engine.run engine);
   let entries = Sim.Trace.to_list (Sim.Engine.trace engine) in
   List.map
-    (fun (base, env) ->
-      let n = Topology.payment_count env.Env.topo in
-      let mine p = p >= base && p < base + n in
+    (fun (base, _) ->
+      let mine p = p >= base && p < base + procs in
       List.filter_map
         (function
           | Sim.Trace.Sent { t; src; dst; msg; _ } when mine src ->
@@ -410,10 +410,39 @@ let run_instances tmpl insts =
         entries)
     insts
 
+(* Two payments of one template, run interleaved in one engine, must each
+   do exactly what they do alone, and each must pay Bob. *)
+let shares_no_state ~hops ~procs handlers first second =
+  let shared = run_instances ~procs handlers [ (0, first ()); (procs, second ()) ] in
+  let alone mk = List.hd (run_instances ~procs handlers [ (0, mk ()) ]) in
+  let standalone = [ alone first; alone second ] in
+  List.iteri
+    (fun k slice ->
+      let paid =
+        Fmt.str "obs %d %a" hops Obs.pp
+          (Obs.Terminated { pid = hops; outcome = "paid" })
+      in
+      check Alcotest.bool
+        (Printf.sprintf "instance %d pays Bob" k)
+        true
+        (List.exists
+           (fun e ->
+             let n = String.length paid and m = String.length e in
+             m >= n && String.sub e (m - n) n = paid)
+           slice))
+    standalone;
+  check Alcotest.bool "the two payments' slices differ" true
+    (List.nth standalone 0 <> List.nth standalone 1);
+  List.iteri
+    (fun k (got, want) ->
+      check Alcotest.(list string) (Printf.sprintf "instance %d" k) want got)
+    (List.combine shared standalone)
+
 let template_tests =
   let hops = 3 in
   let topo = Topology.create ~hops in
   let params = Params.derive (Params.default_input ~hops) in
+  let procs = Topology.payment_count topo in
   (* two payments that differ in everything a payment owns: id, value,
      a routed (non-uniform) amount ladder, key seed, and books whose
      deposit ids are offset by an earlier, unrelated deposit *)
@@ -436,43 +465,86 @@ let template_tests =
   [
     Alcotest.test_case "a shared template carries no payment state" `Quick
       (fun () ->
-        let shared =
-          run_instances (Sync_protocol.template params)
-            [ (0, first ()); ((2 * hops) + 1, second ()) ]
-        in
-        let alone mk =
-          List.hd (run_instances (Sync_protocol.template params) [ (0, mk ()) ])
-        in
-        let standalone = [ alone first; alone second ] in
-        List.iteri
-          (fun k slice ->
-            let paid =
-              Fmt.str "obs %d %a" hops Obs.pp
-                (Obs.Terminated { pid = hops; outcome = "paid" })
-            in
-            check Alcotest.bool
-              (Printf.sprintf "instance %d pays Bob" k)
-              true
-              (List.exists
-                 (fun e ->
-                   let n = String.length paid and m = String.length e in
-                   m >= n && String.sub e (m - n) n = paid)
-                 slice))
-          standalone;
-        check Alcotest.bool "the two payments' slices differ" true
-          (List.nth standalone 0 <> List.nth standalone 1);
-        List.iteri
-          (fun k (got, want) ->
-            check
-              Alcotest.(list string)
-              (Printf.sprintf "instance %d" k)
-              want got)
-          (List.combine shared standalone));
+        shares_no_state ~hops ~procs
+          (Anta.Executor.instantiate (Sync_protocol.template params))
+          first second);
+    Alcotest.test_case "a shared HTLC template carries no payment state"
+      `Quick (fun () ->
+        (* the payments also differ in Bob's preimage, so in every lock *)
+        shares_no_state ~hops ~procs
+          (Anta.Executor.instantiate (Htlc_protocol.template params))
+          (fun () -> Htlc_protocol.instance (first ()) ~seed:1)
+          (fun () -> Htlc_protocol.instance (second ()) ~seed:2));
+    Alcotest.test_case "a shared atomic template carries no payment state"
+      `Quick (fun () ->
+        shares_no_state ~hops ~procs:(procs + 1)
+          (Anta.Executor.instantiate
+             (Atomic_protocol.template ~hops Atomic_protocol.default_config))
+          first second);
   ]
 
+(* Every pid in [pids] ran its protocol's automaton, and the run's trace
+   replays on it (trace conformance). *)
+let conform_all o pids =
+  List.iter
+    (fun pid ->
+      match o.Runner.conformance pid with
+      | Some (Ok ()) -> ()
+      | Some (Error d) ->
+          Alcotest.failf "pid %d: %a" pid Anta.Conformance.pp_deviation d
+      | None -> Alcotest.failf "pid %d runs no automaton" pid)
+    pids
+
+(* C's structural clause holds for [tmpl hops], fresh and memoised *)
+let well_formed_at protocol tmpl =
+  List.iter
+    (fun hops ->
+      check
+        Alcotest.(result unit string)
+        (Printf.sprintf "hops %d" hops)
+        (Ok ()) (tmpl hops);
+      check
+        Alcotest.(result unit string)
+        (Printf.sprintf "memoised, hops %d" hops)
+        (Ok ()) (Runner.well_formed protocol ~hops))
+    [ 1; 2; 3; 4 ]
 
 let htlc_tests =
   [
+    Alcotest.test_case "every automaton is well-formed at hops 1-4" `Quick
+      (fun () ->
+        well_formed_at Runner.Htlc (fun hops ->
+            Anta.Network_check.well_formed
+              (Htlc_protocol.template
+                 (Params.derive (Params.default_input ~hops)))));
+    Alcotest.test_case "honest participants conform to their automata" `Quick
+      (fun () ->
+        let everyone hops = List.init ((2 * hops) + 1) Fun.id in
+        conform_all (Runner.run (Runner.default_config ~hops:3 ~seed:2) Runner.Htlc)
+          (everyone 3);
+        (* every leg refunds at its timelock *)
+        let topo = Topology.create ~hops:3 in
+        let o =
+          Runner.run
+            {
+              (Runner.default_config ~hops:3 ~seed:2) with
+              faults = [ (Topology.bob topo, Byzantine.Mute) ];
+            }
+            Runner.Htlc
+        in
+        conform_all o (List.filter (( <> ) (Topology.bob topo)) (everyone 3));
+        (* duplicated deliveries wait in the pool, in the run and the
+           replay alike *)
+        let plan =
+          match Faults.Fault_plan.of_string "dup *>* 0.289" with
+          | Ok p -> p
+          | Error e -> Alcotest.fail e
+        in
+        conform_all
+          (Runner.run
+             { (Runner.default_config ~hops:2 ~seed:9) with fault_plan = Some plan }
+             Runner.Htlc)
+          (everyone 2));
     Alcotest.test_case "happy path pays everyone" `Quick (fun () ->
         let cfg = Runner.default_config ~hops:3 ~seed:2 in
         let o = Runner.run cfg Runner.Htlc in
@@ -496,11 +568,11 @@ let htlc_tests =
               (Ledger.Book.balance book (Topology.customer topo i)))
           o.Runner.env.Env.books);
     Alcotest.test_case "timelock ladder decreases toward Bob" `Quick (fun () ->
-        let env = mk_env ~hops:4 () in
-        let cfg = Htlc_protocol.default_config env in
+        let params = (mk_env ~hops:4 ()).Env.params in
         for i = 0 to 2 do
           check Alcotest.bool "monotone" true
-            (Htlc_protocol.window_of env cfg i > Htlc_protocol.window_of env cfg (i + 1))
+            (Htlc_protocol.window_of params i
+            > Htlc_protocol.window_of params (i + 1))
         done);
   ]
 
@@ -714,6 +786,19 @@ let run_atomic ?(hops = 3) ?(seed = 1) ?(gst = 0) ?(deadline = 5_000) () =
 
 let atomic_tests =
   [
+    Alcotest.test_case "every automaton is well-formed at hops 1-4" `Quick
+      (fun () ->
+        well_formed_at (Runner.Atomic Atomic_protocol.default_config)
+          (fun hops ->
+            Anta.Network_check.well_formed
+              (Atomic_protocol.template ~hops Atomic_protocol.default_config)));
+    Alcotest.test_case "every participant and the notary conform" `Quick
+      (fun () ->
+        (* committed, aborted at once, and aborted by a late GST *)
+        List.iter
+          (fun o -> conform_all o (List.init 8 Fun.id))
+          [ run_atomic (); run_atomic ~deadline:3 ();
+            run_atomic ~gst:20_000 ~deadline:2_000 ~seed:5 () ]);
     Alcotest.test_case "happy path executes and pays Bob" `Quick (fun () ->
         let o = run_atomic () in
         check Alcotest.(option string) "bob" (Some "paid") (outcome_of 3 o);

@@ -734,7 +734,7 @@ let dag_runs =
       fun c ->
         ignore (Load.run ~causal:c ~workload:(spec causal_spec) ~seed:6 ()) );
     ( "crash-recover load run",
-      ("7e79c9dad31bf995bdad47eddb57860b", "560202b22f0b0caf7e8239101f52c0a9"),
+      ("3e1f4855f278e6deee847737c30d562e", "507caa314bc4964e604bd40522e7ee23"),
       fun c ->
         ignore
           (Load.run ~causal:c ~plan:(plan_of "crash 3@600+3000")
