@@ -43,12 +43,22 @@ type 'v config = {
 (* Per-round vote books: for each round, per distinct value, the signed
    votes indexed by author. A bucket keeps the serialised (round, value)
    vote its signatures are checked against, computed once when the
-   bucket's first vote arrives. *)
+   bucket's first vote arrives, and a running tally: the replica indices
+   whose vote verified and whether they already form a quorum. *)
 type ('v, 'body) bucket = {
   value : 'v;
   body : string;
   sigs : (int, 'body Auth.signed) Hashtbl.t;
+  present : bool array;
+  mutable quorum : bool;
 }
+
+(* What recording one vote did to its bucket. *)
+type ('v, 'body) tally =
+  | Dropped  (* unknown author or a signature that does not verify *)
+  | Counted  (* recorded; the bucket holds no quorum yet *)
+  | Reached of ('v, 'body) bucket  (* this vote completed the quorum *)
+  | Past_quorum  (* recorded in a bucket that already held one *)
 
 type ('v, 'body) votes = { mutable entries : ('v, 'body) bucket list }
 
@@ -174,16 +184,30 @@ let create cfg =
 let decided t = t.decision
 let locked t = t.lock
 
+let tally t kind ~round value =
+  let holds tbl =
+    match Hashtbl.find_opt tbl round with
+    | None -> false
+    | Some votes ->
+        List.exists
+          (fun b -> b.quorum && t.cfg.equal b.value value)
+          votes.entries
+  in
+  match kind with
+  | `Echo -> holds t.echo_votes
+  | `Commit -> holds t.commit_votes
+
 let round_timeout t round =
   let shift = Stdlib.min round 16 in
   Sim.Sim_time.scale t.cfg.base_timeout ~num:(1 lsl shift) ~den:1
 
-(* Record a vote if it verifies and return its bucket. The bucket for
-   (round, value) is looked up by [equal] before any serialisation, so the
-   vote body is serialised once per bucket, not once per vote; a bucket is
-   only created for a vote that verifies. *)
+(* Record a vote if it verifies and update its bucket's tally. The bucket
+   for (round, value) is looked up by [equal] before any serialisation, so
+   the vote body is serialised once per bucket, not once per vote; a
+   bucket is only created for a vote that verifies. *)
 let record_vote cfg tbl ~ser_body ~round ~value (sv : _ Auth.signed) =
-  if replica_index cfg sv.Auth.author < 0 then None
+  let i = replica_index cfg sv.Auth.author in
+  if i < 0 then Dropped
   else
     let votes = Hashtbl.find_opt tbl round in
     let found =
@@ -196,7 +220,7 @@ let record_vote cfg tbl ~ser_body ~round ~value (sv : _ Auth.signed) =
       match found with Some b -> b.body | None -> ser_body round value
     in
     if not (Auth.verify cfg.registry sv.Auth.author body sv.Auth.signature)
-    then None
+    then Dropped
     else begin
       let bucket =
         match found with
@@ -210,22 +234,30 @@ let record_vote cfg tbl ~ser_body ~round ~value (sv : _ Auth.signed) =
                   Hashtbl.add tbl round v;
                   v
             in
-            let b = { value; body; sigs = Hashtbl.create 8 } in
+            let b =
+              {
+                value;
+                body;
+                sigs = Hashtbl.create 8;
+                present = Array.make (committee_n cfg) false;
+                quorum = false;
+              }
+            in
             votes.entries <- b :: votes.entries;
             b
       in
       Hashtbl.replace bucket.sigs sv.Auth.author sv;
-      Some bucket
+      if bucket.quorum then Past_quorum
+      else if bucket.present.(i) then Counted
+      else begin
+        bucket.present.(i) <- true;
+        if Quorum_system.is_quorum cfg.qs ~present:bucket.present then begin
+          bucket.quorum <- true;
+          Reached bucket
+        end
+        else Counted
+      end
     end
-
-let bucket_is_quorum cfg bucket =
-  let present = Array.make (committee_n cfg) false in
-  Hashtbl.iter
-    (fun author _ ->
-      let i = replica_index cfg author in
-      if i >= 0 then present.(i) <- true)
-    bucket.sigs;
-  Quorum_system.is_quorum cfg.qs ~present
 
 (* The value this replica is willing to champion: its lock if any, else its
    initial preference. *)
@@ -286,12 +318,12 @@ let update_preference t v =
     else []
   end
 
-(* Adopt a QC as our lock if it is higher than what we hold. *)
+let above_lock t round =
+  match t.lock with Some cur -> cur.q_round < round | None -> true
+
+(* Adopt a peer's QC as our lock if it is higher than what we hold. *)
 let maybe_adopt t (qc : 'v qc) =
-  let higher =
-    match t.lock with Some cur -> cur.q_round < qc.q_round | None -> true
-  in
-  if higher && verify_qc t.cfg qc then t.lock <- Some qc
+  if above_lock t qc.q_round && verify_qc t.cfg qc then t.lock <- Some qc
 
 let may_echo t ~round:_ ~value ~justif =
   t.cfg.validate value
@@ -331,37 +363,53 @@ let commit_effects t ~round ~value =
 
 let collect_sigs bucket = Hashtbl.fold (fun _ sv acc -> sv :: acc) bucket.sigs []
 
+(* The QC of this replica's own bucket is adopted without [verify_qc]:
+   every signature in it verified against the bucket's serialised vote
+   when it was recorded, its authors are distinct replicas (the table is
+   keyed by author) and the tally says they form a quorum — the re-check
+   cannot fail. Later echoes of the bucket build no QC: the lock only
+   rises, so one not adopted at the quorum never will be. *)
 let on_echo t (sv : 'v echo_body Auth.signed) =
   let b = sv.Auth.payload in
   match
     record_vote t.cfg t.echo_votes ~ser_body:(ser_echo_vote t.cfg.ser)
       ~round:b.e_round ~value:b.e_value sv
   with
-  | Some bucket when bucket_is_quorum t.cfg bucket ->
-      let qc =
-        { q_round = b.e_round; q_value = b.e_value; q_sigs = collect_sigs bucket }
-      in
-      maybe_adopt t qc;
+  | Reached bucket ->
+      if above_lock t b.e_round then
+        t.lock <-
+          Some
+            {
+              q_round = b.e_round;
+              q_value = b.e_value;
+              q_sigs = collect_sigs bucket;
+            };
       if b.e_round = t.round then
         commit_effects t ~round:b.e_round ~value:b.e_value
       else []
-  | Some _ | None -> []
+  | Past_quorum when b.e_round = t.round ->
+      commit_effects t ~round:b.e_round ~value:b.e_value
+  | Past_quorum | Counted | Dropped -> []
 
+(* The first commit quorum decides; the vote books are then dropped, as
+   a decided replica reads them no more. *)
 let on_commit t (sv : 'v commit_body Auth.signed) =
   let b = sv.Auth.payload in
   match
     record_vote t.cfg t.commit_votes ~ser_body:(ser_commit_vote t.cfg.ser)
       ~round:b.c_round ~value:b.c_value sv
   with
-  | Some bucket when t.decision = None && bucket_is_quorum t.cfg bucket ->
+  | Reached bucket ->
       let dc =
         { d_value = b.c_value; d_round = b.c_round; d_sigs = collect_sigs bucket }
       in
       t.decision <- Some dc;
+      Hashtbl.reset t.echo_votes;
+      Hashtbl.reset t.commit_votes;
       Obsv.Metrics.inc m_decisions;
       Obsv.Metrics.observe m_rounds_to_decide (b.c_round + 1);
       [ Decided dc ]
-  | Some _ | None -> []
+  | Past_quorum | Counted | Dropped -> []
 
 let on_msg t ~from_ m =
   if t.decision <> None then []

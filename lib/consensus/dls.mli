@@ -123,6 +123,17 @@ val on_round_timeout : 'v t -> round -> 'v effect list
 val decided : 'v t -> 'v decision_cert option
 val locked : 'v t -> 'v qc option
 
+val tally : 'v t -> [ `Echo | `Commit ] -> round:round -> 'v -> bool
+(** Whether this replica's echo (or commit) votes for [(round, value)]
+    already form a quorum. The tally runs as votes arrive: a vote counts
+    once its signature verifies against the serialised vote and its
+    author is a replica, and a replica counts once however often it
+    votes. The first vote that completes a quorum builds the bucket's one
+    QC (or decision certificate); a QC built from this replica's own
+    votes is adopted without re-verification, since each of its
+    signatures was verified on arrival. The books are dropped at the
+    decision, after which this is [false]. *)
+
 val verify_decision : 'v config -> 'v decision_cert -> bool
 (** Verifiable by any outsider holding the registry and the committee
     roster — this is what makes the committee's decision a transferable

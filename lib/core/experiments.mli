@@ -11,9 +11,6 @@
 
 type scale = Quick | Full
 
-val runs : scale -> int
-(** Sample size per configuration (40 / 400). *)
-
 val e1_theorem1 : scale -> Table.t
 (** Thm 1: under synchrony, the drift-tuned protocol satisfies all of
     C, T(bounded), ES, CS1–CS3, L across hops × drift × random schedules. *)

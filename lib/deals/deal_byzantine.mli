@@ -38,14 +38,6 @@ type t =
 
 val name : t -> string
 
-val handlers :
-  Deal_runner.config ->
-  registry:Xcrypto.Auth.registry ->
-  signer:Xcrypto.Auth.signer ->
-  party:int ->
-  t ->
-  (Dmsg.t, Dobs.t) Sim.Engine.handlers
-
 val run_with_faults :
   Deal_runner.config -> faults:(int * t) list -> Deal_runner.outcome
 (** Like {!Deal_runner.run} but substituting the given strategies. Faulty

@@ -86,9 +86,6 @@ val hunt :
     calling domain. Raises [Invalid_argument] on non-positive [budget]
     or [gen_size]. *)
 
-val repro_line : hops:int -> protocol:Protocols.Proto.t -> entry -> string
-(** One-line replay command, using the shrunken plan when available. *)
-
 val repro_lines : report -> string list
 (** Repro lines for every stuck / violating corpus entry. *)
 

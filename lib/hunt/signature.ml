@@ -104,7 +104,3 @@ let to_string s =
     (String.concat "," s.failed)
     (if Array.length s.blame = 0 then "-" else digits s.blame)
     (digits s.injected) (digits s.clauses) s.path s.breach
-
-let equal a b = to_string a = to_string b
-let compare a b = String.compare (to_string a) (to_string b)
-let pp ppf s = Fmt.string ppf (to_string s)

@@ -53,10 +53,6 @@ val to_string : t -> string
 (** Compact stable key, e.g. ["stuck||b-|i10010|c10110|p2|t0"]. Corpus
     files and reports key on this string. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 (**/**)
 
 val count_bucket : int -> int

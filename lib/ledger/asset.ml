@@ -73,7 +73,6 @@ module Bag = struct
         | Ok b -> sub b { currency; amount })
       y (Ok x)
 
-  let contains b (a : asset) = amount b a.currency >= a.amount
   let geq x y = M.for_all (fun c v -> amount x c >= v) y
 
   let equal x y =

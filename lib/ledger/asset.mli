@@ -43,7 +43,6 @@ module Bag : sig
   (** Fails (with a message) if the bag does not contain the asset. *)
 
   val diff : t -> t -> (t, string) result
-  val contains : t -> asset -> bool
   val geq : t -> t -> bool
   (** Pointwise ≥ on every currency. *)
 

@@ -36,8 +36,6 @@ let create ~currency =
     initial_supply = 0;
   }
 
-let currency t = t.currency
-
 let open_account t ~owner ~balance =
   if balance < 0 then invalid_arg "Book.open_account: negative balance";
   match Hashtbl.find_opt t.balances owner with

@@ -29,7 +29,6 @@ type error =
 type deposit_status = Held | Released of int | Refunded
 
 val create : currency:string -> t
-val currency : t -> string
 
 val open_account : t -> owner:int -> balance:int -> unit
 (** Idempotent for the same owner only if balances match; re-opening with a

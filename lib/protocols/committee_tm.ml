@@ -56,6 +56,36 @@ let verify cfg ~signer =
             true
           end
 
+(* [slot-S-round-R], the label of a slot's round timer, back to (S, R),
+   read in place: [label_at] tests for a literal at an index, [digits_end]
+   skips a run of decimal digits and [decimal] reads one. *)
+let rec label_at label lit at k =
+  k >= String.length lit
+  || at + k < String.length label
+     && label.[at + k] = lit.[k]
+     && label_at label lit at (k + 1)
+
+let rec digits_end label at =
+  if at < String.length label && label.[at] >= '0' && label.[at] <= '9' then
+    digits_end label (at + 1)
+  else at
+
+let rec decimal label lo hi acc =
+  if lo >= hi then acc
+  else decimal label (lo + 1) hi ((acc * 10) + Char.code label.[lo] - 48)
+
+let parse_slot_label label =
+  let s_end = digits_end label 5 in
+  let r_end = digits_end label (s_end + 7) in
+  if
+    label_at label "slot-" 0 0
+    && s_end > 5
+    && label_at label "-round-" s_end 0
+    && r_end > s_end + 7
+    && r_end = String.length label
+  then Some (decimal label 5 s_end 0, decimal label (s_end + 7) r_end 0)
+  else None
+
 (* Handlers for committee replica [index]. The replicas are registered as
    one block with a common [base], so intra-committee traffic uses logical
    pids (0 .. size-1) and the engine rebases [src] for us; participants
@@ -92,8 +122,9 @@ let handlers cfg ~index ~signer =
         match eff with
         | Committee.Send { to_; m } -> E.send ctx ~dst:to_ (Msg.Quorum_msg m)
         | Committee.Broadcast m ->
+            let msg = Msg.Quorum_msg m in
             for k = 0 to n - 1 do
-              E.send ctx ~dst:k (Msg.Quorum_msg m)
+              E.send ctx ~dst:k msg
             done
         | Committee.Set_slot_timer { slot; round; after } ->
             E.set_timer_after ctx ~after
@@ -162,14 +193,11 @@ let handlers cfg ~index ~signer =
         | _ -> ());
     on_timer =
       (fun ctx ~label ->
-        match String.split_on_char '-' label with
-        | [ "slot"; s; "round"; r ] -> (
-            match (int_of_string_opt s, int_of_string_opt r) with
-            | Some slot, Some round ->
-                interpret ctx
-                  (Committee.on_slot_timeout com ~now:(E.local_now ctx) ~slot
-                     ~round)
-            | _ -> ())
-        | _ -> ());
+        match parse_slot_label label with
+        | Some (slot, round) ->
+            interpret ctx
+              (Committee.on_slot_timeout com ~now:(E.local_now ctx) ~slot
+                 ~round)
+        | None -> ());
   },
     com )

@@ -110,22 +110,38 @@ let ser_batch b = "b|" ^ String.concat "," (List.map ser_verdict b)
 let verdict_equal a b = a.item = b.item && a.commit = b.commit
 
 let batch_equal a b =
-  List.length a = List.length b && List.for_all2 verdict_equal a b
+  a == b || (List.length a = List.length b && List.for_all2 verdict_equal a b)
+
+(* Items are distinct when no two neighbours of the sorted items are
+   equal: one int array per check, O(k log k) however large the cap. *)
+let distinct_items b =
+  let items = Array.make (List.length b) 0 in
+  List.iteri (fun i v -> items.(i) <- v.item) b;
+  Array.sort Int.compare items;
+  let rec go i =
+    i >= Array.length items || (items.(i - 1) <> items.(i) && go (i + 1))
+  in
+  go 1
 
 let valid_batch cfg b =
   b <> []
   && List.length b <= cfg.batch_cap
   && List.for_all (fun v -> v.item >= 0) b
-  &&
-  let seen = Hashtbl.create 8 in
-  List.for_all
-    (fun v ->
-      if Hashtbl.mem seen v.item then false
-      else begin
-        Hashtbl.add seen v.item ();
-        true
-      end)
-    b
+  && distinct_items b
+
+(* A slot's batch reaches each replica as one shared value (the
+   proposal's, carried on by every echo and commit vote), so a one-entry
+   memo keyed on physical equality serialises it once per slot instead of
+   once per vote bucket, signature and QC check. *)
+let memo_ser_batch () =
+  let last = ref None in
+  fun b ->
+    match !last with
+    | Some (b', s) when b' == b -> s
+    | _ ->
+        let s = ser_batch b in
+        last := Some (b, s);
+        s
 
 let dls_cfg cfg =
   {
@@ -134,7 +150,7 @@ let dls_cfg cfg =
     auth_ids = cfg.auth_ids;
     registry = cfg.registry;
     signer = cfg.signer;
-    ser = ser_batch;
+    ser = memo_ser_batch ();
     equal = batch_equal;
     validate = (fun b -> valid_batch cfg b);
     base_timeout = cfg.base_timeout;

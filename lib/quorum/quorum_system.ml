@@ -71,8 +71,6 @@ let size = function
 let fault_bound = function
   | Majority { f; _ } | Weighted { f; _ } | Grid { f; _ } -> f
 
-let mem t i = i >= 0 && i < size t
-
 let family_name = function
   | Majority _ -> "majority"
   | Weighted _ -> "weighted"
@@ -152,12 +150,17 @@ let is_quorum t ~present =
     invalid_arg "Quorum_system.is_quorum: present array has the wrong length";
   match t with
   | Majority { q; _ } ->
+      (* a plain loop over local refs: no closure, nothing allocated *)
       let c = ref 0 in
-      Array.iter (fun p -> if p then incr c) present;
+      for i = 0 to Array.length present - 1 do
+        if present.(i) then incr c
+      done;
       !c >= q
   | Weighted { weights; threshold; _ } ->
       let w = ref 0 in
-      Array.iteri (fun i p -> if p then w := !w + weights.(i)) present;
+      for i = 0 to Array.length present - 1 do
+        if present.(i) then w := !w + weights.(i)
+      done;
       !w >= threshold
   | Grid { rows; cols; qr; qc; _ } ->
       let full_rows = ref 0 in
@@ -177,5 +180,3 @@ let is_quorum t ~present =
         if !full then incr full_cols
       done;
       !full_rows >= qr && !full_cols >= qc
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -41,21 +41,11 @@ val size : t -> int
 val fault_bound : t -> int
 (** The declared [f]. *)
 
-val mem : t -> int -> bool
-(** Membership: [mem t i] iff [i] indexes a process of the system. *)
-
 val is_quorum : t -> present:bool array -> bool
 (** Does the set [{i | present.(i)}] contain a quorum? [present] must
     have length [size t].
 
     @raise Invalid_argument on a wrong-length array. *)
-
-val intersection_ok : t -> bool
-(** Any two quorums intersect in at least [fault_bound t + 1]
-    processes (closed form, see the family notes above). *)
-
-val availability_ok : t -> bool
-(** Some quorum survives any [fault_bound t] faults. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks (positive sizes and weights, thresholds in
@@ -67,5 +57,3 @@ val family_name : t -> string
 val describe : t -> string
 (** One-line rendering with all parameters, e.g.
     ["majority(n=4,f=1,q=3)"]. *)
-
-val pp : Format.formatter -> t -> unit

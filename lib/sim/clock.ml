@@ -45,7 +45,3 @@ let envelope_ok c ~drift_ppm =
   let lo = c.den * (ppm - drift_ppm) and hi = c.den * (ppm + drift_ppm) in
   let v = c.num * ppm in
   v >= lo && v <= hi
-
-let pp ppf c =
-  Fmt.pf ppf "clock(rate=%d/%d, l0=%a, g0=%a)" c.num c.den Sim_time.pp c.l0
-    Sim_time.pp c.g0

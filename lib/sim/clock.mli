@@ -40,5 +40,3 @@ val global_of_local : t -> Sim_time.t -> Sim_time.t
 val envelope_ok : t -> drift_ppm:int -> bool
 (** Whether the clock's rate lies within the [1 ± drift_ppm·10⁻⁶]
     envelope. *)
-
-val pp : Format.formatter -> t -> unit

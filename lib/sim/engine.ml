@@ -576,6 +576,13 @@ let dispatch t ev =
         | exception Not_found -> false
       in
       if not live then Obsv.Metrics.inc t.tm.m_timers_stale
+      else if p.halted then begin
+        (* a halted process runs no handler again, up or down: its timer
+           is spent here rather than deferred to a reboot where it could
+           only go stale *)
+        Hashtbl.remove p.armed label;
+        Obsv.Metrics.inc t.tm.m_timers_stale
+      end
       else if p.host.down then begin
         match deferral_target t p with
         | Some r ->
@@ -587,8 +594,7 @@ let dispatch t ev =
         (* disarm before the handler runs: no other Fire carries this
            epoch, and the handler may re-arm the label *)
         Hashtbl.remove p.armed label;
-        if p.halted then Obsv.Metrics.inc t.tm.m_timers_stale
-        else fire t p ~label ~cause ~deferred
+        fire t p ~label ~cause ~deferred
       end;
       drop_if_spent t p
   | Tick { series = s; k; deferred } ->
@@ -597,7 +603,12 @@ let dispatch t ev =
       (* the next member takes the queue as this one leaves it *)
       if (not deferred) && queue_tick t s (k + 1) then
         t.unqueued_ticks <- t.unqueued_ticks - 1;
-      if p.host.down then begin
+      if p.halted then begin
+        (* as for a [Fire]: spent now, not deferred to a reboot *)
+        p.ticking <- p.ticking - 1;
+        Obsv.Metrics.inc t.tm.m_timers_stale
+      end
+      else if p.host.down then begin
         match deferral_target t p with
         | Some r ->
             Event_queue.push t.queue ~time:r
@@ -606,8 +617,7 @@ let dispatch t ev =
       end
       else begin
         p.ticking <- p.ticking - 1;
-        if p.halted then Obsv.Metrics.inc t.tm.m_timers_stale
-        else fire t p ~label:(s.s_label k) ~cause:(s.s_set0 + k) ~deferred
+        fire t p ~label:(s.s_label k) ~cause:(s.s_set0 + k) ~deferred
       end;
       drop_if_spent t p
   | Crash { pid; recover_at; _ } -> crash t ~pid ~recover_at

@@ -36,10 +36,6 @@ val int_in : t -> lo:int -> hi:int -> int
 
 val bool : t -> bool
 
-val float : t -> float -> float
-(** [float g x] is uniform in [\[0, x)]. Only used for reporting jitter, never
-    for scheduling decisions. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

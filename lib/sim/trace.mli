@@ -80,8 +80,6 @@ val dropped_count : ('msg, 'obs) t -> int
 (** Entries recorded but not kept by a bounded trace (all of them at
     capacity 0); 0 for the default unbounded mode. *)
 
-val time_of : ('msg, 'obs) entry -> Sim_time.t
-
 val observations : ('msg, 'obs) t -> (Sim_time.t * int * 'obs) list
 (** Just the [Observed] entries, in order, as [(time, pid, obs)]. *)
 

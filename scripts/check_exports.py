@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Dead-export gate over the library interfaces.
 
-Every `val NAME` in lib/**/*.mli must be mentioned, as a whole word
-outside comments, by some .ml or .mli file of another module under
-lib/, bin/, bench/, examples/ or test/ (test code counts as a caller).
-A value only its own module uses belongs in its .ml alone.
+Every `val NAME` in lib/**/*.mli must be used, outside comments, by
+some .ml or .mli file of another module under lib/, bin/, bench/,
+examples/ or test/ (test code counts as a caller). A use is
+`Module.NAME` (also at the end of a longer path, `Lib.Module.NAME`),
+`X.NAME` where the file aliases `module X = ...Module`, or a bare
+`NAME` in a file that opens `Module` (`open`, `let open`, `Module.(`).
+A bare `NAME` alone is no use: it may be another module's value of the
+same name. A `val` inside `module Sub : sig ... end` is qualified by
+`Sub`. A value only its own module uses belongs in its .ml alone.
 
 Exceptions live in scripts/exports_allow.txt next to this script, one
 `Module.name: reason` per line (`#` starts a comment). An entry that no
@@ -23,8 +28,17 @@ import re
 import sys
 
 ROOTS = ["lib", "bin", "bench", "examples", "test"]
-VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 WORD = re.compile(r"[A-Za-z0-9_']+")
+MOD = r"[A-Z][A-Za-z0-9_']*"
+PATH = rf"(?:{MOD}\s*\.\s*)*({MOD})"
+# Module.name, taking the last module of a longer path
+QUAL = re.compile(rf"(?<![A-Za-z0-9_'.])(?:{MOD}\s*\.\s*)*({MOD})\s*\.\s*([a-z_][A-Za-z0-9_']*)")
+ALIAS = re.compile(rf"\bmodule\s+({MOD})\s*=\s*{PATH}")
+OPEN = re.compile(rf"\bopen!?\s+{PATH}")
+LOCAL_OPEN = re.compile(rf"(?<![A-Za-z0-9_'])({MOD})\s*\.\s*\(")
+# the tokens of an interface that nest: sig/struct open a level, end closes
+NEST = re.compile(rf"\bmodule\s+({MOD})\s*:\s*sig\b|\b(sig|struct|end)\b"
+                  r"|\bval\s+([a-z_][A-Za-z0-9_']*)\s*:")
 
 
 # a character literal, so its quote is not taken for a string opener
@@ -66,13 +80,67 @@ def strip_comments(src):
     return "".join(out)
 
 
+class Uses:
+    """What one source file can reach: its bare words, its qualified
+    `Module.name` pairs, its module aliases and the modules it opens."""
+
+    def __init__(self, text):
+        self.words = set(WORD.findall(text))
+        self.pairs = set(QUAL.findall(text))
+        self.aliases = dict(ALIAS.findall(text))
+        self.opens = set(OPEN.findall(text)) | set(LOCAL_OPEN.findall(text))
+
+    def resolve(self, m):
+        seen = set()
+        while m in self.aliases and m not in seen:
+            seen.add(m)
+            m = self.aliases[m]
+        return m
+
+    def uses(self, qual, name):
+        if any(self.resolve(q) == qual for q, n in self.pairs if n == name):
+            return True
+        return name in self.words and any(self.resolve(m) == qual for m in self.opens)
+
+
+def exported(mli_text, module):
+    """(qualifier, name) of every val of an interface: the module itself,
+    or the innermost `module Sub : sig` around the val."""
+    stack, out = [], []
+    for m in NEST.finditer(mli_text):
+        sub, kw, val = m.groups()
+        if sub:
+            stack.append(sub)
+        elif kw in ("sig", "struct"):
+            stack.append(stack[-1] if stack else module)
+        elif kw == "end":
+            if stack:
+                stack.pop()
+        else:
+            out.append((stack[-1] if stack else module, val))
+    return out
+
+
 def self_test():
     """A quote inside a character or quoted-string literal opens no
-    string, so the comment after it stays a comment."""
+    string, so the comment after it stays a comment; and only a
+    qualified, aliased or opened use of a value counts."""
     for src in ["let q = '\"' (* only_here *)", "let q = {|\"|} (* only_here *)",
                 "let q = '\\'' (* only_here *)", "let x' = \"(*\" (* only_here *)"]:
         if "only_here" in strip_comments(src):
             sys.exit(f"check_exports.py: self-test failed on {src!r}")
+    for src, want in [("let x = bar 1", False),
+                      ("let x = Other.bar 1", False),
+                      ("let x = Foo.bar 1", True),
+                      ("let x = Lib.Foo.bar 1", True),
+                      ("module F = Lib.Foo\nlet x = F.bar 1", True),
+                      ("open Lib.Foo\nlet x = bar 1", True),
+                      ("let x = Foo.(bar 1)", True)]:
+        if Uses(src).uses("Foo", "bar") != want:
+            sys.exit(f"check_exports.py: self-test failed on {src!r}")
+    if exported("val a : t\nmodule Sub : sig\n val b : t\nend\nval c : t", "Foo") != [
+            ("Foo", "a"), ("Sub", "b"), ("Foo", "c")]:
+        sys.exit("check_exports.py: self-test failed on a nested signature")
 
 
 def module_of(path):
@@ -110,23 +178,22 @@ def main(argv):
     if not os.path.isdir("lib"):
         sys.exit("check_exports.py: run from the root of the repository")
     allow = load_allow(allow_path)
-    # words mentioned per module, comments excluded
-    words = {}
+    # what each module can reach, comments excluded
+    uses = {}
     for path in sources():
         with open(path, encoding="utf-8") as fh:
-            text = strip_comments(fh.read())
-        words.setdefault((os.path.dirname(path), module_of(path)), set()).update(
-            WORD.findall(text)
-        )
+            uses.setdefault((os.path.dirname(path), module_of(path)), []).append(
+                Uses(strip_comments(fh.read())))
     unused = []
     for path in sorted(p for p in sources() if p.startswith("lib" + os.sep)):
         if not path.endswith(".mli"):
             continue
         key = (os.path.dirname(path), module_of(path))
         with open(path, encoding="utf-8") as fh:
-            names = VAL.findall(strip_comments(fh.read()))
-        for name in names:
-            if not any(name in ws for k, ws in words.items() if k != key):
+            vals = exported(strip_comments(fh.read()), key[1])
+        for qual, name in vals:
+            if not any(u.uses(qual, name)
+                       for k, us in uses.items() if k != key for u in us):
                 unused.append((f"{key[1]}.{name}", path))
     failed = False
     for qual, path in unused:

@@ -668,6 +668,208 @@ let soundness_tests =
       (lifted ~ser:ser_bool ~equal:bool_equal Dls.ser_commit commit);
   ]
 
+(* ------------------------------------------- running-tally oracle *)
+
+(* One replica fed a random stream of echo and commit votes — duplicate
+   authors, a registered non-replica, forged signatures, two values a
+   round, rounds other than the current one, round timeouts in between.
+   After every step its tally must equal a quorum test over the
+   distinct replicas whose votes verify, and every QC it locked and every
+   certificate it decided must pass the full re-check that the running
+   tally lets the replica skip. *)
+
+type sig_kind = Honest | Forged | Outsider
+
+type step =
+  | Vote of { commit : bool; author : int; round : int; value : string;
+              how : sig_kind }
+  | Timeout of int
+
+let oracle_systems =
+  [|
+    Quorum_system.majority ~n:4 ~f:1 ();
+    Quorum_system.majority ~n:7 ~f:2 ();
+    Quorum_system.weighted ~weights:[| 2; 2; 1; 1; 1 |] ~f:1 ();
+    Quorum_system.grid ~rows:3 ~cols:3 ~f:1 ();
+  |]
+
+let print_step = function
+  | Vote { commit; author; round; value; how } ->
+      Printf.sprintf "%s(a%d,r%d,%s%s)"
+        (if commit then "commit" else "echo")
+        author round value
+        (match how with
+        | Honest -> ""
+        | Forged -> ",forged"
+        | Outsider -> ",outsider")
+  | Timeout r -> Printf.sprintf "timeout(r%d)" r
+
+let arb_vote_stream =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        ( 12,
+          let* commit = frequency [ (3, return false); (2, return true) ] in
+          let* author = int_range 0 8 in
+          let* round = frequency [ (4, return 0); (1, int_range 1 2) ] in
+          let* value = oneofl [ "a"; "a"; "b" ] in
+          let* how =
+            frequency
+              [ (8, return Honest); (1, return Forged); (1, return Outsider) ]
+          in
+          return (Vote { commit; author; round; value; how }) );
+        (1, map (fun r -> Timeout r) (int_range 0 2));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (k, steps) ->
+      Printf.sprintf "%s: %s"
+        (Quorum_system.describe oracle_systems.(k))
+        (String.concat " " (List.map print_step steps)))
+    (pair (int_bound (Array.length oracle_systems - 1)) (list_size (int_range 0 80) step))
+
+(* the full check a replica skips for its own buckets *)
+let vote_set_ok cfg ~ser_vote ~round_of ~value_of ~round ~value sigs =
+  let n = Quorum_system.size cfg.Dls.qs in
+  let present = Array.make n false in
+  List.for_all
+    (fun (sv : _ Auth.signed) ->
+      let a = sv.Auth.author in
+      round_of sv.Auth.payload = round
+      && String.equal (value_of sv.Auth.payload) value
+      && a >= 0 && a < n && (not present.(a))
+      && Auth.verify cfg.Dls.registry a (ser_vote sv.Auth.payload)
+           sv.Auth.signature
+      && (present.(a) <- true; true))
+    sigs
+  && Quorum_system.is_quorum cfg.Dls.qs ~present
+
+let tally_oracle (k, steps) =
+  let qs = oracle_systems.(k) in
+  let n = Quorum_system.size qs in
+  let w = make_world ~n ~qs () in
+  let cfg = w.cfgs.(0) in
+  let t = w.replicas.(0) in
+  ignore (Dls.join t);
+  let outsider = Auth.register cfg.Dls.registry 99 in
+  let signer a = Auth.signer_of cfg.Dls.registry a in
+  (* (commit, round, value) -> replica indices whose vote verified *)
+  let model = Hashtbl.create 16 in
+  let top_echo_quorum = ref (-1) in
+  let sign commit ~round ~value s =
+    if commit then
+      `Commit
+        (Auth.sign_value s ~ser:(Dls.ser_commit Fun.id)
+           { Dls.c_round = round; c_value = value })
+    else
+      `Echo
+        (Auth.sign_value s ~ser:(Dls.ser_echo Fun.id)
+           { Dls.e_round = round; e_value = value })
+  in
+  let msg_of = function
+    | `Commit sv -> Dls.Commit sv
+    | `Echo sv -> Dls.Echo sv
+  in
+  let quorum_of present = Quorum_system.is_quorum qs ~present in
+  let step_ok step =
+    let was_decided = Dls.decided t <> None in
+    (match step with
+    | Timeout r -> ignore (Dls.on_round_timeout t r)
+    | Vote { commit; author; round; value; how } ->
+        let author = author mod n in
+        let vote =
+          match how with
+          | Honest -> sign commit ~round ~value (signer author)
+          | Outsider -> sign commit ~round ~value outsider
+          | Forged ->
+              if commit then
+                `Commit
+                  (Auth.forge_value ~author
+                     { Dls.c_round = round; c_value = value })
+              else
+                `Echo
+                  (Auth.forge_value ~author
+                     { Dls.e_round = round; e_value = value })
+        in
+        ignore (Dls.on_msg t ~from_:author (msg_of vote));
+        if how = Honest && not was_decided then begin
+          let key = (commit, round, value) in
+          let present =
+            match Hashtbl.find_opt model key with
+            | Some p -> p
+            | None ->
+                let p = Array.make n false in
+                Hashtbl.add model key p;
+                p
+          in
+          present.(author) <- true;
+          if (not commit) && quorum_of present then
+            top_echo_quorum := max !top_echo_quorum round
+        end);
+    let decided = Dls.decided t <> None in
+    (* the books of a decided replica are gone *)
+    Hashtbl.fold
+      (fun (commit, round, value) present ok ->
+        let kind = if commit then `Commit else `Echo in
+        ok
+        && Dls.tally t kind ~round value
+           = ((not decided) && quorum_of present))
+      model true
+    && (match Dls.locked t with
+       | None -> !top_echo_quorum < 0
+       | Some qc ->
+           qc.Dls.q_round = !top_echo_quorum
+           && vote_set_ok cfg ~ser_vote:(Dls.ser_echo Fun.id)
+                ~round_of:(fun b -> b.Dls.e_round)
+                ~value_of:(fun b -> b.Dls.e_value)
+                ~round:qc.Dls.q_round ~value:qc.Dls.q_value qc.Dls.q_sigs)
+    &&
+    match Dls.decided t with
+    | None -> true
+    | Some dc ->
+        Dls.verify_decision cfg dc
+        && vote_set_ok cfg ~ser_vote:(Dls.ser_commit Fun.id)
+             ~round_of:(fun b -> b.Dls.c_round)
+             ~value_of:(fun b -> b.Dls.c_value)
+             ~round:dc.Dls.d_round ~value:dc.Dls.d_value dc.Dls.d_sigs
+  in
+  List.for_all step_ok steps
+
+let tally_tests =
+  [
+    Alcotest.test_case "an echo past the quorum commits once the round comes"
+      `Quick (fun () ->
+        let w = make_world () in
+        let t = w.replicas.(0) in
+        ignore (Dls.join t);
+        let echo a =
+          Dls.Echo
+            (Auth.sign_value
+               (Auth.signer_of w.cfgs.(0).Dls.registry a)
+               ~ser:(Dls.ser_echo Fun.id)
+               { Dls.e_round = 1; e_value = "a" })
+        in
+        let commits effs =
+          List.filter
+            (function Dls.Broadcast (Dls.Commit _) -> true | _ -> false)
+            effs
+        in
+        (* a quorum of round-1 echoes while still in round 0: lock, no vote *)
+        for a = 0 to 2 do
+          check Alcotest.int "no commit yet" 0
+            (List.length (commits (Dls.on_msg t ~from_:a (echo a))))
+        done;
+        check Alcotest.bool "tally" true (Dls.tally t `Echo ~round:1 "a");
+        ignore (Dls.on_round_timeout t 0);
+        (* the next echo of the bucket finds the replica in round 1 *)
+        check Alcotest.int "commit vote" 1
+          (List.length (commits (Dls.on_msg t ~from_:3 (echo 3)))));
+    qcheck
+      (QCheck.Test.make ~name:"the running tally matches a quorum oracle"
+         ~count:400 arb_vote_stream tally_oracle);
+  ]
+
 let () =
   Alcotest.run "consensus"
     [
@@ -677,4 +879,5 @@ let () =
       ("exploration", exploration_tests);
       ("chain", chain_tests);
       ("soundness", soundness_tests);
+      ("tally", tally_tests);
     ]

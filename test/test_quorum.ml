@@ -340,6 +340,55 @@ let verifier_tests =
           Alcotest.failf "1000 memo hits allocated %d words" delta);
   ]
 
+(* A 16-replica majority committee deciding 32 verdicts, driven through
+   the committee directly with every message delivered in FIFO order: the
+   first request opens slot 0 alone and the other 31 ship as slot 1.
+   Returns the minor words the replicas' handlers allocated per echo or
+   commit vote they handled, the votes handled and the replicas that
+   decided both slots. *)
+let words_per_vote () =
+  let w = make_world ~n:16 ~f:5 ~batch_cap:32 ~pipeline:1 () in
+  for item = 0 to 31 do
+    request w 0 { C.item; commit = item mod 5 <> 0 }
+  done;
+  let votes = ref 0 and words = ref 0. in
+  while not (Queue.is_empty w.queue) do
+    let from_, to_, m = Queue.pop w.queue in
+    let before = Gc.minor_words () in
+    let effs = C.on_msg w.coms.(to_) ~now:0 ~from_ m in
+    let after = Gc.minor_words () in
+    (match m.C.dm with
+    | Dls.Echo _ | Dls.Commit _ ->
+        incr votes;
+        words := !words +. (after -. before)
+    | Dls.Propose _ | Dls.New_round _ -> ());
+    effects w ~from_:to_ effs
+  done;
+  let decided =
+    Array.fold_left
+      (fun k com -> if C.decided_slots com = 2 then k + 1 else k)
+      0 w.coms
+  in
+  (int_of_float !words / max 1 !votes, !votes, decided)
+
+let allocation_tests =
+  [
+    Alcotest.test_case "a notary vote costs about one signature check" `Quick
+      (fun () ->
+        let per_vote, votes, decided = words_per_vote () in
+        check Alcotest.int "every replica decided both slots" 16 decided;
+        (* per slot, 16 echoes and 16 commit votes reach each replica *)
+        check Alcotest.int "votes handled" (2 * 2 * 16 * 16) votes;
+        (* about 55 words: the signature check, a bucket per (round,
+           value) and the commit vote a quorum triggers. Rebuilding a
+           presence vector and a QC per vote, re-verifying the first QC
+           and serialising the batch per bucket cost about three times
+           that. *)
+        if per_vote > 80 then
+          Alcotest.failf "a handled vote allocates %d words (budget 80)"
+            per_vote);
+  ]
+
 (* ------------------------------------------------------------ tests *)
 
 let () =
@@ -390,6 +439,7 @@ let () =
                  | Ok () -> laws_by_brute_force qs
                  | Error _ -> QCheck.assume_fail ()));
         ] );
+      ("alloc", allocation_tests);
       ( "committee",
         [
           Alcotest.test_case "a burst batches into one verified certificate"

@@ -1033,6 +1033,25 @@ let timer_tests =
                   runs after the reboot, so it must never fire *)
                if label = "t" then Engine.cancel_timer ctx ~label:"c")
              ()));
+    Alcotest.test_case "a halted process's timer is not deferred to its reboot"
+      `Quick (fun () ->
+        let e = mk_engine () in
+        ignore
+          (Engine.add_process e
+             {
+               Engine.on_start =
+                 (fun ctx ->
+                   Engine.set_timer ctx ~deadline:10 ~label:"t";
+                   Engine.halt ctx);
+               on_receive = (fun _ ~src:_ _ -> ());
+               on_timer =
+                 (fun _ ~label:_ -> Alcotest.fail "a halted process fired");
+             });
+        Engine.schedule_crash e ~pid:0 ~at:5 ~recover_at:50 ();
+        ignore (Engine.run e);
+        (* the crash, the firing spent at 10 and the recovery; no fourth
+           event re-queued to the reboot only to go stale there *)
+        check Alcotest.int "events" 3 (Engine.events_processed e));
     Alcotest.test_case "a fire during a permanent crash never runs" `Quick
       (fun () ->
         check
