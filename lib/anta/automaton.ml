@@ -1,8 +1,9 @@
 type state = string
+type sender = Pool.sender = One of int | Among of int array | Any
 
 type ('i, 'msg, 'obs) guard =
-  | Receive of { from_ : int; describe : string; accept : 'i -> 'msg -> bool }
-  | Deadline of { base : string; offset : Sim.Sim_time.t }
+  | Receive of { from_ : sender; describe : string; accept : 'i -> 'msg -> bool }
+  | Deadline of { base : string; offset : Sim.Sim_time.t; timer : string option }
   | At of { local : Sim.Sim_time.t }
 
 type ('i, 'msg, 'obs) branch = {
@@ -17,6 +18,7 @@ type ('i, 'msg, 'obs) branch = {
 type ('i, 'msg, 'obs) node =
   | Output of {
       to_ : int;
+      absolute : bool;
       message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
       o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : state;
@@ -31,8 +33,8 @@ type ('i, 'msg, 'obs) node =
    run-time error, as {!check} reports statically); every [next] is resolved
    here, and clock and data variables are Store slots. *)
 type ('i, 'msg, 'obs) cguard =
-  | C_receive of { from_ : int; accept : 'i -> 'msg -> bool }
-  | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
+  | C_receive of { from_ : sender; accept : 'i -> 'msg -> bool }
+  | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string; named : bool }
 
 type ('i, 'msg, 'obs) cbranch = {
   cguard : ('i, 'msg, 'obs) cguard;
@@ -46,6 +48,7 @@ type ('i, 'msg, 'obs) cbranch = {
 type ('i, 'msg, 'obs) cnode =
   | C_output of {
       to_ : int;
+      absolute : bool;
       message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
       o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : int;
@@ -59,6 +62,7 @@ type ('i, 'msg, 'obs) cnode =
 type ('i, 'msg, 'obs) t = {
   name : string;
   initial : state;
+  born : string list;
   nodes : (state * ('i, 'msg, 'obs) node) list;
   names : state array;  (* declared states, then missing targets *)
   declared : int;
@@ -103,16 +107,13 @@ let compile_branch tbs st idx b =
   let cguard =
     match b.guard with
     | Receive { from_; accept; _ } -> C_receive { from_; accept }
-    | Deadline { base; offset } ->
+    | Deadline { base; offset; timer } ->
+        let label = Option.value timer ~default:(st ^ "#" ^ string_of_int idx) in
         C_deadline
-          {
-            base = intern tbs.clocks base;
-            offset;
-            label = st ^ "#" ^ string_of_int idx;
-          }
+          { base = intern tbs.clocks base; offset; label; named = timer <> None }
     | At { local } ->
         C_deadline
-          { base = -1; offset = local; label = st ^ "#" ^ string_of_int idx }
+          { base = -1; offset = local; label = st ^ "#" ^ string_of_int idx; named = false }
   in
   {
     cguard;
@@ -133,8 +134,8 @@ let rec fill_branches tbs st arr idx = function
       fill_branches tbs st arr (idx + 1) rest
 
 let compile_node tbs st = function
-  | Output { to_; message; o_act; next } ->
-      C_output { to_; message; o_act; next = intern tbs.states next }
+  | Output { to_; absolute; message; o_act; next } ->
+      C_output { to_; absolute; message; o_act; next = intern tbs.states next }
   | Input [] -> C_input [||]
   | Input (b :: rest as branches) ->
       let arr =
@@ -150,7 +151,7 @@ let rec fill_nodes tbs cnodes i = function
       cnodes.(i) <- compile_node tbs st node;
       fill_nodes tbs cnodes (i + 1) rest
 
-let make ~name ~initial ~nodes =
+let make ~name ?(born = []) ~initial ~nodes () =
   let n = List.length nodes in
   (* declared states take the first [n] entries of [states] *)
   let states = { items = Array.make n ""; count = 0 } in
@@ -171,6 +172,7 @@ let make ~name ~initial ~nodes =
       datas = { items = [||]; count = 0 };
     }
   in
+  if born <> [] then List.iter (fun v -> ignore (intern tbs.clocks v)) born;
   let cnodes = Array.make n C_missing in
   fill_nodes tbs cnodes 0 nodes;
   let cnodes =
@@ -180,6 +182,7 @@ let make ~name ~initial ~nodes =
   {
     name;
     initial;
+    born;
     nodes;
     names = states.items;
     declared = n;
@@ -191,6 +194,7 @@ let make ~name ~initial ~nodes =
 
 let name t = t.name
 let initial t = t.initial
+let born t = t.born
 
 let node t st =
   let i = scan_names t.names st 0 t.declared in
@@ -255,7 +259,7 @@ let must_assigned t =
   in
   let assigned : (state, SS.t) Hashtbl.t = Hashtbl.create 16 in
   let get st = Option.value ~default:all_vars (Hashtbl.find_opt assigned st) in
-  Hashtbl.replace assigned t.initial SS.empty;
+  Hashtbl.replace assigned t.initial (SS.of_list t.born);
   let changed = ref true in
   while !changed do
     changed := false;
@@ -349,8 +353,8 @@ let check t =
 let no_act3 _ _ _ = ()
 let no_act4 _ _ _ _ = ()
 
-let output ~to_ ?(act = no_act3) ~message ~next () =
-  Output { to_; message; o_act = act; next }
+let output ?(absolute = false) ~to_ ?(act = no_act3) ~message ~next () =
+  Output { to_; absolute; message; o_act = act; next }
 
 let input branches = Input branches
 let final ?(act = no_act3) () = Final { f_act = act }
@@ -359,9 +363,9 @@ let on_receive ~from_ ?(describe = "msg") ~accept ?save_msg ?(save_now = [])
     ?(act = no_act4) ~next () =
   { guard = Receive { from_; describe; accept }; save_msg; save_now; b_act = act; next }
 
-let on_deadline ~base ~offset ?(save_now = []) ?(act = no_act4) ~next () =
+let on_deadline ~base ~offset ?timer ?(save_now = []) ?(act = no_act4) ~next () =
   {
-    guard = Deadline { base; offset };
+    guard = Deadline { base; offset; timer };
     save_msg = None;
     save_now;
     b_act = act;
@@ -393,19 +397,26 @@ let to_dot t =
   List.iter
     (fun (st, node) ->
       match node with
-      | Output { to_; next; _ } ->
-          bpf "  \"%s\" -> \"%s\" [label=\"s(%d, ·)\"];\n" (dot_escape st)
-            (dot_escape next) to_
+      | Output { to_; absolute; next; _ } ->
+          bpf "  \"%s\" -> \"%s\" [label=\"s(%s%d, ·)\"];\n" (dot_escape st)
+            (dot_escape next) (if absolute then "engine " else "") to_
       | Input branches ->
           List.iter
             (fun b ->
               let label =
                 match b.guard with
                 | Receive { from_; describe; _ } ->
-                    Printf.sprintf "r(%d, %s)" from_ describe
-                | Deadline { base; offset } ->
-                    Printf.sprintf "now >= %s + %s" base
-                      (Sim.Sim_time.to_string offset)
+                    Printf.sprintf "r(%s, %s)"
+                      (match from_ with
+                      | One p -> string_of_int p
+                      | Among ps ->
+                          String.concat "|" (Array.to_list (Array.map string_of_int ps))
+                      | Any -> "*")
+                      describe
+                | Deadline { base; offset; timer } ->
+                    Printf.sprintf "%snow >= %s + %s"
+                      (match timer with Some t -> t ^ ": " | None -> "")
+                      base (Sim.Sim_time.to_string offset)
                 | At { local } ->
                     Printf.sprintf "now >= %s" (Sim.Sim_time.to_string local)
               in

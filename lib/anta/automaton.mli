@@ -32,13 +32,19 @@
 
 type state = string
 
+type sender = Pool.sender = One of int | Among of int array | Any
+(** Who a receive listens to: one pid, any pid of a set, or anyone. *)
+
 type ('i, 'msg, 'obs) guard =
-  | Receive of { from_ : int; describe : string; accept : 'i -> 'msg -> bool }
+  | Receive of { from_ : sender; describe : string; accept : 'i -> 'msg -> bool }
       (** [r(from_, m)] for messages satisfying [accept]. *)
-  | Deadline of { base : string; offset : Sim.Sim_time.t }
+  | Deadline of { base : string; offset : Sim.Sim_time.t; timer : string option }
       (** [now >= base + offset] on the local clock; [base] is a clock
           variable that must have been assigned on every path reaching this
-          state. *)
+          state. A named [timer] is one deadline of the process's life: it
+          must count from a birth clock no transition assigns, with the
+          same offset wherever it appears; it stays armed across states
+          that share it and fires at most once. *)
   | At of { local : Sim.Sim_time.t }
       (** [now >= local] on the local clock: an absolute deadline, which
           reads no clock variable. *)
@@ -57,6 +63,7 @@ type ('i, 'msg, 'obs) branch = {
 type ('i, 'msg, 'obs) node =
   | Output of {
       to_ : int;
+      absolute : bool;  (** [to_] is an engine pid, outside the block *)
       message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
       o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : state;
@@ -70,14 +77,18 @@ type ('i, 'msg, 'obs) t
 
 val make :
   name:string ->
+  ?born:string list ->
   initial:state ->
   nodes:(state * ('i, 'msg, 'obs) node) list ->
+  unit ->
   ('i, 'msg, 'obs) t
-(** Raises [Invalid_argument] on duplicate state names or an unknown initial
-    state. Deeper checks are in {!check}. *)
+(** [born] are clock variables assigned [now] when the process starts.
+    Raises [Invalid_argument] on duplicate state names or an unknown
+    initial state. Deeper checks are in {!check}. *)
 
 val name : ('i, 'msg, 'obs) t -> string
 val initial : ('i, 'msg, 'obs) t -> state
+val born : ('i, 'msg, 'obs) t -> string list
 val node : ('i, 'msg, 'obs) t -> state -> ('i, 'msg, 'obs) node option
 val states : ('i, 'msg, 'obs) t -> state list
 
@@ -90,11 +101,11 @@ val states : ('i, 'msg, 'obs) t -> state list
     deadline branch [i] of input state [s] carries its engine timer label
     ["s#i"]. A target naming no declared state gets an index past the
     declared ones whose node is [C_missing]; {!check} reports it as
-    {!Unknown_target}. *)
+    {!Unknown_target}. A named timer's label is its name. *)
 
 type ('i, 'msg, 'obs) cguard =
-  | C_receive of { from_ : int; accept : 'i -> 'msg -> bool }
-  | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string }
+  | C_receive of { from_ : sender; accept : 'i -> 'msg -> bool }
+  | C_deadline of { base : int; offset : Sim.Sim_time.t; label : string; named : bool }
       (** [base] is a clock slot, or [-1] for an absolute deadline ([At]) *)
 
 type ('i, 'msg, 'obs) cbranch = {
@@ -109,6 +120,7 @@ type ('i, 'msg, 'obs) cbranch = {
 type ('i, 'msg, 'obs) cnode =
   | C_output of {
       to_ : int;
+      absolute : bool;
       message : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg;
       o_act : 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit;
       next : int;
@@ -155,6 +167,7 @@ val pp_check_error : Format.formatter -> check_error -> unit
 (** {1 Builders} *)
 
 val output :
+  ?absolute:bool ->
   to_:int ->
   ?act:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
   message:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg) ->
@@ -170,7 +183,7 @@ val final :
   ('i, 'msg, 'obs) node
 
 val on_receive :
-  from_:int ->
+  from_:sender ->
   ?describe:string ->
   accept:('i -> 'msg -> bool) ->
   ?save_msg:string ->
@@ -184,6 +197,7 @@ val on_receive :
 val on_deadline :
   base:string ->
   offset:Sim.Sim_time.t ->
+  ?timer:string ->
   ?save_now:string list ->
   ?act:
     ('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg option -> unit) ->

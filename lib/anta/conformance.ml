@@ -61,41 +61,24 @@ let on_sent auto inst tag_of c ~at ~dst msg =
     | A.C_final _ -> fail auto c ~at "sent from a final state"
     | A.C_missing -> fail auto c ~at "sent from an unknown state"
 
-let split_label label =
-  match String.rindex_opt label '#' with
-  | None -> None
-  | Some i ->
-      let state = String.sub label 0 i in
-      let idx = String.sub label (i + 1) (String.length label - i - 1) in
-      Option.map (fun k -> (state, k)) (int_of_string_opt idx)
+(* the deadline branch of [branches] armed under [label], or [-1] *)
+let rec deadline_of branches label i =
+  if i >= Array.length branches then -1
+  else
+    match branches.(i).A.cguard with
+    | A.C_deadline { label = l; _ } when String.equal l label -> i
+    | A.C_deadline _ | A.C_receive _ -> deadline_of branches label (i + 1)
 
 let on_timer auto inst c ~at ~label =
   if not c.finished then
-    match split_label label with
-    | None ->
-        fail auto c ~at (Printf.sprintf "fired a non-automaton timer %S" label)
-    | Some (state, idx) ->
-        let current = A.state_name auto c.state in
-        if not (String.equal state current) then
-          fail auto c ~at
-            (Printf.sprintf "timer %S fired but the automaton is in %s" label
-               current)
-        else (
-          match A.cnode auto c.state with
-          | A.C_input branches when idx >= 0 && idx < Array.length branches -> (
-              let b = branches.(idx) in
-              match b.A.cguard with
-              | A.C_deadline _ ->
-                  c.state <- b.A.c_next;
-                  settle auto inst c ~at
-              | A.C_receive _ ->
-                  fail auto c ~at
-                    (Printf.sprintf "timer %S names a receive branch" label))
-          | A.C_input _ ->
-              fail auto c ~at (Printf.sprintf "timer %S names no branch" label)
-          | _ ->
-              fail auto c ~at
-                (Printf.sprintf "timer %S fired outside an input state" label))
+    match A.cnode auto c.state with
+    | A.C_input branches when deadline_of branches label 0 >= 0 ->
+        c.state <- branches.(deadline_of branches label 0).A.c_next;
+        settle auto inst c ~at
+    | _ ->
+        fail auto c ~at
+          (Printf.sprintf "timer %S fired but state %s arms no such timer" label
+             (A.state_name auto c.state))
 
 let check auto inst ~pid ~tag_of trace =
   let c =

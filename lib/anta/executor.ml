@@ -7,6 +7,8 @@ type ('i, 'msg, 'obs) running = {
   sstore : 'msg Store.t;
   pool : 'msg Pool.t;
   mutable state : int;
+  mutable armed : ('i, 'msg, 'obs) A.cbranch array;
+      (* the branches of the input state whose deadlines are armed *)
   mutable finished : bool;
 }
 
@@ -16,15 +18,38 @@ let terminated r = r.finished
 let store r = r.sstore
 let pending_count r = Pool.length r.pool
 
-let disarm_deadlines ctx branches =
-  for i = 0 to Array.length branches - 1 do
-    match branches.(i).A.cguard with
-    | A.C_deadline { label; _ } -> Engine.cancel_timer ctx ~label
+let rec arms branches label i =
+  i < Array.length branches
+  &&
+  match branches.(i).A.cguard with
+  | A.C_deadline { label = l; named = true; _ } when String.equal l label -> true
+  | A.C_deadline _ | A.C_receive _ -> arms branches label (i + 1)
+
+(* Move the armed deadlines to [next], the branches of the state entered:
+   cancel the old ones but a named timer [next] shares, which keeps its
+   place in the queue (or stays spent), and arm the rest. *)
+let rearm ctx r next =
+  let before = r.armed in
+  r.armed <- next;
+  for i = 0 to Array.length before - 1 do
+    match before.(i).A.cguard with
+    | A.C_deadline { label; named; _ } ->
+        if not (named && arms next label 0) then Engine.cancel_timer ctx ~label
+    | A.C_receive _ -> ()
+  done;
+  for i = 0 to Array.length next - 1 do
+    match next.(i).A.cguard with
+    | A.C_deadline { base; offset; label; named } ->
+        if not (named && arms before label 0) then
+          let deadline =
+            if base < 0 then offset
+            else Sim_time.add (Store.clock_at r.sstore base) offset
+          in
+          Engine.set_timer ctx ~deadline ~label
     | A.C_receive _ -> ()
   done
 
-let take_branch ctx r branches (b : ('i, 'msg, 'obs) A.cbranch) msg =
-  disarm_deadlines ctx branches;
+let take_branch ctx r (b : ('i, 'msg, 'obs) A.cbranch) msg =
   let save_now = b.c_save_now in
   if Array.length save_now > 0 then begin
     let now = Engine.local_now ctx in
@@ -49,26 +74,20 @@ let rec enter ctx on_final r st =
       invalid_arg
         (Printf.sprintf "Anta.Executor: automaton %s reached unknown state %s"
            (A.name r.auto) (A.state_name r.auto st))
-  | A.C_output { to_; message; o_act; next } ->
+  | A.C_output { to_; absolute; message; o_act; next } ->
       o_act r.inst ctx r.sstore;
-      Engine.send ctx ~dst:to_ (message r.inst ctx r.sstore);
+      let m = message r.inst ctx r.sstore in
+      if absolute then Engine.send_absolute ctx ~dst:to_ m
+      else Engine.send ctx ~dst:to_ m;
       enter ctx on_final r next
   | A.C_final { f_act } ->
+      rearm ctx r [||];
       r.finished <- true;
       f_act r.inst ctx r.sstore;
       on_final ctx r.sstore;
       Engine.halt ctx
   | A.C_input branches ->
-      for i = 0 to Array.length branches - 1 do
-        match branches.(i).A.cguard with
-        | A.C_deadline { base; offset; label } ->
-            let deadline =
-              if base < 0 then offset
-              else Sim_time.add (Store.clock_at r.sstore base) offset
-            in
-            Engine.set_timer ctx ~deadline ~label
-        | A.C_receive _ -> ()
-      done;
+      rearm ctx r branches;
       (* a message already in the pool may enable a transition right away *)
       fire ctx on_final r branches
 
@@ -76,18 +95,18 @@ and fire ctx on_final r branches =
   let bi = A.match_receive branches r.inst r.pool in
   if bi >= 0 then begin
     let m = Pool.take_hit r.pool in
-    enter ctx on_final r (take_branch ctx r branches branches.(bi) (Some m))
+    enter ctx on_final r (take_branch ctx r branches.(bi) (Some m))
   end
 
 let rec fire_deadline ctx on_final r branches label i =
   if i < Array.length branches then
     match branches.(i).A.cguard with
     | A.C_deadline { label = l; _ } when String.equal l label ->
-        enter ctx on_final r (take_branch ctx r branches branches.(i) None)
+        enter ctx on_final r (take_branch ctx r branches.(i) None)
     | A.C_deadline _ | A.C_receive _ ->
         fire_deadline ctx on_final r branches label (i + 1)
 
-let handlers auto inst ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
+let handlers auto inst ?(on_final = fun _ _ -> ()) () =
   let r =
     {
       auto;
@@ -96,12 +115,13 @@ let handlers auto inst ?(init_clocks = []) ?(on_final = fun _ _ -> ()) () =
         Store.of_vars ~clocks:(A.clock_names auto) ~datas:(A.data_names auto);
       pool = Pool.create ();
       state = A.initial_index auto;
+      armed = [||];
       finished = false;
     }
   in
   let on_start ctx =
     let now = Engine.local_now ctx in
-    List.iter (fun v -> Store.set_clock r.sstore v now) init_clocks;
+    List.iter (fun v -> Store.set_clock r.sstore v now) (A.born auto);
     enter ctx on_final r (A.initial_index auto)
   in
   let on_receive ctx ~src msg =

@@ -5,8 +5,9 @@
     - entering an output state performs its action and send, then moves on
       immediately (the engine's [sigma] models the "bounded amount of time
       calculating");
-    - entering an input state arms one engine timer per deadline branch and
-      then consults the {e pending pool}: messages that arrived while the
+    - entering an input state arms one engine timer per deadline branch
+      (a named timer that the state left also arms stays armed, unmoved)
+      and then consults the {e pending pool}: messages that arrived while the
       automaton was elsewhere are not lost, they wait until a state with a
       matching receive transition is entered (channel semantics — the
       network holds undelivered-to-the-automaton messages);
@@ -19,16 +20,15 @@ type ('i, 'msg, 'obs) running
 val handlers :
   ('i, 'msg, 'obs) Automaton.t ->
   'i ->
-  ?init_clocks:string list ->
   ?on_final:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
   unit ->
   ('msg, 'obs) Sim.Engine.handlers * ('i, 'msg, 'obs) running
 (** [handlers auto inst ()] runs the template [auto] for the instance
     [inst]: every guard, act and message of [auto] is applied to [inst].
     The automaton is shared and never written; the process's own state
-    (current state, store, pending pool) is allocated here. [init_clocks]
-    are clock variables assigned [now] when the process starts (the
-    automaton's birth time); [on_final] runs after the final state's own
+    (current state, store, pending pool) is allocated here. The
+    automaton's birth clocks ({!Automaton.born}) are assigned [now] when
+    the process starts; [on_final] runs after the final state's own
     action. The [running] handle exposes execution introspection. *)
 
 val instantiate :

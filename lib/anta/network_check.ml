@@ -24,12 +24,13 @@ let pp_issue ppf = function
          sends to %d"
         at state from_ at
 
-(* (sender, receiver) channels implied by output states / receive guards *)
+(* (sender, receiver) channels implied by output states (bar those to an
+   engine pid, which leave the network) / receive guards *)
 let sends_of auto =
   List.filter_map
     (fun st ->
       match A.node auto st with
-      | Some (A.Output { to_; _ }) -> Some (st, to_)
+      | Some (A.Output { to_; absolute = false; _ }) -> Some (st, to_)
       | _ -> None)
     (A.states auto)
 
@@ -47,9 +48,9 @@ let listens_of auto =
       | _ -> [])
     (A.states auto)
 
-let check network =
+let check ?(peers = []) network =
   let autos = network in
-  let has_pid pid = List.mem_assoc pid autos in
+  let has_pid pid = List.mem_assoc pid autos || List.mem pid peers in
   let issues = ref [] in
   let add i = issues := i :: !issues in
   (* send side *)
@@ -59,25 +60,33 @@ let check network =
         (fun (state, to_) ->
           if not (has_pid to_) then add (Dangling_send { from_; state; to_ })
           else
-            let target = List.assoc to_ autos in
-            let listens =
-              List.exists (fun (_, f) -> f = from_) (listens_of target)
-            in
-            if not listens then add (Deaf_receiver { from_; to_ }))
+            (* a peer's hearing is its own business *)
+            match List.assoc_opt to_ autos with
+            | Some target ->
+                let listens =
+                  List.exists (fun (_, f) -> Pool.admits f from_) (listens_of target)
+                in
+                if not listens then add (Deaf_receiver { from_; to_ })
+            | None -> ())
         (sends_of auto))
     autos;
-  (* receive side *)
+  (* receive side: a listen is heard when one of its senders is a peer
+     or addresses [at]; a listen to anyone always is *)
+  let heard at from_ =
+    List.mem from_ peers
+    || match List.assoc_opt from_ autos with
+       | None -> false
+       | Some sender -> List.exists (fun (_, t) -> t = at) (sends_of sender)
+  in
   List.iter
     (fun (at, auto) ->
       List.iter
-        (fun (state, from_) ->
-          match List.assoc_opt from_ autos with
-          | None -> add (Unheard_listener { at; state; from_ })
-          | Some sender ->
-              let sends_here =
-                List.exists (fun (_, t) -> t = at) (sends_of sender)
-              in
-              if not sends_here then add (Unheard_listener { at; state; from_ }))
+        (fun (state, senders) ->
+          let pids =
+            match senders with A.One p -> [| p |] | A.Among ps -> ps | A.Any -> [||]
+          in
+          if pids <> [||] && not (Array.exists (heard at) pids) then
+            Array.iter (fun from_ -> add (Unheard_listener { at; state; from_ })) pids)
         (listens_of auto))
     autos;
   (* dedup Deaf_receiver per channel, errors first *)
@@ -105,7 +114,7 @@ let check network =
 
 let errors issues = List.filter (fun i -> severity i = `Error) issues
 
-let well_formed autos =
+let well_formed ?peers autos =
   let rec each pid =
     if pid < Array.length autos then
       match A.check autos.(pid) with
@@ -119,7 +128,7 @@ let well_formed autos =
       (* every automaton checks; now the channels must carry the
          conversation (no dangling sends, no deaf receivers) *)
       let network = List.mapi (fun pid a -> (pid, a)) (Array.to_list autos) in
-      match errors (check network) with
+      match errors (check ?peers network) with
       | [] -> Ok ()
       | issues ->
           Error

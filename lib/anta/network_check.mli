@@ -17,7 +17,9 @@
     - {b unheard listeners}: a receive transition waits on a sender that
       never addresses this automaton — the transition is dead, and if it
       is the only way forward, so is the automaton (over-approximated: a
-      warning, as Byzantine peers may still deliver).
+      warning, as Byzantine peers may still deliver); a receive from
+      anyone never is. An output to an engine pid leaves the network, and
+      {e peers} run hand-written processes beside it: neither dangles.
 
     The analysis is structural (per-channel, ignoring message predicates),
     so it over-approximates reachability: a clean result is necessary but
@@ -33,16 +35,17 @@ type issue =
           [at] *)
 
 val check :
-  (int * ('i, 'msg, 'obs) Automaton.t) list -> issue list
-(** Analyse a network given as (pid, automaton) pairs. The result lists
-    every issue, errors first. *)
+  ?peers:int list -> (int * ('i, 'msg, 'obs) Automaton.t) list -> issue list
+(** Analyse a network given as (pid, automaton) pairs, beside [peers].
+    The result lists every issue, errors first. *)
 
 val errors : issue list -> issue list
 (** The errors among [issues]: dangling sends and deaf receivers (an
     unheard listener is a warning). *)
 
-val well_formed : ('i, 'msg, 'obs) Automaton.t array -> (unit, string) result
+val well_formed :
+  ?peers:int list -> ('i, 'msg, 'obs) Automaton.t array -> (unit, string) result
 (** The structural clause of property C for the network whose pid [p]
-    runs [autos.(p)]: every automaton passes {!Automaton.check} and
-    {!check} finds no error. The message names the first failing
-    automaton, or every wiring error. *)
+    runs [autos.(p)], beside [peers]: every automaton passes
+    {!Automaton.check} and {!check} finds no error. The message names the
+    first failing automaton, or every wiring error. *)

@@ -5,6 +5,8 @@ type 'msg t = {
   mutable hit : int;
 }
 
+type sender = One of int | Among of int array | Any
+
 let create () = { srcs = [||]; msgs = [||]; len = 0; hit = -1 }
 let length t = t.len
 
@@ -22,9 +24,12 @@ let push t src m =
   t.msgs.(t.len) <- m;
   t.len <- t.len + 1
 
+let admits from_ src =
+  match from_ with One p -> p = src | Among pids -> Array.mem src pids | Any -> true
+
 let rec scan t from_ accept inst i =
   if i >= t.len then false
-  else if t.srcs.(i) = from_ && accept inst t.msgs.(i) then begin
+  else if admits from_ t.srcs.(i) && accept inst t.msgs.(i) then begin
     t.hit <- i;
     true
   end

@@ -8,15 +8,20 @@
 
 type 'msg t
 
+type sender = One of int | Among of int array | Any
+(** Who a receive listens to: one pid, any pid of a set, or anyone. *)
+
+val admits : sender -> int -> bool
+
 val create : unit -> 'msg t
 val length : 'msg t -> int
 val push : 'msg t -> int -> 'msg -> unit
 (** [push t src m] appends [m], received from [src]. *)
 
-val find : 'msg t -> from_:int -> accept:('i -> 'msg -> bool) -> 'i -> bool
-(** [find t ~from_ ~accept inst]: is there a message from [from_] that
-    [accept inst] takes? The guard gets the instance as an argument, so
-    matching builds no closure. The pool is
+val find : 'msg t -> from_:sender -> accept:('i -> 'msg -> bool) -> 'i -> bool
+(** [find t ~from_ ~accept inst]: is there a message from a sender
+    [from_] admits that [accept inst] takes? The guard gets the instance
+    as an argument, so matching builds no closure. The pool is
     scanned oldest first; the first match is remembered for
     {!take_hit}. *)
 

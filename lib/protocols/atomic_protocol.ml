@@ -22,7 +22,7 @@ let decision_is topo commit env = function
    χa. *)
 let on_decision topo self commit next =
   let kind = if commit then Obs.Chi_commit else Obs.Chi_abort in
-  A.on_receive ~from_:(Topology.aux_base topo)
+  A.on_receive ~from_:(A.One (Topology.aux_base topo))
     ~describe:(if commit then "χc" else "χa")
     ~accept:(decision_is topo commit)
     ~act:(fun _ ctx _ _ ->
@@ -57,7 +57,7 @@ let alice topo : auto =
           A.input [ Env.recv e0 "$" (Env.is_money 0) "done_refunded" ] );
         ("done_certified", Env.final self "certified");
         ("done_refunded", Env.final self "refunded");
-      ]
+      ] ()
 
 (* Chloe_i prepares her outgoing leg once her incoming one is (P from
    e_{i-1}), then is paid upstream after χc or refunded downstream after
@@ -91,7 +91,7 @@ let connector topo i : auto =
           A.input [ Env.recv e_down "$" (Env.is_money i) "done_refunded" ] );
         ("done_paid", Env.final self "paid");
         ("done_refunded", Env.final self "refunded");
-      ]
+      ] ()
 
 (* Bob submits his receipt χ to the notary each time his incoming leg is
    announced prepared, and is paid after χc or gives up at χa. *)
@@ -131,7 +131,7 @@ let bob topo : auto =
         ("resend_chi", send_chi "await_paid");
         ("done_paid", Env.final self "paid");
         ("done_aborted", Env.final self "aborted");
-      ]
+      ] ()
 
 (* Escrows: deposit on the prepare instruction (a deposit the book refuses
    is refused in place), announce the prepared leg downstream (the signed
@@ -152,10 +152,10 @@ let escrow topo cfg i : auto =
         ( "await_money",
           A.input
             [
-              A.on_receive ~from_:cust_up ~describe:"$"
+              A.on_receive ~from_:(A.One cust_up) ~describe:"$"
                 ~accept:(fun env m -> is_prepare env m && Env.can_fund env i)
                 ~act:deposit ~next:"send_p" ();
-              A.on_receive ~from_:cust_up ~describe:"$, funds short"
+              A.on_receive ~from_:(A.One cust_up) ~describe:"$, funds short"
                 ~accept:is_prepare ~act:deposit ~next:"await_money" ();
             ] );
         ( "send_p",
@@ -182,7 +182,7 @@ let escrow topo cfg i : auto =
             ~message:(Env.money_of i) ~next:"done_refunded" () );
         ("done_released", Env.final self "released");
         ("done_refunded", Env.final self "refunded");
-      ]
+      ] ()
 
 (* The notary: Executed iff Bob's receipt arrives before the deadline T on
    its own clock (an absolute local time), announced to every customer and
@@ -190,42 +190,24 @@ let escrow topo cfg i : auto =
 let notary topo cfg : auto =
   let self = Topology.aux_base topo in
   let bob = Topology.bob topo in
-  let decide commit env ctx store _ =
-    E.observe ctx (Obs.Decision_made { by = self; commit });
-    E.observe ctx
-      (Obs.Cert_issued
-         { by = self; kind = (if commit then Obs.Chi_commit else Obs.Chi_abort) });
-    Store.set_data store "decision"
-      (Msg.Tm_decision
-         (Xcrypto.Auth.sign_value (Env.signer_of env self) ~ser:Msg.ser_decision
-            { Msg.dec_payment = env.Env.payment; dec_commit = commit }))
-  in
-  let announce pid =
-    let name pid = "announce" ^ string_of_int pid in
-    ( name pid,
-      A.output ~to_:pid
-        ~message:(fun _ _ store -> Store.data store "decision")
-        ~next:(if pid = self - 1 then "decided" else name (pid + 1))
-        () )
-  in
+  let decide commit env ctx store _ = Env.decide env ctx store ~tm:self commit in
   A.make ~name:"notary" ~initial:"await_receipt"
     ~nodes:
       (( "await_receipt",
          A.input
            [
              A.on_local_time ~at:cfg.deadline ~act:(decide false) ~next:"announce0";
-             A.on_receive ~from_:bob ~describe:"χ"
+             A.on_receive ~from_:(A.One bob) ~describe:"χ"
                ~accept:(fun env -> function
                  | Msg.Chi sv -> Env.chi_ok env sv | _ -> false)
                ~act:(decide true) ~next:"announce0" ();
-             A.on_receive ~from_:bob ~describe:"bad receipt"
+             A.on_receive ~from_:(A.One bob) ~describe:"bad receipt"
                ~accept:(fun _ -> function Msg.Chi _ -> true | _ -> false)
                ~act:(fun _ ctx _ _ ->
                  E.observe ctx (Obs.Rejected { pid = self; what = "bad receipt" }))
                ~next:"await_receipt" ();
            ] )
-      :: List.init self announce
-      @ [ ("decided", A.final ()) ])
+      :: Env.announce ~tm:self) ()
 
 let template ~hops cfg =
   let topo = Topology.create ~hops in

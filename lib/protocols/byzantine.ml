@@ -234,16 +234,12 @@ let false_funded_escrow (env : Env.t) i ~tms =
   let topo = env.Env.topo in
   let self = Topology.escrow topo i in
   let amount = Env.amount_at env i in
-  let signer = Env.signer_of env self in
   {
     E.on_start =
       (fun ctx ->
         E.observe ctx (Obs.Funded_reported { escrow = self; amount });
-        let signed =
-          Xcrypto.Auth.sign_value signer ~ser:Msg.ser_funded
-            { Msg.f_escrow = self; f_payment = env.Env.payment; f_amount = amount }
-        in
-        Array.iter (fun tm -> E.send ctx ~dst:tm (Msg.Funded signed)) tms);
+        let report = Env.funded_report env i in
+        Array.iter (fun tm -> E.send ctx ~dst:tm report) tms);
     on_receive = (fun _ ~src:_ _ -> ());
     on_timer = (fun _ ~label:_ -> ());
   }

@@ -176,7 +176,32 @@ let is_money i t = function
 let money_of i t _ _ = Msg.Money { amount = t.amounts.(i) }
 
 let recv from_ describe accept next =
-  Anta.Automaton.on_receive ~from_ ~describe ~accept ~next ()
+  Anta.Automaton.on_receive ~from_:(One from_) ~describe ~accept ~next ()
+
+let decided ctx ~tm commit =
+  Sim.Engine.observe ctx (Obs.Decision_made { by = tm; commit });
+  Sim.Engine.observe ctx
+    (Obs.Cert_issued { by = tm; kind = (if commit then Chi_commit else Chi_abort) })
+
+let funded_report t i =
+  let e = Topology.escrow t.topo i in
+  Msg.Funded
+    (Auth.sign_value (signer_of t e) ~ser:Msg.ser_funded
+       { Msg.f_escrow = e; f_payment = t.payment; f_amount = t.amounts.(i) })
+
+let decide t ctx store ~tm commit =
+  decided ctx ~tm commit;
+  Anta.Store.set_data store "decision"
+    (Msg.Tm_decision
+       (Auth.sign_value (signer_of t tm) ~ser:Msg.ser_decision
+          { Msg.dec_payment = t.payment; dec_commit = commit }))
+
+let announce ~tm =
+  let name pid = if pid = tm then "decided" else "announce" ^ string_of_int pid in
+  let message _ _ store = Anta.Store.data store "decision" in
+  List.init tm (fun pid ->
+      (name pid, Anta.Automaton.output ~to_:pid ~message ~next:(name (pid + 1)) ()))
+  @ [ ("decided", Anta.Automaton.final ()) ]
 
 let final self outcome =
   Anta.Automaton.final

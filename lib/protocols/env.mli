@@ -94,7 +94,7 @@ val refund : t -> (Msg.t, Obs.t) Sim.Engine.ctx -> int -> unit
 (** e{_i} returns [deposits.(i)] to c{_i}, observing [Refunded]; or
     [Rejected "refund: …"] ("refund: no deposit" if it holds none). *)
 
-(** {1 Automaton pieces} shared by the sync, HTLC and atomic templates. *)
+(** {1 Automaton pieces} shared by the templates. *)
 
 val is_money : int -> t -> Msg.t -> bool
 (** [is_money i t]: the guard "$ of [amount_at t i]". *)
@@ -111,6 +111,20 @@ val recv :
   ('i, Msg.t, Obs.t) Anta.Automaton.branch
 (** [recv pid describe accept next]: a receive from pid, with no save or
     act. *)
+
+val decided : (Msg.t, Obs.t) Sim.Engine.ctx -> tm:int -> bool -> unit
+(** TM [tm] observes its decision made and issued as χc or χa. *)
+
+val funded_report : t -> int -> Msg.t
+(** e{_i}'s signed report that its leg is funded. *)
+
+val decide :
+  t -> (Msg.t, Obs.t) Sim.Engine.ctx -> Msg.t Anta.Store.t -> tm:int -> bool -> unit
+(** {!decided}, and the signed decision into the data variable ["decision"]. *)
+
+val announce :
+  tm:int -> (Anta.Automaton.state * ('i, Msg.t, Obs.t) Anta.Automaton.node) list
+(** Outputs of ["decision"] to pids 0 .. [tm - 1], then the final ["decided"]. *)
 
 val final : int -> string -> ('i, Msg.t, Obs.t) Anta.Automaton.node
 (** [final pid outcome]: a final state observing pid [Terminated] with

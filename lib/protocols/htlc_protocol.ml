@@ -74,7 +74,7 @@ let escrow topo params i : auto =
         ( "await_setup",
           A.input
             [
-              A.on_receive ~from_:cust_up ~describe:"setup"
+              A.on_receive ~from_:(A.One cust_up) ~describe:"setup"
                 ~accept:(fun inst m -> setup_ok inst m && Env.can_fund inst.env i)
                 ~save_msg:"setup" ~save_now:[ "u" ]
                 ~act:(fun inst ctx _ m ->
@@ -83,11 +83,11 @@ let escrow topo params i : auto =
                   | _ -> ());
                   Env.deposit inst.env ctx i)
                 ~next:"fwd_setup" ();
-              A.on_receive ~from_:cust_up ~describe:"setup, funds short"
+              A.on_receive ~from_:(A.One cust_up) ~describe:"setup, funds short"
                 ~accept:setup_ok
                 ~act:(fun inst ctx _ _ -> Env.deposit inst.env ctx i)
                 ~next:"await_setup" ();
-              A.on_receive ~from_:cust_down ~describe:"claim" ~accept:is_claim
+              A.on_receive ~from_:(A.One cust_down) ~describe:"claim" ~accept:is_claim
                 ~act:(reject "claim: no contract") ~next:"await_setup" ();
             ] );
         ( "fwd_setup",
@@ -99,9 +99,9 @@ let escrow topo params i : auto =
             [
               A.on_deadline ~base:"u" ~offset:(window_of params i)
                 ~next:"refund" ();
-              A.on_receive ~from_:cust_down ~describe:"claim(s), H(s) = lock"
+              A.on_receive ~from_:(A.One cust_down) ~describe:"claim(s), H(s) = lock"
                 ~accept:claim_ok ~save_msg:"claim" ~next:"pay_down" ();
-              A.on_receive ~from_:cust_down ~describe:"claim, wrong preimage"
+              A.on_receive ~from_:(A.One cust_down) ~describe:"claim, wrong preimage"
                 ~accept:is_claim
                 ~act:(reject "claim: wrong preimage")
                 ~next:"await_claim" ();
@@ -123,7 +123,7 @@ let escrow topo params i : auto =
             ~message:(money_of i) ~next:"done_refunded" () );
         ("done_released", Env.final self "released");
         ("done_refunded", Env.final self "refunded");
-      ]
+      ] ()
 
 (* Customer c_i, i < n: on learning the lock (from Bob's invoice for Alice,
    from the upstream escrow's setup notice for connectors), fund the
@@ -164,7 +164,7 @@ let customer topo i : auto =
          ( "await_lock",
            A.input
              [
-               A.on_receive ~from_:lock_from ~describe:"setup" ~accept:is_setup
+               A.on_receive ~from_:(A.One lock_from) ~describe:"setup" ~accept:is_setup
                  ~save_msg:"setup" ~next:"fund" ();
              ] );
          ( "fund",
@@ -174,7 +174,7 @@ let customer topo i : auto =
          ( "await_outcome",
            A.input
              [
-               A.on_receive ~from_:e_down ~describe:"key" ~accept:is_key
+               A.on_receive ~from_:(A.One e_down) ~describe:"key" ~accept:is_key
                  ~save_msg:"key" ~act:learned
                  ~next:(if i = 0 then "done_receipt" else "claim")
                  ();
@@ -182,7 +182,7 @@ let customer topo i : auto =
              ] );
          ("done_refunded", Env.final self "refunded");
        ]
-      @ claim)
+      @ claim) ()
 
 (* Bob: sends Alice the invoice (the lock), claims his incoming leg with
    the preimage each time it is announced, and is paid. *)
@@ -209,7 +209,7 @@ let bob topo : auto =
             ~message:(fun inst _ _ -> Msg.Htlc_claim { preimage = inst.preimage })
             ~next:"await" () );
         ("done_paid", Env.final self "paid");
-      ]
+      ] ()
 
 let template (params : Params.t) =
   let topo = Topology.create ~hops:params.Params.input.Params.hops in

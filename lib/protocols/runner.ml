@@ -156,13 +156,17 @@ let validate_config cfg =
 
 (* C's structural clause reads only the pid layout: deadline offsets and
    windows never reach [Automaton.check] or [Network_check], so one check
-   per (protocol, path length) serves every run. Domains racing on a
-   missing entry compute equal results; the CAS loop keeps whichever map
-   lands. *)
-module Int_map = Map.Make (Int)
+   per (protocol with its TM kind, path length) serves every run. Domains
+   racing on a missing entry compute equal results; the CAS loop keeps
+   whichever map lands. *)
+module Shape_map = Map.Make (struct
+  type t = int * string
 
-let well_formed_memo : (unit, string) result Int_map.t Atomic.t =
-  Atomic.make Int_map.empty
+  let compare = compare
+end)
+
+let well_formed_memo : (unit, string) result Shape_map.t Atomic.t =
+  Atomic.make Shape_map.empty
 
 let check_template protocol ~hops =
   let params = Params.derive (Params.default_input ~hops) in
@@ -172,24 +176,17 @@ let check_template protocol ~hops =
   | Htlc -> Anta.Network_check.well_formed (Htlc_protocol.template params)
   | Atomic acfg ->
       Anta.Network_check.well_formed (Atomic_protocol.template ~hops acfg)
-  | Weak _ -> Ok () (* hand-written participants: no automata to check *)
+  | Weak wcfg -> Weak_protocol.well_formed wcfg ~hops
 
 let well_formed protocol ~hops =
-  let kind =
-    match protocol with
-    | Sync_timebound | Naive_universal -> 0
-    | Htlc -> 1
-    | Atomic _ -> 2
-    | Weak _ -> 3
-  in
-  let key = (hops * 4) + kind in
-  match Int_map.find_opt key (Atomic.get well_formed_memo) with
+  let key = (hops, protocol_name protocol) in
+  match Shape_map.find_opt key (Atomic.get well_formed_memo) with
   | Some r -> r
   | None ->
       let r = check_template protocol ~hops in
       let rec publish () =
         let m = Atomic.get well_formed_memo in
-        if not (Atomic.compare_and_set well_formed_memo m (Int_map.add key r m))
+        if not (Atomic.compare_and_set well_formed_memo m (Shape_map.add key r m))
         then publish ()
       in
       publish ();
@@ -207,13 +204,11 @@ let run_engine cfg protocol =
   in
   let tm_pids =
     match protocol with
-    | Weak wcfg -> Weak_protocol.tm_pids env wcfg
+    | Weak wcfg -> Weak_protocol.tm_pids topo wcfg
     | Atomic _ -> [| Topology.aux_base topo |]
     | _ -> [||]
   in
-  Array.iteri
-    (fun k _ -> Topology.register_aux topo k)
-    tm_pids;
+  Array.iteri (fun k _ -> Topology.register_aux topo k) tm_pids;
   let nprocs = process_count ~hops:cfg.hops protocol in
   let injector =
     match cfg.fault_plan with
@@ -276,7 +271,9 @@ let run_engine cfg protocol =
         let inst = Htlc_protocol.instance env ~seed:(cfg.seed + 57) in
         (Anta.Executor.instantiate tmpl inst, replay tmpl inst)
     | Weak wcfg ->
-        ((fun pid -> Weak_protocol.handlers_for env wcfg pid), fun _ -> None)
+        let tmpl = Weak_protocol.template wcfg ~hops:cfg.hops in
+        let inst = Weak_protocol.instance env wcfg in
+        (Weak_protocol.instantiate tmpl inst, replay tmpl inst)
     | Atomic acfg ->
         let tmpl = Atomic_protocol.template ~hops:cfg.hops acfg in
         (Anta.Executor.instantiate tmpl env, replay tmpl env)

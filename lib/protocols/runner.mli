@@ -110,7 +110,8 @@ and outcome = {
       (** [conformance pid] replays the honest automaton of [pid] over this
           run's trace, against the instance the run's template ran for
           ({!Anta.Conformance.check}); [None] for a pid the protocol runs
-          no automaton for (the weak protocols' hand-written roles) *)
+          no automaton for (a weak committee's or chain's hand-written
+          replicas) *)
 }
 
 val default_config : hops:int -> seed:int -> config
@@ -123,11 +124,11 @@ val process_count : hops:int -> protocol -> int
 
 val well_formed : protocol -> hops:int -> (unit, string) result
 (** C's structural clause for the [hops]-escrow chain:
-    {!Anta.Network_check.well_formed} over the template of sync, naive,
-    HTLC or atomic. It reads only the pid layout, so it is computed once
-    per (protocol, [hops]) per process and shared by every run; safe from
-    several domains. The weak protocols run hand-written closures, with no
-    automaton: [Ok ()]. *)
+    {!Anta.Network_check.well_formed} over the protocol's template (for
+    weak, {!Weak_protocol.well_formed}, whose committee or chain replicas
+    are hand-written peers). It reads only the pid layout, so it is
+    computed once per (protocol, TM kind, [hops]) per process and shared
+    by every run; safe from several domains. *)
 
 val run : config -> protocol -> outcome
 (** Validates the config first — hops >= 1, value > 0, commission >= 0,

@@ -55,7 +55,7 @@ let escrow_automaton topo (params : Params.t) i : auto =
         ( "await_money",
           A.input
             [
-              A.on_receive ~from_:cust_up ~describe:"$"
+              A.on_receive ~from_:(A.One cust_up) ~describe:"$"
                 ~accept:(Env.is_money i) ~save_now:[ "u" ]
                 ~act:(fun env ctx _ _ -> Env.deposit env ctx i)
                 ~next:"send_p" ();
@@ -73,7 +73,7 @@ let escrow_automaton topo (params : Params.t) i : auto =
             [
               (* deadline first: at v = u + a_i the strict window is closed *)
               A.on_deadline ~base:"u" ~offset:a_i ~next:"refund" ();
-              A.on_receive ~from_:cust_down ~describe:"χ" ~accept:chi_ok
+              A.on_receive ~from_:(A.One cust_down) ~describe:"χ" ~accept:chi_ok
                 ~save_msg:"chi"
                 ~act:(fun _ ctx _ m -> cert_received_note self ctx m)
                 ~next:"fwd_chi" ();
@@ -92,7 +92,7 @@ let escrow_automaton topo (params : Params.t) i : auto =
             ~message:(Env.money_of i) ~next:"done_refunded" () );
         ("done_released", Env.final self "released");
         ("done_refunded", Env.final self "refunded");
-      ]
+      ] ()
 
 (* Chloe_i, 0 < i < n. *)
 let connector_automaton topo i : auto =
@@ -113,7 +113,7 @@ let connector_automaton topo i : auto =
           A.input
             [
               Env.recv e_down "$refund" (Env.is_money i) "done_refunded";
-              A.on_receive ~from_:e_down ~describe:"χ" ~accept:chi_ok
+              A.on_receive ~from_:(A.One e_down) ~describe:"χ" ~accept:chi_ok
                 ~save_msg:"chi"
                 ~act:(fun _ ctx _ m -> cert_received_note self ctx m)
                 ~next:"fwd_chi" ();
@@ -126,7 +126,7 @@ let connector_automaton topo i : auto =
           A.input [ Env.recv e_up "$" (Env.is_money (i - 1)) "done_paid" ] );
         ("done_refunded", Env.final self "refunded");
         ("done_paid", Env.final self "paid");
-      ]
+      ] ()
 
 let alice_automaton topo : auto =
   let self = Topology.alice topo in
@@ -141,13 +141,13 @@ let alice_automaton topo : auto =
           A.input
             [
               Env.recv e0 "$refund" (Env.is_money 0) "done_refunded";
-              A.on_receive ~from_:e0 ~describe:"χ" ~accept:chi_ok
+              A.on_receive ~from_:(A.One e0) ~describe:"χ" ~accept:chi_ok
                 ~act:(fun _ ctx _ m -> cert_received_note self ctx m)
                 ~next:"done_certified" ();
             ] );
         ("done_refunded", Env.final self "refunded");
         ("done_certified", Env.final self "certified");
-      ]
+      ] ()
 
 let bob_automaton topo : auto =
   let n = Topology.hops topo in
@@ -166,7 +166,7 @@ let bob_automaton topo : auto =
         ( "await_money",
           A.input [ Env.recv e_up "$" (Env.is_money (n - 1)) "done_paid" ] );
         ("done_paid", Env.final self "paid");
-      ]
+      ] ()
 
 type template = auto array
 

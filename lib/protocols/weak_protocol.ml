@@ -1,4 +1,6 @@
 open Sim
+module A = Anta.Automaton
+module Store = Anta.Store
 module E = Engine
 module Dls = Consensus.Dls
 
@@ -9,7 +11,6 @@ type tm_kind =
   | Chain of { validators : int }
   | Shared of {
       pids : int array;
-      item : int;
       verify : Quorum.Committee.batch Consensus.Dls.decision_cert -> bool;
     }
 type notary_fault = Notary_honest | Notary_crash | Notary_equivocate
@@ -41,32 +42,21 @@ let tm_count cfg =
   | Chain { validators } -> validators
   | Shared _ -> 0
 
-(* called on message paths: no TM and the single TM are built without
-   [Array.init]'s closure *)
-let tm_pids (env : Env.t) cfg =
-  let base = Topology.aux_base env.Env.topo in
-  match tm_count cfg with
-  | 0 -> [||]
-  | 1 -> [| base |]
-  | n -> Array.init n (fun k -> base + k)
+let tm_pids topo cfg =
+  let base = Topology.aux_base topo in
+  Array.init (tm_count cfg) (fun k -> base + k)
 
 let dls_cfg (env : Env.t) cfg ~self_index ~signer ~validate =
-  let pids = tm_pids env cfg in
   let qs =
     match cfg.tm with
     | Committee { f } -> Quorum_system.majority ~n:(committee_size f) ~f ()
     | Quorum { qs } -> qs
-    | Single | Chain _ | Shared _ ->
-        (* degenerate: these TM kinds never run an in-block DLS, but keep
-           the config total (and valid) by requiring every replica to
-           sign *)
-        let n = max 1 (Array.length pids) in
-        Quorum_system.majority ~q:n ~n ~f:0 ()
+    | Single | Chain _ | Shared _ -> invalid_arg "Weak_protocol: no notary committee"
   in
   {
     Dls.qs;
     self = self_index;
-    auth_ids = pids;
+    auth_ids = tm_pids env.Env.topo cfg;
     registry = env.Env.registry;
     signer;
     ser = Msg.ser_bool;
@@ -75,326 +65,342 @@ let dls_cfg (env : Env.t) cfg ~self_index ~signer ~validate =
     base_timeout = cfg.tm_base_timeout;
   }
 
-let verify_committee_decision (env : Env.t) cfg =
+(* ------------------------------------------------------------------ *)
+(* The automata                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type instance = {
+  env : Env.t;
+  cfg : config;
+  verify_committee : bool Dls.decision_cert -> bool;
+}
+
+let instance (env : Env.t) cfg =
+  let verify_committee =
+    match cfg.tm with
+    | Single | Chain _ | Shared _ -> fun _ -> false
+    | Committee _ | Quorum _ ->
+        (* verification only: any registered signer will do *)
+        let signer = Env.signer_of env (Topology.aux_base env.topo) in
+        Dls.verify_decision
+          (dls_cfg env cfg ~self_index:0 ~signer ~validate:(fun _ -> true))
+  in
+  { env; cfg; verify_committee }
+
+type auto = (instance, Msg.t, Obs.t) A.t
+type template = auto array
+
+(* this payment's verdict in a shared certificate: the first for its item *)
+let rec verdict_is item commit = function
+  | [] -> false
+  | (v : Quorum.Committee.verdict) :: rest ->
+      if v.item = item then Bool.equal v.commit commit
+      else verdict_is item commit rest
+
+(* The receive of the decision [commit]: from any TM replica, its value
+   read before any signature or certificate is checked, a single or chain
+   TM's judged by its author; or from anyone relaying a shared committee's
+   certificate, which authenticates itself. *)
+let on_decision topo cfg ?act commit next =
+  let tms =
+    match cfg.tm with
+    | Single -> A.One (Topology.aux_base topo)
+    | Committee _ | Quorum _ | Chain _ | Shared _ -> A.Among (tm_pids topo cfg)
+  in
+  let senders, (accept : instance -> Msg.t -> bool) =
+    match cfg.tm with
+    | Single | Chain _ ->
+        ( tms, fun inst -> function
+            | Msg.Tm_decision sv ->
+                Bool.equal sv.payload.dec_commit commit && Anta.Pool.admits tms sv.author
+                && Env.decision_ok inst.env ~tm:sv.author sv
+            | _ -> false )
+    | Committee _ | Quorum _ ->
+        ( tms, fun inst -> function
+            | Msg.Committee_decision { commit = c; cert } ->
+                Bool.equal c commit && Bool.equal cert.d_value c
+                && inst.verify_committee cert
+            | _ -> false )
+    | Shared { verify; _ } ->
+        ( A.Any, fun inst -> function
+            | Msg.Quorum_decision { cert } ->
+                verdict_is inst.env.payment commit cert.d_value && verify cert
+            | _ -> false )
+  in
+  A.on_receive ~from_:senders ~describe:(if commit then "χc" else "χa") ~accept
+    ?act ~next ()
+
+(* [message] to every TM, or to a shared committee's sequencer by its
+   engine pid: the output states [name0], [name1], ..., then [next] *)
+let to_tms topo cfg name ~message next =
   match cfg.tm with
-  | Single | Chain _ | Shared _ -> fun _ -> false
-  | Committee _ | Quorum _ ->
-      let pids = tm_pids env cfg in
-      (* verification-only config: the signer field is unused by
-         verify_decision, any registered signer will do *)
-      let signer = Env.signer_of env pids.(0) in
-      let vcfg =
-        dls_cfg env cfg ~self_index:0 ~signer ~validate:(fun _ -> true)
-      in
-      fun dc -> Dls.verify_decision vcfg dc
+  | Shared { pids; _ } ->
+      [ (name ^ "0", A.output ~absolute:true ~to_:pids.(0) ~message ~next ()) ]
+  | Single | Committee _ | Quorum _ | Chain _ ->
+      let tms = tm_pids topo cfg in
+      let state j = if j = Array.length tms then next else name ^ string_of_int j in
+      List.init (Array.length tms) (fun j ->
+          (state j, A.output ~to_:tms.(j) ~message ~next:(state (j + 1)) ()))
 
-(* Decode a decision message addressed to this run, from any TM kind.
-   [tms] is [tm_pids env cfg] and [verify_committee] is
-   [verify_committee_decision env cfg], both built once per handler set,
-   not once per message. *)
-let decision_of_msg (env : Env.t) cfg ~tms ~verify_committee ~src msg =
-  match (cfg.tm, msg) with
-  | Single, Msg.Tm_decision sv ->
-      if src = tms.(0) && Env.decision_ok env ~tm:tms.(0) sv then
-        Some sv.Xcrypto.Auth.payload.Msg.dec_commit
-      else None
-  | Chain _, Msg.Tm_decision sv ->
-      (* the chain is trusted as a whole: any validator's signed decision
-         speaks for the contract (they all replay the same chain) *)
-      if
-        Array.exists (fun p -> p = src) tms
-        && Env.decision_ok env ~tm:src sv
-      then Some sv.Xcrypto.Auth.payload.Msg.dec_commit
-      else None
-  | (Committee _ | Quorum _), Msg.Committee_decision { commit; cert } ->
-      if
-        Array.exists (fun p -> p = src) tms
-        && Bool.equal cert.Dls.d_value commit
-        && verify_committee cert
-      then Some commit
-      else None
-  | Shared { item; verify; _ }, Msg.Quorum_decision { cert } ->
-      (* the certificate is self-authenticating (a quorum of committee
-         signatures over the whole batch), so [src] is irrelevant: any
-         process may relay it. Extract this payment's own verdict. *)
-      if verify cert then
-        List.find_map
-          (fun (v : Quorum.Committee.verdict) ->
-            if v.Quorum.Committee.item = item then
-              Some v.Quorum.Committee.commit
-            else None)
-          cert.Dls.d_value
-      else None
-  | _ -> None
+(* Env's $ message and guard over the instance, applied in full: no
+   closure per call *)
+let money_of i inst ctx store = Env.money_of i inst.env ctx store
+let is_money i inst m = Env.is_money i inst.env m
 
-(* ------------------------------------------------------------------ *)
-(* Customers                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let customer_handlers (env : Env.t) cfg i =
-  let topo = env.Env.topo in
+(* Customer c_i. A payer deposits [deposit_delay] after her birth, and
+   every customer asks the TM to abort [patience] after that unless it
+   has decided: both count from birth, as named timers that stay armed
+   from state to state. The undecided states are named by whether c_i
+   has yet to deposit ("_due") and whether her patience has run out
+   ("_asked"). χc certifies Alice and lets a receiver wait for her
+   upstream $, depositing first if hers is still due; χa returns a
+   deposit and settles anyone who made none. *)
+let customer topo cfg i : auto =
   let n = Topology.hops topo in
-  if i < 0 || i > n then invalid_arg "Weak_protocol.customer_handlers: index";
   let self = Topology.customer topo i in
   let pays = i < n in
-  let e_down = if pays then Some (Topology.escrow topo i) else None in
-  let e_up = if i > 0 then Some (Topology.escrow topo (i - 1)) else None in
-  let pay_amount = if pays then Env.amount_at env i else 0 in
-  let recv_amount = if i > 0 then Env.amount_at env (i - 1) else 0 in
-  let tms = tm_pids env cfg in
-  let verify_committee = verify_committee_decision env cfg in
-  let decision : bool option ref = ref None in
-  let refunded = ref false in
-  let upstream_paid = ref false in
-  let deposited = ref false in
-  let done_ = ref false in
-  let request_abort ctx =
-    E.observe ctx (Obs.Abort_requested { by = self });
+  let undecided ~due ~asked =
+    "await" ^ (if due then "_due" else "") ^ if asked then "_asked" else ""
+  in
+  let decide commit next =
+    let kind = if commit then Obs.Chi_commit else Obs.Chi_abort in
+    on_decision topo cfg commit next ~act:(fun _ ctx _ _ ->
+        E.observe ctx (Obs.Cert_received { pid = self; kind; valid = true }))
+  in
+  let deposit next =
+    A.on_deadline ~timer:"deposit" ~base:"born" ~offset:cfg.deposit_delay ~next ()
+  in
+  let pay name next =
+    (name, A.output ~to_:(Topology.escrow topo i) ~message:(money_of i) ~next ())
+  in
+  let paid () =
+    Env.recv (Topology.escrow topo (i - 1)) "$" (is_money (i - 1)) "done_paid"
+  in
+  let ask =
     match cfg.tm with
-    | Shared { pids; item; _ } ->
-        (* the shared committee lives in its own block: address its
-           sequencer with an absolute pid *)
-        E.send_absolute ctx ~dst:pids.(0)
-          (Msg.Quorum_req { item; req = Msg.Abort_wanted })
-    | _ ->
-        Array.iter
-          (fun tm ->
-            E.send ctx ~dst:tm (Msg.Abort_req { payment = env.Env.payment }))
-          tms
+    | Shared _ ->
+        fun inst _ _ -> Msg.Quorum_req { item = inst.env.payment; req = Msg.Abort_wanted }
+    | Single | Committee _ | Quorum _ | Chain _ ->
+        fun inst _ _ -> Msg.Abort_req { payment = inst.env.payment }
   in
-  let finish ctx outcome =
-    if not !done_ then begin
-      done_ := true;
-      E.observe ctx (Obs.Terminated { pid = self; outcome });
-      E.halt ctx
-    end
+  let state (due, asked) =
+    let name = undecided ~due ~asked in
+    ( name,
+      A.input
+        ((if due then [ deposit ("pay" ^ name) ] else [])
+        @ (if asked then []
+           else
+             [
+               A.on_deadline ~timer:"patience" ~base:"born"
+                 ~offset:(Sim_time.add cfg.deposit_delay cfg.patience)
+                 ~act:(fun _ ctx _ _ ->
+                   E.observe ctx (Obs.Abort_requested { by = self }))
+                 ~next:("ask" ^ name ^ "0") ();
+             ])
+        @ [
+            decide true
+              (if i = 0 then "done_certified"
+               else if due then "committed"
+               else "await_paid");
+            decide false
+              (if due then "done_refunded"
+               else if pays then "await_refund"
+               else "done_aborted");
+          ] ) )
+    :: (if due then [ pay ("pay" ^ name) (undecided ~due:false ~asked) ] else [])
+    @
+    if asked then []
+    else to_tms topo cfg ("ask" ^ name) ~message:ask (undecided ~due ~asked:true)
   in
-  (* Terminate as soon as this customer's own obligations are settled:
-     - abort decided: payers wait for their refund; Bob is done at once
-       (his certificate χa is the decision he holds);
-     - commit decided: Alice is done (χc in hand, CS1); receivers wait for
-       the upstream release. *)
-  let try_finish ctx =
-    match !decision with
-    | Some false ->
-        if (not pays) || !refunded || not !deposited then
-          finish ctx (if pays then "refunded" else "aborted")
-    | Some true ->
-        if i = 0 then finish ctx "certified"
-        else if !upstream_paid then finish ctx "paid"
-    | None -> ()
-  in
-  {
-    E.on_start =
-      (fun ctx ->
-        if pays then
-          E.set_timer_after ctx ~after:cfg.deposit_delay ~label:"deposit";
-        if not (Sim_time.is_infinite cfg.patience) then
-          E.set_timer_after ctx
-            ~after:(Sim_time.add cfg.deposit_delay cfg.patience)
-            ~label:"patience");
-    on_receive =
-      (fun ctx ~src msg ->
-        if not !done_ then begin
-          (match decision_of_msg env cfg ~tms ~verify_committee ~src msg with
-          | Some commit ->
-              if !decision = None then begin
-                decision := Some commit;
-                let kind = if commit then Obs.Chi_commit else Obs.Chi_abort in
-                E.observe ctx
-                  (Obs.Cert_received { pid = self; kind; valid = true })
-              end
-          | None -> ());
-          (match msg with
-          | Msg.Money { amount } when Some src = e_down && amount = pay_amount
-            ->
-              refunded := true
-          | Msg.Money { amount } when Some src = e_up && amount = recv_amount
-            ->
-              upstream_paid := true
-          | _ -> ());
-          try_finish ctx
-        end);
-    on_timer =
-      (fun ctx ~label ->
-        if not !done_ then
-          match label with
-          | "deposit" ->
-              if pays && not !deposited then begin
-                deposited := true;
-                match e_down with
-                | Some e -> E.send ctx ~dst:e (Msg.Money { amount = pay_amount })
-                | None -> ()
-              end
-          | "patience" -> if !decision = None then request_abort ctx
-          | _ -> ());
-  }
+  let dues = if pays then [ true; false ] else [ false ] in
+  let asks = [ false; true ] in
+  A.make ~name:(Topology.role_name topo self) ~born:[ "born" ]
+    ~initial:(undecided ~due:pays ~asked:false)
+    ~nodes:
+      (List.concat_map
+         (fun due -> List.concat_map (fun asked -> state (due, asked)) asks)
+         dues
+      @ (if i = 0 then [ ("done_certified", Env.final self "certified") ]
+         else
+           [ ("await_paid", A.input [ paid () ]); ("done_paid", Env.final self "paid") ])
+      @ (if i > 0 && pays then
+           [ ("committed", A.input [ deposit "pay_committed"; paid () ]);
+             pay "pay_committed" "await_paid" ]
+         else [])
+      @
+      if pays then
+        [ ( "await_refund",
+            A.input
+              [ Env.recv (Topology.escrow topo i) "$" (is_money i) "done_refunded" ] );
+          ("done_refunded", Env.final self "refunded") ]
+      else [ ("done_aborted", Env.final self "aborted") ])
+    ()
 
-(* ------------------------------------------------------------------ *)
-(* Escrows                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let escrow_handlers (env : Env.t) cfg i =
-  let topo = env.Env.topo in
+(* Escrow e_i: deposit on c_i's $ (a deposit the book refuses is refused
+   in place), report the funded leg to every TM under one signature, and
+   settle on the decision; a decision that raced ahead of the deposit
+   waits in the pool. *)
+let escrow topo cfg i : auto =
   let self = Topology.escrow topo i in
   let cust_up = Topology.customer topo i in
-  let cust_down = Topology.customer topo (i + 1) in
-  let amount = Env.amount_at env i in
-  let signer = Env.signer_of env self in
-  let tms = tm_pids env cfg in
-  let verify_committee = verify_committee_decision env cfg in
-  let resolved = ref false in
-  let pending_decision : bool option ref = ref None in
-  let resolve ctx commit =
-    if env.Env.deposits.(i) < 0 then pending_decision := Some commit
-    else if not !resolved then begin
-      resolved := true;
-      if commit then begin
-        Env.release env ctx i;
-        E.send ctx ~dst:cust_down (Msg.Money { amount })
-      end
-      else begin
-        Env.refund env ctx i;
-        E.send ctx ~dst:cust_up (Msg.Money { amount })
-      end;
-      E.observe ctx
-        (Obs.Terminated
-           { pid = self; outcome = (if commit then "released" else "refunded") });
-      E.halt ctx
-    end
+  let is_deposit _ = function Msg.Money _ -> true | _ -> false in
+  let deposit inst ctx _ _ = Env.deposit inst.env ctx i in
+  let funded inst ctx store _ =
+    let env = inst.env and amount = Env.amount_at inst.env i in
+    Env.deposit env ctx i;
+    E.observe ctx (Obs.Funded_reported { escrow = self; amount });
+    Store.set_data store "report"
+      (match cfg.tm with
+      | Shared _ ->
+          Msg.Quorum_req
+            { item = env.payment; req = Msg.Leg_funded { escrow_index = i } }
+      | Single | Committee _ | Quorum _ | Chain _ -> Env.funded_report env i)
   in
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src msg ->
-        match decision_of_msg env cfg ~tms ~verify_committee ~src msg with
-        | Some commit -> resolve ctx commit
-        | None -> (
-            match msg with
-            | Msg.Money _ when src = cust_up && env.Env.deposits.(i) < 0 ->
-                Env.deposit env ctx i;
-                if env.Env.deposits.(i) >= 0 then begin
-                  E.observe ctx (Obs.Funded_reported { escrow = self; amount });
-                  (match cfg.tm with
-                  | Shared { pids; item; _ } ->
-                      E.send_absolute ctx ~dst:pids.(0)
-                        (Msg.Quorum_req
-                           { item; req = Msg.Leg_funded { escrow_index = i } })
-                  | _ ->
-                      let body =
-                        {
-                          Msg.f_escrow = self;
-                          f_payment = env.Env.payment;
-                          f_amount = amount;
-                        }
-                      in
-                      let signed =
-                        Xcrypto.Auth.sign_value signer ~ser:Msg.ser_funded body
-                      in
-                      Array.iter
-                        (fun tm -> E.send ctx ~dst:tm (Msg.Funded signed))
-                        tms);
-                  (* a decision that raced ahead of the deposit *)
-                  match !pending_decision with
-                  | Some c -> resolve ctx c
-                  | None -> ()
-                end
-            | _ -> ()));
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  let settle name ~to_ act outcome =
+    [
+      ( name,
+        A.output ~to_
+          ~act:(fun inst ctx store -> act inst.env ctx store)
+          ~message:(money_of i)
+          ~next:("done_" ^ outcome) () );
+      ("done_" ^ outcome, Env.final self outcome);
+    ]
+  in
+  A.make ~name:("escrow" ^ string_of_int i) ~initial:"await_money"
+    ~nodes:
+      ((( "await_money",
+          A.input
+            [
+              A.on_receive ~from_:(A.One cust_up) ~describe:"$"
+                ~accept:(fun inst m ->
+                  is_deposit inst m && Env.can_fund inst.env i)
+                ~act:funded ~next:"report0" ();
+              A.on_receive ~from_:(A.One cust_up) ~describe:"$, funds short"
+                ~accept:is_deposit ~act:deposit ~next:"await_money" ();
+            ] )
+       :: to_tms topo cfg "report" "await_decision"
+            ~message:(fun _ _ store -> Store.data store "report"))
+      @ ( "await_decision",
+          A.input
+            [
+              on_decision topo cfg true "release";
+              on_decision topo cfg false "refund";
+            ] )
+        :: settle "release" ~to_:(Topology.customer topo (i + 1))
+             (fun env ctx _ -> Env.release env ctx i)
+             "released"
+      @ settle "refund" ~to_:cust_up
+          (fun env ctx _ -> Env.refund env ctx i)
+          "refunded")
+    ()
+
+(* The single TM takes the funded legs in escrow order (a report that
+   arrives early waits in the pool), so the last one decides commit; a
+   customer's abort request decides abort first. It signs its decision
+   once, announces it to every customer and escrow, pids 0 .. 2n in
+   order, and is done. An abort request from elsewhere, or a report its
+   author did not validly sign, is rejected in place. *)
+let single_tm topo : auto =
+  let n = Topology.hops topo and self = Topology.aux_base topo in
+  let for_us inst = function
+    | Msg.Abort_req { payment } -> payment = inst.env.payment
+    | _ -> false
+  in
+  let bad_report inst = function
+    | Msg.Funded sv -> (
+        match Topology.escrow_index topo sv.author with
+        | Some j -> not (Env.funded_ok inst.env ~escrow_index:j sv)
+        | None -> true)
+    | _ -> false
+  in
+  let reject what _ ctx _ _ = E.observe ctx (Obs.Rejected { pid = self; what }) in
+  let decide commit inst ctx store _ = Env.decide inst.env ctx store ~tm:self commit in
+  let await j = if j = n then "announce0" else "await" ^ string_of_int j in
+  let leg j =
+    ( await j,
+      A.input
+        [
+          A.on_receive ~from_:(A.One (Topology.escrow topo j)) ~describe:"funded"
+            ~accept:(fun inst -> function
+              | Msg.Funded sv -> Env.funded_ok inst.env ~escrow_index:j sv
+              | _ -> false)
+            ?act:(if j = n - 1 then Some (decide true) else None)
+            ~next:(await (j + 1)) ();
+          A.on_receive ~from_:(A.Among (Array.init (n + 1) Fun.id))
+            ~describe:"abort" ~accept:for_us ~act:(decide false)
+            ~next:"announce0" ();
+          A.on_receive ~from_:A.Any ~describe:"abort, not a customer's"
+            ~accept:for_us
+            ~act:(reject "abort-req from non-customer")
+            ~next:(await j) ();
+          A.on_receive ~from_:A.Any ~describe:"bad funded report"
+            ~accept:bad_report ~act:(reject "bad funded report") ~next:(await j)
+            ();
+        ] )
+  in
+  A.make ~name:"tm" ~initial:"await0" ~nodes:(List.init n leg @ Env.announce ~tm:self) ()
+
+let template cfg ~hops =
+  let topo = Topology.create ~hops in
+  let tms = match cfg.tm with Single -> 1 | _ -> 0 in
+  Array.init (Topology.payment_count topo + tms) (fun pid ->
+      match Topology.role_of topo pid with
+      | Some (Topology.Alice | Topology.Connector _ | Topology.Bob) ->
+          customer topo cfg pid
+      | Some (Topology.Escrow i) -> escrow topo cfg i
+      | Some (Topology.Aux _) | None -> single_tm topo)
 
 (* ------------------------------------------------------------------ *)
-(* Transaction managers                                                 *)
+(* The hand-written TM replicas: DLS notaries and chain validators      *)
 (* ------------------------------------------------------------------ *)
 
-let broadcast_to_participants (env : Env.t) ctx msg =
-  let topo = env.Env.topo in
-  List.iter
-    (fun pid -> E.send ctx ~dst:pid msg)
-    (Topology.customers topo @ Topology.escrows topo)
-
-let single_tm_handlers (env : Env.t) cfg =
-  let topo = env.Env.topo in
-  let n = Topology.hops topo in
-  let self = (tm_pids env cfg).(0) in
-  let signer = Env.signer_of env self in
-  let funded = Hashtbl.create 8 in
-  let decided = ref None in
-  let decide ctx commit =
-    if !decided = None then begin
-      decided := Some commit;
-      E.observe ctx (Obs.Decision_made { by = self; commit });
-      E.observe ctx
-        (Obs.Cert_issued
-           { by = self; kind = (if commit then Obs.Chi_commit else Obs.Chi_abort) });
-      let body = { Msg.dec_payment = env.Env.payment; dec_commit = commit } in
-      let signed = Xcrypto.Auth.sign_value signer ~ser:Msg.ser_decision body in
-      broadcast_to_participants env ctx (Msg.Tm_decision signed)
-    end
+let replica_index pids pid =
+  let rec go k =
+    if k >= Array.length pids then None else if pids.(k) = pid then Some k else go (k + 1)
   in
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Msg.Funded sv -> (
-            match Topology.escrow_index topo src with
-            | Some idx when Env.funded_ok env ~escrow_index:idx sv ->
-                Hashtbl.replace funded idx ();
-                if Hashtbl.length funded = n then decide ctx true
-            | Some _ | None ->
-                E.observe ctx (Obs.Rejected { pid = self; what = "bad funded report" }))
-        | Msg.Abort_req { payment } when payment = env.Env.payment -> (
-            match Topology.customer_index topo src with
-            | Some _ -> decide ctx false
-            | None ->
-                E.observe ctx
-                  (Obs.Rejected { pid = self; what = "abort-req from non-customer" }))
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  go 0
+
+(* R of a ["<kind>-round-R"] timer label, read in place after its last '-' *)
+let round_of_label label =
+  let rec decimal acc k =
+    if k >= String.length label then acc
+    else decimal ((acc * 10) + Char.code label.[k] - 48) (k + 1)
+  in
+  match String.rindex_opt label '-' with Some k -> decimal 0 (k + 1) | None -> -1
+
+(* A replica's decision [commit], made, issued and sent to every customer
+   and escrow, pids 0 .. 2n in order *)
+let announce ctx topo ~by commit m =
+  Env.decided ctx ~tm:by commit;
+  for pid = 0 to Topology.aux_base topo - 1 do E.send ctx ~dst:pid m done
 
 let notary_handlers (env : Env.t) cfg ~index =
   let topo = env.Env.topo in
-  let n = Topology.hops topo in
-  let pids = tm_pids env cfg in
-  let self = pids.(index) in
+  let pids = tm_pids topo cfg in
+  let n = Topology.hops topo and self = pids.(index) in
   let signer = Env.signer_of env self in
   let funded = Hashtbl.create 8 in
-  let abort_seen = ref false in
-  let started = ref false in
-  let has_pref = ref false in
-  let announced = ref false in
+  let abort_seen = ref false and started = ref false in
+  let has_pref = ref false and announced = ref false in
   (* External validity: commit needs every leg reported funded (to this
      notary), abort needs an actual abort request — a committee never
      aborts a payment nobody complained about. *)
   let validate commit =
     if commit then Hashtbl.length funded >= n else !abort_seen
   in
-  let dls =
-    Dls.create (dls_cfg env cfg ~self_index:index ~signer ~validate)
-  in
+  let dls = Dls.create (dls_cfg env cfg ~self_index:index ~signer ~validate) in
   let rec interpret ctx effs =
     List.iter
       (fun eff ->
         match eff with
         | Dls.Send { to_; m } -> E.send ctx ~dst:pids.(to_) (Msg.Notary m)
-        | Dls.Broadcast m ->
-            Array.iter (fun p -> E.send ctx ~dst:p (Msg.Notary m)) pids
+        | Dls.Broadcast m -> Array.iter (fun p -> E.send ctx ~dst:p (Msg.Notary m)) pids
         | Dls.Set_round_timer { round; after } ->
-            E.set_timer_after ctx ~after
-              ~label:(Printf.sprintf "dls-round-%d" round)
+            E.set_timer_after ctx ~after ~label:(Printf.sprintf "dls-round-%d" round)
         | Dls.Decided dc ->
             if not !announced then begin
               announced := true;
-              E.observe ctx (Obs.Decision_made { by = self; commit = dc.Dls.d_value });
-              E.observe ctx
-                (Obs.Cert_issued
-                   {
-                     by = self;
-                     kind = (if dc.Dls.d_value then Obs.Chi_commit else Obs.Chi_abort);
-                   });
-              broadcast_to_participants env ctx
+              announce ctx topo ~by:self dc.Dls.d_value
                 (Msg.Committee_decision { commit = dc.Dls.d_value; cert = dc })
             end)
       effs;
@@ -407,17 +413,14 @@ let notary_handlers (env : Env.t) cfg ~index =
       else None
     in
     match pref with
-    | Some v ->
-        if not !started then begin
-          started := true;
-          has_pref := true;
-          interpret ctx (Dls.start dls ~my_value:v)
-        end
-        else if not !has_pref then begin
-          has_pref := true;
-          interpret ctx (Dls.update_preference dls v)
-        end
-    | None -> ()
+    | Some v when not !started ->
+        started := true;
+        has_pref := true;
+        interpret ctx (Dls.start dls ~my_value:v)
+    | Some v when not !has_pref ->
+        has_pref := true;
+        interpret ctx (Dls.update_preference dls v)
+    | Some _ | None -> ()
   in
   {
     E.on_start = (fun _ -> ());
@@ -437,11 +440,8 @@ let notary_handlers (env : Env.t) cfg ~index =
                 maybe_start ctx
             | None -> ())
         | Msg.Notary m -> (
-            match
-              Array.to_list pids |> List.mapi (fun k p -> (k, p))
-              |> List.find_opt (fun (_, p) -> p = src)
-            with
-            | Some (k, _) ->
+            match replica_index pids src with
+            | Some k ->
                 (* a peer is active: join the rounds even without a
                    preference of our own — we can still echo and vote *)
                 if not !started then begin
@@ -453,22 +453,16 @@ let notary_handlers (env : Env.t) cfg ~index =
         | _ -> ());
     on_timer =
       (fun ctx ~label ->
-        match
-          int_of_string_opt
-            (Option.value ~default:""
-               (List.nth_opt (String.split_on_char '-' label) 2))
-        with
-        | Some round -> interpret ctx (Dls.on_round_timeout dls round)
-        | None -> ());
+        let round = round_of_label label in
+        if round >= 0 then interpret ctx (Dls.on_round_timeout dls round));
   }
 
 (* An equivocating notary: as round-0 leader it proposes commit to one half
    of the committee and abort to the other, and it signs echoes for every
    proposal it sees. Safety of the committee's decision must survive it. *)
 let equivocating_notary (env : Env.t) cfg ~index =
-  let pids = tm_pids env cfg in
-  let self = pids.(index) in
-  let signer = Env.signer_of env self in
+  let pids = tm_pids env.Env.topo cfg in
+  let signer = Env.signer_of env pids.(index) in
   let echo_for round value =
     let body = { Dls.e_round = round; e_value = value } in
     Msg.Notary
@@ -503,49 +497,36 @@ type contract_state = { funded_legs : int list; contract_decided : bool option }
 
 let chain_validator_handlers (env : Env.t) cfg ~index =
   let topo = env.Env.topo in
-  let n = Topology.hops topo in
-  let pids = tm_pids env cfg in
-  let self = pids.(index) in
+  let pids = tm_pids topo cfg in
+  let n = Topology.hops topo and self = pids.(index) in
   let signer = Env.signer_of env self in
   let apply st tx =
-    match st.contract_decided with
-    | Some _ -> (st, [])
-    | None -> (
-        match tx with
-        | Msg.Tx_funded sv ->
-            let leg = sv.Xcrypto.Auth.payload.Msg.f_escrow in
-            let funded_legs =
-              if List.mem leg st.funded_legs then st.funded_legs
-              else leg :: st.funded_legs
-            in
-            if List.length funded_legs = n then
-              ({ funded_legs; contract_decided = Some true }, [ true ])
-            else ({ st with funded_legs }, [])
-        | Msg.Tx_abort _ ->
-            ({ st with contract_decided = Some false }, [ false ]))
+    match (st.contract_decided, tx) with
+    | Some _, _ -> (st, [])
+    | None, Msg.Tx_funded sv ->
+        let leg = sv.Xcrypto.Auth.payload.Msg.f_escrow in
+        let funded_legs =
+          if List.mem leg st.funded_legs then st.funded_legs else leg :: st.funded_legs
+        in
+        if List.length funded_legs = n then
+          ({ funded_legs; contract_decided = Some true }, [ true ])
+        else ({ st with funded_legs }, [])
+    | None, Msg.Tx_abort _ -> ({ st with contract_decided = Some false }, [ false ])
   in
   let chain =
     Chain.create
-      {
-        Chain.n = Array.length pids;
-        self = index;
-        block_interval = cfg.tm_base_timeout;
-        initial_state = { funded_legs = []; contract_decided = None };
-        apply;
-        tx_equal = Msg.chain_tx_equal;
-      }
+      { Chain.n = Array.length pids; self = index; block_interval = cfg.tm_base_timeout;
+        initial_state = { funded_legs = []; contract_decided = None }; apply;
+        tx_equal = Msg.chain_tx_equal }
   in
   let announced = ref false in
   let announce_decision ctx commit =
     if not !announced then begin
       announced := true;
-      E.observe ctx (Obs.Decision_made { by = self; commit });
-      E.observe ctx
-        (Obs.Cert_issued
-           { by = self; kind = (if commit then Obs.Chi_commit else Obs.Chi_abort) });
-      let body = { Msg.dec_payment = env.Env.payment; dec_commit = commit } in
-      let signed = Xcrypto.Auth.sign_value signer ~ser:Msg.ser_decision body in
-      broadcast_to_participants env ctx (Msg.Tm_decision signed)
+      announce ctx topo ~by:self commit
+        (Msg.Tm_decision
+           (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_decision
+              { Msg.dec_payment = env.Env.payment; dec_commit = commit }))
     end
   in
   let interpret ctx effs =
@@ -555,17 +536,10 @@ let chain_validator_handlers (env : Env.t) cfg ~index =
         | Chain.Broadcast m ->
             Array.iter (fun p -> E.send ctx ~dst:p (Msg.Chain_gossip m)) pids
         | Chain.Set_round_timer { round; after } ->
-            E.set_timer_after ctx ~after
-              ~label:(Printf.sprintf "chain-round-%d" round)
+            E.set_timer_after ctx ~after ~label:(Printf.sprintf "chain-round-%d" round)
         | Chain.Emit events ->
             List.iter (fun commit -> announce_decision ctx commit) events)
       effs
-  in
-  let validator_index src =
-    let rec go k = if k >= Array.length pids then None
-      else if pids.(k) = src then Some k else go (k + 1)
-    in
-    go 0
   in
   {
     E.on_start = (fun ctx -> interpret ctx (Chain.start chain));
@@ -586,49 +560,34 @@ let chain_validator_handlers (env : Env.t) cfg ~index =
                      (Chain.Submit (Msg.Tx_abort { customer = c; payment })))
             | None -> ())
         | Msg.Chain_gossip m ->
-            interpret ctx (Chain.on_msg chain ~from_:(validator_index src) m)
+            interpret ctx (Chain.on_msg chain ~from_:(replica_index pids src) m)
         | _ -> ());
     on_timer =
       (fun ctx ~label ->
-        match
-          int_of_string_opt
-            (Option.value ~default:""
-               (List.nth_opt (String.split_on_char '-' label) 2))
-        with
-        | Some round -> interpret ctx (Chain.on_round_timeout chain round)
-        | None -> ());
+        let round = round_of_label label in
+        if round >= 0 then interpret ctx (Chain.on_round_timeout chain round));
   }
 
 let tm_handlers (env : Env.t) cfg ~index =
   match cfg.tm with
-  | Single -> single_tm_handlers env cfg
-  | Shared _ ->
-      (* no in-block TM process: the shared committee runs in a block of
-         its own (see Traffic.Load) and [tm_pids] is empty, so this
-         branch is unreachable; keep the match total *)
-      E.silent
+  | Single | Shared _ -> invalid_arg "Weak_protocol.instantiate: no such TM replica"
   | Chain _ -> chain_validator_handlers env cfg ~index
-  | Committee _ | Quorum _ ->
-      let fault =
-        if Array.length cfg.notary_faults > index then
-          cfg.notary_faults.(index)
-        else Notary_honest
-      in
-      (match fault with
+  | Committee _ | Quorum _ -> (
+      let faults = cfg.notary_faults in
+      match if index < Array.length faults then faults.(index) else Notary_honest with
       | Notary_honest -> notary_handlers env cfg ~index
       | Notary_crash -> E.silent
       | Notary_equivocate -> equivocating_notary env cfg ~index)
 
-let handlers_for (env : Env.t) cfg pid =
-  let topo = env.Env.topo in
-  match Topology.role_of topo pid with
-  | Some Topology.Alice -> customer_handlers env cfg 0
-  | Some Topology.Bob -> customer_handlers env cfg (Topology.hops topo)
-  | Some (Topology.Connector i) -> customer_handlers env cfg i
-  | Some (Topology.Escrow i) -> escrow_handlers env cfg i
-  | _ ->
-      let base = Topology.aux_base topo in
-      let index = pid - base in
-      if index >= 0 && index < Array.length (tm_pids env cfg) then
-        tm_handlers env cfg ~index
-      else invalid_arg "Weak_protocol.handlers_for: unknown pid"
+let instantiate tmpl inst pid =
+  if pid < Array.length tmpl then Anta.Executor.instantiate tmpl inst pid
+  else tm_handlers inst.env inst.cfg ~index:(pid - Topology.aux_base inst.env.topo)
+
+let well_formed cfg ~hops =
+  let peers =
+    match cfg.tm with
+    | Committee _ | Quorum _ | Chain _ ->
+        Array.to_list (tm_pids (Topology.create ~hops) cfg)
+    | Single | Shared _ -> []
+  in
+  Anta.Network_check.well_formed ~peers (template cfg ~hops)

@@ -27,7 +27,11 @@
     blockchain ({!Chain}, built on {!Consensus.Chain}); and a committee of
     notaries running the {!Consensus.Dls} algorithm ({!Committee} for the
     classic 3f+1 majority committee, {!Quorum} for an arbitrary
-    {!Quorum_system.t} family — weighted, grid — at any size). *)
+    {!Quorum_system.t} family — weighted, grid — at any size).
+
+    Every customer, every escrow and the single TM is a timed automaton
+    (drawn in docs/protocol.md); the DLS notaries and chain validators are
+    hand-written handlers at the pids past the automata. *)
 
 type tm_kind =
   | Single
@@ -50,7 +54,6 @@ type tm_kind =
       pids : int array;
           (** absolute engine pids of the committee replicas;
               [pids.(0)] is the batching sequencer requests go to *)
-      item : int;  (** this payment's item id at the committee *)
       verify : Quorum.Committee.batch Consensus.Dls.decision_cert -> bool;
           (** certificate check over the committee's registry and quorum
               system (e.g. [Quorum.Committee.verify_cert cfg]) *)
@@ -61,9 +64,10 @@ type tm_kind =
           for thousands of concurrent payments into shared certificates
           (see [Traffic.Load]). Escrows report funded legs and customers
           request aborts via {!Msg.Quorum_req} sent with absolute pids;
-          the decision arrives as a {!Msg.Quorum_decision} batch
-          certificate from which each participant extracts its own item's
-          verdict after verifying the quorum signatures. Requests are
+          a payment's item at the committee is its payment id. The
+          decision arrives as a {!Msg.Quorum_decision} batch certificate
+          from which each participant extracts its own item's verdict
+          after verifying the quorum signatures. Requests are
           content-trusted (the certificate is the cryptographic
           interface) — the honest-participant benchmark scope. *)
 
@@ -92,13 +96,25 @@ val default_config : config
 val tm_count : config -> int
 (** How many TM processes the config runs. *)
 
-val tm_pids : Env.t -> config -> int array
+val tm_pids : Topology.t -> config -> int array
 (** The TM process pids implied by the config (aux pids after the payment
     participants). *)
 
-val handlers_for :
-  Env.t -> config -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** Honest handlers for any pid (customers, escrows, TM/notaries). Each
-    participant's handler set builds the TM roster and the committee
-    verifier once, not once per decision message. *)
+type instance
+(** One payment's run of a template: its {!Env.t}, config and committee
+    certificate checker. *)
+
+val instance : Env.t -> config -> instance
+
+type template = (instance, Msg.t, Obs.t) Anta.Automaton.t array
+(** The automaton of each customer and escrow, then of a {!Single} TM. *)
+
+val template : config -> hops:int -> template
+
+val instantiate : template -> instance -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
+(** {!Anta.Executor.instantiate}, or past the template a committee's or
+    chain's honest replica. *)
+
+val well_formed : config -> hops:int -> (unit, string) result
+(** {!Anta.Network_check.well_formed}, the replicas as peers. *)
 

@@ -106,10 +106,9 @@ let params_for (w : Workload.t) proto ~hops =
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
 (* What every instance of one protocol over one path length shares: the
-   chain's topology, its derived parameters and, for the templated
-   protocols (all but weak), their compiled template. [instantiate env id]
-   gives the handlers of each block slot of instance [id] whose payment
-   data is [env]. *)
+   chain's topology, its derived parameters and the protocol's compiled
+   template. [instantiate env id] gives the handlers of each block slot of
+   instance [id] whose payment data is [env]. *)
 type shape = {
   topo : Topology.t;
   params : Params.t;
@@ -592,10 +591,12 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
     | Some c -> Array.init c.c_size (fun i -> payment_limit + i)
     | None -> [||]
   in
-  (* sync, naive, HTLC and atomic instantiate the template compiled with
-     the shape; the weak protocols' hand-written handlers are built per
-     instance *)
+  let weak cfg ~hops =
+    let tmpl = Weak_protocol.template cfg ~hops in
+    fun env _id -> Weak_protocol.instantiate tmpl (Weak_protocol.instance env cfg)
+  in
   let instantiate proto params =
+    let hops = params.Params.input.Params.hops in
     match proto with
     | Workload.Sync | Workload.Naive ->
         let tmpl = Sync_protocol.template params in
@@ -605,26 +606,15 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         fun env id ->
           Anta.Executor.instantiate tmpl
             (Htlc_protocol.instance env ~seed:(seed + 57 + id))
-    | Workload.Weak_single ->
-        fun env _id -> Weak_protocol.handlers_for env weak_cfg
-    | Workload.Committee ->
-        fun env _id -> Weak_protocol.handlers_for env committee_cfg
+    | Workload.Weak_single -> weak weak_cfg ~hops
+    | Workload.Committee -> weak committee_cfg ~hops
     | Workload.Shared ->
         (* validation guarantees the committee= spec *)
         let _, _, _, verify = Option.get shared_committee in
-        fun env id ->
-          Weak_protocol.handlers_for env
-            {
-              weak_cfg with
-              Weak_protocol.tm =
-                Weak_protocol.Shared
-                  { pids = committee_pids; item = id; verify };
-            }
+        weak ~hops
+          { weak_cfg with tm = Weak_protocol.Shared { pids = committee_pids; verify } }
     | Workload.Atomic ->
-        let tmpl =
-          Atomic_protocol.template ~hops:params.Params.input.Params.hops
-            Atomic_protocol.default_config
-        in
+        let tmpl = Atomic_protocol.template ~hops Atomic_protocol.default_config in
         fun env _id -> Anta.Executor.instantiate tmpl env
   in
   (* One shape per (protocol, path length), built at the first admission

@@ -33,7 +33,7 @@ let store_tests =
   ]
 
 (* small automata used below; messages are ints *)
-let receive_any ~from_ ~next = A.on_receive ~from_ ~accept:(fun () _ -> true) ~next ()
+let receive_any ~from_ ~next = A.on_receive ~from_:(A.One from_) ~accept:(fun () _ -> true) ~next ()
 
 let construction_tests =
   [
@@ -42,15 +42,15 @@ let construction_tests =
           (Invalid_argument "Automaton A: duplicate state s") (fun () ->
             ignore
               (A.make ~name:"A" ~initial:"s"
-                 ~nodes:[ ("s", A.final ()); ("s", A.final ()) ])));
+                 ~nodes:[ ("s", A.final ()); ("s", A.final ()) ] ())));
     Alcotest.test_case "unknown initial raises" `Quick (fun () ->
         Alcotest.check_raises "init"
           (Invalid_argument "Automaton A: unknown initial state nope") (fun () ->
-            ignore (A.make ~name:"A" ~initial:"nope" ~nodes:[ ("s", A.final ()) ])));
+            ignore (A.make ~name:"A" ~initial:"nope" ~nodes:[ ("s", A.final ()) ] ())));
     Alcotest.test_case "states and node lookup" `Quick (fun () ->
         let a =
           A.make ~name:"A" ~initial:"s"
-            ~nodes:[ ("s", A.input [ receive_any ~from_:0 ~next:"t" ]); ("t", A.final ()) ]
+            ~nodes:[ ("s", A.input [ receive_any ~from_:0 ~next:"t" ]); ("t", A.final ()) ] ()
         in
         check Alcotest.(list string) "states" [ "s"; "t" ] (A.states a);
         check Alcotest.bool "node" true (A.node a "t" <> None);
@@ -68,20 +68,20 @@ let check_tests =
               [
                 ("s", A.input [ receive_any ~from_:0 ~next:"t" ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         check Alcotest.bool "ok" true (A.check a = Ok ()));
     Alcotest.test_case "unknown target detected" `Quick (fun () ->
         let a =
           A.make ~name:"bad" ~initial:"s"
-            ~nodes:[ ("s", A.input [ receive_any ~from_:0 ~next:"gone" ]) ]
+            ~nodes:[ ("s", A.input [ receive_any ~from_:0 ~next:"gone" ]) ] ()
         in
         check Alcotest.bool "err" true
           (List.exists
              (function A.Unknown_target _ -> true | _ -> false)
              (errs_of a)));
     Alcotest.test_case "empty input state detected" `Quick (fun () ->
-        let a = A.make ~name:"bad" ~initial:"s" ~nodes:[ ("s", A.input []) ] in
+        let a = A.make ~name:"bad" ~initial:"s" ~nodes:[ ("s", A.input []) ] () in
         check Alcotest.bool "err" true
           (List.exists (function A.Empty_input "s" -> true | _ -> false) (errs_of a)));
     Alcotest.test_case "deadline on unassigned clock detected" `Quick (fun () ->
@@ -91,7 +91,7 @@ let check_tests =
               [
                 ("s", A.input [ A.on_deadline ~base:"u" ~offset:5 ~next:"t" () ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         check Alcotest.bool "err" true
           (List.exists
@@ -105,7 +105,7 @@ let check_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:0 ~accept:(fun () _ -> true)
+                      A.on_receive ~from_:(A.One 0) ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
                     ] );
                 ( "w",
@@ -115,7 +115,7 @@ let check_tests =
                       receive_any ~from_:0 ~next:"t";
                     ] );
                 ("t", A.final ());
-              ]
+              ] ()
         in
         check Alcotest.bool "ok" true (A.check a = Ok ()));
     Alcotest.test_case "clock assigned on only one path fails" `Quick (fun () ->
@@ -126,13 +126,13 @@ let check_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:0 ~accept:(fun () _ -> true)
+                      A.on_receive ~from_:(A.One 0) ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
-                      A.on_receive ~from_:1 ~accept:(fun () _ -> true) ~next:"w" ();
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () _ -> true) ~next:"w" ();
                     ] );
                 ("w", A.input [ A.on_deadline ~base:"u" ~offset:5 ~next:"t" () ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         check Alcotest.bool "err" true
           (List.exists
@@ -141,7 +141,7 @@ let check_tests =
     Alcotest.test_case "unreachable state detected" `Quick (fun () ->
         let a =
           A.make ~name:"bad" ~initial:"s"
-            ~nodes:[ ("s", A.final ()); ("island", A.final ()) ]
+            ~nodes:[ ("s", A.final ()); ("island", A.final ()) ] ()
         in
         check Alcotest.bool "err" true
           (List.exists
@@ -150,7 +150,7 @@ let check_tests =
     Alcotest.test_case "no reachable final detected" `Quick (fun () ->
         let a =
           A.make ~name:"bad" ~initial:"s"
-            ~nodes:[ ("s", A.input [ receive_any ~from_:0 ~next:"s" ]) ]
+            ~nodes:[ ("s", A.input [ receive_any ~from_:0 ~next:"s" ]) ] ()
         in
         check Alcotest.bool "err" true
           (List.exists (function A.No_final_reachable -> true | _ -> false) (errs_of a)));
@@ -161,7 +161,7 @@ let check_tests =
               [
                 ("s", A.input [ receive_any ~from_:3 ~next:"t" ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         let dot = A.to_dot a in
         let mem sub =
@@ -213,7 +213,7 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () _ -> true)
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () _ -> true)
                         ~act:(fun () _ _ m ->
                           log :=
                             ("s -> t on " ^ string_of_int (Option.get m))
@@ -221,7 +221,7 @@ let executor_tests =
                         ~next:"t" ();
                     ] );
                 ("t", A.final ~act:(fun () _ _ -> log := "final t" :: !log) ());
-              ]
+              ] ()
         in
         let running, _ = run_pair auto (send_at_start [ 5 ]) in
         check Alcotest.bool "done" true (Executor.terminated running);
@@ -235,11 +235,11 @@ let executor_tests =
             ~nodes:
               [
                 ( "wait_a",
-                  A.input [ A.on_receive ~from_:1 ~accept:(fun () m -> m = 1) ~next:"wait_b" () ] );
+                  A.input [ A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m = 1) ~next:"wait_b" () ] );
                 ( "wait_b",
-                  A.input [ A.on_receive ~from_:1 ~accept:(fun () m -> m = 2) ~next:"t" () ] );
+                  A.input [ A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m = 2) ~next:"t" () ] );
                 ("t", A.final ());
-              ]
+              ] ()
         in
         (* with FIFO channels msg 2 arrives first *)
         let running, _ = run_pair auto (send_at_start [ 2; 1 ]) in
@@ -250,9 +250,9 @@ let executor_tests =
           A.make ~name:"picky" ~initial:"s"
             ~nodes:
               [
-                ("s", A.input [ A.on_receive ~from_:1 ~accept:(fun () m -> m = 7) ~next:"t" () ]);
+                ("s", A.input [ A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m = 7) ~next:"t" () ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         let running, _ = run_pair auto (send_at_start [ 1; 2; 3 ]) in
         check Alcotest.bool "stuck" false (Executor.terminated running);
@@ -266,15 +266,15 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () v -> v > 0)
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () v -> v > 0)
                         ~act:(fun () _ _ _ -> hit := "first")
                         ~next:"t" ();
-                      A.on_receive ~from_:1 ~accept:(fun () v -> v > 0)
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () v -> v > 0)
                         ~act:(fun () _ _ _ -> hit := "second")
                         ~next:"t" ();
                     ] );
                 ("t", A.final ());
-              ]
+              ] ()
         in
         let _ = run_pair auto (send_at_start [ 9 ]) in
         check Alcotest.string "first wins" "first" !hit);
@@ -286,18 +286,18 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () _ -> true)
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
                     ] );
                 ( "w",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () m -> m = 99) ~next:"got" ();
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m = 99) ~next:"got" ();
                       A.on_deadline ~base:"u" ~offset:50 ~next:"expired" ();
                     ] );
                 ("got", A.final ());
                 ("expired", A.final ());
-              ]
+              ] ()
         in
         let running, e = run_pair auto (send_at_start [ 1 ]) in
         check Alcotest.bool "done" true (Executor.terminated running);
@@ -328,18 +328,18 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () m -> m = 1) ~save_now:[ "u" ]
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m = 1) ~save_now:[ "u" ]
                         ~next:"w" ();
                     ] );
                 ( "w",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () m -> m = 2) ~next:"got" ();
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m = 2) ~next:"got" ();
                       A.on_deadline ~base:"u" ~offset:10_000 ~next:"expired" ();
                     ] );
                 ("got", A.final ());
                 ("expired", A.final ());
-              ]
+              ] ()
         in
         let e = mk_engine () in
         let handlers, running = Executor.handlers auto () () in
@@ -365,7 +365,7 @@ let executor_tests =
                 ("a", A.output ~to_:1 ~message:(fun () _ _ -> 10) ~next:"b" ());
                 ("b", A.output ~to_:1 ~message:(fun () _ _ -> 20) ~next:"t" ());
                 ("t", A.final ());
-              ]
+              ] ()
         in
         let e = mk_engine () in
         let handlers, running = Executor.handlers auto () () in
@@ -389,14 +389,14 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:1 ~accept:(fun () _ -> true)
+                      A.on_receive ~from_:(A.One 1) ~accept:(fun () _ -> true)
                         ~save_msg:"m" ~next:"send" ();
                     ] );
                 ( "send",
                   A.output ~to_:1 ~message:(fun () _ store -> Store.data store "m")
                     ~next:"t" () );
                 ("t", A.final ());
-              ]
+              ] ()
         in
         let e = mk_engine () in
         let handlers, _ = Executor.handlers auto () () in
@@ -411,24 +411,101 @@ let executor_tests =
         ignore (E.run e);
         check Alcotest.int "echoed" 77 !forwarded);
     Alcotest.test_case "init_clocks seeds the store at start" `Quick (fun () ->
+        (* the birth clock an automaton declares is set when it starts,
+           so a deadline may read it before any transition assigns it *)
         let auto =
-          A.make ~name:"init" ~initial:"s"
+          A.make ~name:"init" ~born:[ "birth" ] ~initial:"s"
             ~nodes:
               [
                 ("s", A.input [ A.on_deadline ~base:"birth" ~offset:5 ~next:"t" () ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
+        check Alcotest.bool "checks" true (A.check auto = Ok ());
         let e = mk_engine () in
-        let handlers, running =
-          Executor.handlers auto () ~init_clocks:[ "birth" ] ()
-        in
+        let handlers, running = Executor.handlers auto () () in
         ignore (E.add_process e handlers);
         ignore (E.run e);
-        check Alcotest.bool "done" true (Executor.terminated running));
+        check Alcotest.bool "done" true (Executor.terminated running);
+        check Alcotest.int "born at 0" 0
+          (Store.clock (Executor.store running) "birth"));
+    Alcotest.test_case "a receive hears one pid, a set or anyone" `Quick
+      (fun () ->
+        let pool = Pool.create () in
+        Pool.push pool 1 10;
+        Pool.push pool 2 20;
+        let take from_ =
+          if Pool.find pool ~from_ ~accept:(fun () _ -> true) () then
+            Some (Pool.take_hit pool)
+          else None
+        in
+        check Alcotest.(option int) "one" None (take (A.One 3));
+        check Alcotest.(option int) "among" (Some 20) (take (A.Among [| 2; 3 |]));
+        check Alcotest.(option int) "anyone" (Some 10) (take A.Any));
+    Alcotest.test_case "a named timer keeps its place across states" `Quick
+      (fun () ->
+        (* [t] is armed once, at birth, and still fires after the
+           automaton moved to a state that shares it; the replay agrees *)
+        let auto =
+          A.make ~name:"named" ~born:[ "b" ] ~initial:"s"
+            ~nodes:
+              [
+                ( "s",
+                  A.input
+                    [
+                      A.on_deadline ~timer:"t" ~base:"b" ~offset:50 ~next:"fired" ();
+                      receive_any ~from_:1 ~next:"s2";
+                    ] );
+                ( "s2",
+                  A.input
+                    [ A.on_deadline ~timer:"t" ~base:"b" ~offset:50 ~next:"fired" () ] );
+                ("fired", A.final ());
+              ]
+            ()
+        in
+        let running, e = run_pair auto (send_at_start [ 1 ]) in
+        check Alcotest.bool "fired" true (Executor.terminated running);
+        let sets =
+          List.filter_map
+            (function
+              | Sim.Trace.Timer_set { owner = 0; label; local_deadline; _ } ->
+                  Some (label, local_deadline)
+              | _ -> None)
+            (Sim.Trace.to_list (E.trace e))
+        in
+        check Alcotest.(list (pair string int)) "armed once" [ ("t", 50) ] sets;
+        check Alcotest.bool "conforms" true
+          (Conformance.check auto () ~pid:0 ~tag_of:string_of_int (E.trace e) = Ok ()));
+    Alcotest.test_case "an output to an engine pid leaves the block" `Quick
+      (fun () ->
+        (* the automaton runs at pid 3 with base 3: its logical pid 0 is
+           itself, engine pid 0 is the recorder *)
+        let got = ref [] in
+        let auto =
+          A.make ~name:"abs" ~initial:"out"
+            ~nodes:
+              [
+                ( "out",
+                  A.output ~absolute:true ~to_:0 ~message:(fun () _ _ -> 9)
+                    ~next:"t" () );
+                ("t", A.final ());
+              ]
+            ()
+        in
+        let e = mk_engine () in
+        ignore
+          (E.add_process e
+             {
+               E.on_start = (fun _ -> ());
+               on_receive = (fun _ ~src m -> got := (src, m) :: !got);
+               on_timer = (fun _ ~label:_ -> ());
+             });
+        ignore (E.add_process e ~pid:3 ~base:3 (Executor.instantiate [| auto |] () 0));
+        ignore (E.run e);
+        check Alcotest.(list (pair int int)) "received" [ (3, 9) ] !got);
     Alcotest.test_case "on_final hook runs" `Quick (fun () ->
         let called = ref false in
-        let auto = A.make ~name:"f" ~initial:"t" ~nodes:[ ("t", A.final ()) ] in
+        let auto = A.make ~name:"f" ~initial:"t" ~nodes:[ ("t", A.final ()) ] () in
         let e = mk_engine () in
         let handlers, _ =
           Executor.handlers auto () ~on_final:(fun _ _ -> called := true) ()
@@ -446,7 +523,7 @@ let executor_tests =
               [
                 ("s", A.input [ receive_any ~from_:1 ~next:"gone" ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         check Alcotest.bool "unknown target" true
           (match errs_of gone with
@@ -465,13 +542,13 @@ let executor_tests =
                 ( "s",
                   A.input
                     [
-                      A.on_receive ~from_:0 ~accept:(fun () _ -> true)
+                      A.on_receive ~from_:(A.One 0) ~accept:(fun () _ -> true)
                         ~save_now:[ "u" ] ~next:"w" ();
                       A.on_deadline ~base:"v" ~offset:1 ~next:"w" ();
                     ] );
                 ("w", A.input [ A.on_deadline ~base:"u" ~offset:5 ~next:"t" () ]);
                 ("t", A.final ());
-              ]
+              ] ()
         in
         check Alcotest.bool "unassigned clocks" true
           (match errs_of unassigned with
@@ -525,7 +602,8 @@ module Reference = struct
     let rec find_in_pool from_ accept seen = function
       | [] -> None
       | ((src, m) as item) :: rest ->
-          if src = from_ && accept () m then Some (m, List.rev_append seen rest)
+          if Anta.Pool.admits from_ src && accept () m then
+            Some (m, List.rev_append seen rest)
           else find_in_pool from_ accept (item :: seen) rest
     in
     let rec scan = function
@@ -545,7 +623,7 @@ module Reference = struct
     r.node <- A.node r.auto st;
     match r.node with
     | None -> invalid_arg ("unknown state " ^ st)
-    | Some (A.Output { to_; message; o_act; next }) ->
+    | Some (A.Output { to_; message; o_act; next; _ }) ->
         o_act () ctx r.sstore;
         E.send ctx ~dst:to_ (message () ctx r.sstore);
         enter ctx r next
@@ -563,10 +641,10 @@ module Reference = struct
               E.set_timer ctx ~deadline ~label
             in
             match b.guard with
-            | A.Deadline { base; offset } ->
+            | A.Deadline { base; offset; timer = None } ->
                 arm (Sim.Sim_time.add (Store.clock r.sstore base) offset)
             | A.At { local } -> arm local
-            | A.Receive _ -> ())
+            | A.Deadline { timer = Some _; _ } | A.Receive _ -> ())
           branches;
         match try_fire_receive r with
         | Some (b, m, pool) ->
@@ -574,7 +652,7 @@ module Reference = struct
             enter ctx r (take_branch ctx r b (Some m))
         | None -> ())
 
-  let handlers auto ~init_clocks =
+  let handlers auto =
     let r =
       {
         auto;
@@ -588,7 +666,7 @@ module Reference = struct
     in
     let on_start ctx =
       let now = E.local_now ctx in
-      List.iter (fun v -> Store.set_clock r.sstore v now) init_clocks;
+      List.iter (fun v -> Store.set_clock r.sstore v now) (A.born auto);
       enter ctx r (A.initial auto)
     in
     let on_receive ctx ~src msg =
@@ -622,7 +700,7 @@ end
 
 (* A random automaton, as data. Messages are ints and every output goes to
    the driver (pid 1). Outputs only point forward, so no output cycle can
-   spin without an event; deadline bases are the init clocks x and y. *)
+   spin without an event; deadline bases are the birth clocks x and y. *)
 type gbranch = {
   g_recv : (int * int) option;  (** accept [m mod k = r] *)
   g_deadline : (string * int) option;
@@ -721,7 +799,7 @@ let build_auto spec log =
     in
     match (b.g_recv, b.g_deadline) with
     | Some (k, r), _ ->
-        A.on_receive ~from_:1 ~accept:(fun () m -> m mod k = r) ?save_msg:b.g_msg
+        A.on_receive ~from_:(A.One 1) ~accept:(fun () m -> m mod k = r) ?save_msg:b.g_msg
           ~save_now:b.g_now ~act ~next:(name b.g_next) ()
     | None, Some ("@", at) ->
         { (A.on_local_time ~at ~act ~next:(name b.g_next)) with
@@ -732,7 +810,7 @@ let build_auto spec log =
           ~next:(name b.g_next) ()
     | None, None -> assert false
   in
-  A.make ~name:"random" ~initial:(name 0)
+  A.make ~name:"random" ~born:[ "x"; "y" ] ~initial:(name 0)
     ~nodes:
       (List.mapi
          (fun i g ->
@@ -745,7 +823,7 @@ let build_auto spec log =
              | G_in bs -> A.input (List.mapi (branch i) bs)
              | G_final -> A.final ~act:(fun () _ _ -> note ("final " ^ name i)) ()
            ))
-         spec)
+         spec) ()
 
 (* Everything an executor makes observable: the engine trace (sends, timer
    sets and fires, halts, in order), the stale-fire count (a missed or
@@ -820,10 +898,8 @@ let observe_run spec sched run =
     @ List.rev !log
     @ List.map entry (Sim.Trace.to_list (E.trace e)))
 
-let init_clocks = [ "x"; "y" ]
-
 let compiled_run auto =
-  let handlers, r = Executor.handlers auto () ~init_clocks () in
+  let handlers, r = Executor.handlers auto () () in
   ( handlers,
     fun () ->
       ( Executor.current_state r,
@@ -833,7 +909,7 @@ let compiled_run auto =
 
 let reference_run auto =
   let handlers, (r : (int, unit) Reference.running) =
-    Reference.handlers auto ~init_clocks
+    Reference.handlers auto
   in
   ( handlers,
     fun () ->
@@ -981,7 +1057,7 @@ let network_tests =
             ("send", A.output ~to_:1 ~message:(fun () _ _ -> 1) ~next:"wait" ());
             ("wait", A.input [ receive_any ~from_:1 ~next:"done" ]);
             ("done", A.final ());
-          ]
+          ] ()
     in
     let a1 =
       A.make ~name:"a1" ~initial:"wait"
@@ -990,7 +1066,7 @@ let network_tests =
             ("wait", A.input [ receive_any ~from_:0 ~next:"reply" ]);
             ("reply", A.output ~to_:0 ~message:(fun () _ _ -> 2) ~next:"done" ());
             ("done", A.final ());
-          ]
+          ] ()
     in
     (a0, a1)
   in
@@ -1017,7 +1093,7 @@ let network_tests =
               [
                 ("wait", A.input [ receive_any ~from_:9 ~next:"done" ]);
                 ("done", A.final ());
-              ]
+              ] ()
         in
         let issues = Network_check.check [ (0, a0); (1, deaf); (9, a0) ] in
         check Alcotest.bool "deaf" true
@@ -1034,7 +1110,7 @@ let network_tests =
               [
                 ("wait", A.input [ receive_any ~from_:0 ~next:"done" ]);
                 ("done", A.final ());
-              ]
+              ] ()
         in
         let issues = Network_check.check [ (1, listener) ] in
         check Alcotest.bool "warned" true
@@ -1065,6 +1141,41 @@ let network_tests =
               (Printf.sprintf "hops %d" hops)
               0 (List.length issues))
           [ 1; 2; 3; 8 ]);
+    Alcotest.test_case "engine pids, peers and anyone never dangle or go unheard"
+      `Quick (fun () ->
+        let a0 =
+          A.make ~name:"a0" ~initial:"shared"
+            ~nodes:
+              [
+                ( "shared",
+                  A.output ~absolute:true ~to_:99 ~message:(fun () _ _ -> 1)
+                    ~next:"peer" () );
+                ("peer", A.output ~to_:5 ~message:(fun () _ _ -> 2) ~next:"wait" ());
+                ( "wait",
+                  A.input
+                    [
+                      A.on_receive ~from_:A.Any ~accept:(fun () _ -> true)
+                        ~next:"done" ();
+                      A.on_receive ~from_:(A.Among [| 5; 6 |])
+                        ~accept:(fun () _ -> true) ~next:"done" ();
+                    ] );
+                ("done", A.final ());
+              ]
+            ()
+        in
+        check Alcotest.int "clean" 0
+          (List.length (Network_check.check ~peers:[ 5 ] [ (0, a0) ]));
+        let issues = Network_check.check [ (0, a0) ] in
+        check Alcotest.bool "without the peer, its send dangles" true
+          (List.exists
+             (function Network_check.Dangling_send { to_ = 5; _ } -> true | _ -> false)
+             issues);
+        check
+          Alcotest.(list int)
+          "a silent set is unheard, member by member" [ 5; 6 ]
+          (List.filter_map
+             (function Network_check.Unheard_listener { from_; _ } -> Some from_ | _ -> None)
+             issues));
   ]
 
 let () =

@@ -692,13 +692,101 @@ let weak_tests =
           o.Runner.env.Env.books);
     Alcotest.test_case "tm_pids layout" `Quick (fun () ->
         let env = mk_env ~hops:2 () in
-        let single = Weak_protocol.tm_pids env Weak_protocol.default_config in
+        let single = Weak_protocol.tm_pids env.Env.topo Weak_protocol.default_config in
         check Alcotest.(array int) "single" [| 5 |] single;
         let committee =
-          Weak_protocol.tm_pids env
+          Weak_protocol.tm_pids env.Env.topo
             { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
         in
         check Alcotest.(array int) "committee" [| 5; 6; 7; 8 |] committee);
+    Alcotest.test_case "every TM kind's network is well-formed at hops 1-6"
+      `Quick (fun () ->
+        let shared =
+          Weak_protocol.Shared
+            { pids = [| 100; 101; 102; 103 |]; verify = (fun _ -> false) }
+        in
+        List.iter
+          (fun (tm, patience) ->
+            let wcfg = { Weak_protocol.default_config with tm; patience } in
+            List.iter
+              (fun hops ->
+                let name =
+                  Printf.sprintf "%s, hops %d"
+                    (Runner.protocol_name (Runner.Weak wcfg))
+                    hops
+                in
+                let fresh = Weak_protocol.well_formed wcfg ~hops in
+                check Alcotest.(result unit string) name (Ok ()) fresh;
+                check
+                  Alcotest.(result unit string)
+                  (name ^ ", memoised") fresh
+                  (Runner.well_formed (Runner.Weak wcfg) ~hops))
+              [ 1; 2; 3; 4; 5; 6 ])
+          [
+            (Weak_protocol.Single, 5_000);
+            (Weak_protocol.Single, Sim.Sim_time.infinity);
+            (Weak_protocol.Committee { f = 1 }, 5_000);
+            ( Weak_protocol.Quorum
+                { qs = Quorum_system.weighted ~weights:[| 2; 2; 1; 1; 1 |] ~f:1 () },
+              5_000 );
+            (Weak_protocol.Chain { validators = 4 }, 5_000);
+            (shared, 5_000);
+          ]);
+    Alcotest.test_case "an escrow deaf to the TM fails C" `Quick (fun () ->
+        (* e0 (pid 3 at hops 2) takes its decision from Alice instead of
+           the TM at pid 5, which announces to it *)
+        let tmpl = Weak_protocol.template Weak_protocol.default_config ~hops:2 in
+        let any _ _ = true in
+        tmpl.(3) <-
+          Anta.Automaton.make ~name:"escrow0" ~initial:"await_money"
+            ~nodes:
+              [
+                ( "await_money",
+                  Anta.Automaton.input
+                    [ Env.recv 0 "$" any "report" ] );
+                ( "report",
+                  Anta.Automaton.output ~to_:5
+                    ~message:(fun _ _ _ -> Msg.Start)
+                    ~next:"await_decision" () );
+                ( "await_decision",
+                  Anta.Automaton.input [ Env.recv 0 "χ" any "release" ] );
+                ( "release",
+                  Anta.Automaton.output ~to_:1
+                    ~message:(fun _ _ _ -> Msg.Start)
+                    ~next:"done" () );
+                ("done", Anta.Automaton.final ());
+              ]
+            ();
+        check
+          Alcotest.(result unit string)
+          "miswired"
+          (Error
+             "network wiring: pid 5 sends to pid 3, but 3 has no receive \
+              transition for messages from 5")
+          (Anta.Network_check.well_formed tmpl));
+    Alcotest.test_case "fault-free participants conform to their automata"
+      `Quick (fun () ->
+        let payment hops = List.init ((2 * hops) + 1) Fun.id in
+        List.iter
+          (fun seed ->
+            (* committed, and aborted at once *)
+            List.iter
+              (fun patience ->
+                conform_all
+                  (run_weak ~hops:3 ~seed ~patience ())
+                  (payment 3 @ [ 7 ]))
+              [ 20_000; 0 ];
+            List.iter
+              (fun tm ->
+                let o = run_weak ~hops:3 ~seed ~patience:150 ~tm () in
+                conform_all o (payment 3);
+                check Alcotest.bool "replicas run no automaton" true
+                  (o.Runner.conformance 7 = None))
+              [
+                Weak_protocol.Committee { f = 1 };
+                Weak_protocol.Chain { validators = 4 };
+              ])
+          [ 1; 2; 3 ]);
   ]
 
 (* -------------------- weak protocol race conditions -------------------- *)
@@ -771,6 +859,145 @@ let weak_race_tests =
                (Props.Payment_props.check_def2 ~patience_sufficient:false v)
                "CC")
         done);
+  ]
+
+(* ------------------------- weak behaviour pin -------------------------- *)
+
+(* A weak run as everything but its timer entries: each send, delivery,
+   observation, halt, crash and recovery with its time, ends and payload,
+   then the Definition-2 verdicts. Timer entries are left out, with the
+   trace seqs that count them: how a participant arms its deadlines is its
+   own business, what it does when they fire is not. *)
+let weak_behaviour o =
+  let msg m = Fmt.str "%a" Msg.pp m and obs b = Fmt.str "%a" Obs.pp b in
+  let entry = function
+    | Sim.Trace.Sent { t; src; dst; msg = m; _ } ->
+        Some (Printf.sprintf "%d sent %d>%d %s" t src dst (msg m))
+    | Sim.Trace.Delivered { t; sent_at; src; dst; msg = m; _ } ->
+        Some (Printf.sprintf "%d delivered %d>%d %d %s" t src dst sent_at (msg m))
+    | Sim.Trace.Observed { t; pid; obs = b } ->
+        Some (Printf.sprintf "%d observed %d %s" t pid (obs b))
+    | Sim.Trace.Halted { t; pid } -> Some (Printf.sprintf "%d halted %d" t pid)
+    | Sim.Trace.Crashed { t; pid; _ } -> Some (Printf.sprintf "%d crashed %d" t pid)
+    | Sim.Trace.Recovered { t; pid } ->
+        Some (Printf.sprintf "%d recovered %d" t pid)
+    | Sim.Trace.Timer_set _ | Sim.Trace.Timer_fired _ -> None
+  in
+  let v = Props.Payment_props.view o in
+  String.concat "\n"
+    (List.filter_map entry (Sim.Trace.to_list o.Runner.trace)
+    @ [
+        Fmt.str "%a" Props.Verdict.pp_report
+          (Props.Payment_props.check_def2 ~patience_sufficient:true v);
+      ])
+
+let pin_kinds =
+  [
+    ("single", Weak_protocol.Single);
+    ("committee", Weak_protocol.Committee { f = 1 });
+    ( "weighted",
+      Weak_protocol.Quorum
+        { qs = Quorum_system.weighted ~weights:[| 2; 2; 1; 1; 1 |] ~f:1 () } );
+    ("chain", Weak_protocol.Chain { validators = 4 });
+  ]
+
+(* pid 1 is Chloe1 and pid 5 is e1 at hops 3; a TM fault hits replica 0,
+   the round-0 leader of a committee. Equivocation needs a committee. The
+   outage holds Chloe1's deposit and patience deadlines to her reboot. *)
+let pin_faults tm =
+  let committee =
+    match tm with
+    | Weak_protocol.Committee _ | Weak_protocol.Quorum _ -> true
+    | Weak_protocol.Single | Weak_protocol.Chain _ | Weak_protocol.Shared _ ->
+        false
+  in
+  let byz f = Some ([ f ], [||], None) in
+  let notary fault =
+    if committee then Some ([], [| fault |], None)
+    else if fault = Weak_protocol.Notary_crash then
+      byz (7, Byzantine.Crash_at_start)
+    else None
+  in
+  let plan s = Result.get_ok (Faults.Fault_plan.of_string s) in
+  List.filter_map
+    (fun (name, f) -> Option.map (fun f -> (name, f)) f)
+    [
+      ("none", Some ([], [||], None));
+      ("impatient", byz (1, Byzantine.Impatient 120));
+      ("false-funded-escrow", byz (5, Byzantine.False_funded_escrow));
+      ("never-deposit", byz (1, Byzantine.Never_deposit));
+      ("notary-crash", notary Weak_protocol.Notary_crash);
+      ("notary-equivocate", notary Weak_protocol.Notary_equivocate);
+      ("crash-recovery", Some ([], [||], Some (plan "crash 1@5+400")));
+    ]
+
+let pin_run tm (faults, notary_faults, fault_plan) ~seed ~patience =
+  Runner.run
+    { (Runner.default_config ~hops:3 ~seed) with faults; fault_plan }
+    (Runner.Weak
+       { Weak_protocol.default_config with tm; patience; notary_faults })
+
+(* every (kind, fault) over seeds 1-3, at a patience that outlasts the
+   TM and at one that races it *)
+let pin_digest tm fault =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n--\n"
+          (List.concat_map
+             (fun seed ->
+               List.map
+                 (fun patience ->
+                   weak_behaviour (pin_run tm fault ~seed ~patience))
+                 [ 5_000; 150 ])
+             [ 1; 2; 3 ])))
+
+(* The single TM halts once its decision is out: its runs record that
+   Halted entry. *)
+let weak_pins =
+  [
+    ("single", "none", "9f83abd23401690e2f96777ebc5aa0ef");
+    ("single", "impatient", "07b79fe3dc42aba1222cb78cf4540ba5");
+    ("single", "false-funded-escrow", "546fa371ec33e3b062d77d0d5762d34c");
+    ("single", "never-deposit", "52777348e2179ec25eb25e732eed7b26");
+    ("single", "notary-crash", "6dc3078fda789d1533bc7168152ad35f");
+    ("single", "crash-recovery", "6d72cbb5164094beda21e19e06f2b7b0");
+    ("committee", "none", "f72a380a7928e76ff155b00ec28f8d50");
+    ("committee", "impatient", "06889951eb21f6dcc942e5f06638dd85");
+    ("committee", "false-funded-escrow", "0665f025c3a643d4788694363cab316e");
+    ("committee", "never-deposit", "e7780ba74bbeff064f750a3046d89960");
+    ("committee", "notary-crash", "d8308668968f717ccede216142cb8220");
+    ("committee", "notary-equivocate", "d28583a6e4879a5b4023293ce590e165");
+    ("committee", "crash-recovery", "8b8e6601d86d5e73b9e7a9a354910c02");
+    ("weighted", "none", "5e683f5bd42b6b83321a807bbd3c146c");
+    ("weighted", "impatient", "f8a229674db9bd8d412a22a6f7d6f549");
+    ("weighted", "false-funded-escrow", "f3c1060c2e0e5fff22007705d3a840cb");
+    ("weighted", "never-deposit", "741f00520cda94c0a757296b2f855af5");
+    ("weighted", "notary-crash", "8a481d76eee7784c9a7bb32c5fd032a9");
+    ("weighted", "notary-equivocate", "7f99825f94b0630c9f973985d605382f");
+    ("weighted", "crash-recovery", "f3c2c8069436df1f3c863ee903da3572");
+    ("chain", "none", "67dac916168fffc86253d8ee9989f49c");
+    ("chain", "impatient", "0fa42c04b18dbc35e83ab2fd4fc75fe0");
+    ("chain", "false-funded-escrow", "1ff7fec00faeb72de1d5e76bc07522bc");
+    ("chain", "never-deposit", "2066fb114257facb5f9746605a6735f0");
+    ("chain", "notary-crash", "c176a7feeb224d65d37e8bf40ef6bad1");
+    ("chain", "crash-recovery", "91a70a55b9b8bfd8021048112a09cacc");
+  ]
+
+let weak_pin_tests =
+  [
+    Alcotest.test_case "trace and verdicts, timers aside, per TM kind and fault"
+      `Slow (fun () ->
+        let got =
+          List.concat_map
+            (fun (kname, tm) ->
+              List.map
+                (fun (fname, fault) -> (kname, fname, pin_digest tm fault))
+                (pin_faults tm))
+            pin_kinds
+        in
+        check
+          Alcotest.(list (triple string string string))
+          "digests" weak_pins got);
   ]
 
 (* ---------------------------- atomic (ILP) ----------------------------- *)
@@ -1219,6 +1446,7 @@ let () =
       ("htlc", htlc_tests);
       ("weak_protocol", weak_tests);
       ("weak_races", weak_race_tests);
+      ("weak_pin", weak_pin_tests);
       ("atomic", atomic_tests);
       ("byzantine", byzantine_tests);
       ("runner", runner_tests);

@@ -599,6 +599,10 @@ let plan_of s =
 let line rest =
   "hops=2 value=1000 commission=10 cap=0 stuck=0 gst=none " ^ rest
 
+let shared_outage_spec =
+  "payments=30 arrival=poisson:20 mix=shared policy=reserve liquidity=0 \
+   patience=300 drift=10000 committee=majority:4:1:8:4"
+
 let golden_runs =
   [
     ( "linear_2k spec at 200 payments",
@@ -653,6 +657,19 @@ let golden_runs =
                    liquidity=0 patience=100000 drift=0 \
                    committee=majority:4:1:8:4"))
           ~seed:3 () );
+    (* Chloe1's outage holds her deposit past her peers' patience, so most
+       payments abort through the committee; an escrow outage leaves half
+       of them stuck *)
+    ( "shared committee, chloe1 outage",
+      "5311d65e3e27c59233e8374e846deba7",
+      fun () ->
+        Load.run ~plan:(plan_of "crash 1@100+6000")
+          ~workload:(spec (line shared_outage_spec)) ~seed:5 () );
+    ( "shared committee, escrow outage",
+      "85019bd268b3f7be928466f9b904e7f1",
+      fun () ->
+        Load.run ~plan:(plan_of "crash 3@200+300")
+          ~workload:(spec (line shared_outage_spec)) ~seed:5 () );
     ( "hub graph, two splits",
       "3eb9020cb10aa09f80ae0a97526bbc5b",
       fun () ->
