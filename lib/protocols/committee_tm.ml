@@ -91,16 +91,16 @@ let parse_slot_label label =
    pids (0 .. size-1) and the engine rebases [src] for us; participants
    outside the block are reached with absolute pids via [reply_to]. The
    replica's committee state is returned alongside so the host can read
-   deterministic post-run statistics (certs, batches, rounds). *)
+   its statistics and forget items whose payments are over. *)
 let handlers cfg ~index ~signer =
   let n = Quorum_system.size cfg.qs in
   let com = Committee.create (committee_config cfg ~index ~signer) in
   (* per-item request aggregation (sequencer only): an item's verdict is
      [commit] once every leg reported funded, [abort] on the first abort
-     request — the single TM's rule, applied across payments *)
+     request — the single TM's rule, applied across payments. The first
+     verdict submitted wins ({!Committee.request} drops the rest), and an
+     item's legs leave the table when its certificate is out. *)
   let legs : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let aborted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let announced : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let announce_cert ctx (cert : Committee.batch Consensus.Dls.decision_cert) =
     (* push the batch certificate to every participant of every covered
        item, deduplicated, in batch order — deterministic *)
@@ -129,12 +129,16 @@ let handlers cfg ~index ~signer =
         | Committee.Set_slot_timer { slot; round; after } ->
             E.set_timer_after ctx ~after
               ~label:(Printf.sprintf "slot-%d-round-%d" slot round)
-        | Committee.Certified { slot; cert } ->
-            (* only the sequencer announces, keeping fan-out O(batch)
-               rather than O(batch * committee). Sequencer fail-over is
-               out of scope (docs/committees.md). *)
-            if index = 0 && not (Hashtbl.mem announced slot) then begin
-              Hashtbl.add announced slot ();
+        | Committee.Certified { cert; _ } ->
+            (* a slot is certified once per replica; only the sequencer
+               announces, keeping fan-out O(batch) rather than
+               O(batch * committee). Sequencer fail-over is out of scope
+               (docs/committees.md). *)
+            if index = 0 then begin
+              List.iter
+                (fun (v : Committee.verdict) ->
+                  Hashtbl.remove legs v.Committee.item)
+                cert.Consensus.Dls.d_value;
               announce_cert ctx cert
             end)
       effs
@@ -144,20 +148,14 @@ let handlers cfg ~index ~signer =
       (Committee.request com ~now:(E.local_now ctx) { Committee.item; commit })
   in
   let on_request ctx ~item (req : Msg.quorum_req) =
-    match Committee.verdict_of com ~item with
-    | Some (_, slot) -> (
+    match Committee.decision_of com ~item with
+    | Some d ->
         (* already decided: the requester likely missed the broadcast —
-           re-announce the cached certificate *)
-        match Committee.cert_of_slot com slot with
-        | Some cert -> announce_cert ctx cert
-        | None -> ())
+           re-announce the certificate *)
+        announce_cert ctx d.Committee.cert
     | None -> (
         match req with
-        | Msg.Abort_wanted ->
-            if not (Hashtbl.mem aborted item) then begin
-              Hashtbl.replace aborted item ();
-              submit ctx ~item false
-            end
+        | Msg.Abort_wanted -> submit ctx ~item false
         | Msg.Leg_funded { escrow_index } ->
             let tbl =
               match Hashtbl.find_opt legs item with
@@ -169,10 +167,8 @@ let handlers cfg ~index ~signer =
             in
             if not (Hashtbl.mem tbl escrow_index) then begin
               Hashtbl.replace tbl escrow_index ();
-              if
-                Hashtbl.length tbl >= cfg.hops_of item
-                && not (Hashtbl.mem aborted item)
-              then submit ctx ~item true
+              if Hashtbl.length tbl >= cfg.hops_of item then
+                submit ctx ~item true
             end)
   in
   ( {

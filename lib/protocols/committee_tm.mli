@@ -65,6 +65,7 @@ val handlers :
 (** Handlers for committee replica [index], to be registered at logical
     pid [index] of the committee block; [signer] must be the registry's
     signer for auth id [index]. The replica's committee state rides along
-    so the host can read deterministic post-run statistics
-    ({!Quorum.Committee.decided_slots}, {!Quorum.Committee.cert_of_slot},
-    …). *)
+    so the host can read deterministic statistics
+    ({!Quorum.Committee.stats}) and the sequencer's decisions, and
+    {!Quorum.Committee.forget} an item once no participant of it can ask
+    again. *)

@@ -56,23 +56,45 @@ type slot_state = {
   dls : batch Dls.t;
   opened_at : Sim.Sim_time.t;
   proposed : batch;  (* [] on a replica that joined the slot *)
-  mutable closed : bool;
+}
+
+type decision = {
+  fate : bool;  (* commit *)
+  decided_in : int;  (* slot *)
+  cert : batch Dls.decision_cert;
 }
 
 type item_status =
   | Queued
-  | In_flight of { slot : int; v : verdict }
-  | Decided_item of { commit : bool; slot : int }
+  | In_flight of int  (* the slot proposing it *)
+  | Decided_item of decision
 
+type stats = {
+  certs : int;
+  verdicts : int;
+  max_batch : int;
+  rounds : int;
+  cert_lat_sum : int;
+  cert_lat_max : int;
+}
+
+(* What a replica keeps is proportional to the slots and items in flight:
+   a decided slot leaves [slots] and is remembered only as a tombstone
+   (below [watermark], or in [decided_above] while an earlier slot is
+   still open), so a late message never re-opens it. Only the sequencer
+   answers verdict queries, so only it keeps per-item books, and an item
+   leaves them when the host [forget]s it; a decision's certificate lives
+   in its items' [Decided_item] and goes with the last of them. *)
 type t = {
   cfg : config;
-  slots : (int, slot_state) Hashtbl.t;
+  slots : (int, slot_state) Hashtbl.t;  (* the undecided slots *)
+  mutable watermark : int;  (* every slot below is decided *)
+  decided_above : (int, unit) Hashtbl.t;  (* decided slots >= watermark *)
   mutable next_slot : int;  (* sequencer only *)
-  mutable open_slots : int;  (* undecided slots this replica knows *)
-  pending : verdict Queue.t;
-  status : (int, item_status) Hashtbl.t;  (* by item *)
-  certs : (int, batch Dls.decision_cert) Hashtbl.t;  (* by slot *)
-  lat : (int, Sim.Sim_time.t) Hashtbl.t;  (* slot open -> certificate *)
+  pending : verdict Queue.t;  (* sequencer only *)
+  status : (int, item_status) Hashtbl.t;  (* sequencer only, by item *)
+  mutable forgotten : Bytes.t;  (* sequencer only: a bit per forgotten item *)
+  mutable stats : stats;  (* running aggregates over decided slots *)
 }
 
 (* Registered at module init so the committee families appear in the
@@ -165,12 +187,21 @@ let create cfg =
   {
     cfg;
     slots = Hashtbl.create 32;
+    watermark = 0;
+    decided_above = Hashtbl.create 8;
     next_slot = 0;
-    open_slots = 0;
     pending = Queue.create ();
     status = Hashtbl.create 64;
-    certs = Hashtbl.create 32;
-    lat = Hashtbl.create 32;
+    forgotten = Bytes.empty;
+    stats =
+      {
+        certs = 0;
+        verdicts = 0;
+        max_batch = 0;
+        rounds = 0;
+        cert_lat_sum = 0;
+        cert_lat_max = 0;
+      };
   }
 
 let is_sequencer t = t.cfg.self = 0
@@ -178,15 +209,49 @@ let verify_cert cfg =
   let dcfg = dls_cfg cfg in
   fun dc -> Dls.verify_decision dcfg dc
 
-let verdict_of t ~item =
+let decision_of t ~item =
   match Hashtbl.find_opt t.status item with
-  | Some (Decided_item { commit; slot }) -> Some (commit, slot)
+  | Some (Decided_item d) -> Some d
   | _ -> None
 
-let cert_of_slot t slot = Hashtbl.find_opt t.certs slot
-let cert_latency t slot = Hashtbl.find_opt t.lat slot
-let decided_slots t = Hashtbl.length t.certs
+let stats t = t.stats
+let decided_slots t = t.stats.certs
 let slot_count t = t.next_slot
+
+let is_decided t slot = slot < t.watermark || Hashtbl.mem t.decided_above slot
+
+let mark_decided t slot =
+  let rec advance w =
+    if Hashtbl.mem t.decided_above w then begin
+      Hashtbl.remove t.decided_above w;
+      advance (w + 1)
+    end
+    else w
+  in
+  if slot = t.watermark then t.watermark <- advance (slot + 1)
+  else Hashtbl.replace t.decided_above slot ()
+
+(* Forgotten items are non-negative: only decided items are forgotten,
+   and a decided batch passed [valid_batch]. *)
+let is_forgotten t item =
+  let i = item lsr 3 in
+  i < Bytes.length t.forgotten
+  && Char.code (Bytes.get t.forgotten i) land (1 lsl (item land 7)) <> 0
+
+let forget t ~item =
+  match Hashtbl.find_opt t.status item with
+  | Some (Decided_item _) ->
+      Hashtbl.remove t.status item;
+      let i = item lsr 3 in
+      let len = Bytes.length t.forgotten in
+      if i >= len then begin
+        let grown = Bytes.make (max (i + 1) (2 * len)) '\000' in
+        Bytes.blit t.forgotten 0 grown 0 len;
+        t.forgotten <- grown
+      end;
+      let byte = Char.code (Bytes.get t.forgotten i) in
+      Bytes.set t.forgotten i (Char.chr (byte lor (1 lsl (item land 7))))
+  | _ -> ()
 
 let wrap slot effs =
   List.filter_map
@@ -201,49 +266,53 @@ let wrap slot effs =
           None)
     effs
 
-(* Close a decided slot: record every verdict, requeue in-flight items
-   the decided batch does not cover (a view change can decide a batch
-   proposed by a different replica), and free a pipeline lane. Only the
-   items of the batch this replica proposed can be in flight in this slot,
-   so the walk over every item ever seen runs only when one of them is
-   still in flight once the decided verdicts are recorded. *)
+(* Close a decided slot: leave a tombstone, fold it into the running
+   stats and free its pipeline lane. The sequencer also records every
+   verdict and requeues the items it proposed that the decided batch does
+   not cover (a view change can decide a batch proposed by a different
+   replica). *)
 let close_slot t ~now slot st (dc : batch Dls.decision_cert) =
-  st.closed <- true;
-  t.open_slots <- t.open_slots - 1;
-  Hashtbl.replace t.certs slot dc;
-  List.iter
-    (fun v ->
-      Hashtbl.replace t.status v.item
-        (Decided_item { commit = v.commit; slot }))
-    dc.Dls.d_value;
-  let uncovered (v : verdict) =
-    match Hashtbl.find_opt t.status v.item with
-    | Some (In_flight { slot = s; _ }) -> s = slot
-    | _ -> false
-  in
-  if List.exists uncovered st.proposed then
-    Hashtbl.iter
-      (fun item status ->
-        match status with
-        | In_flight { slot = s; v }
-          when s = slot
-               && not (List.exists (fun d -> d.item = item) dc.Dls.d_value) ->
-            Hashtbl.replace t.status item Queued;
+  Hashtbl.remove t.slots slot;
+  mark_decided t slot;
+  let batch = List.length dc.Dls.d_value in
+  let lat = Sim.Sim_time.sub now st.opened_at in
+  let s = t.stats in
+  t.stats <-
+    {
+      certs = s.certs + 1;
+      verdicts = s.verdicts + batch;
+      max_batch = max s.max_batch batch;
+      rounds = s.rounds + dc.Dls.d_round + 1;
+      cert_lat_sum = s.cert_lat_sum + lat;
+      cert_lat_max = max s.cert_lat_max lat;
+    };
+  if is_sequencer t then begin
+    List.iter
+      (fun v ->
+        if not (is_forgotten t v.item) then
+          Hashtbl.replace t.status v.item
+            (Decided_item { fate = v.commit; decided_in = slot; cert = dc }))
+      dc.Dls.d_value;
+    List.iter
+      (fun v ->
+        match Hashtbl.find_opt t.status v.item with
+        | Some (In_flight s) when s = slot ->
+            Hashtbl.replace t.status v.item Queued;
             Queue.add v t.pending
         | _ -> ())
-      t.status;
-  Hashtbl.replace t.lat slot (Sim.Sim_time.sub now st.opened_at);
+      st.proposed
+  end;
   Obsv.Metrics.inc m_certs;
-  Obsv.Metrics.observe m_occupancy (List.length dc.Dls.d_value);
+  Obsv.Metrics.observe m_occupancy batch;
   Obsv.Metrics.observe m_rounds (dc.Dls.d_round + 1);
-  Obsv.Metrics.observe m_latency (Sim.Sim_time.sub now st.opened_at);
+  Obsv.Metrics.observe m_latency lat;
   [ Certified { slot; cert = dc } ]
 
 (* Sequencer: open new slots while there is demand and pipeline room. *)
 let rec try_open t ~now =
   if
     (not (is_sequencer t))
-    || t.open_slots >= t.cfg.pipeline
+    || Hashtbl.length t.slots >= t.cfg.pipeline
     || Queue.is_empty t.pending
   then []
   else begin
@@ -253,7 +322,7 @@ let rec try_open t ~now =
         let v = Queue.pop t.pending in
         (* an item may have been decided while queued (requeue races) *)
         match Hashtbl.find_opt t.status v.item with
-        | Some (Decided_item _) -> take k acc
+        | Some (Decided_item _) | None -> take k acc
         | _ -> take (k - 1) (v :: acc)
     in
     let batch = take t.cfg.batch_cap [] in
@@ -261,17 +330,11 @@ let rec try_open t ~now =
     else begin
       let slot = t.next_slot in
       t.next_slot <- slot + 1;
-      t.open_slots <- t.open_slots + 1;
       List.iter
-        (fun v -> Hashtbl.replace t.status v.item (In_flight { slot; v }))
+        (fun v -> Hashtbl.replace t.status v.item (In_flight slot))
         batch;
       let st =
-        {
-          dls = Dls.create (dls_cfg t.cfg);
-          opened_at = now;
-          proposed = batch;
-          closed = false;
-        }
+        { dls = Dls.create (dls_cfg t.cfg); opened_at = now; proposed = batch }
       in
       Hashtbl.replace t.slots slot st;
       let effs = wrap slot (Dls.start st.dls ~my_value:batch) in
@@ -285,10 +348,12 @@ let rec try_open t ~now =
   end
 
 (* A 1-replica committee (or a degenerate quorum) can decide inside the
-   very call that started the slot; fold that decision in uniformly. *)
+   very call that started the slot; fold that decision in uniformly. A
+   slot is drained once per call that touched it, and its close removes
+   it from [slots], so no later call reaches it. *)
 and drain_decision t ~now slot st =
   match Dls.decided st.dls with
-  | Some dc when not st.closed ->
+  | Some dc ->
       (* close first — [@] would evaluate right to left, and [try_open]
          must see the freed pipeline lane or a fully-bursty sequencer
          (all requests already queued, none still arriving) never opens
@@ -296,40 +361,39 @@ and drain_decision t ~now slot st =
       let closed = close_slot t ~now slot st dc in
       let opened = try_open t ~now in
       closed @ opened
-  | _ -> []
+  | None -> []
 
 let request t ~now v =
-  match Hashtbl.find_opt t.status v.item with
-  | Some _ -> []  (* first verdict per item wins; duplicates are dropped *)
-  | None ->
-      Obsv.Metrics.inc m_requests;
-      Hashtbl.replace t.status v.item Queued;
-      Queue.add v t.pending;
-      try_open t ~now
+  if
+    (not (is_sequencer t))
+    || Hashtbl.mem t.status v.item
+    || is_forgotten t v.item
+  then []  (* first verdict per item wins; duplicates are dropped *)
+  else begin
+    Obsv.Metrics.inc m_requests;
+    Hashtbl.replace t.status v.item Queued;
+    Queue.add v t.pending;
+    try_open t ~now
+  end
 
-let slot_for t ~now slot =
-  match Hashtbl.find_opt t.slots slot with
-  | Some st -> (st, [])
+let deliver t ~now ~from_ m st join_effs =
+  let effs = wrap m.slot (Dls.on_msg st.dls ~from_ m.dm) in
+  join_effs @ effs @ drain_decision t ~now m.slot st
+
+(* A decided slot is only a tombstone: its late messages do nothing. *)
+let on_msg t ~now ~from_ m =
+  match Hashtbl.find_opt t.slots m.slot with
+  | Some st -> deliver t ~now ~from_ m st []
+  | None when is_decided t m.slot -> []
   | None ->
       (* a follower dragged into a slot by peer traffic: join without a
          preference (the sequencer proposes; we echo and vote) *)
       let st =
-        {
-          dls = Dls.create (dls_cfg t.cfg);
-          opened_at = now;
-          proposed = [];
-          closed = false;
-        }
+        { dls = Dls.create (dls_cfg t.cfg); opened_at = now; proposed = [] }
       in
-      Hashtbl.replace t.slots slot st;
-      t.open_slots <- t.open_slots + 1;
-      if slot >= t.next_slot then t.next_slot <- slot + 1;
-      (st, wrap slot (Dls.join st.dls))
-
-let on_msg t ~now ~from_ m =
-  let st, join_effs = slot_for t ~now m.slot in
-  let effs = wrap m.slot (Dls.on_msg st.dls ~from_ m.dm) in
-  join_effs @ effs @ drain_decision t ~now m.slot st
+      Hashtbl.replace t.slots m.slot st;
+      if m.slot >= t.next_slot then t.next_slot <- m.slot + 1;
+      deliver t ~now ~from_ m st (wrap m.slot (Dls.join st.dls))
 
 let on_slot_timeout t ~now ~slot ~round =
   match Hashtbl.find_opt t.slots slot with

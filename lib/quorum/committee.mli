@@ -15,6 +15,11 @@
     justification is the host's business, and the decision certificate
     is what outsiders verify.
 
+    A replica's memory follows the slots and items in flight, not the run:
+    a decided slot is kept only as a tombstone, followers keep no
+    per-item books, and the sequencer keeps an item until the host
+    {!forget}s it.
+
     Like {!Consensus.Dls}, this is a pure state machine returning
     effects; the host supplies the current sim-time [now] (for
     certificate-latency accounting) and routes messages/timers. *)
@@ -54,25 +59,52 @@ val create : config -> t
     batching parameters. *)
 
 val request : t -> now:Sim.Sim_time.t -> verdict -> effect list
-(** Submit one verdict. The first verdict per item wins; duplicates
-    (including conflicting ones) return []. On the sequencer this may
-    open one or more slots immediately. *)
+(** Submit one verdict to the sequencer. The first verdict per item wins;
+    duplicates (including conflicting ones, and any verdict for an item
+    already {!forget}ed) return []. The sequencer may open one or more
+    slots at once; a follower keeps no per-item books and returns []. *)
 
 val on_msg : t -> now:Sim.Sim_time.t -> from_:int -> msg -> effect list
-(** [from_] is the authentic sender's replica index. *)
+(** [from_] is the authentic sender's replica index. A message for a
+    decided slot returns [] and never re-opens it. *)
 
 val on_slot_timeout : t -> now:Sim.Sim_time.t -> slot:int -> round:int -> effect list
 
-val verdict_of : t -> item:int -> (bool * int) option
-(** The decided fate of an item, with the slot that certified it. *)
+type decision = {
+  fate : bool;  (** [true]: commit *)
+  decided_in : int;  (** the slot that certified it *)
+  cert : batch Dls.decision_cert;  (** that slot's certificate *)
+}
+(** An item's decided fate, the slot that certified it and that slot's
+    certificate. *)
 
-val cert_of_slot : t -> int -> batch Dls.decision_cert option
+val decision_of : t -> item:int -> decision option
+(** The sequencer's record of a decided item; [None] on a follower, for
+    an undecided item and for a forgotten one. *)
 
-val cert_latency : t -> int -> Sim.Sim_time.t option
-(** Ticks from this replica opening the slot to its certificate, for a
-    decided slot. *)
+val forget : t -> item:int -> unit
+(** The host will not ask about this decided item again: the sequencer
+    drops its record (and, with the last item of its batch, the batch's
+    certificate) but still refuses a later verdict for it. No-op for an
+    item without a decision. *)
+
+type stats = {
+  certs : int;  (** slots decided *)
+  verdicts : int;  (** verdicts across their certificates *)
+  max_batch : int;  (** largest single certificate *)
+  rounds : int;  (** DLS rounds summed over decided slots *)
+  cert_lat_sum : int;
+      (** ticks from this replica opening (or joining) each decided slot to
+          its certificate, summed *)
+  cert_lat_max : int;
+}
+
+val stats : t -> stats
+(** Running aggregates over the slots this replica decided. *)
 
 val decided_slots : t -> int
+(** [(stats t).certs]. *)
+
 val slot_count : t -> int
 (** Slots this replica has seen opened (decided or not). *)
 

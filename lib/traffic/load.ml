@@ -28,7 +28,7 @@ type routing_stats = {
   instances_settled : int;
 }
 
-type committee_stats = {
+type committee_stats = Quorum.Committee.stats = {
   certs : int;
   verdicts : int;
   max_batch : int;
@@ -843,34 +843,33 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   let retirable ins = ins.i_done && ins.i_pay.closed && block_quiet ins in
   (* the instances sharing a shared-committee instance's certificate *)
   let batch_of ins =
-    match !sequencer_com with
-    | None -> None
-    | Some com -> (
-        match Quorum.Committee.verdict_of com ~item:ins.id with
-        | None -> None
-        | Some (_, slot) ->
-            Option.map
-              (fun cert ->
-                List.filter_map
-                  (fun (v : Quorum.Committee.verdict) ->
-                    Ids.find_opt live v.item)
-                  cert.Consensus.Dls.d_value)
-              (Quorum.Committee.cert_of_slot com slot))
+    Option.bind !sequencer_com (fun com ->
+        Option.map
+          (fun (d : Quorum.Committee.decision) ->
+            List.filter_map
+              (fun (v : Quorum.Committee.verdict) -> Ids.find_opt live v.item)
+              d.cert.Consensus.Dls.d_value)
+          (Quorum.Committee.decision_of com ~item:ins.id))
   in
   (* A shared-committee instance waits for its whole batch: the sequencer
      re-announces a certificate to every item of its batch whenever one
      item's late request arrives. Once no instance of the batch can ask
      again (each is quiet, with no request in flight), nothing will send
-     to any of them, and the retirable ones go together. *)
+     to any of them, and the retirable ones go together; the sequencer
+     then forgets their items. *)
   let try_retire ins =
     if Ids.mem live ins.id && retirable ins then
       if ins.i_pay.proto <> Workload.Shared then retire ins
       else
-        match batch_of ins with
-        | Some batch
+        match (batch_of ins, !sequencer_com) with
+        | Some batch, Some com
           when List.for_all (fun x -> x.i_asks = 0 && block_quiet x) batch ->
             List.iter
-              (fun x -> if Ids.mem live x.id && retirable x then retire x)
+              (fun x ->
+                if Ids.mem live x.id && retirable x then begin
+                  retire x;
+                  Quorum.Committee.forget com ~item:x.id
+                end)
               batch
         | _ -> ()
   in
@@ -1467,43 +1466,7 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       blame;
       blame_reports;
       routing;
-      committee_stats =
-        Option.map
-          (fun com ->
-            (* deterministic: read straight off the sequencer's committee
-               state, never the (domain-shared) metrics registry *)
-            let certs = ref 0
-            and verdicts = ref 0
-            and max_batch = ref 0
-            and rounds = ref 0
-            and lat_sum = ref 0
-            and lat_max = ref 0 in
-            for slot = 0 to Quorum.Committee.slot_count com - 1 do
-              match Quorum.Committee.cert_of_slot com slot with
-              | None -> ()
-              | Some cert ->
-                  let batch = List.length cert.Consensus.Dls.d_value in
-                  incr certs;
-                  verdicts := !verdicts + batch;
-                  if batch > !max_batch then max_batch := batch;
-                  rounds := !rounds + cert.Consensus.Dls.d_round + 1;
-                  let lat =
-                    Option.value
-                      (Quorum.Committee.cert_latency com slot)
-                      ~default:0
-                  in
-                  lat_sum := !lat_sum + lat;
-                  if lat > !lat_max then lat_max := lat
-            done;
-            {
-              certs = !certs;
-              verdicts = !verdicts;
-              max_batch = !max_batch;
-              rounds = !rounds;
-              cert_lat_sum = !lat_sum;
-              cert_lat_max = !lat_max;
-            })
-          !sequencer_com;
+      committee_stats = Option.map Quorum.Committee.stats !sequencer_com;
       events = Engine.events_processed engine;
       wall_ns = max 1 (Fleet.now_ns () - wall_t0);
       top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;

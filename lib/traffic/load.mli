@@ -56,7 +56,7 @@ type routing_stats = {
 }
 (** Router-level accounting for graph workloads; see {!report.routing}. *)
 
-type committee_stats = {
+type committee_stats = Quorum.Committee.stats = {
   certs : int;  (** batch certificates the sequencer decided *)
   verdicts : int;  (** payment verdicts across all certificates *)
   max_batch : int;  (** largest single certificate *)
@@ -68,8 +68,9 @@ type committee_stats = {
           [cert_lat_sum / certs]) *)
   cert_lat_max : int;
 }
-(** Deterministic shared-committee accounting, read from the sequencer's
-    {!Quorum.Committee} state after the run; see {!report.committee_stats}. *)
+(** Deterministic shared-committee accounting: the sequencer's running
+    {!Quorum.Committee.stats} at the end of the run; see
+    {!report.committee_stats}. *)
 
 type report = {
   workload : Workload.t;

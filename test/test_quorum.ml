@@ -151,6 +151,12 @@ let drain ?(now = 0) ?(drop = fun ~from_:_ ~to_:_ _ -> false) w =
 
 let request w ?(now = 0) i v = effects w ~from_:i (C.request w.coms.(i) ~now v)
 
+(* an item's decided fate and the slot that certified it *)
+let fate com ~item =
+  Option.map
+    (fun d -> (d.C.fate, d.C.decided_in))
+    (C.decision_of com ~item)
+
 (* ------------------------------------------------- golden trace pins *)
 
 (* The committee TM ran on a hardwired 2f+1 majority before the quorum
@@ -389,6 +395,137 @@ let allocation_tests =
             per_vote);
   ]
 
+(* ------------------------------------------------ slot lifecycle *)
+
+(* Decide one slot per item, one at a time, while the host forgets each
+   item once its certificate is out, as the load harness does when the
+   item's payment retires. *)
+let decide_items w items =
+  List.iter
+    (fun item ->
+      request w 0 { C.item; commit = true };
+      drain w;
+      C.forget w.coms.(0) ~item)
+    items
+
+let lifecycle_tests =
+  [
+    Alcotest.test_case "a decided slot ignores late messages and timeouts"
+      `Quick (fun () ->
+        (* keep one copy of every message of slot 0 that each replica
+           handled, to replay once the slot is decided *)
+        let w = make_world ~batch_cap:1 ~pipeline:1 () in
+        request w 0 { C.item = 0; commit = true };
+        let seen = ref [] in
+        while not (Queue.is_empty w.queue) do
+          let ((from_, to_, m) as delivery) = Queue.pop w.queue in
+          seen := delivery :: !seen;
+          effects w ~from_:to_ (C.on_msg w.coms.(to_) ~now:0 ~from_ m)
+        done;
+        let late_to k kind =
+          match
+            List.find_opt
+              (fun (_, to_, m) -> to_ = k && C.tag_of_msg m = kind)
+              !seen
+          with
+          | Some (from_, _, m) -> (from_, m)
+          | None -> Alcotest.failf "replica %d handled no %s" k kind
+        in
+        let new_round =
+          { C.slot = 0; dm = Dls.New_round { round = 1; locked = None } }
+        in
+        List.iter
+          (fun k ->
+            let com = w.coms.(k) in
+            check Alcotest.int "slot 0 decided" 1 (C.decided_slots com);
+            let slots = C.slot_count com in
+            List.iter
+              (fun kind ->
+                let from_, m = late_to k kind in
+                check Alcotest.int
+                  (Printf.sprintf "replica %d: late %s" k kind)
+                  0
+                  (List.length (C.on_msg com ~now:50 ~from_ m)))
+              [ "quorum:propose"; "quorum:echo"; "quorum:commit" ];
+            check Alcotest.int
+              (Printf.sprintf "replica %d: late new-round" k)
+              0
+              (List.length (C.on_msg com ~now:50 ~from_:1 new_round));
+            check Alcotest.int
+              (Printf.sprintf "replica %d: late timeout" k)
+              0
+              (List.length (C.on_slot_timeout com ~now:50 ~slot:0 ~round:0));
+            check Alcotest.int
+              (Printf.sprintf "replica %d: no slot re-opened" k)
+              slots (C.slot_count com))
+          [ 0; 1 ];
+        (* the pipeline lane is free: the next request opens slot 1, and
+           every replica decides it *)
+        let effs = C.request w.coms.(0) ~now:60 { C.item = 1; commit = true } in
+        check Alcotest.bool "next request opens a slot" true (effs <> []);
+        effects w ~from_:0 effs;
+        drain ~now:60 w;
+        Array.iteri
+          (fun k com ->
+            check Alcotest.int (Printf.sprintf "replica %d slots" k) 2
+              (C.slot_count com);
+            check Alcotest.int (Printf.sprintf "replica %d decided" k) 2
+              (C.decided_slots com))
+          w.coms;
+        check
+          Alcotest.(option (pair bool int))
+          "item 1 in slot 1" (Some (true, 1))
+          (fate w.coms.(0) ~item:1));
+    Alcotest.test_case "a forgotten item stays decided but unanswered"
+      `Quick (fun () ->
+        let w = make_world () in
+        request w 0 { C.item = 3; commit = true };
+        drain w;
+        let seq = w.coms.(0) in
+        check
+          Alcotest.(option (pair bool int))
+          "decided" (Some (true, 0)) (fate seq ~item:3);
+        C.forget seq ~item:3;
+        check
+          Alcotest.(option (pair bool int))
+          "forgotten" None (fate seq ~item:3);
+        check Alcotest.bool "duplicate dropped" true
+          (C.request seq ~now:0 { C.item = 3; commit = true } = []);
+        check Alcotest.bool "conflict dropped" true
+          (C.request seq ~now:0 { C.item = 3; commit = false } = []);
+        check Alcotest.int "no slot opened" 1 (C.slot_count seq);
+        (* forgetting an item without a decision changes nothing *)
+        request w 0 { C.item = 4; commit = false };
+        C.forget seq ~item:4;
+        drain w;
+        check
+          Alcotest.(option (pair bool int))
+          "undecided item kept" (Some (false, 1)) (fate seq ~item:4));
+    Alcotest.test_case "a replica's memory does not grow with decided slots"
+      `Quick (fun () ->
+        let w = make_world ~batch_cap:1 ~pipeline:1 () in
+        let words () =
+          Array.map (fun com -> Obj.reachable_words (Obj.repr com)) w.coms
+        in
+        decide_items w (List.init 8 Fun.id);
+        let at8 = words () in
+        decide_items w (List.init 56 (fun k -> 8 + k));
+        let at64 = words () in
+        Array.iteri
+          (fun k com ->
+            check Alcotest.int (Printf.sprintf "replica %d decided" k) 64
+              (C.decided_slots com);
+            (* a tombstone costs nothing once the watermark passes it, and
+               a forgotten item one bit *)
+            let per_slot = (at64.(k) - at8.(k)) / 56 in
+            if at64.(k) - at8.(k) > 2 * 56 then
+              Alcotest.failf
+                "replica %d grew from %d to %d words over 56 slots (%d per \
+                 slot)"
+                k at8.(k) at64.(k) per_slot)
+          w.coms);
+  ]
+
 (* ------------------------------------------------------------ tests *)
 
 let () =
@@ -454,9 +591,10 @@ let () =
               let seq = w.coms.(0) in
               check Alcotest.int "two slots" 2 (C.slot_count seq);
               check Alcotest.int "two certs" 2 (C.decided_slots seq);
-              (match C.cert_of_slot seq 1 with
+              (match C.decision_of seq ~item:1 with
               | None -> Alcotest.fail "no certificate"
-              | Some cert ->
+              | Some { C.decided_in; cert; _ } ->
+                  check Alcotest.int "slot 1's" 1 decided_in;
                   check Alcotest.int "batch of 3" 3
                     (List.length cert.Consensus.Dls.d_value);
                   (* any holder of the registry can verify, no quorum
@@ -475,18 +613,19 @@ let () =
                        }
                        cert));
               for item = 0 to 3 do
-                match C.verdict_of seq ~item with
+                match fate seq ~item with
                 | Some (commit, slot) ->
                     check Alcotest.bool "fate" (item mod 2 = 0) commit;
                     check Alcotest.int "slot" (if item = 0 then 0 else 1) slot
                 | None -> Alcotest.failf "item %d undecided" item
               done;
               (* slot 0 opened at the request (now=5) and certified
-                 during the drain (now=9) *)
-              check
-                Alcotest.(option int)
-                "cert latency from slot open" (Some 4)
-                (C.cert_latency seq 0));
+                 during the drain (now=9); slot 1 opened and certified
+                 within the drain *)
+              check Alcotest.int "cert latency from slot open" 4
+                (C.stats seq).C.cert_lat_sum;
+              check Alcotest.int "longest cert latency" 4
+                (C.stats seq).C.cert_lat_max);
           Alcotest.test_case "pipeline depth caps concurrently open slots"
             `Quick (fun () ->
               let w = make_world ~batch_cap:1 ~pipeline:2 () in
@@ -512,7 +651,7 @@ let () =
               check
                 Alcotest.(option (pair bool int))
                 "first verdict won" (Some (true, 0))
-                (C.verdict_of w.coms.(0) ~item:7));
+                (fate w.coms.(0) ~item:7));
           Alcotest.test_case "tampered certificates are rejected" `Quick
             (fun () ->
               let w = make_world ~batch_cap:2 () in
@@ -520,9 +659,9 @@ let () =
               request w 0 { C.item = 1; commit = true };
               drain w;
               let cert =
-                match C.cert_of_slot w.coms.(0) 0 with
-                | Some c -> c
-                | None -> Alcotest.fail "no certificate"
+                match C.decision_of w.coms.(0) ~item:0 with
+                | Some { C.decided_in = 0; cert; _ } -> cert
+                | _ -> Alcotest.fail "no certificate for slot 0"
               in
               let cfg =
                 {
@@ -588,13 +727,13 @@ let () =
               check
                 Alcotest.(option (pair bool int))
                 "foreign item decided" (Some (false, 0))
-                (C.verdict_of seq ~item:9);
+                (fate seq ~item:9);
               check Alcotest.bool "requeued item 0" true
-                (match C.verdict_of seq ~item:0 with
+                (match fate seq ~item:0 with
                 | Some (true, slot) -> slot > 0
                 | _ -> false);
               check Alcotest.bool "requeued item 1" true
-                (match C.verdict_of seq ~item:1 with
+                (match fate seq ~item:1 with
                 | Some (true, slot) -> slot > 0
                 | _ -> false);
               check Alcotest.int "two certificates" 2 (C.decided_slots seq));
@@ -626,6 +765,7 @@ let () =
                     = Ok w));
         ] );
       ("verifier", verifier_tests);
+      ("lifecycle", lifecycle_tests);
       ( "golden",
         [
           Alcotest.test_case

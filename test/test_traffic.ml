@@ -603,6 +603,11 @@ let shared_outage_spec =
   "payments=30 arrival=poisson:20 mix=shared policy=reserve liquidity=0 \
    patience=300 drift=10000 committee=majority:4:1:8:4"
 
+let committee_600_spec =
+  "payments=600 hops=2 value=1000 commission=10 arrival=poisson:4 \
+   mix=shared policy=reserve cap=0 liquidity=0 patience=100000 stuck=0 \
+   drift=0 gst=none committee=majority:16:5:32:4"
+
 let golden_runs =
   [
     ( "linear_2k spec at 200 payments",
@@ -670,6 +675,23 @@ let golden_runs =
       fun () ->
         Load.run ~plan:(plan_of "crash 3@200+300")
           ~workload:(spec (line shared_outage_spec)) ~seed:5 () );
+    (* the benchmark's committee_600 spec and a routed mix beside weak:
+       what a committee replica keeps between slots never shows here *)
+    ( "committee_600 spec, seed 1",
+      "0cc469c8fb904abc37c83f0d118d299d",
+      fun () -> Load.run ~workload:(spec committee_600_spec) ~seed:1 () );
+    ( "committee_600 spec, seed 2",
+      "449231db93519394e720f3fe0702dace",
+      fun () -> Load.run ~workload:(spec committee_600_spec) ~seed:2 () );
+    ( "er graph, shared and weak, three splits",
+      "35add73813fb7eba4176ca2fabb3d33f",
+      fun () ->
+        Load.run
+          ~workload:
+            (spec
+               "payments=40 mix=shared,weak committee=majority:4:1:8:4 \
+                topology=er:6:4:9 splits=3")
+          ~seed:1 () );
     ( "hub graph, two splits",
       "3eb9020cb10aa09f80ae0a97526bbc5b",
       fun () ->
