@@ -193,7 +193,6 @@ let make ~name ?(born = []) ~initial ~nodes () =
   }
 
 let name t = t.name
-let initial t = t.initial
 let born t = t.born
 
 let node t st =

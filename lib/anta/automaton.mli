@@ -87,7 +87,6 @@ val make :
     initial state. Deeper checks are in {!check}. *)
 
 val name : ('i, 'msg, 'obs) t -> string
-val initial : ('i, 'msg, 'obs) t -> state
 val born : ('i, 'msg, 'obs) t -> string list
 val node : ('i, 'msg, 'obs) t -> state -> ('i, 'msg, 'obs) node option
 val states : ('i, 'msg, 'obs) t -> state list

@@ -2,9 +2,6 @@ module A = Automaton
 
 type deviation = { at : Sim.Sim_time.t; state : A.state; reason : string }
 
-let pp_deviation ppf d =
-  Fmt.pf ppf "at t=%a in state %s: %s" Sim.Sim_time.pp d.at d.state d.reason
-
 type 'msg cursor = {
   mutable state : int;
   pool : 'msg Pool.t;

@@ -37,5 +37,3 @@ val check :
   tag_of:('msg -> string) ->
   ('msg, 'obs) Sim.Trace.t ->
   (unit, deviation) result
-
-val pp_deviation : Format.formatter -> deviation -> unit

@@ -67,7 +67,7 @@ let take_branch ctx r (b : ('i, 'msg, 'obs) A.cbranch) msg =
   b.c_act r.inst ctx r.sstore msg;
   b.c_next
 
-let rec enter ctx on_final r st =
+let rec enter ctx r st =
   r.state <- st;
   match A.cnode r.auto st with
   | A.C_missing ->
@@ -79,65 +79,67 @@ let rec enter ctx on_final r st =
       let m = message r.inst ctx r.sstore in
       if absolute then Engine.send_absolute ctx ~dst:to_ m
       else Engine.send ctx ~dst:to_ m;
-      enter ctx on_final r next
+      enter ctx r next
   | A.C_final { f_act } ->
       rearm ctx r [||];
       r.finished <- true;
       f_act r.inst ctx r.sstore;
-      on_final ctx r.sstore;
       Engine.halt ctx
   | A.C_input branches ->
       rearm ctx r branches;
       (* a message already in the pool may enable a transition right away *)
-      fire ctx on_final r branches
+      fire ctx r branches
 
-and fire ctx on_final r branches =
+and fire ctx r branches =
   let bi = A.match_receive branches r.inst r.pool in
   if bi >= 0 then begin
     let m = Pool.take_hit r.pool in
-    enter ctx on_final r (take_branch ctx r branches.(bi) (Some m))
+    enter ctx r (take_branch ctx r branches.(bi) (Some m))
   end
 
-let rec fire_deadline ctx on_final r branches label i =
+let rec fire_deadline ctx r branches label i =
   if i < Array.length branches then
     match branches.(i).A.cguard with
     | A.C_deadline { label = l; _ } when String.equal l label ->
-        enter ctx on_final r (take_branch ctx r branches.(i) None)
+        enter ctx r (take_branch ctx r branches.(i) None)
     | A.C_deadline _ | A.C_receive _ ->
-        fire_deadline ctx on_final r branches label (i + 1)
+        fire_deadline ctx r branches label (i + 1)
 
-let handlers auto inst ?(on_final = fun _ _ -> ()) () =
-  let r =
-    {
-      auto;
-      inst;
-      sstore =
-        Store.of_vars ~clocks:(A.clock_names auto) ~datas:(A.data_names auto);
-      pool = Pool.create ();
-      state = A.initial_index auto;
-      armed = [||];
-      finished = false;
-    }
-  in
+let running auto inst =
+  {
+    auto;
+    inst;
+    sstore = Store.of_vars ~clocks:(A.clock_names auto) ~datas:(A.data_names auto);
+    pool = Pool.create ();
+    state = A.initial_index auto;
+    armed = [||];
+    finished = false;
+  }
+
+let handlers_of r =
   let on_start ctx =
     let now = Engine.local_now ctx in
-    List.iter (fun v -> Store.set_clock r.sstore v now) (A.born auto);
-    enter ctx on_final r (A.initial_index auto)
+    List.iter (fun v -> Store.set_clock r.sstore v now) (A.born r.auto);
+    enter ctx r (A.initial_index r.auto)
   in
   let on_receive ctx ~src msg =
     if not r.finished then begin
       Pool.push r.pool src msg;
       match A.cnode r.auto r.state with
-      | A.C_input branches -> fire ctx on_final r branches
+      | A.C_input branches -> fire ctx r branches
       | A.C_output _ | A.C_final _ | A.C_missing -> ()
     end
   in
   let on_timer ctx ~label =
     if not r.finished then
       match A.cnode r.auto r.state with
-      | A.C_input branches -> fire_deadline ctx on_final r branches label 0
+      | A.C_input branches -> fire_deadline ctx r branches label 0
       | A.C_output _ | A.C_final _ | A.C_missing -> ()
   in
-  ({ Engine.on_start; on_receive; on_timer }, r)
+  { Engine.on_start; on_receive; on_timer }
 
-let instantiate t inst pid = fst (handlers t.(pid) inst ())
+let handlers auto inst =
+  let r = running auto inst in
+  (handlers_of r, r)
+
+let instantiate t inst pid = handlers_of (running t.(pid) inst)

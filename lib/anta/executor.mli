@@ -20,21 +20,19 @@ type ('i, 'msg, 'obs) running
 val handlers :
   ('i, 'msg, 'obs) Automaton.t ->
   'i ->
-  ?on_final:(('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
-  unit ->
   ('msg, 'obs) Sim.Engine.handlers * ('i, 'msg, 'obs) running
-(** [handlers auto inst ()] runs the template [auto] for the instance
-    [inst]: every guard, act and message of [auto] is applied to [inst].
-    The automaton is shared and never written; the process's own state
-    (current state, store, pending pool) is allocated here. The
-    automaton's birth clocks ({!Automaton.born}) are assigned [now] when
-    the process starts; [on_final] runs after the final state's own
-    action. The [running] handle exposes execution introspection. *)
+(** [handlers auto inst] is what {!instantiate} runs for one process,
+    together with a [running] handle on it that exposes execution
+    introspection. *)
 
 val instantiate :
   ('i, 'msg, 'obs) Automaton.t array -> 'i -> int -> ('msg, 'obs) Sim.Engine.handlers
 (** [instantiate t inst pid] runs pid's automaton of the template [t] (one
-    automaton per pid) for the instance [inst]. *)
+    automaton per pid) for the instance [inst]: every guard, act and
+    message of the automaton is applied to [inst]. The automaton is shared
+    and never written; the process's own state (current state, store,
+    pending pool) is allocated here. The automaton's birth clocks
+    ({!Automaton.born}) are assigned [now] when the process starts. *)
 
 val current_state : ('i, 'msg, 'obs) running -> Automaton.state
 val terminated : ('i, 'msg, 'obs) running -> bool

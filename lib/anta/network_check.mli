@@ -37,11 +37,8 @@ type issue =
 val check :
   ?peers:int list -> (int * ('i, 'msg, 'obs) Automaton.t) list -> issue list
 (** Analyse a network given as (pid, automaton) pairs, beside [peers].
-    The result lists every issue, errors first. *)
-
-val errors : issue list -> issue list
-(** The errors among [issues]: dangling sends and deaf receivers (an
-    unheard listener is a warning). *)
+    The result lists every issue, errors first: dangling sends and deaf
+    receivers are errors, an unheard listener is a warning. *)
 
 val well_formed :
   ?peers:int list -> ('i, 'msg, 'obs) Automaton.t array -> (unit, string) result

@@ -21,8 +21,6 @@ let of_vars ~clocks ~datas =
     datas = Array.make (Array.length datas) None;
   }
 
-let create () = of_vars ~clocks:[||] ~datas:[||]
-
 let rec slot names name i =
   if i >= Array.length names then -1
   else if String.equal names.(i) name then i
@@ -64,10 +62,6 @@ let clock t name =
   let i = slot t.cnames name 0 in
   if i >= 0 && t.cset.(i) then t.clocks.(i)
   else invalid_arg (Printf.sprintf "Anta.Store.clock: %s unset" name)
-
-let clock_opt t name =
-  let i = slot t.cnames name 0 in
-  if i >= 0 && t.cset.(i) then Some t.clocks.(i) else None
 
 let set_data t name v = set_data_at t (data_slot t name) v
 

@@ -15,17 +15,12 @@
 
 type 'msg t
 
-val create : unit -> 'msg t
-(** An empty store with no variable table: every name extends it. *)
-
 val set_clock : 'msg t -> string -> Sim.Sim_time.t -> unit
 val clock : 'msg t -> string -> Sim.Sim_time.t
 (** Raises [Invalid_argument] naming the variable if unset. *)
 
-val clock_opt : 'msg t -> string -> Sim.Sim_time.t option
 val set_data : 'msg t -> string -> 'msg -> unit
 val data : 'msg t -> string -> 'msg
-val data_opt : 'msg t -> string -> 'msg option
 val clock_vars : 'msg t -> string list
 (** Names of the clock variables that are set, sorted. *)
 

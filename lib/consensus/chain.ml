@@ -25,7 +25,6 @@ type ('tx, 'st, 'ev) config = {
 
 type ('tx, 'st, 'ev) t = {
   cfg : ('tx, 'st, 'ev) config;
-  mutable rev_chain : 'tx block list;  (* newest first *)
   mutable applied : 'tx list;  (* all txs already in the chain *)
   mutable mempool : 'tx list;  (* oldest first *)
   mutable round : round;
@@ -40,7 +39,6 @@ let create cfg =
     invalid_arg "Chain.create: block_interval must be positive";
   {
     cfg;
-    rev_chain = [];
     applied = [];
     mempool = [];
     round = 0;
@@ -48,13 +46,10 @@ let create cfg =
     future = [];
   }
 
-let height t = t.nheight
 let state t =
   List.fold_left
     (fun st tx -> fst (t.cfg.apply st tx))
     t.cfg.initial_state (List.rev t.applied)
-
-let chain t = List.rev t.rev_chain
 
 let proposer_of t height = ((height mod t.cfg.n) + t.cfg.n) mod t.cfg.n
 
@@ -100,7 +95,6 @@ let accept t block =
         (st', acc @ evs))
       (st, []) fresh
   in
-  t.rev_chain <- { block with txs = fresh } :: t.rev_chain;
   t.applied <- List.rev_append (List.rev fresh) t.applied;
   t.mempool <-
     List.filter

@@ -70,8 +70,3 @@ val on_msg :
 
 val on_round_timeout :
   ('tx, 'st, 'ev) t -> round -> ('tx, 'ev) effect list
-
-val height : ('tx, 'st, 'ev) t -> int
-val state : ('tx, 'st, 'ev) t -> 'st
-val chain : ('tx, 'st, 'ev) t -> 'tx block list
-(** Accepted blocks, oldest first. *)

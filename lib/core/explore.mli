@@ -66,8 +66,3 @@ val result_to_json :
 (** The sweep as one JSON object; every member except the trailing
     ["timing"] block is deterministic (strip it before byte-comparing
     across domain counts, as with {!Chaos.summary_to_json}). *)
-
-val message_budget : hops:int -> protocol:Protocols.Runner.protocol -> int
-(** How many sends the corner encoding covers for this instance (messages
-    beyond the budget fall back to maximal delay — for the supported
-    protocols the budget is exact). *)

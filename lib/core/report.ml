@@ -100,5 +100,3 @@ let pp ppf t =
       List.iter (fun b -> Fmt.pf ppf "  %a@," Props.Promises.pp_breach b) bs);
   Fmt.pf ppf "conservation: %s@]"
     (if t.conserved then "every book audits" else "VIOLATED")
-
-let to_string t = Fmt.str "%a" pp t

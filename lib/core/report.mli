@@ -33,4 +33,3 @@ val build : Protocols.Runner.outcome -> t
     [Naive_universal] — checks every payment participant's conformance. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -37,5 +37,3 @@ let render ppf t =
   List.iter (fun row -> Fmt.pf ppf "%s@," (line row)) t.rows;
   List.iter (fun n -> Fmt.pf ppf "note: %s@," n) t.notes;
   Fmt.pf ppf "@]"
-
-let to_string t = Fmt.str "%a" render t

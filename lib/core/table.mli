@@ -23,5 +23,3 @@ val cell_b : bool -> string
 
 val render : Format.formatter -> t -> unit
 (** Column-aligned ASCII; header separated by dashes. *)
-
-val to_string : t -> string

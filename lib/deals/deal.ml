@@ -26,11 +26,6 @@ let parties t = t.parties
 let arcs t = t.arc_list
 let arc_count t = List.length t.arc_list
 
-let transfer t ~from_ ~to_ =
-  List.find_map
-    (fun a -> if a.from_ = from_ && a.to_ = to_ then Some a.asset else None)
-    t.arc_list
-
 let outgoing t p = List.filter (fun a -> a.from_ = p) t.arc_list
 let incoming t p = List.filter (fun a -> a.to_ = p) t.arc_list
 let successors t p = List.map (fun a -> a.to_) (outgoing t p)

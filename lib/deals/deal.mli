@@ -28,15 +28,10 @@ val make : parties:int -> transfers:(party * party * Ledger.Asset.t) list -> t
 val parties : t -> int
 val arcs : t -> arc list
 val arc_count : t -> int
-val transfer : t -> from_:party -> to_:party -> Ledger.Asset.t option
-
-val outgoing : t -> party -> arc list
-val incoming : t -> party -> arc list
-
 val successors : t -> party -> party list
-val strongly_connected : t -> bool
+
 val well_formed : t -> bool
-(** = {!strongly_connected} (and at least one arc). *)
+(** The graph is strongly connected and has at least one arc. *)
 
 val diameter : t -> int
 (** Longest shortest-path over the arc graph, counting hops; 0 for a
@@ -45,8 +40,6 @@ val diameter : t -> int
 
 val expected_gain : t -> party -> Ledger.Asset.Bag.t
 (** Everything [M(·,i)] promises party [i]. *)
-
-val expected_loss : t -> party -> Ledger.Asset.Bag.t
 
 val acceptable :
   t -> party -> gained:Ledger.Asset.Bag.t -> lost:Ledger.Asset.Bag.t -> bool

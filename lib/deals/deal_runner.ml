@@ -79,8 +79,6 @@ let claim_window cfg =
 (* --------------------------- escrow per arc --------------------------- *)
 
 let arc_escrow cfg registry books k (arc : Deal.arc) =
-  let self_will_be = () in
-  ignore self_will_be;
   let book = books.(k) in
   let deposit = ref None in
   let resolved = ref false in

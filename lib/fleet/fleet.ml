@@ -186,7 +186,3 @@ let run ?domains ?chunk ?on_progress ?(metrics = Obsv.Metrics.default) ~jobs f =
   in
   record_metrics metrics stats;
   (results, stats)
-
-let failures outcomes =
-  Array.to_list outcomes
-  |> List.filter_map (function Error f -> Some f | Ok _ -> None)

@@ -77,9 +77,6 @@ val run :
     Raises [Invalid_argument] if [jobs < 0], [domains < 1] or
     [chunk < 1]. *)
 
-val failures : 'a outcome array -> failure list
-(** The [Error] outcomes, in job-id order. *)
-
 val now_ns : unit -> int
 (** Wall-clock nanoseconds (from [Unix.gettimeofday]); the clock used for
     {!stats} timing, exposed so callers report durations consistently. *)

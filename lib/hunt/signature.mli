@@ -26,13 +26,17 @@
 type t = {
   classification : Xchain.Chaos.classification;
   failed : string list;  (** failed verdict property names, sorted *)
-  blame : int array;  (** 7 share buckets in {!Obsv.Blame.categories}
-                          order, or [[||]] when no blame path exists *)
-  injected : int array;  (** 4 count buckets: drop, dup, corrupt, partition *)
+  blame : int array;
+      (** 7 share buckets, in the order of {!Obsv.Blame.category}'s
+          constructors, or [[||]] when no blame path exists: 0, (0,10%],
+          (10,40%], (40,80%], >80% of the latency *)
+  injected : int array;
+      (** 4 count buckets (0, 1, 2–3, 4–7, 8+): drop, dup, corrupt,
+          partition *)
   clauses : int array;  (** fired-clause profile: links, crashes,
                             recoveries, partitions (each 0..2), gst (0/1) *)
   path : int;
-      (** path-shape bucket ({!count_bucket} of the run's hop count):
+      (** path-shape bucket (the count bucket of the run's hop count):
           constant for a fixed-hops hunt, discriminating once topology
           routing mixes path lengths in one corpus *)
   breach : int;
@@ -52,8 +56,3 @@ val of_run :
 val to_string : t -> string
 (** Compact stable key, e.g. ["stuck||b-|i10010|c10110|p2|t0"]. Corpus
     files and reports key on this string. *)
-
-(**/**)
-
-val count_bucket : int -> int
-val share_bucket : total:int -> int -> int

@@ -10,17 +10,6 @@ type t = { currency : string; amount : int }
 val make : currency:string -> amount:int -> t
 (** [amount] must be non-negative. *)
 
-val zero : string -> t
-val is_zero : t -> bool
-val add : t -> t -> t
-(** Same-currency addition; raises [Invalid_argument] on currency
-    mismatch. *)
-
-val sub : t -> t -> t
-(** Same-currency subtraction; raises if the result would be negative. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** {1 Bags} *)
@@ -33,20 +22,11 @@ module Bag : sig
   val empty : t
   val is_empty : t -> bool
   val of_list : asset list -> t
-  val to_list : t -> asset list
-  (** Sorted by currency; zero entries omitted. *)
-
   val add : t -> asset -> t
-  val union : t -> t -> t
 
-  val sub : t -> asset -> (t, string) result
-  (** Fails (with a message) if the bag does not contain the asset. *)
-
-  val diff : t -> t -> (t, string) result
   val geq : t -> t -> bool
   (** Pointwise ≥ on every currency. *)
 
-  val amount : t -> string -> int
-  val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
+  (** The non-zero entries, sorted by currency; [∅] for an empty bag. *)
 end

@@ -21,7 +21,6 @@ type t = {
       (** issued deposits, less the resolved ones a caller forgot *)
   mutable next_id : deposit_id;
   mutable pool : int;  (** sum of [Held] deposit amounts *)
-  mutable ops : int;  (** successful operations so far *)
   mutable initial_supply : int;
 }
 
@@ -32,7 +31,6 @@ let create ~currency =
     deposits = Hashtbl.create 8;
     next_id = 0;
     pool = 0;
-    ops = 0;
     initial_supply = 0;
   }
 
@@ -43,8 +41,7 @@ let open_account t ~owner ~balance =
   | Some _ -> invalid_arg "Book.open_account: account exists with other balance"
   | None ->
       Hashtbl.add t.balances owner balance;
-      t.initial_supply <- t.initial_supply + balance;
-      t.ops <- t.ops + 1
+      t.initial_supply <- t.initial_supply + balance
 
 let has_account t owner = Hashtbl.mem t.balances owner
 let balance t owner = Option.value ~default:0 (Hashtbl.find_opt t.balances owner)
@@ -78,7 +75,6 @@ let transfer t ~src ~dst ~amount =
     | Error _ as e -> e
     | Ok () ->
         (match credit t dst amount with Ok () -> () | Error _ -> assert false);
-        t.ops <- t.ops + 1;
         Ok ()
 
 let deposit t ~from_ ~amount =
@@ -90,15 +86,13 @@ let deposit t ~from_ ~amount =
       t.next_id <- id + 1;
       Hashtbl.add t.deposits id { depositor = from_; amount; status = Held };
       t.pool <- t.pool + amount;
-      t.ops <- t.ops + 1;
       Ok id
 
 (* The only writer of a deposit's status once it is issued: a [Held]
    deposit leaves the pool here, so [pool] is the sum of held amounts. *)
 let settle t d status =
   d.status <- status;
-  t.pool <- t.pool - d.amount;
-  t.ops <- t.ops + 1
+  t.pool <- t.pool - d.amount
 
 let resolve t id ~into =
   match Hashtbl.find_opt t.deposits id with
@@ -138,9 +132,6 @@ let forget t id =
 let deposit_status t id =
   Option.map (fun d -> d.status) (Hashtbl.find_opt t.deposits id)
 
-let deposit_amount t id =
-  Option.map (fun d -> d.amount) (Hashtbl.find_opt t.deposits id)
-
 let pool_total t = t.pool
 
 let total_supply t =
@@ -158,8 +149,6 @@ let audit t =
       (Fmt.str "conservation violated: supply %d, initially %d" (total_supply t)
          t.initial_supply)
   else Ok ()
-
-let journal_length t = t.ops
 
 let pp_error ppf = function
   | Unknown_account a -> Fmt.pf ppf "unknown account %d" a

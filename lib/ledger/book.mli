@@ -38,9 +38,6 @@ val has_account : t -> int -> bool
 val balance : t -> int -> int
 (** Balance of an account; 0 for unknown accounts. *)
 
-val accounts : t -> (int * int) list
-(** All [(owner, balance)] pairs, sorted by owner. *)
-
 val transfer : t -> src:int -> dst:int -> amount:int -> (unit, error) result
 (** Direct transfer between two customers of this escrow. *)
 
@@ -61,25 +58,16 @@ val forget : t -> deposit_id -> unit
     alone. Balances, the pool and the journal are unchanged. *)
 
 val deposit_status : t -> deposit_id -> deposit_status option
-val deposit_amount : t -> deposit_id -> int option
 val pool_total : t -> int
 (** Sum of all still-held deposits. O(1): kept as a running sum, raised
     when a deposit is taken and lowered when a held one is released or
     refunded. *)
-
-val total_supply : t -> int
-(** Sum of balances plus pool — constant under every successful op.
-    O(accounts). *)
 
 val audit : t -> (unit, string) result
 (** Checks that no balance is negative and that the sum of balances plus
     the held pool equals the initial supply. O(accounts), so cheap enough
     to run after every event. Returns a diagnostic on the (never expected)
     failure. *)
-
-val journal_length : t -> int
-(** Number of successful operations so far (account openings included);
-    a failed operation does not count. O(1). *)
 
 val pp_error : Format.formatter -> error -> unit
 val pp : Format.formatter -> t -> unit

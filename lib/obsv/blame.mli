@@ -35,11 +35,6 @@ type category =
   | Processing
   | External
 
-val categories : category list
-(** All categories, in the stable report order above. *)
-
-val category_name : category -> string
-
 type segment = {
   seg_src : int;  (** predecessor node id; [-1] for the [External] cut *)
   seg_dst : int;

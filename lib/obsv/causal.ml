@@ -23,7 +23,7 @@ type node = {
   pid : int;
   at : int;
   label : string;
-  mutable trace : int;
+  trace : int;
   mutable rev_preds : (edge_kind * int) list;
 }
 
@@ -65,8 +65,6 @@ let add_edge t ~kind ~src ~dst =
   nd.rev_preds <- (kind, src) :: nd.rev_preds;
   t.edges <- t.edges + 1
 
-let set_trace t i ~trace = (node t i).trace <- trace
-
 let kind_of t i = (node t i).kind
 let pid_of t i = (node t i).pid
 let time_of t i = (node t i).at
@@ -78,21 +76,6 @@ let iter_edges t ~f =
   for dst = 0 to t.n - 1 do
     List.iter (fun (kind, src) -> f ~kind ~src ~dst) (preds t dst)
   done
-
-let path_valid t = function
-  | [] | [ _ ] -> true
-  | first :: _ as path ->
-      first >= 0
-      && first < t.n
-      && fst
-           (List.fold_left
-              (fun (ok, prev) cur ->
-                if not ok then (false, cur)
-                else if cur <= prev || cur >= t.n then (false, cur)
-                else
-                  ( List.exists (fun (_, s) -> s = prev) (node t cur).rev_preds,
-                    cur ))
-              (true, first) (List.tl path))
 
 (* ------------------------------ exporters ------------------------------ *)
 

@@ -51,9 +51,6 @@ val add_edge : t -> kind:edge_kind -> src:int -> dst:int -> unit
     [0 <= src < dst < node_count] — edges only point forward, which keeps
     the graph acyclic by construction. *)
 
-val set_trace : t -> int -> trace:int -> unit
-(** Reassign a node's trace id (used to tag a node retroactively). *)
-
 (** {1 Reading} *)
 
 val node_count : t -> int
@@ -67,14 +64,6 @@ val preds : t -> int -> (edge_kind * int) list
 (** Incoming edges of a node as [(kind, src)], in insertion order. *)
 
 val edge_count : t -> int
-
-val iter_edges : t -> f:(kind:edge_kind -> src:int -> dst:int -> unit) -> unit
-(** Every edge, ordered by destination node then insertion. *)
-
-val path_valid : t -> int list -> bool
-(** Is this a source→sink path in the DAG: node ids strictly increasing
-    and every consecutive pair joined by an edge? (Singleton and empty
-    lists are vacuously valid.) *)
 
 (** {1 Exporters} *)
 

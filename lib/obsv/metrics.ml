@@ -231,11 +231,6 @@ let observe h v =
 
 (* ------------------------------ reading ------------------------------- *)
 
-let counter_value c = Atomic.get c
-let gauge_value g = Atomic.get g
-let histogram_count h = Atomic.get h.h_count
-let histogram_sum h = Atomic.get h.h_sum
-
 let histogram_buckets h =
   let acc = ref 0 in
   let cumulative =

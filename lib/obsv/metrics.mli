@@ -18,7 +18,9 @@
 
     All values are integers: simulation time is integer ticks
     ({!Sim.Sim_time.t}), and counts are counts. Histograms use preallocated
-    bucket arrays; see {!log_buckets} for the default log-scale layout.
+    bucket arrays; the default layout is a 1–2–5 log scale, 1 .. 10^7 (21
+    buckets plus the implicit [+Inf]), chosen to resolve both single-hop
+    message delays (~10^2 ticks) and full payment horizons (~10^6 ticks).
 
     Instruments registered under the same name must agree on kind and
     bucket layout; disagreement is a programming error and raises
@@ -44,22 +46,16 @@ val default : t
 (** The process-wide registry. Library instrumentation (engine, network,
     runners, consensus) records here unless handed an explicit registry. *)
 
-val log_buckets : int array
-(** The default 1–2–5 log-scale upper bounds, 1 .. 10^7 (21 buckets plus
-    the implicit [+Inf]). Chosen to resolve both single-hop message delays
-    (~10^2 ticks) and full payment horizons (~10^6 ticks). *)
-
-val cardinality_cap : int
-(** Maximum number of distinct label sets per family (64). Past the cap,
-    lookups return the family's shared overflow child, labeled
-    [overflow="true"] — unbounded label values can degrade a metric but
-    can never exhaust memory. *)
-
 (** {1 Registration}
 
     Registering an existing (name, labels) pair returns the same handle,
     so call sites may re-register idempotently; hot paths should still
-    hoist the handle out of their loop. *)
+    hoist the handle out of their loop.
+
+    A family keeps at most 64 distinct label sets. Past the cap, lookups
+    return the family's shared overflow child, labeled [overflow="true"]:
+    unbounded label values can degrade a metric but can never exhaust
+    memory. *)
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
@@ -71,8 +67,8 @@ val histogram :
   ?labels:(string * string) list ->
   string ->
   histogram
-(** [buckets] are strictly increasing upper bounds (default
-    {!log_buckets}); an implicit [+Inf] bucket is always appended. *)
+(** [buckets] are strictly increasing upper bounds (default: the 1–2–5
+    log scale above); an implicit [+Inf] bucket is always appended. *)
 
 (** {1 Hot path} — zero allocation, O(1) (O(log buckets) for observe). *)
 
@@ -89,22 +85,14 @@ val observe : histogram -> int -> unit
 
 (** {1 Reading} *)
 
-val counter_value : counter -> int
-val gauge_value : gauge -> int
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> int
-
-val histogram_buckets : histogram -> (int * int) list
-(** [(upper_bound, cumulative_count)] pairs, ascending; the final pair is
-    [(max_int, count)] standing for [+Inf]. *)
-
 (** {1 Snapshots} *)
 
 type value =
   | Counter_v of int
   | Gauge_v of int
   | Histogram_v of { sum : int; count : int; buckets : (int * int) list }
+      (** [buckets]: [(upper_bound, cumulative_count)] pairs, ascending;
+          the final pair is [(max_int, count)] standing for [+Inf] *)
 
 type sample = {
   s_name : string;

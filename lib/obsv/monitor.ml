@@ -12,7 +12,7 @@ type trip = { property : string; detail : string; at : int }
 type check = { name : string; run : unit -> string option }
 
 type t = {
-  mutable checks : check list; (* registration order, reversed *)
+  mutable checks : check array; (* registration order *)
   mutable live : (string * trip) list; (* currently-violated properties *)
   mutable first_trip : trip option; (* never reset once set *)
   mutable steps : int;
@@ -20,30 +20,41 @@ type t = {
 }
 
 let create ?(stop_on_violation = false) () =
-  { checks = []; live = []; first_trip = None; steps = 0; stop_on_violation }
+  { checks = [||]; live = []; first_trip = None; steps = 0; stop_on_violation }
 
-let register t ~name run = t.checks <- { name; run } :: t.checks
+(* registration is set-up work; [step] runs on every dispatch, so it walks
+   the array with a loop and allocates nothing while every check holds *)
+let register t ~name run = t.checks <- Array.append t.checks [| { name; run } |]
 
 let step t ~at =
   t.steps <- t.steps + 1;
-  List.iter
-    (fun c ->
-      match c.run () with
-      | None -> if List.mem_assoc c.name t.live then
-            t.live <- List.remove_assoc c.name t.live
-      | Some detail ->
-          if not (List.mem_assoc c.name t.live) then begin
-            let trip = { property = c.name; detail; at } in
-            t.live <- (c.name, trip) :: t.live;
-            if t.first_trip = None then t.first_trip <- Some trip
-          end)
-    t.checks
+  for i = 0 to Array.length t.checks - 1 do
+    let c = t.checks.(i) in
+    match c.run () with
+    | None ->
+        if List.mem_assoc c.name t.live then
+          t.live <- List.remove_assoc c.name t.live
+    | Some detail ->
+        if not (List.mem_assoc c.name t.live) then begin
+          let trip = { property = c.name; detail; at } in
+          t.live <- (c.name, trip) :: t.live;
+          if t.first_trip = None then t.first_trip <- Some trip
+        end
+  done
 
 let finalize t ~at = step t ~at
 
+(* the position of the first check registered under [name] *)
+let rank t name =
+  let rec go i = if String.equal t.checks.(i).name name then i else go (i + 1) in
+  go 0
+
 let violations t =
-  (* registration order, like a post-hoc report *)
-  List.rev (List.map snd t.live)
+  (* registration order, like a post-hoc report, whatever order the
+     properties tripped in *)
+  List.stable_sort
+    (fun a b -> Int.compare (rank t a.property) (rank t b.property))
+    (List.rev_map snd t.live)
 
 let first_trip t = t.first_trip
 let steps t = t.steps

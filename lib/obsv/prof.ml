@@ -89,7 +89,7 @@ let intern t name =
   | None ->
       (* known names keep their ids forever; only {e new} names land in
          the shared last slot once the table is full — the same
-         bounded-degradation policy as Metrics.cardinality_cap *)
+         bounded-degradation policy as a Metrics family's label sets *)
       if t.nlabels < label_cap - 1 then insert t name
       else
         match Hashtbl.find_opt t.labels "overflow" with
@@ -141,8 +141,6 @@ type site = {
   s_wall_ns : int;
   s_alloc_words : int;
 }
-
-let events t = t.nevents
 
 let label_name t id =
   if id >= 0 && id < t.nlabels then t.label_names.(id) else "?"

@@ -26,8 +26,8 @@
 
     Reconciliation semantics (tested in [test_obsv.ml]): the per-site
     [count]s sum {e exactly} to the number of profiled dispatches
-    ({!events}, = {!Sim.Engine.events_processed} when the profiler was
-    attached for the engine's whole life); per-site wall and allocation
+    (= {!Sim.Engine.events_processed} when the profiler was attached for
+    the engine's whole life); per-site wall and allocation
     sums are ≤ the {!run_totals}, whose excess — the epsilon — is the
     run loop's own bookkeeping outside [dispatch] (queue pop, peek,
     telemetry stores, the probes themselves). *)
@@ -50,15 +50,12 @@ val create : ?now_ns:(unit -> int) -> ?metrics:Metrics.t -> unit -> t
 
 (** {1 Engine-facing hot path} *)
 
-val label_cap : int
-(** Maximum distinct process labels (1024). Past the cap {!intern}
-    returns the shared ["overflow"] id — same bounded-degradation policy
-    as {!Metrics.cardinality_cap}. *)
-
 val intern : t -> string -> int
 (** Resolve a process label to its small-int id, registering it on first
     use. Idempotent; called once per process at [add_process] time, not
-    per event. *)
+    per event. A profiler keeps at most 1024 distinct labels: past the
+    cap, [intern] returns the shared ["overflow"] id — the same
+    bounded-degradation policy as a {!Metrics} family's label sets. *)
 
 val observe_queue_depth : t -> int -> unit
 val enter : t -> unit
@@ -86,15 +83,9 @@ type site = {
   s_alloc_words : int;
 }
 
-val events : t -> int
-(** Total profiled dispatches (= Σ per-site counts, exactly). *)
-
 val sites : t -> site list
 (** All sites in deterministic order: by trace, then label id (intern
     order), then kind. *)
-
-val site_totals : t -> int * int * int
-(** [(count, wall_ns, alloc_words)] summed over all sites. *)
 
 val run_totals : t -> int * int
 (** [(wall_ns, alloc_words)] across every {!run_begin}/{!run_end}

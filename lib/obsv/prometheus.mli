@@ -11,8 +11,6 @@
     deterministic for a deterministic workload — the CLI cram tests rely
     on this. *)
 
-val escape_label_value : string -> string
-
 val render : Metrics.t -> string
 (** The full exposition, families in registration order, terminated by a
     newline. *)

@@ -24,9 +24,6 @@ val tick : t -> now:int -> unit
 (** Called by the engine after each dispatch; samples when [now] has
     reached the next due time. *)
 
-val rows : t -> (int * int array) list
-(** Accumulated [(sim_time, row)] samples, oldest first. *)
-
 val to_jsonl : t -> string
 (** One JSON object per row — [{"t":N,"<col>":v,...}] — followed by a
     trailing [{"series":{"rows":N,"interval":I}}] meta line. Fully

@@ -5,7 +5,7 @@ type span = {
   start_time : int;
   mutable end_time : int; (* -1 while running *)
   mutable status : string;
-  mutable attrs : (string * string) list;
+  attrs : (string * string) list;
   recorded : bool; (* false for the dummy returned when capture is off *)
   trace_id : int; (* causal trace id, -1 when the span is not linked *)
   root_event : int; (* causal node id of the span's root event, or -1 *)
@@ -14,11 +14,10 @@ type span = {
 type t = {
   mutable next_id : int;
   mutable rev_spans : span list;
-  mutable n : int;
   mutable capturing : bool;
 }
 
-let create () = { next_id = 0; rev_spans = []; n = 0; capturing = true }
+let create () = { next_id = 0; rev_spans = []; capturing = true }
 let default = create ()
 
 (* Collectors are shared across fleet domains (Runner records into
@@ -69,7 +68,6 @@ let start t ?parent ?(attrs = []) ?(trace_id = -1) ?(root_event = -1) ~name
         in
         t.next_id <- t.next_id + 1;
         t.rev_spans <- s :: t.rev_spans;
-        t.n <- t.n + 1;
         s)
 
 let finish ?(status = "ok") ~at s =
@@ -78,33 +76,11 @@ let finish ?(status = "ok") ~at s =
   s.end_time <- at;
   s.status <- status
 
-let finish_running ?(status = "stuck") ~at t =
-  List.fold_left
-    (fun n s ->
-      if s.end_time < 0 then begin
-        finish ~status ~at:(Stdlib.max at s.start_time) s;
-        n + 1
-      end
-      else n)
-    0 t.rev_spans
-
-let span_id s = s.id
-let span_name s = s.name
-let span_parent s = s.parent
-let span_start s = s.start_time
-let span_end s = if s.end_time < 0 then None else Some s.end_time
-let span_status s = s.status
 let span_attrs s = List.rev s.attrs
-let span_trace_id s = if s.trace_id < 0 then None else Some s.trace_id
-let span_root_event s = if s.root_event < 0 then None else Some s.root_event
-
-let count t = t.n
 let spans t = List.rev t.rev_spans
-let roots t = List.filter (fun s -> s.parent = None) (spans t)
 
 let clear t =
   t.rev_spans <- [];
-  t.n <- 0;
   t.next_id <- 0
 
 let to_jsonl t =

@@ -18,8 +18,8 @@
     under parallelism — deterministic span dumps require a single-domain
     run, which is why the CLI rejects [--spans-out] combined with [-j > 1].
     {!finish} takes no lock: a span is finished only by the domain that
-    started it. Reading ({!spans}, {!to_jsonl}) is safe once the batch has
-    been joined. *)
+    started it. Reading ({!to_jsonl}) is safe once the batch has been
+    joined. *)
 
 type t
 (** A span collector. *)
@@ -63,41 +63,10 @@ val finish : ?status:string -> at:int -> span -> unit
     finished span, or finishing before the start time, raises
     [Invalid_argument]. *)
 
-val finish_running : ?status:string -> at:int -> t -> int
-(** Force-finishes every span in the collector that is still running, at
-    sim-time [at] (clamped per span to its start time), with [status]
-    (default ["stuck"] — the {!Load} convention for payments that never
-    settled by the horizon). Returns how many spans were closed. Exports
-    must never show ["running"] intervals for work the scheduler has
-    already given up on; run this at the horizon before dumping. *)
+val clear : t -> unit
+(** Drop every span and restart ids at 0. *)
 
 (** {1 Reading} *)
-
-val span_id : span -> int
-val span_name : span -> string
-val span_parent : span -> int option
-val span_start : span -> int
-
-val span_end : span -> int option
-(** [None] while running. *)
-
-val span_status : span -> string
-(** ["running"] until finished. *)
-
-val span_trace_id : span -> int option
-(** The causal trace id the span was linked to, if any. *)
-
-val span_root_event : span -> int option
-(** The causal node id of the span's root event, if linked. *)
-
-val count : t -> int
-val roots : t -> span list
-(** Spans with no parent, in start order. *)
-
-val spans : t -> span list
-(** All spans, in start order. *)
-
-val clear : t -> unit
 
 val to_jsonl : t -> string
 (** One JSON object per span, in start order:

@@ -31,8 +31,6 @@ val made_payment : t -> int -> bool
 (** The pid sent [Money] or [Htlc_setup]. *)
 
 val issued_cert : t -> int -> bool
-val received_cert : t -> int -> Protocols.Obs.cert_kind -> bool
-(** A {e valid} certificate of that kind arrived. *)
 
 val rejections : t -> (int * string) list
 (** [(pid, what)] of every [Rejected] observation, chronological. *)

@@ -40,32 +40,25 @@ val check :
 
 (** {1 Definition 1 — (time-bounded / eventually terminating) protocol} *)
 
-val check_t : time_bounded:bool -> run_view -> Verdict.t
-(** Termination for every honest customer whose escrows abide and who made
-    a payment or issued a certificate. With [time_bounded], termination
-    must occur by the derived horizon (global time — the a-priori known
-    period). *)
-
 val check_es : run_view -> Verdict.t
 (** No honest escrow lost money: its own account did not go negative, its
     book audits (conservation + single resolution). *)
 
-val check_l : run_view -> Verdict.t
-(** Strong liveness: with no faults at all, Bob was paid. *)
-
 val check_def1 : time_bounded:bool -> run_view -> Verdict.report
-(** C, T, ES, CS1, CS2, CS3, L; C and CS1–CS3 are {!Payment_fold}'s. *)
+(** C, T, ES, CS1, CS2, CS3, L; C and CS1–CS3 are {!Payment_fold}'s. T:
+    termination for every honest customer whose escrows abide and who
+    made a payment or issued a certificate; with [time_bounded], by the
+    derived horizon (global time — the a-priori known period). L (strong
+    liveness): with no faults at all, Bob was paid. *)
 
 (** {1 Definition 2 — weak liveness guarantees} *)
 
-val check_t_weak : run_view -> Verdict.t
-(** Eventual termination of honest customers whose escrows abide (under a
-    correct TM). *)
-
 val check_def2 : patience_sufficient:bool -> run_view -> Verdict.report
 (** C, CC, T, ES, CS1w, CS2w, CS3, Lw; all but T, ES and Lw are
-    {!Payment_fold}'s. Lw (weak liveness) applies only when all abide
-    {e and} [patience_sufficient]; then Bob must have been paid. *)
+    {!Payment_fold}'s. T here is eventual termination of honest customers
+    whose escrows abide (under a correct TM). Lw (weak liveness) applies
+    only when all abide {e and} [patience_sufficient]; then Bob must have
+    been paid. *)
 
 (** {1 Helpers for experiments} *)
 

@@ -150,11 +150,3 @@ let breaches v =
       |> check_p v ~escrow:epid ~cust_down ~epsilon)
     [] (Topology.escrows topo)
   |> List.rev
-
-let check_promises v =
-  let honest_breaches =
-    List.filter (fun b -> not (v.Payment_props.byzantine b.escrow)) (breaches v)
-  in
-  match honest_breaches with
-  | [] -> Verdict.ok "PR" "every honest escrow honoured its promises"
-  | b :: _ -> Verdict.violated "PR" (Fmt.str "%a" pp_breach b)

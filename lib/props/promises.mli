@@ -26,9 +26,4 @@ val breaches : Payment_props.run_view -> breach list
 (** Every promise breach in the run, by any escrow. The ε used for P is
     the run's derived [Params.epsilon]. *)
 
-val check_promises : Payment_props.run_view -> Verdict.t
-(** Property "PR": no {e honest} escrow breached a promise it issued.
-    (A Byzantine escrow's breaches void its customers' guarantees instead —
-    that accounting is in {!Payment_props}.) *)
-
 val pp_breach : Format.formatter -> breach -> unit

@@ -26,7 +26,6 @@ val all_hold : report -> bool
 (** Every applicable property holds. *)
 
 val failures : report -> t list
-val find : report -> string -> t option
 val holds : report -> string -> bool
 (** True if the named property is inapplicable or held. *)
 

@@ -42,18 +42,10 @@ type t =
 
 val name : t -> string
 
-val applicable_to : t -> Topology.role -> bool
-(** Whether the strategy makes sense for the given role (e.g.
-    [Thief_escrow] only for escrows). *)
-
 val handlers :
   Env.t -> ?tms:int array -> pid:int -> t -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** Raises [Invalid_argument] if the strategy is not {!applicable_to} the
-    pid's role. *)
-
-val all : t list
-(** Every parameterless strategy, for sweep experiments (the [Impatient]
-    entry uses a zero patience). *)
+(** Raises [Invalid_argument] if the strategy does not fit the pid's
+    role (e.g. [Thief_escrow] anywhere but at an escrow). *)
 
 (** {1 The [--fault] spelling}
 
@@ -68,7 +60,7 @@ val fault_to_string : Topology.t -> int * t -> string
 
 val fault_of_string : Topology.t -> string -> (int * t, string) result
 (** The inverse of {!fault_to_string} over the {!spelled} strategies at
-    the payment pids they are {!applicable_to}. Errors, checked in this
+    the payment pids whose role they fit. Errors, checked in this
     order: ["fault \"...\" is not strategy@role"], ["unknown role
     \"...\""], ["unknown strategy \"...\""], ["strategy \"...\" does not
     apply to role \"...\""]. An [Ok] substitution is one {!handlers}

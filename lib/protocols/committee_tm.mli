@@ -37,9 +37,6 @@ type config = {
   hops_of : int -> int;  (** legs an item needs funded before commit *)
 }
 
-val auth_ids : config -> int array
-(** The replica auth identities: [[|0; ...; size-1|]]. *)
-
 val verify :
   config ->
   signer:Xcrypto.Auth.signer ->

@@ -68,9 +68,6 @@ val derive : input -> t
 val up : drift_ppm:int -> Sim.Sim_time.t -> Sim.Sim_time.t
 (** Multiply by (1+ρ), rounding up. *)
 
-val down : drift_ppm:int -> Sim.Sim_time.t -> Sim.Sim_time.t
-(** Divide by (1−ρ), rounding up. *)
-
 val check : t -> (unit, string) result
 (** Re-verifies the recurrence inequalities on a parameter vector (possibly
     hand-modified by a test). *)

@@ -41,22 +41,11 @@ let rec range lo hi = if lo > hi then [] else lo :: range (lo + 1) hi
 let customers t = List.map (customer t) (range 0 t.hops)
 let escrows t = List.map (escrow t) (range 0 (t.hops - 1))
 
-let connectors t =
-  if t.hops < 2 then [] else List.map (customer t) (range 1 (t.hops - 1))
-
 let customer_index t pid = if pid >= 0 && pid <= t.hops then Some pid else None
 
 let escrow_index t pid =
   let i = pid - t.hops - 1 in
   if i >= 0 && i < t.hops then Some i else None
-
-let escrow_of_customer_down t i =
-  if i < 0 || i > t.hops then None
-  else if i = t.hops then None
-  else Some (escrow t i)
-
-let escrow_of_customer_up t i =
-  if i <= 0 || i > t.hops then None else Some (escrow t (i - 1))
 
 let pp_role ppf = function
   | Alice -> Fmt.string ppf "Alice"

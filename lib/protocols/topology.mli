@@ -48,14 +48,6 @@ val payment_count : t -> int
 
 val customers : t -> int list
 val escrows : t -> int list
-val connectors : t -> int list
-
-val escrow_of_customer_down : t -> int -> int option
-(** The escrow where customer c{_i} {e pays} (e{_i}); [None] for Bob. *)
-
-val escrow_of_customer_up : t -> int -> int option
-(** The escrow where customer c{_i} {e gets paid} (e{_{i-1}}); [None] for
-    Alice. *)
 
 val customer_index : t -> int -> int option
 (** Inverse of {!customer} on pids. *)

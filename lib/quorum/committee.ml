@@ -215,7 +215,6 @@ let decision_of t ~item =
   | _ -> None
 
 let stats t = t.stats
-let decided_slots t = t.stats.certs
 let slot_count t = t.next_slot
 
 let is_decided t slot = slot < t.watermark || Hashtbl.mem t.decided_above slot

@@ -102,9 +102,6 @@ type stats = {
 val stats : t -> stats
 (** Running aggregates over the slots this replica decided. *)
 
-val decided_slots : t -> int
-(** [(stats t).certs]. *)
-
 val slot_count : t -> int
 (** Slots this replica has seen opened (decided or not). *)
 

@@ -53,7 +53,3 @@ val validate : t -> (unit, string) result
 
 val family_name : t -> string
 (** ["majority"], ["weighted"] or ["grid"]. *)
-
-val describe : t -> string
-(** One-line rendering with all parameters, e.g.
-    ["majority(n=4,f=1,q=3)"]. *)

@@ -58,18 +58,6 @@ let plan ?(band_pct = 25) ?(batch = 4) (topo : Topology.t) =
     volume = List.fold_left (fun acc m -> acc + m.amount) 0 moves;
   }
 
-let apply (topo : Topology.t) plan =
-  let edges = Array.copy topo.Topology.edges in
-  List.iter
-    (fun m ->
-      let f = edges.(m.from_edge) and t = edges.(m.to_edge) in
-      edges.(m.from_edge) <-
-        { f with Topology.liquidity = f.Topology.liquidity - m.amount };
-      edges.(m.to_edge) <-
-        { t with Topology.liquidity = t.Topology.liquidity + m.amount })
-    plan.moves;
-  { topo with Topology.edges = edges }
-
 let move_to_string m =
   Printf.sprintf "node %d: %d -> %d amount %d" m.node m.from_edge m.to_edge
     m.amount

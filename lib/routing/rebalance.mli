@@ -9,7 +9,7 @@
     bounded size so an operator can apply them incrementally.
 
     The planner is pure — it reads edge liquidity from the topology and
-    proposes; {!apply} returns the rebalanced topology. *)
+    proposes. *)
 
 type move = {
   node : int;  (** whose outgoing liquidity is being shuffled *)
@@ -28,8 +28,5 @@ val plan : ?band_pct:int -> ?batch:int -> Topology.t -> plan
 (** [band_pct] (default 25): an edge within ±band of its node's mean
     outgoing liquidity is left alone. [batch] (default 4): moves per
     batch. Unbounded edges never participate. *)
-
-val apply : Topology.t -> plan -> Topology.t
-(** The topology with every move's liquidity shifted. *)
 
 val pp : Format.formatter -> plan -> unit

@@ -321,25 +321,6 @@ let of_string s =
   let* () = validate t in
   Ok t
 
-let random rng =
-  let liquidity = 100 * (1 + Sim.Rng.int rng 50) in
-  let commission = Sim.Rng.int rng 20 in
-  match Sim.Rng.int rng 4 with
-  | 0 -> linear ~hops:(1 + Sim.Rng.int rng 4) ~liquidity ~commission
-  | 1 -> hub ~spokes:(2 + Sim.Rng.int rng 4) ~liquidity ~commission
-  | 2 ->
-      let nodes = 3 + Sim.Rng.int rng 5 in
-      erdos_renyi ~nodes
-        ~extra:(Sim.Rng.int rng (2 * nodes))
-        ~seed:(Sim.Rng.int rng 10_000)
-        ~liquidity ~commission
-  | _ ->
-      scale_free
-        ~nodes:(3 + Sim.Rng.int rng 5)
-        ~degree:(1 + Sim.Rng.int rng 2)
-        ~seed:(Sim.Rng.int rng 10_000)
-        ~liquidity ~commission
-
 let liquidity_histogram t =
   let buckets = Hashtbl.create 8 in
   let bump key = Hashtbl.replace buckets key (1 + try Hashtbl.find buckets key with Not_found -> 0) in

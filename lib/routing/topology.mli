@@ -59,25 +59,17 @@ val capacity : edge -> int
 val out_edges : t -> int -> (int * edge) list
 (** [(index, edge)] pairs leaving a node, in normalized edge order. *)
 
-val validate : t -> (unit, string) result
-(** Nodes >= 2, at least one edge, endpoints in range, no self-loops, no
-    duplicate [(src, dst)] pairs, non-negative liquidity/commission, and
-    the sink reachable from the source. *)
-
-val normalize : t -> t
-(** Edges sorted by [(src, dst)]. *)
-
 val to_string : t -> string
 (** Canonical explicit form; the round-trip law is
-    [of_string (to_string t) = Ok (normalize t)]. *)
+    [of_string (to_string t) = Ok (normalize t)], where [normalize] sorts
+    the edges by [(src, dst)]. *)
 
 val of_string : string -> (t, string) result
 (** Parses any grammar form above, expands generator families into
-    explicit normalized edge lists, and validates. *)
-
-val random : Sim.Rng.t -> t
-(** A small random topology (family and parameters drawn from the rng),
-    always valid. For property tests. *)
+    explicit normalized edge lists, and validates: nodes >= 2, at least
+    one edge, endpoints in range, no self-loops, no duplicate
+    [(src, dst)] pairs, non-negative liquidity/commission, and the sink
+    reachable from the source. *)
 
 val liquidity_histogram : t -> (string * int) list
 (** Edge counts bucketed by liquidity decade (["unbounded"], ["1-9"],

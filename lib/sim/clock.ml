@@ -38,10 +38,3 @@ let global_of_local c l =
     let dl = Sim_time.sub l c.l0 in
     if dl = 0 then c.g0
     else Sim_time.add c.g0 (Sim_time.scale dl ~num:c.den ~den:c.num)
-
-let envelope_ok c ~drift_ppm =
-  (* num/den within [1 - d/ppm, 1 + d/ppm]  <=>
-     num*ppm within [den*(ppm-d), den*(ppm+d)] *)
-  let lo = c.den * (ppm - drift_ppm) and hi = c.den * (ppm + drift_ppm) in
-  let v = c.num * ppm in
-  v >= lo && v <= hi

@@ -36,7 +36,3 @@ val global_of_local : t -> Sim_time.t -> Sim_time.t
     [local_of_global c g >= l] — the correct wake-up instant for a local
     deadline [l]. Returns {!Sim_time.infinity} if the deadline was set to
     infinity. *)
-
-val envelope_ok : t -> drift_ppm:int -> bool
-(** Whether the clock's rate lies within the [1 ± drift_ppm·10⁻⁶]
-    envelope. *)

@@ -116,7 +116,6 @@ and ('msg, 'obs) t = {
   procs : ('msg, 'obs) proc Pids.t;
       (* born processes, until retired and nothing is queued for them *)
   ghosts : host Pids.t; (* crash state of pids without a record *)
-  mutable added : int; (* processes registered over the lifetime *)
   mutable next_pid : int; (* one past the highest pid registered *)
   mutable pid_space : int; (* crashes may target pids below this *)
   mutable unstarted : ('msg, 'obs) proc list; (* added before [run] *)
@@ -194,7 +193,6 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     queue = Event_queue.create ();
     procs = Pids.create 16;
     ghosts = Pids.create 1;
-    added = 0;
     next_pid = 0;
     pid_space = 0;
     unstarted = [];
@@ -252,14 +250,12 @@ let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
     }
   in
   Pids.replace t.procs pid p;
-  t.added <- t.added + 1;
   if pid >= t.next_pid then t.next_pid <- pid + 1;
   if pid >= t.pid_space then t.pid_space <- pid + 1;
   if t.started then handlers.on_start p else t.unstarted <- p :: t.unstarted;
   pid
 
 let reserve_pids t n = if n > t.pid_space then t.pid_space <- n
-let process_count t = t.added
 
 let proc t pid =
   match Pids.find t.procs pid with
@@ -316,7 +312,6 @@ let schedule_crash t ~pid ~at ?recover_at ?(label = "proc") () =
 (* --- ctx operations --- *)
 
 let pid ctx = ctx.self - ctx.base
-let rng ctx = ctx.proc_rng
 let halted ctx = ctx.halted
 let local_now ctx = Clock.local_of_global ctx.clock ctx.engine.clock_now
 

@@ -55,10 +55,6 @@ val observe : ('msg, 'obs) ctx -> 'obs -> unit
 val halt : ('msg, 'obs) ctx -> unit
 (** Stop reacting to all future events (crash / graceful exit). *)
 
-val rng : ('msg, 'obs) ctx -> Rng.t
-(** A per-process random stream: pid [k] draws [Rng.split_nth root k] of
-    the engine's root seed, whenever and in whatever order it was added. *)
-
 val halted : ('msg, 'obs) ctx -> bool
 (** Whether the calling process has halted ({!is_halted} on its own pid,
     without a pid lookup). *)
@@ -165,8 +161,9 @@ val add_process :
     one added before {!run} starts there (its [on_start] runs at time 0,
     in pid order), one added during a run starts at once ([on_start] runs
     before [add_process] returns). Either way pid [k] draws the same
-    {!rng} stream. A pid crashed before its process is born
-    ({!schedule_crash}) is born down.
+    random stream, [Rng.split_nth root k] of the engine's seed, for its
+    computation delays and the [mangle] hook. A pid crashed before its
+    process is born ({!schedule_crash}) is born down.
 
     [label] (default ["proc"]) names the process's {e role} for the
     profiler — a low-cardinality string like ["alice"] or ["escrow"],
@@ -180,9 +177,6 @@ val add_process :
     lets handler code written for a single payment's logical pids 0..m-1
     run unchanged many times within one engine; traces and crash
     scheduling always use engine pids. *)
-
-val process_count : ('msg, 'obs) t -> int
-(** Processes registered so far, retired ones included. *)
 
 val reserve_pids : ('msg, 'obs) t -> int -> unit
 (** [reserve_pids t n] makes pids below [n] addressable before their

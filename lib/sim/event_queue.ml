@@ -135,4 +135,3 @@ let pop q =
     let time = q.times.(0) in
     Some (time, pop_min q)
 
-let peek_time q = if q.size = 0 then None else Some q.times.(0)

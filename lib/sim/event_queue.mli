@@ -35,13 +35,10 @@ val push_reserved : 'a t -> time:Sim_time.t -> seq:int -> 'a -> unit
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Removes and returns the earliest event. *)
 
-val peek_time : 'a t -> Sim_time.t option
-(** Time of the earliest event, without removing it. *)
-
 val min_time : 'a t -> Sim_time.t
-(** Like {!peek_time} without the option: the engine's loop reads the
-    head this way so a dispatch allocates nothing here. Raises
-    [Invalid_argument] on an empty queue. *)
+(** Time of the earliest event, without removing it. No option: the
+    engine's loop reads the head this way so a dispatch allocates nothing
+    here. Raises [Invalid_argument] on an empty queue. *)
 
 val pop_min : 'a t -> 'a
 (** Like {!pop} without the option and pair: removes the earliest event

@@ -78,9 +78,6 @@ val create :
 
 val model : t -> model
 
-val bounds_at : model -> send_time:Sim_time.t -> bounds
-(** The permitted delay envelope for a message sent at [send_time]. *)
-
 val fate : t -> send_time:Sim_time.t -> src:int -> dst:int -> tag:string ->
   copy list
 (** The copies the network will actually carry for this send —

@@ -37,9 +37,5 @@ let ( < ) (a : t) b = Stdlib.( < ) a b
 let ( >= ) (a : t) b = Stdlib.( >= ) a b
 let ( > ) (a : t) b = Stdlib.( > ) a b
 
-let of_int n =
-  if Stdlib.( < ) n 0 then invalid_arg "Sim_time.of_int: negative";
-  n
-
 let pp ppf t = if is_infinite t then Fmt.string ppf "inf" else Fmt.int ppf t
 let to_string t = if is_infinite t then "inf" else string_of_int t

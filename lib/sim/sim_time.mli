@@ -37,9 +37,6 @@ val ( < ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
-val of_int : int -> t
-(** [of_int n] checks [n >= 0] and returns it as a time. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints ticks as an integer, or ["inf"] for {!infinity}. *)
 

@@ -53,7 +53,7 @@ val create : ?capacity:int -> unit -> ('msg, 'obs) t
 (** Without [capacity] (the default) the trace keeps every entry, as it
     always has. With [capacity] it becomes a ring buffer holding the most
     recent [capacity] entries: recording past the cap silently evicts the
-    oldest entry and bumps {!dropped_count}. Bounded traces keep memory
+    oldest entry, counted as dropped. Bounded traces keep memory
     flat on multi-thousand-payment load runs; combine with {!on_record}
     when an analysis must see every entry as it happens. [capacity = 0]
     keeps no entry at all: the hooks and {!length} still see every
@@ -75,10 +75,6 @@ val to_list : ('msg, 'obs) t -> ('msg, 'obs) entry list
 
 val length : ('msg, 'obs) t -> int
 (** Total entries recorded, including any evicted from a bounded trace. *)
-
-val dropped_count : ('msg, 'obs) t -> int
-(** Entries recorded but not kept by a bounded trace (all of them at
-    capacity 0); 0 for the default unbounded mode. *)
 
 val observations : ('msg, 'obs) t -> (Sim_time.t * int * 'obs) list
 (** Just the [Observed] entries, in order, as [(time, pid, obs)]. *)
@@ -108,7 +104,7 @@ val to_jsonl :
     carries a ["seq"] field — the entry's 0-based position in the trace —
     so consumers can re-establish total order after filtering or merging
     (timestamps alone tie on same-tick events). A bounded trace prints
-    only its kept window, numbered from {!dropped_count}. *)
+    only its kept window, numbered from its dropped count. *)
 
 val ring_json :
   msg:('msg -> string) ->
@@ -118,6 +114,7 @@ val ring_json :
 (** The trace as one JSON object,
     [{"capacity":C,"recorded":N,"dropped":D,"window":[...]}]: [capacity]
     is the bound ([null] when unbounded), [recorded] is {!length},
-    [dropped] is {!dropped_count}, and [window] holds the kept entries as
+    [dropped] counts the entries recorded but not kept (all of them at
+    capacity 0; 0 when unbounded), and [window] holds the kept entries as
     the same objects {!to_jsonl} prints, with the same [seq] numbering.
     This is the flight-recorder view a forensic bundle embeds. *)

@@ -414,6 +414,4 @@ let arrival_seq w ~seed =
   | Poisson _ | Burst _ | Ramp _ ->
       Some (from (Sim.Rng.create ~seed:(seed + 3)) 0 0)
 
-let arrivals w ~seed = Option.map Array.of_seq (arrival_seq w ~seed)
-
 let pp ppf w = Fmt.string ppf (to_string w)

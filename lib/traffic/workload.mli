@@ -89,12 +89,6 @@ type t = {
           mix, on linear and graph workloads alike *)
 }
 
-val default : payments:int -> t
-(** 2 hops, value 1000, commission 10, poisson gap 40, mix [sync:1],
-    reserve policy, unlimited cap, ample liquidity, patience 2000,
-    derived stuck deadline, drift 10000 ppm, synchronous network, no
-    topology (linear), shortest-cost routing, 1 split. *)
-
 val committee_to_string : committee -> string
 
 val quorum_system : committee -> (Quorum_system.t, string) result
@@ -127,22 +121,22 @@ val to_string : t -> string
     historical spec lines byte-for-byte. *)
 
 val of_string : string -> (t, string) result
-(** Folds the line's [key=value] fields, left to right, over
-    [default ~payments:1], then {!validate}s the result. Errors name the
-    offending key. *)
-
-val flags : (string * string) list
-(** The command-line flag that sets each key: [("--payments",
-    "payments")], …, [("--stuck-after", "stuck")], [("--gst", "gst")].
-    [committee] has no flag. *)
+(** Folds the line's [key=value] fields, left to right, over the
+    defaults, then {!validate}s the result. Errors name the offending key.
+    The defaults: 1 payment, 2 hops, value 1000, commission 10, poisson
+    gap 40, mix [sync:1], reserve policy, unlimited cap, ample liquidity,
+    patience 2000, derived stuck deadline, drift 10000 ppm, synchronous
+    network, no topology (linear), shortest-cost routing, 1 split. *)
 
 val of_command_line :
   base:string -> ?spec:string -> (string * string) list -> (t, string) result
 (** The one front door for a command's workload: the fields of the
     command's [base] line, then those of [spec], then one field per
-    [(flag, value)] pair (a flag of {!flags}), later keys winning, then
-    one {!validate}. A flag's value is a single field, never split into
-    further keys. Never raises; each error names where it came from:
+    [(flag, value)] pair, later keys winning, then one {!validate}. The
+    flag that sets a key is [--KEY], but [--stuck-after] for [stuck];
+    [committee] has no flag. A flag's value is a single field, never
+    split into further keys. Never raises; each error names where it
+    came from:
     ["bad --spec: …"] and ["bad --arrival: …"] for one field,
     ["bad workload: …"] for the {!validate} check of the whole. *)
 
@@ -160,8 +154,5 @@ val arrival_seq : t -> seed:int -> int Seq.t option
     closed-loop arrival process (arrival times are settle-driven).
     Deterministic in [seed]; persistent and O(1) in memory like
     {!mix_seq}. *)
-
-val arrivals : t -> seed:int -> int array option
-(** {!arrival_seq} as an array. *)
 
 val pp : Format.formatter -> t -> unit

@@ -78,7 +78,6 @@ let verify reg id msg s =
 
 let forged id = { claimed = id; mac = Hash.of_string "forged" }
 
-let pp_signature ppf s = Fmt.pf ppf "sig<%d:%s>" s.claimed (Hash.short s.mac)
 let signature_mac s = s.mac
 
 type 'a signed = { payload : 'a; author : id; signature : signature }

@@ -40,12 +40,10 @@ val forged : id -> signature
 (** A fabricated signature claiming to be from [id]. Always fails
     {!verify} — provided for Byzantine strategies and negative tests. *)
 
-val pp_signature : Format.formatter -> signature -> unit
-
 val signature_mac : signature -> Hash.t
 (** The MAC a signature carries, [Hash.finish (Hash.feed key msg)] for the
     signer's key state [key]. A signature is public, so this reveals
-    nothing {!pp_signature} does not print a prefix of. *)
+    nothing secret. *)
 
 (** {1 Signed values} *)
 

@@ -82,11 +82,6 @@ let to_hex t =
   put_hex buf ~pos:16 ~width:16 t.b;
   Bytes.unsafe_to_string buf
 
-let concat x y = of_string (to_hex x ^ to_hex y)
 let equal x y = Int64.equal x.a y.a && Int64.equal x.b y.b
-
-let compare x y =
-  let c = Int64.compare x.a y.a in
-  if c <> 0 then c else Int64.compare x.b y.b
 
 let short t = String.sub (to_hex t) 0 8

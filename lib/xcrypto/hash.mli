@@ -37,11 +37,7 @@ val feed_bytes : state -> bytes -> len:int -> state
 
 val finish : state -> t
 
-val concat : t -> t -> t
-(** Digest of the pair, order-sensitive. *)
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_hex : t -> string
 
 val short : t -> string

@@ -11,7 +11,5 @@ let fresh rng =
 
 let lock_of p = Hash.of_string p
 let matches l p = Hash.equal l (Hash.of_string p)
-let equal_lock = Hash.equal
 let pp_lock ppf l = Fmt.pf ppf "lock<%s>" (Hash.short l)
-let pp_preimage ppf p = Fmt.pf ppf "pre<%s>" p
 let bogus_preimage () = "bogus-preimage"

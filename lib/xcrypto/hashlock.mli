@@ -12,10 +12,7 @@ val fresh : Sim.Rng.t -> preimage
 
 val lock_of : preimage -> lock
 val matches : lock -> preimage -> bool
-
-val equal_lock : lock -> lock -> bool
 val pp_lock : Format.formatter -> lock -> unit
-val pp_preimage : Format.formatter -> preimage -> unit
 
 val bogus_preimage : unit -> preimage
 (** A preimage that matches no honest lock (for Byzantine strategies). *)

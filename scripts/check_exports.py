@@ -2,19 +2,23 @@
 """Dead-export gate over the library interfaces.
 
 Every `val NAME` in lib/**/*.mli must be used, outside comments, by
-some .ml or .mli file of another module under lib/, bin/, bench/,
-examples/ or test/ (test code counts as a caller). A use is
+some .ml or .mli file of another module under lib/, bin/, bench/ or
+examples/. Test code does not count as a caller: a value that only
+test/ reaches is dead machinery, and belongs in its .ml alone or
+nowhere. A use is
 `Module.NAME` (also at the end of a longer path, `Lib.Module.NAME`),
 `X.NAME` where the file aliases `module X = ...Module`, or a bare
 `NAME` in a file that opens `Module` (`open`, `let open`, `Module.(`).
 A bare `NAME` alone is no use: it may be another module's value of the
 same name. A `val` inside `module Sub : sig ... end` is qualified by
-`Sub`. A value only its own module uses belongs in its .ml alone.
+`Sub`, and reported and allowed under its full path, `Module.Sub.name`.
+A value only its own module uses belongs in its .ml alone.
 
 Exceptions live in scripts/exports_allow.txt next to this script, one
-`Module.name: reason` per line (`#` starts a comment). An entry that no
-longer names an unused export fails the gate too, so the list cannot go
-stale.
+`Module.name: reason` per line (`#` starts a comment). The reason names
+the test that needs the value and why no production call serves that
+test. An entry that no longer names an unused export fails the gate
+too, so the list cannot go stale.
 
     python3 scripts/check_exports.py
 
@@ -27,7 +31,8 @@ import os
 import re
 import sys
 
-ROOTS = ["lib", "bin", "bench", "examples", "test"]
+# the callers; test/ is deliberately absent
+ROOTS = ["lib", "bin", "bench", "examples"]
 WORD = re.compile(r"[A-Za-z0-9_']+")
 MOD = r"[A-Z][A-Za-z0-9_']*"
 PATH = rf"(?:{MOD}\s*\.\s*)*({MOD})"
@@ -104,27 +109,52 @@ class Uses:
 
 
 def exported(mli_text, module):
-    """(qualifier, name) of every val of an interface: the module itself,
-    or the innermost `module Sub : sig` around the val."""
+    """(qualifier, name, path) of every val of an interface. The qualifier
+    is the module itself, or the innermost `module Sub : sig` around the
+    val; the path names the val from the top, `Module.Sub.name`."""
     stack, out = [], []
     for m in NEST.finditer(mli_text):
         sub, kw, val = m.groups()
+        qual, path = stack[-1] if stack else (module, module)
         if sub:
-            stack.append(sub)
+            stack.append((sub, f"{path}.{sub}"))
         elif kw in ("sig", "struct"):
-            stack.append(stack[-1] if stack else module)
+            stack.append((qual, path))
         elif kw == "end":
             if stack:
                 stack.pop()
         else:
-            out.append((stack[-1] if stack else module, val))
+            out.append((qual, val, f"{path}.{val}"))
     return out
+
+
+def unused_exports(files):
+    """(path of the val, interface file) of every lib/ export that no
+    other module's file in ROOTS uses; [files] maps a file name, relative
+    to the root of the repository, to its text."""
+    # what each module can reach, comments excluded
+    uses = {}
+    for path, text in files.items():
+        if path.split("/", 1)[0] in ROOTS:
+            uses.setdefault((os.path.dirname(path), module_of(path)), []).append(
+                Uses(strip_comments(text)))
+    unused = []
+    for path in sorted(files):
+        if not (path.startswith("lib/") and path.endswith(".mli")):
+            continue
+        key = (os.path.dirname(path), module_of(path))
+        for qual, name, full in exported(strip_comments(files[path]), key[1]):
+            if not any(u.uses(qual, name)
+                       for k, us in uses.items() if k != key for u in us):
+                unused.append((full, path))
+    return unused
 
 
 def self_test():
     """A quote inside a character or quoted-string literal opens no
-    string, so the comment after it stays a comment; and only a
-    qualified, aliased or opened use of a value counts."""
+    string, so the comment after it stays a comment; only a qualified,
+    aliased or opened use of a value counts; a nested val goes by its
+    full path; and only lib/, bin/, bench/ and examples/ hold callers."""
     for src in ["let q = '\"' (* only_here *)", "let q = {|\"|} (* only_here *)",
                 "let q = '\\'' (* only_here *)", "let x' = \"(*\" (* only_here *)"]:
         if "only_here" in strip_comments(src):
@@ -138,9 +168,20 @@ def self_test():
                       ("let x = Foo.(bar 1)", True)]:
         if Uses(src).uses("Foo", "bar") != want:
             sys.exit(f"check_exports.py: self-test failed on {src!r}")
-    if exported("val a : t\nmodule Sub : sig\n val b : t\nend\nval c : t", "Foo") != [
-            ("Foo", "a"), ("Sub", "b"), ("Foo", "c")]:
+    nested = "val a : t\nval b : t\nmodule Sub : sig\n val b : t\nend\nval c : t"
+    if exported(nested, "Foo") != [("Foo", "a", "Foo.a"), ("Foo", "b", "Foo.b"),
+                                   ("Sub", "b", "Foo.Sub.b"), ("Foo", "c", "Foo.c")]:
         sys.exit("check_exports.py: self-test failed on a nested signature")
+    # a nested val is reported under its full path, apart from its
+    # namesake outside the sub-module
+    lib = {"lib/foo.mli": nested, "lib/foo.ml": "", "lib/user.ml": "Foo.a Foo.c Foo.b"}
+    if [q for q, _ in unused_exports(lib)] != ["Foo.Sub.b"]:
+        sys.exit("check_exports.py: self-test failed on a nested val's name")
+    # test/ is no caller; bench/ and examples/ are
+    for caller, want in [("test/t.ml", ["Foo.Sub.b"]), ("bench/b.ml", []),
+                         ("examples/e.ml", [])]:
+        if [q for q, _ in unused_exports({**lib, caller: "Foo.Sub.b"})] != want:
+            sys.exit(f"check_exports.py: self-test failed on a use in {caller}")
 
 
 def module_of(path):
@@ -165,7 +206,7 @@ def load_allow(path):
                 continue
             key, sep, reason = line.partition(":")
             if not sep or not reason.strip():
-                sys.exit(f"{path}:{k}: want 'Module.name: reason'")
+                sys.exit(f"{path}:{k}: want 'Module.name: reason' (a nested val as 'Module.Sub.name')")
             allow[key.strip()] = reason.strip()
     return allow
 
@@ -178,23 +219,11 @@ def main(argv):
     if not os.path.isdir("lib"):
         sys.exit("check_exports.py: run from the root of the repository")
     allow = load_allow(allow_path)
-    # what each module can reach, comments excluded
-    uses = {}
+    files = {}
     for path in sources():
         with open(path, encoding="utf-8") as fh:
-            uses.setdefault((os.path.dirname(path), module_of(path)), []).append(
-                Uses(strip_comments(fh.read())))
-    unused = []
-    for path in sorted(p for p in sources() if p.startswith("lib" + os.sep)):
-        if not path.endswith(".mli"):
-            continue
-        key = (os.path.dirname(path), module_of(path))
-        with open(path, encoding="utf-8") as fh:
-            vals = exported(strip_comments(fh.read()), key[1])
-        for qual, name in vals:
-            if not any(u.uses(qual, name)
-                       for k, us in uses.items() if k != key for u in us):
-                unused.append((f"{key[1]}.{name}", path))
+            files[path.replace(os.sep, "/")] = fh.read()
+    unused = unused_exports(files)
     failed = False
     for qual, path in unused:
         if qual not in allow:

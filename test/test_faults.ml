@@ -338,9 +338,8 @@ let injector_tests =
         ignore (fates inj ~n:10 ~src:0 ~dst:1);
         ignore (Faults.Injector.tamper inj ~send_time:5 ~src:2 ~dst:4 ~tag:"m");
         let count kind =
-          Obsv.Metrics.counter_value
-            (Obsv.Metrics.counter metrics ~labels:[ ("kind", kind) ]
-               "xchain_faults_injected_total")
+          Metric_value.counter metrics ~labels:[ ("kind", kind) ]
+            "xchain_faults_injected_total"
         in
         check Alcotest.int "drops" 10 (count "drop");
         check Alcotest.int "partition" 1 (count "partition"));

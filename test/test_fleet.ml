@@ -90,7 +90,10 @@ let failure_tests =
           Fleet.run ~domains:4 ~chunk:1 ~jobs:50 (fun i ->
               if i mod 7 = 3 then raise (Poison i) else i)
         in
-        let fs = Fleet.failures outcomes in
+        let fs =
+          Array.to_list outcomes
+          |> List.filter_map (function Error f -> Some f | Ok _ -> None)
+        in
         check Alcotest.int "failed stat" (List.length fs) stats.Fleet.failed;
         List.iter
           (fun (f : Fleet.failure) ->

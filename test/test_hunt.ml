@@ -24,6 +24,26 @@ let signed ~plan ~seed =
   let r = C.run_one ~causal ~plan ~seed () in
   (r, Sig.to_string (Sig.of_run ~causal ~delta r))
 
+(* field [i] of a signature's key *)
+let field i s = List.nth (String.split_on_char '|' (Sig.to_string s)) i
+
+let clean_run () = C.run_one ~plan:FP.none ~seed:1 ()
+
+(* the signature of a run whose payment history is one chain from the
+   root, node 0 at time 0, to the sink: an edge per (kind, gap) *)
+let chain_signature edges =
+  let c = Obsv.Causal.create () in
+  let node at = Obsv.Causal.record c ~kind:Obsv.Causal.Note ~pid:0 ~at ~label:"n" () in
+  let sink, _ =
+    List.fold_left
+      (fun (prev, t) (kind, gap) ->
+        let n = node (t + gap) in
+        Obsv.Causal.add_edge c ~kind ~src:prev ~dst:n;
+        (n, t + gap))
+      (node 0, 0) edges
+  in
+  Sig.of_run ~causal:c ~delta { (clean_run ()) with C.paid_node = sink }
+
 (* the soak's uniform plan for run seed [s] (2 hops, sync horizon) *)
 let uniform_plan s =
   let prng = Rng.create ~seed:(s + 7919) in
@@ -46,22 +66,27 @@ let signature_tests =
         let _, blackout = signed ~plan:(plan_of "drop *>* 1") ~seed:1 in
         check Alcotest.bool "differ" true (clean <> blackout));
     Alcotest.test_case "count buckets are monotone log-ish" `Quick (fun () ->
-        let b = Sig.count_bucket in
-        check Alcotest.int "0" 0 (b 0);
-        check Alcotest.int "1" 1 (b 1);
-        check Alcotest.int "3" 2 (b 3);
-        check Alcotest.int "7" 3 (b 7);
-        check Alcotest.int "8" 4 (b 8);
-        check Alcotest.int "big" 4 (b 10_000));
+        (* injection counts and the hop count are count-bucketed *)
+        let key injected hops =
+          field 3 (Sig.of_run ~delta { (clean_run ()) with C.injected; hops })
+        in
+        check Alcotest.string "0 1 3 7" "i0123" (key [| 0; 1; 3; 7 |] 2);
+        check Alcotest.string "8 big" "i4400" (key [| 8; 10_000; 0; 0 |] 2);
+        check Alcotest.string "path of 8 hops" "p4"
+          (field 5 (Sig.of_run ~delta { (clean_run ()) with C.hops = 8 })));
     Alcotest.test_case "share buckets split on 10/40/80 percent" `Quick
       (fun () ->
-        let b = Sig.share_bucket ~total:100 in
-        check Alcotest.int "zero" 0 (b 0);
-        check Alcotest.int "10%" 1 (b 10);
-        check Alcotest.int "40%" 2 (b 40);
-        check Alcotest.int "80%" 3 (b 80);
-        check Alcotest.int "all" 4 (b 100);
-        check Alcotest.int "empty total" 0 (Sig.share_bucket ~total:0 5));
+        (* blame digits, in category order: queueing, transit, gst wait,
+           timeout, downtime, processing, external *)
+        let blame edges = field 2 (chain_signature edges) in
+        check Alcotest.string "10% 40% 50%" "b1002300"
+          (blame Obsv.Causal.[ (Queue, 10); (Timer, 40); (Outage, 50) ]);
+        check Alcotest.string "80% 20%" "b0003200"
+          (blame Obsv.Causal.[ (Timer, 80); (Outage, 20) ]);
+        check Alcotest.string "all" "b0004000"
+          (blame Obsv.Causal.[ (Timer, 100) ]);
+        check Alcotest.string "empty total" "b0000000"
+          (blame Obsv.Causal.[ (Timer, 0) ]));
   ]
 
 (* ------------------------------- mutate -------------------------------- *)

@@ -186,10 +186,20 @@ let explorer_tests =
                  ~protocol:(Runner.Weak Weak_protocol.default_config) ())));
     Alcotest.test_case "message budgets are exact for the chain protocols"
       `Quick (fun () ->
-        check Alcotest.int "sync h3" 18
-          (Xchain.Explore.message_budget ~hops:3 ~protocol:Runner.Sync_timebound);
-        check Alcotest.int "htlc h3" 16
-          (Xchain.Explore.message_budget ~hops:3 ~protocol:Runner.Htlc));
+        (* a sweep enumerates 2^(messages + processes) corners; at 3 hops
+           there are 7 processes *)
+        let refused protocol corners =
+          Alcotest.check_raises "refused"
+            (Invalid_argument
+               (Printf.sprintf "Explore.sweep: %d corners exceed the budget 0"
+                  corners))
+            (fun () ->
+              ignore (Xchain.Explore.sweep ~hops:3 ~max_corners:0 ~protocol ()))
+        in
+        (* sync h3: 18 messages *)
+        refused Runner.Sync_timebound (1 lsl (18 + 7));
+        (* htlc h3: 16 messages *)
+        refused Runner.Htlc (1 lsl (16 + 7)));
   ]
 
 let report_tests =
@@ -210,7 +220,7 @@ let report_tests =
         check Alcotest.bool "verdicts hold" true
           (V.all_hold r.Xchain.Report.verdicts);
         (* the rendering mentions the participants *)
-        let s = Xchain.Report.to_string r in
+        let s = Fmt.str "%a" Xchain.Report.pp r in
         let mem sub =
           let n = String.length sub and m = String.length s in
           let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -241,7 +251,7 @@ let report_tests =
         in
         let r = Xchain.Report.build o in
         check Alcotest.bool "CC present" true
-          (V.find r.Xchain.Report.verdicts "CC" <> None);
+          (List.exists (fun v -> v.V.property = "CC") r.Xchain.Report.verdicts);
         check Alcotest.bool "no conformance claims" true
           (List.for_all
              (fun p -> p.Xchain.Report.conforms = None)
@@ -349,7 +359,7 @@ let crosscut_tests =
           Xchain.Table.make ~title:"t" ~header:[ "a"; "bb" ]
             [ [ "1"; "2" ]; [ "333"; "4" ] ]
         in
-        let s = Xchain.Table.to_string t in
+        let s = Fmt.str "%a" Xchain.Table.render t in
         check Alcotest.bool "has title" true
           (String.length s > 0
           &&

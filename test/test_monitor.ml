@@ -140,6 +140,33 @@ let agreement_tests =
         check Alcotest.bool "breach stamped" true (r.C.breach_at >= 0);
         check Alcotest.bool "breach within run" true
           (r.C.breach_at <= r.C.end_time));
+    Alcotest.test_case "checks run and report in registration order" `Quick
+      (fun () ->
+        let m = Obsv.Monitor.create () in
+        let first = ref false and second = ref false in
+        let check_of flag () = if !flag then Some "broken" else None in
+        Obsv.Monitor.register m ~name:"FIRST" (check_of first);
+        Obsv.Monitor.register m ~name:"SECOND" (check_of second);
+        let names () =
+          List.map
+            (fun (t : Obsv.Monitor.trip) -> t.Obsv.Monitor.property)
+            (Obsv.Monitor.violations m)
+        in
+        (* both trip in one step: the first registered trips first *)
+        first := true;
+        second := true;
+        Obsv.Monitor.step m ~at:1;
+        check Alcotest.(option string) "first trip" (Some "FIRST")
+          (Option.map
+             (fun (t : Obsv.Monitor.trip) -> t.Obsv.Monitor.property)
+             (Obsv.Monitor.first_trip m));
+        check Alcotest.(list string) "violations" [ "FIRST"; "SECOND" ] (names ());
+        (* FIRST recovers and trips again after SECOND: still listed first *)
+        first := false;
+        Obsv.Monitor.step m ~at:2;
+        first := true;
+        Obsv.Monitor.step m ~at:3;
+        check Alcotest.(list string) "re-tripped" [ "FIRST"; "SECOND" ] (names ()));
   ]
 
 (* -------------------------- stop-on-violation -------------------------- *)
@@ -272,7 +299,14 @@ let sampler_tests =
       (fun () ->
         let s = Obsv.Sampler.create ~interval:50 () in
         let r = C.run_one ~sampler:s ~plan:FP.none ~seed:1 () in
-        let rows = Obsv.Sampler.rows s in
+        (* each row's sim-time, read from the JSONL series *)
+        let rows =
+          String.split_on_char '\n' (Obsv.Sampler.to_jsonl s)
+          |> List.filter_map (fun l ->
+                 if String.starts_with ~prefix:{|{"t":|} l then
+                   Some (Scanf.sscanf l {|{"t":%d|} (fun t -> (t, ())))
+                 else None)
+        in
         check Alcotest.bool "sampled" true (List.length rows > 0);
         let rec mono = function
           | (a, _) :: ((b, _) :: _ as tl) ->

@@ -9,6 +9,9 @@ module V = Props.Verdict
 
 let check = Alcotest.check
 
+(* the verdict on [property] in a report *)
+let find r property = List.find_opt (fun v -> v.V.property = property) r
+
 let verdict_tests =
   [
     Alcotest.test_case "all_hold ignores vacuous entries" `Quick (fun () ->
@@ -68,7 +71,14 @@ let positive_tests =
     Alcotest.test_case "bob_paid and alice_has_chi on success" `Quick (fun () ->
         let v = PP.view (run_sync ()) in
         check Alcotest.bool "paid" true (PP.bob_paid v);
-        check Alcotest.bool "chi" true (PF.received_cert v.PP.judge.PF.facts 0 Obs.Chi));
+        check Alcotest.bool "chi" true
+          (List.exists
+             (function
+               | _, _, Obs.Cert_received { pid = 0; kind = Obs.Chi; valid = true }
+                 ->
+                   true
+               | _ -> false)
+             (Sim.Trace.observations v.PP.outcome.Runner.trace)));
   ]
 
 let chi_stall : Sim.Network.adversary =
@@ -100,10 +110,10 @@ let negative_tests =
         in
         let v = PP.view o in
         let r = PP.check_def1 ~time_bounded:false v in
-        (match V.find r "CS1" with
+        (match find r "CS1" with
         | Some verdict -> check Alcotest.bool "CS1 vacuous" false verdict.V.applicable
         | None -> Alcotest.fail "CS1 missing");
-        match V.find r "L" with
+        match find r "L" with
         | Some verdict -> check Alcotest.bool "L vacuous" false verdict.V.applicable
         | None -> Alcotest.fail "L missing");
     Alcotest.test_case "naive protocol under heavy drift fails T" `Quick
@@ -234,7 +244,8 @@ let cc_tests =
       (fun () ->
         let o = synthetic_outcome ~entries:[] in
         let v = PP.view o in
-        check Alcotest.bool "T" false (PP.check_t_weak v).V.holds);
+        check Alcotest.bool "T" false
+          (V.holds (PP.check_def2 ~patience_sufficient:false v) "T"));
   ]
 
 let promise_tests =
@@ -244,7 +255,6 @@ let promise_tests =
           let v = PP.view (run_sync ~seed ()) in
           check Alcotest.int "clean" 0
             (List.length (Props.Promises.breaches v));
-          check Alcotest.bool "PR" true (Props.Promises.check_promises v).V.holds
         done);
     Alcotest.test_case "premature refund breaches P" `Quick (fun () ->
         let topo = Topology.create ~hops:3 in
@@ -259,8 +269,9 @@ let promise_tests =
              (fun (b : Props.Promises.breach) ->
                b.Props.Promises.escrow = e1 && b.Props.Promises.promise = "P")
              bs);
-        (* PR only covers honest escrows, so it still holds *)
-        check Alcotest.bool "PR" true (Props.Promises.check_promises v).V.holds);
+        (* and every breach is the Byzantine escrow's *)
+        check Alcotest.bool "only e1" true
+          (List.for_all (fun (b : Props.Promises.breach) -> b.Props.Promises.escrow = e1) bs));
     Alcotest.test_case "no-resolve escrow breaches G" `Quick (fun () ->
         let topo = Topology.create ~hops:3 in
         let e1 = Topology.escrow topo 1 in
@@ -348,7 +359,8 @@ let sensitivity_tests =
     Alcotest.test_case "L fires: all abided, Bob unpaid" `Quick (fun () ->
         let o = synthetic_outcome ~entries:[] in
         let v = PP.view o in
-        check Alcotest.bool "L violated" false (PP.check_l v).V.holds);
+        check Alcotest.bool "L violated" false
+          (V.holds (PP.check_def1 ~time_bounded:false v) "L"));
     Alcotest.test_case "C fires: an honest participant was rejected" `Quick
       (fun () ->
         let o =
@@ -365,7 +377,8 @@ let sensitivity_tests =
           (Sim.Trace.Sent
              { t = 5; src = 0; dst = 3; tag = "money"; msg = Msg.Money { amount = 1020 } });
         let v = PP.view o in
-        check Alcotest.bool "T violated" false (PP.check_t ~time_bounded:false v).V.holds);
+        check Alcotest.bool "T violated" false
+          (V.holds (PP.check_def1 ~time_bounded:false v) "T"));
     Alcotest.test_case "ES holds even for synthetic runs (books are \
                         structurally safe)" `Quick (fun () ->
         (* the substrate makes ES violations unconstructible through the

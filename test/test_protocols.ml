@@ -10,6 +10,15 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* ------------------------------ topology ------------------------------ *)
 
+(* the customers strictly between Alice and Bob *)
+let connectors t =
+  List.filter
+    (fun pid ->
+      match Topology.role_of t pid with
+      | Some (Topology.Connector _) -> true
+      | _ -> false)
+    (Topology.customers t)
+
 let topology_tests =
   [
     Alcotest.test_case "pid layout" `Quick (fun () ->
@@ -32,16 +41,30 @@ let topology_tests =
         Topology.register_aux t 0;
         check Alcotest.bool "aux known" true (Topology.role_of t 5 = Some (Topology.Aux 0)));
     Alcotest.test_case "connectors list" `Quick (fun () ->
-        check Alcotest.(list int) "hops 1" [] (Topology.connectors (Topology.create ~hops:1));
+        check Alcotest.(list int) "hops 1" [] (connectors (Topology.create ~hops:1));
         check Alcotest.(list int) "hops 4" [ 1; 2; 3 ]
-          (Topology.connectors (Topology.create ~hops:4)));
+          (connectors (Topology.create ~hops:4)));
     Alcotest.test_case "customer/escrow adjacency" `Quick (fun () ->
+        (* customer i pays into e_i and is paid from e_(i-1): Alice has no
+           upstream escrow, Bob no downstream one. A faulty escrow voids
+           the guarantees of exactly its two neighbours. *)
         let t = Topology.create ~hops:3 in
-        check Alcotest.(option int) "alice down" (Some 4)
-          (Topology.escrow_of_customer_down t 0);
-        check Alcotest.(option int) "alice up" None (Topology.escrow_of_customer_up t 0);
-        check Alcotest.(option int) "bob up" (Some 6) (Topology.escrow_of_customer_up t 3);
-        check Alcotest.(option int) "bob down" None (Topology.escrow_of_customer_down t 3));
+        let abiding faulty =
+          let module PF = Props.Payment_fold in
+          let j =
+            {
+              PF.facts = PF.create ~base:0 ~hops:3 ~nprocs:7;
+              honest = (fun pid -> pid <> Topology.escrow t faulty);
+              net = (fun _ -> 0);
+              tm_trusted = true;
+              well_formed = Ok ();
+            }
+          in
+          List.map (PF.escrows_abide j) (Topology.customers t)
+        in
+        check Alcotest.(list bool) "e0 faulty" [ false; false; true; true ] (abiding 0);
+        check Alcotest.(list bool) "e1 faulty" [ true; false; false; true ] (abiding 1);
+        check Alcotest.(list bool) "e2 faulty" [ true; true; false; false ] (abiding 2));
     Alcotest.test_case "index inverses" `Quick (fun () ->
         let t = Topology.create ~hops:3 in
         check Alcotest.(option int) "cust" (Some 2) (Topology.customer_index t 2);
@@ -121,7 +144,11 @@ let params_tests =
       (QCheck.Test.make ~name:"up/down compose to at least identity"
          QCheck.(pair (int_range 1 1_000_000) (int_range 0 200_000))
          (fun (t, drift_ppm) ->
-           Params.down ~drift_ppm (Params.up ~drift_ppm t) >= t));
+           (* dividing by (1-ρ), rounding up, as the windows' recurrence
+              does *)
+           Sim.Sim_time.scale (Params.up ~drift_ppm t) ~num:1_000_000
+             ~den:(1_000_000 - drift_ppm)
+           >= t));
     qcheck
       (QCheck.Test.make ~name:"derive always passes its own check" ~count:50
          QCheck.(
@@ -491,7 +518,8 @@ let conform_all o pids =
       match o.Runner.conformance pid with
       | Some (Ok ()) -> ()
       | Some (Error d) ->
-          Alcotest.failf "pid %d: %a" pid Anta.Conformance.pp_deviation d
+          Alcotest.failf "pid %d: in state %s: %s" pid
+                  d.Anta.Conformance.state d.Anta.Conformance.reason
       | None -> Alcotest.failf "pid %d runs no automaton" pid)
     pids
 
@@ -1072,20 +1100,29 @@ let atomic_tests =
 
 (* ------------------------------ byzantine ------------------------------ *)
 
+(* whether [Byzantine.handlers] accepts the strategy at the pid *)
+let applicable env pid t =
+  match Byzantine.handlers env ~pid t with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 let byzantine_tests =
   [
     Alcotest.test_case "applicability matrix" `Quick (fun () ->
         let open Byzantine in
+        let env = mk_env () in
+        let topo = env.Env.topo in
+        let applicable t pid = applicable env pid t in
         check Alcotest.bool "thief on escrow" true
-          (applicable_to Thief_escrow (Topology.Escrow 0));
+          (applicable Thief_escrow (Topology.escrow topo 0));
         check Alcotest.bool "thief on alice" false
-          (applicable_to Thief_escrow Topology.Alice);
+          (applicable Thief_escrow (Topology.alice topo));
         check Alcotest.bool "withhold on bob" true
-          (applicable_to Withhold_chi_bob Topology.Bob);
+          (applicable Withhold_chi_bob (Topology.bob topo));
         check Alcotest.bool "withhold on chloe" false
-          (applicable_to Withhold_chi_bob (Topology.Connector 1));
+          (applicable Withhold_chi_bob (Topology.customer topo 1));
         check Alcotest.bool "crash anywhere" true
-          (applicable_to Crash_at_start (Topology.Escrow 2)));
+          (applicable Crash_at_start (Topology.escrow topo 2)));
     Alcotest.test_case "inapplicable strategy raises" `Quick (fun () ->
         let env = mk_env () in
         Alcotest.check_raises "bad"
@@ -1276,7 +1313,7 @@ let economics_tests =
               = -(value + (commission * (hops - 1)))
            && List.for_all
                 (fun pid -> v.Props.Payment_props.net pid = commission)
-                (Topology.connectors topo)));
+                (connectors topo)));
     qcheck
       (QCheck.Test.make
          ~name:"on refund every customer nets exactly zero" ~count:30
@@ -1370,15 +1407,13 @@ let multi_fault_tests =
 let all_fault_pairs =
   List.concat_map
     (fun hops ->
-      let topo = Topology.create ~hops in
+      let env = mk_env ~hops () in
       List.concat_map
         (fun pid ->
           List.map
-            (fun t ->
-              let role = Option.get (Topology.role_of topo pid) in
-              (Byzantine.applicable_to t role, (hops, (pid, t))))
+            (fun t -> (applicable env pid t, (hops, (pid, t))))
             Byzantine.spelled)
-        (List.init (Topology.payment_count topo) Fun.id))
+        (List.init (Topology.payment_count env.Env.topo) Fun.id))
     [ 1; 2; 3; 4 ]
 
 let fault_cases =

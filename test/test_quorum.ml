@@ -11,6 +11,11 @@ module Weak_protocol = Protocols.Weak_protocol
 open Xcrypto
 
 let check = Alcotest.check
+
+(* a label for a quorum system in failure messages *)
+let describe qs =
+  Printf.sprintf "%s(n=%d,f=%d)" (QS.family_name qs) (QS.size qs)
+    (QS.fault_bound qs)
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------ quorum laws *)
@@ -84,7 +89,7 @@ let arbitrary_system =
     return (QS.grid ~qr ~qc ~rows ~cols ~f ())
   in
   QCheck.make
-    ~print:(fun qs -> QS.describe qs)
+    ~print:(fun qs -> describe qs)
     (oneof [ majority; weighted; grid ])
 
 (* --------------------------------------------- committee test world *)
@@ -241,7 +246,7 @@ let big_committee_config =
   {
     C.qs = big_qs;
     self = 0;
-    auth_ids = Committee_tm.auth_ids tm_config;
+    auth_ids = Array.init (Quorum_system.size tm_config.Committee_tm.qs) Fun.id;
     registry = big_registry;
     signer = big_signers.(0);
     batch_cap = 32;
@@ -372,7 +377,7 @@ let words_per_vote () =
   done;
   let decided =
     Array.fold_left
-      (fun k com -> if C.decided_slots com = 2 then k + 1 else k)
+      (fun k com -> if (C.stats com).C.certs = 2 then k + 1 else k)
       0 w.coms
   in
   (int_of_float !words / max 1 !votes, !votes, decided)
@@ -437,7 +442,7 @@ let lifecycle_tests =
         List.iter
           (fun k ->
             let com = w.coms.(k) in
-            check Alcotest.int "slot 0 decided" 1 (C.decided_slots com);
+            check Alcotest.int "slot 0 decided" 1 (C.stats com).C.certs;
             let slots = C.slot_count com in
             List.iter
               (fun kind ->
@@ -470,7 +475,7 @@ let lifecycle_tests =
             check Alcotest.int (Printf.sprintf "replica %d slots" k) 2
               (C.slot_count com);
             check Alcotest.int (Printf.sprintf "replica %d decided" k) 2
-              (C.decided_slots com))
+              (C.stats com).C.certs)
           w.coms;
         check
           Alcotest.(option (pair bool int))
@@ -514,7 +519,7 @@ let lifecycle_tests =
         Array.iteri
           (fun k com ->
             check Alcotest.int (Printf.sprintf "replica %d decided" k) 64
-              (C.decided_slots com);
+              (C.stats com).C.certs;
             (* a tombstone costs nothing once the watermark passes it, and
                a forgotten item one bit *)
             let per_slot = (at64.(k) - at8.(k)) / 56 in
@@ -535,9 +540,9 @@ let () =
         [
           Alcotest.test_case "constructors validate the quorum laws" `Quick
             (fun () ->
-              let ok qs = check Alcotest.bool (QS.describe qs) true
+              let ok qs = check Alcotest.bool (describe qs) true
                   (QS.validate qs = Ok ())
-              and bad qs = check Alcotest.bool (QS.describe qs) true
+              and bad qs = check Alcotest.bool (describe qs) true
                   (Result.is_error (QS.validate qs))
               in
               ok (QS.majority ~n:4 ~f:1 ());
@@ -558,7 +563,7 @@ let () =
                              force" `Quick (fun () ->
               List.iter
                 (fun qs ->
-                  check Alcotest.bool (QS.describe qs) true
+                  check Alcotest.bool (describe qs) true
                     (laws_by_brute_force qs))
                 [
                   QS.majority ~n:4 ~f:1 ();
@@ -590,7 +595,7 @@ let () =
               drain ~now:9 w;
               let seq = w.coms.(0) in
               check Alcotest.int "two slots" 2 (C.slot_count seq);
-              check Alcotest.int "two certs" 2 (C.decided_slots seq);
+              check Alcotest.int "two certs" 2 (C.stats seq).C.certs;
               (match C.decision_of seq ~item:1 with
               | None -> Alcotest.fail "no certificate"
               | Some { C.decided_in; cert; _ } ->
@@ -639,7 +644,7 @@ let () =
               check Alcotest.int "all slots drained" 5
                 (C.slot_count w.coms.(0));
               check Alcotest.int "all decided" 5
-                (C.decided_slots w.coms.(0)));
+                (C.stats w.coms.(0)).C.certs);
           Alcotest.test_case "duplicate requests are dropped" `Quick (fun () ->
               let w = make_world () in
               request w 0 { C.item = 7; commit = true };
@@ -736,7 +741,7 @@ let () =
                 (match fate seq ~item:1 with
                 | Some (true, slot) -> slot > 0
                 | _ -> false);
-              check Alcotest.int "two certificates" 2 (C.decided_slots seq));
+              check Alcotest.int "two certificates" 2 (C.stats seq).C.certs);
           Alcotest.test_case "shared-mode workload spec roundtrips" `Quick
             (fun () ->
               let spec =

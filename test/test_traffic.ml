@@ -83,6 +83,14 @@ let wl_gen =
 let wl_arb =
   QCheck.make ~print:(fun w -> Workload.to_string w) wl_gen
 
+(* the workload a bare [payments=N] spec gives: the grammar's defaults *)
+let default_workload payments =
+  match Workload.of_string (Printf.sprintf "payments=%d" payments) with
+  | Ok w -> w
+  | Error e -> Alcotest.fail e
+
+let arrivals w ~seed = Option.map Array.of_seq (Workload.arrival_seq w ~seed)
+
 let workload_tests =
   [
     qcheck
@@ -92,13 +100,13 @@ let workload_tests =
            | Ok w' -> w' = w
            | Error e -> QCheck.Test.fail_reportf "no parse: %s" e));
     Alcotest.test_case "default spec round-trips" `Quick (fun () ->
-        let w = Workload.default ~payments:100 in
+        let w = default_workload 100 in
         match Workload.of_string (Workload.to_string w) with
         | Ok w' -> Alcotest.(check bool) "equal" true (w = w')
         | Error e -> Alcotest.fail e);
     Alcotest.test_case "parse errors name the offending key" `Quick
       (fun () ->
-        let base = Workload.to_string (Workload.default ~payments:10) in
+        let base = Workload.to_string (default_workload 10) in
         let broken key bad =
           (* swap one key's value for garbage inside an otherwise-valid
              spec; the error must say which key refused it *)
@@ -162,7 +170,7 @@ let workload_tests =
     Alcotest.test_case "optimistic forbids sync and naive" `Quick (fun () ->
         let w =
           {
-            (Workload.default ~payments:10) with
+            (default_workload 10) with
             policy = Workload.Optimistic;
             mix = [ (Workload.Sync, 1) ];
           }
@@ -177,7 +185,7 @@ let workload_tests =
     Alcotest.test_case "naive requires zero drift" `Quick (fun () ->
         let w =
           {
-            (Workload.default ~payments:10) with
+            (default_workload 10) with
             mix = [ (Workload.Naive, 1) ];
             drift_ppm = 500;
           }
@@ -192,11 +200,11 @@ let workload_tests =
       (fun () ->
         let w =
           {
-            (Workload.default ~payments:200) with
+            (default_workload 200) with
             arrival = Workload.Ramp { gap_hi = 80; gap_lo = 5 };
           }
         in
-        match (Workload.arrivals w ~seed:7, Workload.arrivals w ~seed:7) with
+        match (arrivals w ~seed:7, arrivals w ~seed:7) with
         | Some a, Some b ->
             Alcotest.(check bool) "same seed, same ticks" true (a = b);
             Array.iteri
@@ -209,11 +217,11 @@ let workload_tests =
       (fun () ->
         let w =
           {
-            (Workload.default ~payments:50) with
+            (default_workload 50) with
             arrival = Workload.Closed { clients = 4; think = 10 };
           }
         in
-        match Workload.arrivals w ~seed:1 with
+        match arrivals w ~seed:1 with
         | None -> ()
         | Some _ -> Alcotest.fail "closed loop should settle-drive arrivals");
     qcheck
@@ -402,7 +410,7 @@ let load_tests =
     Alcotest.test_case "run rejects an invalid workload" `Quick (fun () ->
         let w =
           {
-            (Workload.default ~payments:5) with
+            (default_workload 5) with
             policy = Workload.Optimistic;
             mix = [ (Workload.Sync, 1) ];
           }
@@ -474,7 +482,7 @@ let causal_tests =
             Alcotest.(check bool) "gaps sum exactly to the latency" true
               (Blame.check b);
             Alcotest.(check bool) "critical path is a real DAG path" true
-              (Causal.path_valid c b.Blame.path);
+              (Causal_path.valid c b.Blame.path);
             Alcotest.(check bool) "rooted at the arrival" true b.Blame.rooted)
           r.Load.blame_reports;
         let slowest =
@@ -534,7 +542,7 @@ let causal_tests =
                if not (Blame.check b) then
                  QCheck.Test.fail_reportf "inexact blame under %s"
                    (Faults.Fault_plan.to_string plan);
-               if not (Causal.path_valid c b.Blame.path) then
+               if not (Causal_path.valid c b.Blame.path) then
                  QCheck.Test.fail_reportf "broken path under %s"
                    (Faults.Fault_plan.to_string plan))
              r.Load.blame_reports;
@@ -558,27 +566,36 @@ let causal_tests =
         let r = Load.run ~plan ~workload:w ~seed:9 () in
         Obsv.Span.set_capture spans false;
         Alcotest.(check bool) "scenario wedges payments" true (r.Load.stuck > 0);
+        (* the raw text of a field of a span's JSONL row, up to the next
+           comma: the rows are flat up to their attrs *)
+        let field row key =
+          let k = Printf.sprintf {|"%s":|} key in
+          let rec find i =
+            if String.sub row i (String.length k) = k then i + String.length k
+            else find (i + 1)
+          in
+          let v = find 0 in
+          String.sub row v (String.index_from row v ',' - v)
+        in
         let payment_spans =
-          List.filter
-            (fun s -> Obsv.Span.span_name s = "payment")
-            (Obsv.Span.spans spans)
+          String.split_on_char '\n' (Obsv.Span.to_jsonl spans)
+          |> List.filter (fun row ->
+                 row <> "" && field row "name" = {|"payment"|})
         in
         Alcotest.(check int) "a span per payment" w.Workload.payments
           (List.length payment_spans);
         let stuck_spans =
-          List.filter
-            (fun s -> Obsv.Span.span_status s = "stuck")
-            payment_spans
+          List.filter (fun s -> field s "status" = {|"stuck"|}) payment_spans
         in
         Alcotest.(check int) "stuck spans match the count" r.Load.stuck
           (List.length stuck_spans);
         List.iter
           (fun s ->
-            if Obsv.Span.span_status s = "running" then
-              Alcotest.failf "span %d exported running" (Obsv.Span.span_id s);
-            match Obsv.Span.span_end s with
-            | Some e when e >= Obsv.Span.span_start s -> ()
-            | _ -> Alcotest.failf "span %d open-ended" (Obsv.Span.span_id s))
+            if field s "status" = {|"running"|} then
+              Alcotest.failf "span %s exported running" (field s "id");
+            match int_of_string_opt (field s "end") with
+            | Some e when e >= int_of_string (field s "start") -> ()
+            | _ -> Alcotest.failf "span %s open-ended" (field s "id"))
           payment_spans;
         Obsv.Span.clear spans);
   ]
@@ -945,16 +962,18 @@ let keyed_error_property =
                   key))
 
 (* The [(flag, value)] pairs that spell a spec line's fields as load
-   flags; [committee=] has no flag and is dropped. *)
+   flags: [--KEY], but [--stuck-after] for [stuck=]; [committee=] has no
+   flag and is dropped. *)
 let flags_of_spec s =
   List.filter_map
     (fun field ->
       let i = String.index field '=' in
       let key = String.sub field 0 i in
       let v = String.sub field (i + 1) (String.length field - i - 1) in
-      List.find_map
-        (fun (flag, k) -> if k = key then Some (flag, v) else None)
-        Workload.flags)
+      match key with
+      | "committee" -> None
+      | "stuck" -> Some ("--stuck-after", v)
+      | key -> Some ("--" ^ key, v))
     (String.split_on_char ' ' s)
 
 let load_front_door = Workload.of_command_line ~base:"payments=100"
