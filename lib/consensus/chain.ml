@@ -20,12 +20,13 @@ type ('tx, 'st, 'ev) config = {
   block_interval : Sim.Sim_time.t;
   initial_state : 'st;
   apply : 'st -> 'tx -> 'st * 'ev list;
-  tx_equal : 'tx -> 'tx -> bool;
+  tx_key : 'tx -> string;
 }
 
 type ('tx, 'st, 'ev) t = {
   cfg : ('tx, 'st, 'ev) config;
-  mutable applied : 'tx list;  (* all txs already in the chain *)
+  mutable state : 'st;  (* the contract after the accepted blocks *)
+  applied : (string, unit) Hashtbl.t;  (* keys of the txs in the chain *)
   mutable mempool : 'tx list;  (* oldest first *)
   mutable round : round;
   mutable nheight : int;
@@ -39,23 +40,22 @@ let create cfg =
     invalid_arg "Chain.create: block_interval must be positive";
   {
     cfg;
-    applied = [];
+    state = cfg.initial_state;
+    applied = Hashtbl.create 16;
     mempool = [];
     round = 0;
     nheight = 0;
     future = [];
   }
 
-let state t =
-  List.fold_left
-    (fun st tx -> fst (t.cfg.apply st tx))
-    t.cfg.initial_state (List.rev t.applied)
-
 let proposer_of t height = ((height mod t.cfg.n) + t.cfg.n) mod t.cfg.n
 
+let in_chain t tx = Hashtbl.mem t.applied (t.cfg.tx_key tx)
+
 let known t tx =
-  List.exists (t.cfg.tx_equal tx) t.applied
-  || List.exists (t.cfg.tx_equal tx) t.mempool
+  let key = t.cfg.tx_key tx in
+  Hashtbl.mem t.applied key
+  || List.exists (fun m -> t.cfg.tx_key m = key) t.mempool
 
 let arm_round t round =
   Set_round_timer { round; after = t.cfg.block_interval }
@@ -79,27 +79,20 @@ let maybe_propose t =
 let start t = arm_round t 0 :: maybe_propose t
 
 (* Apply a freshly accepted block's transactions to the replicated state,
-   collecting contract events. Replay is incremental: [applied] carries the
-   running prefix, so [state] can always be recomputed from scratch for
-   audits while hosts receive events exactly once. *)
+   collecting contract events: a transaction already in the chain is
+   skipped, so hosts receive each event exactly once. *)
 let accept t block =
-  let fresh =
-    List.filter (fun tx -> not (List.exists (t.cfg.tx_equal tx) t.applied))
-      block.txs
+  let fresh = List.filter (fun tx -> not (in_chain t tx)) block.txs in
+  let events =
+    List.concat_map
+      (fun tx ->
+        let st, evs = t.cfg.apply t.state tx in
+        t.state <- st;
+        evs)
+      fresh
   in
-  let st = state t in
-  let _, events =
-    List.fold_left
-      (fun (st, acc) tx ->
-        let st', evs = t.cfg.apply st tx in
-        (st', acc @ evs))
-      (st, []) fresh
-  in
-  t.applied <- List.rev_append (List.rev fresh) t.applied;
-  t.mempool <-
-    List.filter
-      (fun tx -> not (List.exists (t.cfg.tx_equal tx) fresh))
-      t.mempool;
+  List.iter (fun tx -> Hashtbl.replace t.applied (t.cfg.tx_key tx) ()) fresh;
+  t.mempool <- List.filter (fun tx -> not (in_chain t tx)) t.mempool;
   t.nheight <- t.nheight + 1;
   (* a block ends the current round: re-arm from the new height *)
   t.round <- t.round + 1;

@@ -53,7 +53,9 @@ type ('tx, 'st, 'ev) config = {
   initial_state : 'st;
   apply : 'st -> 'tx -> 'st * 'ev list;
       (** MUST be deterministic and total; exceptions poison the chain *)
-  tx_equal : 'tx -> 'tx -> bool;  (** dedupe for mempool and replay *)
+  tx_key : 'tx -> string;
+      (** dedupe for mempool and replay: two transactions are the same iff
+          their keys are equal *)
 }
 
 type ('tx, 'st, 'ev) t

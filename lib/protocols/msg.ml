@@ -143,11 +143,8 @@ let ser_decision d =
 
 let ser_bool b = if b then "commit" else "abort"
 
-let chain_tx_equal a b =
-  match (a, b) with
-  | Tx_funded x, Tx_funded y ->
-      x.Xcrypto.Auth.payload.f_escrow = y.Xcrypto.Auth.payload.f_escrow
-      && x.Xcrypto.Auth.payload.f_payment = y.Xcrypto.Auth.payload.f_payment
-  | Tx_abort x, Tx_abort y ->
-      x.customer = y.customer && x.payment = y.payment
-  | _, _ -> false
+let chain_tx_key = function
+  | Tx_funded x ->
+      Printf.sprintf "funded|%d|%d" x.Xcrypto.Auth.payload.f_escrow
+        x.Xcrypto.Auth.payload.f_payment
+  | Tx_abort x -> Printf.sprintf "abort|%d|%d" x.customer x.payment

@@ -93,6 +93,6 @@ val ser_decision : decision_body -> string
 val ser_bool : bool -> string
 (** Serializer for committee consensus values (commit?). *)
 
-val chain_tx_equal : chain_tx -> chain_tx -> bool
-(** Structural identity used by the chain's mempool/replay dedupe: funded
-    reports are keyed by escrow, abort requests by customer. *)
+val chain_tx_key : chain_tx -> string
+(** Identity used by the chain's mempool/replay dedupe: funded reports are
+    keyed by escrow and payment, abort requests by customer and payment. *)

@@ -517,7 +517,7 @@ let chain_validator_handlers (env : Env.t) cfg ~index =
     Chain.create
       { Chain.n = Array.length pids; self = index; block_interval = cfg.tm_base_timeout;
         initial_state = { funded_legs = []; contract_decided = None }; apply;
-        tx_equal = Msg.chain_tx_equal }
+        tx_key = Msg.chain_tx_key }
   in
   let announced = ref false in
   let announce_decision ctx commit =

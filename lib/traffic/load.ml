@@ -2,14 +2,7 @@ open Sim
 open Protocols
 module Fold = Props.Payment_fold
 
-type outcome = Committed | Aborted | Rejected | Stuck | Violated
-
-let outcome_name = function
-  | Committed -> "committed"
-  | Aborted -> "aborted"
-  | Rejected -> "rejected"
-  | Stuck -> "stuck"
-  | Violated -> "violated"
+type outcome = Tally.outcome = Committed | Aborted | Rejected | Stuck | Violated
 
 type violation = { payment : int; property : string; detail : string }
 
@@ -115,13 +108,10 @@ type shape = {
   instantiate : Env.t -> int -> int -> (Msg.t, Obs.t) Engine.handlers;
 }
 
-let is_liquidity_rejection what =
-  (* Book.pp_error Insufficient_funds, wrapped by the escrows' "deposit: "
-     prefix; Unknown_account prints "deposit: unknown account …" and so
-     stays a real violation. *)
-  let prefix = "deposit: account" in
-  String.length what >= String.length prefix
-  && String.sub what 0 (String.length prefix) = prefix
+(* Book.pp_error Insufficient_funds, wrapped by the escrows' "deposit: "
+   prefix; Unknown_account prints "deposit: unknown account …" and so
+   stays a real violation. *)
+let is_liquidity_rejection = String.starts_with ~prefix:"deposit: account"
 
 (* [k] of a controller timer label "<kind>#<k>" whose digits start at
    [from], read in place *)
@@ -148,7 +138,7 @@ end)
    linear chain owns exactly one instance (id = payment index); a routed
    payment owns up to [splits] (ids [k * splits + j]). An instance is built
    when its payment is admitted and retired once nothing can make its
-   processes act again (see [try_retire] in {!run}). *)
+   processes act again (see [try_retire]). *)
 type inst = {
   id : int;
   i_pay : pay;
@@ -163,7 +153,7 @@ type inst = {
       (** per block slot: the process clock and start skew *)
   i_phase : Bytes.t;
       (** per block slot: waiting for Start, running, or halted and
-          reported to the controller (see [shell] in {!run}) *)
+          reported to the controller (see [shell]) *)
   i_buffered : (int * Msg.t) list array;
       (** per block slot: deliveries before its Start, newest first *)
   i_facts : Fold.t;  (** the instance's property fold *)
@@ -363,50 +353,108 @@ let graph_legs (w : Workload.t) (g : Routing.Topology.t) =
     role = (fun _ l -> if l = 0 then "alice" else "node");
   }
 
-let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
-    ?recorder ~(workload : Workload.t) ~seed () =
-  (match Workload.validate workload with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Load.run: " ^ e));
-  let wall_t0 = Fleet.now_ns () in
-  let w = workload in
-  let routed = Option.is_some w.topology in
+(* ------------------------------- state -------------------------------- *)
+
+(* One load run: what it derives from its inputs, its engine, the live
+   payments and instances, the draws cursor, the per-payment rows kept
+   for blame and spans, and the counters its report reads. The phases
+   below are functions over it; {!run} sets it up and composes them. *)
+type state = {
+  w : Workload.t;
+  seed : int;
+  plan : Faults.Fault_plan.t;
+  causal : Obsv.Causal.t option;
+  legs : legs;
+  stride : int;  (** pids per instance block *)
+  payment_limit : int;  (** the first pid past the instance blocks *)
+  stuck_eff : int;  (** ticks from admission to the stuck deadline *)
+  horizon : int;
+  network : Network.t;
+  engine : (Msg.t, Obs.t) Engine.t;
+  dag : (Msg.t, Obs.t) Causal_fold.t option;
+  live : inst Ids.t;  (** instances that can still act *)
+  pays : pay Ids.t;  (** payments from arrival until counted *)
+  queue : int Queue.t;  (** payments waiting for admission *)
+  shapes : (Workload.proto * int, shape) Hashtbl.t;
+      (** per (protocol, path length), built at the first admission that
+          needs it: the table lives and dies with its run, so concurrent
+          runs share nothing *)
+  mutable shared : Weak_protocol.config option;
+      (** the weak config whose TM is the shared committee *)
+  mutable sequencer : Quorum.Committee.t option;
+  clock_rng : Rng.t;
+  mutable mix : Workload.proto Seq.t;  (** the protocols not drawn yet *)
+  mutable drawn : int;  (** payments whose draws were taken *)
+  ahead : (Workload.proto * (Clock.t * int) array array) Ids.t;
+      (** draws set aside for payments that arrive out of order *)
+  rows : bool;  (** per-payment rows are kept: for blame or spans *)
+  roots : int array;  (** per payment: its arrival note *)
+  paid_nodes : int array;  (** per instance: the node that paid Bob *)
+  row_outcome : outcome array;
+  row_arrived : int array;
+  row_settled : int array;
+  tallies : (Workload.proto * Tally.t) list;  (** one per mix entry *)
+  mutable violations : (int * violation list) list;
+  mutable messages : int;
+  mutable liquidity_rejections : int;
+  mutable admitted : int;
+  mutable in_flight : int;
+  mutable max_in_flight : int;
+  mutable total_paths : int;
+  mutable split_payments : int;
+  mutable partial_payments : int;
+  mutable no_route_rejections : int;
+  mutable inst_paid : int;
+  mutable inst_settled : int;
+  mutable committed_value : int;
+}
+
+(* A protocol's settle horizon, for the derived stuck deadline. *)
+let proto_horizon w lmax proto =
+  match proto with
+  | Workload.Sync | Workload.Naive ->
+      (params_for w proto ~hops:lmax).Params.horizon
+  | Workload.Htlc -> Htlc_protocol.window_of (params_for w proto ~hops:lmax) 0
+  | Workload.Weak_single | Workload.Committee | Workload.Shared ->
+      weak_cfg.patience
+  | Workload.Atomic -> Atomic_protocol.default_config.deadline
+
+let event_budget (w : Workload.t) =
+  let instances = w.payments * w.splits in
+  (1000 * instances) + 100_000
+  (* committee consensus traffic is quadratic in committee size per
+     certified slot; give it headroom without touching the budget of
+     committee-less runs *)
+  + (match w.committee with
+    | Some c ->
+        let slots = (instances + c.c_batch - 1) / c.c_batch in
+        (slots + (4 * c.c_pipeline)) * 4 * c.c_size * c.c_size
+    | None -> 0)
+
+(* Everything a run derives from its inputs before its engine starts: the
+   legs, the deadlines, the network under the fault plan, the engine and
+   its graph, and empty tables and counters. *)
+let create ~plan ~causal ~prof ~monitor ~sampler ~(w : Workload.t) ~seed =
   let legs =
     match w.topology with None -> chain_legs w | Some g -> graph_legs w g
   in
-  let lmax = legs.lmax in
-  let arrivals = Workload.arrival_seq w ~seed in
-  let max_splits = w.splits in
-  let instances = w.payments * max_splits in
   let stride = hosts w in
-  (* Fault plans address hosts: logical pids 0 .. stride-1, applied to
-     every instance block (one crashed escrow host is down for everyone). *)
-  (match Faults.Fault_plan.validate plan ~nprocs:stride with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Load.run: bad fault plan: " ^ e));
-  (* A protocol's settle horizon, for the derived stuck deadline. *)
-  let proto_horizon proto =
-    match proto with
-    | Workload.Sync | Workload.Naive ->
-        (params_for w proto ~hops:lmax).Params.horizon
-    | Workload.Htlc -> Htlc_protocol.window_of (params_for w proto ~hops:lmax) 0
-    | Workload.Weak_single | Workload.Committee | Workload.Shared ->
-        weak_cfg.patience
-    | Workload.Atomic -> Atomic_protocol.default_config.deadline
-  in
+  let instances = w.payments * w.splits in
   let gst_slack = match w.gst with Some g -> 2 * g | None -> 0 in
   let stuck_eff =
     if w.stuck_after > 0 then w.stuck_after
     else
       let base =
-        List.fold_left (fun acc (p, _) -> max acc (proto_horizon p)) 0 w.mix
+        List.fold_left
+          (fun acc (p, _) -> max acc (proto_horizon w legs.lmax p))
+          0 w.mix
       in
       (* ×4 absorbs clock drift and queueing inside the protocol windows *)
       (4 * base) + (20 * delta) + gst_slack
   in
   let horizon =
     let last_arrival =
-      match arrivals with
+      match Workload.arrival_seq w ~seed with
       | Some arr -> Seq.fold_left (fun _ t -> t) 0 arr
       | None -> (
           match w.arrival with
@@ -416,17 +464,6 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           | _ -> 0)
     in
     last_arrival + w.patience + (2 * stuck_eff) + (20 * delta) + gst_slack
-  in
-  let max_events =
-    (1000 * instances) + 100_000
-    (* committee consensus traffic is quadratic in committee size per
-       certified slot; give it headroom without touching the budget of
-       committee-less runs *)
-    + (match w.committee with
-      | Some c ->
-          let slots = (instances + c.c_batch - 1) / c.c_batch in
-          (slots + (4 * c.c_pipeline)) * 4 * c.c_size * c.c_size
-      | None -> 0)
   in
   (* --- network: model + fault injection, control traffic exempt --- *)
   let injector =
@@ -474,860 +511,837 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
       ?monitor ?sampler ~seed ()
   in
   let dag = Option.map (Causal_fold.attach engine) causal in
-  (* the scheduler's own points in the graph, on its pid 0 *)
-  let note ?after ?trace ~label () =
-    match dag with
-    | None -> -1
-    | Some f -> Causal_fold.note f ~pid:0 ?after ?trace ~label ()
-  in
-  (* --- live state: only payments in the system and instances that can
-     still act are held; everything else is already folded into the
-     run's counters below --- *)
-  let live : inst Ids.t = Ids.create 256 in
-  let pays : pay Ids.t = Ids.create 256 in
-  let messages = ref 0 in
   (* Per-payment and per-instance rows, kept only when a consumer needs
      them after the run: causal blame (arrival roots, payout sinks,
      outcomes) and payment spans (arrival, settlement, outcome). *)
-  let spans_on = Obsv.Span.capture Obsv.Span.default in
-  let rows = Option.is_some causal || spans_on in
+  let rows = Option.is_some causal || Obsv.Span.capture Obsv.Span.default in
   let row n v = if rows then Array.make n v else [||] in
-  let roots = row w.payments (-1) in
-  let paid_nodes =
-    if Option.is_some causal then Array.make instances (-1) else [||]
-  in
-  let row_outcome = row w.payments Rejected in
-  let row_arrived = row w.payments (-1) in
-  let row_settled = row w.payments (-1) in
-  (* --- outcome counters: a payment folds in here once final --- *)
-  let tally tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> incr r
-    | None -> Hashtbl.replace tbl key (ref 1)
-  in
-  let outcome_counts : (Workload.proto * outcome, int ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let bump proto o = tally outcome_counts (proto, o) in
-  let count_of proto o =
-    match Hashtbl.find_opt outcome_counts (proto, o) with
-    | Some r -> !r
-    | None -> 0
-  in
-  (* exact commit-latency histograms per protocol, and the first payment
-     each protocol committed (the order its telemetry child is made in) *)
-  let latencies :
-      (Workload.proto, (int, int ref) Hashtbl.t * int ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let assigned : (Workload.proto, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let violations = ref [] in
-  let liquidity_rejections = ref 0 in
-  let partial_payments = ref 0 in
-  let no_route_rejections = ref 0 in
-  let inst_started = ref 0 in
-  let inst_paid = ref 0 in
-  let inst_settled = ref 0 in
-  let committed_value = ref 0 in
-  (* each live instance's entries feed its fold; the legs' liquidity
-     accounting rides on the same deposits and refunds *)
-  let observed ins entry obs =
-    let unpaid = paid_at ins < 0 in
-    Fold.observe ins.i_facts entry;
-    (match dag with
-    | Some f when unpaid && paid_at ins >= 0 ->
-        paid_nodes.(ins.id) <- Causal_fold.current_node f
-    | _ -> ());
-    (* depositor index IS the leg index: customer i deposits only at
-       escrow i, at most once *)
-    match obs with
-    | Obs.Deposited { depositor; amount; deposit; _ }
-      when depositor >= 0 && depositor < ins.i_hops ->
-        if ins.i_deposited.(depositor) = 0 then legs.on_deposit ins depositor;
-        ins.i_deposited.(depositor) <- ins.i_deposited.(depositor) + amount;
-        ins.i_deposits.(depositor) <- deposit :: ins.i_deposits.(depositor)
-    | Obs.Refunded { depositor; amount; _ }
-      when depositor >= 0 && depositor < ins.i_hops ->
-        ins.i_refunded.(depositor) <- ins.i_refunded.(depositor) + amount
-    | _ -> ()
-  in
-  let in_blocks pid = pid >= 1 && pid < payment_limit in
-  (* --- shared batching committee: one block after the instance blocks,
-     serving every instance's verdict item. A batch's instances retire
-     together, once none can ask again (see [try_retire]), so the items it
-     answers are live. --- *)
-  let shared_committee =
-    Option.map
-      (fun (c : Workload.committee) ->
-        let creg = Xcrypto.Auth.create ~seed:(seed + 71) in
-        let signers =
-          Array.init c.c_size (fun i -> Xcrypto.Auth.register creg i)
-        in
-        let hops_of id = (Ids.find live id).i_hops in
-        let ccfg =
-          {
-            Committee_tm.qs = Result.get_ok (Workload.quorum_system c);
-            registry = creg;
-            batch_cap = c.c_batch;
-            pipeline = c.c_pipeline;
-            base_timeout = weak_cfg.Weak_protocol.tm_base_timeout;
-            (* verdict items are instance ids: only this run's shared
-               handlers issue requests *)
-            reply_to =
-              (fun id ->
-                Array.init
-                  ((2 * hops_of id) + 1)
-                  (fun l -> 1 + (id * stride) + l));
-            hops_of;
-          }
-        in
-        (* one certificate checker, and so one memo, per run *)
-        (c, ccfg, signers, Committee_tm.verify ccfg ~signer:signers.(0)))
-      w.committee
-  in
-  let sequencer_com = ref None in
-  let committee_pids =
-    match w.committee with
-    | Some c -> Array.init c.c_size (fun i -> payment_limit + i)
-    | None -> [||]
-  in
-  let weak cfg ~hops =
-    let tmpl = Weak_protocol.template cfg ~hops in
-    fun env _id -> Weak_protocol.instantiate tmpl (Weak_protocol.instance env cfg)
-  in
-  let instantiate proto params =
-    let hops = params.Params.input.Params.hops in
-    match proto with
-    | Workload.Sync | Workload.Naive ->
-        let tmpl = Sync_protocol.template params in
-        fun env _id -> Anta.Executor.instantiate tmpl env
-    | Workload.Htlc ->
-        let tmpl = Htlc_protocol.template params in
-        fun env id ->
-          Anta.Executor.instantiate tmpl
-            (Htlc_protocol.instance env ~seed:(seed + 57 + id))
-    | Workload.Weak_single -> weak weak_cfg ~hops
-    | Workload.Committee -> weak committee_cfg ~hops
-    | Workload.Shared ->
-        (* validation guarantees the committee= spec *)
-        let _, _, _, verify = Option.get shared_committee in
-        weak ~hops
-          { weak_cfg with tm = Weak_protocol.Shared { pids = committee_pids; verify } }
-    | Workload.Atomic ->
-        let tmpl = Atomic_protocol.template ~hops Atomic_protocol.default_config in
-        fun env _id -> Anta.Executor.instantiate tmpl env
-  in
-  (* One shape per (protocol, path length), built at the first admission
-     that needs it: set-up stays as it was, and the table lives and dies
-     with this run, so concurrent runs share nothing. *)
-  let shapes : (Workload.proto * int, shape) Hashtbl.t = Hashtbl.create 8 in
-  let shape_of proto h =
-    match Hashtbl.find shapes (proto, h) with
-    | sh -> sh
-    | exception Not_found ->
-        let params = params_for w proto ~hops:h in
-        let sh =
-          {
-            topo = Topology.create ~hops:h;
-            params;
-            instantiate = instantiate proto params;
-          }
-        in
-        Hashtbl.replace shapes (proto, h) sh;
-        sh
-  in
-  (* --- payment arrival draws ---
+  {
+    w; seed; plan; causal; legs; stride; payment_limit; stuck_eff; horizon;
+    network; engine; dag;
+    live = Ids.create 256;
+    pays = Ids.create 256;
+    queue = Queue.create ();
+    shapes = Hashtbl.create 8;
+    shared = None;
+    sequencer = None;
+    clock_rng = Rng.create ~seed:(seed + 31);
+    mix = Workload.mix_seq w ~seed;
+    drawn = 0;
+    ahead = Ids.create 16;
+    rows;
+    roots = row w.payments (-1);
+    paid_nodes =
+      (if Option.is_some causal then Array.make instances (-1) else [||]);
+    row_outcome = row w.payments Rejected;
+    row_arrived = row w.payments (-1);
+    row_settled = row w.payments (-1);
+    tallies = List.map (fun (p, _) -> (p, Tally.create ())) w.mix;
+    violations = [];
+    messages = 0; liquidity_rejections = 0; admitted = 0; in_flight = 0;
+    max_in_flight = 0; total_paths = 0; split_payments = 0;
+    partial_payments = 0; no_route_rejections = 0; inst_paid = 0;
+    inst_settled = 0; committed_value = 0;
+  }
 
-     Payments draw their protocol from the mix stream, and every block slot
-     of every split its process clock and start skew from one clock
-     stream, both in payment order and whether or not the payment is ever
-     admitted, exactly as if every block were registered before the run.
-     A payment takes its draws when it arrives; one that arrives out of
-     order (closed-loop arrivals) finds them set aside by the payments
-     that drew past it. *)
-  let clock_rng = Rng.create ~seed:(seed + 31) in
-  let mix = ref (Workload.mix_seq w ~seed) in
-  let drawn = ref 0 in
-  let ahead : (Workload.proto * (Clock.t * int) array array) Ids.t =
-    Ids.create 16
-  in
-  let draw_payment () =
-    match !mix () with
-    | Seq.Nil -> assert false
-    | Seq.Cons (proto, rest) ->
-        mix := rest;
-        incr drawn;
-        tally assigned proto;
-        let block () =
-          Array.init stride (fun _ ->
-              let clock = Clock.random clock_rng ~drift_ppm:w.drift_ppm in
-              let skew = Rng.int clock_rng 1001 in
-              (clock, skew))
-        in
-        (proto, Array.init max_splits (fun _ -> block ()))
-  in
-  let take_draws k =
-    if k < !drawn then begin
-      let d = Ids.find ahead k in
-      Ids.remove ahead k;
-      d
-    end
-    else begin
-      while !drawn < k do
-        let skipped = !drawn in
-        Ids.replace ahead skipped (draw_payment ())
-      done;
-      draw_payment ()
-    end
-  in
-  (* --- judging: an instance's verdict is final once it is retired (its
-     processes never act again) or the run has ended --- *)
-  (* routed verdicts name the split they come from *)
-  let split_tag id sep =
-    if routed then Printf.sprintf "split %d%s" id sep else ""
-  in
-  let exposed_at ~lo ~hi lp =
+let tally_of st proto = List.assoc proto st.tallies
+
+(* The scheduler's own points in the graph, on its pid 0. The label is
+   built only when a graph is attached to read it. *)
+let note st ?after ~trace kind n =
+  match st.dag with
+  | None -> -1
+  | Some f ->
+      Causal_fold.note f ~pid:0 ?after ~trace ~label:(kind ^ string_of_int n) ()
+
+(* each live instance's entries feed its fold; the legs' liquidity
+   accounting rides on the same deposits and refunds *)
+let observed st ins entry obs =
+  let unpaid = paid_at ins < 0 in
+  Fold.observe ins.i_facts entry;
+  (match st.dag with
+  | Some f when unpaid && paid_at ins >= 0 ->
+      st.paid_nodes.(ins.id) <- Causal_fold.current_node f
+  | _ -> ());
+  (* depositor index IS the leg index: customer i deposits only at
+     escrow i, at most once *)
+  match obs with
+  | Obs.Deposited { depositor; amount; deposit; _ }
+    when depositor >= 0 && depositor < ins.i_hops ->
+      if ins.i_deposited.(depositor) = 0 then st.legs.on_deposit ins depositor;
+      ins.i_deposited.(depositor) <- ins.i_deposited.(depositor) + amount;
+      ins.i_deposits.(depositor) <- deposit :: ins.i_deposits.(depositor)
+  | Obs.Refunded { depositor; amount; _ }
+    when depositor >= 0 && depositor < ins.i_hops ->
+      ins.i_refunded.(depositor) <- ins.i_refunded.(depositor) + amount
+  | _ -> ()
+
+let in_blocks st pid = pid >= 1 && pid < st.payment_limit
+
+let weak cfg ~hops =
+  let tmpl = Weak_protocol.template cfg ~hops in
+  fun env _id -> Weak_protocol.instantiate tmpl (Weak_protocol.instance env cfg)
+
+let instantiate st proto params =
+  let hops = params.Params.input.Params.hops in
+  match proto with
+  | Workload.Sync | Workload.Naive ->
+      let tmpl = Sync_protocol.template params in
+      fun env _id -> Anta.Executor.instantiate tmpl env
+  | Workload.Htlc ->
+      let tmpl = Htlc_protocol.template params in
+      fun env id ->
+        Anta.Executor.instantiate tmpl
+          (Htlc_protocol.instance env ~seed:(st.seed + 57 + id))
+  | Workload.Weak_single -> weak weak_cfg ~hops
+  | Workload.Committee -> weak committee_cfg ~hops
+  | Workload.Shared ->
+      (* validation guarantees the committee= spec *)
+      weak (Option.get st.shared) ~hops
+  | Workload.Atomic ->
+      let tmpl =
+        Atomic_protocol.template ~hops Atomic_protocol.default_config
+      in
+      fun env _id -> Anta.Executor.instantiate tmpl env
+
+let shape_of st proto h =
+  match Hashtbl.find st.shapes (proto, h) with
+  | sh -> sh
+  | exception Not_found ->
+      let params = params_for st.w proto ~hops:h in
+      let sh =
+        {
+          topo = Topology.create ~hops:h;
+          params;
+          instantiate = instantiate st proto params;
+        }
+      in
+      Hashtbl.replace st.shapes (proto, h) sh;
+      sh
+
+(* --- payment arrival draws ---
+
+   Payments draw their protocol from the mix stream, and every block slot
+   of every split its process clock and start skew from one clock
+   stream, both in payment order and whether or not the payment is ever
+   admitted, exactly as if every block were registered before the run.
+   A payment takes its draws when it arrives; one that arrives out of
+   order (closed-loop arrivals) finds them set aside by the payments
+   that drew past it. *)
+let draw_payment st =
+  match st.mix () with
+  | Seq.Nil -> assert false
+  | Seq.Cons (proto, rest) ->
+      st.mix <- rest;
+      st.drawn <- st.drawn + 1;
+      Tally.assign (tally_of st proto);
+      ( proto,
+        Array.init st.w.splits (fun _ ->
+            Array.init st.stride (fun _ ->
+                let drift_ppm = st.w.drift_ppm in
+                let clock = Clock.random st.clock_rng ~drift_ppm in
+                (clock, Rng.int st.clock_rng 1001))) )
+
+let take_draws st k =
+  if k < st.drawn then begin
+    let d = Ids.find st.ahead k in
+    Ids.remove st.ahead k;
+    d
+  end
+  else begin
+    while st.drawn < k do
+      let skipped = st.drawn in
+      Ids.replace st.ahead skipped (draw_payment st)
+    done;
+    draw_payment st
+  end
+
+(* --- judging: an instance's verdict is final once it is retired (its
+   processes never act again) or the run has ended --- *)
+
+let judge st ins ~end_time =
+  let p = ins.i_pay in
+  let h = ins.i_hops in
+  let hi = if settled_at ins >= 0 then settled_at ins else end_time in
+  (* a pid abides unless its host was crashed while the instance was
+     live — mirrors chaos's non-abiding registration *)
+  let exposed lp =
     List.exists
       (fun (c : Faults.Fault_plan.crash_spec) ->
         c.pid = lp && c.at <= hi
-        && match c.recover_at with None -> true | Some r -> r >= lo)
-      plan.Faults.Fault_plan.crashes
+        && match c.recover_at with None -> true | Some r -> r >= p.admitted_at)
+      st.plan.Faults.Fault_plan.crashes
   in
   (* under [optimistic] admission a deposit may meet a drained account:
      that rejection is the policy's, not a protocol fault *)
-  let excused what =
-    w.policy = Workload.Optimistic && is_liquidity_rejection what
+  let excused =
+    if st.w.policy = Workload.Optimistic then is_liquidity_rejection
+    else fun _ -> false
   in
-  let safety proto =
-    Fold.safety ~excused ~preimage_is_receipt:true (Proto.runner proto)
+  let facts =
+    {
+      Fold.facts = ins.i_facts;
+      honest = (fun lp -> not (exposed lp));
+      net = Fold.flow ins.i_facts;
+      tm_trusted = true;
+      well_formed = Runner.well_formed (Proto.runner p.proto) ~hops:h;
+    }
   in
-  let judge ins ~end_time =
-    let p = ins.i_pay in
-    let h = ins.i_hops in
-    let hi = if settled_at ins >= 0 then settled_at ins else end_time in
-    let exposed = exposed_at ~lo:p.admitted_at ~hi in
-    (* a pid abides unless its host was crashed while the instance was
-       live — mirrors chaos's non-abiding registration *)
-    let facts =
-      {
-        Fold.facts = ins.i_facts;
-        honest = (fun lp -> not (exposed lp));
-        net = Fold.flow ins.i_facts;
-        tm_trusted = true;
-        well_formed = Runner.well_formed (Proto.runner p.proto) ~hops:h;
-      }
-    in
-    List.iter
-      (fun (_, what) ->
-        if is_liquidity_rejection what then incr liquidity_rejections)
-      (Fold.rejections ins.i_facts);
-    let viols = ref [] in
-    List.iter
+  List.iter
+    (fun (_, what) ->
+      if is_liquidity_rejection what then
+        st.liquidity_rejections <- st.liquidity_rejections + 1)
+    (Fold.rejections ins.i_facts);
+  p.split_viols.(ins.i_split) <-
+    List.filter_map
       (fun (_, check) ->
         let { Props.Verdict.property; applicable; holds; detail } =
           check facts
         in
-        if applicable && not holds then
-          viols :=
-            { payment = p.k; property; detail = split_tag ins.id ": " ^ detail }
-            :: !viols)
-      (safety p.proto);
-    p.split_viols.(ins.i_split) <- List.rev !viols;
-    incr inst_started;
-    if paid_at ins < 0 then p.all_paid <- false
-    else begin
-      p.any_paid <- true;
-      p.paid_max <- max p.paid_max (paid_at ins);
-      incr inst_paid;
-      committed_value := !committed_value + ins.i_value
-    end;
-    if settled_at ins >= 0 then incr inst_settled;
-    p.settled_max <- max p.settled_max (settled_at ins);
-    (* settled for abort purposes: every customer terminated or was
-       crash-covered *)
-    for ci = 0 to h do
-      if Fold.terminated ins.i_facts ci = None && not (exposed ci) then
-        p.all_settled <- false
-    done;
-    p.unjudged <- p.unjudged - 1
-  in
-  (* a payment commits iff every instance paid Bob *)
-  let finalize p =
-    Ids.remove pays p.k;
-    let o =
-      if p.admitted_at < 0 then begin
-        if p.no_route then incr no_route_rejections;
-        Rejected
-      end
-      else
-        let viols = List.concat (Array.to_list p.split_viols) in
-        if viols <> [] then begin
-          violations := (p.k, viols) :: !violations;
-          Violated
-        end
-        else if p.all_paid then begin
-          let lat = p.paid_max - p.arrived_at in
-          let hist, first =
-            match Hashtbl.find_opt latencies p.proto with
-            | Some v -> v
-            | None ->
-                let v = (Hashtbl.create 64, ref p.k) in
-                Hashtbl.replace latencies p.proto v;
-                v
+        if holds || not applicable then None
+        else
+          (* routed verdicts name the split they come from *)
+          let detail =
+            if Option.is_none st.w.topology then detail
+            else Printf.sprintf "split %d: %s" ins.id detail
           in
-          if p.k < !first then first := p.k;
-          tally hist lat;
-          Committed
-        end
-        else if p.all_settled then begin
-          if p.any_paid then incr partial_payments;
-          Aborted
-        end
-        else Stuck
-    in
-    bump p.proto o;
-    if rows then begin
-      row_outcome.(p.k) <- o;
-      row_settled.(p.k) <- p.settled_max
-    end
-  in
-  (* --- instance lifecycle ---
+          Some { payment = p.k; property; detail })
+      (Fold.safety ~excused ~preimage_is_receipt:true
+         (Proto.runner p.proto));
+  if paid_at ins < 0 then p.all_paid <- false
+  else begin
+    p.any_paid <- true;
+    p.paid_max <- max p.paid_max (paid_at ins);
+    st.inst_paid <- st.inst_paid + 1;
+    st.committed_value <- st.committed_value + ins.i_value
+  end;
+  if settled_at ins >= 0 then st.inst_settled <- st.inst_settled + 1;
+  p.settled_max <- max p.settled_max (settled_at ins);
+  (* settled for abort purposes: every customer terminated or was
+     crash-covered *)
+  for ci = 0 to h do
+    if Fold.terminated ins.i_facts ci = None && not (exposed ci) then
+      p.all_settled <- false
+  done;
+  p.unjudged <- p.unjudged - 1
 
-     Retirement: once an instance's settlement is counted, its payment is
-     closed (so its leftover collateral was handed back) and every process
-     of its block is quiet (halted, or nothing queued for it and no timer
-     armed; stale firings and deliveries to halted pids do not count),
-     nothing can make its processes act again: only its own block, the
-     controller (at admission) and a shared committee ever send to it
-     (for the committee, see [try_retire]). It is judged, its processes
-     leave the engine, its links leave the network's FIFO table and its
-     resolved deposits leave the books. Unsettled (stuck) instances, and
-     instances whose block goes quiet without another event to notice it
-     (a crashed pid's deliveries are dropped unseen), stay until the run
-     ends. *)
-  let forget_link a b =
-    Network.forget_link network ~src:a ~dst:b;
-    Network.forget_link network ~src:b ~dst:a
-  in
-  let retire ins =
-    Ids.remove live ins.id;
-    let base = 1 + (ins.id * stride) in
-    let n = Array.length ins.i_handlers in
-    for a = 0 to n - 1 do
-      Engine.retire engine (base + a);
-      (* its links: with the controller, with a shared committee's
-         sequencer (the only replica that talks to blocks), and within
-         the block *)
-      forget_link 0 (base + a);
-      if Option.is_some w.committee then forget_link payment_limit (base + a);
-      for b = a to n - 1 do
-        forget_link (base + a) (base + b)
-      done
-    done;
-    Array.iteri
-      (fun leg ids ->
-        List.iter (Ledger.Book.forget legs.books.(ins.i_path.(leg))) ids)
-      ins.i_deposits;
-    judge ins ~end_time:(Engine.now engine);
-    let p = ins.i_pay in
-    if p.closed && p.unjudged = 0 then finalize p
-  in
-  let block_quiet ins =
-    let base = 1 + (ins.id * stride) in
-    let rec quiet l =
-      l = Array.length ins.i_handlers
-      || (Engine.quiet engine (base + l) && quiet (l + 1))
-    in
-    quiet 0
-  in
-  let retirable ins = ins.i_done && ins.i_pay.closed && block_quiet ins in
-  (* the instances sharing a shared-committee instance's certificate *)
-  let batch_of ins =
-    Option.bind !sequencer_com (fun com ->
-        Option.map
-          (fun (d : Quorum.Committee.decision) ->
-            List.filter_map
-              (fun (v : Quorum.Committee.verdict) -> Ids.find_opt live v.item)
-              d.cert.Consensus.Dls.d_value)
-          (Quorum.Committee.decision_of com ~item:ins.id))
-  in
-  (* A shared-committee instance waits for its whole batch: the sequencer
-     re-announces a certificate to every item of its batch whenever one
-     item's late request arrives. Once no instance of the batch can ask
-     again (each is quiet, with no request in flight), nothing will send
-     to any of them, and the retirable ones go together; the sequencer
-     then forgets their items. *)
-  let try_retire ins =
-    if Ids.mem live ins.id && retirable ins then
-      if ins.i_pay.proto <> Workload.Shared then retire ins
-      else
-        match (batch_of ins, !sequencer_com) with
-        | Some batch, Some com
-          when List.for_all (fun x -> x.i_asks = 0 && block_quiet x) batch ->
-            List.iter
-              (fun x ->
-                if Ids.mem live x.id && retirable x then begin
-                  retire x;
-                  Quorum.Committee.forget com ~item:x.id
-                end)
-              batch
-        | _ -> ()
-  in
-  (* Each live instance's entries feed its fold. Requests to a shared
-     committee's sequencer are counted while in flight. A delivery to a
-     halted pid runs no handler, so it is where a done instance's last
-     event may land: check retirement there too. *)
-  Trace.on_record (Engine.trace engine) (fun entry ->
-      match entry with
-      | Trace.Sent { src; dst; _ } ->
-          incr messages;
-          if in_blocks src then begin
-            match Ids.find live ((src - 1) / stride) with
-            | ins ->
-                Fold.observe ins.i_facts entry;
-                if dst = payment_limit then ins.i_asks <- ins.i_asks + 1
-            | exception Not_found -> ()
-          end
-      | Trace.Observed { pid; obs; _ } ->
-          if in_blocks pid then begin
-            match Ids.find live ((pid - 1) / stride) with
-            | ins -> observed ins entry obs
-            | exception Not_found -> ()
-          end
-      | Trace.Delivered { src; dst; _ } ->
-          if dst = payment_limit then begin
-            if in_blocks src then
-              match Ids.find live ((src - 1) / stride) with
-              | ins -> ins.i_asks <- ins.i_asks - 1
-              | exception Not_found -> ()
-          end
-          else if in_blocks dst then begin
-            match Ids.find live ((dst - 1) / stride) with
-            | ins ->
-                if ins.i_done && Engine.is_halted engine dst then
-                  try_retire ins
-            | exception Not_found -> ()
-          end
-      | _ -> ());
-  (* Every process is a buffering shell that comes alive on Start, running
-     its slot of the instance's handlers. One shell serves every slot of an
-     instance: the slot is its pid within the block ({!Engine.pid} counts
-     from the block's base), and its phase and early deliveries are fields
-     of the instance. *)
-  let waiting = '\000' and running = '\001' and reported = '\002' in
-  let after_inner ins l ctx =
-    if
-      l <= ins.i_hops
-      && Bytes.get ins.i_phase l = running
-      && Engine.halted ctx
-    then begin
-      Bytes.set ins.i_phase l reported;
-      Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = ins.id })
-    end;
-    if ins.i_done then try_retire ins
-  in
-  let start ins l ctx =
-    Bytes.set ins.i_phase l running;
-    (* re-anchor the local epoch: the protocol's absolute local deadlines
-       must count from this instance's own start, not from engine time 0 *)
-    let clock, skew = ins.i_draws.(l) in
-    let num, den = Clock.rate clock in
-    Engine.set_clock engine ~pid:(1 + (ins.id * stride) + l)
-      (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num ~den ());
-    let h = ins.i_handlers.(l) in
-    h.Engine.on_start ctx;
-    let pending = List.rev ins.i_buffered.(l) in
-    ins.i_buffered.(l) <- [];
-    List.iter
-      (fun (src, m) ->
-        if not (Engine.halted ctx) then h.Engine.on_receive ctx ~src m)
-      pending;
-    after_inner ins l ctx
-  in
-  let shell ins =
-    {
-      Engine.on_start = (fun _ -> ());
-      on_receive =
-        (fun ctx ~src msg ->
-          let l = Engine.pid ctx in
-          let phase = Bytes.get ins.i_phase l in
-          match msg with
-          | Msg.Start -> if phase = waiting then start ins l ctx
-          | _ ->
-              if phase <> waiting then begin
-                ins.i_handlers.(l).Engine.on_receive ctx ~src msg;
-                after_inner ins l ctx
-              end
-              else ins.i_buffered.(l) <- (src, msg) :: ins.i_buffered.(l));
-      on_timer =
-        (fun ctx ~label ->
-          let l = Engine.pid ctx in
-          if Bytes.get ins.i_phase l <> waiting then begin
-            ins.i_handlers.(l).Engine.on_timer ctx ~label;
-            after_inner ins l ctx
-          end);
-    }
-  in
-  (* Build split [j] of an admitted payment over path [s]. The shape of
-     its protocol and path length is shared; the instance owns its env
-     (keys, amounts, book slice, payment id), the executor state of each
-     slot, its fold and one shell, with a process per slot its protocol
-     uses, born at the pids [1 + id * stride + l] with the clocks drawn
-     for them. Building every instance before the run instead measured
-     slower end to end on the 2k-payment chain benchmark (seed 1, 10
-     alternating pairs, two-core x86-64 VM): at admission, with
-     retirement, commits 9% more payments per second in a 2.6x smaller
-     peak heap. Instances of the templated protocols compile nothing
-     here, they instantiate their shape's template: for sync, on the same
-     benchmark that took the controller (pid 0, which runs [build]) from
-     456 to 249 minor words per event and the run from 4,091 to 2,832
-     words per payment. *)
-  let build p j (s : Routing.Router.split) =
-    let id = (p.k * max_splits) + j in
-    let path = Array.of_list s.path in
-    let h = Array.length path in
-    let shape = shape_of p.proto h in
-    let amounts = legs.amounts s.path s.value in
-    let env =
-      Env.make ~topo:shape.topo ~params:shape.params ~payment:id
-        ~value:s.value ~amounts ~seed:(seed + 101 + id)
-        ~books:(Array.map (fun e -> legs.books.(e)) path)
-        ()
-    in
-    let base = 1 + (id * stride) in
-    let n = block_size ~hops:h p.proto in
-    let ins =
-      {
-        id;
-        i_pay = p;
-        i_split = j;
-        i_hops = h;
-        i_value = s.value;
-        i_path = path;
-        i_amounts = amounts;
-        i_handlers = Array.init n (shape.instantiate env id);
-        i_draws = p.draws.(j);
-        i_phase = Bytes.make n waiting;
-        i_buffered = Array.make n [];
-        i_facts = Fold.create ~base ~hops:h ~nprocs:(h + 1);
-        i_done = false;
-        i_released = false;
-        i_deposited = Array.make h 0;
-        i_refunded = Array.make h 0;
-        i_deposits = Array.make h [];
-        i_asks = 0;
-      }
-    in
-    Ids.replace live id ins;
-    let sh = shell ins in
-    for l = 0 to n - 1 do
-      (* profiler role labels: constant strings, interned only when the
-         engine carries a profiler *)
-      ignore
-        (Engine.add_process engine ~pid:(base + l)
-           ~clock:(fst ins.i_draws.(l))
-           ~base ~label:(legs.role p.proto l) sh)
-    done;
-    ins
-  in
-  (* --- controller (pid 0): arrivals, admission, deadlines --- *)
-  let queue = Queue.create () in
-  let in_flight = ref 0 in
-  let max_in_flight = ref 0 in
-  let admitted = ref 0 in
-  let total_paths = ref 0 in
-  let split_payments = ref 0 in
-  let arr_label k = "arr#" ^ string_of_int k in
-  let pat_label k = "pat#" ^ string_of_int k in
-  let stuck_label k = "stuck#" ^ string_of_int k in
-  let start_instance ctx p j s =
-    let ins = build p j s in
-    legs.reserve ins;
-    (* Queue edge from the arrival note: the gap the walk crosses here is
-       exactly this payment's wait behind admission *)
-    ignore
-      (note
-         ~after:(if rows then roots.(p.k) else -1)
-         ~trace:ins.id
-         ~label:("admit#" ^ string_of_int ins.id)
-         ());
-    let base = 1 + (ins.id * stride) in
-    for l = 0 to Array.length ins.i_handlers - 1 do
-      Engine.send ctx ~dst:(base + l) Msg.Start
-    done;
-    ins.id
-  in
-  let try_admit ctx p =
-    (w.cap = 0 || !in_flight < w.cap)
-    &&
-    match legs.route () with
-    | None ->
-        p.no_route <- true;
-        false
-    | Some splits ->
-        p.admitted_at <- Engine.now engine;
-        incr admitted;
-        incr in_flight;
-        if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-        let n = List.length splits in
-        total_paths := !total_paths + n;
-        if n > 1 then incr split_payments;
-        p.unjudged <- n;
-        p.split_viols <- Array.make n [];
-        p.splits <- List.mapi (start_instance ctx p) splits;
-        p.draws <- [||];
-        Engine.set_timer_after ctx ~after:stuck_eff ~label:(stuck_label p.k);
-        Engine.cancel_timer ctx ~label:(pat_label p.k);
-        true
-  in
-  let drain ctx =
-    let blocked = ref false in
-    while (not !blocked) && not (Queue.is_empty queue) do
-      match Ids.find pays (Queue.peek queue) with
-      | exception Not_found -> ignore (Queue.pop queue)
-      | p ->
-          if p.closed || p.admitted_at >= 0 then ignore (Queue.pop queue)
-          else if try_admit ctx p then ignore (Queue.pop queue)
-          else blocked := true
-    done
-  in
-  let close ctx p =
-    if not p.closed then begin
-      p.closed <- true;
-      if p.admitted_at >= 0 then decr in_flight;
-      (* settled instances hand back their unspent collateral; an
-         unsettled (stuck) one may still deposit, and releasing its
-         reservation would double-spend the collateral *)
-      let splits = List.map (Ids.find live) p.splits in
-      List.iter
-        (fun ins ->
-          if settled_at ins >= 0 then begin
-            ins.i_released <- true;
-            legs.release ins
-          end)
-        splits;
-      if p.unjudged = 0 then finalize p else List.iter try_retire splits;
-      Engine.cancel_timer ctx ~label:(stuck_label p.k);
-      (match w.arrival with
-      | Workload.Closed { clients; think } ->
-          let next = p.k + clients in
-          if next < w.payments then
-            Engine.set_timer_after ctx ~after:(max 1 think)
-              ~label:(arr_label next)
-      | _ -> ());
-      drain ctx
+(* a payment commits iff every instance paid Bob; its outcome folds into
+   its protocol's tally *)
+let finalize st p =
+  Ids.remove st.pays p.k;
+  let o =
+    if p.admitted_at < 0 then begin
+      if p.no_route then st.no_route_rejections <- st.no_route_rejections + 1;
+      Rejected
     end
+    else
+      let viols = List.concat (Array.to_list p.split_viols) in
+      if viols <> [] then begin
+        st.violations <- (p.k, viols) :: st.violations;
+        Violated
+      end
+      else if p.all_paid then Committed
+      else if p.all_settled then begin
+        if p.any_paid then st.partial_payments <- st.partial_payments + 1;
+        Aborted
+      end
+      else Stuck
   in
-  let arrive ctx k =
-    let proto, draws = take_draws k in
-    let p =
-      {
-        k;
-        proto;
-        arrived_at = Engine.now engine;
-        draws;
-        admitted_at = -1;
-        closed = false;
-        splits = [];
-        no_route = false;
-        settled = 0;
-        unjudged = 0;
-        split_viols = [||];
-        all_paid = true;
-        all_settled = true;
-        any_paid = false;
-        paid_max = 0;
-        settled_max = -1;
-      }
-    in
-    Ids.replace pays k p;
-    let root =
-      note ~trace:(k * max_splits) ~label:("arrive#" ^ string_of_int k) ()
-    in
-    if rows then begin
-      roots.(k) <- root;
-      row_arrived.(k) <- p.arrived_at
-    end;
-    Queue.add k queue;
-    Engine.set_timer_after ctx ~after:w.patience ~label:(pat_label k);
-    drain ctx
+  let t = tally_of st p.proto in
+  if o = Committed then
+    Tally.commit t ~payment:p.k ~latency:(p.paid_max - p.arrived_at)
+  else Tally.add t o;
+  if st.rows then begin
+    st.row_outcome.(p.k) <- o;
+    st.row_settled.(p.k) <- p.settled_max
+  end
+
+(* --- retire ---
+
+   Once an instance's settlement is counted, its payment is closed (so
+   its leftover collateral was handed back) and every process of its
+   block is quiet (halted, or nothing queued for it and no timer armed;
+   stale firings and deliveries to halted pids do not count), nothing can
+   make its processes act again: only its own block, the controller (at
+   admission) and a shared committee ever send to it (for the committee,
+   see [try_retire]). It is judged, its processes leave the engine, its
+   links leave the network's FIFO table and its resolved deposits leave
+   the books. Unsettled (stuck) instances, and instances whose block goes
+   quiet without another event to notice it (a crashed pid's deliveries
+   are dropped unseen), stay until the run ends. *)
+let forget_link st a b =
+  Network.forget_link st.network ~src:a ~dst:b;
+  Network.forget_link st.network ~src:b ~dst:a
+
+let retire st ins =
+  Ids.remove st.live ins.id;
+  let base = 1 + (ins.id * st.stride) in
+  let n = Array.length ins.i_handlers in
+  for a = 0 to n - 1 do
+    Engine.retire st.engine (base + a);
+    (* its links: with the controller, with a shared committee's
+       sequencer (the only replica that talks to blocks), and within the
+       block *)
+    forget_link st 0 (base + a);
+    if Option.is_some st.w.committee then
+      forget_link st st.payment_limit (base + a);
+    for b = a to n - 1 do
+      forget_link st (base + a) (base + b)
+    done
+  done;
+  Array.iteri
+    (fun leg ids ->
+      List.iter (Ledger.Book.forget st.legs.books.(ins.i_path.(leg))) ids)
+    ins.i_deposits;
+  judge st ins ~end_time:(Engine.now st.engine);
+  let p = ins.i_pay in
+  if p.closed && p.unjudged = 0 then finalize st p
+
+let block_quiet st ins =
+  let base = 1 + (ins.id * st.stride) in
+  let rec quiet l =
+    l = Array.length ins.i_handlers
+    || (Engine.quiet st.engine (base + l) && quiet (l + 1))
   in
-  let with_pay k f =
-    match Ids.find pays k with p -> f p | exception Not_found -> ()
+  quiet 0
+
+let retirable st ins = ins.i_done && ins.i_pay.closed && block_quiet st ins
+
+(* the instances sharing a shared-committee instance's certificate *)
+let batch_of st ins =
+  Option.bind st.sequencer (fun com ->
+      Option.map
+        (fun (d : Quorum.Committee.decision) ->
+          List.filter_map
+            (fun (v : Quorum.Committee.verdict) -> Ids.find_opt st.live v.item)
+            d.cert.Consensus.Dls.d_value)
+        (Quorum.Committee.decision_of com ~item:ins.id))
+
+(* A shared-committee instance waits for its whole batch: the sequencer
+   re-announces a certificate to every item of its batch whenever one
+   item's late request arrives. Once no instance of the batch can ask
+   again (each is quiet, with no request in flight), nothing will send to
+   any of them, and the retirable ones go together; the sequencer then
+   forgets their items. *)
+let try_retire st ins =
+  if Ids.mem st.live ins.id && retirable st ins then
+    if ins.i_pay.proto <> Workload.Shared then retire st ins
+    else
+      match (batch_of st ins, st.sequencer) with
+      | Some batch, Some com
+        when List.for_all (fun x -> x.i_asks = 0 && block_quiet st x) batch ->
+          List.iter
+            (fun x ->
+              if Ids.mem st.live x.id && retirable st x then begin
+                retire st x;
+                Quorum.Committee.forget com ~item:x.id
+              end)
+            batch
+      | _ -> ()
+
+(* The accounting hook: each live instance's entries feed its fold.
+   Requests to a shared committee's sequencer are counted while in
+   flight. A delivery to a halted pid runs no handler, so it is where a
+   done instance's last event may land: check retirement there too. *)
+let on_trace st entry =
+  match entry with
+  | Trace.Sent { src; dst; _ } ->
+      st.messages <- st.messages + 1;
+      if in_blocks st src then begin
+        match Ids.find st.live ((src - 1) / st.stride) with
+        | ins ->
+            Fold.observe ins.i_facts entry;
+            if dst = st.payment_limit then ins.i_asks <- ins.i_asks + 1
+        | exception Not_found -> ()
+      end
+  | Trace.Observed { pid; obs; _ } ->
+      if in_blocks st pid then begin
+        match Ids.find st.live ((pid - 1) / st.stride) with
+        | ins -> observed st ins entry obs
+        | exception Not_found -> ()
+      end
+  | Trace.Delivered { src; dst; _ } ->
+      if dst = st.payment_limit then begin
+        if in_blocks st src then
+          match Ids.find st.live ((src - 1) / st.stride) with
+          | ins -> ins.i_asks <- ins.i_asks - 1
+          | exception Not_found -> ()
+      end
+      else if in_blocks st dst then begin
+        match Ids.find st.live ((dst - 1) / st.stride) with
+        | ins ->
+            if ins.i_done && Engine.is_halted st.engine dst then
+              try_retire st ins
+        | exception Not_found -> ()
+      end
+  | _ -> ()
+
+(* --- build ---
+
+   Every process is a buffering shell that comes alive on Start, running
+   its slot of the instance's handlers. One shell serves every slot of an
+   instance: the slot is its pid within the block ({!Engine.pid} counts
+   from the block's base), and its phase and early deliveries are fields
+   of the instance. *)
+let waiting = '\000'
+let running = '\001'
+let reported = '\002'
+
+let after_inner st ins l ctx =
+  if l <= ins.i_hops && Bytes.get ins.i_phase l = running && Engine.halted ctx
+  then begin
+    Bytes.set ins.i_phase l reported;
+    Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = ins.id })
+  end;
+  if ins.i_done then try_retire st ins
+
+let start st ins l ctx =
+  Bytes.set ins.i_phase l running;
+  (* re-anchor the local epoch: the protocol's absolute local deadlines
+     must count from this instance's own start, not from engine time 0 *)
+  let clock, skew = ins.i_draws.(l) in
+  let num, den = Clock.rate clock in
+  Engine.set_clock st.engine
+    ~pid:(1 + (ins.id * st.stride) + l)
+    (Clock.create ~l0:skew ~g0:(Engine.now st.engine) ~num ~den ());
+  let h = ins.i_handlers.(l) in
+  h.Engine.on_start ctx;
+  let pending = List.rev ins.i_buffered.(l) in
+  ins.i_buffered.(l) <- [];
+  List.iter
+    (fun (src, m) ->
+      if not (Engine.halted ctx) then h.Engine.on_receive ctx ~src m)
+    pending;
+  after_inner st ins l ctx
+
+let shell st ins =
+  {
+    Engine.on_start = (fun _ -> ());
+    on_receive =
+      (fun ctx ~src msg ->
+        let l = Engine.pid ctx in
+        let phase = Bytes.get ins.i_phase l in
+        match msg with
+        | Msg.Start -> if phase = waiting then start st ins l ctx
+        | _ ->
+            if phase <> waiting then begin
+              ins.i_handlers.(l).Engine.on_receive ctx ~src msg;
+              after_inner st ins l ctx
+            end
+            else ins.i_buffered.(l) <- (src, msg) :: ins.i_buffered.(l));
+    on_timer =
+      (fun ctx ~label ->
+        let l = Engine.pid ctx in
+        if Bytes.get ins.i_phase l <> waiting then begin
+          ins.i_handlers.(l).Engine.on_timer ctx ~label;
+          after_inner st ins l ctx
+        end);
+  }
+
+(* Build split [j] of an admitted payment over path [s]. The shape of its
+   protocol and path length is shared; the instance owns its env (keys,
+   amounts, book slice, payment id), the executor state of each slot, its
+   fold and one shell, with a process per slot its protocol uses, born at
+   the pids [1 + id * stride + l] with the clocks drawn for them. Building
+   every instance before the run instead measured slower end to end on
+   the 2k-payment chain benchmark (seed 1, 10 alternating pairs, two-core
+   x86-64 VM): at admission, with retirement, commits 9% more payments
+   per second in a 2.6x smaller peak heap. Instances of the templated
+   protocols compile nothing here, they instantiate their shape's
+   template: for sync, on the same benchmark that took the controller
+   (pid 0, which runs [build]) from 456 to 249 minor words per event and
+   the run from 4,091 to 2,832 words per payment. *)
+let build st p j (s : Routing.Router.split) =
+  let id = (p.k * st.w.splits) + j in
+  let path = Array.of_list s.path in
+  let h = Array.length path in
+  let shape = shape_of st p.proto h in
+  let amounts = st.legs.amounts s.path s.value in
+  let env =
+    Env.make ~topo:shape.topo ~params:shape.params ~payment:id ~value:s.value
+      ~amounts ~seed:(st.seed + 101 + id)
+      ~books:(Array.map (fun e -> st.legs.books.(e)) path)
+      ()
   in
-  let controller =
+  let base = 1 + (id * st.stride) in
+  let n = block_size ~hops:h p.proto in
+  let ins =
     {
-      Engine.on_start =
-        (fun ctx ->
-          match arrivals with
-          | Some arr ->
-              Engine.set_timer_series ctx ~deadlines:arr ~label:arr_label
-          | None -> (
-              match w.arrival with
-              | Workload.Closed { clients; _ } ->
-                  for c = 0 to min clients w.payments - 1 do
-                    (* 1-tick stagger keeps first-round admission ordered *)
-                    Engine.set_timer ctx ~deadline:(1 + c)
-                      ~label:(arr_label c)
-                  done
-              | _ -> assert false));
-      on_receive =
-        (fun ctx ~src:_ msg ->
-          match msg with
-          | Msg.Traffic_done { payment = id } -> (
-              match Ids.find live id with
-              | exception Not_found -> ()
-              | ins ->
-                  let p = ins.i_pay in
-                  if (not ins.i_done) && settled_at ins >= 0 then begin
-                    ins.i_done <- true;
-                    p.settled <- p.settled + 1;
-                    if p.settled = List.length p.splits then close ctx p
-                    else try_retire ins
-                  end)
-          | _ -> ());
-      on_timer =
-        (fun ctx ~label ->
-          if String.starts_with ~prefix:"arr#" label then
-            arrive ctx (label_index label 4)
-          else if String.starts_with ~prefix:"pat#" label then
-            with_pay (label_index label 4) (fun p ->
-                if p.admitted_at < 0 then close ctx p)
-          else if String.starts_with ~prefix:"stuck#" label then
-            with_pay (label_index label 6) (close ctx));
+      id;
+      i_pay = p;
+      i_split = j;
+      i_hops = h;
+      i_value = s.value;
+      i_path = path;
+      i_amounts = amounts;
+      i_handlers = Array.init n (shape.instantiate env id);
+      i_draws = p.draws.(j);
+      i_phase = Bytes.make n waiting;
+      i_buffered = Array.make n [];
+      i_facts = Fold.create ~base ~hops:h ~nprocs:(h + 1);
+      i_done = false;
+      i_released = false;
+      i_deposited = Array.make h 0;
+      i_refunded = Array.make h 0;
+      i_deposits = Array.make h [];
+      i_asks = 0;
     }
   in
-  let cpid =
-    Engine.add_process engine ~clock:Clock.perfect ~label:"sched" controller
+  Ids.replace st.live id ins;
+  let sh = shell st ins in
+  for l = 0 to n - 1 do
+    (* profiler role labels: constant strings, interned only when the
+       engine carries a profiler *)
+    ignore
+      (Engine.add_process st.engine ~pid:(base + l)
+         ~clock:(fst ins.i_draws.(l))
+         ~base ~label:(st.legs.role p.proto l) sh)
+  done;
+  ins
+
+(* --- admit: the controller (pid 0) starts payments from the head of its
+   queue while the in-flight cap and the legs' liquidity allow --- *)
+let arr_label k = "arr#" ^ string_of_int k
+let pat_label k = "pat#" ^ string_of_int k
+let stuck_label k = "stuck#" ^ string_of_int k
+
+let start_instance st ctx p j s =
+  let ins = build st p j s in
+  st.legs.reserve ins;
+  (* Queue edge from the arrival note: the gap the walk crosses here is
+     exactly this payment's wait behind admission *)
+  if st.rows then
+    ignore (note st ~after:st.roots.(p.k) ~trace:ins.id "admit#" ins.id);
+  let base = 1 + (ins.id * st.stride) in
+  for l = 0 to Array.length ins.i_handlers - 1 do
+    Engine.send ctx ~dst:(base + l) Msg.Start
+  done;
+  ins.id
+
+let try_admit st ctx p =
+  (st.w.cap = 0 || st.in_flight < st.w.cap)
+  &&
+  match st.legs.route () with
+  | None ->
+      p.no_route <- true;
+      false
+  | Some splits ->
+      p.admitted_at <- Engine.now st.engine;
+      st.admitted <- st.admitted + 1;
+      st.in_flight <- st.in_flight + 1;
+      st.max_in_flight <- max st.max_in_flight st.in_flight;
+      let n = List.length splits in
+      st.total_paths <- st.total_paths + n;
+      if n > 1 then st.split_payments <- st.split_payments + 1;
+      p.unjudged <- n;
+      p.split_viols <- Array.make n [];
+      p.splits <- List.mapi (start_instance st ctx p) splits;
+      p.draws <- [||];
+      Engine.set_timer_after ctx ~after:st.stuck_eff ~label:(stuck_label p.k);
+      Engine.cancel_timer ctx ~label:(pat_label p.k);
+      true
+
+let rec admit st ctx =
+  match Ids.find st.pays (Queue.peek st.queue) with
+  | exception Queue.Empty -> ()
+  | exception Not_found ->
+      ignore (Queue.pop st.queue);
+      admit st ctx
+  | p ->
+      if p.closed || p.admitted_at >= 0 || try_admit st ctx p then begin
+        ignore (Queue.pop st.queue);
+        admit st ctx
+      end
+
+(* --- settle: a payment closes once every instance reported its
+   settlement, or at its patience or stuck deadline --- *)
+let close st ctx p =
+  if not p.closed then begin
+    p.closed <- true;
+    if p.admitted_at >= 0 then st.in_flight <- st.in_flight - 1;
+    (* settled instances hand back their unspent collateral; an unsettled
+       (stuck) one may still deposit, and releasing its reservation would
+       double-spend the collateral *)
+    let splits = List.map (Ids.find st.live) p.splits in
+    List.iter
+      (fun ins ->
+        if settled_at ins >= 0 then begin
+          ins.i_released <- true;
+          st.legs.release ins
+        end)
+      splits;
+    if p.unjudged = 0 then finalize st p else List.iter (try_retire st) splits;
+    Engine.cancel_timer ctx ~label:(stuck_label p.k);
+    (match st.w.arrival with
+    | Workload.Closed { clients; think } ->
+        let next = p.k + clients in
+        if next < st.w.payments then
+          Engine.set_timer_after ctx ~after:(max 1 think)
+            ~label:(arr_label next)
+    | _ -> ());
+    admit st ctx
+  end
+
+(* an instance's processes reported their settlement *)
+let settle st ctx id =
+  match Ids.find st.live id with
+  | exception Not_found -> ()
+  | ins ->
+      let p = ins.i_pay in
+      if (not ins.i_done) && settled_at ins >= 0 then begin
+        ins.i_done <- true;
+        p.settled <- p.settled + 1;
+        if p.settled = List.length p.splits then close st ctx p
+        else try_retire st ins
+      end
+
+(* --- arrive: payment [k] takes its draws and joins the queue --- *)
+let arrive st ctx k =
+  let proto, draws = take_draws st k in
+  let p =
+    {
+      k;
+      proto;
+      arrived_at = Engine.now st.engine;
+      draws;
+      admitted_at = -1;
+      closed = false;
+      splits = [];
+      no_route = false;
+      settled = 0;
+      unjudged = 0;
+      split_viols = [||];
+      all_paid = true;
+      all_settled = true;
+      any_paid = false;
+      paid_max = 0;
+      settled_max = -1;
+    }
   in
-  assert (cpid = 0);
-  (* Instance blocks are born at admission. A profiler numbers role labels
-     in the order it first meets them, so meet them here in the order the
-     blocks' slots would come if every block existed up front: block by
-     block, slot by slot, until every protocol of the mix has shown up. *)
-  Option.iter
-    (fun pr ->
-      let unseen = ref (List.length w.mix) in
-      let seen = Hashtbl.create 8 in
-      let rec walk ps id =
-        if !unseen > 0 && id < instances then
-          match ps () with
-          | Seq.Nil -> ()
-          | Seq.Cons (proto, rest) ->
-              if not (Hashtbl.mem seen proto) then begin
-                Hashtbl.replace seen proto ();
-                decr unseen
-              end;
-              for _ = 1 to max_splits do
-                for l = 0 to stride - 1 do
-                  ignore (Obsv.Prof.intern pr (legs.role proto l))
+  Ids.replace st.pays k p;
+  let root = note st ~trace:(k * st.w.splits) "arrive#" k in
+  if st.rows then begin
+    st.roots.(k) <- root;
+    st.row_arrived.(k) <- p.arrived_at
+  end;
+  Queue.add k st.queue;
+  Engine.set_timer_after ctx ~after:st.w.patience ~label:(pat_label k);
+  admit st ctx
+
+let controller st =
+  let with_pay k f =
+    match Ids.find st.pays k with p -> f p | exception Not_found -> ()
+  in
+  {
+    Engine.on_start =
+      (fun ctx ->
+        match Workload.arrival_seq st.w ~seed:st.seed with
+        | Some arr ->
+            Engine.set_timer_series ctx ~deadlines:arr ~label:arr_label
+        | None -> (
+            match st.w.arrival with
+            | Workload.Closed { clients; _ } ->
+                for c = 0 to min clients st.w.payments - 1 do
+                  (* 1-tick stagger keeps first-round admission ordered *)
+                  Engine.set_timer ctx ~deadline:(1 + c) ~label:(arr_label c)
                 done
-              done;
-              walk rest (id + max_splits)
+            | _ -> assert false));
+    on_receive =
+      (fun ctx ~src:_ msg ->
+        match msg with
+        | Msg.Traffic_done { payment } -> settle st ctx payment
+        | _ -> ());
+    on_timer =
+      (fun ctx ~label ->
+        if String.starts_with ~prefix:"arr#" label then
+          arrive st ctx (label_index label 4)
+        else if String.starts_with ~prefix:"pat#" label then
+          with_pay (label_index label 4) (fun p ->
+              if p.admitted_at < 0 then close st ctx p)
+        else if String.starts_with ~prefix:"stuck#" label then
+          with_pay (label_index label 6) (close st ctx));
+  }
+
+(* --- set-up beside the controller --- *)
+
+(* [f proto k] for payment [k] of the mix, in payment order, while [f]
+   returns [true] *)
+let iter_mix st f =
+  let rec go ps k =
+    match ps () with
+    | Seq.Cons (proto, rest) -> if f proto k then go rest (k + 1)
+    | Seq.Nil -> ()
+  in
+  go (Workload.mix_seq st.w ~seed:st.seed) 0
+
+(* Instance blocks are born at admission. A profiler numbers role labels
+   in the order it first meets them, so meet them here in the order the
+   blocks' slots would come if every block existed up front: block by
+   block, slot by slot, until every protocol of the mix has shown up. *)
+let intern_roles st pr =
+  let unseen = ref (List.map fst st.w.mix) in
+  iter_mix st (fun proto _ ->
+      unseen := List.filter (( <> ) proto) !unseen;
+      for _ = 1 to st.w.splits do
+        for l = 0 to st.stride - 1 do
+          ignore (Obsv.Prof.intern pr (st.legs.role proto l))
+        done
+      done;
+      !unseen <> [])
+
+(* The shared batching committee: one block right after the instance
+   blocks, serving every instance's verdict item; [c_faulty] of its
+   replicas (never the sequencer) are crash-silent from the start. A
+   batch's instances retire together, once none can ask again (see
+   [try_retire]), so the items it answers are live. *)
+let add_committee st (c : Workload.committee) =
+  let creg = Xcrypto.Auth.create ~seed:(st.seed + 71) in
+  let signers = Array.init c.c_size (fun i -> Xcrypto.Auth.register creg i) in
+  let hops_of id = (Ids.find st.live id).i_hops in
+  let ccfg =
+    {
+      Committee_tm.qs = Result.get_ok (Workload.quorum_system c);
+      registry = creg;
+      batch_cap = c.c_batch;
+      pipeline = c.c_pipeline;
+      base_timeout = weak_cfg.Weak_protocol.tm_base_timeout;
+      (* verdict items are instance ids: only this run's shared handlers
+         issue requests *)
+      reply_to =
+        (fun id ->
+          let base = 1 + (id * st.stride) in
+          Array.init ((2 * hops_of id) + 1) (fun l -> base + l));
+      hops_of;
+    }
+  in
+  (* one certificate checker, and so one memo, per run *)
+  let verify = Committee_tm.verify ccfg ~signer:signers.(0) in
+  let pids = Array.init c.c_size (fun i -> st.payment_limit + i) in
+  st.shared <-
+    Some { weak_cfg with tm = Weak_protocol.Shared { pids; verify } };
+  Array.iteri
+    (fun i pid ->
+      let handlers =
+        if i >= 1 && i <= c.c_faulty then Engine.silent
+        else begin
+          let handlers, com =
+            Committee_tm.handlers ccfg ~index:i ~signer:signers.(i)
+          in
+          if i = 0 then st.sequencer <- Some com;
+          handlers
+        end
       in
-      walk (Workload.mix_seq w ~seed) 0)
-    prof;
-  (* the shared committee's replicas form one block right after the
-     instance blocks; [c_faulty] of them (never the sequencer) are
-     crash-silent from the start *)
-  Option.iter
-    (fun ((c : Workload.committee), ccfg, signers, _) ->
-      for i = 0 to c.c_size - 1 do
-        let handlers =
-          if i >= 1 && i <= c.c_faulty then Engine.silent
-          else begin
-            let handlers, com =
-              Committee_tm.handlers ccfg ~index:i ~signer:signers.(i)
-            in
-            if i = 0 then sequencer_com := Some com;
-            handlers
-          end
-        in
-        ignore
-          (Engine.add_process engine ~clock:Clock.perfect ~base:payment_limit
-             ~pid:(payment_limit + i) ~label:"notary" handlers)
-      done)
-    shared_committee;
-  (* host crashes expand to every instance block, born or not, labelled
-     with the role the crashed slot has in each block *)
-  Engine.reserve_pids engine payment_limit;
+      ignore
+        (Engine.add_process st.engine ~clock:Clock.perfect
+           ~base:st.payment_limit ~pid ~label:"notary" handlers))
+    pids
+
+(* host crashes expand to every instance block, born or not, labelled
+   with the role the crashed slot has in each block *)
+let schedule_crashes st =
   List.iter
     (fun (c : Faults.Fault_plan.crash_spec) ->
-      let rec expand protos k =
-        match protos () with
-        | Seq.Nil -> ()
-        | Seq.Cons (proto, rest) ->
-            for j = 0 to max_splits - 1 do
-              Engine.schedule_crash engine
-                ~pid:(1 + (((k * max_splits) + j) * stride) + c.pid)
-                ~at:c.at ?recover_at:c.recover_at
-                ~label:(legs.role proto c.pid) ()
-            done;
-            expand rest (k + 1)
+      iter_mix st (fun proto k ->
+          for j = 0 to st.w.splits - 1 do
+            Engine.schedule_crash st.engine
+              ~pid:(1 + (((k * st.w.splits) + j) * st.stride) + c.pid)
+              ~at:c.at ?recover_at:c.recover_at
+              ~label:(st.legs.role proto c.pid) ()
+          done;
+          true))
+    st.plan.Faults.Fault_plan.crashes
+
+(* Online checks: exactly the run's post-hoc conservation audit
+   re-evaluated on every dispatch, so the monitor's final verdict agrees
+   with the report's [conservation_ok] by construction, plus the legs'
+   own invariants *)
+let watch st m =
+  let legs = st.legs in
+  Obsv.Monitor.register m ~name:"M" (fun () ->
+      let rec scan i =
+        if i = Array.length legs.books then None
+        else if not (book_ok legs.books.(i)) then
+          Some
+            (Printf.sprintf "shared %s book %d failed its conservation audit"
+               legs.book_kind i)
+        else scan (i + 1)
       in
-      expand (Workload.mix_seq w ~seed) 0)
-    plan.Faults.Fault_plan.crashes;
-  (* Online checks: exactly the run's post-hoc conservation audit
-     re-evaluated on every dispatch, so the monitor's final verdict agrees
-     with the report's [conservation_ok] by construction, plus the legs'
-     own invariants *)
-  Option.iter
-    (fun m ->
-      Obsv.Monitor.register m ~name:"M" (fun () ->
-          let rec scan i =
-            if i = Array.length legs.books then None
-            else if not (book_ok legs.books.(i)) then
-              Some
-                (Printf.sprintf
-                   "shared %s book %d failed its conservation audit"
-                   legs.book_kind i)
-            else scan (i + 1)
-          in
-          scan 0);
-      List.iter
-        (fun (name, check) -> Obsv.Monitor.register m ~name check)
-        legs.checks)
-    monitor;
-  Option.iter
-    (fun s ->
-      let columns =
-        "queue_depth" :: "in_flight" :: "admitted"
-        :: Array.to_list (Array.map fst legs.gauges)
-      in
-      Obsv.Sampler.set_probe s ~columns (fun () ->
-          Array.init
-            (3 + Array.length legs.gauges)
-            (function
-              | 0 -> Engine.queue_depth engine
-              | 1 -> !in_flight
-              | 2 -> !admitted
-              | i -> snd legs.gauges.(i - 3) ())))
-    sampler;
-  Option.iter
-    (fun rc -> Trace.on_record (Engine.trace engine) (Trace.record rc))
-    recorder;
-  let minor0 = Gc.minor_words () in
-  let status = Engine.run ~horizon ~max_events engine in
-  let end_time = Engine.now engine in
-  (* --- what the run leaves: resident instances are judged at its end,
-     then their payments, then the payments that never arrived --- *)
+      scan 0);
   List.iter
-    (fun ins -> judge ins ~end_time)
-    (List.sort (fun a b -> Int.compare a.id b.id)
-       (Ids.fold (fun _ ins acc -> ins :: acc) live []));
-  List.iter finalize
-    (List.sort (fun a b -> Int.compare a.k b.k)
-       (Ids.fold (fun _ p acc -> p :: acc) pays []));
-  Ids.iter (fun _ (proto, _) -> bump proto Rejected) ahead;
+    (fun (name, check) -> Obsv.Monitor.register m ~name check)
+    legs.checks
+
+let sample st s =
+  let gauges = st.legs.gauges in
+  let columns =
+    "queue_depth" :: "in_flight" :: "admitted"
+    :: Array.to_list (Array.map fst gauges)
+  in
+  Obsv.Sampler.set_probe s ~columns (fun () ->
+      Array.init
+        (3 + Array.length gauges)
+        (function
+          | 0 -> Engine.queue_depth st.engine
+          | 1 -> st.in_flight
+          | 2 -> st.admitted
+          | i -> snd gauges.(i - 3) ()))
+
+(* --- judge what the run leaves: resident instances at its end, then
+   their payments, then the payments that never arrived --- *)
+let judge_rest st ~end_time =
+  List.iter
+    (fun ins -> judge st ins ~end_time)
+    (List.sort
+       (fun a b -> Int.compare a.id b.id)
+       (Ids.fold (fun _ ins acc -> ins :: acc) st.live []));
+  List.iter (finalize st)
+    (List.sort
+       (fun a b -> Int.compare a.k b.k)
+       (Ids.fold (fun _ p acc -> p :: acc) st.pays []));
+  Ids.iter
+    (fun _ (proto, _) -> Tally.add (tally_of st proto) Rejected)
+    st.ahead;
   Seq.iter
     (fun proto ->
-      tally assigned proto;
-      bump proto Rejected)
-    !mix;
-  let conservation_ok = Array.for_all book_ok legs.books in
+      let t = tally_of st proto in
+      Tally.assign t;
+      Tally.add t Rejected)
+    st.mix
+
+(* --- report --- *)
+
+(* Critical-path blame per paid instance: root = its payment's arrival
+   note, sink = the deliver under which Bob's payout was released, so the
+   category gaps sum exactly to the instance's commit latency. A message
+   departs up to [sigma] after its send node (send-side compute), so the
+   largest honest synchronous gap is [delta + sigma] — beyond that is GST
+   wait. Every paid split of a routed payment keeps its own path, so
+   partial outcomes stay attributable; a linear payment's only path
+   counts once the payment committed. *)
+let blame_of st c =
+  let acc = ref [] in
+  for id = (st.w.payments * st.w.splits) - 1 downto 0 do
+    let k = id / st.w.splits in
+    if
+      st.roots.(k) >= 0
+      && st.paid_nodes.(id) >= 0
+      && (Option.is_some st.w.topology || st.row_outcome.(k) = Committed)
+    then
+      acc :=
+        ( id,
+          Obsv.Blame.attribute ~delta:(delta + sigma) c ~root:st.roots.(k)
+            ~sink:st.paid_nodes.(id) )
+        :: !acc
+  done;
+  !acc
+
+let report st ~status ~wall_t0 ~minor0 =
+  let w = st.w in
+  let end_time = Engine.now st.engine in
+  let conservation_ok = Array.for_all book_ok st.legs.books in
   let violations =
     List.concat_map snd
-      (List.sort (fun (a, _) (b, _) -> Int.compare a b) !violations)
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) st.violations)
     @
     if conservation_ok then []
     else
@@ -1337,73 +1351,18 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
           property = "ES/M";
           detail =
             Printf.sprintf "a shared %s book failed its conservation audit"
-              legs.book_kind;
+              st.legs.book_kind;
         };
       ]
   in
-  let count o =
-    List.fold_left (fun a (pr, _) -> a + count_of pr o) 0 w.mix
+  (* the run's total: the merge of its protocols' tallies *)
+  let total =
+    List.fold_left (fun acc (_, t) -> Tally.merge acc t) (Tally.create ())
+      st.tallies
   in
-  (* every committed latency, ascending, as (latency, multiplicity) *)
-  let latency_hist =
-    let all = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun _ (h, _) ->
-        Hashtbl.iter
-          (fun lat n ->
-            match Hashtbl.find_opt all lat with
-            | Some r -> r := !r + !n
-            | None -> Hashtbl.replace all lat (ref !n))
-          h)
-      latencies;
-    List.sort compare (Hashtbl.fold (fun lat n acc -> (lat, !n) :: acc) all [])
-  in
-  let committed = count Committed in
-  (* the same nearest-rank percentile as over the sorted latency array *)
-  let percentile q =
-    if committed = 0 then 0
-    else
-      let rank = ((q * committed) + 99) / 100 in
-      let idx = max 0 (min (committed - 1) (rank - 1)) in
-      let rec walk seen = function
-        | [] -> 0
-        | (lat, n) :: rest ->
-            if idx < seen + n then lat else walk (seen + n) rest
-      in
-      walk 0 latency_hist
-  in
-  (* critical-path blame per paid instance: root = its payment's arrival
-     note, sink = the deliver under which Bob's payout was released, so
-     the category gaps sum exactly to the instance's commit latency. A
-     message departs up to [sigma] after its send node (send-side
-     compute), so the largest honest synchronous gap is [delta + sigma] —
-     beyond that is GST wait. Every paid split of a routed payment keeps
-     its own path, so partial outcomes stay attributable; a linear
-     payment's only path counts once the payment committed. *)
+  let committed = Tally.count total Committed in
   let blame_reports =
-    match causal with
-    | None -> []
-    | Some c ->
-        let acc = ref [] in
-        for id = instances - 1 downto 0 do
-          let k = id / max_splits in
-          if
-            roots.(k) >= 0
-            && paid_nodes.(id) >= 0
-            && (routed || row_outcome.(k) = Committed)
-          then
-            acc :=
-              ( id,
-                Obsv.Blame.attribute ~delta:(delta + sigma) c ~root:roots.(k)
-                  ~sink:paid_nodes.(id) )
-              :: !acc
-        done;
-        !acc
-  in
-  let blame =
-    Option.map
-      (fun _ -> Obsv.Blame.aggregate (List.map snd blame_reports))
-      causal
+    match st.causal with None -> [] | Some c -> blame_of st c
   in
   let routing =
     Option.map
@@ -1411,115 +1370,112 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         {
           topology = Routing.Topology.to_string g;
           strategy = Routing.Router.strategy_name w.route;
-          max_splits;
+          max_splits = w.splits;
           offered_value = w.payments * w.value;
-          committed_value = !committed_value;
-          paths_selected = !total_paths;
-          split_payments = !split_payments;
-          partial_payments = !partial_payments;
-          no_route_rejections = !no_route_rejections;
-          instances = !inst_started;
-          instances_committed = !inst_paid;
-          instances_settled = !inst_settled;
+          committed_value = st.committed_value;
+          paths_selected = st.total_paths;
+          split_payments = st.split_payments;
+          partial_payments = st.partial_payments;
+          no_route_rejections = st.no_route_rejections;
+          (* every instance built is judged once *)
+          instances = st.total_paths;
+          instances_committed = st.inst_paid;
+          instances_settled = st.inst_settled;
         })
       w.topology
   in
-  let report =
-    {
-      workload = w;
-      seed;
-      plan = Faults.Fault_plan.to_string plan;
-      status =
-        (match status with
-        | Engine.Quiescent -> "quiescent"
-        | Engine.Horizon_reached -> "horizon"
-        | Engine.Event_limit -> "event-limit"
-        | Engine.Violation_stop -> "violation-stop");
-      admitted = !admitted;
-      committed;
-      aborted = count Aborted;
-      rejected = count Rejected;
-      stuck = count Stuck;
-      violated = count Violated;
-      violations;
-      liquidity_rejections = !liquidity_rejections;
-      conservation_ok;
-      latency_p50 = percentile 50;
-      latency_p95 = percentile 95;
-      latency_p99 = percentile 99;
-      latency_max =
-        List.fold_left (fun _ (lat, _) -> lat) 0 latency_hist;
-      makespan = end_time;
-      throughput_cpm =
-        (if end_time = 0 then 0 else committed * 1_000_000 / end_time);
-      messages = !messages;
-      max_in_flight = !max_in_flight;
-      by_protocol =
-        List.map
-          (fun (pr, _) ->
-            ( Proto.name pr,
-              (match Hashtbl.find_opt assigned pr with
-              | Some r -> !r
-              | None -> 0),
-              count_of pr Committed ))
-          w.mix;
-      blame;
-      blame_reports;
-      routing;
-      committee_stats = Option.map Quorum.Committee.stats !sequencer_com;
-      events = Engine.events_processed engine;
-      wall_ns = max 1 (Fleet.now_ns () - wall_t0);
-      top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-      loop_minor_words = int_of_float (Gc.minor_words () -. minor0);
-    }
-  in
-  (* --- telemetry --- *)
+  {
+    workload = w;
+    seed = st.seed;
+    plan = Faults.Fault_plan.to_string st.plan;
+    status =
+      (match status with
+      | Engine.Quiescent -> "quiescent"
+      | Engine.Horizon_reached -> "horizon"
+      | Engine.Event_limit -> "event-limit"
+      | Engine.Violation_stop -> "violation-stop");
+    admitted = st.admitted;
+    committed;
+    aborted = Tally.count total Aborted;
+    rejected = Tally.count total Rejected;
+    stuck = Tally.count total Stuck;
+    violated = Tally.count total Violated;
+    violations;
+    liquidity_rejections = st.liquidity_rejections;
+    conservation_ok;
+    latency_p50 = Tally.percentile total 50;
+    latency_p95 = Tally.percentile total 95;
+    latency_p99 = Tally.percentile total 99;
+    latency_max = Tally.percentile total 100;
+    makespan = end_time;
+    throughput_cpm =
+      (if end_time = 0 then 0 else committed * 1_000_000 / end_time);
+    messages = st.messages;
+    max_in_flight = st.max_in_flight;
+    by_protocol =
+      List.map
+        (fun (pr, t) ->
+          (Proto.name pr, Tally.assigned t, Tally.count t Committed))
+        st.tallies;
+    blame =
+      Option.map
+        (fun _ -> Obsv.Blame.aggregate (List.map snd blame_reports))
+        st.causal;
+    blame_reports;
+    routing;
+    committee_stats = Option.map Quorum.Committee.stats st.sequencer;
+    events = Engine.events_processed st.engine;
+    wall_ns = max 1 (Fleet.now_ns () - wall_t0);
+    top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
+    loop_minor_words = int_of_float (Gc.minor_words () -. minor0);
+  }
+
+(* --- telemetry --- *)
+let emit_telemetry st (r : report) =
   let reg = Obsv.Metrics.default in
   let add_count ~help ?labels name n =
     if n > 0 then
       Obsv.Metrics.add (Obsv.Metrics.counter reg ~help ?labels name) n
   in
   List.iter
-    (fun (pr, _) ->
+    (fun (pr, t) ->
       List.iter
         (fun o ->
           add_count ~help:"Load-run payment outcomes"
             ~labels:
-              [
-                ("protocol", Proto.name pr);
-                ("outcome", outcome_name o);
-              ]
-            "xchain_load_payments_total" (count_of pr o))
-        [ Committed; Aborted; Rejected; Stuck; Violated ])
-    w.mix;
+              [ ("protocol", Proto.name pr); ("outcome", Tally.outcome_name o) ]
+            "xchain_load_payments_total" (Tally.count t o))
+        Tally.outcomes)
+    st.tallies;
   (* one child per protocol, made in the order of each protocol's first
      committed payment *)
   List.iter
-    (fun (pr, (hist, _)) ->
+    (fun (pr, t) ->
       let h =
         Obsv.Metrics.histogram reg
           ~help:"Commit latency (arrival to Bob's payout), ticks"
           ~labels:[ ("protocol", Proto.name pr) ]
           "xchain_load_commit_latency"
       in
-      Hashtbl.iter
-        (fun lat n ->
-          for _ = 1 to !n do
+      List.iter
+        (fun (lat, n) ->
+          for _ = 1 to n do
             Obsv.Metrics.observe h lat
           done)
-        hist)
+        (Tally.latencies t))
     (List.sort
-       (fun (_, (_, a)) (_, (_, b)) -> Int.compare !a !b)
-       (Hashtbl.fold (fun pr v acc -> (pr, v) :: acc) latencies []));
+       (fun (_, a) (_, b) ->
+         Int.compare (Tally.first_commit a) (Tally.first_commit b))
+       (List.filter (fun (_, t) -> Tally.count t Committed > 0) st.tallies));
   Obsv.Metrics.add
     (Obsv.Metrics.counter reg
        ~help:"In-protocol insufficient-funds deposit failures"
        "xchain_load_liquidity_rejections_total")
-    !liquidity_rejections;
+    r.liquidity_rejections;
   Obsv.Metrics.set
     (Obsv.Metrics.gauge reg ~help:"Peak concurrently admitted payments"
        "xchain_load_in_flight_max")
-    !max_in_flight;
+    r.max_in_flight;
   Option.iter
     (fun (s : routing_stats) ->
       add_count ~help:"Paths selected by the payment router"
@@ -1531,16 +1487,16 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         "xchain_route_no_route_total" s.no_route_rejections;
       add_count ~help:"Value committed end-to-end across all splits"
         "xchain_route_committed_value_total" s.committed_value)
-    routing;
-  if spans_on then begin
+    r.routing;
+  if st.rows && Obsv.Span.capture Obsv.Span.default then begin
     let spans = Obsv.Span.default in
-    let protos = Workload.assign_mix w ~seed in
+    let protos = Workload.assign_mix st.w ~seed:st.seed in
     let root =
       Obsv.Span.start spans ~name:"load"
         ~attrs:
           [
-            ("payments", string_of_int w.payments);
-            ("seed", string_of_int seed);
+            ("payments", string_of_int st.w.payments);
+            ("seed", string_of_int st.seed);
           ]
         ~at:0 ()
     in
@@ -1549,27 +1505,63 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
         let s =
           Obsv.Span.start spans ~parent:root ~name:"payment"
             ~attrs:
-              [
-                ("id", string_of_int k);
-                ("protocol", Proto.name protos.(k));
-              ]
-            ~trace_id:(if Option.is_none causal then -1 else k * max_splits)
-            ~root_event:roots.(k)
-            ~at:(max 0 row_arrived.(k)) ()
+              [ ("id", string_of_int k); ("protocol", Proto.name protos.(k)) ]
+            ~trace_id:(if Option.is_none st.causal then -1 else k * st.w.splits)
+            ~root_event:st.roots.(k)
+            ~at:(max 0 st.row_arrived.(k))
+            ()
         in
         (* a stuck payment's span must never export as open-ended or as
            settling when the engine merely stopped: it is force-closed at
            the horizon the scheduler gave up at *)
-        Obsv.Span.finish ~status:(outcome_name o)
+        Obsv.Span.finish ~status:(Tally.outcome_name o)
           ~at:
-            (if o = Stuck then horizon
-             else if row_settled.(k) >= 0 then row_settled.(k)
-             else end_time)
+            (if o = Stuck then st.horizon
+             else if st.row_settled.(k) >= 0 then st.row_settled.(k)
+             else r.makespan)
           s)
-      row_outcome;
-    Obsv.Span.finish ~status:report.status ~at:end_time root
-  end;
-  report
+      st.row_outcome;
+    Obsv.Span.finish ~status:r.status ~at:r.makespan root
+  end
+
+(* ------------------------------- run ---------------------------------- *)
+
+let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
+    ?recorder ~(workload : Workload.t) ~seed () =
+  (match Workload.validate workload with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Load.run: " ^ e));
+  let wall_t0 = Fleet.now_ns () in
+  (* Fault plans address hosts: logical pids 0 .. stride-1, applied to
+     every instance block (one crashed escrow host is down for everyone). *)
+  (match Faults.Fault_plan.validate plan ~nprocs:(hosts workload) with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Load.run: bad fault plan: " ^ e));
+  let st = create ~plan ~causal ~prof ~monitor ~sampler ~w:workload ~seed in
+  Trace.on_record (Engine.trace st.engine) (on_trace st);
+  let cpid =
+    Engine.add_process st.engine ~clock:Clock.perfect ~label:"sched"
+      (controller st)
+  in
+  assert (cpid = 0);
+  Option.iter (intern_roles st) prof;
+  Option.iter (add_committee st) workload.committee;
+  Engine.reserve_pids st.engine st.payment_limit;
+  schedule_crashes st;
+  Option.iter (watch st) monitor;
+  Option.iter (sample st) sampler;
+  Option.iter
+    (fun rc -> Trace.on_record (Engine.trace st.engine) (Trace.record rc))
+    recorder;
+  let minor0 = Gc.minor_words () in
+  let status =
+    Engine.run ~horizon:st.horizon ~max_events:(event_budget workload)
+      st.engine
+  in
+  judge_rest st ~end_time:(Engine.now st.engine);
+  let r = report st ~status ~wall_t0 ~minor0 in
+  emit_telemetry st r;
+  r
 
 (* ------------------------------- output ------------------------------- *)
 

@@ -27,7 +27,7 @@
     the fold's flows and HTLC judged [~preimage_is_receipt]; conservation
     is checked globally over the shared books. *)
 
-type outcome = Committed | Aborted | Rejected | Stuck | Violated
+type outcome = Tally.outcome = Committed | Aborted | Rejected | Stuck | Violated
 
 type violation = {
   payment : int;  (** -1 for global (cross-payment) violations *)

@@ -205,6 +205,9 @@ let validate w =
   else if w.mix = [] then err "mix must name at least one protocol"
   else if List.exists (fun (_, weight) -> weight < 1) w.mix then
     err "mix weights must be >= 1"
+  else if List.length (List.sort_uniq compare (List.map fst w.mix))
+          <> List.length w.mix
+  then err "mix names a protocol twice"
   else if w.cap < 0 then err "cap must be >= 0"
   else if w.liquidity < 0 then err "liquidity must be >= 0"
   else if w.patience < 1 then err "patience must be >= 1"

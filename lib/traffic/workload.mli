@@ -60,7 +60,8 @@ type t = {
   value : int;
   commission : int;
   arrival : arrival;
-  mix : (proto * int) list;  (** protocol weights; must be non-empty *)
+  mix : (proto * int) list;
+      (** protocol weights, one entry per protocol; must be non-empty *)
   policy : policy;
   cap : int;  (** max payments in flight per escrow; 0 = unlimited *)
   liquidity : int;

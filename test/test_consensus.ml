@@ -428,7 +428,7 @@ let run_chain ?(n = 3) ~txs ~rounds () =
           block_interval = 100;
           initial_state = [];
           apply = (fun st tx -> (tx :: st, [ tx ]));
-          tx_equal = String.equal;
+          tx_key = Fun.id;
         })
   in
   let validators = Array.map Chain.create cfgs in
@@ -504,6 +504,42 @@ let chain_tests =
         Array.iter
           (fun evs -> check Alcotest.int "one event" 1 (List.length evs))
           emitted);
+    Alcotest.test_case "a transaction already in the chain is ignored" `Quick
+      (fun () ->
+        let v =
+          Chain.create
+            {
+              Chain.n = 1;
+              self = 0;
+              block_interval = 50;
+              initial_state = [];
+              apply = (fun st tx -> (tx :: st, [ tx ]));
+              tx_key = Fun.id;
+            }
+        in
+        ignore (Chain.start v);
+        let emitted =
+          List.concat_map (function Chain.Emit evs -> evs | _ -> [])
+        in
+        (* the lone validator proposes "a"; its announcement applies it *)
+        let announce =
+          List.concat_map (function
+            | Chain.Broadcast m -> Chain.on_msg v ~from_:(Some 0) m
+            | _ -> [])
+        in
+        check
+          Alcotest.(list string)
+          "applied" [ "a" ]
+          (emitted (announce (Chain.on_msg v ~from_:None (Chain.Submit "a"))));
+        check Alcotest.int "resubmission ignored" 0
+          (List.length (Chain.on_msg v ~from_:None (Chain.Submit "a")));
+        let block =
+          { Chain.height = 1; round = 1; proposer = 0; txs = [ "a"; "b" ] }
+        in
+        check
+          Alcotest.(list string)
+          "a later block applies only the fresh one" [ "b" ]
+          (emitted (Chain.on_msg v ~from_:(Some 0) (Chain.Announce block))));
     Alcotest.test_case "height rotates the proposer" `Quick (fun () ->
         let announced, _ = run_chain ~n:3 ~txs:[ "t1" ] ~rounds:4 () in
         check Alcotest.bool "a block was proposed" true
@@ -526,7 +562,7 @@ let chain_tests =
             block_interval = 50;
             initial_state = [];
             apply = (fun st tx -> (tx :: st, [ tx ]));
-            tx_equal = String.equal;
+            tx_key = Fun.id;
           }
         in
         let v = Chain.create cfg in
@@ -549,7 +585,7 @@ let chain_tests =
                    block_interval = 10;
                    initial_state = ();
                    apply = (fun () _ -> ((), []));
-                   tx_equal = (fun (_ : int) _ -> true);
+                   tx_key = (fun (_ : int) -> "");
                  })));
   ]
 

@@ -130,6 +130,7 @@ let workload_tests =
           [
             ("arrival", "fibonacci:3");
             ("mix", "sync:0");
+            ("mix", "sync:1,weak:1,sync:2");
             ("policy", "yolo");
             ("payments", "many");
           ];
@@ -232,6 +233,71 @@ let workload_tests =
            && Array.for_all
                 (fun p -> List.mem_assoc p w.Workload.mix)
                 assigned));
+  ]
+
+(* ------------------------------- tally --------------------------------- *)
+
+(* A tally fed one payment per entry: [(assigned, outcome, latency)], the
+   payment index being the entry's position. *)
+let tally_of_entries entries =
+  let t = Tally.create () in
+  List.iter
+    (fun (k, (assigned, o, latency)) ->
+      if assigned then Tally.assign t;
+      if o = Tally.Committed then Tally.commit t ~payment:k ~latency
+      else Tally.add t o)
+    entries;
+  t
+
+let entry_gen =
+  QCheck.Gen.(triple bool (oneofl Tally.outcomes) (int_bound 5000))
+
+(* everything a report or its telemetry reads from a tally *)
+let tally_view t =
+  ( Tally.assigned t,
+    List.map (Tally.count t) Tally.outcomes,
+    Tally.first_commit t,
+    Tally.latencies t,
+    List.map (Tally.percentile t) [ 50; 95; 99; 100 ] )
+
+let tally_tests =
+  [
+    qcheck
+      (QCheck.Test.make ~name:"percentiles are nearest ranks of the sample"
+         ~count:500
+         QCheck.(list_of_size Gen.(int_bound 300) (int_bound 5000))
+         (fun lats ->
+           let t =
+             tally_of_entries
+               (List.mapi (fun k l -> (k, (true, Tally.Committed, l))) lats)
+           in
+           let sorted = Array.of_list (List.sort compare lats) in
+           let n = Array.length sorted in
+           let rank q =
+             if n = 0 then 0
+             else sorted.(max 0 (min (n - 1) ((((q * n) + 99) / 100) - 1)))
+           in
+           List.for_all
+             (fun q -> Tally.percentile t q = rank q)
+             [ 50; 95; 99; 100 ]
+           && Tally.percentile t 100 = (if n = 0 then 0 else sorted.(n - 1))));
+    qcheck
+      (QCheck.Test.make ~name:"merging a split sample's tallies is its tally"
+         ~count:500
+         (QCheck.make
+            QCheck.Gen.(list_size (int_bound 200) (pair bool entry_gen)))
+         (fun sample ->
+           let indexed = List.mapi (fun k x -> (k, x)) sample in
+           let side b =
+             List.filter_map
+               (fun (k, (s, e)) -> if s = b then Some (k, e) else None)
+               indexed
+           in
+           let entries = List.map (fun (k, (_, e)) -> (k, e)) indexed in
+           tally_view
+             (Tally.merge (tally_of_entries (side true))
+                (tally_of_entries (side false)))
+           = tally_view (tally_of_entries entries)));
   ]
 
 (* ------------------------------- load ---------------------------------- *)
@@ -1023,6 +1089,7 @@ let () =
             load_front_door;
           flags_law;
         ] );
+      ("tally", tally_tests);
       ("load", load_tests);
       ("causal", causal_tests);
       ("golden", golden_tests);
