@@ -115,7 +115,7 @@ let premature_claim (cfg : Deal_runner.config) ~signer ~party =
 (* Plays the honest protocol (deposits, phase-ordered voting, gossip) but
    submits every claim twice — the ledger's single-resolution rule must
    make the duplicates no-ops. *)
-let double_claim (cfg : Deal_runner.config) ~registry ~signer ~party =
+let double_claim (cfg : Deal_runner.config) ~signer ~party =
   let deal = cfg.Deal_runner.deal in
   let my_out = List.filter (fun (_, a) -> a.Deal.from_ = party) (indexed_arcs cfg) in
   let my_in = my_incoming cfg party in
@@ -150,7 +150,6 @@ let double_claim (cfg : Deal_runner.config) ~registry ~signer ~party =
       full ctx
     end
   in
-  ignore registry;
   {
     E.on_start =
       (fun ctx ->
@@ -278,13 +277,12 @@ let lazy_claim (cfg : Deal_runner.config) ~signer ~party =
         end);
   }
 
-let handlers cfg ~registry ~signer ~party strategy =
-  ignore registry;
+let handlers cfg ~signer ~party strategy =
   match strategy with
   | Freeloader -> freeloader cfg ~signer ~party
   | Forged_votes -> forged_votes cfg ~party
   | Premature_claim -> premature_claim cfg ~signer ~party
-  | Double_claim -> double_claim cfg ~registry ~signer ~party
+  | Double_claim -> double_claim cfg ~signer ~party
   | Vote_hoarder -> vote_hoarder cfg ~signer ~party
   | Lazy_claim -> lazy_claim cfg ~signer ~party
 
@@ -293,9 +291,9 @@ let run_with_faults cfg ~faults =
   List.iter (fun (p, _) -> compliant.(p) <- false) faults;
   let cfg = { cfg with Deal_runner.compliant } in
   Deal_runner.run
-    ~substitute:(fun ~party ~registry ~signer ->
+    ~substitute:(fun ~party ~signer ->
       match List.assoc_opt party faults with
-      | Some strategy -> Some (handlers cfg ~registry ~signer ~party strategy)
+      | Some strategy -> Some (handlers cfg ~signer ~party strategy)
       | None ->
           if compliant.(party) then None else Some E.silent)
     cfg

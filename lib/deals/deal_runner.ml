@@ -15,7 +15,6 @@ type config = {
   drift_ppm : int;
   gst : Sim_time.t option;
   cb_patience : Sim_time.t;
-  fault_plan : Faults.Fault_plan.t option;
   seed : int;
   max_events : int;
 }
@@ -30,7 +29,6 @@ let default_config deal protocol =
     drift_ppm = 10_000;
     gst = None;
     cb_patience = 20_000;
-    fault_plan = None;
     seed = 11;
     max_events = 100_000;
   }
@@ -440,7 +438,7 @@ let emit_telemetry (o : outcome) =
     Obsv.Span.finish ~status ~at:o.end_time root
   end
 
-let run ?(substitute = fun ~party:_ ~registry:_ ~signer:_ -> None) cfg =
+let run ?(substitute = fun ~party:_ ~signer:_ -> None) cfg =
   let p = Deal.parties cfg.deal in
   if Array.length cfg.compliant <> p then
     invalid_arg "Deal_runner.run: compliant array size mismatch";
@@ -460,36 +458,12 @@ let run ?(substitute = fun ~party:_ ~registry:_ ~signer:_ -> None) cfg =
            book)
          (indexed_arcs cfg))
   in
-  let nprocs =
-    p + Deal.arc_count cfg.deal
-    + (match cfg.protocol with Cbc -> 1 | Timelock -> 0)
-  in
-  let injector =
-    match cfg.fault_plan with
-    | None -> None
-    | Some plan when Faults.Fault_plan.is_none plan -> None
-    | Some plan -> (
-        match Faults.Fault_plan.validate plan ~nprocs with
-        | Error e -> invalid_arg ("Deal_runner.run: bad fault plan: " ^ e)
-        | Ok () ->
-            Some (Faults.Injector.create ~plan ~seed:(cfg.seed + 47) ()))
-  in
   let model =
     match cfg.gst with
     | None -> Network.Synchronous { delta = cfg.delta }
     | Some gst -> Network.Partially_synchronous { gst; delta = cfg.delta }
   in
-  let model =
-    match injector with
-    | None -> model
-    | Some inj -> Faults.Injector.jittered_model inj model
-  in
-  let network =
-    Network.create
-      ?tamper:(Option.map Faults.Injector.tamper injector)
-      model
-      (Rng.create ~seed:(cfg.seed + 19))
-  in
+  let network = Network.create model (Rng.create ~seed:(cfg.seed + 19)) in
   let engine =
     E.create ~tag_of:Dmsg.tag ~network ~sigma:cfg.sigma ~seed:cfg.seed ()
   in
@@ -501,7 +475,7 @@ let run ?(substitute = fun ~party:_ ~registry:_ ~signer:_ -> None) cfg =
          handlers)
   in
   for q = 0 to p - 1 do
-    match substitute ~party:q ~registry ~signer:signers.(q) with
+    match substitute ~party:q ~signer:signers.(q) with
     | Some handlers -> add handlers
     | None ->
         if cfg.compliant.(q) then add (party cfg registry signers.(q) q)
@@ -513,9 +487,6 @@ let run ?(substitute = fun ~party:_ ~registry:_ ~signer:_ -> None) cfg =
       let cb_signer = Auth.register registry (cb_pid cfg) in
       add (certified_chain cfg registry cb_signer)
   | Timelock -> ());
-  Option.iter
-    (fun inj -> Faults.Injector.schedule_crashes inj engine)
-    injector;
   let status = E.run ~max_events:cfg.max_events engine in
   let o =
     {

@@ -29,10 +29,6 @@ type config = {
   drift_ppm : int;
   gst : Sim.Sim_time.t option;  (** None = synchronous network *)
   cb_patience : Sim.Sim_time.t;  (** CBC: certifier aborts after this *)
-  fault_plan : Faults.Fault_plan.t option;
-      (** environment faults (lossy links, crashes, partitions, GST
-          jitter), interpreted deterministically from [seed + 47]; [None]
-          (the default) keeps the paper's reliable channels *)
   seed : int;
   max_events : int;
 }
@@ -51,7 +47,6 @@ type outcome = {
 val run :
   ?substitute:
     (party:int ->
-    registry:Xcrypto.Auth.registry ->
     signer:Xcrypto.Auth.signer ->
     (Dmsg.t, Dobs.t) Sim.Engine.handlers option) ->
   config ->

@@ -16,7 +16,6 @@ type routing_stats = {
   split_payments : int;
   partial_payments : int;
   no_route_rejections : int;
-  instances : int;
   instances_committed : int;
   instances_settled : int;
 }
@@ -1377,8 +1376,6 @@ let report st ~status ~wall_t0 ~minor0 =
           split_payments = st.split_payments;
           partial_payments = st.partial_payments;
           no_route_rejections = st.no_route_rejections;
-          (* every instance built is judged once *)
-          instances = st.total_paths;
           instances_committed = st.inst_paid;
           instances_settled = st.inst_settled;
         })
@@ -1620,9 +1617,9 @@ let to_json r =
       Buffer.add_string b ",\"strategy\":";
       str s.strategy;
       Printf.bprintf b
-        ",\"max_splits\":%d,\"offered_value\":%d,\"committed_value\":%d,\"paths_selected\":%d,\"split_payments\":%d,\"partial_payments\":%d,\"no_route_rejections\":%d,\"instances\":%d,\"instances_committed\":%d,\"instances_settled\":%d}"
+        ",\"max_splits\":%d,\"offered_value\":%d,\"committed_value\":%d,\"paths_selected\":%d,\"split_payments\":%d,\"partial_payments\":%d,\"no_route_rejections\":%d,\"instances_committed\":%d,\"instances_settled\":%d}"
         s.max_splits s.offered_value s.committed_value s.paths_selected
-        s.split_payments s.partial_payments s.no_route_rejections s.instances
+        s.split_payments s.partial_payments s.no_route_rejections
         s.instances_committed s.instances_settled)
     r.routing;
   (* only present on shared-committee workloads, so other reports stay
@@ -1665,8 +1662,8 @@ let pp_summary ppf r =
         s.partial_payments;
       Fmt.pf ppf
         "  value %d/%d committed, %d/%d instances paid, %d no-route@,"
-        s.committed_value s.offered_value s.instances_committed s.instances
-        s.no_route_rejections)
+        s.committed_value s.offered_value s.instances_committed
+        s.paths_selected s.no_route_rejections)
     r.routing;
   Option.iter
     (fun (s : committee_stats) ->

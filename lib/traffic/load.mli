@@ -44,13 +44,14 @@ type routing_stats = {
       (** value that reached a sink across all paid splits — partially
           committed payments count their paid splits here even though the
           payment itself is not [Committed] *)
-  paths_selected : int;  (** path choices summed over admissions *)
+  paths_selected : int;
+      (** path choices summed over admissions; each starts one protocol
+          instance *)
   split_payments : int;  (** payments admitted over more than one path *)
   partial_payments : int;
       (** aborted payments where at least one split still paid Bob *)
   no_route_rejections : int;
       (** rejected because no disjoint path set could carry the value *)
-  instances : int;  (** protocol instances actually started *)
   instances_committed : int;
   instances_settled : int;
 }

@@ -11,8 +11,8 @@ Stdlib only. Validates the report `bench/main.exe` writes:
      audit passed (``conservation_ok: true``) — liquidity is consumed
      and swept back, never created;
   3. arithmetic: committed_value <= offered_value, settled instances
-     never exceed admitted instances, and a payment count reconciles
-     with committed + aborted + rejected + stuck;
+     never exceed the paths selected (one instance each), and a payment
+     count reconciles with committed + aborted + rejected + stuck;
   4. the headline claim: on the constrained diamond, single-path
      routing strands at least STRAND_PCT% of the offered value while
      multi-path splitting commits strictly more.
@@ -34,7 +34,6 @@ ROUTING_INT_FIELDS = [
     "split_payments",
     "partial_payments",
     "no_route_rejections",
-    "instances",
     "instances_committed",
     "instances_settled",
 ]
@@ -70,10 +69,10 @@ def check_workload(name, wl):
             f"{name}: committed_value {routing['committed_value']} exceeds "
             f"offered_value {routing['offered_value']}"
         )
-    if routing["instances_settled"] > routing["instances"]:
+    if routing["instances_settled"] > routing["paths_selected"]:
         err(
             f"{name}: settled instances {routing['instances_settled']} exceed "
-            f"admitted {routing['instances']}"
+            f"admitted {routing['paths_selected']}"
         )
     if routing["instances_committed"] > routing["instances_settled"]:
         err(

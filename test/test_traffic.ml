@@ -767,7 +767,7 @@ let golden_runs =
       "449231db93519394e720f3fe0702dace",
       fun () -> Load.run ~workload:(spec committee_600_spec) ~seed:2 () );
     ( "er graph, shared and weak, three splits",
-      "35add73813fb7eba4176ca2fabb3d33f",
+      "25a8562fbaa5cd66b47872e5b39619ac",
       fun () ->
         Load.run
           ~workload:
@@ -776,7 +776,7 @@ let golden_runs =
                 topology=er:6:4:9 splits=3")
           ~seed:1 () );
     ( "hub graph, two splits",
-      "3eb9020cb10aa09f80ae0a97526bbc5b",
+      "bc5b3c5c5cb298a5c7f1bbf32fb918d4",
       fun () ->
         Load.run
           ~workload:
@@ -787,7 +787,7 @@ let golden_runs =
                    topology=hub:3:3000:5 splits=2"))
           ~seed:4 () );
     ( "er graph, round-robin, crashed host",
-      "b227284e27d90a5371aa7c72e4c66cf9",
+      "e502ac5f3625f0b0ba7b21410668e057",
       fun () ->
         Load.run ~plan:(plan_of "crash 2@700")
           ~workload:
