@@ -306,12 +306,12 @@ let protocol_arg ?(doc = "Protocol: sync | naive | htlc | weak | committee.")
 let faults_arg ~doc =
   Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"STRATEGY@ROLE" ~doc)
 
-(* --fault specs read against the run's chain: a bad one is a usage error *)
-let read_faults ~prefix ~hops specs =
-  let topo = Topology.create ~hops in
+(* --fault specs read against the run's protocol and chain: a bad one is a
+   usage error *)
+let read_faults ~prefix ~protocol ~hops specs =
   List.map
     (fun spec ->
-      match Byzantine.fault_of_string topo spec with
+      match Runner.fault_of_string (Proto.runner protocol) ~hops spec with
       | Ok f -> f
       | Error e ->
           Fmt.epr "%s%s@." prefix e;
@@ -448,7 +448,7 @@ let params_cmd =
 let audit_cmd =
   let run protocol hops gst seed fault_specs metrics_out spans_out =
     arm_span_capture spans_out;
-    let faults = read_faults ~prefix:"" ~hops fault_specs in
+    let faults = read_faults ~prefix:"" ~protocol ~hops fault_specs in
     let cfg =
       {
         (Runner.default_config ~hops ~seed) with
@@ -671,7 +671,7 @@ let chaos_cmd =
          from its repro line for per-run telemetry)@.";
       exit 2
     end;
-    let faults = read_faults ~prefix:"xchain chaos: " ~hops fault_specs in
+    let faults = read_faults ~prefix:"xchain chaos: " ~protocol ~hops fault_specs in
     let plan =
       read_plan ~cmd:"chaos"
         ~nprocs:(Runner.process_count ~hops (Proto.runner protocol))

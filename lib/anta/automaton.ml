@@ -206,6 +206,15 @@ let cnode t i = t.cnodes.(i)
 let clock_names t = t.clock_names
 let data_names t = t.data_names
 
+let rec arms_named branches label i =
+  i < Array.length branches
+  &&
+  match branches.(i).cguard with
+  | C_deadline { label = l; named = true; _ } when same l label -> true
+  | C_deadline _ | C_receive _ -> arms_named branches label (i + 1)
+
+let arms_named branches label = arms_named branches label 0
+
 let rec scan_receive branches inst pool i =
   if i >= Array.length branches then -1
   else

@@ -136,6 +136,11 @@ val cnode : ('i, 'msg, 'obs) t -> int -> ('i, 'msg, 'obs) cnode
 val clock_names : ('i, 'msg, 'obs) t -> string array
 val data_names : ('i, 'msg, 'obs) t -> string array
 
+val arms_named : ('i, 'msg, 'obs) cbranch array -> string -> bool
+(** Whether the branches arm the named timer [label]: a state entered from
+    one that arms it leaves it armed, neither setting it again nor
+    cancelling it. The executor and {!Conformance} both read it. *)
+
 val match_receive : ('i, 'msg, 'obs) cbranch array -> 'i -> 'msg Pool.t -> int
 (** The receive transition an input state fires on its pending pool, with
     guards read against the instance:

@@ -2,22 +2,71 @@ module A = Automaton
 
 type deviation = { at : Sim.Sim_time.t; state : A.state; reason : string }
 
-type 'msg cursor = {
+type ('i, 'msg, 'obs) cursor = {
   mutable state : int;
   pool : 'msg Pool.t;
   mutable finished : bool;
   mutable deviation : deviation option;
+  mutable armed : ('i, 'msg, 'obs) A.cbranch array;
+      (* the branches of the input state whose deadlines are armed *)
+  mutable owed : (int * string) list;
+      (* timers the executor would set next, in order: (state, label) *)
 }
 
-let fail auto c ~at reason =
+let fail ?state auto c ~at reason =
   if c.deviation = None then
-    c.deviation <- Some { at; state = A.state_name auto c.state; reason }
+    let state = Option.value state ~default:c.state in
+    c.deviation <- Some { at; state = A.state_name auto state; reason }
 
-(* Enter a state; consume pool-enabled receive transitions greedily, exactly
-   as the executor does (the same {!Automaton.match_receive}, effect-free
-   here), stopping at an output state (which awaits a Sent event), a final
-   state, or a quiescent input state. *)
-let rec settle auto inst c ~at =
+(* Enter input state [c.state] as {!Executor} does: owe a [Timer_set] for
+   each of its deadlines but a named one the state left already arms. *)
+let rearm c next =
+  let before = c.armed in
+  c.armed <- next;
+  Array.iter
+    (fun (b : _ A.cbranch) ->
+      match b.A.cguard with
+      | A.C_deadline { label; named; _ } when not (named && A.arms_named before label) ->
+          c.owed <- c.owed @ [ (c.state, label) ]
+      | A.C_deadline _ | A.C_receive _ -> ())
+    next
+
+(* a step of the process before it set the timers its state arms *)
+let settle_owed auto c ~at =
+  match c.owed with
+  | [] -> ()
+  | (state, label) :: _ ->
+      fail ~state auto c ~at
+        (Printf.sprintf "state %s arms timer %S, the process set none"
+           (A.state_name auto state) label)
+
+let on_timer_set auto c ~at ~label =
+  match c.owed with
+  | (_, l) :: rest when String.equal l label -> c.owed <- rest
+  | (state, l) :: _ ->
+      fail ~state auto c ~at
+        (Printf.sprintf "set timer %S where state %s arms %S" label
+           (A.state_name auto state) l)
+  | [] ->
+      fail auto c ~at
+        (Printf.sprintf "set timer %S that state %s does not arm" label
+           (A.state_name auto c.state))
+
+(* Enter state [st], arming its deadlines as the executor does, and
+   settle there. *)
+let rec enter auto inst c st ~at =
+  c.state <- st;
+  (match A.cnode auto st with
+  | A.C_input branches -> rearm c branches
+  | A.C_final _ -> c.armed <- [||]
+  | A.C_output _ | A.C_missing -> ());
+  settle auto inst c ~at
+
+(* Consume pool-enabled receive transitions greedily, exactly as the
+   executor does (the same {!Automaton.match_receive}, effect-free here),
+   stopping at an output state (which awaits a Sent event), a final state,
+   or a quiescent input state. *)
+and settle auto inst c ~at =
   match A.cnode auto c.state with
   | A.C_missing ->
       fail auto c ~at
@@ -28,8 +77,7 @@ let rec settle auto inst c ~at =
       let bi = A.match_receive branches inst c.pool in
       if bi >= 0 then begin
         ignore (Pool.take_hit c.pool);
-        c.state <- branches.(bi).A.c_next;
-        settle auto inst c ~at
+        enter auto inst c branches.(bi).A.c_next ~at
       end
 
 let on_delivered auto inst c ~at ~src msg =
@@ -47,10 +95,7 @@ let on_sent auto inst tag_of c ~at ~dst msg =
           fail auto c ~at
             (Printf.sprintf "sent [%s] to %d, automaton sends to %d"
                (tag_of msg) dst to_)
-        else begin
-          c.state <- next;
-          settle auto inst c ~at
-        end
+        else enter auto inst c next ~at
     | A.C_input _ ->
         fail auto c ~at
           (Printf.sprintf "sent [%s] to %d from an input (waiting) state"
@@ -70,8 +115,7 @@ let on_timer auto inst c ~at ~label =
   if not c.finished then
     match A.cnode auto c.state with
     | A.C_input branches when deadline_of branches label 0 >= 0 ->
-        c.state <- branches.(deadline_of branches label 0).A.c_next;
-        settle auto inst c ~at
+        enter auto inst c branches.(deadline_of branches label 0).A.c_next ~at
     | _ ->
         fail auto c ~at
           (Printf.sprintf "timer %S fired but state %s arms no such timer" label
@@ -84,21 +128,29 @@ let check auto inst ~pid ~tag_of trace =
       pool = Pool.create ();
       finished = false;
       deviation = None;
+      armed = [||];
+      owed = [];
     }
   in
-  settle auto inst c ~at:Sim.Sim_time.zero;
+  enter auto inst c (A.initial_index auto) ~at:Sim.Sim_time.zero;
   List.iter
     (fun entry ->
       if c.deviation = None then
         match entry with
         | Sim.Trace.Sent { t; src; dst; msg; _ } when src = pid ->
+            settle_owed auto c ~at:t;
             on_sent auto inst tag_of c ~at:t ~dst msg
         | Sim.Trace.Delivered { t; src; dst; msg; _ } when dst = pid ->
+            settle_owed auto c ~at:t;
             on_delivered auto inst c ~at:t ~src msg
         | Sim.Trace.Timer_fired { t; owner; label; _ } when owner = pid ->
+            settle_owed auto c ~at:t;
             on_timer auto inst c ~at:t ~label
+        | Sim.Trace.Timer_set { t; owner; label; _ } when owner = pid ->
+            on_timer_set auto c ~at:t ~label
         | _ -> ())
     (Sim.Trace.to_list trace);
+  settle_owed auto c ~at:(Sim.Trace.last_time trace);
   match c.deviation with
   | Some d -> Error d
   | None -> (

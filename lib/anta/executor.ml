@@ -18,13 +18,6 @@ let terminated r = r.finished
 let store r = r.sstore
 let pending_count r = Pool.length r.pool
 
-let rec arms branches label i =
-  i < Array.length branches
-  &&
-  match branches.(i).A.cguard with
-  | A.C_deadline { label = l; named = true; _ } when String.equal l label -> true
-  | A.C_deadline _ | A.C_receive _ -> arms branches label (i + 1)
-
 (* Move the armed deadlines to [next], the branches of the state entered:
    cancel the old ones but a named timer [next] shares, which keeps its
    place in the queue (or stays spent), and arm the rest. *)
@@ -34,13 +27,13 @@ let rearm ctx r next =
   for i = 0 to Array.length before - 1 do
     match before.(i).A.cguard with
     | A.C_deadline { label; named; _ } ->
-        if not (named && arms next label 0) then Engine.cancel_timer ctx ~label
+        if not (named && A.arms_named next label) then Engine.cancel_timer ctx ~label
     | A.C_receive _ -> ()
   done;
   for i = 0 to Array.length next - 1 do
     match next.(i).A.cguard with
     | A.C_deadline { base; offset; label; named } ->
-        if not (named && arms before label 0) then
+        if not (named && A.arms_named before label) then
           let deadline =
             if base < 0 then offset
             else Sim_time.add (Store.clock_at r.sstore base) offset

@@ -8,7 +8,7 @@ type participant = {
   byzantine : string option;
   terminated : (int * string) option;
   net : int;
-  conforms : bool option;
+  conforms : (unit, Anta.Conformance.deviation) result option;
 }
 
 type t = {
@@ -19,14 +19,6 @@ type t = {
   breaches : Props.Promises.breach list;
   conserved : bool;
 }
-
-(* the postmortem reads conformance to Figure 2, the automata sync and
-   naive participants run *)
-let conformance_of outcome pid =
-  match outcome.Runner.protocol with
-  | Runner.Sync_timebound | Runner.Naive_universal ->
-      Option.map Result.is_ok (outcome.Runner.conformance pid)
-  | Runner.Htlc | Runner.Weak _ | Runner.Atomic _ -> None
 
 let build (outcome : Runner.outcome) =
   let v = PP.view outcome in
@@ -45,7 +37,7 @@ let build (outcome : Runner.outcome) =
           byzantine = List.assoc_opt pid outcome.Runner.fault_names;
           terminated = v.PP.terminated pid;
           net = v.PP.net pid;
-          conforms = conformance_of outcome pid;
+          conforms = outcome.Runner.conformance pid;
         })
       pids
   in
@@ -87,8 +79,10 @@ let pp ppf t =
       | None -> Fmt.pf ppf " never terminated");
       if p.net <> 0 then Fmt.pf ppf ", net %+d" p.net;
       (match p.conforms with
-      | Some true -> Fmt.pf ppf ", conforms to Fig.2"
-      | Some false -> Fmt.pf ppf ", DEVIATES from Fig.2"
+      | Some (Ok ()) -> Fmt.pf ppf ", conforms to its automaton"
+      | Some (Error d) ->
+          Fmt.pf ppf ", DEVIATES at %s: %s" d.Anta.Conformance.state
+            d.Anta.Conformance.reason
       | None -> ());
       Fmt.pf ppf "@,")
     t.participants;

@@ -3,8 +3,8 @@
     A report gathers everything an operator would ask after a run: the
     headline outcome, a per-participant account (role, termination, net
     position, final balances), the property verdicts, promise breaches,
-    and — for the automata-based protocols — per-participant conformance
-    against Figure 2. Rendering is plain text, suitable for terminals and
+    and each participant's conformance to its honest automaton, with the
+    first deviation. Rendering is plain text, suitable for terminals and
     for golden-file tests. *)
 
 type participant = {
@@ -13,9 +13,9 @@ type participant = {
   byzantine : string option;  (** substituted strategy, if any *)
   terminated : (int * string) option;  (** (global time, outcome tag) *)
   net : int;  (** customers: net position; others 0 *)
-  conforms : bool option;
-      (** Figure 2 conformance; [None] when not applicable (non-automaton
-          protocol, or TM pids) *)
+  conforms : (unit, Anta.Conformance.deviation) result option;
+      (** the replay of the pid's honest automaton over the run's trace,
+          with its first deviation; [None] for a hand-written TM replica *)
 }
 
 type t = {
@@ -29,7 +29,7 @@ type t = {
 
 val build : Protocols.Runner.outcome -> t
 (** Chooses the Def. 1 or Def. 2 verdict set from the outcome's protocol,
-    runs the promise monitors, and — for [Sync_timebound] /
-    [Naive_universal] — checks every payment participant's conformance. *)
+    runs the promise monitors, and reads every participant's conformance
+    from {!Protocols.Runner.outcome.conformance}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,9 @@
 open Sim
+module A = Anta.Automaton
 module E = Engine
 
 type t =
   | Crash_at_start
-  | Crash_after_receives of int
   | Mute
   | Thief_escrow
   | Premature_refund_escrow
@@ -18,7 +18,6 @@ type t =
 
 let name = function
   | Crash_at_start -> "crash-at-start"
-  | Crash_after_receives k -> Printf.sprintf "crash-after-%d" k
   | Mute -> "mute"
   | Thief_escrow -> "thief-escrow"
   | Premature_refund_escrow -> "premature-refund"
@@ -31,25 +30,227 @@ let name = function
   | Never_deposit -> "never-deposit"
   | False_funded_escrow -> "false-funded"
 
-let applicable_to t (role : Topology.role) =
-  match (t, role) with
-  | (Crash_at_start | Crash_after_receives _ | Mute), _ -> true
-  | ( (Thief_escrow | Premature_refund_escrow | No_resolve_escrow
-      | False_funded_escrow),
-      Topology.Escrow _ ) ->
-      true
-  | (Eager_chi_bob | Withhold_chi_bob), Topology.Bob -> true
-  | Forge_chi_connector, (Topology.Connector _ | Topology.Bob) -> true
-  | ( (Double_money_customer | Impatient _ | Never_deposit),
-      (Topology.Alice | Topology.Connector _) ) ->
-      true
-  | (Impatient _ | Never_deposit), Topology.Bob -> true
-  | _, _ -> false
+(* Crash and mute run no automaton at all, so they fit any process,
+   hand-written TM replicas included; the runner gives them
+   [Engine.silent]. *)
+let silent = function Crash_at_start | Mute -> true | _ -> false
 
-let all =
+(* ------------------- edits of an honest automaton ---------------------- *)
+
+type 'i auto = ('i, Msg.t, Obs.t) A.t
+
+(* where a deviant stops: no branch, so it waits forever and arms nothing *)
+let stall () = ("stall", A.input [])
+
+(* [auto] with the nodes of [changed] in place of its own and [added]
+   appended, started at [initial] *)
+let rebuild ?initial ?(changed = []) ?(added = []) (auto : 'i auto) : 'i auto =
+  let initial =
+    match initial with
+    | Some st -> st
+    | None -> A.state_name auto (A.initial_index auto)
+  in
+  let node st =
+    match List.assoc_opt st changed with
+    | Some n -> n
+    | None -> Option.get (A.node auto st)
+  in
+  A.make ~name:(A.name auto) ~born:(A.born auto) ~initial
+    ~nodes:(List.map (fun st -> (st, node st)) (A.states auto) @ added)
+    ()
+
+(* output state [st] of [auto], sending on to [next] *)
+let redirect auto st next =
+  match A.node auto st with
+  | Some (A.Output { to_; absolute; message; o_act; _ }) ->
+      Some (st, A.output ~absolute ~to_ ~act:o_act ~message ~next ())
+  | _ -> None
+
+(* the destinations of the run of output states from [st] *)
+let rec sends auto st =
+  match A.node auto st with
+  | Some (A.Output { to_; absolute; next; _ }) -> (to_, absolute) :: sends auto next
+  | _ -> []
+
+(* the last output state of the run from [st] *)
+let rec last_output auto st =
+  match A.node auto st with
+  | Some (A.Output { next; _ }) -> (
+      match A.node auto next with
+      | Some (A.Output _) -> last_output auto next
+      | _ -> Some st)
+  | _ -> None
+
+(* outputs [name ^ j] to each destination, then the stall; [first] acts
+   before the first send *)
+let script name dsts ?(first = fun _ _ _ -> ()) message =
+  let state j = if j = List.length dsts then "stall" else name ^ string_of_int j in
+  List.mapi
+    (fun j (to_, absolute) ->
+      ( state j,
+        A.output ~absolute ~to_
+          ~act:(if j = 0 then first else fun _ _ _ -> ())
+          ~message ~next:(state (j + 1)) () ))
+    dsts
+  @ [ stall () ]
+
+let steal (env : Env.t) ctx i =
+  let self = Topology.escrow env.Env.topo i in
+  let deposit = env.Env.deposits.(i) and amount = Env.amount_at env i in
+  if deposit >= 0 then
+    match Ledger.Book.release env.Env.books.(i) deposit ~to_:self with
+    | Ok () ->
+        E.observe ctx (Obs.Released { escrow = self; deposit; to_ = self; amount })
+    | Error e ->
+        E.observe ctx
+          (Obs.Rejected
+             { pid = self; what = Fmt.str "steal: %a" Ledger.Book.pp_error e })
+
+let deadline_named timer (b : ('i, Msg.t, Obs.t) A.branch) =
+  match b.A.guard with
+  | A.Deadline { timer = Some t; _ } -> String.equal t timer
+  | A.Deadline { timer = None; _ } | A.Receive _ | A.At _ -> false
+
+(* [edit topo ~pid t auto]: the deviant [t] makes of pid's honest
+   automaton, built for a run's env; [None] where the edit does not find
+   its states in [auto] *)
+let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
+  match t with
+  | Crash_at_start | Mute -> None
+  | Thief_escrow -> (
+      match (Topology.escrow_index topo pid, A.node auto "await_money") with
+      | Some i, Some (A.Input (deposit :: rest)) ->
+          Some
+            (fun env ->
+              let b_act inst ctx store m =
+                deposit.A.b_act inst ctx store m;
+                steal env ctx i
+              in
+              rebuild auto ~added:[ stall () ]
+                ~changed:
+                  [ ("await_money", A.input ({ deposit with b_act; next = "stall" } :: rest)) ])
+      | _ -> None)
+  | Premature_refund_escrow -> (
+      match (redirect auto "send_p" "refund", A.node auto "refund") with
+      | Some send_p, Some _ -> Some (fun _ -> rebuild auto ~changed:[ send_p ])
+      | _ -> None)
+  | No_resolve_escrow -> (
+      match A.node auto "await_chi" with
+      | Some (A.Input _) -> Some (fun _ -> rebuild auto ~changed:[ ("await_chi", A.input []) ])
+      | _ -> None)
+  | Withhold_chi_bob -> (
+      match A.node auto "send_chi" with
+      | Some (A.Output _) -> Some (fun _ -> rebuild auto ~changed:[ ("send_chi", A.input []) ])
+      | _ -> None)
+  | Eager_chi_bob -> (
+      match redirect auto "send_chi" "stall" with
+      | Some send_chi ->
+          Some
+            (fun _ ->
+              rebuild auto ~initial:"send_chi" ~changed:[ send_chi ] ~added:[ stall () ])
+      | None -> None)
+  | Forge_chi_connector -> (
+      (* χ, forged in Bob's name, to the escrow that owes the promise P *)
+      match A.node auto "await_p" with
+      | Some (A.Input ({ A.guard = A.Receive { from_ = A.One e_up; _ }; _ } :: _)) ->
+          Some
+            (fun env ->
+              let bob = Topology.bob env.Env.topo in
+              let fake _ _ _ =
+                Msg.Chi
+                  (Xcrypto.Auth.forge_value ~author:bob
+                     { Msg.x_payment = env.Env.payment; x_bob = bob })
+              in
+              rebuild auto ~initial:"forge0"
+                ~added:(script "forge" [ (e_up, false) ] fake))
+      | _ -> None)
+  | Double_money_customer -> (
+      match A.node auto "send_money" with
+      | Some (A.Output { to_; absolute; message; _ }) ->
+          Some
+            (fun _ ->
+              rebuild auto ~initial:"money0"
+                ~added:(script "money" [ (to_, absolute); (to_, absolute) ] message))
+      | _ -> None)
+  | False_funded_escrow -> (
+      match (Topology.escrow_index topo pid, sends auto "report0") with
+      | Some i, (_ :: _ as tms) ->
+          Some
+            (fun env ->
+              let first _ ctx _ =
+                E.observe ctx
+                  (Obs.Funded_reported { escrow = pid; amount = Env.amount_at env i })
+              in
+              rebuild auto ~initial:"false_report0"
+                ~added:
+                  (script "false_report" tms ~first (fun _ _ _ ->
+                       Env.funded_report env i)))
+      | _ -> None)
+  | Impatient patience -> (
+      (* the initial state's patience branch, re-armed as the [impatience]
+         timer: its requests to the TMs, then the stall *)
+      let patience_branch =
+        match A.node auto (A.state_name auto (A.initial_index auto)) with
+        | Some (A.Input bs) -> List.find_opt (deadline_named "patience") bs
+        | _ -> None
+      in
+      match patience_branch with
+      | Some { A.guard = A.Deadline { base; _ }; b_act; next; _ } -> (
+          match Option.bind (last_output auto next) (fun st -> redirect auto st "stall") with
+          | Some asked ->
+              Some
+                (fun _ ->
+                  rebuild auto ~initial:"impatient" ~changed:[ asked ]
+                    ~added:
+                      [
+                        ( "impatient",
+                          A.input
+                            [
+                              A.on_deadline ~timer:"impatience" ~base ~offset:patience
+                                ~act:b_act ~next ();
+                            ] );
+                        stall ();
+                      ])
+          | None -> None)
+      | _ -> None)
+  | Never_deposit -> (
+      let changed =
+        List.filter_map
+          (fun st ->
+            match A.node auto st with
+            | Some (A.Input bs) when List.exists (deadline_named "deposit") bs ->
+                Some (st, A.input (List.filter (fun b -> not (deadline_named "deposit" b)) bs))
+            | _ -> None)
+          (A.states auto)
+      in
+      if changed = [] then None else Some (fun _ -> rebuild auto ~changed))
+
+let fits topo tmpl (pid, t) =
+  silent t || (pid < Array.length tmpl && Option.is_some (edit topo ~pid t tmpl.(pid)))
+
+let deviate (env : Env.t) tmpl faults =
+  List.fold_left
+    (fun acc (pid, t) ->
+      if silent t then acc
+      else
+        match if pid < Array.length tmpl then edit env.Env.topo ~pid t tmpl.(pid) else None with
+        | Some build ->
+            let acc = if acc == tmpl then Array.copy tmpl else acc in
+            acc.(pid) <- build env;
+            acc
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Byzantine.deviate: %s does not fit %s" (name t)
+                 (Topology.role_name env.Env.topo pid)))
+    tmpl faults
+
+(* --- the STRATEGY@ROLE spelling of a substitution (--fault) --- *)
+
+let spelling = function Crash_at_start -> "crash" | t -> name t
+
+let spelled =
   [
     Crash_at_start;
-    Crash_after_receives 1;
     Mute;
     Thief_escrow;
     Premature_refund_escrow;
@@ -58,24 +259,14 @@ let all =
     Withhold_chi_bob;
     Forge_chi_connector;
     Double_money_customer;
-    Impatient Sim_time.zero;
     Never_deposit;
     False_funded_escrow;
   ]
 
-(* --- the STRATEGY@ROLE spelling of a substitution (--fault) --- *)
-
-let spelling = function Crash_at_start -> "crash" | t -> name t
-
-let spelled =
-  List.filter
-    (function Crash_after_receives _ | Impatient _ -> false | _ -> true)
-    all
-
 let fault_to_string topo (pid, t) =
   spelling t ^ "@" ^ Topology.role_name topo pid
 
-let fault_of_string topo spec =
+let fault_of_string topo tmpl spec =
   match String.split_on_char '@' spec with
   | [ strategy; role ] -> (
       match Topology.pid_of_name topo role with
@@ -83,191 +274,9 @@ let fault_of_string topo spec =
       | Some pid -> (
           match List.find_opt (fun t -> spelling t = strategy) spelled with
           | None -> Error (Printf.sprintf "unknown strategy %S" strategy)
-          | Some t -> (
-              match Topology.role_of topo pid with
-              | Some r when applicable_to t r -> Ok (pid, t)
-              | _ ->
-                  Error
-                    (Printf.sprintf "strategy %S does not apply to role %S"
-                       strategy role))))
+          | Some t when fits topo tmpl (pid, t) -> Ok (pid, t)
+          | Some _ ->
+              Error
+                (Printf.sprintf "strategy %S does not apply to role %S" strategy
+                   role)))
   | _ -> Error (Printf.sprintf "fault %S is not strategy@role" spec)
-
-let crash_after k =
-  let count = ref 0 in
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src:_ _ ->
-        incr count;
-        if !count >= k then E.halt ctx);
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-(* An escrow that plays the opening honestly (G, deposit) and then deviates
-   via [after_deposit]. *)
-let deviant_escrow (env : Env.t) i ~send_p ~after_deposit =
-  let topo = env.Env.topo in
-  let self = Topology.escrow topo i in
-  let cust_up = Topology.customer topo i in
-  let cust_down = Topology.customer topo (i + 1) in
-  let signer = Env.signer_of env self in
-  let d_i = env.Env.params.Params.d.(i) in
-  let a_i = env.Env.params.Params.a.(i) in
-  {
-    E.on_start =
-      (fun ctx ->
-        E.send ctx ~dst:cust_up
-          (Msg.Promise_g
-             (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_promise_g
-                { Msg.g_escrow = self; g_customer = cust_up; d = d_i })));
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Msg.Money _ when src = cust_up && env.Env.deposits.(i) < 0 ->
-            Env.deposit env ctx i;
-            if env.Env.deposits.(i) >= 0 then begin
-              if send_p then
-                E.send ctx ~dst:cust_down
-                  (Msg.Promise_p
-                     (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_promise_p
-                        { Msg.p_escrow = self; p_customer = cust_down; a = a_i }));
-              after_deposit ctx
-            end
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-let thief_escrow (env : Env.t) i =
-  deviant_escrow env i ~send_p:false ~after_deposit:(fun ctx ->
-      let self = Topology.escrow env.Env.topo i in
-      let deposit = env.Env.deposits.(i) and amount = Env.amount_at env i in
-      match Ledger.Book.release env.Env.books.(i) deposit ~to_:self with
-      | Ok () ->
-          E.observe ctx
-            (Obs.Released { escrow = self; deposit; to_ = self; amount })
-      | Error e ->
-          E.observe ctx
-            (Obs.Rejected
-               { pid = self; what = Fmt.str "steal: %a" Ledger.Book.pp_error e }))
-
-let premature_refund_escrow (env : Env.t) i =
-  deviant_escrow env i ~send_p:true ~after_deposit:(fun ctx ->
-      Env.refund env ctx i;
-      E.send ctx
-        ~dst:(Topology.customer env.Env.topo i)
-        (Msg.Money { amount = Env.amount_at env i }))
-
-let no_resolve_escrow env i =
-  deviant_escrow env i ~send_p:true ~after_deposit:(fun _ -> ())
-
-let eager_chi_bob (env : Env.t) =
-  let topo = env.Env.topo in
-  let self = Topology.bob topo in
-  let e_up = Topology.escrow topo (Topology.hops topo - 1) in
-  {
-    E.on_start =
-      (fun ctx ->
-        E.observe ctx (Obs.Cert_issued { by = self; kind = Obs.Chi });
-        E.send ctx ~dst:e_up (Msg.Chi (Env.make_chi env)));
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-let forge_chi_connector (env : Env.t) pid =
-  let topo = env.Env.topo in
-  let i =
-    match Topology.customer_index topo pid with
-    | Some i -> i
-    | None -> invalid_arg "forge_chi_connector: not a customer"
-  in
-  let e_up = Topology.escrow topo (i - 1) in
-  let bob = Topology.bob topo in
-  {
-    E.on_start =
-      (fun ctx ->
-        let fake =
-          Xcrypto.Auth.forge_value ~author:bob
-            { Msg.x_payment = env.Env.payment; x_bob = bob }
-        in
-        E.send ctx ~dst:e_up (Msg.Chi fake));
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-let double_money_customer (env : Env.t) pid =
-  let topo = env.Env.topo in
-  let i =
-    match Topology.customer_index topo pid with
-    | Some i -> i
-    | None -> invalid_arg "double_money_customer: not a customer"
-  in
-  let e_down = Topology.escrow topo i in
-  let amount = Env.amount_at env i in
-  {
-    E.on_start =
-      (fun ctx ->
-        E.send ctx ~dst:e_down (Msg.Money { amount });
-        E.send ctx ~dst:e_down (Msg.Money { amount }));
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-(* Weak-protocol strategies: an impatient customer aborts unconditionally;
-   a lying escrow reports a leg funded that never was. *)
-let impatient_customer (env : Env.t) ~tms pid patience =
-  {
-    E.on_start =
-      (fun ctx -> E.set_timer_after ctx ~after:patience ~label:"impatience");
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer =
-      (fun ctx ~label ->
-        if String.equal label "impatience" then begin
-          E.observe ctx (Obs.Abort_requested { by = pid });
-          Array.iter
-            (fun tm ->
-              E.send ctx ~dst:tm (Msg.Abort_req { payment = env.Env.payment }))
-            tms
-        end);
-  }
-
-let false_funded_escrow (env : Env.t) i ~tms =
-  let topo = env.Env.topo in
-  let self = Topology.escrow topo i in
-  let amount = Env.amount_at env i in
-  {
-    E.on_start =
-      (fun ctx ->
-        E.observe ctx (Obs.Funded_reported { escrow = self; amount });
-        let report = Env.funded_report env i in
-        Array.iter (fun tm -> E.send ctx ~dst:tm report) tms);
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-let handlers (env : Env.t) ?(tms = [||]) ~pid t =
-  let topo = env.Env.topo in
-  let role =
-    match Topology.role_of topo pid with
-    | Some r -> r
-    | None -> invalid_arg "Byzantine.handlers: unknown pid"
-  in
-  if not (applicable_to t role) then
-    invalid_arg
-      (Fmt.str "Byzantine.handlers: %s not applicable to %a" (name t)
-         Topology.pp_role role);
-  let tms = if Array.length tms = 0 then [| Topology.aux_base topo |] else tms in
-  match (t, role) with
-  | Crash_at_start, _ -> E.silent
-  | Crash_after_receives k, _ -> crash_after k
-  | Mute, _ -> E.silent
-  | Thief_escrow, Topology.Escrow i -> thief_escrow env i
-  | Premature_refund_escrow, Topology.Escrow i -> premature_refund_escrow env i
-  | No_resolve_escrow, Topology.Escrow i -> no_resolve_escrow env i
-  | Eager_chi_bob, Topology.Bob -> eager_chi_bob env
-  | Withhold_chi_bob, Topology.Bob -> E.silent
-  | Forge_chi_connector, _ -> forge_chi_connector env pid
-  | Double_money_customer, _ -> double_money_customer env pid
-  | Impatient p, _ -> impatient_customer env ~tms pid p
-  | Never_deposit, _ -> E.silent
-  | False_funded_escrow, Topology.Escrow i -> false_funded_escrow env i ~tms
-  | _, _ -> assert false

@@ -15,37 +15,55 @@
     - weak-protocol deviations (impatience, never funding, lying about
       funding).
 
-    A strategy is turned into engine handlers by {!handlers}; the runner
-    substitutes them for the honest automaton of the same pid. *)
+    A deviant is defined by the protocol it departs from: every strategy
+    but crash and mute is an {e edit} of the pid's honest automaton in the
+    run's template, built from its states. A {e stall} is a state with no
+    branch: the deviant waits there forever, arms no timer and ignores
+    every message. A strategy fits a pid where its edit finds its states;
+    crash and mute, which run no automaton ([Sim.Engine.silent]), fit any
+    pid, hand-written TM replicas included. *)
 
 type t =
   | Crash_at_start  (** never takes a step *)
-  | Crash_after_receives of int  (** halts after the k-th delivery *)
   | Mute  (** stays up, reads everything, sends nothing *)
   | Thief_escrow
-      (** plays escrow up to the deposit, then releases the funds to its own
-          account and goes silent *)
+      (** an escrow's [await_money] deposit branch also releases the
+          deposit to the escrow's own account, then stalls *)
   | Premature_refund_escrow
-      (** issues P(a) but refunds immediately, breaking its promise window *)
-  | No_resolve_escrow  (** takes the deposit and never resolves it *)
-  | Eager_chi_bob  (** issues χ before any promise, then behaves honestly *)
-  | Withhold_chi_bob  (** receives P but never issues χ *)
+      (** [send_p] continues to [refund]: P(a) is issued and broken at
+          once, and the escrow halts refunded *)
+  | No_resolve_escrow  (** [await_chi] stalls: the deposit is never resolved *)
+  | Eager_chi_bob
+      (** [send_chi] is initial: χ before any promise, then a stall *)
+  | Withhold_chi_bob  (** [send_chi] stalls: P received, χ never issued *)
   | Forge_chi_connector
-      (** immediately sends a fabricated χ upstream, then plays honestly *)
-  | Double_money_customer  (** sends the $ instruction twice *)
+      (** where the automaton awaits P ([await_p]), first a χ forged in
+          Bob's name to that escrow, then a stall *)
+  | Double_money_customer
+      (** first the [send_money] instruction twice, then a stall *)
   | Impatient of Sim.Sim_time.t
-      (** weak protocol: requests abort after the given local delay,
-          regardless of progress *)
-  | Never_deposit  (** weak protocol: participates but never funds its leg *)
+      (** weak protocol: the initial state's patience branch, re-armed as
+          the [impatience] timer at this offset from birth — abort
+          requested to every TM — then a stall *)
+  | Never_deposit
+      (** weak protocol: every [deposit] timer branch removed; otherwise
+          honest *)
   | False_funded_escrow
-      (** weak protocol: reports its leg funded without any deposit *)
+      (** weak protocol: first the funded report to every TM the [report]
+          states address, without any deposit, then a stall *)
 
 val name : t -> string
 
-val handlers :
-  Env.t -> ?tms:int array -> pid:int -> t -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** Raises [Invalid_argument] if the strategy does not fit the pid's
-    role (e.g. [Thief_escrow] anywhere but at an escrow). *)
+val deviate :
+  Env.t ->
+  ('i, Msg.t, Obs.t) Anta.Automaton.t array ->
+  (int * t) list ->
+  ('i, Msg.t, Obs.t) Anta.Automaton.t array
+(** [deviate env template faults] is [template] with each faulty pid's
+    automaton replaced by its strategy's edit, built for [env]'s run; the
+    template itself, uncopied, when no strategy edits (crash and mute
+    leave the pid's automaton, the runner runs no automaton there).
+    Raises [Invalid_argument] if an edit does not fit its pid. *)
 
 (** {1 The [--fault] spelling}
 
@@ -58,10 +76,14 @@ val spelled : t list
 
 val fault_to_string : Topology.t -> int * t -> string
 
-val fault_of_string : Topology.t -> string -> (int * t, string) result
+val fault_of_string :
+  Topology.t ->
+  ('i, Msg.t, Obs.t) Anta.Automaton.t array ->
+  string ->
+  (int * t, string) result
 (** The inverse of {!fault_to_string} over the {!spelled} strategies at
-    the payment pids whose role they fit. Errors, checked in this
-    order: ["fault \"...\" is not strategy@role"], ["unknown role
+    the payment pids they fit in the given template. Errors, checked in
+    this order: ["fault \"...\" is not strategy@role"], ["unknown role
     \"...\""], ["unknown strategy \"...\""], ["strategy \"...\" does not
-    apply to role \"...\""]. An [Ok] substitution is one {!handlers}
+    apply to role \"...\""]. An [Ok] substitution is one {!deviate}
     accepts. *)

@@ -192,6 +192,18 @@ let well_formed protocol ~hops =
       publish ();
       r
 
+let fault_of_string protocol ~hops spec =
+  let topo = Topology.create ~hops in
+  let params = Params.derive (Params.default_input ~hops) in
+  match protocol with
+  | Sync_timebound | Naive_universal ->
+      Byzantine.fault_of_string topo (Sync_protocol.template params) spec
+  | Htlc -> Byzantine.fault_of_string topo (Htlc_protocol.template params) spec
+  | Atomic acfg ->
+      Byzantine.fault_of_string topo (Atomic_protocol.template ~hops acfg) spec
+  | Weak wcfg ->
+      Byzantine.fault_of_string topo (Weak_protocol.template wcfg ~hops) spec
+
 (* Build and execute the engine run; [run] below wraps this with the
    post-run telemetry pass. *)
 let run_engine cfg protocol =
@@ -253,7 +265,8 @@ let run_engine cfg protocol =
               settled_node := Causal_fold.current_node fold
           | _ -> ()));
   let clock_rng = Rng.create ~seed:(cfg.seed + 31) in
-  (* the honest handlers by pid, and the replay of each pid's automaton *)
+  (* the handlers by pid, from the template edited by the Byzantine
+     strategies, and the replay of each pid's honest automaton *)
   let replay tmpl inst pid =
     if pid < Array.length tmpl then
       Some
@@ -261,22 +274,23 @@ let run_engine cfg protocol =
            (Engine.trace engine))
     else None
   in
-  let honest, conformance =
+  let deviants tmpl = Byzantine.deviate env tmpl cfg.faults in
+  let automaton, conformance =
     match protocol with
     | Sync_timebound | Naive_universal ->
         let tmpl = Sync_protocol.template params in
-        (Anta.Executor.instantiate tmpl env, replay tmpl env)
+        (Anta.Executor.instantiate (deviants tmpl) env, replay tmpl env)
     | Htlc ->
         let tmpl = Htlc_protocol.template params in
         let inst = Htlc_protocol.instance env ~seed:(cfg.seed + 57) in
-        (Anta.Executor.instantiate tmpl inst, replay tmpl inst)
+        (Anta.Executor.instantiate (deviants tmpl) inst, replay tmpl inst)
     | Weak wcfg ->
         let tmpl = Weak_protocol.template wcfg ~hops:cfg.hops in
         let inst = Weak_protocol.instance env wcfg in
-        (Weak_protocol.instantiate tmpl inst, replay tmpl inst)
+        (Weak_protocol.instantiate (deviants tmpl) inst, replay tmpl inst)
     | Atomic acfg ->
         let tmpl = Atomic_protocol.template ~hops:cfg.hops acfg in
-        (Anta.Executor.instantiate tmpl env, replay tmpl env)
+        (Anta.Executor.instantiate (deviants tmpl) env, replay tmpl env)
   in
   let fault_names =
     List.map (fun (pid, s) -> (pid, Byzantine.name s)) cfg.faults
@@ -305,8 +319,8 @@ let run_engine cfg protocol =
   for pid = 0 to nprocs - 1 do
     let handlers =
       match List.assoc_opt pid cfg.faults with
-      | Some strategy -> Byzantine.handlers env ~tms:tm_pids ~pid strategy
-      | None -> honest pid
+      | Some (Byzantine.Crash_at_start | Byzantine.Mute) -> Engine.silent
+      | Some _ | None -> automaton pid
     in
     let clock =
       match cfg.clock_override with

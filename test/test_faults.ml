@@ -645,7 +645,7 @@ let chaos_tests =
         let topo = P.Topology.create ~hops in
         let faults =
           [ (P.Topology.escrow topo 1, P.Byzantine.Thief_escrow);
-            (P.Topology.customer topo 2, P.Byzantine.Forge_chi_connector);
+            (P.Topology.customer topo 2, P.Byzantine.Never_deposit);
             (P.Topology.escrow topo 2, P.Byzantine.Crash_at_start);
             (P.Topology.bob topo, P.Byzantine.Mute) ]
         in
@@ -667,7 +667,9 @@ let chaos_tests =
              (after "-p" tokens)
           = [ Ok P.Proto.Committee ]);
         check Alcotest.bool "--fault" true
-          (List.map (P.Byzantine.fault_of_string topo) (after "--fault" tokens)
+          (List.map
+             (P.Runner.fault_of_string (P.Proto.runner P.Proto.Committee) ~hops)
+             (after "--fault" tokens)
           = List.map Result.ok faults));
   ]
 

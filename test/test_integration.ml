@@ -213,7 +213,7 @@ let report_tests =
           (List.length r.Xchain.Report.participants);
         check Alcotest.bool "all conform" true
           (List.for_all
-             (fun p -> p.Xchain.Report.conforms = Some true)
+             (fun p -> p.Xchain.Report.conforms = Some (Ok ()))
              r.Xchain.Report.participants);
         check Alcotest.bool "no breaches" true (r.Xchain.Report.breaches = []);
         check Alcotest.bool "conserved" true r.Xchain.Report.conserved;
@@ -243,8 +243,12 @@ let report_tests =
             r.Xchain.Report.participants
         in
         check Alcotest.bool "marked byzantine" true (thief.Xchain.Report.byzantine <> None);
-        check Alcotest.bool "deviates" true (thief.Xchain.Report.conforms = Some false));
-    Alcotest.test_case "weak-protocol postmortem uses Def.2 and skips                         conformance" `Quick (fun () ->
+        check Alcotest.(option string) "deviates where the send of P is owed"
+          (Some "send_p")
+          (match thief.Xchain.Report.conforms with
+          | Some (Error d) -> Some d.Anta.Conformance.state
+          | Some (Ok ()) | None -> None));
+    Alcotest.test_case "weak-protocol postmortem uses Def.2 and replays every automaton" `Quick (fun () ->
         let o =
           Runner.run (Runner.default_config ~hops:2 ~seed:1)
             (Runner.Weak Weak_protocol.default_config)
@@ -252,9 +256,9 @@ let report_tests =
         let r = Xchain.Report.build o in
         check Alcotest.bool "CC present" true
           (List.exists (fun v -> v.V.property = "CC") r.Xchain.Report.verdicts);
-        check Alcotest.bool "no conformance claims" true
+        check Alcotest.bool "every participant conforms" true
           (List.for_all
-             (fun p -> p.Xchain.Report.conforms = None)
+             (fun p -> p.Xchain.Report.conforms = Some (Ok ()))
              r.Xchain.Report.participants));
   ]
 

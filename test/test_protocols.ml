@@ -980,33 +980,35 @@ let pin_digest tm fault =
              [ 1; 2; 3 ])))
 
 (* The single TM halts once its decision is out: its runs record that
-   Halted entry. *)
+   Halted entry. A never-depositing customer is her honest automaton
+   without its deposit branch, so she still asks the TM to abort when her
+   patience runs out. *)
 let weak_pins =
   [
     ("single", "none", "9f83abd23401690e2f96777ebc5aa0ef");
     ("single", "impatient", "07b79fe3dc42aba1222cb78cf4540ba5");
     ("single", "false-funded-escrow", "546fa371ec33e3b062d77d0d5762d34c");
-    ("single", "never-deposit", "52777348e2179ec25eb25e732eed7b26");
+    ("single", "never-deposit", "087784f855609b3297ea355a6bc1c481");
     ("single", "notary-crash", "6dc3078fda789d1533bc7168152ad35f");
     ("single", "crash-recovery", "6d72cbb5164094beda21e19e06f2b7b0");
     ("committee", "none", "f72a380a7928e76ff155b00ec28f8d50");
     ("committee", "impatient", "06889951eb21f6dcc942e5f06638dd85");
     ("committee", "false-funded-escrow", "0665f025c3a643d4788694363cab316e");
-    ("committee", "never-deposit", "e7780ba74bbeff064f750a3046d89960");
+    ("committee", "never-deposit", "c38bc697c8a5b6328b419a8fdfe929fe");
     ("committee", "notary-crash", "d8308668968f717ccede216142cb8220");
     ("committee", "notary-equivocate", "d28583a6e4879a5b4023293ce590e165");
     ("committee", "crash-recovery", "8b8e6601d86d5e73b9e7a9a354910c02");
     ("weighted", "none", "5e683f5bd42b6b83321a807bbd3c146c");
     ("weighted", "impatient", "f8a229674db9bd8d412a22a6f7d6f549");
     ("weighted", "false-funded-escrow", "f3c1060c2e0e5fff22007705d3a840cb");
-    ("weighted", "never-deposit", "741f00520cda94c0a757296b2f855af5");
+    ("weighted", "never-deposit", "7fb80ff935a92dd1f6cb9c018b9caf99");
     ("weighted", "notary-crash", "8a481d76eee7784c9a7bb32c5fd032a9");
     ("weighted", "notary-equivocate", "7f99825f94b0630c9f973985d605382f");
     ("weighted", "crash-recovery", "f3c2c8069436df1f3c863ee903da3572");
     ("chain", "none", "67dac916168fffc86253d8ee9989f49c");
     ("chain", "impatient", "0fa42c04b18dbc35e83ab2fd4fc75fe0");
     ("chain", "false-funded-escrow", "1ff7fec00faeb72de1d5e76bc07522bc");
-    ("chain", "never-deposit", "2066fb114257facb5f9746605a6735f0");
+    ("chain", "never-deposit", "e1e0f9e74624ba95e5fb6305a2d6b844");
     ("chain", "notary-crash", "c176a7feeb224d65d37e8bf40ef6bad1");
     ("chain", "crash-recovery", "91a70a55b9b8bfd8021048112a09cacc");
   ]
@@ -1100,11 +1102,20 @@ let atomic_tests =
 
 (* ------------------------------ byzantine ------------------------------ *)
 
-(* whether [Byzantine.handlers] accepts the strategy at the pid *)
-let applicable env pid t =
-  match Byzantine.handlers env ~pid t with
+(* whether [Byzantine.deviate] edits the protocol's template at the pid:
+   the applicability the --fault grammar must agree with *)
+let fits (env : Env.t) tmpl pid t =
+  match Byzantine.deviate env tmpl [ (pid, t) ] with
   | _ -> true
   | exception Invalid_argument _ -> false
+
+let weak_template hops = Weak_protocol.template Weak_protocol.default_config ~hops
+
+(* the fit of a strategy at a pid, under sync and under weak *)
+let sync_fits env pid t = fits env (Sync_protocol.template env.Env.params) pid t
+
+let weak_fits env pid t =
+  fits env (weak_template (Topology.hops env.Env.topo)) pid t
 
 let byzantine_tests =
   [
@@ -1112,23 +1123,37 @@ let byzantine_tests =
         let open Byzantine in
         let env = mk_env () in
         let topo = env.Env.topo in
-        let applicable t pid = applicable env pid t in
+        let sync t pid = sync_fits env pid t and weak t pid = weak_fits env pid t in
         check Alcotest.bool "thief on escrow" true
-          (applicable Thief_escrow (Topology.escrow topo 0));
+          (sync Thief_escrow (Topology.escrow topo 0));
         check Alcotest.bool "thief on alice" false
-          (applicable Thief_escrow (Topology.alice topo));
+          (sync Thief_escrow (Topology.alice topo));
         check Alcotest.bool "withhold on bob" true
-          (applicable Withhold_chi_bob (Topology.bob topo));
+          (sync Withhold_chi_bob (Topology.bob topo));
         check Alcotest.bool "withhold on chloe" false
-          (applicable Withhold_chi_bob (Topology.customer topo 1));
+          (sync Withhold_chi_bob (Topology.customer topo 1));
         check Alcotest.bool "crash anywhere" true
-          (applicable Crash_at_start (Topology.escrow topo 2)));
+          (sync Crash_at_start (Topology.escrow topo 2));
+        check Alcotest.bool "thief on a weak escrow" true
+          (weak Thief_escrow (Topology.escrow topo 1));
+        check Alcotest.bool "no-resolve on a weak escrow" false
+          (weak No_resolve_escrow (Topology.escrow topo 1));
+        check Alcotest.bool "never-deposit on a weak payer" true
+          (weak Never_deposit (Topology.customer topo 1));
+        check Alcotest.bool "never-deposit on weak bob, who pays nothing" false
+          (weak Never_deposit (Topology.bob topo));
+        check Alcotest.bool "never-deposit on a sync payer" false
+          (sync Never_deposit (Topology.alice topo));
+        check Alcotest.bool "impatient on weak bob" true
+          (weak (Impatient 5) (Topology.bob topo));
+        check Alcotest.bool "impatient on a sync customer" false
+          (sync (Impatient 5) (Topology.alice topo));
+        check Alcotest.bool "false-funded on a sync escrow" false
+          (sync False_funded_escrow (Topology.escrow topo 0)));
     Alcotest.test_case "inapplicable strategy raises" `Quick (fun () ->
-        let env = mk_env () in
         Alcotest.check_raises "bad"
-          (Invalid_argument
-             "Byzantine.handlers: thief-escrow not applicable to Alice")
-          (fun () -> ignore (Byzantine.handlers env ~pid:0 Byzantine.Thief_escrow)));
+          (Invalid_argument "Byzantine.deviate: thief-escrow does not fit alice")
+          (fun () -> ignore (run_sync ~faults:[ (0, Byzantine.Thief_escrow) ] ())));
     Alcotest.test_case "thief escrow really takes the money" `Quick (fun () ->
         let topo = Topology.create ~hops:2 in
         let e0 = Topology.escrow topo 0 in
@@ -1402,18 +1427,22 @@ let multi_fault_tests =
 
 (* ----------------------- the -p and --fault grammars ---------------------- *)
 
-(* every spelled strategy at every role of chains of 1 to 4 hops, split
-   by whether the strategy applies to the role *)
+(* every spelled strategy at every role of chains of 1 to 4 hops, under
+   sync and under weak, split by whether the strategy fits the role *)
 let all_fault_pairs =
   List.concat_map
     (fun hops ->
       let env = mk_env ~hops () in
       List.concat_map
-        (fun pid ->
-          List.map
-            (fun t -> (applicable env pid t, (hops, (pid, t))))
-            Byzantine.spelled)
-        (List.init (Topology.payment_count env.Env.topo) Fun.id))
+        (fun (protocol, fits) ->
+          List.concat_map
+            (fun pid ->
+              List.map
+                (fun t -> (fits env pid t, (protocol, hops, (pid, t))))
+                Byzantine.spelled)
+            (List.init (Topology.payment_count env.Env.topo) Fun.id))
+        [ (Runner.Sync_timebound, sync_fits);
+          (Runner.Weak Weak_protocol.default_config, weak_fits) ])
     [ 1; 2; 3; 4 ]
 
 let fault_cases =
@@ -1422,13 +1451,15 @@ let fault_cases =
 let inapplicable_faults =
   List.filter_map (fun (ok, c) -> if ok then None else Some c) all_fault_pairs
 
-(* a spec travels with its chain length, as a command's --hops does *)
-let print_fault (hops, f) =
-  (hops, Byzantine.fault_to_string (Topology.create ~hops) f)
+(* a spec travels with its protocol and chain length, as a command's -p
+   and --hops do *)
+let print_fault (protocol, hops, f) =
+  (protocol, hops, Byzantine.fault_to_string (Topology.create ~hops) f)
 
-let parse_fault (hops, s) =
-  Result.map (fun f -> (hops, f))
-    (Byzantine.fault_of_string (Topology.create ~hops) s)
+let parse_fault (protocol, hops, s) =
+  Result.map (fun f -> (protocol, hops, f)) (Runner.fault_of_string protocol ~hops s)
+
+let spec_of (_, _, s) = s
 
 let grammar_tests =
   [
@@ -1437,25 +1468,27 @@ let grammar_tests =
       [ Proto.Sync; Naive; Htlc; Weak_single; Committee; Shared; Atomic ]
       Proto.name Proto.of_string;
     Grammar_fuzz.round_trip ~name:"--fault specs round-trip"
-      ~print:(fun c -> snd (print_fault c))
+      ~print:(fun c -> spec_of (print_fault c))
       fault_cases print_fault parse_fault;
     Alcotest.test_case "--fault refuses a strategy at a role it does not fit"
       `Quick (fun () ->
         check Alcotest.bool "some pairs are inapplicable" true
           (inapplicable_faults <> []);
         List.iter
-          (fun ((hops, _) as c) ->
-            let spec = snd (print_fault c) in
+          (fun ((protocol, hops, _) as c) ->
+            let spec = spec_of (print_fault c) in
             let strategy, role =
               match String.split_on_char '@' spec with
               | [ s; r ] -> (s, r)
               | _ -> Alcotest.failf "%s is not strategy@role" spec
             in
-            match Byzantine.fault_of_string (Topology.create ~hops) spec with
-            | Ok _ -> Alcotest.failf "hops %d: %s accepted" hops spec
+            let where =
+              Printf.sprintf "%s hops %d: %s" (Runner.protocol_name protocol) hops spec
+            in
+            match Runner.fault_of_string protocol ~hops spec with
+            | Ok _ -> Alcotest.failf "%s accepted" where
             | Error e ->
-                check Alcotest.string
-                  (Printf.sprintf "hops %d: %s" hops spec)
+                check Alcotest.string where
                   (Printf.sprintf "strategy %S does not apply to role %S"
                      strategy role)
                   e)
@@ -1466,8 +1499,8 @@ let grammar_tests =
     Grammar_fuzz.property ~name:"--fault of_string never raises"
       ~seeds:
         [ "crash@alice"; "thief-escrow@e1"; "forge-chi@chloe2"; "mute@bob";
-          "never-deposit@chloe0"; "false-funded@e2" ]
-      (Byzantine.fault_of_string (Topology.create ~hops:3));
+          "double-money@chloe0"; "no-resolve@e2" ]
+      (Runner.fault_of_string Runner.Sync_timebound ~hops:3);
   ]
 
 let () =
