@@ -137,9 +137,8 @@ val clock_names : ('i, 'msg, 'obs) t -> string array
 val data_names : ('i, 'msg, 'obs) t -> string array
 
 val arms_named : ('i, 'msg, 'obs) cbranch array -> string -> bool
-(** Whether the branches arm the named timer [label]: a state entered from
-    one that arms it leaves it armed, neither setting it again nor
-    cancelling it. The executor and {!Conformance} both read it. *)
+(** Whether the branches arm the named timer [label], which a state
+    entered from them leaves armed, neither set again nor cancelled. *)
 
 val match_receive : ('i, 'msg, 'obs) cbranch array -> 'i -> 'msg Pool.t -> int
 (** The receive transition an input state fires on its pending pool, with

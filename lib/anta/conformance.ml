@@ -7,10 +7,8 @@ type ('i, 'msg, 'obs) cursor = {
   pool : 'msg Pool.t;
   mutable finished : bool;
   mutable deviation : deviation option;
-  mutable armed : ('i, 'msg, 'obs) A.cbranch array;
-      (* the branches of the input state whose deadlines are armed *)
-  mutable owed : (int * string) list;
-      (* timers the executor would set next, in order: (state, label) *)
+  mutable armed : ('i, 'msg, 'obs) A.cbranch array;  (* as the executor's *)
+  mutable owed : (int * string) list;  (* (state, label) to set, in order *)
 }
 
 let fail ?state auto c ~at reason =
@@ -31,23 +29,18 @@ let rearm c next =
       | A.C_deadline _ | A.C_receive _ -> ())
     next
 
-(* a step of the process before it set the timers its state arms *)
-let settle_owed auto c ~at =
-  match c.owed with
-  | [] -> ()
-  | (state, label) :: _ ->
+(* The process's next arming, [Some label], or a step of it that is none:
+   either must match the timers owed, in order. *)
+let on_arming auto c ~at arming =
+  match (c.owed, arming) with
+  | [], None -> ()
+  | (_, l) :: rest, Some label when String.equal l label -> c.owed <- rest
+  | (state, l) :: _, _ ->
       fail ~state auto c ~at
-        (Printf.sprintf "state %s arms timer %S, the process set none"
-           (A.state_name auto state) label)
-
-let on_timer_set auto c ~at ~label =
-  match c.owed with
-  | (_, l) :: rest when String.equal l label -> c.owed <- rest
-  | (state, l) :: _ ->
-      fail ~state auto c ~at
-        (Printf.sprintf "set timer %S where state %s arms %S" label
-           (A.state_name auto state) l)
-  | [] ->
+        (Printf.sprintf "state %s arms timer %S, the process set %s"
+           (A.state_name auto state) l
+           (match arming with Some label -> Printf.sprintf "%S" label | None -> "none"))
+  | [], Some label ->
       fail auto c ~at
         (Printf.sprintf "set timer %S that state %s does not arm" label
            (A.state_name auto c.state))
@@ -138,19 +131,19 @@ let check auto inst ~pid ~tag_of trace =
       if c.deviation = None then
         match entry with
         | Sim.Trace.Sent { t; src; dst; msg; _ } when src = pid ->
-            settle_owed auto c ~at:t;
+            on_arming auto c ~at:t None;
             on_sent auto inst tag_of c ~at:t ~dst msg
         | Sim.Trace.Delivered { t; src; dst; msg; _ } when dst = pid ->
-            settle_owed auto c ~at:t;
+            on_arming auto c ~at:t None;
             on_delivered auto inst c ~at:t ~src msg
         | Sim.Trace.Timer_fired { t; owner; label; _ } when owner = pid ->
-            settle_owed auto c ~at:t;
+            on_arming auto c ~at:t None;
             on_timer auto inst c ~at:t ~label
         | Sim.Trace.Timer_set { t; owner; label; _ } when owner = pid ->
-            on_timer_set auto c ~at:t ~label
+            on_arming auto c ~at:t (Some label)
         | _ -> ())
     (Sim.Trace.to_list trace);
-  settle_owed auto c ~at:(Sim.Trace.last_time trace);
+  on_arming auto c ~at:(Sim.Trace.last_time trace) None;
   match c.deviation with
   | Some d -> Error d
   | None -> (

@@ -17,8 +17,8 @@
     the right destination (message payloads are re-signed per run, so
     their bytes are not compared — the wire tag is; pids are read at block
     base 0), receive transitions must be enabled by an acceptable
-    delivered message exactly as the executor would fire them, and
-    deadline transitions must be justified by this pid's timer events: a
+    delivered message exactly as the executor would fire them, each state
+    entered must set the timers it arms, in branch order, and a timer
     firing takes the current state's branch armed under its label.
 
     [check auto inst ~pid ~tag_of trace] replays receive guards against

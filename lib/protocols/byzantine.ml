@@ -39,72 +39,57 @@ let silent = function Crash_at_start | Mute -> true | _ -> false
 
 type 'i auto = ('i, Msg.t, Obs.t) A.t
 
-(* where a deviant stops: no branch, so it waits forever and arms nothing *)
-let stall () = ("stall", A.input [])
-
 (* [auto] with the nodes of [changed] in place of its own and [added]
-   appended, started at [initial] *)
+   appended, started at [initial]; every deviant may enter the state
+   "stall", which has no branch: it waits there forever, arming nothing *)
 let rebuild ?initial ?(changed = []) ?(added = []) (auto : 'i auto) : 'i auto =
   let initial =
-    match initial with
-    | Some st -> st
-    | None -> A.state_name auto (A.initial_index auto)
+    Option.value initial ~default:(A.state_name auto (A.initial_index auto))
   in
   let node st =
-    match List.assoc_opt st changed with
-    | Some n -> n
-    | None -> Option.get (A.node auto st)
+    match List.assoc_opt st changed with Some n -> n | None -> Option.get (A.node auto st)
   in
   A.make ~name:(A.name auto) ~born:(A.born auto) ~initial
-    ~nodes:(List.map (fun st -> (st, node st)) (A.states auto) @ added)
+    ~nodes:
+      (List.map (fun st -> (st, node st)) (A.states auto)
+      @ added
+      @ [ ("stall", A.input []) ])
     ()
 
-(* output state [st] of [auto], sending on to [next] *)
+(* output state [st] of [auto], going on to [next] *)
 let redirect auto st next =
   match A.node auto st with
   | Some (A.Output { to_; absolute; message; o_act; _ }) ->
       Some (st, A.output ~absolute ~to_ ~act:o_act ~message ~next ())
   | _ -> None
 
-(* the destinations of the run of output states from [st] *)
-let rec sends auto st =
+(* the run of output states from [st], with their destinations *)
+let rec outputs auto st =
   match A.node auto st with
-  | Some (A.Output { to_; absolute; next; _ }) -> (to_, absolute) :: sends auto next
+  | Some (A.Output { to_; absolute; next; _ }) ->
+      (st, (to_, absolute)) :: outputs auto next
   | _ -> []
 
-(* the last output state of the run from [st] *)
-let rec last_output auto st =
-  match A.node auto st with
-  | Some (A.Output { next; _ }) -> (
-      match A.node auto next with
-      | Some (A.Output _) -> last_output auto next
-      | _ -> Some st)
-  | _ -> None
-
-(* outputs [name ^ j] to each destination, then the stall; [first] acts
-   before the first send *)
+(* [message] to each destination from states [name ^ j], then the stall;
+   [first] acts before the first send *)
 let script name dsts ?(first = fun _ _ _ -> ()) message =
   let state j = if j = List.length dsts then "stall" else name ^ string_of_int j in
   List.mapi
     (fun j (to_, absolute) ->
       ( state j,
-        A.output ~absolute ~to_
-          ~act:(if j = 0 then first else fun _ _ _ -> ())
-          ~message ~next:(state (j + 1)) () ))
+        A.output ~absolute ~to_ ~act:(if j = 0 then first else fun _ _ _ -> ()) ~message
+          ~next:(state (j + 1)) () ))
     dsts
-  @ [ stall () ]
 
 let steal (env : Env.t) ctx i =
   let self = Topology.escrow env.Env.topo i in
   let deposit = env.Env.deposits.(i) and amount = Env.amount_at env i in
   if deposit >= 0 then
     match Ledger.Book.release env.Env.books.(i) deposit ~to_:self with
-    | Ok () ->
-        E.observe ctx (Obs.Released { escrow = self; deposit; to_ = self; amount })
+    | Ok () -> E.observe ctx (Obs.Released { escrow = self; deposit; to_ = self; amount })
     | Error e ->
         E.observe ctx
-          (Obs.Rejected
-             { pid = self; what = Fmt.str "steal: %a" Ledger.Book.pp_error e })
+          (Obs.Rejected { pid = self; what = Fmt.str "steal: %a" Ledger.Book.pp_error e })
 
 let deadline_named timer (b : ('i, Msg.t, Obs.t) A.branch) =
   match b.A.guard with
@@ -126,29 +111,22 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
                 deposit.A.b_act inst ctx store m;
                 steal env ctx i
               in
-              rebuild auto ~added:[ stall () ]
-                ~changed:
-                  [ ("await_money", A.input ({ deposit with b_act; next = "stall" } :: rest)) ])
+              let deposit = { deposit with b_act; next = "stall" } in
+              rebuild auto ~changed:[ ("await_money", A.input (deposit :: rest)) ])
       | _ -> None)
   | Premature_refund_escrow -> (
       match (redirect auto "send_p" "refund", A.node auto "refund") with
       | Some send_p, Some _ -> Some (fun _ -> rebuild auto ~changed:[ send_p ])
       | _ -> None)
-  | No_resolve_escrow -> (
-      match A.node auto "await_chi" with
-      | Some (A.Input _) -> Some (fun _ -> rebuild auto ~changed:[ ("await_chi", A.input []) ])
-      | _ -> None)
-  | Withhold_chi_bob -> (
-      match A.node auto "send_chi" with
-      | Some (A.Output _) -> Some (fun _ -> rebuild auto ~changed:[ ("send_chi", A.input []) ])
-      | _ -> None)
-  | Eager_chi_bob -> (
-      match redirect auto "send_chi" "stall" with
-      | Some send_chi ->
-          Some
-            (fun _ ->
-              rebuild auto ~initial:"send_chi" ~changed:[ send_chi ] ~added:[ stall () ])
+  | No_resolve_escrow | Withhold_chi_bob -> (
+      let st = if t = No_resolve_escrow then "await_chi" else "send_chi" in
+      match A.node auto st with
+      | Some _ -> Some (fun _ -> rebuild auto ~changed:[ (st, A.input []) ])
       | None -> None)
+  | Eager_chi_bob ->
+      Option.map
+        (fun send_chi _ -> rebuild auto ~initial:"send_chi" ~changed:[ send_chi ])
+        (redirect auto "send_chi" "stall")
   | Forge_chi_connector -> (
       (* χ, forged in Bob's name, to the escrow that owes the promise P *)
       match A.node auto "await_p" with
@@ -156,70 +134,63 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
           Some
             (fun env ->
               let bob = Topology.bob env.Env.topo in
-              let fake _ _ _ =
-                Msg.Chi
-                  (Xcrypto.Auth.forge_value ~author:bob
-                     { Msg.x_payment = env.Env.payment; x_bob = bob })
-              in
+              let chi = { Msg.x_payment = env.Env.payment; x_bob = bob } in
+              let fake _ _ _ = Msg.Chi (Xcrypto.Auth.forge_value ~author:bob chi) in
               rebuild auto ~initial:"forge0"
                 ~added:(script "forge" [ (e_up, false) ] fake))
       | _ -> None)
   | Double_money_customer -> (
       match A.node auto "send_money" with
       | Some (A.Output { to_; absolute; message; _ }) ->
+          let dsts = [ (to_, absolute); (to_, absolute) ] in
           Some
             (fun _ ->
-              rebuild auto ~initial:"money0"
-                ~added:(script "money" [ (to_, absolute); (to_, absolute) ] message))
+              rebuild auto ~initial:"money0" ~added:(script "money" dsts message))
       | _ -> None)
   | False_funded_escrow -> (
-      match (Topology.escrow_index topo pid, sends auto "report0") with
+      match (Topology.escrow_index topo pid, List.map snd (outputs auto "report0")) with
       | Some i, (_ :: _ as tms) ->
           Some
             (fun env ->
+              let amount = Env.amount_at env i in
               let first _ ctx _ =
-                E.observe ctx
-                  (Obs.Funded_reported { escrow = pid; amount = Env.amount_at env i })
+                E.observe ctx (Obs.Funded_reported { escrow = pid; amount })
               in
+              let report _ _ _ = Env.funded_report env i in
               rebuild auto ~initial:"false_report0"
-                ~added:
-                  (script "false_report" tms ~first (fun _ _ _ ->
-                       Env.funded_report env i)))
+                ~added:(script "false_report" tms ~first report))
       | _ -> None)
   | Impatient patience -> (
       (* the initial state's patience branch, re-armed as the [impatience]
          timer: its requests to the TMs, then the stall *)
-      let patience_branch =
+      let branches =
         match A.node auto (A.state_name auto (A.initial_index auto)) with
-        | Some (A.Input bs) -> List.find_opt (deadline_named "patience") bs
-        | _ -> None
+        | Some (A.Input bs) -> bs
+        | _ -> []
       in
-      match patience_branch with
+      match List.find_opt (deadline_named "patience") branches with
       | Some { A.guard = A.Deadline { base; _ }; b_act; next; _ } -> (
-          match Option.bind (last_output auto next) (fun st -> redirect auto st "stall") with
-          | Some asked ->
+          match List.rev (outputs auto next) with
+          | (last, _) :: _ ->
+              let asked = Option.get (redirect auto last "stall") in
+              let impatience =
+                A.on_deadline ~timer:"impatience" ~base ~offset:patience ~act:b_act
+                  ~next ()
+              in
               Some
                 (fun _ ->
                   rebuild auto ~initial:"impatient" ~changed:[ asked ]
-                    ~added:
-                      [
-                        ( "impatient",
-                          A.input
-                            [
-                              A.on_deadline ~timer:"impatience" ~base ~offset:patience
-                                ~act:b_act ~next ();
-                            ] );
-                        stall ();
-                      ])
-          | None -> None)
+                    ~added:[ ("impatient", A.input [ impatience ]) ])
+          | [] -> None)
       | _ -> None)
   | Never_deposit -> (
+      let honest b = not (deadline_named "deposit" b) in
       let changed =
         List.filter_map
           (fun st ->
             match A.node auto st with
-            | Some (A.Input bs) when List.exists (deadline_named "deposit") bs ->
-                Some (st, A.input (List.filter (fun b -> not (deadline_named "deposit" b)) bs))
+            | Some (A.Input bs) when not (List.for_all honest bs) ->
+                Some (st, A.input (List.filter honest bs))
             | _ -> None)
           (A.states auto)
       in
@@ -233,7 +204,10 @@ let deviate (env : Env.t) tmpl faults =
     (fun acc (pid, t) ->
       if silent t then acc
       else
-        match if pid < Array.length tmpl then edit env.Env.topo ~pid t tmpl.(pid) else None with
+        let edited =
+          if pid < Array.length tmpl then edit env.Env.topo ~pid t tmpl.(pid) else None
+        in
+        match edited with
         | Some build ->
             let acc = if acc == tmpl then Array.copy tmpl else acc in
             acc.(pid) <- build env;
@@ -249,19 +223,9 @@ let deviate (env : Env.t) tmpl faults =
 let spelling = function Crash_at_start -> "crash" | t -> name t
 
 let spelled =
-  [
-    Crash_at_start;
-    Mute;
-    Thief_escrow;
-    Premature_refund_escrow;
-    No_resolve_escrow;
-    Eager_chi_bob;
-    Withhold_chi_bob;
-    Forge_chi_connector;
-    Double_money_customer;
-    Never_deposit;
-    False_funded_escrow;
-  ]
+  [ Crash_at_start; Mute; Thief_escrow; Premature_refund_escrow; No_resolve_escrow;
+    Eager_chi_bob; Withhold_chi_bob; Forge_chi_connector; Double_money_customer;
+    Never_deposit; False_funded_escrow ]
 
 let fault_to_string topo (pid, t) =
   spelling t ^ "@" ^ Topology.role_name topo pid

@@ -2,55 +2,42 @@
 
     The paper assumes "the classic Byzantine model with authentication":
     faulty participants may deviate arbitrarily but cannot forge
-    signatures. Each strategy below is a concrete deviation used by the E6
-    fault-matrix experiment and the safety property tests; they cover the
-    attack surface the paper's properties are stated against:
-
-    - crashes and silence (fail-stop is a special case of Byzantine);
-    - money-grabbing escrows (ES / CS under a non-abiding escrow);
-    - promise-breaking escrows (premature refund — the behaviour the
-      drift-tuned timeouts protect honest escrows from {e accidentally}
-      exhibiting);
-    - certificate games (forged χ, χ issued early, χ withheld);
-    - weak-protocol deviations (impatience, never funding, lying about
-      funding).
+    signatures. The strategies below, used by the E6 fault matrix and the
+    safety tests, cover the attack surface the paper's properties are
+    stated against: crashes and silence, money-grabbing and
+    promise-breaking escrows, certificate games (χ forged, early or
+    withheld) and weak-protocol deviations (impatience, never funding,
+    lying about funding).
 
     A deviant is defined by the protocol it departs from: every strategy
     but crash and mute is an {e edit} of the pid's honest automaton in the
-    run's template, built from its states. A {e stall} is a state with no
-    branch: the deviant waits there forever, arms no timer and ignores
-    every message. A strategy fits a pid where its edit finds its states;
-    crash and mute, which run no automaton ([Sim.Engine.silent]), fit any
-    pid, hand-written TM replicas included. *)
+    run's template. A {e stall} is a state with no branch, where the
+    deviant waits forever, arming no timer. A strategy fits a pid where
+    its edit finds its states; crash and mute run no automaton
+    ([Sim.Engine.silent]) and fit any pid, TM replicas included. *)
 
 type t =
   | Crash_at_start  (** never takes a step *)
   | Mute  (** stays up, reads everything, sends nothing *)
   | Thief_escrow
-      (** an escrow's [await_money] deposit branch also releases the
-          deposit to the escrow's own account, then stalls *)
+      (** an escrow's [await_money] deposit branch also pays the deposit
+          to the escrow itself, then stalls *)
   | Premature_refund_escrow
-      (** [send_p] continues to [refund]: P(a) is issued and broken at
-          once, and the escrow halts refunded *)
+      (** [send_p] goes on to [refund]: P(a) broken as soon as issued *)
   | No_resolve_escrow  (** [await_chi] stalls: the deposit is never resolved *)
-  | Eager_chi_bob
-      (** [send_chi] is initial: χ before any promise, then a stall *)
+  | Eager_chi_bob  (** [send_chi] is initial: χ before any promise, then a stall *)
   | Withhold_chi_bob  (** [send_chi] stalls: P received, χ never issued *)
   | Forge_chi_connector
-      (** where the automaton awaits P ([await_p]), first a χ forged in
-          Bob's name to that escrow, then a stall *)
-  | Double_money_customer
-      (** first the [send_money] instruction twice, then a stall *)
+      (** first a χ forged in Bob's name to the escrow [await_p] hears P
+          from, then a stall *)
+  | Double_money_customer  (** first the [send_money] send twice, then a stall *)
   | Impatient of Sim.Sim_time.t
-      (** weak protocol: the initial state's patience branch, re-armed as
-          the [impatience] timer at this offset from birth — abort
-          requested to every TM — then a stall *)
-  | Never_deposit
-      (** weak protocol: every [deposit] timer branch removed; otherwise
-          honest *)
+      (** the initial state's [patience] branch, re-armed as the
+          [impatience] timer at this offset from birth, then a stall *)
+  | Never_deposit  (** every [deposit] timer branch removed *)
   | False_funded_escrow
-      (** weak protocol: first the funded report to every TM the [report]
-          states address, without any deposit, then a stall *)
+      (** first an unfunded leg's report to every TM its [report] states
+          address, then a stall *)
 
 val name : t -> string
 
@@ -60,10 +47,9 @@ val deviate :
   (int * t) list ->
   ('i, Msg.t, Obs.t) Anta.Automaton.t array
 (** [deviate env template faults] is [template] with each faulty pid's
-    automaton replaced by its strategy's edit, built for [env]'s run; the
-    template itself, uncopied, when no strategy edits (crash and mute
-    leave the pid's automaton, the runner runs no automaton there).
-    Raises [Invalid_argument] if an edit does not fit its pid. *)
+    automaton replaced by its edit, built for [env]'s run: the template
+    itself, uncopied, when no strategy edits. Raises [Invalid_argument]
+    if an edit does not fit its pid. *)
 
 (** {1 The [--fault] spelling}
 

@@ -193,16 +193,13 @@ let well_formed protocol ~hops =
       r
 
 let fault_of_string protocol ~hops spec =
-  let topo = Topology.create ~hops in
   let params = Params.derive (Params.default_input ~hops) in
+  let parse tmpl = Byzantine.fault_of_string (Topology.create ~hops) tmpl spec in
   match protocol with
-  | Sync_timebound | Naive_universal ->
-      Byzantine.fault_of_string topo (Sync_protocol.template params) spec
-  | Htlc -> Byzantine.fault_of_string topo (Htlc_protocol.template params) spec
-  | Atomic acfg ->
-      Byzantine.fault_of_string topo (Atomic_protocol.template ~hops acfg) spec
-  | Weak wcfg ->
-      Byzantine.fault_of_string topo (Weak_protocol.template wcfg ~hops) spec
+  | Sync_timebound | Naive_universal -> parse (Sync_protocol.template params)
+  | Htlc -> parse (Htlc_protocol.template params)
+  | Atomic acfg -> parse (Atomic_protocol.template ~hops acfg)
+  | Weak wcfg -> parse (Weak_protocol.template wcfg ~hops)
 
 (* Build and execute the engine run; [run] below wraps this with the
    post-run telemetry pass. *)

@@ -34,9 +34,7 @@ type config = {
   network : network;
   adversary : Sim.Network.adversary option;
   faults : (int * Byzantine.t) list;
-      (** pid → strategy substitutions, applied to the protocol's template
-          by {!Byzantine.deviate}; raises [Invalid_argument] on a strategy
-          that does not fit its pid *)
+      (** pid → strategy substitutions, edits by {!Byzantine.deviate} *)
   fault_plan : Faults.Fault_plan.t option;
       (** environment faults — lossy links, crash–recovery schedules,
           partitions, GST jitter — interpreted deterministically from
@@ -133,10 +131,10 @@ val well_formed : protocol -> hops:int -> (unit, string) result
     computed once per (protocol, TM kind, [hops]) per process and shared
     by every run; safe from several domains. *)
 
-val fault_of_string : protocol -> hops:int -> string -> (int * Byzantine.t, string) result
+val fault_of_string :
+  protocol -> hops:int -> string -> (int * Byzantine.t, string) result
 (** {!Byzantine.fault_of_string} against the protocol's template for a
-    [hops]-escrow chain: a strategy fits a pid where its edit finds its
-    states in the pid's automaton. *)
+    [hops]-escrow chain. *)
 
 val run : config -> protocol -> outcome
 (** Validates the config first — hops >= 1, value > 0, commission >= 0,

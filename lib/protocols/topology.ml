@@ -47,13 +47,6 @@ let escrow_index t pid =
   let i = pid - t.hops - 1 in
   if i >= 0 && i < t.hops then Some i else None
 
-let pp_role ppf = function
-  | Alice -> Fmt.string ppf "Alice"
-  | Bob -> Fmt.string ppf "Bob"
-  | Connector i -> Fmt.pf ppf "Chloe%d" i
-  | Escrow i -> Fmt.pf ppf "e%d" i
-  | Aux i -> Fmt.pf ppf "aux%d" i
-
 let role_name t pid =
   match role_of t pid with
   | Some Alice -> "alice"

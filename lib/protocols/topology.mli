@@ -53,7 +53,6 @@ val customer_index : t -> int -> int option
 (** Inverse of {!customer} on pids. *)
 
 val escrow_index : t -> int -> int option
-val pp_role : Format.formatter -> role -> unit
 
 val role_name : t -> int -> string
 (** The one lower-case spelling of a pid, as span names and [--fault]

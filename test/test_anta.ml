@@ -938,6 +938,53 @@ let conformance_tests =
       (Sync_protocol.template o.Runner.params).(pid)
       o.Runner.env ~pid ~tag_of:Msg.tag o.Runner.trace
   in
+  (* Each strategy at a role it fits in a 3-hop chain (Alice 0, Chloe1 1,
+     Chloe2 2, Bob 3, e0 4, e1 5, e2 6), with the state in which the replay
+     of the honest automaton first deviates: the first step whose send,
+     receive or timer the edit changed. *)
+  let sync = Runner.Sync_timebound and weak = Runner.Weak Weak_protocol.default_config in
+  let deviants =
+    Byzantine.
+      [
+        (Crash_at_start, sync, 0, "send_money");
+        (Mute, sync, 2, "send_money");
+        (Thief_escrow, sync, 4, "send_p");
+        (Premature_refund_escrow, sync, 5, "await_chi");
+        (No_resolve_escrow, sync, 5, "await_chi");
+        (Eager_chi_bob, sync, 3, "await_p");
+        (Withhold_chi_bob, sync, 3, "send_chi");
+        (Forge_chi_connector, sync, 1, "await_g");
+        (Forge_chi_connector, sync, 3, "await_p");
+        (Double_money_customer, sync, 0, "await_g");
+        (Thief_escrow, weak, 5, "report0");
+        (Never_deposit, weak, 1, "await_due");
+        (False_funded_escrow, weak, 5, "await_money");
+        (Impatient 100, weak, 0, "await_due");
+        (Impatient 100, weak, 3, "await");
+      ]
+  in
+  (* the deviant is flagged at [state]; every other payment pid conforms *)
+  let flagged (t, protocol, pid, state) =
+    let o =
+      Runner.run { (Runner.default_config ~hops:3 ~seed:1) with faults = [ (pid, t) ] } protocol
+    in
+    let topo = o.Runner.env.Env.topo in
+    let label =
+      Printf.sprintf "%s at %s under %s" (Byzantine.name t)
+        (Topology.role_name topo pid) (Runner.protocol_name protocol)
+    in
+    List.iter
+      (fun q ->
+        match (o.Runner.conformance q, q = pid) with
+        | Some (Error d), true -> check Alcotest.string label state d.Conformance.state
+        | Some (Ok ()), false -> ()
+        | Some (Ok ()), true -> Alcotest.failf "%s conforms" label
+        | Some (Error d), false ->
+            Alcotest.failf "%s: pid %d wrongly flagged in state %s: %s" label q
+              d.Conformance.state d.Conformance.reason
+        | None, _ -> Alcotest.failf "%s: pid %d has no automaton" label q)
+      (Topology.customers topo @ Topology.escrows topo)
+  in
   [
     Alcotest.test_case "honest participants conform to Figure 2" `Quick
       (fun () ->
@@ -962,23 +1009,11 @@ let conformance_tests =
             (Topology.escrows env.Env.topo)
         done);
     Alcotest.test_case "a thief escrow is flagged" `Quick (fun () ->
-        let topo = Topology.create ~hops:3 in
-        let e0 = Topology.escrow topo 0 in
-        let o = run ~faults:[ (e0, Byzantine.Thief_escrow) ] () in
-        check Alcotest.bool "deviates" true
-          (Result.is_error (conformance o e0)));
+        flagged (Byzantine.Thief_escrow, sync, 4, "send_p"));
     Alcotest.test_case "a premature refunder is flagged" `Quick (fun () ->
-        let topo = Topology.create ~hops:3 in
-        let e1 = Topology.escrow topo 1 in
-        let o = run ~faults:[ (e1, Byzantine.Premature_refund_escrow) ] () in
-        check Alcotest.bool "deviates" true
-          (Result.is_error (conformance o e1)));
+        flagged (Byzantine.Premature_refund_escrow, sync, 5, "await_chi"));
     Alcotest.test_case "an eager-chi Bob is flagged" `Quick (fun () ->
-        let topo = Topology.create ~hops:3 in
-        let bob = Topology.bob topo in
-        let o = run ~faults:[ (bob, Byzantine.Eager_chi_bob) ] () in
-        check Alcotest.bool "deviates" true
-          (Result.is_error (conformance o bob)));
+        flagged (Byzantine.Eager_chi_bob, sync, 3, "await_p"));
     Alcotest.test_case "naive-protocol failures are conformant: the flaw is \
                         the derivation, not the behaviour" `Quick (fun () ->
         (* find a drift-violating naive run and verify every participant
@@ -1035,6 +1070,14 @@ let conformance_tests =
                   Alcotest.failf "pid %d wrongly flagged: in state %s: %s" pid
                   d.Conformance.state d.Conformance.reason)
           (Topology.customers topo @ Topology.escrows topo));
+    Alcotest.test_case "every strategy is flagged at its first edited step"
+      `Quick (fun () ->
+        check Alcotest.(list string) "the table covers every strategy"
+          (List.sort_uniq compare
+             (List.map Byzantine.name (Byzantine.Impatient 100 :: Byzantine.spelled)))
+          (List.sort_uniq compare
+             (List.map (fun (t, _, _, _) -> Byzantine.name t) deviants));
+        List.iter flagged deviants);
   ]
 
 (* ----------------------- network-level checking ------------------------ *)
