@@ -30,9 +30,7 @@ let name = function
   | Never_deposit -> "never-deposit"
   | False_funded_escrow -> "false-funded"
 
-(* Crash and mute run no automaton at all, so they fit any process,
-   hand-written TM replicas included; the runner gives them
-   [Engine.silent]. *)
+(* no automaton to edit, so they fit any process, TM replicas included *)
 let silent = function Crash_at_start | Mute -> true | _ -> false
 
 (* ------------------- edits of an honest automaton ---------------------- *)

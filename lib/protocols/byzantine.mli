@@ -41,6 +41,9 @@ type t =
 
 val name : t -> string
 
+val silent : t -> bool
+(** Crash and mute: the pid runs [Sim.Engine.silent], no automaton. *)
+
 val deviate :
   Env.t ->
   ('i, Msg.t, Obs.t) Anta.Automaton.t array ->

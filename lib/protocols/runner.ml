@@ -316,7 +316,7 @@ let run_engine cfg protocol =
   for pid = 0 to nprocs - 1 do
     let handlers =
       match List.assoc_opt pid cfg.faults with
-      | Some (Byzantine.Crash_at_start | Byzantine.Mute) -> Engine.silent
+      | Some s when Byzantine.silent s -> Engine.silent
       | Some _ | None -> automaton pid
     in
     let clock =
