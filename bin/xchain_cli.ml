@@ -470,7 +470,7 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit"
-       ~doc:"Run a payment and print the full postmortem (verdicts, promise              breaches, Figure 2 conformance)")
+       ~doc:"Run a payment and print the full postmortem (verdicts, promise              breaches, each participant's conformance to its automaton)")
     Term.(const run $ protocol_arg () $ hops_arg 3 $ gst_arg $ seed $ faults
           $ metrics_out_arg $ spans_out_arg)
 
