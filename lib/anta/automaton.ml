@@ -383,6 +383,43 @@ let on_deadline ~base ~offset ?timer ?(save_now = []) ?(act = no_act4) ~next () 
 let on_local_time ~at ~act ~next =
   { guard = At { local = at }; save_msg = None; save_now = []; b_act = act; next }
 
+(* ------------------------------ edits -------------------------------- *)
+
+let stall = "stall"
+
+let rebuild ?initial ?(changed = []) ?(added = []) auto =
+  let initial = Option.value initial ~default:auto.initial in
+  let node st = Option.value (List.assoc_opt st changed) ~default:(Option.get (node auto st)) in
+  make ~name:auto.name ~born:auto.born ~initial
+    ~nodes:(List.map (fun st -> (st, node st)) (states auto) @ added @ [ (stall, Input []) ])
+    ()
+
+let redirect auto st next =
+  match node auto st with
+  | Some (Output { to_; absolute; message; o_act; _ }) ->
+      Some (st, Output { to_; absolute; message; o_act; next })
+  | _ -> None
+
+let rec outputs auto st =
+  match node auto st with
+  | Some (Output { to_; absolute; next; _ }) -> (st, (to_, absolute)) :: outputs auto next
+  | _ -> []
+
+let script name dsts ?(first = no_act3) ?(next = stall) message =
+  let state j = if j = List.length dsts then next else name ^ string_of_int j in
+  List.mapi
+    (fun j (to_, absolute) ->
+      ( state j,
+        Output
+          {
+            to_;
+            absolute;
+            message = message to_;
+            o_act = (if j = 0 then first else no_act3);
+            next = state (j + 1);
+          } ))
+    dsts
+
 let dot_escape s =
   String.map (fun c -> if c = '"' then '\'' else c) s
 

@@ -215,6 +215,46 @@ val on_local_time :
   ('i, 'msg, 'obs) branch
 (** The [At] guard, with no assignment. *)
 
+(** {1 Edits}
+
+    A deviant participant is defined by the protocol it departs from: an
+    {e edit} of the honest automaton, built from its nodes. A {e stall} is
+    the input state {!stall}, with no branch, where an edited automaton
+    waits forever, arming no timer. *)
+
+val stall : state
+
+val rebuild :
+  ?initial:state ->
+  ?changed:(state * ('i, 'msg, 'obs) node) list ->
+  ?added:(state * ('i, 'msg, 'obs) node) list ->
+  ('i, 'msg, 'obs) t ->
+  ('i, 'msg, 'obs) t
+(** The automaton with the nodes of [changed] in place of its own, the
+    nodes of [added] and the {!stall} appended, started at [initial]
+    (default: its own initial state). *)
+
+val redirect :
+  ('i, 'msg, 'obs) t -> state -> state -> (state * ('i, 'msg, 'obs) node) option
+(** [redirect auto st next]: output state [st] going on to [next], for
+    {!rebuild}'s [changed]; [None] if [st] is no output state. *)
+
+val outputs : ('i, 'msg, 'obs) t -> state -> (state * (int * bool)) list
+(** The run of output states from [st], each with its destination and
+    whether that is an engine pid. *)
+
+val script :
+  string ->
+  (int * bool) list ->
+  ?first:('i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> unit) ->
+  ?next:state ->
+  (int -> 'i -> ('msg, 'obs) Sim.Engine.ctx -> 'msg Store.t -> 'msg) ->
+  (state * ('i, 'msg, 'obs) node) list
+(** [script name dsts message]: output states [name ^ "0"], [name ^ "1"],
+    ... sending [message to_] to each destination [(to_, absolute)] in
+    turn, then [next] (default {!stall}); [first] acts before the first
+    send. *)
+
 (** {1 Rendering} *)
 
 val to_dot : ('i, 'msg, 'obs) t -> string

@@ -49,26 +49,25 @@ let listens_of auto =
     (A.states auto)
 
 let check ?(peers = []) network =
-  let autos = network in
+  (* each automaton's channels, computed once *)
+  let autos = List.map (fun (pid, auto) -> (pid, (sends_of auto, listens_of auto))) network in
   let has_pid pid = List.mem_assoc pid autos || List.mem pid peers in
   let issues = ref [] in
   let add i = issues := i :: !issues in
   (* send side *)
   List.iter
-    (fun (from_, auto) ->
+    (fun (from_, (sends, _)) ->
       List.iter
         (fun (state, to_) ->
           if not (has_pid to_) then add (Dangling_send { from_; state; to_ })
           else
             (* a peer's hearing is its own business *)
             match List.assoc_opt to_ autos with
-            | Some target ->
-                let listens =
-                  List.exists (fun (_, f) -> Pool.admits f from_) (listens_of target)
-                in
-                if not listens then add (Deaf_receiver { from_; to_ })
+            | Some (_, listens) ->
+                if not (List.exists (fun (_, f) -> Pool.admits f from_) listens) then
+                  add (Deaf_receiver { from_; to_ })
             | None -> ())
-        (sends_of auto))
+        sends)
     autos;
   (* receive side: a listen is heard when one of its senders is a peer
      or addresses [at]; a listen to anyone always is *)
@@ -76,10 +75,10 @@ let check ?(peers = []) network =
     List.mem from_ peers
     || match List.assoc_opt from_ autos with
        | None -> false
-       | Some sender -> List.exists (fun (_, t) -> t = at) (sends_of sender)
+       | Some (sends, _) -> List.exists (fun (_, t) -> t = at) sends
   in
   List.iter
-    (fun (at, auto) ->
+    (fun (at, (_, listens)) ->
       List.iter
         (fun (state, senders) ->
           let pids =
@@ -87,7 +86,7 @@ let check ?(peers = []) network =
           in
           if pids <> [||] && not (Array.exists (heard at) pids) then
             Array.iter (fun from_ -> add (Unheard_listener { at; state; from_ })) pids)
-        (listens_of auto))
+        listens)
     autos;
   (* dedup Deaf_receiver per channel, errors first *)
   let seen = Hashtbl.create 16 in

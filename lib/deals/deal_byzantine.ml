@@ -1,6 +1,6 @@
-open Sim
-module E = Engine
+module A = Anta.Automaton
 module Auth = Xcrypto.Auth
+module R = Deal_runner
 
 type t =
   | Freeloader
@@ -18,282 +18,167 @@ let name = function
   | Vote_hoarder -> "vote-hoarder"
   | Lazy_claim -> "lazy-claim"
 
-let deal_id = 1
-let party_pid p = p
-let arc_pid (cfg : Deal_runner.config) k = Deal.parties cfg.Deal_runner.deal + k
-let cb_pid (cfg : Deal_runner.config) =
-  Deal.parties cfg.Deal_runner.deal + Deal.arc_count cfg.Deal_runner.deal
+(* the escrows of party [p]'s incoming (or outgoing) legs, as destinations *)
+let escrows (cfg : R.config) p ~incoming =
+  let np = Deal.parties cfg.R.deal in
+  List.concat
+    (List.mapi
+       (fun k (a : Deal.arc) ->
+         if (if incoming then a.Deal.to_ else a.Deal.from_) = p then [ (np + k, false) ] else [])
+       (Deal.arcs cfg.R.deal))
 
-let indexed_arcs (cfg : Deal_runner.config) =
-  List.mapi (fun k a -> (k, a)) (Deal.arcs cfg.Deal_runner.deal)
+let observe_vote p _ ctx _ = Sim.Engine.observe ctx (Dobs.Voted { party = p })
+let head name dsts next = if dsts = [] then next else name ^ "0"
 
-let my_incoming cfg p =
-  List.filter (fun (_, a) -> a.Deal.to_ = p) (indexed_arcs cfg)
-
-let my_vote signer p =
-  Auth.sign_value signer ~ser:Dmsg.ser_vote { Dmsg.v_party = p; v_deal = deal_id }
-
-(* Votes, gossips, never deposits: the attack the HLS phase order exists to
-   stop. With the phase discipline in place, its downstream party never
-   votes, so it can never assemble a claimable vote set. *)
-let freeloader (cfg : Deal_runner.config) ~signer ~party =
-  let deal = cfg.Deal_runner.deal in
-  let known : (int, Dmsg.vote_body Auth.signed) Hashtbl.t = Hashtbl.create 8 in
-  let claimed = ref false in
-  let succs = Deal.successors deal party in
-  let gossip ctx =
-    let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-    List.iter (fun q -> E.send ctx ~dst:(party_pid q) (Dmsg.Votes votes)) succs
+(* Honest up to its vote, which it gossips (and casts, under CBC); then it
+   gossips on every Votes message, keeping the votes unchecked, and claims
+   only when the timer [lazy] it set at its vote fires, just inside the
+   timelock window, if it holds a vote from everyone by then. Its guards
+   read the votes it keeps: no replay runs a deviant's own automaton. *)
+let lazy_claim (cfg : R.config) p (auto : R.auto) =
+  let np = Deal.parties cfg.R.deal and cb = Deal.parties cfg.R.deal + Deal.arc_count cfg.R.deal in
+  let claims = escrows cfg p ~incoming:true in
+  let succs = List.map (fun q -> (q, false)) (Deal.successors cfg.R.deal p) in
+  let cast = succs @ if cfg.R.protocol = R.Cbc then [ (cb, false) ] else [] in
+  let message to_ (inst : R.inst) _ _ =
+    if to_ = cb then Dmsg.Cb_vote inst.R.votes.(p)
+    else if to_ < np then Dmsg.Votes (R.known inst p)
+    else Dmsg.Claim { arc = to_ - np; votes = R.known inst p }
   in
-  let try_claim ctx =
-    let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-    if (not !claimed) && Hashtbl.length known = Deal.parties deal then begin
-      claimed := true;
-      List.iter
-        (fun (k, _) -> E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes }))
-        (my_incoming cfg party)
-    end
+  let keep (inst : R.inst) _ _ = function
+    | Some (Dmsg.Votes vs) ->
+        List.iter (fun (sv : R.vote) -> Hashtbl.replace inst.R.known.(p) sv.Auth.author sv) vs
+    | _ -> ()
   in
-  {
-    E.on_start =
-      (fun ctx ->
-        (* vote immediately, deposit never *)
-        Hashtbl.add known party (my_vote signer party);
-        E.observe ctx (Dobs.Voted { party });
-        (match cfg.Deal_runner.protocol with
-        | Deal_runner.Timelock -> gossip ctx
-        | Deal_runner.Cbc ->
-            E.send ctx ~dst:(cb_pid cfg) (Dmsg.Cb_vote (my_vote signer party))));
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Dmsg.Votes votes when src < Deal.parties deal ->
-            List.iter
-              (fun (sv : Dmsg.vote_body Auth.signed) ->
-                Hashtbl.replace known sv.Auth.author sv)
-              votes;
-            gossip ctx;
-            if cfg.Deal_runner.protocol = Deal_runner.Timelock then try_claim ctx
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-(* Claims every incoming leg right away with fabricated signatures. *)
-let forged_votes (cfg : Deal_runner.config) ~party =
-  let deal = cfg.Deal_runner.deal in
-  {
-    E.on_start =
-      (fun ctx ->
-        let fake =
-          List.init (Deal.parties deal) (fun q ->
-              Auth.forge_value ~author:q { Dmsg.v_party = q; v_deal = deal_id })
-        in
-        List.iter
-          (fun (k, _) ->
-            E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes = fake }))
-          (my_incoming cfg party));
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-(* Plays honestly except that it claims as soon as it has any votes at all. *)
-let premature_claim (cfg : Deal_runner.config) ~signer ~party =
-  let collected : (int, Dmsg.vote_body Auth.signed) Hashtbl.t = Hashtbl.create 8 in
-  {
-    E.on_start =
-      (fun ctx ->
-        Hashtbl.add collected party (my_vote signer party);
-        let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) collected [] in
-        List.iter
-          (fun (k, _) ->
-            E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes }))
-          (my_incoming cfg party));
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-(* Plays the honest protocol (deposits, phase-ordered voting, gossip) but
-   submits every claim twice — the ledger's single-resolution rule must
-   make the duplicates no-ops. *)
-let double_claim (cfg : Deal_runner.config) ~signer ~party =
-  let deal = cfg.Deal_runner.deal in
-  let my_out = List.filter (fun (_, a) -> a.Deal.from_ = party) (indexed_arcs cfg) in
-  let my_in = my_incoming cfg party in
-  let known : (int, Dmsg.vote_body Auth.signed) Hashtbl.t = Hashtbl.create 8 in
-  let escrowed_in : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let voted = ref false in
-  let succs = Deal.successors deal party in
-  let gossip ctx =
-    let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-    List.iter (fun q -> E.send ctx ~dst:(party_pid q) (Dmsg.Votes votes)) succs
+  (* whether keeping [m] completes its set *)
+  let completes (inst : R.inst) = function
+    | Dmsg.Votes vs ->
+        let held = Hashtbl.copy inst.R.known.(p) in
+        List.iter (fun (sv : R.vote) -> Hashtbl.replace held sv.Auth.author sv) vs;
+        Hashtbl.length held = np
+    | _ -> false
   in
-  let full ctx =
-    if Hashtbl.length known = Deal.parties deal then begin
-      let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-      List.iter
-        (fun (k, _) ->
-          (* the deviation: every claim goes out twice *)
-          E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes });
-          E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes }))
-        my_in
-    end
+  let hear ?(completing = false) next =
+    A.on_receive ~from_:A.Any ~describe:(if completing then "votes, completing" else "votes")
+      ~accept:(fun inst m ->
+        (match m with Dmsg.Votes _ -> true | _ -> false) && ((not completing) || completes inst m))
+      ~act:keep ~next ()
   in
-  let maybe_vote ctx =
-    if
-      (not !voted)
-      && List.for_all (fun (k, _) -> Hashtbl.mem escrowed_in k) my_in
-    then begin
-      voted := true;
-      Hashtbl.add known party (my_vote signer party);
-      E.observe ctx (Dobs.Voted { party });
-      gossip ctx;
-      full ctx
-    end
+  let timer next =
+    let step = Sim.Sim_time.add cfg.R.delta cfg.R.sigma in
+    let late = Sim.Sim_time.sub (R.claim_window cfg) (Sim.Sim_time.scale step ~num:2 ~den:1) in
+    if claims = [] then [] else [ A.on_deadline ~timer:"lazy" ~base:"voted" ~offset:late ~next () ]
   in
-  {
-    E.on_start =
-      (fun ctx ->
-        List.iter
-          (fun (k, _) -> E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Deposit { arc = k }))
-          my_out;
-        maybe_vote ctx);
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Dmsg.Escrowed_notice { arc }
-          when List.exists (fun (k, _) -> k = arc) my_in
-               && src = arc_pid cfg arc ->
-            Hashtbl.replace escrowed_in arc ();
-            maybe_vote ctx
-        | Dmsg.Votes votes when src < Deal.parties deal && !voted ->
-            List.iter
-              (fun (sv : Dmsg.vote_body Auth.signed) ->
-                Hashtbl.replace known sv.Auth.author sv)
-              votes;
-            gossip ctx;
-            full ctx
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
+  let gossip st = head (st ^ "_gossip") succs st and vote st = head (st ^ "_vote") cast st in
+  let added =
+    [
+      ( "lazy",
+        A.input (timer "late" @ [ hear ~completing:true (gossip "lazy_full"); hear (gossip "lazy") ]) );
+      ("lazy_full", A.input (timer (head "lazy_claim" claims "late") @ [ hear (gossip "lazy_full") ]));
+      ("late", A.input [ hear (gossip "late") ]);
+    ]
+    @ List.concat_map (fun st -> A.script (st ^ "_gossip") succs ~next:st message) [ "lazy"; "lazy_full"; "late" ]
+    @ List.concat_map
+        (fun st -> A.script (st ^ "_vote") cast ~first:(observe_vote p) ~next:st message)
+        [ "lazy"; "lazy_full" ]
+    @ A.script "lazy_claim" claims ~next:"late" message
+  in
+  (* the hand-over to its vote: the last leg's notice branch, which now
+     also sets the clock of the timer, or the end of its deposits *)
+  let initial, changed =
+    if claims = [] then
+      let outs = escrows cfg p ~incoming:false in
+      let start = A.state_name auto (A.initial_index auto) in
+      match List.rev (List.filter (fun (_, d) -> List.mem d outs) (A.outputs auto start)) with
+      | (last, _) :: _ -> (None, Option.to_list (A.redirect auto last (vote "lazy")))
+      | [] -> (Some (vote "lazy"), [])
+    else
+      let all = (1 lsl np) - 1 in
+      ( None,
+        List.filter_map
+          (fun s ->
+            let st = Printf.sprintf "legs%d.k%d" (List.length claims - 1) s in
+            match A.node auto st with
+            | Some (A.Input (notice :: rest)) ->
+                let b_act = if cast = [] then fun i c st _ -> observe_vote p i c st else notice.A.b_act in
+                let next = vote (if s = all then "lazy_full" else "lazy") in
+                Some (st, A.input ({ notice with A.next; save_now = [ "voted" ]; b_act } :: rest))
+            | _ -> None)
+          (List.init (all + 1) Fun.id) )
+  in
+  A.rebuild auto ?initial ~changed ~added
 
-(* Escrows and votes but never passes votes on. *)
-let vote_hoarder (cfg : Deal_runner.config) ~signer ~party =
-  let deal = cfg.Deal_runner.deal in
-  let my_out = List.filter (fun (_, a) -> a.Deal.from_ = party) (indexed_arcs cfg) in
-  {
-    E.on_start =
-      (fun ctx ->
-        List.iter
-          (fun (k, _) -> E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Deposit { arc = k }))
-          my_out;
-        E.observe ctx (Dobs.Voted { party });
-        match cfg.Deal_runner.protocol with
-        | Deal_runner.Timelock ->
-            (* cast the vote to successors once, then hoard everything *)
-            List.iter
-              (fun q ->
-                E.send ctx ~dst:(party_pid q) (Dmsg.Votes [ my_vote signer party ]))
-              (Deal.successors deal party)
-        | Deal_runner.Cbc ->
-            E.send ctx ~dst:(cb_pid cfg) (Dmsg.Cb_vote (my_vote signer party)));
-    on_receive = (fun _ ~src:_ _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
-
-(* Honest phase-ordered behaviour, except claims are deferred to the last
-   moment of the timelock window. *)
-let lazy_claim (cfg : Deal_runner.config) ~signer ~party =
-  let deal = cfg.Deal_runner.deal in
-  let my_out = List.filter (fun (_, a) -> a.Deal.from_ = party) (indexed_arcs cfg) in
-  let my_in = my_incoming cfg party in
-  let known : (int, Dmsg.vote_body Auth.signed) Hashtbl.t = Hashtbl.create 8 in
-  let escrowed_in : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let voted = ref false in
-  let claimed = ref false in
-  let succs = Deal.successors deal party in
-  let gossip ctx =
-    let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-    List.iter (fun q -> E.send ctx ~dst:(party_pid q) (Dmsg.Votes votes)) succs
+(* [edit cfg p t auto]: the deviant [t] makes of party [p]'s honest
+   automaton [auto], or [None] where the edit does not find its states *)
+let edit (cfg : R.config) p t (auto : R.auto) =
+  let np = Deal.parties cfg.R.deal in
+  let claims = escrows cfg p ~incoming:true in
+  let claim st =
+    match A.node auto st with
+    | Some (A.Output { to_; absolute; _ }) -> List.mem (to_, absolute) claims
+    | _ -> false
   in
-  let late =
-    (* aim just inside the window (measured from the escrow notice, which
-       trails the deposit by about one hop): late enough that the on-chain
-       reveal of this claim reaches the upstream payer only around her own
-       expiry *)
-    let step = Sim_time.add cfg.Deal_runner.delta cfg.Deal_runner.sigma in
-    Sim_time.sub (Deal_runner.claim_window cfg) (Sim_time.scale step ~num:2 ~den:1)
-  in
-  let maybe_vote ctx =
-    if
-      (not !voted)
-      && List.for_all (fun (k, _) -> Hashtbl.mem escrowed_in k) my_in
-    then begin
-      voted := true;
-      Hashtbl.add known party (my_vote signer party);
-      E.observe ctx (Dobs.Voted { party });
-      gossip ctx;
-      (match cfg.Deal_runner.protocol with
-      | Deal_runner.Cbc ->
-          E.send ctx ~dst:(cb_pid cfg) (Dmsg.Cb_vote (my_vote signer party))
-      | Deal_runner.Timelock -> ());
-      if my_in <> [] then E.set_timer_after ctx ~after:late ~label:"lazy"
-    end
-  in
-  {
-    E.on_start =
-      (fun ctx ->
-        List.iter
-          (fun (k, _) -> E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Deposit { arc = k }))
-          my_out;
-        maybe_vote ctx);
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Dmsg.Escrowed_notice { arc }
-          when List.exists (fun (k, _) -> k = arc) my_in
-               && src = arc_pid cfg arc ->
-            Hashtbl.replace escrowed_in arc ();
-            maybe_vote ctx
-        | Dmsg.Votes votes ->
-            List.iter
-              (fun (sv : Dmsg.vote_body Auth.signed) ->
-                Hashtbl.replace known sv.Auth.author sv)
-              votes;
-            if !voted then gossip ctx
-        | _ -> ());
-    on_timer =
-      (fun ctx ~label ->
-        if
-          String.equal label "lazy"
-          && (not !claimed)
-          && Hashtbl.length known = Deal.parties deal
-        then begin
-          claimed := true;
-          let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-          List.iter
-            (fun (k, _) ->
-              E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes }))
-            my_in
-        end);
-  }
+  match t with
+  | Freeloader ->
+      let vote = Printf.sprintf "vote.k%d.0" (1 lsl p) in
+      Option.map (fun _ -> A.rebuild auto ~initial:vote) (A.node auto vote)
+  | Forged_votes ->
+      let forged to_ (inst : R.inst) _ _ =
+        let forge (v : R.vote) = Auth.forge_value ~author:v.Auth.author v.Auth.payload in
+        Dmsg.Claim { arc = to_ - np; votes = Array.to_list (Array.map forge inst.R.votes) }
+      in
+      if claims = [] then None
+      else Some (A.rebuild auto ~initial:"forge0" ~added:(A.script "forge" claims forged))
+  | Premature_claim ->
+      Option.map
+        (fun first ->
+          let last = fst (List.hd (List.rev (A.outputs auto first))) in
+          A.rebuild auto ~initial:first ~changed:(Option.to_list (A.redirect auto last A.stall)))
+        (List.find_opt claim (A.states auto))
+  | Double_claim ->
+      let twice st =
+        match A.node auto st with
+        | Some (A.Output { to_; absolute; message; o_act; next }) when claim st ->
+            let again = st ^ "'" in
+            Some
+              ( (st, A.output ~absolute ~to_ ~act:o_act ~message ~next:again ()),
+                (again, A.output ~absolute ~to_ ~message ~next ()) )
+        | _ -> None
+      in
+      let copies = List.filter_map twice (A.states auto) in
+      if copies = [] then None
+      else Some (A.rebuild auto ~changed:(List.map fst copies) ~added:(List.map snd copies))
+  | Vote_hoarder ->
+      let changed =
+        List.filter_map
+          (fun st ->
+            if String.starts_with ~prefix:"voted." st then Some (st, A.input []) else None)
+          (A.states auto)
+      in
+      if changed = [] then None else Some (A.rebuild auto ~changed)
+  | Lazy_claim -> Some (lazy_claim cfg p auto)
 
-let handlers cfg ~signer ~party strategy =
-  match strategy with
-  | Freeloader -> freeloader cfg ~signer ~party
-  | Forged_votes -> forged_votes cfg ~party
-  | Premature_claim -> premature_claim cfg ~signer ~party
-  | Double_claim -> double_claim cfg ~signer ~party
-  | Vote_hoarder -> vote_hoarder cfg ~signer ~party
-  | Lazy_claim -> lazy_claim cfg ~signer ~party
-
-let run_with_faults cfg ~faults =
-  let compliant = Array.copy cfg.Deal_runner.compliant in
+let run_with_faults (cfg : R.config) ~faults =
+  let np = Deal.parties cfg.R.deal in
+  List.iter
+    (fun (p, _) ->
+      if p < 0 || p >= np then
+        invalid_arg (Printf.sprintf "Deal_byzantine.run_with_faults: party %d is not in the deal" p))
+    faults;
+  let honest = R.template cfg in
+  let compliant = Array.copy cfg.R.compliant in
   List.iter (fun (p, _) -> compliant.(p) <- false) faults;
-  let cfg = { cfg with Deal_runner.compliant } in
-  Deal_runner.run
-    ~substitute:(fun ~party ~signer ->
-      match List.assoc_opt party faults with
-      | Some strategy -> Some (handlers cfg ~signer ~party strategy)
-      | None ->
-          if compliant.(party) then None else Some E.silent)
-    cfg
+  R.execute { cfg with R.compliant }
+    (Array.mapi
+       (fun pid auto ->
+         match List.assoc_opt pid faults with
+         | Some t -> (
+             match edit cfg pid t auto with
+             | Some edited -> edited
+             | None ->
+                 invalid_arg
+                   (Printf.sprintf "Deal_byzantine: %s does not fit party %d" (name t) pid))
+         | None ->
+             if pid < np && not cfg.R.compliant.(pid) then A.rebuild auto ~initial:A.stall
+             else auto)
+       honest)

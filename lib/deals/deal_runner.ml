@@ -1,4 +1,5 @@
 open Sim
+module A = Anta.Automaton
 module E = Engine
 module Auth = Xcrypto.Auth
 module Asset = Ledger.Asset
@@ -33,6 +34,18 @@ let default_config deal protocol =
     max_events = 100_000;
   }
 
+type vote = Dmsg.vote_body Auth.signed
+
+type inst = {
+  books : Book.t array;
+  deposits : int array;
+  registry : Auth.registry;
+  votes : vote array;
+  known : (int, vote) Hashtbl.t array;
+}
+
+type auto = (inst, Dmsg.t, Dobs.t) A.t
+
 type outcome = {
   config : config;
   status : E.status;
@@ -40,31 +53,32 @@ type outcome = {
   books : Book.t array;
   end_time : Sim_time.t;
   message_count : int;
+  conformance : int -> (unit, Anta.Conformance.deviation) result;
 }
 
 let deal_id = 1
 
-(* pid layout *)
-let party_pid p = p
+(* pid layout: parties, then one escrow per arc, then the certifier *)
 let arc_pid cfg k = Deal.parties cfg.deal + k
 let cb_pid cfg = Deal.parties cfg.deal + Deal.arc_count cfg.deal
-
 let indexed_arcs cfg = List.mapi (fun k a -> (k, a)) (Deal.arcs cfg.deal)
+let everyone cfg = (1 lsl Deal.parties cfg.deal) - 1
 
-let vote_ok cfg registry (sv : Dmsg.vote_body Auth.signed) =
+let vote_ok cfg registry (sv : vote) =
   let b = sv.Auth.payload in
   b.Dmsg.v_deal = deal_id
   && b.Dmsg.v_party = sv.Auth.author
   && sv.Auth.author < Deal.parties cfg.deal
   && Auth.verify_value registry ~ser:Dmsg.ser_vote sv
 
-let full_vote_set cfg registry votes =
-  let p = Deal.parties cfg.deal in
-  let seen = Array.make p false in
-  List.iter
-    (fun sv -> if vote_ok cfg registry sv then seen.(sv.Auth.author) <- true)
-    votes;
-  Array.for_all Fun.id seen
+(* the parties with a valid vote among [votes], as a bit mask *)
+let voters cfg registry votes =
+  List.fold_left
+    (fun acc (sv : vote) ->
+      if vote_ok cfg registry sv then acc lor (1 lsl sv.Auth.author) else acc)
+    0 votes
+
+let known inst p = Hashtbl.fold (fun _ sv acc -> sv :: acc) inst.known.(p) []
 
 (* Timelock ladder: enough real time for deposits, diameter rounds of vote
    gossip, and the claim hop — inflated for drift. *)
@@ -74,277 +88,343 @@ let claim_window cfg =
   let raw = Sim_time.scale step ~num:rungs ~den:1 in
   Sim_time.scale raw ~num:(1_000_000 + cfg.drift_ppm) ~den:1_000_000
 
-(* --------------------------- escrow per arc --------------------------- *)
-
-let arc_escrow cfg registry books k (arc : Deal.arc) =
-  let book = books.(k) in
-  let deposit = ref None in
-  let resolved = ref false in
-  (* a valid claim or certificate may race ahead of the deposit (messages
-     are unordered across senders); remember it and settle on arrival *)
-  let pending :
-      [ `Pay of Dmsg.vote_body Auth.signed list | `Refund ] option ref =
-    ref None
-  in
-  let payee = party_pid arc.Deal.to_ in
-  let payer = party_pid arc.Deal.from_ in
-  let asset = arc.Deal.asset in
-  (* On release, the winning claim's vote set becomes public on this chain
-     (HLS: proofs are revealed by the claiming transaction), so the payer
-     learns it and can redeem her own incoming legs — this is what makes
-     a vote-hoarding adversary harmless under the timelock protocol. *)
-  let pay ctx ~votes =
-    match !deposit with
-    | Some dep when not !resolved -> (
-        match Book.release book dep ~to_:payee with
-        | Ok () ->
-            resolved := true;
-            E.observe ctx (Dobs.Paid_out { arc = k; to_ = payee; asset });
-            E.send ctx ~dst:payee (Dmsg.Paid { arc = k });
-            if votes <> [] then E.send ctx ~dst:payer (Dmsg.Votes votes)
-        | Error e ->
-            E.observe ctx
-              (Dobs.Rejected
-                 { pid = arc_pid cfg k; what = Fmt.str "release: %a" Book.pp_error e }))
-    | None -> pending := Some (`Pay votes)
-    | Some _ -> ()
-  in
-  let refund ctx =
-    match !deposit with
-    | Some dep when not !resolved -> (
-        match Book.refund book dep with
-        | Ok () ->
-            resolved := true;
-            E.observe ctx (Dobs.Refunded { arc = k; to_ = payer; asset });
-            E.send ctx ~dst:payer (Dmsg.Refund { arc = k })
-        | Error e ->
-            E.observe ctx
-              (Dobs.Rejected
-                 { pid = arc_pid cfg k; what = Fmt.str "refund: %a" Book.pp_error e }))
-    | None -> pending := Some `Refund
-    | Some _ -> ()
-  in
-  {
-    E.on_start = (fun _ -> ());
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Dmsg.Deposit { arc } when arc = k && src = payer && !deposit = None
-          -> (
-            match Book.deposit book ~from_:payer ~amount:asset.Asset.amount with
-            | Ok dep -> (
-                deposit := Some dep;
-                E.observe ctx (Dobs.Escrowed { arc = k; party = payer; asset });
-                if cfg.protocol = Timelock then
-                  E.set_timer_after ctx ~after:(claim_window cfg)
-                    ~label:"timelock";
-                (* the escrow phase is observable: tell the payee, and under
-                   CBC also the certifier, that the leg is funded *)
-                E.send ctx ~dst:payee (Dmsg.Escrowed_notice { arc = k });
-                if cfg.protocol = Cbc then
-                  E.send ctx ~dst:(cb_pid cfg) (Dmsg.Escrowed_notice { arc = k });
-                match !pending with
-                | Some (`Pay votes) -> pay ctx ~votes
-                | Some `Refund -> refund ctx
-                | None -> ())
-            | Error e ->
-                E.observe ctx
-                  (Dobs.Rejected
-                     { pid = arc_pid cfg k; what = Fmt.str "deposit: %a" Book.pp_error e }))
-        | Dmsg.Claim { arc; votes }
-          when arc = k && src = payee && cfg.protocol = Timelock ->
-            if full_vote_set cfg registry votes then pay ctx ~votes
-            else
-              E.observe ctx
-                (Dobs.Rejected { pid = arc_pid cfg k; what = "incomplete claim" })
-        | Dmsg.Cb_cert sv when cfg.protocol = Cbc && src = cb_pid cfg ->
-            if Auth.verify_value registry ~ser:Dmsg.ser_cb sv then
-              if sv.Auth.payload.Dmsg.c_commit then pay ctx ~votes:[]
-              else refund ctx
-        | _ -> ());
-    on_timer =
-      (fun ctx ~label ->
-        if String.equal label "timelock" && cfg.protocol = Timelock then
-          refund ctx);
-  }
+let is_votes = function Dmsg.Votes _ -> true | _ -> false
+let dst pid = (pid, false)
+let head name dsts next = if dsts = [] then next else name ^ "0"
 
 (* ------------------------------ parties ------------------------------ *)
 
-let party cfg registry signer p =
-  let self = party_pid p in
-  let my_out = List.filter (fun (_, a) -> a.Deal.from_ = p) (indexed_arcs cfg) in
-  let my_in = List.filter (fun (_, a) -> a.Deal.to_ = p) (indexed_arcs cfg) in
-  let succs = Deal.successors cfg.deal p in
-  let known : (int, Dmsg.vote_body Auth.signed) Hashtbl.t = Hashtbl.create 8 in
-  let escrowed_in : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let voted = ref false in
-  let claimed = ref false in
-  let outcomes : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  let done_ = ref false in
-  let maybe_finish ctx =
-    (* terminated once every arc this party touches has a known fate *)
-    let all_arcs = List.map fst my_out @ List.map fst my_in in
-    if (not !done_) && List.for_all (Hashtbl.mem outcomes) all_arcs then begin
-      done_ := true;
-      let gained =
-        List.exists
-          (fun (k, _) -> Hashtbl.find_opt outcomes k = Some "paid")
-          my_in
-      in
-      E.observe ctx
-        (Dobs.Terminated
-           { pid = self; outcome = (if gained then "deal-done" else "deal-off") });
-      E.halt ctx
-    end
+(* Party p. Its states say what it knows, as the mask S of the parties
+   whose valid votes it holds (its own among them): [legs<j>.k<S>] waits
+   for the notice that its j-th incoming leg is escrowed, the notice
+   branch first; [voted.k<S>.f<F>] has voted and taken the fates of its
+   first F legs. HLS phase order: it votes once every incoming leg is
+   escrowed, since voting earlier lets a freeloader collect transfers it
+   never funded. A Votes message that grows S moves it on; after the vote
+   the [vote.] and [learn.] sends gossip what it knows to its successors
+   and, under the timelock, claim every incoming leg once S is everyone.
+   The fates come in a fixed order, early ones waiting in the pool: the
+   refund of each outgoing leg, then the payout of each incoming one. *)
+let party cfg p : auto =
+  let np = Deal.parties cfg.deal and all = everyone cfg and cb = cb_pid cfg in
+  let legs_where f =
+    List.filter_map (fun (k, a) -> if f a then Some k else None) (indexed_arcs cfg)
   in
-  let gossip ctx =
-    let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-    List.iter
-      (fun q -> E.send ctx ~dst:(party_pid q) (Dmsg.Votes votes))
-      succs
+  let outs = legs_where (fun a -> a.Deal.from_ = p) in
+  let ins = legs_where (fun a -> a.Deal.to_ = p) in
+  let fates = List.map (fun k -> (k, false)) outs @ List.map (fun k -> (k, true)) ins in
+  let masks = List.filter (fun s -> s land (1 lsl p) <> 0) (List.init (all + 1) Fun.id) in
+  let claims s =
+    if cfg.protocol = Timelock && s = all then List.map (fun k -> dst (arc_pid cfg k)) ins
+    else []
   in
-  let try_claim ctx =
-    if
-      (not !claimed)
-      && full_vote_set cfg registry
-           (Hashtbl.fold (fun _ sv acc -> sv :: acc) known [])
-    then begin
-      claimed := true;
-      let votes = Hashtbl.fold (fun _ sv acc -> sv :: acc) known [] in
-      List.iter
-        (fun (k, _) ->
-          E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Claim { arc = k; votes }))
-        my_in
-    end
+  let gossip s = List.map dst (Deal.successors cfg.deal p) @ claims s in
+  let vote_dsts s = if cfg.protocol = Cbc then [ dst cb ] else gossip s in
+  (* what it sends follows from where it goes *)
+  let message to_ inst _ _ =
+    if to_ = cb then Dmsg.Cb_vote inst.votes.(p)
+    else if to_ < np then Dmsg.Votes (known inst p)
+    else if List.mem (to_ - np) outs then Dmsg.Deposit { arc = to_ - np }
+    else Dmsg.Claim { arc = to_ - np; votes = known inst p }
   in
-  let learn ctx votes =
-    let fresh = ref false in
-    List.iter
-      (fun sv ->
-        if vote_ok cfg registry sv && not (Hashtbl.mem known sv.Auth.author)
-        then begin
-          Hashtbl.add known sv.Auth.author sv;
-          fresh := true
-        end)
-      votes;
-    if !fresh && !voted then begin
-      gossip ctx;
-      if cfg.protocol = Timelock then try_claim ctx
-    end
-  in
-  (* HLS phase order: a party commits (votes) only once it has observed on
-     every incoming chain that its promised asset is actually escrowed.
-     Voting earlier lets a freeloader collect transfers it never funded. *)
-  let maybe_vote ctx =
-    if
-      (not !voted)
-      && List.for_all (fun (k, _) -> Hashtbl.mem escrowed_in k) my_in
-    then begin
-      voted := true;
-      let my_vote =
-        Auth.sign_value signer ~ser:Dmsg.ser_vote
-          { Dmsg.v_party = p; v_deal = deal_id }
-      in
-      E.observe ctx (Dobs.Voted { party = p });
-      Hashtbl.add known p my_vote;
-      match cfg.protocol with
-      | Timelock ->
-          gossip ctx;
-          try_claim ctx
-      | Cbc -> E.send ctx ~dst:(cb_pid cfg) (Dmsg.Cb_vote my_vote)
-    end
-  in
-  {
-    E.on_start =
-      (fun ctx ->
-        (* escrow phase: fund outgoing legs *)
+  let legs j s = Printf.sprintf "legs%d.k%d" j s in
+  let voted s f = if f = List.length fates then "done" else Printf.sprintf "voted.k%d.f%d" s f in
+  let vote_name s = Printf.sprintf "vote.k%d." s in
+  let learn_name s f = Printf.sprintf "learn.k%d.f%d." s f in
+  let vote_entry s = head (vote_name s) (vote_dsts s) (voted s 0) in
+  let observe_vote _ ctx _ = E.observe ctx (Dobs.Voted { party = p }) in
+  let learn inst _ _ = function
+    | Some (Dmsg.Votes vs) ->
         List.iter
-          (fun (k, _) -> E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Deposit { arc = k }))
-          my_out;
-        maybe_vote ctx);
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Dmsg.Escrowed_notice { arc }
-          when List.exists (fun (k, _) -> k = arc) my_in
-               && src = arc_pid cfg arc ->
-            Hashtbl.replace escrowed_in arc ();
-            maybe_vote ctx
-        | Dmsg.Votes votes ->
-            (* from peers (gossip) or from an arc escrow (on-chain reveal);
-               signature checks inside [learn] gate what is accepted *)
-            ignore src;
-            learn ctx votes
-        | Dmsg.Paid { arc } ->
-            Hashtbl.replace outcomes arc "paid";
-            maybe_finish ctx
-        | Dmsg.Refund { arc } ->
-            Hashtbl.replace outcomes arc "refunded";
-            maybe_finish ctx
-        | Dmsg.Cb_cert sv
-          when cfg.protocol = Cbc
-               && src = cb_pid cfg
-               && Auth.verify_value registry ~ser:Dmsg.ser_cb sv ->
-            (* nothing to do: escrows resolve; parties wait for Paid/Refund *)
-            ()
-        | _ -> ());
-    on_timer = (fun _ ~label:_ -> ());
-  }
+          (fun (sv : vote) ->
+            if vote_ok cfg inst.registry sv && not (Hashtbl.mem inst.known.(p) sv.Auth.author)
+            then Hashtbl.add inst.known.(p) sv.Auth.author sv)
+          vs
+    | _ -> ()
+  in
+  (* the Votes branches of a state knowing [s]: one per grown mask, then
+     one that takes a message adding nothing *)
+  let hear s next stay =
+    List.filter_map
+      (fun s' ->
+        if s' = s || s' land s <> s then None
+        else
+          Some
+            (A.on_receive ~from_:A.Any ~describe:(Printf.sprintf "votes, known k%d" s')
+               ~accept:(fun inst -> function
+                 | Dmsg.Votes vs -> s lor voters cfg inst.registry vs = s'
+                 | _ -> false)
+               ~act:learn ~next:(next s') ()))
+      masks
+    @ [ A.on_receive ~from_:A.Any ~describe:"votes, nothing new" ~accept:(fun _ -> is_votes) ~next:stay () ]
+  in
+  let receive k describe accept next =
+    A.on_receive ~from_:(A.One (arc_pid cfg k)) ~describe ~accept:(fun _ -> accept) ~next ()
+  in
+  let pre =
+    List.concat_map
+      (fun s ->
+        List.mapi
+          (fun j k ->
+            let last = j = List.length ins - 1 in
+            let notice =
+              receive k "escrowed"
+                (function Dmsg.Escrowed_notice { arc } -> arc = k | _ -> false)
+                (if last then vote_entry s else legs (j + 1) s)
+            in
+            let notice =
+              if last && vote_dsts s = [] then { notice with A.b_act = (fun i c st _ -> observe_vote i c st) }
+              else notice
+            in
+            (legs j s, A.input (notice :: hear s (legs j) (legs j s))))
+          ins)
+      masks
+  in
+  let votes =
+    List.concat_map
+      (fun s -> A.script (vote_name s) (vote_dsts s) ~first:observe_vote ~next:(voted s 0) message)
+      (if ins = [] then [ 1 lsl p ] else masks)
+  in
+  let post =
+    List.concat_map
+      (fun s ->
+        List.mapi
+          (fun f (k, paid) ->
+            let fate =
+              receive k
+                (if paid then "paid" else "refund")
+                (function
+                  | Dmsg.Paid { arc } -> paid && arc = k
+                  | Dmsg.Refund { arc } -> (not paid) && arc = k
+                  | _ -> false)
+                (voted s (f + 1))
+            in
+            let cert =
+              A.on_receive ~from_:(A.One cb) ~describe:"cb-cert"
+                ~accept:(fun _ -> function Dmsg.Cb_cert _ -> true | _ -> false)
+                ~next:(voted s f) ()
+            in
+            ( voted s f,
+              A.input
+                ((fate :: hear s (fun s' -> head (learn_name s' f) (gossip s') (voted s' f)) (voted s f))
+                @ if cfg.protocol = Cbc then [ cert ] else []) ))
+          fates)
+      masks
+  in
+  let learns =
+    List.concat_map
+      (fun s ->
+        if s = 1 lsl p then []
+        else
+          List.concat
+            (List.mapi
+               (fun f _ -> A.script (learn_name s f) (gossip s) ~next:(voted s f) message)
+               fates))
+      masks
+  in
+  let outcome = if ins = [] then "deal-off" else "deal-done" in
+  let deposits = List.map (fun k -> dst (arc_pid cfg k)) outs in
+  let after_deposits = if ins = [] then vote_entry (1 lsl p) else legs 0 (1 lsl p) in
+  A.make ~name:(Printf.sprintf "party%d" p)
+    ~initial:(head "deposit" deposits after_deposits)
+    ~nodes:
+      (A.script "deposit" deposits ~next:after_deposits message
+      @ pre @ votes @ post @ learns
+      @ [
+          ( "done",
+            A.final ~act:(fun _ ctx _ -> E.observe ctx (Dobs.Terminated { pid = p; outcome })) () );
+        ])
+    ()
+
+(* --------------------------- escrow per arc --------------------------- *)
+
+(* The escrow of arc k takes the payer's deposit and tells the payee (and
+   the certifier, under CBC) that the leg is funded. Under the timelock it
+   then pays the payee against a claim holding every party's valid vote,
+   and reveals those votes to the payer (HLS: the claiming transaction
+   makes its proofs public, which is what makes a vote hoarder harmless),
+   or refunds the payer when the timelock runs out; an incomplete claim is
+   refused in place. Under CBC the certificate decides. A claim or a
+   certificate that races ahead of the deposit waits in the pool. *)
+let escrow cfg k (arc : Deal.arc) : auto =
+  let payer = arc.Deal.from_ and payee = arc.Deal.to_ and asset = arc.Deal.asset in
+  let self = arc_pid cfg k and cb = cb_pid cfg and timelock = cfg.protocol = Timelock in
+  let reject ctx what = E.observe ctx (Dobs.Rejected { pid = self; what }) in
+  let claim full inst = function
+    | Dmsg.Claim { arc; votes } -> arc = k && (voters cfg inst.registry votes = everyone cfg) = full
+    | _ -> false
+  in
+  let refuse next =
+    A.on_receive ~from_:(A.One payee) ~describe:"claim, votes missing" ~accept:(claim false)
+      ~act:(fun _ ctx _ _ -> reject ctx "incomplete claim")
+      ~next ()
+  in
+  let cert commit inst = function
+    | Dmsg.Cb_cert sv ->
+        sv.Auth.payload.Dmsg.c_commit = commit && Auth.verify_value inst.registry ~ser:Dmsg.ser_cb sv
+    | _ -> false
+  in
+  let deposit (inst : inst) ctx _ _ =
+    match Book.deposit inst.books.(k) ~from_:payer ~amount:asset.Asset.amount with
+    | Ok dep ->
+        inst.deposits.(k) <- dep;
+        E.observe ctx (Dobs.Escrowed { arc = k; party = payer; asset })
+    | Error e -> reject ctx (Fmt.str "deposit: %a" Book.pp_error e)
+  in
+  let settle release (inst : inst) ctx _ =
+    let book = inst.books.(k) and dep = inst.deposits.(k) in
+    match if release then Book.release book dep ~to_:payee else Book.refund book dep with
+    | Ok () ->
+        E.observe ctx
+          (if release then Dobs.Paid_out { arc = k; to_ = payee; asset }
+           else Dobs.Refunded { arc = k; to_ = payer; asset })
+    | Error e ->
+        reject ctx (Fmt.str "%s: %a" (if release then "release" else "refund") Book.pp_error e)
+  in
+  let await =
+    if timelock then
+      [
+        A.on_deadline ~timer:"timelock" ~base:"d" ~offset:(claim_window cfg) ~next:"refund" ();
+        A.on_receive ~from_:(A.One payee) ~describe:"claim, every vote" ~accept:(claim true)
+          ~save_msg:"claim" ~next:"pay" ();
+        refuse "await";
+      ]
+    else
+      [
+        A.on_receive ~from_:(A.One cb) ~describe:"cb-commit" ~accept:(cert true) ~next:"pay" ();
+        A.on_receive ~from_:(A.One cb) ~describe:"cb-abort" ~accept:(cert false) ~next:"refund" ();
+      ]
+  in
+  let reveal _ _ store =
+    match Anta.Store.data store "claim" with Dmsg.Claim { votes; _ } -> Dmsg.Votes votes | m -> m
+  in
+  A.make ~name:(Printf.sprintf "escrow%d" k) ~initial:"await_deposit"
+    ~nodes:
+      (( "await_deposit",
+         A.input
+           (A.on_receive ~from_:(A.One payer) ~describe:"deposit"
+              ~accept:(fun _ -> function Dmsg.Deposit { arc } -> arc = k | _ -> false)
+              ~save_now:[ "d" ] ~act:deposit ~next:"notify0" ()
+           :: (if timelock then [ refuse "await_deposit" ] else [])) )
+      :: A.script "notify"
+           (dst payee :: (if timelock then [] else [ dst cb ]))
+           ~next:"await"
+           (fun _ _ _ _ -> Dmsg.Escrowed_notice { arc = k })
+      @ [
+          ("await", A.input await);
+          ( "pay",
+            A.output ~to_:payee ~act:(settle true)
+              ~message:(fun _ _ _ -> Dmsg.Paid { arc = k })
+              ~next:(if timelock then "reveal" else "released")
+              () );
+          ( "refund",
+            A.output ~to_:payer ~act:(settle false)
+              ~message:(fun _ _ _ -> Dmsg.Refund { arc = k })
+              ~next:"refunded" () );
+          ("released", A.final ());
+          ("refunded", A.final ());
+        ]
+      @ if timelock then [ ("reveal", A.output ~to_:payer ~message:reveal ~next:"released" ()) ] else [])
+    ()
 
 (* ------------------------ certified blockchain ------------------------ *)
 
-let certified_chain cfg registry signer =
-  let p = Deal.parties cfg.deal in
-  let arcs_total = Deal.arc_count cfg.deal in
-  let votes = Hashtbl.create 8 in
-  let escrowed = Hashtbl.create 8 in
-  let decided = ref false in
-  let everyone ctx cert =
-    for q = 0 to p - 1 do
-      E.send ctx ~dst:(party_pid q) (Dmsg.Cb_cert cert)
-    done;
-    List.iter
-      (fun (k, _) -> E.send ctx ~dst:(arc_pid cfg k) (Dmsg.Cb_cert cert))
-      (indexed_arcs cfg)
+(* The certifier takes every party's valid vote, then every leg's escrow
+   notice, in pid order (early ones wait in the pool), and certifies
+   commit when the last is in; abort if its patience, counted from its
+   birth, runs out first. The certificate goes to every party, then to
+   every escrow. *)
+let certifier cfg : auto =
+  let np = Deal.parties cfg.deal and m = Deal.arc_count cfg.deal in
+  let decide commit inst ctx store _ =
+    E.observe ctx (Dobs.Cb_decided { commit });
+    let signer = Auth.signer_of inst.registry (cb_pid cfg) in
+    Anta.Store.set_data store "cert"
+      (Dmsg.Cb_cert
+         (Auth.sign_value signer ~ser:Dmsg.ser_cb { Dmsg.c_deal = deal_id; c_commit = commit }))
   in
-  let decide ctx commit =
-    if not !decided then begin
-      decided := true;
-      E.observe ctx (Dobs.Cb_decided { commit });
-      let cert =
-        Auth.sign_value signer ~ser:Dmsg.ser_cb
-          { Dmsg.c_deal = deal_id; c_commit = commit }
-      in
-      everyone ctx cert
-    end
+  let waits =
+    List.init np (fun q ->
+        ( q,
+          "vote",
+          fun inst -> function
+            | Dmsg.Cb_vote sv -> sv.Auth.author = q && vote_ok cfg inst.registry sv
+            | _ -> false ))
+    @ List.init m (fun k ->
+          ( arc_pid cfg k,
+            "escrowed",
+            fun _ -> function Dmsg.Escrowed_notice { arc } -> arc = k | _ -> false ))
   in
-  let maybe_commit ctx =
-    if Hashtbl.length votes = p && Hashtbl.length escrowed = arcs_total then
-      decide ctx true
+  let collect i = Printf.sprintf "collect%d" i in
+  let patience =
+    A.on_deadline ~timer:"cb-patience" ~base:"born" ~offset:cfg.cb_patience
+      ~act:(decide false) ~next:"announce0" ()
+  in
+  A.make ~name:"certifier" ~born:[ "born" ] ~initial:(collect 0)
+    ~nodes:
+      (List.mapi
+         (fun i (from_, describe, accept) ->
+           let last = i = List.length waits - 1 in
+           ( collect i,
+             A.input
+               [
+                 A.on_receive ~from_:(A.One from_) ~describe ~accept
+                   ?act:(if last then Some (decide true) else None)
+                   ~next:(if last then "announce0" else collect (i + 1))
+                   ();
+                 patience;
+               ] ))
+         waits
+      @ A.script "announce"
+          (List.init (np + m) dst)
+          ~next:"decided"
+          (fun _ _ _ store -> Anta.Store.data store "cert")
+      @ [ ("decided", A.final ()) ])
+    ()
+
+let template cfg =
+  let np = Deal.parties cfg.deal and arcs = Array.of_list (Deal.arcs cfg.deal) in
+  if Array.length cfg.compliant <> np then
+    invalid_arg "Deal_runner.run: compliant array size mismatch";
+  let tmpl =
+    Array.init
+      (np + Array.length arcs + if cfg.protocol = Cbc then 1 else 0)
+      (fun pid ->
+        if pid < np then party cfg pid
+        else if pid - np < Array.length arcs then escrow cfg (pid - np) arcs.(pid - np)
+        else certifier cfg)
+  in
+  match Anta.Network_check.well_formed tmpl with
+  | Ok () -> tmpl
+  | Error e -> invalid_arg ("Deal_runner.template: " ^ e)
+
+let instance cfg =
+  let registry = Auth.create ~seed:(cfg.seed + 3) in
+  let votes =
+    Array.init (Deal.parties cfg.deal) (fun q ->
+        Auth.sign_value (Auth.register registry q) ~ser:Dmsg.ser_vote
+          { Dmsg.v_party = q; v_deal = deal_id })
+  in
+  let book k (a : Deal.arc) =
+    let book = Book.create ~currency:a.Deal.asset.Asset.currency in
+    Book.open_account book ~owner:a.Deal.from_ ~balance:a.Deal.asset.Asset.amount;
+    Book.open_account book ~owner:a.Deal.to_ ~balance:0;
+    Book.open_account book ~owner:(arc_pid cfg k) ~balance:0;
+    book
   in
   {
-    E.on_start =
-      (fun ctx ->
-        E.set_timer_after ctx ~after:cfg.cb_patience ~label:"cb-patience");
-    on_receive =
-      (fun ctx ~src msg ->
-        match msg with
-        | Dmsg.Cb_vote sv
-          when vote_ok cfg registry sv && sv.Auth.author = src ->
-            Hashtbl.replace votes sv.Auth.author ();
-            maybe_commit ctx
-        | Dmsg.Escrowed_notice { arc }
-          when arc >= 0 && arc < arcs_total && src = arc_pid cfg arc ->
-            Hashtbl.replace escrowed arc ();
-            maybe_commit ctx
-        | _ -> ());
-    on_timer =
-      (fun ctx ~label ->
-        if String.equal label "cb-patience" then decide ctx false);
+    books = Array.of_list (List.map (fun (k, a) -> book k a) (indexed_arcs cfg));
+    deposits = Array.make (Deal.arc_count cfg.deal) (-1);
+    registry;
+    votes;
+    known =
+      Array.map
+        (fun (v : vote) ->
+          let t = Hashtbl.create 8 in
+          Hashtbl.add t v.Auth.author v;
+          t)
+        votes;
   }
-
-(* ------------------------------- run ---------------------------------- *)
-
 (* ----------------------------- telemetry ------------------------------- *)
 
 let protocol_label = function Timelock -> "timelock" | Cbc -> "cbc"
@@ -401,7 +481,7 @@ let emit_telemetry (o : outcome) =
       match
         List.find_opt
           (fun (_, pid, e) ->
-            pid = party_pid p
+            pid = p
             && match e with Dobs.Terminated _ -> true | _ -> false)
           obs
       with
@@ -438,68 +518,52 @@ let emit_telemetry (o : outcome) =
     Obsv.Span.finish ~status ~at:o.end_time root
   end
 
-let run ?(substitute = fun ~party:_ ~signer:_ -> None) cfg =
-  let p = Deal.parties cfg.deal in
-  if Array.length cfg.compliant <> p then
-    invalid_arg "Deal_runner.run: compliant array size mismatch";
-  let registry = Auth.create ~seed:(cfg.seed + 3) in
-  let signers = Array.init p (fun q -> Auth.register registry q) in
-  let books =
-    Array.of_list
-      (List.map
-         (fun (k, (a : Deal.arc)) ->
-           let book =
-             Book.create ~currency:a.Deal.asset.Asset.currency
-           in
-           Book.open_account book ~owner:(party_pid a.Deal.from_)
-             ~balance:a.Deal.asset.Asset.amount;
-           Book.open_account book ~owner:(party_pid a.Deal.to_) ~balance:0;
-           Book.open_account book ~owner:(arc_pid cfg k) ~balance:0;
-           book)
-         (indexed_arcs cfg))
-  in
+
+let execute cfg tmpl =
+  let inst = instance cfg in
   let model =
     match cfg.gst with
     | None -> Network.Synchronous { delta = cfg.delta }
     | Some gst -> Network.Partially_synchronous { gst; delta = cfg.delta }
   in
   let network = Network.create model (Rng.create ~seed:(cfg.seed + 19)) in
-  let engine =
-    E.create ~tag_of:Dmsg.tag ~network ~sigma:cfg.sigma ~seed:cfg.seed ()
-  in
+  let engine = E.create ~tag_of:Dmsg.tag ~network ~sigma:cfg.sigma ~seed:cfg.seed () in
   let clock_rng = Rng.create ~seed:(cfg.seed + 23) in
-  let add handlers =
-    ignore
-      (E.add_process engine
-         ~clock:(Clock.random clock_rng ~drift_ppm:cfg.drift_ppm)
-         handlers)
-  in
-  for q = 0 to p - 1 do
-    match substitute ~party:q ~signer:signers.(q) with
-    | Some handlers -> add handlers
-    | None ->
-        if cfg.compliant.(q) then add (party cfg registry signers.(q) q)
-        else add E.silent
-  done;
-  List.iter (fun (k, a) -> add (arc_escrow cfg registry books k a)) (indexed_arcs cfg);
-  (match cfg.protocol with
-  | Cbc ->
-      let cb_signer = Auth.register registry (cb_pid cfg) in
-      add (certified_chain cfg registry cb_signer)
-  | Timelock -> ());
+  Array.iteri
+    (fun pid _ ->
+      ignore
+        (E.add_process engine
+           ~clock:(Clock.random clock_rng ~drift_ppm:cfg.drift_ppm)
+           (Anta.Executor.instantiate tmpl inst pid)))
+    tmpl;
   let status = E.run ~max_events:cfg.max_events engine in
+  let trace = E.trace engine in
+  let honest = lazy (template cfg) in
   let o =
     {
       config = cfg;
       status;
-      trace = E.trace engine;
-      books;
+      trace;
+      books = inst.books;
       end_time = E.now engine;
-      message_count = Trace.message_count (E.trace engine);
+      message_count = Trace.message_count trace;
+      conformance =
+        (fun pid ->
+          Anta.Conformance.check (Lazy.force honest).(pid) inst ~pid ~tag_of:Dmsg.tag trace);
     }
   in
   emit_telemetry o;
   o
+
+let run cfg =
+  let tmpl = template cfg in
+  execute cfg
+    (Array.mapi
+       (fun pid auto ->
+         if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
+           A.rebuild auto ~initial:A.stall
+         else auto)
+       tmpl)
 
 let events outcome = Trace.observations outcome.trace
 
@@ -507,8 +571,7 @@ let gained outcome party =
   List.fold_left
     (fun acc (_, _, o) ->
       match o with
-      | Dobs.Paid_out { to_; asset; _ } when to_ = party ->
-          Asset.Bag.add acc asset
+      | Dobs.Paid_out { to_; asset; _ } when to_ = party -> Asset.Bag.add acc asset
       | _ -> acc)
     Asset.Bag.empty (events outcome)
 

@@ -1,9 +1,10 @@
 (** Execute a cross-chain deal under the timelock or certified-blockchain
     commit protocol of Herlihy–Liskov–Shrira (§5 of the paper).
 
-    Process layout: parties get pids [0 .. p-1]; each arc gets its own
-    escrow blockchain process at pid [p + arc_index]; the certified
-    blockchain — present only for {!Cbc} — is the last pid.
+    Every participant runs an {!Anta.Automaton} of the run's {!template}:
+    parties get pids [0 .. p-1]; each arc gets its own escrow blockchain
+    process at pid [p + arc_index]; the certified blockchain — present
+    only for {!Cbc} — is the last pid.
 
     {b Timelock commit} (requires synchrony): parties sign commit votes and
     gossip them along deal arcs; a payee redeems an incoming leg by
@@ -23,7 +24,7 @@ type commit_protocol = Timelock | Cbc
 type config = {
   deal : Deal.t;
   protocol : commit_protocol;
-  compliant : bool array;  (** per party; non-compliant parties stay silent *)
+  compliant : bool array;  (** per party; a non-compliant party stalls at birth *)
   delta : Sim.Sim_time.t;
   sigma : Sim.Sim_time.t;
   drift_ppm : int;
@@ -35,6 +36,22 @@ type config = {
 
 val default_config : Deal.t -> commit_protocol -> config
 
+type vote = Dmsg.vote_body Xcrypto.Auth.signed
+
+type inst = {
+  books : Ledger.Book.t array;  (** one per arc *)
+  deposits : int array;  (** per arc: its deposit, or [-1] *)
+  registry : Xcrypto.Auth.registry;
+  votes : vote array;  (** each party's vote, signed once per run *)
+  known : (int, vote) Hashtbl.t array;
+      (** per party, by author: the votes it holds, its own included *)
+}
+(** A run's instance: every guard, act and message of the templates reads
+    it. Guards read only the registry and the message, so the
+    conformance replay after the run makes the executor's choices. *)
+
+type auto = (inst, Dmsg.t, Dobs.t) Anta.Automaton.t
+
 type outcome = {
   config : config;
   status : Sim.Engine.status;
@@ -42,17 +59,37 @@ type outcome = {
   books : Ledger.Book.t array;  (** one per arc *)
   end_time : Sim.Sim_time.t;
   message_count : int;
+  conformance : int -> (unit, Anta.Conformance.deviation) result;
+      (** the replay of the pid's honest automaton over the trace *)
 }
 
-val run :
-  ?substitute:
-    (party:int ->
-    signer:Xcrypto.Auth.signer ->
-    (Dmsg.t, Dobs.t) Sim.Engine.handlers option) ->
-  config ->
-  outcome
-(** [substitute] replaces a party's honest handlers (used by
-    {!Deal_byzantine}); [None] keeps the honest/compliant behaviour. *)
+val template : config -> auto array
+(** Every pid's honest automaton, built from the deal and the protocol:
+    the pid layout and the deadlines are its constants. Raises
+    [Invalid_argument] if the network fails C's structural clause
+    ({!Anta.Network_check.well_formed}).
+
+    Party [p]'s states say what it knows, as the mask [S] of the parties
+    whose valid votes it holds (bit [q] for party [q], its own always
+    set): [deposit<i>] fund its outgoing legs; [legs<j>.k<S>] await the
+    notice of its [j]-th incoming leg, with the notice branch first; the
+    [vote.k<S>.<i>] sends cast its vote, the first of them observing it
+    (else the last notice branch does); [voted.k<S>.f<F>] await the fate
+    of its [F]-th leg; the [learn.k<S>.f<F>.<i>] sends gossip what it
+    has learnt, claiming once [S] is everyone under the timelock; [done]
+    is final. Raises [Invalid_argument] if [compliant] does not have one
+    entry per party. *)
+
+val known : inst -> Deal.party -> vote list
+(** The votes the party holds, as its gossip and claims carry them. *)
+
+val execute : config -> auto array -> outcome
+(** [execute cfg autos] runs pid [q] as [autos.(q)], honest or an edit of
+    the honest automaton, which [conformance] replays. *)
+
+val run : config -> outcome
+(** {!execute} of the {!template}, where a non-compliant party stalls at
+    birth. *)
 
 val claim_window : config -> Sim.Sim_time.t
 (** The (uniform) timelock each leg's escrow applies from its deposit. *)

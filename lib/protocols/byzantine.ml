@@ -37,48 +37,6 @@ let silent = function Crash_at_start | Mute -> true | _ -> false
 
 type 'i auto = ('i, Msg.t, Obs.t) A.t
 
-(* [auto] with the nodes of [changed] in place of its own and [added]
-   appended, started at [initial]; every deviant may enter the state
-   "stall", which has no branch: it waits there forever, arming nothing *)
-let rebuild ?initial ?(changed = []) ?(added = []) (auto : 'i auto) : 'i auto =
-  let initial =
-    Option.value initial ~default:(A.state_name auto (A.initial_index auto))
-  in
-  let node st =
-    match List.assoc_opt st changed with Some n -> n | None -> Option.get (A.node auto st)
-  in
-  A.make ~name:(A.name auto) ~born:(A.born auto) ~initial
-    ~nodes:
-      (List.map (fun st -> (st, node st)) (A.states auto)
-      @ added
-      @ [ ("stall", A.input []) ])
-    ()
-
-(* output state [st] of [auto], going on to [next] *)
-let redirect auto st next =
-  match A.node auto st with
-  | Some (A.Output { to_; absolute; message; o_act; _ }) ->
-      Some (st, A.output ~absolute ~to_ ~act:o_act ~message ~next ())
-  | _ -> None
-
-(* the run of output states from [st], with their destinations *)
-let rec outputs auto st =
-  match A.node auto st with
-  | Some (A.Output { to_; absolute; next; _ }) ->
-      (st, (to_, absolute)) :: outputs auto next
-  | _ -> []
-
-(* [message] to each destination from states [name ^ j], then the stall;
-   [first] acts before the first send *)
-let script name dsts ?(first = fun _ _ _ -> ()) message =
-  let state j = if j = List.length dsts then "stall" else name ^ string_of_int j in
-  List.mapi
-    (fun j (to_, absolute) ->
-      ( state j,
-        A.output ~absolute ~to_ ~act:(if j = 0 then first else fun _ _ _ -> ()) ~message
-          ~next:(state (j + 1)) () ))
-    dsts
-
 let steal (env : Env.t) ctx i =
   let self = Topology.escrow env.Env.topo i in
   let deposit = env.Env.deposits.(i) and amount = Env.amount_at env i in
@@ -109,22 +67,22 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
                 deposit.A.b_act inst ctx store m;
                 steal env ctx i
               in
-              let deposit = { deposit with b_act; next = "stall" } in
-              rebuild auto ~changed:[ ("await_money", A.input (deposit :: rest)) ])
+              let deposit = { deposit with b_act; next = A.stall } in
+              A.rebuild auto ~changed:[ ("await_money", A.input (deposit :: rest)) ])
       | _ -> None)
   | Premature_refund_escrow -> (
-      match (redirect auto "send_p" "refund", A.node auto "refund") with
-      | Some send_p, Some _ -> Some (fun _ -> rebuild auto ~changed:[ send_p ])
+      match (A.redirect auto "send_p" "refund", A.node auto "refund") with
+      | Some send_p, Some _ -> Some (fun _ -> A.rebuild auto ~changed:[ send_p ])
       | _ -> None)
   | No_resolve_escrow | Withhold_chi_bob -> (
       let st = if t = No_resolve_escrow then "await_chi" else "send_chi" in
       match A.node auto st with
-      | Some _ -> Some (fun _ -> rebuild auto ~changed:[ (st, A.input []) ])
+      | Some _ -> Some (fun _ -> A.rebuild auto ~changed:[ (st, A.input []) ])
       | None -> None)
   | Eager_chi_bob ->
       Option.map
-        (fun send_chi _ -> rebuild auto ~initial:"send_chi" ~changed:[ send_chi ])
-        (redirect auto "send_chi" "stall")
+        (fun send_chi _ -> A.rebuild auto ~initial:"send_chi" ~changed:[ send_chi ])
+        (A.redirect auto "send_chi" A.stall)
   | Forge_chi_connector -> (
       (* χ, forged in Bob's name, to the escrow that owes the promise P *)
       match A.node auto "await_p" with
@@ -133,9 +91,9 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
             (fun env ->
               let bob = Topology.bob env.Env.topo in
               let chi = { Msg.x_payment = env.Env.payment; x_bob = bob } in
-              let fake _ _ _ = Msg.Chi (Xcrypto.Auth.forge_value ~author:bob chi) in
-              rebuild auto ~initial:"forge0"
-                ~added:(script "forge" [ (e_up, false) ] fake))
+              let fake _ _ _ _ = Msg.Chi (Xcrypto.Auth.forge_value ~author:bob chi) in
+              A.rebuild auto ~initial:"forge0"
+                ~added:(A.script "forge" [ (e_up, false) ] fake))
       | _ -> None)
   | Double_money_customer -> (
       match A.node auto "send_money" with
@@ -143,10 +101,11 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
           let dsts = [ (to_, absolute); (to_, absolute) ] in
           Some
             (fun _ ->
-              rebuild auto ~initial:"money0" ~added:(script "money" dsts message))
+              A.rebuild auto ~initial:"money0"
+                ~added:(A.script "money" dsts (fun _ -> message)))
       | _ -> None)
   | False_funded_escrow -> (
-      match (Topology.escrow_index topo pid, List.map snd (outputs auto "report0")) with
+      match (Topology.escrow_index topo pid, List.map snd (A.outputs auto "report0")) with
       | Some i, (_ :: _ as tms) ->
           Some
             (fun env ->
@@ -154,9 +113,9 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
               let first _ ctx _ =
                 E.observe ctx (Obs.Funded_reported { escrow = pid; amount })
               in
-              let report _ _ _ = Env.funded_report env i in
-              rebuild auto ~initial:"false_report0"
-                ~added:(script "false_report" tms ~first report))
+              let report _ _ _ _ = Env.funded_report env i in
+              A.rebuild auto ~initial:"false_report0"
+                ~added:(A.script "false_report" tms ~first report))
       | _ -> None)
   | Impatient patience -> (
       (* the initial state's patience branch, re-armed as the [impatience]
@@ -168,16 +127,16 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
       in
       match List.find_opt (deadline_named "patience") branches with
       | Some { A.guard = A.Deadline { base; _ }; b_act; next; _ } -> (
-          match List.rev (outputs auto next) with
+          match List.rev (A.outputs auto next) with
           | (last, _) :: _ ->
-              let asked = Option.get (redirect auto last "stall") in
+              let asked = Option.get (A.redirect auto last A.stall) in
               let impatience =
                 A.on_deadline ~timer:"impatience" ~base ~offset:patience ~act:b_act
                   ~next ()
               in
               Some
                 (fun _ ->
-                  rebuild auto ~initial:"impatient" ~changed:[ asked ]
+                  A.rebuild auto ~initial:"impatient" ~changed:[ asked ]
                     ~added:[ ("impatient", A.input [ impatience ]) ])
           | [] -> None)
       | _ -> None)
@@ -192,7 +151,7 @@ let edit topo ~pid t (auto : 'i auto) : (Env.t -> 'i auto) option =
             | _ -> None)
           (A.states auto)
       in
-      if changed = [] then None else Some (fun _ -> rebuild auto ~changed))
+      if changed = [] then None else Some (fun _ -> A.rebuild auto ~changed))
 
 let fits topo tmpl (pid, t) =
   silent t || (pid < Array.length tmpl && Option.is_some (edit topo ~pid t tmpl.(pid)))
