@@ -30,54 +30,24 @@ let outgoing t p = List.filter (fun a -> a.from_ = p) t.arc_list
 let incoming t p = List.filter (fun a -> a.to_ = p) t.arc_list
 let successors t p = List.map (fun a -> a.to_) (outgoing t p)
 
-let reachable t from_ =
-  let visited = Array.make t.parties false in
-  let rec go p =
-    if not visited.(p) then begin
-      visited.(p) <- true;
-      List.iter go (successors t p)
-    end
-  in
-  go from_;
-  visited
-
-let strongly_connected t =
-  t.parties = 1
-  ||
-  let rec check p =
-    p >= t.parties
-    || (Array.for_all Fun.id (reachable t p) && check (p + 1))
-  in
-  check 0
-
-let well_formed t = arc_count t > 0 && strongly_connected t
-
+(* all-pairs shortest hops (Floyd–Warshall), [parties] for none *)
 let diameter t =
-  if t.parties = 1 then 0
-  else begin
-    (* BFS from every party *)
-    let worst = ref 0 in
-    for s = 0 to t.parties - 1 do
-      let dist = Array.make t.parties (-1) in
-      dist.(s) <- 0;
-      let q = Queue.create () in
-      Queue.add s q;
-      while not (Queue.is_empty q) do
-        let p = Queue.pop q in
-        List.iter
-          (fun n ->
-            if dist.(n) < 0 then begin
-              dist.(n) <- dist.(p) + 1;
-              Queue.add n q
-            end)
-          (successors t p)
-      done;
-      Array.iter
-        (fun d -> worst := max !worst (if d < 0 then t.parties else d))
-        dist
-    done;
-    !worst
-  end
+  let n = t.parties in
+  let d =
+    Array.init n (fun i ->
+        let next = successors t i in
+        Array.init n (fun j -> if i = j then 0 else if List.mem j next then 1 else n))
+  in
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        d.(i).(j) <- min d.(i).(j) (d.(i).(k) + d.(k).(j))
+      done
+    done
+  done;
+  Array.fold_left (Array.fold_left max) 0 d
+
+let well_formed t = arc_count t > 0 && diameter t < t.parties
 
 let expected_gain t p =
   Asset.Bag.of_list (List.map (fun a -> a.asset) (incoming t p))

@@ -20,14 +20,13 @@ let name = function
 
 (* the escrows of party [p]'s incoming (or outgoing) legs, as destinations *)
 let escrows (cfg : R.config) p ~incoming =
-  let np = Deal.parties cfg.R.deal in
   List.concat
     (List.mapi
        (fun k (a : Deal.arc) ->
-         if (if incoming then a.Deal.to_ else a.Deal.from_) = p then [ (np + k, false) ] else [])
+         let ends = if incoming then a.Deal.to_ else a.Deal.from_ in
+         if ends = p then [ (Deal.parties cfg.R.deal + k, false) ] else [])
        (Deal.arcs cfg.R.deal))
 
-let observe_vote p _ ctx _ = Sim.Engine.observe ctx (Dobs.Voted { party = p })
 let head name dsts next = if dsts = [] then next else name ^ "0"
 
 (* Honest up to its vote, which it gossips (and casts, under CBC); then it
@@ -35,9 +34,9 @@ let head name dsts next = if dsts = [] then next else name ^ "0"
    only when the timer [lazy] it set at its vote fires, just inside the
    timelock window, if it holds a vote from everyone by then. Its guards
    read the votes it keeps: no replay runs a deviant's own automaton. *)
-let lazy_claim (cfg : R.config) p (auto : R.auto) =
-  let np = Deal.parties cfg.R.deal and cb = Deal.parties cfg.R.deal + Deal.arc_count cfg.R.deal in
-  let claims = escrows cfg p ~incoming:true in
+let lazy_claim (cfg : R.config) p auto =
+  let np = Deal.parties cfg.R.deal and claims = escrows cfg p ~incoming:true in
+  let cb = np + Deal.arc_count cfg.R.deal and all = (1 lsl np) - 1 in
   let succs = List.map (fun q -> (q, false)) (Deal.successors cfg.R.deal p) in
   let cast = succs @ if cfg.R.protocol = R.Cbc then [ (cb, false) ] else [] in
   let message to_ (inst : R.inst) _ _ =
@@ -45,87 +44,83 @@ let lazy_claim (cfg : R.config) p (auto : R.auto) =
     else if to_ < np then Dmsg.Votes (R.known inst p)
     else Dmsg.Claim { arc = to_ - np; votes = R.known inst p }
   in
+  let author (sv : R.vote) = sv.Auth.author and parties = List.init np Fun.id in
   let keep (inst : R.inst) _ _ = function
     | Some (Dmsg.Votes vs) ->
-        List.iter (fun (sv : R.vote) -> Hashtbl.replace inst.R.known.(p) sv.Auth.author sv) vs
+        List.iter (fun sv -> Hashtbl.replace inst.R.known.(p) (author sv) sv) vs
     | _ -> ()
   in
-  (* whether keeping [m] completes its set *)
-  let completes (inst : R.inst) = function
-    | Dmsg.Votes vs ->
-        let held = Hashtbl.copy inst.R.known.(p) in
-        List.iter (fun (sv : R.vote) -> Hashtbl.replace held sv.Auth.author sv) vs;
-        Hashtbl.length held = np
-    | _ -> false
-  in
-  let hear ?(completing = false) next =
-    A.on_receive ~from_:A.Any ~describe:(if completing then "votes, completing" else "votes")
-      ~accept:(fun inst m ->
-        (match m with Dmsg.Votes _ -> true | _ -> false) && ((not completing) || completes inst m))
-      ~act:keep ~next ()
+  (* a Votes message that completes its set, if [completes], else any *)
+  let hear ?(completes = false) next =
+    let held (inst : R.inst) vs q =
+      Hashtbl.mem inst.R.known.(p) q || List.exists (fun sv -> author sv = q) vs
+    in
+    A.on_receive ~from_:A.Any ~describe:"votes" ~act:keep ~next ()
+      ~accept:(fun inst -> function
+        | Dmsg.Votes vs -> (not completes) || List.for_all (held inst vs) parties
+        | _ -> false)
   in
   let timer next =
     let step = Sim.Sim_time.add cfg.R.delta cfg.R.sigma in
-    let late = Sim.Sim_time.sub (R.claim_window cfg) (Sim.Sim_time.scale step ~num:2 ~den:1) in
-    if claims = [] then [] else [ A.on_deadline ~timer:"lazy" ~base:"voted" ~offset:late ~next () ]
+    let late = Sim.Sim_time.(sub (R.claim_window cfg) (scale step ~num:2 ~den:1)) in
+    if claims = [] then []
+    else [ A.on_deadline ~timer:"lazy" ~base:"voted" ~offset:late ~next () ]
   in
-  let gossip st = head (st ^ "_gossip") succs st and vote st = head (st ^ "_vote") cast st in
+  let gossip st = head (st ^ "_gossip") succs st in
+  let vote st = head (st ^ "_vote") cast st in
+  let sends dsts suffix =
+    List.concat_map (fun st -> A.script (st ^ suffix) dsts ~next:st message)
+  in
+  let wait = [ hear ~completes:true (gossip "full"); hear (gossip "lazy") ] in
   let added =
     [
-      ( "lazy",
-        A.input (timer "late" @ [ hear ~completing:true (gossip "lazy_full"); hear (gossip "lazy") ]) );
-      ("lazy_full", A.input (timer (head "lazy_claim" claims "late") @ [ hear (gossip "lazy_full") ]));
+      ("lazy", A.input (timer "late" @ wait));
+      ("full", A.input (timer (head "claim" claims "late") @ [ hear (gossip "full") ]));
       ("late", A.input [ hear (gossip "late") ]);
     ]
-    @ List.concat_map (fun st -> A.script (st ^ "_gossip") succs ~next:st message) [ "lazy"; "lazy_full"; "late" ]
-    @ List.concat_map
-        (fun st -> A.script (st ^ "_vote") cast ~first:(observe_vote p) ~next:st message)
-        [ "lazy"; "lazy_full" ]
-    @ A.script "lazy_claim" claims ~next:"late" message
+    @ sends succs "_gossip" [ "lazy"; "full"; "late" ]
+    @ sends cast "_vote" [ "lazy"; "full" ]
+    @ A.script "claim" claims ~next:"late" message
   in
-  (* the hand-over to its vote: the last leg's notice branch, which now
-     also sets the clock of the timer, or the end of its deposits *)
-  let initial, changed =
-    if claims = [] then
-      let outs = escrows cfg p ~incoming:false in
-      let start = A.state_name auto (A.initial_index auto) in
-      match List.rev (List.filter (fun (_, d) -> List.mem d outs) (A.outputs auto start)) with
-      | (last, _) :: _ -> (None, Option.to_list (A.redirect auto last (vote "lazy")))
-      | [] -> (Some (vote "lazy"), [])
-    else
-      let all = (1 lsl np) - 1 in
-      ( None,
-        List.filter_map
-          (fun s ->
-            let st = Printf.sprintf "legs%d.k%d" (List.length claims - 1) s in
-            match A.node auto st with
-            | Some (A.Input (notice :: rest)) ->
-                let b_act = if cast = [] then fun i c st _ -> observe_vote p i c st else notice.A.b_act in
-                let next = vote (if s = all then "lazy_full" else "lazy") in
-                Some (st, A.input ({ notice with A.next; save_now = [ "voted" ]; b_act } :: rest))
-            | _ -> None)
-          (List.init (all + 1) Fun.id) )
+  (* it hands over to its vote where the honest party does: at its last
+     leg's notice, which now also sets the timer's clock, else at birth *)
+  let handover s =
+    let st = Printf.sprintf "legs%d.k%d" (List.length claims - 1) s in
+    match A.node auto st with
+    | Some (A.Input (notice :: rest)) ->
+        let next = vote (if s = all then "full" else "lazy") in
+        [ (st, A.input ({ notice with A.next; save_now = [ "voted" ] } :: rest)) ]
+    | _ -> []
   in
-  A.rebuild auto ?initial ~changed ~added
+  let funds = escrows cfg p ~incoming:false in
+  let deposits = A.outputs auto (A.state_name auto (A.initial_index auto)) in
+  match List.rev (List.filter (fun (_, d) -> List.mem d funds) deposits) with
+  | _ when claims <> [] ->
+      let masks = List.init (all + 1) Fun.id in
+      A.rebuild auto ~added ~changed:(List.concat_map handover masks)
+  | (last, _) :: _ ->
+      A.rebuild auto ~changed:(Option.to_list (A.redirect auto last (vote "lazy"))) ~added
+  | [] -> A.rebuild auto ~initial:(vote "lazy") ~added
 
 (* [edit cfg p t auto]: the deviant [t] makes of party [p]'s honest
    automaton [auto], or [None] where the edit does not find its states *)
-let edit (cfg : R.config) p t (auto : R.auto) =
-  let np = Deal.parties cfg.R.deal in
-  let claims = escrows cfg p ~incoming:true in
+let edit (cfg : R.config) p t auto =
+  let np = Deal.parties cfg.R.deal and claims = escrows cfg p ~incoming:true in
   let claim st =
     match A.node auto st with
     | Some (A.Output { to_; absolute; _ }) -> List.mem (to_, absolute) claims
     | _ -> false
   in
+  let states = A.states auto in
   match t with
   | Freeloader ->
       let vote = Printf.sprintf "vote.k%d.0" (1 lsl p) in
       Option.map (fun _ -> A.rebuild auto ~initial:vote) (A.node auto vote)
   | Forged_votes ->
+      let forge (v : R.vote) = Auth.forge_value ~author:v.Auth.author v.Auth.payload in
       let forged to_ (inst : R.inst) _ _ =
-        let forge (v : R.vote) = Auth.forge_value ~author:v.Auth.author v.Auth.payload in
-        Dmsg.Claim { arc = to_ - np; votes = Array.to_list (Array.map forge inst.R.votes) }
+        let votes = Array.to_list (Array.map forge inst.R.votes) in
+        Dmsg.Claim { arc = to_ - np; votes }
       in
       if claims = [] then None
       else Some (A.rebuild auto ~initial:"forge0" ~added:(A.script "forge" claims forged))
@@ -133,52 +128,39 @@ let edit (cfg : R.config) p t (auto : R.auto) =
       Option.map
         (fun first ->
           let last = fst (List.hd (List.rev (A.outputs auto first))) in
-          A.rebuild auto ~initial:first ~changed:(Option.to_list (A.redirect auto last A.stall)))
-        (List.find_opt claim (A.states auto))
-  | Double_claim ->
-      let twice st =
-        match A.node auto st with
-        | Some (A.Output { to_; absolute; message; o_act; next }) when claim st ->
-            let again = st ^ "'" in
-            Some
-              ( (st, A.output ~absolute ~to_ ~act:o_act ~message ~next:again ()),
-                (again, A.output ~absolute ~to_ ~message ~next ()) )
-        | _ -> None
-      in
-      let copies = List.filter_map twice (A.states auto) in
-      if copies = [] then None
-      else Some (A.rebuild auto ~changed:(List.map fst copies) ~added:(List.map snd copies))
-  | Vote_hoarder ->
-      let changed =
-        List.filter_map
-          (fun st ->
-            if String.starts_with ~prefix:"voted." st then Some (st, A.input []) else None)
-          (A.states auto)
-      in
-      if changed = [] then None else Some (A.rebuild auto ~changed)
+          let stall = Option.to_list (A.redirect auto last A.stall) in
+          A.rebuild auto ~initial:first ~changed:stall)
+        (List.find_opt claim states)
+  | Double_claim -> (
+      match List.filter claim states with
+      | [] -> None
+      | sts ->
+          let twice st = Option.get (A.redirect auto st (st ^ "'")) in
+          let again st = (st ^ "'", Option.get (A.node auto st)) in
+          Some (A.rebuild auto ~changed:(List.map twice sts) ~added:(List.map again sts)))
+  | Vote_hoarder -> (
+      match List.filter (String.starts_with ~prefix:"voted.") states with
+      | [] -> None
+      | sts -> Some (A.rebuild auto ~changed:(List.map (fun st -> (st, A.input [])) sts)))
   | Lazy_claim -> Some (lazy_claim cfg p auto)
 
 let run_with_faults (cfg : R.config) ~faults =
   let np = Deal.parties cfg.R.deal in
+  let compliant = Array.copy cfg.R.compliant in
+  let fail fmt = Printf.ksprintf invalid_arg fmt in
   List.iter
     (fun (p, _) ->
       if p < 0 || p >= np then
-        invalid_arg (Printf.sprintf "Deal_byzantine.run_with_faults: party %d is not in the deal" p))
+        fail "Deal_byzantine.run_with_faults: party %d is not in the deal" p;
+      compliant.(p) <- false)
     faults;
-  let honest = R.template cfg in
-  let compliant = Array.copy cfg.R.compliant in
-  List.iter (fun (p, _) -> compliant.(p) <- false) faults;
-  R.execute { cfg with R.compliant }
-    (Array.mapi
-       (fun pid auto ->
-         match List.assoc_opt pid faults with
-         | Some t -> (
-             match edit cfg pid t auto with
-             | Some edited -> edited
-             | None ->
-                 invalid_arg
-                   (Printf.sprintf "Deal_byzantine: %s does not fit party %d" (name t) pid))
-         | None ->
-             if pid < np && not cfg.R.compliant.(pid) then A.rebuild auto ~initial:A.stall
-             else auto)
-       honest)
+  let deviant pid auto =
+    match List.assoc_opt pid faults with
+    | Some t -> (
+        match edit cfg pid t auto with
+        | Some edited -> edited
+        | None -> fail "Deal_byzantine: %s does not fit party %d" (name t) pid)
+    | None when pid < np && not cfg.R.compliant.(pid) -> A.rebuild auto ~initial:A.stall
+    | None -> auto
+  in
+  R.execute { cfg with R.compliant } (Array.mapi deviant (R.template cfg))

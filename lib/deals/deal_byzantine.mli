@@ -3,30 +3,28 @@
     HLS's Safety property is per-party unconditional: "for {e every}
     protocol execution, every compliant party ends up with an acceptable
     payoff" — no matter what the other parties do. These strategies
-    exercise that claim beyond simple silence (which {!Deal_runner}'s
-    [compliant] array already models):
+    exercise that claim beyond silence (which {!Deal_runner}'s [compliant]
+    array models). Each is an {e edit} of the party's honest automaton in
+    the run's {!Deal_runner.template}, built with {!Anta.Automaton.rebuild}
+    and ending, where it ends, in the {!Anta.Automaton.stall}:
 
-    - {!Freeloader}: votes and gossips but never escrows its outgoing
-      legs, hoping to collect incoming transfers for free;
-    - {!Forged_votes}: claims its incoming legs immediately with a vote
-      set padded by forged signatures;
-    - {!Premature_claim}: claims with whatever (incomplete) genuine votes
-      it has gathered;
-    - {!Double_claim}: claims every incoming leg twice (exercises the
-      ledger's single-resolution guarantee);
-    - {!Vote_hoarder}: escrows and votes but never gossips votes onward,
-      starving downstream parties of the set they need (a liveness
-      attack that must not become a safety one — the on-chain reveal of
-      claimed proofs routes around it in well-formed deals);
-    - {!Lazy_claim}: honest except that it claims at the last moment of
-      the timelock window. In a strongly connected deal this hurts nobody
-      (every party assembles the vote set by forward gossip, on its own
-      schedule); in the broker DAG it defeats the reveal cascade and
-      breaks Safety for the compliant broker — the sharp edge of HLS's
-      well-formedness hypothesis.
-
-    Each strategy produces engine handlers substituted for the party's
-    honest ones by {!run_with_faults}. *)
+    - {!Freeloader}: starts at its vote, so it never escrows its outgoing
+      legs nor waits for its incoming ones, hoping to collect them free;
+    - {!Forged_votes}: first claims its incoming legs with a vote set of
+      forged signatures;
+    - {!Premature_claim}: first sends the honest claims, holding only its
+      own vote;
+    - {!Double_claim}: sends every claim twice (exercises the ledger's
+      single-resolution guarantee);
+    - {!Vote_hoarder}: every state after its vote stalls, so it never
+      passes on a vote it learns later — a liveness attack that must not
+      become a safety one: the on-chain reveal of claimed proofs routes
+      around it in well-formed deals;
+    - {!Lazy_claim}: honest up to its vote, then it claims only at the
+      last moment of the timelock window. In a strongly connected deal
+      this hurts nobody; in the broker DAG it defeats the reveal cascade
+      and breaks Safety for the compliant broker — the sharp edge of HLS's
+      well-formedness hypothesis. *)
 
 type t =
   | Freeloader
@@ -38,8 +36,9 @@ type t =
 
 val name : t -> string
 
-val run_with_faults :
-  Deal_runner.config -> faults:(int * t) list -> Deal_runner.outcome
-(** Like {!Deal_runner.run} but substituting the given strategies. Faulty
-    parties are also marked non-compliant in the outcome's config, so the
-    property monitors condition on them correctly. *)
+val run_with_faults : Deal_runner.config -> faults:(int * t) list -> Deal_runner.outcome
+(** Like {!Deal_runner.run} but running each faulty party as its strategy's
+    edit. Faulty parties are also marked non-compliant in the outcome's
+    config, so the property monitors condition on them correctly. Raises
+    [Invalid_argument] for a party outside the deal or an edit that does
+    not fit its party. *)

@@ -1,74 +1,50 @@
+module Bag = Ledger.Asset.Bag
+
 type verdict = { property : string; holds : bool; detail : string }
 
-let safety (outcome : Deal_runner.outcome) =
-  let cfg = outcome.Deal_runner.config in
-  let deal = cfg.Deal_runner.deal in
-  let bad =
-    List.find_map
-      (fun p ->
-        if not cfg.Deal_runner.compliant.(p) then None
-        else
-          let gained = Deal_runner.gained outcome p in
-          let lost = Deal_runner.lost outcome p in
-          if Deal.acceptable deal p ~gained ~lost then None
-          else
-            Some
-              (Fmt.str "party %d: gained %a, lost %a — unacceptable" p
-                 Ledger.Asset.Bag.pp gained Ledger.Asset.Bag.pp lost))
-      (List.init (Deal.parties deal) Fun.id)
-  in
-  match bad with
-  | None -> { property = "Safety"; holds = true; detail = "all payoffs acceptable" }
-  | Some detail -> { property = "Safety"; holds = false; detail }
+(* the property holds unless [failure] names the first counterexample *)
+let verdict property ~ok failure =
+  match failure with
+  | None -> { property; holds = true; detail = ok }
+  | Some detail -> { property; holds = false; detail }
 
-let termination (outcome : Deal_runner.outcome) =
-  let cfg = outcome.Deal_runner.config in
-  let stuck =
-    List.filter
-      (fun (_, party) -> cfg.Deal_runner.compliant.(party))
-      (Deal_runner.escrowed_forever outcome)
-  in
-  match stuck with
-  | [] ->
-      {
-        property = "Termination";
-        holds = true;
-        detail = "no compliant asset left in escrow";
-      }
-  | (k, p) :: _ ->
-      {
-        property = "Termination";
-        holds = false;
-        detail = Fmt.str "arc %d still holds party %d's asset" k p;
-      }
+let parties (o : Deal_runner.outcome) = List.init (Deal.parties o.config.deal) Fun.id
 
-let strong_liveness (outcome : Deal_runner.outcome) =
-  let cfg = outcome.Deal_runner.config in
-  let deal = cfg.Deal_runner.deal in
-  if not (Array.for_all Fun.id cfg.Deal_runner.compliant) then
-    {
-      property = "StrongLiveness";
-      holds = true;
-      detail = "vacuous: not all parties compliant";
-    }
+let safety (o : Deal_runner.outcome) =
+  let cfg = o.config in
+  verdict "Safety" ~ok:"all payoffs acceptable"
+    (List.find_map
+       (fun p ->
+         let gained = Deal_runner.gained o p and lost = Deal_runner.lost o p in
+         if (not cfg.compliant.(p)) || Deal.acceptable cfg.deal p ~gained ~lost then None
+         else
+           Some
+             (Fmt.str "party %d: gained %a, lost %a — unacceptable" p Bag.pp gained
+                Bag.pp lost))
+       (parties o))
+
+let termination (o : Deal_runner.outcome) =
+  verdict "Termination" ~ok:"no compliant asset left in escrow"
+    (List.find_map
+       (fun (k, p) ->
+         if not o.config.compliant.(p) then None
+         else Some (Fmt.str "arc %d still holds party %d's asset" k p))
+       (Deal_runner.escrowed_forever o))
+
+let strong_liveness (o : Deal_runner.outcome) =
+  let cfg = o.config in
+  if not (Array.for_all Fun.id cfg.compliant) then
+    verdict "StrongLiveness" ~ok:"vacuous: not all parties compliant" None
   else
-    let missing =
-      List.find_map
-        (fun p ->
-          let gained = Deal_runner.gained outcome p in
-          if Ledger.Asset.Bag.geq gained (Deal.expected_gain deal p) then None
-          else Some (Fmt.str "party %d did not receive all transfers" p))
-        (List.init (Deal.parties deal) Fun.id)
-    in
-    match missing with
-    | None ->
-        { property = "StrongLiveness"; holds = true; detail = "all transfers happened" }
-    | Some detail -> { property = "StrongLiveness"; holds = false; detail }
+    verdict "StrongLiveness" ~ok:"all transfers happened"
+      (List.find_map
+         (fun p ->
+           if Bag.geq (Deal_runner.gained o p) (Deal.expected_gain cfg.deal p) then None
+           else Some (Fmt.str "party %d did not receive all transfers" p))
+         (parties o))
 
 let all outcome = [ safety outcome; termination outcome; strong_liveness outcome ]
 let all_hold = List.for_all (fun v -> v.holds)
 
 let pp ppf v =
-  Fmt.pf ppf "%-14s %-8s %s" v.property
-    (if v.holds then "ok" else "VIOLATED")
-    v.detail
+  Fmt.pf ppf "%-14s %-8s %s" v.property (if v.holds then "ok" else "VIOLATED") v.detail

@@ -57,6 +57,7 @@ type outcome = {
 }
 
 let deal_id = 1
+let fmt = Printf.sprintf
 
 (* pid layout: parties, then one escrow per arc, then the certifier *)
 let arc_pid cfg k = Deal.parties cfg.deal + k
@@ -64,18 +65,16 @@ let cb_pid cfg = Deal.parties cfg.deal + Deal.arc_count cfg.deal
 let indexed_arcs cfg = List.mapi (fun k a -> (k, a)) (Deal.arcs cfg.deal)
 let everyone cfg = (1 lsl Deal.parties cfg.deal) - 1
 
-let vote_ok cfg registry (sv : vote) =
-  let b = sv.Auth.payload in
-  b.Dmsg.v_deal = deal_id
-  && b.Dmsg.v_party = sv.Auth.author
-  && sv.Auth.author < Deal.parties cfg.deal
-  && Auth.verify_value registry ~ser:Dmsg.ser_vote sv
-
 (* the parties with a valid vote among [votes], as a bit mask *)
 let voters cfg registry votes =
   List.fold_left
     (fun acc (sv : vote) ->
-      if vote_ok cfg registry sv then acc lor (1 lsl sv.Auth.author) else acc)
+      let b = sv.Auth.payload and q = sv.Auth.author in
+      if
+        b.Dmsg.v_deal = deal_id && b.Dmsg.v_party = q && q < Deal.parties cfg.deal
+        && Auth.verify_value registry ~ser:Dmsg.ser_vote sv
+      then acc lor (1 lsl q)
+      else acc)
     0 votes
 
 let known inst p = Hashtbl.fold (fun _ sv acc -> sv :: acc) inst.known.(p) []
@@ -88,38 +87,40 @@ let claim_window cfg =
   let raw = Sim_time.scale step ~num:rungs ~den:1 in
   Sim_time.scale raw ~num:(1_000_000 + cfg.drift_ppm) ~den:1_000_000
 
-let is_votes = function Dmsg.Votes _ -> true | _ -> false
 let dst pid = (pid, false)
+
+(* the first state of [A.script name dsts ~next] *)
 let head name dsts next = if dsts = [] then next else name ^ "0"
 
 (* ------------------------------ parties ------------------------------ *)
 
-(* Party p. Its states say what it knows, as the mask S of the parties
-   whose valid votes it holds (its own among them): [legs<j>.k<S>] waits
-   for the notice that its j-th incoming leg is escrowed, the notice
-   branch first; [voted.k<S>.f<F>] has voted and taken the fates of its
-   first F legs. HLS phase order: it votes once every incoming leg is
-   escrowed, since voting earlier lets a freeloader collect transfers it
-   never funded. A Votes message that grows S moves it on; after the vote
-   the [vote.] and [learn.] sends gossip what it knows to its successors
-   and, under the timelock, claim every incoming leg once S is everyone.
-   The fates come in a fixed order, early ones waiting in the pool: the
-   refund of each outgoing leg, then the payout of each incoming one. *)
+(* Party p, in the states the interface names. HLS phase order: it votes
+   once every incoming leg is escrowed, since voting earlier lets a
+   freeloader collect transfers it never funded. A Votes message that
+   grows what it knows moves it on; after its vote, the sends gossip what
+   it knows to its successors and, under the timelock, claim every
+   incoming leg once it knows everyone's vote. The fates come in a fixed
+   order, early ones waiting in the pool: the refund of each outgoing
+   leg, then the payout of each incoming one. *)
 let party cfg p : auto =
   let np = Deal.parties cfg.deal and all = everyone cfg and cb = cb_pid cfg in
-  let legs_where f =
+  let me = 1 lsl p in
+  let legs f =
     List.filter_map (fun (k, a) -> if f a then Some k else None) (indexed_arcs cfg)
   in
-  let outs = legs_where (fun a -> a.Deal.from_ = p) in
-  let ins = legs_where (fun a -> a.Deal.to_ = p) in
-  let fates = List.map (fun k -> (k, false)) outs @ List.map (fun k -> (k, true)) ins in
-  let masks = List.filter (fun s -> s land (1 lsl p) <> 0) (List.init (all + 1) Fun.id) in
-  let claims s =
+  let outs = legs (fun a -> a.Deal.from_ = p) and ins = legs (fun a -> a.Deal.to_ = p) in
+  let fates =
+    List.map (fun k -> (k, Dmsg.Refund { arc = k })) outs
+    @ List.map (fun k -> (k, Dmsg.Paid { arc = k })) ins
+  in
+  let masks = List.filter (fun s -> s land me <> 0) (List.init (all + 1) Fun.id) in
+  let gossip s =
+    List.map dst (Deal.successors cfg.deal p)
+    @
     if cfg.protocol = Timelock && s = all then List.map (fun k -> dst (arc_pid cfg k)) ins
     else []
   in
-  let gossip s = List.map dst (Deal.successors cfg.deal p) @ claims s in
-  let vote_dsts s = if cfg.protocol = Cbc then [ dst cb ] else gossip s in
+  let cast s = if cfg.protocol = Cbc then [ dst cb ] else gossip s in
   (* what it sends follows from where it goes *)
   let message to_ inst _ _ =
     if to_ = cb then Dmsg.Cb_vote inst.votes.(p)
@@ -127,113 +128,71 @@ let party cfg p : auto =
     else if List.mem (to_ - np) outs then Dmsg.Deposit { arc = to_ - np }
     else Dmsg.Claim { arc = to_ - np; votes = known inst p }
   in
-  let legs j s = Printf.sprintf "legs%d.k%d" j s in
-  let voted s f = if f = List.length fates then "done" else Printf.sprintf "voted.k%d.f%d" s f in
-  let vote_name s = Printf.sprintf "vote.k%d." s in
-  let learn_name s f = Printf.sprintf "learn.k%d.f%d." s f in
-  let vote_entry s = head (vote_name s) (vote_dsts s) (voted s 0) in
-  let observe_vote _ ctx _ = E.observe ctx (Dobs.Voted { party = p }) in
+  let waiting j s = fmt "legs%d.k%d" j s in
+  let voted s f = if f = List.length fates then "done" else fmt "voted.k%d.f%d" s f in
+  let vote s = fmt "vote.k%d." s and learnt s f = fmt "learn.k%d.f%d." s f in
+  let send name dsts next = A.script name dsts ~next message in
+  let voting s = head (vote s) (cast s) (voted s 0) in
   let learn inst _ _ = function
     | Some (Dmsg.Votes vs) ->
         List.iter
           (fun (sv : vote) ->
-            if vote_ok cfg inst.registry sv && not (Hashtbl.mem inst.known.(p) sv.Auth.author)
-            then Hashtbl.add inst.known.(p) sv.Auth.author sv)
+            if voters cfg inst.registry [ sv ] <> 0 then
+              Hashtbl.replace inst.known.(p) sv.Auth.author sv)
           vs
     | _ -> ()
   in
-  (* the Votes branches of a state knowing [s]: one per grown mask, then
-     one that takes a message adding nothing *)
+  (* a branch per mask a Votes message may grow [s] to, then one for a
+     message that adds nothing (a certificate included) *)
   let hear s next stay =
     List.filter_map
       (fun s' ->
         if s' = s || s' land s <> s then None
         else
           Some
-            (A.on_receive ~from_:A.Any ~describe:(Printf.sprintf "votes, known k%d" s')
+            (A.on_receive ~from_:A.Any ~describe:(fmt "votes, known k%d" s') ~act:learn
                ~accept:(fun inst -> function
-                 | Dmsg.Votes vs -> s lor voters cfg inst.registry vs = s'
-                 | _ -> false)
-               ~act:learn ~next:(next s') ()))
+                 | Dmsg.Votes vs -> s lor voters cfg inst.registry vs = s' | _ -> false)
+               ~next:(next s') ()))
       masks
-    @ [ A.on_receive ~from_:A.Any ~describe:"votes, nothing new" ~accept:(fun _ -> is_votes) ~next:stay () ]
+    @ [
+        A.on_receive ~from_:A.Any ~describe:"nothing new" ~next:stay ()
+          ~accept:(fun _ -> function Dmsg.Votes _ | Dmsg.Cb_cert _ -> true | _ -> false);
+      ]
   in
-  let receive k describe accept next =
-    A.on_receive ~from_:(A.One (arc_pid cfg k)) ~describe ~accept:(fun _ -> accept) ~next ()
+  let from_leg k describe m next =
+    A.on_receive ~from_:(A.One (arc_pid cfg k)) ~describe ~next ()
+      ~accept:(fun _ m' -> m' = m)
   in
-  let pre =
-    List.concat_map
-      (fun s ->
-        List.mapi
-          (fun j k ->
-            let last = j = List.length ins - 1 in
-            let notice =
-              receive k "escrowed"
-                (function Dmsg.Escrowed_notice { arc } -> arc = k | _ -> false)
-                (if last then vote_entry s else legs (j + 1) s)
-            in
-            let notice =
-              if last && vote_dsts s = [] then { notice with A.b_act = (fun i c st _ -> observe_vote i c st) }
-              else notice
-            in
-            (legs j s, A.input (notice :: hear s (legs j) (legs j s))))
-          ins)
-      masks
+  let last = List.length ins - 1 in
+  (* the states knowing [s]: waiting for its legs' notices, its vote's
+     sends, then each fate in turn and the sends after learning [s] *)
+  let states s =
+    List.mapi
+      (fun j k ->
+        let next = if j = last then voting s else waiting (j + 1) s in
+        let notice = from_leg k "escrowed" (Dmsg.Escrowed_notice { arc = k }) next in
+        (waiting j s, A.input (notice :: hear s (waiting j) (waiting j s))))
+      ins
+    @ (if ins = [] && s <> me then [] else send (vote s) (cast s) (voted s 0))
+    @ List.concat
+        (List.mapi
+           (fun f (k, fate) ->
+             let grown s' = head (learnt s' f) (gossip s') (voted s' f) in
+             let fate = from_leg k "fate" fate (voted s (f + 1)) in
+             (voted s f, A.input (fate :: hear s grown (voted s f)))
+             :: (if s = me then [] else send (learnt s f) (gossip s) (voted s f)))
+           fates)
   in
-  let votes =
-    List.concat_map
-      (fun s -> A.script (vote_name s) (vote_dsts s) ~first:observe_vote ~next:(voted s 0) message)
-      (if ins = [] then [ 1 lsl p ] else masks)
-  in
-  let post =
-    List.concat_map
-      (fun s ->
-        List.mapi
-          (fun f (k, paid) ->
-            let fate =
-              receive k
-                (if paid then "paid" else "refund")
-                (function
-                  | Dmsg.Paid { arc } -> paid && arc = k
-                  | Dmsg.Refund { arc } -> (not paid) && arc = k
-                  | _ -> false)
-                (voted s (f + 1))
-            in
-            let cert =
-              A.on_receive ~from_:(A.One cb) ~describe:"cb-cert"
-                ~accept:(fun _ -> function Dmsg.Cb_cert _ -> true | _ -> false)
-                ~next:(voted s f) ()
-            in
-            ( voted s f,
-              A.input
-                ((fate :: hear s (fun s' -> head (learn_name s' f) (gossip s') (voted s' f)) (voted s f))
-                @ if cfg.protocol = Cbc then [ cert ] else []) ))
-          fates)
-      masks
-  in
-  let learns =
-    List.concat_map
-      (fun s ->
-        if s = 1 lsl p then []
-        else
-          List.concat
-            (List.mapi
-               (fun f _ -> A.script (learn_name s f) (gossip s) ~next:(voted s f) message)
-               fates))
-      masks
-  in
-  let outcome = if ins = [] then "deal-off" else "deal-done" in
   let deposits = List.map (fun k -> dst (arc_pid cfg k)) outs in
-  let after_deposits = if ins = [] then vote_entry (1 lsl p) else legs 0 (1 lsl p) in
-  A.make ~name:(Printf.sprintf "party%d" p)
-    ~initial:(head "deposit" deposits after_deposits)
+  let funded = if ins = [] then voting me else waiting 0 me in
+  let outcome = if ins = [] then "deal-off" else "deal-done" in
+  let terminated _ ctx _ = E.observe ctx (Dobs.Terminated { pid = p; outcome }) in
+  A.make ~name:(fmt "party%d" p) ~initial:(head "deposit" deposits funded)
     ~nodes:
-      (A.script "deposit" deposits ~next:after_deposits message
-      @ pre @ votes @ post @ learns
-      @ [
-          ( "done",
-            A.final ~act:(fun _ ctx _ -> E.observe ctx (Dobs.Terminated { pid = p; outcome })) () );
-        ])
+      (send "deposit" deposits funded
+      @ List.concat_map states masks
+      @ [ ("done", A.final ~act:terminated ()) ])
     ()
 
 (* --------------------------- escrow per arc --------------------------- *)
@@ -248,137 +207,128 @@ let party cfg p : auto =
    certificate that races ahead of the deposit waits in the pool. *)
 let escrow cfg k (arc : Deal.arc) : auto =
   let payer = arc.Deal.from_ and payee = arc.Deal.to_ and asset = arc.Deal.asset in
-  let self = arc_pid cfg k and cb = cb_pid cfg and timelock = cfg.protocol = Timelock in
-  let reject ctx what = E.observe ctx (Dobs.Rejected { pid = self; what }) in
-  let claim full inst = function
-    | Dmsg.Claim { arc; votes } -> arc = k && (voters cfg inst.registry votes = everyone cfg) = full
-    | _ -> false
-  in
-  let refuse next =
-    A.on_receive ~from_:(A.One payee) ~describe:"claim, votes missing" ~accept:(claim false)
-      ~act:(fun _ ctx _ _ -> reject ctx "incomplete claim")
-      ~next ()
-  in
-  let cert commit inst = function
-    | Dmsg.Cb_cert sv ->
-        sv.Auth.payload.Dmsg.c_commit = commit && Auth.verify_value inst.registry ~ser:Dmsg.ser_cb sv
-    | _ -> false
-  in
+  let cb = cb_pid cfg and timelock = cfg.protocol = Timelock in
+  (* the escrow's book is its own: the payer's whole balance is the one
+     deposit it takes, which it then releases or refunds, once *)
   let deposit (inst : inst) ctx _ _ =
-    match Book.deposit inst.books.(k) ~from_:payer ~amount:asset.Asset.amount with
-    | Ok dep ->
-        inst.deposits.(k) <- dep;
-        E.observe ctx (Dobs.Escrowed { arc = k; party = payer; asset })
-    | Error e -> reject ctx (Fmt.str "deposit: %a" Book.pp_error e)
+    let amount = asset.Asset.amount in
+    inst.deposits.(k) <- Result.get_ok (Book.deposit inst.books.(k) ~from_:payer ~amount);
+    E.observe ctx (Dobs.Escrowed { arc = k; party = payer; asset })
   in
   let settle release (inst : inst) ctx _ =
     let book = inst.books.(k) and dep = inst.deposits.(k) in
-    match if release then Book.release book dep ~to_:payee else Book.refund book dep with
-    | Ok () ->
-        E.observe ctx
-          (if release then Dobs.Paid_out { arc = k; to_ = payee; asset }
-           else Dobs.Refunded { arc = k; to_ = payer; asset })
-    | Error e ->
-        reject ctx (Fmt.str "%s: %a" (if release then "release" else "refund") Book.pp_error e)
+    Result.get_ok
+      (if release then Book.release book dep ~to_:payee else Book.refund book dep);
+    E.observe ctx
+      (if release then Dobs.Paid_out { arc = k; to_ = payee; asset }
+       else Dobs.Refunded { arc = k; to_ = payer; asset })
+  in
+  let claim full inst = function
+    | Dmsg.Claim { arc; votes } ->
+        arc = k && (voters cfg inst.registry votes = everyone cfg) = full
+    | _ -> false
+  in
+  let refuse next =
+    A.on_receive ~from_:(A.One payee) ~describe:"claim, votes missing"
+      ~accept:(claim false)
+      ~act:(fun _ ctx _ _ ->
+        E.observe ctx (Dobs.Rejected { pid = arc_pid cfg k; what = "incomplete claim" }))
+      ~next ()
+  in
+  let cert describe commit next =
+    A.on_receive ~from_:(A.One cb) ~describe ~next ()
+      ~accept:(fun inst -> function
+        | Dmsg.Cb_cert sv ->
+            sv.Auth.payload.Dmsg.c_commit = commit
+            && Auth.verify_value inst.registry ~ser:Dmsg.ser_cb sv
+        | _ -> false)
+  in
+  let tell m _ _ _ = m in
+  let reveal _ _ store =
+    match Anta.Store.data store "claim" with
+    | Dmsg.Claim { votes; _ } -> Dmsg.Votes votes
+    | m -> m
   in
   let await =
     if timelock then
       [
-        A.on_deadline ~timer:"timelock" ~base:"d" ~offset:(claim_window cfg) ~next:"refund" ();
-        A.on_receive ~from_:(A.One payee) ~describe:"claim, every vote" ~accept:(claim true)
-          ~save_msg:"claim" ~next:"pay" ();
+        A.on_deadline ~timer:"timelock" ~base:"d" ~offset:(claim_window cfg)
+          ~next:"refund" ();
+        A.on_receive ~from_:(A.One payee) ~describe:"claim, every vote"
+          ~accept:(claim true) ~save_msg:"claim" ~next:"pay" ();
         refuse "await";
       ]
-    else
-      [
-        A.on_receive ~from_:(A.One cb) ~describe:"cb-commit" ~accept:(cert true) ~next:"pay" ();
-        A.on_receive ~from_:(A.One cb) ~describe:"cb-abort" ~accept:(cert false) ~next:"refund" ();
-      ]
+    else [ cert "cb-commit" true "pay"; cert "cb-abort" false "refund" ]
   in
-  let reveal _ _ store =
-    match Anta.Store.data store "claim" with Dmsg.Claim { votes; _ } -> Dmsg.Votes votes | m -> m
+  let deposited =
+    A.on_receive ~from_:(A.One payer) ~describe:"deposit" ~save_now:[ "d" ] ~act:deposit
+      ~accept:(fun _ m -> m = Dmsg.Deposit { arc = k })
+      ~next:"notify0" ()
   in
-  A.make ~name:(Printf.sprintf "escrow%d" k) ~initial:"await_deposit"
+  let funded = deposited :: (if timelock then [ refuse "await_deposit" ] else []) in
+  A.make ~name:(fmt "escrow%d" k) ~initial:"await_deposit"
     ~nodes:
-      (( "await_deposit",
-         A.input
-           (A.on_receive ~from_:(A.One payer) ~describe:"deposit"
-              ~accept:(fun _ -> function Dmsg.Deposit { arc } -> arc = k | _ -> false)
-              ~save_now:[ "d" ] ~act:deposit ~next:"notify0" ()
-           :: (if timelock then [ refuse "await_deposit" ] else [])) )
-      :: A.script "notify"
-           (dst payee :: (if timelock then [] else [ dst cb ]))
-           ~next:"await"
-           (fun _ _ _ _ -> Dmsg.Escrowed_notice { arc = k })
+      ((("await_deposit", A.input funded)
+        :: A.script "notify"
+             (dst payee :: (if timelock then [] else [ dst cb ]))
+             ~next:"await"
+             (fun _ -> tell (Dmsg.Escrowed_notice { arc = k })))
       @ [
           ("await", A.input await);
           ( "pay",
-            A.output ~to_:payee ~act:(settle true)
-              ~message:(fun _ _ _ -> Dmsg.Paid { arc = k })
+            A.output ~to_:payee ~act:(settle true) ~message:(tell (Dmsg.Paid { arc = k }))
               ~next:(if timelock then "reveal" else "released")
               () );
           ( "refund",
             A.output ~to_:payer ~act:(settle false)
-              ~message:(fun _ _ _ -> Dmsg.Refund { arc = k })
+              ~message:(tell (Dmsg.Refund { arc = k }))
               ~next:"refunded" () );
           ("released", A.final ());
           ("refunded", A.final ());
         ]
-      @ if timelock then [ ("reveal", A.output ~to_:payer ~message:reveal ~next:"released" ()) ] else [])
+      @
+      if timelock then
+        [ ("reveal", A.output ~to_:payer ~message:reveal ~next:"released" ()) ]
+      else [])
     ()
 
 (* ------------------------ certified blockchain ------------------------ *)
 
-(* The certifier takes every party's valid vote, then every leg's escrow
+(* The certifier hears every party's valid vote, then every leg's escrow
    notice, in pid order (early ones wait in the pool), and certifies
    commit when the last is in; abort if its patience, counted from its
    birth, runs out first. The certificate goes to every party, then to
    every escrow. *)
 let certifier cfg : auto =
-  let np = Deal.parties cfg.deal and m = Deal.arc_count cfg.deal in
+  let np = Deal.parties cfg.deal and n = cb_pid cfg in
   let decide commit inst ctx store _ =
     E.observe ctx (Dobs.Cb_decided { commit });
-    let signer = Auth.signer_of inst.registry (cb_pid cfg) in
-    Anta.Store.set_data store "cert"
-      (Dmsg.Cb_cert
-         (Auth.sign_value signer ~ser:Dmsg.ser_cb { Dmsg.c_deal = deal_id; c_commit = commit }))
+    let body = { Dmsg.c_deal = deal_id; c_commit = commit } in
+    let signed = Auth.sign_value (Auth.signer_of inst.registry n) ~ser:Dmsg.ser_cb body in
+    Anta.Store.set_data store "cert" (Dmsg.Cb_cert signed)
   in
-  let waits =
-    List.init np (fun q ->
-        ( q,
-          "vote",
-          fun inst -> function
-            | Dmsg.Cb_vote sv -> sv.Auth.author = q && vote_ok cfg inst.registry sv
-            | _ -> false ))
-    @ List.init m (fun k ->
-          ( arc_pid cfg k,
-            "escrowed",
-            fun _ -> function Dmsg.Escrowed_notice { arc } -> arc = k | _ -> false ))
-  in
-  let collect i = Printf.sprintf "collect%d" i in
   let patience =
     A.on_deadline ~timer:"cb-patience" ~base:"born" ~offset:cfg.cb_patience
       ~act:(decide false) ~next:"announce0" ()
   in
+  (* [collect<i>] hears pid i *)
+  let collect i = if i = n then "announce0" else fmt "collect%d" i in
+  let hear i =
+    if i < np then
+      A.on_receive ~from_:(A.One i) ~describe:"vote" ~accept:(fun inst -> function
+        | Dmsg.Cb_vote sv -> voters cfg inst.registry [ sv ] = 1 lsl i
+        | _ -> false)
+    else
+      A.on_receive ~from_:(A.One i) ~describe:"escrowed" ~accept:(fun _ m ->
+          m = Dmsg.Escrowed_notice { arc = i - np })
+  in
+  let cert _ _ _ store = Anta.Store.data store "cert" in
   A.make ~name:"certifier" ~born:[ "born" ] ~initial:(collect 0)
     ~nodes:
-      (List.mapi
-         (fun i (from_, describe, accept) ->
-           let last = i = List.length waits - 1 in
-           ( collect i,
-             A.input
-               [
-                 A.on_receive ~from_:(A.One from_) ~describe ~accept
-                   ?act:(if last then Some (decide true) else None)
-                   ~next:(if last then "announce0" else collect (i + 1))
-                   ();
-                 patience;
-               ] ))
-         waits
-      @ A.script "announce"
-          (List.init (np + m) dst)
-          ~next:"decided"
-          (fun _ _ _ store -> Anta.Store.data store "cert")
+      (List.init n (fun i ->
+           let act = if i = n - 1 then Some (decide true) else None in
+           (collect i, A.input [ hear i ?act ~next:(collect (i + 1)) (); patience ]))
+      @ A.script "announce" (List.init n dst) ~next:"decided" cert
       @ [ ("decided", A.final ()) ])
     ()
 
@@ -388,10 +338,10 @@ let template cfg =
     invalid_arg "Deal_runner.run: compliant array size mismatch";
   let tmpl =
     Array.init
-      (np + Array.length arcs + if cfg.protocol = Cbc then 1 else 0)
+      (cb_pid cfg + if cfg.protocol = Cbc then 1 else 0)
       (fun pid ->
         if pid < np then party cfg pid
-        else if pid - np < Array.length arcs then escrow cfg (pid - np) arcs.(pid - np)
+        else if pid < cb_pid cfg then escrow cfg (pid - np) arcs.(pid - np)
         else certifier cfg)
   in
   match Anta.Network_check.well_formed tmpl with
@@ -405,26 +355,26 @@ let instance cfg =
         Auth.sign_value (Auth.register registry q) ~ser:Dmsg.ser_vote
           { Dmsg.v_party = q; v_deal = deal_id })
   in
-  let book k (a : Deal.arc) =
+  let book (k, (a : Deal.arc)) =
     let book = Book.create ~currency:a.Deal.asset.Asset.currency in
     Book.open_account book ~owner:a.Deal.from_ ~balance:a.Deal.asset.Asset.amount;
     Book.open_account book ~owner:a.Deal.to_ ~balance:0;
     Book.open_account book ~owner:(arc_pid cfg k) ~balance:0;
     book
   in
+  let holding (v : vote) =
+    let t = Hashtbl.create 8 in
+    Hashtbl.add t v.Auth.author v;
+    t
+  in
   {
-    books = Array.of_list (List.map (fun (k, a) -> book k a) (indexed_arcs cfg));
+    books = Array.of_list (List.map book (indexed_arcs cfg));
     deposits = Array.make (Deal.arc_count cfg.deal) (-1);
     registry;
     votes;
-    known =
-      Array.map
-        (fun (v : vote) ->
-          let t = Hashtbl.create 8 in
-          Hashtbl.add t v.Auth.author v;
-          t)
-        votes;
+    known = Array.map holding votes;
   }
+
 (* ----------------------------- telemetry ------------------------------- *)
 
 let protocol_label = function Timelock -> "timelock" | Cbc -> "cbc"
@@ -433,91 +383,60 @@ let protocol_label = function Timelock -> "timelock" | Cbc -> "cbc"
    one child per party carrying its termination status, plus the per-arc
    settlement spans (escrow -> paid/refunded). *)
 let emit_telemetry (o : outcome) =
-  let reg = Obsv.Metrics.default in
-  let cfg = o.config in
+  let reg = Obsv.Metrics.default and cfg = o.config in
   let labels = [ ("protocol", protocol_label cfg.protocol) ] in
-  let obs = Trace.observations o.trace in
-  let arcs_total = Deal.arc_count cfg.deal in
-  let paid_arcs =
-    List.length
-      (List.filter (fun (_, _, e) -> match e with Dobs.Paid_out _ -> true | _ -> false) obs)
+  let obs = Trace.observations o.trace and arcs = Deal.arc_count cfg.deal in
+  let paid =
+    List.length (List.filter (function _, _, Dobs.Paid_out _ -> true | _ -> false) obs)
   in
-  let status =
-    if paid_arcs = arcs_total then "commit"
-    else if paid_arcs = 0 then "abort"
-    else "mixed"
-  in
+  let status = if paid = arcs then "commit" else if paid = 0 then "abort" else "mixed" in
   Obsv.Metrics.inc
-    (Obsv.Metrics.counter reg ~help:"Deals started" ~labels
-       "xchain_deals_started_total");
+    (Obsv.Metrics.counter reg ~help:"Deals started" ~labels "xchain_deals_started_total");
   Obsv.Metrics.inc
     (Obsv.Metrics.counter reg ~help:"Deals settled, by final status"
        ~labels:(("status", status) :: labels)
        "xchain_deals_settled_total");
   Obsv.Metrics.observe
-    (Obsv.Metrics.histogram reg ~labels
-       ~help:"Deal wall-clock, init to quiescence, ticks" "xchain_deal_latency")
+    (Obsv.Metrics.histogram reg ~labels ~help:"Deal wall-clock, init to quiescence, ticks"
+       "xchain_deal_latency")
     o.end_time;
   let spans = Obsv.Span.default in
   if Obsv.Span.capture spans then begin
-    let root =
-      Obsv.Span.start spans ~name:"deal"
-        ~attrs:
-          [
-            ("protocol", protocol_label cfg.protocol);
-            ("parties", string_of_int (Deal.parties cfg.deal));
-            ("arcs", string_of_int arcs_total);
-            ("seed", string_of_int cfg.seed);
-          ]
-        ~at:0 ()
+    let attrs =
+      [
+        ("protocol", protocol_label cfg.protocol);
+        ("parties", string_of_int (Deal.parties cfg.deal));
+        ("arcs", string_of_int arcs);
+        ("seed", string_of_int cfg.seed);
+      ]
     in
-    (* per-party children, closed by their Terminated observation *)
+    let root = Obsv.Span.start spans ~name:"deal" ~attrs ~at:0 () in
+    (* a child from [at], closed by the first observation [closes] names a
+       status for, or else [open_] at the end *)
+    let child name ~at ~open_ closes =
+      let span = Obsv.Span.start spans ~parent:root ~name ~at () in
+      let closing (t, _, e) = Option.map (fun s -> (t, s)) (closes e) in
+      match List.find_map closing obs with
+      | Some (t, status) -> Obsv.Span.finish ~status ~at:t span
+      | None -> Obsv.Span.finish ~status:open_ ~at:o.end_time span
+    in
     for p = 0 to Deal.parties cfg.deal - 1 do
-      let pspan =
-        Obsv.Span.start spans ~parent:root
-          ~name:(Printf.sprintf "party:%d" p)
-          ~at:0 ()
-      in
-      match
-        List.find_opt
-          (fun (_, pid, e) ->
-            pid = p
-            && match e with Dobs.Terminated _ -> true | _ -> false)
-          obs
-      with
-      | Some (t, _, Dobs.Terminated { outcome; _ }) ->
-          Obsv.Span.finish ~status:outcome ~at:t pspan
-      | _ -> Obsv.Span.finish ~status:"running" ~at:o.end_time pspan
+      child (fmt "party:%d" p) ~at:0 ~open_:"running" (function
+        | Dobs.Terminated { pid; outcome } when pid = p -> Some outcome
+        | _ -> None)
     done;
-    (* per-arc settlement: escrow observation opens, pay/refund closes *)
-    List.iter
-      (fun (k, _) ->
-        let find f = List.find_opt (fun (_, _, e) -> f e) obs in
-        let escrowed =
-          find (function Dobs.Escrowed { arc; _ } -> arc = k | _ -> false)
-        in
-        match escrowed with
-        | None -> ()
-        | Some (t0, _, _) ->
-            let closed =
-              find (function
-                | Dobs.Paid_out { arc; _ } | Dobs.Refunded { arc; _ } -> arc = k
-                | _ -> false)
-            in
-            let aspan =
-              Obsv.Span.start spans ~parent:root
-                ~name:(Printf.sprintf "arc:%d" k)
-                ~at:t0 ()
-            in
-            (match closed with
-            | Some (t1, _, Dobs.Paid_out _) ->
-                Obsv.Span.finish ~status:"paid" ~at:t1 aspan
-            | Some (t1, _, _) -> Obsv.Span.finish ~status:"refunded" ~at:t1 aspan
-            | None -> Obsv.Span.finish ~status:"held" ~at:o.end_time aspan))
-      (indexed_arcs cfg);
+    for k = 0 to arcs - 1 do
+      let escrowed = function _, _, Dobs.Escrowed { arc; _ } -> arc = k | _ -> false in
+      match List.find_opt escrowed obs with
+      | None -> ()
+      | Some (t0, _, _) ->
+          child (fmt "arc:%d" k) ~at:t0 ~open_:"held" (function
+            | Dobs.Paid_out { arc; _ } when arc = k -> Some "paid"
+            | Dobs.Refunded { arc; _ } when arc = k -> Some "refunded"
+            | _ -> None)
+    done;
     Obsv.Span.finish ~status ~at:o.end_time root
   end
-
 
 let execute cfg tmpl =
   let inst = instance cfg in
@@ -531,14 +450,13 @@ let execute cfg tmpl =
   let clock_rng = Rng.create ~seed:(cfg.seed + 23) in
   Array.iteri
     (fun pid _ ->
-      ignore
-        (E.add_process engine
-           ~clock:(Clock.random clock_rng ~drift_ppm:cfg.drift_ppm)
-           (Anta.Executor.instantiate tmpl inst pid)))
+      let clock = Clock.random clock_rng ~drift_ppm:cfg.drift_ppm in
+      ignore (E.add_process engine ~clock (Anta.Executor.instantiate tmpl inst pid)))
     tmpl;
   let status = E.run ~max_events:cfg.max_events engine in
   let trace = E.trace engine in
   let honest = lazy (template cfg) in
+  let replay pid = Anta.Conformance.check (Lazy.force honest).(pid) inst ~pid in
   let o =
     {
       config = cfg;
@@ -547,50 +465,40 @@ let execute cfg tmpl =
       books = inst.books;
       end_time = E.now engine;
       message_count = Trace.message_count trace;
-      conformance =
-        (fun pid ->
-          Anta.Conformance.check (Lazy.force honest).(pid) inst ~pid ~tag_of:Dmsg.tag trace);
+      conformance = (fun pid -> replay pid ~tag_of:Dmsg.tag trace);
     }
   in
   emit_telemetry o;
   o
 
 let run cfg =
-  let tmpl = template cfg in
-  execute cfg
-    (Array.mapi
-       (fun pid auto ->
-         if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
-           A.rebuild auto ~initial:A.stall
-         else auto)
-       tmpl)
+  let stall pid auto =
+    if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
+      A.rebuild auto ~initial:A.stall
+    else auto
+  in
+  execute cfg (Array.mapi stall (template cfg))
 
-let events outcome = Trace.observations outcome.trace
-
-let gained outcome party =
+(* the assets paid out on the arcs [f arc payee] selects *)
+let paid_out outcome f =
   List.fold_left
     (fun acc (_, _, o) ->
       match o with
-      | Dobs.Paid_out { to_; asset; _ } when to_ = party -> Asset.Bag.add acc asset
+      | Dobs.Paid_out { arc; to_; asset } when f arc to_ -> Asset.Bag.add acc asset
       | _ -> acc)
-    Asset.Bag.empty (events outcome)
+    Asset.Bag.empty
+    (Trace.observations outcome.trace)
+
+let gained outcome party = paid_out outcome (fun _ to_ -> to_ = party)
 
 let lost outcome party =
-  let cfg = outcome.config in
-  List.fold_left
-    (fun acc (_, _, o) ->
-      match o with
-      | Dobs.Paid_out { arc; asset; _ } ->
-          let a = List.nth (Deal.arcs cfg.deal) arc in
-          if a.Deal.from_ = party then Asset.Bag.add acc asset else acc
-      | _ -> acc)
-    Asset.Bag.empty (events outcome)
+  let arcs = Array.of_list (Deal.arcs outcome.config.deal) in
+  paid_out outcome (fun arc _ -> arcs.(arc).Deal.from_ = party)
 
 let escrowed_forever outcome =
-  let cfg = outcome.config in
   List.filter_map
     (fun (k, (a : Deal.arc)) ->
       match Book.deposit_status outcome.books.(k) 0 with
       | Some Book.Held -> Some (k, a.Deal.from_)
       | _ -> None)
-    (indexed_arcs cfg)
+    (indexed_arcs outcome.config)

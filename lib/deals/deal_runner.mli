@@ -43,12 +43,10 @@ type inst = {
   deposits : int array;  (** per arc: its deposit, or [-1] *)
   registry : Xcrypto.Auth.registry;
   votes : vote array;  (** each party's vote, signed once per run *)
-  known : (int, vote) Hashtbl.t array;
-      (** per party, by author: the votes it holds, its own included *)
+  known : (int, vote) Hashtbl.t array;  (** per party, by author, its own included *)
 }
-(** A run's instance: every guard, act and message of the templates reads
-    it. Guards read only the registry and the message, so the
-    conformance replay after the run makes the executor's choices. *)
+(** A run's instance. The templates' guards read only its registry, so
+    the conformance replay after a run makes the executor's choices. *)
 
 type auto = (inst, Dmsg.t, Dobs.t) Anta.Automaton.t
 
@@ -64,32 +62,27 @@ type outcome = {
 }
 
 val template : config -> auto array
-(** Every pid's honest automaton, built from the deal and the protocol:
-    the pid layout and the deadlines are its constants. Raises
-    [Invalid_argument] if the network fails C's structural clause
+(** Every pid's honest automaton; the pid layout and the deadlines are its
+    constants. Raises [Invalid_argument] if [compliant] does not have one
+    entry per party or the network fails C's structural clause
     ({!Anta.Network_check.well_formed}).
 
     Party [p]'s states say what it knows, as the mask [S] of the parties
-    whose valid votes it holds (bit [q] for party [q], its own always
-    set): [deposit<i>] fund its outgoing legs; [legs<j>.k<S>] await the
-    notice of its [j]-th incoming leg, with the notice branch first; the
-    [vote.k<S>.<i>] sends cast its vote, the first of them observing it
-    (else the last notice branch does); [voted.k<S>.f<F>] await the fate
-    of its [F]-th leg; the [learn.k<S>.f<F>.<i>] sends gossip what it
-    has learnt, claiming once [S] is everyone under the timelock; [done]
-    is final. Raises [Invalid_argument] if [compliant] does not have one
-    entry per party. *)
+    whose valid votes it holds (bit [q] for party [q]): the [deposit<i>]
+    sends; [legs<j>.k<S>], awaiting its [j]-th incoming leg's notice, in
+    the first branch; the [vote.k<S>.<i>] sends; [voted.k<S>.f<F>],
+    awaiting the fate of its [F]-th leg; the [learn.k<S>.f<F>.<i>] sends;
+    the final [done]. *)
 
 val known : inst -> Deal.party -> vote list
 (** The votes the party holds, as its gossip and claims carry them. *)
 
 val execute : config -> auto array -> outcome
 (** [execute cfg autos] runs pid [q] as [autos.(q)], honest or an edit of
-    the honest automaton, which [conformance] replays. *)
+    its honest automaton. *)
 
 val run : config -> outcome
-(** {!execute} of the {!template}, where a non-compliant party stalls at
-    birth. *)
+(** {!execute} of the {!template}, where a non-compliant party stalls. *)
 
 val claim_window : config -> Sim.Sim_time.t
 (** The (uniform) timelock each leg's escrow applies from its deposit. *)

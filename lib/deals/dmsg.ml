@@ -36,11 +36,3 @@ let ser_vote (v : vote_body) =
 
 let ser_cb (c : cb_body) =
   String.concat "|" [ "dcb"; string_of_int c.c_deal; string_of_bool c.c_commit ]
-
-let pp ppf m =
-  match m with
-  | Votes vs -> Fmt.pf ppf "votes{%d}" (List.length vs)
-  | Claim { arc; votes } -> Fmt.pf ppf "claim(arc %d, %d votes)" arc (List.length votes)
-  | Cb_cert sv ->
-      Fmt.pf ppf "cb-%s" (if sv.Xcrypto.Auth.payload.c_commit then "commit" else "abort")
-  | m -> Fmt.string ppf (tag m)

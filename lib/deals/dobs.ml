@@ -4,20 +4,6 @@ type t =
   | Escrowed of { arc : int; party : int; asset : Ledger.Asset.t }
   | Paid_out of { arc : int; to_ : int; asset : Ledger.Asset.t }
   | Refunded of { arc : int; to_ : int; asset : Ledger.Asset.t }
-  | Voted of { party : int }
   | Cb_decided of { commit : bool }
   | Terminated of { pid : int; outcome : string }
   | Rejected of { pid : int; what : string }
-
-let pp ppf = function
-  | Escrowed { arc; party; asset } ->
-      Fmt.pf ppf "escrowed(arc %d, by %d, %a)" arc party Ledger.Asset.pp asset
-  | Paid_out { arc; to_; asset } ->
-      Fmt.pf ppf "paid(arc %d -> %d, %a)" arc to_ Ledger.Asset.pp asset
-  | Refunded { arc; to_; asset } ->
-      Fmt.pf ppf "refunded(arc %d -> %d, %a)" arc to_ Ledger.Asset.pp asset
-  | Voted { party } -> Fmt.pf ppf "voted(%d)" party
-  | Cb_decided { commit } ->
-      Fmt.pf ppf "cb-decided(%s)" (if commit then "commit" else "abort")
-  | Terminated { pid; outcome } -> Fmt.pf ppf "terminated(%d, %s)" pid outcome
-  | Rejected { pid; what } -> Fmt.pf ppf "rejected(%d, %s)" pid what
