@@ -18,14 +18,9 @@ let name = function
   | Vote_hoarder -> "vote-hoarder"
   | Lazy_claim -> "lazy-claim"
 
-(* the escrows of party [p]'s incoming (or outgoing) legs, as destinations *)
-let escrows (cfg : R.config) p ~incoming =
-  List.concat
-    (List.mapi
-       (fun k (a : Deal.arc) ->
-         let ends = if incoming then a.Deal.to_ else a.Deal.from_ in
-         if ends = p then [ (Deal.parties cfg.R.deal + k, false) ] else [])
-       (Deal.arcs cfg.R.deal))
+(* the escrows of party [p]'s outgoing (or incoming) legs, as destinations *)
+let escrows (cfg : R.config) p ~out =
+  List.map (fun k -> (Deal.parties cfg.R.deal + k, false)) (R.legs cfg ~out p)
 
 let head name dsts next = if dsts = [] then next else name ^ "0"
 
@@ -35,7 +30,7 @@ let head name dsts next = if dsts = [] then next else name ^ "0"
    timelock window, if it holds a vote from everyone by then. Its guards
    read the votes it keeps: no replay runs a deviant's own automaton. *)
 let lazy_claim (cfg : R.config) p auto =
-  let np = Deal.parties cfg.R.deal and claims = escrows cfg p ~incoming:true in
+  let np = Deal.parties cfg.R.deal and claims = escrows cfg p ~out:false in
   let cb = np + Deal.arc_count cfg.R.deal and all = (1 lsl np) - 1 in
   let succs = List.map (fun q -> (q, false)) (Deal.successors cfg.R.deal p) in
   let cast = succs @ if cfg.R.protocol = R.Cbc then [ (cb, false) ] else [] in
@@ -92,7 +87,7 @@ let lazy_claim (cfg : R.config) p auto =
         [ (st, A.input ({ notice with A.next; save_now = [ "voted" ] } :: rest)) ]
     | _ -> []
   in
-  let funds = escrows cfg p ~incoming:false in
+  let funds = escrows cfg p ~out:true in
   let deposits = A.outputs auto (A.state_name auto (A.initial_index auto)) in
   match List.rev (List.filter (fun (_, d) -> List.mem d funds) deposits) with
   | _ when claims <> [] ->
@@ -105,7 +100,7 @@ let lazy_claim (cfg : R.config) p auto =
 (* [edit cfg p t auto]: the deviant [t] makes of party [p]'s honest
    automaton [auto], or [None] where the edit does not find its states *)
 let edit (cfg : R.config) p t auto =
-  let np = Deal.parties cfg.R.deal and claims = escrows cfg p ~incoming:true in
+  let np = Deal.parties cfg.R.deal and claims = escrows cfg p ~out:false in
   let claim st =
     match A.node auto st with
     | Some (A.Output { to_; absolute; _ }) -> List.mem (to_, absolute) claims
@@ -145,22 +140,21 @@ let edit (cfg : R.config) p t auto =
   | Lazy_claim -> Some (lazy_claim cfg p auto)
 
 let run_with_faults (cfg : R.config) ~faults =
-  let np = Deal.parties cfg.R.deal in
-  let compliant = Array.copy cfg.R.compliant in
   let fail fmt = Printf.ksprintf invalid_arg fmt in
-  List.iter
-    (fun (p, _) ->
-      if p < 0 || p >= np then
-        fail "Deal_byzantine.run_with_faults: party %d is not in the deal" p;
-      compliant.(p) <- false)
-    faults;
   let deviant pid auto =
     match List.assoc_opt pid faults with
+    | None -> auto
     | Some t -> (
         match edit cfg pid t auto with
         | Some edited -> edited
         | None -> fail "Deal_byzantine: %s does not fit party %d" (name t) pid)
-    | None when pid < np && not cfg.R.compliant.(pid) -> A.rebuild auto ~initial:A.stall
-    | None -> auto
   in
-  R.execute { cfg with R.compliant } (Array.mapi deviant (R.template cfg))
+  List.iter
+    (fun (p, _) ->
+      if p < 0 || p >= Deal.parties cfg.R.deal then
+        fail "Deal_byzantine.run_with_faults: party %d is not in the deal" p)
+    faults;
+  let o = R.execute cfg (Array.mapi deviant (R.template cfg)) in
+  let honest p c = c && not (List.mem_assoc p faults) in
+  let compliant = Array.mapi honest cfg.R.compliant in
+  { o with R.config = { cfg with R.compliant } }

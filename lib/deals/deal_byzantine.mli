@@ -2,37 +2,27 @@
 
     HLS's Safety property is per-party unconditional: "for {e every}
     protocol execution, every compliant party ends up with an acceptable
-    payoff" — no matter what the other parties do. These strategies
-    exercise that claim beyond silence (which {!Deal_runner}'s [compliant]
-    array models). Each is an {e edit} of the party's honest automaton in
-    the run's {!Deal_runner.template}, built with {!Anta.Automaton.rebuild}
-    and ending, where it ends, in the {!Anta.Automaton.stall}:
-
-    - {!Freeloader}: starts at its vote, so it never escrows its outgoing
-      legs nor waits for its incoming ones, hoping to collect them free;
-    - {!Forged_votes}: first claims its incoming legs with a vote set of
-      forged signatures;
-    - {!Premature_claim}: first sends the honest claims, holding only its
-      own vote;
-    - {!Double_claim}: sends every claim twice (exercises the ledger's
-      single-resolution guarantee);
-    - {!Vote_hoarder}: every state after its vote stalls, so it never
-      passes on a vote it learns later — a liveness attack that must not
-      become a safety one: the on-chain reveal of claimed proofs routes
-      around it in well-formed deals;
-    - {!Lazy_claim}: honest up to its vote, then it claims only at the
-      last moment of the timelock window. In a strongly connected deal
-      this hurts nobody; in the broker DAG it defeats the reveal cascade
-      and breaks Safety for the compliant broker — the sharp edge of HLS's
-      well-formedness hypothesis. *)
+    payoff". These strategies exercise that claim beyond silence (the
+    [compliant] array). Each is an {e edit} of the party's honest
+    automaton ({!Anta.Automaton.rebuild}), ending, if it ends, in a
+    stall. *)
 
 type t =
   | Freeloader
-  | Forged_votes
-  | Premature_claim
-  | Double_claim
+      (** starts at its vote: it never escrows its outgoing legs nor waits
+          for its incoming ones, hoping to collect them free *)
+  | Forged_votes  (** first claims its incoming legs with forged votes *)
+  | Premature_claim  (** first sends the honest claims, holding its own vote *)
+  | Double_claim  (** sends every claim twice: the ledger settles once *)
   | Vote_hoarder
+      (** every state after its vote stalls: a liveness attack that must
+          not become a safety one, as the on-chain reveal of claimed votes
+          routes around it in well-formed deals *)
   | Lazy_claim
+      (** honest up to its vote, then it claims only at the last moment of
+          the timelock window: harmless in a strongly connected deal, it
+          defeats the broker DAG's reveal cascade and breaks Safety for the
+          compliant broker — the edge of HLS's hypothesis *)
 
 val name : t -> string
 

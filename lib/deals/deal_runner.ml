@@ -52,7 +52,6 @@ type outcome = {
   trace : (Dmsg.t, Dobs.t) Trace.t;
   books : Book.t array;
   end_time : Sim_time.t;
-  message_count : int;
   conformance : int -> (unit, Anta.Conformance.deviation) result;
 }
 
@@ -63,6 +62,9 @@ let fmt = Printf.sprintf
 let arc_pid cfg k = Deal.parties cfg.deal + k
 let cb_pid cfg = Deal.parties cfg.deal + Deal.arc_count cfg.deal
 let indexed_arcs cfg = List.mapi (fun k a -> (k, a)) (Deal.arcs cfg.deal)
+let legs cfg ~out p =
+  let ends (a : Deal.arc) = if out then a.Deal.from_ else a.Deal.to_ in
+  List.filter_map (fun (k, a) -> if ends a = p then Some k else None) (indexed_arcs cfg)
 let everyone cfg = (1 lsl Deal.parties cfg.deal) - 1
 
 (* the parties with a valid vote among [votes], as a bit mask *)
@@ -95,31 +97,24 @@ let head name dsts next = if dsts = [] then next else name ^ "0"
 (* ------------------------------ parties ------------------------------ *)
 
 (* Party p, in the states the interface names. HLS phase order: it votes
-   once every incoming leg is escrowed, since voting earlier lets a
-   freeloader collect transfers it never funded. A Votes message that
-   grows what it knows moves it on; after its vote, the sends gossip what
-   it knows to its successors and, under the timelock, claim every
-   incoming leg once it knows everyone's vote. The fates come in a fixed
-   order, early ones waiting in the pool: the refund of each outgoing
-   leg, then the payout of each incoming one. *)
+   once every incoming leg is escrowed (earlier, a freeloader could collect
+   legs it never funded). After its vote it gossips what it knows to its
+   successors whenever that grows and, under the timelock, claims its
+   incoming legs once it knows every vote. It takes its legs' fates in a
+   fixed order: each outgoing leg's refund, then each incoming payout. *)
 let party cfg p : auto =
   let np = Deal.parties cfg.deal and all = everyone cfg and cb = cb_pid cfg in
   let me = 1 lsl p in
-  let legs f =
-    List.filter_map (fun (k, a) -> if f a then Some k else None) (indexed_arcs cfg)
-  in
-  let outs = legs (fun a -> a.Deal.from_ = p) and ins = legs (fun a -> a.Deal.to_ = p) in
+  let outs = legs cfg ~out:true p and ins = legs cfg ~out:false p in
   let fates =
     List.map (fun k -> (k, Dmsg.Refund { arc = k })) outs
     @ List.map (fun k -> (k, Dmsg.Paid { arc = k })) ins
   in
   let masks = List.filter (fun s -> s land me <> 0) (List.init (all + 1) Fun.id) in
-  let gossip s =
-    List.map dst (Deal.successors cfg.deal p)
-    @
-    if cfg.protocol = Timelock && s = all then List.map (fun k -> dst (arc_pid cfg k)) ins
-    else []
-  in
+  let claims = List.map (fun k -> dst (arc_pid cfg k)) ins in
+  let full s = cfg.protocol = Timelock && s = all in
+  let succs = List.map dst (Deal.successors cfg.deal p) in
+  let gossip s = succs @ if full s then claims else [] in
   let cast s = if cfg.protocol = Cbc then [ dst cb ] else gossip s in
   (* what it sends follows from where it goes *)
   let message to_ inst _ _ =
@@ -145,16 +140,13 @@ let party cfg p : auto =
   (* a branch per mask a Votes message may grow [s] to, then one for a
      message that adds nothing (a certificate included) *)
   let hear s next stay =
-    List.filter_map
+    List.map
       (fun s' ->
-        if s' = s || s' land s <> s then None
-        else
-          Some
-            (A.on_receive ~from_:A.Any ~describe:(fmt "votes, known k%d" s') ~act:learn
-               ~accept:(fun inst -> function
-                 | Dmsg.Votes vs -> s lor voters cfg inst.registry vs = s' | _ -> false)
-               ~next:(next s') ()))
-      masks
+        A.on_receive ~from_:A.Any ~describe:(fmt "votes, known k%d" s') ~act:learn
+          ~accept:(fun inst -> function
+            | Dmsg.Votes vs -> s lor voters cfg inst.registry vs = s' | _ -> false)
+          ~next:(next s') ())
+      (List.filter (fun s' -> s' <> s && s' land s = s) masks)
     @ [
         A.on_receive ~from_:A.Any ~describe:"nothing new" ~next:stay ()
           ~accept:(fun _ -> function Dmsg.Votes _ | Dmsg.Cb_cert _ -> true | _ -> false);
@@ -200,11 +192,10 @@ let party cfg p : auto =
 (* The escrow of arc k takes the payer's deposit and tells the payee (and
    the certifier, under CBC) that the leg is funded. Under the timelock it
    then pays the payee against a claim holding every party's valid vote,
-   and reveals those votes to the payer (HLS: the claiming transaction
-   makes its proofs public, which is what makes a vote hoarder harmless),
-   or refunds the payer when the timelock runs out; an incomplete claim is
-   refused in place. Under CBC the certificate decides. A claim or a
-   certificate that races ahead of the deposit waits in the pool. *)
+   revealing those votes to the payer (HLS: the claim makes its proofs
+   public, which makes a vote hoarder harmless), refuses an incomplete
+   claim, or refunds the payer when the timelock runs out. Under CBC the
+   certificate decides. Early claims and certificates wait in the pool. *)
 let escrow cfg k (arc : Deal.arc) : auto =
   let payer = arc.Deal.from_ and payee = arc.Deal.to_ and asset = arc.Deal.asset in
   let cb = cb_pid cfg and timelock = cfg.protocol = Timelock in
@@ -228,12 +219,8 @@ let escrow cfg k (arc : Deal.arc) : auto =
         arc = k && (voters cfg inst.registry votes = everyone cfg) = full
     | _ -> false
   in
-  let refuse next =
-    A.on_receive ~from_:(A.One payee) ~describe:"claim, votes missing"
-      ~accept:(claim false)
-      ~act:(fun _ ctx _ _ ->
-        E.observe ctx (Dobs.Rejected { pid = arc_pid cfg k; what = "incomplete claim" }))
-      ~next ()
+  let refused _ ctx _ _ =
+    E.observe ctx (Dobs.Rejected { pid = arc_pid cfg k; what = "incomplete claim" })
   in
   let cert describe commit next =
     A.on_receive ~from_:(A.One cb) ~describe ~next ()
@@ -243,62 +230,50 @@ let escrow cfg k (arc : Deal.arc) : auto =
             && Auth.verify_value inst.registry ~ser:Dmsg.ser_cb sv
         | _ -> false)
   in
-  let tell m _ _ _ = m in
-  let reveal _ _ store =
-    match Anta.Store.data store "claim" with
-    | Dmsg.Claim { votes; _ } -> Dmsg.Votes votes
-    | m -> m
-  in
   let await =
     if timelock then
       [
         A.on_deadline ~timer:"timelock" ~base:"d" ~offset:(claim_window cfg)
-          ~next:"refund" ();
+          ~next:"refund0" ();
         A.on_receive ~from_:(A.One payee) ~describe:"claim, every vote"
-          ~accept:(claim true) ~save_msg:"claim" ~next:"pay" ();
-        refuse "await";
+          ~accept:(claim true) ~save_msg:"claim" ~next:"pay0" ();
+        A.on_receive ~from_:(A.One payee) ~describe:"claim, votes missing"
+          ~accept:(claim false) ~act:refused ~next:"await" ();
       ]
-    else [ cert "cb-commit" true "pay"; cert "cb-abort" false "refund" ]
+    else [ cert "cb-commit" true "pay0"; cert "cb-abort" false "refund0" ]
   in
   let deposited =
     A.on_receive ~from_:(A.One payer) ~describe:"deposit" ~save_now:[ "d" ] ~act:deposit
       ~accept:(fun _ m -> m = Dmsg.Deposit { arc = k })
       ~next:"notify0" ()
   in
-  let funded = deposited :: (if timelock then [ refuse "await_deposit" ] else []) in
+  (* the payout, then under the timelock the claim's votes to the payer *)
+  let paid to_ _ _ store =
+    if to_ = payee then Dmsg.Paid { arc = k }
+    else
+      match Anta.Store.data store "claim" with
+      | Dmsg.Claim { votes; _ } -> Dmsg.Votes votes
+      | m -> m
+  in
+  let notify = dst payee :: (if timelock then [] else [ dst cb ]) in
+  let tell m _ _ _ _ = m in
   A.make ~name:(fmt "escrow%d" k) ~initial:"await_deposit"
     ~nodes:
-      ((("await_deposit", A.input funded)
-        :: A.script "notify"
-             (dst payee :: (if timelock then [] else [ dst cb ]))
-             ~next:"await"
-             (fun _ -> tell (Dmsg.Escrowed_notice { arc = k })))
-      @ [
-          ("await", A.input await);
-          ( "pay",
-            A.output ~to_:payee ~act:(settle true) ~message:(tell (Dmsg.Paid { arc = k }))
-              ~next:(if timelock then "reveal" else "released")
-              () );
-          ( "refund",
-            A.output ~to_:payer ~act:(settle false)
-              ~message:(tell (Dmsg.Refund { arc = k }))
-              ~next:"refunded" () );
-          ("released", A.final ());
-          ("refunded", A.final ());
-        ]
-      @
-      if timelock then
-        [ ("reveal", A.output ~to_:payer ~message:reveal ~next:"released" ()) ]
-      else [])
+      (("await_deposit", A.input [ deposited ])
+       :: A.script "notify" notify ~next:"await" (tell (Dmsg.Escrowed_notice { arc = k }))
+      @ (("await", A.input await)
+        :: A.script "pay" (dst payee :: (if timelock then [ dst payer ] else []))
+             ~first:(settle true) ~next:"released" paid)
+      @ A.script "refund" [ dst payer ] ~first:(settle false) ~next:"refunded"
+          (tell (Dmsg.Refund { arc = k }))
+      @ [ ("released", A.final ()); ("refunded", A.final ()) ])
     ()
 
 (* ------------------------ certified blockchain ------------------------ *)
 
-(* The certifier hears every party's valid vote, then every leg's escrow
-   notice, in pid order (early ones wait in the pool), and certifies
-   commit when the last is in; abort if its patience, counted from its
-   birth, runs out first. The certificate goes to every party, then to
-   every escrow. *)
+(* The certifier hears every party's valid vote, then every leg's notice,
+   in pid order, and certifies commit when the last is in, or abort if its
+   patience runs out first; then it tells every party and every escrow. *)
 let certifier cfg : auto =
   let np = Deal.parties cfg.deal and n = cb_pid cfg in
   let decide commit inst ctx store _ =
@@ -362,17 +337,13 @@ let instance cfg =
     Book.open_account book ~owner:(arc_pid cfg k) ~balance:0;
     book
   in
-  let holding (v : vote) =
-    let t = Hashtbl.create 8 in
-    Hashtbl.add t v.Auth.author v;
-    t
-  in
   {
     books = Array.of_list (List.map book (indexed_arcs cfg));
     deposits = Array.make (Deal.arc_count cfg.deal) (-1);
     registry;
     votes;
-    known = Array.map holding votes;
+    known =
+      Array.map (fun (v : vote) -> Hashtbl.of_seq (Seq.return (v.Auth.author, v))) votes;
   }
 
 (* ----------------------------- telemetry ------------------------------- *)
@@ -390,26 +361,22 @@ let emit_telemetry (o : outcome) =
     List.length (List.filter (function _, _, Dobs.Paid_out _ -> true | _ -> false) obs)
   in
   let status = if paid = arcs then "commit" else if paid = 0 then "abort" else "mixed" in
-  Obsv.Metrics.inc
-    (Obsv.Metrics.counter reg ~help:"Deals started" ~labels "xchain_deals_started_total");
-  Obsv.Metrics.inc
-    (Obsv.Metrics.counter reg ~help:"Deals settled, by final status"
-       ~labels:(("status", status) :: labels)
-       "xchain_deals_settled_total");
+  let count name help labels =
+    Obsv.Metrics.inc (Obsv.Metrics.counter reg ~help ~labels name)
+  in
+  count "xchain_deals_started_total" "Deals started" labels;
+  count "xchain_deals_settled_total" "Deals settled, by final status"
+    (("status", status) :: labels);
   Obsv.Metrics.observe
     (Obsv.Metrics.histogram reg ~labels ~help:"Deal wall-clock, init to quiescence, ticks"
        "xchain_deal_latency")
     o.end_time;
   let spans = Obsv.Span.default in
   if Obsv.Span.capture spans then begin
-    let attrs =
-      [
-        ("protocol", protocol_label cfg.protocol);
-        ("parties", string_of_int (Deal.parties cfg.deal));
-        ("arcs", string_of_int arcs);
-        ("seed", string_of_int cfg.seed);
-      ]
-    in
+    let np = Deal.parties cfg.deal in
+    let counts = [ ("parties", np); ("arcs", arcs); ("seed", cfg.seed) ] in
+    let attrs = List.map (fun (key, v) -> (key, string_of_int v)) counts in
+    let attrs = ("protocol", protocol_label cfg.protocol) :: attrs in
     let root = Obsv.Span.start spans ~name:"deal" ~attrs ~at:0 () in
     (* a child from [at], closed by the first observation [closes] names a
        status for, or else [open_] at the end *)
@@ -420,7 +387,7 @@ let emit_telemetry (o : outcome) =
       | Some (t, status) -> Obsv.Span.finish ~status ~at:t span
       | None -> Obsv.Span.finish ~status:open_ ~at:o.end_time span
     in
-    for p = 0 to Deal.parties cfg.deal - 1 do
+    for p = 0 to np - 1 do
       child (fmt "party:%d" p) ~at:0 ~open_:"running" (function
         | Dobs.Terminated { pid; outcome } when pid = p -> Some outcome
         | _ -> None)
@@ -440,14 +407,20 @@ let emit_telemetry (o : outcome) =
 
 let execute cfg tmpl =
   let inst = instance cfg in
+  let delta = cfg.delta in
   let model =
-    match cfg.gst with
-    | None -> Network.Synchronous { delta = cfg.delta }
-    | Some gst -> Network.Partially_synchronous { gst; delta = cfg.delta }
+    Option.fold cfg.gst ~none:(Network.Synchronous { delta }) ~some:(fun gst ->
+        Network.Partially_synchronous { gst; delta })
   in
   let network = Network.create model (Rng.create ~seed:(cfg.seed + 19)) in
   let engine = E.create ~tag_of:Dmsg.tag ~network ~sigma:cfg.sigma ~seed:cfg.seed () in
   let clock_rng = Rng.create ~seed:(cfg.seed + 23) in
+  let stall pid auto =
+    if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
+      A.rebuild auto ~initial:A.stall
+    else auto
+  in
+  let tmpl = Array.mapi stall tmpl in
   Array.iteri
     (fun pid _ ->
       let clock = Clock.random clock_rng ~drift_ppm:cfg.drift_ppm in
@@ -464,20 +437,13 @@ let execute cfg tmpl =
       trace;
       books = inst.books;
       end_time = E.now engine;
-      message_count = Trace.message_count trace;
       conformance = (fun pid -> replay pid ~tag_of:Dmsg.tag trace);
     }
   in
   emit_telemetry o;
   o
 
-let run cfg =
-  let stall pid auto =
-    if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
-      A.rebuild auto ~initial:A.stall
-    else auto
-  in
-  execute cfg (Array.mapi stall (template cfg))
+let run cfg = execute cfg (template cfg)
 
 (* the assets paid out on the arcs [f arc payee] selects *)
 let paid_out outcome f =

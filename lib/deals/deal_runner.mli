@@ -1,23 +1,20 @@
 (** Execute a cross-chain deal under the timelock or certified-blockchain
-    commit protocol of Herlihy–Liskov–Shrira (§5 of the paper).
+    commit protocol of Herlihy–Liskov–Shrira (§5 of the paper). Every
+    participant runs an {!Anta.Automaton} of the run's {!template}: the
+    parties at pids [0 .. p-1], one escrow blockchain per arc at
+    [p + arc_index], and last, under {!Cbc} only, the certified blockchain.
 
-    Every participant runs an {!Anta.Automaton} of the run's {!template}:
-    parties get pids [0 .. p-1]; each arc gets its own escrow blockchain
-    process at pid [p + arc_index]; the certified blockchain — present
-    only for {!Cbc} — is the last pid.
-
-    {b Timelock commit} (requires synchrony): parties sign commit votes and
-    gossip them along deal arcs; a payee redeems an incoming leg by
-    presenting the complete vote set to the leg's escrow before its
-    timelock (sized from the deal's diameter and the drift bound) expires;
-    unredeemed legs refund at the deadline.
+    {b Timelock commit} (requires synchrony): parties gossip signed commit
+    votes along deal arcs; a payee redeems an incoming leg by presenting
+    the complete vote set to its escrow before the leg's timelock (sized
+    from the deal's diameter and the drift bound) expires; unredeemed legs
+    refund at the deadline.
 
     {b Certified blockchain commit} (partial synchrony): votes go to a
-    certifying blockchain, which issues a single signed commit certificate
-    once all votes are in, or an abort certificate when its patience runs
-    out; escrows resolve only on certificates, so no honest asset is ever
-    lost to a timeout race — but strong liveness is surrendered, exactly as
-    §5 states. *)
+    certifying blockchain, which signs commit once all are in, or abort
+    when its patience runs out; escrows resolve only on its certificate,
+    so no honest asset is lost to a timeout race — but strong liveness is
+    surrendered, exactly as §5 states. *)
 
 type commit_protocol = Timelock | Cbc
 
@@ -56,7 +53,6 @@ type outcome = {
   trace : (Dmsg.t, Dobs.t) Sim.Trace.t;
   books : Ledger.Book.t array;  (** one per arc *)
   end_time : Sim.Sim_time.t;
-  message_count : int;
   conformance : int -> (unit, Anta.Conformance.deviation) result;
       (** the replay of the pid's honest automaton over the trace *)
 }
@@ -74,15 +70,18 @@ val template : config -> auto array
     awaiting the fate of its [F]-th leg; the [learn.k<S>.f<F>.<i>] sends;
     the final [done]. *)
 
+val legs : config -> out:bool -> Deal.party -> int list
+(** The arcs out of the party, if [out], or else into it. *)
+
 val known : inst -> Deal.party -> vote list
 (** The votes the party holds, as its gossip and claims carry them. *)
 
 val execute : config -> auto array -> outcome
 (** [execute cfg autos] runs pid [q] as [autos.(q)], honest or an edit of
-    its honest automaton. *)
+    its honest automaton; a non-compliant party stalls at birth. *)
 
 val run : config -> outcome
-(** {!execute} of the {!template}, where a non-compliant party stalls. *)
+(** {!execute} of the {!template}. *)
 
 val claim_window : config -> Sim.Sim_time.t
 (** The (uniform) timelock each leg's escrow applies from its deposit. *)
