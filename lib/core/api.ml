@@ -32,6 +32,9 @@ let participant_name (outcome : Runner.outcome) pid =
   | Some (Topology.Aux i) -> Printf.sprintf "tm%d" i
   | None -> Printf.sprintf "pid%d" pid
 
+let bob_paid_at (outcome : Runner.outcome) (v : PP.run_view) =
+  Option.map fst (v.PP.terminated (Topology.bob outcome.Runner.env.Env.topo))
+
 let pay ?(hops = 2) ?(value = 1000) ?(commission = 10) ?(drift_ppm = 10_000)
     ?(network = Synchronous) ?(protocol = Runner.Sync_timebound) ?(faults = [])
     ?(seed = 1) () =
@@ -57,8 +60,7 @@ let pay ?(hops = 2) ?(value = 1000) ?(commission = 10) ?(drift_ppm = 10_000)
       List.map
         (fun (pid, tag, _) -> (participant_name outcome pid, tag))
         (Runner.terminated_pids outcome);
-    bob_paid_at =
-      Option.map fst (v.PP.terminated (Topology.bob outcome.Runner.env.Env.topo));
+    bob_paid_at = bob_paid_at outcome v;
     messages = outcome.Runner.message_count;
   }
 

@@ -35,6 +35,11 @@ val pay :
     synchronous network, the time-bounded protocol
     ({!Protocols.Runner.Sync_timebound}), no faults, seed 1. *)
 
+val bob_paid_at :
+  Protocols.Runner.outcome -> Props.Payment_props.run_view -> int option
+(** When Bob terminated, in global ticks: the time [xchain pay] and the
+    audit headline report as Bob's payout. *)
+
 val participant_name : Protocols.Runner.outcome -> int -> string
 (** "Alice", "Chloe1", "Bob", "e0", "tm0", … *)
 

@@ -633,10 +633,16 @@ let e10_embedding _scale =
   let o = Deal_runner.run (Deal_runner.default_config payment_as_deal Deal_runner.Timelock) in
   let deal_ok = Deal_props.all_hold (Deal_props.all o) in
   let has_transferable_cert =
-    (* scan the deal trace for any signed statement usable by Alice as
-       third-party proof that Bob was paid: votes are pre-commitments, not
-       payment attestations *)
-    false
+    (* a message delivered to Alice (party 0) attesting that Bob's incoming
+       leg (arc 1) paid out: its payout notice or a commit certificate;
+       votes are pre-commitments, not payment attestations *)
+    List.exists
+      (function
+        | Sim.Trace.Delivered { dst = 0; msg = Dmsg.Paid { arc = 1 }; _ } -> true
+        | Sim.Trace.Delivered { dst = 0; msg = Dmsg.Cb_cert sv; _ } ->
+            sv.Xcrypto.Auth.payload.Dmsg.c_commit
+        | _ -> false)
+      (Sim.Trace.to_list o.Deal_runner.trace)
   in
   (* (b) a swap deal needs value to flow in both directions between the
      same two parties; in every payment-protocol run value flows only from
@@ -647,7 +653,7 @@ let e10_embedding _scale =
     let o = Runner.run cfg Runner.Sync_timebound in
     let v = PP.view o in
     let topo = o.Runner.env.Env.topo in
-    if PP.view o |> fun _ -> v.PP.net (Topology.alice topo) > 0 then
+    if v.PP.net (Topology.alice topo) > 0 then
       sign_structure_ok := false;
     if v.PP.net (Topology.bob topo) < 0 then sign_structure_ok := false
   done;

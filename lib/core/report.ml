@@ -43,9 +43,10 @@ let build (outcome : Runner.outcome) =
   in
   let headline =
     if PP.bob_paid v then
-      Fmt.str "payment SUCCEEDED under %s at t=%d (%d messages)"
+      Fmt.str "payment SUCCEEDED under %s%a (%d messages)"
         (Runner.protocol_name outcome.Runner.protocol)
-        outcome.Runner.end_time outcome.Runner.message_count
+        Fmt.(option (fun ppf -> pf ppf " at t=%d"))
+        (Api.bob_paid_at outcome v) outcome.Runner.message_count
     else
       Fmt.str "payment DID NOT COMPLETE under %s (%d messages, status %s)"
         (Runner.protocol_name outcome.Runner.protocol)

@@ -196,15 +196,15 @@ let decide t ctx store ~tm commit =
        (Auth.sign_value (signer_of t tm) ~ser:Msg.ser_decision
           { Msg.dec_payment = t.payment; dec_commit = commit }))
 
-let announce ~tm =
-  let name pid = if pid = tm then "decided" else "announce" ^ string_of_int pid in
-  let message _ _ store = Anta.Store.data store "decision" in
-  List.init tm (fun pid ->
-      (name pid, Anta.Automaton.output ~to_:pid ~message ~next:(name (pid + 1)) ()))
-  @ [ ("decided", Anta.Automaton.final ()) ]
-
 let final self outcome =
   Anta.Automaton.final
     ~act:(fun _ ctx _ ->
       Sim.Engine.observe ctx (Obs.Terminated { pid = self; outcome }))
     ()
+
+let announce ~tm =
+  let name pid = if pid = tm then "decided" else "announce" ^ string_of_int pid in
+  let message _ _ store = Anta.Store.data store "decision" in
+  List.init tm (fun pid ->
+      (name pid, Anta.Automaton.output ~to_:pid ~message ~next:(name (pid + 1)) ()))
+  @ [ ("decided", final tm "decided") ]

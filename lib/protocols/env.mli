@@ -124,7 +124,8 @@ val decide :
 
 val announce :
   tm:int -> (Anta.Automaton.state * ('i, Msg.t, Obs.t) Anta.Automaton.node) list
-(** Outputs of ["decision"] to pids 0 .. [tm - 1], then the final ["decided"]. *)
+(** Outputs of ["decision"] to pids 0 .. [tm - 1], then the final
+    ["decided"], where [tm] terminates with outcome ["decided"]. *)
 
 val final : int -> string -> ('i, Msg.t, Obs.t) Anta.Automaton.node
 (** [final pid outcome]: a final state observing pid [Terminated] with

@@ -979,18 +979,18 @@ let pin_digest tm fault =
                  [ 5_000; 150 ])
              [ 1; 2; 3 ])))
 
-(* The single TM halts once its decision is out: its runs record that
-   Halted entry. A never-depositing customer is her honest automaton
+(* The single TM terminates once its decision is out: its runs record its
+   Terminated observation and its Halted entry. A never-depositing customer is her honest automaton
    without its deposit branch, so she still asks the TM to abort when her
    patience runs out. *)
 let weak_pins =
   [
-    ("single", "none", "9f83abd23401690e2f96777ebc5aa0ef");
-    ("single", "impatient", "07b79fe3dc42aba1222cb78cf4540ba5");
-    ("single", "false-funded-escrow", "546fa371ec33e3b062d77d0d5762d34c");
-    ("single", "never-deposit", "087784f855609b3297ea355a6bc1c481");
+    ("single", "none", "cefeecddc30317017d722bc061f091c2");
+    ("single", "impatient", "3856c39d26c95382f4c8cca2a90ee850");
+    ("single", "false-funded-escrow", "f2633d0f3cc9f3187c67c8cf3d8b5fc3");
+    ("single", "never-deposit", "296630f5c8cf7fb725d1aa46c5d24252");
     ("single", "notary-crash", "6dc3078fda789d1533bc7168152ad35f");
-    ("single", "crash-recovery", "6d72cbb5164094beda21e19e06f2b7b0");
+    ("single", "crash-recovery", "7b8185d568aa7b7ef736d473f0b8e9af");
     ("committee", "none", "f72a380a7928e76ff155b00ec28f8d50");
     ("committee", "impatient", "06889951eb21f6dcc942e5f06638dd85");
     ("committee", "false-funded-escrow", "0665f025c3a643d4788694363cab316e");
