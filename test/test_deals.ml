@@ -320,6 +320,78 @@ let byzantine_tests =
         done);
   ]
 
+(* Every stock deal under both commit protocols: its template network
+   passes C's structural clause, and each honest participant's trace
+   replays on its automaton; each deviant is named at the state where the
+   replay of its honest automaton first parts from it. *)
+let template_tests =
+  let deals =
+    [
+      ("2-swap", Deal.two_party_swap);
+      ("3-cycle", Deal.three_cycle);
+      ("broker-dag", Deal.broker_dag);
+      ("disconnected", Deal.disconnected_pair);
+    ]
+  in
+  let protocols = [ ("timelock", Deal_runner.Timelock); ("cbc", Deal_runner.Cbc) ] in
+  let each f =
+    List.iter
+      (fun (dn, deal) -> List.iter (fun (pn, p) -> f (dn ^ " " ^ pn) (deal ()) p) protocols)
+      deals
+  in
+  let pids (o : Deal_runner.outcome) =
+    List.init (Array.length (Deal_runner.template o.config)) Fun.id
+  in
+  let deviants =
+    Deal_byzantine.
+      [
+        (Freeloader, Deal.three_cycle, Deal_runner.Timelock, 1, "deposit0");
+        (Forged_votes, Deal.three_cycle, Deal_runner.Timelock, 1, "deposit0");
+        (Premature_claim, Deal.three_cycle, Deal_runner.Timelock, 1, "deposit0");
+        (Double_claim, Deal.three_cycle, Deal_runner.Timelock, 1, "voted.k7.f0");
+        (Vote_hoarder, Deal.three_cycle, Deal_runner.Timelock, 1, "learn.k7.f0.0");
+        (Lazy_claim, Deal.three_cycle, Deal_runner.Timelock, 2, "voted.k4.f0");
+        (Lazy_claim, Deal.broker_dag, Deal_runner.Cbc, 2, "voted.k4.f0");
+      ]
+  in
+  [
+    Alcotest.test_case "every template network is well formed" `Quick (fun () ->
+        each (fun label deal p ->
+            let tmpl = Deal_runner.template (Deal_runner.default_config deal p) in
+            check Alcotest.(result unit string) label (Ok ())
+              (Anta.Network_check.well_formed tmpl)));
+    Alcotest.test_case "every honest participant conforms to its automaton" `Quick (fun () ->
+        each (fun label deal p ->
+            for seed = 1 to 5 do
+              let o = run ~seed deal p in
+              List.iter
+                (fun pid ->
+                  match o.Deal_runner.conformance pid with
+                  | Ok () -> ()
+                  | Error d ->
+                      Alcotest.failf "%s, seed %d: pid %d deviates in state %s: %s" label seed
+                        pid d.Anta.Conformance.state d.Anta.Conformance.reason)
+                (pids o)
+            done));
+    Alcotest.test_case "the replay names each deviant at its first deviation" `Quick (fun () ->
+        List.iter
+          (fun (t, deal, p, party, state) ->
+            let cfg = Deal_runner.default_config (deal ()) p in
+            let o = Deal_byzantine.run_with_faults cfg ~faults:[ (party, t) ] in
+            let label = Printf.sprintf "%s at party %d" (Deal_byzantine.name t) party in
+            List.iter
+              (fun pid ->
+                match (o.Deal_runner.conformance pid, pid = party) with
+                | Error d, true -> check Alcotest.string label state d.Anta.Conformance.state
+                | Ok (), false -> ()
+                | Ok (), true -> Alcotest.failf "%s conforms" label
+                | Error d, false ->
+                    Alcotest.failf "%s: pid %d wrongly flagged in state %s: %s" label pid
+                      d.Anta.Conformance.state d.Anta.Conformance.reason)
+              (pids o))
+          deviants);
+  ]
+
 let () =
   Alcotest.run "deals"
     [
@@ -328,4 +400,5 @@ let () =
       ("protocols", protocol_tests);
       ("byzantine", byzantine_tests);
       ("random", property_tests);
+      ("templates", template_tests);
     ]
