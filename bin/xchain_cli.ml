@@ -557,7 +557,8 @@ let deal_cmd =
       match lazy_party with
       | None -> Deals.Deal_runner.run cfg
       | Some p when p < 0 || p >= Deals.Deal.parties deal ->
-          Fmt.epr "party %d is not in the deal (0 .. %d)@." p (Deals.Deal.parties deal - 1);
+          Fmt.epr "party %d is not in the deal (0 .. %d)@." p
+            (Deals.Deal.parties deal - 1);
           exit 2
       | Some p ->
           Deals.Deal_byzantine.run_with_faults cfg

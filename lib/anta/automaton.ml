@@ -389,9 +389,12 @@ let stall = "stall"
 
 let rebuild ?initial ?(changed = []) ?(added = []) auto =
   let initial = Option.value initial ~default:auto.initial in
-  let node st = Option.value (List.assoc_opt st changed) ~default:(Option.get (node auto st)) in
+  let node st =
+    match List.assoc_opt st changed with Some n -> n | None -> Option.get (node auto st)
+  in
   make ~name:auto.name ~born:auto.born ~initial
-    ~nodes:(List.map (fun st -> (st, node st)) (states auto) @ added @ [ (stall, Input []) ])
+    ~nodes:
+      (List.map (fun st -> (st, node st)) (states auto) @ added @ [ (stall, Input []) ])
     ()
 
 let redirect auto st next =

@@ -42,9 +42,11 @@ type ('i, 'msg, 'obs) guard =
       (** [now >= base + offset] on the local clock; [base] is a clock
           variable that must have been assigned on every path reaching this
           state. A named [timer] is one deadline of the process's life: it
-          must count from a birth clock no transition assigns, with the
-          same offset wherever it appears; it stays armed across states
-          that share it and fires at most once. *)
+          must count from a clock that no transition assigns once the
+          timer is armed (a birth clock, or one set on the way to the
+          first state that arms it), with the same offset wherever it
+          appears; it stays armed across states that share it and fires
+          at most once. *)
   | At of { local : Sim.Sim_time.t }
       (** [now >= local] on the local clock: an absolute deadline, which
           reads no clock variable. *)

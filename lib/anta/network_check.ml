@@ -50,7 +50,9 @@ let listens_of auto =
 
 let check ?(peers = []) network =
   (* each automaton's channels, computed once *)
-  let autos = List.map (fun (pid, auto) -> (pid, (sends_of auto, listens_of auto))) network in
+  let autos =
+    List.map (fun (pid, auto) -> (pid, (sends_of auto, listens_of auto))) network
+  in
   let has_pid pid = List.mem_assoc pid autos || List.mem pid peers in
   let issues = ref [] in
   let add i = issues := i :: !issues in

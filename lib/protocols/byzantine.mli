@@ -11,10 +11,11 @@
 
     A deviant is defined by the protocol it departs from: every strategy
     but crash and mute is an {e edit} of the pid's honest automaton in the
-    run's template. A {e stall} is a state with no branch, where the
-    deviant waits forever, arming no timer. A strategy fits a pid where
-    its edit finds its states; crash and mute run no automaton
-    ([Sim.Engine.silent]) and fit any pid, TM replicas included. *)
+    run's template ({!Anta.Automaton.rebuild}). A {e stall} is a state
+    with no branch, where the deviant waits forever, arming no timer. A
+    strategy fits a pid where its edit finds its states; crash and mute
+    run no automaton ([Sim.Engine.silent]) and fit any pid, TM replicas
+    included. *)
 
 type t =
   | Crash_at_start  (** never takes a step *)

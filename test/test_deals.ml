@@ -336,7 +336,8 @@ let template_tests =
   let protocols = [ ("timelock", Deal_runner.Timelock); ("cbc", Deal_runner.Cbc) ] in
   let each f =
     List.iter
-      (fun (dn, deal) -> List.iter (fun (pn, p) -> f (dn ^ " " ^ pn) (deal ()) p) protocols)
+      (fun (dn, deal) ->
+        List.iter (fun (pn, p) -> f (dn ^ " " ^ pn) (deal ()) p) protocols)
       deals
   in
   let pids (o : Deal_runner.outcome) =
@@ -360,7 +361,8 @@ let template_tests =
             let tmpl = Deal_runner.template (Deal_runner.default_config deal p) in
             check Alcotest.(result unit string) label (Ok ())
               (Anta.Network_check.well_formed tmpl)));
-    Alcotest.test_case "every honest participant conforms to its automaton" `Quick (fun () ->
+    Alcotest.test_case "every honest participant conforms to its automaton" `Quick
+      (fun () ->
         each (fun label deal p ->
             for seed = 1 to 5 do
               let o = run ~seed deal p in
@@ -369,11 +371,12 @@ let template_tests =
                   match o.Deal_runner.conformance pid with
                   | Ok () -> ()
                   | Error d ->
-                      Alcotest.failf "%s, seed %d: pid %d deviates in state %s: %s" label seed
-                        pid d.Anta.Conformance.state d.Anta.Conformance.reason)
+                      Alcotest.failf "%s, seed %d: pid %d deviates in state %s: %s" label
+                        seed pid d.Anta.Conformance.state d.Anta.Conformance.reason)
                 (pids o)
             done));
-    Alcotest.test_case "the replay names each deviant at its first deviation" `Quick (fun () ->
+    Alcotest.test_case "the replay names each deviant at its first deviation" `Quick
+      (fun () ->
         List.iter
           (fun (t, deal, p, party, state) ->
             let cfg = Deal_runner.default_config (deal ()) p in
@@ -382,7 +385,8 @@ let template_tests =
             List.iter
               (fun pid ->
                 match (o.Deal_runner.conformance pid, pid = party) with
-                | Error d, true -> check Alcotest.string label state d.Anta.Conformance.state
+                | Error d, true ->
+                    check Alcotest.string label state d.Anta.Conformance.state
                 | Ok (), false -> ()
                 | Ok (), true -> Alcotest.failf "%s conforms" label
                 | Error d, false ->

@@ -980,9 +980,9 @@ let pin_digest tm fault =
              [ 1; 2; 3 ])))
 
 (* The single TM terminates once its decision is out: its runs record its
-   Terminated observation and its Halted entry. A never-depositing customer is her honest automaton
-   without its deposit branch, so she still asks the TM to abort when her
-   patience runs out. *)
+   Terminated observation and its Halted entry. A never-depositing customer
+   is her honest automaton without its deposit branch, so she still asks
+   the TM to abort when her patience runs out. *)
 let weak_pins =
   [
     ("single", "none", "cefeecddc30317017d722bc061f091c2");
