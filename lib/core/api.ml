@@ -33,7 +33,8 @@ let participant_name (outcome : Runner.outcome) pid =
   | None -> Printf.sprintf "pid%d" pid
 
 let bob_paid_at (outcome : Runner.outcome) (v : PP.run_view) =
-  Option.map fst (v.PP.terminated (Topology.bob outcome.Runner.env.Env.topo))
+  if not (PP.bob_paid v) then None
+  else Option.map fst (v.PP.terminated (Topology.bob outcome.Runner.env.Env.topo))
 
 let pay ?(hops = 2) ?(value = 1000) ?(commission = 10) ?(drift_ppm = 10_000)
     ?(network = Synchronous) ?(protocol = Runner.Sync_timebound) ?(faults = [])

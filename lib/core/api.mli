@@ -16,7 +16,7 @@ type result = {
   report : Props.Verdict.report;
   all_properties_hold : bool;
   terminations : (string * string) list;  (** (participant, outcome tag) *)
-  bob_paid_at : int option;  (** global ticks *)
+  bob_paid_at : int option;  (** global ticks; see {!bob_paid_at} *)
   messages : int;
 }
 
@@ -37,8 +37,8 @@ val pay :
 
 val bob_paid_at :
   Protocols.Runner.outcome -> Props.Payment_props.run_view -> int option
-(** When Bob terminated, in global ticks: the time [xchain pay] and the
-    audit headline report as Bob's payout. *)
+(** When Bob terminated paid, in global ticks: the time [xchain pay] and
+    the audit headline report as Bob's payout; [None] if he was not paid. *)
 
 val participant_name : Protocols.Runner.outcome -> int -> string
 (** "Alice", "Chloe1", "Bob", "e0", "tm0", … *)
