@@ -8,9 +8,7 @@
     stall. *)
 
 type t =
-  | Freeloader
-      (** starts at its vote: it never escrows its outgoing legs nor waits
-          for its incoming ones, hoping to collect them free *)
+  | Freeloader  (** starts at its vote: no deposit, no wait for its legs *)
   | Forged_votes  (** first claims its incoming legs with forged votes *)
   | Premature_claim  (** first sends the honest claims, holding its own vote *)
   | Double_claim  (** sends every claim twice: the ledger settles once *)

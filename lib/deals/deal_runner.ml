@@ -107,9 +107,12 @@ let party cfg p : auto =
   let me = 1 lsl p in
   let outs = legs cfg ~out:true p and ins = legs cfg ~out:false p in
   let fates =
-    List.map (fun k -> (k, Dmsg.Refund { arc = k })) outs
-    @ List.map (fun k -> (k, Dmsg.Paid { arc = k })) ins
+    List.map (fun k -> (arc_pid cfg k, ( = ) (Dmsg.Refund { arc = k }))) outs
+    @ List.map (fun k -> (arc_pid cfg k, ( = ) (Dmsg.Paid { arc = k }))) ins
   in
+  let is_cert = function Dmsg.Cb_cert _ -> true | _ -> false in
+  (* without legs, under CBC, it awaits the certificate *)
+  let fates = if fates = [] && cfg.protocol = Cbc then [ (cb, is_cert) ] else fates in
   let masks = List.filter (fun s -> s land me <> 0) (List.init (all + 1) Fun.id) in
   let claims = List.map (fun k -> dst (arc_pid cfg k)) ins in
   let full s = cfg.protocol = Timelock && s = all in
@@ -152,9 +155,8 @@ let party cfg p : auto =
           ~accept:(fun _ -> function Dmsg.Votes _ | Dmsg.Cb_cert _ -> true | _ -> false);
       ]
   in
-  let from_leg k describe m next =
-    A.on_receive ~from_:(A.One (arc_pid cfg k)) ~describe ~next ()
-      ~accept:(fun _ m' -> m' = m)
+  let from_ pid describe accept next =
+    A.on_receive ~from_:(A.One pid) ~describe ~next () ~accept:(fun _ m -> accept m)
   in
   let last = List.length ins - 1 in
   (* the states knowing [s]: waiting for its legs' notices, its vote's
@@ -163,15 +165,16 @@ let party cfg p : auto =
     List.mapi
       (fun j k ->
         let next = if j = last then voting s else waiting (j + 1) s in
-        let notice = from_leg k "escrowed" (Dmsg.Escrowed_notice { arc = k }) next in
+        let escrowed = ( = ) (Dmsg.Escrowed_notice { arc = k }) in
+        let notice = from_ (arc_pid cfg k) "escrowed" escrowed next in
         (waiting j s, A.input (notice :: hear s (waiting j) (waiting j s))))
       ins
     @ (if ins = [] && s <> me then [] else send (vote s) (cast s) (voted s 0))
     @ List.concat
         (List.mapi
-           (fun f (k, fate) ->
+           (fun f fate ->
              let grown s' = head (learnt s' f) (gossip s') (voted s' f) in
-             let fate = from_leg k "fate" fate (voted s (f + 1)) in
+             let fate = from_ (fst fate) "fate" (snd fate) (voted s (f + 1)) in
              (voted s f, A.input (fate :: hear s grown (voted s f)))
              :: (if s = me then [] else send (learnt s f) (gossip s) (voted s f)))
            fates)
@@ -297,13 +300,13 @@ let certifier cfg : auto =
       A.on_receive ~from_:(A.One i) ~describe:"escrowed" ~accept:(fun _ m ->
           m = Dmsg.Escrowed_notice { arc = i - np })
   in
-  let cert _ _ _ store = Anta.Store.data store "cert" in
   A.make ~name:"certifier" ~born:[ "born" ] ~initial:(collect 0)
     ~nodes:
       (List.init n (fun i ->
            let act = if i = n - 1 then Some (decide true) else None in
            (collect i, A.input [ hear i ?act ~next:(collect (i + 1)) (); patience ]))
-      @ A.script "announce" (List.init n dst) ~next:"decided" cert
+      @ A.script "announce" (List.init n dst) ~next:"decided" (fun _ _ _ s ->
+            Anta.Store.data s "cert")
       @ [ ("decided", A.final ()) ])
     ()
 
@@ -332,9 +335,8 @@ let instance cfg =
   in
   let book (k, (a : Deal.arc)) =
     let book = Book.create ~currency:a.Deal.asset.Asset.currency in
-    Book.open_account book ~owner:a.Deal.from_ ~balance:a.Deal.asset.Asset.amount;
-    Book.open_account book ~owner:a.Deal.to_ ~balance:0;
-    Book.open_account book ~owner:(arc_pid cfg k) ~balance:0;
+    List.iter (fun (owner, balance) -> Book.open_account book ~owner ~balance)
+      [ (a.Deal.from_, a.Deal.asset.Asset.amount); (a.Deal.to_, 0); (arc_pid cfg k, 0) ];
     book
   in
   {
