@@ -171,6 +171,17 @@ let protocol_tests =
             (Deal.three_cycle (), Deal_runner.Cbc);
             (Deal.broker_dag (), Deal_runner.Timelock);
           ]);
+    Alcotest.test_case "a party outside every transfer terminates" `Quick (fun () ->
+        let d = Deal.make ~parties:3 ~transfers:[ (0, 1, coin "a" 1); (1, 0, coin "b" 1) ] in
+        List.iter
+          (fun protocol ->
+            let o = run d protocol in
+            check Alcotest.bool "safe" true (Deal_props.safety o).Deal_props.holds;
+            check Alcotest.bool "party 2 terminated" true
+              (List.exists
+                 (function _, _, Dobs.Terminated { pid = 2; _ } -> true | _ -> false)
+                 (Sim.Trace.observations o.Deal_runner.trace)))
+          [ Deal_runner.Timelock; Deal_runner.Cbc ]);
     Alcotest.test_case "compliant-size mismatch raises" `Quick (fun () ->
         Alcotest.check_raises "size"
           (Invalid_argument "Deal_runner.run: compliant array size mismatch")
