@@ -172,9 +172,9 @@ let party cfg p : auto =
     @ (if ins = [] && s <> me then [] else send (vote s) (cast s) (voted s 0))
     @ List.concat
         (List.mapi
-           (fun f fate ->
+           (fun f (pid, settles) ->
              let grown s' = head (learnt s' f) (gossip s') (voted s' f) in
-             let fate = from_ (fst fate) "fate" (snd fate) (voted s (f + 1)) in
+             let fate = from_ pid "fate" settles (voted s (f + 1)) in
              (voted s f, A.input (fate :: hear s grown (voted s f)))
              :: (if s = me then [] else send (learnt s f) (gossip s) (voted s f)))
            fates)
