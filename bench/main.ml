@@ -352,7 +352,7 @@ let fleet_workloads =
       fun domains ->
         let s = Xchain.Chaos.soak ~hops:2 ~runs ~domains ~seed:1 () in
         ( strip_timing (Xchain.Chaos.summary_to_json ~seed:1 s),
-          s.Xchain.Chaos.wall_ns ) );
+          s.Xchain.Chaos.cost.Fleet.wall_ns ) );
     ( "corner_sweep",
       512,
       fun domains ->
@@ -360,7 +360,7 @@ let fleet_workloads =
         let r = Xchain.Explore.sweep ~hops:1 ~domains ~protocol () in
         ( strip_timing
             (Xchain.Explore.result_to_json ~hops:1 ~protocol r),
-          r.Xchain.Explore.wall_ns ) );
+          r.Xchain.Explore.cost.Fleet.wall_ns ) );
   ]
 
 let write_fleet_json () =

@@ -1046,9 +1046,7 @@ let trace_cmd =
         causal = Some causal;
       }
     in
-    let wall_t0 = Fleet.now_ns () in
-    let o = Runner.run cfg protocol in
-    let wall_ns = max 1 (Fleet.now_ns () - wall_t0) in
+    let o, cost = Fleet.measure (fun () -> Runner.run cfg protocol) in
     let committed = o.Runner.paid_node >= 0 in
     Fmt.pr "protocol %s, %d hops, seed %d: %s, engine stopped at t=%d@."
       (Runner.protocol_name protocol)
@@ -1094,17 +1092,14 @@ let trace_cmd =
         write_sink out
           (Printf.sprintf
              "{\"trace\":{\"protocol\":\"%s\",\"hops\":%d,\"seed\":%d,\
-              \"committed\":%b,\"end_time\":%d,\"nodes\":%d,\"edges\":%d},\
-              \"blame\":%s,\"timing\":{\"events_processed\":%d,\
-              \"wall_ns\":%d,\"events_per_sec\":%d}}\n"
+              \"committed\":%b,\"end_time\":%d,\"events\":%d,\"nodes\":%d,\
+              \"edges\":%d},\"blame\":%s%s}\n"
              (Runner.protocol_name protocol)
-             hops seed committed o.Runner.end_time
+             hops seed committed o.Runner.end_time o.Runner.events
              (Obsv.Causal.node_count causal)
              (Obsv.Causal.edge_count causal)
-             blame_json o.Runner.events wall_ns
-             (int_of_float
-                (float_of_int o.Runner.events
-                /. (float_of_int wall_ns /. 1e9)))));
+             blame_json
+             (Fleet.timing_json ~events:o.Runner.events cost)));
     0
   in
   let hops = hops_arg 2 in
@@ -1120,8 +1115,7 @@ let trace_cmd =
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write the trace report (graph stats + blame \
                    decomposition) as JSON to $(docv) ('-' for stdout). \
-                   Deterministic except the trailing timing block \
-                   (events_processed / wall_ns / events_per_sec).")
+                   Deterministic except the trailing timing block.")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1236,13 +1230,9 @@ let load_cmd =
               if i > 0 then Buffer.add_char buf ',';
               Buffer.add_string buf (Traffic.Load.to_json r))
             reports;
-          let events = sum (fun r -> r.Traffic.Load.events) in
-          let wall_ns = stats.Fleet.wall_ns in
-          Printf.bprintf buf
-            "],\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
-            wall_ns stats.Fleet.domains
-            (int_of_float
-               (float_of_int events /. (float_of_int wall_ns /. 1e9)));
+          Printf.bprintf buf "]%s}\n"
+            (Fleet.timing_json ~events:(sum (fun r -> r.Traffic.Load.events))
+               stats.Fleet.cost);
           write_sink out (Buffer.contents buf));
       exit (if clean then 0 else 1)
     end;
@@ -1387,7 +1377,7 @@ let load_cmd =
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write the JSON report to $(docv) ('-' for stdout). \
                    Bit-identical across runs with equal inputs, except the \
-                   trailing timing block (host wall clock).")
+                   trailing timing block (the host cost of the run).")
   in
   Cmd.v
     (Cmd.info "load"
@@ -1542,11 +1532,7 @@ let committee_cmd =
             (fun acc (r : Traffic.Load.report) -> acc + r.Traffic.Load.events)
             0 reports
         in
-        let wall_ns = stats.Fleet.wall_ns in
-        Printf.bprintf buf
-          "],\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
-          wall_ns stats.Fleet.domains
-          (int_of_float (float_of_int events /. (float_of_int wall_ns /. 1e9)));
+        Printf.bprintf buf "]%s}\n" (Fleet.timing_json ~events stats.Fleet.cost);
         write_sink out (Buffer.contents buf));
     write_sink metrics_out (Obsv.Prometheus.render Obsv.Metrics.default);
     if !clean then 0 else 1

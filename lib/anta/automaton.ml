@@ -63,7 +63,7 @@ type ('i, 'msg, 'obs) t = {
   name : string;
   initial : state;
   born : string list;
-  nodes : (state * ('i, 'msg, 'obs) node) list;
+  nodes : (state * ('i, 'msg, 'obs) node) array;
   names : state array;  (* declared states, then missing targets *)
   declared : int;
   cnodes : ('i, 'msg, 'obs) cnode array;
@@ -183,7 +183,7 @@ let make ~name ?(born = []) ~initial ~nodes () =
     name;
     initial;
     born;
-    nodes;
+    nodes = Array.of_list nodes;
     names = states.items;
     declared = n;
     cnodes;
@@ -197,9 +197,9 @@ let born t = t.born
 
 let node t st =
   let i = scan_names t.names st 0 t.declared in
-  if i < 0 then None else Some (snd (List.nth t.nodes i))
+  if i < 0 then None else Some (snd t.nodes.(i))
 
-let states t = List.map fst t.nodes
+let states t = Array.to_list (Array.map fst t.nodes)
 let initial_index t = t.init
 let state_name t i = t.names.(i)
 let cnode t i = t.cnodes.(i)
@@ -255,7 +255,7 @@ module SS = Set.Make (String)
    path from the initial state (must-analysis; meet = intersection). *)
 let must_assigned t =
   let all_vars =
-    List.fold_left
+    Array.fold_left
       (fun acc (_, node) ->
         match node with
         | Input branches ->
@@ -271,7 +271,7 @@ let must_assigned t =
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
+    Array.iter
       (fun (st, node) ->
         if Hashtbl.mem assigned st then begin
           let entry = get st in
@@ -305,7 +305,7 @@ let check t =
   let errors = ref [] in
   let err e = errors := e :: !errors in
   let known st = scan_names t.names st 0 t.declared >= 0 in
-  List.iter
+  Array.iter
     (fun (st, node) ->
       List.iter
         (fun target -> if not (known target) then err (Unknown_target { from_ = st; target }))
@@ -326,12 +326,12 @@ let check t =
       end
     in
     visit t.initial;
-    List.iter
+    Array.iter
       (fun (st, _) ->
         if not (Hashtbl.mem reachable st) then err (Unreachable_state st))
       t.nodes;
     let final_reachable =
-      List.exists
+      Array.exists
         (fun (st, node) ->
           Hashtbl.mem reachable st
           && match node with Final _ -> true | _ -> false)
@@ -340,7 +340,7 @@ let check t =
     if not final_reachable then err No_final_reachable;
     (* deadline guards read assigned clocks *)
     let assigned_at = must_assigned t in
-    List.iter
+    Array.iter
       (fun (st, node) ->
         if Hashtbl.mem reachable st then
           match node with
@@ -431,7 +431,7 @@ let to_dot t =
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "digraph \"%s\" {\n  rankdir=LR;\n  node [fontsize=10];\n"
     (dot_escape t.name);
-  List.iter
+  Array.iter
     (fun (st, node) ->
       match node with
       | Output _ ->
@@ -442,7 +442,7 @@ let to_dot t =
     t.nodes;
   bpf "  \"__start\" [shape=point];\n  \"__start\" -> \"%s\";\n"
     (dot_escape t.initial);
-  List.iter
+  Array.iter
     (fun (st, node) ->
       match node with
       | Output { to_; absolute; next; _ } ->

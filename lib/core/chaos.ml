@@ -191,8 +191,7 @@ type summary = {
   stuck : int;
   violations : run_result list;
   events : int;
-  domains : int;
-  wall_ns : int;
+  cost : Fleet.cost;
 }
 
 type health = {
@@ -287,8 +286,7 @@ let soak ?(hops = 2) ?(protocol = Proto.Sync) ?(runs = 200) ?domains
     stuck = !stuck;
     violations = List.rev !violations;
     events = !events;
-    domains = stats.Fleet.domains;
-    wall_ns = stats.Fleet.wall_ns;
+    cost = stats.Fleet.cost;
   }
 
 (* The leading object is a pure function of (hops, protocol, runs, seed);
@@ -312,12 +310,7 @@ let summary_to_json ?(hops = 2) ?(protocol = Proto.Sync) ~seed s =
            (Obsv.Metrics.json_escape (Fault_plan.to_string r.plan))
            (Obsv.Metrics.json_escape (repro_line r))))
     s.violations;
-  let wall_s = float_of_int s.wall_ns /. 1e9 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "]},\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
-       s.wall_ns s.domains
-       (int_of_float (float_of_int s.events /. wall_s)));
+  Buffer.add_string buf ("]}" ^ Fleet.timing_json ~events:s.events s.cost ^ "}\n");
   Buffer.contents buf
 
 let pp_summary ppf s =

@@ -134,9 +134,8 @@ type summary = {
   stuck : int;
   violations : run_result list;
   events : int;  (** engine events across all runs (deterministic) *)
-  domains : int;  (** domains the fleet actually used *)
-  wall_ns : int;  (** batch wall time — nondeterministic, keep out of
-                      byte-compared output *)
+  cost : Fleet.cost;  (** the batch's — nondeterministic, keep out of
+                          byte-compared output *)
 }
 
 type health = {
@@ -169,7 +168,7 @@ val soak :
 
     Runs are sharded over [?domains] OCaml domains (default
     {!Fleet.default_domains}); every field of the summary except
-    [domains] and [wall_ns] is byte-identical for any domain count.
+    [cost] is byte-identical for any domain count.
     [?on_progress] reports completed runs from the calling domain.
 
     [prof] profiles every run's dispatches into one accumulator set; a
@@ -194,6 +193,6 @@ val summary_to_json :
   summary ->
   string
 (** The soak as one JSON object. Every member except the trailing
-    ["timing"] block (wall_ns, domains, events_per_sec) is deterministic;
-    strip that block (scripts/strip_timing.py) before byte-comparing
-    reports across domain counts. *)
+    ["timing"] block ({!Fleet.timing_json}) is deterministic; strip that
+    block (scripts/strip_timing.py) before byte-comparing reports across
+    domain counts. *)

@@ -7,8 +7,7 @@ type result = {
   violations : int;
   first_witness : string option;
   events : int;
-  domains : int;
-  wall_ns : int;
+  cost : Fleet.cost;
 }
 
 (* The sync protocol sends exactly 6 messages per hop (G, $, P, χ,
@@ -50,14 +49,11 @@ let result_to_json ?(hops = 1) ?(drift_ppm = 50_000) ~protocol r =
     | None -> "null"
     | Some w -> "\"" ^ Obsv.Metrics.json_escape w ^ "\""
   in
-  let wall_s = float_of_int r.wall_ns /. 1e9 in
   Printf.sprintf
     "{\"explore\":{\"hops\":%d,\"protocol\":\"%s\",\"drift_ppm\":%d,\
-     \"corners\":%d,\"violations\":%d,\"first_witness\":%s,\"events\":%d},\
-     \"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
+     \"corners\":%d,\"violations\":%d,\"first_witness\":%s,\"events\":%d}%s}\n"
     hops protocol_name drift_ppm r.corners r.violations witness r.events
-    r.wall_ns r.domains
-    (int_of_float (float_of_int r.events /. wall_s))
+    (Fleet.timing_json ~events:r.events r.cost)
 
 let sweep ?(hops = 1) ?(drift_ppm = 50_000) ?(max_corners = 600_000) ?domains
     ?prof ?on_progress ~protocol () =
@@ -117,6 +113,5 @@ let sweep ?(hops = 1) ?(drift_ppm = 50_000) ?(max_corners = 600_000) ?domains
     violations = !violations;
     first_witness = !first_witness;
     events = !events;
-    domains = stats.Fleet.domains;
-    wall_ns = stats.Fleet.wall_ns;
+    cost = stats.Fleet.cost;
   }

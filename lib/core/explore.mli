@@ -26,9 +26,8 @@ type result = {
       (** description of the first violating corner — "first" in corner
           enumeration order, identical at any domain count *)
   events : int;  (** engine events across all corners (deterministic) *)
-  domains : int;  (** domains the fleet actually used *)
-  wall_ns : int;  (** sweep wall time — nondeterministic, keep out of
-                      byte-compared output *)
+  cost : Fleet.cost;  (** the sweep's — nondeterministic, keep out of
+                          byte-compared output *)
 }
 
 val sweep :
@@ -48,8 +47,8 @@ val sweep :
     raises [Invalid_argument] if the instance needs more.
 
     The corner space is sharded over [?domains] OCaml domains (default
-    {!Fleet.default_domains}); every result field except [domains] and
-    [wall_ns] is byte-identical for any domain count. [?on_progress]
+    {!Fleet.default_domains}); every result field except [cost] is
+    byte-identical for any domain count. [?on_progress]
     reports corners done / total from the calling domain — the hook
     behind the live progress line in [xchain explore].
 

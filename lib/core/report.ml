@@ -51,11 +51,7 @@ let build (outcome : Runner.outcome) =
       Fmt.str "payment DID NOT COMPLETE under %s (%d messages, status %s)"
         (Runner.protocol_name outcome.Runner.protocol)
         outcome.Runner.message_count
-        (match outcome.Runner.status with
-        | Sim.Engine.Quiescent -> "quiescent"
-        | Sim.Engine.Horizon_reached -> "horizon reached"
-        | Sim.Engine.Event_limit -> "event limit"
-        | Sim.Engine.Violation_stop -> "violation stop")
+        (Sim.Engine.status_name outcome.Runner.status)
   in
   {
     outcome;

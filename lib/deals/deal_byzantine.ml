@@ -154,7 +154,7 @@ let run_with_faults (cfg : R.config) ~faults =
       if p < 0 || p >= Deal.parties cfg.R.deal then
         fail "Deal_byzantine.run_with_faults: party %d is not in the deal" p)
     faults;
-  let o = R.execute cfg (Array.mapi deviant (R.template cfg)) in
+  let o = R.execute cfg (R.template cfg) ~edit:deviant in
   let honest p c = c && not (List.mem_assoc p faults) in
   let compliant = Array.mapi honest cfg.R.compliant in
   { o with R.config = { cfg with R.compliant } }

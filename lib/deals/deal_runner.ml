@@ -407,7 +407,13 @@ let emit_telemetry (o : outcome) =
     Obsv.Span.finish ~status ~at:o.end_time root
   end
 
-let execute cfg tmpl =
+let execute cfg tmpl ~edit =
+  let stall pid auto =
+    if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
+      A.rebuild auto ~initial:A.stall
+    else auto
+  in
+  let autos = Array.mapi (fun pid auto -> stall pid (edit pid auto)) tmpl in
   let inst = instance cfg in
   let delta = cfg.delta in
   let model =
@@ -417,21 +423,14 @@ let execute cfg tmpl =
   let network = Network.create model (Rng.create ~seed:(cfg.seed + 19)) in
   let engine = E.create ~tag_of:Dmsg.tag ~network ~sigma:cfg.sigma ~seed:cfg.seed () in
   let clock_rng = Rng.create ~seed:(cfg.seed + 23) in
-  let stall pid auto =
-    if pid < Deal.parties cfg.deal && not cfg.compliant.(pid) then
-      A.rebuild auto ~initial:A.stall
-    else auto
-  in
-  let tmpl = Array.mapi stall tmpl in
   Array.iteri
     (fun pid _ ->
       let clock = Clock.random clock_rng ~drift_ppm:cfg.drift_ppm in
-      ignore (E.add_process engine ~clock (Anta.Executor.instantiate tmpl inst pid)))
-    tmpl;
+      ignore (E.add_process engine ~clock (Anta.Executor.instantiate autos inst pid)))
+    autos;
   let status = E.run ~max_events:cfg.max_events engine in
   let trace = E.trace engine in
-  let honest = lazy (template cfg) in
-  let replay pid = Anta.Conformance.check (Lazy.force honest).(pid) inst ~pid in
+  let replay pid = Anta.Conformance.check tmpl.(pid) inst ~pid in
   let o =
     {
       config = cfg;
@@ -445,7 +444,7 @@ let execute cfg tmpl =
   emit_telemetry o;
   o
 
-let run cfg = execute cfg (template cfg)
+let run cfg = execute cfg (template cfg) ~edit:(fun _ auto -> auto)
 
 (* the assets paid out on the arcs [f arc payee] selects *)
 let paid_out outcome f =

@@ -76,12 +76,13 @@ val legs : config -> out:bool -> Deal.party -> int list
 val known : inst -> Deal.party -> vote list
 (** The votes the party holds, as its gossip and claims carry them. *)
 
-val execute : config -> auto array -> outcome
-(** [execute cfg autos] runs pid [q] as [autos.(q)], honest or an edit of
-    its honest automaton; a non-compliant party stalls at birth. *)
+val execute : config -> auto array -> edit:(int -> auto -> auto) -> outcome
+(** [execute cfg tmpl ~edit] runs pid [q] as [edit q tmpl.(q)], the honest
+    automaton or an edit of it; a non-compliant party stalls at birth.
+    [outcome.conformance] replays [tmpl], so one {!template} serves both. *)
 
 val run : config -> outcome
-(** {!execute} of the {!template}. *)
+(** {!execute} of the {!template}, unedited. *)
 
 val claim_window : config -> Sim.Sim_time.t
 (** The (uniform) timelock each leg's escrow applies from its deposit. *)

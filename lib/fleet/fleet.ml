@@ -10,25 +10,60 @@
    (slices are disjoint) and read by the caller only after every worker
    has been joined; Domain.join establishes the happens-before edge, so
    plain array stores suffice. The same argument covers the per-domain
-   stats arrays, where each domain writes only its own index. Progress
+   stats arrays, where each domain writes only its own index. Each domain
+   adds its slices' minor words to one atomic, as [Gc.minor_words] counts
+   the calling domain's allocation only. Progress
    reporting reads the [completed] atomic and runs entirely on the
    calling domain. *)
 
 type failure = { job : int; message : string; backtrace : string }
 type 'a outcome = ('a, failure) result
 
-type stats = {
+type cost = {
+  wall_ns : int;
   domains : int;
+  minor_words : int;
+  top_heap_words : int;
+}
+
+type stats = {
   jobs : int;
   failed : int;
   chunk : int;
   per_domain_jobs : int array;
   per_domain_chunks : int array;
   per_domain_busy_ns : int array;
-  wall_ns : int;
+  cost : cost;
 }
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* the one place a cost is taken: a window opened at [t0] closes here *)
+let close ~t0 ~domains ~minor_words =
+  let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
+  { wall_ns = max 1 (now_ns () - t0); domains; minor_words; top_heap_words }
+
+let measure f =
+  let t0 = now_ns () and m0 = Gc.minor_words () in
+  let v = f () in
+  (v, close ~t0 ~domains:1 ~minor_words:(int_of_float (Gc.minor_words () -. m0)))
+
+let no_cost = { wall_ns = 0; domains = 0; minor_words = 0; top_heap_words = 0 }
+
+let add_cost a b =
+  let wall_ns = a.wall_ns + b.wall_ns and domains = max a.domains b.domains in
+  let minor_words = a.minor_words + b.minor_words in
+  let top_heap_words = max a.top_heap_words b.top_heap_words in
+  { wall_ns; domains; minor_words; top_heap_words }
+
+let timing_json ~events c =
+  Printf.sprintf
+    ",\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d,\"top_heap_mb\":%.1f,\"minor_words_per_event\":%.1f}"
+    c.wall_ns c.domains
+    (int_of_float (float_of_int events /. (float_of_int (max 1 c.wall_ns) /. 1e9)))
+    (float_of_int (c.top_heap_words * (Sys.word_size / 8)) /. 1048576.)
+    (float_of_int c.minor_words /. float_of_int (max 1 events))
+
 let recommended_domains () = Domain.recommended_domain_count ()
 
 let default_domains () =
@@ -51,7 +86,7 @@ let run_job f results failed i =
    exhausted. [tick] runs after every slice — the calling domain uses it
    to surface progress; spawned workers pass a no-op. *)
 let worker ~f ~results ~failed ~next ~completed ~chunk ~jobs ~tick ~idx
-    ~per_domain_jobs ~per_domain_chunks ~per_domain_busy_ns =
+    ~per_domain_jobs ~per_domain_chunks ~per_domain_busy_ns ~minor =
   let jobs_here = ref 0 and chunks_here = ref 0 and busy = ref 0 in
   let continue = ref true in
   while !continue do
@@ -59,11 +94,12 @@ let worker ~f ~results ~failed ~next ~completed ~chunk ~jobs ~tick ~idx
     if start >= jobs then continue := false
     else begin
       let stop = min jobs (start + chunk) in
-      let t0 = now_ns () in
+      let t0 = now_ns () and m0 = Gc.minor_words () in
       for i = start to stop - 1 do
         run_job f results failed i
       done;
       busy := !busy + (now_ns () - t0);
+      ignore (Atomic.fetch_and_add minor (int_of_float (Gc.minor_words () -. m0)));
       jobs_here := !jobs_here + (stop - start);
       incr chunks_here;
       ignore (Atomic.fetch_and_add completed (stop - start));
@@ -80,7 +116,7 @@ let record_metrics m s =
   set
     (gauge m ~help:"Domains used by the most recent fleet batch"
        "xchain_fleet_domains")
-    s.domains;
+    s.cost.domains;
   add
     (counter m ~help:"Fleet jobs finished, by outcome"
        ~labels:[ ("status", "ok") ]
@@ -113,7 +149,7 @@ let record_metrics m s =
         (counter m ~labels
            ~help:"Milliseconds of batch wall time spent not running jobs"
            "xchain_fleet_idle_ms_total")
-        (max 0 ((s.wall_ns - s.per_domain_busy_ns.(d)) / 1_000_000)))
+        (max 0 ((s.cost.wall_ns - s.per_domain_busy_ns.(d)) / 1_000_000)))
     s.per_domain_jobs
 
 let run ?domains ?chunk ?on_progress ?(metrics = Obsv.Metrics.default) ~jobs f =
@@ -140,6 +176,7 @@ let run ?domains ?chunk ?on_progress ?(metrics = Obsv.Metrics.default) ~jobs f =
   let per_domain_jobs = Array.make domains 0 in
   let per_domain_chunks = Array.make domains 0 in
   let per_domain_busy_ns = Array.make domains 0 in
+  let minor = Atomic.make 0 in
   let progress =
     match on_progress with
     | None -> fun _ -> ()
@@ -158,14 +195,14 @@ let run ?domains ?chunk ?on_progress ?(metrics = Obsv.Metrics.default) ~jobs f =
             worker ~f ~results ~failed ~next ~completed ~chunk ~jobs
               ~tick:(fun () -> ())
               ~idx:(k + 1) ~per_domain_jobs ~per_domain_chunks
-              ~per_domain_busy_ns))
+              ~per_domain_busy_ns ~minor))
   in
   (* The calling domain is worker 0 and the only one that reports
      progress: between its own slices, and then while draining the
      stragglers. *)
   worker ~f ~results ~failed ~next ~completed ~chunk ~jobs
     ~tick:(fun () -> progress (Atomic.get completed))
-    ~idx:0 ~per_domain_jobs ~per_domain_chunks ~per_domain_busy_ns;
+    ~idx:0 ~per_domain_jobs ~per_domain_chunks ~per_domain_busy_ns ~minor;
   while Atomic.get completed < jobs do
     progress (Atomic.get completed);
     Domain.cpu_relax ()
@@ -174,14 +211,13 @@ let run ?domains ?chunk ?on_progress ?(metrics = Obsv.Metrics.default) ~jobs f =
   progress jobs;
   let stats =
     {
-      domains;
       jobs;
       failed = Atomic.get failed;
       chunk;
       per_domain_jobs;
       per_domain_chunks;
       per_domain_busy_ns;
-      wall_ns = max 1 (now_ns () - t0);
+      cost = close ~t0 ~domains ~minor_words:(Atomic.get minor);
     }
   in
   record_metrics metrics stats;

@@ -19,10 +19,10 @@
     completes and every other result is preserved. Nothing escapes {!run}
     except [Invalid_argument] on bad arguments.
 
-    What is {e not} deterministic: {!stats}. Wall-clock time, per-domain
-    job counts and busy times depend on scheduling. Callers that print
-    deterministic reports must keep stats out of them (or confine them to
-    a strippable trailing block, as [xchain load --out] does). *)
+    What is {e not} deterministic: {!stats} and the {!cost} it carries.
+    Wall-clock time, per-domain job counts, busy times and allocation
+    depend on scheduling. Deterministic reports keep them out, bar the
+    one strippable trailing member {!timing_json} writes. *)
 
 type failure = {
   job : int;  (** id of the job that raised *)
@@ -32,15 +32,22 @@ type failure = {
 
 type 'a outcome = ('a, failure) result
 
+type cost = {
+  wall_ns : int;  (** host wall-clock nanoseconds of the window, ≥ 1 *)
+  domains : int;  (** domains that ran it: 1 for a single run *)
+  minor_words : int;  (** allocated; for a batch, the sum over its jobs *)
+  top_heap_words : int;  (** the process's peak major heap at the close *)
+}
+(** A run's host cost: every nondeterministic figure a report carries. *)
+
 type stats = {
-  domains : int;  (** domains actually used (≤ requested; ≤ jobs) *)
   jobs : int;
   failed : int;  (** number of [Error] outcomes *)
   chunk : int;  (** slice size used *)
   per_domain_jobs : int array;  (** jobs completed, indexed by domain *)
   per_domain_chunks : int array;  (** slices claimed, indexed by domain *)
   per_domain_busy_ns : int array;  (** time spent inside jobs, per domain *)
-  wall_ns : int;  (** end-to-end batch wall time, ≥ 1 *)
+  cost : cost;  (** its domains are those used (≤ requested; ≤ jobs) *)
 }
 
 val recommended_domains : unit -> int
@@ -80,3 +87,18 @@ val run :
 val now_ns : unit -> int
 (** Wall-clock nanoseconds (from [Unix.gettimeofday]); the clock used for
     {!stats} timing, exposed so callers report durations consistently. *)
+
+val measure : (unit -> 'a) -> 'a * cost
+(** [measure f] is [f ()] and its {!cost} on the calling domain. *)
+
+val no_cost : cost
+(** The unit of {!add_cost}. *)
+
+val add_cost : cost -> cost -> cost
+(** Two batches run one after the other: wall times and minor words add,
+    domains and top heap take the max. *)
+
+val timing_json : events:int -> cost -> string
+(** The one writer of a report's flat, trailing [,"timing":{...}] member
+    (docs/observability.md), with [events] the report's own deterministic
+    event count. *)

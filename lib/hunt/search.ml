@@ -33,8 +33,7 @@ type report = {
   violations : int;
   shrink_trials : int;
   events : int;
-  domains : int;
-  wall_ns : int;
+  cost : Fleet.cost;
 }
 
 let interesting (e : entry) =
@@ -91,8 +90,7 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
   and stuck = ref 0
   and violations = ref 0
   and events = ref 0
-  and max_domains = ref 1
-  and wall_ns = ref 0 in
+  and cost = ref Fleet.no_cost in
   (* Mutations draw from this generator on the calling domain only,
      between fleet batches — the whole schedule of candidate plans is a
      pure function of [seed] and never depends on the domain count. *)
@@ -123,8 +121,7 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
       Fleet.run ?domains ?on_progress ~jobs:batch (fun j ->
           run_plan ~plan:plans.(j) ~run_seed:(seed + base + j))
     in
-    max_domains := Stdlib.max !max_domains stats.Fleet.domains;
-    wall_ns := !wall_ns + stats.Fleet.wall_ns;
+    cost := Fleet.add_cost !cost stats.Fleet.cost;
     let novel = ref 0 in
     Array.iteri
       (fun j outcome ->
@@ -172,8 +169,7 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
             let plan = uniform_plan ~nprocs ~horizon ~run_seed in
             snd (run_plan ~plan ~run_seed))
       in
-      max_domains := Stdlib.max !max_domains stats.Fleet.domains;
-      wall_ns := !wall_ns + stats.Fleet.wall_ns;
+      cost := Fleet.add_cost !cost stats.Fleet.cost;
       let u = Hashtbl.create 64 in
       Array.iter
         (fun outcome ->
@@ -196,8 +192,7 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
             Shrink.shrink ~nprocs ~horizon ~signature:e.signature ~replay
               ~fired:e.fired ?max_trials:max_shrink_trials e.plan)
       in
-      max_domains := Stdlib.max !max_domains stats.Fleet.domains;
-      wall_ns := !wall_ns + stats.Fleet.wall_ns;
+      cost := Fleet.add_cost !cost stats.Fleet.cost;
       Array.iteri
         (fun i outcome ->
           match outcome with
@@ -225,8 +220,7 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
     violations = !violations;
     shrink_trials = !shrink_trials;
     events = !events;
-    domains = !max_domains;
-    wall_ns = !wall_ns;
+    cost = !cost;
   }
 
 let repro_lines r =
@@ -299,12 +293,7 @@ let report_to_json r =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (entry_json ~hops:r.hops ~protocol:r.protocol e))
     r.corpus;
-  let wall_s = float_of_int r.wall_ns /. 1e9 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "]},\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
-       r.wall_ns r.domains
-       (int_of_float (float_of_int r.events /. wall_s)));
+  Buffer.add_string buf ("]}" ^ Fleet.timing_json ~events:r.events r.cost ^ "}\n");
   Buffer.contents buf
 
 let corpus_to_jsonl r =

@@ -59,9 +59,9 @@ type report = {
   shrink_trials : int;
   events : int;  (** engine events across hunt runs (deterministic;
                      excludes baseline and shrink replays) *)
-  domains : int;
-  wall_ns : int;  (** nondeterministic — keep out of byte-compared
-                      output *)
+  cost : Fleet.cost;
+      (** its batches' ({!Fleet.add_cost}), baseline and shrink replays
+          included — nondeterministic, keep out of byte-compared output *)
 }
 
 val hunt :

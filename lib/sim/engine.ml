@@ -476,6 +476,12 @@ let halt p =
 
 type status = Quiescent | Horizon_reached | Event_limit | Violation_stop
 
+let status_name = function
+  | Quiescent -> "quiescent"
+  | Horizon_reached -> "horizon"
+  | Event_limit -> "event-limit"
+  | Violation_stop -> "violation-stop"
+
 let would_run p what =
   invalid_arg
     (Printf.sprintf "Engine: %s would run the handler of retired pid %d" what

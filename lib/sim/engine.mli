@@ -213,6 +213,9 @@ type status =
       (** a stop-on-violation monitor tripped: the run ended at the
           sim-time of first safety breach ({!Obsv.Monitor.breach_at}) *)
 
+val status_name : status -> string
+(** ["quiescent"], ["horizon"], ["event-limit"] or ["violation-stop"]. *)
+
 val run :
   ?horizon:Sim_time.t -> ?max_events:int -> ('msg, 'obs) t -> status
 (** Executes [on_start] for every process added so far (in pid order, at

@@ -151,52 +151,34 @@ let pp ~msg ~obs ppf t =
   in
   Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_entry) (to_list t)
 
-(* minimal JSON string escaping: quotes, backslashes, control chars *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The one writer of a trace entry as a JSON object. [seq] is the entry's
    position in the whole trace, so a bounded trace numbers its kept window
    from [dropped_count]. *)
 let add_entry_json buf ~msg ~obs seq entry =
-  let add fmt = Printf.bprintf buf fmt in
+  let add fmt = Printf.bprintf buf fmt and esc = Obsv.Metrics.json_escape in
   match entry with
   | Sent { t; src; dst; tag; msg = m } ->
       add
         {|{"seq":%d,"kind":"sent","t":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
-        seq t src dst (json_escape tag) (json_escape (msg m))
+        seq t src dst (esc tag) (esc (msg m))
   | Delivered { t; sent_at; src; dst; tag; msg = m; _ } ->
       add
         {|{"seq":%d,"kind":"delivered","t":%d,"sent_at":%d,"src":%d,"dst":%d,"tag":"%s","msg":"%s"}|}
-        seq t sent_at src dst (json_escape tag) (json_escape (msg m))
+        seq t sent_at src dst (esc tag) (esc (msg m))
   | Timer_set { t; owner; label; local_deadline; global_fire } ->
       add
         {|{"seq":%d,"kind":"timer_set","t":%d,"owner":%d,"label":"%s","local_deadline":%s,"global_fire":%s}|}
-        seq t owner (json_escape label)
+        seq t owner (esc label)
         (if Sim_time.is_infinite local_deadline then {|"inf"|}
          else string_of_int local_deadline)
         (if Sim_time.is_infinite global_fire then {|"inf"|}
          else string_of_int global_fire)
   | Timer_fired { t; owner; label; _ } ->
       add {|{"seq":%d,"kind":"timer_fired","t":%d,"owner":%d,"label":"%s"}|}
-        seq t owner (json_escape label)
+        seq t owner (esc label)
   | Observed { t; pid; obs = o } ->
       add {|{"seq":%d,"kind":"observed","t":%d,"pid":%d,"obs":"%s"}|} seq t
-        pid
-        (json_escape (obs o))
+        pid (esc (obs o))
   | Halted { t; pid } ->
       add {|{"seq":%d,"kind":"halted","t":%d,"pid":%d}|} seq t pid
   | Crashed { t; pid; recover_at } ->

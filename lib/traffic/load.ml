@@ -57,9 +57,7 @@ type report = {
   routing : routing_stats option;
   committee_stats : committee_stats option;
   events : int;
-  wall_ns : int;
-  top_heap_words : int;
-  loop_minor_words : int;
+  cost : Fleet.cost;
 }
 
 (* Shared model parameters for every payment in a load run; per-protocol
@@ -1334,7 +1332,8 @@ let blame_of st c =
   done;
   !acc
 
-let report st ~status ~wall_t0 ~minor0 =
+(* [run] fills in the cost, whose window closes after this *)
+let report st ~status =
   let w = st.w in
   let end_time = Engine.now st.engine in
   let conservation_ok = Array.for_all book_ok st.legs.books in
@@ -1385,12 +1384,7 @@ let report st ~status ~wall_t0 ~minor0 =
     workload = w;
     seed = st.seed;
     plan = Faults.Fault_plan.to_string st.plan;
-    status =
-      (match status with
-      | Engine.Quiescent -> "quiescent"
-      | Engine.Horizon_reached -> "horizon"
-      | Engine.Event_limit -> "event-limit"
-      | Engine.Violation_stop -> "violation-stop");
+    status = Engine.status_name status;
     admitted = st.admitted;
     committed;
     aborted = Tally.count total Aborted;
@@ -1422,9 +1416,7 @@ let report st ~status ~wall_t0 ~minor0 =
     routing;
     committee_stats = Option.map Quorum.Committee.stats st.sequencer;
     events = Engine.events_processed st.engine;
-    wall_ns = max 1 (Fleet.now_ns () - wall_t0);
-    top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-    loop_minor_words = int_of_float (Gc.minor_words () -. minor0);
+    cost = Fleet.no_cost;
   }
 
 (* --- telemetry --- *)
@@ -1523,12 +1515,11 @@ let emit_telemetry st (r : report) =
 
 (* ------------------------------- run ---------------------------------- *)
 
-let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
-    ?recorder ~(workload : Workload.t) ~seed () =
+let run_measured ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor
+    ?sampler ?recorder ~(workload : Workload.t) ~seed () =
   (match Workload.validate workload with
   | Ok () -> ()
   | Error e -> invalid_arg ("Load.run: " ^ e));
-  let wall_t0 = Fleet.now_ns () in
   (* Fault plans address hosts: logical pids 0 .. stride-1, applied to
      every instance block (one crashed escrow host is down for everyone). *)
   (match Faults.Fault_plan.validate plan ~nprocs:(hosts workload) with
@@ -1550,13 +1541,20 @@ let run ?(plan = Faults.Fault_plan.none) ?causal ?prof ?monitor ?sampler
   Option.iter
     (fun rc -> Trace.on_record (Engine.trace st.engine) (Trace.record rc))
     recorder;
-  let minor0 = Gc.minor_words () in
   let status =
     Engine.run ~horizon:st.horizon ~max_events:(event_budget workload)
       st.engine
   in
   judge_rest st ~end_time:(Engine.now st.engine);
-  let r = report st ~status ~wall_t0 ~minor0 in
+  (st, report st ~status)
+
+let run ?plan ?causal ?prof ?monitor ?sampler ?recorder ~workload ~seed () =
+  let (st, r), cost =
+    Fleet.measure
+      (run_measured ?plan ?causal ?prof ?monitor ?sampler ?recorder ~workload
+         ~seed)
+  in
+  let r = { r with cost } in
   emit_telemetry st r;
   r
 
@@ -1630,14 +1628,9 @@ let to_json r =
         ",\"committee\":{\"certs\":%d,\"verdicts\":%d,\"max_batch\":%d,\"rounds\":%d,\"cert_lat_sum\":%d,\"cert_lat_max\":%d}"
         s.certs s.verdicts s.max_batch s.rounds s.cert_lat_sum s.cert_lat_max)
     r.committee_stats;
-  (* wall-clock timing is the one nondeterministic member; it comes last
-     so byte-identity checks can strip it (scripts/strip_timing.py) *)
-  Printf.bprintf b
-    ",\"timing\":{\"wall_ns\":%d,\"events_per_sec\":%d,\"top_heap_mb\":%.1f,\"minor_words_per_event\":%.1f}"
-    r.wall_ns
-    (int_of_float (float_of_int r.events /. (float_of_int r.wall_ns /. 1e9)))
-    (float_of_int (r.top_heap_words * (Sys.word_size / 8)) /. 1048576.)
-    (float_of_int r.loop_minor_words /. float_of_int (max 1 r.events));
+  (* the host cost is the one nondeterministic member; it comes last so
+     byte-identity checks can strip it (scripts/strip_timing.py) *)
+  Buffer.add_string b (Fleet.timing_json ~events:r.events r.cost);
   Buffer.add_char b '}';
   Buffer.contents b
 

@@ -120,17 +120,12 @@ type report = {
   events : int;
       (** engine events the run dequeued — deterministic, the numerator of
           the events/sec throughput figure *)
-  wall_ns : int;
-      (** host wall-clock nanoseconds the run took. This and the two
-          members below are the {e host-measured} (nondeterministic) report
-          members: they appear only in [to_json]'s trailing ["timing"]
-          block, never in {!pp_summary} *)
-  top_heap_words : int;
-      (** the process's peak major-heap size when the run ended
-          ([Gc.top_heap_words]): the run's own peak when it is the
-          process's only run *)
-  loop_minor_words : int;
-      (** minor-heap words the run allocated inside the engine loop *)
+  cost : Fleet.cost;
+      (** the host cost of the whole {!run} call, telemetry aside: the
+          report's one {e host-measured} (nondeterministic) member. It
+          appears only in [to_json]'s trailing ["timing"] block, never in
+          {!pp_summary}; its [top_heap_words] is the run's own peak when
+          the run is the process's only one *)
 }
 
 val hosts : Workload.t -> int
@@ -211,8 +206,7 @@ val run :
 val to_json : report -> string
 (** Stable field order, integers and escaped strings only — byte-identical
     across runs with equal inputs {e except} the trailing ["timing"]
-    member (wall_ns, events_per_sec, top_heap_mb, minor_words_per_event),
-    which reports host measurements.
+    member ({!Fleet.timing_json}), which reports host measurements.
     Byte-identity checks strip it first (scripts/strip_timing.py; the
     cram suite does the same with [sed]). *)
 

@@ -2,13 +2,14 @@
 """Strip the nondeterministic timing members from an xchain JSON report.
 
 Every JSON report the CLI and bench write (`xchain chaos --out`,
-`xchain explore --out`, `xchain load --out`, `xchain trace --out`,
+`xchain explore --out`, `xchain hunt --out`, `xchain load --out`,
+`xchain committee --out`, `xchain trace --out`,
 `xchain profile --out/--profile-out`, BENCH_load.json) is
 byte-identical for a fixed (workload, seed, plan) at any domain count —
 except the ``"timing": {...}`` and ``"prof_timing": {...}`` objects,
-which carry host wall-clock measurements. This filter removes exactly
-those members so reports can be byte-compared across reruns, machines,
-and ``-j`` values:
+which carry host measurements (the run cost, see docs/observability.md).
+This filter removes exactly those members so reports can be
+byte-compared across reruns, machines, and ``-j`` values:
 
     xchain chaos --soak --runs 200 -j 1 --out a.json
     xchain chaos --soak --runs 200 -j 4 --out b.json
@@ -16,13 +17,10 @@ and ``-j`` values:
 
 The runtime-verification sinks (``--series-out`` telemetry series,
 ``--bundle-out`` forensic bundles, the ``monitor:`` verdict line) are
-deterministic by design and carry no wall-clock members; the pattern
-nevertheless also covers a ``"mon_timing": {...}`` block so a future
-monitor that grows one keeps byte-compares working without touching
-every caller of this script.
+deterministic by design and carry no wall-clock members.
 
-Equivalent to ``sed -E 's/,"(prof_|mon_)?timing":\\{[^}]*\\}//g'``
-(all of these objects are flat, so the scan to the first closing brace
+Equivalent to ``sed -E 's/,"(prof_)?timing":\\{[^}]*\\}//g'``
+(both objects are flat, so the scan to the first closing brace
 is exact), but kept as a script so CI and docs have one named, testable
 normalizer.
 
@@ -33,7 +31,7 @@ stdout. Stdlib only.
 import re
 import sys
 
-TIMING = re.compile(r',"(?:prof_|mon_)?timing":\{[^}]*\}')
+TIMING = re.compile(r',"(?:prof_)?timing":\{[^}]*\}')
 
 
 def strip(text: str) -> str:

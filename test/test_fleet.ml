@@ -49,10 +49,10 @@ let mechanics_tests =
     Alcotest.test_case "empty batch" `Quick (fun () ->
         let outcomes, stats = Fleet.run ~domains:4 ~jobs:0 (fun i -> i) in
         check Alcotest.int "no results" 0 (Array.length outcomes);
-        check Alcotest.int "one domain" 1 stats.Fleet.domains);
+        check Alcotest.int "one domain" 1 stats.Fleet.cost.domains);
     Alcotest.test_case "domains clamp to jobs" `Quick (fun () ->
         let _, stats = Fleet.run ~domains:8 ~jobs:3 (fun i -> i) in
-        check Alcotest.int "clamped" 3 stats.Fleet.domains);
+        check Alcotest.int "clamped" 3 stats.Fleet.cost.domains);
     Alcotest.test_case "invalid arguments rejected" `Quick (fun () ->
         let invalid f =
           try
@@ -75,7 +75,24 @@ let mechanics_tests =
         check Alcotest.int "chunks partitioned"
           ((jobs + chunk - 1) / chunk)
           (sum s.Fleet.per_domain_chunks);
-        check Alcotest.bool "wall clock ticked" true (s.Fleet.wall_ns > 0));
+        check Alcotest.bool "wall clock ticked" true (s.Fleet.cost.wall_ns > 0));
+    Alcotest.test_case "a batch's cost counts every job's allocation" `Quick
+      (fun () ->
+        (* a 100-cell list is 300 minor words, wherever its job runs *)
+        let job _ = List.length (Sys.opaque_identity (List.init 100 Fun.id)) in
+        let jobs = 16 in
+        List.iter
+          (fun domains ->
+            let _, s = Fleet.run ~domains ~chunk:1 ~jobs job in
+            check Alcotest.bool
+              (Printf.sprintf "-j %d minor words" domains)
+              true
+              (s.Fleet.cost.minor_words >= jobs * 300))
+          [ 1; 2 ];
+        let n, c = Fleet.measure (fun () -> job 0) in
+        check Alcotest.int "measured value" 100 n;
+        check Alcotest.int "one domain" 1 c.Fleet.domains;
+        check Alcotest.bool "measured words" true (c.Fleet.minor_words >= 300));
   ]
 
 (* --------------------------- failure capture --------------------------- *)

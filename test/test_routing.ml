@@ -322,13 +322,7 @@ let routed_load_tests =
              topology=hub:3:3000:5 route=round-robin splits=2"
         in
         let norm r =
-          Traffic.Load.to_json
-            {
-              r with
-              Traffic.Load.wall_ns = 1;
-              top_heap_words = 0;
-              loop_minor_words = 0;
-            }
+          Traffic.Load.to_json { r with Traffic.Load.cost = Fleet.no_cost }
         in
         let a = norm (Traffic.Load.run ~workload:w ~seed:31 ()) in
         let b = norm (Traffic.Load.run ~workload:w ~seed:31 ()) in

@@ -428,18 +428,9 @@ let load_tests =
              mix=sync:1,htlc:1,atomic:1 policy=reserve cap=8 liquidity=0 \
              patience=2500 stuck=0 drift=10000 gst=none"
         in
-        (* Pin the host-measured fields (wall time, heap, allocation) so
-           the whole report, timing block included, must match
-           byte-for-byte. *)
-        let norm r =
-          Load.to_json
-            {
-              r with
-              Load.wall_ns = 1_000_000_000;
-              top_heap_words = 0;
-              loop_minor_words = 0;
-            }
-        in
+        (* Pin the host-measured cost so the whole report, timing block
+           included, must match byte-for-byte. *)
+        let norm r = Load.to_json { r with Load.cost = Fleet.no_cost } in
         let a = norm (Load.run ~workload:w ~seed:21 ()) in
         let b = norm (Load.run ~workload:w ~seed:21 ()) in
         Alcotest.(check string) "same seed, same bytes" a b;
@@ -569,16 +560,9 @@ let causal_tests =
           Load.run ~causal:(Causal.create ()) ~workload:w ~seed:6 ()
         in
         Alcotest.(check string) "identical reports modulo blame"
+          (Load.to_json { plain with Load.cost = Fleet.no_cost })
           (Load.to_json
-             { plain with Load.wall_ns = 1; top_heap_words = 0; loop_minor_words = 0 })
-          (Load.to_json
-             {
-               traced with
-               Load.blame = None;
-               wall_ns = 1;
-               top_heap_words = 0;
-               loop_minor_words = 0;
-             }));
+             { traced with Load.blame = None; cost = Fleet.no_cost }));
     Alcotest.test_case "chrome export is byte-identical across reruns" `Slow
       (fun () ->
         let w = spec causal_spec in
