@@ -163,13 +163,12 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
   let uniform_signatures =
     if not baseline then -1
     else begin
-      let outcomes, stats =
+      let outcomes, _ =
         Fleet.run ?domains ~jobs:budget (fun i ->
             let run_seed = seed + i in
             let plan = uniform_plan ~nprocs ~horizon ~run_seed in
             snd (run_plan ~plan ~run_seed))
       in
-      cost := Fleet.add_cost !cost stats.Fleet.cost;
       let u = Hashtbl.create 64 in
       Array.iter
         (fun outcome ->
@@ -185,14 +184,13 @@ let hunt ?(hops = 2) ?(protocol = Proto.Sync) ?(gen_size = 50)
   if shrink then begin
     let targets = Array.of_list (List.filter interesting corpus) in
     if Array.length targets > 0 then begin
-      let outcomes, stats =
+      let outcomes, _ =
         Fleet.run ?domains ~jobs:(Array.length targets) (fun i ->
             let e = targets.(i) in
             let replay q = snd (run_plan ~plan:q ~run_seed:e.seed) in
             Shrink.shrink ~nprocs ~horizon ~signature:e.signature ~replay
               ~fired:e.fired ?max_trials:max_shrink_trials e.plan)
       in
-      cost := Fleet.add_cost !cost stats.Fleet.cost;
       Array.iteri
         (fun i outcome ->
           match outcome with

@@ -60,8 +60,9 @@ type report = {
   events : int;  (** engine events across hunt runs (deterministic;
                      excludes baseline and shrink replays) *)
   cost : Fleet.cost;
-      (** its batches' ({!Fleet.add_cost}), baseline and shrink replays
-          included — nondeterministic, keep out of byte-compared output *)
+      (** the hunt runs' batches ({!Fleet.add_cost}), the window [events]
+          counts: the baseline sweep and shrink replays are in neither —
+          nondeterministic, keep out of byte-compared output *)
 }
 
 val hunt :

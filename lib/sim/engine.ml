@@ -18,7 +18,6 @@ type ('msg, 'obs) event =
   | Fire of {
       owner : ('msg, 'obs) proc;
       label : string;
-      epoch : int;
       cause : int; (* trace seq of the arming [Timer_set] entry *)
       deferred : bool; (* re-pushed to the owner's recovery by an outage *)
     }
@@ -49,10 +48,10 @@ and ('msg, 'obs) proc = {
          against a logical pid layout (e.g. one payment's Topology) can be
          instantiated many times in one engine at different offsets *)
   proc_rng : Rng.t;
-  armed : (string, int) Hashtbl.t;
-      (* the epoch of each armed label; a Fire is live only while its
-         label is armed at its epoch. A label leaves on cancel and when its
-         Fire is consumed, so every entry has exactly one queued Fire. *)
+  armed : (string, Event_queue.handle) Hashtbl.t;
+      (* the queue handle of each armed label's one Fire. Cancelling or
+         re-arming a label removes that Fire from the queue, and a label
+         leaves when its Fire pops, so every queued Fire is live. *)
   mutable halted : bool;
   host : host;
   prof_label : int; (* interned Prof label id, -1 when profiling is off *)
@@ -123,9 +122,6 @@ and ('msg, 'obs) t = {
   tr : ('msg, 'obs) Trace.t;
   mutable clock_now : Sim_time.t;
   mutable started : bool;
-  mutable next_epoch : int;
-      (* timer epochs are engine-wide and never reused: a re-armed or
-         cancelled label can never match an older Fire *)
   tm : telemetry;
   prof : Obsv.Prof.t option;
   watch : watch option;
@@ -150,7 +146,8 @@ let telemetry_handles reg =
     m_timers_set = counter ~help:"Timers armed" "xchain_timers_set_total";
     m_timers_fired = counter ~help:"Timers fired live" "xchain_timers_fired_total";
     m_timers_stale =
-      counter ~help:"Stale timer firings dropped (re-armed or cancelled)"
+      counter
+        ~help:"Timer firings dropped (owner halted, or lost to a crash)"
         "xchain_timers_stale_total";
     m_queue_depth =
       Obsv.Metrics.gauge reg ~help:"Pending events in the engine queue"
@@ -200,7 +197,6 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
     tr = Trace.create ?capacity:trace_capacity ();
     clock_now = Sim_time.zero;
     started = false;
-    next_epoch = 0;
     tm = telemetry_handles metrics;
     prof;
     watch;
@@ -389,29 +385,44 @@ let record_timer_set t p ~label ~deadline ~global_fire =
   Obsv.Metrics.inc t.tm.m_timers_set;
   cause
 
+(* Take [label]'s queued Fire, if it has one, out of the queue; returns
+   whether it had one. The label stays in [armed] for the caller to
+   replace or remove. *)
+let unqueue t p label =
+  match Hashtbl.find p.armed label with
+  | h ->
+      Event_queue.remove t.queue h;
+      p.queued <- p.queued - 1;
+      true
+  | exception Not_found -> false
+
 let set_timer p ~deadline ~label =
   let t = p.engine in
-  let epoch = t.next_epoch in
-  t.next_epoch <- epoch + 1;
   let global_fire = Clock.global_of_local p.clock deadline in
   (* never fire in the past: a deadline already reached fires "now" *)
   let global_fire = Sim_time.max global_fire t.clock_now in
   let cause = record_timer_set t p ~label ~deadline ~global_fire in
-  if Sim_time.is_infinite global_fire then
-    (* never fires: disarm any earlier arming of the label *)
-    Hashtbl.remove p.armed label
-  else begin
-    Hashtbl.replace p.armed label epoch;
+  let had = unqueue t p label in
+  if not (Sim_time.is_infinite global_fire) then begin
     p.queued <- p.queued + 1;
-    Event_queue.push t.queue ~time:global_fire
-      (Fire { owner = p; label; epoch; cause; deferred = false });
-    Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
+    Hashtbl.replace p.armed label
+      (Event_queue.push_removable t.queue ~time:global_fire
+         (Fire { owner = p; label; cause; deferred = false }))
   end
+  else if had then
+    (* never fires: disarm any earlier arming of the label *)
+    Hashtbl.remove p.armed label;
+  Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
 
 let set_timer_after ctx ~after ~label =
   set_timer ctx ~deadline:(Sim_time.add (local_now ctx) after) ~label
 
-let cancel_timer ctx ~label = Hashtbl.remove ctx.armed label
+let cancel_timer p ~label =
+  let t = p.engine in
+  if unqueue t p label then begin
+    Hashtbl.remove p.armed label;
+    Obsv.Metrics.set t.tm.m_queue_depth (queue_depth t)
+  end
 
 (* Queue series member [k] if its deadline is finite; returns whether it
    was queued. *)
@@ -569,15 +580,10 @@ let dispatch t ev =
         end
       end;
       drop_if_spent t p
-  | Fire { owner = p; label; epoch; cause; deferred } ->
+  | Fire { owner = p; label; cause; deferred } ->
+      (* live: a cancel or re-arm takes a Fire out of the queue *)
       p.queued <- p.queued - 1;
-      let live =
-        match Hashtbl.find p.armed label with
-        | e -> e = epoch
-        | exception Not_found -> false
-      in
-      if not live then Obsv.Metrics.inc t.tm.m_timers_stale
-      else if p.halted then begin
+      if p.halted then begin
         (* a halted process runs no handler again, up or down: its timer
            is spent here rather than deferred to a reboot where it could
            only go stale *)
@@ -587,13 +593,14 @@ let dispatch t ev =
       else if p.host.down then begin
         match deferral_target t p with
         | Some r ->
-            Event_queue.push t.queue ~time:r
-              (Fire { owner = p; label; epoch; cause; deferred = true })
+            Hashtbl.replace p.armed label
+              (Event_queue.push_removable t.queue ~time:r
+                 (Fire { owner = p; label; cause; deferred = true }))
         | None -> Hashtbl.remove p.armed label
       end
       else begin
-        (* disarm before the handler runs: no other Fire carries this
-           epoch, and the handler may re-arm the label *)
+        (* disarm before the handler runs: the handler may re-arm the
+           label *)
         Hashtbl.remove p.armed label;
         fire t p ~label ~cause ~deferred
       end;

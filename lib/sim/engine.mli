@@ -39,14 +39,20 @@ val send_absolute : ('msg, 'obs) ctx -> dst:int -> 'msg -> unit
 val set_timer : ('msg, 'obs) ctx -> deadline:Sim_time.t -> label:string -> unit
 (** Arm (or re-arm) the timer [label] to fire when the process's local clock
     reaches [deadline] (the paper's [now >= u + a] guard). Setting a timer
-    with the same label replaces the previous one; an infinite deadline
-    just disarms the label. *)
+    with the same label replaces the previous one: its queued firing is
+    taken out of the event queue, so a label never has more than one. An
+    infinite deadline just disarms the label. The new firing takes a fresh
+    place in the queue's (time, insertion) order, as a first arming at this
+    instant would. *)
 
 val set_timer_after :
   ('msg, 'obs) ctx -> after:Sim_time.t -> label:string -> unit
 (** [set_timer_after ctx ~after] = [set_timer ~deadline:(local_now + after)]. *)
 
 val cancel_timer : ('msg, 'obs) ctx -> label:string -> unit
+(** Disarm [label]: its queued firing leaves the event queue at once, in
+    O(log n), so it is never dequeued and holds no memory until its
+    deadline. A no-op when [label] is not armed. *)
 
 val observe : ('msg, 'obs) ctx -> 'obs -> unit
 (** Emit a domain observation into the trace (value moved, certificate
@@ -191,8 +197,8 @@ val reserve_pids : ('msg, 'obs) t -> int -> unit
 val quiet : ('msg, 'obs) t -> int -> bool
 (** [quiet t pid] holds when [pid]'s process cannot act again unless it is
     sent a new message: it has halted, or no delivery is queued for it and
-    it has no armed timer. Stale firings do not count: they never run a
-    handler. *)
+    it has no armed timer. A cancelled or replaced timer is not armed: its
+    firing has left the queue. *)
 
 val retire : ('msg, 'obs) t -> int -> unit
 (** [retire t pid] ends [pid]'s life: no handler of it may run again. The
@@ -201,9 +207,12 @@ val retire : ('msg, 'obs) t -> int -> unit
     pid is down), a firing counts as stale, and crashes and recoveries take
     effect. An event that would run one of its handlers raises
     [Invalid_argument]. Once nothing is queued for it the engine drops its
-    record and keeps only a down state; sending to it is then an error.
-    Retire a process once it is {!quiet} and nothing outside will send to
-    it again. *)
+    record and keeps only a down state; sending to it is then an error. A
+    quiet process that has not halted has nothing queued (its cancelled
+    timers left the queue when cancelled), so its record goes at once; a
+    halted one's record goes when its last queued event pops. Retire a
+    process once it is {!quiet} and nothing outside will send to it
+    again. *)
 
 type status =
   | Quiescent  (** no events left — the system reached a fixpoint *)

@@ -5,10 +5,14 @@
     tick pop in insertion order — this makes every engine run a deterministic
     function of its inputs, independent of heap internals.
 
-    The heap is held as parallel arrays of times, sequence numbers and
-    payloads: a push allocates nothing (beyond doubling the arrays), and a
-    pop clears the slot it vacates, so the queue never keeps a popped
-    payload alive. *)
+    The heap is held as parallel arrays of times, sequence numbers,
+    payloads and handles: a push allocates nothing (beyond doubling the
+    arrays), and a pop clears the slot it vacates, so the queue never keeps
+    a popped payload alive.
+
+    An event pushed with {!push_removable} can be taken out before it is
+    due with {!remove}, in O(log n). Removing an event never reorders the
+    others: each keeps its (time, sequence number) key. *)
 
 type 'a t
 
@@ -19,6 +23,20 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> time:Sim_time.t -> 'a -> unit
 (** [push q ~time e] schedules [e] at [time]. *)
+
+type handle
+(** Names one queued event pushed with {!push_removable}, until it pops or
+    is removed. The queue then reuses it for a later push. *)
+
+val push_removable : 'a t -> time:Sim_time.t -> 'a -> handle
+(** Like {!push}, and returns a handle that {!remove} takes. Allocates
+    nothing beyond doubling the queue's arrays. *)
+
+val remove : 'a t -> handle -> unit
+(** [remove q h] takes [h]'s event out of the queue, in O(log n): it never
+    pops. [h] must still name a queued event: once its event pops or is
+    removed, a later {!push_removable} may reuse it. Raises
+    [Invalid_argument] for a handle that names no queued event. *)
 
 val reserve : 'a t -> int -> int
 (** [reserve q n] sets aside the next [n] sequence numbers and returns the

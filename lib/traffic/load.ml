@@ -758,7 +758,7 @@ let finalize st p =
    Once an instance's settlement is counted, its payment is closed (so
    its leftover collateral was handed back) and every process of its
    block is quiet (halted, or nothing queued for it and no timer armed;
-   stale firings and deliveries to halted pids do not count), nothing can
+   deliveries to halted pids do not count), nothing can
    make its processes act again: only its own block, the controller (at
    admission) and a shared committee ever send to it (for the committee,
    see [try_retire]). It is judged, its processes leave the engine, its

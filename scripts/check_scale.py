@@ -9,9 +9,10 @@ payments=100000):
     xchain load --spec '<spec with payments=100000>' --seed 1 --out s100k.json
     python3 scripts/check_scale.py s10k.json s100k.json
 
-CI also gates the committee_600 spec at 600 and 6,000 payments with
-``--max-growth 3``: a committee keeps a few kilobytes per replica on top
-of the payments in flight, which weighs more against a small run.
+CI gates the committee_600 spec at 600 and 6,000 payments the same way:
+a committee keeps only its undecided slots and the items in flight, and
+a cancelled patience timer (100,000 ticks in that spec) leaves the
+engine queue at once rather than at its deadline.
 
 and requires:
 
@@ -19,8 +20,8 @@ and requires:
      conservation audit passed (``conservation_ok: true``);
   2. bounded memory: the larger run's peak major heap (``top_heap_mb`` in
      the trailing ``timing`` block) is at most MAX_GROWTH times the
-     smaller run's (``--max-growth X`` sets another limit). A heap that
-     grew with run size would be ten times larger here.
+     smaller run's. A heap that grew with run size would be ten times
+     larger here.
 
 Each report must come from its own process: ``top_heap_mb`` is the
 process's peak. Exit 0 when everything holds; a diagnostic and exit 1
@@ -48,21 +49,10 @@ def check_safe(path, r):
 
 
 def main(argv):
-    args = argv[1:]
-    max_growth = MAX_GROWTH
-    if len(args) == 4 and args[0] == "--max-growth":
-        try:
-            max_growth = float(args[1])
-        except ValueError:
-            max_growth = 0.0
-        args = args[2:]
-    if len(args) != 2 or max_growth <= 0:
-        print(
-            "usage: check_scale.py [--max-growth X] SMALL.json LARGE.json",
-            file=sys.stderr,
-        )
+    if len(argv) != 3:
+        print("usage: check_scale.py SMALL.json LARGE.json", file=sys.stderr)
         return 2
-    small_path, large_path = args
+    small_path, large_path = argv[1:]
     small, large = load_json(small_path), load_json(large_path)
     if small.get("payments", 0) >= large.get("payments", 0):
         err(
@@ -71,11 +61,11 @@ def main(argv):
         )
     h_small = check_safe(small_path, small)
     h_large = check_safe(large_path, large)
-    if h_small and h_large and h_large > max_growth * h_small:
+    if h_small and h_large and h_large > MAX_GROWTH * h_small:
         err(
             f"peak heap grew {h_large / h_small:.2f}x from "
             f"{small.get('payments')} to {large.get('payments')} payments "
-            f"({h_small} MB -> {h_large} MB; at most {max_growth}x allowed)"
+            f"({h_small} MB -> {h_large} MB; at most {MAX_GROWTH}x allowed)"
         )
     return finish(
         ok=(

@@ -325,6 +325,88 @@ let queue_tests =
             (Weak.check w i)
         done;
         check Alcotest.int "five left" 5 (Event_queue.length q));
+    qcheck
+      (let op =
+         QCheck.Gen.(
+           frequency
+             [
+               (2, map (fun t -> `Push t) (int_bound 40));
+               (3, map (fun t -> `Push_removable t) (int_bound 40));
+               (2, map (fun k -> `Remove k) nat);
+               (2, return `Pop);
+             ])
+       in
+       QCheck.Test.make ~name:"differential: removal matches a sorted model"
+         ~count:300
+         (QCheck.make
+            ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+            QCheck.Gen.(list_size (0 -- 200) op))
+         (fun ops ->
+           (* the model keeps (time, push index) sorted; [handles] maps
+              each queued removable event's push index to its handle.
+              A removed event must never pop, and the rest pop in
+              (time, seq) order. *)
+           let q = Event_queue.create () in
+           let model = ref [] and handles = ref [] in
+           let removed = Hashtbl.create 16 in
+           let popped_ok = function
+             | None -> true
+             | Some (_, i) -> not (Hashtbl.mem removed i)
+           in
+           List.for_all
+             (fun (i, op) ->
+               let step_ok =
+                 match op with
+                 | `Push time ->
+                     Event_queue.push q ~time i;
+                     model := List.merge compare !model [ (time, i) ];
+                     true
+                 | `Push_removable time ->
+                     let h = Event_queue.push_removable q ~time i in
+                     handles := (i, h) :: !handles;
+                     model := List.merge compare !model [ (time, i) ];
+                     true
+                 | `Remove k -> (
+                     match !handles with
+                     | [] -> true
+                     | hs ->
+                         let j, h = List.nth hs (k mod List.length hs) in
+                         Event_queue.remove q h;
+                         Hashtbl.replace removed j ();
+                         handles := List.remove_assoc j hs;
+                         model := List.filter (fun (_, m) -> m <> j) !model;
+                         true)
+                 | `Pop ->
+                     let expected =
+                       match !model with
+                       | [] -> None
+                       | ((_, j) as top) :: rest ->
+                           model := rest;
+                           handles := List.remove_assoc j !handles;
+                           Some top
+                     in
+                     let got = Event_queue.pop q in
+                     popped_ok got && got = expected
+               in
+               step_ok && Event_queue.length q = List.length !model)
+             (List.mapi (fun i op -> (i, op)) ops)
+           && pop_all q = !model));
+    Alcotest.test_case "a removed or popped handle is refused" `Quick
+      (fun () ->
+        let q = Event_queue.create () in
+        let a = Event_queue.push_removable q ~time:1 "a" in
+        let b = Event_queue.push_removable q ~time:2 "b" in
+        Event_queue.remove q b;
+        check
+          Alcotest.(option (pair int string))
+          "pop" (Some (1, "a")) (Event_queue.pop q);
+        List.iter
+          (fun h ->
+            Alcotest.check_raises "gone"
+              (Invalid_argument "Event_queue.remove: handle not queued")
+              (fun () -> Event_queue.remove q h))
+          [ a; b ];
+        check Alcotest.bool "empty" true (Event_queue.is_empty q));
   ]
 
 (* -------------------------------- Clock ------------------------------- *)
@@ -1071,6 +1153,54 @@ let timer_tests =
              ~on_start:(fun ctx -> Engine.set_timer ctx ~deadline:10 ~label:"t")
              ~on_timer:(fun _ ~label:_ -> ())
              ()));
+    Alcotest.test_case "cancel_timer takes the fire out of the queue" `Quick
+      (fun () ->
+        let e = mk_engine () in
+        let depths = ref [] in
+        let depth () = depths := Engine.queue_depth e :: !depths in
+        ignore
+          (Engine.add_process e
+             {
+               Engine.on_start =
+                 (fun ctx ->
+                   Engine.set_timer ctx ~deadline:10 ~label:"a";
+                   Engine.set_timer ctx ~deadline:20 ~label:"b";
+                   depth ();
+                   Engine.cancel_timer ctx ~label:"a";
+                   depth ();
+                   (* cancelling a disarmed label changes nothing *)
+                   Engine.cancel_timer ctx ~label:"a";
+                   depth ());
+               on_receive = (fun _ ~src:_ _ -> ());
+               on_timer = (fun _ ~label:_ -> ());
+             });
+        ignore (Engine.run e);
+        check Alcotest.(list int) "depths" [ 2; 1; 1 ] (List.rev !depths);
+        check Alcotest.int "only b popped" 1 (Engine.events_processed e));
+    Alcotest.test_case "re-arming keeps one queued fire per label" `Quick
+      (fun () ->
+        let e = mk_engine () in
+        let depths = ref [] in
+        ignore
+          (Engine.add_process e
+             {
+               Engine.on_start =
+                 (fun ctx ->
+                   List.iter
+                     (fun (label, deadline) ->
+                       Engine.set_timer ctx ~deadline ~label;
+                       depths := Engine.queue_depth e :: !depths)
+                     [ ("t", 10); ("u", 40); ("t", 50); ("t", 30); ("u", 5) ];
+                   (* an infinite deadline disarms the label *)
+                   Engine.set_timer ctx ~deadline:Sim_time.infinity ~label:"u";
+                   depths := Engine.queue_depth e :: !depths);
+               on_receive = (fun _ ~src:_ _ -> ());
+               on_timer = (fun _ ~label:_ -> ());
+             });
+        ignore (Engine.run e);
+        check Alcotest.(list int) "depths" [ 1; 2; 2; 2; 2; 1 ]
+          (List.rev !depths);
+        check Alcotest.int "one event" 1 (Engine.events_processed e));
   ]
 
 let trace_tests =
@@ -1357,7 +1487,9 @@ let lifecycle_tests =
         ignore (Engine.run e);
         check Alcotest.bool "halted is quiet" true !quiet;
         check Alcotest.bool "no handler ran" false !ran;
-        check Alcotest.int "both firings stale" 2
+        (* the cancelled "late" never pops; "other" pops on a halted,
+           retired pid *)
+        check Alcotest.int "one firing stale" 1
           (counter reg "xchain_timers_stale_total");
         check Alcotest.int "only the retiring timer fired" 1
           (counter reg "xchain_timers_fired_total"));
@@ -1380,6 +1512,44 @@ let lifecycle_tests =
              "Engine: a delivery would run the handler of retired pid 1")
           (fun () -> ignore (Engine.run e));
         check Alcotest.bool "a queued delivery is not quiet" false !quiet);
+    Alcotest.test_case "a retired pid with cancelled timers is dropped" `Quick
+      (fun () ->
+        let reg = Obsv.Metrics.create () in
+        let e = lifecycle_engine reg in
+        let dropped = ref false in
+        ignore
+          (Engine.add_process e
+             {
+               idle with
+               Engine.on_start =
+                 (fun ctx ->
+                   Engine.set_timer ctx ~deadline:40 ~label:"a";
+                   Engine.set_timer ctx ~deadline:90 ~label:"b";
+                   Engine.cancel_timer ctx ~label:"a";
+                   Engine.cancel_timer ctx ~label:"b");
+             });
+        ignore
+          (Engine.add_process e
+             {
+               idle with
+               Engine.on_start =
+                 (fun ctx -> Engine.set_timer ctx ~deadline:0 ~label:"retire");
+               on_timer =
+                 (fun _ ~label:_ ->
+                   Engine.retire e 0;
+                   (* nothing is queued for pid 0, so its record goes at
+                      once *)
+                   dropped :=
+                     match Engine.clock_of e 0 with
+                     | _ -> false
+                     | exception Invalid_argument _ -> true);
+             });
+        ignore (Engine.run e);
+        check Alcotest.bool "dropped at retire" true !dropped;
+        check Alcotest.int "no stale firing" 0
+          (counter reg "xchain_timers_stale_total");
+        check Alcotest.int "only the retiring event" 1
+          (Engine.events_processed e));
     Alcotest.test_case "forgetting links keeps live FIFO clamps" `Quick
       (fun () ->
         (* "slow" takes 100 ticks, "fast" 1: a fast send right behind a

@@ -326,6 +326,12 @@ let stripped r =
   in
   find 0
 
+(* the benchmark's linear_2k spec at 200 payments *)
+let linear_200_spec =
+  "hops=2 value=1000 commission=10 cap=0 stuck=0 gst=none payments=200 \
+   arrival=poisson:4 mix=sync:2,weak:2,htlc:1,atomic:1 policy=reserve \
+   liquidity=0 patience=2000 drift=10000"
+
 let load_tests =
   [
     Alcotest.test_case "mixed open-loop run commits everything" `Slow
@@ -475,6 +481,22 @@ let load_tests =
         match Load.run ~workload:w ~seed:1 () with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "invalid workload accepted");
+    Alcotest.test_case "a run ends before its last patience deadline" `Slow
+      (fun () ->
+        (* every payment settles or gives up within [patience] of its
+           arrival; a cancelled controller timer must not hold the engine
+           to its deadline *)
+        let w = spec linear_200_spec in
+        let last_arrival =
+          match Workload.arrival_seq w ~seed:1 with
+          | Some s -> Seq.fold_left (fun _ t -> t) 0 s
+          | None -> Alcotest.fail "open-loop arrivals expected"
+        in
+        let r = Load.run ~workload:w ~seed:1 () in
+        Alcotest.(check int) "committed" 200 r.Load.committed;
+        if r.Load.makespan >= last_arrival + w.Workload.patience then
+          Alcotest.failf "makespan %d, last arrival %d" r.Load.makespan
+            last_arrival);
   ]
 
 (* --------------------------- causal tracing ---------------------------- *)
@@ -678,18 +700,11 @@ let committee_600_spec =
 let golden_runs =
   [
     ( "linear_2k spec at 200 payments",
-      "ef08889f97153bce2877299f3417740b",
+      "5b18de8cc5167c680cdbf93cc2d085c4",
       fun () ->
-        Load.run
-          ~workload:
-            (spec
-               (line
-                  "payments=200 arrival=poisson:4 \
-                   mix=sync:2,weak:2,htlc:1,atomic:1 policy=reserve \
-                   liquidity=0 patience=2000 drift=10000"))
-          ~seed:1 () );
+        Load.run ~workload:(spec linear_200_spec) ~seed:1 () );
     ( "optimistic under scarce liquidity",
-      "aa4095ee78b7a8a8e27b0806b131f498",
+      "40ed888efe801380255fdc0ba1ffc353",
       fun () ->
         Load.run
           ~workload:
@@ -699,7 +714,7 @@ let golden_runs =
                    liquidity=5 patience=200 drift=10000"))
           ~seed:2 () );
     ( "closed loop under scarce liquidity",
-      "24d1cc2f23e8cc42a568ff03082ec88d",
+      "5f68aebf4ea771872dbfdf146ec2a386",
       fun () ->
         Load.run
           ~workload:
@@ -709,7 +724,7 @@ let golden_runs =
                    liquidity=2 patience=300 drift=10000"))
           ~seed:11 () );
     ( "crashed escrow host",
-      "8da3a38fe7cf63c1b796ef12be99d354",
+      "2dbbe0275b65a47abe24daa33c161545",
       fun () ->
         Load.run ~plan:(plan_of "crash 4@1500")
           ~workload:
@@ -719,7 +734,7 @@ let golden_runs =
                    liquidity=0 patience=2000 drift=10000"))
           ~seed:9 () );
     ( "shared committee",
-      "877b8a6463f05eaef11c5ae1f2ba755f",
+      "e8671edd42543e2a2fb54aae59e2f91d",
       fun () ->
         Load.run
           ~workload:
@@ -733,25 +748,25 @@ let golden_runs =
        payments abort through the committee; an escrow outage leaves half
        of them stuck *)
     ( "shared committee, chloe1 outage",
-      "5311d65e3e27c59233e8374e846deba7",
+      "9d56a8d8f33ed09db736bb4cabee4696",
       fun () ->
         Load.run ~plan:(plan_of "crash 1@100+6000")
           ~workload:(spec (line shared_outage_spec)) ~seed:5 () );
     ( "shared committee, escrow outage",
-      "85019bd268b3f7be928466f9b904e7f1",
+      "e75706e164572d070a3b154059b92618",
       fun () ->
         Load.run ~plan:(plan_of "crash 3@200+300")
           ~workload:(spec (line shared_outage_spec)) ~seed:5 () );
     (* the benchmark's committee_600 spec and a routed mix beside weak:
        what a committee replica keeps between slots never shows here *)
     ( "committee_600 spec, seed 1",
-      "0cc469c8fb904abc37c83f0d118d299d",
+      "35a7c4f8683576840ac0133cf14c5079",
       fun () -> Load.run ~workload:(spec committee_600_spec) ~seed:1 () );
     ( "committee_600 spec, seed 2",
-      "449231db93519394e720f3fe0702dace",
+      "4999e3502d22f8b8ee68fc76b329d475",
       fun () -> Load.run ~workload:(spec committee_600_spec) ~seed:2 () );
     ( "er graph, shared and weak, three splits",
-      "25a8562fbaa5cd66b47872e5b39619ac",
+      "55c6e04a5c1c174f4dc072aef4d5e94e",
       fun () ->
         Load.run
           ~workload:
@@ -760,7 +775,7 @@ let golden_runs =
                 topology=er:6:4:9 splits=3")
           ~seed:1 () );
     ( "hub graph, two splits",
-      "bc5b3c5c5cb298a5c7f1bbf32fb918d4",
+      "062166750a22f4369d5f8be2dd878b6d",
       fun () ->
         Load.run
           ~workload:
@@ -771,7 +786,7 @@ let golden_runs =
                    topology=hub:3:3000:5 splits=2"))
           ~seed:4 () );
     ( "er graph, round-robin, crashed host",
-      "e502ac5f3625f0b0ba7b21410668e057",
+      "a33ae0619fc03cba493250e0b9578f01",
       fun () ->
         Load.run ~plan:(plan_of "crash 2@700")
           ~workload:
@@ -783,7 +798,7 @@ let golden_runs =
                    route=round-robin splits=3"))
           ~seed:5 () );
     ( "causally traced linear run",
-      "b11de5a50b94094df609c9116b7a02b7",
+      "b21f3b634bd703a8b6b38c77a3efbbee",
       fun () ->
         Load.run ~causal:(Causal.create ()) ~workload:(spec causal_spec)
           ~seed:6 () );
@@ -817,9 +832,9 @@ let golden_tests =
           let digest w seed =
             Digest.to_hex (Digest.string (profile_frames ~workload:w ~seed))
           in
-          Alcotest.(check string) "linear" "5e9a6cc21eeae2290d6cc6e722c1b696"
+          Alcotest.(check string) "linear" "03d4ac84c3b4ec15ea0ca1fa9c5e2359"
             (digest (spec causal_spec) 6);
-          Alcotest.(check string) "routed" "45887277b8e1f587d6655109f71b9bc9"
+          Alcotest.(check string) "routed" "c8afd9d8838cc32a378b06a6b5d839ce"
             (digest
                (spec
                   (line
