@@ -40,36 +40,14 @@ type 'v config = {
   base_timeout : Sim.Sim_time.t;
 }
 
-(* Per-round vote books: for each round, per distinct value, the signed
-   votes indexed by author. A bucket keeps the serialised (round, value)
-   vote its signatures are checked against, computed once when the
-   bucket's first vote arrives, and a running tally: the replica indices
-   whose vote verified and whether they already form a quorum. *)
-type ('v, 'body) bucket = {
-  value : 'v;
-  body : string;
-  sigs : (int, 'body Auth.signed) Hashtbl.t;
-  present : bool array;
-  mutable quorum : bool;
-}
-
-(* What recording one vote did to its bucket. *)
-type ('v, 'body) tally =
-  | Dropped  (* unknown author or a signature that does not verify *)
-  | Counted  (* recorded; the bucket holds no quorum yet *)
-  | Reached of ('v, 'body) bucket  (* this vote completed the quorum *)
-  | Past_quorum  (* recorded in a bucket that already held one *)
-
-type ('v, 'body) votes = { mutable entries : ('v, 'body) bucket list }
-
 type 'v t = {
   cfg : 'v config;
   mutable round : round;
   mutable preference : 'v option;
   mutable lock : 'v qc option;
   mutable decision : 'v decision_cert option;
-  echo_votes : (round, ('v, 'v echo_body) votes) Hashtbl.t;
-  commit_votes : (round, ('v, 'v commit_body) votes) Hashtbl.t;
+  echo_votes : ('v, 'v echo_body) Vote_book.t;
+  commit_votes : ('v, 'v commit_body) Vote_book.t;
   mutable echoed : round list;  (* rounds in which we already echoed *)
   mutable committed : round list;
   mutable proposed : round list;
@@ -113,15 +91,6 @@ let ser_echo_vote ser round value =
 let ser_commit_vote ser round value =
   ser_commit ser { c_round = round; c_value = value }
 
-(* Replica index of an authenticated author, or -1. Quorum membership is
-   index-based (weighted and grid systems care which replica signed, not
-   just how many), so every signature set is reduced to a presence
-   vector before asking the quorum system. *)
-let replica_index cfg author =
-  let n = Array.length cfg.auth_ids in
-  let rec go i = if i >= n then -1 else if cfg.auth_ids.(i) = author then i else go (i + 1) in
-  go 0
-
 (* A signature counts when its vote is for exactly the wanted (round,
    value), its author is a replica not already counted, and it verifies
    against [body], the wanted vote serialised once by the caller. Checking
@@ -134,7 +103,7 @@ let verify_vote_set cfg ~body ~round_of ~value_of ~want_round ~want_value sigs
     (fun (sv : _ Auth.signed) ->
       let b = sv.Auth.payload in
       if round_of b = want_round && cfg.equal (value_of b) want_value then begin
-        let i = replica_index cfg sv.Auth.author in
+        let i = Vote_book.replica_index cfg.auth_ids sv.Auth.author in
         if
           i >= 0
           && (not present.(i))
@@ -168,14 +137,18 @@ let create cfg =
     invalid_arg "Dls.create: auth_ids size mismatch";
   if Auth.signer_id cfg.signer <> cfg.auth_ids.(cfg.self) then
     invalid_arg "Dls.create: signer does not match self";
+  let book ser =
+    Vote_book.create ~qs:cfg.qs ~auth_ids:cfg.auth_ids ~registry:cfg.registry
+      ~equal:cfg.equal ~ser:(fun round value -> ser cfg.ser round value)
+  in
   {
     cfg;
     round = 0;
     preference = None;
     lock = None;
     decision = None;
-    echo_votes = Hashtbl.create 8;
-    commit_votes = Hashtbl.create 8;
+    echo_votes = book ser_echo_vote;
+    commit_votes = book ser_commit_vote;
     echoed = [];
     committed = [];
     proposed = [];
@@ -185,79 +158,13 @@ let decided t = t.decision
 let locked t = t.lock
 
 let tally t kind ~round value =
-  let holds tbl =
-    match Hashtbl.find_opt tbl round with
-    | None -> false
-    | Some votes ->
-        List.exists
-          (fun b -> b.quorum && t.cfg.equal b.value value)
-          votes.entries
-  in
   match kind with
-  | `Echo -> holds t.echo_votes
-  | `Commit -> holds t.commit_votes
+  | `Echo -> Vote_book.holds t.echo_votes ~round value
+  | `Commit -> Vote_book.holds t.commit_votes ~round value
 
 let round_timeout t round =
   let shift = Stdlib.min round 16 in
   Sim.Sim_time.scale t.cfg.base_timeout ~num:(1 lsl shift) ~den:1
-
-(* Record a vote if it verifies and update its bucket's tally. The bucket
-   for (round, value) is looked up by [equal] before any serialisation, so
-   the vote body is serialised once per bucket, not once per vote; a
-   bucket is only created for a vote that verifies. *)
-let record_vote cfg tbl ~ser_body ~round ~value (sv : _ Auth.signed) =
-  let i = replica_index cfg sv.Auth.author in
-  if i < 0 then Dropped
-  else
-    let votes = Hashtbl.find_opt tbl round in
-    let found =
-      match votes with
-      | None -> None
-      | Some votes ->
-          List.find_opt (fun b -> cfg.equal b.value value) votes.entries
-    in
-    let body =
-      match found with Some b -> b.body | None -> ser_body round value
-    in
-    if not (Auth.verify cfg.registry sv.Auth.author body sv.Auth.signature)
-    then Dropped
-    else begin
-      let bucket =
-        match found with
-        | Some b -> b
-        | None ->
-            let votes =
-              match votes with
-              | Some v -> v
-              | None ->
-                  let v = { entries = [] } in
-                  Hashtbl.add tbl round v;
-                  v
-            in
-            let b =
-              {
-                value;
-                body;
-                sigs = Hashtbl.create 8;
-                present = Array.make (committee_n cfg) false;
-                quorum = false;
-              }
-            in
-            votes.entries <- b :: votes.entries;
-            b
-      in
-      Hashtbl.replace bucket.sigs sv.Auth.author sv;
-      if bucket.quorum then Past_quorum
-      else if bucket.present.(i) then Counted
-      else begin
-        bucket.present.(i) <- true;
-        if Quorum_system.is_quorum cfg.qs ~present:bucket.present then begin
-          bucket.quorum <- true;
-          Reached bucket
-        end
-        else Counted
-      end
-    end
 
 (* The value this replica is willing to champion: its lock if any, else its
    initial preference. *)
@@ -361,29 +268,18 @@ let commit_effects t ~round ~value =
     [ Broadcast (Commit signed) ]
   end
 
-let collect_sigs bucket = Hashtbl.fold (fun _ sv acc -> sv :: acc) bucket.sigs []
-
 (* The QC of this replica's own bucket is adopted without [verify_qc]:
    every signature in it verified against the bucket's serialised vote
-   when it was recorded, its authors are distinct replicas (the table is
-   keyed by author) and the tally says they form a quorum — the re-check
-   cannot fail. Later echoes of the bucket build no QC: the lock only
-   rises, so one not adopted at the quorum never will be. *)
+   when it was recorded, its authors are distinct replicas (the book
+   keeps one per replica) and the tally says they form a quorum — the
+   re-check cannot fail. Later echoes of the bucket build no QC: the
+   lock only rises, so one not adopted at the quorum never will be. *)
 let on_echo t (sv : 'v echo_body Auth.signed) =
   let b = sv.Auth.payload in
-  match
-    record_vote t.cfg t.echo_votes ~ser_body:(ser_echo_vote t.cfg.ser)
-      ~round:b.e_round ~value:b.e_value sv
-  with
-  | Reached bucket ->
+  match Vote_book.record t.echo_votes ~round:b.e_round ~value:b.e_value sv with
+  | Reached q_sigs ->
       if above_lock t b.e_round then
-        t.lock <-
-          Some
-            {
-              q_round = b.e_round;
-              q_value = b.e_value;
-              q_sigs = collect_sigs bucket;
-            };
+        t.lock <- Some { q_round = b.e_round; q_value = b.e_value; q_sigs };
       if b.e_round = t.round then
         commit_effects t ~round:b.e_round ~value:b.e_value
       else []
@@ -396,23 +292,20 @@ let on_echo t (sv : 'v echo_body Auth.signed) =
 let on_commit t (sv : 'v commit_body Auth.signed) =
   let b = sv.Auth.payload in
   match
-    record_vote t.cfg t.commit_votes ~ser_body:(ser_commit_vote t.cfg.ser)
-      ~round:b.c_round ~value:b.c_value sv
+    Vote_book.record t.commit_votes ~round:b.c_round ~value:b.c_value sv
   with
-  | Reached bucket ->
-      let dc =
-        { d_value = b.c_value; d_round = b.c_round; d_sigs = collect_sigs bucket }
-      in
+  | Reached d_sigs ->
+      let dc = { d_value = b.c_value; d_round = b.c_round; d_sigs } in
       t.decision <- Some dc;
-      Hashtbl.reset t.echo_votes;
-      Hashtbl.reset t.commit_votes;
+      Vote_book.clear t.echo_votes;
+      Vote_book.clear t.commit_votes;
       Obsv.Metrics.inc m_decisions;
       Obsv.Metrics.observe m_rounds_to_decide (b.c_round + 1);
       [ Decided dc ]
   | Past_quorum | Counted | Dropped -> []
 
 let on_msg t ~from_ m =
-  if t.decision <> None then []
+  if Option.is_some t.decision then []
   else
     match m with
     | Propose { round; value; justif } ->

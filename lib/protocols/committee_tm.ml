@@ -74,6 +74,9 @@ let rec decimal label lo hi acc =
   if lo >= hi then acc
   else decimal label (lo + 1) hi ((acc * 10) + Char.code label.[lo] - 48)
 
+let slot_label slot round =
+  String.concat "" [ "slot-"; string_of_int slot; "-round-"; string_of_int round ]
+
 let parse_slot_label label =
   let s_end = digits_end label 5 in
   let r_end = digits_end label (s_end + 7) in
@@ -116,32 +119,33 @@ let handlers cfg ~index ~signer =
           (cfg.reply_to v.Committee.item))
       cert.Consensus.Dls.d_value
   in
-  let interpret ctx effs =
-    List.iter
-      (fun eff ->
-        match eff with
-        | Committee.Send { to_; m } -> E.send ctx ~dst:to_ (Msg.Quorum_msg m)
-        | Committee.Broadcast m ->
-            let msg = Msg.Quorum_msg m in
-            for k = 0 to n - 1 do
-              E.send ctx ~dst:k msg
-            done
-        | Committee.Set_slot_timer { slot; round; after } ->
-            E.set_timer_after ctx ~after
-              ~label:(Printf.sprintf "slot-%d-round-%d" slot round)
-        | Committee.Certified { cert; _ } ->
-            (* a slot is certified once per replica; only the sequencer
-               announces, keeping fan-out O(batch) rather than
-               O(batch * committee). Sequencer fail-over is out of scope
-               (docs/committees.md). *)
-            if index = 0 then begin
-              List.iter
-                (fun (v : Committee.verdict) ->
-                  Hashtbl.remove legs v.Committee.item)
-                cert.Consensus.Dls.d_value;
-              announce_cert ctx cert
-            end)
-      effs
+  let interpret_one ctx eff =
+    match eff with
+    | Committee.Send { to_; m } -> E.send ctx ~dst:to_ (Msg.Quorum_msg m)
+    | Committee.Broadcast m ->
+        let msg = Msg.Quorum_msg m in
+        for k = 0 to n - 1 do
+          E.send ctx ~dst:k msg
+        done
+    | Committee.Set_slot_timer { slot; round; after } ->
+        E.set_timer_after ctx ~after ~label:(slot_label slot round)
+    | Committee.Certified { cert; _ } ->
+        (* a slot is certified once per replica; only the sequencer
+           announces, keeping fan-out O(batch) rather than
+           O(batch * committee). Sequencer fail-over is out of scope
+           (docs/committees.md). *)
+        if index = 0 then begin
+          List.iter
+            (fun (v : Committee.verdict) ->
+              Hashtbl.remove legs v.Committee.item)
+            cert.Consensus.Dls.d_value;
+          announce_cert ctx cert
+        end
+  in
+  (* most deliveries answer nothing: no closure is built for them *)
+  let interpret ctx = function
+    | [] -> ()
+    | effs -> List.iter (interpret_one ctx) effs
   in
   let submit ctx ~item commit =
     interpret ctx

@@ -30,6 +30,9 @@
 module Dls = Consensus.Dls
 open Xcrypto
 
+(* slot- and item-keyed tables *)
+module Ints = Sim.Int_table
+
 type verdict = { item : int; commit : bool }
 type batch = verdict list
 
@@ -87,12 +90,13 @@ type stats = {
    in its items' [Decided_item] and goes with the last of them. *)
 type t = {
   cfg : config;
-  slots : (int, slot_state) Hashtbl.t;  (* the undecided slots *)
+  dcfg : batch Dls.config;  (* every slot's consensus config *)
+  slots : slot_state Ints.t;  (* the undecided slots *)
   mutable watermark : int;  (* every slot below is decided *)
-  decided_above : (int, unit) Hashtbl.t;  (* decided slots >= watermark *)
+  decided_above : unit Ints.t;  (* decided slots >= watermark *)
   mutable next_slot : int;  (* sequencer only *)
   pending : verdict Queue.t;  (* sequencer only *)
-  status : (int, item_status) Hashtbl.t;  (* sequencer only, by item *)
+  status : item_status Ints.t;  (* sequencer only, by item *)
   mutable forgotten : Bytes.t;  (* sequencer only: a bit per forgotten item *)
   mutable stats : stats;  (* running aggregates over decided slots *)
 }
@@ -151,19 +155,49 @@ let valid_batch cfg b =
   && List.for_all (fun v -> v.item >= 0) b
   && distinct_items b
 
-(* A slot's batch reaches each replica as one shared value (the
-   proposal's, carried on by every echo and commit vote), so a one-entry
-   memo keyed on physical equality serialises it once per slot instead of
-   once per vote bucket, signature and QC check. *)
-let memo_ser_batch () =
-  let last = ref None in
-  fun b ->
-    match !last with
-    | Some (b', s) when b' == b -> s
-    | _ ->
-        let s = ser_batch b in
-        last := Some (b, s);
-        s
+(* A slot's batch reaches every replica of a committee as one shared
+   value (the sequencer's proposal, carried on by every echo, commit vote
+   and certificate), so a memo keyed on the batch's physical identity
+   serialises it once per slot for the whole committee instead of once
+   per replica, vote bucket, signature and QC check. It holds the last
+   few batches, enough for the slots a pipeline keeps open, and is one
+   per domain: replicas run on their engine's domain, and no two domains
+   share it. The empty batch is never proposed and stands for an empty
+   entry. *)
+type ser_memo = {
+  batches : batch array;
+  strings : string array;
+  mutable next : int;
+}
+
+let memo_size = 16
+
+let ser_memo =
+  Domain.DLS.new_key (fun () ->
+      {
+        batches = Array.make memo_size [];
+        strings = Array.make memo_size "";
+        next = 0;
+      })
+
+let rec memo_find m b k =
+  if k >= memo_size then -1
+  else if m.batches.(k) == b then k
+  else memo_find m b (k + 1)
+
+let memo_ser_batch b =
+  match b with
+  | [] -> ser_batch b
+  | _ :: _ -> (
+      let m = Domain.DLS.get ser_memo in
+      match memo_find m b 0 with
+      | -1 ->
+          let s = ser_batch b in
+          m.batches.(m.next) <- b;
+          m.strings.(m.next) <- s;
+          m.next <- (m.next + 1) mod memo_size;
+          s
+      | k -> m.strings.(k))
 
 let dls_cfg cfg =
   {
@@ -172,7 +206,7 @@ let dls_cfg cfg =
     auth_ids = cfg.auth_ids;
     registry = cfg.registry;
     signer = cfg.signer;
-    ser = memo_ser_batch ();
+    ser = memo_ser_batch;
     equal = batch_equal;
     validate = (fun b -> valid_batch cfg b);
     base_timeout = cfg.base_timeout;
@@ -186,12 +220,13 @@ let create cfg =
   if cfg.pipeline < 1 then invalid_arg "Committee.create: pipeline < 1";
   {
     cfg;
-    slots = Hashtbl.create 32;
+    dcfg = dls_cfg cfg;
+    slots = Ints.create 32;
     watermark = 0;
-    decided_above = Hashtbl.create 8;
+    decided_above = Ints.create 8;
     next_slot = 0;
     pending = Queue.create ();
-    status = Hashtbl.create 64;
+    status = Ints.create 64;
     forgotten = Bytes.empty;
     stats =
       {
@@ -210,25 +245,25 @@ let verify_cert cfg =
   fun dc -> Dls.verify_decision dcfg dc
 
 let decision_of t ~item =
-  match Hashtbl.find_opt t.status item with
+  match Ints.find_opt t.status item with
   | Some (Decided_item d) -> Some d
   | _ -> None
 
 let stats t = t.stats
 let slot_count t = t.next_slot
 
-let is_decided t slot = slot < t.watermark || Hashtbl.mem t.decided_above slot
+let is_decided t slot = slot < t.watermark || Ints.mem t.decided_above slot
 
 let mark_decided t slot =
   let rec advance w =
-    if Hashtbl.mem t.decided_above w then begin
-      Hashtbl.remove t.decided_above w;
+    if Ints.mem t.decided_above w then begin
+      Ints.remove t.decided_above w;
       advance (w + 1)
     end
     else w
   in
   if slot = t.watermark then t.watermark <- advance (slot + 1)
-  else Hashtbl.replace t.decided_above slot ()
+  else Ints.replace t.decided_above slot ()
 
 (* Forgotten items are non-negative: only decided items are forgotten,
    and a decided batch passed [valid_batch]. *)
@@ -238,9 +273,9 @@ let is_forgotten t item =
   && Char.code (Bytes.get t.forgotten i) land (1 lsl (item land 7)) <> 0
 
 let forget t ~item =
-  match Hashtbl.find_opt t.status item with
+  match Ints.find_opt t.status item with
   | Some (Decided_item _) ->
-      Hashtbl.remove t.status item;
+      Ints.remove t.status item;
       let i = item lsr 3 in
       let len = Bytes.length t.forgotten in
       if i >= len then begin
@@ -271,7 +306,7 @@ let wrap slot effs =
    not cover (a view change can decide a batch proposed by a different
    replica). *)
 let close_slot t ~now slot st (dc : batch Dls.decision_cert) =
-  Hashtbl.remove t.slots slot;
+  Ints.remove t.slots slot;
   mark_decided t slot;
   let batch = List.length dc.Dls.d_value in
   let lat = Sim.Sim_time.sub now st.opened_at in
@@ -289,14 +324,14 @@ let close_slot t ~now slot st (dc : batch Dls.decision_cert) =
     List.iter
       (fun v ->
         if not (is_forgotten t v.item) then
-          Hashtbl.replace t.status v.item
+          Ints.replace t.status v.item
             (Decided_item { fate = v.commit; decided_in = slot; cert = dc }))
       dc.Dls.d_value;
     List.iter
       (fun v ->
-        match Hashtbl.find_opt t.status v.item with
+        match Ints.find_opt t.status v.item with
         | Some (In_flight s) when s = slot ->
-            Hashtbl.replace t.status v.item Queued;
+            Ints.replace t.status v.item Queued;
             Queue.add v t.pending
         | _ -> ())
       st.proposed
@@ -311,7 +346,7 @@ let close_slot t ~now slot st (dc : batch Dls.decision_cert) =
 let rec try_open t ~now =
   if
     (not (is_sequencer t))
-    || Hashtbl.length t.slots >= t.cfg.pipeline
+    || Ints.length t.slots >= t.cfg.pipeline
     || Queue.is_empty t.pending
   then []
   else begin
@@ -320,7 +355,7 @@ let rec try_open t ~now =
       else
         let v = Queue.pop t.pending in
         (* an item may have been decided while queued (requeue races) *)
-        match Hashtbl.find_opt t.status v.item with
+        match Ints.find_opt t.status v.item with
         | Some (Decided_item _) | None -> take k acc
         | _ -> take (k - 1) (v :: acc)
     in
@@ -330,12 +365,12 @@ let rec try_open t ~now =
       let slot = t.next_slot in
       t.next_slot <- slot + 1;
       List.iter
-        (fun v -> Hashtbl.replace t.status v.item (In_flight slot))
+        (fun v -> Ints.replace t.status v.item (In_flight slot))
         batch;
       let st =
-        { dls = Dls.create (dls_cfg t.cfg); opened_at = now; proposed = batch }
+        { dls = Dls.create t.dcfg; opened_at = now; proposed = batch }
       in
-      Hashtbl.replace t.slots slot st;
+      Ints.replace t.slots slot st;
       let effs = wrap slot (Dls.start st.dls ~my_value:batch) in
       (* evaluation order matters: a degenerate quorum can decide inside
          [start], and only after that decision is folded in (freeing its
@@ -365,37 +400,41 @@ and drain_decision t ~now slot st =
 let request t ~now v =
   if
     (not (is_sequencer t))
-    || Hashtbl.mem t.status v.item
+    || Ints.mem t.status v.item
     || is_forgotten t v.item
   then []  (* first verdict per item wins; duplicates are dropped *)
   else begin
     Obsv.Metrics.inc m_requests;
-    Hashtbl.replace t.status v.item Queued;
+    Ints.replace t.status v.item Queued;
     Queue.add v t.pending;
     try_open t ~now
   end
 
+(* Most votes change nothing a caller sees, so an empty answer is built
+   without a wrapping closure or a list copy. *)
 let deliver t ~now ~from_ m st join_effs =
-  let effs = wrap m.slot (Dls.on_msg st.dls ~from_ m.dm) in
-  join_effs @ effs @ drain_decision t ~now m.slot st
+  let effs =
+    match Dls.on_msg st.dls ~from_ m.dm with
+    | [] -> join_effs
+    | effs -> join_effs @ wrap m.slot effs
+  in
+  match drain_decision t ~now m.slot st with [] -> effs | closed -> effs @ closed
 
 (* A decided slot is only a tombstone: its late messages do nothing. *)
 let on_msg t ~now ~from_ m =
-  match Hashtbl.find_opt t.slots m.slot with
-  | Some st -> deliver t ~now ~from_ m st []
-  | None when is_decided t m.slot -> []
-  | None ->
+  match Ints.find t.slots m.slot with
+  | st -> deliver t ~now ~from_ m st []
+  | exception Not_found when is_decided t m.slot -> []
+  | exception Not_found ->
       (* a follower dragged into a slot by peer traffic: join without a
          preference (the sequencer proposes; we echo and vote) *)
-      let st =
-        { dls = Dls.create (dls_cfg t.cfg); opened_at = now; proposed = [] }
-      in
-      Hashtbl.replace t.slots m.slot st;
+      let st = { dls = Dls.create t.dcfg; opened_at = now; proposed = [] } in
+      Ints.replace t.slots m.slot st;
       if m.slot >= t.next_slot then t.next_slot <- m.slot + 1;
       deliver t ~now ~from_ m st (wrap m.slot (Dls.join st.dls))
 
 let on_slot_timeout t ~now ~slot ~round =
-  match Hashtbl.find_opt t.slots slot with
+  match Ints.find_opt t.slots slot with
   | None -> []
   | Some st ->
       let effs = wrap slot (Dls.on_round_timeout st.dls round) in

@@ -1,11 +1,6 @@
 module C = Obsv.Causal
 
-module Pids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
+module Pids = Int_table
 
 (* A pid's place in the graph: program order and its latest outage. *)
 type host = {

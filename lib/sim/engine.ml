@@ -1,11 +1,5 @@
-(* Pid-keyed process table. Pids are small non-negative ints handed out
-   in blocks, so the identity spreads them over the buckets. *)
-module Pids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
+(* Pid-keyed process table. *)
+module Pids = Int_table
 
 type ('msg, 'obs) event =
   | Deliver of {

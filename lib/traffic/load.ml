@@ -123,12 +123,7 @@ let label_index label from =
 let book_ok b = Result.is_ok (Ledger.Book.audit b)
 
 (* Int-keyed tables for the live instances and payments. *)
-module Ids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
+module Ids = Int_table
 
 (* One protocol instance: a single path of a payment, running the plain
    linear protocol over the books of that path's legs. A payment on a
@@ -389,7 +384,9 @@ type state = {
   paid_nodes : int array;  (** per instance: the node that paid Bob *)
   row_outcome : outcome array;
   row_arrived : int array;
-  row_settled : int array;
+  row_ended : int array;
+      (** per payment: when its span ends, at its last settlement, or at
+          its close for a rejected one; -1 if never *)
   tallies : (Workload.proto * Tally.t) list;  (** one per mix entry *)
   mutable violations : (int * violation list) list;
   mutable messages : int;
@@ -532,7 +529,7 @@ let create ~plan ~causal ~prof ~monitor ~sampler ~(w : Workload.t) ~seed =
       (if Option.is_some causal then Array.make instances (-1) else [||]);
     row_outcome = row w.payments Rejected;
     row_arrived = row w.payments (-1);
-    row_settled = row w.payments (-1);
+    row_ended = row w.payments (-1);
     tallies = List.map (fun (p, _) -> (p, Tally.create ())) w.mix;
     violations = [];
     messages = 0; liquidity_rejections = 0; admitted = 0; in_flight = 0;
@@ -750,7 +747,10 @@ let finalize st p =
   else Tally.add t o;
   if st.rows then begin
     st.row_outcome.(p.k) <- o;
-    st.row_settled.(p.k) <- p.settled_max
+    (* a rejected payment is finalized as it closes, at its patience
+       deadline *)
+    st.row_ended.(p.k) <-
+      (if o = Rejected then Engine.now st.engine else p.settled_max)
   end
 
 (* --- retire ---
@@ -1506,7 +1506,7 @@ let emit_telemetry st (r : report) =
         Obsv.Span.finish ~status:(Tally.outcome_name o)
           ~at:
             (if o = Stuck then st.horizon
-             else if st.row_settled.(k) >= 0 then st.row_settled.(k)
+             else if st.row_ended.(k) >= 0 then st.row_ended.(k)
              else r.makespan)
           s)
       st.row_outcome;

@@ -3,12 +3,15 @@ type signature = { claimed : id; mac : Hash.t }
 
 (* A key is the hash state after absorbing the signer's prefix
    "<secret>|<id>|", so a MAC hashes only the message bytes. The secret
-   string itself is not kept. The registry keeps each id's signer, so
-   looking one up allocates nothing. *)
+   string itself is not kept. The registry keeps each id's signer in an
+   int-keyed table, so looking one up allocates nothing. *)
 type signer = { sid : id; key : Hash.state }
-type registry = { keys : (id, signer) Hashtbl.t; rng : Sim.Rng.t }
 
-let create ~seed = { keys = Hashtbl.create 8; rng = Sim.Rng.create ~seed }
+module Ids = Sim.Int_table
+
+type registry = { keys : signer Ids.t; rng : Sim.Rng.t }
+
+let create ~seed = { keys = Ids.create 8; rng = Sim.Rng.create ~seed }
 
 (* A key prefix is at most 3 + 20 + 1 + 16 + 1 + 16 + 1 + 20 + 1 = 79
    bytes. One scratch buffer per domain, so registries on different
@@ -38,7 +41,7 @@ let put_int buf pos n =
   pos + w
 
 let register reg id =
-  if Hashtbl.mem reg.keys id then
+  if Ids.mem reg.keys id then
     invalid_arg (Printf.sprintf "Auth.register: id %d already registered" id);
   (* The secret is "sk-<id>-<x>-<y>" in hex, with [y] drawn before [x]:
      the order of a right-to-left-evaluated Printf call, which every
@@ -57,11 +60,11 @@ let register reg id =
   let pos = put_int buf pos id in
   let pos = put_char buf pos '|' in
   let s = { sid = id; key = Hash.feed_bytes Hash.start buf ~len:pos } in
-  Hashtbl.add reg.keys id s;
+  Ids.add reg.keys id s;
   s
 
 let signer_of reg id =
-  match Hashtbl.find reg.keys id with
+  match Ids.find reg.keys id with
   | s -> s
   | exception Not_found -> register reg id
 
@@ -69,11 +72,12 @@ let signer_id s = s.sid
 let mac key msg = Hash.finish (Hash.feed key msg)
 let sign s msg = { claimed = s.sid; mac = mac s.key msg }
 
+(* allocation-free: the MAC is recomputed and compared in place *)
 let verify reg id msg s =
   s.claimed = id
   &&
-  match Hashtbl.find reg.keys id with
-  | signer -> Hash.equal s.mac (mac signer.key msg)
+  match Ids.find reg.keys id with
+  | signer -> Hash.matches signer.key msg s.mac
   | exception Not_found -> false
 
 let forged id = { claimed = id; mac = Hash.of_string "forged" }

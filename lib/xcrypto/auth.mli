@@ -34,7 +34,9 @@ val signer_id : signer -> id
 val sign : signer -> string -> signature
 val verify : registry -> id -> string -> signature -> bool
 (** [verify reg id msg s]: was [s] produced by [id]'s signer over exactly
-    [msg]? *)
+    [msg]? The check allocates nothing: the registry is keyed by int, and
+    the MAC is recomputed from the signer's key state and compared in
+    place ({!Hash.matches}), without building a state or a digest. *)
 
 val forged : id -> signature
 (** A fabricated signature claiming to be from [id]. Always fails

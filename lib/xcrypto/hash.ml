@@ -48,6 +48,17 @@ let finish st =
 
 let of_string s = finish (feed start s)
 
+(* [feed] and [finish] fused, the digest compared lane by lane as it is
+   made: the lanes stay in registers, so nothing is allocated. *)
+let matches st s d =
+  let a = ref (String.get_int64_le st 0) and b = ref (String.get_int64_le st 8) in
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    a := Int64.mul (Int64.logxor !a c) fnv_prime;
+    b := Int64.mul (Int64.logxor !b c) fnv_prime
+  done;
+  (avalanche !a : int64) = d.a && (avalanche !b : int64) = d.b
+
 let hex_digits = "0123456789abcdef"
 
 (* Writes the low [width] nibbles of [x] into [buf] at [pos], most

@@ -37,6 +37,11 @@ val feed_bytes : state -> bytes -> len:int -> state
 
 val finish : state -> t
 
+val matches : state -> string -> t -> bool
+(** [matches st s d] is [equal (finish (feed st s)) d], computed in place:
+    it allocates nothing, neither the fed state nor the digest. This is
+    how {!Auth.verify} checks a MAC. *)
+
 val equal : t -> t -> bool
 val to_hex : t -> string
 

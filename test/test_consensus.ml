@@ -875,6 +875,134 @@ let tally_oracle (k, steps) =
   in
   List.for_all step_ok steps
 
+(* ------------------------------------- vote book vs a naive model *)
+
+(* One vote book fed a random vote stream, beside a naive model keyed by
+   author: per (round, value), the set of authors whose vote verified.
+   Replica [i] signs as Auth id [10 + i], so the book's replica index is
+   not the author; author [n] is a registered outsider and [n + 1] was
+   never registered. A vote's signature is honest, forged, or the right
+   signer's over another (round, value) than its payload claims. *)
+
+type book_sig = Signed | Fabricated | Other_statement
+
+type book_vote = { b_author : int; b_round : int; b_value : int; b_sig : book_sig }
+
+let print_book_vote v =
+  Printf.sprintf "a%d:r%d:v%d%s" v.b_author v.b_round v.b_value
+    (match v.b_sig with
+    | Signed -> ""
+    | Fabricated -> ":forged"
+    | Other_statement -> ":other")
+
+let arb_book_stream =
+  let open QCheck.Gen in
+  let vote =
+    let* b_author = int_range 0 10 in
+    let* b_round = frequency [ (4, return 0); (1, int_range 1 2) ] in
+    let* b_value = frequency [ (4, return 0); (1, int_range 1 2) ] in
+    let* b_sig =
+      frequency
+        [ (8, return Signed); (1, return Fabricated); (1, return Other_statement) ]
+    in
+    return { b_author; b_round; b_value; b_sig }
+  in
+  QCheck.make
+    ~print:(fun (k, votes) ->
+      Printf.sprintf "system %d: %s" k
+        (String.concat " " (List.map print_book_vote votes)))
+    (pair
+       (int_bound (Array.length oracle_systems - 1))
+       (list_size (int_range 0 80) vote))
+
+let book_statement round value = Printf.sprintf "vote|%d|%d" round value
+
+let book_matches_model (k, votes) =
+  let qs = oracle_systems.(k) in
+  let n = Quorum_system.size qs in
+  let registry = Auth.create ~seed:5 in
+  let auth_ids = Array.init n (fun i -> 10 + i) in
+  Array.iter (fun id -> ignore (Auth.register registry id)) auth_ids;
+  ignore (Auth.register registry 99);
+  let book =
+    Consensus.Vote_book.create ~qs ~auth_ids ~registry ~equal:Int.equal
+      ~ser:book_statement
+  in
+  (* (round, value) -> authors whose vote verified, and whether they
+     already formed a quorum *)
+  let model = Hashtbl.create 8 in
+  let model_record a (round, value) sv =
+    let member = Array.exists (( = ) a) auth_ids in
+    if
+      not
+        (member
+        && Auth.verify registry a (book_statement round value)
+             sv.Auth.signature)
+    then `Dropped
+    else begin
+      let authors, quorum =
+        match Hashtbl.find_opt model (round, value) with
+        | Some e -> e
+        | None -> (Hashtbl.create 8, ref false)
+      in
+      Hashtbl.replace model (round, value) (authors, quorum);
+      let fresh = not (Hashtbl.mem authors a) in
+      Hashtbl.replace authors a ();
+      if !quorum then `Past_quorum
+      else if not fresh then `Counted
+      else
+        let present = Array.map (Hashtbl.mem authors) auth_ids in
+        if Quorum_system.is_quorum qs ~present then begin
+          quorum := true;
+          `Reached (List.sort compare (List.of_seq (Hashtbl.to_seq_keys authors)))
+        end
+        else `Counted
+    end
+  in
+  let author_id a = if a < n then 10 + a else if a = n then 99 else 98 in
+  List.for_all
+    (fun v ->
+      let a = author_id (v.b_author mod (n + 2)) in
+      let payload = (v.b_round, v.b_value) in
+      let sv =
+        match v.b_sig with
+        | Fabricated -> Auth.forge_value ~author:a payload
+        | Signed | Other_statement ->
+            let round, value =
+              if v.b_sig = Signed then payload
+              else (v.b_round + 1, v.b_value)
+            in
+            let signer =
+              if a = 98 then Auth.register (Auth.create ~seed:6) a
+              else Auth.signer_of registry a
+            in
+            Auth.sign_value signer
+              ~ser:(fun _ -> book_statement round value)
+              payload
+      in
+      let got =
+        match
+          Consensus.Vote_book.record book ~round:v.b_round ~value:v.b_value sv
+        with
+        | Consensus.Vote_book.Dropped -> `Dropped
+        | Counted -> `Counted
+        | Past_quorum -> `Past_quorum
+        | Reached sigs ->
+            (* in replica order, every one for this (round, value) *)
+            List.iter
+              (fun (s : _ Auth.signed) ->
+                if s.Auth.payload <> payload then
+                  QCheck.Test.fail_report "a QC signature for another vote")
+              sigs;
+            `Reached (List.map (fun (s : _ Auth.signed) -> s.Auth.author) sigs)
+      in
+      got = model_record a payload sv
+      && Consensus.Vote_book.holds book ~round:v.b_round v.b_value
+         = (match Hashtbl.find_opt model payload with
+           | Some (_, q) -> !q
+           | None -> false))
+    votes
+
 let tally_tests =
   [
     Alcotest.test_case "an echo past the quorum commits once the round comes"
@@ -907,6 +1035,10 @@ let tally_tests =
     qcheck
       (QCheck.Test.make ~name:"the running tally matches a quorum oracle"
          ~count:400 arb_vote_stream tally_oracle);
+    qcheck
+      (QCheck.Test.make
+         ~name:"a vote book tallies as a naive author-keyed model"
+         ~count:400 arb_book_stream book_matches_model);
   ]
 
 let () =

@@ -355,23 +355,41 @@ let verifier_tests =
    the committee directly with every message delivered in FIFO order: the
    first request opens slot 0 alone and the other 31 ship as slot 1.
    Returns the minor words the replicas' handlers allocated per echo or
-   commit vote they handled, the votes handled and the replicas that
-   decided both slots. *)
+   commit vote they handled, the votes handled, the replicas that decided
+   both slots, and the most words and the number of the quiet votes: those
+   delivered to an open slot that answer nothing and are not the first of
+   their kind the replica saw for the slot, so they open no bucket,
+   complete no quorum (that sends a commit vote or certifies the slot) and
+   send nothing. *)
 let words_per_vote () =
   let w = make_world ~n:16 ~f:5 ~batch_cap:32 ~pipeline:1 () in
   for item = 0 to 31 do
     request w 0 { C.item; commit = item mod 5 <> 0 }
   done;
   let votes = ref 0 and words = ref 0. in
+  let seen = Hashtbl.create 64 in
+  let quiet = ref 0 and quiet_max = ref 0 in
   while not (Queue.is_empty w.queue) do
     let from_, to_, m = Queue.pop w.queue in
+    let com = w.coms.(to_) in
+    (* slots decide in order, so a slot is open until this many certs *)
+    let is_open = (C.stats com).C.certs <= m.C.slot in
     let before = Gc.minor_words () in
-    let effs = C.on_msg w.coms.(to_) ~now:0 ~from_ m in
+    let effs = C.on_msg com ~now:0 ~from_ m in
     let after = Gc.minor_words () in
+    let vote kind =
+      incr votes;
+      words := !words +. (after -. before);
+      let key = (to_, m.C.slot, kind) in
+      if is_open && effs = [] && Hashtbl.mem seen key then begin
+        incr quiet;
+        quiet_max := max !quiet_max (int_of_float (after -. before))
+      end;
+      Hashtbl.replace seen key ()
+    in
     (match m.C.dm with
-    | Dls.Echo _ | Dls.Commit _ ->
-        incr votes;
-        words := !words +. (after -. before)
+    | Dls.Echo _ -> vote `Echo
+    | Dls.Commit _ -> vote `Commit
     | Dls.Propose _ | Dls.New_round _ -> ());
     effects w ~from_:to_ effs
   done;
@@ -380,24 +398,48 @@ let words_per_vote () =
       (fun k com -> if (C.stats com).C.certs = 2 then k + 1 else k)
       0 w.coms
   in
-  (int_of_float !words / max 1 !votes, !votes, decided)
+  (int_of_float !words / max 1 !votes, !votes, decided, !quiet_max, !quiet)
 
 let allocation_tests =
   [
     Alcotest.test_case "a notary vote costs about one signature check" `Quick
       (fun () ->
-        let per_vote, votes, decided = words_per_vote () in
+        let per_vote, votes, decided, _, _ = words_per_vote () in
         check Alcotest.int "every replica decided both slots" 16 decided;
         (* per slot, 16 echoes and 16 commit votes reach each replica *)
         check Alcotest.int "votes handled" (2 * 2 * 16 * 16) votes;
-        (* about 55 words: the signature check, a bucket per (round,
-           value) and the commit vote a quorum triggers. Rebuilding a
-           presence vector and a QC per vote, re-verifying the first QC
-           and serialising the batch per bucket cost about three times
+        (* about 11 words: a bucket per (round, value), the commit vote a
+           quorum triggers and the QC or certificate it completes; a
+           signature check allocates nothing. Rebuilding a presence
+           vector and a QC per vote, re-verifying the first QC and
+           serialising the batch per bucket cost about fifteen times
            that. *)
-        if per_vote > 80 then
-          Alcotest.failf "a handled vote allocates %d words (budget 80)"
+        if per_vote > 20 then
+          Alcotest.failf "a handled vote allocates %d words (budget 20)"
             per_vote);
+    Alcotest.test_case "a signature check allocates nothing" `Quick
+      (fun () ->
+        let sv = commit_vote 3 in
+        let bytes = Dls.ser_commit C.ser_batch sv.Auth.payload in
+        check Alcotest.bool "verifies" true
+          (Auth.verify big_registry 3 bytes sv.Auth.signature);
+        check Alcotest.int "words per accepted check" 0
+          (words_per_call ~rounds:1_000 (fun () ->
+               Auth.verify big_registry 3 bytes sv.Auth.signature));
+        check Alcotest.int "words per rejected check" 0
+          (words_per_call ~rounds:1_000 (fun () ->
+               Auth.verify big_registry 4 bytes sv.Auth.signature)));
+    Alcotest.test_case "a vote that changes nothing allocates almost nothing"
+      `Quick (fun () ->
+        let _, _, _, worst, quiet = words_per_vote () in
+        (* per replica and slot, about 14 echoes and 9 commit votes *)
+        if quiet < 500 then
+          Alcotest.failf "only %d quiet votes were handled" quiet;
+        (* the signature check, the bucket lookup and recording the
+           signature allocate nothing; a few words of slack *)
+        if worst > 4 then
+          Alcotest.failf "a quiet vote allocates up to %d words (budget 4)"
+            worst);
   ]
 
 (* ------------------------------------------------ slot lifecycle *)

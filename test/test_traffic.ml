@@ -307,6 +307,31 @@ let spec s =
   | Ok w -> w
   | Error e -> Alcotest.fail ("bad spec: " ^ e)
 
+(* The raw text of a field of a span's JSONL row, up to the next comma:
+   the rows are flat up to their attrs. *)
+let span_field row key =
+  let k = Printf.sprintf {|"%s":|} key in
+  let rec find i =
+    if String.sub row i (String.length k) = k then i + String.length k
+    else find (i + 1)
+  in
+  let v = find 0 in
+  String.sub row v (String.index_from row v ',' - v)
+
+(* The payment spans one run exports, as JSONL rows, beside its report. *)
+let payment_spans run =
+  let spans = Obsv.Span.default in
+  Obsv.Span.clear spans;
+  Obsv.Span.set_capture spans true;
+  let r = run () in
+  Obsv.Span.set_capture spans false;
+  let rows =
+    String.split_on_char '\n' (Obsv.Span.to_jsonl spans)
+    |> List.filter (fun row -> row <> "" && span_field row "name" = {|"payment"|})
+  in
+  Obsv.Span.clear spans;
+  (r, rows)
+
 let no_violations r =
   Alcotest.(check int) "violated" 0 r.Load.violated;
   Alcotest.(check (list string)) "violations" []
@@ -632,44 +657,55 @@ let causal_tests =
           | Ok p -> p
           | Error e -> Alcotest.fail e
         in
-        let spans = Obsv.Span.default in
-        Obsv.Span.clear spans;
-        Obsv.Span.set_capture spans true;
-        let r = Load.run ~plan ~workload:w ~seed:9 () in
-        Obsv.Span.set_capture spans false;
+        let r, payment_spans =
+          payment_spans (fun () -> Load.run ~plan ~workload:w ~seed:9 ())
+        in
         Alcotest.(check bool) "scenario wedges payments" true (r.Load.stuck > 0);
-        (* the raw text of a field of a span's JSONL row, up to the next
-           comma: the rows are flat up to their attrs *)
-        let field row key =
-          let k = Printf.sprintf {|"%s":|} key in
-          let rec find i =
-            if String.sub row i (String.length k) = k then i + String.length k
-            else find (i + 1)
-          in
-          let v = find 0 in
-          String.sub row v (String.index_from row v ',' - v)
-        in
-        let payment_spans =
-          String.split_on_char '\n' (Obsv.Span.to_jsonl spans)
-          |> List.filter (fun row ->
-                 row <> "" && field row "name" = {|"payment"|})
-        in
         Alcotest.(check int) "a span per payment" w.Workload.payments
           (List.length payment_spans);
         let stuck_spans =
-          List.filter (fun s -> field s "status" = {|"stuck"|}) payment_spans
+          List.filter (fun s -> span_field s "status" = {|"stuck"|}) payment_spans
         in
         Alcotest.(check int) "stuck spans match the count" r.Load.stuck
           (List.length stuck_spans);
         List.iter
           (fun s ->
-            if field s "status" = {|"running"|} then
-              Alcotest.failf "span %s exported running" (field s "id");
-            match int_of_string_opt (field s "end") with
-            | Some e when e >= int_of_string (field s "start") -> ()
-            | _ -> Alcotest.failf "span %s open-ended" (field s "id"))
-          payment_spans;
-        Obsv.Span.clear spans);
+            if span_field s "status" = {|"running"|} then
+              Alcotest.failf "span %s exported running" (span_field s "id");
+            match int_of_string_opt (span_field s "end") with
+            | Some e when e >= int_of_string (span_field s "start") -> ()
+            | _ -> Alcotest.failf "span %s open-ended" (span_field s "id"))
+          payment_spans);
+    Alcotest.test_case "a rejected payment's span ends at its patience"
+      `Quick (fun () ->
+        (* a hub too thin for the offered load: most payments wait out
+           their patience in the admission queue *)
+        let w =
+          spec
+            "payments=20 hops=2 value=1000 commission=10 arrival=poisson:30 \
+             mix=sync:1,weak:1 policy=reserve cap=0 liquidity=0 \
+             patience=2000 stuck=0 drift=0 gst=none topology=hub:3:3000:5 \
+             splits=2"
+        in
+        let r, payment_spans =
+          payment_spans (fun () -> Load.run ~workload:w ~seed:4 ())
+        in
+        let rejected =
+          List.filter
+            (fun s -> span_field s "status" = {|"rejected"|})
+            payment_spans
+        in
+        Alcotest.(check int) "a span per rejection" r.Load.rejected
+          (List.length rejected);
+        Alcotest.(check bool) "scenario rejects payments" true
+          (rejected <> []);
+        List.iter
+          (fun s ->
+            Alcotest.(check int)
+              ("span " ^ span_field s "id" ^ " ends at its patience")
+              (int_of_string (span_field s "start") + w.Workload.patience)
+              (int_of_string (span_field s "end")))
+          rejected);
   ]
 
 (* ---------------------------- golden pins ------------------------------ *)

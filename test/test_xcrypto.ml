@@ -42,6 +42,27 @@ let hash_tests =
          (fun (s1, s2) ->
            String.equal s1 s2
            || not (Hash.equal (Hash.of_string s1) (Hash.of_string s2))));
+    qcheck
+      (QCheck.Test.make
+         ~name:"an in-place check agrees with finishing the hash"
+         QCheck.(triple string string (pair small_nat (int_bound 2)))
+         (fun (prefix, s, (pos, how)) ->
+           let st = Hash.feed Hash.start prefix in
+           let mac = Hash.finish (Hash.feed st s) in
+           (* the genuine message, one with a flipped byte, or a MAC that
+              no key made *)
+           let msg, mac =
+             match how with
+             | 1 when s <> "" ->
+                 let b = Bytes.of_string s in
+                 let i = pos mod Bytes.length b in
+                 Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+                 (Bytes.to_string b, mac)
+             | 2 -> (s, Hash.of_string "forged")
+             | _ -> (s, mac)
+           in
+           Hash.matches st msg mac
+           = Hash.equal (Hash.finish (Hash.feed st msg)) mac));
   ]
 
 let auth_tests =
