@@ -833,6 +833,20 @@ let golden_runs =
                    liquidity=0 patience=2000 drift=10000 topology=er:6:4:9 \
                    route=round-robin splits=3"))
           ~seed:5 () );
+    (* shortest-path fill drains bottleneck edges to exactly zero, so the
+       set of usable edges shrinks mid-run and most payments find no
+       route *)
+    ( "er graph, edges run dry",
+      "dba134a1fcce2a56c69607b4a208ba8d",
+      fun () ->
+        Load.run
+          ~workload:
+            (spec
+               (line
+                  "payments=60 arrival=poisson:20 mix=sync:1,weak:1 \
+                   policy=reserve liquidity=0 patience=2000 drift=10000 \
+                   topology=er:6:4:9:2500:0 route=shortest splits=3"))
+          ~seed:7 () );
     ( "causally traced linear run",
       "b21f3b634bd703a8b6b38c77a3efbbee",
       fun () ->
