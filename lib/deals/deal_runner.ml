@@ -310,10 +310,8 @@ let certifier cfg : auto =
       @ [ ("decided", A.final ()) ])
     ()
 
-let template cfg =
+let compile cfg =
   let np = Deal.parties cfg.deal and arcs = Array.of_list (Deal.arcs cfg.deal) in
-  if Array.length cfg.compliant <> np then
-    invalid_arg "Deal_runner.run: compliant array size mismatch";
   let tmpl =
     Array.init
       (cb_pid cfg + if cfg.protocol = Cbc then 1 else 0)
@@ -325,6 +323,38 @@ let template cfg =
   match Anta.Network_check.well_formed tmpl with
   | Ok () -> tmpl
   | Error e -> invalid_arg ("Deal_runner.template: " ^ e)
+
+(* The templates built so far, keyed by exactly the config fields the
+   builders read: the deal, the protocol and the timing. A compiled
+   automaton never changes once built (executors keep their state apart,
+   edits build new automata, and [execute] maps the array into a fresh
+   one), so every run of a key shares one template. *)
+module Template_map = Map.Make (struct
+  type t = Deal.t * commit_protocol * (Sim_time.t * Sim_time.t * int * Sim_time.t)
+
+  let compare = compare
+end)
+
+let template_memo : auto array Template_map.t Atomic.t =
+  Atomic.make Template_map.empty
+
+let template cfg =
+  if Array.length cfg.compliant <> Deal.parties cfg.deal then
+    invalid_arg "Deal_runner.run: compliant array size mismatch";
+  let key =
+    (cfg.deal, cfg.protocol, (cfg.delta, cfg.sigma, cfg.drift_ppm, cfg.cb_patience))
+  in
+  match Template_map.find_opt key (Atomic.get template_memo) with
+  | Some tmpl -> tmpl
+  | None ->
+      let tmpl = compile cfg in
+      let rec publish () =
+        let m = Atomic.get template_memo in
+        if not (Atomic.compare_and_set template_memo m (Template_map.add key tmpl m))
+        then publish ()
+      in
+      publish ();
+      tmpl
 
 let instance cfg =
   let registry = Auth.create ~seed:(cfg.seed + 3) in

@@ -59,8 +59,11 @@ type outcome = {
 
 val template : config -> auto array
 (** Every pid's honest automaton; the pid layout and the deadlines are its
-    constants. Raises [Invalid_argument] if [compliant] does not have one
-    entry per party or the network fails C's structural clause
+    constants. Built once per deal, protocol and timing ([delta],
+    [sigma], [drift_ppm], [cb_patience]) and shared by every later call
+    with the same ones: callers must not write into the array. Raises
+    [Invalid_argument] if [compliant] does not have one entry per party
+    or the network fails C's structural clause
     ({!Anta.Network_check.well_formed}).
 
     Party [p]'s states say what it knows, as the mask [S] of the parties

@@ -11,13 +11,54 @@ let strategy_of_string = function
 
 type split = { path : int list; value : int }
 
+(* A searched path, kept both ways: the edge list a split hands out and
+   the array the capacity scans walk. *)
+type path = { edges : int array; list : int list }
+
+let no_path = { edges = [||]; list = [] }
+
+(* The memo of [search], keyed by the usable-edge set as a bitmask. *)
+module Memo = Hashtbl.Make (struct
+  type t = Bytes.t
+
+  let equal = Bytes.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Searches kept per router. A miss past this many distinct usable sets
+   clears the table: the search is a pure function of the topology and
+   the set, so dropping entries can only cost a re-search. *)
+let memo_cap = 1024
+
 type t = {
   topo : Topology.t;
   strat : strategy;
   mutable cursor : int;  (** Round_robin: which candidate path leads *)
+  memo : path option Memo.t;
+  (* scratch for one call, reused across calls *)
+  room : int array;  (** per edge: the liquidity [avail] reported *)
+  removed : Bytes.t;  (** per edge: dropped from this call's search *)
+  mask : Bytes.t;  (** the usable set, one bit per edge *)
+  mutable found : path array;  (** candidates, cost order *)
+  mutable caps : int array;  (** their value capacities *)
+  mutable given : int array;  (** value dealt to each candidate *)
 }
 
-let create ?(strategy = Shortest) topo = { topo; strat = strategy; cursor = 0 }
+let create ?(strategy = Shortest) (topo : Topology.t) =
+  let nedges = Array.length topo.Topology.edges in
+  {
+    topo;
+    strat = strategy;
+    cursor = 0;
+    memo = Memo.create 16;
+    room = Array.make nedges 0;
+    removed = Bytes.make nedges '\000';
+    mask = Bytes.make ((nedges + 7) / 8) '\000';
+    found = [||];
+    caps = [||];
+    given = [||];
+  }
+
 let strategy t = t.strat
 
 let path_nodes (topo : Topology.t) path =
@@ -28,38 +69,47 @@ let path_nodes (topo : Topology.t) path =
       :: List.map (fun i -> topo.Topology.edges.(i).Topology.dst) path
 
 let leg_amounts (topo : Topology.t) ~path ~value =
-  let arr = Array.of_list path in
-  let n = Array.length arr in
-  let amounts = Array.make (max n 1) 0 in
+  let n = List.length path in
+  let amounts = Array.make n 0 in
+  List.iteri
+    (fun i e -> amounts.(i) <- topo.Topology.edges.(e).Topology.commission)
+    path;
   (* leg i pays the value plus the commissions of every edge after i *)
   let suffix = ref 0 in
   for i = n - 1 downto 0 do
+    let commission = amounts.(i) in
     amounts.(i) <- value + !suffix;
-    suffix := !suffix + topo.Topology.edges.(arr.(i)).Topology.commission
+    suffix := !suffix + commission
   done;
-  if n = 0 then [||] else amounts
+  amounts
 
-let path_capacity (topo : Topology.t) ~avail path =
-  let arr = Array.of_list path in
-  let n = Array.length arr in
+(* Largest value [edges] carries when edge [e] holds [room.(e)]. *)
+let capacity (topo : Topology.t) room edges =
+  let n = Array.length edges in
   if n = 0 then 0
   else begin
     let cap = ref Topology.unbounded in
     let suffix = ref 0 in
     for i = n - 1 downto 0 do
-      let room = avail arr.(i) - !suffix in
-      if room < !cap then cap := room;
-      suffix := !suffix + topo.Topology.edges.(arr.(i)).Topology.commission
+      let left = room.(edges.(i)) - !suffix in
+      if left < !cap then cap := left;
+      suffix := !suffix + topo.Topology.edges.(edges.(i)).Topology.commission
     done;
     !cap
   end
+
+let path_capacity (topo : Topology.t) ~avail path =
+  let edges = Array.of_list path in
+  let room = Array.make (Array.length topo.Topology.edges) 0 in
+  Array.iter (fun e -> room.(e) <- avail e) edges;
+  capacity topo room edges
 
 (* Cheapest usable source->sink path: total commission, then hop count,
    then lexicographic node sequence — a total order, so the choice is
    deterministic. Label-correcting search; optimal labels are simple
    paths (a cycle only adds hops and non-negative commission), so it
    terminates. *)
-let best_path (topo : Topology.t) ~usable =
+let search (topo : Topology.t) ~usable =
   let n = topo.Topology.nodes in
   let label = Array.make n None in
   (* (commission, hops, nodes fwd, edges rev) *)
@@ -95,121 +145,158 @@ let best_path (topo : Topology.t) ~usable =
   done;
   match label.(Topology.sink topo) with
   | None -> None
-  | Some (_, _, _, es) -> Some (List.rev es)
+  | Some (_, _, _, es) ->
+      let list = List.rev es in
+      Some { edges = Array.of_list list; list }
 
-(* Candidate edge-disjoint paths with their value capacities, cost order.
-   A cheapest path whose capacity is non-positive (commissions eat the
-   liquidity) has its bottleneck edge dropped and the search retried, so
-   a clogged cheap path never hides a usable pricier one. *)
-let candidates (topo : Topology.t) ~avail ~max =
-  let nedges = Array.length topo.Topology.edges in
-  let removed = Array.make nedges false in
-  let out = ref [] in
+let usable t i = Bytes.get t.removed i = '\000' && t.room.(i) >= 1
+
+let plain_search t = search t.topo ~usable:(usable t)
+
+(* [search] through the memo. A hit allocates nothing: the usable set is
+   written into the scratch mask, and only a miss copies it as a key. *)
+let memo_search t =
+  let mask = t.mask in
+  Bytes.fill mask 0 (Bytes.length mask) '\000';
+  for i = 0 to Bytes.length t.removed - 1 do
+    if usable t i then begin
+      let b = i lsr 3 in
+      Bytes.set mask b
+        (Char.unsafe_chr (Char.code (Bytes.get mask b) lor (1 lsl (i land 7))))
+    end
+  done;
+  match Memo.find t.memo mask with
+  | found -> found
+  | exception Not_found ->
+      let found = plain_search t in
+      if Memo.length t.memo >= memo_cap then Memo.reset t.memo;
+      Memo.add t.memo (Bytes.copy mask) found;
+      found
+
+(* Candidate edge-disjoint paths under the liquidity in [t.room], cost
+   order, into [t.found] and [t.caps]; returns how many. A cheapest path
+   whose capacity is non-positive (commissions eat the liquidity) has its
+   bottleneck edge dropped and the search retried, so a clogged cheap
+   path never hides a usable pricier one. *)
+let candidates t ~find ~max =
+  let nedges = Array.length t.room in
+  if Array.length t.found < max then begin
+    t.found <- Array.make max no_path;
+    t.caps <- Array.make max 0;
+    t.given <- Array.make max 0
+  end;
+  Bytes.fill t.removed 0 nedges '\000';
   let found = ref 0 in
   let guard = ref (nedges + max + 2) in
   let continue = ref true in
   while !continue && !found < max && !guard > 0 do
     decr guard;
-    let usable i = (not removed.(i)) && avail i >= 1 in
-    match best_path topo ~usable with
+    match find t with
     | None -> continue := false
     | Some path ->
-        let cap = path_capacity topo ~avail path in
+        let edges = path.edges in
+        let cap = capacity t.topo t.room edges in
         if cap >= 1 then begin
-          out := (path, cap) :: !out;
+          t.found.(!found) <- path;
+          t.caps.(!found) <- cap;
           incr found;
-          List.iter (fun i -> removed.(i) <- true) path
+          for i = 0 to Array.length edges - 1 do
+            Bytes.set t.removed edges.(i) '\001'
+          done
         end
         else begin
           (* drop the tightest leg (first minimum) and retry *)
-          let arr = Array.of_list path in
-          let n = Array.length arr in
           let worst = ref 0 and worst_room = ref max_int in
           let suffix = ref 0 in
-          for i = n - 1 downto 0 do
-            let room = avail arr.(i) - !suffix in
+          for i = Array.length edges - 1 downto 0 do
+            let room = t.room.(edges.(i)) - !suffix in
             if room <= !worst_room then begin
               worst_room := room;
-              worst := arr.(i)
+              worst := edges.(i)
             end;
             suffix :=
-              !suffix + topo.Topology.edges.(arr.(i)).Topology.commission
+              !suffix + t.topo.Topology.edges.(edges.(i)).Topology.commission
           done;
-          removed.(!worst) <- true
+          Bytes.set t.removed !worst '\001'
         end
   done;
-  List.rev !out
+  !found
+
+let fill_room t avail =
+  for i = 0 to Array.length t.room - 1 do
+    t.room.(i) <- avail i
+  done
 
 let paths topo ?avail ~max () =
-  let avail =
-    match avail with
-    | Some f -> f
-    | None -> fun i -> Topology.capacity topo.Topology.edges.(i)
-  in
-  List.map fst (candidates topo ~avail ~max)
+  let t = create topo in
+  (match avail with
+  | Some avail -> fill_room t avail
+  | None ->
+      fill_room t (fun i -> Topology.capacity topo.Topology.edges.(i)));
+  List.init (candidates t ~find:plain_search ~max) (fun i -> t.found.(i).list)
 
-let rotate n l =
-  if l = [] then l
-  else
-    let n = n mod List.length l in
-    let rec go k acc = function
-      | rest when k = 0 -> rest @ List.rev acc
-      | x :: rest -> go (k - 1) (x :: acc) rest
-      | [] -> List.rev acc
-    in
-    go n [] l
+(* The splits of the dealt candidates [first, first + 1, ...] (mod [n])
+   that carry value, in that order. *)
+let dealt t ~n ~first =
+  let splits = ref [] in
+  for j = n - 1 downto 0 do
+    let i = (first + j) mod n in
+    if t.given.(i) > 0 then
+      splits := { path = t.found.(i).list; value = t.given.(i) } :: !splits
+  done;
+  !splits
 
 let route t ~avail ~value ~max_splits =
   if value < 1 then invalid_arg "Router.route: value must be positive";
   if max_splits < 1 then invalid_arg "Router.route: max_splits must be >= 1";
-  let cands = candidates t.topo ~avail ~max:max_splits in
-  let total_cap = List.fold_left (fun acc (_, c) -> acc + c) 0 cands in
-  if total_cap < value then
+  fill_room t avail;
+  let n = candidates t ~find:memo_search ~max:max_splits in
+  let total_cap = ref 0 in
+  for i = 0 to n - 1 do
+    total_cap := !total_cap + t.caps.(i)
+  done;
+  if !total_cap < value then
     Error
       (Printf.sprintf
-         "no route: %d disjoint path(s) carry at most %d of %d"
-         (List.length cands) total_cap value)
+         "no route: %d disjoint path(s) carry at most %d of %d" n !total_cap
+         value)
   else begin
-    let splits =
-      match t.strat with
-      | Shortest ->
-          (* greedy: fill the cheapest path first *)
-          let remaining = ref value in
-          List.filter_map
-            (fun (path, cap) ->
-              if !remaining = 0 then None
-              else begin
-                let v = min cap !remaining in
-                remaining := !remaining - v;
-                Some { path; value = v }
-              end)
-            cands
-      | Round_robin ->
-          (* deal rotating quanta so every path carries a fair share *)
-          let cands = Array.of_list (rotate t.cursor cands) in
-          let n = Array.length cands in
-          let spare = Array.map snd cands in
-          let given = Array.make n 0 in
-          let remaining = ref value in
-          while !remaining > 0 do
-            let live = ref 0 in
-            Array.iter (fun s -> if s > 0 then incr live) spare;
-            let quantum = Stdlib.max 1 (!remaining / Stdlib.max 1 !live) in
-            for i = 0 to n - 1 do
-              if !remaining > 0 && spare.(i) > 0 then begin
-                let g = Stdlib.min spare.(i) (Stdlib.min !remaining quantum) in
-                given.(i) <- given.(i) + g;
-                spare.(i) <- spare.(i) - g;
-                remaining := !remaining - g
-              end
-            done
+    let given = t.given in
+    Array.fill given 0 n 0;
+    match t.strat with
+    | Shortest ->
+        (* greedy: fill the cheapest path first *)
+        let remaining = ref value in
+        for i = 0 to n - 1 do
+          let v = min t.caps.(i) !remaining in
+          given.(i) <- v;
+          remaining := !remaining - v
+        done;
+        Ok (dealt t ~n ~first:0)
+    | Round_robin ->
+        (* deal rotating quanta so every path carries a fair share, the
+           path at the cursor leading; [caps] turns into what is spare *)
+        let first = t.cursor mod n in
+        let spare = t.caps in
+        let remaining = ref value in
+        while !remaining > 0 do
+          let live = ref 0 in
+          for i = 0 to n - 1 do
+            if spare.(i) > 0 then incr live
           done;
-          t.cursor <- t.cursor + 1;
-          Array.to_list
-            (Array.mapi (fun i (path, _) -> { path; value = given.(i) }) cands)
-          |> List.filter (fun s -> s.value > 0)
-    in
-    Ok splits
+          let quantum = Stdlib.max 1 (!remaining / Stdlib.max 1 !live) in
+          for j = 0 to n - 1 do
+            let i = (first + j) mod n in
+            if !remaining > 0 && spare.(i) > 0 then begin
+              let g = Stdlib.min spare.(i) (Stdlib.min !remaining quantum) in
+              given.(i) <- given.(i) + g;
+              spare.(i) <- spare.(i) - g;
+              remaining := !remaining - g
+            end
+          done
+        done;
+        t.cursor <- t.cursor + 1;
+        Ok (dealt t ~n ~first)
   end
 
 let max_flow (topo : Topology.t) ?avail () =

@@ -39,8 +39,10 @@ type split = {
 }
 
 type t
-(** A stateful router over one topology ({!Round_robin} keeps a rotation
-    cursor); liquidity is the caller's, supplied per call via [avail]. *)
+(** A stateful router over one topology: {!Round_robin} keeps a rotation
+    cursor, and every router memoises its path searches by the set of
+    usable edges, which cannot change a result (see docs/routing.md).
+    Liquidity is the caller's, supplied per call via [avail]. *)
 
 val create : ?strategy:strategy -> Topology.t -> t
 (** Default {!Shortest}. *)
@@ -50,8 +52,8 @@ val strategy : t -> strategy
 val route :
   t -> avail:(int -> int) -> value:int -> max_splits:int ->
   (split list, string) result
-(** [avail i] is the spendable liquidity of edge [i] right now. On
-    success the splits are edge-disjoint, each carries positive value,
+(** [avail i] is the spendable liquidity of edge [i] right now; it is
+    read once per edge per call. On success the splits are edge-disjoint, each carries positive value,
     and their values sum to exactly [value]. *)
 
 val path_nodes : Topology.t -> int list -> int list

@@ -8,14 +8,18 @@ let create ?(l0 = Sim_time.zero) ?(g0 = Sim_time.zero) ~num ~den () =
   if num <= 0 || den <= 0 then invalid_arg "Clock.create: rate must be positive";
   { l0; g0; num; den }
 
-let random rng ~drift_ppm =
+let draw rng ~drift_ppm a i =
   if drift_ppm < 0 || drift_ppm >= ppm then
-    invalid_arg "Clock.random: drift_ppm out of range";
-  let num = Rng.int_in rng ~lo:(ppm - drift_ppm) ~hi:(ppm + drift_ppm) in
-  let l0 = Rng.int_in rng ~lo:0 ~hi:1000 in
-  { l0; g0 = 0; num; den = ppm }
+    invalid_arg "Clock.draw: drift_ppm out of range";
+  a.(i) <- Rng.int_in rng ~lo:(ppm - drift_ppm) ~hi:(ppm + drift_ppm);
+  a.(i + 1) <- Rng.int_in rng ~lo:0 ~hi:1000
 
-let rate c = (c.num, c.den)
+let of_draw a i ~l0 ~g0 = { l0; g0; num = a.(i); den = ppm }
+
+let random rng ~drift_ppm =
+  let a = [| 0; 0 |] in
+  draw rng ~drift_ppm a 0;
+  of_draw a 0 ~l0:a.(1) ~g0:0
 
 (* floor ((g - g0) * num / den), overflow-safe via the same hi/lo split as
    Sim_time.scale but flooring instead of ceiling. *)

@@ -25,8 +25,15 @@ val random : Rng.t -> drift_ppm:int -> t
 (** A clock whose rate is uniform in [1 ± drift_ppm·10⁻⁶] with a random
     initial offset in [\[0, 1000\]] ticks. [drift_ppm] may be 0. *)
 
-val rate : t -> int * int
-(** The [(num, den)] rate pair, in lowest terms as given. *)
+val draw : Rng.t -> drift_ppm:int -> int array -> int -> unit
+(** [draw rng ~drift_ppm a i] takes from [rng] exactly the draws
+    {!random} takes, in its order, and stores them flat: the rate's
+    numerator at [a.(i)] and the initial offset at [a.(i + 1)]. *)
+
+val of_draw : int array -> int -> l0:Sim_time.t -> g0:Sim_time.t -> t
+(** The clock at the rate {!draw} stored at [a.(i)], reading [l0] at
+    global time [g0]: with [~l0:a.(i + 1) ~g0:0] it is the clock {!random}
+    makes from the same draws. *)
 
 val local_of_global : t -> Sim_time.t -> Sim_time.t
 (** Read the clock at a global instant. Monotone and total. *)

@@ -141,8 +141,9 @@ type inst = {
   i_amounts : int array;  (** leg amounts, commissions included *)
   i_handlers : (Msg.t, Obs.t) Engine.handlers array;
       (** one per block slot the protocol uses on this path *)
-  i_draws : (Clock.t * int) array;
-      (** per block slot: the process clock and start skew *)
+  i_draws : int array;
+      (** per block slot [l], at [3 * l]: the process clock's rate and
+          offset as {!Clock.draw} stores them, then the start skew *)
   i_phase : Bytes.t;
       (** per block slot: waiting for Start, running, or halted and
           reported to the controller (see [shell]) *)
@@ -164,9 +165,9 @@ and pay = {
   k : int;
   proto : Workload.proto;
   arrived_at : int;
-  mutable draws : (Clock.t * int) array array;
-      (** per split, per block slot: the process clock and start skew;
-          dropped once the payment's instances are built *)
+  mutable draws : int array array;
+      (** per split, the [i_draws] of its instance; dropped once the
+          payment's instances are built *)
   mutable admitted_at : int;
   mutable closed : bool;  (** scheduler stopped tracking it *)
   mutable splits : int list;  (** instance ids, ascending *)
@@ -377,7 +378,7 @@ type state = {
   clock_rng : Rng.t;
   mutable mix : Workload.proto Seq.t;  (** the protocols not drawn yet *)
   mutable drawn : int;  (** payments whose draws were taken *)
-  ahead : (Workload.proto * (Clock.t * int) array array) Ids.t;
+  ahead : (Workload.proto * int array array) Ids.t;
       (** draws set aside for payments that arrive out of order *)
   rows : bool;  (** per-payment rows are kept: for blame or spans *)
   roots : int array;  (** per payment: its arrival note *)
@@ -631,10 +632,12 @@ let draw_payment st =
       Tally.assign (tally_of st proto);
       ( proto,
         Array.init st.w.splits (fun _ ->
-            Array.init st.stride (fun _ ->
-                let drift_ppm = st.w.drift_ppm in
-                let clock = Clock.random st.clock_rng ~drift_ppm in
-                (clock, Rng.int st.clock_rng 1001))) )
+            let draws = Array.make (3 * st.stride) 0 in
+            for l = 0 to st.stride - 1 do
+              Clock.draw st.clock_rng ~drift_ppm:st.w.drift_ppm draws (3 * l);
+              draws.((3 * l) + 2) <- Rng.int st.clock_rng 1001
+            done;
+            draws) )
 
 let take_draws st k =
   if k < st.drawn then begin
@@ -896,11 +899,11 @@ let start st ins l ctx =
   Bytes.set ins.i_phase l running;
   (* re-anchor the local epoch: the protocol's absolute local deadlines
      must count from this instance's own start, not from engine time 0 *)
-  let clock, skew = ins.i_draws.(l) in
-  let num, den = Clock.rate clock in
   Engine.set_clock st.engine
     ~pid:(1 + (ins.id * st.stride) + l)
-    (Clock.create ~l0:skew ~g0:(Engine.now st.engine) ~num ~den ());
+    (Clock.of_draw ins.i_draws (3 * l)
+       ~l0:ins.i_draws.((3 * l) + 2)
+       ~g0:(Engine.now st.engine));
   let h = ins.i_handlers.(l) in
   h.Engine.on_start ctx;
   let pending = List.rev ins.i_buffered.(l) in
@@ -991,7 +994,8 @@ let build st p j (s : Routing.Router.split) =
        engine carries a profiler *)
     ignore
       (Engine.add_process st.engine ~pid:(base + l)
-         ~clock:(fst ins.i_draws.(l))
+         ~clock:(Clock.of_draw ins.i_draws (3 * l)
+                   ~l0:ins.i_draws.((3 * l) + 1) ~g0:0)
          ~base ~label:(st.legs.role p.proto l) sh)
   done;
   ins

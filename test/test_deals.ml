@@ -367,6 +367,34 @@ let template_tests =
       ]
   in
   [
+    Alcotest.test_case "a template is built once per deal, protocol and timing"
+      `Quick (fun () ->
+        let cfg = Deal_runner.default_config (Deal.three_cycle ()) Deal_runner.Cbc in
+        let tmpl = Deal_runner.template cfg in
+        (* seed, faults and schedule are not the template's: it is shared *)
+        check Alcotest.bool "another seed, gst and budget share it" true
+          (tmpl
+          == Deal_runner.template
+               { cfg with seed = 99; gst = Some 500; max_events = 10 });
+        check Alcotest.bool "an equal deal built apart shares it" true
+          (tmpl == Deal_runner.template { cfg with deal = Deal.three_cycle () });
+        (* every field a builder reads keys it *)
+        List.iter
+          (fun (field, cfg') ->
+            check Alcotest.bool (field ^ " builds its own") false
+              (tmpl == Deal_runner.template cfg'))
+          [
+            ("deal", { cfg with deal = Deal.broker_dag () });
+            ("protocol", { cfg with protocol = Deal_runner.Timelock });
+            ("delta", { cfg with delta = cfg.delta + 1 });
+            ("sigma", { cfg with sigma = cfg.sigma + 1 });
+            ("drift", { cfg with drift_ppm = cfg.drift_ppm + 1 });
+            ("patience", { cfg with cb_patience = cfg.cb_patience + 1 });
+          ];
+        (* the size check is not memoised *)
+        Alcotest.check_raises "compliant size"
+          (Invalid_argument "Deal_runner.run: compliant array size mismatch")
+          (fun () -> ignore (Deal_runner.template { cfg with compliant = [| true |] })));
     Alcotest.test_case "every template network is well formed" `Quick (fun () ->
         each (fun label deal p ->
             let tmpl = Deal_runner.template (Deal_runner.default_config deal p) in

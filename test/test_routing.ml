@@ -231,6 +231,184 @@ let router_tests =
           (Router.max_flow t2 () >= Topology.unbounded));
   ]
 
+(* ----------------------------- path memo ------------------------------ *)
+
+(* What [Router.route] should answer, recomputed without the router's
+   memo or scratch: candidates from the memo-free [Router.paths], their
+   capacities from [Router.path_capacity], and each strategy's deal as
+   list code. [cursor] is the round-robin rotation the router under test
+   has reached: its count of successful routes. *)
+let reference topo strat ~cursor ~avail ~value ~max_splits =
+  let cands =
+    List.map
+      (fun p -> (p, Router.path_capacity topo ~avail p))
+      (Router.paths topo ~avail ~max:max_splits ())
+  in
+  let total = List.fold_left (fun a (_, c) -> a + c) 0 cands in
+  if total < value then
+    Error
+      (Printf.sprintf "no route: %d disjoint path(s) carry at most %d of %d"
+         (List.length cands) total value)
+  else
+    match strat with
+    | Router.Shortest ->
+        let remaining = ref value in
+        Ok
+          (List.filter_map
+             (fun (path, cap) ->
+               let v = min cap !remaining in
+               remaining := !remaining - v;
+               if v > 0 then Some (path, v) else None)
+             cands)
+    | Router.Round_robin ->
+        let n = List.length cands in
+        let first = cursor mod n in
+        let cands =
+          Array.of_list
+            (List.filteri (fun i _ -> i >= first) cands
+            @ List.filteri (fun i _ -> i < first) cands)
+        in
+        let spare = Array.map snd cands and given = Array.make n 0 in
+        let remaining = ref value in
+        while !remaining > 0 do
+          let live = Array.fold_left (fun a s -> if s > 0 then a + 1 else a) 0 spare in
+          let quantum = max 1 (!remaining / max 1 live) in
+          Array.iteri
+            (fun i s ->
+              if !remaining > 0 && s > 0 then begin
+                let g = min s (min !remaining quantum) in
+                given.(i) <- given.(i) + g;
+                spare.(i) <- spare.(i) - g;
+                remaining := !remaining - g
+              end)
+            spare
+        done;
+        Ok
+          (List.filter
+             (fun (_, v) -> v > 0)
+             (Array.to_list (Array.mapi (fun i (p, _) -> (p, given.(i))) cands)))
+
+(* One long-lived router driven through [steps] liquidity states: at each
+   it must answer what the memo-free [reference] does. [next] moves the
+   state on, given the routed splits of this step. Returns the distinct
+   usable-edge sets the router saw. *)
+let drive topo strat ~steps ~value ~max_splits ~next =
+  let router = Router.create ~strategy:strat topo in
+  let nedges = Array.length topo.Topology.edges in
+  let room = Array.init nedges (full_avail topo) in
+  let avail e = room.(e) in
+  let cursor = ref 0 in
+  let seen = Hashtbl.create 64 in
+  for step = 1 to steps do
+    Hashtbl.replace seen (String.init nedges (fun e -> if room.(e) >= 1 then '1' else '0')) ();
+    let value = value step and max_splits = max_splits step in
+    let got =
+      Result.map
+        (List.map (fun s -> (s.Router.path, s.Router.value)))
+        (Router.route router ~avail ~value ~max_splits)
+    in
+    let want = reference topo strat ~cursor:!cursor ~avail ~value ~max_splits in
+    if got <> want then
+      QCheck.Test.fail_reportf "%s, step %d, room [%s]: memoised and memo-free routes differ"
+        (Router.strategy_name strat) step
+        (String.concat ";" (Array.to_list (Array.map string_of_int room)));
+    (match got with Ok _ -> incr cursor | Error _ -> ());
+    next room (Result.value ~default:[] got)
+  done;
+  Hashtbl.length seen
+
+(* Spend what the splits reserve, as the load scheduler does, then dry up,
+   refill or trim one random edge. *)
+let churn rng topo room splits =
+  let int n = Sim.Rng.int rng n in
+  List.iter
+    (fun (path, value) ->
+      let amounts = Router.leg_amounts topo ~path ~value in
+      List.iteri (fun i e -> room.(e) <- room.(e) - amounts.(i)) path)
+    splits;
+  let e = int (Array.length room) in
+  match int 4 with
+  | 0 -> room.(e) <- 0
+  | 1 -> room.(e) <- full_avail topo e
+  | 2 -> room.(e) <- int (full_avail topo e + 1)
+  | _ -> ()
+
+let memo_tests =
+  [
+    qcheck
+      (QCheck.Test.make
+         ~name:"a memoised router routes as a memo-free search" ~count:200
+         QCheck.(pair topo_arb bool)
+         (fun (seed, rr) ->
+           let topo = random_topo seed in
+           let rng = Sim.Rng.create ~seed:(seed + 1) in
+           let strat = if rr then Router.Round_robin else Router.Shortest in
+           ignore
+             (drive topo strat ~steps:150
+                ~value:(fun _ -> 1 + Sim.Rng.int rng 3000)
+                ~max_splits:(fun _ -> 1 + Sim.Rng.int rng 4)
+                ~next:(churn rng topo));
+           true));
+    Alcotest.test_case "the memo's answers survive its eviction" `Quick
+      (fun () ->
+        (* 20 edges under random dry sets: far more distinct usable sets
+           than the 1,024 searches a router keeps, revisited so that hits
+           land both before and after the memo is cleared *)
+        let topo = topo_of "er:7:14:3:900:2" in
+        let nedges = Array.length topo.Topology.edges in
+        List.iter
+          (fun strat ->
+            let rng = Sim.Rng.create ~seed:17 in
+            let states = ref [] in
+            let next room _ =
+              match (Sim.Rng.int rng 3, !states) with
+              | 0, (_ :: _ as old) ->
+                  let back = List.nth old (Sim.Rng.int rng (List.length old)) in
+                  Array.blit back 0 room 0 nedges
+              | _ ->
+                  Array.iteri
+                    (fun e _ ->
+                      room.(e) <-
+                        (if Sim.Rng.int rng 10 < 3 then 0
+                         else 1 + Sim.Rng.int rng (full_avail topo e)))
+                    room;
+                  states := Array.copy room :: !states
+            in
+            let distinct =
+              drive topo strat ~steps:4_000
+                ~value:(fun _ -> 1 + Sim.Rng.int rng 1500)
+                ~max_splits:(fun _ -> 3)
+                ~next
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%d distinct usable sets exceed the cap"
+                 distinct)
+              true (distinct > 2 * 1024))
+          [ Router.Shortest; Router.Round_robin ]);
+    Alcotest.test_case "a route that hits the memo allocates only its splits"
+      `Quick (fun () ->
+        let t = topo_of "graph:4;0>1:600:0,0>2:600:0,1>3:600:0,2>3:600:0" in
+        let avail = full_avail t in
+        List.iter
+          (fun strat ->
+            let r = Router.create ~strategy:strat t in
+            let route () = Router.route r ~avail ~value:1000 ~max_splits:2 in
+            ignore (Sys.opaque_identity (route ()));
+            let rounds = 1_000 in
+            let before = Gc.minor_words () in
+            for _ = 1 to rounds do
+              ignore (Sys.opaque_identity (route ()))
+            done;
+            let words = int_of_float (Gc.minor_words () -. before) / rounds in
+            (* two splits (a 3-word record and a 3-word cons each) in a
+               2-word [Ok]: 14 words, with 2 to spare; before the memo
+               this route allocated over 300 *)
+            if words > 16 then
+              Alcotest.failf "%s: a memo hit allocated %d words per route"
+                (Router.strategy_name strat) words)
+          [ Router.Shortest; Router.Round_robin ]);
+  ]
+
 (* ------------------------------ rebalance ------------------------------ *)
 
 let rebalance_tests =
@@ -408,6 +586,7 @@ let () =
             Topology.of_string;
         ] );
       ("router", router_tests);
+      ("memo", memo_tests);
       ("rebalance", rebalance_tests);
       ("routed-load", routed_load_tests);
     ]

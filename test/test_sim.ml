@@ -411,13 +411,13 @@ let queue_tests =
 
 (* -------------------------------- Clock ------------------------------- *)
 
-(* whether the clock's rate lies within the [1 ± drift_ppm·10⁻⁶] envelope:
-   num/den within [1 - d/ppm, 1 + d/ppm] <=> num·ppm within
-   [den·(ppm-d), den·(ppm+d)] *)
+(* whether the clock's rate lies within the [1 ± drift_ppm·10⁻⁶] envelope,
+   read off the clock: every clock here has den = 10⁶ and epoch 0, so over
+   10⁶ global ticks it advances exactly num ticks *)
 let envelope_ok c ~drift_ppm =
-  let ppm = 1_000_000 and num, den = Clock.rate c in
-  let v = num * ppm in
-  v >= den * (ppm - drift_ppm) && v <= den * (ppm + drift_ppm)
+  let ppm = 1_000_000 in
+  let v = Clock.local_of_global c ppm - Clock.local_of_global c 0 in
+  v >= ppm - drift_ppm && v <= ppm + drift_ppm
 
 let clock_tests =
   [
@@ -465,6 +465,20 @@ let clock_tests =
          (fun (seed, drift_ppm) ->
            let rng = Rng.create ~seed in
            envelope_ok (Clock.random rng ~drift_ppm) ~drift_ppm));
+    qcheck
+      (QCheck.Test.make ~name:"flat draws make the clocks random makes"
+         QCheck.(pair small_int (int_range 0 200_000))
+         (fun (seed, drift_ppm) ->
+           (* the same stream, taken as clocks and as flat draws, stays in
+              step clock by clock *)
+           let a = Rng.create ~seed and b = Rng.create ~seed in
+           let draws = Array.make 6 0 in
+           List.for_all
+             (fun i ->
+               Clock.draw b ~drift_ppm draws i;
+               Clock.random a ~drift_ppm
+               = Clock.of_draw draws i ~l0:draws.(i + 1) ~g0:0)
+             [ 0; 2; 4 ]));
   ]
 
 (* -------------------------------- Stats ------------------------------- *)
