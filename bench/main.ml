@@ -24,7 +24,6 @@ let scale =
 let print_tables () =
   Fmt.pr "##### Reproduction tables (%s scale) #####@.@."
     (match scale with Xchain.Experiments.Quick -> "quick" | Full -> "full");
-  Obsv.Span.set_capture Obsv.Span.default false;
   List.map
     (fun name ->
       Obsv.Metrics.reset Obsv.Metrics.default;

@@ -13,9 +13,9 @@ open Protocols
 (* ----------------------------- telemetry ------------------------------- *)
 
 (* Every simulation subcommand accepts --metrics-out / --spans-out; "-"
-   writes to stdout (after the human-readable report). Span capture is
-   enabled only when a sink was requested, so bulk commands (experiment)
-   don't accumulate spans nobody will read. *)
+   writes to stdout (after the human-readable report). Span capture starts
+   off and is armed only when a sink was requested, so bulk commands
+   (experiment, chaos, hunt) don't accumulate spans nobody will read. *)
 
 let metrics_out_arg =
   Arg.(
@@ -478,12 +478,10 @@ let audit_cmd =
 
 (* Populate the registry with one probe run of each workload family so the
    exposition lists every metric family the binary can emit, then print
-   either the catalogue (default) or the full exposition.  Span capture is
-   left off during the probes: the catalogue is about metric names, and the
-   probe spans would only add noise to --spans-out users. *)
+   either the catalogue (default) or the full exposition.  Span capture
+   stays off during the probes: the catalogue is about metric names. *)
 let metrics_cmd =
   let run full =
-    Obsv.Span.set_capture Obsv.Span.default false;
     let silently f =
       (* Probe runs must not print their own reports. *)
       ignore (f ())
@@ -1176,7 +1174,6 @@ let load_cmd =
            --spans-out/--metrics-out/--trace-out/--dag-out/--blame/--profile/--monitor/--series-out/--bundle-out \
            (run a single replication for per-run telemetry)";
       let domains = resolve_domains ~cmd:"load" j in
-      Obsv.Span.set_capture Obsv.Span.default false;
       let outcomes, stats =
         Fleet.run ~domains
           ?on_progress:(tty_progress "load replications")
@@ -1450,7 +1447,6 @@ let committee_cmd =
     (* the cell's committee, as parsed from its spec line *)
     let cell i = Option.get workloads.(i).Traffic.Workload.committee in
     let domains = resolve_domains ~cmd:"committee" j in
-    Obsv.Span.set_capture Obsv.Span.default false;
     let outcomes, stats =
       Fleet.run ~domains
         ?on_progress:(tty_progress "committee sweep")

@@ -223,19 +223,23 @@ let soak ?(hops = 2) ?(protocol = Proto.Sync) ?(runs = 200) ?domains
   let a_commits = Atomic.make 0
   and a_aborts = Atomic.make 0
   and a_stuck = Atomic.make 0
-  and a_violations = Atomic.make 0 in
+  and a_violations = Atomic.make 0
+  and a_events = Atomic.make 0 in
+  (* A job keeps its result only for a safety violation, the one kind the
+     summary reports run by run; every other run is counted and dropped.
+     Sums commute, so the totals are the same at any domain count. *)
   let job i =
     let run_seed = seed + i in
     let prng = Sim.Rng.create ~seed:(run_seed + 7919) in
     let plan = Fault_plan.random prng ~nprocs ~horizon in
     let mon = if monitor then Some (Obsv.Monitor.create ()) else None in
     let r = run_one ~hops ~protocol ?prof ?monitor:mon ~plan ~seed:run_seed () in
-    (match r.classification with
-    | Safe_commit -> Atomic.incr a_commits
-    | Safe_abort -> Atomic.incr a_aborts
-    | Stuck -> Atomic.incr a_stuck
-    | Safety_violation -> Atomic.incr a_violations);
-    r
+    ignore (Atomic.fetch_and_add a_events r.events);
+    match r.classification with
+    | Safe_commit -> Atomic.incr a_commits; None
+    | Safe_abort -> Atomic.incr a_aborts; None
+    | Stuck -> Atomic.incr a_stuck; None
+    | Safety_violation -> Atomic.incr a_violations; Some r
   in
   let on_progress =
     match on_health with
@@ -257,35 +261,25 @@ let soak ?(hops = 2) ?(protocol = Proto.Sync) ?(runs = 200) ?domains
               })
   in
   let outcomes, stats = Fleet.run ?domains ?on_progress ~jobs:runs job in
-  let commits = ref 0
-  and aborts = ref 0
-  and stuck = ref 0
-  and events = ref 0
-  and violations = ref [] in
+  let violations = ref [] in
   Array.iter
-    (fun outcome ->
-      match outcome with
+    (function
       | Error (f : Fleet.failure) ->
           (* a raising run is a harness bug, not a protocol outcome;
              surface it exactly as the sequential loop would have *)
           failwith
             (Printf.sprintf "chaos soak: job %d raised: %s" f.Fleet.job
                f.Fleet.message)
-      | Ok (r : run_result) -> (
-          events := !events + r.events;
-          match r.classification with
-          | Safe_commit -> incr commits
-          | Safe_abort -> incr aborts
-          | Stuck -> incr stuck
-          | Safety_violation -> violations := r :: !violations))
+      | Ok None -> ()
+      | Ok (Some r) -> violations := r :: !violations)
     outcomes;
   {
     runs;
-    commits = !commits;
-    aborts = !aborts;
-    stuck = !stuck;
+    commits = Atomic.get a_commits;
+    aborts = Atomic.get a_aborts;
+    stuck = Atomic.get a_stuck;
     violations = List.rev !violations;
-    events = !events;
+    events = Atomic.get a_events;
     cost = stats.Fleet.cost;
   }
 

@@ -171,6 +171,10 @@ val soak :
     [cost] is byte-identical for any domain count.
     [?on_progress] reports completed runs from the calling domain.
 
+    A soak keeps the full {!run_result} of its violating runs only: every
+    other run is counted into the summary's totals and dropped, so its
+    memory follows the violations, not [runs].
+
     [prof] profiles every run's dispatches into one accumulator set; a
     profiled soak forces [domains = 1] (the profiler is single-threaded
     mutable state), so profile a smaller [runs] count when wall time

@@ -344,17 +344,8 @@ let template cfg =
   let key =
     (cfg.deal, cfg.protocol, (cfg.delta, cfg.sigma, cfg.drift_ppm, cfg.cb_patience))
   in
-  match Template_map.find_opt key (Atomic.get template_memo) with
-  | Some tmpl -> tmpl
-  | None ->
-      let tmpl = compile cfg in
-      let rec publish () =
-        let m = Atomic.get template_memo in
-        if not (Atomic.compare_and_set template_memo m (Template_map.add key tmpl m))
-        then publish ()
-      in
-      publish ();
-      tmpl
+  Sim.Memo.find_or_add Template_map.find_opt Template_map.add template_memo key
+    (fun () -> compile cfg)
 
 let instance cfg =
   let registry = Auth.create ~seed:(cfg.seed + 3) in

@@ -13,12 +13,17 @@ type t = {
   m_partition : Obsv.Metrics.counter;
 }
 
-let create ?(metrics = Obsv.Metrics.default) ~plan ~seed () =
+let handles =
+  Obsv.Metrics.memo @@ fun metrics ->
   let help = "Faults injected into the network by the active fault plan" in
   let kind k =
     Obsv.Metrics.counter metrics ~help ~labels:[ ("kind", k) ]
       "xchain_faults_injected_total"
   in
+  (kind "drop", kind "duplicate", kind "corrupt", kind "partition")
+
+let create ?(metrics = Obsv.Metrics.default) ~plan ~seed () =
+  let m_drop, m_dup, m_corrupt, m_partition = handles metrics in
   {
     plan;
     rng = Rng.split (Rng.create ~seed);
@@ -26,10 +31,10 @@ let create ?(metrics = Obsv.Metrics.default) ~plan ~seed () =
     part_hits = Array.make (List.length plan.Fault_plan.partitions) 0;
     kind_hits = Array.make 4 0;
     gst_applied = false;
-    m_drop = kind "drop";
-    m_dup = kind "duplicate";
-    m_corrupt = kind "corrupt";
-    m_partition = kind "partition";
+    m_drop;
+    m_dup;
+    m_corrupt;
+    m_partition;
   }
 
 let plan t = t.plan

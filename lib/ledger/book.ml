@@ -44,7 +44,9 @@ let open_account t ~owner ~balance =
       t.initial_supply <- t.initial_supply + balance
 
 let has_account t owner = Hashtbl.mem t.balances owner
-let balance t owner = Option.value ~default:0 (Hashtbl.find_opt t.balances owner)
+(* no [Some] box per read: routed admission reads one balance per edge *)
+let balance t owner =
+  match Hashtbl.find t.balances owner with b -> b | exception Not_found -> 0
 
 let accounts t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.balances []

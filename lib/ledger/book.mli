@@ -36,7 +36,7 @@ val open_account : t -> owner:int -> balance:int -> unit
 
 val has_account : t -> int -> bool
 val balance : t -> int -> int
-(** Balance of an account; 0 for unknown accounts. *)
+(** Balance of an account; 0 for unknown accounts. Allocates nothing. *)
 
 val transfer : t -> src:int -> dst:int -> amount:int -> (unit, error) result
 (** Direct transfer between two customers of this escrow. *)

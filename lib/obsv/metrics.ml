@@ -64,6 +64,19 @@ let log_buckets =
 let create () = { by_name = Hashtbl.create 32; rev_families = [] }
 let default = create ()
 
+(* One entry, swapped whole: a hit is one atomic read and a physical
+   comparison. Domains racing on a miss resolve equal handles, since
+   registration is idempotent. *)
+let memo resolve =
+  let last = Atomic.make None in
+  fun reg ->
+    match Atomic.get last with
+    | Some (r, handles) when r == reg -> handles
+    | Some _ | None ->
+        let handles = resolve reg in
+        Atomic.set last (Some (reg, handles));
+        handles
+
 (* --------------------------- name validation -------------------------- *)
 
 let name_ok s =

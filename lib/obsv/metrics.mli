@@ -70,6 +70,15 @@ val histogram :
 (** [buckets] are strictly increasing upper bounds (default: the 1–2–5
     log scale above); an implicit [+Inf] bucket is always appended. *)
 
+val memo : (t -> 'a) -> t -> 'a
+(** [memo resolve] is [resolve] remembered for the last registry it was
+    applied to, by physical identity. A caller that resolves a record of
+    handles for every run (an engine, a network, a payment) pays the
+    registration lookups once per registry instead: the handles are the
+    ones a fresh lookup returns, and {!reset} zeroes them in place, so
+    every exposition is unchanged. Another registry misses and replaces
+    the entry. Safe from several domains. *)
+
 (** {1 Hot path} — zero allocation, O(1) (O(log buckets) for observe). *)
 
 val inc : counter -> unit

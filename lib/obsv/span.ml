@@ -18,7 +18,10 @@ type t = {
 }
 
 let create () = { next_id = 0; rev_spans = []; capturing = true }
-let default = create ()
+
+(* Off until a caller asks for spans: nobody reads a collector that no one
+   writes out, and one left on grows by every payment of a long run. *)
+let default = { (create ()) with capturing = false }
 
 (* Collectors are shared across fleet domains (Runner records into
    [default]); appending a span is a multi-field update, so it needs a

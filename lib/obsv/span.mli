@@ -8,9 +8,11 @@
     spans underneath.
 
     Spans accumulate in a collector; {!to_jsonl} dumps them one JSON object
-    per line for external tooling. Capture can be switched off (see
-    {!set_capture}) to keep timing loops allocation-light: a disabled
-    collector records nothing and {!start} returns a dummy span.
+    per line for external tooling. Capture can be switched on and off (see
+    {!set_capture}): a disabled collector records nothing and {!start}
+    returns a dummy span. {!default} starts disabled, so a library caller
+    pays for spans only once it asks for them (the CLI arms it for
+    [--spans-out]).
 
     Domain-safety: appending to a collector ({!start}) is serialized on an
     internal lock, so parallel fleet jobs recording into {!default} cannot
@@ -30,10 +32,11 @@ val create : unit -> t
 
 val default : t
 (** The process-wide collector, used by the runners unless handed an
-    explicit one. *)
+    explicit one. It starts with capture off. *)
 
 val set_capture : t -> bool -> unit
-(** Enable or disable recording (default: enabled). *)
+(** Enable or disable recording (default: enabled for a collector from
+    {!create}, disabled for {!default}). *)
 
 val capture : t -> bool
 

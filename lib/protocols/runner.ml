@@ -156,9 +156,8 @@ let validate_config cfg =
 
 (* C's structural clause reads only the pid layout: deadline offsets and
    windows never reach [Automaton.check] or [Network_check], so one check
-   per (protocol with its TM kind, path length) serves every run. Domains
-   racing on a missing entry compute equal results; the CAS loop keeps
-   whichever map lands. *)
+   per (protocol with its TM kind, path length) serves every run. Every
+   memo below is published through [Sim.Memo]. *)
 module Shape_map = Map.Make (struct
   type t = int * string
 
@@ -168,38 +167,100 @@ end)
 let well_formed_memo : (unit, string) result Shape_map.t Atomic.t =
   Atomic.make Shape_map.empty
 
+(* The compiled templates, keyed by exactly the inputs each builder reads:
+   the Thm 1 windows for sync (the path length is theirs), the timing
+   input for HTLC, the path length and deadline for atomic, and for weak
+   the path length, the two customer delays and the TM's shape (its kind
+   and replica count; the replicas themselves are hand-written handlers).
+   A compiled automaton never changes once built: executors keep their
+   state apart and [Byzantine.deviate] builds new automata, so every run
+   of a key shares one template, across domains too. A weak config whose
+   TM is a shared committee carries a certificate checker, a closure with
+   no structural key, so its template is built per run. *)
+type template_key =
+  | Sync_key of Sim_time.t array * Sim_time.t array
+  | Htlc_key of Params.input
+  | Atomic_key of int * Sim_time.t
+  | Weak_key of int * [ `Single | `Dls of int | `Chain of int ] * Sim_time.t * Sim_time.t
+
+module Template_map = Map.Make (struct
+  type t = template_key
+
+  let compare = compare
+end)
+
+let sync_memo : Sync_protocol.template Template_map.t Atomic.t =
+  Atomic.make Template_map.empty
+
+let htlc_memo : Htlc_protocol.template Template_map.t Atomic.t =
+  Atomic.make Template_map.empty
+
+let atomic_memo : Atomic_protocol.template Template_map.t Atomic.t =
+  Atomic.make Template_map.empty
+
+let weak_memo : Weak_protocol.template Template_map.t Atomic.t =
+  Atomic.make Template_map.empty
+
+let template_of memo key build =
+  Memo.find_or_add Template_map.find_opt Template_map.add memo key build
+
+let sync_template (params : Params.t) =
+  template_of sync_memo (Sync_key (params.Params.a, params.Params.d))
+    (fun () -> Sync_protocol.template params)
+
+let htlc_template (params : Params.t) =
+  template_of htlc_memo (Htlc_key params.Params.input) (fun () ->
+      Htlc_protocol.template params)
+
+let atomic_template ~hops (acfg : Atomic_protocol.config) =
+  template_of atomic_memo (Atomic_key (hops, acfg.Atomic_protocol.deadline))
+    (fun () -> Atomic_protocol.template ~hops acfg)
+
+let weak_template (wcfg : Weak_protocol.config) ~hops =
+  let build () = Weak_protocol.template wcfg ~hops in
+  let tm =
+    match wcfg.Weak_protocol.tm with
+    | Weak_protocol.Single -> Some `Single
+    | Weak_protocol.Committee _ | Weak_protocol.Quorum _ ->
+        Some (`Dls (Weak_protocol.tm_count wcfg))
+    | Weak_protocol.Chain { validators } -> Some (`Chain validators)
+    | Weak_protocol.Shared _ -> None
+  in
+  match tm with
+  | None -> build ()
+  | Some tm ->
+      template_of weak_memo
+        (Weak_key
+           (hops, tm, wcfg.Weak_protocol.patience, wcfg.Weak_protocol.deposit_delay))
+        build
+
 let check_template protocol ~hops =
   let params = Params.derive (Params.default_input ~hops) in
   match protocol with
   | Sync_timebound | Naive_universal ->
-      Anta.Network_check.well_formed (Sync_protocol.template params)
-  | Htlc -> Anta.Network_check.well_formed (Htlc_protocol.template params)
+      Anta.Network_check.well_formed (sync_template params)
+  | Htlc -> Anta.Network_check.well_formed (htlc_template params)
   | Atomic acfg ->
-      Anta.Network_check.well_formed (Atomic_protocol.template ~hops acfg)
+      Anta.Network_check.well_formed (atomic_template ~hops acfg)
   | Weak wcfg -> Weak_protocol.well_formed wcfg ~hops
 
 let well_formed protocol ~hops =
   let key = (hops, protocol_name protocol) in
+  (* a hit builds no closure: a load run asks once per payment *)
   match Shape_map.find_opt key (Atomic.get well_formed_memo) with
   | Some r -> r
   | None ->
-      let r = check_template protocol ~hops in
-      let rec publish () =
-        let m = Atomic.get well_formed_memo in
-        if not (Atomic.compare_and_set well_formed_memo m (Shape_map.add key r m))
-        then publish ()
-      in
-      publish ();
-      r
+      Memo.find_or_add Shape_map.find_opt Shape_map.add well_formed_memo key
+        (fun () -> check_template protocol ~hops)
 
 let fault_of_string protocol ~hops spec =
   let params = Params.derive (Params.default_input ~hops) in
   let parse tmpl = Byzantine.fault_of_string (Topology.create ~hops) tmpl spec in
   match protocol with
-  | Sync_timebound | Naive_universal -> parse (Sync_protocol.template params)
-  | Htlc -> parse (Htlc_protocol.template params)
-  | Atomic acfg -> parse (Atomic_protocol.template ~hops acfg)
-  | Weak wcfg -> parse (Weak_protocol.template wcfg ~hops)
+  | Sync_timebound | Naive_universal -> parse (sync_template params)
+  | Htlc -> parse (htlc_template params)
+  | Atomic acfg -> parse (atomic_template ~hops acfg)
+  | Weak wcfg -> parse (weak_template wcfg ~hops)
 
 (* Build and execute the engine run; [run] below wraps this with the
    post-run telemetry pass. *)
@@ -275,18 +336,18 @@ let run_engine cfg protocol =
   let automaton, conformance =
     match protocol with
     | Sync_timebound | Naive_universal ->
-        let tmpl = Sync_protocol.template params in
+        let tmpl = sync_template params in
         (Anta.Executor.instantiate (deviants tmpl) env, replay tmpl env)
     | Htlc ->
-        let tmpl = Htlc_protocol.template params in
+        let tmpl = htlc_template params in
         let inst = Htlc_protocol.instance env ~seed:(cfg.seed + 57) in
         (Anta.Executor.instantiate (deviants tmpl) inst, replay tmpl inst)
     | Weak wcfg ->
-        let tmpl = Weak_protocol.template wcfg ~hops:cfg.hops in
+        let tmpl = weak_template wcfg ~hops:cfg.hops in
         let inst = Weak_protocol.instance env wcfg in
         (Weak_protocol.instantiate (deviants tmpl) inst, replay tmpl inst)
     | Atomic acfg ->
-        let tmpl = Atomic_protocol.template ~hops:cfg.hops acfg in
+        let tmpl = atomic_template ~hops:cfg.hops acfg in
         (Anta.Executor.instantiate (deviants tmpl) env, replay tmpl env)
   in
   let fault_names =
@@ -458,9 +519,48 @@ let terminated_pids outcome =
       | _ -> None)
     (observations outcome)
 
+(* A payment's handles, by protocol label, resolved once per registry. *)
+module Label_map = Map.Make (String)
+
+type payment_handles = {
+  started : Obsv.Metrics.counter;
+  commits : Obsv.Metrics.counter;
+  aborts : Obsv.Metrics.counter;
+  latency : Obsv.Metrics.histogram;
+}
+
+(* registered in exposition order: started, committed, aborted, latency *)
+let payment_handles reg label =
+  let labels = [ ("protocol", label) ] in
+  let started =
+    Obsv.Metrics.counter reg ~help:"Payments started" ~labels
+      "xchain_payments_started_total"
+  in
+  let commits =
+    Obsv.Metrics.counter reg ~help:"Payments where Bob was paid" ~labels
+      "xchain_payments_committed_total"
+  in
+  let aborts =
+    Obsv.Metrics.counter reg ~help:"Payments settled without paying Bob"
+      ~labels "xchain_payments_aborted_total"
+  in
+  let latency =
+    Obsv.Metrics.histogram reg ~labels
+      ~help:"End-to-end payment latency (init to Bob's settlement), ticks"
+      "xchain_payment_latency"
+  in
+  { started; commits; aborts; latency }
+
+let payment_memo =
+  Obsv.Metrics.memo (fun _ -> Atomic.make Label_map.empty)
+
 let emit_telemetry o =
   let reg = Obsv.Metrics.default in
-  let labels = [ ("protocol", protocol_name o.protocol) ] in
+  let label = protocol_name o.protocol in
+  let h =
+    Memo.find_or_add Label_map.find_opt Label_map.add (payment_memo reg) label
+      (fun () -> payment_handles reg label)
+  in
   let terms = terminated_pids o in
   let bob = Topology.bob o.env.Env.topo in
   let bob_term = List.find_opt (fun (pid, _, _) -> pid = bob) terms in
@@ -470,24 +570,9 @@ let emit_telemetry o =
   let settled_at =
     match bob_term with Some (_, _, t) -> t | None -> o.end_time
   in
-  let started =
-    Obsv.Metrics.counter reg ~help:"Payments started" ~labels
-      "xchain_payments_started_total"
-  and commits =
-    Obsv.Metrics.counter reg ~help:"Payments where Bob was paid" ~labels
-      "xchain_payments_committed_total"
-  and aborts =
-    Obsv.Metrics.counter reg
-      ~help:"Payments settled without paying Bob" ~labels
-      "xchain_payments_aborted_total"
-  in
-  Obsv.Metrics.inc started;
-  Obsv.Metrics.inc (if committed then commits else aborts);
-  Obsv.Metrics.observe
-    (Obsv.Metrics.histogram reg ~labels
-       ~help:"End-to-end payment latency (init to Bob's settlement), ticks"
-       "xchain_payment_latency")
-    settled_at;
+  Obsv.Metrics.inc h.started;
+  Obsv.Metrics.inc (if committed then h.commits else h.aborts);
+  Obsv.Metrics.observe h.latency settled_at;
   emit_spans o ~terms ~committed ~settled_at
 
 let run cfg protocol =

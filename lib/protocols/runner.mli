@@ -131,6 +131,26 @@ val well_formed : protocol -> hops:int -> (unit, string) result
     computed once per (protocol, TM kind, [hops]) per process and shared
     by every run; safe from several domains. *)
 
+(** {1 Compiled templates}
+
+    Each protocol's automata, compiled once per process and key, where the
+    key is exactly what the builder reads: the a/d windows for
+    {!Sync_protocol.template}, the timing input for
+    {!Htlc_protocol.template}, the path length and deadline for
+    {!Atomic_protocol.template}, and the path length, patience, deposit
+    delay and TM shape for {!Weak_protocol.template}. A compiled automaton
+    never changes (executors keep their state apart, and
+    {!Byzantine.deviate} builds new automata), so every run of a key
+    shares one template, across domains too. A weak config with a
+    {!Weak_protocol.Shared} committee carries a checker closure, which has
+    no structural key: its template is built per call. {!run},
+    {!fault_of_string} and [Traffic.Load] all read these. *)
+
+val sync_template : Params.t -> Sync_protocol.template
+val htlc_template : Params.t -> Htlc_protocol.template
+val atomic_template : hops:int -> Atomic_protocol.config -> Atomic_protocol.template
+val weak_template : Weak_protocol.config -> hops:int -> Weak_protocol.template
+
 val fault_of_string :
   protocol -> hops:int -> string -> (int * Byzantine.t, string) result
 (** {!Byzantine.fault_of_string} against the protocol's template for a
@@ -147,9 +167,10 @@ val run : config -> protocol -> outcome
     [xchain_payments_started_total] / [_committed_total] / [_aborted_total]
     counters and the [xchain_payment_latency] histogram (all labeled
     [protocol="..."]), plus one root [payment] span with per-participant
-    and per-phase children in {!Obsv.Span.default}. Span capture can be
-    disabled via {!Obsv.Span.set_capture}; spans are derived from the
-    trace post-run, so they never perturb the schedule. *)
+    and per-phase children in {!Obsv.Span.default} when its capture is
+    on (it starts off; see {!Obsv.Span.set_capture}); spans are derived
+    from the trace post-run, so they never perturb the schedule. The
+    metric handles are resolved once per registry and protocol label. *)
 
 val derive_params : config -> protocol -> Params.t
 (** The parameter vector [run] will use (drift-blind for

@@ -246,7 +246,9 @@ let dealt t ~n ~first =
   done;
   !splits
 
-let route t ~avail ~value ~max_splits =
+type refusal = { paths : int; carried : int; wanted : int }
+
+let attempt t ~avail ~value ~max_splits =
   if value < 1 then invalid_arg "Router.route: value must be positive";
   if max_splits < 1 then invalid_arg "Router.route: max_splits must be >= 1";
   fill_room t avail;
@@ -256,10 +258,7 @@ let route t ~avail ~value ~max_splits =
     total_cap := !total_cap + t.caps.(i)
   done;
   if !total_cap < value then
-    Error
-      (Printf.sprintf
-         "no route: %d disjoint path(s) carry at most %d of %d" n !total_cap
-         value)
+    Error { paths = n; carried = !total_cap; wanted = value }
   else begin
     let given = t.given in
     Array.fill given 0 n 0;
@@ -298,6 +297,15 @@ let route t ~avail ~value ~max_splits =
         t.cursor <- t.cursor + 1;
         Ok (dealt t ~n ~first)
   end
+
+(* the refusal rendered, for callers that print it *)
+let route t ~avail ~value ~max_splits =
+  match attempt t ~avail ~value ~max_splits with
+  | Ok _ as ok -> ok
+  | Error r ->
+      Error
+        (Printf.sprintf "no route: %d disjoint path(s) carry at most %d of %d"
+           r.paths r.carried r.wanted)
 
 let max_flow (topo : Topology.t) ?avail () =
   let cap_of =

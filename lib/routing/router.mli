@@ -49,12 +49,23 @@ val create : ?strategy:strategy -> Topology.t -> t
 
 val strategy : t -> strategy
 
+type refusal
+(** Why a route failed: how many disjoint paths were found and the most
+    value they could jointly carry. Rendered only by {!route}. *)
+
+val attempt :
+  t -> avail:(int -> int) -> value:int -> max_splits:int ->
+  (split list, refusal) result
+(** [avail i] is the spendable liquidity of edge [i] right now; it is
+    read once per edge per call. On success the splits are edge-disjoint, each carries positive value,
+    and their values sum to exactly [value]. A refusal builds no text. *)
+
 val route :
   t -> avail:(int -> int) -> value:int -> max_splits:int ->
   (split list, string) result
-(** [avail i] is the spendable liquidity of edge [i] right now; it is
-    read once per edge per call. On success the splits are edge-disjoint, each carries positive value,
-    and their values sum to exactly [value]. *)
+(** {!attempt} with the refusal rendered as
+    ["no route: N disjoint path(s) carry at most C of V"], for callers
+    that print it. *)
 
 val path_nodes : Topology.t -> int list -> int list
 (** The node sequence a path visits, source first. *)

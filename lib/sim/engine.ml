@@ -77,8 +77,9 @@ and host = {
   mutable up_at : Sim_time.t option; (* scheduled reboot while down *)
 }
 
-(* Handles resolved once at [create]: the per-event updates below are plain
-   integer stores (see lib/obsv), cheap enough to stay on at any scale. *)
+(* Handles resolved once per registry (see [telemetry_handles]): the
+   per-event updates below are plain integer stores (see lib/obsv), cheap
+   enough to stay on at any scale. *)
 and telemetry = {
   m_events : Obsv.Metrics.counter;
   m_sent : Obsv.Metrics.counter;
@@ -130,7 +131,8 @@ let silent =
     on_timer = (fun _ ~label:_ -> ());
   }
 
-let telemetry_handles reg =
+let telemetry_handles =
+  Obsv.Metrics.memo @@ fun reg ->
   let counter = Obsv.Metrics.counter reg in
   {
     m_events = counter ~help:"Events dequeued by the engine" "xchain_events_total";

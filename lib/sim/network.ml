@@ -52,6 +52,18 @@ type t = {
   m_fifo_holds : Obsv.Metrics.counter;
 }
 
+let handles =
+  Obsv.Metrics.memo @@ fun metrics ->
+  ( Obsv.Metrics.counter metrics
+      ~help:"Message delays chosen by the adversary and honored as picked"
+      "xchain_network_adversary_delays_total",
+    Obsv.Metrics.counter metrics
+      ~help:"Adversary delay picks overridden by clamping into the model"
+      "xchain_network_adversary_clamped_total",
+    Obsv.Metrics.counter metrics
+      ~help:"Deliveries pushed later to preserve per-link FIFO order"
+      "xchain_network_fifo_holds_total" )
+
 let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
     ?(metrics = Obsv.Metrics.default) model rng =
   (match model with
@@ -61,6 +73,7 @@ let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
       if delta < 1 then invalid_arg "Network: delta must be >= 1"
   | Asynchronous { mean; cap } ->
       if mean < 1 || cap < mean then invalid_arg "Network: bad async params");
+  let m_adversary, m_adversary_clamped, m_fifo_holds = handles metrics in
   {
     model;
     adversary;
@@ -71,18 +84,9 @@ let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
     last_delivery = Link.create 64;
     reg = metrics;
     link_delay = Link.create 64;
-    m_adversary =
-      Obsv.Metrics.counter metrics
-        ~help:"Message delays chosen by the adversary and honored as picked"
-        "xchain_network_adversary_delays_total";
-    m_adversary_clamped =
-      Obsv.Metrics.counter metrics
-        ~help:"Adversary delay picks overridden by clamping into the model"
-        "xchain_network_adversary_clamped_total";
-    m_fifo_holds =
-      Obsv.Metrics.counter metrics
-        ~help:"Deliveries pushed later to preserve per-link FIFO order"
-        "xchain_network_fifo_holds_total";
+    m_adversary;
+    m_adversary_clamped;
+    m_fifo_holds;
   }
 
 let model t = t.model
@@ -108,19 +112,26 @@ let sample t ~send_time:_ bounds =
 
 let clamp bounds d = Stdlib.min (Stdlib.max d bounds.lo) bounds.hi
 
-(* The per-link histogram child is created on the link's first message and
-   cached; steady-state cost is one hashtable probe plus the histogram
+(* The per-link histogram child is resolved once per registry and link
+   (every network of a registry shares [link_memo]) and cached per
+   network; steady-state cost is one hashtable probe plus the histogram
    store. Label cardinality is links × 1, capped by the registry. *)
+module Key_map = Map.Make (Int)
+
+let link_memo = Obsv.Metrics.memo (fun _ -> Atomic.make Key_map.empty)
+
 let link_histogram t ~src ~dst =
   let key = link_key ~src ~dst in
   match Link.find_opt t.link_delay key with
   | Some h -> h
   | None ->
       let h =
-        Obsv.Metrics.histogram t.reg
-          ~help:"Per-link message delay, in ticks"
-          ~labels:[ ("link", Printf.sprintf "%d->%d" src dst) ]
-          "xchain_network_delay"
+        Memo.find_or_add Key_map.find_opt Key_map.add (link_memo t.reg) key
+          (fun () ->
+            Obsv.Metrics.histogram t.reg
+              ~help:"Per-link message delay, in ticks"
+              ~labels:[ ("link", Printf.sprintf "%d->%d" src dst) ]
+              "xchain_network_delay")
       in
       Link.add t.link_delay key h;
       h

@@ -298,7 +298,7 @@ let graph_legs (w : Workload.t) (g : Routing.Topology.t) =
     route =
       (fun () ->
         Result.to_option
-          (RR.route router ~avail ~value:w.value ~max_splits:w.splits));
+          (RR.attempt router ~avail ~value:w.value ~max_splits:w.splits));
     amounts = (fun path value -> RR.leg_amounts g ~path ~value);
     reserve =
       (fun ins ->
@@ -574,17 +574,17 @@ let observed st ins entry obs =
 let in_blocks st pid = pid >= 1 && pid < st.payment_limit
 
 let weak cfg ~hops =
-  let tmpl = Weak_protocol.template cfg ~hops in
+  let tmpl = Runner.weak_template cfg ~hops in
   fun env _id -> Weak_protocol.instantiate tmpl (Weak_protocol.instance env cfg)
 
 let instantiate st proto params =
   let hops = params.Params.input.Params.hops in
   match proto with
   | Workload.Sync | Workload.Naive ->
-      let tmpl = Sync_protocol.template params in
+      let tmpl = Runner.sync_template params in
       fun env _id -> Anta.Executor.instantiate tmpl env
   | Workload.Htlc ->
-      let tmpl = Htlc_protocol.template params in
+      let tmpl = Runner.htlc_template params in
       fun env id ->
         Anta.Executor.instantiate tmpl
           (Htlc_protocol.instance env ~seed:(st.seed + 57 + id))
@@ -595,7 +595,7 @@ let instantiate st proto params =
       weak (Option.get st.shared) ~hops
   | Workload.Atomic ->
       let tmpl =
-        Atomic_protocol.template ~hops Atomic_protocol.default_config
+        Runner.atomic_template ~hops Atomic_protocol.default_config
       in
       fun env _id -> Anta.Executor.instantiate tmpl env
 

@@ -1,27 +1,39 @@
 #!/usr/bin/env python3
-"""Scale gate for `xchain load`: memory follows in-flight payments.
+"""Scale gate: memory follows the work in flight, not the run size.
 
-Stdlib only. Takes two load reports of the same workload at two sizes,
-the smaller first (CI runs the linear_2k spec at payments=10000 and at
-payments=100000):
+Stdlib only. Takes two reports of the same workload at two sizes, the
+smaller first. Either both are `xchain load` reports (CI runs the
+linear_2k spec at payments=10000 and at payments=100000):
 
     xchain load --spec '<spec with payments=10000>' --seed 1 --out s10k.json
     xchain load --spec '<spec with payments=100000>' --seed 1 --out s100k.json
     python3 scripts/check_scale.py s10k.json s100k.json
 
-CI gates the committee_600 spec at 600 and 6,000 payments the same way:
-a committee keeps only its undecided slots and the items in flight, and
-a cancelled patience timer (100,000 ticks in that spec) leaves the
-engine queue at once rather than at its deadline.
+or both are `xchain chaos --soak` reports (CI runs 2,000 and 20,000
+runs): a soak keeps only its violating runs, so its heap must not grow
+with the run count either.
+
+    xchain chaos --soak -j 1 --seed 1 --runs 2000 --out c2k.json
+    xchain chaos --soak -j 1 --seed 1 --runs 20000 --out c20k.json
+    python3 scripts/check_scale.py c2k.json c20k.json
+
+CI gates the committee_600 spec at 600 and 6,000 payments the same way
+as a load report: a committee keeps only its undecided slots and the
+items in flight, and a cancelled patience timer (100,000 ticks in that
+spec) leaves the engine queue at once rather than at its deadline.
 
 and requires:
 
-  1. safety in both runs: zero violations and every shared book's
-     conservation audit passed (``conservation_ok: true``);
+  1. safety in both runs: for a load report, zero violations and every
+     shared book's conservation audit passed (``conservation_ok:
+     true``); for a soak, an empty ``violations`` list;
   2. bounded memory: the larger run's peak major heap (``top_heap_mb`` in
-     the trailing ``timing`` block) is at most MAX_GROWTH times the
-     smaller run's. A heap that grew with run size would be ten times
-     larger here.
+     the trailing ``timing`` block) is at most MAX_GROWTH (load) or
+     MAX_SOAK_GROWTH (soak) times the smaller run's. A heap that grew
+     with run size would be ten times larger here. A soak's bound is
+     looser because Fleet keeps one outcome slot per run, and its
+     heaps are small enough (about 1 MB at 2,000 runs) that the
+     report's 0.1 MB rounding is felt.
 
 Each report must come from its own process: ``top_heap_mb`` is the
 process's peak. Exit 0 when everything holds; a diagnostic and exit 1
@@ -33,14 +45,27 @@ import sys
 from benchlib import err, finish, load_json
 
 MAX_GROWTH = 1.5
+MAX_SOAK_GROWTH = 3.0
+
+
+def size(r):
+    """The run size: payments of a load report, runs of a soak."""
+    if "chaos" in r:
+        return r["chaos"].get("runs", 0)
+    return r.get("payments", 0)
 
 
 def check_safe(path, r):
     """Record safety failures of one report; return its peak heap (MB)."""
-    if r.get("violated", 0) != 0 or r.get("violations"):
-        err(f"{path}: {r.get('violated')} payments violated safety")
-    if r.get("conservation_ok") is not True:
-        err(f"{path}: a shared book failed its conservation audit")
+    if "chaos" in r:
+        violations = r["chaos"].get("violations")
+        if violations is None or violations:
+            err(f"{path}: soak reports safety violations: {violations!r}")
+    else:
+        if r.get("violated", 0) != 0 or r.get("violations"):
+            err(f"{path}: {r.get('violated')} payments violated safety")
+        if r.get("conservation_ok") is not True:
+            err(f"{path}: a shared book failed its conservation audit")
     heap = r.get("timing", {}).get("top_heap_mb")
     if not isinstance(heap, (int, float)) or heap <= 0:
         err(f"{path}: timing.top_heap_mb missing or not positive: {heap!r}")
@@ -54,23 +79,30 @@ def main(argv):
         return 2
     small_path, large_path = argv[1:]
     small, large = load_json(small_path), load_json(large_path)
-    if small.get("payments", 0) >= large.get("payments", 0):
+    soak = "chaos" in small
+    if soak != ("chaos" in large):
+        err(f"{small_path} and {large_path} are not the same kind of report")
+        return finish(prefix="FAIL")
+    unit = "runs" if soak else "payments"
+    bound = MAX_SOAK_GROWTH if soak else MAX_GROWTH
+    n_small, n_large = size(small), size(large)
+    if n_small >= n_large:
         err(
-            f"{small_path} has {small.get('payments')} payments, not fewer "
-            f"than {large_path}'s {large.get('payments')}"
+            f"{small_path} has {n_small} {unit}, not fewer than "
+            f"{large_path}'s {n_large}"
         )
     h_small = check_safe(small_path, small)
     h_large = check_safe(large_path, large)
-    if h_small and h_large and h_large > MAX_GROWTH * h_small:
+    if h_small and h_large and h_large > bound * h_small:
         err(
             f"peak heap grew {h_large / h_small:.2f}x from "
-            f"{small.get('payments')} to {large.get('payments')} payments "
-            f"({h_small} MB -> {h_large} MB; at most {MAX_GROWTH}x allowed)"
+            f"{n_small} to {n_large} {unit} "
+            f"({h_small} MB -> {h_large} MB; at most {bound}x allowed)"
         )
     return finish(
         ok=(
-            f"scale OK: {small.get('payments')} payments {h_small} MB, "
-            f"{large.get('payments')} payments {h_large} MB"
+            f"scale OK: {n_small} {unit} {h_small} MB, "
+            f"{n_large} {unit} {h_large} MB"
         ),
         prefix="FAIL",
     )

@@ -54,6 +54,23 @@ let book_tests =
         check Alcotest.int "0" 100 (Book.balance b 0);
         check Alcotest.int "unknown" 0 (Book.balance b 99);
         check Alcotest.int "supply" 150 (supply b));
+    Alcotest.test_case "balance reads allocate nothing, absent accounts read 0"
+      `Quick (fun () ->
+        let b = book () in
+        Book.open_account b ~owner:7 ~balance:0;
+        check Alcotest.int "an absent account" 0 (Book.balance b 12345);
+        check Alcotest.int "an open account at 0" 0 (Book.balance b 7);
+        check Alcotest.bool "reading does not open it" false
+          (Book.has_account b 12345);
+        let reads = 1_000 in
+        let sum = ref 0 in
+        let before = Gc.minor_words () in
+        for i = 1 to reads do
+          sum := !sum + Book.balance b 0 + Book.balance b (100_000 + i)
+        done;
+        let words = Gc.minor_words () -. before in
+        check Alcotest.int "the reads" (100 * reads) !sum;
+        check (Alcotest.float 0.) "minor words over 2,000 reads" 0. words);
     Alcotest.test_case "idempotent reopen with same balance" `Quick (fun () ->
         let b = book () in
         Book.open_account b ~owner:0 ~balance:100;

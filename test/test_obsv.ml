@@ -32,6 +32,37 @@ let counter_tests =
         Metrics.inc b;
         check Alcotest.int "shared" 2
           (Metric_value.counter r ~labels:[ ("k", "v") ] "t_counter_idem"));
+    Alcotest.test_case "memo resolves once per registry, the same counters"
+      `Quick (fun () ->
+        let resolved = ref 0 in
+        let handles =
+          Metrics.memo (fun r ->
+              incr resolved;
+              Metrics.counter r ~labels:[ ("k", "v") ] "t_counter_memo")
+        in
+        let r1 = Metrics.create () and r2 = Metrics.create () in
+        let h1 = handles r1 in
+        check Alcotest.bool "same counter as a fresh lookup" true
+          (h1 == Metrics.counter r1 ~labels:[ ("k", "v") ] "t_counter_memo");
+        check Alcotest.bool "a hit returns it again" true (handles r1 == h1);
+        check Alcotest.int "resolved once" 1 !resolved;
+        let h2 = handles r2 in
+        check Alcotest.bool "a fresh registry gets its own counter" true
+          (h2 != h1
+          && h2 == Metrics.counter r2 ~labels:[ ("k", "v") ] "t_counter_memo");
+        Metrics.inc h1;
+        Metrics.add h2 5;
+        check Alcotest.int "r1 counts its own" 1
+          (Metric_value.counter r1 ~labels:[ ("k", "v") ] "t_counter_memo");
+        check Alcotest.int "r2 counts its own" 5
+          (Metric_value.counter r2 ~labels:[ ("k", "v") ] "t_counter_memo");
+        Metrics.reset r1;
+        let h1' = handles r1 in
+        check Alcotest.bool "back on r1: the same counter, reset in place" true
+          (h1' == h1
+          && h1' == Metrics.counter r1 ~labels:[ ("k", "v") ] "t_counter_memo");
+        check Alcotest.int "zeroed" 0
+          (Metric_value.counter r1 ~labels:[ ("k", "v") ] "t_counter_memo"));
     Alcotest.test_case "label order does not split children" `Quick (fun () ->
         let r = Metrics.create () in
         let a =
@@ -390,6 +421,14 @@ let span_tests =
         Alcotest.check_raises "twice"
           (Invalid_argument "Span.finish: span already finished") (fun () ->
             Span.finish ~at:2 s));
+    Alcotest.test_case "the default collector starts off; a soak leaves it empty"
+      `Quick (fun () ->
+        check Alcotest.bool "off at start-up" false (Span.capture Span.default);
+        let s = Xchain.Chaos.soak ~runs:20 ~domains:1 ~seed:1 () in
+        check Alcotest.int "every run counted" 20
+          (s.Xchain.Chaos.commits + s.Xchain.Chaos.aborts + s.Xchain.Chaos.stuck
+          + List.length s.Xchain.Chaos.violations);
+        check Alcotest.string "no spans" "" (Span.to_jsonl Span.default));
     Alcotest.test_case "capture off records nothing" `Quick (fun () ->
         let t = Span.create () in
         Span.set_capture t false;

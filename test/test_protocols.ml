@@ -508,6 +508,80 @@ let template_tests =
           (Anta.Executor.instantiate
              (Atomic_protocol.template ~hops Atomic_protocol.default_config))
           first second);
+    Alcotest.test_case "runs share one compiled template per key" `Quick
+      (fun () ->
+        let cfg = Runner.default_config ~hops ~seed:3 in
+        let p = Runner.derive_params cfg Runner.Sync_timebound in
+        let tmpl = Runner.sync_template p in
+        let o1 = Runner.run cfg Runner.Sync_timebound in
+        let o2 = Runner.run cfg Runner.Sync_timebound in
+        check Alcotest.bool "the runs left the template in place" true
+          (Runner.sync_template p == tmpl);
+        check Alcotest.string "equal runs, equal traces"
+          (Runner.trace_jsonl o1.Runner.trace)
+          (Runner.trace_jsonl o2.Runner.trace);
+        check Alcotest.bool "Bob paid" true
+          (List.exists
+             (fun (pid, outcome, _) ->
+               pid = Topology.bob topo && outcome = "paid")
+             (Runner.terminated_pids o2));
+        for pid = 0 to procs - 1 do
+          check Alcotest.bool
+            (Printf.sprintf "pid %d conforms" pid)
+            true
+            (o2.Runner.conformance pid = Some (Ok ()))
+        done;
+        let same what a b = check Alcotest.bool (what ^ ": shared") true (a == b)
+        and apart what a b =
+          check Alcotest.bool (what ^ ": apart") true (a != b)
+        in
+        apart "sync, drift-blind windows" tmpl
+          (Runner.sync_template
+             (Runner.derive_params cfg Runner.Naive_universal));
+        apart "sync, scaled windows" tmpl
+          (Runner.sync_template
+             (Runner.derive_params
+                { cfg with window_scale = Some (1, 2) }
+                Runner.Sync_timebound));
+        (* HTLC windows come from the timing input alone *)
+        same "htlc, scaled windows"
+          (Runner.htlc_template p)
+          (Runner.htlc_template
+             (Runner.derive_params
+                { cfg with window_scale = Some (1, 2) }
+                Runner.Htlc));
+        apart "htlc, another delta" (Runner.htlc_template p)
+          (Runner.htlc_template
+             (Params.derive { (Params.default_input ~hops) with delta = 50 }));
+        let deadline d = { Atomic_protocol.deadline = d } in
+        same "atomic"
+          (Runner.atomic_template ~hops (deadline 5_000))
+          (Runner.atomic_template ~hops (deadline 5_000));
+        apart "atomic, another deadline"
+          (Runner.atomic_template ~hops (deadline 5_000))
+          (Runner.atomic_template ~hops (deadline 6_000));
+        let weak ?(patience = 5_000) tm =
+          Runner.weak_template
+            { Weak_protocol.default_config with tm; patience }
+            ~hops
+        in
+        same "weak single" (weak Weak_protocol.Single) (weak Weak_protocol.Single);
+        apart "weak, another patience" (weak Weak_protocol.Single)
+          (weak ~patience:6_000 Weak_protocol.Single);
+        same "weak, a DLS committee of four either way"
+          (weak (Weak_protocol.Committee { f = 1 }))
+          (weak
+             (Weak_protocol.Quorum
+                { qs = Quorum_system.majority ~n:4 ~f:1 () }));
+        apart "weak, chain against committee"
+          (weak (Weak_protocol.Chain { validators = 4 }))
+          (weak (Weak_protocol.Committee { f = 1 }));
+        let shared () =
+          weak
+            (Weak_protocol.Shared
+               { pids = [| 100; 101; 102; 103 |]; verify = (fun _ -> true) })
+        in
+        apart "weak shared committee, built per call" (shared ()) (shared ()));
   ]
 
 (* Every pid in [pids] ran its protocol's automaton, and the run's trace

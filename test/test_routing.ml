@@ -222,6 +222,34 @@ let router_tests =
         | Error e ->
             Alcotest.(check string) "names paths, carried and asked"
               "no route: 1 disjoint path(s) carry at most 300 of 1000" e);
+    Alcotest.test_case "a refusal builds no text: it allocates less than a route"
+      `Quick (fun () ->
+        let t = topo_of "graph:4;0>1:600:0,0>2:600:0,1>3:600:0,2>3:600:0" in
+        let avail = full_avail t in
+        let r = Router.create t in
+        let words_per value =
+          let go () = Router.attempt r ~avail ~value ~max_splits:2 in
+          ignore (Sys.opaque_identity (go ()));
+          let rounds = 1_000 in
+          let before = Gc.minor_words () in
+          for _ = 1 to rounds do
+            ignore (Sys.opaque_identity (go ()))
+          done;
+          int_of_float (Gc.minor_words () -. before) / rounds
+        in
+        let admitted = words_per 1000 and refused = words_per 5000 in
+        (match Router.attempt r ~avail ~value:5000 ~max_splits:2 with
+        | Ok _ -> Alcotest.fail "5000 cannot fit through 1200"
+        | Error _ -> ());
+        if refused > admitted then
+          Alcotest.failf "a refusal allocated %d words, an admitted route %d"
+            refused admitted;
+        (* the printing wrapper renders the same refusal, text unchanged *)
+        match Router.route r ~avail ~value:5000 ~max_splits:2 with
+        | Ok _ -> Alcotest.fail "5000 cannot fit through 1200"
+        | Error e ->
+            Alcotest.(check string) "rendered"
+              "no route: 2 disjoint path(s) carry at most 1200 of 5000" e);
     Alcotest.test_case "max-flow matches hand-computed diamonds" `Quick
       (fun () ->
         let t = topo_of "graph:4;0>1:600:0,0>2:600:0,1>3:600:0,2>3:600:0" in

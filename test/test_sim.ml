@@ -1423,6 +1423,53 @@ let halted_receiver ~retire =
 
 let lifecycle_tests =
   [
+    Alcotest.test_case "a memo builds once per key, and racing domains agree"
+      `Quick (fun () ->
+        let module M = Map.Make (Int) in
+        let memo = Atomic.make M.empty and builds = Atomic.make 0 in
+        let get k =
+          Memo.find_or_add M.find_opt M.add memo k (fun () ->
+              Atomic.incr builds;
+              ref k)
+        in
+        let a = get 1 in
+        check Alcotest.bool "a hit is the first build" true (get 1 == a);
+        check Alcotest.int "one build" 1 (Atomic.get builds);
+        (* two domains add keys 2..201 at once: every key lands, and each
+           domain's later lookups see the published value *)
+        let fill () = List.init 200 (fun i -> !(get (i + 2))) in
+        let d = Domain.spawn fill in
+        let mine = fill () in
+        let theirs = Domain.join d in
+        check Alcotest.(list int) "both domains read every key" mine theirs;
+        check Alcotest.int "every key published" 201
+          (M.cardinal (Atomic.get memo));
+        for k = 1 to 201 do
+          check Alcotest.bool "stable after the race" true (get k == get k)
+        done);
+    Alcotest.test_case "engines on alternating registries count into their own"
+      `Quick (fun () ->
+        (* the engine and network resolve their handles once per registry:
+           switching registries back and forth must still land every
+           count in the registry the engine was created with *)
+        let run reg =
+          let e = lifecycle_engine reg in
+          ignore (Engine.add_process e idle);
+          ignore (Engine.add_process e chatty);
+          ignore (Engine.run e);
+          Engine.events_processed e
+        in
+        let r1 = Obsv.Metrics.create () and r2 = Obsv.Metrics.create () in
+        let a = run r1 in
+        let b = run r2 in
+        let c = run r1 in
+        check Alcotest.int "r1: both of its runs" (a + c)
+          (counter r1 "xchain_events_total");
+        check Alcotest.int "r2: its own run" b (counter r2 "xchain_events_total");
+        check Alcotest.int "r1: eight sends" 8
+          (counter r1 "xchain_messages_sent_total");
+        check Alcotest.int "r2: four sends" 4
+          (counter r2 "xchain_messages_sent_total"));
     qcheck
       (QCheck.Test.make ~name:"split_nth k is the (k+1)-th split" ~count:200
          QCheck.(pair small_int (int_bound 300))
