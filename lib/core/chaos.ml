@@ -33,18 +33,20 @@ type run_result = {
          or nothing ever tripped *)
 }
 
+let m_ok = V.ok "M" "money conserved"
+let m_violated = V.violated "M" "money not conserved across books"
+
 (* The safety subset as named checks over a view: the payment-level
-   safety of the run's Definition, then ES and global conservation. *)
+   safety of the run's Definition, then ES and global conservation. Each
+   allocates only to describe a violation, so the monitor can run them on
+   every dispatch. *)
 let safety_checks view =
   List.map
     (fun (name, check) -> (name, fun () -> check view.P.judge))
     (Props.Payment_fold.safety view.P.outcome.Runner.protocol)
   @ [
       ("ES", fun () -> P.check_es view);
-      ( "M",
-        fun () ->
-          if P.money_conserved view then V.ok "M" "money conserved"
-          else V.violated "M" "money not conserved across books" );
+      ("M", fun () -> if P.money_conserved view then m_ok else m_violated);
     ]
 
 let safety_report view =

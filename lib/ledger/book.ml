@@ -17,6 +17,7 @@ type deposit_rec = {
 type t = {
   currency : string;
   balances : (int, int) Hashtbl.t;
+  mutable owners : int list;  (** the accounts, newest first *)
   deposits : (deposit_id, deposit_rec) Hashtbl.t;
       (** issued deposits, less the resolved ones a caller forgot *)
   mutable next_id : deposit_id;
@@ -28,6 +29,7 @@ let create ~currency =
   {
     currency;
     balances = Hashtbl.create 8;
+    owners = [];
     deposits = Hashtbl.create 8;
     next_id = 0;
     pool = 0;
@@ -41,6 +43,7 @@ let open_account t ~owner ~balance =
   | Some _ -> invalid_arg "Book.open_account: account exists with other balance"
   | None ->
       Hashtbl.add t.balances owner balance;
+      t.owners <- owner :: t.owners;
       t.initial_supply <- t.initial_supply + balance
 
 let has_account t owner = Hashtbl.mem t.balances owner
@@ -139,18 +142,43 @@ let pool_total t = t.pool
 let total_supply t =
   Hashtbl.fold (fun _ b acc -> acc + b) t.balances 0 + pool_total t
 
+(* The audit runs after every monitored dispatch, so its sound path is a
+   closure-free loop over the owners that recomputes the supply from the
+   stored balances and returns the constant [Ok ()]; the folds that name
+   what went wrong run only once it has failed. *)
+let rec sound t sum = function
+  | [] -> sum + t.pool = t.initial_supply
+  | owner :: rest ->
+      let b = Hashtbl.find t.balances owner in
+      b >= 0 && sound t (sum + b) rest
+
 let audit t =
-  let neg =
-    Hashtbl.fold (fun k b acc -> if b < 0 then k :: acc else acc) t.balances []
-  in
-  if neg <> [] then
-    Error
-      (Fmt.str "negative balances for accounts %a" Fmt.(list ~sep:comma int) neg)
-  else if total_supply t <> t.initial_supply then
-    Error
-      (Fmt.str "conservation violated: supply %d, initially %d" (total_supply t)
-         t.initial_supply)
-  else Ok ()
+  if sound t 0 t.owners then Ok ()
+  else
+    let neg =
+      Hashtbl.fold
+        (fun k b acc -> if b < 0 then k :: acc else acc)
+        t.balances []
+    in
+    if neg <> [] then
+      Error
+        (Fmt.str "negative balances for accounts %a"
+           Fmt.(list ~sep:comma int)
+           neg)
+    else
+      Error
+        (Fmt.str "conservation violated: supply %d, initially %d"
+           (total_supply t) t.initial_supply)
+
+(* A top-level scan, so a monitor step over sound books allocates
+   nothing. *)
+let rec first_unsound_from books i =
+  if i = Array.length books then -1
+  else if sound books.(i) 0 books.(i).owners then
+    first_unsound_from books (i + 1)
+  else i
+
+let first_unsound books = first_unsound_from books 0
 
 let pp_error ppf = function
   | Unknown_account a -> Fmt.pf ppf "unknown account %d" a

@@ -65,9 +65,14 @@ val pool_total : t -> int
 
 val audit : t -> (unit, string) result
 (** Checks that no balance is negative and that the sum of balances plus
-    the held pool equals the initial supply. O(accounts), so cheap enough
-    to run after every event. Returns a diagnostic on the (never expected)
-    failure. *)
+    the held pool equals the initial supply, recomputed from the stored
+    balances on every call. O(accounts), and allocates nothing while the
+    book is sound, so cheap enough to run after every event. Returns a
+    diagnostic on the (never expected) failure; only that allocates. *)
+
+val first_unsound : t array -> int
+(** The index of the first book whose {!audit} fails, or [-1] when every
+    book is sound. Allocates nothing while they are. *)
 
 val pp_error : Format.formatter -> error -> unit
 val pp : Format.formatter -> t -> unit

@@ -46,18 +46,18 @@ let make ~live (outcome : Runner.outcome) =
   if live then Sim.Trace.on_record trace (F.observe facts)
   else List.iter (F.observe facts) (Sim.Trace.to_list trace);
   let net pid =
-    match Topology.customer_index topo pid with
-    | None -> 0
-    | Some i ->
-        let down =
-          if i < n then
-            Runner.balance outcome ~escrow:i ~pid - Env.amount_at env i
-          else 0
-        in
-        let up =
-          if i > 0 then Runner.balance outcome ~escrow:(i - 1) ~pid else 0
-        in
-        down + up
+    let i = Topology.customer_index topo pid in
+    if i < 0 then 0
+    else
+      let down =
+        if i < n then
+          Runner.balance outcome ~escrow:i ~pid - Env.amount_at env i
+        else 0
+      in
+      let up =
+        if i > 0 then Runner.balance outcome ~escrow:(i - 1) ~pid else 0
+      in
+      down + up
   in
   {
     outcome;
@@ -80,10 +80,7 @@ let env v = v.outcome.Runner.env
 let topo v = (env v).Env.topo
 let bob_paid v = v.net (Topology.bob (topo v)) > 0
 
-let money_conserved v =
-  Array.for_all
-    (fun book -> Result.is_ok (Ledger.Book.audit book))
-    (env v).Env.books
+let money_conserved v = Ledger.Book.first_unsound (env v).Env.books < 0
 
 (* ---- Definition 1 ---- *)
 
@@ -125,26 +122,32 @@ let check_t ~time_bounded v =
       (if time_bounded then "all active honest customers terminated in bound"
        else "all active honest customers terminated")
 
+let es_ok = Verdict.ok "ES" "no honest escrow lost money"
+
+(* the first honest escrow from [i] on whose book fails its audit or who
+   holds a negative balance, or -1 *)
+let rec failed_escrow v t i =
+  if i = Topology.hops t then -1
+  else
+    let epid = Topology.escrow t i in
+    let book = (env v).Env.books.(i) in
+    if
+      v.byzantine epid
+      || (Result.is_ok (Ledger.Book.audit book)
+         && Ledger.Book.balance book epid >= 0)
+    then failed_escrow v t (i + 1)
+    else i
+
 let check_es v =
   let t = topo v in
-  let problems =
-    List.filter_map
-      (fun epid ->
-        if v.byzantine epid then None
-        else
-          let i = Option.get (Topology.escrow_index t epid) in
-          let book = (env v).Env.books.(i) in
-          match Ledger.Book.audit book with
-          | Error e -> Some (Fmt.str "e%d book audit failed: %s" i e)
-          | Ok () ->
-              if Ledger.Book.balance book epid < 0 then
-                Some (Fmt.str "e%d lost money" i)
-              else None)
-      (Topology.escrows t)
-  in
-  match problems with
-  | [] -> Verdict.ok "ES" "no honest escrow lost money"
-  | w :: _ -> Verdict.violated "ES" w
+  let i = failed_escrow v t 0 in
+  if i < 0 then es_ok
+  else
+    let book = (env v).Env.books.(i) in
+    Verdict.violated "ES"
+      (match Ledger.Book.audit book with
+      | Error e -> Fmt.str "e%d book audit failed: %s" i e
+      | Ok () -> Fmt.str "e%d lost money" i)
 
 let no_faults v =
   v.outcome.Runner.fault_names = [] && faulty_notaries v.outcome = 0

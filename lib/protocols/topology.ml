@@ -41,7 +41,7 @@ let rec range lo hi = if lo > hi then [] else lo :: range (lo + 1) hi
 let customers t = List.map (customer t) (range 0 t.hops)
 let escrows t = List.map (escrow t) (range 0 (t.hops - 1))
 
-let customer_index t pid = if pid >= 0 && pid <= t.hops then Some pid else None
+let customer_index t pid = if pid >= 0 && pid <= t.hops then pid else -1
 
 let escrow_index t pid =
   let i = pid - t.hops - 1 in

@@ -49,8 +49,10 @@ val payment_count : t -> int
 val customers : t -> int list
 val escrows : t -> int list
 
-val customer_index : t -> int -> int option
-(** Inverse of {!customer} on pids. *)
+val customer_index : t -> int -> int
+(** Inverse of {!customer} on pids; [-1] for a pid that is no customer.
+    No option, so the per-dispatch safety checks can ask without
+    allocating. *)
 
 val escrow_index : t -> int -> int option
 

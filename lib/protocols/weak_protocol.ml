@@ -433,12 +433,11 @@ let notary_handlers (env : Env.t) cfg ~index =
                 Hashtbl.replace funded idx ();
                 maybe_start ctx
             | Some _ | None -> ())
-        | Msg.Abort_req { payment } when payment = env.Env.payment -> (
-            match Topology.customer_index topo src with
-            | Some _ ->
-                abort_seen := true;
-                maybe_start ctx
-            | None -> ())
+        | Msg.Abort_req { payment } when payment = env.Env.payment ->
+            if Topology.customer_index topo src >= 0 then begin
+              abort_seen := true;
+              maybe_start ctx
+            end
         | Msg.Notary m -> (
             match replica_index pids src with
             | Some k ->
@@ -552,13 +551,12 @@ let chain_validator_handlers (env : Env.t) cfg ~index =
                 interpret ctx
                   (Chain.on_msg chain ~from_:None (Chain.Submit (Msg.Tx_funded sv)))
             | Some _ | None -> ())
-        | Msg.Abort_req { payment } when payment = env.Env.payment -> (
-            match Topology.customer_index topo src with
-            | Some c ->
-                interpret ctx
-                  (Chain.on_msg chain ~from_:None
-                     (Chain.Submit (Msg.Tx_abort { customer = c; payment })))
-            | None -> ())
+        | Msg.Abort_req { payment } when payment = env.Env.payment ->
+            let c = Topology.customer_index topo src in
+            if c >= 0 then
+              interpret ctx
+                (Chain.on_msg chain ~from_:None
+                   (Chain.Submit (Msg.Tx_abort { customer = c; payment })))
         | Msg.Chain_gossip m ->
             interpret ctx (Chain.on_msg chain ~from_:(replica_index pids src) m)
         | _ -> ());

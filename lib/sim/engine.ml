@@ -41,13 +41,15 @@ and ('msg, 'obs) proc = {
          delivered [~src] is rebased the same way, so handlers written
          against a logical pid layout (e.g. one payment's Topology) can be
          instantiated many times in one engine at different offsets *)
-  proc_rng : Rng.t;
-  armed : (string, Event_queue.handle) Hashtbl.t;
+  mutable proc_rng : Rng.t;
+      (* [unsplit] until the process first draws (see [rng_of]) *)
+  mutable armed : (string, Event_queue.handle) Hashtbl.t;
       (* the queue handle of each armed label's one Fire. Cancelling or
          re-arming a label removes that Fire from the queue, and a label
-         leaves when its Fire pops, so every queued Fire is live. *)
+         leaves when its Fire pops, so every queued Fire is live. Until
+         its first arming a process shares [unarmed] (see [set_timer]). *)
   mutable halted : bool;
-  host : host;
+  mutable host : host; (* [never_down] until the pid first crashes *)
   prof_label : int; (* interned Prof label id, -1 when profiling is off *)
   mutable inbox : int; (* queued deliveries to this pid *)
   mutable queued : int; (* queued deliveries, firings and series ticks *)
@@ -202,6 +204,22 @@ let create ~tag_of ?mangle ~network ?(sigma = Sim_time.zero)
 
 let fresh_host () = { down = false; up_at = None }
 
+(* A process is born with these three shared placeholders and gets its own
+   crash state, timer table and stream only once it crashes, arms a timer
+   or draws, since most processes never crash and many never arm or draw.
+   They are only ever read, and compared by identity, never written or
+   advanced: engines on other domains share them. *)
+let never_down = fresh_host ()
+let unarmed : (string, Event_queue.handle) Hashtbl.t = Hashtbl.create 1
+let unsplit = Rng.create ~seed:0
+
+(* pid [k]'s stream is [Rng.split_nth root_rng k] whenever it is first
+   drawn from, since [root_rng] never advances *)
+let rng_of p =
+  if p.proc_rng == unsplit then
+    p.proc_rng <- Rng.split_nth p.engine.root_rng p.self;
+  p.proc_rng
+
 let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
   if base < 0 then invalid_arg "Engine.add_process: negative base";
   let pid = match pid with Some p -> p | None -> t.next_pid in
@@ -215,13 +233,13 @@ let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
   in
   (* a pid crashed before its birth is born down *)
   let host =
-    if Pids.length t.ghosts = 0 then fresh_host ()
+    if Pids.length t.ghosts = 0 then never_down
     else
       match Pids.find t.ghosts pid with
       | h ->
           Pids.remove t.ghosts pid;
           h
-      | exception Not_found -> fresh_host ()
+      | exception Not_found -> never_down
   in
   let p =
     {
@@ -230,8 +248,8 @@ let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
       handlers;
       clock;
       base;
-      proc_rng = Rng.split_nth t.root_rng pid;
-      armed = Hashtbl.create 4;
+      proc_rng = unsplit;
+      armed = unarmed;
       halted = false;
       host;
       prof_label;
@@ -332,7 +350,7 @@ let rec push_copies t p ~dst ~depart ~tag ~cause msg = function
       | Network.Corrupted -> (
           match t.mangle with
           | Some f -> (
-              match f msg p.proc_rng with
+              match f msg (rng_of p) with
               | Some damaged ->
                   push_delivery t ~src ~dst ~depart ~tag ~cause damaged
               | None -> Obsv.Metrics.inc t.tm.m_corrupt_drops)
@@ -353,7 +371,7 @@ let send_resolved p ~dst msg =
   let tag = t.tag_of msg in
   let compute =
     if Sim_time.equal t.sigma Sim_time.zero then Sim_time.zero
-    else Rng.int_in p.proc_rng ~lo:0 ~hi:t.sigma
+    else Rng.int_in (rng_of p) ~lo:0 ~hi:t.sigma
   in
   let depart = Sim_time.add t.clock_now compute in
   let cause = Trace.length t.tr in
@@ -401,6 +419,7 @@ let set_timer p ~deadline ~label =
   let had = unqueue t p label in
   if not (Sim_time.is_infinite global_fire) then begin
     p.queued <- p.queued + 1;
+    if p.armed == unarmed then p.armed <- Hashtbl.create 4;
     Hashtbl.replace p.armed label
       (Event_queue.push_removable t.queue ~time:global_fire
          (Fire { owner = p; label; cause; deferred = false }))
@@ -519,6 +538,11 @@ let deferral_target t p =
 let crash t ~pid ~recover_at =
   let h =
     match host_of t pid with
+    | Some h when h == never_down ->
+        (* only a process record holds the shared placeholder *)
+        let h = fresh_host () in
+        (proc t pid).host <- h;
+        h
     | Some h -> h
     | None ->
         let h = fresh_host () in

@@ -168,8 +168,11 @@ val add_process :
     in pid order), one added during a run starts at once ([on_start] runs
     before [add_process] returns). Either way pid [k] draws the same
     random stream, [Rng.split_nth root k] of the engine's seed, for its
-    computation delays and the [mangle] hook. A pid crashed before its
-    process is born ({!schedule_crash}) is born down.
+    computation delays and the [mangle] hook, derived when it first
+    draws. A pid crashed before its process is born ({!schedule_crash})
+    is born down. A birth allocates only the process record: its timer
+    table, stream and crash state come with its first arming, draw and
+    crash.
 
     [label] (default ["proc"]) names the process's {e role} for the
     profiler — a low-cardinality string like ["alice"] or ["escrow"],

@@ -119,8 +119,11 @@ let label_index label from =
   done;
   !k
 
-(* [audit] also fails on any negative balance. *)
-let book_ok b = Result.is_ok (Ledger.Book.audit b)
+(* The first edge from [e] on whose [funder] balance is negative, or -1. *)
+let rec first_overdrawn books funder e =
+  if e = Array.length books then -1
+  else if Ledger.Book.balance books.(e) funder < 0 then e
+  else first_overdrawn books funder (e + 1)
 
 (* Int-keyed tables for the live instances and payments. *)
 module Ids = Int_table
@@ -143,7 +146,9 @@ type inst = {
       (** one per block slot the protocol uses on this path *)
   i_draws : int array;
       (** per block slot [l], at [3 * l]: the process clock's rate and
-          offset as {!Clock.draw} stores them, then the start skew *)
+          offset as {!Clock.draw} stores them, then the start skew. The
+          clock is anchored at the start skew, so the offset is drawn,
+          keeping the stream, but not read *)
   i_phase : Bytes.t;
       (** per block slot: waiting for Start, running, or halted and
           reported to the controller (see [shell]) *)
@@ -331,16 +336,13 @@ let graph_legs (w : Workload.t) (g : Routing.Topology.t) =
     checks =
       [
         ( "LIQ",
-            fun () ->
-            let rec scan e =
-              if e = Array.length books then None
-              else if avail e < 0 then
-                Some
-                  (Printf.sprintf "edge %d overdrew its liquidity by %d" e
-                     (-avail e))
-              else scan (e + 1)
-            in
-            scan 0 );
+          fun () ->
+            let e = first_overdrawn books funder 0 in
+            if e < 0 then None
+            else
+              Some
+                (Printf.sprintf "edge %d overdrew its liquidity by %d" e
+                   (-avail e)) );
       ];
     (* the path, hence the role layout, is unknown until admission *)
     role = (fun _ l -> if l = 0 then "alice" else "node");
@@ -389,6 +391,10 @@ type state = {
       (** per payment: when its span ends, at its last settlement, or at
           its close for a rejected one; -1 if never *)
   tallies : (Workload.proto * Tally.t) list;  (** one per mix entry *)
+  safety :
+    (Workload.proto * (string * (Fold.judge -> Props.Verdict.t)) list) list;
+      (** per mix entry, its Definition's safety checks, built once: keyed
+          by the protocol, not its [Runner.t], which can hold a closure *)
   mutable violations : (int * violation list) list;
   mutable messages : int;
   mutable liquidity_rejections : int;
@@ -532,6 +538,17 @@ let create ~plan ~causal ~prof ~monitor ~sampler ~(w : Workload.t) ~seed =
     row_arrived = row w.payments (-1);
     row_ended = row w.payments (-1);
     tallies = List.map (fun (p, _) -> (p, Tally.create ())) w.mix;
+    safety =
+      (let excused =
+         (* under [optimistic] admission a deposit may meet a drained
+            account: that rejection is the policy's, not a protocol fault *)
+         if w.policy = Workload.Optimistic then is_liquidity_rejection
+         else fun _ -> false
+       in
+       List.map
+         (fun (p, _) ->
+           (p, Fold.safety ~excused ~preimage_is_receipt:true (Proto.runner p)))
+         w.mix);
     violations = [];
     messages = 0; liquidity_rejections = 0; admitted = 0; in_flight = 0;
     max_in_flight = 0; total_paths = 0; split_payments = 0;
@@ -656,55 +673,63 @@ let take_draws st k =
 (* --- judging: an instance's verdict is final once it is retired (its
    processes never act again) or the run has ended --- *)
 
+(* A local pid abides unless its host was crashed while its instance was
+   live, from [lo] to [hi] — mirrors chaos's non-abiding registration. *)
+let rec exposed crashes ~lo ~hi lp =
+  match crashes with
+  | [] -> false
+  | (c : Faults.Fault_plan.crash_spec) :: rest ->
+      (c.pid = lp && c.at <= hi
+      && match c.recover_at with None -> true | Some r -> r >= lo)
+      || exposed rest ~lo ~hi lp
+
+let always_honest _ = true
+
+let rec count_liquidity n = function
+  | [] -> n
+  | (_, what) :: rest ->
+      count_liquidity (if is_liquidity_rejection what then n + 1 else n) rest
+
+(* The violated ones among [checks], in order; [] while all hold, which
+   allocates nothing. *)
+let rec violated st ins facts = function
+  | [] -> []
+  | (_, check) :: rest ->
+      let { Props.Verdict.property; applicable; holds; detail } =
+        check facts
+      in
+      if holds || not applicable then violated st ins facts rest
+      else
+        (* routed verdicts name the split they come from *)
+        let detail =
+          if Option.is_none st.w.topology then detail
+          else Printf.sprintf "split %d: %s" ins.id detail
+        in
+        { payment = ins.i_pay.k; property; detail }
+        :: violated st ins facts rest
+
 let judge st ins ~end_time =
   let p = ins.i_pay in
   let h = ins.i_hops in
   let hi = if settled_at ins >= 0 then settled_at ins else end_time in
-  (* a pid abides unless its host was crashed while the instance was
-     live — mirrors chaos's non-abiding registration *)
-  let exposed lp =
-    List.exists
-      (fun (c : Faults.Fault_plan.crash_spec) ->
-        c.pid = lp && c.at <= hi
-        && match c.recover_at with None -> true | Some r -> r >= p.admitted_at)
-      st.plan.Faults.Fault_plan.crashes
-  in
-  (* under [optimistic] admission a deposit may meet a drained account:
-     that rejection is the policy's, not a protocol fault *)
-  let excused =
-    if st.w.policy = Workload.Optimistic then is_liquidity_rejection
-    else fun _ -> false
-  in
+  let crashes = st.plan.Faults.Fault_plan.crashes in
+  let lo = p.admitted_at in
   let facts =
     {
       Fold.facts = ins.i_facts;
-      honest = (fun lp -> not (exposed lp));
+      honest =
+        (match crashes with
+        | [] -> always_honest
+        | _ -> fun lp -> not (exposed crashes ~lo ~hi lp));
       net = Fold.flow ins.i_facts;
       tm_trusted = true;
       well_formed = Runner.well_formed (Proto.runner p.proto) ~hops:h;
     }
   in
-  List.iter
-    (fun (_, what) ->
-      if is_liquidity_rejection what then
-        st.liquidity_rejections <- st.liquidity_rejections + 1)
-    (Fold.rejections ins.i_facts);
+  st.liquidity_rejections <-
+    count_liquidity st.liquidity_rejections (Fold.rejections ins.i_facts);
   p.split_viols.(ins.i_split) <-
-    List.filter_map
-      (fun (_, check) ->
-        let { Props.Verdict.property; applicable; holds; detail } =
-          check facts
-        in
-        if holds || not applicable then None
-        else
-          (* routed verdicts name the split they come from *)
-          let detail =
-            if Option.is_none st.w.topology then detail
-            else Printf.sprintf "split %d: %s" ins.id detail
-          in
-          Some { payment = p.k; property; detail })
-      (Fold.safety ~excused ~preimage_is_receipt:true
-         (Proto.runner p.proto));
+    violated st ins facts (List.assoc p.proto st.safety);
   if paid_at ins < 0 then p.all_paid <- false
   else begin
     p.any_paid <- true;
@@ -717,8 +742,10 @@ let judge st ins ~end_time =
   (* settled for abort purposes: every customer terminated or was
      crash-covered *)
   for ci = 0 to h do
-    if Fold.terminated ins.i_facts ci = None && not (exposed ci) then
-      p.all_settled <- false
+    if
+      Option.is_none (Fold.terminated ins.i_facts ci)
+      && not (exposed crashes ~lo ~hi ci)
+    then p.all_settled <- false
   done;
   p.unjudged <- p.unjudged - 1
 
@@ -942,7 +969,8 @@ let shell st ins =
    protocol and path length is shared; the instance owns its env (keys,
    amounts, book slice, payment id), the executor state of each slot, its
    fold and one shell, with a process per slot its protocol uses, born at
-   the pids [1 + id * stride + l] with the clocks drawn for them. Building
+   the pids [1 + id * stride + l]. A process reads its clock only once it
+   has started, so it gets the clock drawn for it at its Start. Building
    every instance before the run instead measured slower end to end on
    the 2k-payment chain benchmark (seed 1, 10 alternating pairs, two-core
    x86-64 VM): at admission, with retirement, commits 9% more payments
@@ -993,10 +1021,8 @@ let build st p j (s : Routing.Router.split) =
     (* profiler role labels: constant strings, interned only when the
        engine carries a profiler *)
     ignore
-      (Engine.add_process st.engine ~pid:(base + l)
-         ~clock:(Clock.of_draw ins.i_draws (3 * l)
-                   ~l0:ins.i_draws.((3 * l) + 1) ~g0:0)
-         ~base ~label:(st.legs.role p.proto l) sh)
+      (Engine.add_process st.engine ~pid:(base + l) ~base
+         ~label:(st.legs.role p.proto l) sh)
   done;
   ins
 
@@ -1259,15 +1285,12 @@ let schedule_crashes st =
 let watch st m =
   let legs = st.legs in
   Obsv.Monitor.register m ~name:"M" (fun () ->
-      let rec scan i =
-        if i = Array.length legs.books then None
-        else if not (book_ok legs.books.(i)) then
-          Some
-            (Printf.sprintf "shared %s book %d failed its conservation audit"
-               legs.book_kind i)
-        else scan (i + 1)
-      in
-      scan 0);
+      let i = Ledger.Book.first_unsound legs.books in
+      if i < 0 then None
+      else
+        Some
+          (Printf.sprintf "shared %s book %d failed its conservation audit"
+             legs.book_kind i));
   List.iter
     (fun (name, check) -> Obsv.Monitor.register m ~name check)
     legs.checks
@@ -1340,7 +1363,7 @@ let blame_of st c =
 let report st ~status =
   let w = st.w in
   let end_time = Engine.now st.engine in
-  let conservation_ok = Array.for_all book_ok st.legs.books in
+  let conservation_ok = Ledger.Book.first_unsound st.legs.books < 0 in
   let violations =
     List.concat_map snd
       (List.sort (fun (a, _) (b, _) -> Int.compare a b) st.violations)

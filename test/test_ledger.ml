@@ -54,6 +54,29 @@ let book_tests =
         check Alcotest.int "0" 100 (Book.balance b 0);
         check Alcotest.int "unknown" 0 (Book.balance b 99);
         check Alcotest.int "supply" 150 (supply b));
+    Alcotest.test_case "audit allocates nothing while the book is sound"
+      `Quick (fun () ->
+        let b = book () in
+        (* six owners, and held deposits in the pool *)
+        List.iter
+          (fun owner -> Book.open_account b ~owner ~balance:owner)
+          [ 3; 4; 5 ];
+        ignore (ok (Book.deposit b ~from_:0 ~amount:30));
+        ignore (ok (Book.deposit b ~from_:1 ~amount:5));
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let idle = words (fun () -> ()) in
+        let audits =
+          words (fun () ->
+              for _ = 1 to 1_000 do
+                if Result.is_error (Book.audit b) then Alcotest.fail "unsound"
+              done)
+        in
+        check Alcotest.int "words over 1,000 audits" 0
+          (int_of_float (audits -. idle)));
     Alcotest.test_case "balance reads allocate nothing, absent accounts read 0"
       `Quick (fun () ->
         let b = book () in
@@ -338,9 +361,12 @@ let book_prop_tests =
       (QCheck.Test.make ~name:"audit and total supply hold under any program"
          ~count:300 book_ops_arb (fun ops ->
            let b, _ = run_program ops in
-           supply b = 150
-           && Result.is_ok (Book.audit b)
-           && List.for_all (fun bal -> bal >= 0) (balances b)));
+           (* the audit's verdict agrees with the supply summed here from
+              the public balances and pool *)
+           let sound =
+             supply b = 150 && List.for_all (fun bal -> bal >= 0) (balances b)
+           in
+           Result.is_ok (Book.audit b) = sound && sound));
     qcheck
       (QCheck.Test.make
          ~name:"pool_total equals the held deposits after every op" ~count:300

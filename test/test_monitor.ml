@@ -376,6 +376,37 @@ let load_monitor_tests =
     case "monitoring never changes a hub:3 routed run"
       (common ^ " topology=hub:3 splits=2")
       4;
+    Alcotest.test_case "a monitor step allocates nothing while the run is sound"
+      `Quick (fun () ->
+        (* the conservation audit runs on every dispatch: with every book
+           sound it allocates nothing, so the monitored run costs only
+           the monitor's set-up on top of the plain one *)
+        let workload =
+          load_spec
+            "payments=200 hops=2 value=1000 commission=10 arrival=poisson:4 \
+             mix=sync:2,weak:2,htlc:1,atomic:1 policy=reserve cap=0 \
+             liquidity=0 patience=2000 stuck=0 drift=10000 gst=none"
+        in
+        let words run =
+          let before = Gc.minor_words () in
+          let r = run () in
+          (r, Gc.minor_words () -. before)
+        in
+        (* a first run fills the process-wide template memos *)
+        ignore (Traffic.Load.run ~workload ~seed:1 ());
+        let _, plain =
+          words (fun () -> Traffic.Load.run ~workload ~seed:1 ())
+        in
+        let m = Obsv.Monitor.create () in
+        let r, watched =
+          words (fun () -> Traffic.Load.run ~monitor:m ~workload ~seed:1 ())
+        in
+        check Alcotest.int "committed" 200 r.Traffic.Load.committed;
+        let steps = Obsv.Monitor.steps m in
+        let extra = watched -. plain in
+        if extra > float_of_int steps then
+          Alcotest.failf "the monitor added %.0f words over %d steps" extra
+            steps);
   ]
 
 let () =

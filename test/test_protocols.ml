@@ -67,7 +67,8 @@ let topology_tests =
         check Alcotest.(list bool) "e2 faulty" [ true; true; false; false ] (abiding 2));
     Alcotest.test_case "index inverses" `Quick (fun () ->
         let t = Topology.create ~hops:3 in
-        check Alcotest.(option int) "cust" (Some 2) (Topology.customer_index t 2);
+        check Alcotest.int "cust" 2 (Topology.customer_index t 2);
+        check Alcotest.int "not a customer" (-1) (Topology.customer_index t 5);
         check Alcotest.(option int) "escrow" (Some 1) (Topology.escrow_index t 5);
         check Alcotest.(option int) "out of range" None (Topology.escrow_index t 99));
     Alcotest.test_case "needs at least one escrow" `Quick (fun () ->
