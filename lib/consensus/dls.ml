@@ -42,6 +42,8 @@ type 'v config = {
 
 type 'v t = {
   cfg : 'v config;
+  put_echo : Bytes.t -> 'v echo_body -> int;  (* [ser_echo cfg.ser] *)
+  put_commit : Bytes.t -> 'v commit_body -> int;
   mutable round : round;
   mutable preference : 'v option;
   mutable lock : 'v qc option;
@@ -79,53 +81,50 @@ let committee_n cfg = Quorum_system.size cfg.qs
 
 let leader_of ~n round = ((round mod n) + n) mod n
 
-let ser_echo ser (b : 'v echo_body) =
-  String.concat "|" [ "echo"; string_of_int b.e_round; ser b.e_value ]
+(* The statements are written in place: "<kind>|<round>|" in front of
+   the value's serialisation, which for a batch is memoised, so a vote's
+   statement is never concatenated. *)
+let ser_vote kind ser buf round value =
+  let pos = Auth.put_char buf (Auth.put_string buf 0 kind) '|' in
+  let pos = Auth.put_char buf (Auth.put_int buf pos round) '|' in
+  Auth.put_string buf pos (ser value)
 
-let ser_commit ser (b : 'v commit_body) =
-  String.concat "|" [ "commit"; string_of_int b.c_round; ser b.c_value ]
+let ser_echo ser buf (b : 'v echo_body) = ser_vote "echo" ser buf b.e_round b.e_value
 
-let ser_echo_vote ser round value =
-  ser_echo ser { e_round = round; e_value = value }
-
-let ser_commit_vote ser round value =
-  ser_commit ser { c_round = round; c_value = value }
+let ser_commit ser buf (b : 'v commit_body) =
+  ser_vote "commit" ser buf b.c_round b.c_value
 
 (* A signature counts when its vote is for exactly the wanted (round,
    value), its author is a replica not already counted, and it verifies
-   against [body], the wanted vote serialised once by the caller. Checking
-   every signature against one serialisation is sound because [cfg.ser]
-   is injective modulo [cfg.equal]: equal values serialise equally. *)
-let verify_vote_set cfg ~body ~round_of ~value_of ~want_round ~want_value sigs
-    =
+   against its own vote's statement. Each vote of a certificate then
+   signs the one statement of the wanted vote, because [cfg.ser] is
+   injective modulo [cfg.equal]: equal values serialise equally. *)
+let verify_vote_set cfg ~put ~round_of ~value_of ~want_round ~want_value sigs =
   let present = Array.make (committee_n cfg) false in
   List.iter
     (fun (sv : _ Auth.signed) ->
       let b = sv.Auth.payload in
       if round_of b = want_round && cfg.equal (value_of b) want_value then begin
         let i = Vote_book.replica_index cfg.auth_ids sv.Auth.author in
-        if
-          i >= 0
-          && (not present.(i))
-          && Auth.verify cfg.registry sv.Auth.author body sv.Auth.signature
+        if i >= 0 && (not present.(i)) && Auth.verify_value cfg.registry ~put sv
         then present.(i) <- true
       end)
     sigs;
   Quorum_system.is_quorum cfg.qs ~present
 
-let verify_qc cfg (qc : 'v qc) =
-  verify_vote_set cfg
-    ~body:(ser_echo_vote cfg.ser qc.q_round qc.q_value)
+let verify_qc t (qc : 'v qc) =
+  verify_vote_set t.cfg ~put:t.put_echo
     ~round_of:(fun b -> b.e_round)
     ~value_of:(fun b -> b.e_value)
     ~want_round:qc.q_round ~want_value:qc.q_value qc.q_sigs
 
-let verify_decision cfg (dc : 'v decision_cert) =
-  verify_vote_set cfg
-    ~body:(ser_commit_vote cfg.ser dc.d_round dc.d_value)
-    ~round_of:(fun b -> b.c_round)
-    ~value_of:(fun b -> b.c_value)
-    ~want_round:dc.d_round ~want_value:dc.d_value dc.d_sigs
+let verify_decision cfg =
+  let put = ser_commit cfg.ser in
+  fun (dc : 'v decision_cert) ->
+    verify_vote_set cfg ~put
+      ~round_of:(fun b -> b.c_round)
+      ~value_of:(fun b -> b.c_value)
+      ~want_round:dc.d_round ~want_value:dc.d_value dc.d_sigs
 
 let create cfg =
   (match Quorum_system.validate cfg.qs with
@@ -137,18 +136,21 @@ let create cfg =
     invalid_arg "Dls.create: auth_ids size mismatch";
   if Auth.signer_id cfg.signer <> cfg.auth_ids.(cfg.self) then
     invalid_arg "Dls.create: signer does not match self";
-  let book ser =
+  let book put =
     Vote_book.create ~qs:cfg.qs ~auth_ids:cfg.auth_ids ~registry:cfg.registry
-      ~equal:cfg.equal ~ser:(fun round value -> ser cfg.ser round value)
+      ~equal:cfg.equal ~put
   in
+  let put_echo = ser_echo cfg.ser and put_commit = ser_commit cfg.ser in
   {
     cfg;
+    put_echo;
+    put_commit;
     round = 0;
     preference = None;
     lock = None;
     decision = None;
-    echo_votes = book ser_echo_vote;
-    commit_votes = book ser_commit_vote;
+    echo_votes = book put_echo;
+    commit_votes = book put_commit;
     echoed = [];
     committed = [];
     proposed = [];
@@ -230,7 +232,7 @@ let above_lock t round =
 
 (* Adopt a peer's QC as our lock if it is higher than what we hold. *)
 let maybe_adopt t (qc : 'v qc) =
-  if above_lock t qc.q_round && verify_qc t.cfg qc then t.lock <- Some qc
+  if above_lock t qc.q_round && verify_qc t qc then t.lock <- Some qc
 
 let may_echo t ~round:_ ~value ~justif =
   t.cfg.validate value
@@ -243,7 +245,7 @@ let may_echo t ~round:_ ~value ~justif =
          | Some (j : 'v qc) ->
              j.q_round > lock_qc.q_round
              && t.cfg.equal j.q_value value
-             && verify_qc t.cfg j
+             && verify_qc t j
          | None -> false)
 
 let echo_effects t ~round ~value =
@@ -251,9 +253,7 @@ let echo_effects t ~round ~value =
   else begin
     t.echoed <- round :: t.echoed;
     let body = { e_round = round; e_value = value } in
-    let signed =
-      Auth.sign_value t.cfg.signer ~ser:(ser_echo t.cfg.ser) body
-    in
+    let signed = Auth.sign_value t.cfg.signer ~put:t.put_echo body in
     [ Broadcast (Echo signed) ]
   end
 
@@ -262,9 +262,7 @@ let commit_effects t ~round ~value =
   else begin
     t.committed <- round :: t.committed;
     let body = { c_round = round; c_value = value } in
-    let signed =
-      Auth.sign_value t.cfg.signer ~ser:(ser_commit t.cfg.ser) body
-    in
+    let signed = Auth.sign_value t.cfg.signer ~put:t.put_commit body in
     [ Broadcast (Commit signed) ]
   end
 

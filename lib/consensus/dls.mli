@@ -76,23 +76,30 @@ type 'v config = {
   registry : Xcrypto.Auth.registry;
   signer : Xcrypto.Auth.signer;  (** must match [auth_ids.(self)] *)
   ser : 'v -> string;
-      (** serialization of values for signing. Precondition:
-          [equal a b <=> ser a = ser b]. Votes are checked against one
-          serialisation of the wanted (round, value) per certificate and
-          per vote bucket, not against each vote's own payload, which is
-          sound only if equal values serialise equally; the converse keeps
-          a signature over one value from counting for another. *)
+      (** serialization of values for signing, the value part of every
+          echo and commit statement; a value seen by many signers (a
+          batch) should be serialised once and memoised. Precondition:
+          [equal a b <=> ser a = ser b]. Votes for equal values count in
+          one vote bucket and one certificate, each checked against its
+          own statement; that is sound only if equal values serialise
+          equally, so that every vote of a certificate signs the one
+          statement an outsider checks. The converse keeps a signature
+          over one value from counting for another. *)
   equal : 'v -> 'v -> bool;
   validate : 'v -> bool;  (** external validity of proposed values *)
   base_timeout : Sim.Sim_time.t;  (** round [r] times out after
                                       [base_timeout * 2^min(r,16)] *)
 }
 
-val ser_echo : ('v -> string) -> 'v echo_body -> string
-(** The signed statement of an echo: ["echo|<round>|<value>"]. *)
+val ser_echo : ('v -> string) -> bytes -> 'v echo_body -> int
+(** [ser_echo ser] writes the signed statement of an echo,
+    ["echo|<round>|<value>"], as a writer of {!Xcrypto.Auth.sign_value}:
+    the framing is written in front of [ser value], never concatenated
+    with it. *)
 
-val ser_commit : ('v -> string) -> 'v commit_body -> string
-(** The signed statement of a commit vote: ["commit|<round>|<value>"]. *)
+val ser_commit : ('v -> string) -> bytes -> 'v commit_body -> int
+(** [ser_commit ser] writes the signed statement of a commit vote,
+    ["commit|<round>|<value>"], as {!ser_echo} does an echo's. *)
 
 type 'v t
 
@@ -137,4 +144,6 @@ val tally : 'v t -> [ `Echo | `Commit ] -> round:round -> 'v -> bool
 val verify_decision : 'v config -> 'v decision_cert -> bool
 (** Verifiable by any outsider holding the registry and the committee
     roster — this is what makes the committee's decision a transferable
-    certificate in the paper's sense. *)
+    certificate in the paper's sense. [verify_decision cfg] builds the
+    statement writer once; apply it once and keep the resulting checker
+    to verify many certificates. *)

@@ -1,13 +1,11 @@
 open Xcrypto
 
-(* One (round, value): the statement its votes sign, serialised once
-   when its first vote arrives, and the running tally. [sigs.(i)] is
-   replica [i]'s signature when [present.(i)]; the array starts filled
-   with the bucket's first vote, so storing one allocates nothing. *)
+(* One (round, value) and its running tally. [sigs.(i)] is replica
+   [i]'s signature when [present.(i)]; the array starts filled with the
+   bucket's first vote, so storing one allocates nothing. *)
 type ('v, 'body) bucket = {
   round : int;
   value : 'v;
-  body : string;
   sigs : 'body Auth.signed array;
   present : bool array;
   mutable quorum : bool;
@@ -18,7 +16,7 @@ type ('v, 'body) t = {
   auth_ids : int array;
   registry : Auth.registry;
   equal : 'v -> 'v -> bool;
-  ser : int -> 'v -> string;
+  put : Bytes.t -> 'body -> int;
   mutable buckets : ('v, 'body) bucket list;
 }
 
@@ -28,8 +26,8 @@ type 'body tally =
   | Reached of 'body Auth.signed list
   | Past_quorum
 
-let create ~qs ~auth_ids ~registry ~equal ~ser =
-  { qs; auth_ids; registry; equal; ser; buckets = [] }
+let create ~qs ~auth_ids ~registry ~equal ~put =
+  { qs; auth_ids; registry; equal; put; buckets = [] }
 
 (* Quorum membership is index-based (weighted and grid systems care
    which replica signed, not just how many), so every signature set is
@@ -69,36 +67,28 @@ let count t b i sv =
     else Counted
   end
 
-(* A bucket is looked up before any serialisation, so a vote body is
-   serialised once per bucket, not once per vote, and a bucket is only
-   opened by a vote that verifies. *)
+(* A vote is checked against its own statement, written and hashed in
+   place, before its bucket is looked up, so a bucket is only opened by a
+   vote that verifies. *)
 let record t ~round ~value (sv : _ Auth.signed) =
   let i = replica_index t.auth_ids sv.Auth.author in
-  if i < 0 then Dropped
+  if i < 0 || not (Auth.verify_value t.registry ~put:t.put sv) then Dropped
   else
     match find t round value t.buckets with
-    | b ->
-        if Auth.verify t.registry sv.Auth.author b.body sv.Auth.signature then
-          count t b i sv
-        else Dropped
+    | b -> count t b i sv
     | exception Not_found ->
-        let body = t.ser round value in
-        if Auth.verify t.registry sv.Auth.author body sv.Auth.signature then begin
-          let n = Array.length t.auth_ids in
-          let b =
-            {
-              round;
-              value;
-              body;
-              sigs = Array.make n sv;
-              present = Array.make n false;
-              quorum = false;
-            }
-          in
-          t.buckets <- b :: t.buckets;
-          count t b i sv
-        end
-        else Dropped
+        let n = Array.length t.auth_ids in
+        let b =
+          {
+            round;
+            value;
+            sigs = Array.make n sv;
+            present = Array.make n false;
+            quorum = false;
+          }
+        in
+        t.buckets <- b :: t.buckets;
+        count t b i sv
 
 let holds t ~round value =
   List.exists

@@ -5,13 +5,14 @@
     verified, and whether they already form a quorum of the quorum
     system. {!Dls} keeps one book for echoes and one for commit votes.
 
-    A bucket is opened by the first vote for its [(round, value)] that
-    verifies; it serialises that vote's statement once, and every later
-    vote for it is checked against that one string. A bucket keeps its
-    signatures in an array indexed by replica, beside a presence vector,
-    and the books are a short list of buckets, since an instance rarely
-    sees more than two rounds. So recording a vote in an open bucket
-    allocates nothing unless it completes the quorum. *)
+    Each vote is checked against its own statement, which the book's
+    writer writes into {!Xcrypto.Auth}'s scratch buffer, where it is
+    hashed in place; a bucket is opened by the first vote for its
+    [(round, value)] that verifies. A bucket keeps its signatures in an
+    array indexed by replica, beside a presence vector, and the books are
+    a short list of buckets, since an instance rarely sees more than two
+    rounds. So recording a vote in an open bucket allocates nothing unless
+    it completes the quorum. *)
 
 type ('v, 'body) t
 
@@ -28,12 +29,13 @@ val create :
   auth_ids:int array ->
   registry:Xcrypto.Auth.registry ->
   equal:('v -> 'v -> bool) ->
-  ser:(int -> 'v -> string) ->
+  put:(bytes -> 'body -> int) ->
   ('v, 'body) t
 (** Empty books for the replicas [auth_ids] (the Auth identity of each
-    replica index of [qs]). [ser round value] is the statement a vote for
-    [(round, value)] signs; as for {!Dls.config}, equal values must
-    serialise equally and unequal ones differently. *)
+    replica index of [qs]). [put] writes the statement a vote signs (see
+    {!Xcrypto.Auth.sign_value}); as for {!Dls.config}, votes for equal
+    values must have equal statements and votes for unequal ones
+    different statements. *)
 
 val replica_index : int array -> int -> int
 (** [replica_index auth_ids author] is the replica index of an Auth
@@ -44,7 +46,7 @@ val record :
   'body tally
 (** Record a vote for [(round, value)], which the caller reads from the
     vote's payload. The vote counts when its author is a replica and its
-    signature verifies against the bucket's statement; a replica counts
+    signature verifies against its statement; a replica counts
     once however often it votes, and a later vote of the same replica
     replaces its signature. *)
 

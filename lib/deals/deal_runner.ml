@@ -74,7 +74,7 @@ let voters cfg registry votes =
       let b = sv.Auth.payload and q = sv.Auth.author in
       if
         b.Dmsg.v_deal = deal_id && b.Dmsg.v_party = q && q < Deal.parties cfg.deal
-        && Auth.verify_value registry ~ser:Dmsg.ser_vote sv
+        && Auth.verify_value registry ~put:Dmsg.ser_vote sv
       then acc lor (1 lsl q)
       else acc)
     0 votes
@@ -230,7 +230,7 @@ let escrow cfg k (arc : Deal.arc) : auto =
       ~accept:(fun inst -> function
         | Dmsg.Cb_cert sv ->
             sv.Auth.payload.Dmsg.c_commit = commit
-            && Auth.verify_value inst.registry ~ser:Dmsg.ser_cb sv
+            && Auth.verify_value inst.registry ~put:Dmsg.ser_cb sv
         | _ -> false)
   in
   let await =
@@ -282,7 +282,7 @@ let certifier cfg : auto =
   let decide commit inst ctx store _ =
     E.observe ctx (Dobs.Cb_decided { commit });
     let body = { Dmsg.c_deal = deal_id; c_commit = commit } in
-    let signed = Auth.sign_value (Auth.signer_of inst.registry n) ~ser:Dmsg.ser_cb body in
+    let signed = Auth.sign_value (Auth.signer_of inst.registry n) ~put:Dmsg.ser_cb body in
     Anta.Store.set_data store "cert" (Dmsg.Cb_cert signed)
   in
   let patience =
@@ -351,7 +351,7 @@ let instance cfg =
   let registry = Auth.create ~seed:(cfg.seed + 3) in
   let votes =
     Array.init (Deal.parties cfg.deal) (fun q ->
-        Auth.sign_value (Auth.register registry q) ~ser:Dmsg.ser_vote
+        Auth.sign_value (Auth.register registry q) ~put:Dmsg.ser_vote
           { Dmsg.v_party = q; v_deal = deal_id })
   in
   let book (k, (a : Deal.arc)) =

@@ -31,8 +31,16 @@ let tag = function
   | Cb_vote _ -> "cb-vote"
   | Cb_cert _ -> "cb-cert"
 
-let ser_vote (v : vote_body) =
-  String.concat "|" [ "dvote"; string_of_int v.v_party; string_of_int v.v_deal ]
+(* The signed statements' writers (see {!Xcrypto.Auth.sign_value}):
+   "dvote|<party>|<deal>" and "dcb|<deal>|<true or false>". *)
+module A = Xcrypto.Auth
 
-let ser_cb (c : cb_body) =
-  String.concat "|" [ "dcb"; string_of_int c.c_deal; string_of_bool c.c_commit ]
+let ser_vote buf (v : vote_body) =
+  let pos = A.put_char buf (A.put_string buf 0 "dvote") '|' in
+  let pos = A.put_char buf (A.put_int buf pos v.v_party) '|' in
+  A.put_int buf pos v.v_deal
+
+let ser_cb buf (c : cb_body) =
+  let pos = A.put_char buf (A.put_string buf 0 "dcb") '|' in
+  let pos = A.put_char buf (A.put_int buf pos c.c_deal) '|' in
+  A.put_string buf pos (string_of_bool c.c_commit)

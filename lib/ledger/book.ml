@@ -36,18 +36,19 @@ let create ~currency =
     initial_supply = 0;
   }
 
+(* Every lookup reads through [Hashtbl.find], not [find_opt]: no [Some]
+   box per deposit, release or refund. *)
 let open_account t ~owner ~balance =
   if balance < 0 then invalid_arg "Book.open_account: negative balance";
-  match Hashtbl.find_opt t.balances owner with
-  | Some b when b = balance -> ()
-  | Some _ -> invalid_arg "Book.open_account: account exists with other balance"
-  | None ->
+  match Hashtbl.find t.balances owner with
+  | b when b = balance -> ()
+  | _ -> invalid_arg "Book.open_account: account exists with other balance"
+  | exception Not_found ->
       Hashtbl.add t.balances owner balance;
       t.owners <- owner :: t.owners;
       t.initial_supply <- t.initial_supply + balance
 
 let has_account t owner = Hashtbl.mem t.balances owner
-(* no [Some] box per read: routed admission reads one balance per edge *)
 let balance t owner =
   match Hashtbl.find t.balances owner with b -> b | exception Not_found -> 0
 
@@ -56,21 +57,21 @@ let accounts t =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let debit t account amount =
-  match Hashtbl.find_opt t.balances account with
-  | None -> Error (Unknown_account account)
-  | Some has ->
+  match Hashtbl.find t.balances account with
+  | has ->
       if has < amount then Error (Insufficient_funds { account; has; needs = amount })
       else begin
         Hashtbl.replace t.balances account (has - amount);
         Ok ()
       end
+  | exception Not_found -> Error (Unknown_account account)
 
 let credit t account amount =
-  match Hashtbl.find_opt t.balances account with
-  | None -> Error (Unknown_account account)
-  | Some has ->
+  match Hashtbl.find t.balances account with
+  | has ->
       Hashtbl.replace t.balances account (has + amount);
       Ok ()
+  | exception Not_found -> Error (Unknown_account account)
 
 let transfer t ~src ~dst ~amount =
   if amount < 0 then invalid_arg "Book.transfer: negative amount";
@@ -99,40 +100,34 @@ let settle t d status =
   d.status <- status;
   t.pool <- t.pool - d.amount
 
-let resolve t id ~into =
-  match Hashtbl.find_opt t.deposits id with
-  | None -> Error (Unknown_deposit id)
-  | Some d -> (
-      match d.status with
-      | Released _ | Refunded -> Error (Already_resolved id)
-      | Held -> (
-          match credit t into d.amount with
-          | Error _ as e -> e
-          | Ok () -> Ok d))
+(* Pays a held deposit [d] into [into] and settles it as [status]. *)
+let resolve t id d ~into status =
+  match d.status with
+  | Released _ | Refunded -> Error (Already_resolved id)
+  | Held -> (
+      match credit t into d.amount with
+      | Error _ as e -> e
+      | Ok () ->
+          settle t d status;
+          Ok ())
 
 let release t id ~to_ =
   if not (has_account t to_) then Error (Unknown_account to_)
   else
-    match resolve t id ~into:to_ with
-    | Error e -> Error e
-    | Ok d ->
-        settle t d (Released to_);
-        Ok ()
+    match Hashtbl.find t.deposits id with
+    | d -> resolve t id d ~into:to_ (Released to_)
+    | exception Not_found -> Error (Unknown_deposit id)
 
 let refund t id =
-  match Hashtbl.find_opt t.deposits id with
-  | None -> Error (Unknown_deposit id)
-  | Some d -> (
-      match resolve t id ~into:d.depositor with
-      | Error e -> Error e
-      | Ok d ->
-          settle t d Refunded;
-          Ok ())
+  match Hashtbl.find t.deposits id with
+  | d -> resolve t id d ~into:d.depositor Refunded
+  | exception Not_found -> Error (Unknown_deposit id)
 
 let forget t id =
-  match Hashtbl.find_opt t.deposits id with
-  | Some { status = Released _ | Refunded; _ } -> Hashtbl.remove t.deposits id
-  | Some { status = Held; _ } | None -> ()
+  match Hashtbl.find t.deposits id with
+  | { status = Released _ | Refunded; _ } -> Hashtbl.remove t.deposits id
+  | { status = Held; _ } -> ()
+  | exception Not_found -> ()
 
 let deposit_status t id =
   Option.map (fun d -> d.status) (Hashtbl.find_opt t.deposits id)

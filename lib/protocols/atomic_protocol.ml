@@ -163,7 +163,7 @@ let escrow topo cfg i : auto =
             ~message:(fun env _ _ ->
               Msg.Promise_p
                 (Xcrypto.Auth.sign_value (Env.signer_of env self)
-                   ~ser:Msg.ser_promise_p
+                   ~put:Msg.ser_promise_p
                    { p_escrow = self; p_customer = cust_down; a = cfg.deadline }))
             ~next:"await_decision" () );
         ( "await_decision",

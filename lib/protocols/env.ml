@@ -90,36 +90,36 @@ let chi_ok t (sv : Msg.chi_body Auth.signed) =
   b.Msg.x_payment = t.payment
   && b.Msg.x_bob = Topology.bob t.topo
   && sv.Auth.author = Topology.bob t.topo
-  && Auth.verify_value t.registry ~ser:Msg.ser_chi sv
+  && Auth.verify_value t.registry ~put:Msg.ser_chi sv
 
 let make_chi t =
   let bob = Topology.bob t.topo in
-  Auth.sign_value (signer_of t bob) ~ser:Msg.ser_chi
+  Auth.sign_value (signer_of t bob) ~put:Msg.ser_chi
     { Msg.x_payment = t.payment; x_bob = bob }
 
 let promise_g_ok t ~escrow_index (sv : Msg.promise_g Auth.signed) =
   let e = Topology.escrow t.topo escrow_index in
   sv.Auth.author = e
   && sv.Auth.payload.Msg.g_escrow = e
-  && Auth.verify_value t.registry ~ser:Msg.ser_promise_g sv
+  && Auth.verify_value t.registry ~put:Msg.ser_promise_g sv
 
 let promise_p_ok t ~escrow_index (sv : Msg.promise_p Auth.signed) =
   let e = Topology.escrow t.topo escrow_index in
   sv.Auth.author = e
   && sv.Auth.payload.Msg.p_escrow = e
-  && Auth.verify_value t.registry ~ser:Msg.ser_promise_p sv
+  && Auth.verify_value t.registry ~put:Msg.ser_promise_p sv
 
 let decision_ok t ~tm (sv : Msg.decision_body Auth.signed) =
   sv.Auth.author = tm
   && sv.Auth.payload.Msg.dec_payment = t.payment
-  && Auth.verify_value t.registry ~ser:Msg.ser_decision sv
+  && Auth.verify_value t.registry ~put:Msg.ser_decision sv
 
 let funded_ok t ~escrow_index (sv : Msg.funded_body Auth.signed) =
   let e = Topology.escrow t.topo escrow_index in
   sv.Auth.author = e
   && sv.Auth.payload.Msg.f_escrow = e
   && sv.Auth.payload.Msg.f_payment = t.payment
-  && Auth.verify_value t.registry ~ser:Msg.ser_funded sv
+  && Auth.verify_value t.registry ~put:Msg.ser_funded sv
 
 let can_fund t i =
   let amount = t.amounts.(i) in
@@ -186,14 +186,14 @@ let decided ctx ~tm commit =
 let funded_report t i =
   let e = Topology.escrow t.topo i in
   Msg.Funded
-    (Auth.sign_value (signer_of t e) ~ser:Msg.ser_funded
+    (Auth.sign_value (signer_of t e) ~put:Msg.ser_funded
        { Msg.f_escrow = e; f_payment = t.payment; f_amount = t.amounts.(i) })
 
 let decide t ctx store ~tm commit =
   decided ctx ~tm commit;
   Anta.Store.set_data store "decision"
     (Msg.Tm_decision
-       (Auth.sign_value (signer_of t tm) ~ser:Msg.ser_decision
+       (Auth.sign_value (signer_of t tm) ~put:Msg.ser_decision
           { Msg.dec_payment = t.payment; dec_commit = commit }))
 
 let final self outcome =

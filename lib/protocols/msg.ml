@@ -105,41 +105,39 @@ let pp ppf m =
   | Start -> Fmt.string ppf "start"
   | Traffic_done { payment } -> Fmt.pf ppf "traffic-done(pay=%d)" payment
 
-(* Signed statements are '|'-joined fields, built without Printf: these
-   run once per signature made or checked. *)
-let ser_promise_g g =
-  String.concat "|"
-    [
-      "G";
-      string_of_int g.g_escrow;
-      string_of_int g.g_customer;
-      Sim.Sim_time.to_string g.d;
-    ]
+(* Signed statements are '|'-joined fields, written in place by the
+   writers of {!Xcrypto.Auth}: these run once per signature made or
+   checked. *)
+module A = Xcrypto.Auth
 
-let ser_promise_p p =
-  String.concat "|"
-    [
-      "P";
-      string_of_int p.p_escrow;
-      string_of_int p.p_customer;
-      Sim.Sim_time.to_string p.a;
-    ]
+let put_time buf pos t =
+  if Sim.Sim_time.is_infinite t then A.put_string buf pos "inf"
+  else A.put_int buf pos t
 
-let ser_chi c =
-  String.concat "|" [ "chi"; string_of_int c.x_payment; string_of_int c.x_bob ]
+let put_field buf pos n = A.put_int buf (A.put_char buf pos '|') n
 
-let ser_funded f =
-  String.concat "|"
-    [
-      "funded";
-      string_of_int f.f_escrow;
-      string_of_int f.f_payment;
-      string_of_int f.f_amount;
-    ]
+let ser_promise_g buf g =
+  let pos = put_field buf (A.put_char buf 0 'G') g.g_escrow in
+  let pos = put_field buf pos g.g_customer in
+  put_time buf (A.put_char buf pos '|') g.d
 
-let ser_decision d =
-  String.concat "|"
-    [ "dec"; string_of_int d.dec_payment; string_of_bool d.dec_commit ]
+let ser_promise_p buf p =
+  let pos = put_field buf (A.put_char buf 0 'P') p.p_escrow in
+  let pos = put_field buf pos p.p_customer in
+  put_time buf (A.put_char buf pos '|') p.a
+
+let ser_chi buf c =
+  let pos = put_field buf (A.put_string buf 0 "chi") c.x_payment in
+  put_field buf pos c.x_bob
+
+let ser_funded buf f =
+  let pos = put_field buf (A.put_string buf 0 "funded") f.f_escrow in
+  let pos = put_field buf pos f.f_payment in
+  put_field buf pos f.f_amount
+
+let ser_decision buf d =
+  let pos = put_field buf (A.put_string buf 0 "dec") d.dec_payment in
+  A.put_string buf (A.put_char buf pos '|') (string_of_bool d.dec_commit)
 
 let ser_bool b = if b then "commit" else "abort"
 

@@ -83,15 +83,31 @@ val tag : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** {1 Serialization for signing} *)
+(** {1 Statements for signing}
 
-val ser_promise_g : promise_g -> string
-val ser_promise_p : promise_p -> string
-val ser_chi : chi_body -> string
-val ser_funded : funded_body -> string
-val ser_decision : decision_body -> string
+    Each signed body has a statement writer in the sense of
+    {!Xcrypto.Auth.sign_value}: it writes the body's statement into a
+    buffer and returns its length. A statement is the body's tag and
+    fields joined by ['|'], times as {!Sim.Sim_time.to_string}. *)
+
+val ser_promise_g : bytes -> promise_g -> int
+(** ["G|<escrow>|<customer>|<d>"] *)
+
+val ser_promise_p : bytes -> promise_p -> int
+(** ["P|<escrow>|<customer>|<a>"] *)
+
+val ser_chi : bytes -> chi_body -> int
+(** ["chi|<payment>|<bob>"] *)
+
+val ser_funded : bytes -> funded_body -> int
+(** ["funded|<escrow>|<payment>|<amount>"] *)
+
+val ser_decision : bytes -> decision_body -> int
+(** ["dec|<payment>|<true or false>"] *)
+
 val ser_bool : bool -> string
-(** Serializer for committee consensus values (commit?). *)
+(** Serializer for committee consensus values (commit?): ["commit"] or
+    ["abort"], the value part of a notary's echo and commit statements. *)
 
 val chain_tx_key : chain_tx -> string
 (** Identity used by the chain's mempool/replay dedupe: funded reports are

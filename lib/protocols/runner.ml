@@ -159,10 +159,31 @@ let validate_config cfg =
    per (protocol with its TM kind, path length) serves every run. Every
    memo below is published through [Sim.Memo]. *)
 module Shape_map = Map.Make (struct
-  type t = int * string
+  type t = int * string * int * int
 
   let compare = compare
 end)
+
+(* What [protocol_name] would print, unformatted: the path length, the
+   protocol's kind, and the numbers its name carries. *)
+let shape_key protocol ~hops =
+  match protocol with
+  | Sync_timebound -> (hops, "sync-timebound", 0, 0)
+  | Naive_universal -> (hops, "naive-universal", 0, 0)
+  | Htlc -> (hops, "htlc", 0, 0)
+  | Weak { tm = Weak_protocol.Single; _ } -> (hops, "weak-single-tm", 0, 0)
+  | Weak { tm = Weak_protocol.Committee { f }; _ } ->
+      (hops, "weak-committee", f, 0)
+  | Weak { tm = Weak_protocol.Quorum { qs }; _ } ->
+      ( hops,
+        Quorum_system.family_name qs,
+        Quorum_system.size qs,
+        Quorum_system.fault_bound qs )
+  | Weak { tm = Weak_protocol.Chain { validators }; _ } ->
+      (hops, "weak-chain", validators, 0)
+  | Weak { tm = Weak_protocol.Shared { pids; _ }; _ } ->
+      (hops, "weak-shared-committee", Array.length pids, 0)
+  | Atomic _ -> (hops, "ilp-atomic", 0, 0)
 
 let well_formed_memo : (unit, string) result Shape_map.t Atomic.t =
   Atomic.make Shape_map.empty
@@ -245,8 +266,8 @@ let check_template protocol ~hops =
   | Weak wcfg -> Weak_protocol.well_formed wcfg ~hops
 
 let well_formed protocol ~hops =
-  let key = (hops, protocol_name protocol) in
-  (* a hit builds no closure: a load run asks once per payment *)
+  let key = shape_key protocol ~hops in
+  (* a hit builds no closure *)
   match Shape_map.find_opt key (Atomic.get well_formed_memo) with
   | Some r -> r
   | None ->

@@ -49,7 +49,7 @@ let escrow_automaton topo (params : Params.t) i : auto =
             ~message:(fun env _ _ ->
               Msg.Promise_g
                 (Xcrypto.Auth.sign_value (Env.signer_of env self)
-                   ~ser:Msg.ser_promise_g
+                   ~put:Msg.ser_promise_g
                    { Msg.g_escrow = self; g_customer = cust_up; d = d_i }))
             ~next:"await_money" () );
         ( "await_money",
@@ -65,7 +65,7 @@ let escrow_automaton topo (params : Params.t) i : auto =
             ~message:(fun env _ _ ->
               Msg.Promise_p
                 (Xcrypto.Auth.sign_value (Env.signer_of env self)
-                   ~ser:Msg.ser_promise_p
+                   ~put:Msg.ser_promise_p
                    { Msg.p_escrow = self; p_customer = cust_down; a = a_i }))
             ~next:"await_chi" () );
         ( "await_chi",

@@ -459,6 +459,8 @@ let notary_handlers (env : Env.t) cfg ~index =
 (* An equivocating notary: as round-0 leader it proposes commit to one half
    of the committee and abort to the other, and it signs echoes for every
    proposal it sees. Safety of the committee's decision must survive it. *)
+let ser_echo_bool = Dls.ser_echo Msg.ser_bool
+
 let equivocating_notary (env : Env.t) cfg ~index =
   let pids = tm_pids env.Env.topo cfg in
   let signer = Env.signer_of env pids.(index) in
@@ -466,7 +468,7 @@ let equivocating_notary (env : Env.t) cfg ~index =
     let body = { Dls.e_round = round; e_value = value } in
     Msg.Notary
       (Dls.Echo
-         (Xcrypto.Auth.sign_value signer ~ser:(Dls.ser_echo Msg.ser_bool) body))
+         (Xcrypto.Auth.sign_value signer ~put:ser_echo_bool body))
   in
   {
     E.on_start =
@@ -524,7 +526,7 @@ let chain_validator_handlers (env : Env.t) cfg ~index =
       announced := true;
       announce ctx topo ~by:self commit
         (Msg.Tm_decision
-           (Xcrypto.Auth.sign_value signer ~ser:Msg.ser_decision
+           (Xcrypto.Auth.sign_value signer ~put:Msg.ser_decision
               { Msg.dec_payment = env.Env.payment; dec_commit = commit }))
     end
   in

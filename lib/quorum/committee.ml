@@ -129,9 +129,20 @@ let m_latency =
     ~help:"Sim-time from slot open to certificate"
     "xchain_committee_cert_latency"
 
-let ser_verdict v = string_of_int v.item ^ if v.commit then ":c" else ":a"
+(* "b|<item>:<c or a>,...", written in place and copied out once: a
+   batch's bytes are kept (see [memo_ser_batch]) and blitted into each
+   echo and commit statement that carries it. *)
+let rec put_verdicts buf pos = function
+  | [] -> pos
+  | v :: rest -> (
+      let pos = Auth.put_int buf pos v.item in
+      let pos = Auth.put_string buf pos (if v.commit then ":c" else ":a") in
+      match rest with
+      | [] -> pos
+      | _ :: _ -> put_verdicts buf (Auth.put_char buf pos ',') rest)
 
-let ser_batch b = "b|" ^ String.concat "," (List.map ser_verdict b)
+let put_batch buf b = put_verdicts buf (Auth.put_string buf 0 "b|") b
+let ser_batch b = Auth.statement put_batch b
 
 let verdict_equal a b = a.item = b.item && a.commit = b.commit
 
@@ -240,9 +251,7 @@ let create cfg =
   }
 
 let is_sequencer t = t.cfg.self = 0
-let verify_cert cfg =
-  let dcfg = dls_cfg cfg in
-  fun dc -> Dls.verify_decision dcfg dc
+let verify_cert cfg = Dls.verify_decision (dls_cfg cfg)
 
 let decision_of t ~item =
   match Ints.find_opt t.status item with

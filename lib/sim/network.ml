@@ -43,6 +43,9 @@ type t = {
   tamper : tamper option;
   fifo : bool;
   link_stats : bool;
+  settled : bounds;
+      (* the envelope of every send but a partially synchronous one
+         before GST, built once *)
   rng : Rng.t;
   last_delivery : Sim_time.t Link.t;
   reg : Obsv.Metrics.t;
@@ -74,12 +77,19 @@ let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
   | Asynchronous { mean; cap } ->
       if mean < 1 || cap < mean then invalid_arg "Network: bad async params");
   let m_adversary, m_adversary_clamped, m_fifo_holds = handles metrics in
+  let settled =
+    match model with
+    | Synchronous { delta } | Partially_synchronous { delta; _ } ->
+        { lo = 1; hi = delta }
+    | Asynchronous { cap; _ } -> { lo = 1; hi = cap }
+  in
   {
     model;
     adversary;
     tamper;
     fifo;
     link_stats;
+    settled;
     rng;
     last_delivery = Link.create 64;
     reg = metrics;
@@ -91,16 +101,14 @@ let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
 
 let model t = t.model
 
-let bounds_at model ~send_time =
-  match model with
-  | Synchronous { delta } -> { lo = 1; hi = delta }
-  | Partially_synchronous { gst; delta } ->
-      if Sim_time.(send_time >= gst) then { lo = 1; hi = delta }
-      else
-        (* delivered by gst + delta at the latest, but may also arrive
-           earlier — partial synchrony places no lower bound before GST. *)
-        { lo = 1; hi = Sim_time.add (Sim_time.sub gst send_time) delta }
-  | Asynchronous { cap; _ } -> { lo = 1; hi = cap }
+(* Only a partially synchronous send before GST gets an envelope of its
+   own: delivered by gst + delta at the latest, but it may also arrive
+   earlier — partial synchrony places no lower bound before GST. *)
+let bounds_at t ~send_time =
+  match t.model with
+  | Partially_synchronous { gst; delta } when Sim_time.(send_time < gst) ->
+      { lo = 1; hi = Sim_time.add (Sim_time.sub gst send_time) delta }
+  | Synchronous _ | Partially_synchronous _ | Asynchronous _ -> t.settled
 
 let sample t ~send_time:_ bounds =
   match t.model with
@@ -142,7 +150,7 @@ let fate t ~send_time ~src ~dst ~tag =
   | Some f -> f ~send_time ~src ~dst ~tag
 
 let delivery_time t ~send_time ~src ~dst ~tag =
-  let bounds = bounds_at t.model ~send_time in
+  let bounds = bounds_at t ~send_time in
   let delay =
     match t.adversary with
     | Some adv -> (

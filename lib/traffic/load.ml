@@ -96,13 +96,15 @@ let params_for (w : Workload.t) proto ~hops =
   Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
 (* What every instance of one protocol over one path length shares: the
-   chain's topology, its derived parameters and the protocol's compiled
-   template. [instantiate env id] gives the handlers of each block slot of
-   instance [id] whose payment data is [env]. *)
+   chain's topology, its derived parameters, the protocol's compiled
+   template and its structural well-formedness, which the judge reads
+   for each instance. [instantiate env id] gives the handlers of each
+   block slot of instance [id] whose payment data is [env]. *)
 type shape = {
   topo : Topology.t;
   params : Params.t;
   instantiate : Env.t -> int -> int -> (Msg.t, Obs.t) Engine.handlers;
+  well_formed : (unit, string) result;
 }
 
 (* Book.pp_error Insufficient_funds, wrapped by the escrows' "deposit: "
@@ -139,6 +141,7 @@ type inst = {
   i_pay : pay;
   i_split : int;  (** index among its payment's splits *)
   i_hops : int;
+  i_shape : shape;
   i_value : int;
   i_path : int array;  (** book indices along the path *)
   i_amounts : int array;  (** leg amounts, commissions included *)
@@ -626,6 +629,7 @@ let shape_of st proto h =
           topo = Topology.create ~hops:h;
           params;
           instantiate = instantiate st proto params;
+          well_formed = Runner.well_formed (Proto.runner proto) ~hops:h;
         }
       in
       Hashtbl.replace st.shapes (proto, h) sh;
@@ -723,7 +727,7 @@ let judge st ins ~end_time =
         | _ -> fun lp -> not (exposed crashes ~lo ~hi lp));
       net = Fold.flow ins.i_facts;
       tm_trusted = true;
-      well_formed = Runner.well_formed (Proto.runner p.proto) ~hops:h;
+      well_formed = ins.i_shape.well_formed;
     }
   in
   st.liquidity_rejections <-
@@ -999,6 +1003,7 @@ let build st p j (s : Routing.Router.split) =
       i_pay = p;
       i_split = j;
       i_hops = h;
+      i_shape = shape;
       i_value = s.value;
       i_path = path;
       i_amounts = amounts;

@@ -47,14 +47,46 @@ val signature_mac : signature -> Hash.t
     signer's key state [key]. A signature is public, so this reveals
     nothing secret. *)
 
+(** {1 Statement writers}
+
+    A signed value's statement is not built as a string. A {e writer}
+    [put buf v] writes [v]'s statement at the start of [buf] and returns
+    its length; {!sign_value} and {!verify_value} run it into a per-domain
+    scratch buffer and hash the bytes where they were written. When the
+    statement is longer than [buf], the writer still returns its full
+    length, and may leave [buf] in any state: the caller grows the buffer
+    and runs the writer again, so no length bound is assumed. The helpers
+    below keep that rule: each [put_* buf pos x] writes its piece at [pos]
+    only if all of it fits, and returns the position after the piece. A
+    writer must give equal payloads the same bytes every time it runs. *)
+
+val put_char : bytes -> int -> char -> int
+val put_string : bytes -> int -> string -> int
+
+val put_int : bytes -> int -> int -> int
+(** The decimal digits of [string_of_int n]. *)
+
+val statement : (bytes -> 'a -> int) -> 'a -> string
+(** [statement put v] is the statement [put] writes for [v], as a string:
+    for a statement that must be kept, such as a value serialised once
+    and blitted into many. It allocates only the string, and [put] may
+    itself call [statement]. *)
+
 (** {1 Signed values} *)
 
 type 'a signed = private { payload : 'a; author : id; signature : signature }
 
-val sign_value : signer -> ser:('a -> string) -> 'a -> 'a signed
-val verify_value : registry -> ser:('a -> string) -> 'a signed -> bool
-(** Checks the signature against the claimed [author] and re-serialized
-    payload — a tampered payload or wrong author fails. *)
+val sign_value : signer -> put:(bytes -> 'a -> int) -> 'a -> 'a signed
+(** Signs the statement [put] writes for the payload. It allocates the
+    MAC's digest, the signature and the signed record, and nothing else
+    once the scratch buffer has grown to the statement's length. *)
+
+val verify_value : registry -> put:(bytes -> 'a -> int) -> 'a signed -> bool
+(** Checks the signature against the claimed [author] and the statement
+    [put] writes for the payload — a tampered payload or wrong author
+    fails. The statement is written into the scratch buffer and hashed
+    and compared in place ({!Hash.matches_bytes}), so a check allocates
+    nothing. *)
 
 val forge_value : author:id -> 'a -> 'a signed
 (** A signed value with a fabricated signature; fails {!verify_value}. *)

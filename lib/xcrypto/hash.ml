@@ -1,8 +1,8 @@
-type t = { a : int64; b : int64 }
-
-(* A state is the two FNV lanes before the final avalanche, packed
-   little-endian into one 16-byte string: a kept state (a signer's key) is
-   then a single block with no boxed int64s. *)
+(* A state is the two FNV lanes before the final avalanche, and a digest
+   the two lanes after it, each packed little-endian into one 16-byte
+   string: a kept state (a signer's key) or digest (a MAC) is then a
+   single block with no boxed int64s. *)
+type t = string
 type state = string
 
 let fnv_offset = 0xCBF29CE484222325L
@@ -41,23 +41,44 @@ let[@inline] avalanche z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let finish st =
-  {
-    a = avalanche (String.get_int64_le st 0);
-    b = avalanche (String.get_int64_le st 8);
-  }
+  lanes
+    (avalanche (String.get_int64_le st 0))
+    (avalanche (String.get_int64_le st 8))
 
 let of_string s = finish (feed start s)
 
-(* [feed] and [finish] fused, the digest compared lane by lane as it is
-   made: the lanes stay in registers, so nothing is allocated. *)
-let matches st s d =
+(* [feed] and [finish] fused over the first [len] bytes: only the digest
+   allocates. *)
+let finish_sub st s len =
   let a = ref (String.get_int64_le st 0) and b = ref (String.get_int64_le st 8) in
-  for i = 0 to String.length s - 1 do
+  for i = 0 to len - 1 do
     let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
     a := Int64.mul (Int64.logxor !a c) fnv_prime;
     b := Int64.mul (Int64.logxor !b c) fnv_prime
   done;
-  (avalanche !a : int64) = d.a && (avalanche !b : int64) = d.b
+  lanes (avalanche !a) (avalanche !b)
+
+let finish_bytes st buf ~len =
+  if len < 0 || len > Bytes.length buf then invalid_arg "Hash.finish_bytes";
+  finish_sub st (Bytes.unsafe_to_string buf) len
+
+(* [feed] and [finish] fused, the digest compared lane by lane as it is
+   made: the lanes stay in registers, so nothing is allocated. *)
+let matches_sub st s len d =
+  let a = ref (String.get_int64_le st 0) and b = ref (String.get_int64_le st 8) in
+  for i = 0 to len - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    a := Int64.mul (Int64.logxor !a c) fnv_prime;
+    b := Int64.mul (Int64.logxor !b c) fnv_prime
+  done;
+  (avalanche !a : int64) = String.get_int64_le d 0
+  && (avalanche !b : int64) = String.get_int64_le d 8
+
+let matches st s d = matches_sub st s (String.length s) d
+
+let matches_bytes st buf ~len d =
+  if len < 0 || len > Bytes.length buf then invalid_arg "Hash.matches_bytes";
+  matches_sub st (Bytes.unsafe_to_string buf) len d
 
 let hex_digits = "0123456789abcdef"
 
@@ -89,10 +110,10 @@ let hex64 x =
 
 let to_hex t =
   let buf = Bytes.create 32 in
-  put_hex buf ~pos:0 ~width:16 t.a;
-  put_hex buf ~pos:16 ~width:16 t.b;
+  put_hex buf ~pos:0 ~width:16 (String.get_int64_le t 0);
+  put_hex buf ~pos:16 ~width:16 (String.get_int64_le t 8);
   Bytes.unsafe_to_string buf
 
-let equal x y = Int64.equal x.a y.a && Int64.equal x.b y.b
+let equal = String.equal
 
 let short t = String.sub (to_hex t) 0 8

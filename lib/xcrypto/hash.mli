@@ -9,7 +9,10 @@
     construction, do not brute-force). *)
 
 type t
-(** A digest. Structural equality and comparison are meaningful. *)
+(** A digest: the two finished 64-bit lanes, packed little-endian into one
+    16-byte string, so a digest is a single block of 3 words plus its
+    header, with no boxed [int64]. Structural equality and comparison are
+    meaningful. *)
 
 val of_string : string -> t
 (** [of_string s] is [finish (feed start s)]. *)
@@ -37,10 +40,21 @@ val feed_bytes : state -> bytes -> len:int -> state
 
 val finish : state -> t
 
+val finish_bytes : state -> bytes -> len:int -> t
+(** [finish (feed_bytes st buf ~len)] in one pass: only the digest
+    allocates. This is how {!Auth.sign_value} makes a MAC over a statement
+    written into a scratch buffer. Raises [Invalid_argument] if [len] is out
+    of bounds. *)
+
 val matches : state -> string -> t -> bool
 (** [matches st s d] is [equal (finish (feed st s)) d], computed in place:
     it allocates nothing, neither the fed state nor the digest. This is
     how {!Auth.verify} checks a MAC. *)
+
+val matches_bytes : state -> bytes -> len:int -> t -> bool
+(** {!matches} over the first [len] bytes of a buffer: how
+    {!Auth.verify_value} checks a statement where it was written. Allocates
+    nothing; raises [Invalid_argument] if [len] is out of bounds. *)
 
 val equal : t -> t -> bool
 val to_hex : t -> string

@@ -591,9 +591,9 @@ let chain_tests =
 
 (* ------------------------------------------------ ser/equal soundness *)
 
-(* Dls checks every vote of a certificate or vote bucket against one
-   serialisation of the wanted (round, value), so each [ser]/[equal] pair
-   handed to a [Dls.config] must satisfy [equal a b <=> ser a = ser b]. *)
+(* Dls counts the votes for equal values together, each checked against
+   its own statement, so each [ser]/[equal] pair handed to a [Dls.config]
+   must satisfy [equal a b <=> ser a = ser b]. *)
 module Committee = Quorum.Committee
 
 let law ~ser ~equal (a, b) =
@@ -680,7 +680,7 @@ let soundness_tests =
   (* the law for a value pair, lifted to the signed (round, value) vote *)
   let lifted ~ser ~equal ser_body mk =
     law
-      ~ser:(fun (r, v) -> ser_body ser (mk r v))
+      ~ser:(fun (r, v) -> Auth.statement (ser_body ser) (mk r v))
       ~equal:(fun (r, a) (r', b) -> r = r' && equal a b)
   in
   let echo r v = { Dls.e_round = r; e_value = v } in
@@ -778,7 +778,8 @@ let vote_set_ok cfg ~ser_vote ~round_of ~value_of ~round ~value sigs =
       round_of sv.Auth.payload = round
       && String.equal (value_of sv.Auth.payload) value
       && a >= 0 && a < n && (not present.(a))
-      && Auth.verify cfg.Dls.registry a (ser_vote sv.Auth.payload)
+      && Auth.verify cfg.Dls.registry a
+           (Auth.statement ser_vote sv.Auth.payload)
            sv.Auth.signature
       && (present.(a) <- true; true))
     sigs
@@ -799,11 +800,11 @@ let tally_oracle (k, steps) =
   let sign commit ~round ~value s =
     if commit then
       `Commit
-        (Auth.sign_value s ~ser:(Dls.ser_commit Fun.id)
+        (Auth.sign_value s ~put:(Dls.ser_commit Fun.id)
            { Dls.c_round = round; c_value = value })
     else
       `Echo
-        (Auth.sign_value s ~ser:(Dls.ser_echo Fun.id)
+        (Auth.sign_value s ~put:(Dls.ser_echo Fun.id)
            { Dls.e_round = round; e_value = value })
   in
   let msg_of = function
@@ -926,7 +927,8 @@ let book_matches_model (k, votes) =
   ignore (Auth.register registry 99);
   let book =
     Consensus.Vote_book.create ~qs ~auth_ids ~registry ~equal:Int.equal
-      ~ser:book_statement
+      ~put:(fun buf (round, value) ->
+        Auth.put_string buf 0 (book_statement round value))
   in
   (* (round, value) -> authors whose vote verified, and whether they
      already formed a quorum *)
@@ -977,7 +979,8 @@ let book_matches_model (k, votes) =
               else Auth.signer_of registry a
             in
             Auth.sign_value signer
-              ~ser:(fun _ -> book_statement round value)
+              ~put:(fun buf _ ->
+                Auth.put_string buf 0 (book_statement round value))
               payload
       in
       let got =
@@ -1014,7 +1017,7 @@ let tally_tests =
           Dls.Echo
             (Auth.sign_value
                (Auth.signer_of w.cfgs.(0).Dls.registry a)
-               ~ser:(Dls.ser_echo Fun.id)
+               ~put:(Dls.ser_echo Fun.id)
                { Dls.e_round = 1; e_value = "a" })
         in
         let commits effs =

@@ -198,7 +198,7 @@ let env_tests =
         let bob = Topology.bob env.Env.topo in
         let signer = Env.signer_of env bob in
         let other =
-          Xcrypto.Auth.sign_value signer ~ser:Msg.ser_chi
+          Xcrypto.Auth.sign_value signer ~put:Msg.ser_chi
             { Msg.x_payment = env.Env.payment + 1; x_bob = bob }
         in
         check Alcotest.bool "wrong payment" false (Env.chi_ok env other));
@@ -207,7 +207,7 @@ let env_tests =
         let bob = Topology.bob env.Env.topo in
         let chloe_signer = Env.signer_of env (Topology.customer env.Env.topo 1) in
         let bogus =
-          Xcrypto.Auth.sign_value chloe_signer ~ser:Msg.ser_chi
+          Xcrypto.Auth.sign_value chloe_signer ~put:Msg.ser_chi
             { Msg.x_payment = env.Env.payment; x_bob = bob }
         in
         check Alcotest.bool "wrong signer" false (Env.chi_ok env bogus));
@@ -216,7 +216,7 @@ let env_tests =
         let e0 = Topology.escrow env.Env.topo 0 in
         let signer = Env.signer_of env e0 in
         let g =
-          Xcrypto.Auth.sign_value signer ~ser:Msg.ser_promise_g
+          Xcrypto.Auth.sign_value signer ~put:Msg.ser_promise_g
             { Msg.g_escrow = e0; g_customer = 0; d = 100 }
         in
         check Alcotest.bool "right escrow" true (Env.promise_g_ok env ~escrow_index:0 g);

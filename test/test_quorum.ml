@@ -221,7 +221,7 @@ let big_batch =
 
 let commit_vote ?(round = 0) ?(batch = big_batch) i =
   Auth.sign_value big_signers.(i)
-    ~ser:(Dls.ser_commit C.ser_batch)
+    ~put:(Dls.ser_commit C.ser_batch)
     { Dls.c_round = round; c_value = batch }
 
 let big_cert ~signers =
@@ -317,12 +317,11 @@ let verifier_tests =
       `Quick (fun () ->
         let cert = big_cert ~signers:16 in
         let body = { Dls.c_round = 0; c_value = big_batch } in
-        let ser_words =
-          words_per_call ~rounds:200 (fun () -> Dls.ser_commit C.ser_batch body)
-        in
+        let statement = Auth.statement (Dls.ser_commit C.ser_batch) in
+        let ser_words = words_per_call ~rounds:200 (fun () -> statement body) in
         let sig_words =
           let sv = commit_vote 0 in
-          let bytes = Dls.ser_commit C.ser_batch body in
+          let bytes = statement body in
           words_per_call ~rounds:200 (fun () ->
               Auth.verify big_registry 0 bytes sv.Auth.signature)
         in
@@ -420,7 +419,9 @@ let allocation_tests =
     Alcotest.test_case "a signature check allocates nothing" `Quick
       (fun () ->
         let sv = commit_vote 3 in
-        let bytes = Dls.ser_commit C.ser_batch sv.Auth.payload in
+        let bytes =
+          Auth.statement (Dls.ser_commit C.ser_batch) sv.Auth.payload
+        in
         check Alcotest.bool "verifies" true
           (Auth.verify big_registry 3 bytes sv.Auth.signature);
         check Alcotest.int "words per accepted check" 0

@@ -65,6 +65,11 @@ let hash_tests =
            = Hash.equal (Hash.finish (Hash.feed st msg)) mac));
   ]
 
+(* A statement writer for an int, and one for a different statement of
+   the same int *)
+let put_n buf n = Auth.put_int buf 0 n
+let put_bang buf n = Auth.put_char buf (Auth.put_int buf 0 n) '!'
+
 let auth_tests =
   [
     Alcotest.test_case "sign/verify roundtrip" `Quick (fun () ->
@@ -104,23 +109,23 @@ let auth_tests =
     Alcotest.test_case "signed value verifies" `Quick (fun () ->
         let reg = Auth.create ~seed:2 in
         let s = Auth.register reg 0 in
-        let sv = Auth.sign_value s ~ser:string_of_int 42 in
-        check Alcotest.bool "ok" true (Auth.verify_value reg ~ser:string_of_int sv);
+        let sv = Auth.sign_value s ~put:put_n 42 in
+        check Alcotest.bool "ok" true (Auth.verify_value reg ~put:put_n sv);
         check Alcotest.int "payload" 42 sv.Auth.payload;
         check Alcotest.int "author" 0 sv.Auth.author);
     Alcotest.test_case "forged signed value fails" `Quick (fun () ->
         let reg = Auth.create ~seed:2 in
         let _ = Auth.register reg 0 in
         let sv = Auth.forge_value ~author:0 42 in
-        check Alcotest.bool "bad" false (Auth.verify_value reg ~ser:string_of_int sv));
+        check Alcotest.bool "bad" false (Auth.verify_value reg ~put:put_n sv));
     Alcotest.test_case "serialization change invalidates" `Quick (fun () ->
         (* same payload signed under one serializer must not verify under
            another — signatures bind the exact statement *)
         let reg = Auth.create ~seed:2 in
         let s = Auth.register reg 0 in
-        let sv = Auth.sign_value s ~ser:string_of_int 42 in
+        let sv = Auth.sign_value s ~put:put_n 42 in
         check Alcotest.bool "other ser" false
-          (Auth.verify_value reg ~ser:(fun n -> Printf.sprintf "%d!" n) sv));
+          (Auth.verify_value reg ~put:put_bang sv));
     Alcotest.test_case "cross-registry verification fails" `Quick (fun () ->
         let reg1 = Auth.create ~seed:1 and reg2 = Auth.create ~seed:99 in
         let s = Auth.register reg1 0 in
@@ -226,76 +231,78 @@ let kat_tests =
           ]);
   ]
 
-(* Every statement that is signed is serialised without Printf. Each
-   serialiser must still produce exactly the string of the Printf formula
-   it replaced, kept here as the reference, or every signature in a
-   golden transcript would change. *)
-let serialiser_tests =
-  let module Msg = Protocols.Msg in
-  let module Dls = Consensus.Dls in
-  let module Committee = Quorum.Committee in
-  let module Dmsg = Deals.Dmsg in
-  let time_of t = Fmt.str "%a" Sim.Sim_time.pp t in
-  let time =
-    QCheck.make ~print:time_of
-      QCheck.Gen.(
-        oneof
-          [
-            return Sim.Sim_time.infinity;
-            nat;
-            map (fun n -> n land max_int) int;
-          ])
-  in
-  let prop name arb f = qcheck (QCheck.Test.make ~count:300 ~name arb f) in
-  let ref_verdict (v : Committee.verdict) =
-    Printf.sprintf "%d:%c" v.item (if v.commit then 'c' else 'a')
-  in
-  let ref_batch b = "b|" ^ String.concat "," (List.map ref_verdict b) in
-  let verdict =
+(* Every statement that is signed is written in place by a writer. Each
+   writer must still produce exactly the string of the Printf formula it
+   replaced, kept here as the reference, or every signature in a golden
+   transcript would change. [stmt] reads a writer's bytes as a string. *)
+module Msg = Protocols.Msg
+module Dls = Consensus.Dls
+module Committee = Quorum.Committee
+module Dmsg = Deals.Dmsg
+
+let stmt = Auth.statement
+let time_of t = Fmt.str "%a" Sim.Sim_time.pp t
+
+let time =
+  QCheck.make ~print:time_of
     QCheck.Gen.(
-      map (fun (item, commit) -> { Committee.item; commit }) (pair int bool))
-  in
+      oneof [ return Sim.Sim_time.infinity; nat; map (fun n -> n land max_int) int ])
+
+let ref_promise_g (g : Msg.promise_g) =
+  Printf.sprintf "G|%d|%d|%s" g.g_escrow g.g_customer (time_of g.d)
+
+let ref_verdict (v : Committee.verdict) =
+  Printf.sprintf "%d:%c" v.item (if v.commit then 'c' else 'a')
+
+let ref_batch b = "b|" ^ String.concat "," (List.map ref_verdict b)
+
+let verdict =
+  QCheck.Gen.(
+    map (fun (item, commit) -> { Committee.item; commit }) (pair int bool))
+
+let serialiser_tests =
+  let prop name arb f = qcheck (QCheck.Test.make ~count:300 ~name arb f) in
   [
     prop "Sim_time.to_string" time (fun t ->
         String.equal (Sim.Sim_time.to_string t) (time_of t));
     prop "Msg.ser_promise_g"
       QCheck.(triple int int time)
       (fun (g_escrow, g_customer, d) ->
-        String.equal
-          (Msg.ser_promise_g { Msg.g_escrow; g_customer; d })
-          (Printf.sprintf "G|%d|%d|%s" g_escrow g_customer (time_of d)));
+        let g = { Msg.g_escrow; g_customer; d } in
+        String.equal (stmt Msg.ser_promise_g g) (ref_promise_g g));
     prop "Msg.ser_promise_p"
       QCheck.(triple int int time)
       (fun (p_escrow, p_customer, a) ->
         String.equal
-          (Msg.ser_promise_p { Msg.p_escrow; p_customer; a })
+          (stmt Msg.ser_promise_p { Msg.p_escrow; p_customer; a })
           (Printf.sprintf "P|%d|%d|%s" p_escrow p_customer (time_of a)));
     prop "Msg.ser_chi"
       QCheck.(pair int int)
       (fun (x_payment, x_bob) ->
         String.equal
-          (Msg.ser_chi { Msg.x_payment; x_bob })
+          (stmt Msg.ser_chi { Msg.x_payment; x_bob })
           (Printf.sprintf "chi|%d|%d" x_payment x_bob));
     prop "Msg.ser_funded"
       QCheck.(triple int int int)
       (fun (f_escrow, f_payment, f_amount) ->
         String.equal
-          (Msg.ser_funded { Msg.f_escrow; f_payment; f_amount })
+          (stmt Msg.ser_funded { Msg.f_escrow; f_payment; f_amount })
           (Printf.sprintf "funded|%d|%d|%d" f_escrow f_payment f_amount));
     prop "Msg.ser_decision"
       QCheck.(pair int bool)
       (fun (dec_payment, dec_commit) ->
         String.equal
-          (Msg.ser_decision { Msg.dec_payment; dec_commit })
+          (stmt Msg.ser_decision { Msg.dec_payment; dec_commit })
           (Printf.sprintf "dec|%d|%b" dec_payment dec_commit));
     prop "Dls.ser_echo and ser_commit"
       QCheck.(pair int bool)
       (fun (round, v) ->
         String.equal
-          (Dls.ser_echo Msg.ser_bool { Dls.e_round = round; e_value = v })
+          (stmt (Dls.ser_echo Msg.ser_bool) { Dls.e_round = round; e_value = v })
           (Printf.sprintf "echo|%d|%s" round (Msg.ser_bool v))
         && String.equal
-             (Dls.ser_commit Msg.ser_bool { Dls.c_round = round; c_value = v })
+             (stmt (Dls.ser_commit Msg.ser_bool)
+                { Dls.c_round = round; c_value = v })
              (Printf.sprintf "commit|%d|%s" round (Msg.ser_bool v)));
     prop "Committee.ser_batch"
       (QCheck.make QCheck.Gen.(list_size (int_bound 32) verdict))
@@ -313,22 +320,39 @@ let serialiser_tests =
       QCheck.(pair int int)
       (fun (v_party, v_deal) ->
         String.equal
-          (Dmsg.ser_vote { Dmsg.v_party; v_deal })
+          (stmt Dmsg.ser_vote { Dmsg.v_party; v_deal })
           (Printf.sprintf "dvote|%d|%d" v_party v_deal));
     prop "Dmsg.ser_cb"
       QCheck.(pair int bool)
       (fun (c_deal, c_commit) ->
         String.equal
-          (Dmsg.ser_cb { Dmsg.c_deal; c_commit })
+          (stmt Dmsg.ser_cb { Dmsg.c_deal; c_commit })
           (Printf.sprintf "dcb|%d|%b" c_deal c_commit));
     Alcotest.test_case "fixed statements" `Quick (fun () ->
         check Alcotest.string "inf" "G|-1|2|inf"
-          (Msg.ser_promise_g
+          (stmt Msg.ser_promise_g
              { Msg.g_escrow = -1; g_customer = 2; d = Sim.Sim_time.infinity });
         check Alcotest.string "true" "dec|7|true"
-          (Msg.ser_decision { Msg.dec_payment = 7; dec_commit = true });
+          (stmt Msg.ser_decision { Msg.dec_payment = 7; dec_commit = true });
         check Alcotest.string "false" "dcb|0|false"
-          (Dmsg.ser_cb { Dmsg.c_deal = 0; c_commit = false }));
+          (stmt Dmsg.ser_cb { Dmsg.c_deal = 0; c_commit = false }));
+    (* the bytes a writer leaves in a buffer, hashed where they lie, give
+       the digest of the reference string: a writer that fits its buffer
+       writes exactly its statement, and one that does not still reports
+       the full length *)
+    prop "the digest of the written bytes is that of the reference string"
+      QCheck.(pair (triple int int time) small_nat)
+      (fun ((g_escrow, g_customer, d), room) ->
+        let g = { Msg.g_escrow; g_customer; d } in
+        let want = ref_promise_g g in
+        let buf = Bytes.create room in
+        let len = Msg.ser_promise_g buf g in
+        len = String.length want
+        && (len > room
+           || Hash.equal
+                (Hash.finish_bytes Hash.start buf ~len)
+                (Hash.of_string want)
+              && Hash.matches_bytes Hash.start buf ~len (Hash.of_string want)));
   ]
 
 (* [Auth.register] writes a signer's key prefix into a scratch buffer and
@@ -383,9 +407,70 @@ let key_derivation_tests =
              ids));
   ]
 
+(* A signed value's MAC is the MAC of its statement as a string: the
+   writer path signs and verifies exactly as signing the reference string
+   did. A 1,000-verdict batch makes a commit statement far longer than
+   the scratch buffer starts, so it also grows the buffer. *)
+let statement_tests =
+  let batch =
+    List.init 1_000 (fun i -> { Committee.item = (i * 7919) - 500; commit = i mod 3 <> 0 })
+  in
+  let same_as_string reg s ~put v want =
+    let sv = Auth.sign_value s ~put v in
+    Hash.equal
+      (Auth.signature_mac sv.Auth.signature)
+      (Auth.signature_mac (Auth.sign s want))
+    && Auth.verify_value reg ~put sv
+    && Auth.verify reg (Auth.signer_id s) want sv.Auth.signature
+  in
+  [
+    qcheck
+      (QCheck.Test.make ~count:300
+         ~name:"a signed value carries the MAC of its reference string"
+         QCheck.(pair (triple int int time) (pair int bool))
+         (fun ((g_escrow, g_customer, d), (round, v)) ->
+           let reg = Auth.create ~seed:9 in
+           let s = Auth.register reg 4 in
+           let g = { Msg.g_escrow; g_customer; d } in
+           same_as_string reg s ~put:Msg.ser_promise_g g (ref_promise_g g)
+           && same_as_string reg s ~put:(Dls.ser_echo Msg.ser_bool)
+                { Dls.e_round = round; e_value = v }
+                (Printf.sprintf "echo|%d|%s" round (Msg.ser_bool v))));
+    Alcotest.test_case "a 1,000-verdict batch grows the scratch buffer" `Quick
+      (fun () ->
+        let reg = Auth.create ~seed:9 in
+        let s = Auth.register reg 2 and other = Auth.register reg 3 in
+        let body = { Dls.c_round = 5; c_value = batch } in
+        let want = "commit|5|" ^ ref_batch batch in
+        check Alcotest.bool "longer than the initial buffer" true
+          (String.length want > 4_096);
+        let put = Dls.ser_commit Committee.ser_batch in
+        check Alcotest.bool "signs and verifies as the string" true
+          (same_as_string reg s ~put body want);
+        let sv = Auth.sign_value s ~put body in
+        let flip i (v : Committee.verdict) =
+          if i = 999 then { v with commit = not v.commit } else v
+        in
+        let tampered = { body with c_value = List.mapi flip batch } in
+        check Alcotest.bool "the last verdict is bound" false
+          (Auth.verify reg 2 (stmt put tampered) sv.Auth.signature);
+        check Alcotest.bool "so is the signer" false
+          (Auth.verify reg 2 want (Auth.sign_value other ~put body).Auth.signature);
+        (* a short statement after the long one is not read past its end *)
+        check Alcotest.bool "a short statement after it" true
+          (same_as_string reg s ~put:Msg.ser_chi
+             { Msg.x_payment = 1; x_bob = 2 } "chi|1|2"));
+  ]
+
 (* Signing and verifying run on every promise, certificate and vote, so
-   they must not allocate beyond their results: the fed state, the digest
-   and the signature record. *)
+   they must not allocate beyond their results. *)
+let per_call ?(rounds = 1_000) f =
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  int_of_float (Gc.minor_words () -. before) / rounds
+
 let allocation_tests =
   [
     Alcotest.test_case "sign and verify stay within 24 words" `Quick
@@ -396,14 +481,6 @@ let allocation_tests =
         let sg = Auth.sign s msg in
         (* warm up: first calls may trigger lazy init inside the runtime *)
         ignore (Auth.verify reg 3 msg sg);
-        let rounds = 1_000 in
-        let per_call f =
-          let before = Gc.minor_words () in
-          for _ = 1 to rounds do
-            ignore (Sys.opaque_identity (f ()))
-          done;
-          int_of_float (Gc.minor_words () -. before) / rounds
-        in
         let sign_words = per_call (fun () -> Auth.sign s msg) in
         let verify_words = per_call (fun () -> Auth.verify reg 3 msg sg) in
         if sign_words > 24 then
@@ -424,6 +501,31 @@ let allocation_tests =
         let words = int_of_float (Gc.minor_words () -. before) / rounds in
         if words > 24 then
           Alcotest.failf "Auth.register allocates %d words per call" words);
+    (* a check writes the statement into the scratch buffer and hashes it
+       in place; signing allocates the digest (16 bytes: 3 words and a
+       header), the signature (2 fields) and the signed record (3
+       fields) *)
+    Alcotest.test_case "a signed promise is checked without allocating"
+      `Quick (fun () ->
+        let reg = Auth.create ~seed:4 in
+        let s = Auth.register reg 3 in
+        let g = { Msg.g_escrow = 3; g_customer = 1_000_001; d = 12_345 } in
+        let sv = Auth.sign_value s ~put:Msg.ser_promise_g g in
+        check Alcotest.bool "genuine" true
+          (Auth.verify_value reg ~put:Msg.ser_promise_g sv);
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Auth.verify_value reg ~put:Msg.ser_promise_g sv))
+        done;
+        let words = int_of_float (Gc.minor_words () -. before) in
+        if words > 0 then
+          Alcotest.failf "1,000 checks allocated %d words" words;
+        let sign_words =
+          per_call (fun () -> Auth.sign_value s ~put:Msg.ser_promise_g g)
+        in
+        if sign_words > 4 + 3 + 4 then
+          Alcotest.failf "a signed promise allocates %d words (budget 11)"
+            sign_words);
   ]
 
 let () =
@@ -434,6 +536,7 @@ let () =
       ("hashlock", hashlock_tests);
       ("vectors", kat_tests);
       ("serial", serialiser_tests);
+      ("signed", statement_tests);
       ("keys", key_derivation_tests);
       ("alloc", allocation_tests);
     ]
