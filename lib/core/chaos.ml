@@ -49,36 +49,51 @@ let safety_checks view =
       ("M", fun () -> if P.money_conserved view then m_ok else m_violated);
     ]
 
-let safety_report view =
-  List.map (fun (_, check) -> check ()) (safety_checks view)
+let failed v = v.V.applicable && not v.V.holds
 
-let classify view report =
-  let failed = List.filter (fun v -> v.V.applicable && not v.V.holds) report in
-  if failed <> [] then (Safety_violation, failed)
-  else if P.bob_paid view then (Safe_commit, [])
-  else begin
-    let topo = view.P.outcome.Runner.env.Protocols.Env.topo in
-    let settled =
-      List.for_all
-        (fun pid ->
-          view.P.byzantine pid || Option.is_some (view.P.terminated pid))
-        (Topology.customers topo)
-    in
-    ((if settled then Safe_abort else Stuck), [])
-  end
+(* the failed verdicts among [checks] over [judge], in order, before
+   [rest] *)
+let rec failing judge rest = function
+  | [] -> rest
+  | (_, check) :: checks ->
+      let v = check judge in
+      let tail = failing judge rest checks in
+      if failed v then v :: tail else tail
 
-(* Register the safety subset as online monitor checks over the live run.
-   The live view's fold is fed entry by entry by a trace hook and its net
-   positions read the run's own books, so each dispatch costs O(pids), and
-   the monitor's final verdict set IS the post-hoc [safety_report]
-   evaluated at the final state, by construction. *)
-let register_safety_checks m (o : Runner.outcome) =
+(* The failed verdicts of the safety subset, in [safety_checks] order,
+   evaluated in place: nothing is allocated while every check holds. *)
+let safety_failures view =
+  let m = if P.money_conserved view then m_ok else m_violated in
+  let es = P.check_es view in
+  let rest = if failed m then [ m ] else [] in
+  failing view.P.judge
+    (if failed es then es :: rest else rest)
+    (Props.Payment_fold.safety view.P.outcome.Runner.protocol)
+
+(* every customer from [i] up to Bob is Byzantine or terminated *)
+let rec settled_from view i =
+  i > Topology.hops view.P.outcome.Runner.env.Protocols.Env.topo
+  || (view.P.byzantine i || Option.is_some (view.P.terminated i))
+     && settled_from view (i + 1)
+
+let classify view failures =
+  if failures <> [] then Safety_violation
+  else if P.bob_paid view then Safe_commit
+  else if settled_from view 0 then Safe_abort
+  else Stuck
+
+(* Register the safety subset as online monitor checks over the run's
+   live view, the one the run is judged by: its fold is fed entry by
+   entry by a trace hook and its net positions read the run's own books,
+   so each dispatch costs O(pids), and the monitor's final verdict set IS
+   the run's failure set, evaluated over the same state. *)
+let register_safety_checks m view =
   List.iter
     (fun (name, check) ->
       Obsv.Monitor.register m ~name (fun () ->
           let v = check () in
-          if v.V.applicable && not v.V.holds then Some v.V.detail else None))
-    (safety_checks (P.live_view o))
+          if failed v then Some v.V.detail else None))
+    (safety_checks view)
 
 (* Probe columns for a single-payment chaos run: engine queue depth plus
    each escrow book's pooled (escrowed) funds. *)
@@ -93,20 +108,21 @@ let install_probe s (o : Runner.outcome) =
           if i = 0 then Sim.Engine.queue_depth o.Runner.engine
           else Ledger.Book.pool_total books.(i - 1)))
 
-let run_one ?(hops = 2) ?(protocol = Proto.Sync) ?causal ?prof
-    ?monitor ?sampler ?recorder ?(faults = []) ~plan ~seed () =
-  let on_ready =
-    match (monitor, sampler, recorder) with
-    | None, None, None -> None
-    | _ ->
-        Some
-          (fun o ->
-            Option.iter (fun m -> register_safety_checks m o) monitor;
-            Option.iter (fun s -> install_probe s o) sampler;
-            Option.iter
-              (fun rc ->
-                Sim.Trace.on_record o.Runner.trace (Sim.Trace.record rc))
-              recorder)
+(* One run under [plan], judged by its live view: every reader (the
+   fold, the monitor, the sampler, the flight recorder, the causal graph)
+   reads the run as it happens, so the runner keeps no trace entry. Bob's
+   settlement for the latency histogram comes from the same fold. *)
+let judged ~hops ~protocol ?causal ?prof ?monitor ?sampler ?recorder ~faults
+    ~plan ~seed () =
+  let live = ref None in
+  let on_ready o =
+    let view = P.live_view o in
+    live := Some view;
+    (match monitor with Some m -> register_safety_checks m view | None -> ());
+    (match sampler with Some s -> install_probe s o | None -> ());
+    match recorder with
+    | Some rc -> Sim.Trace.on_record o.Runner.trace (Sim.Trace.record rc)
+    | None -> ()
   in
   let cfg =
     {
@@ -116,14 +132,23 @@ let run_one ?(hops = 2) ?(protocol = Proto.Sync) ?causal ?prof
       prof;
       monitor;
       sampler;
-      on_ready;
+      on_ready = Some on_ready;
       faults;
     }
   in
-  let outcome = Runner.run cfg (Proto.runner protocol) in
-  let view = P.view outcome in
-  let report = safety_report view in
-  let classification, failures = classify view report in
+  let outcome = Runner.run_live cfg (Proto.runner protocol) in
+  let view =
+    match !live with
+    | Some view -> { view with P.outcome }
+    | None -> invalid_arg "Chaos: the runner never readied the run"
+  in
+  Runner.record_payment outcome
+    ~bob:(view.P.terminated (Topology.bob outcome.Runner.env.Protocols.Env.topo));
+  let failures = safety_failures view in
+  (outcome, classify view failures, failures)
+
+let result ~hops ~protocol ~faults ~plan ~seed ~monitor
+    (outcome : Runner.outcome) classification failures =
   let fired, injected =
     match outcome.Runner.injector with
     | None -> ([||], Array.make 4 0)
@@ -149,6 +174,15 @@ let run_one ?(hops = 2) ?(protocol = Proto.Sync) ?causal ?prof
     breach_at =
       (match monitor with None -> -1 | Some m -> Obsv.Monitor.breach_at m);
   }
+
+let run_one ?(hops = 2) ?(protocol = Proto.Sync) ?causal ?prof ?monitor
+    ?sampler ?recorder ?(faults = []) ~plan ~seed () =
+  let outcome, classification, failures =
+    judged ~hops ~protocol ?causal ?prof ?monitor ?sampler ?recorder ~faults
+      ~plan ~seed ()
+  in
+  result ~hops ~protocol ~faults ~plan ~seed ~monitor outcome classification
+    failures
 
 let repro ~hops ~protocol ?(faults = []) ~seed plan =
   let topo = Topology.create ~hops in
@@ -234,14 +268,20 @@ let soak ?(hops = 2) ?(protocol = Proto.Sync) ?(runs = 200) ?domains
     let run_seed = seed + i in
     let prng = Sim.Rng.create ~seed:(run_seed + 7919) in
     let plan = Fault_plan.random prng ~nprocs ~horizon in
-    let mon = if monitor then Some (Obsv.Monitor.create ()) else None in
-    let r = run_one ~hops ~protocol ?prof ?monitor:mon ~plan ~seed:run_seed () in
-    ignore (Atomic.fetch_and_add a_events r.events);
-    match r.classification with
+    let monitor = if monitor then Some (Obsv.Monitor.create ()) else None in
+    let outcome, classification, failures =
+      judged ~hops ~protocol ?prof ?monitor ~faults:[] ~plan ~seed:run_seed ()
+    in
+    ignore (Atomic.fetch_and_add a_events outcome.Runner.events);
+    match classification with
     | Safe_commit -> Atomic.incr a_commits; None
     | Safe_abort -> Atomic.incr a_aborts; None
     | Stuck -> Atomic.incr a_stuck; None
-    | Safety_violation -> Atomic.incr a_violations; Some r
+    | Safety_violation ->
+        Atomic.incr a_violations;
+        Some
+          (result ~hops ~protocol ~faults:[] ~plan ~seed:run_seed ~monitor
+             outcome classification failures)
   in
   let on_progress =
     match on_health with

@@ -71,14 +71,18 @@ val run_one :
   unit ->
   run_result
 (** One payment (default: 2 hops, {!Protocols.Proto.Sync},
-    synchronous network) under [plan], classified. [causal] records the
-    run's happens-before graph (see {!Protocols.Runner}) and fills
-    [paid_node] / [settled_node]; [prof] profiles the run's dispatches
-    ({!Obsv.Prof}). Neither changes the schedule.
+    synchronous network) under [plan], classified. The run is judged by
+    its {!Props.Payment_props.live_view}, a fold fed entry by entry as
+    the run records, and runs through {!Protocols.Runner.run_live}: every
+    reader below reads the run as it happens, so no trace entry is kept.
+    [causal] records the run's happens-before graph (see
+    {!Protocols.Runner}) and fills [paid_node] / [settled_node]; [prof]
+    profiles the run's dispatches ({!Obsv.Prof}). Neither changes the
+    schedule.
 
     [monitor] arms online verification of the safety subset on every
-    dispatch, O(pids) each over {!Props.Payment_props.live_view}, so its
-    final verdict agrees with the post-hoc one by construction (filling
+    dispatch, O(pids) each over the same live view, so its final verdict
+    set is the run's failure set by construction (filling
     [breach_at]); a stop-on-violation monitor ends the
     run at the first breach with status [Violation_stop]. [sampler]
     records a sim-time series (queue depth plus per-escrow pooled

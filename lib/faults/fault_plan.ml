@@ -77,161 +77,148 @@ let normalize p =
 
 (* ------------------------------ validate ------------------------------ *)
 
+(* a plain recursion: [String.for_all] builds a closure per call *)
+let rec name_chars n i =
+  i = String.length n
+  || (match n.[i] with
+     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+     | _ -> false)
+     && name_chars n (i + 1)
+
 (* a group name must not be mistakable for a member list or a window:
    leading letter, then letters / digits / underscores *)
 let valid_group_name n =
   n <> ""
   && (match n.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-       n
+  && name_chars n 1
+
+(* Validation allocates nothing on a valid plan: every check is a
+   top-level function over the plan's lists, and an error's text is
+   formatted only when it is raised. The first failing check, in clause
+   order, names the error. *)
+exception Invalid of string
+
+let invalid fmt = Fmt.kstr (fun e -> raise (Invalid e)) fmt
+
+let rec iter_with f x = function
+  | [] -> ()
+  | y :: ys ->
+      f x y;
+      iter_with f x ys
+
+let check_pid what nprocs pid =
+  if pid < 0 || pid >= nprocs then
+    invalid "%s: pid %d out of range (0..%d)" what pid (nprocs - 1)
+
+let check_pm what v =
+  if v < 0 || v > 1000 then
+    invalid "link rule: %s probability %d out of [0, 1000] per mille" what v
+
+let check_link nprocs r =
+  check_pm "drop" r.drop_pm;
+  check_pm "dup" r.dup_pm;
+  check_pm "corrupt" r.corrupt_pm;
+  if r.drop_pm = 0 && r.dup_pm = 0 && r.corrupt_pm = 0 then
+    invalid "link rule: all probabilities zero (degenerate clause with no effect)";
+  (match r.src with Some s -> check_pid "link rule src" nprocs s | None -> ());
+  match r.dst with Some d -> check_pid "link rule dst" nprocs d | None -> ()
+
+let check_crash nprocs (c : crash_spec) =
+  check_pid "crash" nprocs c.pid;
+  if Sim_time.(c.at < zero) then
+    invalid "crash %d: negative crash time %a" c.pid Sim_time.pp c.at;
+  match c.recover_at with
+  | Some r when Sim_time.(r <= c.at) ->
+      invalid
+        "crash %d: recovery at %a not after crash at %a (zero-duration outage)"
+        c.pid Sim_time.pp r Sim_time.pp c.at
+  | _ -> ()
+
+(* [same x y] for one of the first [k] elements [y] of a list *)
+let rec among_first same x k = function
+  | y :: ys when k > 0 -> same x y || among_first same x (k - 1) ys
+  | _ -> false
+
+(* the first element of [rest] that [same] pairs with one before it in
+   [all], where [rest] is [all] from position [k] *)
+let rec first_repeat same all k = function
+  | [] -> None
+  | x :: rest ->
+      if among_first same x k all then Some x
+      else first_repeat same all (k + 1) rest
+
+let same_pid (c : crash_spec) (d : crash_spec) = c.pid = d.pid
+
+let same_name a b =
+  match (a, b) with Some m, Some n -> String.equal m n | _ -> false
+
+let check_member nprocs pid = check_pid "partition" nprocs pid
+
+let check_group nprocs g =
+  if g = [] then invalid "partition: empty group"
+  else iter_with check_member nprocs g
+
+(* No pid appears twice over the groups, read in order: [gi] is the index
+   of group [g], [k] the position in [g] of the first pid of [rest]. *)
+let rec check_members groups gi g k = function
+  | [] -> ()
+  | pid :: rest ->
+      let earlier =
+        among_first List.mem pid gi groups || among_first Int.equal pid k g
+      in
+      if earlier then invalid "partition: pid %d in two groups" pid;
+      check_members groups gi g (k + 1) rest
+
+let rec check_disjoint groups gi = function
+  | [] -> ()
+  | g :: gs ->
+      check_members groups gi g 0 g;
+      check_disjoint groups (gi + 1) gs
+
+let rec check_names = function
+  | [] -> ()
+  | Some n :: _ when not (valid_group_name n) ->
+      invalid "partition: bad group name %S" n
+  | _ :: names -> check_names names
+
+let check_partition nprocs (s : partition_spec) =
+  if List.compare_length_with s.groups 2 < 0 then
+    invalid "partition: needs at least two groups";
+  iter_with check_group nprocs s.groups;
+  check_disjoint s.groups 0 s.groups;
+  (match s.gnames with
+  | [] -> ()
+  | names ->
+      if List.compare_lengths names s.groups <> 0 then
+        invalid "partition: %d names for %d groups" (List.length names)
+          (List.length s.groups);
+      if List.mem None names then
+        invalid "partition: either every group is named or none is");
+  check_names s.gnames;
+  (match first_repeat same_name s.gnames 0 s.gnames with
+  | Some (Some n) -> invalid "partition: group name %S used twice" n
+  | _ -> ());
+  if Sim_time.(s.from_ < zero) then
+    invalid "partition: negative start time %a" Sim_time.pp s.from_;
+  match s.until_ with
+  | Some u when Sim_time.(u <= s.from_) ->
+      invalid "partition: heal at %a not after start at %a (zero-duration window)"
+        Sim_time.pp u Sim_time.pp s.from_
+  | _ -> ()
 
 let validate p ~nprocs =
-  let ( let* ) = Result.bind in
-  let err fmt = Fmt.kstr Result.error fmt in
-  let check_pid what pid =
-    if pid < 0 || pid >= nprocs then
-      err "%s: pid %d out of range (0..%d)" what pid (nprocs - 1)
-    else Ok ()
-  in
-  let rec each f = function
-    | [] -> Ok ()
-    | x :: rest ->
-        let* () = f x in
-        each f rest
-  in
-  let* () =
-    each
-      (fun r ->
-        let pm what v =
-          if v < 0 || v > 1000 then
-            err "link rule: %s probability %d out of [0, 1000] per mille" what v
-          else Ok ()
-        in
-        let* () = pm "drop" r.drop_pm in
-        let* () = pm "dup" r.dup_pm in
-        let* () = pm "corrupt" r.corrupt_pm in
-        let* () =
-          if r.drop_pm = 0 && r.dup_pm = 0 && r.corrupt_pm = 0 then
-            err
-              "link rule: all probabilities zero (degenerate clause with no \
-               effect)"
-          else Ok ()
-        in
-        let* () =
-          match r.src with Some s -> check_pid "link rule src" s | None -> Ok ()
-        in
-        match r.dst with Some d -> check_pid "link rule dst" d | None -> Ok ())
-      p.links
-  in
-  let* () =
-    each
-      (fun (c : crash_spec) ->
-        let* () = check_pid "crash" c.pid in
-        let* () =
-          if Sim_time.(c.at < zero) then
-            err "crash %d: negative crash time %a" c.pid Sim_time.pp c.at
-          else Ok ()
-        in
-        match c.recover_at with
-        | Some r when Sim_time.(r <= c.at) ->
-            err
-              "crash %d: recovery at %a not after crash at %a (zero-duration \
-               outage)"
-              c.pid Sim_time.pp r Sim_time.pp c.at
-        | _ -> Ok ())
-      p.crashes
-  in
-  let* () =
-    let seen = Hashtbl.create 8 in
-    each
-      (fun (c : crash_spec) ->
-        if Hashtbl.mem seen c.pid then
-          err "crash %d: at most one crash schedule per pid" c.pid
-        else begin
-          Hashtbl.add seen c.pid ();
-          Ok ()
-        end)
-      p.crashes
-  in
-  let* () =
-    each
-      (fun (s : partition_spec) ->
-      let* () =
-        if List.length s.groups < 2 then
-          err "partition: needs at least two groups"
-        else Ok ()
-      in
-      let* () =
-        each
-          (fun g ->
-            if g = [] then err "partition: empty group"
-            else each (check_pid "partition") g)
-          s.groups
-      in
-      let* () =
-        let seen = Hashtbl.create 8 in
-        each
-          (fun pid ->
-            if Hashtbl.mem seen pid then
-              err "partition: pid %d in two groups" pid
-            else begin
-              Hashtbl.add seen pid ();
-              Ok ()
-            end)
-          (List.concat s.groups)
-      in
-      let* () =
-        if s.gnames <> [] && List.length s.gnames <> List.length s.groups then
-          err "partition: %d names for %d groups" (List.length s.gnames)
-            (List.length s.groups)
-        else Ok ()
-      in
-      let* () =
-        if s.gnames <> [] && List.exists (( = ) None) s.gnames then
-          err "partition: either every group is named or none is"
-        else Ok ()
-      in
-      let* () =
-        each
-          (function
-            | None -> Ok ()
-            | Some n ->
-                if valid_group_name n then Ok ()
-                else err "partition: bad group name %S" n)
-          s.gnames
-      in
-      let* () =
-        let seen = Hashtbl.create 4 in
-        each
-          (function
-            | None -> Ok ()
-            | Some n ->
-                if Hashtbl.mem seen n then
-                  err "partition: group name %S used twice" n
-                else begin
-                  Hashtbl.add seen n ();
-                  Ok ()
-                end)
-          s.gnames
-      in
-      let* () =
-        if Sim_time.(s.from_ < zero) then
-          err "partition: negative start time %a" Sim_time.pp s.from_
-        else Ok ()
-      in
-      match s.until_ with
-      | Some u when Sim_time.(u <= s.from_) ->
-          err
-            "partition: heal at %a not after start at %a (zero-duration \
-             window)"
-            Sim_time.pp u Sim_time.pp s.from_
-      | _ -> Ok ())
-      p.partitions
-  in
-  if Sim_time.(p.gst_jitter < zero) then
-    err "gst jitter: negative (%a)" Sim_time.pp p.gst_jitter
-  else Ok ()
+  match
+    iter_with check_link nprocs p.links;
+    iter_with check_crash nprocs p.crashes;
+    (match first_repeat same_pid p.crashes 0 p.crashes with
+    | Some c -> invalid "crash %d: at most one crash schedule per pid" c.pid
+    | None -> ());
+    iter_with check_partition nprocs p.partitions;
+    if Sim_time.(p.gst_jitter < zero) then
+      invalid "gst jitter: negative (%a)" Sim_time.pp p.gst_jitter
+  with
+  | () -> Ok ()
+  | exception Invalid e -> Error e
 
 (* ----------------------------- to_string ------------------------------ *)
 

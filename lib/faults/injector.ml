@@ -2,6 +2,7 @@ open Sim
 
 type t = {
   plan : Fault_plan.t;
+  links : Fault_plan.link_rule array;  (** the plan's link rules *)
   rng : Rng.t;
   link_hits : int array;  (** injections attributed per link rule *)
   part_hits : int array;  (** sends suppressed per partition spec *)
@@ -26,6 +27,7 @@ let create ?(metrics = Obsv.Metrics.default) ~plan ~seed () =
   let m_drop, m_dup, m_corrupt, m_partition = handles metrics in
   {
     plan;
+    links = Array.of_list plan.Fault_plan.links;
     rng = Rng.split (Rng.create ~seed);
     link_hits = Array.make (List.length plan.Fault_plan.links) 0;
     part_hits = Array.make (List.length plan.Fault_plan.partitions) 0;
@@ -39,96 +41,97 @@ let create ?(metrics = Obsv.Metrics.default) ~plan ~seed () =
 
 let plan t = t.plan
 
-(* Does an active partition separate src from dst at [now]? A pid absent
-   from every group of a spec is unaffected by that spec. The index of
-   the first separating spec is the clause charged with the suppression. *)
-let partition_index plan ~now ~src ~dst =
-  let rec go i = function
-    | [] -> None
-    | (s : Fault_plan.partition_spec) :: rest ->
-        let active =
-          Sim_time.(s.from_ <= now)
-          && match s.until_ with None -> true | Some u -> Sim_time.(now < u)
-        in
-        let separates =
-          active
-          &&
-          let group_of pid =
-            let rec look k = function
-              | [] -> None
-              | g :: gs -> if List.mem pid g then Some k else look (k + 1) gs
-            in
-            look 0 s.groups
-          in
-          match (group_of src, group_of dst) with
-          | Some a, Some b -> a <> b
-          | _ -> false
-        in
-        if separates then Some i else go (i + 1) rest
-  in
-  go 0 plan.Fault_plan.partitions
+(* A send's fate is decided without allocating: partitions and link
+   rules are scanned by top-level functions, and the copy lists are
+   constants. *)
 
-(* Max per-kind probabilities over all rules matching (src, dst), plus the
-   index of the first rule achieving each max — the clause an injection of
-   that kind is attributed to. *)
-let link_pms plan ~src ~dst =
-  let rec go i (d, di, u, ui, c, ci) = function
-    | [] -> (d, di, u, ui, c, ci)
-    | (r : Fault_plan.link_rule) :: rest ->
-        let m side pid = match side with None -> true | Some p -> p = pid in
-        let acc =
-          if m r.src src && m r.dst dst then begin
-            let pick cur curi pm = if pm > cur then (pm, i) else (cur, curi) in
-            let d, di = pick d di r.drop_pm in
-            let u, ui = pick u ui r.dup_pm in
-            let c, ci = pick c ci r.corrupt_pm in
-            (d, di, u, ui, c, ci)
-          end
-          else (d, di, u, ui, c, ci)
-        in
-        go (i + 1) acc rest
-  in
-  go 0 (0, -1, 0, -1, 0, -1) plan.Fault_plan.links
+(* the index of the group holding [pid], counting from [k], or -1: a pid
+   absent from every group of a spec is unaffected by that spec *)
+let rec group_of pid k = function
+  | [] -> -1
+  | g :: gs -> if List.mem pid g then k else group_of pid (k + 1) gs
 
-let charge_link t ~kind ~rule =
-  if rule >= 0 then t.link_hits.(rule) <- t.link_hits.(rule) + 1;
-  t.kind_hits.(kind) <- t.kind_hits.(kind) + 1
+let separates (s : Fault_plan.partition_spec) ~now ~src ~dst =
+  Sim_time.(s.from_ <= now)
+  && (match s.until_ with None -> true | Some u -> Sim_time.(now < u))
+  &&
+  let a = group_of src 0 s.groups and b = group_of dst 0 s.groups in
+  a >= 0 && b >= 0 && a <> b
+
+(* The index, counting from [i], of the first spec whose active partition
+   separates src from dst at [now], or -1: the clause charged with the
+   suppression. *)
+let rec partition_index i ~now ~src ~dst = function
+  | [] -> -1
+  | s :: rest ->
+      if separates s ~now ~src ~dst then i
+      else partition_index (i + 1) ~now ~src ~dst rest
+
+let drop_kind = 0
+let dup_kind = 1
+let corrupt_kind = 2
+
+let pm_of kind (r : Fault_plan.link_rule) =
+  if kind = drop_kind then r.drop_pm
+  else if kind = dup_kind then r.dup_pm
+  else r.corrupt_pm
+
+let matches side pid = match side with None -> true | Some p -> p = pid
+
+(* Rules combine by max per kind: the index of the first rule matching
+   (src, dst) that achieves the kind's largest nonzero probability, the
+   clause an injection of that kind is attributed to, or -1. [found] and
+   [found_pm] are the best so far among the rules before [i]. *)
+let rec best_rule links kind ~src ~dst i found found_pm =
+  if i = Array.length links then found
+  else
+    let (r : Fault_plan.link_rule) = links.(i) in
+    let pm = if matches r.src src && matches r.dst dst then pm_of kind r else 0 in
+    if pm > found_pm then best_rule links kind ~src ~dst (i + 1) i pm
+    else best_rule links kind ~src ~dst (i + 1) found found_pm
+
+(* Roll the kind's best rule for (src, dst); a hit is counted and charged
+   to that rule. *)
+let hit t kind counter ~src ~dst =
+  let rule = best_rule t.links kind ~src ~dst 0 (-1) 0 in
+  rule >= 0
+  && Rng.int t.rng 1000 < pm_of kind t.links.(rule)
+  &&
+  (Obsv.Metrics.inc counter;
+   t.link_hits.(rule) <- t.link_hits.(rule) + 1;
+   t.kind_hits.(kind) <- t.kind_hits.(kind) + 1;
+   true)
+
+let copy t ~src ~dst =
+  if hit t corrupt_kind t.m_corrupt ~src ~dst then Network.Corrupted
+  else Network.Intact
+
+let one = function
+  | Network.Intact -> [ Network.Intact ]
+  | Network.Corrupted -> [ Network.Corrupted ]
+
+let two first second =
+  match (first, second) with
+  | Network.Intact, Network.Intact -> [ Network.Intact; Network.Intact ]
+  | Network.Intact, Network.Corrupted -> [ Network.Intact; Network.Corrupted ]
+  | Network.Corrupted, Network.Intact -> [ Network.Corrupted; Network.Intact ]
+  | Network.Corrupted, Network.Corrupted ->
+      [ Network.Corrupted; Network.Corrupted ]
 
 let tamper t : Network.tamper =
  fun ~send_time ~src ~dst ~tag:_ ->
-  match partition_index t.plan ~now:send_time ~src ~dst with
-  | Some i ->
-      Obsv.Metrics.inc t.m_partition;
-      t.part_hits.(i) <- t.part_hits.(i) + 1;
-      t.kind_hits.(3) <- t.kind_hits.(3) + 1;
-      []
-  | None ->
-      let drop_pm, drop_i, dup_pm, dup_i, corrupt_pm, corrupt_i =
-        link_pms t.plan ~src ~dst
-      in
-      let roll pm = pm > 0 && Rng.int t.rng 1000 < pm in
-      if roll drop_pm then begin
-        Obsv.Metrics.inc t.m_drop;
-        charge_link t ~kind:0 ~rule:drop_i;
-        []
-      end
-      else begin
-        let ncopies =
-          if roll dup_pm then begin
-            Obsv.Metrics.inc t.m_dup;
-            charge_link t ~kind:1 ~rule:dup_i;
-            2
-          end
-          else 1
-        in
-        List.init ncopies (fun _ ->
-            if roll corrupt_pm then begin
-              Obsv.Metrics.inc t.m_corrupt;
-              charge_link t ~kind:2 ~rule:corrupt_i;
-              Network.Corrupted
-            end
-            else Network.Intact)
-      end
+  let i = partition_index 0 ~now:send_time ~src ~dst t.plan.Fault_plan.partitions in
+  if i >= 0 then begin
+    Obsv.Metrics.inc t.m_partition;
+    t.part_hits.(i) <- t.part_hits.(i) + 1;
+    t.kind_hits.(3) <- t.kind_hits.(3) + 1;
+    []
+  end
+  else if hit t drop_kind t.m_drop ~src ~dst then []
+  else if hit t dup_kind t.m_dup ~src ~dst then
+    let first = copy t ~src ~dst in
+    two first (copy t ~src ~dst)
+  else one (copy t ~src ~dst)
 
 let schedule_crashes t engine =
   List.iter

@@ -25,7 +25,10 @@ type run_view = {
 }
 
 val view : Protocols.Runner.outcome -> run_view
-(** Folds the outcome's finished trace once. *)
+(** Folds the outcome's finished trace once: the outcome of
+    {!Protocols.Runner.run}, which keeps every entry (a
+    {!Protocols.Runner.run_live} outcome keeps none; judge it by its
+    {!live_view}). *)
 
 val live_view : Protocols.Runner.outcome -> run_view
 (** For a run that has not started (the runner's [on_ready] hook): a

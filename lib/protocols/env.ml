@@ -13,6 +13,13 @@ type t = {
 
 let signer_of t pid = Auth.signer_of t.registry pid
 
+(* the first books' currency names, formatted once *)
+let currencies = Array.init 8 (Printf.sprintf "cur%d")
+
+let currency i =
+  if i < Array.length currencies then currencies.(i)
+  else Printf.sprintf "cur%d" i
+
 let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
     ?amounts ?(seed = 7) ?books () =
   let n = Topology.hops topo in
@@ -56,7 +63,7 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
         shared
     | None ->
         Array.init n (fun i ->
-            let book = Ledger.Book.create ~currency:(Printf.sprintf "cur%d" i) in
+            let book = Ledger.Book.create ~currency:(currency i) in
             Ledger.Book.open_account book ~owner:(Topology.customer topo i)
               ~balance:amounts.(i);
             Ledger.Book.open_account book

@@ -98,23 +98,36 @@ let default_config ~hops ~seed =
     max_events = 200_000;
   }
 
+(* A parameter vector is never changed once derived (the templates
+   below are keyed by its windows), so every run of one timing input and
+   window scale shares one, published through [Sim.Memo]. *)
+module Params_map = Map.Make (struct
+  type t = Params.input * (int * int) option
+
+  let compare = compare
+end)
+
+let params_memo : Params.t Params_map.t Atomic.t = Atomic.make Params_map.empty
+
 let derive_params cfg protocol =
   let drift =
     match protocol with Naive_universal -> 0 | _ -> cfg.drift_ppm
   in
-  let params =
-    Params.derive
-      {
-        Params.hops = cfg.hops;
-        delta = cfg.delta;
-        sigma = cfg.sigma;
-        drift_ppm = drift;
-        margin = cfg.margin;
-      }
+  let input =
+    {
+      Params.hops = cfg.hops;
+      delta = cfg.delta;
+      sigma = cfg.sigma;
+      drift_ppm = drift;
+      margin = cfg.margin;
+    }
   in
-  match cfg.window_scale with
-  | None -> params
-  | Some (num, den) -> Params.scale_windows params ~num ~den
+  Memo.find_or_add Params_map.find_opt Params_map.add params_memo
+    (input, cfg.window_scale) (fun () ->
+      let params = Params.derive input in
+      match cfg.window_scale with
+      | None -> params
+      | Some (num, den) -> Params.scale_windows params ~num ~den)
 
 let network_model cfg =
   match cfg.network with
@@ -283,9 +296,12 @@ let fault_of_string protocol ~hops spec =
   | Atomic acfg -> parse (atomic_template ~hops acfg)
   | Weak wcfg -> parse (weak_template wcfg ~hops)
 
-(* Build and execute the engine run; [run] below wraps this with the
-   post-run telemetry pass. *)
-let run_engine cfg protocol =
+(* Build and execute the engine run. Unless [keep], the engine keeps no
+   trace entry: every reader then reads the run through hooks. Spans are
+   derived from the kept entries after the run, so capturing them keeps
+   the trace. [run] below adds the post-run telemetry pass; [run_live]
+   leaves it to its caller. *)
+let run_engine ~keep cfg protocol =
   validate_config cfg;
   let params = derive_params cfg protocol in
   let topo = Topology.create ~hops:cfg.hops in
@@ -322,9 +338,12 @@ let run_engine cfg protocol =
       ?tamper:(Option.map Faults.Injector.tamper injector)
       model net_rng
   in
+  let keep = keep || Obsv.Span.capture Obsv.Span.default in
   let engine =
-    Engine.create ~tag_of:Msg.tag ~network ~sigma:cfg.sigma ?prof:cfg.prof
-      ?monitor:cfg.monitor ?sampler:cfg.sampler ~seed:cfg.seed ()
+    Engine.create ~tag_of:Msg.tag ~network ~sigma:cfg.sigma
+      ?trace_capacity:(if keep then None else Some 0)
+      ?prof:cfg.prof ?monitor:cfg.monitor ?sampler:cfg.sampler ~seed:cfg.seed
+      ()
   in
   (* blame anchors: the dispatch context under which Bob's payout was
      released (sink of the commit critical path) and Bob's termination *)
@@ -347,7 +366,8 @@ let run_engine cfg protocol =
   (* the handlers by pid, from the template edited by the Byzantine
      strategies, and the replay of each pid's honest automaton *)
   let replay tmpl inst pid =
-    if pid < Array.length tmpl then
+    if not keep then None
+    else if pid < Array.length tmpl then
       Some
         (Anta.Conformance.check tmpl.(pid) inst ~pid ~tag_of:Msg.tag
            (Engine.trace engine))
@@ -434,14 +454,14 @@ let run_engine cfg protocol =
      online monitor checks / sampler probes over the {e live} state. The
      placeholder fields (status, end_time, counters) are exactly the ones
      no safety predicate consults. *)
-  let provisional status =
+  let provisional =
     {
       config = cfg;
       protocol;
       env;
       params;
       engine;
-      status;
+      status = Engine.Quiescent;
       trace = Engine.trace engine;
       end_time = Engine.now engine;
       message_count = 0;
@@ -455,16 +475,13 @@ let run_engine cfg protocol =
       conformance;
     }
   in
-  (match cfg.on_ready with
-  | None -> ()
-  | Some f -> f (provisional Engine.Quiescent));
+  (match cfg.on_ready with None -> () | Some f -> f provisional);
   let status = Engine.run ~horizon ~max_events:cfg.max_events engine in
-  let trace = Engine.trace engine in
   {
-    (provisional status) with
-    trace;
+    provisional with
+    status;
     end_time = Engine.now engine;
-    message_count = Trace.message_count trace;
+    message_count = Trace.message_count provisional.trace;
     events = Engine.events_processed engine;
     clocks = Array.init nprocs (Engine.clock_of engine);
     paid_node = !paid_node;
@@ -473,14 +490,25 @@ let run_engine cfg protocol =
 
 (* ----------------------------- telemetry ------------------------------- *)
 
+let observations outcome = Trace.observations outcome.trace
+
+let terminated_pids outcome =
+  List.filter_map
+    (fun (t, _, obs) ->
+      match obs with
+      | Obs.Terminated { pid; outcome } -> Some (pid, outcome, t)
+      | _ -> None)
+    (observations outcome)
+
 (* One root span per payment (init -> commit/abort), one child span per
    participant, and under each participant one span per protocol phase —
    the interval between consecutive observable state changes, keyed by the
    observation tag that opened it. All derived from the trace after the
    run, so instrumentation cannot perturb the schedule. *)
-let emit_spans o ~terms ~committed ~settled_at =
+let emit_spans o ~committed ~settled_at =
   let spans = Obsv.Span.default in
   if Obsv.Span.capture spans then begin
+    let terms = terminated_pids o in
     let topo = o.env.Env.topo in
     let root =
       Obsv.Span.start spans ~name:"payment"
@@ -530,16 +558,6 @@ let obs_string o = Fmt.str "%a" Obs.pp o
 let trace_jsonl tr = Trace.to_jsonl ~msg:msg_string ~obs:obs_string tr
 let ring_json tr = Trace.ring_json ~msg:msg_string ~obs:obs_string tr
 
-let observations outcome = Trace.observations outcome.trace
-
-let terminated_pids outcome =
-  List.filter_map
-    (fun (t, _, obs) ->
-      match obs with
-      | Obs.Terminated { pid; outcome } -> Some (pid, outcome, t)
-      | _ -> None)
-    (observations outcome)
-
 (* A payment's handles, by protocol label, resolved once per registry. *)
 module Label_map = Map.Make (String)
 
@@ -575,31 +593,35 @@ let payment_handles reg label =
 let payment_memo =
   Obsv.Metrics.memo (fun _ -> Atomic.make Label_map.empty)
 
-let emit_telemetry o =
+let record_payment o ~bob =
   let reg = Obsv.Metrics.default in
   let label = protocol_name o.protocol in
   let h =
-    Memo.find_or_add Label_map.find_opt Label_map.add (payment_memo reg) label
-      (fun () -> payment_handles reg label)
+    (* a hit builds no closure *)
+    match Label_map.find_opt label (Atomic.get (payment_memo reg)) with
+    | Some h -> h
+    | None ->
+        Memo.find_or_add Label_map.find_opt Label_map.add (payment_memo reg)
+          label (fun () -> payment_handles reg label)
   in
-  let terms = terminated_pids o in
-  let bob = Topology.bob o.env.Env.topo in
-  let bob_term = List.find_opt (fun (pid, _, _) -> pid = bob) terms in
-  let committed =
-    match bob_term with Some (_, "paid", _) -> true | _ -> false
-  in
-  let settled_at =
-    match bob_term with Some (_, _, t) -> t | None -> o.end_time
-  in
+  let committed = match bob with Some (_, "paid") -> true | _ -> false in
+  let settled_at = match bob with Some (t, _) -> t | None -> o.end_time in
   Obsv.Metrics.inc h.started;
   Obsv.Metrics.inc (if committed then h.commits else h.aborts);
   Obsv.Metrics.observe h.latency settled_at;
-  emit_spans o ~terms ~committed ~settled_at
+  emit_spans o ~committed ~settled_at
 
 let run cfg protocol =
-  let o = run_engine cfg protocol in
-  emit_telemetry o;
+  let o = run_engine ~keep:true cfg protocol in
+  let bob = Topology.bob o.env.Env.topo in
+  record_payment o
+    ~bob:
+      (List.find_map
+         (fun (pid, outcome, t) -> if pid = bob then Some (t, outcome) else None)
+         (terminated_pids o));
   o
+
+let run_live cfg protocol = run_engine ~keep:false cfg protocol
 
 let balance outcome ~escrow ~pid =
   Ledger.Book.balance outcome.env.Env.books.(escrow) pid

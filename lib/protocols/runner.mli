@@ -89,8 +89,11 @@ and outcome = {
           {!Sim.Engine.queue_depth} through it), stopped afterwards *)
   status : Sim.Engine.status;
   trace : (Msg.t, Obs.t) Sim.Trace.t;
+      (** every entry of the run after {!run}; after {!run_live}, no
+          entry unless span capture was on (capacity 0: its hooks saw
+          every entry as it was recorded) *)
   end_time : Sim.Sim_time.t;
-  message_count : int;
+  message_count : int;  (** messages sent, kept in the trace or not *)
   events : int;  (** engine events dequeued; deterministic per (seed, config) *)
   fault_names : (int * string) list;
   tm_pids : int array;  (** empty unless [Weak] *)
@@ -112,7 +115,7 @@ and outcome = {
           run's trace, against the instance the run's template ran for
           ({!Anta.Conformance.check}); [None] for a pid the protocol runs
           no automaton for (a weak committee's or chain's hand-written
-          replicas) *)
+          replicas), and for every pid when the trace was not kept *)
 }
 
 val default_config : hops:int -> seed:int -> config
@@ -172,9 +175,26 @@ val run : config -> protocol -> outcome
     from the trace post-run, so they never perturb the schedule. The
     metric handles are resolved once per registry and protocol label. *)
 
+val run_live : config -> protocol -> outcome
+(** {!run} for a harness that reads the run only as it happens, through
+    hooks registered by [on_ready] ({!Sim.Trace.on_record}, monitor
+    checks, sampler probes): the engine keeps no trace entry, unless span
+    capture is on (spans are derived from the kept entries), and the
+    telemetry pass is left to the caller, who knows Bob's settlement from
+    its own fold and hands it to {!record_payment}. Events, messages,
+    verdicts and end time are those of {!run}; [conformance] answers
+    [None] when no entry was kept. *)
+
+val record_payment :
+  outcome -> bob:(Sim.Sim_time.t * string) option -> unit
+(** The telemetry pass of {!run}, given Bob's first termination (time
+    and outcome tag; [None] if he never terminated): the payment counters
+    and latency histogram, and the spans when their capture is on. *)
+
 val derive_params : config -> protocol -> Params.t
 (** The parameter vector [run] will use (drift-blind for
-    {!Naive_universal}). *)
+    {!Naive_universal}): derived once per process for each timing input
+    and window scale, and shared; never modify it. *)
 
 val trace_jsonl : (Msg.t, Obs.t) Sim.Trace.t -> string
 (** A run's trace as {!Sim.Trace.to_jsonl} lines, messages and

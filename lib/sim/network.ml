@@ -91,9 +91,10 @@ let create ?adversary ?tamper ?(fifo = true) ?(link_stats = true)
     link_stats;
     settled;
     rng;
-    last_delivery = Link.create 64;
+    (* a payment's few links fit in 8 buckets; a load run's tables grow *)
+    last_delivery = Link.create 8;
     reg = metrics;
-    link_delay = Link.create 64;
+    link_delay = Link.create 8;
     m_adversary;
     m_adversary_clamped;
     m_fifo_holds;

@@ -35,6 +35,7 @@ type ('msg, 'obs) t = {
   mutable head : int; (* ring index of the oldest kept entry *)
   mutable kept : int;
   mutable count : int; (* total recorded, including dropped *)
+  mutable sends : int; (* [Sent] entries recorded, including dropped *)
   mutable hooks : (('msg, 'obs) entry -> unit) list; (* registration order *)
 }
 
@@ -50,6 +51,7 @@ let create ?capacity () =
     head = 0;
     kept = 0;
     count = 0;
+    sends = 0;
     hooks = [];
   }
 
@@ -65,6 +67,7 @@ let rec run_hooks e = function
 
 let record t e =
   run_hooks e t.hooks;
+  (match e with Sent _ -> t.sends <- t.sends + 1 | _ -> ());
   (match t.capacity with
   | None -> t.rev_entries <- e :: t.rev_entries
   | Some 0 -> () (* hooks only: nothing is kept *)
@@ -119,8 +122,7 @@ let observations t =
       match e with Observed { t; pid; obs } -> (t, pid, obs) :: acc | _ -> acc)
     [] t
 
-let message_count t =
-  fold_newest (fun acc e -> match e with Sent _ -> acc + 1 | _ -> acc) 0 t
+let message_count t = t.sends
 
 let last_time t =
   fold_newest (fun acc e -> match acc with None -> Some (time_of e) | some -> some)

@@ -80,7 +80,8 @@ val observations : ('msg, 'obs) t -> (Sim_time.t * int * 'obs) list
 (** Just the [Observed] entries, in order, as [(time, pid, obs)]. *)
 
 val message_count : ('msg, 'obs) t -> int
-(** Number of [Sent] entries. *)
+(** Number of [Sent] entries recorded, including any evicted from a
+    bounded trace: a run's message count at any capacity. *)
 
 val last_time : ('msg, 'obs) t -> Sim_time.t
 (** Timestamp of the final entry, or {!Sim_time.zero} for an empty trace. *)

@@ -246,6 +246,120 @@ let plan_tests =
                && FP.normalize (FP.normalize p) = FP.normalize p
                && FP.validate (FP.normalize p) ~nprocs:6 = Ok ()));
   ]
+  @ [
+      (* The rewritten validate against the one it replaced
+         (Fault_plan_reference): the same Ok () or the same error string. *)
+      qcheck
+        (QCheck.Test.make ~name:"validate agrees with its reference"
+           ~count:1000
+           QCheck.(triple small_int (int_range 1 9) (int_range 1 9))
+           (fun (seed, drawn_for, nprocs) ->
+             let rng = Rng.create ~seed in
+             let p = FP.random rng ~nprocs:drawn_for ~horizon:2_000 in
+             FP.validate p ~nprocs = Fault_plan_reference.validate p ~nprocs));
+      qcheck
+        (QCheck.Test.make
+           ~name:"validate agrees with its reference on any plan record"
+           ~count:1000
+           QCheck.(pair arbitrary_plan (int_range 1 7))
+           (fun (p, nprocs) ->
+             FP.validate p ~nprocs = Fault_plan_reference.validate p ~nprocs));
+      Alcotest.test_case "validate names each error as its reference does"
+        `Quick (fun () ->
+          let link ?src ?dst ?(drop = 0) ?(dup = 0) ?(corrupt = 0) () =
+            { FP.src; dst; drop_pm = drop; dup_pm = dup; corrupt_pm = corrupt }
+          in
+          let crash ?recover pid at = { FP.pid; at; recover_at = recover } in
+          let part ?(names = []) ?until groups from_ =
+            { FP.groups; gnames = names; from_; until_ = until }
+          in
+          let plan ?(links = []) ?(crashes = []) ?(partitions = []) ?(gst = 0)
+              () =
+            { FP.links; crashes; partitions; gst_jitter = gst }
+          in
+          let good = part [ [ 0 ]; [ 1 ] ] 5 in
+          let broken =
+            [
+              plan ~links:[ link ~drop:1001 () ] ();
+              plan ~links:[ link ~dup:(-1) () ] ();
+              plan ~links:[ link ~drop:5 ~corrupt:2000 () ] ();
+              plan ~links:[ link () ] ();
+              plan ~links:[ link ~src:9 ~drop:5 () ] ();
+              plan ~links:[ link ~src:1 ~dst:(-1) ~dup:5 () ] ();
+              plan ~links:[ link ~src:9 ~drop:1001 () ] ();
+              plan ~crashes:[ crash 4 10 ] ();
+              plan ~crashes:[ crash 1 (-3) ] ();
+              plan ~crashes:[ crash ~recover:10 1 10 ] ();
+              plan ~crashes:[ crash 1 10; crash 2 5; crash 1 20 ] ();
+              plan ~crashes:[ crash 1 10; crash 1 20; crash 7 1 ] ();
+              plan ~partitions:[ part [ [ 0; 1 ] ] 5 ] ();
+              plan ~partitions:[ part [ [ 0 ]; [] ] 5 ] ();
+              plan ~partitions:[ part [ [ 0 ]; [ 1; 5 ] ] 5 ] ();
+              plan ~partitions:[ part [ [ 0; 1 ]; [ 2; 1 ] ] 5 ] ();
+              plan ~partitions:[ part [ [ 0; 2; 0 ]; [ 1 ] ] 5 ] ();
+              plan ~partitions:[ part [ [ 0; 3 ]; [ 1; 3; 0 ] ] 5 ] ();
+              plan
+                ~partitions:[ part ~names:[ Some "a" ] [ [ 0 ]; [ 1 ] ] 5 ]
+                ();
+              plan
+                ~partitions:
+                  [ part ~names:[ Some "a"; None ] [ [ 0 ]; [ 1 ] ] 5 ]
+                ();
+              plan
+                ~partitions:
+                  [ part ~names:[ Some "a"; Some "9b" ] [ [ 0 ]; [ 1 ] ] 5 ]
+                ();
+              plan
+                ~partitions:
+                  [ part ~names:[ Some "a"; Some "a" ] [ [ 0 ]; [ 1 ] ] 5 ]
+                ();
+              plan
+                ~partitions:
+                  [
+                    part
+                      ~names:[ Some "a"; Some "b"; Some "b" ]
+                      [ [ 0 ]; [ 1 ]; [ 2 ] ]
+                      5;
+                  ]
+                ();
+              plan ~partitions:[ part [ [ 0 ]; [ 1 ] ] (-1) ] ();
+              plan ~partitions:[ part ~until:5 [ [ 0 ]; [ 1 ] ] 5 ] ();
+              plan ~partitions:[ good; part ~until:2 [ [ 2 ]; [ 3 ] ] 7 ] ();
+              plan ~gst:(-4) ();
+              plan ~links:[ link ~dst:8 ~drop:1 () ] ~crashes:[ crash 9 1 ]
+                ~gst:(-1) ();
+              plan ~crashes:[ crash 1 5; crash 1 6 ]
+                ~partitions:[ part [ [ 0 ] ] 1 ]
+                ();
+            ]
+          in
+          List.iteri
+            (fun i p ->
+              let want = Fault_plan_reference.validate p ~nprocs:4 in
+              (match want with
+              | Ok () -> Alcotest.failf "broken plan %d validated" i
+              | Error _ -> ());
+              check
+                Alcotest.(result unit string)
+                (Printf.sprintf "plan %d" i) want (FP.validate p ~nprocs:4))
+            broken);
+      Alcotest.test_case "validate allocates nothing on a valid plan" `Quick
+        (fun () ->
+          let p =
+            plan_of
+              "drop *>3 0.2; dup 1>* 0.05; corrupt 2>0 0.01; crash 2@500+800; \
+               crash 4@9; part a:0,1|b:2,3|c:5@200+400; part 0|1@7; gst+50"
+          in
+          check Alcotest.(result unit string) "valid" (Ok ())
+            (FP.validate p ~nprocs:6);
+          let before = Gc.minor_words () in
+          for _ = 1 to 1_000 do
+            ignore (Sys.opaque_identity (FP.validate p ~nprocs:6))
+          done;
+          let words = int_of_float (Gc.minor_words () -. before) in
+          if words > 0 then
+            Alcotest.failf "1,000 validations allocated %d words" words);
+    ]
 
 (* ------------------------------- injector ------------------------------ *)
 
@@ -358,6 +472,48 @@ let injector_tests =
              (Network.Synchronous { delta = 10 })
           = Network.Synchronous { delta = 10 }));
   ]
+  @ [
+      Alcotest.test_case "a send's fate allocates nothing" `Quick (fun () ->
+          let inj =
+            Faults.Injector.create
+              ~metrics:(Obsv.Metrics.create ())
+              ~plan:
+                (plan_of
+                   "drop *>3 0.2; dup 1>* 0.3; dup *>2 0.4; corrupt *>* 0.25; \
+                    part 0,1|2,4@200+400")
+              ~seed:3 ()
+          in
+          let tamper = Faults.Injector.tamper inj in
+          let fate i =
+            tamper ~send_time:(i mod 700) ~src:(i mod 5) ~dst:(i / 5 mod 5)
+              ~tag:"m"
+          in
+          let before = Gc.minor_words () in
+          for i = 0 to 999 do
+            ignore (Sys.opaque_identity (fate i))
+          done;
+          let words = int_of_float (Gc.minor_words () -. before) in
+          if words > 0 then
+            Alcotest.failf "1,000 fates allocated %d words" words;
+          let kinds = Faults.Injector.kind_counts inj in
+          check Alcotest.bool "every kind of fault happened" true
+            (Array.for_all (fun n -> n > 0) kinds));
+      Alcotest.test_case "a fault is charged to the first rule at the max"
+        `Quick (fun () ->
+          let inj =
+            Faults.Injector.create
+              ~metrics:(Obsv.Metrics.create ())
+              ~plan:
+                (plan_of
+                   "drop *>* 0.1; drop 0>* 0.5; drop *>1 0.5; dup 0>1 0.2; \
+                    dup *>* 0.2")
+              ~seed:2 ()
+          in
+          ignore (fates inj ~n:400 ~src:0 ~dst:1);
+          let hits = Faults.Injector.clause_hits inj ~end_time:0 in
+          check Alcotest.(array int) "charged" [| 0; 1; 0; 1; 0 |]
+            (Array.map (fun n -> Int.min n 1) hits));
+    ]
 
 (* -------------------------- engine crash–recovery ---------------------- *)
 
@@ -589,6 +745,76 @@ let runner_tests =
         in
         check Alcotest.bool "identical traces" true (run () = run ()));
   ]
+  @ [
+      (* A live run keeps no trace entry: each outcome field that would
+         read the kept entries is still right, or says it is unavailable,
+         and capturing spans keeps the entries they are derived from. *)
+      Alcotest.test_case "a live run's outcome without a kept trace" `Quick
+        (fun () ->
+          let module R = Protocols.Runner in
+          let cfg =
+            { (R.default_config ~hops:2 ~seed:11) with
+              R.fault_plan = Some (plan_of "dup *>* 0.3; drop 1>* 0.1")
+            }
+          in
+          let traced = R.run cfg R.Sync_timebound in
+          let live = R.run_live cfg R.Sync_timebound in
+          check Alcotest.int "no entry kept" 0
+            (List.length (Trace.to_list live.R.trace));
+          check Alcotest.int "every entry recorded"
+            (Trace.length traced.R.trace) (Trace.length live.R.trace);
+          check Alcotest.bool "messages were sent" true
+            (traced.R.message_count > 0);
+          check Alcotest.int "messages in the kept trace"
+            (List.length
+               (List.filter
+                  (function Trace.Sent _ -> true | _ -> false)
+                  (Trace.to_list traced.R.trace)))
+            traced.R.message_count;
+          check Alcotest.int "messages counted" traced.R.message_count
+            live.R.message_count;
+          check Alcotest.int "events" traced.R.events live.R.events;
+          check Alcotest.int "end time" traced.R.end_time live.R.end_time;
+          for pid = 0 to 4 do
+            check Alcotest.bool
+              (Printf.sprintf "pid %d replays from the kept trace" pid)
+              true
+              (traced.R.conformance pid = Some (Ok ()));
+            check Alcotest.bool
+              (Printf.sprintf "pid %d: no replay without entries" pid)
+              true
+              (live.R.conformance pid = None)
+          done;
+          let spans = Obsv.Span.default in
+          let spans_of run =
+            Obsv.Span.clear spans;
+            Obsv.Span.set_capture spans true;
+            Fun.protect
+              ~finally:(fun () ->
+                Obsv.Span.set_capture spans false;
+                Obsv.Span.clear spans)
+              (fun () ->
+                let o = run () in
+                (o, Obsv.Span.to_jsonl spans))
+          in
+          let _, want = spans_of (fun () -> R.run cfg R.Sync_timebound) in
+          let o, got =
+            spans_of (fun () ->
+                let o = R.run_live cfg R.Sync_timebound in
+                let bob = Protocols.Topology.bob o.R.env.Protocols.Env.topo in
+                R.record_payment o
+                  ~bob:
+                    (List.find_map
+                       (fun (pid, tag, t) ->
+                         if pid = bob then Some (t, tag) else None)
+                       (R.terminated_pids o));
+                o)
+          in
+          check Alcotest.bool "spans keep the trace" true
+            (Trace.to_list o.R.trace <> []);
+          check Alcotest.bool "spans were captured" true (want <> "");
+          check Alcotest.string "the spans of run" want got);
+    ]
 
 (* -------------------------------- chaos -------------------------------- *)
 
@@ -672,6 +898,134 @@ let chaos_tests =
              (after "--fault" tokens)
           = List.map Result.ok faults));
   ]
+  @ [
+      (* Whole soaks, pinned: the counts, the event total, every
+         violation's seed, plan and repro, and every failed verdict's
+         detail, for each protocol a single payment runs. The digests are
+         of the report without its timing member and of the printed
+         summary; the same pins hold with the online monitor armed. *)
+      Alcotest.test_case "soak summaries are pinned, plain and monitored"
+        `Slow (fun () ->
+          let module Proto = Protocols.Proto in
+          let pins =
+            [
+              ( "sync", 2000, 1,
+                "chaos soak: 2000 runs — 1152 safe-commit, 79 safe-abort, \
+                 769 stuck, 0 safety-violation",
+                "98432ba7d77e644fb428465ab8f8eda9",
+                "d0b33c3c1c90cb1692c69b69a30af209" );
+              ( "htlc", 500, 7,
+                "chaos soak: 500 runs — 147 safe-commit, 23 safe-abort, 168 \
+                 stuck, 162 safety-violation",
+                "41cfbf4e28805df881dc433f77b4424f",
+                "d29a4d301faa7fa130c0e484c84a5db1" );
+              ( "naive", 300, 1,
+                "chaos soak: 300 runs — 188 safe-commit, 8 safe-abort, 104 \
+                 stuck, 0 safety-violation",
+                "95b3dfdcaeb6161440ffc9437ada0dce",
+                "75dc8146e0c92d89a060b14265b948d3" );
+              ( "weak", 300, 1,
+                "chaos soak: 300 runs — 235 safe-commit, 8 safe-abort, 57 \
+                 stuck, 0 safety-violation",
+                "618f14a1937fcead883e326fe589f9c9",
+                "0e7382b6a993ab3610eb7dffba780664" );
+              ( "committee", 300, 1,
+                "chaos soak: 300 runs — 229 safe-commit, 14 safe-abort, 57 \
+                 stuck, 0 safety-violation",
+                "a56de970ad6d4ea1ca68aa5a80b64d09",
+                "bd81afbab29fe7631c57712bb2b35f6d" );
+            ]
+          in
+          let untimed json =
+            let cut = ",\"timing\":" in
+            let n = String.length cut in
+            let rec find i =
+              if i + n > String.length json then json
+              else if String.sub json i n = cut then String.sub json 0 i
+              else find (i + 1)
+            in
+            find 0
+          in
+          let hex s = Digest.to_hex (Digest.string s) in
+          List.iter
+            (fun (name, runs, seed, head, json_digest, text_digest) ->
+              let protocol =
+                match Proto.of_string ~among:Proto.single name with
+                | Ok p -> p
+                | Error e -> Alcotest.fail e
+              in
+              List.iter
+                (fun monitor ->
+                  let what = if monitor then name ^ " monitored" else name in
+                  let s =
+                    Xchain.Chaos.soak ~protocol ~runs ~domains:1 ~monitor
+                      ~seed ()
+                  in
+                  let text = Fmt.str "%a" Xchain.Chaos.pp_summary s in
+                  check Alcotest.string (what ^ " counts") head
+                    (List.hd (String.split_on_char '\n' text));
+                  check Alcotest.string (what ^ " report") json_digest
+                    (hex
+                       (untimed (Xchain.Chaos.summary_to_json ~protocol ~seed s)));
+                  check Alcotest.string (what ^ " summary") text_digest
+                    (hex text))
+                [ false; true ])
+            pins;
+          let s = Xchain.Chaos.soak ~runs:2000 ~domains:1 ~seed:1 () in
+          check Alcotest.int "sync events" 21_279 s.Xchain.Chaos.events);
+      (* A chaos run reads Bob's settlement from its live fold; the
+         runner reads it from the kept trace. Both record the same
+         payment: counters and latency histogram alike. *)
+      Alcotest.test_case "a chaos run records its payment as the runner does"
+        `Quick (fun () ->
+          let module R = Protocols.Runner in
+          let module Proto = Protocols.Proto in
+          let reg = Obsv.Metrics.default in
+          let read label =
+            let labels = [ ("protocol", label) ] in
+            let count, sum, _ =
+              Metric_value.histogram reg ~labels "xchain_payment_latency"
+            in
+            ( Metric_value.counter reg ~labels "xchain_payments_started_total",
+              Metric_value.counter reg ~labels "xchain_payments_committed_total",
+              Metric_value.counter reg ~labels "xchain_payments_aborted_total",
+              (count, sum) )
+          in
+          let delta label f =
+            let s0, c0, a0, (n0, t0) = read label in
+            f ();
+            let s1, c1, a1, (n1, t1) = read label in
+            (s1 - s0, c1 - c0, a1 - a0, n1 - n0, t1 - t0)
+          in
+          let seen = ref 0 in
+          List.iter
+            (fun protocol ->
+              let runner = Proto.runner protocol in
+              let label = R.protocol_name runner in
+              for seed = 1 to 40 do
+                let plan =
+                  FP.random (Rng.create ~seed:(seed + 7919)) ~nprocs:5
+                    ~horizon:3_000
+                in
+                let cfg =
+                  { (R.default_config ~hops:2 ~seed) with
+                    R.fault_plan = Some plan }
+                in
+                ignore (R.run cfg runner);
+                let traced = delta label (fun () -> ignore (R.run cfg runner)) in
+                let live =
+                  delta label (fun () ->
+                      ignore (Xchain.Chaos.run_one ~protocol ~plan ~seed ()))
+                in
+                let _, committed, _, _, _ = traced in
+                if committed > 0 then incr seen;
+                if traced <> live then
+                  Alcotest.failf "%s seed %d: the chaos run recorded otherwise"
+                    label seed
+              done)
+            [ Proto.Sync; Proto.Htlc; Proto.Weak_single ];
+          check Alcotest.bool "some payments committed" true (!seen > 0));
+    ]
 
 let () =
   Alcotest.run "faults"

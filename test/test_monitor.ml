@@ -53,6 +53,26 @@ let sorted_violations m =
        (fun (t : Obsv.Monitor.trip) -> t.Obsv.Monitor.property)
        (Obsv.Monitor.violations m))
 
+(* The safety subset's failures judged post hoc, independently of the
+   chaos harness: the same case run again by the runner with its trace
+   kept, and the finished trace folded by [Payment_props.view]. *)
+let post_hoc_failures ~hops ~protocol ~plan ~seed =
+  let o =
+    Runner.run
+      { (Runner.default_config ~hops ~seed) with fault_plan = Some plan }
+      (Proto.runner protocol)
+  in
+  let v = PP.view o in
+  let failed (r : Props.Verdict.t) = r.applicable && not r.holds in
+  let payment =
+    List.filter_map
+      (fun (name, check) -> if failed (check v.PP.judge) then Some name else None)
+      (PF.safety o.Runner.protocol)
+  in
+  let es = if failed (PP.check_es v) then [ "ES" ] else [] in
+  let m = if PP.money_conserved v then [] else [ "M" ] in
+  List.sort String.compare (payment @ es @ m)
+
 (* --------------------------- agreement gate --------------------------- *)
 
 let agreement_tests =
@@ -77,10 +97,16 @@ let agreement_tests =
            if monitored.C.end_time <> plain.C.end_time then
              QCheck.Test.fail_reportf "monitor changed end time: %d/%d"
                monitored.C.end_time plain.C.end_time;
-           (* the monitor's final violated set IS the post-hoc failure
-              set — agreement by construction *)
-           let post = sorted_failures monitored in
+           (* the monitor's final violated set IS the run's failure set:
+              both read the run's one live fold *)
+           let judged = sorted_failures monitored in
            let live = sorted_violations m in
+           if judged <> live then
+             QCheck.Test.fail_reportf "online {%s} <> judged {%s}"
+               (String.concat "," live) (String.concat "," judged);
+           (* and it agrees with a post-hoc fold of a separately traced
+              run of the same case *)
+           let post = post_hoc_failures ~hops ~protocol ~plan ~seed in
            if post <> live then
              QCheck.Test.fail_reportf "online {%s} <> post-hoc {%s}"
                (String.concat "," live) (String.concat "," post);
