@@ -3,7 +3,7 @@ module A = Automaton
 
 type ('i, 'msg, 'obs) running = {
   auto : ('i, 'msg, 'obs) A.t;
-  inst : 'i;
+  mutable inst : 'i;
   sstore : 'msg Store.t;
   pool : 'msg Pool.t;
   mutable state : int;
@@ -98,7 +98,7 @@ let rec fire_deadline ctx r branches label i =
     | A.C_deadline _ | A.C_receive _ ->
         fire_deadline ctx r branches label (i + 1)
 
-let running auto inst =
+let make auto inst =
   {
     auto;
     inst;
@@ -109,30 +109,43 @@ let running auto inst =
     finished = false;
   }
 
+let on_start r ctx =
+  let now = Engine.local_now ctx in
+  List.iter (fun v -> Store.set_clock r.sstore v now) (A.born r.auto);
+  enter ctx r (A.initial_index r.auto)
+
+let on_receive r ctx ~src msg =
+  if not r.finished then begin
+    Pool.push r.pool src msg;
+    match A.cnode r.auto r.state with
+    | A.C_input branches -> fire ctx r branches
+    | A.C_output _ | A.C_final _ | A.C_missing -> ()
+  end
+
+let on_timer r ctx ~label =
+  if not r.finished then
+    match A.cnode r.auto r.state with
+    | A.C_input branches -> fire_deadline ctx r branches label 0
+    | A.C_output _ | A.C_final _ | A.C_missing -> ()
+
 let handlers_of r =
-  let on_start ctx =
-    let now = Engine.local_now ctx in
-    List.iter (fun v -> Store.set_clock r.sstore v now) (A.born r.auto);
-    enter ctx r (A.initial_index r.auto)
-  in
-  let on_receive ctx ~src msg =
-    if not r.finished then begin
-      Pool.push r.pool src msg;
-      match A.cnode r.auto r.state with
-      | A.C_input branches -> fire ctx r branches
-      | A.C_output _ | A.C_final _ | A.C_missing -> ()
-    end
-  in
-  let on_timer ctx ~label =
-    if not r.finished then
-      match A.cnode r.auto r.state with
-      | A.C_input branches -> fire_deadline ctx r branches label 0
-      | A.C_output _ | A.C_final _ | A.C_missing -> ()
-  in
-  { Engine.on_start; on_receive; on_timer }
+  {
+    Engine.on_start = (fun ctx -> on_start r ctx);
+    on_receive = (fun ctx ~src msg -> on_receive r ctx ~src msg);
+    on_timer = (fun ctx ~label -> on_timer r ctx ~label);
+  }
 
 let handlers auto inst =
-  let r = running auto inst in
+  let r = make auto inst in
   (handlers_of r, r)
 
-let instantiate t inst pid = handlers_of (running t.(pid) inst)
+let reset r inst =
+  r.inst <- inst;
+  Store.reset r.sstore ~clocks:(A.clock_names r.auto)
+    ~datas:(A.data_names r.auto);
+  Pool.clear r.pool;
+  r.state <- A.initial_index r.auto;
+  r.armed <- [||];
+  r.finished <- false
+
+let instantiate t inst pid = handlers_of (make t.(pid) inst)

@@ -25,6 +25,28 @@ val handlers :
     together with a [running] handle on it that exposes execution
     introspection. *)
 
+val make : ('i, 'msg, 'obs) Automaton.t -> 'i -> ('i, 'msg, 'obs) running
+(** [make auto inst] is the state {!handlers} runs, without the handler
+    closures: a multiplexer that owns many processes calls {!on_start},
+    {!on_receive} and {!on_timer} on it from handlers of its own, so
+    each process costs only its state. *)
+
+val on_start : ('i, 'msg, 'obs) running -> ('msg, 'obs) Sim.Engine.ctx -> unit
+val on_receive :
+  ('i, 'msg, 'obs) running -> ('msg, 'obs) Sim.Engine.ctx -> src:int -> 'msg -> unit
+val on_timer :
+  ('i, 'msg, 'obs) running -> ('msg, 'obs) Sim.Engine.ctx -> label:string -> unit
+(** What the handlers {!handlers} builds over a [running] do. *)
+
+val reset : ('i, 'msg, 'obs) running -> 'i -> unit
+(** [reset r inst] puts the process back where {!handlers} starts it, now
+    for the instance [inst]: its store unset, its pool empty, in its
+    automaton's initial state with no deadline armed. The handlers built
+    over [r] then run the automaton afresh, so a caller that reuses an
+    engine process record reuses them too. The process must not be
+    running: its engine record is retired and dropped, or not yet
+    born. *)
+
 val instantiate :
   ('i, 'msg, 'obs) Automaton.t array -> 'i -> int -> ('msg, 'obs) Sim.Engine.handlers
 (** [instantiate t inst pid] runs pid's automaton of the template [t] (one

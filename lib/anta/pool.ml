@@ -10,6 +10,15 @@ type sender = One of int | Among of int array | Any
 let create () = { srcs = [||]; msgs = [||]; len = 0; hit = -1 }
 let length t = t.len
 
+(* The slots keep the first one's message as filler, as [push] fills new
+   ones, so a cleared pool holds on to at most that one of its old
+   messages. *)
+let clear t =
+  let cap = Array.length t.msgs in
+  if cap > 1 then Array.fill t.msgs 1 (cap - 1) t.msgs.(0);
+  t.len <- 0;
+  t.hit <- -1
+
 let push t src m =
   if t.len = Array.length t.srcs then begin
     (* the first message doubles as the filler of the new slots *)

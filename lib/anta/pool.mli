@@ -15,6 +15,11 @@ val admits : sender -> int -> bool
 
 val create : unit -> 'msg t
 val length : 'msg t -> int
+
+val clear : 'msg t -> unit
+(** Empty the pool, keeping its arrays for the next pushes; of its old
+    messages it keeps at most one reachable, as a filler. *)
+
 val push : 'msg t -> int -> 'msg -> unit
 (** [push t src m] appends [m], received from [src]. *)
 

@@ -21,6 +21,21 @@ let of_vars ~clocks ~datas =
     datas = Array.make (Array.length datas) None;
   }
 
+let reset t ~clocks ~datas =
+  if t.cnames == clocks && t.dnames == datas then begin
+    Array.fill t.clocks 0 (Array.length t.clocks) Sim.Sim_time.zero;
+    Array.fill t.cset 0 (Array.length t.cset) false;
+    Array.fill t.datas 0 (Array.length t.datas) None
+  end
+  else begin
+    let fresh = of_vars ~clocks ~datas in
+    t.cnames <- clocks;
+    t.clocks <- fresh.clocks;
+    t.cset <- fresh.cset;
+    t.dnames <- datas;
+    t.datas <- fresh.datas
+  end
+
 let rec slot names name i =
   if i >= Array.length names then -1
   else if String.equal names.(i) name then i

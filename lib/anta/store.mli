@@ -33,6 +33,12 @@ val of_vars : clocks:string array -> datas:string array -> 'msg t
     [i] is named [datas.(i)], all unset. The arrays are shared, never
     written. *)
 
+val reset : 'msg t -> clocks:string array -> datas:string array -> unit
+(** [reset t ~clocks ~datas] makes [t] what {!of_vars} returns for the
+    same tables: every variable unset. A store whose tables are still
+    those keeps its slot arrays; one that a by-name write extended gets
+    new ones. *)
+
 val set_clock_at : 'msg t -> int -> Sim.Sim_time.t -> unit
 val clock_at : 'msg t -> int -> Sim.Sim_time.t
 (** Raises [Invalid_argument] naming the variable if unset. *)

@@ -36,7 +36,14 @@ type cost = {
   wall_ns : int;  (** host wall-clock nanoseconds of the window, ≥ 1 *)
   domains : int;  (** domains that ran it: 1 for a single run *)
   minor_words : int;  (** allocated; for a batch, the sum over its jobs *)
-  top_heap_words : int;  (** the process's peak major heap at the close *)
+  promoted_words : int;
+      (** minor-heap words that survived a minor collection, counted as
+          [minor_words] is: for a batch, the sum over its jobs, each on
+          the domain that ran it *)
+  top_heap_words : int;
+      (** the window's peak major heap: the largest heap size the runtime
+          reported at the end of a major cycle in the window or at its
+          close; never 0 *)
 }
 (** A run's host cost: every nondeterministic figure a report carries. *)
 
@@ -89,14 +96,16 @@ val now_ns : unit -> int
     {!stats} timing, exposed so callers report durations consistently. *)
 
 val measure : (unit -> 'a) -> 'a * cost
-(** [measure f] is [f ()] and its {!cost} on the calling domain. *)
+(** [measure f] is [f ()] and its {!cost} on the calling domain. An
+    exception of [f] passes through, and the window it opened is
+    closed. *)
 
 val no_cost : cost
 (** The unit of {!add_cost}. *)
 
 val add_cost : cost -> cost -> cost
-(** Two batches run one after the other: wall times and minor words add,
-    domains and top heap take the max. *)
+(** Two batches run one after the other: wall times, minor and promoted
+    words add, domains and top heap take the max. *)
 
 val timing_json : events:int -> cost -> string
 (** The one writer of a report's flat, trailing [,"timing":{...}] member

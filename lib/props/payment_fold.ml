@@ -10,7 +10,7 @@ let cert_bit = function
   | Obs.Chi_abort -> 16
 
 type t = {
-  base : int;
+  mutable base : int;
   hops : int;
   term : (Sim.Sim_time.t * string) option array;
   flow : int array;
@@ -35,6 +35,17 @@ let create ~base ~hops ~nprocs =
     settled_at = -1;
     unsettled = hops + 1;
   }
+
+let reset f ~base =
+  f.base <- base;
+  Array.fill f.term 0 (Array.length f.term) None;
+  Array.fill f.flow 0 (Array.length f.flow) 0;
+  Array.fill f.flags 0 (Array.length f.flags) 0;
+  f.decisions <- [];
+  f.rejections <- [];
+  f.paid_at <- -1;
+  f.settled_at <- -1;
+  f.unsettled <- f.hops + 1
 
 let known f pid = pid >= 0 && pid < Array.length f.flow
 let add_flow f pid amount =

@@ -16,6 +16,11 @@ val create : base:int -> hops:int -> nprocs:int -> t
     engine pid [base], keeping per-pid facts for local pids below
     [nprocs]. *)
 
+val reset : t -> base:int -> unit
+(** [reset f ~base] empties [f] in place for another payment of the same
+    shape, whose local pid 0 is engine pid [base]: it then holds what
+    [create ~base] with [f]'s hops and [nprocs] would. *)
+
 val observe : t -> (Protocols.Msg.t, Protocols.Obs.t) Sim.Trace.entry -> unit
 (** Fold one trace entry. O(1). *)
 

@@ -3,8 +3,8 @@ open Xcrypto
 type t = {
   topo : Topology.t;
   params : Params.t;
-  payment : int;
-  value : int;
+  mutable payment : int;
+  mutable value : int;
   amounts : int array;
   books : Ledger.Book.t array;
   registry : Auth.registry;
@@ -20,6 +20,43 @@ let currency i =
   if i < Array.length currencies then currencies.(i)
   else Printf.sprintf "cur%d" i
 
+(* per-leg override (graph routing: each edge sets its own commission);
+   must still be a valid decreasing payment ladder ending at the value
+   Bob is owed *)
+let check_amounts ~fn n value a =
+  if Array.length a <> n then
+    invalid_arg (fn ^ ": amounts array must have one amount per hop");
+  if a.(n - 1) <> value then
+    invalid_arg (fn ^ ": last amount must equal the payment value");
+  for i = 0 to n - 1 do
+    if a.(i) < value || (i < n - 1 && a.(i) < a.(i + 1)) then
+      invalid_arg (fn ^ ": amounts must be decreasing toward Bob")
+  done
+
+(* shared books (load runs): the caller owns funding policy, so only the
+   accounts this payment touches are made sure of — a funded account is
+   never re-opened with this payment's amounts *)
+let ensure_accounts ~fn topo shared =
+  let n = Topology.hops topo in
+  if Array.length shared <> n then
+    invalid_arg (fn ^ ": books array must have one book per hop");
+  let ensure book owner =
+    if not (Ledger.Book.has_account book owner) then
+      Ledger.Book.open_account book ~owner ~balance:0
+  in
+  for i = 0 to n - 1 do
+    ensure shared.(i) (Topology.customer topo i);
+    ensure shared.(i) (Topology.customer topo (i + 1));
+    ensure shared.(i) (Topology.escrow topo i)
+  done
+
+(* Register everyone up front so verification never depends on order: the
+   customers (pids 0 .. n), then the escrows (n + 1 .. 2n). *)
+let register_all registry topo =
+  for pid = 0 to Topology.payment_count topo - 1 do
+    ignore (Auth.register registry pid)
+  done
+
 let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
     ?amounts ?(seed = 7) ?books () =
   let n = Topology.hops topo in
@@ -29,37 +66,13 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
     match amounts with
     | None -> Array.init n (fun i -> value + (commission * (n - 1 - i)))
     | Some a ->
-        (* per-leg override (graph routing: each edge sets its own
-           commission); must still be a valid decreasing payment ladder
-           ending at the value Bob is owed *)
-        if Array.length a <> n then
-          invalid_arg "Env.make: amounts array must have one amount per hop";
-        if a.(n - 1) <> value then
-          invalid_arg "Env.make: last amount must equal the payment value";
-        Array.iteri
-          (fun i x ->
-            if x < value || (i < n - 1 && x < a.(i + 1)) then
-              invalid_arg "Env.make: amounts must be decreasing toward Bob")
-          a;
+        check_amounts ~fn:"Env.make" n value a;
         Array.copy a
   in
   let books =
     match books with
     | Some shared ->
-        (* shared books (load runs): the caller owns funding policy, so we
-           only ensure the accounts this payment touches exist — never
-           re-open a funded account with this payment's amounts *)
-        if Array.length shared <> n then
-          invalid_arg "Env.make: books array must have one book per hop";
-        let ensure book owner =
-          if not (Ledger.Book.has_account book owner) then
-            Ledger.Book.open_account book ~owner ~balance:0
-        in
-        for i = 0 to n - 1 do
-          ensure shared.(i) (Topology.customer topo i);
-          ensure shared.(i) (Topology.customer topo (i + 1));
-          ensure shared.(i) (Topology.escrow topo i)
-        done;
+        ensure_accounts ~fn:"Env.make" topo shared;
         shared
     | None ->
         Array.init n (fun i ->
@@ -74,11 +87,7 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
             book)
   in
   let registry = Auth.create ~seed in
-  (* Register everyone up front so verification never depends on order:
-     the customers (pids 0 .. n), then the escrows (n + 1 .. 2n). *)
-  for pid = 0 to Topology.payment_count topo - 1 do
-    ignore (Auth.register registry pid)
-  done;
+  register_all registry topo;
   {
     topo;
     params;
@@ -89,6 +98,19 @@ let make ~topo ~params ?(payment = 1) ?(value = 1000) ?(commission = 10)
     registry;
     deposits = Array.make n (-1);
   }
+
+let reuse t ~payment ~value ~amounts ~seed ~books =
+  let n = Topology.hops t.topo in
+  if value < 1 then invalid_arg "Env.reuse: value must be positive";
+  check_amounts ~fn:"Env.reuse" n value amounts;
+  ensure_accounts ~fn:"Env.reuse" t.topo books;
+  t.payment <- payment;
+  t.value <- value;
+  Array.blit amounts 0 t.amounts 0 n;
+  Array.blit books 0 t.books 0 n;
+  Array.fill t.deposits 0 n (-1);
+  Auth.reset t.registry ~seed;
+  register_all t.registry t.topo
 
 let amount_at t i = t.amounts.(i)
 

@@ -14,8 +14,8 @@
 type t = {
   topo : Topology.t;
   params : Params.t;
-  payment : int;  (** payment identifier signed into certificates *)
-  value : int;  (** what Bob is owed *)
+  mutable payment : int;  (** payment identifier signed into certificates *)
+  mutable value : int;  (** what Bob is owed *)
   amounts : int array;
       (** [amounts.(i)] is what c{_i} pays at e{_i}; decreasing in [i] *)
   books : Ledger.Book.t array;  (** [books.(i)] is e{_i}'s ledger *)
@@ -50,6 +50,22 @@ val make :
     concurrent payments so they contend for the same liquidity. The caller
     owns funding; [make] only opens any missing accounts with balance 0 and
     never re-funds existing ones. *)
+
+val reuse :
+  t ->
+  payment:int ->
+  value:int ->
+  amounts:int array ->
+  seed:int ->
+  books:Ledger.Book.t array ->
+  unit
+(** [reuse t ~payment ~value ~amounts ~seed ~books] turns [t] in place
+    into the env that [make] with the same [topo] and [params], these
+    arguments and shared [books] returns: amounts, books and deposits are
+    written into [t]'s own arrays, and its registry is reset and
+    re-registered, so it mints the same keys, and every signature the
+    same MAC. Meant for a load run that reuses a retired payment's block:
+    nothing of the old payment may still read [t]. *)
 
 val signer_of : t -> int -> Xcrypto.Auth.signer
 (** The signing capability of pid — handed by the runner to the process

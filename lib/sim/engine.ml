@@ -31,12 +31,12 @@ and ('msg, 'obs) handlers = {
    reads the record it is given, with no pid lookup. *)
 and ('msg, 'obs) proc = {
   engine : ('msg, 'obs) t;
-  self : int;
+  mutable self : int; (* a record re-registered by [reborn] takes a new pid *)
   mutable handlers : ('msg, 'obs) handlers;
       (* [silent] once retired: events still queued for a retired pid
          must not keep its handlers' state reachable *)
   mutable clock : Clock.t;
-  base : int;
+  mutable base : int;
       (* pid-translation offset: [send ~dst] resolves to [base + dst] and
          delivered [~src] is rebased the same way, so handlers written
          against a logical pid layout (e.g. one payment's Topology) can be
@@ -50,7 +50,7 @@ and ('msg, 'obs) proc = {
          its first arming a process shares [unarmed] (see [set_timer]). *)
   mutable halted : bool;
   mutable host : host; (* [never_down] until the pid first crashes *)
-  prof_label : int; (* interned Prof label id, -1 when profiling is off *)
+  mutable prof_label : int; (* interned Prof label id, -1 when profiling is off *)
   mutable inbox : int; (* queued deliveries to this pid *)
   mutable queued : int; (* queued deliveries, firings and series ticks *)
   mutable ticking : int; (* series timers armed but not yet consumed *)
@@ -220,28 +220,41 @@ let rng_of p =
     p.proc_rng <- Rng.split_nth p.engine.root_rng p.self;
   p.proc_rng
 
+(* What a birth at [pid] checks and derives: the pid is free, the
+   profiler label id, and the crash state (a pid crashed before its birth
+   is born down). *)
+let check_birth t ~fn ~base pid =
+  if base < 0 then invalid_arg (fn ^ ": negative base");
+  if pid < 0 then invalid_arg (fn ^ ": negative pid");
+  if Pids.mem t.procs pid then invalid_arg (fn ^ ": pid in use")
+
+let label_id t label =
+  match t.prof with
+  | None -> -1
+  | Some p -> Obsv.Prof.intern p (match label with Some l -> l | None -> "proc")
+
+let born_host t pid =
+  if Pids.length t.ghosts = 0 then never_down
+  else
+    match Pids.find t.ghosts pid with
+    | h ->
+        Pids.remove t.ghosts pid;
+        h
+    | exception Not_found -> never_down
+
+(* [p], born at its pid, joins the table and starts *)
+let register t p =
+  let pid = p.self in
+  Pids.replace t.procs pid p;
+  if pid >= t.next_pid then t.next_pid <- pid + 1;
+  if pid >= t.pid_space then t.pid_space <- pid + 1;
+  if t.started then p.handlers.on_start p
+  else t.unstarted <- p :: t.unstarted
+
 let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
-  if base < 0 then invalid_arg "Engine.add_process: negative base";
   let pid = match pid with Some p -> p | None -> t.next_pid in
-  if pid < 0 then invalid_arg "Engine.add_process: negative pid";
-  if Pids.mem t.procs pid then invalid_arg "Engine.add_process: pid in use";
-  let prof_label =
-    match t.prof with
-    | None -> -1
-    | Some p ->
-        Obsv.Prof.intern p (match label with Some l -> l | None -> "proc")
-  in
-  (* a pid crashed before its birth is born down *)
-  let host =
-    if Pids.length t.ghosts = 0 then never_down
-    else
-      match Pids.find t.ghosts pid with
-      | h ->
-          Pids.remove t.ghosts pid;
-          h
-      | exception Not_found -> never_down
-  in
-  let p =
+  check_birth t ~fn:"Engine.add_process" ~base pid;
+  register t
     {
       engine = t;
       self = pid;
@@ -251,19 +264,49 @@ let add_process t ?(clock = Clock.perfect) ?(base = 0) ?label ?pid handlers =
       proc_rng = unsplit;
       armed = unarmed;
       halted = false;
-      host;
-      prof_label;
+      host = born_host t pid;
+      prof_label = label_id t label;
       inbox = 0;
       queued = 0;
       ticking = 0;
       retired = false;
-    }
-  in
-  Pids.replace t.procs pid p;
-  if pid >= t.next_pid then t.next_pid <- pid + 1;
-  if pid >= t.pid_space then t.pid_space <- pid + 1;
-  if t.started then handlers.on_start p else t.unstarted <- p :: t.unstarted;
+    };
   pid
+
+let spent p = p.retired && p.queued = 0
+
+(* Every field [add_process] sets is set again, so the record is what a
+   birth at [pid] makes; only the table [armed] is kept, emptied. *)
+let reborn t p ?(clock = Clock.perfect) ?(base = 0) ?label ~pid handlers =
+  if p.engine != t then invalid_arg "Engine.reborn: a record of another engine";
+  if not (spent p) then invalid_arg "Engine.reborn: the record is not dropped";
+  check_birth t ~fn:"Engine.reborn" ~base pid;
+  p.self <- pid;
+  p.handlers <- handlers;
+  p.clock <- clock;
+  p.base <- base;
+  p.proc_rng <- unsplit;
+  if p.armed != unarmed then Hashtbl.clear p.armed;
+  p.halted <- false;
+  p.host <- born_host t pid;
+  p.prof_label <- label_id t label;
+  p.inbox <- 0;
+  p.ticking <- 0;
+  p.retired <- false;
+  register t p
+
+let record_summary p =
+  Printf.sprintf
+    "pid %d base %d clock %s rng %s armed %d halted %b host %s inbox %d \
+     queued %d ticking %d retired %b"
+    p.self p.base
+    (if p.clock == Clock.perfect then "perfect" else "own")
+    (if p.proc_rng == unsplit then "unsplit" else "split")
+    (Hashtbl.length p.armed) p.halted
+    (if p.host == never_down then "placeholder"
+     else if p.host.down then "own, down"
+     else "own, up")
+    p.inbox p.queued p.ticking p.retired
 
 let reserve_pids t n = if n > t.pid_space then t.pid_space <- n
 
@@ -272,6 +315,7 @@ let proc t pid =
   | p -> p
   | exception Not_found -> invalid_arg "Engine: no process at this pid"
 
+let record = proc
 let trace t = t.tr
 let now t = t.clock_now
 let trace_tag t = t.cur_trace

@@ -187,6 +187,51 @@ val add_process :
     run unchanged many times within one engine; traces and crash
     scheduling always use engine pids. *)
 
+(** {2 Reusing a process record}
+
+    A multiplexer that births a block of processes per payment and
+    retires it again can give a later block the records of an earlier
+    one, so the steady state writes into records that are already in the
+    major heap instead of allocating new ones. *)
+
+val record : ('msg, 'obs) t -> int -> ('msg, 'obs) ctx
+(** [record t pid] is [pid]'s process record, to be re-registered by
+    {!reborn} once it is {!spent}. Raises [Invalid_argument] when [pid]
+    has no record. *)
+
+val spent : ('msg, 'obs) ctx -> bool
+(** The record is retired and nothing queued refers to it: the engine has
+    dropped it ({!retire}), and {!reborn} may take it. *)
+
+val reborn :
+  ('msg, 'obs) t ->
+  ('msg, 'obs) ctx ->
+  ?clock:Clock.t ->
+  ?base:int ->
+  ?label:string ->
+  pid:int ->
+  ('msg, 'obs) handlers ->
+  unit
+(** [reborn t p ~pid handlers] re-registers the {!spent} record [p] as a
+    new process at [pid], exactly as {!add_process} with the same
+    arguments would birth one: its handlers, clock, base and role label
+    are the given ones, its stream is [pid]'s and not yet derived, it is
+    neither halted nor retired, nothing is queued for it and no timer is
+    armed (its label table is emptied in place, keeping its buckets), and
+    its crash state is the one a pid crashed before its birth has, or
+    the shared never-crashed placeholder. It allocates nothing beyond
+    what a birth registers in the pid table. [pid] must be free, like
+    any birth's; the engine never hands out a pid twice, so a reused
+    record always carries a new pid, and the old pid stays dropped.
+    Raises [Invalid_argument] when [p] is not spent or belongs to
+    another engine. *)
+
+val record_summary : ('msg, 'obs) ctx -> string
+(** A one-line account of a record's state: pid, base, whether its clock
+    is the perfect one, whether its stream was derived, its armed labels,
+    halted, crash state, queue counters and retired. Two records that a
+    birth and a {!reborn} at the same pid made print the same. *)
+
 val reserve_pids : ('msg, 'obs) t -> int -> unit
 (** [reserve_pids t n] makes pids below [n] addressable before their
     processes are born, so {!schedule_crash} can target them. *)

@@ -16,6 +16,7 @@ let of_state s =
   g
 
 let create ~seed = of_state (mix64 (Int64.of_int seed))
+let reseed g ~seed = Bytes.set_int64_le g 0 (mix64 (Int64.of_int seed))
 
 let[@inline] step g =
   let s = Int64.add (Bytes.get_int64_le g 0) golden_gamma in

@@ -11,6 +11,11 @@ type t
 
 val create : seed:int -> t
 
+val reseed : t -> seed:int -> unit
+(** [reseed g ~seed] puts [g] back where [create ~seed] starts, in place:
+    it then draws what a fresh [create ~seed] would, and allocates
+    nothing. *)
+
 val split : t -> t
 (** [split g] advances [g] and returns a fresh generator whose stream is
     statistically independent of [g]'s subsequent output. *)

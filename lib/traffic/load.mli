@@ -124,8 +124,8 @@ type report = {
       (** the host cost of the whole {!run} call, telemetry aside: the
           report's one {e host-measured} (nondeterministic) member. It
           appears only in [to_json]'s trailing ["timing"] block, never in
-          {!pp_summary}; its [top_heap_words] is the run's own peak when
-          the run is the process's only one *)
+          {!pp_summary}; its [top_heap_words] is the peak major heap
+          seen within the call *)
 }
 
 val hosts : Workload.t -> int
@@ -201,7 +201,63 @@ val run :
     committee). On graphs the role layout is only known at admission, so
     every instance process but Alice is ["node"]. Combined with [causal],
     dispatches attribute to individual payments. Like tracing, profiling
-    never changes the schedule or the report. *)
+    never changes the schedule or the report.
+
+    A payment's block (its processes, their executor states and pools,
+    its env, fold and bookkeeping arrays) outlives it: once the engine
+    has dropped every process record of a retired instance, the next
+    admission of the same protocol and path length resets that block in
+    place and runs on it, under its own new instance id and pids
+    ({!Sim.Engine.reborn}). The free blocks are the run's own, at most
+    16 kept per shape; a reused block behaves byte for byte as a new
+    one, which {!block_twins} lets a test check. *)
+
+(** {2 Block reuse, for its oracle} *)
+
+type slot_view = {
+  state : string;  (** the slot's automaton state *)
+  finished : bool;
+  clocks_set : string list;  (** its store's set clock variables *)
+  datas_set : string list;  (** its store's set data variables *)
+  pending : int;  (** messages waiting in its pool *)
+}
+(** One executor slot of a block, as {!Anta.Executor} shows it. *)
+
+type block_view = {
+  v_payment : int;
+  v_value : int;
+  v_amounts : int array;
+  v_held : int array;  (** the env's held deposit per escrow *)
+  v_registry : Xcrypto.Auth.registry;
+  v_slots : slot_view array;
+  v_phase : string;  (** the shell's phase byte per slot *)
+  v_buffered : (int * Protocols.Msg.t) list array;
+  v_facts : Props.Payment_fold.t;
+  v_deposited : int array;
+  v_refunded : int array;
+  v_deposits : int list array;
+  v_procs : string array;  (** {!Sim.Engine.record_summary} per slot *)
+  v_shared : Obj.t list;
+      (** what the block shares with its shape and run: the topology,
+          the parameters and the books of its path, to compare by
+          identity *)
+}
+(** A block as an admission leaves it, before any of its processes runs:
+    its data, structurally comparable, and its shared parts. *)
+
+val block_twins :
+  ?plan:Faults.Fault_plan.t ->
+  workload:Workload.t ->
+  seed:int ->
+  unit ->
+  block_view * block_view
+(** [block_twins ~workload ~seed ()] runs [workload] to its end, then
+    admits one more payment of its first protocol over the router's
+    next path, at an instance id no payment had: once by resetting a
+    retired block of that shape, as the run's own admissions do, and
+    once by building a new block at the same pids. It returns the two
+    views, reset first. Raises [Invalid_argument] when the run left no
+    retired block of that shape. *)
 
 val to_json : report -> string
 (** Stable field order, integers and escaped strings only — byte-identical

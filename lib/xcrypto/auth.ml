@@ -13,6 +13,10 @@ type registry = { keys : signer Ids.t; rng : Sim.Rng.t }
 
 let create ~seed = { keys = Ids.create 8; rng = Sim.Rng.create ~seed }
 
+let reset reg ~seed =
+  Ids.clear reg.keys;
+  Sim.Rng.reseed reg.rng ~seed
+
 (* One scratch buffer per domain, where a signer's key prefix and every
    statement signed or checked are written and hashed in place. It starts
    at 256 bytes and grows to fit the longest statement it has seen. *)

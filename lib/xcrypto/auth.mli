@@ -19,6 +19,12 @@ type registry
 
 val create : seed:int -> registry
 
+val reset : registry -> seed:int -> unit
+(** [reset reg ~seed] makes [reg] what [create ~seed] returns, in place:
+    no id is registered and the stream restarts, so the same ids
+    registered in the same order get the same keys, and so every MAC,
+    that a fresh registry's would. The table keeps its buckets. *)
+
 val register : registry -> id -> signer
 (** Mint the signing capability for [id]. Each id can be registered once;
     re-registering raises. The key is derived from two draws of the

@@ -34,10 +34,18 @@ and requires:
      looser because Fleet keeps one outcome slot per run, and its
      heaps are small enough (about 1 MB at 2,000 runs) that the
      report's 0.1 MB rounding is felt.
+  3. for load reports, steady promotion: the larger run's promoted words
+     per payment (``promoted_words_per_event`` in the ``timing`` block
+     times the report's ``events``, over its ``payments``) are at most
+     MAX_PROMOTED_GROWTH times the smaller run's. A load run reuses a
+     retired payment's block for the next payment of its shape, so its
+     steady state writes into memory that is already promoted; a free
+     list that stopped reusing at scale would promote every new block
+     again, and its words per payment would grow with the run.
 
-Each report must come from its own process: ``top_heap_mb`` is the
-process's peak. Exit 0 when everything holds; a diagnostic and exit 1
-otherwise.
+Each report should come from its own process, so that one run's heap
+is not read as another's. Exit 0 when everything holds; a diagnostic
+and exit 1 otherwise.
 """
 
 import sys
@@ -46,6 +54,7 @@ from benchlib import err, finish, load_json
 
 MAX_GROWTH = 1.5
 MAX_SOAK_GROWTH = 3.0
+MAX_PROMOTED_GROWTH = 1.1
 
 
 def size(r):
@@ -71,6 +80,19 @@ def check_safe(path, r):
         err(f"{path}: timing.top_heap_mb missing or not positive: {heap!r}")
         return None
     return heap
+
+
+def promoted_per_payment(path, r):
+    """A load report's promoted words per payment, or None (recorded)."""
+    per_event = r.get("timing", {}).get("promoted_words_per_event")
+    events, payments = r.get("events"), r.get("payments")
+    if not isinstance(per_event, (int, float)) or per_event < 0:
+        err(f"{path}: timing.promoted_words_per_event missing: {per_event!r}")
+        return None
+    if not isinstance(events, int) or not isinstance(payments, int) or payments <= 0:
+        err(f"{path}: events or payments missing: {events!r}, {payments!r}")
+        return None
+    return per_event * events / payments
 
 
 def main(argv):
@@ -99,10 +121,25 @@ def main(argv):
             f"{n_small} to {n_large} {unit} "
             f"({h_small} MB -> {h_large} MB; at most {bound}x allowed)"
         )
+    promoted = ""
+    if not soak:
+        p_small = promoted_per_payment(small_path, small)
+        p_large = promoted_per_payment(large_path, large)
+        if p_small is not None and p_large is not None:
+            promoted = (
+                f"; promoted words per payment {p_small:.0f} -> {p_large:.0f}"
+            )
+            if p_large > MAX_PROMOTED_GROWTH * p_small:
+                err(
+                    f"promoted words per payment grew "
+                    f"{p_large / max(p_small, 1e-9):.2f}x from {n_small} to "
+                    f"{n_large} {unit} ({p_small:.1f} -> {p_large:.1f}; "
+                    f"at most {MAX_PROMOTED_GROWTH}x allowed)"
+                )
     return finish(
         ok=(
             f"scale OK: {n_small} {unit} {h_small} MB, "
-            f"{n_large} {unit} {h_large} MB"
+            f"{n_large} {unit} {h_large} MB{promoted}"
         ),
         prefix="FAIL",
     )

@@ -1421,8 +1421,64 @@ let halted_receiver ~retire =
     List.map (counter reg)
       [ "xchain_messages_delivered_total"; "xchain_events_total" ] )
 
+(* Pid 1 sends to the idle pid 0 (drawing its computation delay), is
+   crashed at 1 and back at 2, and halts at its timer; pid 3 crashes at 50,
+   before any birth, and stays down. The engine runs to its end, pid 1
+   retires, and [born] gives pid 3 its process: returns pid 3's record. *)
+let pid3_after_run born =
+  let reg = Obsv.Metrics.create () in
+  let e = lifecycle_engine ~sigma:5 reg in
+  ignore (Engine.add_process e idle);
+  ignore
+    (Engine.add_process e
+       {
+         idle with
+         Engine.on_start =
+           (fun ctx ->
+             Engine.send ctx ~dst:0 (Data 1);
+             Engine.set_timer ctx ~deadline:5 ~label:"t");
+         on_timer = (fun ctx ~label:_ -> Engine.halt ctx);
+       });
+  Engine.reserve_pids e 4;
+  Engine.schedule_crash e ~pid:1 ~at:1 ~recover_at:2 ();
+  Engine.schedule_crash e ~pid:3 ~at:50 ();
+  let old = Engine.record e 1 in
+  ignore (Engine.run e);
+  Engine.retire e 1;
+  born e old;
+  Engine.record e 3
+
 let lifecycle_tests =
   [
+    Alcotest.test_case "a reborn record is what a birth at its pid makes"
+      `Quick (fun () ->
+        let reborn =
+          pid3_after_run (fun e old ->
+              check Alcotest.bool "spent once retired" true (Engine.spent old);
+              Engine.reborn e old ~pid:3 ~base:3 idle)
+        in
+        let born =
+          pid3_after_run (fun e _ ->
+              ignore (Engine.add_process e ~pid:3 ~base:3 idle))
+        in
+        check Alcotest.string "same state" (Engine.record_summary born)
+          (Engine.record_summary reborn);
+        check Alcotest.int "its new pid" 0 (Engine.pid reborn));
+    Alcotest.test_case "only a spent record of this engine is reborn" `Quick
+      (fun () ->
+        let e = lifecycle_engine (Obsv.Metrics.create ()) in
+        ignore (Engine.add_process e idle);
+        let live = Engine.record e 0 in
+        check Alcotest.bool "a live record is not spent" false
+          (Engine.spent live);
+        (match Engine.reborn e live ~pid:1 idle with
+        | () -> Alcotest.fail "reborn took a live record"
+        | exception Invalid_argument _ -> ());
+        Engine.retire e 0;
+        let other = lifecycle_engine (Obsv.Metrics.create ()) in
+        match Engine.reborn other live ~pid:1 idle with
+        | () -> Alcotest.fail "reborn took another engine's record"
+        | exception Invalid_argument _ -> ());
     Alcotest.test_case "a memo builds once per key, and racing domains agree"
       `Quick (fun () ->
         let module M = Map.Make (Int) in

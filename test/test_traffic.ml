@@ -1122,6 +1122,84 @@ let flags_law =
               | Ok w -> Workload.to_string w
               | Error e -> e)))
 
+(* ------------------------------ reuse ---------------------------------- *)
+
+(* A block reset for another payment must be the block a fresh build
+   gives that payment: equal data, and the same shared parts. *)
+let check_twins ?plan label spec =
+  let w =
+    match Workload.of_string spec with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "%s: %s" label e
+  in
+  let (reset : Load.block_view), fresh =
+    Load.block_twins ?plan ~workload:w ~seed:5 ()
+  in
+  let same what eq =
+    if not eq then Alcotest.failf "%s: the reset block's %s differ" label what
+  in
+  same "payment" (reset.v_payment = fresh.v_payment);
+  same "value" (reset.v_value = fresh.v_value);
+  same "amounts" (reset.v_amounts = fresh.v_amounts);
+  same "held deposits" (reset.v_held = fresh.v_held);
+  same "registry" (reset.v_registry = fresh.v_registry);
+  same "executor slots" (reset.v_slots = fresh.v_slots);
+  same "phases" (reset.v_phase = fresh.v_phase);
+  same "buffered deliveries" (reset.v_buffered = fresh.v_buffered);
+  same "fold" (reset.v_facts = fresh.v_facts);
+  same "deposited" (reset.v_deposited = fresh.v_deposited);
+  same "refunded" (reset.v_refunded = fresh.v_refunded);
+  same "deposit ids" (reset.v_deposits = fresh.v_deposits);
+  Array.iteri
+    (fun l r ->
+      if r <> fresh.v_procs.(l) then
+        Alcotest.failf "%s: slot %d's record is %S, a birth's %S" label l r
+          fresh.v_procs.(l))
+    reset.v_procs;
+  same "shared parts' count"
+    (List.length reset.v_shared = List.length fresh.v_shared);
+  same "shared parts" (List.for_all2 ( == ) reset.v_shared fresh.v_shared)
+
+let reuse_tests =
+  let base hops mix =
+    Printf.sprintf
+      "payments=12 hops=%d mix=%s arrival=poisson:30 drift=0 patience=2000"
+      hops mix
+  in
+  let plan s =
+    match Faults.Fault_plan.of_string s with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "plan %s: %s" s e
+  in
+  List.concat_map
+    (fun mix ->
+      List.map
+        (fun hops ->
+          Alcotest.test_case
+            (Printf.sprintf "a reset %s block at %d hops is a fresh one" mix
+               hops)
+            `Quick
+            (fun () ->
+              (* a duplicating link leaves messages in some pools, and a
+                 healed crash gives a record its own crash state *)
+              check_twins
+                ~plan:(plan "dup *>* 0.3; crash 1@300+40")
+                mix (base hops mix)))
+        [ 1; 2; 3 ])
+    [ "sync"; "naive"; "htlc"; "weak"; "committee"; "atomic" ]
+  @ [
+      Alcotest.test_case "a reset routed block is a fresh one" `Quick
+        (fun () ->
+          check_twins "routed"
+            "payments=12 hops=2 mix=sync:1,weak:1 arrival=poisson:30 \
+             topology=er:6:4:9 route=round-robin splits=3");
+      Alcotest.test_case "a reset shared-committee block is a fresh one"
+        `Quick (fun () ->
+          check_twins "shared"
+            "payments=12 hops=2 mix=shared arrival=poisson:30 drift=0 \
+             patience=100000 committee=majority:4:1:4:2");
+    ]
+
 let () =
   Alcotest.run "traffic"
     [
@@ -1144,4 +1222,5 @@ let () =
       ("golden", golden_tests);
       ("dag", dag_tests);
       ("oracle", oracle_tests);
+      ("reuse", reuse_tests);
     ]
