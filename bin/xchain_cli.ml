@@ -1906,8 +1906,9 @@ let dot_cmd =
       exit 2
     end;
     let topo = Topology.create ~hops in
-    let tmpl =
-      Sync_protocol.template (Params.derive (Params.default_input ~hops))
+    let (Runner.Template t) =
+      Runner.template Runner.Sync_timebound
+        (Params.derive (Params.default_input ~hops))
     in
     let pid =
       match who with
@@ -1916,7 +1917,7 @@ let dot_cmd =
       | `Escrow -> Topology.escrow topo 0
       | `Chloe -> Topology.customer topo 1
     in
-    print_string (Anta.Automaton.to_dot tmpl.(pid));
+    print_string (Anta.Automaton.to_dot t.automata.(pid));
     0
   in
   let hops = hops_arg 3 in

@@ -169,53 +169,40 @@ let validate_config cfg =
 
 (* C's structural clause reads only the pid layout: deadline offsets and
    windows never reach [Automaton.check] or [Network_check], so one check
-   per (protocol with its TM kind, path length) serves every run. Every
-   memo below is published through [Sim.Memo]. *)
+   per (path length, protocol name: its TM kind and size) serves every
+   run. Every memo below is published through [Sim.Memo]. *)
 module Shape_map = Map.Make (struct
-  type t = int * string * int * int
+  type t = int * string
 
   let compare = compare
 end)
 
-(* What [protocol_name] would print, unformatted: the path length, the
-   protocol's kind, and the numbers its name carries. *)
-let shape_key protocol ~hops =
-  match protocol with
-  | Sync_timebound -> (hops, "sync-timebound", 0, 0)
-  | Naive_universal -> (hops, "naive-universal", 0, 0)
-  | Htlc -> (hops, "htlc", 0, 0)
-  | Weak { tm = Weak_protocol.Single; _ } -> (hops, "weak-single-tm", 0, 0)
-  | Weak { tm = Weak_protocol.Committee { f }; _ } ->
-      (hops, "weak-committee", f, 0)
-  | Weak { tm = Weak_protocol.Quorum { qs }; _ } ->
-      ( hops,
-        Quorum_system.family_name qs,
-        Quorum_system.size qs,
-        Quorum_system.fault_bound qs )
-  | Weak { tm = Weak_protocol.Chain { validators }; _ } ->
-      (hops, "weak-chain", validators, 0)
-  | Weak { tm = Weak_protocol.Shared { pids; _ }; _ } ->
-      (hops, "weak-shared-committee", Array.length pids, 0)
-  | Atomic _ -> (hops, "ilp-atomic", 0, 0)
-
 let well_formed_memo : (unit, string) result Shape_map.t Atomic.t =
   Atomic.make Shape_map.empty
+
+type template =
+  | Template : {
+      automata : ('i, Msg.t, Obs.t) Anta.Automaton.t array;
+      instance : Env.t -> seed:int -> 'i;
+      extra : 'i -> int -> (Msg.t, Obs.t) Engine.handlers;
+    }
+      -> template
 
 (* The compiled templates, keyed by exactly the inputs each builder reads:
    the Thm 1 windows for sync (the path length is theirs), the timing
    input for HTLC, the path length and deadline for atomic, and for weak
-   the path length, the two customer delays and the TM's shape (its kind
-   and replica count; the replicas themselves are hand-written handlers).
-   A compiled automaton never changes once built: executors keep their
-   state apart and [Byzantine.deviate] builds new automata, so every run
-   of a key shares one template, across domains too. A weak config whose
-   TM is a shared committee carries a certificate checker, a closure with
-   no structural key, so its template is built per run. *)
+   the path length and the config itself, whose notary faults, quorum
+   system and base timeout its instance and replicas read. A compiled
+   automaton never changes once built: executors keep their state apart
+   and [Byzantine.deviate] builds new automata, so every run of a key
+   shares one template, across domains too. A weak config whose TM is a
+   shared committee carries a certificate checker, a closure with no
+   structural key, so its template is built per call. *)
 type template_key =
   | Sync_key of Sim_time.t array * Sim_time.t array
   | Htlc_key of Params.input
   | Atomic_key of int * Sim_time.t
-  | Weak_key of int * [ `Single | `Dls of int | `Chain of int ] * Sim_time.t * Sim_time.t
+  | Weak_key of int * Weak_protocol.config
 
 module Template_map = Map.Make (struct
   type t = template_key
@@ -223,78 +210,79 @@ module Template_map = Map.Make (struct
   let compare = compare
 end)
 
-let sync_memo : Sync_protocol.template Template_map.t Atomic.t =
+let template_memo : template Template_map.t Atomic.t =
   Atomic.make Template_map.empty
 
-let htlc_memo : Htlc_protocol.template Template_map.t Atomic.t =
-  Atomic.make Template_map.empty
-
-let atomic_memo : Atomic_protocol.template Template_map.t Atomic.t =
-  Atomic.make Template_map.empty
-
-let weak_memo : Weak_protocol.template Template_map.t Atomic.t =
-  Atomic.make Template_map.empty
-
-let template_of memo key build =
-  Memo.find_or_add Template_map.find_opt Template_map.add memo key build
-
-let sync_template (params : Params.t) =
-  template_of sync_memo (Sync_key (params.Params.a, params.Params.d))
-    (fun () -> Sync_protocol.template params)
-
-let htlc_template (params : Params.t) =
-  template_of htlc_memo (Htlc_key params.Params.input) (fun () ->
-      Htlc_protocol.template params)
-
-let atomic_template ~hops (acfg : Atomic_protocol.config) =
-  template_of atomic_memo (Atomic_key (hops, acfg.Atomic_protocol.deadline))
-    (fun () -> Atomic_protocol.template ~hops acfg)
-
-let weak_template (wcfg : Weak_protocol.config) ~hops =
-  let build () = Weak_protocol.template wcfg ~hops in
-  let tm =
-    match wcfg.Weak_protocol.tm with
-    | Weak_protocol.Single -> Some `Single
-    | Weak_protocol.Committee _ | Weak_protocol.Quorum _ ->
-        Some (`Dls (Weak_protocol.tm_count wcfg))
-    | Weak_protocol.Chain { validators } -> Some (`Chain validators)
-    | Weak_protocol.Shared _ -> None
-  in
-  match tm with
-  | None -> build ()
-  | Some tm ->
-      template_of weak_memo
-        (Weak_key
-           (hops, tm, wcfg.Weak_protocol.patience, wcfg.Weak_protocol.deposit_delay))
-        build
-
-let check_template protocol ~hops =
-  let params = Params.derive (Params.default_input ~hops) in
+let template_key protocol (params : Params.t) =
+  let hops = params.Params.input.Params.hops in
   match protocol with
-  | Sync_timebound | Naive_universal ->
-      Anta.Network_check.well_formed (sync_template params)
-  | Htlc -> Anta.Network_check.well_formed (htlc_template params)
-  | Atomic acfg ->
-      Anta.Network_check.well_formed (atomic_template ~hops acfg)
-  | Weak wcfg -> Weak_protocol.well_formed wcfg ~hops
+  | Sync_timebound | Naive_universal -> Sync_key (params.Params.a, params.Params.d)
+  | Htlc -> Htlc_key params.Params.input
+  | Atomic acfg -> Atomic_key (hops, acfg.Atomic_protocol.deadline)
+  (* a majority quorum of 3f+1 that 2f+1 sign is the f-committee *)
+  | Weak ({ tm = Quorum { qs = Majority { n; f; q } }; _ } as wcfg)
+    when n = (3 * f) + 1 && q = (2 * f) + 1 ->
+      Weak_key (hops, { wcfg with tm = Committee { f } })
+  | Weak wcfg -> Weak_key (hops, wcfg)
+
+let no_replica _ _ = invalid_arg "Runner.template: no process past the automata"
+
+(* a template whose instance is the env itself *)
+let plain automata =
+  Template { automata; instance = (fun env ~seed:_ -> env); extra = no_replica }
+
+let compile protocol (params : Params.t) =
+  let hops = params.Params.input.Params.hops in
+  match protocol with
+  | Sync_timebound | Naive_universal -> plain (Sync_protocol.template params)
+  | Atomic acfg -> plain (Atomic_protocol.template ~hops acfg)
+  | Htlc ->
+      Template
+        {
+          automata = Htlc_protocol.template params;
+          instance = Htlc_protocol.instance;
+          extra = no_replica;
+        }
+  | Weak wcfg ->
+      Template
+        {
+          automata = Weak_protocol.template wcfg ~hops;
+          instance = (fun env ~seed:_ -> Weak_protocol.instance env wcfg);
+          extra = Weak_protocol.replica;
+        }
+
+let template protocol params =
+  match protocol with
+  | Weak { tm = Weak_protocol.Shared _; _ } -> compile protocol params
+  | _ -> (
+      let key = template_key protocol params in
+      (* a hit builds no closure *)
+      match Template_map.find_opt key (Atomic.get template_memo) with
+      | Some t -> t
+      | None ->
+          Memo.find_or_add Template_map.find_opt Template_map.add template_memo
+            key (fun () -> compile protocol params))
+
+let default_template protocol ~hops =
+  template protocol (Params.derive (Params.default_input ~hops))
 
 let well_formed protocol ~hops =
-  let key = shape_key protocol ~hops in
+  let key = (hops, protocol_name protocol) in
   (* a hit builds no closure *)
   match Shape_map.find_opt key (Atomic.get well_formed_memo) with
   | Some r -> r
   | None ->
       Memo.find_or_add Shape_map.find_opt Shape_map.add well_formed_memo key
-        (fun () -> check_template protocol ~hops)
+        (fun () ->
+          let (Template t) = default_template protocol ~hops in
+          let n = Array.length t.automata in
+          Anta.Network_check.well_formed
+            ~peers:(List.init (process_count ~hops protocol - n) (( + ) n))
+            t.automata)
 
 let fault_of_string protocol ~hops spec =
-  let params = Params.derive (Params.default_input ~hops) in
-  let parse tmpl = Byzantine.fault_of_string (Topology.create ~hops) tmpl spec in
-  match protocol with
-  | Sync_timebound | Naive_universal -> parse (sync_template params)
-  | Htlc -> parse (htlc_template params)
-  | Atomic acfg -> parse (atomic_template ~hops acfg)
-  | Weak wcfg -> parse (weak_template wcfg ~hops)
+  let (Template t) = default_template protocol ~hops in
+  Byzantine.fault_of_string (Topology.create ~hops) t.automata spec
 
 (* Build and execute the engine run. Unless [keep], the engine keeps no
    trace entry: every reader then reads the run through hooks. Spans are
@@ -309,14 +297,11 @@ let run_engine ~keep cfg protocol =
     Env.make ~topo ~params ~value:cfg.value ~commission:cfg.commission
       ~seed:(cfg.seed + 101) ()
   in
+  let nprocs = process_count ~hops:cfg.hops protocol in
   let tm_pids =
-    match protocol with
-    | Weak wcfg -> Weak_protocol.tm_pids topo wcfg
-    | Atomic _ -> [| Topology.aux_base topo |]
-    | _ -> [||]
+    Array.init (nprocs - Topology.payment_count topo) (( + ) (Topology.aux_base topo))
   in
   Array.iteri (fun k _ -> Topology.register_aux topo k) tm_pids;
-  let nprocs = process_count ~hops:cfg.hops protocol in
   let injector =
     match cfg.fault_plan with
     | None -> None
@@ -365,31 +350,20 @@ let run_engine ~keep cfg protocol =
   let clock_rng = Rng.create ~seed:(cfg.seed + 31) in
   (* the handlers by pid, from the template edited by the Byzantine
      strategies, and the replay of each pid's honest automaton *)
-  let replay tmpl inst pid =
-    if not keep then None
-    else if pid < Array.length tmpl then
+  let (Template t) = template protocol params in
+  let inst = t.instance env ~seed:(cfg.seed + 57) in
+  let deviants = Byzantine.deviate env t.automata cfg.faults in
+  let n = Array.length t.automata in
+  let automaton pid =
+    if pid < n then Anta.Executor.instantiate deviants inst pid
+    else t.extra inst pid
+  in
+  let conformance pid =
+    if keep && pid < n then
       Some
-        (Anta.Conformance.check tmpl.(pid) inst ~pid ~tag_of:Msg.tag
+        (Anta.Conformance.check t.automata.(pid) inst ~pid ~tag_of:Msg.tag
            (Engine.trace engine))
     else None
-  in
-  let deviants tmpl = Byzantine.deviate env tmpl cfg.faults in
-  let automaton, conformance =
-    match protocol with
-    | Sync_timebound | Naive_universal ->
-        let tmpl = sync_template params in
-        (Anta.Executor.instantiate (deviants tmpl) env, replay tmpl env)
-    | Htlc ->
-        let tmpl = htlc_template params in
-        let inst = Htlc_protocol.instance env ~seed:(cfg.seed + 57) in
-        (Anta.Executor.instantiate (deviants tmpl) inst, replay tmpl inst)
-    | Weak wcfg ->
-        let tmpl = weak_template wcfg ~hops:cfg.hops in
-        let inst = Weak_protocol.instance env wcfg in
-        (Weak_protocol.instantiate (deviants tmpl) inst, replay tmpl inst)
-    | Atomic acfg ->
-        let tmpl = atomic_template ~hops:cfg.hops acfg in
-        (Anta.Executor.instantiate (deviants tmpl) env, replay tmpl env)
   in
   let fault_names =
     List.map (fun (pid, s) -> (pid, Byzantine.name s)) cfg.faults

@@ -96,7 +96,8 @@ and outcome = {
   message_count : int;  (** messages sent, kept in the trace or not *)
   events : int;  (** engine events dequeued; deterministic per (seed, config) *)
   fault_names : (int * string) list;
-  tm_pids : int array;  (** empty unless [Weak] *)
+  tm_pids : int array;
+      (** the pids past the payment's: its TM, notaries or validators *)
   clocks : Sim.Clock.t array;
       (** each participant's (drifting) local clock, for monitors that
           check promises stated in local time *)
@@ -128,31 +129,45 @@ val process_count : hops:int -> protocol -> int
 
 val well_formed : protocol -> hops:int -> (unit, string) result
 (** C's structural clause for the [hops]-escrow chain:
-    {!Anta.Network_check.well_formed} over the protocol's template (for
-    weak, {!Weak_protocol.well_formed}, whose committee or chain replicas
-    are hand-written peers). It reads only the pid layout, so it is
-    computed once per (protocol, TM kind, [hops]) per process and shared
-    by every run; safe from several domains. *)
+    {!Anta.Network_check.well_formed} over the protocol's {!template},
+    the pids past its automata up to {!process_count} (a weak committee's
+    or chain's hand-written replicas) as peers. It reads only the pid
+    layout, so it is computed once per ([hops], {!protocol_name}) per
+    process and shared by every run; safe from several domains. *)
 
-(** {1 Compiled templates}
+(** {1 Compiled templates} *)
 
-    Each protocol's automata, compiled once per process and key, where the
-    key is exactly what the builder reads: the a/d windows for
+type template =
+  | Template : {
+      automata : ('i, Msg.t, Obs.t) Anta.Automaton.t array;
+          (** pid [p]'s automaton, for the pids it covers *)
+      instance : Env.t -> seed:int -> 'i;
+          (** a payment's instance over its env; [seed] draws what the
+              protocol adds to the env (HTLC's preimage), if anything *)
+      extra : 'i -> int -> (Msg.t, Obs.t) Sim.Engine.handlers;
+          (** the hand-written process an instance runs at a pid past
+              [automata] and below {!process_count}: a weak committee's
+              DLS notary or chain validator *)
+    }
+      -> template
+(** A protocol as its participants' timed automata, the instance a
+    payment's data makes of them, and the replicas beside them. *)
+
+val template : protocol -> Params.t -> template
+(** The one table from protocol to template, read by {!run},
+    {!fault_of_string}, {!well_formed}, [Traffic.Load] and [xchain dot].
+    Each template is compiled once per process and key, where the key is
+    exactly what its builder reads: the a/d windows for
     {!Sync_protocol.template}, the timing input for
     {!Htlc_protocol.template}, the path length and deadline for
-    {!Atomic_protocol.template}, and the path length, patience, deposit
-    delay and TM shape for {!Weak_protocol.template}. A compiled automaton
-    never changes (executors keep their state apart, and
-    {!Byzantine.deviate} builds new automata), so every run of a key
-    shares one template, across domains too. A weak config with a
-    {!Weak_protocol.Shared} committee carries a checker closure, which has
-    no structural key: its template is built per call. {!run},
-    {!fault_of_string} and [Traffic.Load] all read these. *)
-
-val sync_template : Params.t -> Sync_protocol.template
-val htlc_template : Params.t -> Htlc_protocol.template
-val atomic_template : hops:int -> Atomic_protocol.config -> Atomic_protocol.template
-val weak_template : Weak_protocol.config -> hops:int -> Weak_protocol.template
+    {!Atomic_protocol.template}, and the path length and config for
+    {!Weak_protocol.template} (a majority quorum of 3f+1 keyed as the
+    f-committee it is). A compiled automaton never changes (executors
+    keep their state apart, and {!Byzantine.deviate} builds new
+    automata), so every run of a key shares one template, across domains
+    too; a hit allocates only its key. A weak config with a
+    {!Weak_protocol.Shared} committee carries a checker closure, which
+    has no structural key: its template is built per call. *)
 
 val fault_of_string :
   protocol -> hops:int -> string -> (int * Byzantine.t, string) result

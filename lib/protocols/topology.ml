@@ -1,4 +1,4 @@
-type t = { hops : int; mutable aux_count : int }
+type t = { hops : int; mutable auxes : int }
 
 type role =
   | Alice
@@ -9,7 +9,7 @@ type role =
 
 let create ~hops =
   if hops < 1 then invalid_arg "Topology.create: need at least one escrow";
-  { hops; aux_count = 0 }
+  { hops; auxes = 0 }
 
 let hops t = t.hops
 
@@ -25,7 +25,7 @@ let alice t = customer t 0
 let bob t = customer t t.hops
 let aux_base t = (2 * t.hops) + 1
 let payment_count t = (2 * t.hops) + 1
-let register_aux t k = t.aux_count <- Stdlib.max t.aux_count (k + 1)
+let register_aux t k = t.auxes <- Stdlib.max t.auxes (k + 1)
 
 let role_of t pid =
   if pid < 0 then None
@@ -35,7 +35,7 @@ let role_of t pid =
   else if pid <= 2 * t.hops then Some (Escrow (pid - t.hops - 1))
   else
     let k = pid - aux_base t in
-    if k < t.aux_count then Some (Aux k) else None
+    if k < t.auxes then Some (Aux k) else None
 
 let rec range lo hi = if lo > hi then [] else lo :: range (lo + 1) hi
 let customers t = List.map (customer t) (range 0 t.hops)

@@ -568,26 +568,14 @@ let chain_validator_handlers (env : Env.t) cfg ~index =
         if round >= 0 then interpret ctx (Chain.on_round_timeout chain round));
   }
 
-let tm_handlers (env : Env.t) cfg ~index =
-  match cfg.tm with
-  | Single | Shared _ -> invalid_arg "Weak_protocol.instantiate: no such TM replica"
-  | Chain _ -> chain_validator_handlers env cfg ~index
+let replica inst pid =
+  let index = pid - Topology.aux_base inst.env.topo in
+  match inst.cfg.tm with
+  | Single | Shared _ -> invalid_arg "Weak_protocol.replica: no such TM replica"
+  | Chain _ -> chain_validator_handlers inst.env inst.cfg ~index
   | Committee _ | Quorum _ -> (
-      let faults = cfg.notary_faults in
+      let faults = inst.cfg.notary_faults in
       match if index < Array.length faults then faults.(index) else Notary_honest with
-      | Notary_honest -> notary_handlers env cfg ~index
+      | Notary_honest -> notary_handlers inst.env inst.cfg ~index
       | Notary_crash -> E.silent
-      | Notary_equivocate -> equivocating_notary env cfg ~index)
-
-let instantiate tmpl inst pid =
-  if pid < Array.length tmpl then Anta.Executor.instantiate tmpl inst pid
-  else tm_handlers inst.env inst.cfg ~index:(pid - Topology.aux_base inst.env.topo)
-
-let well_formed cfg ~hops =
-  let peers =
-    match cfg.tm with
-    | Committee _ | Quorum _ | Chain _ ->
-        Array.to_list (tm_pids (Topology.create ~hops) cfg)
-    | Single | Shared _ -> []
-  in
-  Anta.Network_check.well_formed ~peers (template cfg ~hops)
+      | Notary_equivocate -> equivocating_notary inst.env inst.cfg ~index)

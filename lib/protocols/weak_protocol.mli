@@ -96,10 +96,6 @@ val default_config : config
 val tm_count : config -> int
 (** How many TM processes the config runs. *)
 
-val tm_pids : Topology.t -> config -> int array
-(** The TM process pids implied by the config (aux pids after the payment
-    participants). *)
-
 type instance
 (** One payment's run of a template: its {!Env.t}, config and committee
     certificate checker. *)
@@ -111,10 +107,8 @@ type template = (instance, Msg.t, Obs.t) Anta.Automaton.t array
 
 val template : config -> hops:int -> template
 
-val instantiate : template -> instance -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
-(** {!Anta.Executor.instantiate}, or past the template a committee's or
-    chain's honest replica. *)
-
-val well_formed : config -> hops:int -> (unit, string) result
-(** {!Anta.Network_check.well_formed}, the replicas as peers. *)
-
+val replica : instance -> int -> (Msg.t, Obs.t) Sim.Engine.handlers
+(** [replica inst pid]: the honest (or, per [notary_faults], faulty)
+    committee notary or chain validator the instance runs at [pid], an
+    aux pid past the template. Raises [Invalid_argument] for a {!Single}
+    or {!Shared} TM, which has none. *)

@@ -60,24 +60,29 @@ type report = {
   cost : Fleet.cost;
 }
 
-(* Shared model parameters for every payment in a load run; per-protocol
-   windows are derived from these exactly as Runner does. *)
-let delta = 100
-let sigma = 10
-let margin = 5
+(* Every payment of a load run is timed as a single payment is by default
+   (δ, σ, margin), at the workload's drift: its parameters are Runner's
+   own, derived once per timing and shared. *)
+let { Runner.delta; sigma; _ } = Runner.default_config ~hops:1 ~seed:0
 
-(* Auxiliary (TM/notary) processes per protocol. The committee runs with
-   f = 1, i.e. 3f+1 = 4 notaries — enough to exercise consensus without
-   quadrupling the pid space. *)
-let aux_count = function
-  | Workload.Sync | Workload.Naive | Workload.Htlc -> 0
-  | Workload.Weak_single | Workload.Atomic -> 1
-  | Workload.Committee -> 4
-  (* shared payments have no per-payment TM: one external committee block
-     serves them all (registered after the payment blocks) *)
-  | Workload.Shared -> 0
+let derive (w : Workload.t) protocol ~hops =
+  Runner.derive_params
+    { (Runner.default_config ~hops ~seed:0) with drift_ppm = w.drift_ppm }
+    protocol
 
-let block_size ~hops proto = (2 * hops) + 1 + aux_count proto
+(* A shared payment runs the weak protocol against the run's committee,
+   with no TM process of its own: its block is its 2h+1 participants
+   whichever committee that is. *)
+let shared_committee pids verify =
+  Runner.Weak
+    { Weak_protocol.default_config with tm = Weak_protocol.Shared { pids; verify } }
+
+let no_committee = shared_committee [||] (fun _ -> false)
+
+(* The runner protocol a block of [proto] runs, [shared] the run's
+   shared-committee protocol *)
+let runs shared = function Workload.Shared -> shared | p -> Proto.runner p
+let block_size ~hops proto = Runner.process_count ~hops (runs no_committee proto)
 
 (* the pid stride must fit the longest path any payment can take *)
 let hosts (w : Workload.t) =
@@ -85,15 +90,6 @@ let hosts (w : Workload.t) =
     match w.topology with None -> w.hops | Some g -> g.Routing.Topology.nodes - 1
   in
   List.fold_left (fun acc (p, _) -> max acc (block_size ~hops:lmax p)) 0 w.mix
-
-let weak_cfg = Weak_protocol.default_config
-
-let committee_cfg =
-  { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
-
-let params_for (w : Workload.t) proto ~hops =
-  let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
-  Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
 type slot_view = {
   state : string;
@@ -151,6 +147,7 @@ module Ids = Int_table
 type shape = {
   topo : Topology.t;
   params : Params.t;
+  template : Runner.template;
   instantiate : Env.t -> int -> slots;
   well_formed : (unit, string) result;
   mutable free : block list;
@@ -420,8 +417,9 @@ type state = {
       (** per (protocol, path length), built at the first admission that
           needs it: the table lives and dies with its run, so concurrent
           runs share nothing *)
-  mutable shared : Weak_protocol.config option;
-      (** the weak config whose TM is the shared committee *)
+  mutable shared : Runner.protocol;
+      (** the weak protocol whose TM is the shared committee, once
+          [add_committee] builds it *)
   mutable sequencer : Quorum.Committee.t option;
   clock_rng : Rng.t;
   mutable mix : Workload.proto Seq.t;  (** the protocols not drawn yet *)
@@ -458,13 +456,12 @@ type state = {
 
 (* A protocol's settle horizon, for the derived stuck deadline. *)
 let proto_horizon w lmax proto =
-  match proto with
-  | Workload.Sync | Workload.Naive ->
-      (params_for w proto ~hops:lmax).Params.horizon
-  | Workload.Htlc -> Htlc_protocol.window_of (params_for w proto ~hops:lmax) 0
-  | Workload.Weak_single | Workload.Committee | Workload.Shared ->
-      weak_cfg.patience
-  | Workload.Atomic -> Atomic_protocol.default_config.deadline
+  match Proto.runner proto with
+  | (Runner.Sync_timebound | Runner.Naive_universal) as p ->
+      (derive w p ~hops:lmax).Params.horizon
+  | Runner.Htlc -> Htlc_protocol.window_of (derive w Runner.Htlc ~hops:lmax) 0
+  | Runner.Weak c -> c.patience
+  | Runner.Atomic c -> c.deadline
 
 let event_budget (w : Workload.t) =
   let instances = w.payments * w.splits in
@@ -570,7 +567,7 @@ let create ~plan ~causal ~prof ~monitor ~sampler ~(w : Workload.t) ~seed =
     pays = Ids.create 256;
     queue = Queue.create ();
     shapes = Hashtbl.create 8;
-    shared = None;
+    shared = no_committee;
     sequencer = None;
     clock_rng = Rng.create ~seed:(seed + 31);
     mix = Workload.mix_seq w ~seed;
@@ -637,18 +634,20 @@ let observed st ins entry obs =
 
 let in_blocks st pid = pid >= 1 && pid < st.payment_limit
 
-(* The [n] slots of a block over template [tmpl], for instance [id] whose
-   payment data is [env]. *)
-let templated tmpl n ~inst ~extra env id =
-  let k = min n (Array.length tmpl) in
-  let i = inst env id in
-  Slots
-    {
-      runs = Array.init k (fun l -> Anta.Executor.make tmpl.(l) i);
-      extra = Array.init (n - k) (fun l -> extra i (k + l));
-      inst;
-      build_extra = extra;
-    }
+(* The [n] slots of a block over [template], for instance [id] whose
+   payment data is [env]; an HTLC instance draws from [seed + 57 + id]. *)
+let templated ~seed (Runner.Template t) n =
+  let inst env id = t.instance env ~seed:(seed + 57 + id) in
+  let k = min n (Array.length t.automata) in
+  fun env id ->
+    let i = inst env id in
+    Slots
+      {
+        runs = Array.init k (fun l -> Anta.Executor.make t.automata.(l) i);
+        extra = Array.init (n - k) (fun l -> t.extra i (k + l));
+        inst;
+        build_extra = t.extra;
+      }
 
 (* Point the slots at the block's env, rewritten in place, as instance
    [id]'s: executor states are reset, extra handlers built anew. *)
@@ -689,48 +688,22 @@ let slot_timer (Slots s) l ctx ~label =
   if l < Array.length s.runs then Anta.Executor.on_timer s.runs.(l) ctx ~label
   else s.extra.(l - Array.length s.runs).Engine.on_timer ctx ~label
 
-(* the env is the instance *)
-let env_itself env _ = env
-let no_extra _ _ = invalid_arg "Load: a slot past its protocol's template"
-
-let weak cfg ~hops n =
-  let tmpl = Runner.weak_template cfg ~hops in
-  templated tmpl n
-    ~inst:(fun env _ -> Weak_protocol.instance env cfg)
-    ~extra:(Weak_protocol.instantiate tmpl)
-
-let instantiate st proto params =
-  let hops = params.Params.input.Params.hops in
-  let n = block_size ~hops proto in
-  match proto with
-  | Workload.Sync | Workload.Naive ->
-      templated (Runner.sync_template params) n ~inst:env_itself
-        ~extra:no_extra
-  | Workload.Htlc ->
-      templated (Runner.htlc_template params) n
-        ~inst:(fun env id -> Htlc_protocol.instance env ~seed:(st.seed + 57 + id))
-        ~extra:no_extra
-  | Workload.Weak_single -> weak weak_cfg ~hops n
-  | Workload.Committee -> weak committee_cfg ~hops n
-  | Workload.Shared ->
-      (* validation guarantees the committee= spec *)
-      weak (Option.get st.shared) ~hops n
-  | Workload.Atomic ->
-      templated
-        (Runner.atomic_template ~hops Atomic_protocol.default_config)
-        n ~inst:env_itself ~extra:no_extra
-
 let shape_of st proto h =
   match Hashtbl.find st.shapes (proto, h) with
   | sh -> sh
   | exception Not_found ->
-      let params = params_for st.w proto ~hops:h in
+      let protocol = runs st.shared proto in
+      let params = derive st.w protocol ~hops:h in
+      let template = Runner.template protocol params in
       let sh =
         {
           topo = Topology.create ~hops:h;
           params;
-          instantiate = instantiate st proto params;
-          well_formed = Runner.well_formed (Proto.runner proto) ~hops:h;
+          template;
+          instantiate =
+            templated ~seed:st.seed template
+              (Runner.process_count ~hops:h protocol);
+          well_formed = Runner.well_formed protocol ~hops:h;
           free = [];
         }
       in
@@ -1438,7 +1411,7 @@ let add_committee st (c : Workload.committee) =
       registry = creg;
       batch_cap = c.c_batch;
       pipeline = c.c_pipeline;
-      base_timeout = weak_cfg.Weak_protocol.tm_base_timeout;
+      base_timeout = Weak_protocol.default_config.tm_base_timeout;
       (* verdict items are instance ids: only this run's shared handlers
          issue requests *)
       reply_to =
@@ -1451,8 +1424,7 @@ let add_committee st (c : Workload.committee) =
   (* one certificate checker, and so one memo, per run *)
   let verify = Committee_tm.verify ccfg ~signer:signers.(0) in
   let pids = Array.init c.c_size (fun i -> st.payment_limit + i) in
-  st.shared <-
-    Some { weak_cfg with tm = Weak_protocol.Shared { pids; verify } };
+  st.shared <- shared_committee pids verify;
   Array.iteri
     (fun i pid ->
       let handlers =
@@ -1799,6 +1771,8 @@ type block_view = {
   v_deposits : int list array;
   v_procs : string array;
   v_shared : Obj.t list;
+  v_template : Runner.template;
+  v_well_formed : (unit, string) result;
 }
 
 let block_view ins =
@@ -1821,6 +1795,8 @@ let block_view ins =
     v_shared =
       Obj.repr env.Env.topo :: Obj.repr env.Env.params
       :: Array.to_list (Array.map Obj.repr env.Env.books);
+    v_template = ins.i_shape.template;
+    v_well_formed = ins.i_shape.well_formed;
   }
 
 let block_twins ?plan ~workload ~seed () =

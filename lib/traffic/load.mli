@@ -241,6 +241,11 @@ type block_view = {
       (** what the block shares with its shape and run: the topology,
           the parameters and the books of its path, to compare by
           identity *)
+  v_template : Protocols.Runner.template;
+      (** the template its shape's blocks run, its slots past the
+          automata the template's replicas *)
+  v_well_formed : (unit, string) result;
+      (** the structural C verdict its shape judges every instance by *)
 }
 (** A block as an admission leaves it, before any of its processes runs:
     its data, structurally comparable, and its shared parts. *)

@@ -513,11 +513,11 @@ let template_tests =
       (fun () ->
         let cfg = Runner.default_config ~hops ~seed:3 in
         let p = Runner.derive_params cfg Runner.Sync_timebound in
-        let tmpl = Runner.sync_template p in
+        let tmpl = Runner.template Runner.Sync_timebound p in
         let o1 = Runner.run cfg Runner.Sync_timebound in
         let o2 = Runner.run cfg Runner.Sync_timebound in
         check Alcotest.bool "the runs left the template in place" true
-          (Runner.sync_template p == tmpl);
+          (Runner.template Runner.Sync_timebound p == tmpl);
         check Alcotest.string "equal runs, equal traces"
           (Runner.trace_jsonl o1.Runner.trace)
           (Runner.trace_jsonl o2.Runner.trace);
@@ -537,43 +537,57 @@ let template_tests =
           check Alcotest.bool (what ^ ": apart") true (a != b)
         in
         apart "sync, drift-blind windows" tmpl
-          (Runner.sync_template
+          (Runner.template Runner.Naive_universal
              (Runner.derive_params cfg Runner.Naive_universal));
         apart "sync, scaled windows" tmpl
-          (Runner.sync_template
+          (Runner.template Runner.Sync_timebound
              (Runner.derive_params
                 { cfg with window_scale = Some (1, 2) }
                 Runner.Sync_timebound));
         (* HTLC windows come from the timing input alone *)
         same "htlc, scaled windows"
-          (Runner.htlc_template p)
-          (Runner.htlc_template
+          (Runner.template Runner.Htlc p)
+          (Runner.template Runner.Htlc
              (Runner.derive_params
                 { cfg with window_scale = Some (1, 2) }
                 Runner.Htlc));
-        apart "htlc, another delta" (Runner.htlc_template p)
-          (Runner.htlc_template
+        apart "htlc, another delta" (Runner.template Runner.Htlc p)
+          (Runner.template Runner.Htlc
              (Params.derive { (Params.default_input ~hops) with delta = 50 }));
-        let deadline d = { Atomic_protocol.deadline = d } in
-        same "atomic"
-          (Runner.atomic_template ~hops (deadline 5_000))
-          (Runner.atomic_template ~hops (deadline 5_000));
-        apart "atomic, another deadline"
-          (Runner.atomic_template ~hops (deadline 5_000))
-          (Runner.atomic_template ~hops (deadline 6_000));
-        let weak ?(patience = 5_000) tm =
-          Runner.weak_template
-            { Weak_protocol.default_config with tm; patience }
-            ~hops
+        let atomic d = Runner.template (Runner.Atomic { deadline = d }) p in
+        same "atomic" (atomic 5_000) (atomic 5_000);
+        apart "atomic, another deadline" (atomic 5_000) (atomic 6_000);
+        let weak ?(patience = 5_000) ?(deposit_delay = 10)
+            ?(notary_faults = [||]) tm =
+          Runner.template
+            (Runner.Weak
+               {
+                 Weak_protocol.default_config with
+                 tm;
+                 patience;
+                 deposit_delay;
+                 notary_faults;
+               })
+            p
         in
         same "weak single" (weak Weak_protocol.Single) (weak Weak_protocol.Single);
         apart "weak, another patience" (weak Weak_protocol.Single)
           (weak ~patience:6_000 Weak_protocol.Single);
+        apart "weak, another deposit delay" (weak Weak_protocol.Single)
+          (weak ~deposit_delay:20 Weak_protocol.Single);
         same "weak, a DLS committee of four either way"
           (weak (Weak_protocol.Committee { f = 1 }))
           (weak
              (Weak_protocol.Quorum
                 { qs = Quorum_system.majority ~n:4 ~f:1 () }));
+        (* the replicas an instance runs read the notary faults *)
+        apart "weak, a crashed notary"
+          (weak (Weak_protocol.Committee { f = 1 }))
+          (weak
+             ~notary_faults:
+               Weak_protocol.
+                 [| Notary_honest; Notary_crash; Notary_honest; Notary_honest |]
+             (Weak_protocol.Committee { f = 1 }));
         apart "weak, chain against committee"
           (weak (Weak_protocol.Chain { validators = 4 }))
           (weak (Weak_protocol.Committee { f = 1 }));
@@ -583,6 +597,61 @@ let template_tests =
                { pids = [| 100; 101; 102; 103 |]; verify = (fun _ -> true) })
         in
         apart "weak shared committee, built per call" (shared ()) (shared ()));
+    Alcotest.test_case "every protocol's template covers its pid space"
+      `Quick (fun () ->
+        let shared =
+          Runner.Weak
+            {
+              Weak_protocol.default_config with
+              tm =
+                Weak_protocol.Shared
+                  { pids = [| 100; 101; 102; 103 |]; verify = (fun _ -> false) };
+            }
+        in
+        (* the hand-written replicas: a notary committee's or a chain's *)
+        let replicas hops = function
+          | Runner.Weak ({ tm = Committee _ | Quorum _ | Chain _; _ } as c) ->
+              List.init (Weak_protocol.tm_count c) (( + ) ((2 * hops) + 1))
+          | _ -> []
+        in
+        List.iter
+          (fun protocol ->
+            List.iter
+              (fun hops ->
+                let name =
+                  Printf.sprintf "%s, hops %d" (Runner.protocol_name protocol)
+                    hops
+                in
+                let params = Params.derive (Params.default_input ~hops) in
+                let tmpl = Runner.template protocol params in
+                let (Runner.Template t) = tmpl in
+                let peers = replicas hops protocol in
+                check Alcotest.int (name ^ ": automata and replicas")
+                  (Runner.process_count ~hops protocol)
+                  (Array.length t.automata + List.length peers);
+                let env =
+                  Env.make ~topo:(Topology.create ~hops) ~params ~seed:1 ()
+                in
+                let inst = t.instance env ~seed:1 in
+                List.iter (fun pid -> ignore (t.extra inst pid)) peers;
+                if peers = [] then
+                  check Alcotest.bool (name ^ ": no replica") true
+                    (match t.extra inst (Array.length t.automata) with
+                    | _ -> false
+                    | exception Invalid_argument _ -> true);
+                let fresh = Anta.Network_check.well_formed ~peers t.automata in
+                check Alcotest.(result unit string) (name ^ ": C") (Ok ()) fresh;
+                check
+                  Alcotest.(result unit string)
+                  (name ^ ": memoised C") fresh
+                  (Runner.well_formed protocol ~hops);
+                check Alcotest.bool (name ^ ": one entry")
+                  (protocol != shared)
+                  (Runner.template protocol params == tmpl))
+              [ 1; 2; 3; 4 ])
+          (shared
+           :: List.map Proto.runner
+                Proto.[ Sync; Naive; Htlc; Weak_single; Committee; Shared; Atomic ]));
   ]
 
 (* Every pid in [pids] ran its protocol's automaton, and the run's trace
@@ -794,14 +863,14 @@ let weak_tests =
             check Alcotest.bool "audit" true (Result.is_ok (Ledger.Book.audit book)))
           o.Runner.env.Env.books);
     Alcotest.test_case "tm_pids layout" `Quick (fun () ->
-        let env = mk_env ~hops:2 () in
-        let single = Weak_protocol.tm_pids env.Env.topo Weak_protocol.default_config in
-        check Alcotest.(array int) "single" [| 5 |] single;
-        let committee =
-          Weak_protocol.tm_pids env.Env.topo
-            { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
+        let tm_pids tm =
+          (Runner.run (Runner.default_config ~hops:2 ~seed:1)
+             (Runner.Weak { Weak_protocol.default_config with tm }))
+            .Runner.tm_pids
         in
-        check Alcotest.(array int) "committee" [| 5; 6; 7; 8 |] committee);
+        check Alcotest.(array int) "single" [| 5 |] (tm_pids Weak_protocol.Single);
+        check Alcotest.(array int) "committee" [| 5; 6; 7; 8 |]
+          (tm_pids (Weak_protocol.Committee { f = 1 })));
     Alcotest.test_case "every TM kind's network is well-formed at hops 1-6"
       `Quick (fun () ->
         let shared =
@@ -818,7 +887,16 @@ let weak_tests =
                     (Runner.protocol_name (Runner.Weak wcfg))
                     hops
                 in
-                let fresh = Weak_protocol.well_formed wcfg ~hops in
+                let fresh =
+                  Anta.Network_check.well_formed
+                    ~peers:
+                      (match tm with
+                      | Weak_protocol.Single | Weak_protocol.Shared _ -> []
+                      | _ ->
+                          List.init (Weak_protocol.tm_count wcfg)
+                            (( + ) ((2 * hops) + 1)))
+                    (Weak_protocol.template wcfg ~hops)
+                in
                 check Alcotest.(result unit string) name (Ok ()) fresh;
                 check
                   Alcotest.(result unit string)

@@ -1160,6 +1160,27 @@ let check_twins ?plan label spec =
     (List.length reset.v_shared = List.length fresh.v_shared);
   same "shared parts" (List.for_all2 ( == ) reset.v_shared fresh.v_shared)
 
+(* A shape's C verdict is a fresh check of the automata its blocks run,
+   their slots past the automata (the template's replicas) as peers. *)
+let check_verdict spec =
+  let w =
+    match Workload.of_string spec with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "%s: %s" spec e
+  in
+  let (v : Load.block_view), _ = Load.block_twins ~workload:w ~seed:5 () in
+  let (Protocols.Runner.Template t) = v.v_template in
+  let k = Array.length t.automata and n = Array.length v.v_procs in
+  Alcotest.check Alcotest.int (spec ^ ": slots running an automaton") (min k n)
+    (Array.length v.v_slots);
+  Alcotest.check
+    Alcotest.(result unit string)
+    spec
+    (Anta.Network_check.well_formed
+       ~peers:(List.init (n - k) (fun l -> k + l))
+       t.automata)
+    v.v_well_formed
+
 let reuse_tests =
   let base hops mix =
     Printf.sprintf
@@ -1198,6 +1219,52 @@ let reuse_tests =
           check_twins "shared"
             "payments=12 hops=2 mix=shared arrival=poisson:30 drift=0 \
              patience=100000 committee=majority:4:1:4:2");
+      Alcotest.test_case "every shape judges C of the template its blocks run"
+        `Quick (fun () ->
+          let linear =
+            List.concat_map
+              (fun mix -> List.map (fun hops -> base hops mix) [ 1; 2; 3 ])
+              [ "sync"; "naive"; "htlc"; "weak"; "committee"; "atomic" ]
+          in
+          List.iter check_verdict
+            (linear
+            @ List.map
+                (fun mix ->
+                  "payments=12 hops=2 mix=" ^ mix
+                  ^ " arrival=poisson:30 topology=er:6:4:9 \
+                     route=round-robin splits=3")
+                [ "sync:1,weak:1"; "weak:1,sync:1" ]
+            @ [
+                "payments=12 hops=2 mix=shared arrival=poisson:30 drift=0 \
+                 patience=100000 committee=majority:4:1:4:2";
+              ]));
+      Alcotest.test_case "every HTLC instance draws its own preimage" `Quick
+        (fun () ->
+          (* built fresh or reset, a block's instance takes its id's seed:
+             Alice's setup carries a lock per payment *)
+          let w =
+            match
+              Workload.of_string
+                "payments=12 hops=2 mix=htlc arrival=poisson:30 drift=0"
+            with
+            | Ok w -> w
+            | Error e -> Alcotest.fail e
+          in
+          let recorder = Sim.Trace.create () in
+          let _ : Load.report = Load.run ~recorder ~workload:w ~seed:5 () in
+          let locks =
+            List.filter_map
+              (function
+                | Sim.Trace.Sent
+                    { src; msg = Protocols.Msg.Htlc_setup { lock; _ }; _ }
+                  when (src - 1) mod Load.hosts w = 0 ->
+                    Some lock
+                | _ -> None)
+              (Sim.Trace.to_list recorder)
+          in
+          Alcotest.(check int) "Alice's setups" 12 (List.length locks);
+          Alcotest.(check int) "distinct locks" 12
+            (List.length (List.sort_uniq compare locks)));
     ]
 
 let () =
